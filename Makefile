@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race bench bench-smoke bench-service bench-cluster bench-fusion bench-transfer bench-graph bench-trace bench-chaos bench-record clean
+.PHONY: all build vet fmt-check test test-race bench bench-selftest bench-smoke bench-service bench-cluster bench-fusion bench-transfer bench-graph bench-trace bench-chaos bench-record clean
 
 all: build test
 
@@ -34,6 +34,12 @@ test-race:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
+
+# The repo benchmark (BENCHMARK.json, benchmark/) is a Go module of its
+# own, so `go test ./...` at the root never reaches it; this runs its
+# self-test (tiny shapes, every output check on) in a few seconds.
+bench-selftest:
+	cd benchmark && $(GO) test ./...
 
 # Fast CI gate: one pass over the scheduler and cluster throughput
 # benchmarks plus the machine-readable sweep (which now includes the

@@ -333,10 +333,8 @@ func (c *Context) switchKeyJobs(targets []*poly.Poly, swk *ckks.SwitchKey, level
 				b := bKey.Coeffs[keyIdx]
 				a := aKey.Coeffs[keyIdx]
 				o0, o1 := acc0s[jb].Coeffs[j], acc1s[jb].Coeffs[j]
-				for x := lo; x < hi; x++ {
-					o0[x] = mj.MAdMod(d[x], b[x], o0[x])
-					o1[x] = mj.MAdMod(d[x], a[x], o1[x])
-				}
+				mj.MAdModVec(o0[lo:hi], d[lo:hi], b[lo:hi])
+				mj.MAdModVec(o1[lo:hi], d[lo:hi], a[lo:hi])
 			}))
 	}
 	c.freePolys(dBufs)

@@ -277,10 +277,8 @@ func (c *Context) switchKey(target *poly.Poly, swk *ckks.SwitchKey, level int) (
 				b := bKey.Coeffs[keyIdx]
 				a := aKey.Coeffs[keyIdx]
 				o0, o1 := acc0.Coeffs[j], acc1.Coeffs[j]
-				for k := lo; k < hi; k++ {
-					o0[k] = mj.MAdMod(d[k], b[k], o0[k])
-					o1[k] = mj.MAdMod(d[k], a[k], o1[k])
-				}
+				mj.MAdModVec(o0[lo:hi], d[lo:hi], b[lo:hi])
+				mj.MAdModVec(o1[lo:hi], d[lo:hi], a[lo:hi])
 			}))
 	}
 	c.freePoly(dBuf)

@@ -3,6 +3,7 @@ package gpu
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"xehe/internal/isa"
 )
@@ -35,15 +36,13 @@ type GroupCtx struct {
 
 	// SLM is the group's shared local memory, sized by the kernel.
 	SLM []uint64
-
-	barriers int
 }
 
-// Barrier records a work-group barrier. Functionally a no-op (the
-// simulator executes items sequentially within a group, so every
-// "earlier stage" is complete), but it is counted so the analytic
-// profile can price barrier drain costs.
-func (g *GroupCtx) Barrier() { g.barriers++ }
+// Barrier marks a work-group barrier in a kernel body. It is a no-op:
+// the simulator executes a group's items sequentially, so every
+// earlier stage is already complete, and barrier drain cost is priced
+// from KernelProfile.Barriers, which the kernel states itself.
+func (g *GroupCtx) Barrier() {}
 
 // Kernel is a functional GPU kernel: a body executed per work-group
 // plus its analytic profile.
@@ -124,8 +123,7 @@ func runGroups(k *Kernel) {
 		}
 		return
 	}
-	var next int64
-	var mu sync.Mutex
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -133,14 +131,11 @@ func runGroups(k *Kernel) {
 			defer wg.Done()
 			ctx := GroupCtx{}
 			for {
-				mu.Lock()
-				idx := next
-				next++
-				mu.Unlock()
-				if int(idx) >= total {
+				idx := int(next.Add(1)) - 1
+				if idx >= total {
 					return
 				}
-				runOneGroup(k, &ctx, int(idx), groupsPerRow, local, g2)
+				runOneGroup(k, &ctx, idx, groupsPerRow, local, g2)
 			}
 		}()
 	}
@@ -158,7 +153,6 @@ func runOneGroup(k *Kernel, ctx *GroupCtx, idx, groupsPerRow, local, g2 int) {
 		size = g2 - base
 	}
 	ctx.P, ctx.Q, ctx.Group, ctx.Base, ctx.Size = p, q, grp, base, size
-	ctx.barriers = 0
 	if k.SLMSize > 0 {
 		if cap(ctx.SLM) < k.SLMSize {
 			ctx.SLM = make([]uint64, k.SLMSize)

@@ -212,3 +212,29 @@ func TestEngineNTTMultiplication(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEngineButterfly times the functional layer alone: forward +
+// inverse LocalRadix8 over 2 polynomials at the serving shape (N=4096,
+// 4 moduli) and the routine shape (N=32768, 9 moduli), reported per
+// 2-point butterfly — the same quantity as the repo benchmark's
+// ntt.host_ns_per_butterfly.* probes.
+func BenchmarkEngineButterfly(b *testing.B) {
+	for _, shape := range []struct {
+		name   string
+		n, rns int
+	}{{"n4096x4", 4096, 4}, {"n32768x9", 32768, 9}} {
+		b.Run(shape.name, func(b *testing.B) {
+			const polys = 2
+			data, tbls := testSetup(b, shape.n, shape.rns, polys, 1)
+			qs := queues1(gpu.NewDevice1())
+			e := NewEngine(LocalRadix8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Forward(qs, data, polys, tbls)
+				e.Inverse(qs, data, polys, tbls)
+			}
+			butterflies := 2 * polys * shape.rns * (shape.n / 2) * tbls[0].LogN
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(butterflies), "ns/butterfly")
+		})
+	}
+}

@@ -11,8 +11,44 @@ import (
 // which covers blocks [blockBase, blockBase+len(view)/(2T)) of a full
 // transform at entry stage (m blocks, gap T). All w internal stages
 // run on register-resident data, exactly as the high-radix kernels of
-// Section III-B.5.
+// Section III-B.5: w = 1, 2, 3 are straight-line code with the block's
+// twiddles loaded once; w = 4 (LocalRadix16) keeps the generic loop.
 func applyRadixRound(view []uint64, t *Tables, m, T, w, blockBase int) {
+	p := t.Modulus.Value
+	switch w {
+	case 1:
+		fwdRound2(view, t.Roots, p, m+blockBase, T)
+	case 2:
+		fwdRound4(view, t.Roots, p, m+blockBase, T)
+	case 3:
+		fwdRound8(view, t.Roots, p, m+blockBase, T)
+	default:
+		genericRadixRound(view, t, m, T, w, blockBase)
+	}
+}
+
+// applyInvRadixRound executes one inverse (Gentleman–Sande) radix-2^w
+// round over view, covering spans [spanBase, ...) of r*t elements of a
+// transform whose first executed stage has GS loop parameters (m, t).
+// It dispatches on w like applyRadixRound.
+func applyInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
+	p := tbl.Modulus.Value
+	switch w {
+	case 1:
+		invRound2(view, tbl.InvRoots, p, m>>1+spanBase, t)
+	case 2:
+		invRound4(view, tbl.InvRoots, p, m>>2+spanBase, t)
+	case 3:
+		invRound8(view, tbl.InvRoots, p, m>>3+spanBase, t)
+	default:
+		genericInvRadixRound(view, tbl, m, t, w, spanBase)
+	}
+}
+
+// genericRadixRound is the forward round for any w <= 4, written as
+// the index arithmetic of the paper's kernels. It runs LocalRadix16's
+// rounds and is what the specialised rounds are tested against.
+func genericRadixRound(view []uint64, t *Tables, m, T, w, blockBase int) {
 	r := 1 << w
 	stride := T >> (w - 1)
 	p := t.Modulus.Value
@@ -45,10 +81,8 @@ func applyRadixRound(view []uint64, t *Tables, m, T, w, blockBase int) {
 	}
 }
 
-// applyInvRadixRound executes one inverse (Gentleman–Sande) radix-2^w
-// round over view, covering spans [spanBase, ...) of r*t elements of a
-// transform whose first executed stage has GS loop parameters (m, t).
-func applyInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
+// genericInvRadixRound is the inverse counterpart of genericRadixRound.
+func genericInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
 	r := 1 << w
 	spanSize := r * t
 	p := tbl.Modulus.Value
@@ -80,22 +114,167 @@ func applyInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
 	}
 }
 
-// finalizeForward reduces lazy values to [0, p) (last round processing).
-func finalizeForward(x []uint64, p uint64) {
-	for i := range x {
-		x[i] = xmath.ReduceToRange(x[i], p)
+// The specialised rounds below take the twiddle table, the modulus,
+// the table slot of the first block's (or span's) coarsest twiddle —
+// m+blockBase forward, (m>>w)+spanBase inverse; the finer stages sit at
+// 2x and 4x that slot — and the gap. Each loads a block's twiddles
+// once, cuts the block into its r gap-strided lanes so the inner loop
+// carries no bounds checks, and keeps the r values in locals.
+
+// fwdRound2 is one Cooley–Tukey stage: blocks of 2T, butterflies (j, j+T).
+func fwdRound2(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int) {
+	twoP := 2 * p
+	for bs, i := 0, first; bs+2*T <= len(view); bs, i = bs+2*T, i+1 {
+		w0 := roots[i]
+		x0 := view[bs:][:T]
+		x1 := view[bs+T:][:T]
+		for j := range x0 {
+			x0[j], x1[j] = xmath.HarveyButterfly(x0[j], x1[j], w0, p, twoP)
+		}
 	}
 }
 
-// finalizeInverse applies the n^{-1} scaling and reduces to [0, p).
-func finalizeInverse(x []uint64, t *Tables) {
-	p := t.Modulus.Value
-	for i := range x {
-		v := t.NInv.MulModLazy(x[i], p)
-		if v >= p {
-			v -= p
+// fwdRound4 fuses two Cooley–Tukey stages: lanes (0,2),(1,3) under the
+// block's twiddle, then (0,1) and (2,3) under its two children.
+func fwdRound4(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int) {
+	twoP := 2 * p
+	s := T >> 1
+	for bs, i := 0, first; bs+2*T <= len(view); bs, i = bs+2*T, i+1 {
+		w0 := roots[i]
+		w10, w11 := roots[2*i], roots[2*i+1]
+		blk := view[bs : bs+2*T]
+		x0, x1, x2, x3 := blk[:s], blk[s:][:s], blk[2*s:][:s], blk[3*s:][:s]
+		for j := range x0 {
+			a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
+			a0, a2 = xmath.HarveyButterfly(a0, a2, w0, p, twoP)
+			a1, a3 = xmath.HarveyButterfly(a1, a3, w0, p, twoP)
+			a0, a1 = xmath.HarveyButterfly(a0, a1, w10, p, twoP)
+			a2, a3 = xmath.HarveyButterfly(a2, a3, w11, p, twoP)
+			x0[j], x1[j], x2[j], x3[j] = a0, a1, a2, a3
 		}
-		x[i] = v
+	}
+}
+
+// fwdRound8 fuses three Cooley–Tukey stages on eight lanes with the
+// block's 1 + 2 + 4 twiddles — the radix-8 kernel of Section III-B.5.
+func fwdRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int) {
+	twoP := 2 * p
+	s := T >> 2
+	for bs, i := 0, first; bs+2*T <= len(view); bs, i = bs+2*T, i+1 {
+		w0 := roots[i]
+		w10, w11 := roots[2*i], roots[2*i+1]
+		w2 := roots[4*i : 4*i+4]
+		w20, w21, w22, w23 := w2[0], w2[1], w2[2], w2[3]
+		blk := view[bs : bs+2*T]
+		x0, x1, x2, x3 := blk[:s], blk[s:][:s], blk[2*s:][:s], blk[3*s:][:s]
+		x4, x5, x6, x7 := blk[4*s:][:s], blk[5*s:][:s], blk[6*s:][:s], blk[7*s:][:s]
+		for j := range x0 {
+			a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
+			a4, a5, a6, a7 := x4[j], x5[j], x6[j], x7[j]
+			a0, a4 = xmath.HarveyButterfly(a0, a4, w0, p, twoP)
+			a1, a5 = xmath.HarveyButterfly(a1, a5, w0, p, twoP)
+			a2, a6 = xmath.HarveyButterfly(a2, a6, w0, p, twoP)
+			a3, a7 = xmath.HarveyButterfly(a3, a7, w0, p, twoP)
+			a0, a2 = xmath.HarveyButterfly(a0, a2, w10, p, twoP)
+			a1, a3 = xmath.HarveyButterfly(a1, a3, w10, p, twoP)
+			a4, a6 = xmath.HarveyButterfly(a4, a6, w11, p, twoP)
+			a5, a7 = xmath.HarveyButterfly(a5, a7, w11, p, twoP)
+			a0, a1 = xmath.HarveyButterfly(a0, a1, w20, p, twoP)
+			a2, a3 = xmath.HarveyButterfly(a2, a3, w21, p, twoP)
+			a4, a5 = xmath.HarveyButterfly(a4, a5, w22, p, twoP)
+			a6, a7 = xmath.HarveyButterfly(a6, a7, w23, p, twoP)
+			x0[j], x1[j], x2[j], x3[j] = a0, a1, a2, a3
+			x4[j], x5[j], x6[j], x7[j] = a4, a5, a6, a7
+		}
+	}
+}
+
+// invRound2 is one Gentleman–Sande stage: spans of 2t, butterflies (j, j+t).
+func invRound2(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int) {
+	twoP := 2 * p
+	for bs, i := 0, first; bs+2*t <= len(view); bs, i = bs+2*t, i+1 {
+		w0 := roots[i]
+		x0 := view[bs:][:t]
+		x1 := view[bs+t:][:t]
+		for j := range x0 {
+			x0[j], x1[j] = xmath.GSButterfly(x0[j], x1[j], w0, p, twoP)
+		}
+	}
+}
+
+// invRound4 fuses two Gentleman–Sande stages: lanes (0,1) and (2,3)
+// under the span's two first-stage twiddles, then (0,2),(1,3) under
+// their parent.
+func invRound4(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int) {
+	twoP := 2 * p
+	for bs, i := 0, first; bs+4*t <= len(view); bs, i = bs+4*t, i+1 {
+		w00, w01 := roots[2*i], roots[2*i+1]
+		w1 := roots[i]
+		blk := view[bs : bs+4*t]
+		x0, x1, x2, x3 := blk[:t], blk[t:][:t], blk[2*t:][:t], blk[3*t:][:t]
+		for j := range x0 {
+			a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
+			a0, a1 = xmath.GSButterfly(a0, a1, w00, p, twoP)
+			a2, a3 = xmath.GSButterfly(a2, a3, w01, p, twoP)
+			a0, a2 = xmath.GSButterfly(a0, a2, w1, p, twoP)
+			a1, a3 = xmath.GSButterfly(a1, a3, w1, p, twoP)
+			x0[j], x1[j], x2[j], x3[j] = a0, a1, a2, a3
+		}
+	}
+}
+
+// invRound8 fuses three Gentleman–Sande stages on eight lanes with the
+// span's 4 + 2 + 1 twiddles, the mirror image of fwdRound8.
+func invRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int) {
+	twoP := 2 * p
+	for bs, i := 0, first; bs+8*t <= len(view); bs, i = bs+8*t, i+1 {
+		w0 := roots[4*i : 4*i+4]
+		w00, w01, w02, w03 := w0[0], w0[1], w0[2], w0[3]
+		w10, w11 := roots[2*i], roots[2*i+1]
+		w2 := roots[i]
+		blk := view[bs : bs+8*t]
+		x0, x1, x2, x3 := blk[:t], blk[t:][:t], blk[2*t:][:t], blk[3*t:][:t]
+		x4, x5, x6, x7 := blk[4*t:][:t], blk[5*t:][:t], blk[6*t:][:t], blk[7*t:][:t]
+		for j := range x0 {
+			a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
+			a4, a5, a6, a7 := x4[j], x5[j], x6[j], x7[j]
+			a0, a1 = xmath.GSButterfly(a0, a1, w00, p, twoP)
+			a2, a3 = xmath.GSButterfly(a2, a3, w01, p, twoP)
+			a4, a5 = xmath.GSButterfly(a4, a5, w02, p, twoP)
+			a6, a7 = xmath.GSButterfly(a6, a7, w03, p, twoP)
+			a0, a2 = xmath.GSButterfly(a0, a2, w10, p, twoP)
+			a1, a3 = xmath.GSButterfly(a1, a3, w10, p, twoP)
+			a4, a6 = xmath.GSButterfly(a4, a6, w11, p, twoP)
+			a5, a7 = xmath.GSButterfly(a5, a7, w11, p, twoP)
+			a0, a4 = xmath.GSButterfly(a0, a4, w2, p, twoP)
+			a1, a5 = xmath.GSButterfly(a1, a5, w2, p, twoP)
+			a2, a6 = xmath.GSButterfly(a2, a6, w2, p, twoP)
+			a3, a7 = xmath.GSButterfly(a3, a7, w2, p, twoP)
+			x0[j], x1[j], x2[j], x3[j] = a0, a1, a2, a3
+			x4[j], x5[j], x6[j], x7[j] = a4, a5, a6, a7
+		}
+	}
+}
+
+// finalizeForward is the forward last-round processing: it reduces the
+// lazy values of src to [0, p) on their way into dst. The SLM kernel
+// passes its SLM as src and the global row as dst, so the reduction
+// rides on the write-back (Fig. 8); in-place callers pass x twice.
+func finalizeForward(dst, src []uint64, p uint64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = xmath.ReduceToRange(v, p)
+	}
+}
+
+// finalizeInverse applies the n^{-1} scaling and reduces to [0, p),
+// from src into dst like finalizeForward.
+func finalizeInverse(dst, src []uint64, t *Tables) {
+	p := t.Modulus.Value
+	nInv := t.NInv
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = nInv.MulMod(v, p)
 	}
 }
 
@@ -117,7 +296,7 @@ func (e *Engine) globalRoundKernel(view *BatchView, tbls []*Tables, w, stage int
 		} else {
 			applyInvRadixRound(row, tbl, 1<<stage, n>>stage, w, 0)
 			if isLast {
-				finalizeInverse(row, tbl)
+				finalizeInverse(row, row, tbl)
 			}
 		}
 	}
@@ -160,10 +339,10 @@ func (e *Engine) slmKernel(view *BatchView, tbls []*Tables, ws []int, stage int,
 
 	body := func(g *gpu.GroupCtx) {
 		tbl := tbls[g.Q]
-		slice := view.Row(g.P, g.Q)
 		g0 := g.Group * groupElems
+		global := view.Row(g.P, g.Q)[g0 : g0+groupElems]
 		slm := g.SLM[:groupElems]
-		copy(slm, slice[g0:g0+groupElems])
+		copy(slm, global)
 		s := startStage
 		if forward {
 			for _, w := range ws {
@@ -172,7 +351,7 @@ func (e *Engine) slmKernel(view *BatchView, tbls []*Tables, ws []int, stage int,
 				g.Barrier()
 				s += w
 			}
-			finalizeForward(slm, tbl.Modulus.Value)
+			finalizeForward(global, slm, tbl.Modulus.Value)
 		} else {
 			for _, w := range ws {
 				t := n >> s
@@ -181,10 +360,11 @@ func (e *Engine) slmKernel(view *BatchView, tbls []*Tables, ws []int, stage int,
 				s -= w
 			}
 			if s == 0 {
-				finalizeInverse(slm, tbl)
+				finalizeInverse(global, slm, tbl)
+			} else {
+				copy(global, slm)
 			}
 		}
-		copy(slice[g0:g0+groupElems], slm)
 	}
 
 	if e.Analytic {
@@ -319,9 +499,9 @@ func (e *Engine) buildNaive(view *BatchView, tbls []*Tables, forward bool) []*sy
 	final := func(g *gpu.GroupCtx) {
 		row := view.Row(g.P, g.Q)
 		if forward {
-			finalizeForward(row, tbls[g.Q].Modulus.Value)
+			finalizeForward(row, row, tbls[g.Q].Modulus.Value)
 		} else {
-			finalizeInverse(row, tbls[g.Q])
+			finalizeInverse(row, row, tbls[g.Q])
 		}
 	}
 	if e.Analytic {

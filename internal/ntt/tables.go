@@ -42,9 +42,7 @@ type Tables struct {
 	InvRoots []xmath.MulModOperand
 	// NInv is n^{-1} mod p for the inverse transform's final scaling.
 	NInv xmath.MulModOperand
-	// NInvLast is n^{-1} * (last GS twiddle) pre-merged — unused by the
-	// plain loop but kept for fused final rounds.
-	Psi uint64 // the 2N-th root used (for tests/debug)
+	Psi  uint64 // the 2N-th root used (for tests/debug)
 }
 
 // NewTables precomputes twiddle tables for degree n (a power of two)

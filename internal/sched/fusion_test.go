@@ -372,10 +372,16 @@ func TestPerClassCoalescingStats(t *testing.T) {
 	vals := make([]complex128, h.Params.Slots())
 	for attempt := 0; attempt < 5; attempt++ {
 		s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), h.GaloisKeys())
+		// Encrypt first and submit in a tight loop: a backlog (and hence
+		// coalescing) forms only while submission outruns the worker, and
+		// a host encryption per submit does not.
 		const bulk = 18
-		for i := 0; i < bulk; i++ {
-			j := NewJob(h.Encrypt(vals))
-			j.SquareRelinRescale(0) // Batch class (default)
+		var jobs [bulk]*Job
+		for i := range jobs {
+			jobs[i] = NewJob(h.Encrypt(vals))
+			jobs[i].SquareRelinRescale(0) // Batch class (default)
+		}
+		for _, j := range jobs {
 			if _, err := s.Submit(j); err != nil {
 				t.Fatal(err)
 			}

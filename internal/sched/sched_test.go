@@ -239,10 +239,15 @@ func TestBatchingCoalescesSameShape(t *testing.T) {
 	vals := make([]complex128, h.Params.Slots())
 	for attempt := 0; attempt < 5; attempt++ {
 		s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
+		// Encrypt first so submission is a tight loop that outruns the
+		// worker; a host encryption per submit would let it keep up.
 		const jobs = 24
-		for i := 0; i < jobs; i++ {
-			j := NewJob(h.Encrypt(vals))
-			j.SquareRelinRescale(0)
+		var batch [jobs]*Job
+		for i := range batch {
+			batch[i] = NewJob(h.Encrypt(vals))
+			batch[i].SquareRelinRescale(0)
+		}
+		for _, j := range batch {
 			if _, err := s.Submit(j); err != nil {
 				t.Fatal(err)
 			}

@@ -110,8 +110,7 @@ func (m Modulus) BarrettReduce128(hi, lo uint64) uint64 {
 
 	// Round 2.
 	h3, l3 := bits.Mul64(hi, m.ConstRatio[0])
-	tmp3, carry3 := bits.Add64(l3, tmp2, 0)
-	_ = tmp3
+	_, carry3 := bits.Add64(l3, tmp2, 0)
 	tmp1 += h3 + carry3
 
 	// This is all we care about.
@@ -140,6 +139,35 @@ func (m Modulus) MAdMod(a, b, c uint64) uint64 {
 	lo, carry = bits.Add64(lo, c, 0)
 	hi += carry
 	return m.BarrettReduce128(hi, lo)
+}
+
+// MAdModVec sets acc[i] = (a[i]*b[i] + acc[i]) mod p over len(acc)
+// elements: MAdMod with the modulus and Barrett ratio held in locals
+// and the reduction written inline, because a by-value Modulus call
+// per coefficient (BarrettReduce128 is too large to inline) is what
+// the key-switch accumulation otherwise spends its time on. MAdMod
+// stays the definition; the two are pinned equal by test.
+func (m Modulus) MAdModVec(acc, a, b []uint64) {
+	p, r0, r1 := m.Value, m.ConstRatio[0], m.ConstRatio[1]
+	a, b = a[:len(acc)], b[:len(acc)]
+	for i, c := range acc {
+		hi, lo := bits.Mul64(a[i], b[i])
+		lo, carry := bits.Add64(lo, c, 0)
+		hi += carry
+		// BarrettReduce128(hi, lo).
+		carry, _ = bits.Mul64(lo, r0)
+		h2, l2 := bits.Mul64(lo, r1)
+		tmp2, carry2 := bits.Add64(l2, carry, 0)
+		tmp1 := h2 + carry2
+		h3, l3 := bits.Mul64(hi, r0)
+		_, carry3 := bits.Add64(l3, tmp2, 0)
+		tmp1 += h3 + carry3 + hi*r1
+		r := lo - tmp1*p
+		if r >= p {
+			r -= p
+		}
+		acc[i] = r
+	}
 }
 
 // PowMod returns a^e mod p by square-and-multiply.

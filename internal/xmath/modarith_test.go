@@ -255,6 +255,40 @@ func TestQuickAddSubRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuickMAdModVecMatchesScalar pins the vector form to MAdMod, the
+// definition, over random moduli (2 up to 60 bits), random vectors and
+// the edge values 0 and p-1.
+func TestQuickMAdModVecMatchesScalar(t *testing.T) {
+	f := func(rawP uint64, seed int64, n uint8) bool {
+		m := fuzzModulus(rawP)
+		p := m.Value
+		rng := rand.New(rand.NewSource(seed))
+		a, b, acc := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+		for i := range acc {
+			a[i], b[i], acc[i] = rng.Uint64()%p, rng.Uint64()%p, rng.Uint64()%p
+			if i%5 == 0 {
+				a[i], b[i], acc[i] = p-1, p-1, p-1
+			} else if i%7 == 0 {
+				a[i] = 0
+			}
+		}
+		want := make([]uint64, n)
+		for i := range want {
+			want[i] = m.MAdMod(a[i], b[i], acc[i])
+		}
+		m.MAdModVec(acc, a, b)
+		for i := range want {
+			if acc[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkMulMod(b *testing.B) {
 	m := NewModulus(testPrime)
 	x := uint64(123456789123456)
