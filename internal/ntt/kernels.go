@@ -11,20 +11,15 @@ import (
 // which covers blocks [blockBase, blockBase+len(view)/(2T)) of a full
 // transform at entry stage (m blocks, gap T). All w internal stages
 // run on register-resident data, exactly as the high-radix kernels of
-// Section III-B.5: w = 1, 2, 3 are straight-line code with the block's
-// twiddles loaded once; w = 4 (LocalRadix16) keeps the generic loop.
+// Section III-B.5. The radix-8 round, the one every LocalRadix8
+// transform spends its time in, is straight-line code with the block's
+// twiddles loaded once; the other radices keep the generic loop.
 func applyRadixRound(view []uint64, t *Tables, m, T, w, blockBase int) {
-	p := t.Modulus.Value
-	switch w {
-	case 1:
-		fwdRound2(view, t.Roots, p, m+blockBase, T)
-	case 2:
-		fwdRound4(view, t.Roots, p, m+blockBase, T)
-	case 3:
-		fwdRound8(view, t.Roots, p, m+blockBase, T)
-	default:
-		genericRadixRound(view, t, m, T, w, blockBase)
+	if w == 3 {
+		fwdRound8(view, t.Roots, t.Modulus.Value, m+blockBase, T)
+		return
 	}
+	genericRadixRound(view, t, m, T, w, blockBase)
 }
 
 // applyInvRadixRound executes one inverse (Gentleman–Sande) radix-2^w
@@ -32,22 +27,16 @@ func applyRadixRound(view []uint64, t *Tables, m, T, w, blockBase int) {
 // transform whose first executed stage has GS loop parameters (m, t).
 // It dispatches on w like applyRadixRound.
 func applyInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
-	p := tbl.Modulus.Value
-	switch w {
-	case 1:
-		invRound2(view, tbl.InvRoots, p, m>>1+spanBase, t)
-	case 2:
-		invRound4(view, tbl.InvRoots, p, m>>2+spanBase, t)
-	case 3:
-		invRound8(view, tbl.InvRoots, p, m>>3+spanBase, t)
-	default:
-		genericInvRadixRound(view, tbl, m, t, w, spanBase)
+	if w == 3 {
+		invRound8(view, tbl.InvRoots, tbl.Modulus.Value, m>>3+spanBase, t)
+		return
 	}
+	genericInvRadixRound(view, tbl, m, t, w, spanBase)
 }
 
 // genericRadixRound is the forward round for any w <= 4, written as
-// the index arithmetic of the paper's kernels. It runs LocalRadix16's
-// rounds and is what the specialised rounds are tested against.
+// the index arithmetic of the paper's kernels. It runs every round
+// that is not radix-8 and is what the radix-8 rounds are tested against.
 func genericRadixRound(view []uint64, t *Tables, m, T, w, blockBase int) {
 	r := 1 << w
 	stride := T >> (w - 1)
@@ -114,46 +103,12 @@ func genericInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
 	}
 }
 
-// The specialised rounds below take the twiddle table, the modulus,
-// the table slot of the first block's (or span's) coarsest twiddle —
-// m+blockBase forward, (m>>w)+spanBase inverse; the finer stages sit at
+// The radix-8 rounds below take the twiddle table, the modulus, the
+// table slot of the first block's (or span's) coarsest twiddle —
+// m+blockBase forward, (m>>3)+spanBase inverse; the finer stages sit at
 // 2x and 4x that slot — and the gap. Each loads a block's twiddles
-// once, cuts the block into its r gap-strided lanes so the inner loop
-// carries no bounds checks, and keeps the r values in locals.
-
-// fwdRound2 is one Cooley–Tukey stage: blocks of 2T, butterflies (j, j+T).
-func fwdRound2(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int) {
-	twoP := 2 * p
-	for bs, i := 0, first; bs+2*T <= len(view); bs, i = bs+2*T, i+1 {
-		w0 := roots[i]
-		x0 := view[bs:][:T]
-		x1 := view[bs+T:][:T]
-		for j := range x0 {
-			x0[j], x1[j] = xmath.HarveyButterfly(x0[j], x1[j], w0, p, twoP)
-		}
-	}
-}
-
-// fwdRound4 fuses two Cooley–Tukey stages: lanes (0,2),(1,3) under the
-// block's twiddle, then (0,1) and (2,3) under its two children.
-func fwdRound4(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int) {
-	twoP := 2 * p
-	s := T >> 1
-	for bs, i := 0, first; bs+2*T <= len(view); bs, i = bs+2*T, i+1 {
-		w0 := roots[i]
-		w10, w11 := roots[2*i], roots[2*i+1]
-		blk := view[bs : bs+2*T]
-		x0, x1, x2, x3 := blk[:s], blk[s:][:s], blk[2*s:][:s], blk[3*s:][:s]
-		for j := range x0 {
-			a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
-			a0, a2 = xmath.HarveyButterfly(a0, a2, w0, p, twoP)
-			a1, a3 = xmath.HarveyButterfly(a1, a3, w0, p, twoP)
-			a0, a1 = xmath.HarveyButterfly(a0, a1, w10, p, twoP)
-			a2, a3 = xmath.HarveyButterfly(a2, a3, w11, p, twoP)
-			x0[j], x1[j], x2[j], x3[j] = a0, a1, a2, a3
-		}
-	}
-}
+// once, cuts the block into its eight gap-strided lanes so the inner
+// loop carries no bounds checks, and keeps the eight values in locals.
 
 // fwdRound8 fuses three Cooley–Tukey stages on eight lanes with the
 // block's 1 + 2 + 4 twiddles — the radix-8 kernel of Section III-B.5.
@@ -185,40 +140,6 @@ func fwdRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, T in
 			a6, a7 = xmath.HarveyButterfly(a6, a7, w23, p, twoP)
 			x0[j], x1[j], x2[j], x3[j] = a0, a1, a2, a3
 			x4[j], x5[j], x6[j], x7[j] = a4, a5, a6, a7
-		}
-	}
-}
-
-// invRound2 is one Gentleman–Sande stage: spans of 2t, butterflies (j, j+t).
-func invRound2(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int) {
-	twoP := 2 * p
-	for bs, i := 0, first; bs+2*t <= len(view); bs, i = bs+2*t, i+1 {
-		w0 := roots[i]
-		x0 := view[bs:][:t]
-		x1 := view[bs+t:][:t]
-		for j := range x0 {
-			x0[j], x1[j] = xmath.GSButterfly(x0[j], x1[j], w0, p, twoP)
-		}
-	}
-}
-
-// invRound4 fuses two Gentleman–Sande stages: lanes (0,1) and (2,3)
-// under the span's two first-stage twiddles, then (0,2),(1,3) under
-// their parent.
-func invRound4(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int) {
-	twoP := 2 * p
-	for bs, i := 0, first; bs+4*t <= len(view); bs, i = bs+4*t, i+1 {
-		w00, w01 := roots[2*i], roots[2*i+1]
-		w1 := roots[i]
-		blk := view[bs : bs+4*t]
-		x0, x1, x2, x3 := blk[:t], blk[t:][:t], blk[2*t:][:t], blk[3*t:][:t]
-		for j := range x0 {
-			a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
-			a0, a1 = xmath.GSButterfly(a0, a1, w00, p, twoP)
-			a2, a3 = xmath.GSButterfly(a2, a3, w01, p, twoP)
-			a0, a2 = xmath.GSButterfly(a0, a2, w1, p, twoP)
-			a1, a3 = xmath.GSButterfly(a1, a3, w1, p, twoP)
-			x0[j], x1[j], x2[j], x3[j] = a0, a1, a2, a3
 		}
 	}
 }

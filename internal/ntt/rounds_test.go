@@ -23,13 +23,13 @@ func roundWindows(n, span int) [][2]int {
 	return ws
 }
 
-// TestSpecialisedRoundsMatchGeneric runs every specialised round
-// (w = 1, 2, 3) at every entry stage of an 8192-point transform, over
-// the whole row and over each SLM group, against the generic loop, for
-// moduli from 30 to 60 bits. Inputs span the full lazy range, and the
-// outputs must stay inside it: forward [0, 4p), inverse [0, 2p).
-func TestSpecialisedRoundsMatchGeneric(t *testing.T) {
-	const n, logN = 8192, 13
+// TestRadix8RoundsMatchGeneric runs the straight-line radix-8 rounds
+// at every entry stage of an 8192-point transform, over the whole row
+// and over each SLM group, against the generic loop, for moduli from
+// 30 to 60 bits. Inputs span the full lazy range, and the outputs must
+// stay inside it: forward [0, 4p), inverse [0, 2p).
+func TestRadix8RoundsMatchGeneric(t *testing.T) {
+	const n, logN, w = 8192, 13, 3
 	for _, bits := range []int{30, 50, 60} {
 		tbl := NewTables(n, xmath.NewModulus(xmath.GeneratePrimes(bits, 1, n)[0]))
 		p := tbl.Modulus.Value
@@ -53,29 +53,27 @@ func TestSpecialisedRoundsMatchGeneric(t *testing.T) {
 				}
 			}
 		}
-		for w := 1; w <= 3; w++ {
-			for s := 0; s+w <= logN; s++ {
-				m, T := 1<<s, n>>(s+1)
-				for _, win := range roundWindows(n, 2*T) {
-					got := lazy(4 * p)
-					want := append([]uint64(nil), got...)
-					base := win[0] / (2 * T)
-					applyRadixRound(got[win[0]:win[1]], tbl, m, T, w, base)
-					genericRadixRound(want[win[0]:win[1]], tbl, m, T, w, base)
-					check(fmt.Sprintf("forward w=%d m=%d T=%d blockBase=%d", w, m, T, base), got, want, 4*p)
-				}
+		for s := 0; s+w <= logN; s++ {
+			m, T := 1<<s, n>>(s+1)
+			for _, win := range roundWindows(n, 2*T) {
+				got := lazy(4 * p)
+				want := append([]uint64(nil), got...)
+				base := win[0] / (2 * T)
+				applyRadixRound(got[win[0]:win[1]], tbl, m, T, w, base)
+				genericRadixRound(want[win[0]:win[1]], tbl, m, T, w, base)
+				check(fmt.Sprintf("forward m=%d T=%d blockBase=%d", m, T, base), got, want, 4*p)
 			}
-			for s := logN; s-w >= 0; s-- {
-				m, tt := 1<<s, n>>s
-				span := tt << w
-				for _, win := range roundWindows(n, span) {
-					got := lazy(2 * p)
-					want := append([]uint64(nil), got...)
-					base := win[0] / span
-					applyInvRadixRound(got[win[0]:win[1]], tbl, m, tt, w, base)
-					genericInvRadixRound(want[win[0]:win[1]], tbl, m, tt, w, base)
-					check(fmt.Sprintf("inverse w=%d m=%d t=%d spanBase=%d", w, m, tt, base), got, want, 2*p)
-				}
+		}
+		for s := logN; s-w >= 0; s-- {
+			m, tt := 1<<s, n>>s
+			span := tt << w
+			for _, win := range roundWindows(n, span) {
+				got := lazy(2 * p)
+				want := append([]uint64(nil), got...)
+				base := win[0] / span
+				applyInvRadixRound(got[win[0]:win[1]], tbl, m, tt, w, base)
+				genericInvRadixRound(want[win[0]:win[1]], tbl, m, tt, w, base)
+				check(fmt.Sprintf("inverse m=%d t=%d spanBase=%d", m, tt, base), got, want, 2*p)
 			}
 		}
 	}
@@ -84,8 +82,9 @@ func TestSpecialisedRoundsMatchGeneric(t *testing.T) {
 // TestEngineRadix8TailRoundsMatchReference: sizes whose stage counts
 // are not multiples of three make LocalRadix8 finish with a radix-4
 // round (N=2048: 3+3+3+2) or open with a radix-2 global round (N=8192:
-// 1 then 3+3+3+3 in two SLM groups); both directions must still be
-// bit-identical to ref.go.
+// 1 then 3+3+3+3 in two SLM groups), so radix-8 and generic rounds mix
+// in one transform; both directions must still be bit-identical to
+// ref.go.
 func TestEngineRadix8TailRoundsMatchReference(t *testing.T) {
 	const qCount, polys = 2, 2
 	for _, n := range []int{2048, 8192} {

@@ -370,50 +370,43 @@ func TestFusedMemcacheRecycling(t *testing.T) {
 func TestPerClassCoalescingStats(t *testing.T) {
 	h := sharedHarness(t)
 	vals := make([]complex128, h.Params.Slots())
-	for attempt := 0; attempt < 5; attempt++ {
-		s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), h.GaloisKeys())
-		// Encrypt first and submit in a tight loop: a backlog (and hence
-		// coalescing) forms only while submission outruns the worker, and
-		// a host encryption per submit does not.
-		const bulk = 18
-		var jobs [bulk]*Job
-		for i := range jobs {
-			jobs[i] = NewJob(h.Encrypt(vals))
-			jobs[i].SquareRelinRescale(0) // Batch class (default)
-		}
-		for _, j := range jobs {
-			if _, err := s.Submit(j); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Drain()
-		st := s.Stats()
-		s.Close()
-		if st.Jobs != bulk {
-			t.Fatalf("jobs = %d, want %d", st.Jobs, bulk)
-		}
-		var batches, coalesced int64
-		maxPerClass := 0
-		for _, pc := range st.PerClass {
-			batches += pc.Batches
-			coalesced += pc.Coalesced
-			if pc.MaxBatch > maxPerClass {
-				maxPerClass = pc.MaxBatch
-			}
-			if pc.Name != "batch" && (pc.Batches != 0 || pc.Coalesced != 0 || pc.MaxBatch != 0) {
-				t.Fatalf("idle class %q reports batches=%d coalesced=%d maxBatch=%d",
-					pc.Name, pc.Batches, pc.Coalesced, pc.MaxBatch)
-			}
-		}
-		if batches != st.Batches || coalesced != st.Coalesced || maxPerClass != st.MaxBatch {
-			t.Fatalf("per-class sums (batches %d, coalesced %d, max %d) disagree with globals (%d, %d, %d)",
-				batches, coalesced, maxPerClass, st.Batches, st.Coalesced, st.MaxBatch)
-		}
-		if st.Coalesced > 0 && st.MaxBatch >= 2 {
-			return // observed coalescing with consistent attribution
+	s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), h.GaloisKeys())
+	defer s.Close()
+	release := holdFirstBatch(s)
+	const bulk = 18
+	for i := 0; i < bulk; i++ {
+		j := NewJob(h.Encrypt(vals))
+		j.SquareRelinRescale(0) // Batch class (default)
+		if _, err := s.Submit(j); err != nil {
+			t.Fatal(err)
 		}
 	}
-	t.Fatal("no coalescing observed in 5 attempts")
+	release()
+	s.Drain()
+	st := s.Stats()
+	if st.Jobs != bulk {
+		t.Fatalf("jobs = %d, want %d", st.Jobs, bulk)
+	}
+	var batches, coalesced int64
+	maxPerClass := 0
+	for _, pc := range st.PerClass {
+		batches += pc.Batches
+		coalesced += pc.Coalesced
+		if pc.MaxBatch > maxPerClass {
+			maxPerClass = pc.MaxBatch
+		}
+		if pc.Name != "batch" && (pc.Batches != 0 || pc.Coalesced != 0 || pc.MaxBatch != 0) {
+			t.Fatalf("idle class %q reports batches=%d coalesced=%d maxBatch=%d",
+				pc.Name, pc.Batches, pc.Coalesced, pc.MaxBatch)
+		}
+	}
+	if batches != st.Batches || coalesced != st.Coalesced || maxPerClass != st.MaxBatch {
+		t.Fatalf("per-class sums (batches %d, coalesced %d, max %d) disagree with globals (%d, %d, %d)",
+			batches, coalesced, maxPerClass, st.Batches, st.Coalesced, st.MaxBatch)
+	}
+	if st.Coalesced == 0 || st.MaxBatch < 2 {
+		t.Fatalf("no coalescing of %d jobs behind a held worker: %d coalesced, max batch %d", bulk, st.Coalesced, st.MaxBatch)
+	}
 }
 
 // TestFusedFallbackIsolatesFailure forces a runtime failure inside a

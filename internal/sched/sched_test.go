@@ -230,39 +230,46 @@ func TestBackpressureTinyQueues(t *testing.T) {
 	}
 }
 
+// holdFirstBatch parks s's workers at their first batch until the
+// returned release is called, so jobs submitted meanwhile pile up
+// behind it whatever the host's speed: the dispatcher ships at most
+// QueueDepth+2 batches ahead of a held worker (its channel, the batch
+// in hand and one prefetched), and everything past those is still
+// queued, to be coalesced, when the worker resumes. Call it before the
+// first Submit.
+func holdFirstBatch(s *Scheduler) (release func()) {
+	gate := make(chan struct{})
+	s.onBatch = func() { <-gate }
+	return func() { close(gate) }
+}
+
 // TestBatchingCoalescesSameShape verifies that under load, same-shape
 // jobs are coalesced into batches. The dispatcher batches whatever has
-// accumulated, so with a single busy worker the backlog must coalesce;
-// a couple of attempts absorb scheduling jitter.
+// accumulated, so the backlog behind a single held worker must
+// coalesce.
 func TestBatchingCoalescesSameShape(t *testing.T) {
 	h := sharedHarness(t)
 	vals := make([]complex128, h.Params.Slots())
-	for attempt := 0; attempt < 5; attempt++ {
-		s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
-		// Encrypt first so submission is a tight loop that outruns the
-		// worker; a host encryption per submit would let it keep up.
-		const jobs = 24
-		var batch [jobs]*Job
-		for i := range batch {
-			batch[i] = NewJob(h.Encrypt(vals))
-			batch[i].SquareRelinRescale(0)
-		}
-		for _, j := range batch {
-			if _, err := s.Submit(j); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Drain()
-		st := s.Stats()
-		s.Close()
-		if st.Jobs != jobs {
-			t.Fatalf("jobs = %d, want %d", st.Jobs, jobs)
-		}
-		if st.Coalesced > 0 && st.MaxBatch >= 2 && st.Batches < jobs {
-			return // observed coalescing
+	s := newScheduler(t, h, 1)
+	release := holdFirstBatch(s)
+	const jobs = 24
+	for i := 0; i < jobs; i++ {
+		j := NewJob(h.Encrypt(vals))
+		j.SquareRelinRescale(0)
+		if _, err := s.Submit(j); err != nil {
+			t.Fatal(err)
 		}
 	}
-	t.Fatal("no batch coalescing observed in 5 attempts of 24 same-shape jobs on 1 worker")
+	release()
+	s.Drain()
+	st := s.Stats()
+	if st.Jobs != jobs {
+		t.Fatalf("jobs = %d, want %d", st.Jobs, jobs)
+	}
+	if st.Coalesced == 0 || st.MaxBatch < 2 || st.Batches >= jobs {
+		t.Fatalf("no coalescing of %d same-shape jobs behind a held worker: %d batches, %d coalesced, max batch %d",
+			jobs, st.Batches, st.Coalesced, st.MaxBatch)
+	}
 }
 
 // TestShapeKeyDistinguishesChains pins the batching key: same chains

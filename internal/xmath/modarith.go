@@ -96,27 +96,26 @@ func (m Modulus) BarrettReduce(a uint64) uint64 {
 	return r
 }
 
+// barrettQuotient128 returns the third 64-bit word of the 256-bit
+// product (hi, lo) * (r1, r0), with (r1, r0) = floor(2^128/p): the
+// quotient estimate of SEAL's barrett_reduce_128 (see SEAL
+// uintarithsmallmod.h for the derivation), at most one below the true
+// quotient. It is small enough to inline, so loops that hold p and the
+// ratio in locals share this one definition with BarrettReduce128.
+func barrettQuotient128(hi, lo, r0, r1 uint64) uint64 {
+	carry, _ := bits.Mul64(lo, r0)
+	h2, l2 := bits.Mul64(lo, r1)
+	tmp2, carry2 := bits.Add64(l2, carry, 0)
+	h3, l3 := bits.Mul64(hi, r0)
+	_, carry3 := bits.Add64(l3, tmp2, 0)
+	return h2 + carry2 + h3 + carry3 + hi*r1
+}
+
 // BarrettReduce128 reduces a 128-bit value (hi, lo) modulo p.
 // This is SEAL's barrett_reduce_128: two-word Barrett with the
 // precomputed floor(2^128/p) ratio.
 func (m Modulus) BarrettReduce128(hi, lo uint64) uint64 {
-	// Multiply input by ConstRatio and keep the third 64-bit word of the
-	// 256-bit product; see SEAL uintarithsmallmod.h for the derivation.
-	// Round 1.
-	carry, _ := bits.Mul64(lo, m.ConstRatio[0])
-	h2, l2 := bits.Mul64(lo, m.ConstRatio[1])
-	tmp2, carry2 := bits.Add64(l2, carry, 0)
-	tmp1 := h2 + carry2
-
-	// Round 2.
-	h3, l3 := bits.Mul64(hi, m.ConstRatio[0])
-	_, carry3 := bits.Add64(l3, tmp2, 0)
-	tmp1 += h3 + carry3
-
-	// This is all we care about.
-	tmp1 += hi * m.ConstRatio[1]
-
-	r := lo - tmp1*m.Value
+	r := lo - barrettQuotient128(hi, lo, m.ConstRatio[0], m.ConstRatio[1])*m.Value
 	if r >= m.Value {
 		r -= m.Value
 	}
@@ -142,27 +141,18 @@ func (m Modulus) MAdMod(a, b, c uint64) uint64 {
 }
 
 // MAdModVec sets acc[i] = (a[i]*b[i] + acc[i]) mod p over len(acc)
-// elements: MAdMod with the modulus and Barrett ratio held in locals
-// and the reduction written inline, because a by-value Modulus call
-// per coefficient (BarrettReduce128 is too large to inline) is what
-// the key-switch accumulation otherwise spends its time on. MAdMod
-// stays the definition; the two are pinned equal by test.
+// elements: MAdMod with the modulus and Barrett ratio held in locals,
+// because a by-value Modulus call per coefficient (MAdMod is too large
+// to inline) is what the key-switch accumulation otherwise spends its
+// time on. MAdMod stays the definition; the two are pinned equal by
+// test.
 func (m Modulus) MAdModVec(acc, a, b []uint64) {
 	p, r0, r1 := m.Value, m.ConstRatio[0], m.ConstRatio[1]
 	a, b = a[:len(acc)], b[:len(acc)]
 	for i, c := range acc {
 		hi, lo := bits.Mul64(a[i], b[i])
 		lo, carry := bits.Add64(lo, c, 0)
-		hi += carry
-		// BarrettReduce128(hi, lo).
-		carry, _ = bits.Mul64(lo, r0)
-		h2, l2 := bits.Mul64(lo, r1)
-		tmp2, carry2 := bits.Add64(l2, carry, 0)
-		tmp1 := h2 + carry2
-		h3, l3 := bits.Mul64(hi, r0)
-		_, carry3 := bits.Add64(l3, tmp2, 0)
-		tmp1 += h3 + carry3 + hi*r1
-		r := lo - tmp1*p
+		r := lo - barrettQuotient128(hi+carry, lo, r0, r1)*p
 		if r >= p {
 			r -= p
 		}
