@@ -27,10 +27,13 @@ test: build
 # work-stealing + transfer-pipeline harnesses (now including the
 # concurrent Stats/trace-snapshot hammer), the qos policy layer, the
 # observability rings + metrics registry, the shared device memory
-# cache + staging pool, the GPU simulator's group runner, and the sycl
-# copy-queue event ordering.
+# cache + staging pool (functional and timing-only), the GPU
+# simulator's group runner, the sycl copy-queue event ordering, and the
+# serial evaluator with the paper's figures on top of it (core and
+# fhebench run kernel bodies on the group runner's goroutines;
+# affordable since the timing-only figures stopped zeroing buffers).
 test-race:
-	$(GO) test -race ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/...
+	$(GO) test -race ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/... ./internal/core/... ./internal/fhebench/...
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

@@ -36,7 +36,11 @@ type Config struct {
 	// Blocking forces a host synchronization after every operation
 	// (disables the asynchronous pipeline of Fig. 2).
 	Blocking bool
-	// Analytic skips functional kernel bodies (paper-scale sweeps).
+	// Analytic is the timing-only mode (paper-scale sweeps): kernel
+	// bodies are skipped and device buffers are sizes and driver
+	// accounting without memory of their own (memcache.NewTimingOnly),
+	// so every simulated clock, counter and trace entry equals the
+	// functional run's while the host pays only for bookkeeping.
 	Analytic bool
 	// CopyEngine routes host<->device transfers through a dedicated
 	// per-tile copy queue when the device models one
@@ -107,7 +111,16 @@ func NewContext(params *ckks.Parameters, dev *gpu.Device, cfg Config) *Context {
 			q.Raw().SetBlocking(true)
 		}
 	}
-	return NewContextOn(params, dev, cfg, queues, memcache.New(dev, cfg.MemCache))
+	return NewContextOn(params, dev, cfg, queues, NewCache(dev, cfg))
+}
+
+// NewCache builds the buffer cache a context under cfg runs on:
+// recycling per cfg.MemCache, size-only buffers per cfg.Analytic.
+func NewCache(dev *gpu.Device, cfg Config) *memcache.Cache {
+	if cfg.Analytic {
+		return memcache.NewTimingOnly(dev, cfg.MemCache)
+	}
+	return memcache.New(dev, cfg.MemCache)
 }
 
 // NewContextOn creates a backend context bound to externally supplied
@@ -115,8 +128,14 @@ func NewContext(params *ckks.Parameters, dev *gpu.Device, cfg Config) *Context {
 // (internal/sched) uses it to give each worker its own in-order queue
 // while all workers recycle buffers through one device-wide cache; the
 // cache is safe for concurrent use, and per-worker queues keep the
-// in-order pipeline state (deps) private to one goroutine.
+// in-order pipeline state (deps) private to one goroutine. The cache
+// must be of cfg's mode (see NewCache): a timing-only cache's buffers
+// alias each other, which functional kernel bodies must never see, and
+// a functional cache under Analytic would zero memory nothing reads.
 func NewContextOn(params *ckks.Parameters, dev *gpu.Device, cfg Config, queues []*sycl.Queue, cache *memcache.Cache) *Context {
+	if cache.TimingOnly() != cfg.Analytic {
+		panic("core: cache mode does not match Config.Analytic (build the cache with core.NewCache)")
+	}
 	c := &Context{
 		Params: params,
 		Device: dev,

@@ -7,7 +7,10 @@ import (
 
 	"xehe/internal/ckks"
 	"xehe/internal/gpu"
+	"xehe/internal/isa"
+	"xehe/internal/memcache"
 	"xehe/internal/ntt"
+	"xehe/internal/sycl"
 )
 
 // harness bundles host CKKS machinery with a device context.
@@ -243,6 +246,25 @@ func TestDeviceLevelZeroGuards(t *testing.T) {
 	}
 	mustPanicCore(t, "rescale at level 0", func() { c.Rescale(d) })
 	mustPanicCore(t, "modswitch at level 0", func() { c.ModSwitch(d) })
+}
+
+// TestNewContextOnRejectsCacheOfTheOtherMode: a timing-only cache's
+// buffers alias one slab, so functional kernel bodies must never run
+// on one, and a functional cache under Analytic would zero memory
+// nothing reads.
+func TestNewContextOnRejectsCacheOfTheOtherMode(t *testing.T) {
+	h := newHarness(t)
+	dev := gpu.NewDevice1()
+	queues := []*sycl.Queue{sycl.NewQueue(dev, isa.InlineASM)}
+	functional, timingOnly := OptNTTAsm(), OptNTTAsm()
+	timingOnly.Analytic = true
+	mustPanicCore(t, "functional config on a timing-only cache", func() {
+		NewContextOn(h.params, dev, functional, queues, memcache.NewTimingOnly(dev, true))
+	})
+	mustPanicCore(t, "timing-only config on a functional cache", func() {
+		NewContextOn(h.params, dev, timingOnly, queues, memcache.New(dev, true))
+	})
+	NewContextOn(h.params, dev, timingOnly, queues, NewCache(dev, timingOnly)) // the matching cache is accepted
 }
 
 func mustPanicCore(t *testing.T, name string, f func()) {

@@ -82,5 +82,6 @@ func (c *Context) UploadCoeff(ct *ckks.Ciphertext) *Ciphertext {
 	return d
 }
 
-// FreeUnusedPoly exposes cache stats for ablations.
+// CacheStats returns the memory cache's hits and misses (driver
+// allocations), for the Fig. 19 ablation.
 func (c *Context) CacheStats() (hits, misses int64) { return c.Cache.Stats() }

@@ -291,9 +291,25 @@ func RunMatMul(spec gpu.DeviceSpec, cfg core.Config, w matmul.Workload) float64 
 	return dev.HostTime()
 }
 
+var (
+	shapePolysMu sync.Mutex
+	shapePolys   = map[[2]int][]*poly.Poly{} // by (N, components)
+)
+
+// analyticMatrix builds a rows x cols matrix of host ciphertexts for
+// timing-only runs. Only their shapes are ever read, so every element
+// of every matrix of one shape shares one pair of zero polynomials,
+// built once.
 func analyticMatrix(params *ckks.Parameters, rows, cols int) [][]*ckks.Ciphertext {
 	level := params.MaxLevel()
-	shared := []*poly.Poly{poly.New(params.N, level+1), poly.New(params.N, level+1)}
+	shape := [2]int{params.N, level + 1}
+	shapePolysMu.Lock()
+	shared, ok := shapePolys[shape]
+	if !ok {
+		shared = []*poly.Poly{poly.New(params.N, level+1), poly.New(params.N, level+1)}
+		shapePolys[shape] = shared
+	}
+	shapePolysMu.Unlock()
 	m := make([][]*ckks.Ciphertext, rows)
 	for i := range m {
 		m[i] = make([]*ckks.Ciphertext, cols)

@@ -150,3 +150,49 @@ func TestConcurrentStatsReaders(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentTimingOnly hammers timing-only caches (recycling and
+// pass-through) with growing request sizes, so the shared slab is
+// regrown while other goroutines are handed views of it (run it with
+// -race: no goroutine may touch a word). The accounting must balance
+// exactly as the functional cache's does.
+func TestConcurrentTimingOnly(t *testing.T) {
+	for _, enabled := range []bool{true, false} {
+		d := gpu.NewDevice1()
+		c := NewTimingOnly(d, enabled)
+		const (
+			goroutines = 8
+			iters      = 300
+		)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				for i := 0; i < iters; i++ {
+					a, b := c.Malloc(1+i*8+rng.Intn(64)), c.Malloc(1+rng.Intn(2048))
+					c.Pin(a)
+					c.Free(b)
+					c.Unpin(a)
+				}
+			}(g)
+		}
+		wg.Wait()
+		if n := c.UsedCount() + c.PinnedCount(); n != 0 {
+			t.Fatalf("enabled=%v: %d buffers still held after all frees", enabled, n)
+		}
+		hits, misses := c.Stats()
+		_, _, count := d.AllocStats()
+		if enabled && (count != misses || hits+misses != 2*goroutines*iters || int64(c.FreeCount()) != misses) {
+			t.Fatalf("recycling: %d hits, %d misses, %d pooled, %d driver allocations", hits, misses, c.FreeCount(), count)
+		}
+		if !enabled && count != 2*goroutines*iters {
+			t.Fatalf("pass-through: %d driver allocations, want %d", count, 2*goroutines*iters)
+		}
+		c.Release()
+		if live, _, _ := d.AllocStats(); live != 0 {
+			t.Fatalf("enabled=%v: %d live device bytes after Release", enabled, live)
+		}
+	}
+}

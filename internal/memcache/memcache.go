@@ -20,8 +20,9 @@ import (
 // Cache is a device memory cache. The zero value is not usable; call
 // New. All methods are safe for concurrent use.
 type Cache struct {
-	dev     *gpu.Device
-	enabled bool
+	dev        *gpu.Device
+	enabled    bool
+	timingOnly bool
 
 	mu   sync.Mutex
 	free []*entry // sorted by capacity (ascending)
@@ -29,6 +30,11 @@ type Cache struct {
 	pins map[*sycl.Buffer]int
 
 	hits, misses int64
+
+	// scratch is the one slab every timing-only buffer is a view of:
+	// it grows to the largest request seen and its words are never
+	// read or written.
+	scratch []uint64
 }
 
 type entry struct {
@@ -43,8 +49,39 @@ func New(dev *gpu.Device, enabled bool) *Cache {
 	return &Cache{dev: dev, enabled: enabled, used: map[*sycl.Buffer]*entry{}, pins: map[*sycl.Buffer]int{}}
 }
 
+// NewTimingOnly is New for runs that skip kernel bodies
+// (core.Config.Analytic): every driver allocation is charged to the
+// device and every pool decision made exactly as in a cache from New,
+// but no buffer gets memory of its own — all of them are views of one
+// shared slab, so their words alias and must never be read or written.
+// core.NewContextOn refuses to pair such a cache with functional code.
+func NewTimingOnly(dev *gpu.Device, enabled bool) *Cache {
+	c := New(dev, enabled)
+	c.timingOnly = true
+	return c
+}
+
 // Enabled reports whether buffer recycling is active.
 func (c *Cache) Enabled() bool { return c.enabled }
+
+// TimingOnly reports whether the cache hands out size-only buffers
+// (see NewTimingOnly).
+func (c *Cache) TimingOnly() bool { return c.timingOnly }
+
+// driverAlloc makes every driver allocation of the cache: a Malloc
+// miss (or any Malloc with recycling off) and each Warm buffer.
+func (c *Cache) driverAlloc(size int) *sycl.Buffer {
+	if !c.timingOnly {
+		return sycl.MallocDevice(c.dev, size)
+	}
+	c.mu.Lock()
+	if len(c.scratch) < size {
+		c.scratch = make([]uint64, size)
+	}
+	view := c.scratch[:size:size]
+	c.mu.Unlock()
+	return sycl.MallocDeviceOver(c.dev, view)
+}
 
 // Malloc returns a device buffer with at least size words of capacity.
 // With the cache enabled, the smallest free buffer with capacity >=
@@ -52,7 +89,7 @@ func (c *Cache) Enabled() bool { return c.enabled }
 // exactly size words is made.
 func (c *Cache) Malloc(size int) *sycl.Buffer {
 	if !c.enabled {
-		return sycl.MallocDevice(c.dev, size)
+		return c.driverAlloc(size)
 	}
 	c.mu.Lock()
 	// Best fit: first free entry with cap >= size.
@@ -69,7 +106,7 @@ func (c *Cache) Malloc(size int) *sycl.Buffer {
 	c.misses++
 	c.mu.Unlock()
 
-	buf := sycl.MallocDevice(c.dev, size)
+	buf := c.driverAlloc(size)
 	e := &entry{buf: buf, cap: size}
 	c.mu.Lock()
 	c.used[buf] = e
@@ -166,7 +203,7 @@ func (c *Cache) Warm(n, size int) {
 	}
 	entries := make([]*entry, n)
 	for i := range entries {
-		entries[i] = &entry{buf: sycl.MallocDevice(c.dev, size), cap: size}
+		entries[i] = &entry{buf: c.driverAlloc(size), cap: size}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

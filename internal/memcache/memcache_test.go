@@ -272,3 +272,125 @@ func TestReleaseAllReclaimsOrphans(t *testing.T) {
 		t.Fatalf("leak: %d live device bytes after ReleaseAll", live)
 	}
 }
+
+// accounting is everything the model can observe of a cache and its
+// device: pool decisions, pool sizes, driver traffic and its cost.
+type accounting struct {
+	hits, misses       int64
+	free, used, pinned int
+	live, peak, allocs int64
+	host               gpu.Cycles
+}
+
+func accountingOf(c *Cache, d *gpu.Device) accounting {
+	var a accounting
+	a.hits, a.misses = c.Stats()
+	a.free, a.used, a.pinned = c.FreeCount(), c.UsedCount(), c.PinnedCount()
+	a.live, a.peak, a.allocs = d.AllocStats()
+	a.host = d.HostTime()
+	return a
+}
+
+// TestTimingOnlyAccountingMatchesFunctional drives a functional and a
+// timing-only cache through one seeded random sequence of every
+// mutating call and requires identical accounting after every step:
+// the timing-only mode may drop the buffers' memory, nothing else.
+func TestTimingOnlyAccountingMatchesFunctional(t *testing.T) {
+	for _, enabled := range []bool{true, false} {
+		for seed := int64(1); seed <= 4; seed++ {
+			devs := [2]*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1()}
+			caches := [2]*Cache{New(devs[0], enabled), NewTimingOnly(devs[1], enabled)}
+			type heldBuf struct {
+				bufs [2]*sycl.Buffer
+				pins int
+			}
+			var held []*heldBuf
+			rng := rand.New(rand.NewSource(seed))
+			pick := func(ok func(*heldBuf) bool) int {
+				for _, i := range rng.Perm(len(held)) {
+					if ok(held[i]) {
+						return i
+					}
+				}
+				return -1
+			}
+			drop := func(i int) { held = append(held[:i], held[i+1:]...) }
+			for step := 0; step < 600; step++ {
+				op := "malloc"
+				switch r := rng.Intn(20); {
+				case r < 7:
+					size := 1 + rng.Intn(4096)
+					h := &heldBuf{}
+					for k, c := range caches {
+						h.bufs[k] = c.Malloc(size)
+					}
+					if a, b := h.bufs[0], h.bufs[1]; len(a.Data) != len(b.Data) || cap(a.Data) != cap(b.Data) {
+						t.Fatalf("enabled=%v seed %d step %d: Malloc(%d) handed out len/cap %d/%d functional, %d/%d timing-only",
+							enabled, seed, step, size, len(a.Data), cap(a.Data), len(b.Data), cap(b.Data))
+					}
+					held = append(held, h)
+				case r < 12:
+					op = "free"
+					if i := pick(func(h *heldBuf) bool { return h.pins == 0 }); i >= 0 {
+						for k, c := range caches {
+							c.Free(held[i].bufs[k])
+						}
+						drop(i)
+					}
+				case r < 15:
+					op = "pin"
+					if i := pick(func(*heldBuf) bool { return true }); i >= 0 {
+						for k, c := range caches {
+							c.Pin(held[i].bufs[k])
+						}
+						held[i].pins++
+					}
+				case r < 18:
+					op = "unpin"
+					if i := pick(func(h *heldBuf) bool { return h.pins > 0 }); i >= 0 {
+						recycled := [2]bool{}
+						for k, c := range caches {
+							recycled[k] = c.Unpin(held[i].bufs[k])
+						}
+						if recycled[0] != recycled[1] {
+							t.Fatalf("enabled=%v seed %d step %d: Unpin recycled %v functional, %v timing-only", enabled, seed, step, recycled[0], recycled[1])
+						}
+						if held[i].pins--; recycled[0] {
+							drop(i)
+						}
+					}
+				case r < 19:
+					op = "warm"
+					n, size := 1+rng.Intn(3), 1+rng.Intn(4096)
+					for _, c := range caches {
+						c.Warm(n, size)
+					}
+				default:
+					op = "release"
+					for _, c := range caches {
+						c.Release()
+					}
+				}
+				if want, got := accountingOf(caches[0], devs[0]), accountingOf(caches[1], devs[1]); got != want {
+					t.Fatalf("enabled=%v seed %d step %d (%s): timing-only cache reads %+v, functional %+v", enabled, seed, step, op, got, want)
+				}
+			}
+			// Teardown: what the holder still owns goes back by Free;
+			// buffers left pinned are ReleaseAll's to reclaim.
+			for _, h := range held {
+				if h.pins == 0 {
+					for k, c := range caches {
+						c.Free(h.bufs[k])
+					}
+				}
+			}
+			orphans := [2]int{caches[0].ReleaseAll(), caches[1].ReleaseAll()}
+			if orphans[0] != orphans[1] {
+				t.Fatalf("enabled=%v seed %d: ReleaseAll reclaimed %d functional, %d timing-only", enabled, seed, orphans[0], orphans[1])
+			}
+			if want, got := accountingOf(caches[0], devs[0]), accountingOf(caches[1], devs[1]); got != want || got.live != 0 {
+				t.Fatalf("enabled=%v seed %d after ReleaseAll: timing-only %+v, functional %+v, want equal with nothing live", enabled, seed, got, want)
+			}
+		}
+	}
+}

@@ -209,21 +209,20 @@ func (e *Engine) globalRoundKernel(view *BatchView, tbls []*Tables, w, stage int
 	r := 1 << w
 	isLast := !forward && stage-w == 0
 
-	body := func(g *gpu.GroupCtx) {
-		row := view.Row(g.P, g.Q)
-		tbl := tbls[g.Q]
-		if forward {
-			applyRadixRound(row, tbl, 1<<stage, n>>(stage+1), w, 0)
-		} else {
-			applyInvRadixRound(row, tbl, 1<<stage, n>>stage, w, 0)
-			if isLast {
-				finalizeInverse(row, row, tbl)
+	var body func(g *gpu.GroupCtx)
+	if !e.Analytic {
+		body = func(g *gpu.GroupCtx) {
+			row := view.Row(g.P, g.Q)
+			tbl := tbls[g.Q]
+			if forward {
+				applyRadixRound(row, tbl, 1<<stage, n>>(stage+1), w, 0)
+			} else {
+				applyInvRadixRound(row, tbl, 1<<stage, n>>stage, w, 0)
+				if isLast {
+					finalizeInverse(row, row, tbl)
+				}
 			}
 		}
-	}
-
-	if e.Analytic {
-		body = nil
 	}
 	items := polys * qCount * (n / r)
 	per := roundProfile(r)
@@ -258,38 +257,37 @@ func (e *Engine) slmKernel(view *BatchView, tbls []*Tables, ws []int, stage int,
 	}
 	startStage := stage
 
-	body := func(g *gpu.GroupCtx) {
-		tbl := tbls[g.Q]
-		g0 := g.Group * groupElems
-		global := view.Row(g.P, g.Q)[g0 : g0+groupElems]
-		slm := g.SLM[:groupElems]
-		copy(slm, global)
-		s := startStage
-		if forward {
-			for _, w := range ws {
-				T := n >> (s + 1)
-				applyRadixRound(slm, tbl, 1<<s, T, w, g0/(2*T))
-				g.Barrier()
-				s += w
-			}
-			finalizeForward(global, slm, tbl.Modulus.Value)
-		} else {
-			for _, w := range ws {
-				t := n >> s
-				applyInvRadixRound(slm, tbl, 1<<s, t, w, g0/((1<<w)*t))
-				g.Barrier()
-				s -= w
-			}
-			if s == 0 {
-				finalizeInverse(global, slm, tbl)
+	var body func(g *gpu.GroupCtx)
+	if !e.Analytic {
+		body = func(g *gpu.GroupCtx) {
+			tbl := tbls[g.Q]
+			g0 := g.Group * groupElems
+			global := view.Row(g.P, g.Q)[g0 : g0+groupElems]
+			slm := g.SLM[:groupElems]
+			copy(slm, global)
+			s := startStage
+			if forward {
+				for _, w := range ws {
+					T := n >> (s + 1)
+					applyRadixRound(slm, tbl, 1<<s, T, w, g0/(2*T))
+					g.Barrier()
+					s += w
+				}
+				finalizeForward(global, slm, tbl.Modulus.Value)
 			} else {
-				copy(global, slm)
+				for _, w := range ws {
+					t := n >> s
+					applyInvRadixRound(slm, tbl, 1<<s, t, w, g0/((1<<w)*t))
+					g.Barrier()
+					s -= w
+				}
+				if s == 0 {
+					finalizeInverse(global, slm, tbl)
+				} else {
+					copy(global, slm)
+				}
 			}
 		}
-	}
-
-	if e.Analytic {
-		body = nil
 	}
 
 	// Analytic profile.
@@ -379,17 +377,17 @@ func (e *Engine) buildNaive(view *BatchView, tbls []*Tables, forward bool) []*sy
 	var kernels []*sycl.Kernel
 
 	mkStage := func(stage int) *sycl.Kernel {
-		body := func(g *gpu.GroupCtx) {
-			row := view.Row(g.P, g.Q)
-			tbl := tbls[g.Q]
-			if forward {
-				applyRadixRound(row, tbl, 1<<stage, n>>(stage+1), 1, 0)
-			} else {
-				applyInvRadixRound(row, tbl, 1<<stage, n>>stage, 1, 0)
+		var body func(g *gpu.GroupCtx)
+		if !e.Analytic {
+			body = func(g *gpu.GroupCtx) {
+				row := view.Row(g.P, g.Q)
+				tbl := tbls[g.Q]
+				if forward {
+					applyRadixRound(row, tbl, 1<<stage, n>>(stage+1), 1, 0)
+				} else {
+					applyInvRadixRound(row, tbl, 1<<stage, n>>stage, 1, 0)
+				}
 			}
-		}
-		if e.Analytic {
-			body = nil
 		}
 		items := polys * qCount * (n / 2)
 		return &sycl.Kernel{
@@ -417,16 +415,16 @@ func (e *Engine) buildNaive(view *BatchView, tbls []*Tables, forward bool) []*sy
 
 	// Last round processing as its own kernel (not fused in the naive
 	// implementation — the 2N extra accesses of Section III-B.1).
-	final := func(g *gpu.GroupCtx) {
-		row := view.Row(g.P, g.Q)
-		if forward {
-			finalizeForward(row, row, tbls[g.Q].Modulus.Value)
-		} else {
-			finalizeInverse(row, row, tbls[g.Q])
+	var final func(g *gpu.GroupCtx)
+	if !e.Analytic {
+		final = func(g *gpu.GroupCtx) {
+			row := view.Row(g.P, g.Q)
+			if forward {
+				finalizeForward(row, row, tbls[g.Q].Modulus.Value)
+			} else {
+				finalizeInverse(row, row, tbls[g.Q])
+			}
 		}
-	}
-	if e.Analytic {
-		final = nil
 	}
 	var per isa.Profile
 	per.Add(isa.OpAdd64, 4)

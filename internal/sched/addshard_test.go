@@ -10,7 +10,7 @@ import (
 
 // addSpec builds a host-local shard spec for AddShard tests.
 func addSpec(node int) ShardSpec {
-	return ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), true), Node: node}
+	return ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: node}
 }
 
 // TestAddShardRoutesDuringWarmup pins elastic scale-up against live

@@ -54,12 +54,15 @@ type DeviceBackend struct {
 	staging *memcache.StagingPool
 }
 
-// NewDeviceBackend wraps a device and a fresh buffer cache (enabled or
-// pass-through per cacheEnabled) as a scheduler backend.
-func NewDeviceBackend(dev *gpu.Device, cacheEnabled bool) *DeviceBackend {
+// NewDeviceBackend wraps a device and the fresh buffer cache cfg asks
+// for (recycling per cfg.MemCache, size-only buffers per cfg.Analytic;
+// see core.NewCache) as a scheduler backend. cfg must be the
+// scheduler's Config.Core: WorkerContext rejects a config of the other
+// mode.
+func NewDeviceBackend(dev *gpu.Device, cfg core.Config) *DeviceBackend {
 	return &DeviceBackend{
 		dev:     dev,
-		cache:   memcache.New(dev, cacheEnabled),
+		cache:   core.NewCache(dev, cfg),
 		staging: memcache.NewStagingPool(),
 	}
 }

@@ -90,7 +90,7 @@ func testChaosDifferential(t *testing.T, h *Harness, fk, ft Toggle) {
 	c.Faults().KillShard(1)
 	cfg := schedConfig(2)
 	cfg.FuseKernels, cfg.FuseTransfers = fk, ft
-	idx, err := c.AddShard(ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), cfg.Core.MemCache), Node: 3})
+	idx, err := c.AddShard(ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), cfg.Core), Node: 3})
 	if err != nil {
 		t.Fatalf("AddShard: %v", err)
 	}

@@ -222,11 +222,11 @@ func NewCluster(params *ckks.Parameters, devs []*gpu.Device, cfg Config, rlk *ck
 	for i, dev := range devs {
 		spec := dev.Spec
 		specs[i] = ShardSpec{
-			Backend: NewDeviceBackend(dev, cfg.Core.MemCache),
+			Backend: NewDeviceBackend(dev, cfg.Core),
 			Node:    i,
 			// Replacements simulate a fresh device of the same model:
 			// the dead one's executor is gone, its spec is not.
-			Rebuild: func() Backend { return NewDeviceBackend(gpu.NewDevice(spec), cfg.Core.MemCache) },
+			Rebuild: func() Backend { return NewDeviceBackend(gpu.NewDevice(spec), cfg.Core) },
 		}
 	}
 	return NewClusterShards(params, specs, cfg, rlk, gks)

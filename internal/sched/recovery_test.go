@@ -131,8 +131,8 @@ func TestReplayedProducerErrorPropagation(t *testing.T) {
 	gks[5] = &ckks.GaloisKey{} // present (passes Submit), panics at run time
 
 	specs := []ShardSpec{
-		{Backend: NewDeviceBackend(gpu.NewDevice1(), true), Node: 0},
-		{Backend: NewDeviceBackend(gpu.NewDevice1(), true), Node: 1},
+		{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 0},
+		{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 1},
 	}
 	c := NewClusterShards(h.Params, specs, schedConfig(1), h.RelinKey(), gks)
 	t.Cleanup(c.Close)
@@ -201,8 +201,8 @@ func TestBackpressuredSubmitSurvivesKill(t *testing.T) {
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 4 // tiny pipeline: a burst must block in Submit
 	specs := []ShardSpec{
-		{Backend: NewDeviceBackend(gpu.NewDevice1(), true), Node: 0},
-		{Backend: NewDeviceBackend(gpu.NewDevice1(), true), Node: 1},
+		{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 0},
+		{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 1},
 	}
 	c := NewClusterShards(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)

@@ -1,6 +1,9 @@
 package sched
 
-import "xehe/internal/gpu"
+import (
+	"xehe/internal/core"
+	"xehe/internal/gpu"
+)
 
 // NetLink describes the simulated network hop between the scheduler's
 // host and a device on a remote node. The zero value is a host-local
@@ -36,7 +39,7 @@ type RemoteBackend struct {
 // given link. The hop is converted to device cycles once here; the
 // device then charges it on every crossing without the scheduler
 // knowing the shard is remote.
-func NewRemoteBackend(dev *gpu.Device, cacheEnabled bool, node int, link NetLink) *RemoteBackend {
+func NewRemoteBackend(dev *gpu.Device, cfg core.Config, node int, link NetLink) *RemoteBackend {
 	cyclesPerSec := dev.Spec.ClockGHz * 1e9
 	var bpc float64
 	if link.GBps > 0 {
@@ -44,7 +47,7 @@ func NewRemoteBackend(dev *gpu.Device, cacheEnabled bool, node int, link NetLink
 	}
 	dev.SetLink(link.LatencySeconds*cyclesPerSec, bpc)
 	return &RemoteBackend{
-		DeviceBackend: NewDeviceBackend(dev, cacheEnabled),
+		DeviceBackend: NewDeviceBackend(dev, cfg),
 		node:          node,
 		link:          link,
 	}

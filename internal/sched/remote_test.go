@@ -16,9 +16,9 @@ func newRemoteCluster(t testing.TB, h *Harness, workers int, links []NetLink, de
 	specs := make([]ShardSpec, len(devs))
 	for i, dev := range devs {
 		if links[i].Local() {
-			specs[i] = ShardSpec{Backend: NewDeviceBackend(dev, cfg.Core.MemCache), Node: i}
+			specs[i] = ShardSpec{Backend: NewDeviceBackend(dev, cfg.Core), Node: i}
 		} else {
-			specs[i] = ShardSpec{Backend: NewRemoteBackend(dev, cfg.Core.MemCache, i, links[i]), Node: i}
+			specs[i] = ShardSpec{Backend: NewRemoteBackend(dev, cfg.Core, i, links[i]), Node: i}
 		}
 	}
 	c := NewClusterShards(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())

@@ -490,7 +490,7 @@ type worker struct {
 // keys are looked up per rotation amount and may be nil if no job
 // rotates.
 func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey) *Scheduler {
-	return NewOn(params, NewDeviceBackend(dev, cfg.Core.MemCache), cfg, rlk, gks)
+	return NewOn(params, NewDeviceBackend(dev, cfg.Core), cfg, rlk, gks)
 }
 
 // NewOn creates a scheduler on an abstract execution backend. The

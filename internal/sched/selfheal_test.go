@@ -172,8 +172,8 @@ func TestRetryLinkFaultDifferential(t *testing.T) {
 	cfg.Retry = RetryPolicy{MaxAttempts: 4}
 	link := NetLink{LatencySeconds: 3e-6, GBps: 8}
 	specs := []ShardSpec{
-		{Backend: NewRemoteBackend(gpu.NewDevice1(), cfg.Core.MemCache, 0, link), Node: 0},
-		{Backend: NewRemoteBackend(gpu.NewDevice1(), cfg.Core.MemCache, 1, link), Node: 1},
+		{Backend: NewRemoteBackend(gpu.NewDevice1(), cfg.Core, 0, link), Node: 0},
+		{Backend: NewRemoteBackend(gpu.NewDevice1(), cfg.Core, 1, link), Node: 1},
 	}
 	c := NewClusterShards(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
@@ -247,7 +247,7 @@ func TestRetryExhaustionSurfacesOriginalError(t *testing.T) {
 	cfg.Retry = RetryPolicy{MaxAttempts: 3}
 	link := NetLink{LatencySeconds: 3e-6, GBps: 8}
 	specs := []ShardSpec{
-		{Backend: NewRemoteBackend(gpu.NewDevice1(), cfg.Core.MemCache, 0, link), Node: 0},
+		{Backend: NewRemoteBackend(gpu.NewDevice1(), cfg.Core, 0, link), Node: 0},
 	}
 	c := NewClusterShards(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
@@ -410,7 +410,7 @@ func TestDrainShardMigratesResidents(t *testing.T) {
 	}
 	c.Drain()
 
-	if _, err := c.AddShard(ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), true), Node: 1}); err != nil {
+	if _, err := c.AddShard(ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 1}); err != nil {
 		t.Fatalf("AddShard: %v", err)
 	}
 	mustFinish(t, "DrainShard", func() { c.DrainShard(0) })

@@ -140,6 +140,18 @@ func MallocDevice(d *gpu.Device, n int) *Buffer {
 	return &Buffer{Data: make([]uint64, n), dev: d}
 }
 
+// MallocDeviceOver is MallocDevice for timing-only runs: the driver is
+// charged for cap(words) words (what Free refunds) exactly as
+// MallocDevice charges for n, but the buffer is laid over caller-owned
+// words instead of fresh memory. The caller may lay any number of
+// buffers over the same words, so nothing may read or write Data —
+// only its length and capacity mean anything. The memory cache's
+// timing-only mode is the one caller.
+func MallocDeviceOver(d *gpu.Device, words []uint64) *Buffer {
+	d.RawMalloc(int64(cap(words)) * 8)
+	return &Buffer{Data: words, dev: d}
+}
+
 // Free releases the buffer back to the driver.
 func (b *Buffer) Free() {
 	if b.dev != nil {

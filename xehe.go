@@ -836,18 +836,18 @@ func shardSpec(dev *gpu.Device, cfg sched.Config, node NodeSpec) sched.ShardSpec
 	spec := dev.Spec // captured by value: a rebuild gets a fresh device of the same kind
 	if link.Local() {
 		return sched.ShardSpec{
-			Backend: sched.NewDeviceBackend(dev, cfg.Core.MemCache),
+			Backend: sched.NewDeviceBackend(dev, cfg.Core),
 			Node:    node.Node,
 			Rebuild: func() sched.Backend {
-				return sched.NewDeviceBackend(gpu.NewDevice(spec), cfg.Core.MemCache)
+				return sched.NewDeviceBackend(gpu.NewDevice(spec), cfg.Core)
 			},
 		}
 	}
 	return sched.ShardSpec{
-		Backend: sched.NewRemoteBackend(dev, cfg.Core.MemCache, node.Node, link),
+		Backend: sched.NewRemoteBackend(dev, cfg.Core, node.Node, link),
 		Node:    node.Node,
 		Rebuild: func() sched.Backend {
-			return sched.NewRemoteBackend(gpu.NewDevice(spec), cfg.Core.MemCache, node.Node, link)
+			return sched.NewRemoteBackend(gpu.NewDevice(spec), cfg.Core, node.Node, link)
 		},
 	}
 }
