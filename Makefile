@@ -28,12 +28,15 @@ test: build
 # concurrent Stats/trace-snapshot hammer), the qos policy layer, the
 # observability rings + metrics registry, the shared device memory
 # cache + staging pool (functional and timing-only), the GPU
-# simulator's group runner, the sycl copy-queue event ordering, and the
+# simulator's group runner, the sycl copy-queue event ordering, the
 # serial evaluator with the paper's figures on top of it (core and
 # fhebench run kernel bodies on the group runner's goroutines;
-# affordable since the timing-only figures stopped zeroing buffers).
+# affordable since the timing-only figures stopped zeroing buffers),
+# and what those bodies share across goroutines: the Galois permutation
+# cache on ckks.Parameters (first-use hammer), the poly gather helper
+# and the NTT engine.
 test-race:
-	$(GO) test -race ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/... ./internal/core/... ./internal/fhebench/...
+	$(GO) test -race ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/... ./internal/core/... ./internal/fhebench/... ./internal/ckks/... ./internal/poly/... ./internal/ntt/...
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

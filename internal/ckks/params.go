@@ -8,7 +8,10 @@
 package ckks
 
 import (
+	"sync"
+
 	"xehe/internal/ntt"
+	"xehe/internal/poly"
 	"xehe/internal/rns"
 	"xehe/internal/xmath"
 )
@@ -24,6 +27,10 @@ type Parameters struct {
 	// key-switching prime p.
 	ChainTables  []*ntt.Tables
 	SpecialTable *ntt.Tables
+
+	// galoisPerms caches the NTT-form automorphism table of each Galois
+	// element used so far (uint64 -> []uint32); see GaloisPermutation.
+	galoisPerms sync.Map
 }
 
 // NewParameters builds parameters with `levels` chain primes: a
@@ -79,4 +86,17 @@ func (p *Parameters) GaloisElement(k int) uint64 {
 		g = (g * 5) % twoN
 	}
 	return g
+}
+
+// GaloisPermutation returns the table that applies the automorphism
+// x -> x^galois to NTT-form rows (poly.AutomorphismNTT), built on
+// first use and shared read-only afterwards. It is safe for concurrent
+// use; callers racing on a first use may each build the table, and all
+// get the one that was stored.
+func (p *Parameters) GaloisPermutation(galois uint64) []uint32 {
+	if perm, ok := p.galoisPerms.Load(galois); ok {
+		return perm.([]uint32)
+	}
+	perm, _ := p.galoisPerms.LoadOrStore(galois, poly.GaloisPermutationNTT(p.N, galois))
+	return perm.([]uint32)
 }

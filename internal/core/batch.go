@@ -285,35 +285,31 @@ func (c *Context) switchKeyJobs(targets []*poly.Poly, swk *ckks.SwitchKey, level
 		acc0s[j].IsNTT, acc1s[j].IsNTT = true, true
 	}
 
-	// One extended digit buffer per job over the full basis
-	// {q_0..q_l, p}; kernels are batched across moduli AND jobs (one
-	// extend kernel, one batched NTT, one multiply-accumulate kernel
-	// per digit for the whole batch).
-	digits, dBufs := c.allocPolys(k, level+2)
+	// One extended digit buffer per job over the basis {q_0..q_l, p}
+	// minus the digit's own modulus (see digitRow); kernels are batched
+	// across moduli AND jobs (one extend kernel, one batched NTT, one
+	// multiply-accumulate kernel per digit for the whole batch).
+	digits, dBufs := c.allocPolys(k, level+1)
 	extTbls := append(append([]*ntt.Tables{}, params.TablesAt(level)...), spTbl)
 	extModuli := append(append([]xmath.Modulus{}, moduli...), sp)
 
 	for i := 0; i <= level; i++ {
-		// Extend digit i to every modulus (Barrett reduction kernel).
-		c.launch(c.ewKernelJobs("ks_digit_extend", k, level+2,
+		dModuli := without(extModuli, i)
+		// Reduce digit i into every other modulus (Barrett kernel).
+		c.launch(c.ewKernelJobs("ks_digit_extend", k, level+1,
 			profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
-			func(jb, j, lo, hi int) {
+			func(jb, r, lo, hi int) {
 				di := tCoeffs[jb].Coeffs[i]
-				d := digits[jb].Coeffs[j]
-				if j == i {
-					copy(d[lo:hi], di[lo:hi])
-					return
-				}
-				mj := extModuli[j]
+				mr, d := dModuli[r], digits[jb].Coeffs[r]
 				for x := lo; x < hi; x++ {
-					d[x] = mj.BarrettReduce(di[x])
+					d[x] = mr.BarrettReduce(di[x])
 				}
 			}))
-		// Batched NTT across all moduli and jobs (GPU engine).
+		// Batched NTT across those moduli and all jobs (GPU engine).
 		for _, d := range digits {
 			d.IsNTT = false
 		}
-		c.fwdNTTJobs(digits, extTbls)
+		c.fwdNTTJobs(digits, without(extTbls, i))
 		// Multiply-accumulate with the key digit, all moduli and jobs
 		// in one kernel. The special prime sits at L+1 in the switching
 		// key regardless of the ciphertext level.
@@ -329,7 +325,10 @@ func (c *Context) switchKeyJobs(targets []*poly.Poly, swk *ckks.SwitchKey, level
 					keyIdx = L + 1
 				}
 				mj := extModuli[j]
-				d := digits[jb].Coeffs[j]
+				d := targets[jb].Coeffs[i]
+				if j != i {
+					d = digits[jb].Coeffs[digitRow(i, j)]
+				}
 				b := bKey.Coeffs[keyIdx]
 				a := aKey.Coeffs[keyIdx]
 				o0, o1 := acc0s[jb].Coeffs[j], acc1s[jb].Coeffs[j]
@@ -374,13 +373,13 @@ func (c *Context) switchKeyJobs(targets []*poly.Poly, swk *ckks.SwitchKey, level
 		c.launch(c.ewKernelJobs("ks_moddown_scale", k, level+1,
 			profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride,
 			func(jb, j, lo, hi int) {
-				mj := moduli[j]
-				pInv := basis.SpecialInvModQi(L, j)
+				q := moduli[j].Value
+				pInv := basis.SpecialInvOperand(L, j)
 				d := tmps[jb].Coeffs[j]
 				a := accs[jb].Coeffs[j]
 				o := pouts[jb].Coeffs[j]
 				for x := lo; x < hi; x++ {
-					o[x] = mj.MulMod(xmath.SubMod(a[x], d[x], mj.Value), pInv)
+					o[x] = pInv.MulMod(xmath.SubMod(a[x], d[x], q), q)
 				}
 			}))
 	}
@@ -454,7 +453,7 @@ func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 		}
 		for j := 0; j < level; j++ {
 			mj := basis.Moduli[j]
-			inv := basis.InvLastModQi(level, j)
+			inv := basis.InvLastOperand(level, j)
 			c.launch(c.ewKernelJobs("rs_reduce", k, 1, profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
 				func(jb, _, lo, hi int) {
 					l := lasts[jb].Coeffs[0]
@@ -478,7 +477,7 @@ func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 					srcJ := cts[jb].CT.Value[ci].Coeffs[j]
 					dstJ := dsts[jb].Coeffs[j]
 					for x := lo; x < hi; x++ {
-						dstJ[x] = mj.MulMod(xmath.SubMod(srcJ[x], d[x], mj.Value), inv)
+						dstJ[x] = inv.MulMod(xmath.SubMod(srcJ[x], d[x], mj.Value), mj.Value)
 					}
 				}))
 		}
@@ -523,55 +522,24 @@ func (c *Context) ModSwitchBatch(cts []*Ciphertext) []*Ciphertext {
 // fused automorphism + key-switch per batch.
 func (c *Context) RotateBatch(cts []*Ciphertext, rot int, gk *ckks.GaloisKey) []*Ciphertext {
 	k := len(cts)
-	params := c.Params
 	level := cts[0].CT.Level
 	comps := level + 1
-	moduli := params.ModuliAt(level)
-	tbls := params.TablesAt(level)
-	galois := params.GaloisElement(rot)
-	n := params.N
+	perm := c.Params.GaloisPermutation(c.Params.GaloisElement(rot))
 
-	// Automorphism in coefficient form.
-	c0s, c0bufs := c.allocPolys(k, comps)
-	c1s, c1bufs := c.allocPolys(k, comps)
-	for j := 0; j < k; j++ {
-		if !c.Cfg.Analytic {
-			copy(c0s[j].Data(), cts[j].CT.Value[0].Data()[:comps*n])
-			copy(c1s[j].Data(), cts[j].CT.Value[1].Data()[:comps*n])
-		}
-		c0s[j].IsNTT, c1s[j].IsNTT = true, true
-	}
-	c.invNTTJobs(c0s, tbls)
-	c.invNTTJobs(c1s, tbls)
-
+	// Automorphism in NTT form, gathered straight from the input rows
+	// (see Rotate).
 	r0s, r0bufs := c.allocPolys(k, comps)
 	r1s, r1bufs := c.allocPolys(k, comps)
-	for _, pair := range [2]struct{ srcs, dsts []*poly.Poly }{{c0s, r0s}, {c1s, r1s}} {
-		srcs, dsts := pair.srcs, pair.dsts
-		c.launch(c.ewKernelJobs("galois_automorphism", k, comps,
-			profileOf(isa.OpAdd64, isa.OpAdd64), 4, 16, gpu.PatternGather,
+	for i, dsts := range [][]*poly.Poly{r0s, r1s} {
+		srcs := component(cts, i)
+		c.launch(c.ewKernelJobs("galois_automorphism", k, comps, profileOf(), 4, 20, gpu.PatternGather,
 			func(jb, q, lo, hi int) {
-				p := moduli[q].Value
-				twoN := uint64(2 * n)
-				s, d := srcs[jb].Coeffs[q], dsts[jb].Coeffs[q]
-				for x := lo; x < hi; x++ {
-					idx := (uint64(x) * galois) % twoN
-					v := s[x]
-					if idx >= uint64(n) {
-						idx -= uint64(n)
-						v = xmath.NegMod(v, p)
-					}
-					d[idx] = v
-				}
+				poly.AutomorphismNTT(dsts[jb].Coeffs[q][lo:hi], srcs[jb].Coeffs[q], perm[lo:hi])
 			}))
 		for _, d := range dsts {
-			d.IsNTT = false
+			d.IsNTT = true
 		}
 	}
-	c.freePolys(c0bufs)
-	c.freePolys(c1bufs)
-	c.fwdNTTJobs(r0s, tbls)
-	c.fwdNTTJobs(r1s, tbls)
 
 	k0s, k1s, k0bufs, k1bufs := c.switchKeyJobs(r1s, &gk.SwitchKey, level)
 	c.addIntoJobs(k0s, k0s, r0s, comps)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"xehe/internal/ckks"
 	"xehe/internal/gpu"
 	"xehe/internal/isa"
@@ -203,6 +205,22 @@ func (c *Context) Square(a *Ciphertext) *Ciphertext {
 	return wrap(out, []*sycl.Buffer{b0, b1, b2})
 }
 
+// without returns a copy of s with element i removed.
+func without[T any](s []T, i int) []T {
+	return slices.Delete(slices.Clone(s), i, i+1)
+}
+
+// digitRow is the row of key-switch digit i's buffer holding its
+// extension to index j != i of the basis {q_0..q_level, p}: the buffer
+// is laid out over without(basis, i), because under its own modulus
+// the digit is row i of the NTT-form target and is never rebuilt.
+func digitRow(i, j int) int {
+	if j > i {
+		return j - 1
+	}
+	return j
+}
+
 // switchKey is the device key-switching procedure (see the host
 // reference in internal/ckks for the algorithm). It is the
 // NTT-dominated kernel behind Relinearize and Rotate (Fig. 5).
@@ -231,33 +249,30 @@ func (c *Context) switchKey(target *poly.Poly, swk *ckks.SwitchKey, level int) (
 	}
 	acc0.IsNTT, acc1.IsNTT = true, true
 
-	// One extended digit buffer over the full basis {q_0..q_l, p};
-	// kernels are batched across moduli (one extend kernel, one batched
-	// NTT, one multiply-accumulate kernel per digit), as the real
-	// backend submits them.
-	digit, dBuf := c.allocPoly(level + 2)
+	// One extended digit buffer over the basis {q_0..q_l, p} minus the
+	// digit's own modulus (see digitRow); kernels are batched across
+	// moduli (one extend kernel, one batched NTT, one
+	// multiply-accumulate kernel per digit), as the real backend
+	// submits them.
+	digit, dBuf := c.allocPoly(level + 1)
 	extTbls := append(append([]*ntt.Tables{}, params.TablesAt(level)...), spTbl)
 	extModuli := append(append([]xmath.Modulus{}, moduli...), sp)
 
 	for i := 0; i <= level; i++ {
 		di := tCoeff.Coeffs[i]
-		// Extend digit i to every modulus (Barrett reduction kernel).
-		c.launch(c.ewKernel("ks_digit_extend", level+2,
+		dModuli := without(extModuli, i)
+		// Reduce digit i into every other modulus (Barrett kernel).
+		c.launch(c.ewKernel("ks_digit_extend", level+1,
 			profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
-			func(j, lo, hi int) {
-				d := digit.Coeffs[j]
-				if j == i {
-					copy(d[lo:hi], di[lo:hi])
-					return
-				}
-				mj := extModuli[j]
+			func(r, lo, hi int) {
+				mr, d := dModuli[r], digit.Coeffs[r]
 				for k := lo; k < hi; k++ {
-					d[k] = mj.BarrettReduce(di[k])
+					d[k] = mr.BarrettReduce(di[k])
 				}
 			}))
-		// Batched NTT across all moduli (GPU engine).
+		// Batched NTT across those moduli (GPU engine).
 		digit.IsNTT = false
-		c.fwdNTT(digit, extTbls)
+		c.fwdNTT(digit, without(extTbls, i))
 		// Multiply-accumulate with the key digit, all moduli in one
 		// kernel. The special prime sits at L+1 in the switching key
 		// regardless of the ciphertext level.
@@ -273,7 +288,10 @@ func (c *Context) switchKey(target *poly.Poly, swk *ckks.SwitchKey, level int) (
 					keyIdx = L + 1
 				}
 				mj := extModuli[j]
-				d := digit.Coeffs[j]
+				d := target.Coeffs[i]
+				if j != i {
+					d = digit.Coeffs[digitRow(i, j)]
+				}
 				b := bKey.Coeffs[keyIdx]
 				a := aKey.Coeffs[keyIdx]
 				o0, o1 := acc0.Coeffs[j], acc1.Coeffs[j]
@@ -312,13 +330,13 @@ func (c *Context) switchKey(target *poly.Poly, swk *ckks.SwitchKey, level int) (
 		c.launch(c.ewKernel("ks_moddown_scale", level+1,
 			profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride,
 			func(j, lo, hi int) {
-				mj := moduli[j]
-				pInv := basis.SpecialInvModQi(L, j)
+				q := moduli[j].Value
+				pInv := basis.SpecialInvOperand(L, j)
 				d := tmp.Coeffs[j]
 				a := acc.Coeffs[j]
 				o := out.Coeffs[j]
 				for k := lo; k < hi; k++ {
-					o[k] = mj.MulMod(xmath.SubMod(a[k], d[k], mj.Value), pInv)
+					o[k] = pInv.MulMod(xmath.SubMod(a[k], d[k], q), q)
 				}
 			}))
 	}
@@ -349,7 +367,6 @@ func (c *Context) Rescale(ct *Ciphertext) *Ciphertext {
 	basis := params.Basis
 	lastTbl := params.ChainTables[level]
 	qLast := basis.Moduli[level].Value
-	n := params.N
 
 	out := &ckks.Ciphertext{Scale: ct.CT.Scale / float64(qLast), Level: level - 1}
 	var bufs []*sycl.Buffer
@@ -368,7 +385,7 @@ func (c *Context) Rescale(ct *Ciphertext) *Ciphertext {
 		dst.IsNTT = true
 		for j := 0; j < level; j++ {
 			mj := basis.Moduli[j]
-			inv := basis.InvLastModQi(level, j)
+			inv := basis.InvLastOperand(level, j)
 			c.launch(c.ewKernel("rs_reduce", 1, profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
 				func(_, lo, hi int) {
 					l := last.Coeffs[0]
@@ -385,7 +402,7 @@ func (c *Context) Rescale(ct *Ciphertext) *Ciphertext {
 				func(_, lo, hi int) {
 					d := tmp.Coeffs[0]
 					for k := lo; k < hi; k++ {
-						dstJ[k] = mj.MulMod(xmath.SubMod(srcJ[k], d[k], mj.Value), inv)
+						dstJ[k] = inv.MulMod(xmath.SubMod(srcJ[k], d[k], mj.Value), mj.Value)
 					}
 				}))
 		}
@@ -394,7 +411,6 @@ func (c *Context) Rescale(ct *Ciphertext) *Ciphertext {
 	}
 	c.freePoly(lastBuf)
 	c.freePoly(tmpBuf)
-	_ = n
 	return wrap(out, bufs)
 }
 
@@ -422,51 +438,22 @@ func (c *Context) ModSwitch(ct *Ciphertext) *Ciphertext {
 
 // Rotate rotates message slots by k using the Galois key.
 func (c *Context) Rotate(ct *Ciphertext, k int, gk *ckks.GaloisKey) *Ciphertext {
-	params := c.Params
 	level := ct.CT.Level
 	comps := level + 1
-	moduli := params.ModuliAt(level)
-	tbls := params.TablesAt(level)
-	galois := params.GaloisElement(k)
-	n := params.N
+	perm := c.Params.GaloisPermutation(c.Params.GaloisElement(k))
 
-	// Automorphism in coefficient form.
-	c0, c0b := c.allocPoly(comps)
-	c1, c1b := c.allocPoly(comps)
-	if !c.Cfg.Analytic {
-		copy(c0.Data(), ct.CT.Value[0].Data()[:comps*n])
-		copy(c1.Data(), ct.CT.Value[1].Data()[:comps*n])
-	}
-	c0.IsNTT, c1.IsNTT = true, true
-	c.invNTT(c0, tbls)
-	c.invNTT(c1, tbls)
-
+	// Automorphism in NTT form (SEAL's apply_galois_ntt): a gather
+	// straight from the input rows.
 	r0, r0b := c.allocPoly(comps)
 	r1, r1b := c.allocPoly(comps)
-	for _, pair := range [2]struct{ src, dst *poly.Poly }{{c0, r0}, {c1, r1}} {
-		src, dst := pair.src, pair.dst
-		c.launch(c.ewKernel("galois_automorphism", comps,
-			profileOf(isa.OpAdd64, isa.OpAdd64), 4, 16, gpu.PatternGather,
+	for i, dst := range []*poly.Poly{r0, r1} {
+		src := ct.CT.Value[i]
+		c.launch(c.ewKernel("galois_automorphism", comps, profileOf(), 4, 20, gpu.PatternGather,
 			func(q, lo, hi int) {
-				p := moduli[q].Value
-				twoN := uint64(2 * n)
-				s, d := src.Coeffs[q], dst.Coeffs[q]
-				for j := lo; j < hi; j++ {
-					idx := (uint64(j) * galois) % twoN
-					v := s[j]
-					if idx >= uint64(n) {
-						idx -= uint64(n)
-						v = xmath.NegMod(v, p)
-					}
-					d[idx] = v
-				}
+				poly.AutomorphismNTT(dst.Coeffs[q][lo:hi], src.Coeffs[q], perm[lo:hi])
 			}))
-		dst.IsNTT = false
+		dst.IsNTT = true
 	}
-	c.freePoly(c0b)
-	c.freePoly(c1b)
-	c.fwdNTT(r0, tbls)
-	c.fwdNTT(r1, tbls)
 
 	k0, k0b, k1, k1b := c.switchKey(r1, &gk.SwitchKey, level)
 	c.addInto(k0, k0, r0, comps)

@@ -1,0 +1,147 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"xehe/internal/ckks"
+	"xehe/internal/gpu"
+	"xehe/internal/ntt"
+)
+
+// The device key switch differs from the host evaluator in two places
+// that must not show in a single bit: Rotate permutes NTT-form rows
+// instead of going through coefficient form, and each digit's row
+// under its own modulus is read from the input instead of being
+// inverse- and forward-transformed again. ckks.Evaluator does neither,
+// which makes it an independent oracle for both.
+
+func assertSameCT(t *testing.T, what string, got, want *ckks.Ciphertext) {
+	t.Helper()
+	if got.Level != want.Level || got.Scale != want.Scale || len(got.Value) != len(want.Value) {
+		t.Fatalf("%s: level/scale/degree %d/%v/%d, host has %d/%v/%d", what,
+			got.Level, got.Scale, len(got.Value), want.Level, want.Scale, len(want.Value))
+	}
+	for i := range want.Value {
+		if !got.Value[i].Equal(want.Value[i]) {
+			t.Fatalf("%s: component %d differs from the host evaluator", what, i)
+		}
+	}
+}
+
+// TestKeySwitchBitIdenticalToHostAtEveryLevel runs Rotate (a positive
+// and a negative step) and Relinearize at every level down to 0 — where
+// a digit's extension is the special-prime row alone — serially and as
+// a batch of three, against the host evaluator.
+func TestKeySwitchBitIdenticalToHostAtEveryLevel(t *testing.T) {
+	h := newHarness(t)
+	const jobs = 3
+	steps := []int{1, -3}
+	kg := ckks.NewKeyGenerator(h.params, 21)
+	gks := map[int]*ckks.GaloisKey{}
+	var keys []*ckks.GaloisKey
+	for _, k := range steps {
+		gks[k] = kg.GenGaloisKey(h.sk, h.params.GaloisElement(k))
+		keys = append(keys, gks[k])
+	}
+	host := ckks.NewEvaluator(h.params, h.rlk, keys...)
+
+	as, bs := make([]*ckks.Ciphertext, jobs), make([]*ckks.Ciphertext, jobs)
+	for j := range as {
+		as[j], _ = h.randCT(int64(200 + 2*j))
+		bs[j], _ = h.randCT(int64(201 + 2*j))
+	}
+	for level := h.params.MaxLevel(); level >= 0; level-- {
+		prods := make([]*ckks.Ciphertext, jobs)
+		for j := range prods {
+			prods[j] = host.Mul(as[j], bs[j])
+		}
+		c := newCtx(t, h, OptNTTAsm())
+		dAs, _, _ := c.UploadBatch(as)
+		dProds, _, _ := c.UploadBatch(prods)
+
+		for _, k := range steps {
+			what := fmt.Sprintf("Rotate(%d) at level %d", k, level)
+			for j, out := range c.DownloadBatch(c.RotateBatch(dAs, k, gks[k])) {
+				assertSameCT(t, what+", batched", out, host.Rotate(as[j], k))
+			}
+			assertSameCT(t, what, c.Download(c.Rotate(dAs[0], k, gks[k])), host.Rotate(as[0], k))
+		}
+		what := fmt.Sprintf("Relinearize at level %d", level)
+		for j, out := range c.DownloadBatch(c.RelinearizeBatch(dProds, h.rlk)) {
+			assertSameCT(t, what+", batched", out, host.Relinearize(prods[j]))
+		}
+		assertSameCT(t, what, c.Download(c.Relinearize(dProds[0], h.rlk)), host.Relinearize(prods[0]))
+
+		if level > 0 {
+			for j := range as {
+				as[j], bs[j] = host.ModSwitch(as[j]), host.ModSwitch(bs[j])
+			}
+		}
+	}
+}
+
+// nttRows counts the N-point rows the device transformed since the
+// trace was enabled, from the work-items of the logged NTT kernels.
+func nttRows(t *testing.T, dev *gpu.Device, itemsPerRow int) int {
+	t.Helper()
+	items := 0
+	for _, e := range dev.Trace() {
+		if strings.HasPrefix(e.Name, "ntt_") {
+			items += e.Items
+		}
+	}
+	if items%itemsPerRow != 0 {
+		t.Fatalf("NTT kernels launched %d work-items, not a multiple of one row's %d", items, itemsPerRow)
+	}
+	return items / itemsPerRow
+}
+
+// TestKeySwitchTransformCount pins how many rows a key switch
+// transforms at c = level+1 components: c for the target's inverse,
+// c per digit (every modulus of {q_0..q_l, p} but its own), and
+// 2(c+1) for the two mod-downs — c²+3c+2, for Relinearize and Rotate
+// alike, since the automorphism is a gather. A round trip through
+// coefficient form costs 4c more, a digit re-transformed under its own
+// modulus c more; either fails here rather than in a benchmark.
+func TestKeySwitchTransformCount(t *testing.T) {
+	h := newHarness(t)
+	cfg := OptNTTAsm()
+	cfg.Analytic = true
+	for _, jobs := range []int{1, 3} {
+		for level := 0; level <= h.params.MaxLevel(); level++ {
+			c := newCtx(t, h, cfg)
+			dev := c.Device
+			// One row's worth of NTT work-items under this variant and N.
+			dev.EnableTrace()
+			c.Engine.Forward(c.Queues, nil, 1, []*ntt.Tables{h.params.SpecialTable})
+			itemsPerRow := nttRows(t, dev, 1)
+
+			comps := level + 1
+			want := jobs * (comps*comps + 3*comps + 2)
+			deg1, deg2 := make([]*Ciphertext, jobs), make([]*Ciphertext, jobs)
+			for j := range deg1 {
+				deg1[j] = c.NewZeroCt(1, level, h.params.Scale, true)
+				deg2[j] = c.NewZeroCt(2, level, h.params.Scale, true)
+			}
+			routines := map[string]func(){
+				"Relinearize": func() { c.Relinearize(deg2[0], h.rlk) },
+				"Rotate":      func() { c.Rotate(deg1[0], 1, h.gk) },
+			}
+			if jobs > 1 {
+				routines = map[string]func(){
+					"RelinearizeBatch": func() { c.RelinearizeBatch(deg2, h.rlk) },
+					"RotateBatch":      func() { c.RotateBatch(deg1, 1, h.gk) },
+				}
+			}
+			for name, run := range routines {
+				dev.EnableTrace()
+				run()
+				if got := nttRows(t, dev, itemsPerRow); got != want {
+					t.Errorf("%s of %d job(s) at c=%d transformed %d rows, want %d", name, jobs, comps, got, want)
+				}
+			}
+		}
+	}
+}

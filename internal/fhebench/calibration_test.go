@@ -13,7 +13,8 @@ import (
 
 // These tests pin the simulated results to the paper's headline
 // numbers (in shape: same winners, comparable factors). They are the
-// machine-checked version of EXPERIMENTS.md.
+// machine-checked version of ARCHITECTURE.md, "Simulated figures
+// against the paper's".
 
 func inBand(t *testing.T, name string, got, lo, hi float64) {
 	t.Helper()
@@ -120,10 +121,10 @@ func TestFig16RoutineSpeedups(t *testing.T) {
 	for _, r := range core.RoutineNames {
 		base := RunRoutine(spec, steps[0].Cfg, r).Total()
 		final := RunRoutine(spec, steps[len(steps)-1].Cfg, r).Total()
-		// Measured 4.4x-5.4x vs the paper's 2.32x-3.05x: the ordering
+		// Measured 4.3x-4.7x vs the paper's 2.32x-3.05x: the ordering
 		// and step structure hold, but the simulator lacks the paper's
 		// unbatched-NTT underutilization (Section IV-C); recorded in
-		// EXPERIMENTS.md.
+		// ARCHITECTURE.md, "Simulated figures against the paper's".
 		inBand(t, r+" total speedup", base/final, 2.3, 5.6)
 		// Each step must improve.
 		prev := base
@@ -166,7 +167,7 @@ func TestFig19MatMulSpeedups(t *testing.T) {
 			// and the dominant mem-cache effect hold; the mad_mod and
 			// inline-asm steps are muted because the dyadic kernels are
 			// bandwidth-bound under our roofline-calibrated device (see
-			// EXPERIMENTS.md for the analysis).
+			// ARCHITECTURE.md, "Simulated figures against the paper's").
 			inBand(t, spec.Name+" "+w.String()+" total", total, 1.4, 4.6)
 			cacheStep := times[2] / times[3]
 			if cacheStep < 1.3 {

@@ -12,7 +12,7 @@ import (
 func TestCopyEngineOverlapsCompute(t *testing.T) {
 	d := NewDevice1()
 	q := d.NewQueue(0)
-	kernel := q.submit("busy", 1e6) // long compute command on tile 0
+	kernel := q.submitOn("busy", 0, 1e6, false) // long compute command on tile 0
 
 	cq := d.NewQueue(0)
 	cq.SetCopyEngine(true)
@@ -42,7 +42,7 @@ func TestCopyEngineHonorsEventDependencies(t *testing.T) {
 	q := d.NewQueue(0)
 	cq := d.NewQueue(0)
 	cq.SetCopyEngine(true)
-	kernel := q.submit("busy", 5e5)
+	kernel := q.submitOn("busy", 0, 5e5, false)
 	d2h := cq.CopyD2H(1<<10, kernel)
 	if d2h.Done() <= kernel.Done() {
 		t.Fatalf("dependent D2H (done %v) must complete after its compute dependency (done %v)",
@@ -63,7 +63,7 @@ func TestCopyEngineFallsBackWithoutHardware(t *testing.T) {
 	if cq.CopyEngine() {
 		t.Fatal("copy queue must report no engine on copy-engine-less hardware")
 	}
-	kernel := q.submit("busy", 1e6)
+	kernel := q.submitOn("busy", 0, 1e6, false)
 	h2d := cq.CopyH2D(1 << 10)
 	if h2d.Done() <= kernel.Done() {
 		t.Fatal("without a copy engine, transfers must serialize on the compute timeline")

@@ -192,10 +192,13 @@ func (d *Device) linkLeg(n int64) Cycles {
 // NTT-vs-others breakdown) and timeline export (internal/obs). Cycles
 // is the command's analytic duration before the multi-queue tax, so
 // duration-based breakdowns are placement-independent; Start/End are
-// its scheduled interval on the tile's timeline (tax included), and
-// Copy marks commands placed on the tile's copy engine.
+// its scheduled interval on the tile's timeline (tax included), Copy
+// marks commands placed on the tile's copy engine, and Items is a
+// kernel's work-item count (0 for transfers), so a log can be audited
+// for how much work was launched, not only how long it took.
 type TraceEntry struct {
 	Name   string
+	Items  int
 	Cycles Cycles
 	Start  Cycles
 	End    Cycles
@@ -454,18 +457,12 @@ func (q *Queue) Tile() int { return q.tile }
 // Device returns the owning device.
 func (q *Queue) Device() *Device { return q.dev }
 
-// submit places a command of the given duration on the tile's compute
-// timeline after deps, returning its completion event.
-func (q *Queue) submit(name string, dur Cycles, deps ...Event) Event {
-	return q.submitOn(name, dur, false, deps...)
-}
-
 // submitOn places a command on the tile's compute timeline, or — when
 // copyEngine is set and the device models one — on the tile's copy
 // timeline, so transfers overlap with compute. Copy-engine submissions
 // skip the multi-queue tax (the copy engine is a separate unit, not a
 // contended compute queue) but still pay the host enqueue cost.
-func (q *Queue) submitOn(name string, dur Cycles, copyEngine bool, deps ...Event) Event {
+func (q *Queue) submitOn(name string, items int, dur Cycles, copyEngine bool, deps ...Event) Event {
 	d := q.dev
 	copyEngine = copyEngine && d.Spec.CopyEngine
 	rawDur := dur
@@ -505,7 +502,7 @@ func (q *Queue) submitOn(name string, dur Cycles, copyEngine bool, deps ...Event
 	tl[q.tile] = end
 	if d.traceOn {
 		d.trace = append(d.trace, TraceEntry{
-			Name: name, Cycles: rawDur, Start: start, End: end,
+			Name: name, Items: items, Cycles: rawDur, Start: start, End: end,
 			Tile: q.tile, Copy: copyEngine,
 		})
 	}
@@ -520,7 +517,7 @@ func (q *Queue) submitOn(name string, dur Cycles, copyEngine bool, deps ...Event
 
 // SubmitProfile enqueues an analytic-only kernel (no functional body).
 func (q *Queue) SubmitProfile(p KernelProfile, cg isa.CodeGen, deps ...Event) Event {
-	return q.submit(p.Name, p.Time(&q.dev.Spec, cg, 1), deps...)
+	return q.submitOn(p.Name, p.Items, p.Time(&q.dev.Spec, cg, 1), false, deps...)
 }
 
 // CopyH2D enqueues a host-to-device transfer of n bytes. On a copy
@@ -528,14 +525,14 @@ func (q *Queue) SubmitProfile(p KernelProfile, cg isa.CodeGen, deps ...Event) Ev
 // timeline and overlaps with compute.
 func (q *Queue) CopyH2D(n int64, deps ...Event) Event {
 	dur := float64(n)/q.dev.Spec.PCIeBytesPerCycle + q.dev.linkLeg(n)
-	return q.submitOn("memcpy_h2d", dur, q.copyQ, deps...)
+	return q.submitOn("memcpy_h2d", 0, dur, q.copyQ, deps...)
 }
 
 // CopyD2H enqueues a device-to-host transfer of n bytes (copy-engine
 // placement as CopyH2D).
 func (q *Queue) CopyD2H(n int64, deps ...Event) Event {
 	dur := float64(n)/q.dev.Spec.PCIeBytesPerCycle + q.dev.linkLeg(n)
-	return q.submitOn("memcpy_d2h", dur, q.copyQ, deps...)
+	return q.submitOn("memcpy_d2h", 0, dur, q.copyQ, deps...)
 }
 
 // Wait drains the queue (host waits for the last submitted command).

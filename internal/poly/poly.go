@@ -5,6 +5,8 @@
 package poly
 
 import (
+	"math/bits"
+
 	"xehe/internal/ntt"
 	"xehe/internal/xmath"
 )
@@ -210,4 +212,35 @@ func Automorphism(dst, a *Poly, galois uint64, moduli []xmath.Modulus) {
 		}
 	}
 	dst.IsNTT = false
+}
+
+// GaloisPermutationNTT returns the table that applies x -> x^galois to
+// a polynomial already in NTT form (SEAL's apply_galois_ntt). Slot i of
+// the bit-reversed transform holds the evaluation at ψ^(2·brv(i)+1);
+// the automorphism sends it to the evaluation at that exponent times
+// galois, which is slot
+//
+//	perm[i] = brv(((galois·(2·brv(i)+1)) mod 2N) >> 1)
+//
+// of the input. No value changes sign or modulus, so one table serves
+// every RNS component; apply it with AutomorphismNTT.
+func GaloisPermutationNTT(n int, galois uint64) []uint32 {
+	logN := bits.Len(uint(n)) - 1
+	mask := uint64(2*n - 1)
+	perm := make([]uint32, n)
+	for i := range perm {
+		e := (galois * (2*xmath.ReverseBits(uint64(i), logN) + 1)) & mask
+		perm[i] = uint32(xmath.ReverseBits(e>>1, logN))
+	}
+	return perm
+}
+
+// AutomorphismNTT gathers dst[i] = src[perm[i]] over len(perm) slots:
+// the NTT-form counterpart of Automorphism on one residue row. The GPU
+// backend hands it work-group ranges (dst[lo:hi], src, perm[lo:hi]).
+func AutomorphismNTT(dst, src []uint64, perm []uint32) {
+	dst = dst[:len(perm)]
+	for i, s := range perm {
+		dst[i] = src[s]
+	}
 }

@@ -163,6 +163,82 @@ func TestQuickAutomorphismAdditive(t *testing.T) {
 	}
 }
 
+// TestAutomorphismNTTMatchesCoefficientForm: the NTT-form gather is
+// INTT -> Automorphism -> NTT, bit for bit, for every Galois element a
+// rotation can use — all of <5> (a rotation by -k is 5^(N/2-k)) — plus
+// conjugation (2N-1) and conjugated rotations, under 30/50/60-bit
+// moduli. At N = 4096 the moduli take turns so the sweep stays cheap.
+func TestAutomorphismNTTMatchesCoefficientForm(t *testing.T) {
+	for _, n := range []int{16, 4096} {
+		var moduli []xmath.Modulus
+		var tbls []*ntt.Tables
+		for _, bitsz := range []int{30, 50, 60} {
+			m := xmath.NewModulus(xmath.GeneratePrimes(bitsz, 1, n)[0])
+			moduli = append(moduli, m)
+			tbls = append(tbls, ntt.NewTables(n, m))
+		}
+		coeff := randPoly(n, moduli, int64(n))
+		src := coeff.Clone()
+		NTT(src, tbls)
+
+		check := func(galois uint64, comps []int) {
+			t.Helper()
+			perm := GaloisPermutationNTT(n, galois)
+			for _, q := range comps {
+				mq, tq := moduli[q:q+1], tbls[q:q+1]
+				want := New(n, 1)
+				Automorphism(want, &Poly{N: n, Coeffs: coeff.Coeffs[q : q+1]}, galois, mq)
+				NTT(want, tq)
+				got := make([]uint64, n)
+				half := n / 2 // applied in two ranges, as the kernels do
+				AutomorphismNTT(got[:half], src.Coeffs[q], perm[:half])
+				AutomorphismNTT(got[half:], src.Coeffs[q], perm[half:])
+				for i := range got {
+					if got[i] != want.Coeffs[0][i] {
+						t.Fatalf("N=%d g=%d modulus %d: slot %d = %d, want %d", n, galois, q, i, got[i], want.Coeffs[0][i])
+					}
+				}
+			}
+		}
+		twoN := uint64(2 * n)
+		g := uint64(1)
+		for e := 0; e < n/2; e++ {
+			comps := []int{0, 1, 2}
+			if n > 16 {
+				comps = []int{e % 3}
+			}
+			check(g, comps)
+			if e < 8 {
+				check(twoN-g, comps) // conjugation, alone and after a rotation
+			}
+			g = g * 5 % twoN
+		}
+		if g != 1 {
+			t.Fatalf("N=%d: 5 has order != N/2 (5^(N/2) = %d)", n, g)
+		}
+	}
+}
+
+// perm(g1) after perm(g2) is perm(g1*g2 mod 2N): the tables form the
+// same group as the Galois elements they stand for.
+func TestGaloisPermutationNTTComposition(t *testing.T) {
+	for _, n := range []int{16, 4096} {
+		twoN := uint64(2 * n)
+		elems := []uint64{1, 5, 25, 3125 % twoN, twoN - 1, twoN - 5, (twoN - 1) * 125 % twoN}
+		for _, g1 := range elems {
+			for _, g2 := range elems {
+				p1, p2 := GaloisPermutationNTT(n, g1), GaloisPermutationNTT(n, g2)
+				both := GaloisPermutationNTT(n, g1*g2%twoN)
+				for i := range both {
+					if both[i] != p2[p1[i]] {
+						t.Fatalf("N=%d: perm(%d) after perm(%d) differs from perm(%d) at slot %d", n, g1, g2, g1*g2%twoN, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDropLastAndClone(t *testing.T) {
 	moduli, _ := setup(t, 64, 3)
 	a := randPoly(64, moduli, 10)

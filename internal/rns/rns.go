@@ -29,10 +29,11 @@ type levelPrecomp struct {
 	q *big.Int // product of q_0..q_l
 	// qHatInvModQi[i] = (Q_l/q_i)^{-1} mod q_i (punctured product inverses).
 	qHatInvModQi []uint64
-	// invLastModQi[i] = q_l^{-1} mod q_i for i < l (rescale factors).
-	invLastModQi []uint64
-	// specialInvModQi[i] = p^{-1} mod q_i (key-switch mod-down).
-	specialInvModQi []uint64
+	// invLastModQi[i] = q_l^{-1} mod q_i for i < l (rescale factors),
+	// with its Harvey quotient: the kernels multiply whole rows by it.
+	invLastModQi []xmath.MulModOperand
+	// specialInvModQi[i] = p^{-1} mod q_i (key-switch mod-down), likewise.
+	specialInvModQi []xmath.MulModOperand
 	// specialModQi[i] = p mod q_i.
 	specialModQi []uint64
 }
@@ -64,8 +65,8 @@ func (b *Basis) precomputeLevel(l int) levelPrecomp {
 	lp := levelPrecomp{
 		q:               big.NewInt(1),
 		qHatInvModQi:    make([]uint64, l+1),
-		invLastModQi:    make([]uint64, l),
-		specialInvModQi: make([]uint64, l+1),
+		invLastModQi:    make([]xmath.MulModOperand, l),
+		specialInvModQi: make([]xmath.MulModOperand, l+1),
 		specialModQi:    make([]uint64, l+1),
 	}
 	for i := 0; i <= l; i++ {
@@ -82,9 +83,9 @@ func (b *Basis) precomputeLevel(l int) levelPrecomp {
 		}
 		lp.qHatInvModQi[i] = mi.InvMod(qHat)
 		lp.specialModQi[i] = mi.BarrettReduce(b.Special.Value)
-		lp.specialInvModQi[i] = mi.InvMod(lp.specialModQi[i])
+		lp.specialInvModQi[i] = xmath.NewMulModOperand(mi.InvMod(lp.specialModQi[i]), mi)
 		if i < l {
-			lp.invLastModQi[i] = mi.InvMod(mi.BarrettReduce(b.Moduli[l].Value))
+			lp.invLastModQi[i] = xmath.NewMulModOperand(mi.InvMod(mi.BarrettReduce(b.Moduli[l].Value)), mi)
 		}
 	}
 	return lp
@@ -101,14 +102,28 @@ func (b *Basis) QHatInvModQi(level, i int) uint64 { return b.levels[level].qHatI
 
 // InvLastModQi returns q_level^{-1} mod q_i (i < level), the rescale
 // scaling factor.
-func (b *Basis) InvLastModQi(level, i int) uint64 { return b.levels[level].invLastModQi[i] }
+func (b *Basis) InvLastModQi(level, i int) uint64 { return b.levels[level].invLastModQi[i].Operand }
+
+// InvLastOperand returns InvLastModQi as a Harvey operand, for the
+// exact constant multiply (MulModOperand.MulMod) of the rescale kernels.
+func (b *Basis) InvLastOperand(level, i int) xmath.MulModOperand {
+	return b.levels[level].invLastModQi[i]
+}
 
 // SpecialModQi returns p mod q_i.
 func (b *Basis) SpecialModQi(level, i int) uint64 { return b.levels[level].specialModQi[i] }
 
 // SpecialInvModQi returns p^{-1} mod q_i, used to divide by P after a
 // key switch.
-func (b *Basis) SpecialInvModQi(level, i int) uint64 { return b.levels[level].specialInvModQi[i] }
+func (b *Basis) SpecialInvModQi(level, i int) uint64 {
+	return b.levels[level].specialInvModQi[i].Operand
+}
+
+// SpecialInvOperand returns SpecialInvModQi as a Harvey operand, for
+// the exact constant multiply of the key-switch mod-down kernels.
+func (b *Basis) SpecialInvOperand(level, i int) xmath.MulModOperand {
+	return b.levels[level].specialInvModQi[i]
+}
 
 // Compose reconstructs the integer x in [0, Q_l) from its residues
 // res[i] = x mod q_i, i = 0..level, via the CRT:

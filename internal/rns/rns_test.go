@@ -108,6 +108,29 @@ func TestInvLastAndSpecialInverses(t *testing.T) {
 	}
 }
 
+// The Harvey operands the device kernels multiply by must give the
+// canonical residue the Barrett MulMod of the host evaluator gives.
+func TestInverseOperandsMatchBarrett(t *testing.T) {
+	b := testBasis(t)
+	rng := rand.New(rand.NewSource(11))
+	for level := 0; level <= b.MaxLevel(); level++ {
+		for i := 0; i <= level; i++ {
+			mi := b.Moduli[i]
+			ops := map[uint64]xmath.MulModOperand{b.SpecialInvModQi(level, i): b.SpecialInvOperand(level, i)}
+			if i < level {
+				ops[b.InvLastModQi(level, i)] = b.InvLastOperand(level, i)
+			}
+			for w, op := range ops {
+				for _, y := range []uint64{0, 1, mi.Value - 1, rng.Uint64() % mi.Value, rng.Uint64() % mi.Value} {
+					if got, want := op.MulMod(y, mi.Value), mi.MulMod(y, w); got != want {
+						t.Fatalf("level %d, i %d: %d * %d = %d by operand, %d by Barrett", level, i, y, w, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestCKKSBasisShape(t *testing.T) {
 	b := NewCKKSBasis(8192, 5, 52, 40, 52)
 	if len(b.Moduli) != 5 {
