@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race bench bench-selftest bench-smoke bench-service bench-cluster bench-fusion bench-transfer bench-graph bench-trace bench-chaos bench-record clean
+.PHONY: all build vet fmt-check test test-race bench bench-selftest bench-smoke bench-service bench-cluster bench-graph bench-trace bench-chaos bench-record clean
 
 all: build test
 
@@ -58,23 +58,8 @@ bench-smoke:
 	$(GO) test -bench 'Benchmark(Service|Cluster)Throughput' -benchtime 50x -run '^$$' .
 	$(GO) run ./cmd/xehe-bench -cluster 50 -json -trace trace-sample.json
 
-# Cross-job kernel fusion smoke: a single low-N pass over the fused
-# service benchmark plus the fused-vs-unfused sweep as JSON rows, so a
-# regression that erases the fusion win (or breaks the fused path's
-# -json contract) fails CI quickly.
-bench-fusion:
-	$(GO) test -bench 'BenchmarkServiceThroughput/workers=2' -benchtime 50x -run '^$$' .
-	$(GO) run ./cmd/xehe-bench -fusion 50 -json
-
-# Fused-transfer smoke: one low-N pass over the FuseTransfers off/on
-# sweep (kernels fused, MaxBatch 4/8) as JSON rows, so a regression
-# that erases the copy/compute-overlap win (or breaks the gathered
-# transfer counters in the -json contract) fails CI quickly.
-bench-transfer:
-	$(GO) run ./cmd/xehe-bench -transfer 50 -json
-
 # Job-graph residency smoke: the chained-vs-graph sweep as JSON rows
-# (chains linked by InputFrom vs host round-trips, fused transfers on).
+# (chains linked by InputFrom vs host round-trips).
 # The sweep itself exits non-zero if the two modes' results are not
 # bit-identical, so a regression in the device-resident hand-off (or
 # its byte-counter contract) fails CI quickly.
@@ -102,9 +87,9 @@ bench-chaos:
 	$(GO) run ./cmd/xehe-bench -chaos 400 -json
 
 # Record the bench trajectory: the standard 500-job cluster + mixed
-# QoS + fusion + transfer + graph-residency + trace-overhead +
-# fault-recovery sweep, machine-readable, written to the repo root (CI
-# uploads it as an artifact so the trajectory is preserved per commit).
+# QoS + graph-residency + trace-overhead + fault-recovery sweep,
+# machine-readable, written to the repo root (CI uploads it as an
+# artifact so the trajectory is preserved per commit).
 bench-record:
 	$(GO) run ./cmd/xehe-bench -cluster 500 -json > BENCH_cluster.json
 	@wc -l BENCH_cluster.json

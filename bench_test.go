@@ -25,15 +25,6 @@ import (
 
 var benchAnchor = fhebench.NTTConfig{N: 32768, Instances: 1024}
 
-// benchToggle maps the benchmarks' boolean fused axis onto the knob
-// (fusion defaults on, so the off state must be explicit).
-func benchToggle(on bool) Toggle {
-	if on {
-		return ToggleOn
-	}
-	return ToggleOff
-}
-
 // BenchmarkTable1OpCounts regenerates Table I's per-round op counts.
 func BenchmarkTable1OpCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -328,42 +319,40 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	}
 	cta, ctb := kit.Encrypt(v), kit.Encrypt(v)
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, fused := range []bool{false, true} {
-			workers, fused := workers, fused
-			b.Run(fmt.Sprintf("workers=%d/fused=%v", workers, fused), func(b *testing.B) {
-				svc := NewService(params, kit, Device1, ServiceConfig{Workers: workers, FuseKernels: benchToggle(fused)})
-				defer svc.Close()
-				submit := func(n int) {
-					for i := 0; i < n; i++ {
-						job := NewJob(cta, ctb)
-						r := job.MulRelinRescale(0, 1)
-						job.Rotate(r, 1)
-						if _, err := svc.Submit(job); err != nil {
-							b.Fatal(err)
-						}
+		workers := workers
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			svc := NewService(params, kit, Device1, ServiceConfig{Workers: workers})
+			defer svc.Close()
+			submit := func(n int) {
+				for i := 0; i < n; i++ {
+					job := NewJob(cta, ctb)
+					r := job.MulRelinRescale(0, 1)
+					job.Rotate(r, 1)
+					if _, err := svc.Submit(job); err != nil {
+						b.Fatal(err)
 					}
 				}
-				// Warm the buffer cache to the pool's working set, then
-				// reset the simulated clocks so the sim metric measures
-				// steady-state scheduling, not cold-start driver allocs.
-				submit(4 * workers)
-				svc.Wait()
-				warmJobs := svc.Stats().Jobs
-				svc.ResetSimClocks()
-				b.ResetTimer()
-				submit(b.N)
-				svc.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
-				if sim := svc.SimulatedSeconds(); sim > 0 {
-					b.ReportMetric(float64(b.N)/sim, "sim-jobs/sec")
-				}
-				st := svc.Stats()
-				if st.Jobs != warmJobs+int64(b.N) || st.Failed != 0 {
-					b.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, warmJobs+int64(b.N))
-				}
-			})
-		}
+			}
+			// Warm the buffer cache to the pool's working set, then
+			// reset the simulated clocks so the sim metric measures
+			// steady-state scheduling, not cold-start driver allocs.
+			submit(4 * workers)
+			svc.Wait()
+			warmJobs := svc.Stats().Jobs
+			svc.ResetSimClocks()
+			b.ResetTimer()
+			submit(b.N)
+			svc.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
+			if sim := svc.SimulatedSeconds(); sim > 0 {
+				b.ReportMetric(float64(b.N)/sim, "sim-jobs/sec")
+			}
+			st := svc.Stats()
+			if st.Jobs != warmJobs+int64(b.N) || st.Failed != 0 {
+				b.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, warmJobs+int64(b.N))
+			}
+		})
 	}
 }
 
@@ -385,44 +374,42 @@ func BenchmarkClusterThroughput(b *testing.B) {
 	}
 	cta, ctb := kit.Encrypt(v), kit.Encrypt(v)
 	for _, devices := range []int{1, 2, 4} {
-		for _, fused := range []bool{false, true} {
-			devices, fused := devices, fused
-			b.Run(fmt.Sprintf("devices=%d/fused=%v", devices, fused), func(b *testing.B) {
-				kinds := make([]DeviceKind, devices)
-				for i := range kinds {
-					kinds[i] = Device1
-				}
-				cl := NewCluster(params, kit, kinds, ClusterConfig{WarmBuffers: 32, FuseKernels: benchToggle(fused)})
-				defer cl.Close()
-				submit := func(n int) {
-					for i := 0; i < n; i++ {
-						job := NewJob(cta, ctb)
-						r := job.MulRelinRescale(0, 1)
-						job.Rotate(r, 1)
-						if _, err := cl.Submit(job); err != nil {
-							b.Fatal(err)
-						}
+		devices := devices
+		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
+			kinds := make([]DeviceKind, devices)
+			for i := range kinds {
+				kinds[i] = Device1
+			}
+			cl := NewCluster(params, kit, kinds, ClusterConfig{WarmBuffers: 32})
+			defer cl.Close()
+			submit := func(n int) {
+				for i := 0; i < n; i++ {
+					job := NewJob(cta, ctb)
+					r := job.MulRelinRescale(0, 1)
+					job.Rotate(r, 1)
+					if _, err := cl.Submit(job); err != nil {
+						b.Fatal(err)
 					}
 				}
-				// One warm pass per shard pool, then measure steady state.
-				submit(8 * devices)
-				cl.Wait()
-				warmJobs := cl.Stats().Jobs
-				cl.ResetSimClocks()
-				b.ResetTimer()
-				submit(b.N)
-				cl.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
-				if sim := cl.SimulatedSeconds(); sim > 0 {
-					b.ReportMetric(float64(b.N)/sim, "sim-jobs/sec")
-				}
-				st := cl.Stats()
-				if st.Jobs != warmJobs+int64(b.N) || st.Failed != 0 {
-					b.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, warmJobs+int64(b.N))
-				}
-			})
-		}
+			}
+			// One warm pass per shard pool, then measure steady state.
+			submit(8 * devices)
+			cl.Wait()
+			warmJobs := cl.Stats().Jobs
+			cl.ResetSimClocks()
+			b.ResetTimer()
+			submit(b.N)
+			cl.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
+			if sim := cl.SimulatedSeconds(); sim > 0 {
+				b.ReportMetric(float64(b.N)/sim, "sim-jobs/sec")
+			}
+			st := cl.Stats()
+			if st.Jobs != warmJobs+int64(b.N) || st.Failed != 0 {
+				b.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, warmJobs+int64(b.N))
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@
 //	xehe-bench -service 200    # concurrent-scheduler throughput sweep
 //	xehe-bench -cluster 200    # multi-device cluster sweep (1/2/4 devices + heterogeneous)
 //	xehe-bench -cluster 200 -json  # same, as machine-readable JSON
-//	xehe-bench -fusion 200     # fused vs unfused cross-job kernel fusion sweep
 //	xehe-bench -chaos 400      # fault-recovery sweep (kill+addshard, kill under self-heal, drain vs no-fault)
 package main
 
@@ -31,13 +30,11 @@ func main() {
 	tab := flag.String("tab", "", "table to reproduce: 1")
 	service := flag.Int("service", 0, "run the concurrent-scheduler throughput sweep with this many jobs per worker count")
 	cluster := flag.Int("cluster", 0, "run the multi-device cluster throughput sweep with this many jobs per configuration")
-	fusion := flag.Int("fusion", 0, "run the fused-vs-unfused kernel fusion sweep with this many jobs per configuration")
-	transfer := flag.Int("transfer", 0, "run the fused-transfer (copy/compute overlap) sweep with this many jobs per configuration")
 	graph := flag.Int("graph", 0, "run the job-graph residency sweep (chained jobs via InputFrom vs host round-trips) with this many jobs per configuration")
 	chaos := flag.Int("chaos", 0, "run the fault-recovery sweep (cold kill+addshard, kill under self-heal, graceful drain vs the no-fault baseline) with this many jobs per configuration")
 	tracePath := flag.String("trace", "", "record a Perfetto/Chrome trace of the standard mixed-QoS cluster stream to this file")
 	traceOverhead := flag.Int("traceoverhead", 0, "run the tracing-overhead sweep (tracing off vs on) with this many jobs per configuration")
-	jsonOut := flag.Bool("json", false, "emit -service/-cluster/-fusion/-transfer/-graph/-traceoverhead results as machine-readable JSON instead of tables")
+	jsonOut := flag.Bool("json", false, "emit -service/-cluster/-graph/-traceoverhead results as machine-readable JSON instead of tables")
 	flag.Parse()
 
 	if *tracePath != "" {
@@ -46,8 +43,7 @@ func main() {
 			n = 500
 		}
 		writeTraceSample(*tracePath, n)
-		if *cluster == 0 && *service == 0 && *fusion == 0 && *transfer == 0 &&
-			*graph == 0 && *traceOverhead == 0 && *fig == "" && *tab == "" {
+		if *cluster == 0 && *service == 0 && *graph == 0 && *traceOverhead == 0 && *fig == "" && *tab == "" {
 			return
 		}
 	}
@@ -63,18 +59,6 @@ func main() {
 	}
 	if *cluster > 0 {
 		clusterThroughput(*cluster, *jsonOut)
-		return
-	}
-	if *fusion > 0 {
-		if results := fusionSweep(*fusion, *jsonOut); *jsonOut {
-			emitResults(results)
-		}
-		return
-	}
-	if *transfer > 0 {
-		if results := transferSweep(*transfer, *jsonOut); *jsonOut {
-			emitResults(results)
-		}
 		return
 	}
 	if *graph > 0 {
@@ -156,15 +140,10 @@ type throughputResult struct {
 	SimJobsPerSec float64 `json:"sim_jobs_per_sec"` // simulated device time
 	Batches       int64   `json:"batches,omitempty"`
 	Coalesced     int64   `json:"coalesced,omitempty"`
-	MaxBatch      int     `json:"max_batch,omitempty"`     // largest coalesced batch (fusion sweep)
-	FusedBatches  int64   `json:"fused_batches,omitempty"` // batches run through the fused path
-	FusedSteps    int64   `json:"fused_steps,omitempty"`   // op-chain steps launched once per batch
-	UnfusedSteps  int64   `json:"unfused_steps,omitempty"` // op-chain steps launched once per job
-	// Transfer-path counters (the -transfer sweep): gathered staging
-	// submissions and the bytes they moved each way.
-	TransferBatches int64 `json:"transfer_batches,omitempty"`
-	BytesH2D        int64 `json:"bytes_h2d,omitempty"`
-	BytesD2H        int64 `json:"bytes_d2h,omitempty"`
+	// Transfer-path counters (the -graph sweep): the bytes the gathered
+	// staging submissions moved each way.
+	BytesH2D int64 `json:"bytes_h2d,omitempty"`
+	BytesD2H int64 `json:"bytes_d2h,omitempty"`
 	// Graph-residency counters (the -graph sweep): consumer jobs, and
 	// producer→consumer edges resolved on-device vs through the host.
 	GraphJobs      int64   `json:"graph_jobs,omitempty"`
@@ -351,8 +330,6 @@ func clusterThroughput(jobs int, jsonOut bool) {
 		cl.Close()
 	}
 	results = append(results, mixedWorkload(jobs, jsonOut)...)
-	results = append(results, fusionSweep(jobs, jsonOut)...)
-	results = append(results, transferSweep(jobs, jsonOut)...)
 	results = append(results, graphSweep(jobs, jsonOut)...)
 	results = append(results, traceOverheadSweep(jobs, jsonOut)...)
 	results = append(results, chaosSweep(jobs, jsonOut)...)
@@ -377,12 +354,12 @@ func traceOverheadSweep(jobs int, jsonOut bool) []throughputResult {
 	}
 	for _, cfg := range []struct {
 		name    string
-		tracing bool
-	}{{"off", false}, {"on", true}} {
+		tracing xehe.Toggle
+	}{{"off", xehe.ToggleOff}, {"on", xehe.ToggleOn}} {
 		cl := xehe.NewCluster(params, kit, []xehe.DeviceKind{xehe.Device1, xehe.Device1},
 			xehe.ClusterConfig{
 				WarmBuffers: 32, QueueDepth: 2, MaxBatch: 4, PendingCap: 512,
-				Trace: xehe.TraceConfig{Enabled: toggleOf(cfg.tracing)},
+				Trace: xehe.TraceConfig{Enabled: cfg.tracing},
 			})
 		submitMix := func(n int, mix bool) {
 			for i := 0; i < n; i++ {
@@ -460,151 +437,6 @@ func writeTraceSample(path string, jobs int) {
 	fmt.Fprintf(os.Stderr, "wrote %s: %d jobs, %d spans recorded (%d dropped)\n", path, jobs, spans, dropped)
 }
 
-// toggleOf maps a sweep's boolean axis onto the config knob, keeping
-// the off state explicit now that fusion defaults on.
-func toggleOf(on bool) xehe.Toggle {
-	if on {
-		return xehe.ToggleOn
-	}
-	return xehe.ToggleOff
-}
-
-// fusionSweep is the cross-job kernel fusion sweep: the standard
-// MulRelinRS+Rotate stream runs through a 2x Device1 cluster with
-// fused and unfused batch execution at MaxBatch 4 and 8. The
-// acceptance contract: fused simulated throughput beats unfused at
-// equal batch shape (the fused path pays kernel launch and host
-// submission overhead once per op-chain step per batch instead of
-// once per job), with results bit-identical either way.
-func fusionSweep(jobs int, jsonOut bool) []throughputResult {
-	params, kit, cta, ctb := benchInputs()
-	var results []throughputResult
-	if !jsonOut {
-		fmt.Printf("\ncross-job kernel fusion sweep (%d jobs, MulRelinRS + Rotate at N=4096 L=4, on 2x Device1)\n\n", jobs)
-		fmt.Printf("%-16s %8s %12s %14s %10s %10s %12s %14s\n",
-			"config", "devices", "jobs/sec", "sim-jobs/sec", "batches", "coalesced", "fused-steps", "unfused-steps")
-	}
-	for _, cfg := range []struct {
-		name     string
-		maxBatch int
-		fuse     bool
-	}{
-		{"unfused/mb=4", 4, false},
-		{"fused/mb=4", 4, true},
-		{"unfused/mb=8", 8, false},
-		{"fused/mb=8", 8, true},
-	} {
-		cl := xehe.NewCluster(params, kit, []xehe.DeviceKind{xehe.Device1, xehe.Device1},
-			xehe.ClusterConfig{WarmBuffers: 32, MaxBatch: cfg.maxBatch,
-				FuseKernels: toggleOf(cfg.fuse), FuseTransfers: xehe.ToggleOff})
-		submit := func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := cl.Submit(buildJob(cta, ctb)); err != nil {
-					fmt.Fprintf(os.Stderr, "submit: %v\n", err)
-					os.Exit(1)
-				}
-			}
-		}
-		submit(16)
-		cl.Wait()
-		cl.ResetSimClocks()
-		warm := cl.Stats()
-		start := time.Now()
-		submit(jobs)
-		cl.Wait()
-		wall := time.Since(start).Seconds()
-		st := cl.Stats()
-		r := throughputResult{
-			Bench: "fusion", Config: cfg.name, Devices: 2, Jobs: jobs,
-			JobsPerSec:    float64(jobs) / wall,
-			SimJobsPerSec: float64(jobs) / cl.SimulatedSeconds(),
-			Batches:       st.Batches - warm.Batches,
-			Coalesced:     st.Coalesced - warm.Coalesced,
-			MaxBatch:      st.MaxBatch,
-			FusedBatches:  st.FusedBatches - warm.FusedBatches,
-			FusedSteps:    st.FusedSteps - warm.FusedSteps,
-			UnfusedSteps:  st.UnfusedSteps - warm.UnfusedSteps,
-		}
-		results = append(results, r)
-		if !jsonOut {
-			fmt.Printf("%-16s %8d %12.1f %14.0f %10d %10d %12d %14d\n",
-				r.Config, r.Devices, r.JobsPerSec, r.SimJobsPerSec, r.Batches, r.Coalesced, r.FusedSteps, r.UnfusedSteps)
-		}
-		cl.Close()
-	}
-	return results
-}
-
-// transferSweep is the fused-transfer sweep: the standard
-// MulRelinRS+Rotate stream runs through a 2x Device1 cluster with
-// kernel fusion on (the PR 4 fused baseline) and FuseTransfers off vs
-// on, at MaxBatch 4 and 8. The acceptance contract: gathered staging
-// + copy/compute overlap beats the fused baseline at equal batch
-// shape (target >= 1.2x sim-jobs/s at MaxBatch 8), with results
-// bit-identical either way and the gathered submissions visible in
-// TransferBatches/BytesH2D/BytesD2H.
-func transferSweep(jobs int, jsonOut bool) []throughputResult {
-	params, kit, cta, ctb := benchInputs()
-	var results []throughputResult
-	if !jsonOut {
-		fmt.Printf("\nfused transfer sweep (%d jobs, MulRelinRS + Rotate at N=4096 L=4, kernels fused, on 2x Device1)\n\n", jobs)
-		fmt.Printf("%-16s %8s %12s %14s %10s %12s %12s %12s\n",
-			"config", "devices", "jobs/sec", "sim-jobs/sec", "batches", "xfer-batches", "MB-h2d", "MB-d2h")
-	}
-	for _, cfg := range []struct {
-		name     string
-		maxBatch int
-		overlap  bool
-	}{
-		{"base/mb=4", 4, false},
-		{"overlap/mb=4", 4, true},
-		{"base/mb=8", 8, false},
-		{"overlap/mb=8", 8, true},
-	} {
-		cl := xehe.NewCluster(params, kit, []xehe.DeviceKind{xehe.Device1, xehe.Device1},
-			xehe.ClusterConfig{WarmBuffers: 32, MaxBatch: cfg.maxBatch,
-				FuseKernels: xehe.ToggleOn, FuseTransfers: toggleOf(cfg.overlap)})
-		submit := func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := cl.Submit(buildJob(cta, ctb)); err != nil {
-					fmt.Fprintf(os.Stderr, "submit: %v\n", err)
-					os.Exit(1)
-				}
-			}
-		}
-		submit(16)
-		cl.Wait()
-		cl.ResetSimClocks()
-		warm := cl.Stats()
-		start := time.Now()
-		submit(jobs)
-		cl.Wait()
-		wall := time.Since(start).Seconds()
-		st := cl.Stats()
-		r := throughputResult{
-			Bench: "transfer", Config: cfg.name, Devices: 2, Jobs: jobs,
-			JobsPerSec:      float64(jobs) / wall,
-			SimJobsPerSec:   float64(jobs) / cl.SimulatedSeconds(),
-			Batches:         st.Batches - warm.Batches,
-			Coalesced:       st.Coalesced - warm.Coalesced,
-			MaxBatch:        st.MaxBatch,
-			FusedSteps:      st.FusedSteps - warm.FusedSteps,
-			UnfusedSteps:    st.UnfusedSteps - warm.UnfusedSteps,
-			TransferBatches: st.TransferBatches - warm.TransferBatches,
-			BytesH2D:        st.BytesH2D - warm.BytesH2D,
-			BytesD2H:        st.BytesD2H - warm.BytesD2H,
-		}
-		results = append(results, r)
-		if !jsonOut {
-			fmt.Printf("%-16s %8d %12.1f %14.0f %10d %12d %12.1f %12.1f\n",
-				r.Config, r.Devices, r.JobsPerSec, r.SimJobsPerSec, r.Batches,
-				r.TransferBatches, float64(r.BytesH2D)/1e6, float64(r.BytesD2H)/1e6)
-		}
-		cl.Close()
-	}
-	return results
-}
-
 // graphDepth is the chain length of the -graph sweep: one producer job
 // (MulRelinRS + Rotate) followed by graphDepth-1 rotate-add rounds.
 const graphDepth = 4
@@ -645,8 +477,8 @@ func ctsBitEqual(a, b *xehe.Ciphertext) bool {
 
 // graphSweep is the job-graph residency sweep: `jobs` total jobs form
 // chains of graphDepth (one MulRelinRS+Rotate producer, then rotate-add
-// rounds), run on one Device1 service with fused transfers on so every
-// byte over PCIe is counted. The "chained" baseline downloads each
+// rounds), run on one Device1 service, whose gathered transfers count
+// every byte over PCIe. The "chained" baseline downloads each
 // round's result and re-uploads it for the next round; the "graph"
 // mode links the rounds with InputFrom, so intermediates stay
 // device-resident and only the chain tails are downloaded. The
@@ -661,14 +493,14 @@ func graphSweep(jobs int, jsonOut bool) []throughputResult {
 	total := chains * graphDepth
 	var results []throughputResult
 	if !jsonOut {
-		fmt.Printf("\njob-graph residency sweep (%d chains x depth %d, MulRelinRS+Rotate head + rotate-add rounds, transfers fused, on Device1)\n\n", chains, graphDepth)
+		fmt.Printf("\njob-graph residency sweep (%d chains x depth %d, MulRelinRS+Rotate head + rotate-add rounds, on Device1)\n\n", chains, graphDepth)
 		fmt.Printf("%-10s %8s %12s %14s %10s %12s %12s %8s %8s\n",
 			"config", "jobs", "jobs/sec", "sim-jobs/sec", "graph-jobs", "MB-h2d", "MB-d2h", "res-hit", "res-miss")
 	}
 
 	run := func(name string, exec func(svc *xehe.Service) []*xehe.Ciphertext) ([]*xehe.Ciphertext, throughputResult) {
 		svc := xehe.NewService(params, kit, xehe.Device1,
-			xehe.ServiceConfig{WarmBuffers: 32, FuseTransfers: xehe.ToggleOn})
+			xehe.ServiceConfig{WarmBuffers: 32})
 		defer svc.Close()
 		// Warm the cache, then reset clocks and counter baselines.
 		for i := 0; i < 8; i++ {
@@ -792,10 +624,10 @@ func graphSweep(jobs int, jsonOut bool) []throughputResult {
 // simulated throughput (with the standby at least matching the cold
 // path), and a drain that replays exactly zero jobs. Each variant is
 // sampled three times and reported at its median simulated throughput:
-// batch composition and transfer fusion depend on host-thread arrival
-// order, so single-run sim throughput wobbles a few percent and a
-// ratio of two single draws would flap against the floors. The rows
-// record recovered-jobs/s and the recovery latency tail (P99) for the
+// batch composition depends on host-thread arrival order, so
+// single-run sim throughput wobbles a few percent and a ratio of two
+// single draws would flap against the floors. The rows record
+// recovered-jobs/s and the recovery latency tail (P99) for the
 // benchmark trajectory.
 func chaosSweep(jobs int, jsonOut bool) []throughputResult {
 	params, kit, cta, ctb := benchInputs()

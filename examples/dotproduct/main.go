@@ -29,7 +29,7 @@ func main() {
 
 	cl := xehe.NewCluster(params, kit,
 		[]xehe.DeviceKind{xehe.Device1, xehe.Device2},
-		xehe.ClusterConfig{FuseTransfers: xehe.ToggleOn})
+		xehe.ClusterConfig{})
 	defer cl.Close()
 
 	// Two private vectors, padded into the slot vector.

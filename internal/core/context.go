@@ -46,9 +46,9 @@ type Config struct {
 	// per-tile copy queue when the device models one
 	// (gpu.DeviceSpec.CopyEngine), so uploads and downloads overlap
 	// with compute instead of serializing on the kernel queue. The
-	// concurrent scheduler enables it for its FuseTransfers pipeline;
-	// results are bit-identical either way, only simulated timing
-	// changes.
+	// concurrent scheduler always sets it (its workers prefetch the
+	// next batch's inputs while the current one computes); results are
+	// bit-identical either way, only simulated timing changes.
 	CopyEngine bool
 }
 
@@ -95,6 +95,10 @@ type Context struct {
 	Staging *memcache.StagingPool
 
 	deps []gpu.Event // pending pipeline tail (in-order semantics)
+
+	// scope holds the buffers allocated and not yet freed since Scoped
+	// opened it; nil outside Scoped.
+	scope map[*sycl.Buffer]struct{}
 }
 
 // NewContext creates a backend context on the device.
@@ -193,12 +197,40 @@ func (c *Context) Deps() []gpu.Event {
 // cache (or the raw driver when the cache is disabled).
 func (c *Context) allocPoly(components int) (*poly.Poly, *sycl.Buffer) {
 	buf := c.Cache.Malloc(components * c.Params.N)
+	if c.scope != nil {
+		c.scope[buf] = struct{}{}
+	}
 	p := poly.FromData(c.Params.N, components, buf.Data)
 	return p, buf
 }
 
 // freePoly returns a temporary to the cache.
-func (c *Context) freePoly(buf *sycl.Buffer) { c.Cache.Free(buf) }
+func (c *Context) freePoly(buf *sycl.Buffer) {
+	delete(c.scope, buf)
+	c.Cache.Free(buf)
+}
+
+// Scoped runs fn under an allocation scope: if fn panics — a launch
+// lost on the wire, a broken key — every buffer it allocated through
+// the context and had not freed yet goes back to the cache before the
+// panic continues, so a caller that recovers (the scheduler's chain
+// executor) strands nothing. What fn returns normally it owns as usual.
+// Scopes do not nest.
+func (c *Context) Scoped(fn func()) {
+	c.scope = map[*sycl.Buffer]struct{}{}
+	done := false
+	defer func() {
+		scope := c.scope
+		c.scope = nil
+		if !done {
+			for buf := range scope {
+				c.Cache.Free(buf)
+			}
+		}
+	}()
+	fn()
+	done = true
+}
 
 // Ciphertext is a device-resident ciphertext: the host ckks.Ciphertext
 // plus the buffers backing its polynomials.
@@ -219,8 +251,8 @@ func (ct *Ciphertext) Buffers() []*sycl.Buffer { return ct.bufs }
 // Borrow returns an alias of ct whose Free is a no-op: the underlying
 // buffers stay owned by the original. Consumer jobs splice borrowed
 // aliases of device-resident producer outputs into their value lists,
-// so the batch executors' uniform free paths (including fused-fallback
-// recovery) never release a buffer other jobs still read.
+// so the chain executor's uniform free paths (including the recycling
+// of a failed batch) never release a buffer other jobs still read.
 func Borrow(ct *Ciphertext) *Ciphertext {
 	return &Ciphertext{CT: ct.CT, bufs: ct.bufs, borrowed: true}
 }
@@ -247,20 +279,6 @@ func (c *Context) Upload(ct *ckks.Ciphertext) *Ciphertext {
 // Download synchronizes and copies a device ciphertext back to host
 // memory (the only blocking step of the pipeline).
 func (c *Context) Download(ct *Ciphertext) *ckks.Ciphertext {
-	out, last := c.DownloadAsync(ct)
-	last.Wait()
-	c.deps = nil
-	return out
-}
-
-// DownloadAsync submits the device-to-host copies of a ciphertext
-// without synchronizing: the host polynomials are materialized (the
-// simulator executes the memcpy functionally at submission) and the
-// tail copy event is returned for the caller to wait on. The batch
-// scheduler uses it to submit every result of a batch and pay the
-// host-device synchronization once at the tail instead of once per
-// job.
-func (c *Context) DownloadAsync(ct *Ciphertext) (*ckks.Ciphertext, gpu.Event) {
 	out := &ckks.Ciphertext{Scale: ct.CT.Scale, Level: ct.CT.Level}
 	var last gpu.Event
 	for i, pv := range ct.CT.Value {
@@ -273,8 +291,9 @@ func (c *Context) DownloadAsync(ct *Ciphertext) (*ckks.Ciphertext, gpu.Event) {
 		host.IsNTT = pv.IsNTT
 		out.Value = append(out.Value, host)
 	}
-	c.after([]gpu.Event{last})
-	return out, last
+	last.Wait()
+	c.deps = nil
+	return out
 }
 
 // Free returns the ciphertext's buffers to the cache. Freeing a

@@ -140,7 +140,7 @@ func TestGPURotate(t *testing.T) {
 	ct, vals := h.randCT(104)
 	c := newCtx(t, h, OptNTT())
 	d := c.Upload(ct)
-	got := h.decode(c.Download(c.RotateRoutine(d, 1, h.gk)))
+	got := h.decode(c.Download(c.Rotate(d, 1, h.gk)))
 	slots := h.params.Slots()
 	for i := 0; i < slots; i++ {
 		if cmplx.Abs(got[i]-vals[(i+1)%slots]) > 1e-4 {
@@ -244,7 +244,7 @@ func TestDeviceLevelZeroGuards(t *testing.T) {
 	for d.CT.Level > 0 {
 		d = c.ModSwitch(d)
 	}
-	mustPanicCore(t, "rescale at level 0", func() { c.Rescale(d) })
+	mustPanicCore(t, "rescale at level 0", func() { c.RescaleBatch(one(d)) })
 	mustPanicCore(t, "modswitch at level 0", func() { c.ModSwitch(d) })
 }
 

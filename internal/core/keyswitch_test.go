@@ -72,7 +72,7 @@ func TestKeySwitchBitIdenticalToHostAtEveryLevel(t *testing.T) {
 		for j, out := range c.DownloadBatch(c.RelinearizeBatch(dProds, h.rlk)) {
 			assertSameCT(t, what+", batched", out, host.Relinearize(prods[j]))
 		}
-		assertSameCT(t, what, c.Download(c.Relinearize(dProds[0], h.rlk)), host.Relinearize(prods[0]))
+		assertSameCT(t, what, c.Download(c.RelinearizeBatch(dProds[:1], h.rlk)[0]), host.Relinearize(prods[0]))
 
 		if level > 0 {
 			for j := range as {
@@ -126,14 +126,8 @@ func TestKeySwitchTransformCount(t *testing.T) {
 				deg2[j] = c.NewZeroCt(2, level, h.params.Scale, true)
 			}
 			routines := map[string]func(){
-				"Relinearize": func() { c.Relinearize(deg2[0], h.rlk) },
-				"Rotate":      func() { c.Rotate(deg1[0], 1, h.gk) },
-			}
-			if jobs > 1 {
-				routines = map[string]func(){
-					"RelinearizeBatch": func() { c.RelinearizeBatch(deg2, h.rlk) },
-					"RotateBatch":      func() { c.RotateBatch(deg1, 1, h.gk) },
-				}
+				"RelinearizeBatch": func() { c.RelinearizeBatch(deg2, h.rlk) },
+				"RotateBatch":      func() { c.RotateBatch(deg1, 1, h.gk) },
 			}
 			for name, run := range routines {
 				dev.EnableTrace()
@@ -141,6 +135,56 @@ func TestKeySwitchTransformCount(t *testing.T) {
 				if got := nttRows(t, dev, itemsPerRow); got != want {
 					t.Errorf("%s of %d job(s) at c=%d transformed %d rows, want %d", name, jobs, comps, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestLaunchCountIndependentOfBatchSize guards the property batching
+// exists for: a routine over k same-shape ciphertexts submits exactly
+// the kernels it submits for one, each k times as wide. A per-job loop
+// slipped into the one implementation multiplies the launches and
+// fails here rather than in a benchmark. The counts are the top-level
+// (c = 4) sequences at the test parameters under the radix-8 NTT.
+func TestLaunchCountIndependentOfBatchSize(t *testing.T) {
+	h := newHarness(t)
+	cfg := OptNTTAsm()
+	cfg.Analytic = true
+	level := h.params.MaxLevel()
+	for _, r := range []struct {
+		name     string
+		launches int
+		run      func(c *Context, as, bs []*Ciphertext)
+	}{
+		{"MulLinRS", 49, func(c *Context, as, bs []*Ciphertext) { c.MulLinRSBatch(as, bs, h.rlk) }},
+		{"SqrLinRS", 49, func(c *Context, as, _ []*Ciphertext) { c.SqrLinRSBatch(as, h.rlk) }},
+		{"Rotate", 24, func(c *Context, as, _ []*Ciphertext) { c.RotateBatch(as, 1, h.gk) }},
+		{"Add", 2, func(c *Context, as, bs []*Ciphertext) { c.AddBatch(as, bs) }},
+		{"ModSwitch", 2, func(c *Context, as, _ []*Ciphertext) { c.ModSwitchBatch(as) }},
+	} {
+		itemsOfOne := 0
+		for _, k := range []int{1, 3, 8} {
+			c := newCtx(t, h, cfg)
+			as, bs := make([]*Ciphertext, k), make([]*Ciphertext, k)
+			for j := range as {
+				as[j] = c.NewZeroCt(1, level, h.params.Scale, true)
+				bs[j] = c.NewZeroCt(1, level, h.params.Scale, true)
+			}
+			c.Device.EnableTrace()
+			r.run(c, as, bs)
+			launches, items := 0, 0
+			for _, e := range c.Device.Trace() {
+				if !e.Copy {
+					launches++
+					items += e.Items
+				}
+			}
+			if k == 1 {
+				itemsOfOne = items
+			}
+			if launches != r.launches || items != k*itemsOfOne {
+				t.Errorf("%s of %d: %d launches over %d work-items, want %d launches over %d x %d",
+					r.name, k, launches, items, r.launches, k, itemsOfOne)
 			}
 		}
 	}

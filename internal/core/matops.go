@@ -30,16 +30,16 @@ func (c *Context) NewZeroCt(degree, level int, scale float64, isNTT bool) *Ciphe
 // domain on the GPU.
 func (c *Context) FwdNTTCt(ct *Ciphertext) {
 	tbls := c.Params.TablesAt(ct.CT.Level)
-	for _, p := range ct.CT.Value {
-		c.fwdNTT(p, tbls)
+	for i := range ct.CT.Value {
+		c.fwdNTTJobs(ct.CT.Value[i:i+1], tbls)
 	}
 }
 
 // InvNTTCt transforms every polynomial back to coefficient form.
 func (c *Context) InvNTTCt(ct *Ciphertext) {
 	tbls := c.Params.TablesAt(ct.CT.Level)
-	for _, p := range ct.CT.Value {
-		c.invNTT(p, tbls)
+	for i := range ct.CT.Value {
+		c.invNTTJobs(ct.CT.Value[i:i+1], tbls)
 	}
 }
 
@@ -65,10 +65,13 @@ func (c *Context) CloneCt(ct *Ciphertext) *Ciphertext {
 // kernel; the baseline pays separate mul_mod and add_mod passes.
 func (c *Context) MulAcc(acc, a, b *Ciphertext) {
 	comps := acc.CT.Level + 1
-	c.madInto(acc.CT.Value[0], a.CT.Value[0], b.CT.Value[0], comps)
-	c.madInto(acc.CT.Value[1], a.CT.Value[0], b.CT.Value[1], comps)
-	c.madInto(acc.CT.Value[1], a.CT.Value[1], b.CT.Value[0], comps)
-	c.madInto(acc.CT.Value[2], a.CT.Value[1], b.CT.Value[1], comps)
+	// Each component is a batch of one polynomial: a one-element window
+	// of the ciphertext's own Value slice, so nothing is allocated.
+	d, x, y := acc.CT.Value, a.CT.Value, b.CT.Value
+	c.madIntoJobs(d[0:1], x[0:1], y[0:1], comps)
+	c.madIntoJobs(d[1:2], x[0:1], y[1:2], comps)
+	c.madIntoJobs(d[1:2], x[1:2], y[0:1], comps)
+	c.madIntoJobs(d[2:3], x[1:2], y[1:2], comps)
 }
 
 // UploadCoeff uploads a host ciphertext and converts it to coefficient

@@ -2,34 +2,39 @@ package core
 
 import "xehe/internal/ckks"
 
+// The single-ciphertext API: each method is its *Batch routine over a
+// batch of one (evaluator.go), so the serial evaluator, the paper's
+// figures and the scheduler's coalesced batches run one implementation.
+
+func one(ct *Ciphertext) []*Ciphertext { return []*Ciphertext{ct} }
+
+// Add returns a + b on device.
+func (c *Context) Add(a, b *Ciphertext) *Ciphertext {
+	return c.AddBatch(one(a), one(b))[0]
+}
+
+// ModSwitch drops the last RNS component.
+func (c *Context) ModSwitch(ct *Ciphertext) *Ciphertext {
+	return c.ModSwitchBatch(one(ct))[0]
+}
+
 // The five HE evaluation routines benchmarked in Figs. 5, 16 and 18.
 // Each frees its intermediate device ciphertexts through the memory
 // cache, so the cache ablation (Fig. 19) sees realistic reuse.
 
 // MulLin multiplies two ciphertexts and relinearizes the result.
 func (c *Context) MulLin(a, b *Ciphertext, rlk *ckks.RelinKey) *Ciphertext {
-	prod := c.Mul(a, b)
-	out := c.Relinearize(prod, rlk)
-	c.Free(prod)
-	return out
+	return c.MulLinBatch(one(a), one(b), rlk)[0]
 }
 
 // MulLinRS multiplies, relinearizes and rescales.
 func (c *Context) MulLinRS(a, b *Ciphertext, rlk *ckks.RelinKey) *Ciphertext {
-	lin := c.MulLin(a, b, rlk)
-	out := c.Rescale(lin)
-	c.Free(lin)
-	return out
+	return c.MulLinRSBatch(one(a), one(b), rlk)[0]
 }
 
 // SqrLinRS squares a ciphertext, relinearizes and rescales.
 func (c *Context) SqrLinRS(a *Ciphertext, rlk *ckks.RelinKey) *Ciphertext {
-	sq := c.Square(a)
-	lin := c.Relinearize(sq, rlk)
-	c.Free(sq)
-	out := c.Rescale(lin)
-	c.Free(lin)
-	return out
+	return c.SqrLinRSBatch(one(a), rlk)[0]
 }
 
 // MulLinRSModSwAdd multiplies, relinearizes, rescales, switches the
@@ -43,10 +48,10 @@ func (c *Context) MulLinRSModSwAdd(a, b, addend *Ciphertext, rlk *ckks.RelinKey)
 	return out
 }
 
-// RotateRoutine cyclically rotates the plaintext vector (Fig. 5's
-// "Rotate").
-func (c *Context) RotateRoutine(a *Ciphertext, k int, gk *ckks.GaloisKey) *Ciphertext {
-	return c.Rotate(a, k, gk)
+// Rotate cyclically rotates the plaintext vector by k slots using the
+// Galois key (Fig. 5's "Rotate").
+func (c *Context) Rotate(a *Ciphertext, k int, gk *ckks.GaloisKey) *Ciphertext {
+	return c.RotateBatch(one(a), k, gk)[0]
 }
 
 // RoutineNames lists the routines in the order the paper plots them.

@@ -49,12 +49,20 @@ func (c *Context) stagingPut(buf []uint64) {
 // × N words), instead of one submission per component per job. It
 // returns the device ciphertexts, the bytes moved and the copy event
 // (also installed as the pipeline tail) that downstream kernels must
-// depend on. A batch of one moves exactly what Upload moves.
+// depend on. A batch of one moves exactly what Upload moves. If the
+// copy is lost on the wire (the submission panics) the buffers it was
+// headed for and the staging slab are returned first.
 func (c *Context) UploadBatch(cts []*ckks.Ciphertext) ([]*Ciphertext, int64, gpu.Event) {
 	outs := make([]*Ciphertext, len(cts))
 	var dsts []*sycl.Buffer
 	var srcs [][]uint64
 	var words int
+	sent := false
+	defer func() {
+		if !sent {
+			c.freePolys(dsts)
+		}
+	}()
 	for i, ct := range cts {
 		out := &Ciphertext{CT: &ckks.Ciphertext{Scale: ct.Scale, Level: ct.Level}}
 		for _, pv := range ct.Value {
@@ -74,9 +82,10 @@ func (c *Context) UploadBatch(cts []*ckks.Ciphertext) ([]*Ciphertext, int64, gpu
 		ev = q.Raw().CopyH2D(int64(words) * 8)
 	} else {
 		staging := c.stagingGet(words)
+		defer c.stagingPut(staging)
 		ev = q.CopyInGather(dsts, srcs, staging)
-		c.stagingPut(staging)
 	}
+	sent = true
 	c.after([]gpu.Event{ev})
 	return outs, int64(words) * 8, ev
 }
@@ -114,8 +123,8 @@ func (c *Context) DownloadBatchAsync(cts []*Ciphertext) ([]*ckks.Ciphertext, int
 		ev = q.Raw().CopyD2H(int64(words)*8, c.deps...)
 	} else {
 		staging := c.stagingGet(words)
+		defer c.stagingPut(staging)
 		ev = q.CopyOutScatter(dsts, srcs, staging, c.deps...)
-		c.stagingPut(staging)
 	}
 	c.after([]gpu.Event{ev})
 	return outs, int64(words) * 8, ev

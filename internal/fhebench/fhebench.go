@@ -231,7 +231,7 @@ func RunRoutine(spec gpu.DeviceSpec, cfg core.Config, routine string) RoutineRes
 		add.CT.Scale = params.Scale // scales align approximately
 		ctx.MulLinRSModSwAdd(a, b, add, rlk)
 	case "Rotate":
-		ctx.RotateRoutine(a, 1, gk)
+		ctx.Rotate(a, 1, gk)
 	default:
 		panic("fhebench: unknown routine " + routine)
 	}

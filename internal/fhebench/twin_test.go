@@ -92,7 +92,7 @@ func twinStreams(params *ckks.Parameters) []twinStream {
 		{"MulLin", routine(func(ctx *core.Context, a, b *core.Ciphertext) *core.Ciphertext { return ctx.MulLin(a, b, rlk) })},
 		{"MulLinRS", routine(func(ctx *core.Context, a, b *core.Ciphertext) *core.Ciphertext { return ctx.MulLinRS(a, b, rlk) })},
 		{"SqrLinRS", routine(func(ctx *core.Context, a, _ *core.Ciphertext) *core.Ciphertext { return ctx.SqrLinRS(a, rlk) })},
-		{"Rotate", routine(func(ctx *core.Context, a, _ *core.Ciphertext) *core.Ciphertext { return ctx.RotateRoutine(a, 1, gk) })},
+		{"Rotate", routine(func(ctx *core.Context, a, _ *core.Ciphertext) *core.Ciphertext { return ctx.Rotate(a, 1, gk) })},
 		{"batch_of_3", func(ctx *core.Context) {
 			host := []*ckks.Ciphertext{zeroCt(params), zeroCt(params), zeroCt(params)}
 			as, _, _ := ctx.UploadBatch(host)

@@ -30,10 +30,10 @@ type Backend interface {
 	WorkerContext(params *ckks.Parameters, cfg core.Config, id int, multiQ bool) *core.Context
 	// Cache returns the shared device buffer cache.
 	Cache() *memcache.Cache
-	// Staging returns the shared pinned-staging pool backing gathered
-	// host<->device transfers (Config.FuseTransfers); worker contexts
-	// draw their transfer staging from it so buffers recycle across
-	// batch waves.
+	// Staging returns the shared pinned-staging pool backing the
+	// workers' gathered host<->device transfers; worker contexts draw
+	// their transfer staging from it so buffers recycle across batch
+	// waves.
 	Staging() *memcache.StagingPool
 	// SimulatedSeconds returns the simulated wall-clock consumed on the
 	// backend so far (the busiest of host and tile timelines).

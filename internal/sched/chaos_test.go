@@ -10,25 +10,17 @@ import (
 )
 
 // chaosCluster builds a heterogeneous multi-node cluster (two Device1
-// nodes plus a Device2 node) under the given fusion knobs, with shard
-// i in failure domain i.
-func chaosCluster(t testing.TB, h *Harness, fk, ft Toggle) *Cluster {
+// nodes plus a Device2 node) coalescing up to maxBatch jobs (0: the
+// default), with shard i in failure domain i.
+func chaosCluster(t testing.TB, h *Harness, maxBatch int) *Cluster {
 	t.Helper()
 	cfg := schedConfig(2)
-	cfg.FuseKernels = fk
-	cfg.FuseTransfers = ft
+	cfg.MaxBatch = maxBatch
 	c := NewCluster(h.Params,
 		[]*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1(), gpu.NewDevice2()},
 		cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 	return c
-}
-
-func toggleName(tg Toggle) string {
-	if tg == ToggleOff {
-		return "off"
-	}
-	return "on"
 }
 
 // TestChaosDifferential is the chaos acceptance harness: randomized
@@ -38,32 +30,30 @@ func toggleName(tg Toggle) string {
 // shard is added on a new node. Every job must still complete (a
 // healthy shard always exists, so surrendered work replays instead of
 // failing) and every result must match the serial reference
-// bit-for-bit, under the full FuseKernels x FuseTransfers matrix. Run
-// with -race (make test-race).
+// bit-for-bit, coalesced and job-at-a-time (batchShapes). Run with
+// -race (make test-race).
 func TestChaosDifferential(t *testing.T) {
 	h := sharedHarness(t)
-	for _, fk := range []Toggle{ToggleOn, ToggleOff} {
-		for _, ft := range []Toggle{ToggleOn, ToggleOff} {
-			t.Run(fmt.Sprintf("kernels=%s/transfers=%s", toggleName(fk), toggleName(ft)), func(t *testing.T) {
-				testChaosDifferential(t, h, fk, ft)
-			})
-		}
+	for _, shape := range batchShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			testChaosDifferential(t, h, shape.maxBatch)
+		})
 	}
 }
 
-func testChaosDifferential(t *testing.T, h *Harness, fk, ft Toggle) {
+func testChaosDifferential(t *testing.T, h *Harness, maxBatch int) {
 	const (
 		nJobs      = 24
 		maxOps     = 5
 		submitters = 3
 	)
-	rng := rand.New(rand.NewSource(int64(7001 + int(fk)*10 + int(ft))))
+	rng := rand.New(rand.NewSource(int64(7001 + maxBatch)))
 	cases := make([]*Case, nJobs)
 	for i := range cases {
 		cases[i] = h.RandomCase(rng, maxOps)
 	}
 
-	c := chaosCluster(t, h, fk, ft)
+	c := chaosCluster(t, h, maxBatch)
 	// Shard 0 dies deterministically when its second batch starts —
 	// from the worker goroutine itself, mid-batch, before anything
 	// settles.
@@ -88,9 +78,7 @@ func testChaosDifferential(t *testing.T, h *Harness, fk, ft Toggle) {
 	// Concurrently with the submitters: kill shard 1 outright, then add
 	// a replacement shard on a fresh node — elastic recovery mid-run.
 	c.Faults().KillShard(1)
-	cfg := schedConfig(2)
-	cfg.FuseKernels, cfg.FuseTransfers = fk, ft
-	idx, err := c.AddShard(ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), cfg.Core), Node: 3})
+	idx, err := c.AddShard(ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(2).Core), Node: 3})
 	if err != nil {
 		t.Fatalf("AddShard: %v", err)
 	}
@@ -133,8 +121,8 @@ func testChaosDifferential(t *testing.T, h *Harness, fk, ft Toggle) {
 	if got := c.Faults().Health(idx); got != "ok" {
 		t.Fatalf("replacement shard health = %q, want ok", got)
 	}
-	t.Logf("chaos(kernels=%s, transfers=%s): killed %d, recovered %d queued, replayed %d in-flight, routed %v",
-		toggleName(fk), toggleName(ft), st.Killed, st.Recovered, st.Replayed, st.Routed)
+	t.Logf("chaos(MaxBatch %d): killed %d, recovered %d queued, replayed %d in-flight, routed %v",
+		maxBatch, st.Killed, st.Recovered, st.Replayed, st.Routed)
 }
 
 // TestChaosGraphDifferential extends the chaos contract to job DAGs:
@@ -152,7 +140,7 @@ func TestChaosGraphDifferential(t *testing.T) {
 		graphs[i] = h.RandomGraph(rng, 5, 3)
 	}
 
-	c := chaosCluster(t, h, ToggleOn, ToggleOn)
+	c := chaosCluster(t, h, 0)
 	c.Faults().KillShardAfter(0, 2)
 
 	futs := make([][]*Future, nGraphs)
@@ -242,5 +230,8 @@ func TestChaosRemoteHops(t *testing.T) {
 	}
 	if delayed == 0 || dropped == 0 {
 		t.Fatalf("link faults not consumed: %d delayed, %d dropped hops", delayed, dropped)
+	}
+	for i, sh := range c.all() {
+		checkPoolsReturned(t, fmt.Sprintf("shard %d after the degraded run drained", i), sh.sched.Backend())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"xehe/internal/ckks"
 	"xehe/internal/gpu"
 )
 
@@ -88,14 +89,13 @@ func TestDifferentialRandomJobs(t *testing.T) {
 
 // TestDifferentialDevice2 repeats a smaller differential run on the
 // single-tile Device2: multiple workers then share one tile, which
-// stresses a different queue/tile mapping. FuseKernels is pinned off
-// here so the job-at-a-time baseline keeps differential coverage now
-// that fusion is the default.
+// stresses a different queue/tile mapping. MaxBatch 1 ships every job
+// alone, so three batches of one are in flight on the tile at once.
 func TestDifferentialDevice2(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(99))
 	cfg := schedConfig(3)
-	cfg.FuseKernels = ToggleOff
+	cfg.MaxBatch = 1
 	s := New(h.Params, gpu.NewDevice2(), cfg, h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 
@@ -124,6 +124,68 @@ func TestDifferentialDevice2(t *testing.T) {
 		}
 		if e := MaxSlotError(h.Decrypt(got), cases[i].Expected); e > differentialEps {
 			t.Fatalf("job %d: slot error %g", i, e)
+		}
+	}
+}
+
+// runHost evaluates a job on the host ckks.Evaluator — coefficient-form
+// automorphism, digits rebuilt under every modulus, no code shared with
+// internal/core — op by op over the same value list the device chain
+// builds.
+func runHost(ev *ckks.Evaluator, job *Job) *ckks.Ciphertext {
+	vals := append([]*ckks.Ciphertext(nil), job.Inputs...)
+	for _, op := range job.Ops {
+		var r *ckks.Ciphertext
+		switch op.Code {
+		case OpAdd:
+			r = ev.Add(vals[op.A], vals[op.B])
+		case OpMulRelin:
+			r = ev.Relinearize(ev.Mul(vals[op.A], vals[op.B]))
+		case OpMulRelinRescale:
+			r = ev.Rescale(ev.Relinearize(ev.Mul(vals[op.A], vals[op.B])))
+		case OpSquareRelinRescale:
+			r = ev.Rescale(ev.Relinearize(ev.Square(vals[op.A])))
+		case OpRotate:
+			r = ev.Rotate(vals[op.A], op.K)
+		case OpModSwitch:
+			r = ev.ModSwitch(vals[op.A])
+		}
+		vals = append(vals, r)
+	}
+	return vals[len(vals)-1]
+}
+
+// TestSerialReferenceMatchesHostEvaluator anchors the reference every
+// differential family compares against. RunSerial is a batch of one
+// through the same internal/core routines the scheduler runs batched,
+// so agreement between the two says nothing about those routines on
+// its own; the host evaluator is the independent oracle. Every op
+// family and a spread of random chains must come out of RunSerial
+// bit-identical to it. (Anchor, not replacement: the host evaluator is
+// about half again as slow per job, and RunSerial runs hundreds of
+// times per package run.)
+func TestSerialReferenceMatchesHostEvaluator(t *testing.T) {
+	h := sharedHarness(t)
+	var keys []*ckks.GaloisKey
+	for _, gk := range h.GaloisKeys() {
+		keys = append(keys, gk)
+	}
+	host := ckks.NewEvaluator(h.Params, h.RelinKey(), keys...)
+	rng := rand.New(rand.NewSource(2026))
+	var jobs []*Job
+	for _, fam := range fusionFamilies {
+		jobs = append(jobs, familyJob(h, rng, fam))
+	}
+	for i := 0; i < 24; i++ {
+		jobs = append(jobs, h.RandomCase(rng, 6).Job)
+	}
+	for i, job := range jobs {
+		got, err := h.RunSerial(job)
+		if err != nil {
+			t.Fatalf("job %d: serial reference: %v (ops %v)", i, err, job.Ops)
+		}
+		if err := SameCiphertext(got, runHost(host, job)); err != nil {
+			t.Fatalf("job %d: serial reference differs from the host evaluator: %v (ops %v)", i, err, job.Ops)
 		}
 	}
 }

@@ -1,16 +1,15 @@
 package sched
 
-// Cross-job kernel fusion: the step-at-a-time batch executor behind
-// Config.FuseKernels. A coalesced batch holds k jobs with identical
-// shape keys — same input levels and op chains, hence identical kernel
-// launch sequences — so instead of walking each job's chain alone
-// (k separate launches per step), the worker walks the shared chain
-// once and drives every step as one widened launch over all k jobs'
-// polynomials (internal/core's *Batch methods over ntt.BatchView
-// gathers). The per-element arithmetic is unchanged, so fused results
-// are bit-for-bit identical to the job-at-a-time path; the win is
-// paying kernel launch, host submission and multi-queue overhead once
-// per step per batch.
+// The chain executor. A batch holds k jobs with identical shape keys —
+// same input levels and op chains, hence identical kernel launch
+// sequences — so the worker walks the shared chain once and drives
+// every step as one launch sequence over all k jobs' polynomials
+// (internal/core's *Batch routines over ntt.BatchView gathers), paying
+// kernel launch, host submission and multi-queue overhead once per
+// step per batch. A job that ships alone is the batch with k = 1, and
+// the serial reference of the differential harness runs it the same
+// way. The per-element arithmetic does not depend on k, so a job's
+// result is bit-for-bit the same in any batch.
 
 import (
 	"fmt"
@@ -19,10 +18,13 @@ import (
 	"xehe/internal/core"
 )
 
-// evalChainFusedOn is the fused executor over already device-resident
-// inputs (the fused transfer pipeline ships them in one gathered
-// staging submission). It takes ownership of ins: on error every
-// value — inputs and intermediates — has been recycled.
+// evalChainFusedOn submits the batch's whole op chain over already
+// device-resident inputs, without host synchronization. ins[j] starts
+// job j's value list and every value stays allocated until the caller
+// frees it: later ops of a DAG-shaped job may reference any earlier
+// value (the last entry is the result). It takes ownership of ins: on
+// error every value — inputs, intermediates and whatever the failed
+// step had allocated — has been recycled, and the error names the op.
 func evalChainFusedOn(c *core.Context, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey, jobs []*Job, ins [][]*core.Ciphertext, tr *stepTrace) (vals [][]*core.Ciphertext, err error) {
 	stage := 0
 	vals = ins
@@ -36,113 +38,48 @@ func evalChainFusedOn(c *core.Context, rlk *ckks.RelinKey, gks map[int]*ckks.Gal
 				}
 			}
 			vals = nil
-			err = wrapPanic(fmt.Sprintf("fused batch op %d (%v)", stage, jobs[0].Ops[stage].Code), r)
+			err = wrapPanic(fmt.Sprintf("job op %d (%v)", stage, jobs[0].Ops[stage].Code), r)
 		}
 	}()
 	k := len(jobs)
-	// Same shape key == same op chain; job 0's chain drives the batch.
 	gather := func(idx int) []*core.Ciphertext {
 		cts := make([]*core.Ciphertext, k)
 		for j := range cts {
-			cts[j] = vals[j][idx]
+			if cts[j] = vals[j][idx]; cts[j] == nil {
+				panic(fmt.Sprintf("value %d lost its contents during migration", idx))
+			}
 		}
 		return cts
 	}
+	// Same shape key == same op chain; job 0's chain drives the batch.
 	for i, op := range jobs[0].Ops {
 		stage = i
 		sst := tr.begin()
 		var rs []*core.Ciphertext
-		switch op.Code {
-		case OpAdd:
-			rs = c.AddBatch(gather(op.A), gather(op.B))
-		case OpMulRelin:
-			rs = c.MulLinBatch(gather(op.A), gather(op.B), rlk)
-		case OpMulRelinRescale:
-			rs = c.MulLinRSBatch(gather(op.A), gather(op.B), rlk)
-		case OpSquareRelinRescale:
-			rs = c.SqrLinRSBatch(gather(op.A), rlk)
-		case OpRotate:
-			gk, ok := gks[op.K]
-			if !ok {
-				panic(fmt.Sprintf("no Galois key for rotation %d", op.K))
+		c.Scoped(func() {
+			switch op.Code {
+			case OpAdd:
+				rs = c.AddBatch(gather(op.A), gather(op.B))
+			case OpMulRelin:
+				rs = c.MulLinBatch(gather(op.A), gather(op.B), rlk)
+			case OpMulRelinRescale:
+				rs = c.MulLinRSBatch(gather(op.A), gather(op.B), rlk)
+			case OpSquareRelinRescale:
+				rs = c.SqrLinRSBatch(gather(op.A), rlk)
+			case OpRotate:
+				gk, ok := gks[op.K]
+				if !ok {
+					panic(fmt.Sprintf("no Galois key for rotation %d", op.K))
+				}
+				rs = c.RotateBatch(gather(op.A), op.K, gk)
+			case OpModSwitch:
+				rs = c.ModSwitchBatch(gather(op.A))
 			}
-			rs = c.RotateBatch(gather(op.A), op.K, gk)
-		case OpModSwitch:
-			rs = c.ModSwitchBatch(gather(op.A))
-		}
+		})
 		tr.end(sst, op.Code.String(), k)
 		for j := range vals {
 			vals[j] = append(vals[j], rs[j])
 		}
 	}
 	return vals, nil
-}
-
-// stageFused stages a coalesced batch through the fused executor. On
-// any fused-step error it falls back to staging each job alone — the
-// unfused path re-runs the chain per job, restoring exact per-job
-// error attribution (only the offending jobs fail) at the cost of the
-// fusion win for this batch. It reports whether the fused path was
-// actually used.
-func (w *worker) stageFused(s *Scheduler, batch []*task) ([]*staged, bool) {
-	jobs := make([]*Job, len(batch))
-	ins := make([][]*core.Ciphertext, len(batch))
-	for i, t := range batch {
-		jobs[i] = t.job
-		var err error
-		ins[i], err = w.stageIns(t)
-		if err != nil {
-			// Recycle the jobs already staged (borrowed dependency
-			// aliases free as no-ops) and isolate the offender on the
-			// job-at-a-time path.
-			for _, vs := range ins[:i] {
-				for _, v := range vs {
-					if v != nil {
-						w.ctx.Free(v)
-					}
-				}
-			}
-			return w.stageEach(s, batch), false
-		}
-	}
-	vals, err := evalChainFusedOn(w.ctx, s.rlk, s.gks, jobs, ins, w.tr)
-	if err != nil {
-		return w.stageEach(s, batch), false
-	}
-	out := make([]*staged, len(batch))
-	for i, t := range batch {
-		out[i] = &staged{t: t, vals: vals[i]}
-	}
-	return out, true
-}
-
-// stageEach stages every job of the batch alone — the fused fallback,
-// restoring exact per-job error attribution.
-func (w *worker) stageEach(s *Scheduler, batch []*task) []*staged {
-	out := make([]*staged, len(batch))
-	for i, t := range batch {
-		out[i] = w.stage(s, t)
-	}
-	return out
-}
-
-// stageFusedOn is stageFused for a batch whose inputs are already
-// device-resident (fused transfer pipeline). A failed fused attempt
-// has recycled the gathered inputs, so the job-at-a-time fallback
-// re-uploads each job's inputs from the host — the slow path, paid
-// only when a batch actually breaks.
-func (w *worker) stageFusedOn(s *Scheduler, ub *uploadedBatch) ([]*staged, bool) {
-	jobs := make([]*Job, len(ub.batch))
-	for i, t := range ub.batch {
-		jobs[i] = t.job
-	}
-	vals, err := evalChainFusedOn(w.ctx, s.rlk, s.gks, jobs, ub.ins, w.tr)
-	if err != nil {
-		return w.stageEach(s, ub.batch), false
-	}
-	out := make([]*staged, len(ub.batch))
-	for i, t := range ub.batch {
-		out[i] = &staged{t: t, vals: vals[i]}
-	}
-	return out, true
 }

@@ -7,18 +7,8 @@ import (
 	"testing"
 
 	"xehe/internal/ckks"
-	"xehe/internal/core"
 	"xehe/internal/gpu"
 )
-
-// fusedConfig mirrors schedConfig with cross-job kernel fusion
-// explicitly on (the default since the soak flip; pinned here so the
-// fusion tests keep their meaning if the default ever moves again).
-func fusedConfig(workers int) Config {
-	cfg := schedConfig(workers)
-	cfg.FuseKernels = ToggleOn
-	return cfg
-}
 
 // familyJob builds one member of a same-shape job family: a fixed op
 // chain over fresh random inputs, so coalesced siblings carry distinct
@@ -52,8 +42,8 @@ var fusionFamilies = []func(j *Job){
 
 // TestFusedDifferentialFamilies is the fused counterpart of the core
 // differential harness: families of same-shape jobs with distinct
-// random inputs run through a FuseKernels scheduler and must match the
-// serial core.Context path bit-for-bit. One worker plus a burst of
+// random inputs run through the scheduler and must match the serial
+// core.Context path bit-for-bit. One worker plus a burst of
 // submissions guarantees backlog, so the dispatcher actually coalesces
 // and the workers actually fuse (asserted via the launch counters).
 func TestFusedDifferentialFamilies(t *testing.T) {
@@ -66,7 +56,7 @@ func TestFusedDifferentialFamilies(t *testing.T) {
 			jobs = append(jobs, familyJob(h, rng, fam))
 		}
 	}
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 
 	futs := make([]*Future, len(jobs))
@@ -94,7 +84,7 @@ func TestFusedDifferentialFamilies(t *testing.T) {
 		t.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, len(jobs))
 	}
 	// A single worker against a full burst must have coalesced — and
-	// with FuseKernels on, coalesced batches must run fused.
+	// coalesced batches must run fused.
 	if st.Coalesced == 0 || st.FusedBatches == 0 || st.FusedSteps == 0 {
 		t.Fatalf("no fusion observed: coalesced=%d fusedBatches=%d fusedSteps=%d",
 			st.Coalesced, st.FusedBatches, st.FusedSteps)
@@ -123,7 +113,7 @@ func TestFusedDifferentialRandomQoSMix(t *testing.T) {
 			subs = append(subs, sub{c: c})
 		}
 	}
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(3), h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(3), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -163,7 +153,7 @@ func TestFusedDifferentialRandomQoSMix(t *testing.T) {
 	}
 }
 
-// TestClusterFusedDifferential runs the fused executor on a
+// TestClusterFusedDifferential runs coalesced families on a
 // heterogeneous cluster (Device1 + Device2, work stealing active):
 // results must be bit-identical to the serial path regardless of
 // which shard fused which batch.
@@ -178,7 +168,7 @@ func TestClusterFusedDifferential(t *testing.T) {
 		}
 	}
 	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice2()},
-		fusedConfig(2), h.RelinKey(), h.GaloisKeys())
+		schedConfig(2), h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 
 	futs := make([]*Future, len(jobs))
@@ -217,41 +207,6 @@ func TestClusterFusedDifferential(t *testing.T) {
 	}
 	if st := c.Stats(); st.Jobs != int64(len(jobs)) || st.Failed != 0 {
 		t.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, len(jobs))
-	}
-}
-
-// TestFusedBatchOfOneMatchesUnfused pins the degenerate fusion input:
-// the fused executor over a batch of one job must produce exactly what
-// the unfused evalChain produces — same ciphertext bits, same value
-// list length — for every op family. (The scheduler routes singleton
-// batches down the unfused path; this guards the executor itself.)
-func TestFusedBatchOfOneMatchesUnfused(t *testing.T) {
-	h := sharedHarness(t)
-	rng := rand.New(rand.NewSource(55))
-	cfg := core.OptNTTAsm()
-	cfg.MemCache = true
-	ctx := core.NewContext(h.Params, gpu.NewDevice1(), cfg)
-	for fi, fam := range fusionFamilies {
-		job := familyJob(h, rng, fam)
-		ins := make([][]*core.Ciphertext, 1)
-		for _, in := range job.Inputs {
-			ins[0] = append(ins[0], ctx.Upload(in))
-		}
-		vals, err := evalChainFusedOn(ctx, h.RelinKey(), h.GaloisKeys(), []*Job{job}, ins, nil)
-		if err != nil {
-			t.Fatalf("family %d: fused: %v", fi, err)
-		}
-		got := ctx.Download(vals[0][len(vals[0])-1])
-		for _, v := range vals[0] {
-			ctx.Free(v)
-		}
-		want, err := h.RunSerial(job)
-		if err != nil {
-			t.Fatalf("family %d: serial: %v", fi, err)
-		}
-		if err := SameCiphertext(got, want); err != nil {
-			t.Fatalf("family %d: fused batch-of-one vs unfused mismatch: %v", fi, err)
-		}
 	}
 }
 
@@ -296,7 +251,7 @@ func TestMixedLevelJobsDoNotFuse(t *testing.T) {
 		}
 		jobs = append(jobs, top, low) // interleaved levels
 	}
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 	futs := make([]*Future, len(jobs))
 	for i, j := range jobs {
@@ -329,7 +284,7 @@ func TestMixedLevelJobsDoNotFuse(t *testing.T) {
 func TestFusedMemcacheRecycling(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(616))
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(2), h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(2), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 	const waves, perWave = 4, 10
 	for w := 0; w < waves; w++ {
@@ -370,7 +325,7 @@ func TestFusedMemcacheRecycling(t *testing.T) {
 func TestPerClassCoalescingStats(t *testing.T) {
 	h := sharedHarness(t)
 	vals := make([]complex128, h.Params.Slots())
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 	release := holdFirstBatch(s)
 	const bulk = 18
@@ -410,12 +365,12 @@ func TestPerClassCoalescingStats(t *testing.T) {
 }
 
 // TestFusedFallbackIsolatesFailure forces a runtime failure inside a
-// fused batch (a structurally valid rotation whose Galois key is
-// broken): the fused path cannot attribute the panic to one job, so
-// the worker must fall back to job-at-a-time execution, fail every
-// broken job with a descriptive error, and complete healthy batches —
-// without wedging Drain/Close. The fallback steps are accounted as
-// unfused.
+// coalesced batch (a structurally valid rotation whose Galois key is
+// broken): a step over k jobs cannot attribute the panic to one, so
+// the worker must re-run the batch job by job, fail every broken job
+// with a descriptive error, and complete healthy batches — without
+// wedging Drain/Close or stranding a buffer the failed steps had
+// allocated. The re-run steps are accounted as unfused.
 func TestFusedFallbackIsolatesFailure(t *testing.T) {
 	h := sharedHarness(t)
 	gks := map[int]*ckks.GaloisKey{}
@@ -423,7 +378,7 @@ func TestFusedFallbackIsolatesFailure(t *testing.T) {
 		gks[k] = v
 	}
 	gks[5] = &ckks.GaloisKey{} // present (passes Submit), panics at run time
-	s := New(h.Params, gpu.NewDevice1(), fusedConfig(1), h.RelinKey(), gks)
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), gks)
 	defer s.Close()
 
 	vals := make([]complex128, h.Params.Slots())
@@ -482,4 +437,5 @@ func TestFusedFallbackIsolatesFailure(t *testing.T) {
 	if st.Coalesced > 0 && st.UnfusedSteps == 0 {
 		t.Fatal("coalesced broken batches must account fallback steps as unfused")
 	}
+	checkPoolsReturned(t, "after the failed batches drained", s.Backend())
 }

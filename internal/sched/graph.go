@@ -323,7 +323,7 @@ func (s *Scheduler) rehomeDeps(t *task) {
 		f.releaseRefLocked()
 		f.mu.Unlock()
 		if err != nil {
-			// Value lost (e.g. download panic); the worker's stageIns
+			// Value lost (e.g. download panic); the chain executor
 			// reports it as the job error.
 			t.deps[i] = depRes{fut: f}
 			continue

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -11,15 +10,6 @@ import (
 	"xehe/internal/ckks"
 	"xehe/internal/gpu"
 )
-
-// graphConfig pins both fusion knobs explicitly so the differential
-// matrix covers every combination.
-func graphConfig(workers int, fk, ft Toggle) Config {
-	cfg := schedConfig(workers)
-	cfg.FuseKernels = fk
-	cfg.FuseTransfers = ft
-	return cfg
-}
 
 // cloneJob copies a generated job so the same GraphCase can be wired
 // (InputFrom mutates Deps) and submitted against several schedulers.
@@ -108,7 +98,7 @@ func graphEdges(gc *GraphCase) int {
 // consumer released the intermediate.
 func TestGraphChainZeroCopy(t *testing.T) {
 	h := sharedHarness(t)
-	s := New(h.Params, gpu.NewDevice1(), graphConfig(2, ToggleOn, ToggleOn), h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(2), h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 
 	slots := h.Params.Slots()
@@ -258,8 +248,8 @@ func TestGraphLateConsumerFallsBack(t *testing.T) {
 }
 
 // TestGraphDifferentialMatrix is the graph acceptance harness on one
-// device: random DAG families run concurrently under every
-// FuseKernels×FuseTransfers combination, and every node's output —
+// device: random DAG families run concurrently, coalesced and
+// job-at-a-time (batchShapes), and every node's output —
 // downloaded or rematerialized — must match the serial core.Context
 // reference bit-for-bit and decrypt to the plaintext model. Run with
 // -race.
@@ -279,37 +269,37 @@ func TestGraphDifferentialMatrix(t *testing.T) {
 		}
 		edges += graphEdges(graphs[i])
 	}
-	for _, fk := range []Toggle{ToggleOn, ToggleOff} {
-		for _, ft := range []Toggle{ToggleOn, ToggleOff} {
-			t.Run(fmt.Sprintf("fuseKernels=%v/fuseTransfers=%v", fk == ToggleOn, ft == ToggleOn), func(t *testing.T) {
-				s := New(h.Params, gpu.NewDevice1(), graphConfig(3, fk, ft), h.RelinKey(), h.GaloisKeys())
-				defer s.Close()
-				futss := make([][]*Future, nGraphs)
-				var wg sync.WaitGroup
-				for i := range graphs {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						futss[i] = submitGraph(t, s.Submit, graphs[i])
-					}(i)
-				}
-				wg.Wait()
-				if t.Failed() {
-					t.Fatal("submission failed")
-				}
-				s.Drain()
-				for i := range graphs {
-					checkGraph(t, h, graphs[i], futss[i], serials[i])
-				}
-				st := s.Stats()
-				if got := st.ResidentHits + st.ResidentMisses; got != int64(edges) {
-					t.Fatalf("resolved edges = %d, want %d", got, edges)
-				}
-				if n := s.Backend().Cache().PinnedCount(); n != 0 {
-					t.Fatalf("%d buffers still pinned after drain", n)
-				}
-			})
-		}
+	for _, shape := range batchShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			cfg := schedConfig(3)
+			cfg.MaxBatch = shape.maxBatch
+			s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
+			defer s.Close()
+			futss := make([][]*Future, nGraphs)
+			var wg sync.WaitGroup
+			for i := range graphs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					futss[i] = submitGraph(t, s.Submit, graphs[i])
+				}(i)
+			}
+			wg.Wait()
+			if t.Failed() {
+				t.Fatal("submission failed")
+			}
+			s.Drain()
+			for i := range graphs {
+				checkGraph(t, h, graphs[i], futss[i], serials[i])
+			}
+			st := s.Stats()
+			if got := st.ResidentHits + st.ResidentMisses; got != int64(edges) {
+				t.Fatalf("resolved edges = %d, want %d", got, edges)
+			}
+			if n := s.Backend().Cache().PinnedCount(); n != 0 {
+				t.Fatalf("%d buffers still pinned after drain", n)
+			}
+		})
 	}
 }
 

@@ -239,22 +239,14 @@ func applyModel(p *ckks.Parameters, vals []genValue, op Op, slots int) genValue 
 	return out
 }
 
-// RunSerial executes a job on the harness's serial reference context —
-// the existing single-stream core.Context path — and returns the
-// result ciphertext.
+// RunSerial executes a job alone on the harness's serial reference
+// context — one queue, per-component uploads, the chain as a batch of
+// one, a blocking download — and returns the result ciphertext. It is
+// k = 1 of the code the scheduler runs batched, so the reference is
+// itself pinned to the host ckks.Evaluator, which shares no code with
+// internal/core (TestSerialReferenceMatchesHostEvaluator).
 func (h *Harness) RunSerial(job *Job) (*ckks.Ciphertext, error) {
-	vals, err := evalChain(h.serial, h.rlk, h.gks, job)
-	defer func() {
-		for _, v := range vals {
-			if v != nil {
-				h.serial.Free(v)
-			}
-		}
-	}()
-	if err != nil {
-		return nil, err
-	}
-	return h.serial.Download(vals[len(vals)-1]), nil
+	return h.RunSerialWith(job, nil)
 }
 
 // RunSerialWith executes a job whose dependency slots are filled from
@@ -271,18 +263,15 @@ func (h *Harness) RunSerialWith(job *Job, deps []*ckks.Ciphertext) (*ckks.Cipher
 	for _, d := range deps {
 		ins = append(ins, h.serial.Upload(d))
 	}
-	vals, err := evalChainOn(h.serial, h.rlk, h.gks, job, ins, nil)
-	defer func() {
-		for _, v := range vals {
-			if v != nil {
-				h.serial.Free(v)
-			}
-		}
-	}()
+	vals, err := evalChainFusedOn(h.serial, h.rlk, h.gks, []*Job{job}, [][]*core.Ciphertext{ins}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return h.serial.Download(vals[len(vals)-1]), nil
+	out := h.serial.Download(vals[0][len(vals[0])-1])
+	for _, v := range vals[0] {
+		h.serial.Free(v)
+	}
+	return out, nil
 }
 
 // GraphNode is one job of a randomized DAG: DepNodes lists the earlier

@@ -26,22 +26,21 @@
 //     backlog instead of waiting behind it.
 //   - The dispatcher coalesces jobs of identical shape (same input
 //     levels and op chain, hence identical kernel launch sequences)
-//     from the chosen class's queue into batches. A batch stages
-//     every job's uploads and kernel chain back-to-back without host
-//     synchronization and only then downloads the results: the
-//     asynchronous window of Fig. 2 widens from one job to the whole
-//     batch, so the host stalls only in the download phase at the
-//     batch tail (each download still pays its own sync there)
-//     instead of blocking between jobs.
-//   - With Config.FuseKernels, coalesced batches additionally fuse
-//     their kernel launches: the worker walks the batch's shared op
-//     chain step-at-a-time and issues each step as one widened launch
-//     over every job's polynomials (an ntt.BatchView per NTT
-//     sequence, one jobs × components × N elementwise kernel
-//     otherwise), so launch and submission overhead is paid once per
-//     step per batch instead of once per job. Results are bit-for-bit
-//     identical either way; Stats counts fused vs unfused steps and
-//     per-class coalescing effectiveness.
+//     from the chosen class's queue into batches. A batch uploads
+//     every job's inputs in one gathered copy, runs the shared kernel
+//     chain without host synchronization and downloads the results in
+//     one scattered copy: the asynchronous window of Fig. 2 widens
+//     from one job to the whole batch, and the host waits once, at the
+//     batch tail, after the next batch's kernels are already in
+//     flight.
+//   - The worker walks the batch's shared op chain step-at-a-time and
+//     issues each step as one launch over every job's polynomials (an
+//     ntt.BatchView per NTT sequence, one jobs × components × N
+//     elementwise kernel otherwise), so launch and submission overhead
+//     is paid once per step per batch instead of once per job; a job
+//     that ships alone is the batch of one. Results are bit-for-bit
+//     the same at any batch size; Stats counts shared vs lone steps
+//     and per-class coalescing effectiveness.
 //   - Queues are bounded per class (admission control): a class with
 //     a full queue share blocks Submit (backpressure), while a class
 //     with a partial share sheds over-limit jobs with ErrOverloaded —

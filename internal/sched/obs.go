@@ -109,8 +109,8 @@ func (s *Scheduler) recordSpan(ring *obs.Ring, sp obs.Span) {
 func (s *Scheduler) className(class int) string { return s.classes[class].Name }
 
 // stepTrace threads per-op-chain-step span recording into the chain
-// executors (evalChainOn, evalChainFusedOn). A nil *stepTrace is the
-// tracing-off fast path: both methods no-op.
+// executor (evalChainFusedOn). A nil *stepTrace is the tracing-off
+// fast path: both methods no-op.
 type stepTrace struct {
 	s     *Scheduler
 	ring  *obs.Ring

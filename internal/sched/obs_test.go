@@ -121,6 +121,7 @@ func TestTraceDisabled(t *testing.T) {
 	if _, err := fut.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	s.Drain() // the future resolves before the worker accounts the job
 	if rec, drop := s.TraceCounts(); rec != 0 || drop != 0 {
 		t.Fatalf("tracing off but counts = (%d, %d)", rec, drop)
 	}

@@ -95,7 +95,14 @@ func TestRemoteHopCostsSimulatedTime(t *testing.T) {
 			j := NewJob(h.Encrypt(vals), h.Encrypt(vals))
 			r := j.MulRelinRescale(0, 1)
 			j.Rotate(r, 1)
-			if _, err := c.Submit(j); err != nil {
+			// One job at a time: under a backlog, which jobs share a
+			// batch follows goroutine interleaving, and that moves the
+			// clock by more than a 2us hop does.
+			fut, err := c.Submit(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fut.Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -34,9 +34,8 @@ var ErrShardLost = errors.New("sched: shard killed mid-flight with no healthy sh
 var ErrOverloaded = errors.New("sched: class queue share exhausted")
 
 // Toggle is a three-state boolean knob: the zero value selects the
-// knob's documented default, so defaults can flip (as FuseKernels did
-// once fused execution had soaked) while both states stay reachable
-// for baseline sweeps.
+// knob's documented default, so a default can flip without callers
+// that pinned a state noticing.
 type Toggle int
 
 const (
@@ -70,34 +69,9 @@ type Config struct {
 	// dispatcher's pending-queue capacity. Default 8.
 	QueueDepth int
 	// MaxBatch caps how many same-shape jobs are coalesced into one
-	// batch. Default 8; 1 disables batching.
+	// batch. Default 8; 1 ships every job alone (a batch of one runs the
+	// same pipeline, it just shares its launches with nobody).
 	MaxBatch int
-	// FuseKernels switches the workers from job-at-a-time to
-	// step-at-a-time batch execution: every op-chain step of a
-	// coalesced batch gathers the jobs' polynomials into one widened
-	// kernel launch (one ntt.BatchView sequence per NTT, one fused
-	// elementwise kernel otherwise), paying kernel launch and host
-	// submission overhead once per step per batch instead of once per
-	// job. Results are bit-for-bit identical to the unfused path
-	// (pinned by the differential harness); only simulated timing and
-	// launch counts change. Default ON (flipped after the fused path
-	// soaked bit-identical for a PR cycle); set ToggleOff for the
-	// unfused baseline.
-	FuseKernels Toggle
-	// FuseTransfers switches the workers to the fused transfer
-	// pipeline: a batch's input uploads become ONE gathered H2D staging
-	// submission and its result downloads ONE scattered D2H (through
-	// the backend's pinned staging pool), both riding the device's
-	// per-tile copy engine so transfers overlap with compute, and the
-	// worker double-buffers — while batch k computes, batch k+1's
-	// inputs upload, and finished results wait out their copy while the
-	// next batch's kernels launch. Composable with FuseKernels (fused
-	// kernels + fused transfers is the fastest configuration). Results
-	// are bit-for-bit identical to the serial path; only submission
-	// counts and simulated timing change. Default ON (flipped after the
-	// transfer pipeline soaked bit-identical for a PR cycle); set
-	// ToggleOff for the unfused-transfer baseline.
-	FuseTransfers Toggle
 	// Trace turns on span-based job-lifecycle tracing (internal/obs):
 	// submit→queue→batch→H2D→per-step→D2H→settle spans recorded into
 	// bounded per-worker ring buffers, exported together with the
@@ -152,18 +126,14 @@ type Config struct {
 	Retry RetryPolicy
 
 	// Resolved toggles (withDefaults): the hot paths branch on these.
-	fuseKernels   bool
-	fuseTransfers bool
-	trace         bool
-	selfHeal      bool
+	trace    bool
+	selfHeal bool
 }
 
 func (c Config) withDefaults(tiles int) Config {
 	if c.Workers <= 0 {
 		c.Workers = tiles
 	}
-	c.fuseKernels = c.FuseKernels.or(true)
-	c.fuseTransfers = c.FuseTransfers.or(true)
 	c.trace = c.Trace.Enabled.or(false)
 	c.selfHeal = c.SelfHeal.or(false)
 	if c.Standbys < 0 {
@@ -173,11 +143,9 @@ func (c Config) withDefaults(tiles int) Config {
 	if c.Trace.SpanCap <= 0 {
 		c.Trace.SpanCap = 8192
 	}
-	if c.fuseTransfers {
-		// The transfer pipeline needs a per-tile copy queue on every
-		// worker context so gathered copies overlap with compute.
-		c.Core.CopyEngine = true
-	}
+	// The workers need a per-tile copy queue on every context so a
+	// batch's gathered copies overlap with its neighbours' compute.
+	c.Core.CopyEngine = true
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8
 	}
@@ -218,9 +186,9 @@ type ClassStats struct {
 	MaxBatch  int
 	Coalesced int64
 	// TransferBatches counts the gathered H2D/D2H staging submissions
-	// issued for this class's batches (Config.FuseTransfers; two per
-	// batch in steady state — one upload, one download), the per-class
-	// view of coalescing effectiveness on the transfer path.
+	// issued for this class's batches (two per batch in steady state —
+	// one upload, one download), the per-class view of coalescing
+	// effectiveness on the transfer path.
 	TransferBatches int64
 	// P50/P99 are simulated-latency quantiles (seconds from
 	// submission to completion on the backend clock) over the
@@ -235,23 +203,21 @@ type Stats struct {
 	Batches   int64 // batches executed
 	MaxBatch  int   // largest batch observed
 	Coalesced int64 // jobs that ran in a batch of size >= 2
-	// FusedBatches counts batches executed through the fused
-	// step-at-a-time path (Config.FuseKernels, batch size >= 2);
-	// FusedSteps counts their op-chain steps — each one widened
-	// kernel-launch sequence covering the whole batch — while
-	// UnfusedSteps counts steps executed job-at-a-time (fusion off,
-	// singleton batches, and fused batches that fell back after an
-	// execution error). FusedSteps/(FusedSteps+UnfusedSteps) is the
-	// fraction of steps that paid launch overhead once per batch.
+	// FusedBatches counts batches of two or more jobs whose chain ran
+	// as one launch sequence per step; FusedSteps counts their op-chain
+	// steps, while UnfusedSteps counts the steps of jobs that ran alone
+	// (singleton batches, and every job of a batch that was re-run job
+	// by job after an execution error). FusedSteps/(FusedSteps+
+	// UnfusedSteps) is the fraction of steps that shared their launch
+	// overhead with another job.
 	FusedBatches int64
 	FusedSteps   int64
 	UnfusedSteps int64
-	// TransferBatches counts gathered transfer submissions
-	// (Config.FuseTransfers): each is one staged H2D upload or one
-	// scattered D2H download covering a whole batch. BytesH2D/BytesD2H
-	// are the bytes they moved, so BytesH2D/TransferBatches exposes the
-	// mean gathered-transfer size — the coalescing effectiveness of the
-	// transfer path.
+	// TransferBatches counts gathered transfer submissions: each is one
+	// staged H2D upload or one scattered D2H download covering a whole
+	// batch. BytesH2D/BytesD2H are the bytes they moved, so
+	// BytesH2D/TransferBatches exposes the mean gathered-transfer size —
+	// the coalescing effectiveness of the transfer path.
 	TransferBatches        int64
 	BytesH2D, BytesD2H     int64
 	PerWorker              []int64
@@ -1266,82 +1232,21 @@ func (sj *staged) result() *core.Ciphertext {
 	return sj.vals[len(sj.vals)-1]
 }
 
-// runWorker executes batches: stage every job (uploads + full kernel
-// chain, asynchronously), then finish the batch (downloads with one
-// synchronization at the tail + free). All staging happens before any
-// download, so the host never blocks between jobs mid-batch.
-//
-// With Config.FuseKernels on, coalesced batches (size >= 2) stage
-// through the fused step-at-a-time executor instead: one widened
-// kernel launch sequence per op-chain step for the whole batch (see
-// fusion.go). Singleton batches always take the job-at-a-time path —
-// there is nothing to fuse across.
-//
-// With Config.FuseTransfers on, the worker switches to the
-// double-buffered pipeline (runWorkerOverlapped): gathered batch
-// uploads/downloads on the copy engine, prefetched one batch ahead.
+// runWorker is the worker loop, and the only one: each batch's inputs
+// arrive in one gathered H2D staging submission, its chain runs as one
+// launch sequence per op-chain step for the whole batch (fusion.go),
+// and its results leave in one scattered D2H, both copies on the tile's
+// copy engine. A job that ships alone is a batch of one on the same
+// path. The worker double-buffers one batch deep in both directions —
+// whenever a follow-up batch is already queued, its inputs upload while
+// the current batch computes, and the current batch's download is
+// waited on only after the next batch's kernels have been submitted, so
+// neither transfer direction blocks a launch. With no follow-up work
+// queued there is nothing to overlap with and the in-flight download
+// resolves immediately (sleeping on the channel with unresolved futures
+// would wedge Drain).
 func (s *Scheduler) runWorker(w *worker) {
 	defer s.workWg.Done()
-	if s.cfg.fuseTransfers {
-		s.runWorkerOverlapped(w)
-		return
-	}
-	for {
-		idle := time.Now()
-		batch, ok := <-w.ch
-		if !ok {
-			return
-		}
-		// Attribute the receive wait: with the queue empty the worker
-		// sat idle for want of work (wall clock; the simulated clock
-		// does not tick while the host blocks).
-		s.met.idleEmptyNS.Add(time.Since(idle).Nanoseconds())
-		// The batch left the channel: a dispatch slot freed up.
-		s.wake(s.freec)
-		if s.killed.Load() {
-			// Fail-stop: hand the batch back for replay before any of
-			// it stages.
-			w.surrenderBatch(s, batch)
-			continue
-		}
-		// Record batch stats up front: jobDone on the batch's last job
-		// releases Drain, and Stats() must already see this batch then.
-		s.batchStarted(batch[0].class, len(batch))
-		s.batchHook()
-		est := s.spanBegin()
-		stagedJobs, fused := w.stageBatch(s, batch)
-		s.spanEnd(w.ring, est, w.track, "exec", catExec, s.className(batch[0].class), batch[0].bid, len(batch))
-		s.stepsDone(batch, fused)
-		w.finishBatch(s, stagedJobs)
-	}
-}
-
-// stageBatch stages every job of a batch on the worker's context:
-// fused step-at-a-time when configured and the batch coalesced,
-// job-at-a-time otherwise. It reports whether the fused path ran.
-func (w *worker) stageBatch(s *Scheduler, batch []*task) ([]*staged, bool) {
-	if s.cfg.fuseKernels && len(batch) >= 2 {
-		return w.stageFused(s, batch)
-	}
-	stagedJobs := make([]*staged, len(batch))
-	for i, t := range batch {
-		stagedJobs[i] = w.stage(s, t)
-	}
-	return stagedJobs, false
-}
-
-// runWorkerOverlapped is the fused transfer pipeline
-// (Config.FuseTransfers): each batch's inputs arrive in one gathered
-// H2D staging submission and its results leave in one scattered D2H,
-// both on the tile's copy engine. The worker double-buffers one batch
-// deep in both directions — whenever a follow-up batch is already
-// queued, its inputs upload while the current batch computes, and the
-// current batch's download is waited on only after the next batch's
-// kernels have been submitted, so neither transfer direction blocks a
-// launch. With no follow-up work queued there is nothing to overlap
-// with and the in-flight download resolves immediately (sleeping on
-// the channel with unresolved futures would wedge Drain).
-func (s *Scheduler) runWorkerOverlapped(w *worker) {
 	var next *uploadedBatch // inputs in flight on the copy engine
 	var pend *pendingBatch  // results in flight on the copy engine
 	for {
@@ -1370,12 +1275,16 @@ func (s *Scheduler) runWorkerOverlapped(w *worker) {
 			}
 		}
 		if cur == nil {
+			// Attribute the receive wait: with the queue empty the worker
+			// sat idle for want of work (wall clock; the simulated clock
+			// does not tick while the host blocks).
 			idle := time.Now()
 			batch, ok := <-w.ch
 			if !ok {
 				break
 			}
 			s.met.idleEmptyNS.Add(time.Since(idle).Nanoseconds())
+			// The batch left the channel: a dispatch slot freed up.
 			s.wake(s.freec)
 			cur = w.uploadBatch(s, batch)
 			if cur == nil {
@@ -1392,6 +1301,8 @@ func (s *Scheduler) runWorkerOverlapped(w *worker) {
 			}
 		default:
 		}
+		// Record batch stats up front: jobDone on the batch's last job
+		// releases Drain, and Stats() must already see this batch then.
 		s.batchStarted(cur.batch[0].class, len(cur.batch))
 		s.batchHook()
 		est := s.spanBegin()
@@ -1426,29 +1337,29 @@ type uploadedBatch struct {
 	err    error
 }
 
-// uploadBatch gathers every host input of every job in the batch —
-// including host-fallback dependency values — into one staged H2D
-// submission on the copy engine, splicing borrowed device-resident
-// dependencies in afterwards (they move zero bytes).
-func (w *worker) uploadBatch(s *Scheduler, batch []*task) (ub *uploadedBatch) {
+// uploadBatch is a batch's intake: the first of the two kill
+// checkpoints, then the gathered upload. Callers treat a nil return as
+// "batch surrendered, nothing in flight".
+func (w *worker) uploadBatch(s *Scheduler, batch []*task) *uploadedBatch {
 	if s.killed.Load() {
-		// Fail-stop: surrender before anything uploads (the overlapped
-		// path's intake-side kill point). Callers treat a nil return as
-		// "batch surrendered, nothing in flight".
+		// Fail-stop: hand the batch back for replay before anything
+		// uploads.
 		w.surrenderBatch(s, batch)
 		return nil
 	}
+	return w.upload(s, batch)
+}
+
+// upload gathers every host input of every job in the batch —
+// including host-fallback dependency values — into one staged H2D
+// submission on the copy engine, splicing borrowed device-resident
+// dependencies in afterwards (they move zero bytes). A copy lost on
+// the wire has stranded nothing (core.UploadBatch returns what it
+// allocated) and fails the whole batch.
+func (w *worker) upload(s *Scheduler, batch []*task) (ub *uploadedBatch) {
 	ub = &uploadedBatch{batch: batch}
 	defer func() {
 		if r := recover(); r != nil {
-			for _, ins := range ub.ins {
-				for _, ct := range ins {
-					if ct != nil {
-						w.ctx.Free(ct)
-					}
-				}
-			}
-			ub.ins = nil
 			ub.err = wrapPanic("batch input upload", r)
 		}
 	}()
@@ -1471,7 +1382,7 @@ func (w *worker) uploadBatch(s *Scheduler, batch []*task) (ub *uploadedBatch) {
 	off := 0
 	for i, t := range batch {
 		// Cap each job's slice at its own inputs (three-index slice):
-		// the chains append intermediates to these value lists, and an
+		// the chain appends intermediates to these value lists, and an
 		// uncapped subslice would clobber the next job's entries.
 		ub.ins[i] = t.spliceIns(devs[off:off+counts[i]:off+counts[i]], &ub.depEvs)
 		off += counts[i]
@@ -1479,26 +1390,48 @@ func (w *worker) uploadBatch(s *Scheduler, batch []*task) (ub *uploadedBatch) {
 	return ub
 }
 
-// stageUploaded stages a batch whose inputs are already
-// device-resident, restoring the context's pipeline tail to the
-// batch's own upload event first (a prefetched upload for the next
-// batch may have overwritten it).
+// stageUploaded submits the batch's chain over its uploaded inputs,
+// restoring the context's pipeline tail to the batch's own upload
+// event first (a prefetched upload for the next batch may have
+// overwritten it). A step that panics cannot say which of its jobs
+// broke it, so a failed batch of several is re-run job by job through
+// this same path — upload of one, chain of one — which fails only the
+// offenders, each with an error naming its op, at the cost of this
+// batch's shared launches. It reports whether the batch ran as one
+// (two or more jobs per launch sequence), for the step counters.
 func (w *worker) stageUploaded(s *Scheduler, ub *uploadedBatch) ([]*staged, bool) {
-	if ub.err != nil {
-		out := make([]*staged, len(ub.batch))
+	out := make([]*staged, len(ub.batch))
+	fail := func(err error) ([]*staged, bool) {
 		for i, t := range ub.batch {
-			out[i] = &staged{t: t, err: ub.err}
+			out[i] = &staged{t: t, err: err}
 		}
 		return out, false
 	}
+	if ub.err != nil {
+		return fail(ub.err)
+	}
 	w.ctx.PipelineAfter(ub.ev)
 	w.ctx.DependOn(ub.depEvs...)
-	if s.cfg.fuseKernels && len(ub.batch) >= 2 {
-		return w.stageFusedOn(s, ub)
-	}
-	out := make([]*staged, len(ub.batch))
+	jobs := make([]*Job, len(ub.batch))
 	for i, t := range ub.batch {
-		out[i] = w.stageOn(s, t, ub.ins[i])
+		jobs[i] = t.job
+	}
+	vals, err := evalChainFusedOn(w.ctx, s.rlk, s.gks, jobs, ub.ins, w.tr)
+	switch {
+	case err == nil:
+		for i, t := range ub.batch {
+			out[i] = &staged{t: t, vals: vals[i]}
+		}
+		return out, len(ub.batch) >= 2
+	case len(ub.batch) == 1:
+		return fail(err)
+	}
+	// The failed chain recycled the gathered inputs, so each job uploads
+	// its own again from the host — the slow path, paid only when a
+	// batch actually breaks.
+	for i, t := range ub.batch {
+		alone, _ := w.stageUploaded(s, w.upload(s, []*task{t}))
+		out[i] = alone[0]
 	}
 	return out, false
 }
@@ -1627,8 +1560,9 @@ func (s *Scheduler) transferDone(class int, h2d, d2h int64) {
 	s.met.bytesD2H.Add(d2h)
 }
 
-// stepsDone accounts the batch's op-chain steps as fused (one widened
-// launch sequence per step) or unfused (one per step per job).
+// stepsDone accounts the batch's op-chain steps as fused (one launch
+// sequence per step shared by two or more jobs) or unfused (one per
+// step per job: singleton batches and job-by-job re-runs).
 func (s *Scheduler) stepsDone(batch []*task, fused bool) {
 	steps := int64(len(batch[0].job.Ops))
 	s.statMu.Lock()
@@ -1645,200 +1579,6 @@ func (s *Scheduler) stepsDone(batch []*task, fused bool) {
 	} else {
 		s.met.unfusedSteps.Add(steps * int64(len(batch)))
 	}
-}
-
-// evalChain uploads a job's inputs and submits its whole op chain on
-// the context without host synchronization, returning the device value
-// list (inputs + intermediates; the last entry is the result). On
-// panic the partially built value list is returned alongside the error
-// so the caller can recycle the buffers.
-func evalChain(c *core.Context, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey, job *Job) (vals []*core.Ciphertext, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = wrapPanic("job input upload", r)
-		}
-	}()
-	for _, in := range job.Inputs {
-		vals = append(vals, c.Upload(in))
-	}
-	return evalChainOn(c, rlk, gks, job, vals, nil)
-}
-
-// evalChainOn submits a job's whole op chain over already
-// device-resident inputs (the fused transfer pipeline uploads them in
-// one gathered submission). The value list starts as the inputs and
-// every value stays allocated until the caller frees it: later ops of
-// a DAG-shaped job may reference any earlier value. On panic the
-// partial value list (inputs included) is returned with the error.
-func evalChainOn(c *core.Context, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey, job *Job, ins []*core.Ciphertext, tr *stepTrace) (vals []*core.Ciphertext, err error) {
-	vals = ins
-	stage := 0
-	defer func() {
-		if r := recover(); r != nil {
-			err = wrapPanic(fmt.Sprintf("job op %d (%v)", stage, job.Ops[stage].Code), r)
-		}
-	}()
-	for i, op := range job.Ops {
-		stage = i
-		sst := tr.begin()
-		var r *core.Ciphertext
-		switch op.Code {
-		case OpAdd:
-			r = c.Add(vals[op.A], vals[op.B])
-		case OpMulRelin:
-			r = c.MulLin(vals[op.A], vals[op.B], rlk)
-		case OpMulRelinRescale:
-			r = c.MulLinRS(vals[op.A], vals[op.B], rlk)
-		case OpSquareRelinRescale:
-			r = c.SqrLinRS(vals[op.A], rlk)
-		case OpRotate:
-			gk, ok := gks[op.K]
-			if !ok {
-				panic(fmt.Sprintf("no Galois key for rotation %d", op.K))
-			}
-			r = c.RotateRoutine(vals[op.A], op.K, gk)
-		case OpModSwitch:
-			r = c.ModSwitch(vals[op.A])
-		}
-		tr.end(sst, op.Code.String(), 1)
-		vals = append(vals, r)
-	}
-	return vals, nil
-}
-
-// stageIns builds a task's device value-list prefix: host inputs and
-// host-fallback dependency values upload through the context, while
-// device-resident dependencies splice in as borrowed aliases ordered
-// after their producers' events. On panic every upload made so far is
-// recycled (borrowed aliases free as no-ops).
-func (w *worker) stageIns(t *task) (ins []*core.Ciphertext, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			for _, v := range ins {
-				if v != nil {
-					w.ctx.Free(v)
-				}
-			}
-			ins = nil
-			err = wrapPanic("job input upload", r)
-		}
-	}()
-	for _, in := range t.job.Inputs {
-		ins = append(ins, w.ctx.Upload(in))
-	}
-	for i, d := range t.deps {
-		switch {
-		case d.res != nil:
-			w.ctx.DependOn(d.res.evs...)
-			ins = append(ins, core.Borrow(d.res.ct))
-		case d.host != nil:
-			ins = append(ins, w.ctx.Upload(d.host))
-		default:
-			panic(fmt.Sprintf("dependency input %d lost its value during migration", i))
-		}
-	}
-	return ins, nil
-}
-
-// stage runs a job's chain on the worker's private context.
-func (w *worker) stage(s *Scheduler, t *task) *staged {
-	sj := &staged{t: t}
-	h2d := s.spanBegin()
-	ins, err := w.stageIns(t)
-	s.spanEnd(w.ring, h2d, w.track, "h2d", catXfer, s.className(t.class), t.bid, 1)
-	if err != nil {
-		sj.err = err
-		return sj
-	}
-	sj.vals, sj.err = evalChainOn(w.ctx, s.rlk, s.gks, t.job, ins, w.tr)
-	if sj.err != nil {
-		w.freeAll(sj)
-	}
-	return sj
-}
-
-// stageOn runs a job's chain over pre-uploaded device inputs, taking
-// ownership of them (freed on error along with the intermediates).
-func (w *worker) stageOn(s *Scheduler, t *task, ins []*core.Ciphertext) *staged {
-	sj := &staged{t: t}
-	sj.vals, sj.err = evalChainOn(w.ctx, s.rlk, s.gks, t.job, ins, w.tr)
-	if sj.err != nil {
-		w.freeAll(sj)
-	}
-	return sj
-}
-
-// finishBatch downloads every staged result with one host-device
-// synchronization at the batch tail and returns every device buffer
-// to the shared cache, then completes the futures. Every result's
-// copies are submitted asynchronously first; the single wait on the
-// final event covers them all (the worker's queue is in-order), where
-// each job previously paid its own HostSyncCycles even though the
-// first wait had already synchronized the host past every compute
-// event.
-func (w *worker) finishBatch(s *Scheduler, stagedJobs []*staged) {
-	if s.killed.Load() {
-		// Killed mid-batch: nothing has settled or published yet — free
-		// the staged device state and surrender the whole batch for
-		// replay from host-side inputs. Dependency references travel
-		// with the tasks (the replay still needs them; injectTasks
-		// rehomes and releases them).
-		ts := make([]*task, len(stagedJobs))
-		for i, sj := range stagedJobs {
-			w.freeAll(sj)
-			ts[i] = sj.t
-		}
-		w.surrenderBatch(s, ts)
-		return
-	}
-	d2h := s.spanBegin()
-	var last gpu.Event
-	for _, sj := range stagedJobs {
-		// Settle first: outputs with registered consumers stay
-		// device-resident and skip the download unless kept.
-		if !s.settleOutput(w, sj) {
-			continue
-		}
-		if ev, ok := w.submitDownload(sj); ok {
-			last = ev
-		}
-	}
-	before := s.backend.SimulatedSeconds()
-	last.Wait()
-	done := s.backend.SimulatedSeconds()
-	if d := done - before; d > 0 {
-		s.met.stallCopyNS.Add(int64(d * 1e9))
-	}
-	class, bid := stagedJobs[0].t.class, stagedJobs[0].t.bid
-	s.spanEnd(w.ring, d2h, w.track, "d2h", catXfer, s.className(class), bid, len(stagedJobs))
-	st := s.spanBegin()
-	for _, sj := range stagedJobs {
-		w.freeAll(sj)
-		if sj.retry && s.tryRetry(sj.t, sj.err) {
-			// Retry plane owns the task; see resolveBatch. Span labels
-			// were captured above: re-dispatch may rewrite bid.
-			w.pending.Add(-1)
-			continue
-		}
-		s.releaseDeps(sj.t)
-		sj.t.fut.finish(sj.err)
-		w.pending.Add(-1)
-		s.jobDone(w, sj.t, sj.err != nil, len(stagedJobs), done)
-	}
-	s.spanEnd(w.ring, st, w.track, "settle", catSettle, s.className(class), bid, len(stagedJobs))
-}
-
-// submitDownload submits one job's result copies without waiting.
-func (w *worker) submitDownload(sj *staged) (ev gpu.Event, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			sj.err = wrapPanic("job download", r)
-			ok = false
-		}
-	}()
-	out, ev := w.ctx.DownloadAsync(sj.result())
-	sj.t.fut.res = out
-	return ev, true
 }
 
 func (w *worker) freeAll(sj *staged) {

@@ -33,6 +33,31 @@ func schedConfig(workers int) Config {
 	return Config{Workers: workers, Core: cfg}
 }
 
+// batchShapes are the two shapes the matrix differentials run: the
+// default (up to MaxBatch same-shape jobs share each launch sequence)
+// and MaxBatch 1 (every job ships as a batch of one), so k >= 2 and
+// k = 1 both keep differential coverage on the one execution path.
+var batchShapes = []struct {
+	name     string
+	maxBatch int
+}{{"default", 0}, {"maxbatch=1", 1}}
+
+// checkPoolsReturned asserts the "pools returned" conservation law on
+// a drained backend: no device buffer is checked out of the cache or
+// pinned in it, and every staging slab a gathered transfer drew (a
+// pool miss mints one) is back in the pool or was dropped by its
+// retention bound.
+func checkPoolsReturned(t *testing.T, when string, b Backend) {
+	t.Helper()
+	if used, pinned := b.Cache().UsedCount(), b.Cache().PinnedCount(); used != 0 || pinned != 0 {
+		t.Errorf("%s: cache has %d buffers checked out and %d pinned, want 0/0", when, used, pinned)
+	}
+	gets, reuses, discards := b.Staging().Stats()
+	if out := gets - reuses - discards - int64(b.Staging().FreeCount()); out != 0 {
+		t.Errorf("%s: %d staging slabs never came back to the pool", when, out)
+	}
+}
+
 func newScheduler(t testing.TB, h *Harness, workers int) *Scheduler {
 	t.Helper()
 	s := New(h.Params, gpu.NewDevice1(), schedConfig(workers), h.RelinKey(), h.GaloisKeys())

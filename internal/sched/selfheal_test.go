@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -235,6 +236,9 @@ func TestRetryLinkFaultDifferential(t *testing.T) {
 	if retried != st.RetryAttempts {
 		t.Fatalf("per-class Retried sum = %d, cluster RetryAttempts = %d — counters diverge", retried, st.RetryAttempts)
 	}
+	for i, sh := range c.all() {
+		checkPoolsReturned(t, fmt.Sprintf("shard %d after the faulted attempts drained", i), sh.sched.Backend())
+	}
 }
 
 // TestRetryExhaustionSurfacesOriginalError pins the budget's edge: a
@@ -274,6 +278,7 @@ func TestRetryExhaustionSurfacesOriginalError(t *testing.T) {
 	if st.RetryAttempts < 1 {
 		t.Fatalf("RetryAttempts = %d, want >= 1 (the budget must have been spent, not skipped)", st.RetryAttempts)
 	}
+	checkPoolsReturned(t, "after every attempt was lost on the wire", c.all()[0].sched.Backend())
 	mustFinish(t, "Close", c.Close)
 }
 
@@ -399,15 +404,17 @@ func TestDrainShardMigratesResidents(t *testing.T) {
 	prodIn, consIn := h.Encrypt(vals), h.Encrypt(vals)
 	prod := NewJob(prodIn)
 	prod.Add(0, 0)
+	// Count a consumer into the residency plan before the producer
+	// settles: the worker is held at the batch until the edge is in.
+	release := holdFirstBatch(c.all()[0].sched)
 	pf, err := c.Submit(prod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Count a consumer into the residency plan before the producer
-	// settles (submission returns long before the kernels run).
 	if !pf.onSettled(func() {}) {
 		t.Fatal("producer settled before the consumer edge registered")
 	}
+	release()
 	c.Drain()
 
 	if _, err := c.AddShard(ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 1}); err != nil {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,16 +8,6 @@ import (
 	"xehe/internal/ckks"
 	"xehe/internal/gpu"
 )
-
-// transferConfig mirrors schedConfig with the two fusion knobs pinned
-// explicitly, so each sweep point keeps its meaning independent of the
-// knob defaults.
-func transferConfig(workers int, kernels, transfers Toggle) Config {
-	cfg := schedConfig(workers)
-	cfg.FuseKernels = kernels
-	cfg.FuseTransfers = transfers
-	return cfg
-}
 
 // transferFamilies is fusionFamilies plus DAG shapes that re-reference
 // an input value after intermediates were appended to the value list —
@@ -30,72 +19,63 @@ var transferFamilies = append([]func(j *Job){
 	func(j *Job) { r := j.Add(0, 1); _ = r; r2 := j.Add(0, 0); j.Add(r2, 1) },
 }, fusionFamilies...)
 
-// TestTransferDifferentialMatrix is the FuseTransfers × FuseKernels
-// differential sweep: families of same-shape jobs with distinct random
-// inputs run through every knob combination and must match the serial
+// TestTransferDifferentialMatrix is the transfer differential sweep:
+// families of same-shape jobs with distinct random inputs run coalesced
+// and job-at-a-time (batchShapes) and must match the serial
 // core.Context path bit-for-bit. It also pins the transfer counters:
-// gathered submissions and bytes appear exactly when FuseTransfers is
-// on.
+// gathered submissions and bytes appear at every batch size.
 func TestTransferDifferentialMatrix(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(1717))
 	const reps = 3
-	for _, kernels := range []Toggle{ToggleOff, ToggleOn} {
-		for _, transfers := range []Toggle{ToggleOff, ToggleOn} {
-			name := fmt.Sprintf("kernels=%v/transfers=%v", kernels == ToggleOn, transfers == ToggleOn)
-			t.Run(name, func(t *testing.T) {
-				var jobs []*Job
-				for _, fam := range transferFamilies {
-					for r := 0; r < reps; r++ {
-						jobs = append(jobs, familyJob(h, rng, fam))
-					}
+	for _, shape := range batchShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			var jobs []*Job
+			for _, fam := range transferFamilies {
+				for r := 0; r < reps; r++ {
+					jobs = append(jobs, familyJob(h, rng, fam))
 				}
-				s := New(h.Params, gpu.NewDevice1(), transferConfig(1, kernels, transfers),
-					h.RelinKey(), h.GaloisKeys())
-				defer s.Close()
-				futs := make([]*Future, len(jobs))
-				for i, j := range jobs {
-					var err error
-					if futs[i], err = s.Submit(j); err != nil {
-						t.Fatalf("job %d: submit: %v", i, err)
-					}
+			}
+			cfg := schedConfig(1)
+			cfg.MaxBatch = shape.maxBatch
+			s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
+			defer s.Close()
+			futs := make([]*Future, len(jobs))
+			for i, j := range jobs {
+				var err error
+				if futs[i], err = s.Submit(j); err != nil {
+					t.Fatalf("job %d: submit: %v", i, err)
 				}
-				for i, fut := range futs {
-					got, err := fut.Wait()
-					if err != nil {
-						t.Fatalf("job %d: %v (ops %v)", i, err, jobs[i].Ops)
-					}
-					want, err := h.RunSerial(jobs[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := SameCiphertext(got, want); err != nil {
-						t.Fatalf("job %d: %s vs serial mismatch: %v (ops %v)", i, name, err, jobs[i].Ops)
-					}
+			}
+			for i, fut := range futs {
+				got, err := fut.Wait()
+				if err != nil {
+					t.Fatalf("job %d: %v (ops %v)", i, err, jobs[i].Ops)
 				}
-				st := s.Stats()
-				if st.Jobs != int64(len(jobs)) || st.Failed != 0 {
-					t.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, len(jobs))
+				want, err := h.RunSerial(jobs[i])
+				if err != nil {
+					t.Fatal(err)
 				}
-				if transfers == ToggleOn {
-					if st.TransferBatches == 0 || st.BytesH2D == 0 || st.BytesD2H == 0 {
-						t.Fatalf("transfers on but no gathered submissions observed: %d batches, %d/%d bytes",
-							st.TransferBatches, st.BytesH2D, st.BytesD2H)
-					}
-				} else if st.TransferBatches != 0 || st.BytesH2D != 0 || st.BytesD2H != 0 {
-					t.Fatalf("transfers off but counters moved: %d batches, %d/%d bytes",
-						st.TransferBatches, st.BytesH2D, st.BytesD2H)
+				if err := SameCiphertext(got, want); err != nil {
+					t.Fatalf("job %d: %s vs serial mismatch: %v (ops %v)", i, shape.name, err, jobs[i].Ops)
 				}
-			})
-		}
+			}
+			st := s.Stats()
+			if st.Jobs != int64(len(jobs)) || st.Failed != 0 {
+				t.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, len(jobs))
+			}
+			if st.TransferBatches == 0 || st.BytesH2D == 0 || st.BytesD2H == 0 {
+				t.Fatalf("no gathered submissions observed: %d batches, %d/%d bytes",
+					st.TransferBatches, st.BytesH2D, st.BytesD2H)
+			}
+		})
 	}
 }
 
 // TestTransferDifferentialRandomQoS replays the randomized QoS
-// differential with the full pipeline on (fused kernels + fused
-// transfers): replicas of random DAG chains under random classes and
-// deadlines, submitted from racing goroutines, must stay bit-identical
-// to the serial path. Run with -race.
+// differential over DAG-shaped chains: replicas of random chains under
+// random classes and deadlines, submitted from racing goroutines, must
+// stay bit-identical to the serial path. Run with -race.
 func TestTransferDifferentialRandomQoS(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(272727))
@@ -112,7 +92,7 @@ func TestTransferDifferentialRandomQoS(t *testing.T) {
 			subs = append(subs, sub{c: c})
 		}
 	}
-	s := New(h.Params, gpu.NewDevice1(), transferConfig(3, ToggleOn, ToggleOn),
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(3),
 		h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 
@@ -169,7 +149,7 @@ func TestClusterTransferDifferential(t *testing.T) {
 		}
 	}
 	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice2()},
-		transferConfig(2, ToggleOn, ToggleOn), h.RelinKey(), h.GaloisKeys())
+		schedConfig(2), h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 
 	futs := make([]*Future, len(jobs))
@@ -234,7 +214,7 @@ func TestClusterTransferDifferential(t *testing.T) {
 func TestTransferBatchOfOne(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(99))
-	cfg := transferConfig(2, ToggleOn, ToggleOn)
+	cfg := schedConfig(2)
 	cfg.MaxBatch = 1
 	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
@@ -276,7 +256,7 @@ func TestTransferBatchOfOne(t *testing.T) {
 func TestTransferRaggedFinalBatch(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(31))
-	cfg := transferConfig(1, ToggleOn, ToggleOn)
+	cfg := schedConfig(1)
 	cfg.MaxBatch = 4
 	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
@@ -316,7 +296,7 @@ func TestTransferRaggedFinalBatch(t *testing.T) {
 func TestTransferStagingReuse(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(616))
-	s := New(h.Params, gpu.NewDevice1(), transferConfig(2, ToggleOn, ToggleOn),
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(2),
 		h.RelinKey(), h.GaloisKeys())
 	defer s.Close()
 	const waves, perWave = 4, 10
@@ -364,7 +344,7 @@ func TestTransferFallbackIsolatesFailure(t *testing.T) {
 		gks[k] = v
 	}
 	gks[5] = &ckks.GaloisKey{} // present (passes Submit), panics at run time
-	s := New(h.Params, gpu.NewDevice1(), transferConfig(1, ToggleOn, ToggleOn),
+	s := New(h.Params, gpu.NewDevice1(), schedConfig(1),
 		h.RelinKey(), gks)
 	defer s.Close()
 
@@ -413,4 +393,5 @@ func TestTransferFallbackIsolatesFailure(t *testing.T) {
 	if st := s.Stats(); st.Failed != bad || st.Jobs != bad+good {
 		t.Fatalf("stats = %d jobs / %d failed, want %d/%d", st.Jobs, st.Failed, bad+good, bad)
 	}
+	checkPoolsReturned(t, "after the failed batches drained", s.Backend())
 }

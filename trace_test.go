@@ -24,8 +24,8 @@ type chromeTraceFile struct {
 // TestClusterTraceExport is the end-to-end trace-schema test: a mixed-
 // QoS stream through a 2x Device1 cluster with tracing on must export
 // parseable Chrome-trace JSON whose per-track timestamps are monotone,
-// with both compute and copy device tracks populated (FuseTransfers
-// defaults on, so transfers ride the copy engines).
+// with both compute and copy device tracks populated (the workers'
+// gathered transfers ride the copy engines).
 func TestClusterTraceExport(t *testing.T) {
 	params := NewParameters(ParamsDemo())
 	kit := GenerateKeys(params, 11, 1)
@@ -110,7 +110,7 @@ func TestClusterTraceExport(t *testing.T) {
 		t.Error("no device compute spans in the trace")
 	}
 	if copies == 0 {
-		t.Error("no copy-engine spans in the trace (FuseTransfers defaults on)")
+		t.Error("no copy-engine spans in the trace (batch transfers ride the copy engines)")
 	}
 	if workers == 0 || queues == 0 {
 		t.Errorf("lifecycle tracks empty: worker spans=%d queue spans=%d", workers, queues)

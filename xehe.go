@@ -26,10 +26,14 @@
 // over a goroutine worker pool: each worker owns an in-order queue
 // pinned to one of the device's tiles, all workers recycle buffers
 // through a shared device memory cache, and same-shape jobs are
-// coalesced into batches whose kernel chains are all staged before
-// any result is downloaded — the host stalls only at the batch tail
-// rather than between jobs. Submit blocks when the pipeline is
-// saturated (backpressure):
+// coalesced into batches that run as one: one gathered upload on the
+// tile's copy engine, one kernel launch per op-chain step covering
+// every job's polynomials, one scattered download — prefetched and
+// waited on one batch ahead, so the host stalls only at a batch tail
+// and copies overlap with compute. A job that ships alone is a batch
+// of one on the same path; results are bit-for-bit the same at any
+// batch size. Submit blocks when the pipeline is saturated
+// (backpressure):
 //
 //	svc := xehe.NewService(params, kit, xehe.Device1, xehe.ServiceConfig{Workers: 4})
 //	defer svc.Close()
@@ -145,34 +149,6 @@
 // exception that loses data, FaultPlane.FailHops, surfaces as an
 // explicit error (and is exactly what the retry budget absorbs).
 //
-// # Cross-job kernel fusion
-//
-// Coalesced same-shape batches fuse their kernel launches (on by
-// default; ServiceConfig.FuseKernels = ToggleOff restores the
-// baseline): workers execute a batch step-at-a-time, gathering the k
-// jobs' polynomials at every op-chain step into one widened kernel
-// launch — one batched NTT view, one fused elementwise kernel — so
-// launch and submission overhead is paid once per step per batch
-// instead of once per job. Results are bit-for-bit identical to the
-// unfused path; on the standard benchmark stream simulated throughput
-// roughly doubles at MaxBatch >= 4 (see `make bench-fusion`).
-//
-// # Fused transfers and copy/compute overlap
-//
-// ServiceConfig.FuseTransfers extends fusion to the host-device
-// boundary: a batch's input uploads collapse into one gathered H2D
-// staging submission and its result downloads into one scattered D2H
-// (through a reusable pinned staging pool), both riding the simulated
-// device's per-tile copy engine so transfers overlap with compute,
-// and workers double-buffer one batch ahead — while batch k computes,
-// batch k+1's inputs upload, and finished results wait out their copy
-// while the next batch's kernels launch. The fused pipeline is on by
-// default; set ToggleOff for the unfused-transfer baseline (see
-// `make bench-transfer`):
-//
-//	svc := xehe.NewService(params, kit, xehe.Device1,
-//		xehe.ServiceConfig{Workers: 2, FuseTransfers: xehe.ToggleOff})
-//
 // # Job graphs with device-resident intermediates
 //
 // Jobs can consume other jobs' outputs directly on the device:
@@ -198,11 +174,10 @@
 //	cf, err := svc.Submit(cons)
 //	ct, err := cf.Wait() // only the sink is downloaded
 //
-// Graph edges compose with every knob above — coalescing, fused
-// kernels, fused transfers, QoS classes, cluster routing and work
-// stealing (a consumer stolen away from its producer's shard
-// rematerializes the value through the host; results stay
-// bit-for-bit identical). ServiceStats.GraphJobs and
+// Graph edges compose with everything above — coalescing, QoS
+// classes, cluster routing and work stealing (a consumer stolen away
+// from its producer's shard rematerializes the value through the host;
+// results stay bit-for-bit identical). ServiceStats.GraphJobs and
 // ResidentHits/ResidentMisses count the edges and how many resolved
 // on-device.
 //
@@ -458,7 +433,7 @@ func (e *GPUEvaluator) Rotate(a *Ciphertext, k int) *Ciphertext {
 		panic("xehe: no Galois key for rotation " + itoa(k))
 	}
 	da := e.ctx.Upload(a)
-	return e.run(func() *core.Ciphertext { return e.ctx.RotateRoutine(da, k, gk) }, da)
+	return e.run(func() *core.Ciphertext { return e.ctx.Rotate(da, k, gk) }, da)
 }
 
 // Job is an independent HE workload: encrypted inputs plus a chain (or
@@ -544,10 +519,10 @@ type Metrics = obs.Snapshot
 // instruments estimate quantiles via Quantile.
 type MetricsInstrument = obs.Instrument
 
-// Toggle is a three-state boolean knob for the Fuse* config fields:
-// the zero value (ToggleDefault) selects the knob's documented
-// default, so defaults can flip across releases while both states
-// stay reachable for baseline sweeps.
+// Toggle is a three-state boolean knob (TraceConfig.Enabled,
+// ServiceConfig.SelfHeal): the zero value (ToggleDefault) selects the
+// knob's documented default, so a default can flip across releases
+// without callers that pinned a state noticing.
 type Toggle = sched.Toggle
 
 // The Toggle states.
@@ -570,34 +545,11 @@ type ServiceConfig struct {
 	// every queue is full, Submit blocks (backpressure). Default 8.
 	QueueDepth int
 	// MaxBatch caps how many same-shape jobs are coalesced into one
-	// batch; 1 disables batching. Default 8.
+	// batch — one gathered upload, one kernel launch per op-chain step,
+	// one scattered download for all of them (ServiceStats.FusedSteps,
+	// TransferBatches/BytesH2D/BytesD2H count the sharing; see
+	// ARCHITECTURE.md). 1 ships every job as a batch of one. Default 8.
 	MaxBatch int
-	// FuseKernels executes coalesced batches step-at-a-time as fused
-	// cross-job kernels: every op-chain step gathers the batch's
-	// polynomials into one widened launch (one batched NTT view, one
-	// fused elementwise kernel), paying kernel launch and submission
-	// overhead once per step per batch instead of once per job.
-	// Results are bit-for-bit identical either way; only throughput
-	// and launch counts change (see ServiceStats.FusedSteps). Default
-	// ON (the fused path soaked bit-identical for a PR cycle); set
-	// ToggleOff for the unfused baseline. See ARCHITECTURE.md for the
-	// fusion data path.
-	FuseKernels Toggle
-	// FuseTransfers moves host<->device traffic off the kernel queues:
-	// a batch's input uploads become one gathered H2D staging
-	// submission and its result downloads one scattered D2H (through a
-	// reusable pinned staging pool), both riding the device's per-tile
-	// copy engine, and workers double-buffer — batch k+1's inputs
-	// upload while batch k computes, and finished results wait out
-	// their copy while the next batch's kernels launch. Composable
-	// with FuseKernels (fused kernels + fused transfers is the fastest
-	// configuration). Results are bit-for-bit identical either way
-	// (see ServiceStats.TransferBatches/BytesH2D/BytesD2H for the
-	// coalescing effectiveness). Default ON (flipped after the transfer
-	// pipeline soaked bit-identical for a PR cycle); set ToggleOff for
-	// the unfused-transfer baseline. See ARCHITECTURE.md for the
-	// transfer pipeline.
-	FuseTransfers Toggle
 	// PendingCap bounds the pending queue (jobs accepted but not yet
 	// dispatched — the pool the QoS policy reorders); class admission
 	// shares are fractions of it. Default Workers*QueueDepth*MaxBatch.
@@ -667,21 +619,19 @@ func (sc ServiceConfig) schedConfig() sched.Config {
 		backend = *sc.Backend
 	}
 	return sched.Config{
-		Workers:       sc.Workers,
-		QueueDepth:    sc.QueueDepth,
-		MaxBatch:      sc.MaxBatch,
-		FuseKernels:   sc.FuseKernels,
-		FuseTransfers: sc.FuseTransfers,
-		PendingCap:    sc.PendingCap,
-		Classes:       sc.Classes,
-		Policy:        sc.Policy,
-		Aging:         sc.Aging,
-		WarmBuffers:   sc.WarmBuffers,
-		Core:          backend,
-		Trace:         sc.Trace,
-		SelfHeal:      sc.SelfHeal,
-		Standbys:      sc.Standbys,
-		Retry:         sc.Retry,
+		Workers:     sc.Workers,
+		QueueDepth:  sc.QueueDepth,
+		MaxBatch:    sc.MaxBatch,
+		PendingCap:  sc.PendingCap,
+		Classes:     sc.Classes,
+		Policy:      sc.Policy,
+		Aging:       sc.Aging,
+		WarmBuffers: sc.WarmBuffers,
+		Core:        backend,
+		Trace:       sc.Trace,
+		SelfHeal:    sc.SelfHeal,
+		Standbys:    sc.Standbys,
+		Retry:       sc.Retry,
 	}
 }
 
