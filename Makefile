@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race bench bench-selftest bench-smoke bench-service bench-cluster bench-graph bench-trace bench-chaos bench-record clean
+.PHONY: all build vet fmt-check test test-race fuzz-smoke bench bench-selftest bench-smoke bench-service bench-cluster bench-graph bench-trace bench-chaos bench-record clean
 
 all: build test
 
@@ -37,6 +37,20 @@ test: build
 # and the NTT engine.
 test-race:
 	$(GO) test -race ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/... ./internal/core/... ./internal/fhebench/... ./internal/ckks/... ./internal/poly/... ./internal/ntt/...
+
+# Fuzz smoke: every Fuzz* target in the tree (found by name, so a new
+# one is picked up without editing this), 5 s each — internal/xmath's
+# modular arithmetic against math/big and internal/ckks's ReadCiphertext,
+# the boundary that accepts outside bytes. `go test -fuzz` takes one
+# target and one package per run. Minimization is off: it is spent on
+# inputs that merely add coverage, and shrinking one 64 KB ciphertext
+# byte by byte eats the whole budget (7 vs 20,000 execs/s); a crasher is
+# still reported and written to testdata/ unminimized.
+fuzz-smoke:
+	@grep -rHoE --include='*_test.go' --exclude-dir=benchmark '^func Fuzz[A-Za-z0-9_]*' . | while IFS=: read -r file fn; do \
+		echo "fuzz $$(dirname $$file) $${fn#func }"; \
+		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 5s -fuzzminimizetime 0s $$(dirname $$file) || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

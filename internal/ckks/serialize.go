@@ -87,11 +87,18 @@ func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
 	if polys < 2 || polys > 3 {
 		return nil, fmt.Errorf("ckks: unsupported ciphertext size %d", polys)
 	}
-	ct := &Ciphertext{Scale: math.Float64frombits(hdr[5]), Level: level}
+	scale := math.Float64frombits(hdr[5])
+	if !(scale > 0) || math.IsInf(scale, 1) { // !(> 0) also catches NaN
+		return nil, fmt.Errorf("ckks: scale %v is not a positive finite number", scale)
+	}
+	ct := &Ciphertext{Scale: scale, Level: level}
 	for i := 0; i < polys; i++ {
 		var isNTT uint64
 		if err := binary.Read(r, binary.LittleEndian, &isNTT); err != nil {
 			return nil, err
+		}
+		if isNTT > 1 {
+			return nil, fmt.Errorf("ckks: NTT flag %d of component %d is not 0 or 1", isNTT, i)
 		}
 		p := poly.New(n, level+1)
 		p.IsNTT = isNTT == 1

@@ -41,7 +41,7 @@ const defaultStealInterval = 200 * time.Microsecond
 // so every replay is bit-identical to the serial path (pinned by the
 // chaos differential tests). Routing is health-checked — shards whose
 // probes fail stop receiving new work — and the shard set is elastic:
-// AddShard grows it at runtime, CloseShard retires members.
+// AddShard grows it at runtime, DrainShard retires members.
 //
 // Routing is class-aware: latency-sensitive classes go to the shard
 // with the least expected wait (outstanding weighted work divided by
@@ -49,8 +49,8 @@ const defaultStealInterval = 200 * time.Microsecond
 // weighted least-loaded shard. A background monitor steals queued
 // (not yet dispatched) jobs from the longest backlog onto any shard
 // that has gone idle, so a drained device never sits dark while
-// another queues; CloseShard re-routes the closing shard's backlog
-// the same way.
+// another queues. Steal, retirement, kill and retry all move tasks off
+// a shard the same way: relocate.
 //
 // Jobs are independent, so any shard may execute any job; the simulated
 // kernels are deterministic, which makes results identical regardless
@@ -76,10 +76,9 @@ type Cluster struct {
 	// counters also tick for jobs that found a home elsewhere).
 	rejected []atomic.Int64
 
-	// stealMu serializes task migration (monitor rounds, CloseShard and
-	// killShard re-routes, surrender recovery) against shard
-	// retirement, so a migrated task can never be left without an open
-	// scheduler to land on.
+	// stealMu serializes task relocation (every caller of place and
+	// relocate) against shard retirement, so a relocated task can never
+	// be left without an open scheduler to land on.
 	stealMu   sync.Mutex
 	stopSteal chan struct{}
 	stealWg   sync.WaitGroup
@@ -106,7 +105,6 @@ type Cluster struct {
 	// events the shards cannot see); Metrics merges it with the shard
 	// registries.
 	obsReg      *obs.Registry
-	rerouted    *obs.Counter
 	shed        *obs.Counter
 	recovered   *obs.Counter
 	replayed    *obs.Counter
@@ -124,7 +122,7 @@ type shard struct {
 	node   int // failure domain (remote node id; shards share fate per node)
 	sched  *Scheduler
 	weight float64
-	closed atomic.Bool  // out of rotation (CloseShard, killShard or cluster Close)
+	closed atomic.Bool  // out of rotation (DrainShard, killShard or cluster Close); flips once
 	killed atomic.Bool  // fail-stopped by the fault plane (implies closed)
 	routed atomic.Int64 // jobs ever routed here
 	stolen atomic.Int64 // jobs migrated here (stealing, evacuation, replay)
@@ -260,7 +258,6 @@ func NewClusterShards(params *ckks.Parameters, specs []ShardSpec, cfg Config, rl
 		stopRetry: make(chan struct{}),
 		obsReg:    obs.NewRegistry(),
 	}
-	c.rerouted = c.obsReg.Counter("cluster.rerouted_jobs")
 	c.shed = c.obsReg.Counter("cluster.shed_jobs")
 	c.recovered = c.obsReg.Counter("cluster.recovered_jobs")
 	c.replayed = c.obsReg.Counter("cluster.replayed_jobs")
@@ -346,7 +343,7 @@ func (c *Cluster) Shards() int { return len(c.all()) }
 func (c *Cluster) Faults() *FaultPlane { return c.faults }
 
 // AddShard grows the cluster with a new shard over the given backend
-// (elastic scale-up, pairing CloseShard's scale-down): the shard warms
+// (elastic scale-up, pairing DrainShard's scale-down): the shard warms
 // its buffer cache per the cluster's config, enters the routing tables
 // immediately, and the stealing monitor starts (or keeps) rebalancing
 // backlogs onto it. Adding a shard after every existing shard closed
@@ -588,8 +585,8 @@ func (c *Cluster) Drain() {
 // stealLoop is the work-stealing monitor: whenever some shard has
 // gone fully idle while another still has queued (not yet dispatched)
 // jobs, it migrates up to half of the longest backlog to the idle
-// shard. Stamps are rebased so elapsed wait and remaining deadline
-// budget survive the clock change; results are unaffected because the
+// shard. Elapsed wait and remaining deadline budget survive the clock
+// change (task.detach/attach); results are unaffected because the
 // kernels are deterministic on every shard.
 func (c *Cluster) stealLoop() {
 	defer c.stealWg.Done()
@@ -605,15 +602,17 @@ func (c *Cluster) stealLoop() {
 	}
 }
 
-// stealRound performs one scan-and-migrate pass. stealMu excludes
-// shard retirement, so the chosen destination cannot close before the
-// tasks land.
+// stealRound performs one scan-and-migrate pass: when some open shard
+// sits fully idle while another has queued jobs, up to half of the
+// longest backlog relocates (place sends it to the idle shard — nothing
+// is less loaded). stealMu excludes shard retirement, so the destination
+// cannot close before the tasks land.
 func (c *Cluster) stealRound() {
 	c.stealMu.Lock()
 	defer c.stealMu.Unlock()
-	shards := c.all()
-	idle, victim, backlog := -1, -1, 0
-	for i, sh := range shards {
+	var victim *shard
+	idle, backlog := false, 0
+	for _, sh := range c.all() {
 		if sh.closed.Load() {
 			continue
 		}
@@ -622,84 +621,90 @@ func (c *Cluster) stealRound() {
 			// backlog: stealing it away races the scripted batch count
 			// and the kill may never fire.
 			if sh.killAfter.Load() == 0 {
-				victim, backlog = i, q
+				victim, backlog = sh, q
 			}
-		} else if q == 0 && idle < 0 && sh.sched.Outstanding() == 0 {
-			idle = i
+		} else if q == 0 && sh.sched.Outstanding() == 0 {
+			idle = true
 		}
 	}
-	if idle < 0 || victim < 0 || idle == victim {
-		return
+	if idle && victim != nil {
+		c.relocate(victim, victim.sched.stealQueued(max(backlog/2, 1)), nil)
 	}
-	n := backlog / 2
-	if n < 1 {
-		n = 1
-	}
-	c.migrate(shards[victim], shards[idle], n)
 }
 
-// migrate moves up to max queued tasks from src to dst (both open,
-// caller holds stealMu). Tasks that cannot land on dst are returned
-// to src; outstanding accounting transfers only for the jobs that
-// actually moved.
-func (c *Cluster) migrate(src, dst *shard, max int) int {
-	tasks := src.sched.stealQueued(max)
+// dest chooses where relocated tasks go, for every exit alike: the open
+// shard with the fewest outstanding jobs, ties to the lowest index,
+// never not (nil excludes nobody). Health probes steer Submit's routing
+// (pick), not relocation. nil when no such shard is open.
+func (c *Cluster) dest(not *shard) *shard {
+	var dst *shard
+	var dstLoad int64
+	for _, sh := range c.all() {
+		if sh == not || sh.closed.Load() {
+			continue
+		}
+		if load := sh.sched.Outstanding(); dst == nil || load < dstLoad {
+			dst, dstLoad = sh, load
+		}
+	}
+	return dst
+}
+
+// place lands detached tasks on dest(not), which takes over their
+// outstanding accounting from src. Caller holds stealMu, so only a kill
+// can close the destination between the choice and the landing; the
+// choice is then made again. False means no shard was open and nothing
+// moved.
+func (c *Cluster) place(src, not *shard, tasks []*task) bool {
+	for dst := c.dest(not); dst != nil; dst = c.dest(not) {
+		if dst.sched.injectTasks(tasks, src.sched) {
+			dst.stolen.Add(int64(len(tasks)))
+			return true
+		}
+	}
+	return false
+}
+
+// relocate is the one way detached tasks leave src, whatever took them
+// off it — a steal, a retirement's or a kill's evacuation, a killed
+// worker's surrender. Their fate, in order: another open shard (counted
+// into cnt, reported true); back onto src when it still runs (a steal
+// victim, a draining shard whose only taker just died); the retry plane
+// for tasks with budget when src is dead, since the supervisor may be
+// replacing it; failure with ErrShardLost. Nothing is dropped, so Drain
+// and Close cannot wedge. Caller holds stealMu.
+func (c *Cluster) relocate(src *shard, tasks []*task, cnt *obs.Counter) bool {
 	if len(tasks) == 0 {
-		return 0
+		return false
 	}
-	var work float64
-	for _, t := range tasks {
-		work += t.work()
-	}
-	if !dst.sched.injectTasks(tasks) {
-		// dst closed under us (only possible outside stealMu users);
-		// re-home the backlog where it came from.
-		if !src.sched.injectTasks(tasks) {
-			// src itself was killed while its backlog was in hand:
-			// replay-or-fail through the recovery path instead of
-			// panicking (recoverTasks assumes relative stamps, which is
-			// what stealQueued produced).
-			src.sched.met.surrendered.Add(int64(len(tasks)))
-			c.recoverLocked(src, tasks, work)
-			return 0
+	if c.place(src, src, tasks) {
+		if cnt != nil {
+			cnt.Add(int64(len(tasks)))
 		}
-		src.sched.outstandingAdd(-len(tasks), -work)
-		return 0
+		return true
 	}
-	dst.stolen.Add(int64(len(tasks)))
-	src.sched.outstandingAdd(-len(tasks), -work)
-	return len(tasks)
+	if src.sched.injectTasks(tasks, src.sched) {
+		return false
+	}
+	for _, t := range tasks {
+		if !c.queueRetry(src, t, ErrShardLost) {
+			src.sched.abandon(t)
+		}
+	}
+	return false
 }
 
-// evacuateLocked re-routes sh's queued (not yet dispatched) backlog to
-// the remaining open shards, least-loaded first, counting moved jobs
-// into cnt. Caller holds stealMu and has taken sh out of rotation.
+// evacuateLocked relocates sh's queued (not yet dispatched) backlog in
+// halves, so each lands on whichever shard is least loaded by then,
+// counting moved jobs into cnt. With no other shard open it touches
+// neither the queue nor the steal counters: the jobs run where they
+// are. Caller holds stealMu and has taken sh out of rotation.
 func (c *Cluster) evacuateLocked(sh *shard, cnt *obs.Counter) {
-	for {
-		shards := c.all()
-		dst := -1
-		var dstLoad int64
-		for _, other := range shards {
-			if other == sh || other.closed.Load() {
-				continue
-			}
-			if load := other.sched.Outstanding(); dst < 0 || load < dstLoad {
-				dst, dstLoad = other.id, load
-			}
-		}
-		if dst < 0 {
-			return // no open shard left; the local Close drains them
-		}
+	for c.dest(sh) != nil {
 		queued := sh.sched.QueuedJobs()
-		if queued == 0 {
+		if queued == 0 || !c.relocate(sh, sh.sched.stealQueued((queued+1)/2), cnt) {
 			return
 		}
-		n := (queued + 1) / 2
-		moved := c.migrate(sh, shards[dst], n)
-		if moved == 0 {
-			return
-		}
-		cnt.Add(int64(moved))
 	}
 }
 
@@ -709,18 +714,21 @@ func (c *Cluster) evacuateLocked(sh *shard, cnt *obs.Counter) {
 // backlog is evacuated to the open shards. Device memory stays
 // readable — the node lost its executor, not its RAM — so resident
 // outputs rematerialize through the owner path during replay. The
-// scheduler itself is torn down later by Close. Idempotent per shard;
-// returns false if the shard was already killed or out of range.
+// scheduler itself is torn down later by Close. A shard leaves rotation
+// once: closed flips exactly once and whoever flips it owns the exit, so
+// killing a shard that was already killed, retired (DrainShard) or
+// closed with the cluster — or is out of range — does nothing and
+// returns false.
 func (c *Cluster) killShard(i int) bool {
 	shards := c.all()
 	if i < 0 || i >= len(shards) {
 		return false
 	}
 	sh := shards[i]
-	if !sh.killed.CompareAndSwap(false, true) {
+	if !sh.closed.CompareAndSwap(false, true) {
 		return false
 	}
-	sh.closed.Store(true)
+	sh.killed.Store(true)
 	sh.sched.kill()
 	c.killedCnt.Add(1)
 	// Self-heal before evacuating: promoting a warm standby here means
@@ -729,99 +737,27 @@ func (c *Cluster) killShard(i int) bool {
 	if c.sup != nil {
 		c.sup.onKill(sh)
 	}
-	// Evacuate the queued backlog like CloseShard: jobs not yet
-	// dispatched need no replay, they just re-route.
+	// Jobs not yet dispatched need no replay, they just re-route.
 	c.stealMu.Lock()
 	c.evacuateLocked(sh, c.recovered)
 	c.stealMu.Unlock()
 	return true
 }
 
-// recoverTasks re-homes tasks surrendered by a killed shard's workers
-// (relative stamps, as from stealQueued): they inject into the
-// least-loaded open shard — rehoming dependency residencies through
-// the owner path — and replay from host-side inputs. The kernels are
-// deterministic, so a re-executed job cannot diverge from the serial
-// path. With no open shard left the jobs fail with ErrShardLost; they
-// are never dropped, so Drain and Close cannot wedge on a kill.
+// recoverTasks is the surrender hook: detached tasks handed back by a
+// killed shard's workers relocate — dependency residencies rehome
+// through the owner path — and replay from host-side inputs. The
+// kernels are deterministic, so a re-executed job cannot diverge from
+// the serial path.
 func (c *Cluster) recoverTasks(src *shard, ts []*task) {
-	if len(ts) == 0 {
-		return
-	}
-	var work float64
-	for _, t := range ts {
-		work += t.work()
-	}
 	c.stealMu.Lock()
 	defer c.stealMu.Unlock()
-	c.recoverLocked(src, ts, work)
+	c.relocate(src, ts, c.replayed)
 }
 
-// recoverLocked is recoverTasks under stealMu (shard retirement is
-// excluded, so a scanned-open destination stays open through the
-// inject).
-func (c *Cluster) recoverLocked(src *shard, ts []*task, work float64) {
-	for {
-		shards := c.all()
-		dst := -1
-		var dstLoad int64
-		for _, other := range shards {
-			if other == src || other.closed.Load() {
-				continue
-			}
-			if load := other.sched.Outstanding(); dst < 0 || load < dstLoad {
-				dst, dstLoad = other.id, load
-			}
-		}
-		if dst < 0 {
-			break
-		}
-		if shards[dst].sched.injectTasks(ts) {
-			shards[dst].stolen.Add(int64(len(ts)))
-			src.sched.outstandingAdd(-len(ts), -work)
-			c.replayed.Add(int64(len(ts)))
-			return
-		}
-		// dst closed between the scan and the inject (impossible under
-		// stealMu today, but cheap to tolerate): rescan.
-	}
-	// No open shard remained. Tasks with retry budget for the loss park
-	// in the retry plane — the supervisor may still be replacing the
-	// killed capacity — and only the rest fail outright.
-	var fail []*task
-	for _, t := range ts {
-		if !c.queueRetry(src, t, ErrShardLost) {
-			fail = append(fail, t)
-		}
-	}
-	if len(fail) > 0 {
-		src.sched.failSurrendered(fail)
-	}
-}
-
-// CloseShard takes one shard out of rotation, re-routes its queued
-// (not yet dispatched) backlog to the remaining open shards, and
-// closes its scheduler, draining the jobs already on its workers —
-// e.g. to retire a device without stopping the cluster or stranding
-// accepted jobs behind it. It is idempotent per shard, and a no-op on
-// a shard the fault plane already killed: the kill evacuated the
-// backlog and surrendered the in-flight work, and tearing the
-// scheduler down here would race replays still materializing resident
-// outputs off the dead device (Close owns that final teardown). With
-// every shard closed, Submit returns ErrNoShards (until AddShard
-// revives the cluster). For a graceful, replay-free retirement of a
-// loaded shard, use DrainShard instead.
-func (c *Cluster) CloseShard(i int) {
-	sh := c.all()[i]
-	if sh.killed.Load() {
-		return
-	}
-	c.stealMu.Lock()
-	sh.closed.Store(true)
-	c.evacuateLocked(sh, c.rerouted)
-	c.stealMu.Unlock()
-	sh.sched.Close()
-}
+// CloseShard retires shard i. It is DrainShard under its older name:
+// there is one retirement, and it is the graceful one.
+func (c *Cluster) CloseShard(i int) { c.DrainShard(i) }
 
 // Close stops intake and the stealing monitor, then closes all shards
 // concurrently (each drains its pending jobs and releases its buffer
@@ -894,7 +830,7 @@ type ClusterStats struct {
 	// Recovery counters (supervisor / drain / retry planes):
 	// StandbyPromoted counts kills absorbed by promoting a warm standby
 	// (instant replacement, no device construction); Drained counts
-	// queued jobs re-routed by DrainShard's graceful scale-down (vs
+	// queued jobs relocated by DrainShard/CloseShard's retirement (vs
 	// Recovered+Replayed for a fail-stop — a drain replays nothing);
 	// Migrated counts device-resident outputs a drain pre-copied to the
 	// host; RetryAttempts counts re-executions of transiently failed

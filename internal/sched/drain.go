@@ -1,38 +1,40 @@
 package sched
 
-// Graceful scale-down: DrainShard retires a shard without the replay
-// cost of a fail-stop. Where killShard surrenders in-flight batches
-// (re-executed from host inputs elsewhere), a drain lets them settle
-// in place, hands the queued backlog off as-is, and pre-copies the
-// shard's device-resident graph intermediates to the host through the
-// existing rematerialization path — so consumers on other shards keep
-// working and zero jobs replay. The kernels are deterministic, so the
-// results are bit-identical to the serial path either way; a drain is
-// simply cheaper (Stats.Drained/Migrated vs Replayed quantify it).
+// Retirement: DrainShard (CloseShard is the same call) takes a shard out
+// of service without the replay cost of a fail-stop. Where killShard
+// surrenders in-flight batches (re-executed from host inputs elsewhere),
+// a drain lets them settle in place, relocates the queued backlog as-is,
+// and pre-copies the shard's device-resident graph intermediates to the
+// host through the existing rematerialization path — so consumers on
+// other shards keep working and zero jobs replay. The kernels are
+// deterministic, so the results are bit-identical to the serial path
+// either way; a drain is simply cheaper (Stats.Drained/Migrated vs
+// Replayed quantify it).
 
 // DrainShard gracefully takes shard i out of service: it leaves the
 // routing tables immediately, its queued (not yet dispatched) backlog
-// re-routes to the open shards without replay, its in-flight batches
-// settle in place, its device-resident outputs migrate to the host,
-// and only then does its scheduler tear down. Safe to call
-// concurrently with traffic; idempotent per shard, and a no-op for a
-// shard that was already fail-stopped (the kill already evacuated and
-// surrendered everything — see CloseShard for the same rule).
+// relocates to the open shards without replay (Stats.Drained), its
+// in-flight batches settle in place, its device-resident outputs migrate
+// to the host (Stats.Migrated) — tearing the scheduler down first would
+// free them under their consumers — and only then does its scheduler
+// tear down. Safe to call concurrently with traffic. A shard leaves
+// rotation once (see killShard): on one already retired, killed or
+// closed with the cluster this is a no-op — a kill has evacuated and
+// surrendered everything, and a teardown here would race replays still
+// materializing resident outputs off the dead device. With every shard
+// retired, Submit returns ErrNoShards until AddShard revives the
+// cluster.
 func (c *Cluster) DrainShard(i int) {
 	shards := c.all()
 	if i < 0 || i >= len(shards) {
 		return
 	}
 	sh := shards[i]
-	if sh.killed.Load() {
+	c.stealMu.Lock()
+	if !sh.closed.CompareAndSwap(false, true) {
+		c.stealMu.Unlock()
 		return
 	}
-	// Out of rotation, then hand off the queued backlog. These jobs
-	// were never dispatched, so the move is a plain re-route — the
-	// Drained counter (vs killShard's Recovered/Replayed) records that
-	// the graceful path paid no replay.
-	c.stealMu.Lock()
-	sh.closed.Store(true)
 	c.evacuateLocked(sh, c.drainedCnt)
 	c.stealMu.Unlock()
 	// Fence in-flight Submits: a router that picked this shard before

@@ -20,13 +20,16 @@ type FaultPlane struct {
 // queued backlog evacuates to the open shards, and its in-flight jobs
 // are surrendered by the workers and replayed from host-side inputs
 // elsewhere (or fail with ErrShardLost when no open shard remains).
-// Returns false if the shard was already killed or out of range.
+// Returns false — and does nothing — if the shard had already left
+// rotation (killed, retired by DrainShard/CloseShard, closed with the
+// cluster) or is out of range.
 func (fp *FaultPlane) KillShard(i int) bool { return fp.c.killShard(i) }
 
 // KillShardAfter arms a deterministic kill: the batches-th batch to
 // start on shard i kills it mid-batch, from the worker goroutine
 // itself — after the batch is counted started, before any of its
-// results settle. batches <= 0 disarms.
+// results settle. batches <= 0 disarms; a countdown that runs out on a
+// shard retired in the meantime kills nothing.
 func (fp *FaultPlane) KillShardAfter(i int, batches int64) {
 	shards := fp.c.all()
 	if i < 0 || i >= len(shards) {

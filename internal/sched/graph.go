@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"xehe/internal/ckks"
 	"xehe/internal/core"
@@ -307,10 +306,9 @@ func (s *Scheduler) releaseDeps(t *task) {
 
 // rehomeDeps converts the task's resolved dependencies for execution on
 // this scheduler: residencies owned elsewhere are rematerialized
-// host-side and their references released, so a migrated (stolen or
-// CloseShard-evacuated) consumer uploads them like plain inputs. The
-// task is owned exclusively by the migration here, so deps entries are
-// written without qmu.
+// host-side and their references released, so a relocated consumer
+// uploads them like plain inputs. The task is owned exclusively by the
+// migration here, so deps entries are written without qmu.
 func (s *Scheduler) rehomeDeps(t *task) {
 	for i := range t.deps {
 		d := &t.deps[i]
@@ -397,33 +395,11 @@ func (s *Scheduler) downloadResident(r *residentOutput) (out *ckks.Ciphertext, e
 }
 
 // failTask completes a task that never reached a worker (its producers
-// failed): the future finishes with the dependency error, references on
-// surviving producers are released, and the job is accounted against
-// the class counters like any other failure.
+// failed, or no shard could take it): the future finishes with the
+// error, references on surviving producers are released, and the job is
+// counted by the same jobDone as one that ran.
 func (s *Scheduler) failTask(t *task, err error) {
 	t.fut.finish(err)
 	s.releaseDeps(t)
-	done := s.backend.SimulatedSeconds()
-	lat := done - t.enq
-	if lat < 0 {
-		lat = 0
-	}
-	s.statMu.Lock()
-	s.stats.Jobs++
-	s.stats.Failed++
-	cs := &s.classStat[t.class]
-	cs.Completed++
-	cs.Failed++
-	if !math.IsInf(t.deadline, 1) {
-		if done <= t.deadline {
-			cs.DeadlineHit++
-		} else {
-			cs.DeadlineMiss++
-		}
-	}
-	s.latency[t.class].add(lat)
-	s.statMu.Unlock()
-	s.met.jobsCompleted.Add(1)
-	s.met.jobsFailed.Add(1)
-	s.outstandingAdd(-1, -t.work())
+	s.jobDone(nil, t, true, 1, s.backend.SimulatedSeconds())
 }

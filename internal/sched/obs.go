@@ -278,9 +278,10 @@ const (
 )
 
 // Metrics merges every shard's instrument snapshot with the cluster's
-// own counters (jobs rerouted by CloseShard evacuations, jobs shed
-// cluster-wide): counters and histogram buckets sum by name, gauges
-// add — so e.g. memcache.pinned_buffers reports the cluster total.
+// own counters (jobs shed cluster-wide, the recovery plane's drained /
+// recovered / replayed / retried jobs): counters and histogram buckets
+// sum by name, gauges add — so e.g. memcache.pinned_buffers reports the
+// cluster total.
 func (c *Cluster) Metrics() obs.Snapshot {
 	shards := c.all()
 	snaps := make([]obs.Snapshot, 0, len(shards)+1)

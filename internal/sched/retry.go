@@ -104,10 +104,9 @@ func (s *Scheduler) tryRetry(t *task, err error) bool {
 	return s.retryHook != nil && s.retryHook(t, err)
 }
 
-// retryEntry is one task parked in the cluster's retry plane: relative
-// stamps (elapsed wait / remaining deadline budget, backoff already
-// priced in), with outstanding accounting still held by src until the
-// re-injection lands.
+// retryEntry is one detached task parked in the cluster's retry plane
+// (backoff already priced into its stamps), with outstanding accounting
+// still held by src until the re-injection lands.
 type retryEntry struct {
 	t      *task
 	src    *shard
@@ -115,27 +114,21 @@ type retryEntry struct {
 }
 
 // offerRetry is the scheduler retry hook (installFaultHooks): it
-// converts the task's stamps to relative form on src's clock and
-// queues it for re-injection. False means the retry plane declined
-// (budget, deadline, error class, or the cluster shutting down) and
-// the stamps are restored for the normal failure path.
+// detaches the task from src's clock and queues it for re-injection.
+// False means the retry plane declined (budget, deadline, error class,
+// or the cluster shutting down) and the task is back on src's clock for
+// the normal failure path.
 func (c *Cluster) offerRetry(src *shard, t *task, err error) bool {
 	now := src.sched.backend.SimulatedSeconds()
-	t.enq = now - t.enq // elapsed wait
-	if !math.IsInf(t.deadline, 1) {
-		t.deadline -= now // remaining budget
-	}
+	t.detach(now)
 	if c.queueRetry(src, t, err) {
 		return true
 	}
-	t.enq = now - t.enq // restore absolute stamps
-	if !math.IsInf(t.deadline, 1) {
-		t.deadline += now
-	}
+	t.attach(now)
 	return false
 }
 
-// queueRetry parks one task (relative stamps) in the retry plane,
+// queueRetry parks one detached task in the retry plane,
 // consuming an attempt and pricing its exponential backoff into the
 // stamps: the elapsed wait grows by the backoff (the re-run's latency
 // accounting includes it) and the remaining deadline budget shrinks.
@@ -147,7 +140,7 @@ func (c *Cluster) queueRetry(src *shard, t *task, err error) bool {
 		return false
 	}
 	back := c.cfg.Retry.backoff(t.attempt)
-	if !math.IsInf(t.deadline, 1) && t.deadline < back {
+	if t.deadline < back {
 		return false // the retry could not start before the deadline
 	}
 	c.retryMu.Lock()
@@ -158,9 +151,7 @@ func (c *Cluster) queueRetry(src *shard, t *task, err error) bool {
 	t.attempt++
 	t.retryErr = err
 	t.enq += back
-	if !math.IsInf(t.deadline, 1) {
-		t.deadline -= back
-	}
+	t.deadline -= back
 	c.retryQ = append(c.retryQ, retryEntry{t: t, src: src})
 	if !c.retryLoopUp {
 		c.retryLoopUp = true
@@ -194,11 +185,11 @@ func (c *Cluster) retryLoop() {
 	}
 }
 
-// retryRound drains the parked tasks once: each lands on the
-// least-loaded open shard (possibly its own src — a transient link
-// fault does not disqualify the shard). With no open shard the entry
-// waits for the supervisor's replacement, up to retryParkRounds; a
-// cluster that never heals fails the job with its original error.
+// retryRound drains the parked tasks once: each is placed like any
+// relocated task, except that its own src may take it — a transient
+// link fault does not disqualify the shard. With no open shard the
+// entry waits for the supervisor's replacement, up to retryParkRounds;
+// a cluster that never heals fails the job with its original error.
 func (c *Cluster) retryRound() {
 	c.retryMu.Lock()
 	pending := c.retryQ
@@ -210,11 +201,11 @@ func (c *Cluster) retryRound() {
 	var requeue []retryEntry
 	c.stealMu.Lock()
 	for _, e := range pending {
-		if c.injectRetryLocked(e) {
+		if c.place(e.src, nil, []*task{e.t}) {
 			continue
 		}
 		if e.parked++; e.parked > retryParkRounds {
-			e.src.sched.failSurrenderedErr([]*task{e.t}, nil)
+			e.src.sched.abandon(e.t)
 			continue
 		}
 		requeue = append(requeue, e)
@@ -233,36 +224,8 @@ func (c *Cluster) retryRound() {
 		// Close drained the plane while this round held the entries;
 		// terminate them here (stopRetries cannot see them).
 		for _, e := range requeue {
-			e.src.sched.failSurrenderedErr([]*task{e.t}, nil)
+			e.src.sched.abandon(e.t)
 		}
-	}
-}
-
-// injectRetryLocked lands one parked task on the least-loaded open
-// shard, transferring its outstanding accounting from src. Caller
-// holds stealMu; false when no open shard remains.
-func (c *Cluster) injectRetryLocked(e retryEntry) bool {
-	for {
-		shards := c.all()
-		var dst *shard
-		var dstLoad int64
-		for _, other := range shards {
-			if other.closed.Load() {
-				continue
-			}
-			if load := other.sched.Outstanding(); dst == nil || load < dstLoad {
-				dst, dstLoad = other, load
-			}
-		}
-		if dst == nil {
-			return false
-		}
-		if dst.sched.injectTasks([]*task{e.t}) {
-			dst.stolen.Add(1)
-			e.src.sched.outstandingAdd(-1, -e.t.work())
-			return true
-		}
-		// dst was killed between the scan and the inject; rescan.
 	}
 }
 
@@ -281,6 +244,6 @@ func (c *Cluster) stopRetries() {
 		c.retryWg.Wait()
 	}
 	for _, e := range leftover {
-		e.src.sched.failSurrenderedErr([]*task{e.t}, nil)
+		e.src.sched.abandon(e.t)
 	}
 }

@@ -275,9 +275,9 @@ func (f *Future) Wait() (*ckks.Ciphertext, error) {
 func (f *Future) Done() <-chan struct{} { return f.done }
 
 // task is one queued job. enq and deadline are absolute simulated
-// seconds on the owning backend's clock; stealQueued converts them to
-// relative form (elapsed wait / remaining budget) for the transfer
-// and injectTasks rebases them onto the receiving backend's clock.
+// seconds on the owning backend's clock while a scheduler holds the
+// task, and relative (elapsed wait / remaining budget) while it is
+// between schedulers: detach and attach are the only conversion.
 type task struct {
 	job      *Job
 	fut      *Future
@@ -305,6 +305,22 @@ type task struct {
 	budget   int
 	attempt  int
 	retryErr error
+}
+
+// detach takes the task off a clock reading now: enq becomes the wait
+// already served and deadline the remaining budget (negative once
+// missed), so both survive a hop to a shard whose clock reads something
+// else. No deadline (+Inf) is a fixed point of both conversions.
+func (t *task) detach(now float64) {
+	t.enq = now - t.enq
+	t.deadline -= now
+}
+
+// attach is detach's inverse on the receiving clock: the wait served
+// counts back from now and the remaining budget forward from it.
+func (t *task) attach(now float64) {
+	t.enq = now - t.enq
+	t.deadline += now
 }
 
 // work is the routing cost estimate of the task's job: uploads plus
@@ -769,7 +785,8 @@ func (s *Scheduler) pendingJobs() int {
 	return s.queued + s.waiting
 }
 
-// outstandingAdd transfers outstanding-job accounting during a steal.
+// outstandingAdd moves outstanding-job accounting: one job done, or a
+// group of tasks changing shards.
 func (s *Scheduler) outstandingAdd(jobs int, work float64) {
 	s.outMu.Lock()
 	s.outstanding += jobs
@@ -999,10 +1016,9 @@ func (s *Scheduler) popBatch() []*task {
 
 // stealQueued removes up to max queued tasks for migration to another
 // shard: tail-first from the largest class backlog, so the head jobs
-// the policy is about to serve stay local. Time stamps are converted
-// to relative form (enq = elapsed wait, deadline = remaining budget);
-// the receiver rebases them via injectTasks. Outstanding accounting
-// stays with this scheduler until the caller transfers it.
+// the policy is about to serve stay local. The tasks come back detached
+// (relative stamps); outstanding accounting stays with this scheduler
+// until the caller transfers it.
 func (s *Scheduler) stealQueued(max int) []*task {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
@@ -1029,10 +1045,7 @@ func (s *Scheduler) stealQueued(max int) []*task {
 		q[len(q)-1] = nil
 		s.queues[victim] = q[:len(q)-1]
 		s.queued--
-		t.enq = now - t.enq // elapsed wait
-		if !math.IsInf(t.deadline, 1) {
-			t.deadline -= now // remaining budget (may be negative)
-		}
+		t.detach(now)
 		out = append(out, t)
 	}
 	if len(out) > 0 {
@@ -1045,13 +1058,14 @@ func (s *Scheduler) stealQueued(max int) []*task {
 	return out
 }
 
-// injectTasks enqueues tasks stolen from another shard (relative time
-// stamps from stealQueued), rebasing their wait and deadline onto
-// this backend's clock. Admission control is bypassed — the jobs were
-// admitted at their original shard. It returns false when the
-// scheduler is closed (nothing is enqueued; the caller must re-home
-// the tasks).
-func (s *Scheduler) injectTasks(ts []*task) bool {
+// injectTasks enqueues detached tasks, attaching them to this backend's
+// clock, and takes over their outstanding accounting from the scheduler
+// that has held it since they left its queue or workers (from may be s
+// itself: tasks coming home). Admission control is bypassed — the jobs
+// were admitted at their original shard. It returns false when the
+// scheduler is closed or killed (nothing is enqueued or transferred;
+// the caller must re-home the tasks).
+func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 	if len(ts) == 0 {
 		return true
 	}
@@ -1070,10 +1084,7 @@ func (s *Scheduler) injectTasks(ts []*task) bool {
 	var work float64
 	s.qmu.Lock()
 	for _, t := range ts {
-		t.enq = now - t.enq // preserve elapsed wait on the new clock
-		if !math.IsInf(t.deadline, 1) {
-			t.deadline += now // remaining budget from now
-		}
+		t.attach(now)
 		s.enqueueLocked(t)
 		work += t.work()
 	}
@@ -1085,7 +1096,12 @@ func (s *Scheduler) injectTasks(ts []*task) bool {
 	s.stats.StolenIn += int64(len(ts))
 	s.statMu.Unlock()
 	s.met.stolenIn.Add(int64(len(ts)))
-	s.outstandingAdd(len(ts), work)
+	if from != s {
+		// Counted here before it is released there: a job in transit is
+		// double-counted, never dropped, so Drain cannot slip past it.
+		s.outstandingAdd(len(ts), work)
+		from.outstandingAdd(-len(ts), -work)
+	}
 	s.wake(s.kick)
 	return true
 }
@@ -1138,10 +1154,8 @@ func (w *worker) surrenderBatch(s *Scheduler, ts []*task) {
 }
 
 // surrenderTasks re-homes tasks that a killed scheduler will not run:
-// stamps convert to relative form exactly as stealQueued does (elapsed
-// wait / remaining budget) and the cluster's surrender hook injects
-// them into a healthy shard, which rebases the stamps and rehomes any
-// dependency residencies host-side. Without a cluster hook (standalone
+// they detach and go to the cluster's surrender hook, which relocates
+// them onto a healthy shard. Without a cluster hook (standalone
 // scheduler) the jobs fail with ErrShardLost instead — they are never
 // silently dropped, so Drain and Close cannot wedge on a kill.
 func (s *Scheduler) surrenderTasks(ts []*task) {
@@ -1157,42 +1171,22 @@ func (s *Scheduler) surrenderTasks(ts []*task) {
 	}
 	now := s.backend.SimulatedSeconds()
 	for _, t := range ts {
-		t.enq = now - t.enq // elapsed wait
-		if !math.IsInf(t.deadline, 1) {
-			t.deadline -= now // remaining budget (may be negative)
-		}
+		t.detach(now)
 	}
 	s.surrender(ts)
 }
 
-// failSurrendered terminates surrendered tasks (relative stamps) when
-// no healthy shard remained to replay them, restoring absolute stamps
-// for the failure accounting.
-func (s *Scheduler) failSurrendered(ts []*task) {
-	s.failSurrenderedErr(ts, nil)
-}
-
-// failSurrenderedErr is failSurrendered with a per-task error override:
-// a retry-plane task whose budget ran out fails with its own last
-// execution error (the one the caller would have seen without retries)
-// instead of the generic ErrShardLost. A nil fallback and nil task
-// errors select ErrShardLost.
-func (s *Scheduler) failSurrenderedErr(ts []*task, fallback error) {
-	now := s.backend.SimulatedSeconds()
-	for _, t := range ts {
-		t.enq = now - t.enq
-		if !math.IsInf(t.deadline, 1) {
-			t.deadline += now
-		}
-		err := t.retryErr
-		if err == nil {
-			err = fallback
-		}
-		if err == nil {
-			err = ErrShardLost
-		}
-		s.failTask(t, err)
+// abandon is where a detached task ends when no shard can take it: it
+// comes back onto this scheduler's clock for the failure accounting and
+// fails with its own last execution error — what the caller would have
+// seen without retries — or, having none, with ErrShardLost.
+func (s *Scheduler) abandon(t *task) {
+	t.attach(s.backend.SimulatedSeconds())
+	err := t.retryErr
+	if err == nil {
+		err = ErrShardLost
 	}
+	s.failTask(t, err)
 }
 
 // staged is the device-side state of one job mid-batch. out is set
@@ -1590,9 +1584,11 @@ func (w *worker) freeAll(sj *staged) {
 	sj.vals = nil
 }
 
-// jobDone accounts one completed job. done is the job's completion
-// stamp on the simulated clock (the callers read it once per batch,
-// at the point that reflects the batch's own work).
+// jobDone accounts one completed job — the only place a job is counted
+// done. done is the job's completion stamp on the simulated clock (the
+// callers read it once per batch, at the point that reflects the
+// batch's own work). A nil worker is a job that never reached one
+// (failTask): it has no worker share and no service time.
 func (s *Scheduler) jobDone(w *worker, t *task, failed bool, batchLen int, done float64) {
 	lat := done - t.enq
 	if lat < 0 {
@@ -1618,7 +1614,9 @@ func (s *Scheduler) jobDone(w *worker, t *task, failed bool, batchLen int, done 
 		s.stats.Coalesced++
 		cs.Coalesced++
 	}
-	s.stats.PerWorker[w.id]++
+	if w != nil {
+		s.stats.PerWorker[w.id]++
+	}
 	s.statMu.Unlock()
 	s.met.jobsCompleted.Add(1)
 	if failed {
@@ -1629,16 +1627,10 @@ func (s *Scheduler) jobDone(w *worker, t *task, failed bool, batchLen int, done 
 	}
 	// Service time: dispatch to completion on the simulated clock (the
 	// queueing-delay histogram covers submit to dispatch).
-	if svc := done - t.disp; svc >= 0 {
+	if svc := done - t.disp; w != nil && svc >= 0 {
 		s.met.serviceTime[t.class].Observe(svc)
 	}
-	s.outMu.Lock()
-	s.outstanding--
-	s.outWork -= t.work()
-	if s.outstanding == 0 {
-		s.outCond.Broadcast()
-	}
-	s.outMu.Unlock()
+	s.outstandingAdd(-1, -t.work())
 }
 
 // batchStarted records a dispatched batch globally and against the

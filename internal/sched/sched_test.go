@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"xehe/internal/ckks"
 	"xehe/internal/core"
 	"xehe/internal/gpu"
+	"xehe/internal/qos"
 )
 
 // testHarness is shared across the package tests: key generation at
@@ -320,5 +322,42 @@ func TestShapeKeyDistinguishesChains(t *testing.T) {
 	d.Inputs[0].Level-- // same ops, lower level
 	if a.ShapeKey() == d.ShapeKey() {
 		t.Error("different input levels must not share a shape key")
+	}
+}
+
+// TestTaskDetachAttach pins the one stamp conversion every exit from a
+// shard goes through: the wait a task has already served and the budget
+// it has left — an overdrawn one included — survive a hop between two
+// clocks that read different times (the receiver's may be behind), and
+// a job without a deadline stays without one.
+func TestTaskDetachAttach(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		enq, deadline, src, dst float64
+		wait, budget            float64
+	}{
+		{"budget left", 10, 15, 12, 100, 2, 3},
+		{"deadline already missed", 10, 11, 12, 100, 2, -1},
+		{"receiver clock behind", 10, 11.5, 12, 0.25, 2, -0.5},
+		{"no deadline", 10, qos.NoDeadline(), 12, 100, 2, math.Inf(1)},
+	} {
+		tk := &task{enq: tc.enq, deadline: tc.deadline}
+		tk.detach(tc.src)
+		if tk.enq != tc.wait || tk.deadline != tc.budget {
+			t.Errorf("%s: detached = (wait %v, budget %v), want (%v, %v)", tc.name, tk.enq, tk.deadline, tc.wait, tc.budget)
+		}
+		tk.attach(tc.dst)
+		if got := tc.dst - tk.enq; got != tc.wait {
+			t.Errorf("%s: wait served on the receiving clock = %v, want %v", tc.name, got, tc.wait)
+		}
+		if got := tk.deadline - tc.dst; got != tc.budget {
+			t.Errorf("%s: budget left on the receiving clock = %v, want %v", tc.name, got, tc.budget)
+		}
+		// The same reading both ways is the identity (offerRetry's decline).
+		tk.detach(tc.dst)
+		tk.attach(tc.dst)
+		if tc.dst-tk.enq != tc.wait || tk.deadline-tc.dst != tc.budget {
+			t.Errorf("%s: detach+attach on one reading moved the stamps", tc.name)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -336,6 +337,25 @@ func TestDrainShardNoReplay(t *testing.T) {
 		}
 		futs[i] = fut
 	}
+	// One more job goes straight onto shard 0, with a deadline that
+	// shard's clock passes while the job is still queued — in the light
+	// jobs' class, so it sits at the tail of their backlog and is the
+	// first the drain takes. Relocation must carry the overdrawn budget
+	// across: shard 1, whose clock reads something else, still settles
+	// it as a miss.
+	src := c.all()[0].sched
+	late := NewJob(h.Encrypt(vals)).WithClass(cases[0].Job.Class).WithDeadline(1e-9)
+	late.Add(0, 0)
+	lateFut, err := src.Submit(late)
+	if err != nil {
+		t.Fatalf("late job: %v", err)
+	}
+	expired := src.Backend().SimulatedSeconds() + 2e-9
+	mustFinish(t, "shard 0's clock passing the late job's deadline", func() {
+		for src.Backend().SimulatedSeconds() <= expired {
+			runtime.Gosched()
+		}
+	})
 	// Drain while shard 0's worker is still inside its heavy batch: the
 	// queued light jobs must move through the hand-off path.
 	mustFinish(t, "DrainShard", func() { c.DrainShard(0) })
@@ -381,6 +401,30 @@ func TestDrainShardNoReplay(t *testing.T) {
 	if st.Drained < 1 {
 		t.Fatalf("Drained = %d, want >= 1 (the queued backlog must move through the drain path)", st.Drained)
 	}
+	if _, err := lateFut.Wait(); err != nil {
+		t.Fatalf("late job: %v", err)
+	}
+	if pc := st.PerShard[1].PerClass[late.Class]; pc.DeadlineMiss != 1 || pc.DeadlineHit != 0 {
+		t.Fatalf("survivor deadline outcomes = %d miss / %d hit, want 1/0 (the job whose deadline expired on shard 0 must relocate and still miss)",
+			pc.DeadlineMiss, pc.DeadlineHit)
+	}
+	if pc := st.PerClass[late.Class]; pc.DeadlineMiss != 1 || pc.DeadlineHit != 0 {
+		t.Fatalf("cluster deadline outcomes = %d miss / %d hit, want 1/0", pc.DeadlineMiss, pc.DeadlineHit)
+	}
+	// Conservation across the hand-off: nothing is still counted
+	// outstanding anywhere, and every admitted job was completed once.
+	var outstanding, submitted, completed int64
+	for _, sh := range c.all() {
+		outstanding += sh.sched.Outstanding()
+	}
+	for _, pc := range st.PerClass {
+		submitted += pc.Submitted
+		completed += pc.Completed
+	}
+	if want := int64(nJobs + len(heavies) + 1); outstanding != 0 || submitted != want || completed != want {
+		t.Fatalf("after the drain: %d outstanding, %d submitted, %d completed, want 0/%d/%d",
+			outstanding, submitted, completed, want, want)
+	}
 	// Idempotent: a second drain of the same shard is a no-op.
 	mustFinish(t, "repeat DrainShard", func() { c.DrainShard(0) })
 }
@@ -392,8 +436,20 @@ func TestDrainShardNoReplay(t *testing.T) {
 // another shard) resolves against the host copy bit-identically. The
 // consumer edge is registered white-box via onSettled, exactly what a
 // submitted consumer's registerDeps does, so the residency is
-// deterministically alive when the drain runs.
+// deterministically alive when the drain runs. CloseShard is the same
+// retirement under its older name and must pass the same way: closing
+// the scheduler before the pre-copy freed the pinned output under its
+// future, which then read back as zeros with a nil error.
 func TestDrainShardMigratesResidents(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		retire func(*Cluster, int)
+	}{{"DrainShard", (*Cluster).DrainShard}, {"CloseShard", (*Cluster).CloseShard}} {
+		t.Run(tc.name, func(t *testing.T) { testRetireMigratesResidents(t, tc.retire) })
+	}
+}
+
+func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
 	h := sharedHarness(t)
 	c := newTestCluster(t, h, 1, gpu.NewDevice1())
 
@@ -420,7 +476,7 @@ func TestDrainShardMigratesResidents(t *testing.T) {
 	if _, err := c.AddShard(ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 1}); err != nil {
 		t.Fatalf("AddShard: %v", err)
 	}
-	mustFinish(t, "DrainShard", func() { c.DrainShard(0) })
+	mustFinish(t, "retirement", func() { retire(c, 0) })
 	if n := c.all()[0].sched.Backend().Cache().PinnedCount(); n != 0 {
 		t.Fatalf("drained shard PinnedCount = %d, want 0 (migration must force-release)", n)
 	}
@@ -497,6 +553,48 @@ func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 	mustFinish(t, "Drain", c.Drain)
 	if _, err := fut.Wait(); err != nil {
 		t.Fatalf("job after no-op retirements: %v", err)
+	}
+
+	// The mirror: killing a shard that was already retired is as much a
+	// no-op — by KillShard, by KillNode, or by a KillShardAfter armed
+	// before the retirement and firing on a batch that settles in place.
+	// With the supervisor on and a standby in stock, a kill that went
+	// through would be counted, promote the standby and grow a cluster
+	// that was deliberately scaled down.
+	hc := selfHealCluster(t, h, 1, gpu.NewDevice1(), gpu.NewDevice1(), gpu.NewDevice1())
+	hc.Faults().KillShardAfter(1, 1)
+	mustFinish(t, "DrainShard", func() { hc.DrainShard(0) })
+	mustFinish(t, "CloseShard", func() { hc.CloseShard(1) })
+	before, shards := hc.Stats(), hc.Shards()
+	if hc.Faults().KillShard(0) {
+		t.Error("KillShard on a drained shard returned true")
+	}
+	if n := hc.Faults().KillNode(hc.all()[1].node); n != 0 {
+		t.Errorf("KillNode on a closed shard's node killed %d shards, want 0", n)
+	}
+	hc.all()[1].maybeKill(hc) // the armed countdown reaching zero
+	fut, err = hc.Submit(job)
+	if err != nil {
+		t.Fatalf("Submit after no-op kills: %v", err)
+	}
+	mustFinish(t, "Drain", hc.Drain) // a job's worth of supervisor ticks
+	if _, err := fut.Wait(); err != nil {
+		t.Fatalf("job after no-op kills: %v", err)
+	}
+	after = hc.Stats()
+	if after.Killed != before.Killed || after.Added != before.Added ||
+		after.StandbyPromoted != before.StandbyPromoted || hc.Shards() != shards {
+		t.Fatalf("kills of retired shards took effect: Killed %d->%d, Added %d->%d, StandbyPromoted %d->%d, Shards %d->%d",
+			before.Killed, after.Killed, before.Added, after.Added,
+			before.StandbyPromoted, after.StandbyPromoted, shards, hc.Shards())
+	}
+	for i := 0; i < 2; i++ {
+		if got := hc.Faults().Health(i); got != "closed" {
+			t.Errorf("retired shard %d health after kills = %q, want closed", i, got)
+		}
+		if sh := hc.all()[i]; sh.killed.Load() || sh.replaced.Load() {
+			t.Errorf("retired shard %d is marked killed/replaced: the supervisor would repair it", i)
+		}
 	}
 }
 

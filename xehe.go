@@ -128,9 +128,11 @@
 // before its replacement landed — inside the cluster with
 // exponential backoff priced on the simulated clock, deadline-aware,
 // so callers only ever see errors that would recur. And scale-down
-// has a graceful path: Cluster.DrainShard retires a shard with zero
-// replay — queued work re-routes as-is, in-flight batches settle in
-// place, and device-resident graph outputs pre-copy to the host:
+// is graceful: Cluster.DrainShard (CloseShard is the same call) retires
+// a shard with zero replay — queued work relocates as-is, in-flight
+// batches settle in place, and device-resident graph outputs pre-copy
+// to the host. A shard leaves rotation once: retiring a killed shard
+// and killing a retired one are both no-ops:
 //
 //	cl := xehe.NewCluster(params, kit,
 //		[]xehe.DeviceKind{xehe.Device1, xehe.Device1},
@@ -804,7 +806,7 @@ func shardSpec(dev *gpu.Device, cfg sched.Config, node NodeSpec) sched.ShardSpec
 
 // AddShard grows the cluster at runtime with a fresh device of the
 // given kind in the given failure domain — elastic scale-up, pairing
-// CloseShard's scale-down. The new shard warms its buffer cache per
+// DrainShard's scale-down. The new shard warms its buffer cache per
 // the cluster's config and enters the routing tables immediately;
 // adding a shard after every existing shard closed (or was killed)
 // revives the cluster. It returns the new shard's index, or ErrClosed
@@ -828,7 +830,7 @@ func (c *Cluster) Faults() *FaultPlane { return c.cl.Faults() }
 var ErrClosed = sched.ErrClosed
 
 // ErrNoShards is returned by Cluster.Submit when every shard has been
-// retired via CloseShard but the cluster itself is still open.
+// retired (DrainShard) or killed but the cluster itself is still open.
 var ErrNoShards = sched.ErrNoShards
 
 // ErrShardLost is reported by Pending.Wait for a job that was in
@@ -859,25 +861,24 @@ var ErrTraceDisabled = sched.ErrTraceDisabled
 // ErrNoShards when every shard has been retired.
 func (c *Cluster) Submit(job *Job) (*Pending, error) { return c.cl.Submit(job) }
 
-// CloseShard takes shard i out of rotation, re-routes its queued
-// backlog to the remaining open shards, and closes its scheduler,
-// draining the jobs already on its workers — e.g. to retire a failing
-// device without stopping the cluster or stranding accepted jobs. It
-// is idempotent per shard; once every shard is retired, Submit
-// returns ErrNoShards.
+// CloseShard retires shard i. It is DrainShard under its older name:
+// there is one retirement, and it is the graceful one.
 func (c *Cluster) CloseShard(i int) { c.cl.CloseShard(i) }
 
-// DrainShard gracefully retires shard i: it leaves the routing tables
-// immediately, its queued backlog re-routes to the open shards without
-// replay, its in-flight batches settle in place, and its
-// device-resident graph outputs are pre-copied to the host so
-// consumers on other shards (and late Wait calls) keep working — then
-// its scheduler tears down. Compare CloseShard (retire without the
-// resident pre-copy) and Faults().KillShard (fail-stop: in-flight work
-// is surrendered and replayed). Stats().Drained / Migrated count the
-// graceful hand-offs; a drain leaves Replayed untouched. Safe under
-// traffic, idempotent per shard, and a no-op for a shard that was
-// already fail-stopped.
+// DrainShard gracefully retires shard i — e.g. to scale down, or to take
+// a failing device out without stopping the cluster or stranding
+// accepted jobs: it leaves the routing tables immediately, its queued
+// backlog relocates to the open shards without replay, its in-flight
+// batches settle in place, and its device-resident graph outputs are
+// pre-copied to the host so consumers on other shards (and late Wait
+// calls) keep working — then its scheduler tears down. Compare
+// Faults().KillShard (fail-stop: in-flight work is surrendered and
+// replayed). Stats().Drained / Migrated count the graceful hand-offs; a
+// drain leaves Replayed untouched. Safe under traffic. A shard leaves
+// rotation once: on one that was already retired or fail-stopped this
+// is a no-op, as is killing a retired shard. Once every shard is
+// retired, Submit returns ErrNoShards until AddShard revives the
+// cluster.
 func (c *Cluster) DrainShard(i int) { c.cl.DrainShard(i) }
 
 // Wait blocks until every job submitted so far has completed on every
