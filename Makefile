@@ -40,9 +40,12 @@ test-race:
 
 # Fuzz smoke: every Fuzz* target in the tree (found by name, so a new
 # one is picked up without editing this), 5 s each — internal/xmath's
-# modular arithmetic against math/big and internal/ckks's ReadCiphertext,
-# the boundary that accepts outside bytes. `go test -fuzz` takes one
-# target and one package per run. Minimization is off: it is spent on
+# modular arithmetic against math/big (AddMod, MulMod, HarveyLazy and
+# BarrettReduce128 on arbitrary 128-bit inputs), internal/ckks's
+# ReadCiphertext, the boundary that accepts outside bytes, and
+# internal/sched's ValidateJob, the one that accepts outside structure
+# (what validation admits must run on the serial path). `go test -fuzz`
+# takes one target and one package per run. Minimization is off: it is spent on
 # inputs that merely add coverage, and shrinking one 64 KB ciphertext
 # byte by byte eats the whole budget (7 vs 20,000 execs/s); a crasher is
 # still reported and written to testdata/ unminimized.

@@ -56,6 +56,24 @@ func profileOf(ops ...isa.Op) isa.Profile {
 	return p
 }
 
+// lazySum is the ALU work of one sum of `terms` products under a single
+// reduction: terms-1 unreduced 128-bit multiply-adds, then the step the
+// paper fuses (Section III-A.1) — multiply, add and reduce as one
+// mad_mod, or as mul_mod then add_mod in the baseline.
+func (c *Context) lazySum(terms int) isa.Profile {
+	var p isa.Profile
+	p.Add(isa.OpMul64Lo, float64(terms-1))
+	p.Add(isa.OpMul64Hi, float64(terms-1))
+	p.Add(isa.OpAdd64, 2*float64(terms-1))
+	if c.Cfg.MadMod {
+		p.Add(isa.OpMAdMod, 1)
+	} else {
+		p.Add(isa.OpMulMod, 1)
+		p.Add(isa.OpAddMod, 1)
+	}
+	return p
+}
+
 // without returns a copy of s with element i removed.
 func without[T any](s []T, i int) []T {
 	return slices.Delete(slices.Clone(s), i, i+1)
@@ -95,40 +113,38 @@ func (c *Context) ewKernelJobs(name string, jobs, comps int, per isa.Profile, ex
 	return k
 }
 
-// polyView gathers the first qCount components of every polynomial
-// into one NTT batch view (rows stay in the jobs' own device buffers).
-func (c *Context) polyView(ps []*poly.Poly, qCount int) *ntt.BatchView {
-	view := ntt.NewBatchView(len(ps), qCount, c.Params.N)
+// rowsView stitches cols rows per job, from whatever buffers they live
+// in, into one k × cols view: row(j, q) is job j's row under tables
+// entry q.
+func (c *Context) rowsView(k, cols int, row func(j, q int) []uint64) *ntt.BatchView {
+	view := ntt.NewBatchView(k, cols, c.Params.N)
 	if !c.Cfg.Analytic {
-		for j, p := range ps {
-			view.SetPoly(j, p.Coeffs)
+		for j := 0; j < k; j++ {
+			for q := 0; q < cols; q++ {
+				view.SetRow(j, q, row(j, q))
+			}
 		}
 	}
 	return view
 }
 
-// rowView gathers one coefficient row per job into a k × 1 view.
-func (c *Context) rowView(k int, row func(j int) []uint64) *ntt.BatchView {
-	view := ntt.NewBatchView(k, 1, c.Params.N)
-	if !c.Cfg.Analytic {
-		for j := 0; j < k; j++ {
-			view.SetRow(j, 0, row(j))
-		}
-	}
-	return view
+// polysView is the view of the first cols components of every
+// polynomial (rows stay in the jobs' own device buffers).
+func (c *Context) polysView(ps []*poly.Poly, cols int) *ntt.BatchView {
+	return c.rowsView(len(ps), cols, func(j, q int) []uint64 { return ps[j].Coeffs[q] })
 }
 
 // fwdNTTJobs / invNTTJobs run the configured GPU NTT variant over all
 // components of every job's polynomial as one fused launch sequence.
 func (c *Context) fwdNTTJobs(ps []*poly.Poly, tbls []*ntt.Tables) {
-	c.after(c.Engine.ForwardView(c.Queues, c.polyView(ps, len(tbls)), tbls, c.deps...))
+	c.after(c.Engine.ForwardView(c.Queues, c.polysView(ps, len(tbls)), tbls, c.deps...))
 	for _, p := range ps {
 		p.IsNTT = true
 	}
 }
 
 func (c *Context) invNTTJobs(ps []*poly.Poly, tbls []*ntt.Tables) {
-	c.after(c.Engine.InverseView(c.Queues, c.polyView(ps, len(tbls)), tbls, c.deps...))
+	c.after(c.Engine.InverseView(c.Queues, c.polysView(ps, len(tbls)), tbls, c.deps...))
 	for _, p := range ps {
 		p.IsNTT = false
 	}
@@ -142,6 +158,23 @@ func (c *Context) allocPolys(k, components int) ([]*poly.Poly, []*sycl.Buffer) {
 		ps[j], bufs[j] = c.allocPoly(components)
 	}
 	return ps, bufs
+}
+
+// allocCts allocates one ciphertext per job: polys polynomials of rows
+// components each, marked NTT-form, at the given level, scale(j) as its
+// scale.
+func (c *Context) allocCts(k, polys, rows, level int, scale func(j int) float64) []*Ciphertext {
+	outs := make([]*Ciphertext, k)
+	for j := range outs {
+		outs[j] = wrap(&ckks.Ciphertext{Scale: scale(j), Level: level}, nil)
+		for i := 0; i < polys; i++ {
+			p, buf := c.allocPoly(rows)
+			p.IsNTT = true
+			outs[j].CT.Value = append(outs[j].CT.Value, p)
+			outs[j].bufs = append(outs[j].bufs, buf)
+		}
+	}
+	return outs
 }
 
 func (c *Context) freePolys(bufs []*sycl.Buffer) {
@@ -168,22 +201,6 @@ func (c *Context) addIntoJobs(dsts, as, bs []*poly.Poly, comps int) {
 			da, db, dd := as[jb].Coeffs[q], bs[jb].Coeffs[q], dsts[jb].Coeffs[q]
 			for x := lo; x < hi; x++ {
 				dd[x] = xmath.AddMod(da[x], db[x], p)
-			}
-		}))
-	for j := range dsts {
-		dsts[j].IsNTT = as[j].IsNTT
-	}
-}
-
-// mulIntoJobs launches the dyadic products dsts[j] = as[j] ⊙ bs[j].
-func (c *Context) mulIntoJobs(dsts, as, bs []*poly.Poly, comps int) {
-	moduli := c.Params.Moduli()
-	c.launch(c.ewKernelJobs("he_dyadic_mul", len(dsts), comps, profileOf(isa.OpMulMod), 0, 24, gpu.PatternUnitStride,
-		func(jb, q, lo, hi int) {
-			m := moduli[q]
-			da, db, dd := as[jb].Coeffs[q], bs[jb].Coeffs[q], dsts[jb].Coeffs[q]
-			for x := lo; x < hi; x++ {
-				dd[x] = m.MulMod(da[x], db[x])
 			}
 		}))
 	for j := range dsts {
@@ -220,240 +237,226 @@ func (c *Context) madIntoJobs(dsts, as, bs []*poly.Poly, comps int) {
 // AddBatch returns as[j] + bs[j] for a same-shape batch, one fused
 // kernel per ciphertext component.
 func (c *Context) AddBatch(as, bs []*Ciphertext) []*Ciphertext {
-	k := len(as)
 	level := as[0].CT.Level
-	outs := make([]*Ciphertext, k)
-	for j := range outs {
-		outs[j] = wrap(&ckks.Ciphertext{Scale: as[j].CT.Scale, Level: level}, nil)
-	}
+	outs := c.allocCts(len(as), len(as[0].CT.Value), level+1, level, func(j int) float64 { return as[j].CT.Scale })
 	for i := range as[0].CT.Value {
-		dsts := make([]*poly.Poly, k)
-		for j := 0; j < k; j++ {
-			d, buf := c.allocPoly(level + 1)
-			dsts[j] = d
-			outs[j].CT.Value = append(outs[j].CT.Value, d)
-			outs[j].bufs = append(outs[j].bufs, buf)
-		}
-		c.addIntoJobs(dsts, component(as, i), component(bs, i), level+1)
+		c.addIntoJobs(component(outs, i), component(as, i), component(bs, i), level+1)
 	}
 	return outs
 }
 
-// MulBatch returns the degree-2 tensor products of a same-shape batch.
+// MulBatch returns the degree-2 tensor products of a same-shape batch:
+// one kernel reads the four input rows once and writes (a0b0,
+// a0b1 + a1b0, a1b1), the middle sum under one reduction.
 func (c *Context) MulBatch(as, bs []*Ciphertext) []*Ciphertext {
-	k := len(as)
 	level := as[0].CT.Level
-	comps := level + 1
-	d0s, b0s := c.allocPolys(k, comps)
-	d1s, b1s := c.allocPolys(k, comps)
-	d2s, b2s := c.allocPolys(k, comps)
-	c.mulIntoJobs(d0s, component(as, 0), component(bs, 0), comps)
-	c.mulIntoJobs(d1s, component(as, 0), component(bs, 1), comps)
-	c.madIntoJobs(d1s, component(as, 1), component(bs, 0), comps)
-	c.mulIntoJobs(d2s, component(as, 1), component(bs, 1), comps)
-	outs := make([]*Ciphertext, k)
-	for j := 0; j < k; j++ {
-		for _, d := range []*poly.Poly{d0s[j], d1s[j], d2s[j]} {
-			d.IsNTT = true
-		}
-		outs[j] = wrap(&ckks.Ciphertext{
-			Value: []*poly.Poly{d0s[j], d1s[j], d2s[j]},
-			Scale: as[j].CT.Scale * bs[j].CT.Scale,
-			Level: level,
-		}, []*sycl.Buffer{b0s[j], b1s[j], b2s[j]})
-	}
+	moduli := c.Params.Moduli()
+	outs := c.allocCts(len(as), 3, level+1, level, func(j int) float64 { return as[j].CT.Scale * bs[j].CT.Scale })
+	per := profileOf(isa.OpMulMod, isa.OpMulMod)
+	per.AddProfile(c.lazySum(2), 1)
+	c.launch(c.ewKernelJobs("he_tensor", len(as), level+1, per, 0, 56, gpu.PatternUnitStride,
+		func(jb, q, lo, hi int) {
+			m := moduli[q]
+			a, b, d := as[jb].CT.Value, bs[jb].CT.Value, outs[jb].CT.Value
+			a0, a1, b0, b1 := a[0].Coeffs[q], a[1].Coeffs[q], b[0].Coeffs[q], b[1].Coeffs[q]
+			d0, d1, d2 := d[0].Coeffs[q], d[1].Coeffs[q], d[2].Coeffs[q]
+			for x := lo; x < hi; x++ {
+				d0[x] = m.MulMod(a0[x], b0[x])
+				h, l := xmath.Mul64(a0[x], b1[x])
+				d1[x] = m.BarrettReduce128(xmath.MulAdd128(h, l, a1[x], b0[x]))
+				d2[x] = m.MulMod(a1[x], b1[x])
+			}
+		}))
 	return outs
 }
 
-// SquareBatch computes the degree-2 squares of a same-shape batch (one
-// dyadic product saved per job).
+// SquareBatch computes the degree-2 squares of a same-shape batch in
+// one kernel (one dyadic product saved per job: the middle term is
+// a0a1 doubled).
 func (c *Context) SquareBatch(as []*Ciphertext) []*Ciphertext {
-	k := len(as)
 	level := as[0].CT.Level
-	comps := level + 1
-	d0s, b0s := c.allocPolys(k, comps)
-	d1s, b1s := c.allocPolys(k, comps)
-	d2s, b2s := c.allocPolys(k, comps)
-	c.mulIntoJobs(d0s, component(as, 0), component(as, 0), comps)
-	c.mulIntoJobs(d1s, component(as, 0), component(as, 1), comps)
-	c.addIntoJobs(d1s, d1s, d1s, comps)
-	c.mulIntoJobs(d2s, component(as, 1), component(as, 1), comps)
-	outs := make([]*Ciphertext, k)
-	for j := 0; j < k; j++ {
-		for _, d := range []*poly.Poly{d0s[j], d1s[j], d2s[j]} {
-			d.IsNTT = true
-		}
-		outs[j] = wrap(&ckks.Ciphertext{
-			Value: []*poly.Poly{d0s[j], d1s[j], d2s[j]},
-			Scale: as[j].CT.Scale * as[j].CT.Scale,
-			Level: level,
-		}, []*sycl.Buffer{b0s[j], b1s[j], b2s[j]})
-	}
+	moduli := c.Params.Moduli()
+	outs := c.allocCts(len(as), 3, level+1, level, func(j int) float64 { return as[j].CT.Scale * as[j].CT.Scale })
+	c.launch(c.ewKernelJobs("he_square", len(as), level+1, profileOf(isa.OpMulMod, isa.OpMulMod, isa.OpMulMod, isa.OpAddMod), 0, 40, gpu.PatternUnitStride,
+		func(jb, q, lo, hi int) {
+			m := moduli[q]
+			a, d := as[jb].CT.Value, outs[jb].CT.Value
+			a0, a1 := a[0].Coeffs[q], a[1].Coeffs[q]
+			d0, d1, d2 := d[0].Coeffs[q], d[1].Coeffs[q], d[2].Coeffs[q]
+			for x := lo; x < hi; x++ {
+				d0[x] = m.MulMod(a0[x], a0[x])
+				cross := m.MulMod(a0[x], a1[x])
+				d1[x] = xmath.AddMod(cross, cross, m.Value)
+				d2[x] = m.MulMod(a1[x], a1[x])
+			}
+		}))
 	return outs
 }
 
 // switchKeyJobs is the device key-switching procedure (see the host
 // reference in internal/ckks for the algorithm), the NTT-dominated
-// kernel behind Relinearize and Rotate (Fig. 5). Every digit pays one
-// extend kernel, one batched NTT sequence and one multiply-accumulate
-// kernel for the whole batch, matching how a real backend would submit
-// a coalesced batch.
-func (c *Context) switchKeyJobs(targets []*poly.Poly, swk *ckks.SwitchKey, level int) (outs0, outs1 []*poly.Poly, bufs0, bufs1 []*sycl.Buffer) {
+// kernel behind Relinearize and Rotate (Fig. 5). Every step is one pass
+// over the whole batch and all c = level+1 digits: one extend kernel and
+// one NTT sequence over jobs × c² rows, one inner-product kernel that
+// sums the c digit products of both accumulators unreduced and reduces
+// each once, and one mod-down sequence for both accumulators whose last
+// kernel also adds the caller's addends. It returns, per job, the
+// degree-1 ciphertext (addends[0] + ks0, addends[1] + ks1) at like[j]'s
+// scale and level; a nil addends entry adds nothing.
+func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addends [2][]*poly.Poly, swk *ckks.SwitchKey) []*Ciphertext {
 	k := len(targets)
 	params := c.Params
 	n := params.N
 	basis := params.Basis
+	level := like[0].CT.Level
+	comps := level + 1
 	moduli := params.ModuliAt(level)
 	L := params.MaxLevel()
-	sp := basis.Special
-	spTbl := params.SpecialTable
+	extTbls := append(slices.Clone(params.TablesAt(level)), params.SpecialTable)
+	extModuli := append(slices.Clone(moduli), basis.Special)
 
-	// Step 1: targets back to coefficient form (one fused iNTT).
-	tCoeffs, tBufs := c.allocPolys(k, level+1)
-	for j := 0; j < k; j++ {
-		if !c.Cfg.Analytic {
-			copy(tCoeffs[j].Data(), targets[j].Data()[:n*(level+1)])
+	// The key rows of every digit under each modulus of {q_0..q_l, p}
+	// (the special prime sits at L+1 in the key whatever the level),
+	// gathered here and not in the kernel body: a malformed key panics
+	// on the submitting goroutine, where the chain executor recovers.
+	bKey, aKey := make([][][]uint64, comps+1), make([][][]uint64, comps+1)
+	for j := range bKey {
+		keyIdx := j
+		if j == comps {
+			keyIdx = L + 1
 		}
-		tCoeffs[j].IsNTT = true
+		for i := 0; i < comps; i++ {
+			bKey[j] = append(bKey[j], swk.B[i].Coeffs[keyIdx][:n])
+			aKey[j] = append(aKey[j], swk.A[i].Coeffs[keyIdx][:n])
+		}
 	}
+
+	// Step 1: targets back to coefficient form, out of place.
+	tCoeffs, tBufs := c.allocPolys(k, comps)
+	c.launch(c.ewKernelJobs("ks_copy_target", k, comps, profileOf(), 0, 16, gpu.PatternUnitStride,
+		func(jb, q, lo, hi int) {
+			copy(tCoeffs[jb].Coeffs[q][lo:hi], targets[jb].Coeffs[q][lo:hi])
+		}))
 	c.invNTTJobs(tCoeffs, params.TablesAt(level))
 
-	acc0s, a0bufs := c.allocPolys(k, level+2) // chain + special component
-	acc1s, a1bufs := c.allocPolys(k, level+2)
-	for j := 0; j < k; j++ {
-		if !c.Cfg.Analytic {
-			clear(acc0s[j].Data())
-			clear(acc1s[j].Data())
-		}
-		acc0s[j].IsNTT, acc1s[j].IsNTT = true, true
+	// Step 2: digit i is row i of the target reduced into every other
+	// modulus of the extended basis (see digitRow) and transformed
+	// there. Each digit keeps a buffer of its own per job — c rows, a
+	// size the cache already holds — and the c buffers are stitched
+	// into one launch: column i*c+r is row r of digit i.
+	digits := make([][]*poly.Poly, comps)
+	dBufs := make([][]*sycl.Buffer, comps)
+	var dModuli []xmath.Modulus
+	var dTbls []*ntt.Tables
+	for i := range digits {
+		digits[i], dBufs[i] = c.allocPolys(k, comps)
+		dModuli = append(dModuli, without(extModuli, i)...)
+		dTbls = append(dTbls, without(extTbls, i)...)
 	}
+	c.launch(c.ewKernelJobs("ks_digit_extend", k, comps*comps,
+		profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
+		func(jb, r, lo, hi int) {
+			src, dst, m := tCoeffs[jb].Coeffs[r/comps], digits[r/comps][jb].Coeffs[r%comps], dModuli[r]
+			for x := lo; x < hi; x++ {
+				dst[x] = m.BarrettReduce(src[x])
+			}
+		}))
+	c.after(c.Engine.ForwardView(c.Queues,
+		c.rowsView(k, comps*comps, func(jb, r int) []uint64 { return digits[r/comps][jb].Coeffs[r%comps] }),
+		dTbls, c.deps...))
 
-	// One extended digit buffer per job over the basis {q_0..q_l, p}
-	// minus the digit's own modulus (see digitRow); kernels are batched
-	// across moduli AND jobs (one extend kernel, one batched NTT, one
-	// multiply-accumulate kernel per digit for the whole batch).
-	digits, dBufs := c.allocPolys(k, level+1)
-	extTbls := append(append([]*ntt.Tables{}, params.TablesAt(level)...), spTbl)
-	extModuli := append(append([]xmath.Modulus{}, moduli...), sp)
-
-	for i := 0; i <= level; i++ {
-		dModuli := without(extModuli, i)
-		// Reduce digit i into every other modulus (Barrett kernel).
-		c.launch(c.ewKernelJobs("ks_digit_extend", k, level+1,
-			profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
-			func(jb, r, lo, hi int) {
-				di := tCoeffs[jb].Coeffs[i]
-				mr, d := dModuli[r], digits[jb].Coeffs[r]
-				for x := lo; x < hi; x++ {
-					d[x] = mr.BarrettReduce(di[x])
-				}
-			}))
-		// Batched NTT across those moduli and all jobs (GPU engine).
-		for _, d := range digits {
-			d.IsNTT = false
-		}
-		c.fwdNTTJobs(digits, without(extTbls, i))
-		// Multiply-accumulate with the key digit, all moduli and jobs
-		// in one kernel. The special prime sits at L+1 in the switching
-		// key regardless of the ciphertext level.
-		bKey, aKey := swk.B[i], swk.A[i]
-		madProfile := profileOf(isa.OpMAdMod, isa.OpMAdMod)
-		if !c.Cfg.MadMod {
-			madProfile = profileOf(isa.OpMulMod, isa.OpAddMod, isa.OpMulMod, isa.OpAddMod)
-		}
-		c.launch(c.ewKernelJobs("ks_mad", k, level+2, madProfile, 0, 56, gpu.PatternUnitStride,
-			func(jb, j, lo, hi int) {
-				keyIdx := j
-				if j == level+1 {
-					keyIdx = L + 1
-				}
-				mj := extModuli[j]
-				d := targets[jb].Coeffs[i]
+	// Inner product with the key: per coefficient and modulus, the c
+	// digit products of each accumulator are summed unreduced in 128
+	// bits (c <= xmath.MaxLazyTerms by construction of the basis) and
+	// reduced once, so the accumulators are written once and every
+	// digit row is read once for both.
+	var accs [2][]*poly.Poly
+	var accBufs [2][]*sycl.Buffer
+	for a := range accs {
+		accs[a], accBufs[a] = c.allocPolys(k, comps+1) // chain + special component
+	}
+	per := profileOf()
+	per.AddProfile(c.lazySum(comps), 2)
+	c.launch(c.ewKernelJobs("ks_inner_product", k, comps+1, per, 0, float64(24*comps+16), gpu.PatternUnitStride,
+		func(jb, j, lo, hi int) {
+			d := make([][]uint64, comps)
+			for i := range d {
+				d[i] = targets[jb].Coeffs[i]
 				if j != i {
-					d = digits[jb].Coeffs[digitRow(i, j)]
+					d[i] = digits[i][jb].Coeffs[digitRow(i, j)]
 				}
-				b := bKey.Coeffs[keyIdx]
-				a := aKey.Coeffs[keyIdx]
-				o0, o1 := acc0s[jb].Coeffs[j], acc1s[jb].Coeffs[j]
-				mj.MAdModVec(o0[lo:hi], d[lo:hi], b[lo:hi])
-				mj.MAdModVec(o1[lo:hi], d[lo:hi], a[lo:hi])
-			}))
+			}
+			extModuli[j].InnerProductPair(accs[0][jb].Coeffs[j], accs[1][jb].Coeffs[j], d, bKey[j], aKey[j], lo, hi)
+		}))
+	for _, bufs := range dBufs {
+		c.freePolys(bufs)
 	}
-	c.freePolys(dBufs)
 	c.freePolys(tBufs)
 
-	// Step 3: mod-down by P (batched across moduli and jobs).
-	outs0, bufs0 = c.allocPolys(k, level+1)
-	outs1, bufs1 = c.allocPolys(k, level+1)
-	for j := 0; j < k; j++ {
-		outs0[j].IsNTT, outs1[j].IsNTT = true, true
-	}
-	tmps, tmpBufs := c.allocPolys(k, level+1)
-	for _, pair := range [2]struct {
-		accs []*poly.Poly
-		outs []*poly.Poly
-	}{{acc0s, outs0}, {acc1s, outs1}} {
-		accs, pouts := pair.accs, pair.outs
-		// Special components to coefficient form (one fused iNTT over
-		// k rows).
-		c.after(c.Engine.InverseView(c.Queues,
-			c.rowView(k, func(j int) []uint64 { return accs[j].Coeffs[level+1] }),
-			[]*ntt.Tables{spTbl}, c.deps...))
-		c.launch(c.ewKernelJobs("ks_moddown_reduce", k, level+1,
-			profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
-			func(jb, j, lo, hi int) {
-				mj := moduli[j]
-				sp := accs[jb].Coeffs[level+1]
-				d := tmps[jb].Coeffs[j]
-				for x := lo; x < hi; x++ {
-					d[x] = mj.BarrettReduce(sp[x])
-				}
-			}))
-		for _, tp := range tmps {
-			tp.IsNTT = false
+	// Step 3: mod-down by P, both accumulators at once. The special
+	// components go to coefficient form, are reduced into every chain
+	// modulus straight into the result rows, transformed there, and the
+	// scale kernel finishes res = (acc - res) * p^-1 (+ addend) in place.
+	c.after(c.Engine.InverseView(c.Queues,
+		c.rowsView(k, 2, func(jb, a int) []uint64 { return accs[a][jb].Coeffs[comps] }),
+		[]*ntt.Tables{params.SpecialTable, params.SpecialTable}, c.deps...))
+	outs := c.allocCts(k, 2, comps, level, func(j int) float64 { return like[j].CT.Scale })
+	c.launch(c.ewKernelJobs("ks_moddown_reduce", k, 2*comps,
+		profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
+		func(jb, r, lo, hi int) {
+			a, j := r/comps, r%comps
+			sp, d, m := accs[a][jb].Coeffs[comps], outs[jb].CT.Value[a].Coeffs[j], moduli[j]
+			for x := lo; x < hi; x++ {
+				d[x] = m.BarrettReduce(sp[x])
+			}
+		}))
+	c.after(c.Engine.ForwardView(c.Queues,
+		c.rowsView(k, 2*comps, func(jb, r int) []uint64 { return outs[jb].CT.Value[r/comps].Coeffs[r%comps] }),
+		slices.Repeat(params.TablesAt(level), 2), c.deps...))
+	// A row with an addend reads one more word per item and does one
+	// more add_mod; Rotate has an addend on half of its rows.
+	added := 0.0
+	for _, add := range addends {
+		if add != nil {
+			added += 0.5
 		}
-		c.fwdNTTJobs(tmps, params.TablesAt(level))
-		c.launch(c.ewKernelJobs("ks_moddown_scale", k, level+1,
-			profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride,
-			func(jb, j, lo, hi int) {
-				q := moduli[j].Value
-				pInv := basis.SpecialInvOperand(L, j)
-				d := tmps[jb].Coeffs[j]
-				a := accs[jb].Coeffs[j]
-				o := pouts[jb].Coeffs[j]
-				for x := lo; x < hi; x++ {
-					o[x] = pInv.MulMod(xmath.SubMod(a[x], d[x], q), q)
+	}
+	per = profileOf(isa.OpMulMod, isa.OpAddMod)
+	per.Add(isa.OpAddMod, added)
+	c.launch(c.ewKernelJobs("ks_moddown_scale", k, 2*comps, per, 0, 32+8*added, gpu.PatternUnitStride,
+		func(jb, r, lo, hi int) {
+			a, j := r/comps, r%comps
+			q := moduli[j].Value
+			pInv := basis.SpecialInvOperand(L, j)
+			acc, o := accs[a][jb].Coeffs[j], outs[jb].CT.Value[a].Coeffs[j]
+			var add []uint64
+			if addends[a] != nil {
+				add = addends[a][jb].Coeffs[j]
+			}
+			for x := lo; x < hi; x++ {
+				v := pInv.MulMod(xmath.SubMod(acc[x], o[x], q), q)
+				if add != nil {
+					v = xmath.AddMod(v, add[x], q)
 				}
-			}))
-	}
-	c.freePolys(tmpBufs)
-	c.freePolys(a0bufs)
-	c.freePolys(a1bufs)
-	return outs0, outs1, bufs0, bufs1
-}
-
-// RelinearizeBatch reduces degree-2 ciphertexts of a same-shape batch
-// to degree 1 with one fused key-switch.
-func (c *Context) RelinearizeBatch(cts []*Ciphertext, rlk *ckks.RelinKey) []*Ciphertext {
-	k := len(cts)
-	level := cts[0].CT.Level
-	r0s, r1s, b0s, b1s := c.switchKeyJobs(component(cts, 2), &rlk.SwitchKey, level)
-	c.addIntoJobs(r0s, r0s, component(cts, 0), level+1)
-	c.addIntoJobs(r1s, r1s, component(cts, 1), level+1)
-	outs := make([]*Ciphertext, k)
-	for j := 0; j < k; j++ {
-		r0s[j].IsNTT, r1s[j].IsNTT = true, true
-		outs[j] = wrap(&ckks.Ciphertext{
-			Value: []*poly.Poly{r0s[j], r1s[j]},
-			Scale: cts[j].CT.Scale,
-			Level: level,
-		}, []*sycl.Buffer{b0s[j], b1s[j]})
-	}
+				o[x] = v
+			}
+		}))
+	c.freePolys(accBufs[0])
+	c.freePolys(accBufs[1])
 	return outs
 }
 
+// RelinearizeBatch reduces degree-2 ciphertexts of a same-shape batch
+// to degree 1 with one key switch of c2, which adds c0 and c1 on its
+// way out.
+func (c *Context) RelinearizeBatch(cts []*Ciphertext, rlk *ckks.RelinKey) []*Ciphertext {
+	return c.switchKeyJobs(cts, component(cts, 2), [2][]*poly.Poly{component(cts, 0), component(cts, 1)}, &rlk.SwitchKey)
+}
+
 // RescaleBatch divides every ciphertext of a same-shape batch by the
-// last chain modulus, fusing each reduce/NTT/scale step across jobs.
+// last chain modulus: the last rows of all components go to coefficient
+// form in one launch sequence, and reduce / NTT / scale each run once
+// over jobs × components × remaining moduli, in the result rows.
 func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 	if cts[0].CT.Level == 0 {
 		panic("core: cannot rescale at level 0")
@@ -461,72 +464,43 @@ func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 	k := len(cts)
 	params := c.Params
 	level := cts[0].CT.Level
+	polys := len(cts[0].CT.Value)
 	basis := params.Basis
-	lastTbl := params.ChainTables[level]
 	qLast := basis.Moduli[level].Value
 
-	outs := make([]*Ciphertext, k)
-	for j := range outs {
-		outs[j] = wrap(&ckks.Ciphertext{Scale: cts[j].CT.Scale / float64(qLast), Level: level - 1}, nil)
-	}
-	lasts, lastBufs := c.allocPolys(k, 1)
-	tmps, tmpBufs := c.allocPolys(k, 1)
-	for ci := range cts[0].CT.Value {
-		c.launch(c.ewKernelJobs("rs_copy_last", k, 1, profileOf(), 0, 16, gpu.PatternUnitStride,
-			func(jb, _, lo, hi int) {
-				copy(lasts[jb].Coeffs[0][lo:hi], cts[jb].CT.Value[ci].Coeffs[level][lo:hi])
-			}))
-		for _, l := range lasts {
-			l.IsNTT = true
-		}
-		c.after(c.Engine.InverseView(c.Queues,
-			c.rowView(k, func(j int) []uint64 { return lasts[j].Coeffs[0] }),
-			[]*ntt.Tables{lastTbl}, c.deps...))
-		for _, l := range lasts {
-			l.IsNTT = false
-		}
+	// Row i of a job's `lasts` is the last row of its component i.
+	lasts, lastBufs := c.allocPolys(k, polys)
+	c.launch(c.ewKernelJobs("rs_copy_last", k, polys, profileOf(), 0, 16, gpu.PatternUnitStride,
+		func(jb, i, lo, hi int) {
+			copy(lasts[jb].Coeffs[i][lo:hi], cts[jb].CT.Value[i].Coeffs[level][lo:hi])
+		}))
+	c.invNTTJobs(lasts, slices.Repeat(params.ChainTables[level:level+1], polys))
 
-		dsts := make([]*poly.Poly, k)
-		for j := 0; j < k; j++ {
-			d, buf := c.allocPoly(level)
-			d.IsNTT = true
-			dsts[j] = d
-			outs[j].CT.Value = append(outs[j].CT.Value, d)
-			outs[j].bufs = append(outs[j].bufs, buf)
-		}
-		for j := 0; j < level; j++ {
-			mj := basis.Moduli[j]
+	// From here on row r of the range is modulus r%level of component
+	// r/level, and lives in the result.
+	outs := c.allocCts(k, polys, level, level-1, func(j int) float64 { return cts[j].CT.Scale / float64(qLast) })
+	c.launch(c.ewKernelJobs("rs_reduce", k, polys*level, profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
+		func(jb, r, lo, hi int) {
+			i, j := r/level, r%level
+			l, d, m := lasts[jb].Coeffs[i], outs[jb].CT.Value[i].Coeffs[j], basis.Moduli[j]
+			for x := lo; x < hi; x++ {
+				d[x] = m.BarrettReduce(l[x])
+			}
+		}))
+	c.after(c.Engine.ForwardView(c.Queues,
+		c.rowsView(k, polys*level, func(jb, r int) []uint64 { return outs[jb].CT.Value[r/level].Coeffs[r%level] }),
+		slices.Repeat(params.ChainTables[:level], polys), c.deps...))
+	c.launch(c.ewKernelJobs("rs_scale", k, polys*level, profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride,
+		func(jb, r, lo, hi int) {
+			i, j := r/level, r%level
+			q := basis.Moduli[j].Value
 			inv := basis.InvLastOperand(level, j)
-			c.launch(c.ewKernelJobs("rs_reduce", k, 1, profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
-				func(jb, _, lo, hi int) {
-					l := lasts[jb].Coeffs[0]
-					d := tmps[jb].Coeffs[0]
-					for x := lo; x < hi; x++ {
-						d[x] = mj.BarrettReduce(l[x])
-					}
-				}))
-			for _, tp := range tmps {
-				tp.IsNTT = false
+			src, d := cts[jb].CT.Value[i].Coeffs[j], outs[jb].CT.Value[i].Coeffs[j]
+			for x := lo; x < hi; x++ {
+				d[x] = inv.MulMod(xmath.SubMod(src[x], d[x], q), q)
 			}
-			c.after(c.Engine.ForwardView(c.Queues,
-				c.rowView(k, func(j int) []uint64 { return tmps[j].Coeffs[0] }),
-				params.ChainTables[j:j+1], c.deps...))
-			for _, tp := range tmps {
-				tp.IsNTT = true
-			}
-			c.launch(c.ewKernelJobs("rs_scale", k, 1, profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride,
-				func(jb, _, lo, hi int) {
-					d := tmps[jb].Coeffs[0]
-					srcJ := cts[jb].CT.Value[ci].Coeffs[j]
-					dstJ := dsts[jb].Coeffs[j]
-					for x := lo; x < hi; x++ {
-						dstJ[x] = inv.MulMod(xmath.SubMod(srcJ[x], d[x], mj.Value), mj.Value)
-					}
-				}))
-		}
-	}
+		}))
 	c.freePolys(lastBufs)
-	c.freePolys(tmpBufs)
 	return outs
 }
 
@@ -539,65 +513,44 @@ func (c *Context) ModSwitchBatch(cts []*Ciphertext) []*Ciphertext {
 	}
 	k := len(cts)
 	level := cts[0].CT.Level
-	outs := make([]*Ciphertext, k)
-	for j := range outs {
-		outs[j] = wrap(&ckks.Ciphertext{Scale: cts[j].CT.Scale, Level: level - 1}, nil)
-	}
+	outs := c.allocCts(k, len(cts[0].CT.Value), level, level-1, func(j int) float64 { return cts[j].CT.Scale })
 	for ci := range cts[0].CT.Value {
-		dsts := make([]*poly.Poly, k)
-		for j := 0; j < k; j++ {
-			d, buf := c.allocPoly(level)
-			dsts[j] = d
-			outs[j].CT.Value = append(outs[j].CT.Value, d)
-			outs[j].bufs = append(outs[j].bufs, buf)
-		}
 		c.launch(c.ewKernelJobs("modswitch_copy", k, level, profileOf(), 0, 16, gpu.PatternUnitStride,
 			func(jb, q, lo, hi int) {
-				copy(dsts[jb].Coeffs[q][lo:hi], cts[jb].CT.Value[ci].Coeffs[q][lo:hi])
+				copy(outs[jb].CT.Value[ci].Coeffs[q][lo:hi], cts[jb].CT.Value[ci].Coeffs[q][lo:hi])
 			}))
 		for j := 0; j < k; j++ {
-			dsts[j].IsNTT = cts[j].CT.Value[ci].IsNTT
+			outs[j].CT.Value[ci].IsNTT = cts[j].CT.Value[ci].IsNTT
 		}
 	}
 	return outs
 }
 
 // RotateBatch rotates every ciphertext's message slots by rot with one
-// fused automorphism + key-switch per batch.
+// automorphism kernel and one key switch per batch.
 func (c *Context) RotateBatch(cts []*Ciphertext, rot int, gk *ckks.GaloisKey) []*Ciphertext {
 	k := len(cts)
-	level := cts[0].CT.Level
-	comps := level + 1
+	comps := cts[0].CT.Level + 1
 	perm := c.Params.GaloisPermutation(c.Params.GaloisElement(rot))
 
 	// Automorphism in NTT form (SEAL's apply_galois_ntt): a gather
-	// straight from the input rows.
-	r0s, r0bufs := c.allocPolys(k, comps)
-	r1s, r1bufs := c.allocPolys(k, comps)
-	for i, dsts := range [][]*poly.Poly{r0s, r1s} {
-		srcs := component(cts, i)
-		c.launch(c.ewKernelJobs("galois_automorphism", k, comps, profileOf(), 4, 20, gpu.PatternGather,
-			func(jb, q, lo, hi int) {
-				poly.AutomorphismNTT(dsts[jb].Coeffs[q][lo:hi], srcs[jb].Coeffs[q], perm[lo:hi])
-			}))
-		for _, d := range dsts {
-			d.IsNTT = true
-		}
+	// straight from the input rows, both components in one launch.
+	var rs [2][]*poly.Poly
+	var rBufs [2][]*sycl.Buffer
+	for i := range rs {
+		rs[i], rBufs[i] = c.allocPolys(k, comps)
 	}
+	c.launch(c.ewKernelJobs("galois_automorphism", k, 2*comps, profileOf(), 4, 20, gpu.PatternGather,
+		func(jb, r, lo, hi int) {
+			i, q := r/comps, r%comps
+			poly.AutomorphismNTT(rs[i][jb].Coeffs[q][lo:hi], cts[jb].CT.Value[i].Coeffs[q], perm[lo:hi])
+		}))
 
-	k0s, k1s, k0bufs, k1bufs := c.switchKeyJobs(r1s, &gk.SwitchKey, level)
-	c.addIntoJobs(k0s, k0s, r0s, comps)
-	outs := make([]*Ciphertext, k)
-	for j := 0; j < k; j++ {
-		k0s[j].IsNTT, k1s[j].IsNTT = true, true
-		outs[j] = wrap(&ckks.Ciphertext{
-			Value: []*poly.Poly{k0s[j], k1s[j]},
-			Scale: cts[j].CT.Scale,
-			Level: level,
-		}, []*sycl.Buffer{k0bufs[j], k1bufs[j]})
-	}
-	c.freePolys(r0bufs)
-	c.freePolys(r1bufs)
+	// Key-switch the c1 part from s(x^g) to s; the permuted c0 rides
+	// into the result on the mod-down.
+	outs := c.switchKeyJobs(cts, rs[1], [2][]*poly.Poly{rs[0], nil}, &gk.SwitchKey)
+	c.freePolys(rBufs[0])
+	c.freePolys(rBufs[1])
 	return outs
 }
 

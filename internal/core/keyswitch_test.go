@@ -140,12 +140,55 @@ func TestKeySwitchTransformCount(t *testing.T) {
 	}
 }
 
+// TestRescaleBitIdenticalToHost: the rescale runs its reduce, NTT and
+// scale once over jobs × components × moduli, indexing rows by
+// component × modulus, so it is checked where that indexing has more
+// than the usual two components — a degree-2 ciphertext — as well as on
+// degree 1, at every level with a modulus left to drop, on a batch of
+// three and alone, against the host evaluator.
+func TestRescaleBitIdenticalToHost(t *testing.T) {
+	h := newHarness(t)
+	const jobs = 3
+	as, bs := make([]*ckks.Ciphertext, jobs), make([]*ckks.Ciphertext, jobs)
+	for j := range as {
+		as[j], _ = h.randCT(int64(300 + 2*j))
+		bs[j], _ = h.randCT(int64(301 + 2*j))
+	}
+	for level := h.params.MaxLevel(); level >= 1; level-- {
+		prods := make([]*ckks.Ciphertext, jobs)
+		for j := range prods {
+			prods[j] = h.host.Mul(as[j], bs[j])
+		}
+		c := newCtx(t, h, OptNTTAsm())
+		for _, in := range []struct {
+			what string
+			cts  []*ckks.Ciphertext
+		}{{"degree 1", as}, {"degree 2", prods}} {
+			what := fmt.Sprintf("Rescale of %s at level %d", in.what, level)
+			dIn, _, _ := c.UploadBatch(in.cts)
+			for j, out := range c.DownloadBatch(c.RescaleBatch(dIn)) {
+				assertSameCT(t, what+", batched", out, h.host.Rescale(in.cts[j]))
+			}
+			assertSameCT(t, what, c.Download(c.RescaleBatch(dIn[:1])[0]), h.host.Rescale(in.cts[0]))
+		}
+		for j := range as {
+			as[j], bs[j] = h.host.ModSwitch(as[j]), h.host.ModSwitch(bs[j])
+		}
+	}
+}
+
 // TestLaunchCountIndependentOfBatchSize guards the property batching
-// exists for: a routine over k same-shape ciphertexts submits exactly
-// the kernels it submits for one, each k times as wide. A per-job loop
-// slipped into the one implementation multiplies the launches and
-// fails here rather than in a benchmark. The counts are the top-level
-// (c = 4) sequences at the test parameters under the radix-8 NTT.
+// exists for, and the one pass per step on top of it: a routine over k
+// same-shape ciphertexts submits exactly the kernels it submits for
+// one, each k times as wide, and that sequence does not grow with the
+// number of digits, moduli or components either. A per-job, per-digit
+// or per-modulus loop slipped into the one implementation multiplies
+// the launches and fails here rather than in a benchmark. The counts
+// are the top-level (c = 4) sequences at the test parameters under the
+// radix-8 NTT, where a transform is one kernel: a key switch is 9
+// (copy, INTT, extend, NTT, inner product, INTT, reduce, NTT, scale), a
+// rescale 5 (copy, INTT, reduce, NTT, scale), the tensor, the square
+// and the automorphism 1 each.
 func TestLaunchCountIndependentOfBatchSize(t *testing.T) {
 	h := newHarness(t)
 	cfg := OptNTTAsm()
@@ -156,9 +199,16 @@ func TestLaunchCountIndependentOfBatchSize(t *testing.T) {
 		launches int
 		run      func(c *Context, as, bs []*Ciphertext)
 	}{
-		{"MulLinRS", 49, func(c *Context, as, bs []*Ciphertext) { c.MulLinRSBatch(as, bs, h.rlk) }},
-		{"SqrLinRS", 49, func(c *Context, as, _ []*Ciphertext) { c.SqrLinRSBatch(as, h.rlk) }},
-		{"Rotate", 24, func(c *Context, as, _ []*Ciphertext) { c.RotateBatch(as, 1, h.gk) }},
+		{"MulLinRS", 15, func(c *Context, as, bs []*Ciphertext) { c.MulLinRSBatch(as, bs, h.rlk) }},
+		{"SqrLinRS", 15, func(c *Context, as, _ []*Ciphertext) { c.SqrLinRSBatch(as, h.rlk) }},
+		{"Relinearize", 9, func(c *Context, as, bs []*Ciphertext) {
+			deg2 := make([]*Ciphertext, len(as))
+			for j := range deg2 {
+				deg2[j] = c.NewZeroCt(2, level, h.params.Scale, true)
+			}
+			c.RelinearizeBatch(deg2, h.rlk)
+		}},
+		{"Rotate", 10, func(c *Context, as, _ []*Ciphertext) { c.RotateBatch(as, 1, h.gk) }},
 		{"Add", 2, func(c *Context, as, bs []*Ciphertext) { c.AddBatch(as, bs) }},
 		{"ModSwitch", 2, func(c *Context, as, _ []*Ciphertext) { c.ModSwitchBatch(as) }},
 	} {

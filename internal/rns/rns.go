@@ -6,6 +6,7 @@
 package rns
 
 import (
+	"fmt"
 	"math/big"
 
 	"xehe/internal/xmath"
@@ -40,10 +41,15 @@ type levelPrecomp struct {
 
 // NewBasis builds a basis from L ciphertext primes and one special
 // prime. All primes must be distinct, NTT-friendly for the caller's N,
-// and < 2^60 (enforced by xmath.NewModulus).
+// and < 2^60 (enforced by xmath.NewModulus). The chain holds at most
+// xmath.MaxLazyTerms primes: a key switch has one digit per chain prime
+// and sums their products in 128 bits before reducing.
 func NewBasis(primes []uint64, special uint64) *Basis {
 	if len(primes) == 0 {
 		panic("rns: empty modulus chain")
+	}
+	if len(primes) > xmath.MaxLazyTerms {
+		panic(fmt.Sprintf("rns: chain of %d moduli exceeds the %d a key switch can sum unreduced in 128 bits (xmath.MaxLazyTerms)", len(primes), xmath.MaxLazyTerms))
 	}
 	seen := map[uint64]bool{special: true}
 	b := &Basis{Special: xmath.NewModulus(special)}

@@ -3,6 +3,8 @@ package rns
 import (
 	"math/big"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,6 +35,20 @@ func TestNewBasisValidation(t *testing.T) {
 		}()
 		ps := xmath.GeneratePrimes(40, 1, 1024)
 		NewBasis([]uint64{ps[0], ps[0]}, 97)
+	}()
+	// A key switch sums one product per chain modulus unreduced in 128
+	// bits: xmath.MaxLazyTerms moduli are accepted, one more is refused
+	// with a message that names the bound.
+	ps := xmath.GeneratePrimes(40, xmath.MaxLazyTerms+2, 1024)
+	NewBasis(ps[:xmath.MaxLazyTerms], ps[xmath.MaxLazyTerms+1])
+	func() {
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, strconv.Itoa(xmath.MaxLazyTerms)) {
+				t.Errorf("chain of %d moduli: recovered %v, want a panic naming the bound %d", xmath.MaxLazyTerms+1, r, xmath.MaxLazyTerms)
+			}
+		}()
+		NewBasis(ps[:xmath.MaxLazyTerms+1], ps[xmath.MaxLazyTerms+1])
 	}()
 }
 

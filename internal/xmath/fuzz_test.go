@@ -80,6 +80,28 @@ func FuzzMulMod(f *testing.F) {
 	})
 }
 
+// FuzzBarrettReduce128 cross-checks the two-word Barrett reduction on
+// an arbitrary 128-bit input — not only a product of reduced operands,
+// which is all MulMod and MAdMod ever hand it: the lazy inner product
+// (InnerProductPair) reduces sums of up to MaxLazyTerms such products,
+// anywhere below 2^128.
+func FuzzBarrettReduce128(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(2))
+	f.Add(^uint64(0), ^uint64(0), uint64(1)<<60-1)
+	f.Add(^uint64(0), ^uint64(0), uint64(2))
+	f.Add(uint64(1)<<63, uint64(0), uint64(1)<<59+1)
+	f.Add(uint64(0), ^uint64(0), uint64(3))
+	f.Fuzz(func(t *testing.T, hi, lo, rp uint64) {
+		m := fuzzModulus(rp)
+		want := new(big.Int).SetUint64(hi)
+		want.Lsh(want, 64).Add(want, new(big.Int).SetUint64(lo))
+		want.Mod(want, new(big.Int).SetUint64(m.Value))
+		if got := m.BarrettReduce128(hi, lo); got != want.Uint64() {
+			t.Fatalf("BarrettReduce128(%#x, %#x) mod %d = %d, want %d", hi, lo, m.Value, got, want.Uint64())
+		}
+	})
+}
+
 // FuzzHarveyLazy cross-checks the preconditioned (lazy) multiplication
 // used by the NTT butterflies: the lazy result must lie in [0, 2p) and
 // reduce to the math/big product.

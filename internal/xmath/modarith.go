@@ -6,9 +6,15 @@
 // instruction-level optimizations, and NTT-friendly prime generation.
 //
 // All ciphertext moduli used by the library are < 2^60, matching SEAL
-// and the paper (Section III.A.1): this guarantees that deferring the
-// modular reduction across one multiply-accumulate never overflows the
-// 128-bit intermediate.
+// and the paper (Section III.A.1). A product of two reduced operands is
+// then below 2^120, so a 128-bit accumulator holds the sum of up to
+// MaxLazyTerms = 255 such products (255 * 2^120 < 2^128) before it must
+// be reduced: the modular reduction is deferred across a whole c-term
+// inner product, not just one multiply-accumulate, and
+// BarrettReduce128 — exact for any 128-bit input — is paid once at the
+// end. The key switch (internal/core) sums its c digit products this
+// way, which is why rns.NewBasis refuses a chain longer than
+// MaxLazyTerms.
 package xmath
 
 import "math/bits"
@@ -17,6 +23,11 @@ import "math/bits"
 // modulus. The paper (following SEAL) keeps all moduli below 60 bits so
 // Harvey's lazy reduction and mad_mod fusion are overflow-safe.
 const MaxModulusBits = 60
+
+// MaxLazyTerms is how many products of reduced operands may be summed
+// in 128 bits before a reduction is due: each is below 2^120, and
+// 255 * 2^120 < 2^128.
+const MaxLazyTerms = 255
 
 // AddMod returns (a + b) mod p. It requires a, b < p < 2^63.
 //
@@ -140,23 +151,56 @@ func (m Modulus) MAdMod(a, b, c uint64) uint64 {
 	return m.BarrettReduce128(hi, lo)
 }
 
-// MAdModVec sets acc[i] = (a[i]*b[i] + acc[i]) mod p over len(acc)
-// elements: MAdMod with the modulus and Barrett ratio held in locals,
-// because a by-value Modulus call per coefficient (MAdMod is too large
-// to inline) is what the key-switch accumulation otherwise spends its
-// time on. MAdMod stays the definition; the two are pinned equal by
-// test.
-func (m Modulus) MAdModVec(acc, a, b []uint64) {
+// MulAdd128 returns (hi, lo) + a*b without reducing: one term of a
+// lazy sum. The caller keeps the term count within MaxLazyTerms.
+func MulAdd128(hi, lo, a, b uint64) (uint64, uint64) {
+	ph, pl := bits.Mul64(a, b)
+	lo, carry := bits.Add64(lo, pl, 0)
+	return hi + ph + carry, lo
+}
+
+// lazyBlock is how many coefficients InnerProductPair keeps unreduced
+// at a time: four accumulator words each, 8 KB, so the sums stay in L1
+// while the terms stream past.
+const lazyBlock = 256
+
+// InnerProductPair sets, for x in [lo, hi),
+//
+//	out0[x] = sum_i d[i][x]*b[i][x] mod p
+//	out1[x] = sum_i d[i][x]*a[i][x] mod p
+//
+// over the len(d) <= MaxLazyTerms terms, reading each d[i][x] once for
+// both sums. The products are accumulated unreduced in 128 bits (SEAL's
+// switch_key_inplace does the same) and each sum is reduced once, so a
+// term costs two multiplies instead of two full MAdMods. The result is
+// the canonical residue, i.e. what the MAdMod chain from zero returns.
+// All operands must be reduced.
+func (m Modulus) InnerProductPair(out0, out1 []uint64, d, b, a [][]uint64, lo, hi int) {
+	if len(d) > MaxLazyTerms {
+		panic("xmath: lazy inner product over more than MaxLazyTerms terms")
+	}
 	p, r0, r1 := m.Value, m.ConstRatio[0], m.ConstRatio[1]
-	a, b = a[:len(acc)], b[:len(acc)]
-	for i, c := range acc {
-		hi, lo := bits.Mul64(a[i], b[i])
-		lo, carry := bits.Add64(lo, c, 0)
-		r := lo - barrettQuotient128(hi+carry, lo, r0, r1)*p
-		if r >= p {
-			r -= p
+	for x0 := lo; x0 < hi; x0 += lazyBlock {
+		x1 := min(x0+lazyBlock, hi)
+		n := x1 - x0
+		var acc [4][lazyBlock]uint64
+		h0, l0, h1, l1 := acc[0][:n], acc[1][:n], acc[2][:n], acc[3][:n]
+		for i := range d {
+			di, bi, ai := d[i][x0:x1], b[i][x0:x1], a[i][x0:x1]
+			for x, dv := range di {
+				h0[x], l0[x] = MulAdd128(h0[x], l0[x], dv, bi[x])
+				h1[x], l1[x] = MulAdd128(h1[x], l1[x], dv, ai[x])
+			}
 		}
-		acc[i] = r
+		for _, s := range [2]struct{ out, hi, lo []uint64 }{{out0[x0:x1], h0, l0}, {out1[x0:x1], h1, l1}} {
+			for x, l := range s.lo {
+				r := l - barrettQuotient128(s.hi[x], l, r0, r1)*p
+				if r >= p {
+					r -= p
+				}
+				s.out[x] = r
+			}
+		}
 	}
 }
 

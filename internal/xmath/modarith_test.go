@@ -255,38 +255,78 @@ func TestQuickAddSubRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickMAdModVecMatchesScalar pins the vector form to MAdMod, the
-// definition, over random moduli (2 up to 60 bits), random vectors and
-// the edge values 0 and p-1.
-func TestQuickMAdModVecMatchesScalar(t *testing.T) {
-	f := func(rawP uint64, seed int64, n uint8) bool {
-		m := fuzzModulus(rawP)
-		p := m.Value
-		rng := rand.New(rand.NewSource(seed))
-		a, b, acc := make([]uint64, n), make([]uint64, n), make([]uint64, n)
-		for i := range acc {
-			a[i], b[i], acc[i] = rng.Uint64()%p, rng.Uint64()%p, rng.Uint64()%p
-			if i%5 == 0 {
-				a[i], b[i], acc[i] = p-1, p-1, p-1
-			} else if i%7 == 0 {
-				a[i] = 0
+// TestInnerProductPairMatchesMAdModChain pins the lazy inner product to
+// the MAdMod chain from zero, the definition: random moduli (2 up to 60
+// bits), 1 to MaxLazyTerms terms, ranges that start and end inside a
+// block, random operands with the edge values 0 and p-1 mixed in — and
+// the case the 2^128 bound is about, MaxLazyTerms terms with every
+// operand p-1 at a 60-bit modulus.
+func TestInnerProductPairMatchesMAdModChain(t *testing.T) {
+	check := func(m Modulus, d, b, a [][]uint64, lo, hi int) bool {
+		n := len(d[0])
+		out0, out1 := make([]uint64, n), make([]uint64, n)
+		m.InnerProductPair(out0, out1, d, b, a, lo, hi)
+		for x := 0; x < n; x++ {
+			var want0, want1 uint64
+			if x >= lo && x < hi {
+				for i := range d {
+					want0 = m.MAdMod(d[i][x], b[i][x], want0)
+					want1 = m.MAdMod(d[i][x], a[i][x], want1)
+				}
 			}
-		}
-		want := make([]uint64, n)
-		for i := range want {
-			want[i] = m.MAdMod(a[i], b[i], acc[i])
-		}
-		m.MAdModVec(acc, a, b)
-		for i := range want {
-			if acc[i] != want[i] {
+			if out0[x] != want0 || out1[x] != want1 {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	rows := func(terms, n int, fill func() uint64) [][]uint64 {
+		out := make([][]uint64, terms)
+		for i := range out {
+			out[i] = make([]uint64, n)
+			for x := range out[i] {
+				out[i][x] = fill()
+			}
+		}
+		return out
+	}
+
+	f := func(rawP uint64, seed int64, rawTerms uint8, rawN uint16) bool {
+		m := fuzzModulus(rawP)
+		p := m.Value
+		rng := rand.New(rand.NewSource(seed))
+		terms := int(rawTerms)%MaxLazyTerms + 1
+		n := int(rawN)%(2*lazyBlock+7) + 1
+		fill := func() uint64 {
+			switch rng.Intn(8) {
+			case 0:
+				return p - 1
+			case 1:
+				return 0
+			}
+			return rng.Uint64() % p
+		}
+		lo := rng.Intn(n)
+		hi := lo + rng.Intn(n-lo) + 1
+		return check(m, rows(terms, n, fill), rows(terms, n, fill), rows(terms, n, fill), lo, hi)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+
+	m := NewModulus(uint64(1)<<MaxModulusBits - 1)
+	top := func() uint64 { return m.Value - 1 }
+	const n = lazyBlock + 3
+	if !check(m, rows(MaxLazyTerms, n, top), rows(MaxLazyTerms, n, top), rows(MaxLazyTerms, n, top), 0, n) {
+		t.Fatalf("%d terms of (p-1)^2 at p = 2^%d - 1 differ from the MAdMod chain", MaxLazyTerms, MaxModulusBits)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%d terms accepted: the 128-bit sum may overflow", MaxLazyTerms+1)
+		}
+	}()
+	over := rows(MaxLazyTerms+1, 1, top)
+	m.InnerProductPair(make([]uint64, 1), make([]uint64, 1), over, over, over, 0, 1)
 }
 
 func BenchmarkMulMod(b *testing.B) {
