@@ -34,9 +34,12 @@ test: build
 # affordable since the timing-only figures stopped zeroing buffers),
 # and what those bodies share across goroutines: the Galois permutation
 # cache on ckks.Parameters (first-use hammer), the poly gather helper
-# and the NTT engine.
+# and the NTT engine with its per-shape plan store; plus the two
+# packages that drive the scheduler from outside it: the root package
+# (Service / Cluster through the public API and the trace tests) and
+# internal/apps (matMul as a job graph on a scheduler and a cluster).
 test-race:
-	$(GO) test -race ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/... ./internal/core/... ./internal/fhebench/... ./internal/ckks/... ./internal/poly/... ./internal/ntt/...
+	$(GO) test -race . ./internal/apps/... ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/... ./internal/core/... ./internal/fhebench/... ./internal/ckks/... ./internal/poly/... ./internal/ntt/...
 
 # Fuzz smoke: every Fuzz* target in the tree (found by name, so a new
 # one is picked up without editing this), 5 s each — internal/xmath's

@@ -14,6 +14,8 @@
 package matmul
 
 import (
+	"strconv"
+
 	"xehe/internal/ckks"
 	"xehe/internal/core"
 )
@@ -26,7 +28,7 @@ type Workload struct {
 
 // String formats the workload like the paper ("matMul_100x10x1").
 func (w Workload) String() string {
-	return "matMul_" + itoa(w.M) + "x" + itoa(w.N) + "x" + itoa(w.K)
+	return "matMul_" + strconv.Itoa(w.M) + "x" + strconv.Itoa(w.N) + "x" + strconv.Itoa(w.K)
 }
 
 // PaperWorkloads are the two instances of Fig. 19.
@@ -96,18 +98,4 @@ func Run(ctx *core.Context, A, B [][]*ckks.Ciphertext, w Workload) [][]*core.Cip
 		}
 	}
 	return C
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -99,6 +99,10 @@ type Context struct {
 	// scope holds the buffers allocated and not yet freed since Scoped
 	// opened it; nil outside Scoped.
 	scope map[*sycl.Buffer]struct{}
+
+	// hostZeros backs every host result of a timing-only download (see
+	// hostResult); it grows to the largest result and is never written.
+	hostZeros []uint64
 }
 
 // NewContext creates a backend context on the device.
@@ -276,19 +280,38 @@ func (c *Context) Upload(ct *ckks.Ciphertext) *Ciphertext {
 	return out
 }
 
+// hostResult returns the host polynomial a download of pv lands in.
+// Functional mode allocates it. A timing-only copy moves no words and
+// nothing may read a result's, so there every result is its own header
+// (component count, IsNTT) over one zero slab shared by the context's
+// downloads, instead of N × components words allocated and zeroed each.
+func (c *Context) hostResult(pv *poly.Poly) *poly.Poly {
+	n, comps := c.Params.N, pv.Components()
+	var host *poly.Poly
+	if c.Cfg.Analytic {
+		if len(c.hostZeros) < n*comps {
+			c.hostZeros = make([]uint64, n*comps)
+		}
+		host = poly.FromData(n, comps, c.hostZeros)
+	} else {
+		host = poly.New(n, comps)
+	}
+	host.IsNTT = pv.IsNTT
+	return host
+}
+
 // Download synchronizes and copies a device ciphertext back to host
 // memory (the only blocking step of the pipeline).
 func (c *Context) Download(ct *Ciphertext) *ckks.Ciphertext {
 	out := &ckks.Ciphertext{Scale: ct.CT.Scale, Level: ct.CT.Level}
 	var last gpu.Event
 	for i, pv := range ct.CT.Value {
-		host := poly.New(c.Params.N, pv.Components())
+		host := c.hostResult(pv)
 		if !c.Cfg.Analytic {
 			last = c.Queues[0].CopyOut(host.Data(), ct.bufs[i], c.deps...)
 		} else {
 			last = c.Queues[0].Raw().CopyD2H(ct.bufs[i].Bytes(), c.deps...)
 		}
-		host.IsNTT = pv.IsNTT
 		out.Value = append(out.Value, host)
 	}
 	last.Wait()

@@ -115,14 +115,16 @@ func (c *Context) ewKernelJobs(name string, jobs, comps int, per isa.Profile, ex
 
 // rowsView stitches cols rows per job, from whatever buffers they live
 // in, into one k × cols view: row(j, q) is job j's row under tables
-// entry q.
+// entry q. A timing-only context has no rows to stitch: its engine
+// reads the view's shape alone.
 func (c *Context) rowsView(k, cols int, row func(j, q int) []uint64) *ntt.BatchView {
+	if c.Cfg.Analytic {
+		return ntt.ShapeView(k, cols, c.Params.N)
+	}
 	view := ntt.NewBatchView(k, cols, c.Params.N)
-	if !c.Cfg.Analytic {
-		for j := 0; j < k; j++ {
-			for q := 0; q < cols; q++ {
-				view.SetRow(j, q, row(j, q))
-			}
+	for j := 0; j < k; j++ {
+		for q := 0; q < cols; q++ {
+			view.SetRow(j, q, row(j, q))
 		}
 	}
 	return view

@@ -16,7 +16,6 @@ package core
 import (
 	"xehe/internal/ckks"
 	"xehe/internal/gpu"
-	"xehe/internal/poly"
 	"xehe/internal/sycl"
 )
 
@@ -108,8 +107,7 @@ func (c *Context) DownloadBatchAsync(cts []*Ciphertext) ([]*ckks.Ciphertext, int
 		}
 		out := &ckks.Ciphertext{Scale: ct.CT.Scale, Level: ct.CT.Level}
 		for j, pv := range ct.CT.Value {
-			host := poly.New(c.Params.N, pv.Components())
-			host.IsNTT = pv.IsNTT
+			host := c.hostResult(pv)
 			out.Value = append(out.Value, host)
 			srcs = append(srcs, ct.bufs[j])
 			dsts = append(dsts, host.Data())

@@ -54,19 +54,28 @@ type Kernel struct {
 	Profile KernelProfile
 }
 
+// priced returns the profile a launch submits: the kernel's own, with
+// the work-item count and name defaulted from the kernel where the
+// profile leaves them out. The kernel itself is never written, so one
+// descriptor can be launched from any number of goroutines.
+func (k *Kernel) priced() KernelProfile {
+	p := k.Profile
+	if p.Items == 0 {
+		p.Items = k.Range.Items()
+	}
+	if p.Name == "" {
+		p.Name = k.Name
+	}
+	return p
+}
+
 // Launch executes the kernel functionally (real computation, groups
 // run concurrently on the host's cores) and enqueues its analytic cost
 // on the queue's tile timeline. It returns the completion event of the
 // simulated submission.
 func (q *Queue) Launch(k *Kernel, cg isa.CodeGen, deps ...Event) Event {
 	runGroups(k)
-	if k.Profile.Items == 0 {
-		k.Profile.Items = k.Range.Items()
-	}
-	if k.Profile.Name == "" {
-		k.Profile.Name = k.Name
-	}
-	return q.SubmitProfile(k.Profile, cg, deps...)
+	return q.SubmitProfile(k.priced(), cg, deps...)
 }
 
 // LaunchSplit executes the kernel functionally once, but splits its
@@ -75,12 +84,7 @@ func (q *Queue) Launch(k *Kernel, cg isa.CodeGen, deps ...Event) Event {
 // events of all sub-submissions.
 func LaunchSplit(queues []*Queue, k *Kernel, cg isa.CodeGen, deps ...Event) []Event {
 	runGroups(k)
-	if k.Profile.Items == 0 {
-		k.Profile.Items = k.Range.Items()
-	}
-	if k.Profile.Name == "" {
-		k.Profile.Name = k.Name
-	}
+	part := k.priced()
 	n := len(queues)
 	// Each sub-submission carries 1/eff of the work, where eff is the
 	// sublinear effective tile count (see DeviceSpec.MultiTileScaling):
@@ -88,10 +92,9 @@ func LaunchSplit(queues []*Queue, k *Kernel, cg isa.CodeGen, deps ...Event) []Ev
 	// scaling of +49.5%-78.2% rather than a perfect 2x.
 	spec := &queues[0].dev.Spec
 	eff := 1 + spec.MultiTileScaling*float64(n-1)
-	part := k.Profile
-	part.Items = int(float64(k.Profile.Items)/eff) + 1
-	part.GlobalBytes = k.Profile.GlobalBytes / eff
-	part.SLMBytes = k.Profile.SLMBytes / eff
+	part.Items = int(float64(part.Items)/eff) + 1
+	part.GlobalBytes /= eff
+	part.SLMBytes /= eff
 	evs := make([]Event, n)
 	for i, q := range queues {
 		evs[i] = q.SubmitProfile(part, cg, deps...)

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -160,6 +162,7 @@ func TestNewQueuePanicsOnBadTile(t *testing.T) {
 
 func TestFunctionalLaunchRunsAllGroups(t *testing.T) {
 	d := NewDevice1()
+	d.EnableTrace()
 	q := d.NewQueue(0)
 	var items int64
 	k := &Kernel{
@@ -174,8 +177,53 @@ func TestFunctionalLaunchRunsAllGroups(t *testing.T) {
 	if items != 3*4*1024 {
 		t.Errorf("executed items = %d, want %d", items, 3*4*1024)
 	}
-	if k.Profile.Items != 3*4*1024 {
-		t.Errorf("profile items = %d, want %d", k.Profile.Items, 3*4*1024)
+	// The item count the profile leaves out is priced from the range.
+	if tr := d.Trace(); len(tr) != 1 || tr[0].Items != 3*4*1024 || tr[0].Name != "count" {
+		t.Errorf("trace = %+v, want one %q entry of %d items", tr, "count", 3*4*1024)
+	}
+}
+
+// TestLaunchLeavesSharedKernelUntouched launches one descriptor whose
+// profile leaves name and item count to the kernel from two goroutines
+// on two queues — what the NTT engine's cached plans rely on. Under
+// -race this fails if a launch writes the defaults into its argument.
+func TestLaunchLeavesSharedKernelUntouched(t *testing.T) {
+	d := NewDevice1()
+	d.EnableTrace()
+	qs := d.NewQueues()
+	k := &Kernel{
+		Name:    "shared",
+		Range:   NDRange{Global: [3]int{2, 3, 64}},
+		Profile: KernelProfile{Pattern: PatternUnitStride},
+	}
+	want := *k
+	const launches = 50
+	var wg sync.WaitGroup
+	for _, q := range qs {
+		wg.Add(1)
+		go func(q *Queue) {
+			defer wg.Done()
+			for i := 0; i < launches; i++ {
+				q.Launch(k, isa.InlineASM)
+			}
+		}(q)
+	}
+	wg.Wait()
+	tr := d.Trace()
+	if len(tr) != len(qs)*launches {
+		t.Fatalf("%d trace entries, want %d", len(tr), len(qs)*launches)
+	}
+	for _, e := range tr {
+		if e.Name != "shared" || e.Items != 2*3*64 {
+			t.Fatalf("trace entry %+v, want name %q and %d items", e, "shared", 2*3*64)
+		}
+	}
+	LaunchSplit(qs, k, isa.InlineASM)
+	if tr := d.Trace(); tr[len(tr)-1].Name != "shared" || tr[len(tr)-1].Items == 0 {
+		t.Errorf("split trace entry %+v, want name %q and a share of the items", tr[len(tr)-1], "shared")
+	}
+	if !reflect.DeepEqual(*k, want) {
+		t.Errorf("kernel changed by its launches: %+v, want %+v", *k, want)
 	}
 }
 

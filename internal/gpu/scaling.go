@@ -1,5 +1,7 @@
 package gpu
 
+import "strconv"
+
 // Multi-tile / multi-GPU scaling extension. The paper's conclusion
 // names "extending our HE library to multi-GPU and heterogeneous
 // platforms" as future work; the simulator supports it directly by
@@ -12,7 +14,7 @@ package gpu
 // discrete multi-GPU over PCIe).
 func ScaledSpec(base DeviceSpec, tiles int, scaling float64) DeviceSpec {
 	s := base
-	s.Name = base.Name + "-x" + itoaTiles(tiles)
+	s.Name = base.Name + "-x" + strconv.Itoa(tiles)
 	s.Tiles = tiles
 	s.MultiTileScaling = scaling
 	return s
@@ -24,7 +26,7 @@ func ScaledSpec(base DeviceSpec, tiles int, scaling float64) DeviceSpec {
 // of a shared L3.
 func MultiGPUSpec(gpus int) DeviceSpec {
 	s := ScaledSpec(Device1Spec(), gpus*Device1Spec().Tiles, 0.60)
-	s.Name = "MultiGPU-" + itoaTiles(gpus)
+	s.Name = "MultiGPU-" + strconv.Itoa(gpus)
 	s.MultiQueueTaxCycles *= 2 // cross-device submission cost
 	return s
 }
@@ -59,17 +61,3 @@ func Homogeneous(spec DeviceSpec, n int) []*Device {
 // by these weights sends a Device1 (2 tiles, 512 EU/tile at 1.6 GHz)
 // about 4.7x the jobs of a Device2 (1 tile, 256 EU at 1.35 GHz).
 func ClusterWeight(spec *DeviceSpec) float64 { return spec.PeakGIOPS() }
-
-func itoaTiles(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}

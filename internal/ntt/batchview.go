@@ -24,27 +24,36 @@ type BatchView struct {
 	n      int
 	polys  int
 	qCount int
-	rows   [][]uint64 // indexed p*qCount+q; nil rows only in analytic views
+	rows   [][]uint64 // indexed p*qCount+q; nil in a shape-only view
 }
 
 // NewBatchView allocates an empty view of polys × qCount rows of
-// length n each; fill it with SetRow/SetPoly. Rows may stay nil when
-// the view only drives an analytic (timing-only) engine.
+// length n each; fill it with SetRow/SetPoly.
 func NewBatchView(polys, qCount, n int) *BatchView {
+	v := ShapeView(polys, qCount, n)
+	v.rows = make([][]uint64, polys*qCount)
+	return v
+}
+
+// ShapeView returns a view that is its dimensions and nothing else: no
+// row table, so rows cannot be installed. It is all a timing-only
+// engine reads of a view, and what pricing a transform needs; a
+// functional engine refuses to run it.
+func ShapeView(polys, qCount, n int) *BatchView {
 	if polys <= 0 || qCount <= 0 {
 		panic(fmt.Sprintf("ntt: batch view needs positive dimensions, got %d x %d", polys, qCount))
 	}
-	return &BatchView{n: n, polys: polys, qCount: qCount, rows: make([][]uint64, polys*qCount)}
+	return &BatchView{n: n, polys: polys, qCount: qCount}
 }
 
 // ContiguousView wraps the engine's classic flat batch layout — slice
 // (p, q) at offset (p*qCount+q)*n of one allocation — as a view. A nil
-// data slice builds a shape-only view for analytic execution.
+// data slice builds a shape-only view (see ShapeView).
 func ContiguousView(data []uint64, polys, qCount, n int) *BatchView {
-	v := NewBatchView(polys, qCount, n)
 	if data == nil {
-		return v
+		return ShapeView(polys, qCount, n)
 	}
+	v := NewBatchView(polys, qCount, n)
 	if len(data) < polys*qCount*n {
 		panic("ntt: data slice too short for batch")
 	}
@@ -92,7 +101,7 @@ func sliceOf(data []uint64, p, q, qCount, n int) []uint64 {
 }
 
 // check validates that every row a functional launch will touch is
-// installed; analytic launches never read rows and skip it.
+// installed; timing-only launches never read rows and skip it.
 func (v *BatchView) check(tbls []*Tables) {
 	if len(tbls) != v.qCount {
 		panic(fmt.Sprintf("ntt: view has %d tables columns but %d tables given", v.qCount, len(tbls)))

@@ -2,6 +2,7 @@ package ntt
 
 import (
 	"fmt"
+	"sync"
 
 	"xehe/internal/gpu"
 	"xehe/internal/isa"
@@ -144,6 +145,12 @@ func roundProfile(r int) isa.Profile {
 // cross-job fusion path). Either way the whole batch shares one kernel
 // sequence, paying launch overhead per transform round rather than per
 // polynomial.
+//
+// That kernel sequence is a pure function of (variant, N, polys, RNS
+// count, direction), so the engine plans each shape once (see plan) and
+// every later transform of the shape launches the stored descriptors.
+// An engine is safe for concurrent use once V and Analytic are set; it
+// must not be copied after its first transform.
 type Engine struct {
 	V Variant
 	// Analytic skips the functional kernel bodies and only accounts
@@ -151,6 +158,9 @@ type Engine struct {
 	// (e.g. 32K-point, 1024-instance batches) where functional
 	// execution is pointless and data may be nil.
 	Analytic bool
+
+	mu    sync.Mutex
+	plans map[planKey]*plan // never evicted: one entry per shape the process runs
 }
 
 // NewEngine returns an engine for the variant.
@@ -201,6 +211,53 @@ func (e *Engine) view(data []uint64, polys int, tbls []*Tables) *BatchView {
 		data = nil
 	}
 	return ContiguousView(data, polys, len(tbls), tbls[0].N)
+}
+
+// planKey is a transform shape: everything a kernel sequence's names,
+// ranges and profiles depend on.
+type planKey struct {
+	v                Variant
+	n, polys, qCount int
+	forward          bool
+}
+
+// step is one kernel of a plan, split the way its builder is: desc is
+// the half that depends only on the shape (name, range, SLM size and
+// the whole profile, Name and Items filled in) and is read-only from
+// the moment the plan is stored; bind closes the kernel's body over
+// the rows and tables of one batch.
+type step struct {
+	desc sycl.Kernel
+	bind func(view *BatchView, tbls []*Tables) func(*gpu.GroupCtx)
+}
+
+// plan is the kernel sequence of one transform shape. kernels[i] is
+// &steps[i].desc: the list a timing-only transform launches as it is.
+type plan struct {
+	steps   []step
+	kernels []*sycl.Kernel
+}
+
+// plan returns the shape's plan, building it on first use.
+func (e *Engine) plan(n, polys, qCount int, forward bool) *plan {
+	key := planKey{e.V, n, polys, qCount, forward}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p, ok := e.plans[key]
+	if !ok {
+		p = &plan{steps: e.buildSteps(n, polys, qCount, forward)}
+		p.kernels = make([]*sycl.Kernel, len(p.steps))
+		for i := range p.steps {
+			k := &p.steps[i].desc
+			k.Profile.Name = k.Name
+			p.kernels[i] = k
+		}
+		if e.plans == nil {
+			e.plans = make(map[planKey]*plan)
+		}
+		e.plans[key] = p
+	}
+	return p
 }
 
 // round describes one scheduled kernel phase.
@@ -271,64 +328,80 @@ func (e *Engine) BuildKernels(data []uint64, polys int, tbls []*Tables, forward 
 // transform over an arbitrary BatchView without launching it. The
 // plan — and hence the analytic cost per row — is identical to a
 // contiguous batch of the same shape; only the row addressing differs.
+//
+// A functional engine returns its own copies of the plan's descriptors
+// with bodies bound to the view. A timing-only engine, and any engine
+// handed a shape-only view, returns the plan's shared body-less
+// descriptors, which are read-only: they price a transform and launch
+// on a timing-only engine, and the engine refuses to run them as a
+// functional transform.
 func (e *Engine) BuildKernelsView(view *BatchView, tbls []*Tables, forward bool) []*sycl.Kernel {
 	if len(tbls) == 0 || view == nil || view.polys == 0 {
 		return nil
 	}
-	n := tbls[0].N
-	if !e.Analytic {
-		view.check(tbls)
+	p := e.plan(tbls[0].N, view.polys, len(tbls), forward)
+	if e.Analytic || view.rows == nil {
+		return p.kernels
 	}
-	if e.V == NaiveRadix2 {
-		return e.buildNaive(view, tbls, forward)
+	view.check(tbls)
+	bound := make([]sycl.Kernel, len(p.steps))
+	kernels := make([]*sycl.Kernel, len(p.steps))
+	for i := range p.steps {
+		bound[i] = p.steps[i].desc
+		bound[i].Body = p.steps[i].bind(view, tbls)
+		kernels[i] = &bound[i]
 	}
+	return kernels
+}
 
+// buildSteps plans one transform shape: the naive variant's kernel per
+// stage, or the schedule's global rounds with each run of SLM rounds
+// grouped into a single kernel.
+func (e *Engine) buildSteps(n, polys, qCount int, forward bool) []step {
+	if e.V == NaiveRadix2 {
+		return naiveSteps(n, polys, qCount, forward)
+	}
 	rounds := e.schedule(n, forward)
-	var kernels []*sycl.Kernel
+	var steps []step
 	stage := 0
 	if !forward {
 		stage = countStages(n)
 	}
-	// Group consecutive SLM rounds into a single kernel.
+	advance := func(w int) {
+		if forward {
+			stage += w
+		} else {
+			stage -= w
+		}
+	}
 	for i := 0; i < len(rounds); {
 		if rounds[i].global {
-			kernels = append(kernels, e.globalRoundKernel(view, tbls, rounds[i].w, stage, forward))
-			if forward {
-				stage += rounds[i].w
-			} else {
-				stage -= rounds[i].w
-			}
+			steps = append(steps, globalRoundStep(n, polys, qCount, rounds[i].w, stage, forward))
+			advance(rounds[i].w)
 			i++
 			continue
 		}
-		j := i
 		var ws []int
-		for j < len(rounds) && !rounds[j].global {
-			ws = append(ws, rounds[j].w)
-			j++
+		for ; i < len(rounds) && !rounds[i].global; i++ {
+			ws = append(ws, rounds[i].w)
 		}
-		kernels = append(kernels, e.slmKernel(view, tbls, ws, stage, forward))
+		steps = append(steps, e.slmStep(n, polys, qCount, ws, stage, forward))
 		for _, w := range ws {
-			if forward {
-				stage += w
-			} else {
-				stage -= w
-			}
+			advance(w)
 		}
-		i = j
 	}
-	return kernels
+	return steps
 }
 
 // NominalOps returns the total nominal int64 ALU op count of one
 // batched transform under this variant's schedule — the numerator of
 // the paper's efficiency metric (each variant counts its own ops).
 func (e *Engine) NominalOps(spec *gpu.DeviceSpec, polys int, tbls []*Tables, forward bool) float64 {
-	save := e.Analytic
-	e.Analytic = true
-	defer func() { e.Analytic = save }()
+	if len(tbls) == 0 || polys == 0 {
+		return 0
+	}
 	var total float64
-	for _, k := range e.BuildKernels(nil, polys, tbls, forward) {
+	for _, k := range e.plan(tbls[0].N, polys, len(tbls), forward).kernels {
 		total += k.Profile.NominalOps(spec)
 	}
 	return total
@@ -336,6 +409,9 @@ func (e *Engine) NominalOps(spec *gpu.DeviceSpec, polys int, tbls []*Tables, for
 
 // run schedules and launches the kernels of one batched transform.
 func (e *Engine) run(qs []*sycl.Queue, view *BatchView, tbls []*Tables, forward bool, deps []gpu.Event) []gpu.Event {
+	if !e.Analytic && view != nil && view.rows == nil {
+		panic("ntt: functional transform over a shape-only view")
+	}
 	evs := deps
 	for _, k := range e.BuildKernelsView(view, tbls, forward) {
 		evs = launch(qs, k, evs)

@@ -1,6 +1,8 @@
 package ntt
 
 import (
+	"strconv"
+
 	"xehe/internal/gpu"
 	"xehe/internal/isa"
 	"xehe/internal/sycl"
@@ -199,98 +201,61 @@ func finalizeInverse(dst, src []uint64, t *Tables) {
 	}
 }
 
-// globalRoundKernel builds the kernel of one radix-2^w round exchanged
-// through global memory. finalize fuses the last-round processing (only
-// used when a global round is the final inverse round).
-func (e *Engine) globalRoundKernel(view *BatchView, tbls []*Tables, w, stage int, forward bool) *sycl.Kernel {
-	n := tbls[0].N
-	qCount := len(tbls)
-	polys := view.polys
+// The builders below are the one place each kernel kind is described.
+// Each returns a step: the descriptor computed from the shape alone,
+// and the binder that closes the kernel's body over one batch's rows
+// and tables (see step).
+
+// globalRoundStep plans one radix-2^w round exchanged through global
+// memory. The last inverse round fuses the last-round processing.
+func globalRoundStep(n, polys, qCount, w, stage int, forward bool) step {
 	r := 1 << w
 	isLast := !forward && stage-w == 0
 
-	var body func(g *gpu.GroupCtx)
-	if !e.Analytic {
-		body = func(g *gpu.GroupCtx) {
-			row := view.Row(g.P, g.Q)
-			tbl := tbls[g.Q]
-			if forward {
-				applyRadixRound(row, tbl, 1<<stage, n>>(stage+1), w, 0)
-			} else {
-				applyInvRadixRound(row, tbl, 1<<stage, n>>stage, w, 0)
-				if isLast {
-					finalizeInverse(row, row, tbl)
-				}
-			}
-		}
-	}
 	items := polys * qCount * (n / r)
 	per := roundProfile(r)
 	if isLast {
 		per.Add(isa.OpMul64Lo, float64(r)) // fused n^{-1} scaling
 		per.Add(isa.OpAdd64, float64(r))
 	}
-	return &sycl.Kernel{
-		Name:  "ntt_global_radix" + itoa(r),
-		Range: gpu.NDRange{Global: [3]int{polys, qCount, n / r}, Local: n / r},
-		Body:  body,
-		Profile: gpu.KernelProfile{
-			Items:           items,
-			PerItem:         per,
-			GlobalBytes:     float64(items) * float64(2*r) * 8,
-			Pattern:         gpu.PatternUnitStride,
-			GRFBytesPerItem: 8 * (3*r - 2),
+	return step{
+		desc: sycl.Kernel{
+			Name:  "ntt_global_radix" + strconv.Itoa(r),
+			Range: gpu.NDRange{Global: [3]int{polys, qCount, n / r}, Local: n / r},
+			Profile: gpu.KernelProfile{
+				Items:           items,
+				PerItem:         per,
+				GlobalBytes:     float64(items) * float64(2*r) * 8,
+				Pattern:         gpu.PatternUnitStride,
+				GRFBytesPerItem: 8 * (3*r - 2),
+			},
+		},
+		bind: func(view *BatchView, tbls []*Tables) func(*gpu.GroupCtx) {
+			return func(g *gpu.GroupCtx) {
+				row := view.Row(g.P, g.Q)
+				tbl := tbls[g.Q]
+				if forward {
+					applyRadixRound(row, tbl, 1<<stage, n>>(stage+1), w, 0)
+				} else {
+					applyInvRadixRound(row, tbl, 1<<stage, n>>stage, w, 0)
+					if isLast {
+						finalizeInverse(row, row, tbl)
+					}
+				}
+			}
 		},
 	}
 }
 
-// slmKernel builds the single kernel that runs all SLM-resident rounds
+// slmStep plans the single kernel that runs all SLM-resident rounds
 // (ws) of the transform, with SIMD-shuffle stages and last-round
 // processing fused as in Fig. 8.
-func (e *Engine) slmKernel(view *BatchView, tbls []*Tables, ws []int, stage int, forward bool) *sycl.Kernel {
-	n := tbls[0].N
-	qCount := len(tbls)
-	polys := view.polys
+func (e *Engine) slmStep(n, polys, qCount int, ws []int, stage int, forward bool) step {
 	groupElems := slmGroupElems
 	if n < groupElems {
 		groupElems = n
 	}
-	startStage := stage
 
-	var body func(g *gpu.GroupCtx)
-	if !e.Analytic {
-		body = func(g *gpu.GroupCtx) {
-			tbl := tbls[g.Q]
-			g0 := g.Group * groupElems
-			global := view.Row(g.P, g.Q)[g0 : g0+groupElems]
-			slm := g.SLM[:groupElems]
-			copy(slm, global)
-			s := startStage
-			if forward {
-				for _, w := range ws {
-					T := n >> (s + 1)
-					applyRadixRound(slm, tbl, 1<<s, T, w, g0/(2*T))
-					g.Barrier()
-					s += w
-				}
-				finalizeForward(global, slm, tbl.Modulus.Value)
-			} else {
-				for _, w := range ws {
-					t := n >> s
-					applyInvRadixRound(slm, tbl, 1<<s, t, w, g0/((1<<w)*t))
-					g.Barrier()
-					s -= w
-				}
-				if s == 0 {
-					finalizeInverse(global, slm, tbl)
-				} else {
-					copy(global, slm)
-				}
-			}
-		}
-	}
-
-	// Analytic profile.
 	r := e.V.Radix()
 	slots := e.V.slots()
 	itemElems := r
@@ -347,116 +312,130 @@ func (e *Engine) slmKernel(view *BatchView, tbls []*Tables, ws []int, stage int,
 	if r == 2 {
 		grf = 8 * (4*slots + 2)
 	}
-	return &sycl.Kernel{
-		Name:    "ntt_slm_" + e.V.String(),
-		Range:   gpu.NDRange{Global: [3]int{polys, qCount, n / groupElems}, Local: 1},
-		SLMSize: groupElems,
-		Body:    body,
-		Profile: gpu.KernelProfile{
-			Items:             items,
-			GroupItems:        groupElems / itemElems,
-			PerItem:           per,
-			ExtraSlotsPerItem: extra,
-			GlobalBytes:       float64(polys*qCount*n) * 16, // load + store once
-			Pattern:           gpu.PatternUnitStride,
-			SLMBytes:          float64(slmRounds) * float64(polys*qCount*n) * 16,
-			SLMConflictFactor: 1,
-			Barriers:          slmRounds,
-			GRFBytesPerItem:   grf,
+	return step{
+		desc: sycl.Kernel{
+			Name:    "ntt_slm_" + e.V.String(),
+			Range:   gpu.NDRange{Global: [3]int{polys, qCount, n / groupElems}, Local: 1},
+			SLMSize: groupElems,
+			Profile: gpu.KernelProfile{
+				Items:             items,
+				GroupItems:        groupElems / itemElems,
+				PerItem:           per,
+				ExtraSlotsPerItem: extra,
+				GlobalBytes:       float64(polys*qCount*n) * 16, // load + store once
+				Pattern:           gpu.PatternUnitStride,
+				SLMBytes:          float64(slmRounds) * float64(polys*qCount*n) * 16,
+				SLMConflictFactor: 1,
+				Barriers:          slmRounds,
+				GRFBytesPerItem:   grf,
+			},
+		},
+		bind: func(view *BatchView, tbls []*Tables) func(*gpu.GroupCtx) {
+			return func(g *gpu.GroupCtx) {
+				tbl := tbls[g.Q]
+				g0 := g.Group * groupElems
+				global := view.Row(g.P, g.Q)[g0 : g0+groupElems]
+				slm := g.SLM[:groupElems]
+				copy(slm, global)
+				s := stage
+				if forward {
+					for _, w := range ws {
+						T := n >> (s + 1)
+						applyRadixRound(slm, tbl, 1<<s, T, w, g0/(2*T))
+						g.Barrier()
+						s += w
+					}
+					finalizeForward(global, slm, tbl.Modulus.Value)
+				} else {
+					for _, w := range ws {
+						t := n >> s
+						applyInvRadixRound(slm, tbl, 1<<s, t, w, g0/((1<<w)*t))
+						g.Barrier()
+						s -= w
+					}
+					if s == 0 {
+						finalizeInverse(global, slm, tbl)
+					} else {
+						copy(global, slm)
+					}
+				}
+			}
 		},
 	}
 }
 
-// buildNaive builds one kernel per stage plus the last-round
-// processing kernel — the Fig. 6 baseline.
-func (e *Engine) buildNaive(view *BatchView, tbls []*Tables, forward bool) []*sycl.Kernel {
-	n := tbls[0].N
-	qCount := len(tbls)
-	polys := view.polys
+// naiveSteps plans one kernel per stage plus the last-round processing
+// kernel — the Fig. 6 baseline.
+func naiveSteps(n, polys, qCount int, forward bool) []step {
 	logN := countStages(n)
-	var kernels []*sycl.Kernel
+	items := polys * qCount * (n / 2)
+	rng := gpu.NDRange{Global: [3]int{polys, qCount, n / 2}, Local: n / 2}
 
-	mkStage := func(stage int) *sycl.Kernel {
-		var body func(g *gpu.GroupCtx)
-		if !e.Analytic {
-			body = func(g *gpu.GroupCtx) {
-				row := view.Row(g.P, g.Q)
-				tbl := tbls[g.Q]
-				if forward {
-					applyRadixRound(row, tbl, 1<<stage, n>>(stage+1), 1, 0)
-				} else {
-					applyInvRadixRound(row, tbl, 1<<stage, n>>stage, 1, 0)
+	stageStep := func(stage int) step {
+		return step{
+			desc: sycl.Kernel{
+				Name:  "ntt_naive_stage",
+				Range: rng,
+				Profile: gpu.KernelProfile{
+					Items:       items,
+					PerItem:     roundProfile(2),
+					GlobalBytes: float64(items) * 4 * 8,
+					Pattern:     gpu.PatternUnitStride,
+				},
+			},
+			bind: func(view *BatchView, tbls []*Tables) func(*gpu.GroupCtx) {
+				return func(g *gpu.GroupCtx) {
+					row := view.Row(g.P, g.Q)
+					tbl := tbls[g.Q]
+					if forward {
+						applyRadixRound(row, tbl, 1<<stage, n>>(stage+1), 1, 0)
+					} else {
+						applyInvRadixRound(row, tbl, 1<<stage, n>>stage, 1, 0)
+					}
 				}
-			}
-		}
-		items := polys * qCount * (n / 2)
-		return &sycl.Kernel{
-			Name:  "ntt_naive_stage",
-			Range: gpu.NDRange{Global: [3]int{polys, qCount, n / 2}, Local: n / 2},
-			Body:  body,
-			Profile: gpu.KernelProfile{
-				Items:       items,
-				PerItem:     roundProfile(2),
-				GlobalBytes: float64(items) * 4 * 8,
-				Pattern:     gpu.PatternUnitStride,
 			},
 		}
 	}
 
+	var steps []step
 	if forward {
 		for stage := 0; stage < logN; stage++ {
-			kernels = append(kernels, mkStage(stage))
+			steps = append(steps, stageStep(stage))
 		}
 	} else {
 		for stage := logN; stage > 0; stage-- {
-			kernels = append(kernels, mkStage(stage))
+			steps = append(steps, stageStep(stage))
 		}
 	}
 
 	// Last round processing as its own kernel (not fused in the naive
 	// implementation — the 2N extra accesses of Section III-B.1).
-	var final func(g *gpu.GroupCtx)
-	if !e.Analytic {
-		final = func(g *gpu.GroupCtx) {
-			row := view.Row(g.P, g.Q)
-			if forward {
-				finalizeForward(row, row, tbls[g.Q].Modulus.Value)
-			} else {
-				finalizeInverse(row, row, tbls[g.Q])
-			}
-		}
-	}
 	var per isa.Profile
 	per.Add(isa.OpAdd64, 4)
 	per.Add(isa.OpIndex, 4)
 	if !forward {
 		per.Add(isa.OpMul64Lo, 2)
 	}
-	items := polys * qCount * (n / 2)
-	kernels = append(kernels, &sycl.Kernel{
-		Name:  "ntt_naive_final",
-		Range: gpu.NDRange{Global: [3]int{polys, qCount, n / 2}, Local: n / 2},
-		Body:  final,
-		Profile: gpu.KernelProfile{
-			Items:       items,
-			PerItem:     per,
-			GlobalBytes: float64(items) * 4 * 8,
-			Pattern:     gpu.PatternUnitStride,
+	return append(steps, step{
+		desc: sycl.Kernel{
+			Name:  "ntt_naive_final",
+			Range: rng,
+			Profile: gpu.KernelProfile{
+				Items:       items,
+				PerItem:     per,
+				GlobalBytes: float64(items) * 4 * 8,
+				Pattern:     gpu.PatternUnitStride,
+			},
+		},
+		bind: func(view *BatchView, tbls []*Tables) func(*gpu.GroupCtx) {
+			return func(g *gpu.GroupCtx) {
+				row := view.Row(g.P, g.Q)
+				if forward {
+					finalizeForward(row, row, tbls[g.Q].Modulus.Value)
+				} else {
+					finalizeInverse(row, row, tbls[g.Q])
+				}
+			}
 		},
 	})
-	return kernels
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

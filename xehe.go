@@ -237,6 +237,7 @@ package xehe
 
 import (
 	"io"
+	"strconv"
 
 	"xehe/internal/ckks"
 	"xehe/internal/core"
@@ -432,7 +433,7 @@ func (e *GPUEvaluator) SquareRelinRescale(a *Ciphertext) *Ciphertext {
 func (e *GPUEvaluator) Rotate(a *Ciphertext, k int) *Ciphertext {
 	gk, ok := e.kit.gks[k]
 	if !ok {
-		panic("xehe: no Galois key for rotation " + itoa(k))
+		panic("xehe: no Galois key for rotation " + strconv.Itoa(k))
 	}
 	da := e.ctx.Upload(a)
 	return e.run(func() *core.Ciphertext { return e.ctx.Rotate(da, k, gk) }, da)
@@ -915,20 +916,3 @@ func (c *Cluster) SimulatedSeconds() float64 { return c.cl.SimulatedSeconds() }
 // ResetSimClocks zeroes every shard's simulated clocks; call it only
 // while the cluster is idle (see Service.ResetSimClocks).
 func (c *Cluster) ResetSimClocks() { c.cl.ResetSimClocks() }
-
-func itoa(v int) string {
-	if v < 0 {
-		return "-" + itoa(-v)
-	}
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
