@@ -354,8 +354,8 @@ func traceOverheadSweep(jobs int, jsonOut bool) []throughputResult {
 	}
 	for _, cfg := range []struct {
 		name    string
-		tracing xehe.Toggle
-	}{{"off", xehe.ToggleOff}, {"on", xehe.ToggleOn}} {
+		tracing bool
+	}{{"off", false}, {"on", true}} {
 		cl := xehe.NewCluster(params, kit, []xehe.DeviceKind{xehe.Device1, xehe.Device1},
 			xehe.ClusterConfig{
 				WarmBuffers: 32, QueueDepth: 2, MaxBatch: 4, PendingCap: 512,
@@ -408,7 +408,7 @@ func writeTraceSample(path string, jobs int) {
 	cl := xehe.NewCluster(params, kit, []xehe.DeviceKind{xehe.Device1, xehe.Device1},
 		xehe.ClusterConfig{
 			WarmBuffers: 32, QueueDepth: 2, MaxBatch: 4, PendingCap: 512,
-			Trace: xehe.TraceConfig{Enabled: xehe.ToggleOn},
+			Trace: xehe.TraceConfig{Enabled: true},
 		})
 	defer cl.Close()
 	for i := 0; i < jobs; i++ {
@@ -635,7 +635,7 @@ func chaosSweep(jobs int, jsonOut bool) []throughputResult {
 	baseCfg := xehe.ClusterConfig{WarmBuffers: 32,
 		Nodes: []xehe.NodeSpec{{Node: 0}, {Node: 1}, {Node: 2}}}
 	healCfg := baseCfg
-	healCfg.SelfHeal = xehe.ToggleOn
+	healCfg.SelfHeal = true
 	healCfg.Standbys = 1
 	var results []throughputResult
 	if !jsonOut {

@@ -35,7 +35,7 @@ func main() {
 		xehe.ClusterConfig{
 			QueueDepth: 2,
 			MaxBatch:   4,
-			Trace:      xehe.TraceConfig{Enabled: xehe.ToggleOn},
+			Trace:      xehe.TraceConfig{Enabled: true},
 		})
 	defer cl.Close()
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -17,6 +18,24 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current total.
 func (c *Counter) Value() int64 { return c.v.Load() }
+
+// Max is a high-water-mark instrument: it keeps the largest value
+// observed, and Merge takes the maximum across registries where every
+// other kind adds.
+type Max struct{ v atomic.Int64 }
+
+// Observe raises the mark to n if n exceeds it.
+func (m *Max) Observe(n int64) {
+	for {
+		old := m.v.Load()
+		if n <= old || m.v.CompareAndSwap(old, n) {
+			return
+		}
+	}
+}
+
+// Value returns the largest value observed (0 before the first).
+func (m *Max) Value() int64 { return m.v.Load() }
 
 // Histogram is a fixed-bucket distribution instrument. Bucket counts
 // and the running sum are atomics, so Observe is lock-free and safe
@@ -92,7 +111,7 @@ func (b Bucket) MarshalJSON() ([]byte, error) {
 // Instrument is one instrument's state in a Snapshot.
 type Instrument struct {
 	Name    string   `json:"name"`
-	Kind    string   `json:"kind"` // "counter", "gauge" or "histogram"
+	Kind    string   `json:"kind"` // "counter", "max", "gauge" or "histogram"
 	Value   float64  `json:"value,omitempty"`
 	Count   int64    `json:"count,omitempty"`
 	Sum     float64  `json:"sum,omitempty"`
@@ -141,6 +160,36 @@ func (s Snapshot) Get(name string) (Instrument, bool) {
 	return Instrument{}, false
 }
 
+// Values indexes the snapshot's counter, max and gauge values by name.
+func (s Snapshot) Values() map[string]float64 {
+	out := make(map[string]float64, len(s.Instruments))
+	for _, in := range s.Instruments {
+		out[in.Name] = in.Value
+	}
+	return out
+}
+
+// WithTotals returns the snapshot preceded by one derived instrument
+// per name: the Merge of the instruments called "<name>.<part>" — their
+// sum, or their maximum for kind "max". The parts are the only thing
+// written to, so a total and its breakdown agree in every snapshot
+// without a lock. A name with no parts is left out.
+func (s Snapshot) WithTotals(names ...string) Snapshot {
+	var out Snapshot
+	for _, name := range names {
+		var parts []Snapshot
+		for _, in := range s.Instruments {
+			if strings.HasPrefix(in.Name, name+".") {
+				in.Name = name
+				parts = append(parts, Snapshot{Instruments: []Instrument{in}})
+			}
+		}
+		out.Instruments = append(out.Instruments, Merge(parts...).Instruments...)
+	}
+	out.Instruments = append(out.Instruments, s.Instruments...)
+	return out
+}
+
 // WriteText dumps the snapshot in a one-instrument-per-line text form
 // (histograms report count, sum and estimated p50/p99).
 func (s Snapshot) WriteText(w io.Writer) error {
@@ -160,10 +209,10 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Merge sums snapshots instrument-by-instrument (matched by name):
-// counter and gauge values add, histogram counts, sums and per-bucket
-// counts add. Instruments keep first-seen order, so merging per-shard
-// registries yields a cluster-wide view.
+// Merge combines snapshots instrument-by-instrument (matched by name):
+// counter and gauge values add, max values take the maximum, histogram
+// counts, sums and per-bucket counts add. Instruments keep first-seen
+// order, so merging per-shard registries yields a cluster-wide view.
 func Merge(snaps ...Snapshot) Snapshot {
 	var out Snapshot
 	idx := map[string]int{}
@@ -178,7 +227,11 @@ func Merge(snaps ...Snapshot) Snapshot {
 				continue
 			}
 			dst := &out.Instruments[i]
-			dst.Value += in.Value
+			if in.Kind == "max" {
+				dst.Value = math.Max(dst.Value, in.Value)
+			} else {
+				dst.Value += in.Value
+			}
 			dst.Count += in.Count
 			dst.Sum += in.Sum
 			for b := range dst.Buckets {
@@ -193,35 +246,40 @@ func Merge(snaps ...Snapshot) Snapshot {
 
 // Registry is a set of named instruments. Instrument construction is
 // idempotent (the same name returns the same instrument) and
-// registration order is preserved in snapshots.
+// registration order is preserved in snapshots. A name belongs to one
+// kind: asking for it as another panics.
 type Registry struct {
-	mu       sync.Mutex
-	order    []string
-	counters map[string]*Counter
-	gauges   map[string]func() float64
-	hists    map[string]*Histogram
+	mu     sync.Mutex
+	order  []string
+	byName map[string]interface{} // *Counter, *Max, *Histogram or func() float64
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]func() float64{},
-		hists:    map[string]*Histogram{},
+	return &Registry{byName: map[string]interface{}{}}
+}
+
+// instrument returns the named instrument, registering mk's on first use.
+func (r *Registry) instrument(name string, mk func() interface{}) interface{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	in, ok := r.byName[name]
+	if !ok {
+		in = mk()
+		r.byName[name] = in
+		r.order = append(r.order, name)
 	}
+	return in
 }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	r.order = append(r.order, name)
-	return c
+	return r.instrument(name, func() interface{} { return &Counter{} }).(*Counter)
+}
+
+// Max returns the named high-water mark, creating it on first use.
+func (r *Registry) Max(name string) *Max {
+	return r.instrument(name, func() interface{} { return &Max{} }).(*Max)
 }
 
 // Gauge registers a read-on-snapshot gauge backed by fn (e.g. a pool
@@ -229,27 +287,21 @@ func (r *Registry) Counter(name string) *Counter {
 func (r *Registry) Gauge(name string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.gauges[name]; !ok {
+	if _, ok := r.byName[name]; !ok {
 		r.order = append(r.order, name)
 	}
-	r.gauges[name] = fn
+	r.byName[name] = fn
 }
 
 // Histogram returns the named histogram, creating it with the given
 // bucket bounds on first use (nil selects LatencyBounds).
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	if bounds == nil {
-		bounds = LatencyBounds()
-	}
-	h := newHistogram(bounds)
-	r.hists[name] = h
-	r.order = append(r.order, name)
-	return h
+	return r.instrument(name, func() interface{} {
+		if bounds == nil {
+			bounds = LatencyBounds()
+		}
+		return newHistogram(bounds)
+	}).(*Histogram)
 }
 
 // Snapshot copies every instrument's current state, evaluating gauges.
@@ -258,27 +310,25 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	var s Snapshot
 	for _, name := range r.order {
-		switch {
-		case r.counters[name] != nil:
-			s.Instruments = append(s.Instruments, Instrument{
-				Name: name, Kind: "counter", Value: float64(r.counters[name].Value()),
-			})
-		case r.gauges[name] != nil:
-			s.Instruments = append(s.Instruments, Instrument{
-				Name: name, Kind: "gauge", Value: r.gauges[name](),
-			})
-		case r.hists[name] != nil:
-			h := r.hists[name]
-			in := Instrument{Name: name, Kind: "histogram", Count: h.Count(), Sum: h.Sum()}
-			for i := range h.counts {
+		out := Instrument{Name: name}
+		switch in := r.byName[name].(type) {
+		case *Counter:
+			out.Kind, out.Value = "counter", float64(in.Value())
+		case *Max:
+			out.Kind, out.Value = "max", float64(in.Value())
+		case func() float64:
+			out.Kind, out.Value = "gauge", in()
+		case *Histogram:
+			out.Kind, out.Count, out.Sum = "histogram", in.Count(), in.Sum()
+			for i := range in.counts {
 				le := math.Inf(1)
-				if i < len(h.bounds) {
-					le = h.bounds[i]
+				if i < len(in.bounds) {
+					le = in.bounds[i]
 				}
-				in.Buckets = append(in.Buckets, Bucket{LE: le, Count: h.counts[i].Load()})
+				out.Buckets = append(out.Buckets, Bucket{LE: le, Count: in.counts[i].Load()})
 			}
-			s.Instruments = append(s.Instruments, in)
 		}
+		s.Instruments = append(s.Instruments, out)
 	}
 	return s
 }

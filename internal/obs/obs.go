@@ -118,9 +118,10 @@ func (t *Tracer) Spans() []Span {
 // Counts reports the live and dropped span totals across all rings.
 func (t *Tracer) Counts() (recorded, dropped int64) {
 	for _, r := range t.rings {
-		spans, d := r.Snapshot()
-		recorded += int64(len(spans))
-		dropped += d
+		r.mu.Lock()
+		recorded += int64(len(r.buf))
+		dropped += r.dropped
+		r.mu.Unlock()
 	}
 	return recorded, dropped
 }

@@ -141,7 +141,13 @@ func TestMerge(t *testing.T) {
 	r1.Histogram("lat", []float64{1, 2}).Observe(0.5)
 	r2.Histogram("lat", []float64{1, 2}).Observe(1.5)
 	r2.Counter("only2").Add(1)
+	r1.Max("peak").Observe(3)
+	r2.Max("peak").Observe(5)
+	r2.Max("peak").Observe(4) // below the mark: ignored
 	m := Merge(r1.Snapshot(), r2.Snapshot())
+	if in, _ := m.Get("peak"); in.Value != 5 || in.Kind != "max" {
+		t.Fatalf("merged max = %+v, want max(3,5)=5 (not a sum)", in)
+	}
 	if in, _ := m.Get("jobs"); in.Value != 15 {
 		t.Fatalf("merged counter = %g, want 15", in.Value)
 	}
@@ -155,6 +161,28 @@ func TestMerge(t *testing.T) {
 	r1.Histogram("lat", nil).Observe(0.5)
 	if in, _ := m.Get("lat"); in.Count != 2 {
 		t.Fatal("merge aliased a source snapshot")
+	}
+}
+
+func TestWithTotals(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("jobs.a").Add(2)
+	reg.Counter("jobs.b").Add(3)
+	reg.Counter("jobsx.a").Add(100) // not a part of "jobs"
+	reg.Max("peak.a").Observe(7)
+	reg.Max("peak.b").Observe(4)
+	s := reg.Snapshot().WithTotals("jobs", "peak", "absent")
+	if in, _ := s.Get("jobs"); in.Value != 5 || in.Kind != "counter" {
+		t.Fatalf("derived counter total = %+v, want 5", in)
+	}
+	if in, _ := s.Get("peak"); in.Value != 7 || in.Kind != "max" {
+		t.Fatalf("derived max total = %+v, want max(7,4)=7", in)
+	}
+	if _, ok := s.Get("absent"); ok {
+		t.Fatal("a total with no parts must be left out")
+	}
+	if v := s.Values(); v["jobs"] != 5 || v["jobs.b"] != 3 || len(v) != len(s.Instruments) {
+		t.Fatalf("Values() = %v", v)
 	}
 }
 

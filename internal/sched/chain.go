@@ -18,14 +18,14 @@ import (
 	"xehe/internal/core"
 )
 
-// evalChainFusedOn submits the batch's whole op chain over already
+// evalChain submits the batch's whole op chain over already
 // device-resident inputs, without host synchronization. ins[j] starts
 // job j's value list and every value stays allocated until the caller
 // frees it: later ops of a DAG-shaped job may reference any earlier
 // value (the last entry is the result). It takes ownership of ins: on
 // error every value — inputs, intermediates and whatever the failed
 // step had allocated — has been recycled, and the error names the op.
-func evalChainFusedOn(c *core.Context, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey, jobs []*Job, ins [][]*core.Ciphertext, tr *stepTrace) (vals [][]*core.Ciphertext, err error) {
+func evalChain(c *core.Context, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey, jobs []*Job, ins [][]*core.Ciphertext, tr *stepTrace) (vals [][]*core.Ciphertext, err error) {
 	stage := 0
 	vals = ins
 	defer func() {

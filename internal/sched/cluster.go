@@ -71,11 +71,6 @@ type Cluster struct {
 	closed    bool
 	closeDone chan struct{}
 
-	// rejected counts jobs shed cluster-wide per class: a job only
-	// counts once every open shard refused it (shard-level Rejected
-	// counters also tick for jobs that found a home elsewhere).
-	rejected []atomic.Int64
-
 	// stealMu serializes task relocation (every caller of place and
 	// relocate) against shard retirement, so a relocated task can never
 	// be left without an open scheduler to land on.
@@ -102,10 +97,12 @@ type Cluster struct {
 	retryWg      sync.WaitGroup
 
 	// obsReg holds the cluster's own instruments (routing and recovery
-	// events the shards cannot see); Metrics merges it with the shard
-	// registries.
+	// events the shards cannot see); Metrics and Stats merge it with the
+	// shard registries. shed counts jobs shed cluster-wide, per class: a
+	// job only counts once every open shard refused it (the shards'
+	// sched.jobs_rejected also tick for jobs that found a home elsewhere).
 	obsReg      *obs.Registry
-	shed        *obs.Counter
+	shed        []*obs.Counter
 	recovered   *obs.Counter
 	replayed    *obs.Counter
 	killedCnt   *obs.Counter
@@ -113,7 +110,6 @@ type Cluster struct {
 	standbyCnt  *obs.Counter
 	drainedCnt  *obs.Counter
 	migratedCnt *obs.Counter
-	retryCnt    *obs.Counter
 }
 
 // shard is one device's scheduler plus its routing and health state.
@@ -122,10 +118,8 @@ type shard struct {
 	node   int // failure domain (remote node id; shards share fate per node)
 	sched  *Scheduler
 	weight float64
-	closed atomic.Bool  // out of rotation (DrainShard, killShard or cluster Close); flips once
-	killed atomic.Bool  // fail-stopped by the fault plane (implies closed)
-	routed atomic.Int64 // jobs ever routed here
-	stolen atomic.Int64 // jobs migrated here (stealing, evacuation, replay)
+	closed atomic.Bool // out of rotation (DrainShard, killShard or cluster Close); flips once
+	killed atomic.Bool // fail-stopped by the fault plane (implies closed)
 
 	// Fault-plane state: sick is the health-probe corruption budget
 	// (each failed probe consumes one unit), killAfter the armed
@@ -241,9 +235,8 @@ func NewClusterShards(params *ckks.Parameters, specs []ShardSpec, cfg Config, rl
 	if len(specs) == 0 {
 		panic("sched: cluster needs at least one shard")
 	}
-	// Resolve the cluster-level knobs here (the shards re-resolve the
+	// Resolve the knobs the cluster itself reads (the shards resolve the
 	// full Config per device; these resolutions are idempotent).
-	cfg.selfHeal = cfg.SelfHeal.or(false)
 	if cfg.Standbys < 0 {
 		cfg.Standbys = 0
 	}
@@ -258,7 +251,6 @@ func NewClusterShards(params *ckks.Parameters, specs []ShardSpec, cfg Config, rl
 		stopRetry: make(chan struct{}),
 		obsReg:    obs.NewRegistry(),
 	}
-	c.shed = c.obsReg.Counter("cluster.shed_jobs")
 	c.recovered = c.obsReg.Counter("cluster.recovered_jobs")
 	c.replayed = c.obsReg.Counter("cluster.replayed_jobs")
 	c.killedCnt = c.obsReg.Counter("cluster.killed_shards")
@@ -266,18 +258,19 @@ func NewClusterShards(params *ckks.Parameters, specs []ShardSpec, cfg Config, rl
 	c.standbyCnt = c.obsReg.Counter("cluster.standby_promotions")
 	c.drainedCnt = c.obsReg.Counter("cluster.drained_jobs")
 	c.migratedCnt = c.obsReg.Counter("cluster.migrated_residents")
-	c.retryCnt = c.obsReg.Counter("cluster.retry_attempts")
 	c.faults = &FaultPlane{c: c}
 	shards := make([]*shard, 0, len(specs))
 	for i, spec := range specs {
 		shards = append(shards, c.newShard(i, spec))
 	}
 	c.shardsVal.Store(shards)
-	c.rejected = make([]atomic.Int64, len(shards[0].sched.classes))
+	for _, cl := range shards[0].sched.classes {
+		c.shed = append(c.shed, c.obsReg.Counter("cluster.shed_jobs."+cl.Name))
+	}
 	if len(shards) > 1 {
 		c.startStealingLocked()
 	}
-	if c.cfg.selfHeal {
+	if c.cfg.SelfHeal {
 		c.sup = newSupervisor(c)
 	}
 	return c
@@ -527,8 +520,7 @@ func (c *Cluster) Submit(job *Job) (*Future, error) {
 		}
 		if sh == nil {
 			if overloaded {
-				c.rejected[job.Class].Add(1)
-				c.shed.Add(1)
+				c.shed[job.Class].Add(1)
 				return nil, ErrOverloaded
 			}
 			return nil, ErrNoShards
@@ -551,7 +543,6 @@ func (c *Cluster) Submit(job *Job) (*Future, error) {
 			continue
 		}
 		if err == nil {
-			sh.routed.Add(1)
 			// Record the output's home for downstream consumers'
 			// affinity routing.
 			atomic.StoreInt32(&fut.shard, int32(sh.id))
@@ -658,7 +649,6 @@ func (c *Cluster) dest(not *shard) *shard {
 func (c *Cluster) place(src, not *shard, tasks []*task) bool {
 	for dst := c.dest(not); dst != nil; dst = c.dest(not) {
 		if dst.sched.injectTasks(tasks, src.sched) {
-			dst.stolen.Add(int64(len(tasks)))
 			return true
 		}
 	}
@@ -803,18 +793,18 @@ func (c *Cluster) Close() {
 	close(c.closeDone)
 }
 
-// ClusterStats aggregates the scheduler counters across shards: the
-// embedded Stats sums jobs, failures, batches, steals and cache
-// traffic over the whole cluster (MaxBatch is the maximum, PerWorker
-// concatenates the shards' pools in shard order, PerClass merges the
-// per-class counters and recomputes the latency quantiles over the
-// union of the shards' samples); PerShard, Routed and Stolen break
-// the same numbers down by shard.
+// ClusterStats is the typed view of the cluster's merged metrics
+// snapshot: the embedded Stats reads jobs, failures, batches, steals
+// and cache traffic summed over the whole cluster (MaxBatch is the
+// maximum, PerWorker concatenates the shards' pools in shard order,
+// PerClass quantiles are recomputed over the union of the shards'
+// samples, PerClass Rejected counts cluster-wide sheds only); PerShard,
+// Routed and Stolen break the same numbers down by shard.
 type ClusterStats struct {
 	Stats
 	PerShard []Stats
-	Routed   []int64 // jobs routed to each shard by the router
-	Stolen   []int64 // jobs migrated to each shard (stealing, evacuation, replay)
+	Routed   []int64 // jobs each shard admitted from the router
+	Stolen   []int64 // jobs placed on each shard off another (stealing, evacuation, replay, retry)
 	// Failure-domain counters: Recovered counts queued jobs evacuated
 	// off killed shards, Replayed counts in-flight jobs surrendered by
 	// killed workers and re-executed on a healthy shard, Killed counts
@@ -822,10 +812,10 @@ type ClusterStats struct {
 	// calls, standby promotions and supervisor cold replacements all
 	// grow the fleet through the same path). Health is the per-shard
 	// state at snapshot time: "ok", "sick", "killed" or "closed".
-	Recovered int64
-	Replayed  int64
-	Killed    int64
-	Added     int64
+	Recovered int64 `metric:"cluster.recovered_jobs"`
+	Replayed  int64 `metric:"cluster.replayed_jobs"`
+	Killed    int64 `metric:"cluster.killed_shards"`
+	Added     int64 `metric:"cluster.added_shards"`
 	Health    []string
 	// Recovery counters (supervisor / drain / retry planes):
 	// StandbyPromoted counts kills absorbed by promoting a warm standby
@@ -834,86 +824,49 @@ type ClusterStats struct {
 	// Recovered+Replayed for a fail-stop — a drain replays nothing);
 	// Migrated counts device-resident outputs a drain pre-copied to the
 	// host; RetryAttempts counts re-executions of transiently failed
-	// jobs (also broken down per class as PerClass Retried).
-	StandbyPromoted int64
-	Drained         int64
-	Migrated        int64
-	RetryAttempts   int64
+	// jobs (the total of PerClass Retried).
+	StandbyPromoted int64 `metric:"cluster.standby_promotions"`
+	Drained         int64 `metric:"cluster.drained_jobs"`
+	Migrated        int64 `metric:"cluster.migrated_residents"`
+	RetryAttempts   int64 `metric:"cluster.retry_attempts"`
 }
 
-// Stats returns a snapshot of the aggregate and per-shard counters.
+// Stats returns the view of the merged snapshot, with each shard's own
+// view beside it. Three things are not sums and are set here: PerShard
+// is the view of each shard's snapshot alone, PerWorker concatenates,
+// and a class's Rejected is the cluster's shed count (a shard-level
+// rejection that found a home on another shard is not a shed job; those
+// remain visible in PerShard).
 func (c *Cluster) Stats() ClusterStats {
 	shards := c.all()
-	cs := ClusterStats{
-		PerShard:  make([]Stats, len(shards)),
-		Routed:    make([]int64, len(shards)),
-		Stolen:    make([]int64, len(shards)),
-		Health:    make([]string, len(shards)),
-		Recovered: c.recovered.Value(),
-		Replayed:  c.replayed.Value(),
-		Killed:    c.killedCnt.Value(),
-		Added:     c.addedCnt.Value(),
-
-		StandbyPromoted: c.standbyCnt.Value(),
-		Drained:         c.drainedCnt.Value(),
-		Migrated:        c.migratedCnt.Value(),
-		RetryAttempts:   c.retryCnt.Value(),
-	}
 	classes := shards[0].sched.classes
-	cs.PerClass = make([]ClassStats, len(classes))
-	merged := make([][]float64, len(classes))
+	cs := ClusterStats{
+		PerShard: make([]Stats, len(shards)),
+		Routed:   make([]int64, len(shards)),
+		Stolen:   make([]int64, len(shards)),
+		Health:   make([]string, len(shards)),
+	}
+	snaps := c.snapshots(shards)
+	lat := make([][]float64, len(classes))
+	var perWorker []int64
 	for i, sh := range shards {
-		st := sh.sched.Stats()
-		cs.PerShard[i] = st
-		cs.Routed[i] = sh.routed.Load()
-		cs.Stolen[i] = sh.stolen.Load()
+		own := sh.sched.classLatencies()
+		v := snaps[i].Values()
+		cs.PerShard[i] = statsView(v, classes, own)
+		cs.Routed[i] = int64(v["sched.jobs_submitted"])
+		cs.Stolen[i] = int64(v["sched.stolen_in.placed"])
 		cs.Health[i] = sh.health()
-		cs.Jobs += st.Jobs
-		cs.Failed += st.Failed
-		cs.Batches += st.Batches
-		cs.Coalesced += st.Coalesced
-		cs.FusedBatches += st.FusedBatches
-		cs.FusedSteps += st.FusedSteps
-		cs.UnfusedSteps += st.UnfusedSteps
-		cs.TransferBatches += st.TransferBatches
-		cs.BytesH2D += st.BytesH2D
-		cs.BytesD2H += st.BytesD2H
-		cs.StolenIn += st.StolenIn
-		cs.StolenOut += st.StolenOut
-		cs.CacheHits += st.CacheHits
-		cs.CacheMisses += st.CacheMisses
-		cs.GraphJobs += st.GraphJobs
-		cs.ResidentHits += st.ResidentHits
-		cs.ResidentMisses += st.ResidentMisses
-		if st.MaxBatch > cs.MaxBatch {
-			cs.MaxBatch = st.MaxBatch
-		}
-		cs.PerWorker = append(cs.PerWorker, st.PerWorker...)
-		for k, pc := range st.PerClass {
-			cs.PerClass[k].Name = pc.Name
-			cs.PerClass[k].Submitted += pc.Submitted
-			cs.PerClass[k].Completed += pc.Completed
-			cs.PerClass[k].Failed += pc.Failed
-			cs.PerClass[k].Retried += pc.Retried
-			cs.PerClass[k].DeadlineHit += pc.DeadlineHit
-			cs.PerClass[k].DeadlineMiss += pc.DeadlineMiss
-			cs.PerClass[k].Batches += pc.Batches
-			cs.PerClass[k].Coalesced += pc.Coalesced
-			cs.PerClass[k].TransferBatches += pc.TransferBatches
-			if pc.MaxBatch > cs.PerClass[k].MaxBatch {
-				cs.PerClass[k].MaxBatch = pc.MaxBatch
-			}
-		}
-		for k, lat := range sh.sched.classLatencies() {
-			merged[k] = append(merged[k], lat...)
+		perWorker = append(perWorker, cs.PerShard[i].PerWorker...)
+		for k := range lat {
+			lat[k] = append(lat[k], own[k]...)
 		}
 	}
-	for k := range cs.PerClass {
-		// Cluster-level sheds only: a shard-level rejection that found
-		// a home on another shard is not a shed job (those remain
-		// visible in the PerShard breakdown).
-		cs.PerClass[k].Rejected = c.rejected[k].Load()
-		cs.PerClass[k].P50, cs.PerClass[k].P99 = quantiles(merged[k])
+	v := obs.Merge(snaps...).Values()
+	fillFrom(&cs, v, "")
+	cs.Stats = statsView(v, classes, lat)
+	cs.PerWorker = perWorker
+	for k, cl := range classes {
+		cs.PerClass[k].Rejected = int64(v["cluster.shed_jobs."+cl.Name])
 	}
 	return cs
 }

@@ -272,8 +272,7 @@ func TestWarmBuffersPreloadsPool(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := schedConfig(2)
 	cfg.WarmBuffers = 64 // above the 2-worker working set of this job mix
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newSchedulerWith(t, h, cfg)
 
 	cache := s.Backend().Cache()
 	if n := cache.FreeCount(); n != 64 {

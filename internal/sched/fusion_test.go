@@ -56,8 +56,7 @@ func TestFusedDifferentialFamilies(t *testing.T) {
 			jobs = append(jobs, familyJob(h, rng, fam))
 		}
 	}
-	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newScheduler(t, h, 1)
 
 	futs := make([]*Future, len(jobs))
 	for i, j := range jobs {
@@ -113,8 +112,7 @@ func TestFusedDifferentialRandomQoSMix(t *testing.T) {
 			subs = append(subs, sub{c: c})
 		}
 	}
-	s := New(h.Params, gpu.NewDevice1(), schedConfig(3), h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newScheduler(t, h, 3)
 
 	var wg sync.WaitGroup
 	for g := 0; g < submitters; g++ {
@@ -251,8 +249,7 @@ func TestMixedLevelJobsDoNotFuse(t *testing.T) {
 		}
 		jobs = append(jobs, top, low) // interleaved levels
 	}
-	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newScheduler(t, h, 1)
 	futs := make([]*Future, len(jobs))
 	for i, j := range jobs {
 		var err error
@@ -284,8 +281,7 @@ func TestMixedLevelJobsDoNotFuse(t *testing.T) {
 func TestFusedMemcacheRecycling(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(616))
-	s := New(h.Params, gpu.NewDevice1(), schedConfig(2), h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newScheduler(t, h, 2)
 	const waves, perWave = 4, 10
 	for w := 0; w < waves; w++ {
 		fam := fusionFamilies[w%len(fusionFamilies)]
@@ -325,8 +321,7 @@ func TestFusedMemcacheRecycling(t *testing.T) {
 func TestPerClassCoalescingStats(t *testing.T) {
 	h := sharedHarness(t)
 	vals := make([]complex128, h.Params.Slots())
-	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newScheduler(t, h, 1)
 	release := holdFirstBatch(s)
 	const bulk = 18
 	for i := 0; i < bulk; i++ {

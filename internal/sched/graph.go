@@ -212,13 +212,6 @@ func (s *Scheduler) registerDeps(t *task) {
 func (s *Scheduler) depReady(t *task, i int, f *Future, pre bool) {
 	r, hit, err := s.resolveDep(f, pre)
 	if err == nil {
-		s.statMu.Lock()
-		if hit {
-			s.stats.ResidentHits++
-		} else {
-			s.stats.ResidentMisses++
-		}
-		s.statMu.Unlock()
 		if hit {
 			s.met.residentHits.Add(1)
 		} else {

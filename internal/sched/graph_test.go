@@ -98,8 +98,7 @@ func graphEdges(gc *GraphCase) int {
 // consumer released the intermediate.
 func TestGraphChainZeroCopy(t *testing.T) {
 	h := sharedHarness(t)
-	s := New(h.Params, gpu.NewDevice1(), schedConfig(2), h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newScheduler(t, h, 2)
 
 	slots := h.Params.Slots()
 	pt := make([]complex128, slots)
@@ -273,8 +272,7 @@ func TestGraphDifferentialMatrix(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			cfg := schedConfig(3)
 			cfg.MaxBatch = shape.maxBatch
-			s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-			defer s.Close()
+			s := newSchedulerWith(t, h, cfg)
 			futss := make([][]*Future, nGraphs)
 			var wg sync.WaitGroup
 			for i := range graphs {

@@ -263,7 +263,7 @@ func (h *Harness) RunSerialWith(job *Job, deps []*ckks.Ciphertext) (*ckks.Cipher
 	for _, d := range deps {
 		ins = append(ins, h.serial.Upload(d))
 	}
-	vals, err := evalChainFusedOn(h.serial, h.rlk, h.gks, []*Job{job}, [][]*core.Ciphertext{ins}, nil)
+	vals, err := evalChain(h.serial, h.rlk, h.gks, []*Job{job}, [][]*core.Ciphertext{ins}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,10 +4,10 @@ package sched
 // TraceConfig knob turns on span recording (job-lifecycle spans into
 // per-worker ring buffers plus the device's command trace), WriteTrace
 // exports the merged timeline as Chrome-trace-event JSON, and a typed
-// metrics registry runs always-on next to the legacy Stats counters,
-// adding the signals Stats never had: queueing-delay vs service-time
-// histograms per class, worker idle/stall attribution, pool occupancy
-// gauges and steal/reroute counters.
+// metrics registry runs always-on as the scheduler's one ledger: every
+// event is counted into exactly one of its instruments, Metrics is its
+// snapshot and Stats / ClusterStats are typed views over that snapshot
+// (statsView), so the two cannot disagree.
 //
 // Tracing only READS the simulated clocks (SimulatedSeconds) and never
 // advances them, so simulated timing — and therefore results and
@@ -19,10 +19,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"strconv"
 	"time"
 
 	"xehe/internal/gpu"
 	"xehe/internal/obs"
+	"xehe/internal/qos"
 )
 
 // ErrTraceDisabled is returned by WriteTrace when the scheduler (or
@@ -30,12 +33,12 @@ import (
 var ErrTraceDisabled = errors.New("sched: tracing disabled (enable Config.Trace.Enabled)")
 
 // TraceConfig tunes span tracing. The zero value keeps tracing off:
-// every span site is gated on the resolved knob, so a disabled
-// scheduler pays one nil check per site and allocates nothing.
+// every span site is gated on the tracer, so a disabled scheduler pays
+// one nil check per site and allocates nothing.
 type TraceConfig struct {
 	// Enabled turns on span recording and the backing device command
 	// trace. Default off.
-	Enabled Toggle
+	Enabled bool
 	// SpanCap bounds each ring buffer (one per worker, plus one for the
 	// submit path and one for the dispatcher); the oldest spans drop
 	// when a ring fills. Default 8192.
@@ -97,19 +100,11 @@ func (s *Scheduler) obsRing(i int) *obs.Ring {
 	return s.tracer.Ring(i)
 }
 
-// recordSpan records a fully formed span (both edges already known).
-func (s *Scheduler) recordSpan(ring *obs.Ring, sp obs.Span) {
-	if s.tracer == nil {
-		return
-	}
-	ring.Record(sp)
-}
-
 // className interns the class's name for span attribution.
 func (s *Scheduler) className(class int) string { return s.classes[class].Name }
 
 // stepTrace threads per-op-chain-step span recording into the chain
-// executor (evalChainFusedOn). A nil *stepTrace is the tracing-off
+// executor (evalChain). A nil *stepTrace is the tracing-off
 // fast path: both methods no-op.
 type stepTrace struct {
 	s     *Scheduler
@@ -133,80 +128,147 @@ func (tr *stepTrace) end(st spanStart, name string, jobs int) {
 	tr.s.spanEnd(tr.ring, st, tr.track, name, catStep, "", 0, jobs)
 }
 
-// stepTracer returns the worker's step-trace handle (nil when tracing
-// is off).
-func (w *worker) stepTracer() *stepTrace { return w.tr }
-
-// schedMetrics is the scheduler's typed instrument set. The counters
-// mirror the legacy Stats fields at the same accounting sites; the
-// histograms and attribution counters are the signals Stats never
-// carried. All instruments are atomics, cheap enough to run always-on.
+// schedMetrics is the scheduler's instrument set, and the only thing an
+// event is counted into. A counter that breaks down by QoS class exists
+// per class only, named "<name>.<class>"; its total is derived from the
+// parts of the same snapshot (derivedTotals), which keeps e.g. Jobs ==
+// Σ PerClass.Completed in every snapshot with no lock. All instruments
+// are atomics, cheap enough to run always-on.
 type schedMetrics struct {
 	reg *obs.Registry
 
-	jobsCompleted, jobsFailed, jobsRejected *obs.Counter
-	batches, coalesced                      *obs.Counter
+	class  []classMetrics // by class index
+	worker []*obs.Counter // jobs completed, by worker
+
 	fusedBatches, fusedSteps, unfusedSteps  *obs.Counter
-	transferBatches, bytesH2D, bytesD2H     *obs.Counter
-	stolenIn, stolenOut, surrendered        *obs.Counter
+	bytesH2D, bytesD2H                      *obs.Counter
+	placedIn, returned                      *obs.Counter // the two origins of sched.stolen_in
+	stolenOut, surrendered                  *obs.Counter
 	graphJobs, residentHits, residentMisses *obs.Counter
 	idleEmptyNS, stallCopyNS, depParkNS     *obs.Counter
-	spanDropped                             *obs.Counter
-	queueDelay, serviceTime                 []*obs.Histogram // per class
+}
+
+// classMetrics is one class's slice of the instrument set. retried is
+// written by the owning cluster's retry plane (retry.go).
+type classMetrics struct {
+	submitted, completed, failed, rejected *obs.Counter
+	deadlineHit, deadlineMiss, retried     *obs.Counter
+	batches, coalesced, transferBatches    *obs.Counter
+	maxBatch                               *obs.Max
+	queueDelay, serviceTime                *obs.Histogram
+}
+
+// derivedTotals are the instruments nothing writes: each is the sum
+// (kind "max": the maximum) of the "<name>.<part>" instruments of the
+// snapshot it appears in — per class, except sched.stolen_in (placed /
+// returned). The cluster.* parts live in the cluster's registry and in
+// its shards' (retry attempts are counted on the shard they failed on).
+var derivedTotals = []string{
+	"sched.jobs_submitted", "sched.jobs_completed", "sched.jobs_failed", "sched.jobs_rejected",
+	"sched.batches", "sched.max_batch", "sched.jobs_coalesced", "sched.transfer_batches",
+	"sched.stolen_in", "cluster.retry_attempts", "cluster.shed_jobs",
 }
 
 // newSchedMetrics builds the instrument set over the class table and
-// registers the occupancy gauges against the backend's pools.
-func newSchedMetrics(classes []string, backend Backend) *schedMetrics {
+// the worker pool, and registers the gauges: the backend's pools and
+// the tracer's dropped-span total.
+func newSchedMetrics(classes []qos.Class, workers int, backend Backend, traceCounts func() (recorded, dropped int64)) *schedMetrics {
 	reg := obs.NewRegistry()
 	m := &schedMetrics{
-		reg:             reg,
-		jobsCompleted:   reg.Counter("sched.jobs_completed"),
-		jobsFailed:      reg.Counter("sched.jobs_failed"),
-		jobsRejected:    reg.Counter("sched.jobs_rejected"),
-		batches:         reg.Counter("sched.batches"),
-		coalesced:       reg.Counter("sched.jobs_coalesced"),
-		fusedBatches:    reg.Counter("sched.fused_batches"),
-		fusedSteps:      reg.Counter("sched.fused_steps"),
-		unfusedSteps:    reg.Counter("sched.unfused_steps"),
-		transferBatches: reg.Counter("sched.transfer_batches"),
-		bytesH2D:        reg.Counter("sched.bytes_h2d"),
-		bytesD2H:        reg.Counter("sched.bytes_d2h"),
-		stolenIn:        reg.Counter("sched.stolen_in"),
-		stolenOut:       reg.Counter("sched.stolen_out"),
-		surrendered:     reg.Counter("sched.surrendered_jobs"),
-		graphJobs:       reg.Counter("sched.graph_jobs"),
-		residentHits:    reg.Counter("sched.resident_hits"),
-		residentMisses:  reg.Counter("sched.resident_misses"),
-		idleEmptyNS:     reg.Counter("worker.idle_empty_wall_ns"),
-		stallCopyNS:     reg.Counter("worker.stall_copy_sim_ns"),
-		depParkNS:       reg.Counter("sched.dep_park_sim_ns"),
-		spanDropped:     reg.Counter("trace.spans_dropped"),
+		reg:            reg,
+		fusedBatches:   reg.Counter("sched.fused_batches"),
+		fusedSteps:     reg.Counter("sched.fused_steps"),
+		unfusedSteps:   reg.Counter("sched.unfused_steps"),
+		bytesH2D:       reg.Counter("sched.bytes_h2d"),
+		bytesD2H:       reg.Counter("sched.bytes_d2h"),
+		placedIn:       reg.Counter("sched.stolen_in.placed"),
+		returned:       reg.Counter("sched.stolen_in.returned"),
+		stolenOut:      reg.Counter("sched.stolen_out"),
+		surrendered:    reg.Counter("sched.surrendered_jobs"),
+		graphJobs:      reg.Counter("sched.graph_jobs"),
+		residentHits:   reg.Counter("sched.resident_hits"),
+		residentMisses: reg.Counter("sched.resident_misses"),
+		idleEmptyNS:    reg.Counter("worker.idle_empty_wall_ns"),
+		stallCopyNS:    reg.Counter("worker.stall_copy_sim_ns"),
+		depParkNS:      reg.Counter("sched.dep_park_sim_ns"),
 	}
-	for _, name := range classes {
-		m.queueDelay = append(m.queueDelay, reg.Histogram("sched.queue_delay_seconds."+name, nil))
-		m.serviceTime = append(m.serviceTime, reg.Histogram("sched.service_seconds."+name, nil))
+	for _, c := range classes {
+		n := "." + c.Name
+		m.class = append(m.class, classMetrics{
+			submitted:       reg.Counter("sched.jobs_submitted" + n),
+			completed:       reg.Counter("sched.jobs_completed" + n),
+			failed:          reg.Counter("sched.jobs_failed" + n),
+			rejected:        reg.Counter("sched.jobs_rejected" + n),
+			deadlineHit:     reg.Counter("sched.deadline_hit" + n),
+			deadlineMiss:    reg.Counter("sched.deadline_miss" + n),
+			retried:         reg.Counter("cluster.retry_attempts" + n),
+			batches:         reg.Counter("sched.batches" + n),
+			coalesced:       reg.Counter("sched.jobs_coalesced" + n),
+			transferBatches: reg.Counter("sched.transfer_batches" + n),
+			maxBatch:        reg.Max("sched.max_batch" + n),
+			queueDelay:      reg.Histogram("sched.queue_delay_seconds"+n, nil),
+			serviceTime:     reg.Histogram("sched.service_seconds"+n, nil),
+		})
+	}
+	for i := 0; i < workers; i++ {
+		m.worker = append(m.worker, reg.Counter("worker.jobs."+strconv.Itoa(i)))
 	}
 	cache := backend.Cache()
+	reg.Gauge("memcache.hits", func() float64 { h, _ := cache.Stats(); return float64(h) })
+	reg.Gauge("memcache.misses", func() float64 { _, m := cache.Stats(); return float64(m) })
 	reg.Gauge("memcache.pinned_buffers", func() float64 { return float64(cache.PinnedCount()) })
 	reg.Gauge("memcache.free_buffers", func() float64 { return float64(cache.FreeCount()) })
 	reg.Gauge("memcache.used_buffers", func() float64 { return float64(cache.UsedCount()) })
 	staging := backend.Staging()
 	reg.Gauge("staging.free_buffers", func() float64 { return float64(staging.FreeCount()) })
 	reg.Gauge("staging.free_words", func() float64 { return float64(staging.FreeWords()) })
+	// A gauge over the rings' own count: nothing to keep current, so
+	// concurrent snapshots cannot double count a drop.
+	reg.Gauge("trace.spans_dropped", func() float64 { _, d := traceCounts(); return float64(d) })
 	return m
 }
 
-// Metrics snapshots the scheduler's instrument registry: the mirrored
-// Stats counters plus per-class queueing-delay and service-time
-// histograms, worker idle/stall attribution and pool occupancy gauges.
-func (s *Scheduler) Metrics() obs.Snapshot {
-	if s.tracer != nil {
-		_, dropped := s.tracer.Counts()
-		// Keep the drop counter current without double counting.
-		s.met.spanDropped.Add(dropped - s.met.spanDropped.Value())
+// fillFrom sets every field of *dst tagged `metric:"<name>"` (all are
+// int or int64) to the value of instrument <name><suffix> in v. A name
+// v lacks reads 0; TestStatsViewCoversEveryField catches a field with
+// no tag or a tag with no instrument.
+func fillFrom(dst interface{}, v map[string]float64, suffix string) {
+	rv := reflect.ValueOf(dst).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if name, ok := rv.Type().Field(i).Tag.Lookup("metric"); ok {
+			rv.Field(i).SetInt(int64(v[name+suffix]))
+		}
 	}
-	return s.met.reg.Snapshot()
+}
+
+// statsView is the one place a Stats is filled: v is the Values of a
+// metrics snapshot with its totals derived, lat the per-class latency
+// samples the exact quantiles come from.
+func statsView(v map[string]float64, classes []qos.Class, lat [][]float64) Stats {
+	st := Stats{PerClass: make([]ClassStats, len(classes))}
+	fillFrom(&st, v, "")
+	for i := 0; ; i++ {
+		jobs, ok := v["worker.jobs."+strconv.Itoa(i)]
+		if !ok {
+			break
+		}
+		st.PerWorker = append(st.PerWorker, int64(jobs))
+	}
+	for k, c := range classes {
+		pc := &st.PerClass[k]
+		pc.Name = c.Name
+		fillFrom(pc, v, "."+c.Name)
+		pc.P50, pc.P99 = quantiles(lat[k])
+	}
+	return st
+}
+
+// Metrics snapshots the scheduler's instrument registry with its totals
+// derived: the counters Stats is a view of, plus per-class
+// queueing-delay and service-time histograms, worker idle/stall
+// attribution and pool occupancy gauges.
+func (s *Scheduler) Metrics() obs.Snapshot {
+	return s.met.reg.Snapshot().WithTotals(derivedTotals...)
 }
 
 // TraceCounts reports the live and dropped span totals across the
@@ -277,20 +339,22 @@ const (
 	trkDispatch = "dispatch"
 )
 
-// Metrics merges every shard's instrument snapshot with the cluster's
-// own counters (jobs shed cluster-wide, the recovery plane's drained /
-// recovered / replayed / retried jobs): counters and histogram buckets
-// sum by name, gauges add — so e.g. memcache.pinned_buffers reports the
-// cluster total.
-func (c *Cluster) Metrics() obs.Snapshot {
-	shards := c.all()
+// snapshots returns every shard's Metrics followed by the cluster's own
+// counters (jobs shed cluster-wide, the recovery plane's drained /
+// recovered / replayed jobs), totals derived in each: a sum of sums and
+// a maximum of maxima, so their Merge needs no second derivation.
+func (c *Cluster) snapshots(shards []*shard) []obs.Snapshot {
 	snaps := make([]obs.Snapshot, 0, len(shards)+1)
 	for _, sh := range shards {
 		snaps = append(snaps, sh.sched.Metrics())
 	}
-	snaps = append(snaps, c.obsReg.Snapshot())
-	return obs.Merge(snaps...)
+	return append(snaps, c.obsReg.Snapshot().WithTotals(derivedTotals...))
 }
+
+// Metrics merges the shards' snapshots and the cluster's own: counters
+// and histogram buckets sum by name, maxima stay maxima, gauges add —
+// so e.g. memcache.pinned_buffers reports the cluster total.
+func (c *Cluster) Metrics() obs.Snapshot { return obs.Merge(c.snapshots(c.all())...) }
 
 // TraceCounts sums the recorded and dropped span totals over every
 // shard's rings (both zero with tracing off).

@@ -3,11 +3,16 @@ package sched
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"xehe/internal/gpu"
+	"xehe/internal/obs"
+	"xehe/internal/sycl"
 )
 
 // TestTracingDifferential pins the observability invariant: with span
@@ -20,8 +25,7 @@ func TestTracingDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	cfg := schedConfig(3)
 	cfg.Trace = TraceConfig{Enabled: ToggleOn}
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newSchedulerWith(t, h, cfg)
 
 	const nJobs = 16
 	cases := make([]*Case, nJobs)
@@ -67,31 +71,8 @@ func TestTracingDifferential(t *testing.T) {
 		t.Fatal("trace export is not valid JSON")
 	}
 
-	// The metrics mirrors must agree with the legacy Stats counters.
 	st := s.Stats()
 	m := s.Metrics()
-	for _, chk := range []struct {
-		name string
-		want int64
-	}{
-		{"sched.jobs_completed", st.Jobs},
-		{"sched.jobs_failed", st.Failed},
-		{"sched.batches", st.Batches},
-		{"sched.jobs_coalesced", st.Coalesced},
-		{"sched.transfer_batches", st.TransferBatches},
-		{"sched.bytes_h2d", st.BytesH2D},
-		{"sched.bytes_d2h", st.BytesD2H},
-		{"sched.fused_steps", st.FusedSteps},
-		{"sched.unfused_steps", st.UnfusedSteps},
-	} {
-		in, ok := m.Get(chk.name)
-		if !ok {
-			t.Fatalf("metric %s missing", chk.name)
-		}
-		if int64(in.Value) != chk.want {
-			t.Errorf("metric %s = %g, want %d (Stats mirror)", chk.name, in.Value, chk.want)
-		}
-	}
 	// Every completed job was observed by the per-class histograms.
 	var histCount int64
 	for _, c := range s.classes {
@@ -136,8 +117,8 @@ func TestTraceDisabled(t *testing.T) {
 // TestClusterStatsMerge is the regression test for the cluster Stats
 // merge semantics: MaxBatch aggregates as the maximum (global and per
 // class), and latency quantiles are recomputed over the union of the
-// shards' samples — never averaged. The counters are injected
-// white-box so the expected values are exact.
+// shards' samples — never averaged. The values are injected white-box
+// through the instruments so the expected values are exact.
 func TestClusterStatsMerge(t *testing.T) {
 	h := sharedHarness(t)
 	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1()},
@@ -145,28 +126,25 @@ func TestClusterStatsMerge(t *testing.T) {
 	defer c.Close()
 
 	s0, s1 := c.all()[0].sched, c.all()[1].sched
-	s0.statMu.Lock()
-	s0.stats.MaxBatch = 3
-	s0.classStat[0].MaxBatch = 3
-	s0.classStat[0].Retried = 4
-	for i := 0; i < 50; i++ {
-		s0.latency[0].add(1.0)
+	for _, inj := range []struct {
+		s                 *Scheduler
+		maxBatch, retried int64
+		lat               float64
+	}{{s0, 3, 4, 1.0}, {s1, 5, 3, 3.0}} {
+		inj.s.met.class[0].maxBatch.Observe(inj.maxBatch)
+		inj.s.met.class[0].retried.Add(inj.retried)
+		inj.s.latMu.Lock()
+		for i := 0; i < 50; i++ {
+			inj.s.latency[0].add(inj.lat)
+		}
+		inj.s.latMu.Unlock()
 	}
-	s0.statMu.Unlock()
-	s1.statMu.Lock()
-	s1.stats.MaxBatch = 5
-	s1.classStat[0].MaxBatch = 5
-	s1.classStat[0].Retried = 3
-	for i := 0; i < 50; i++ {
-		s1.latency[0].add(3.0)
-	}
-	s1.statMu.Unlock()
 	// The recovery-plane counters live on the cluster itself and flow
-	// into the snapshot (and the metrics registry) verbatim.
+	// into the snapshot (and the metrics registry) verbatim; the retry
+	// total is the sum of the shards' per-class attempts.
 	c.standbyCnt.Add(2)
 	c.drainedCnt.Add(6)
 	c.migratedCnt.Add(5)
-	c.retryCnt.Add(7)
 
 	st := c.Stats()
 	if st.MaxBatch != 5 {
@@ -206,14 +184,15 @@ func TestClusterStatsMerge(t *testing.T) {
 // paths while jobs are in flight: Stats, Metrics and WriteTrace from
 // several goroutines against a traced scheduler under submission load.
 // Every Stats snapshot must be internally consistent (Jobs equals the
-// per-class Completed sum — both are updated under the same lock), and
-// every trace export must be valid JSON. Run with -race.
+// per-class Completed sum — the total is derived from the per-class
+// counters of the same snapshot), every trace export must be valid
+// JSON, and the dropped-span gauge must not double count however many
+// snapshots raced. Run with -race.
 func TestConcurrentStatsAndTraceSnapshots(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := schedConfig(3)
-	cfg.Trace = TraceConfig{Enabled: ToggleOn, SpanCap: 256}
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	cfg.Trace = TraceConfig{Enabled: ToggleOn, SpanCap: 16} // small rings: spans must drop
+	s := newSchedulerWith(t, h, cfg)
 
 	rng := rand.New(rand.NewSource(31))
 	const nJobs = 24
@@ -275,7 +254,112 @@ func TestConcurrentStatsAndTraceSnapshots(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if rec, _ := s.TraceCounts(); rec == 0 {
+	// A worker records its last settle span after the futures resolve, so
+	// the gauge is bracketed by two reads of the rings' own count; once
+	// the workers are quiet all three are equal.
+	rec, before := s.TraceCounts()
+	in, _ := s.Metrics().Get("trace.spans_dropped")
+	_, after := s.TraceCounts()
+	if rec == 0 {
 		t.Fatal("no spans recorded under concurrent load")
+	}
+	if before == 0 {
+		t.Fatal("no spans dropped: the rings are too large for this test to say anything about the drop count")
+	}
+	if got := int64(in.Value); got < before || got > after {
+		t.Errorf("trace.spans_dropped = %d after concurrent snapshots, TraceCounts dropped = %d..%d", got, before, after)
+	}
+}
+
+// TestStatsViewCoversEveryField pins the view against the ledger: every
+// counter and maximum of a two-shard cluster's registries (found by
+// name in their snapshots, so a new instrument is included without
+// editing this) is set to a distinct non-zero value, the cache gauges
+// and latency windows are driven to distinct values, and every numeric
+// field of Stats, ClassStats and ClusterStats must then read non-zero
+// and differ from every other — a field added without a source reads 0
+// here, and two fields reading one instrument collide. Three fields are
+// not sums, so a value of theirs may recur under the same name: a
+// maximum (MaxBatch) and a quantile (P50, P99) equal one of the values
+// they were taken over, and the cluster's PerWorker concatenates the
+// shards'.
+func TestStatsViewCoversEveryField(t *testing.T) {
+	h := sharedHarness(t)
+	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1()},
+		schedConfig(2), h.RelinKey(), h.GaloisKeys())
+	defer c.Close()
+
+	rng := rand.New(rand.NewSource(21))
+	next := func() int64 { return 1e6 + rng.Int63n(1e9) }
+	fill := func(reg *obs.Registry) {
+		for _, in := range reg.Snapshot().Instruments {
+			switch in.Kind {
+			case "counter":
+				reg.Counter(in.Name).Add(next())
+			case "max":
+				reg.Max(in.Name).Observe(next())
+			}
+		}
+	}
+	fill(c.obsReg)
+	for i, sh := range c.all() {
+		fill(sh.sched.met.reg)
+		// i+1 misses, then 2i+5 hits: distinct per shard and in total.
+		cache := sh.sched.backend.Cache()
+		bufs := make([]*sycl.Buffer, i+1)
+		for j := range bufs {
+			bufs[j] = cache.Malloc(64)
+		}
+		for _, b := range bufs {
+			cache.Free(b)
+		}
+		for j := 0; j < 2*i+5; j++ {
+			cache.Free(cache.Malloc(64))
+		}
+		// Three samples per class: P50 is the middle one, P99 the largest,
+		// and the union's P50 is a sample neither shard reports.
+		sh.sched.latMu.Lock()
+		for k := range sh.sched.latency {
+			unit := math.Pow(100, float64(k)) / 8
+			for _, v := range []float64{1, 2, 10} {
+				sh.sched.latency[k].add((v + 2*float64(i)) * unit)
+			}
+		}
+		sh.sched.latMu.Unlock()
+	}
+
+	type leaf struct{ path, field string }
+	seen := map[float64]leaf{}
+	repeats := map[string]bool{"MaxBatch": true, "P50": true, "P99": true, "PerWorker": true}
+	var walk func(v reflect.Value, path, field string)
+	walk = func(v reflect.Value, path, field string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Type().Field(i)
+				walk(v.Field(i), path+"."+f.Name, f.Name)
+			}
+		case reflect.Slice:
+			if v.Len() == 0 {
+				t.Errorf("%s is empty", path)
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i), field)
+			}
+		case reflect.Int, reflect.Int64, reflect.Float64:
+			x := v.Convert(reflect.TypeOf(float64(0))).Float()
+			if x == 0 {
+				t.Errorf("%s = 0: the view has no source for it", path)
+				return
+			}
+			if prev, dup := seen[x]; dup && !(prev.field == field && repeats[field]) {
+				t.Errorf("%s = %s = %g: two fields read one source", path, prev.path, x)
+			}
+			seen[x] = leaf{path, field}
+		}
+	}
+	walk(reflect.ValueOf(c.Stats()), "ClusterStats", "")
+	if len(seen) < 100 {
+		t.Fatalf("walked only %d distinct values: the reflection walk is not reaching the fields", len(seen))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"xehe/internal/gpu"
 	"xehe/internal/qos"
 )
 
@@ -66,8 +65,7 @@ func TestAdmissionShedsPartialShareClass(t *testing.T) {
 	cfg := qosConfig(1, classes, qos.WFQ)
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1 // queue capacity 1 -> shed class limit 1
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newSchedulerWith(t, h, cfg)
 
 	const flood = 30
 	var futs []*Future
@@ -128,8 +126,7 @@ func TestStrictPriorityOrdersDispatch(t *testing.T) {
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 32 // deep decision pool, shallow worker channel
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newSchedulerWith(t, h, cfg)
 
 	const interClass, batchClass = qos.ClassID(0), qos.ClassID(1)
 	const batchJobs, interJobs = 10, 4
@@ -196,8 +193,7 @@ func TestEDFSchedulerOrdersByDeadline(t *testing.T) {
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 32 // deep decision pool, shallow worker channel
 	cfg.Aging = -1      // pure EDF: no aging override
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newSchedulerWith(t, h, cfg)
 
 	const loose = 8
 	jobs := squareJobs(h, loose+2)
@@ -261,8 +257,7 @@ func TestWFQServiceSplitsByWeight(t *testing.T) {
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 32 // deep decision pool, shallow worker channel
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newSchedulerWith(t, h, cfg)
 
 	const each = 8
 	jobs := squareJobs(h, 1+2*each)
@@ -309,9 +304,7 @@ func TestQoSDifferentialRandomMix(t *testing.T) {
 				cases[i] = h.RandomCase(rng, 5)
 				h.RandomQoS(rng, cases[i].Job)
 			}
-			s := New(h.Params, gpu.NewDevice1(), qosConfig(3, qos.DefaultClasses(), pol.factory),
-				h.RelinKey(), h.GaloisKeys())
-			defer s.Close()
+			s := newSchedulerWith(t, h, qosConfig(3, qos.DefaultClasses(), pol.factory))
 
 			futs := make([]*Future, nJobs)
 			var wg sync.WaitGroup

@@ -159,10 +159,7 @@ func (c *Cluster) queueRetry(src *shard, t *task, err error) bool {
 		go c.retryLoop()
 	}
 	c.retryMu.Unlock()
-	c.retryCnt.Add(1)
-	src.sched.statMu.Lock()
-	src.sched.classStat[t.class].Retried++
-	src.sched.statMu.Unlock()
+	src.sched.met.class[t.class].retried.Add(1)
 	return true
 }
 

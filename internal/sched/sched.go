@@ -33,30 +33,17 @@ var ErrShardLost = errors.New("sched: shard killed mid-flight with no healthy sh
 // with a full share block instead (plain backpressure).
 var ErrOverloaded = errors.New("sched: class queue share exhausted")
 
-// Toggle is a three-state boolean knob: the zero value selects the
-// knob's documented default, so a default can flip without callers
-// that pinned a state noticing.
-type Toggle int
+// Toggle is bool under the name the on/off knobs (TraceConfig.Enabled,
+// Config.SelfHeal) were first declared with; both default off, so the
+// zero value is the default.
+type Toggle = bool
 
+// The Toggle states, kept as names for callers written against them.
 const (
-	// ToggleDefault selects the knob's documented default.
-	ToggleDefault Toggle = iota
-	// ToggleOn forces the knob on.
-	ToggleOn
-	// ToggleOff forces the knob off.
-	ToggleOff
+	ToggleDefault Toggle = false
+	ToggleOn      Toggle = true
+	ToggleOff     Toggle = false
 )
-
-// or resolves the toggle against the knob's default.
-func (t Toggle) or(def bool) bool {
-	switch t {
-	case ToggleOn:
-		return true
-	case ToggleOff:
-		return false
-	}
-	return def
-}
 
 // Config tunes the scheduler. The zero value of any field selects a
 // sensible default.
@@ -110,7 +97,7 @@ type Config struct {
 	// when one is available, otherwise by a rate-limited cold rebuild of
 	// the dead shard's backend with exponential backoff between
 	// attempts. Default off; a no-op for a standalone Scheduler.
-	SelfHeal Toggle
+	SelfHeal bool
 	// Standbys (cluster only) is the size of the warm standby pool the
 	// supervisor maintains: pre-built shards (device constructed, cache
 	// pre-warmed) that promotion swaps into rotation the moment a shard
@@ -124,18 +111,12 @@ type Config struct {
 	// surfacing the error to the caller. The zero value disables
 	// retries.
 	Retry RetryPolicy
-
-	// Resolved toggles (withDefaults): the hot paths branch on these.
-	trace    bool
-	selfHeal bool
 }
 
 func (c Config) withDefaults(tiles int) Config {
 	if c.Workers <= 0 {
 		c.Workers = tiles
 	}
-	c.trace = c.Trace.Enabled.or(false)
-	c.selfHeal = c.SelfHeal.or(false)
 	if c.Standbys < 0 {
 		c.Standbys = 0
 	}
@@ -167,72 +148,84 @@ func (c Config) withDefaults(tiles int) Config {
 	return c
 }
 
-// ClassStats is the per-class slice of the scheduler counters.
+// ClassStats is the per-class slice of the scheduler counters: a field
+// tagged `metric:"<name>"` reads the instrument "<name>.<class>" of the
+// metrics snapshot (statsView).
 type ClassStats struct {
-	Name                      string
-	Submitted                 int64 // jobs admitted by this scheduler's Submit (stolen arrivals count via Stats.StolenIn)
-	Completed                 int64 // jobs finished (including failed)
-	Failed                    int64 // jobs that finished with an error
-	Rejected                  int64 // jobs shed with ErrOverloaded
-	Retried                   int64 // retry attempts consumed by this class's jobs
-	DeadlineHit, DeadlineMiss int64 // jobs with a deadline, by outcome
+	Name         string
+	Submitted    int64 `metric:"sched.jobs_submitted"`   // jobs admitted by this scheduler's Submit (stolen arrivals count via Stats.StolenIn)
+	Completed    int64 `metric:"sched.jobs_completed"`   // jobs finished (including failed)
+	Failed       int64 `metric:"sched.jobs_failed"`      // jobs that finished with an error
+	Rejected     int64 `metric:"sched.jobs_rejected"`    // jobs shed with ErrOverloaded
+	Retried      int64 `metric:"cluster.retry_attempts"` // retry attempts consumed by this class's jobs
+	DeadlineHit  int64 `metric:"sched.deadline_hit"`     // jobs that met their deadline
+	DeadlineMiss int64 `metric:"sched.deadline_miss"`    // jobs that missed it
 	// Batches, MaxBatch and Coalesced break the coalescing counters
 	// down per class (batches are formed from a single class's queue,
 	// so every batch is attributable): Batches counts batches whose
 	// jobs were of this class, MaxBatch is the largest such batch, and
 	// Coalesced counts the class's jobs that ran in a batch of size
 	// >= 2 — the jobs eligible for the cross-job fusion win.
-	Batches   int64
-	MaxBatch  int
-	Coalesced int64
+	Batches   int64 `metric:"sched.batches"`
+	MaxBatch  int   `metric:"sched.max_batch"`
+	Coalesced int64 `metric:"sched.jobs_coalesced"`
 	// TransferBatches counts the gathered H2D/D2H staging submissions
 	// issued for this class's batches (two per batch in steady state —
 	// one upload, one download), the per-class view of coalescing
 	// effectiveness on the transfer path.
-	TransferBatches int64
+	TransferBatches int64 `metric:"sched.transfer_batches"`
 	// P50/P99 are simulated-latency quantiles (seconds from
 	// submission to completion on the backend clock) over the
 	// completed jobs of the class; 0 when none completed.
 	P50, P99 float64
 }
 
-// Stats is a snapshot of scheduler counters.
+// Stats is a typed view over one snapshot of the scheduler's metrics
+// registry (Metrics returns the same snapshot untyped); nothing is
+// counted anywhere else. A field tagged `metric:"<name>"` reads that
+// instrument. Jobs, Failed, Batches, MaxBatch, Coalesced and
+// TransferBatches are derived from the PerClass counters of the same
+// snapshot, so each equals the sum (MaxBatch: the maximum) of its
+// per-class breakdown in every snapshot, however concurrent.
 type Stats struct {
-	Jobs      int64 // jobs completed (including failed ones)
-	Failed    int64 // jobs that finished with an error
-	Batches   int64 // batches executed
-	MaxBatch  int   // largest batch observed
-	Coalesced int64 // jobs that ran in a batch of size >= 2
-	// FusedBatches counts batches of two or more jobs whose chain ran
-	// as one launch sequence per step; FusedSteps counts their op-chain
-	// steps, while UnfusedSteps counts the steps of jobs that ran alone
+	Jobs      int64 `metric:"sched.jobs_completed"` // jobs completed (including failed ones)
+	Failed    int64 `metric:"sched.jobs_failed"`    // jobs that finished with an error
+	Batches   int64 `metric:"sched.batches"`        // batches executed
+	MaxBatch  int   `metric:"sched.max_batch"`      // largest batch observed
+	Coalesced int64 `metric:"sched.jobs_coalesced"` // jobs that ran in a batch of size >= 2
+	// FusedBatches counts batches of two or more jobs, FusedSteps their
+	// op-chain steps, and UnfusedSteps the steps of jobs that ran alone
 	// (singleton batches, and every job of a batch that was re-run job
-	// by job after an execution error). FusedSteps/(FusedSteps+
-	// UnfusedSteps) is the fraction of steps that shared their launch
-	// overhead with another job.
-	FusedBatches int64
-	FusedSteps   int64
-	UnfusedSteps int64
+	// by job after an execution error). Since every batch runs one launch
+	// sequence per step they say nothing Batches and Coalesced do not;
+	// they stay, one instrument each, because benchmark/serve.go reads
+	// them, and retire with the benchmark change that stops.
+	FusedBatches int64 `metric:"sched.fused_batches"`
+	FusedSteps   int64 `metric:"sched.fused_steps"`
+	UnfusedSteps int64 `metric:"sched.unfused_steps"`
 	// TransferBatches counts gathered transfer submissions: each is one
 	// staged H2D upload or one scattered D2H download covering a whole
 	// batch. BytesH2D/BytesD2H are the bytes they moved, so
 	// BytesH2D/TransferBatches exposes the mean gathered-transfer size —
 	// the coalescing effectiveness of the transfer path.
-	TransferBatches        int64
-	BytesH2D, BytesD2H     int64
-	PerWorker              []int64
-	PerClass               []ClassStats
-	StolenIn, StolenOut    int64 // jobs migrated in/out by work stealing
-	CacheHits, CacheMisses int64
+	TransferBatches int64   `metric:"sched.transfer_batches"`
+	BytesH2D        int64   `metric:"sched.bytes_h2d"`
+	BytesD2H        int64   `metric:"sched.bytes_d2h"`
+	PerWorker       []int64 // worker.jobs.<i>
+	PerClass        []ClassStats
+	StolenIn        int64 `metric:"sched.stolen_in"`  // jobs migrated in (placed off another shard, or returned)
+	StolenOut       int64 `metric:"sched.stolen_out"` // jobs taken off this scheduler's queues
+	CacheHits       int64 `metric:"memcache.hits"`
+	CacheMisses     int64 `metric:"memcache.misses"`
 	// GraphJobs counts jobs submitted with at least one dependency
 	// input (Job.InputFrom). ResidentHits counts dependency edges
 	// resolved against a device-resident producer output (zero PCIe
 	// traffic for the edge); ResidentMisses counts edges that fell back
 	// to host rematerialization — producer on another shard, output
 	// already host-side, or a migration mid-graph.
-	GraphJobs      int64
-	ResidentHits   int64
-	ResidentMisses int64
+	GraphJobs      int64 `metric:"sched.graph_jobs"`
+	ResidentHits   int64 `metric:"sched.resident_hits"`
+	ResidentMisses int64 `metric:"sched.resident_misses"`
 }
 
 // Future is the pending result of a submitted job. It doubles as the
@@ -402,12 +395,14 @@ type Scheduler struct {
 	closed    bool
 	closeDone chan struct{} // closed once teardown has fully completed
 
-	statMu    sync.Mutex
-	stats     Stats
-	classStat []ClassStats
-	latency   []latWindow // per-class simulated-latency samples
+	// latency holds the per-class simulated-latency samples P50/P99 are
+	// computed from — the one piece of accounting that is not an
+	// instrument, because the quantiles are exact over the samples.
+	latMu   sync.Mutex
+	latency []latWindow
 
-	// Observability (obs.go): met is the always-on metrics registry;
+	// Observability (obs.go): met is the always-on metrics registry,
+	// the only place an event is counted (Stats is a view over it);
 	// tracer is nil unless Config.Trace is enabled. queueTracks interns
 	// the per-class queue track names so span recording never
 	// allocates; batchSeq numbers dispatched batches for attribution.
@@ -524,17 +519,12 @@ func NewOn(params *ckks.Parameters, backend Backend, cfg Config, rlk *ckks.Relin
 		backend.Cache().Warm(cfg.WarmBuffers, (params.MaxLevel()+2)*params.N)
 	}
 	s.outCond = sync.NewCond(&s.outMu)
-	s.stats.PerWorker = make([]int64, cfg.Workers)
-	s.classStat = make([]ClassStats, len(s.classes))
 	s.latency = make([]latWindow, len(s.classes))
-	classNames := make([]string, len(s.classes))
-	for i, c := range s.classes {
-		s.classStat[i].Name = c.Name
-		classNames[i] = c.Name
+	for _, c := range s.classes {
 		s.queueTracks = append(s.queueTracks, "queue "+c.Name)
 	}
-	s.met = newSchedMetrics(classNames, backend)
-	if cfg.trace {
+	s.met = newSchedMetrics(s.classes, cfg.Workers, backend, s.TraceCounts)
+	if cfg.Trace.Enabled {
 		s.tracer = obs.NewTracer(ringWorker0+cfg.Workers, cfg.Trace.SpanCap)
 		// The device command trace feeds the tile compute/copy tracks
 		// of the exported timeline.
@@ -635,10 +625,7 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 		if s.rejects[class] {
 			s.qmu.Unlock()
 			s.outstandingAdd(-1, -t.work())
-			s.statMu.Lock()
-			s.classStat[class].Rejected++
-			s.statMu.Unlock()
-			s.met.jobsRejected.Add(1)
+			s.met.class[class].rejected.Add(1)
 			s.spanEnd(s.obsRing(ringSubmit), adm, trkSubmit, "reject", catAdmit, s.className(class), 0, 1)
 			return nil, ErrOverloaded
 		}
@@ -667,12 +654,7 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 		s.waiting++
 	}
 	s.qmu.Unlock()
-	s.statMu.Lock()
-	s.classStat[class].Submitted++
-	if len(job.Deps) > 0 {
-		s.stats.GraphJobs++
-	}
-	s.statMu.Unlock()
+	s.met.class[class].submitted.Add(1)
 	if len(job.Deps) > 0 {
 		s.met.graphJobs.Add(1)
 		s.registerDeps(t)
@@ -809,32 +791,23 @@ func (s *Scheduler) ResetClocks() {
 	s.qmu.Lock()
 	s.lastEnq = 0
 	s.qmu.Unlock()
-	s.statMu.Lock()
+	s.latMu.Lock()
 	for i := range s.latency {
 		s.latency[i].reset()
 	}
-	s.statMu.Unlock()
+	s.latMu.Unlock()
 }
 
-// Stats returns a snapshot of the scheduler counters.
+// Stats returns the typed view of the scheduler's metrics snapshot.
 func (s *Scheduler) Stats() Stats {
-	s.statMu.Lock()
-	st := s.stats
-	st.PerWorker = append([]int64(nil), s.stats.PerWorker...)
-	st.PerClass = append([]ClassStats(nil), s.classStat...)
-	for i := range st.PerClass {
-		st.PerClass[i].P50, st.PerClass[i].P99 = quantiles(s.latency[i].samples())
-	}
-	s.statMu.Unlock()
-	st.CacheHits, st.CacheMisses = s.backend.Cache().Stats()
-	return st
+	return statsView(s.Metrics().Values(), s.classes, s.classLatencies())
 }
 
 // classLatencies copies the per-class simulated-latency samples (the
 // cluster merges shard samples before computing quantiles).
 func (s *Scheduler) classLatencies() [][]float64 {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
+	s.latMu.Lock()
+	defer s.latMu.Unlock()
 	out := make([][]float64, len(s.latency))
 	for i := range s.latency {
 		out[i] = s.latency[i].samples()
@@ -842,12 +815,12 @@ func (s *Scheduler) classLatencies() [][]float64 {
 	return out
 }
 
-// quantiles returns the nearest-rank p50 and p99 of the samples.
-func quantiles(samples []float64) (p50, p99 float64) {
-	if len(samples) == 0 {
+// quantiles returns the nearest-rank p50 and p99 of the samples, which
+// it sorts in place (every caller hands it a copy of the windows).
+func quantiles(sorted []float64) (p50, p99 float64) {
+	if len(sorted) == 0 {
 		return 0, 0
 	}
-	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
 	rank := func(p float64) float64 {
 		i := int(math.Ceil(p*float64(len(sorted)))) - 1
@@ -993,7 +966,7 @@ func (s *Scheduler) popBatch() []*task {
 		if delay < 0 {
 			delay = 0
 		}
-		s.met.queueDelay[c].Observe(delay)
+		s.met.class[c].queueDelay.Observe(delay)
 	}
 	if s.tracer != nil {
 		ring := s.tracer.Ring(ringDispatch)
@@ -1049,9 +1022,6 @@ func (s *Scheduler) stealQueued(max int) []*task {
 		out = append(out, t)
 	}
 	if len(out) > 0 {
-		s.statMu.Lock()
-		s.stats.StolenOut += int64(len(out))
-		s.statMu.Unlock()
 		s.met.stolenOut.Add(int64(len(out)))
 		s.qcond.Broadcast()
 	}
@@ -1089,18 +1059,18 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 		work += t.work()
 	}
 	s.qmu.Unlock()
-	// StolenIn tracks the migration; Submitted stays with the shard
-	// that admitted the job, so cluster aggregates keep Submitted ==
-	// Completed after a drain.
-	s.statMu.Lock()
-	s.stats.StolenIn += int64(len(ts))
-	s.statMu.Unlock()
-	s.met.stolenIn.Add(int64(len(ts)))
+	// StolenIn tracks the migration — by origin: placed here off another
+	// shard, or returned to the shard they left — and Submitted stays
+	// with the shard that admitted the job, so cluster aggregates keep
+	// Submitted == Completed after a drain.
 	if from != s {
+		s.met.placedIn.Add(int64(len(ts)))
 		// Counted here before it is released there: a job in transit is
 		// double-counted, never dropped, so Drain cannot slip past it.
 		s.outstandingAdd(len(ts), work)
 		from.outstandingAdd(-len(ts), -work)
+	} else {
+		s.met.returned.Add(int64(len(ts)))
 	}
 	s.wake(s.kick)
 	return true
@@ -1228,7 +1198,7 @@ func (sj *staged) result() *core.Ciphertext {
 
 // runWorker is the worker loop, and the only one: each batch's inputs
 // arrive in one gathered H2D staging submission, its chain runs as one
-// launch sequence per op-chain step for the whole batch (fusion.go),
+// launch sequence per op-chain step for the whole batch (chain.go),
 // and its results leave in one scattered D2H, both copies on the tile's
 // copy engine. A job that ships alone is a batch of one on the same
 // path. The worker double-buffers one batch deep in both directions —
@@ -1410,7 +1380,7 @@ func (w *worker) stageUploaded(s *Scheduler, ub *uploadedBatch) ([]*staged, bool
 	for i, t := range ub.batch {
 		jobs[i] = t.job
 	}
-	vals, err := evalChainFusedOn(w.ctx, s.rlk, s.gks, jobs, ub.ins, w.tr)
+	vals, err := evalChain(w.ctx, s.rlk, s.gks, jobs, ub.ins, w.tr)
 	switch {
 	case err == nil:
 		for i, t := range ub.batch {
@@ -1540,16 +1510,10 @@ func (w *worker) resolveBatch(s *Scheduler, pb *pendingBatch) {
 	s.spanEnd(w.ring, st, w.track, "settle", catSettle, s.className(class), bid, len(pb.staged))
 }
 
-// transferDone accounts one gathered transfer submission against the
-// global and per-class counters.
+// transferDone accounts one gathered transfer submission against its
+// class and the bytes it moved.
 func (s *Scheduler) transferDone(class int, h2d, d2h int64) {
-	s.statMu.Lock()
-	s.stats.TransferBatches++
-	s.stats.BytesH2D += h2d
-	s.stats.BytesD2H += d2h
-	s.classStat[class].TransferBatches++
-	s.statMu.Unlock()
-	s.met.transferBatches.Add(1)
+	s.met.class[class].transferBatches.Add(1)
 	s.met.bytesH2D.Add(h2d)
 	s.met.bytesD2H.Add(d2h)
 }
@@ -1559,14 +1523,6 @@ func (s *Scheduler) transferDone(class int, h2d, d2h int64) {
 // step per job: singleton batches and job-by-job re-runs).
 func (s *Scheduler) stepsDone(batch []*task, fused bool) {
 	steps := int64(len(batch[0].job.Ops))
-	s.statMu.Lock()
-	if fused {
-		s.stats.FusedBatches++
-		s.stats.FusedSteps += steps
-	} else {
-		s.stats.UnfusedSteps += steps * int64(len(batch))
-	}
-	s.statMu.Unlock()
 	if fused {
 		s.met.fusedBatches.Add(1)
 		s.met.fusedSteps.Add(steps)
@@ -1594,59 +1550,39 @@ func (s *Scheduler) jobDone(w *worker, t *task, failed bool, batchLen int, done 
 	if lat < 0 {
 		lat = 0
 	}
-	s.statMu.Lock()
-	s.stats.Jobs++
-	cs := &s.classStat[t.class]
-	cs.Completed++
+	s.latMu.Lock()
+	s.latency[t.class].add(lat)
+	s.latMu.Unlock()
+	cm := &s.met.class[t.class]
+	cm.completed.Add(1)
 	if failed {
-		s.stats.Failed++
-		cs.Failed++
+		cm.failed.Add(1)
 	}
 	if !math.IsInf(t.deadline, 1) {
 		if done <= t.deadline {
-			cs.DeadlineHit++
+			cm.deadlineHit.Add(1)
 		} else {
-			cs.DeadlineMiss++
+			cm.deadlineMiss.Add(1)
 		}
 	}
-	s.latency[t.class].add(lat)
 	if batchLen >= 2 {
-		s.stats.Coalesced++
-		cs.Coalesced++
+		cm.coalesced.Add(1)
 	}
 	if w != nil {
-		s.stats.PerWorker[w.id]++
-	}
-	s.statMu.Unlock()
-	s.met.jobsCompleted.Add(1)
-	if failed {
-		s.met.jobsFailed.Add(1)
-	}
-	if batchLen >= 2 {
-		s.met.coalesced.Add(1)
-	}
-	// Service time: dispatch to completion on the simulated clock (the
-	// queueing-delay histogram covers submit to dispatch).
-	if svc := done - t.disp; w != nil && svc >= 0 {
-		s.met.serviceTime[t.class].Observe(svc)
+		s.met.worker[w.id].Add(1)
+		// Service time: dispatch to completion on the simulated clock
+		// (the queueing-delay histogram covers submit to dispatch).
+		if svc := done - t.disp; svc >= 0 {
+			cm.serviceTime.Observe(svc)
+		}
 	}
 	s.outstandingAdd(-1, -t.work())
 }
 
-// batchStarted records a dispatched batch globally and against the
-// class that formed it (batches are popped from a single class's
-// queue, so the attribution is exact).
+// batchStarted records a dispatched batch against the class that formed
+// it (batches are popped from a single class's queue, so the
+// attribution is exact).
 func (s *Scheduler) batchStarted(class, n int) {
-	s.statMu.Lock()
-	s.stats.Batches++
-	if n > s.stats.MaxBatch {
-		s.stats.MaxBatch = n
-	}
-	cs := &s.classStat[class]
-	cs.Batches++
-	if n > cs.MaxBatch {
-		cs.MaxBatch = n
-	}
-	s.statMu.Unlock()
-	s.met.batches.Add(1)
+	s.met.class[class].batches.Add(1)
+	s.met.class[class].maxBatch.Observe(int64(n))
 }

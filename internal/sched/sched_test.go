@@ -49,7 +49,7 @@ var batchShapes = []struct {
 // pinned in it, and every staging slab a gathered transfer drew (a
 // pool miss mints one) is back in the pool or was dropped by its
 // retention bound.
-func checkPoolsReturned(t *testing.T, when string, b Backend) {
+func checkPoolsReturned(t testing.TB, when string, b Backend) {
 	t.Helper()
 	if used, pinned := b.Cache().UsedCount(), b.Cache().PinnedCount(); used != 0 || pinned != 0 {
 		t.Errorf("%s: cache has %d buffers checked out and %d pinned, want 0/0", when, used, pinned)
@@ -60,10 +60,35 @@ func checkPoolsReturned(t *testing.T, when string, b Backend) {
 	}
 }
 
+// newScheduler builds a standalone scheduler whose teardown asserts the
+// conservation laws through the one Stats view: drained, every class
+// has Submitted == Completed (failed and shard-lost jobs complete too),
+// nothing is outstanding and the pools are back — checked before Close,
+// which reclaims the cache by force, and again after it. No test built
+// on this helper is exempt.
 func newScheduler(t testing.TB, h *Harness, workers int) *Scheduler {
 	t.Helper()
-	s := New(h.Params, gpu.NewDevice1(), schedConfig(workers), h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(s.Close)
+	return newSchedulerWith(t, h, schedConfig(workers))
+}
+
+// newSchedulerWith is newScheduler for a test that sets its own Config.
+func newSchedulerWith(t testing.TB, h *Harness, cfg Config) *Scheduler {
+	t.Helper()
+	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
+	t.Cleanup(func() {
+		s.Drain()
+		for _, pc := range s.Stats().PerClass {
+			if pc.Submitted != pc.Completed {
+				t.Errorf("teardown: class %s submitted %d jobs and completed %d", pc.Name, pc.Submitted, pc.Completed)
+			}
+		}
+		if n := s.Outstanding(); n != 0 {
+			t.Errorf("teardown: %d jobs outstanding after Drain", n)
+		}
+		checkPoolsReturned(t, "teardown, before Close", s.Backend())
+		s.Close()
+		checkPoolsReturned(t, "teardown, after Close", s.Backend())
+	})
 	return s
 }
 
@@ -240,8 +265,7 @@ func TestBackpressureTinyQueues(t *testing.T) {
 	cfg := schedConfig(1)
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newSchedulerWith(t, h, cfg)
 	vals := make([]complex128, h.Params.Slots())
 	const jobs = 10
 	for i := 0; i < jobs; i++ {

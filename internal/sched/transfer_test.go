@@ -38,8 +38,7 @@ func TestTransferDifferentialMatrix(t *testing.T) {
 			}
 			cfg := schedConfig(1)
 			cfg.MaxBatch = shape.maxBatch
-			s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-			defer s.Close()
+			s := newSchedulerWith(t, h, cfg)
 			futs := make([]*Future, len(jobs))
 			for i, j := range jobs {
 				var err error
@@ -92,9 +91,7 @@ func TestTransferDifferentialRandomQoS(t *testing.T) {
 			subs = append(subs, sub{c: c})
 		}
 	}
-	s := New(h.Params, gpu.NewDevice1(), schedConfig(3),
-		h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newScheduler(t, h, 3)
 
 	var wg sync.WaitGroup
 	for g := 0; g < submitters; g++ {
@@ -216,8 +213,7 @@ func TestTransferBatchOfOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	cfg := schedConfig(2)
 	cfg.MaxBatch = 1
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newSchedulerWith(t, h, cfg)
 	const nJobs = 8
 	jobs := make([]*Job, nJobs)
 	futs := make([]*Future, nJobs)
@@ -258,8 +254,7 @@ func TestTransferRaggedFinalBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cfg := schedConfig(1)
 	cfg.MaxBatch = 4
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newSchedulerWith(t, h, cfg)
 	const nJobs = 10         // 4 + 4 + 2 under a saturated single worker
 	fam := fusionFamilies[2] // MulRelinRS + Rotate
 	jobs := make([]*Job, nJobs)
@@ -296,9 +291,7 @@ func TestTransferRaggedFinalBatch(t *testing.T) {
 func TestTransferStagingReuse(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(616))
-	s := New(h.Params, gpu.NewDevice1(), schedConfig(2),
-		h.RelinKey(), h.GaloisKeys())
-	defer s.Close()
+	s := newScheduler(t, h, 2)
 	const waves, perWave = 4, 10
 	for w := 0; w < waves; w++ {
 		fam := fusionFamilies[w%len(fusionFamilies)]

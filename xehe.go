@@ -137,7 +137,7 @@
 //	cl := xehe.NewCluster(params, kit,
 //		[]xehe.DeviceKind{xehe.Device1, xehe.Device1},
 //		xehe.ClusterConfig{
-//			SelfHeal: xehe.ToggleOn, Standbys: 1,
+//			SelfHeal: true, Standbys: 1,
 //			Retry: xehe.RetryPolicy{MaxAttempts: 3},
 //		})
 //	cl.Faults().KillShard(0) // standby promoted before the backlog moves
@@ -194,7 +194,7 @@
 // (ui.perfetto.dev) or chrome://tracing:
 //
 //	svc := xehe.NewService(params, kit, xehe.Device1,
-//		xehe.ServiceConfig{Trace: xehe.TraceConfig{Enabled: xehe.ToggleOn}})
+//		xehe.ServiceConfig{Trace: xehe.TraceConfig{Enabled: true}})
 //	// ... submit work ...
 //	svc.Wait()
 //	f, _ := os.Create("trace.json")
@@ -209,14 +209,14 @@
 // (measured via `make bench-trace`, which records tracing-on vs -off
 // throughput into the benchmark JSON).
 //
-// Independently of tracing, Service.Metrics and Cluster.Metrics
-// snapshot an always-on typed metrics registry: the Stats counters as
-// named instruments plus per-class queueing-delay and service-time
-// histograms, worker idle/stall attribution, memory-cache and
-// staging-pool occupancy gauges, and steal/reroute counters. A
-// Metrics snapshot marshals to JSON and pretty-prints with WriteText;
-// cluster snapshots merge the per-shard registries instrument by
-// instrument.
+// Independently of tracing, an always-on typed metrics registry is the
+// one place the scheduler counts anything. Service.Metrics and
+// Cluster.Metrics snapshot it — counters (per QoS class, as
+// "<name>.<class>"), per-class queueing-delay and service-time
+// histograms, worker idle/stall attribution, pool gauges — and Stats is
+// the same snapshot as a typed struct, so the two cannot disagree. A
+// snapshot marshals to JSON and pretty-prints with WriteText; cluster
+// snapshots merge the shard registries instrument by instrument.
 //
 // The correctness of the concurrent and sharded paths is pinned by a
 // differential harness (internal/sched): randomized job chains must
@@ -500,9 +500,9 @@ type ClassStats = sched.ClassStats
 // the result.
 type Pending = sched.Future
 
-// ServiceStats snapshots the scheduler counters: jobs, batches,
-// coalescing, fused kernel/transfer submissions, per-worker load and
-// cache hit rates.
+// ServiceStats is the typed view of a Metrics snapshot: jobs, batches,
+// coalescing, gathered transfers and their bytes, per-worker and
+// per-class load, latency quantiles and cache hit rates.
 type ServiceStats = sched.Stats
 
 // TraceConfig enables span tracing on a Service or Cluster (via
@@ -511,8 +511,8 @@ type ServiceStats = sched.Stats
 type TraceConfig = sched.TraceConfig
 
 // Metrics is a point-in-time snapshot of the typed metrics registry
-// (Service.Metrics / Cluster.Metrics): counters mirroring the Stats
-// fields, per-class queueing-delay and service-time histograms, worker
+// (Service.Metrics / Cluster.Metrics): the counters Stats is a view
+// of, per-class queueing-delay and service-time histograms, worker
 // idle/stall attribution and pool occupancy gauges. It marshals to
 // JSON directly and pretty-prints with WriteText; Get looks up one
 // instrument by name (e.g. "sched.jobs_completed").
@@ -522,13 +522,11 @@ type Metrics = obs.Snapshot
 // instruments estimate quantiles via Quantile.
 type MetricsInstrument = obs.Instrument
 
-// Toggle is a three-state boolean knob (TraceConfig.Enabled,
-// ServiceConfig.SelfHeal): the zero value (ToggleDefault) selects the
-// knob's documented default, so a default can flip across releases
-// without callers that pinned a state noticing.
+// Toggle is bool under the name the on/off knobs (TraceConfig.Enabled,
+// ServiceConfig.SelfHeal) were first declared with; both default off.
 type Toggle = sched.Toggle
 
-// The Toggle states.
+// The Toggle states, kept as names for callers written against them.
 const (
 	ToggleDefault = sched.ToggleDefault
 	ToggleOn      = sched.ToggleOn
@@ -549,7 +547,7 @@ type ServiceConfig struct {
 	QueueDepth int
 	// MaxBatch caps how many same-shape jobs are coalesced into one
 	// batch — one gathered upload, one kernel launch per op-chain step,
-	// one scattered download for all of them (ServiceStats.FusedSteps,
+	// one scattered download for all of them (ServiceStats.Coalesced,
 	// TransferBatches/BytesH2D/BytesD2H count the sharing; see
 	// ARCHITECTURE.md). 1 ships every job as a batch of one. Default 8.
 	MaxBatch int
@@ -599,7 +597,7 @@ type ServiceConfig struct {
 	// a rate-limited cold rebuild of the dead shard's device kind in
 	// its own failure domain. Default OFF (the fault plane then only
 	// reports; recovery is manual via AddShard).
-	SelfHeal Toggle
+	SelfHeal bool
 	// Standbys sizes the supervisor's warm standby pool (Cluster only,
 	// requires SelfHeal): fully constructed, cache-warmed spare shards
 	// on fresh nodes, built at construction and restocked after each
