@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race fuzz-smoke bench bench-selftest bench-smoke bench-service bench-cluster bench-graph bench-trace bench-chaos bench-record clean
+.PHONY: all build vet fmt-check test test-race fuzz-smoke bench bench-selftest bench-sweeps clean
 
 all: build test
 
@@ -67,64 +67,19 @@ bench:
 bench-selftest:
 	cd benchmark && $(GO) test ./...
 
-# Fast CI gate: one pass over the scheduler and cluster throughput
-# benchmarks plus the machine-readable sweep (which now includes the
-# small mixed-class QoS sweep: per-class latency rows under the FIFO
-# baseline and WFQ), so a perf-destroying regression (or a broken
-# -json contract) fails the pipeline without paying for the full
-# benchmark matrix. Also writes a Perfetto-loadable sample trace from
-# the same mixed-QoS cluster shape (CI uploads it as an artifact).
-bench-smoke:
-	$(GO) test -bench 'Benchmark(Service|Cluster)Throughput' -benchtime 50x -run '^$$' .
-	$(GO) run ./cmd/xehe-bench -cluster 50 -json -trace trace-sample.json
-
-# Job-graph residency smoke: the chained-vs-graph sweep as JSON rows
-# (chains linked by InputFrom vs host round-trips).
-# The sweep itself exits non-zero if the two modes' results are not
-# bit-identical, so a regression in the device-resident hand-off (or
-# its byte-counter contract) fails CI quickly.
-bench-graph:
-	$(GO) run ./cmd/xehe-bench -graph 48 -json
-
-# Trace-overhead smoke: the tracing-off vs tracing-on rows over the
-# 2x Device1 mixed-QoS cluster. The simulated-time rate is identical
-# by construction (span recording only reads the clocks); the host
-# rate quantifies the recording overhead, which must stay small.
-bench-trace:
-	$(GO) run ./cmd/xehe-bench -traceoverhead 200 -json
-
-# Fault-recovery smoke: no-fault vs cold kill+addshard vs kill under
-# the self-healing supervisor (one warm standby) vs graceful DrainShard
-# over a 3-node Device1 cluster (each drill fires at 25%; every variant
-# sampled at the median of 3 runs). The sweep exits non-zero unless
-# every run's results are bit-identical to the no-fault run, cold
-# recovery holds >= 80% and standby recovery >= 90% of the baseline
-# simulated throughput (standby at least matching cold — promotion
-# skips device construction and warm-up), and the drain replays zero
-# jobs, so a regression in surrender/replay, elastic AddShard, standby
-# promotion, or draining hand-off fails CI quickly.
-bench-chaos:
-	$(GO) run ./cmd/xehe-bench -chaos 400 -json
-
-# Record the bench trajectory: the standard 500-job cluster + mixed
-# QoS + graph-residency + trace-overhead + fault-recovery sweep,
-# machine-readable, written to the repo root (CI uploads it as an
-# artifact so the trajectory is preserved per commit).
-bench-record:
-	$(GO) run ./cmd/xehe-bench -cluster 500 -json > BENCH_cluster.json
-	@wc -l BENCH_cluster.json
-
-# Throughput sweep of the concurrent scheduler (jobs/sec at 1, 2, 4
-# and 8 workers, host and simulated).
-bench-service:
-	$(GO) test -bench BenchmarkServiceThroughput -run '^$$' .
-	$(GO) run ./cmd/xehe-bench -service 200
-
-# Multi-device cluster sweep (1/2/4x Device1 and the heterogeneous
-# Device1+Device2 mix).
-bench-cluster:
-	$(GO) test -bench BenchmarkClusterThroughput -run '^$$' .
-	$(GO) run ./cmd/xehe-bench -cluster 200
+# The serving sweeps (service, cluster, mixed, graph, trace, chaos) from
+# xehe-bench's one scenario table: JSON rows to sweeps.jsonl, a summary
+# per scenario on stderr, and the trace sweep's tracing-on timeline as a
+# Perfetto-loadable sample (CI uploads both). It exits non-zero when
+# something that repeats on every run does not hold — a job lost or
+# failed, results not bit-identical across graph modes or across the
+# chaos drills, graph mode not moving fewer PCIe bytes, a drill that did
+# not run once or whose replacement shard never served, a drain that
+# replayed. Rates and ratios are single draws and are printed, not
+# gated (ARCHITECTURE.md, "Sweeps").
+bench-sweeps:
+	$(GO) run ./cmd/xehe-bench -sweep all -jobs 200 -trace trace-sample.json > sweeps.jsonl
+	@wc -l sweeps.jsonl
 
 clean:
 	$(GO) clean ./...

@@ -9,7 +9,6 @@ package xehe
 // figure tables.
 
 import (
-	"fmt"
 	"testing"
 
 	"xehe/internal/apps/matmul"
@@ -296,119 +295,6 @@ func BenchmarkAblationRadix(b *testing.B) {
 				cycles, _ = fhebench.NTTRun(spec, v, isa.InlineASM, 1, benchAnchor, 8)
 			}
 			b.ReportMetric(cycles, "sim-cycles")
-		})
-	}
-}
-
-// BenchmarkServiceThroughput measures end-to-end throughput of the
-// concurrent scheduler at 1, 2, 4 and 8 workers. Each job is a
-// MulRelinRescale + Rotate chain over pre-encrypted inputs; jobs are
-// submitted in a tight loop and the pool drains them concurrently.
-// Two metrics are reported: host-side jobs/sec (bounded by the real
-// CPU count — flat on a single-core runner, scales on multicore), and
-// simulated device throughput sim-jobs/sec, which scales with workers
-// because workers pin to distinct tiles and overlap on the simulated
-// timelines (the paper's explicit multi-tile submission, Fig. 14b,
-// applied to independent jobs instead of one split kernel).
-func BenchmarkServiceThroughput(b *testing.B) {
-	params := NewParameters(ParamsDemo())
-	kit := GenerateKeys(params, 11, 1)
-	v := make([]complex128, params.Slots())
-	for i := range v {
-		v[i] = complex(0.25, 0.1)
-	}
-	cta, ctb := kit.Encrypt(v), kit.Encrypt(v)
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			svc := NewService(params, kit, Device1, ServiceConfig{Workers: workers})
-			defer svc.Close()
-			submit := func(n int) {
-				for i := 0; i < n; i++ {
-					job := NewJob(cta, ctb)
-					r := job.MulRelinRescale(0, 1)
-					job.Rotate(r, 1)
-					if _, err := svc.Submit(job); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			// Warm the buffer cache to the pool's working set, then
-			// reset the simulated clocks so the sim metric measures
-			// steady-state scheduling, not cold-start driver allocs.
-			submit(4 * workers)
-			svc.Wait()
-			warmJobs := svc.Stats().Jobs
-			svc.ResetSimClocks()
-			b.ResetTimer()
-			submit(b.N)
-			svc.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
-			if sim := svc.SimulatedSeconds(); sim > 0 {
-				b.ReportMetric(float64(b.N)/sim, "sim-jobs/sec")
-			}
-			st := svc.Stats()
-			if st.Jobs != warmJobs+int64(b.N) || st.Failed != 0 {
-				b.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, warmJobs+int64(b.N))
-			}
-		})
-	}
-}
-
-// BenchmarkClusterThroughput measures the multi-device router at 1, 2
-// and 4 Device1 shards. Each shard runs its own scheduler (workers
-// defaulting to the device's tile count) and the router spreads the
-// uniform job stream by weighted least-loaded picks. The headline
-// metric is sim-jobs/sec: aggregate simulated throughput, computed
-// against the busiest shard's timeline, which must increase
-// monotonically with the device count (each device is an independent
-// simulated timeline, so sharding is near-linear; the acceptance
-// numbers are recorded in ROADMAP.md).
-func BenchmarkClusterThroughput(b *testing.B) {
-	params := NewParameters(ParamsDemo())
-	kit := GenerateKeys(params, 13, 1)
-	v := make([]complex128, params.Slots())
-	for i := range v {
-		v[i] = complex(0.25, 0.1)
-	}
-	cta, ctb := kit.Encrypt(v), kit.Encrypt(v)
-	for _, devices := range []int{1, 2, 4} {
-		devices := devices
-		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
-			kinds := make([]DeviceKind, devices)
-			for i := range kinds {
-				kinds[i] = Device1
-			}
-			cl := NewCluster(params, kit, kinds, ClusterConfig{WarmBuffers: 32})
-			defer cl.Close()
-			submit := func(n int) {
-				for i := 0; i < n; i++ {
-					job := NewJob(cta, ctb)
-					r := job.MulRelinRescale(0, 1)
-					job.Rotate(r, 1)
-					if _, err := cl.Submit(job); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			// One warm pass per shard pool, then measure steady state.
-			submit(8 * devices)
-			cl.Wait()
-			warmJobs := cl.Stats().Jobs
-			cl.ResetSimClocks()
-			b.ResetTimer()
-			submit(b.N)
-			cl.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
-			if sim := cl.SimulatedSeconds(); sim > 0 {
-				b.ReportMetric(float64(b.N)/sim, "sim-jobs/sec")
-			}
-			st := cl.Stats()
-			if st.Jobs != warmJobs+int64(b.N) || st.Failed != 0 {
-				b.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, warmJobs+int64(b.N))
-			}
 		})
 	}
 }

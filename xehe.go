@@ -206,8 +206,8 @@
 // reports the loss). Tracing only reads the simulated clocks, so
 // results and simulated timing are bit-for-bit identical with tracing
 // on or off; with the knob off the span sites reduce to a nil check
-// (measured via `make bench-trace`, which records tracing-on vs -off
-// throughput into the benchmark JSON).
+// (measured via `xehe-bench -sweep trace`, which records tracing-on vs
+// -off throughput rows).
 //
 // Independently of tracing, an always-on typed metrics registry is the
 // one place the scheduler counts anything. Service.Metrics and
