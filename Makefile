@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-race fuzz-smoke bench bench-selftest bench-sweeps clean
+.PHONY: all build vet fmt-check size test test-race fuzz-smoke bench bench-selftest bench-sweeps clean
 
 all: build test
 
@@ -18,6 +18,17 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Lines of Go outside benchmark/, non-test and test, per package and in
+# total: the two numbers a refactor is accepted on (ROADMAP, "a smaller
+# wc -l"), so CI prints them.
+size:
+	@find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs wc -l | awk ' \
+		BEGIN { printf "%-28s %8s %8s\n", "package", "non-test", "test" } \
+		$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); seen[d] = 1; \
+			if ($$2 ~ /_test\.go$$/) t[d] += $$1; else n[d] += $$1 } \
+		END { for (d in seen) { printf "%-28s %8d %8d\n", d, n[d], t[d] | "sort"; N += n[d]; T += t[d] } \
+			close("sort"); printf "%-28s %8d %8d\n", "total", N, T }'
 
 test: build
 	$(GO) test ./...

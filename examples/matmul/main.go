@@ -108,8 +108,10 @@ func main() {
 	GA, ga := mkSlot(w.M, w.K)
 	GB, gb := mkSlot(w.K, w.N)
 
-	cl := sched.NewCluster(params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice2()},
-		sched.Config{Core: cfg}, rlk, nil)
+	cl := sched.NewCluster(params, []sched.ShardSpec{
+		{Device: gpu.Device1Spec(), Node: 0},
+		{Device: gpu.Device2Spec(), Node: 1},
+	}, sched.Config{Core: cfg}, rlk, nil)
 	defer cl.Close()
 
 	GC, err := matmul.RunGraph(cl, GA, GB, w)

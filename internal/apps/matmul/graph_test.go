@@ -135,7 +135,10 @@ func TestMatMulGraphK1Cluster(t *testing.T) {
 	A, va := mk(w.M, w.K)
 	B, vb := mk(w.K, w.N)
 
-	cl := sched.NewCluster(params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice2()}, graphSchedConfig(1), rlk, nil)
+	cl := sched.NewCluster(params, []sched.ShardSpec{
+		{Device: gpu.Device1Spec(), Node: 0},
+		{Device: gpu.Device2Spec(), Node: 1},
+	}, graphSchedConfig(1), rlk, nil)
 	defer cl.Close()
 
 	C, err := RunGraph(cl, A, B, w)

@@ -31,31 +31,6 @@ func MultiGPUSpec(gpus int) DeviceSpec {
 	return s
 }
 
-// Cluster is the functional counterpart of MultiGPUSpec: instead of one
-// scaled spec it constructs one real simulated Device per spec, each
-// with its own tiles, queues, clocks and allocation accounting.
-// Heterogeneous mixes (e.g. Device1Spec + Device2Spec) are allowed;
-// the devices are fully independent, so a front-end router (the
-// multi-device scheduler in internal/sched) shards work across them
-// and the cluster's wall-clock is the busiest device's timeline.
-func Cluster(specs ...DeviceSpec) []*Device {
-	devs := make([]*Device, len(specs))
-	for i, s := range specs {
-		devs[i] = NewDevice(s)
-	}
-	return devs
-}
-
-// Homogeneous returns n fresh devices of the same spec — the functional
-// form of the MultiGPUSpec(n) analytic model.
-func Homogeneous(spec DeviceSpec, n int) []*Device {
-	specs := make([]DeviceSpec, n)
-	for i := range specs {
-		specs[i] = spec
-	}
-	return Cluster(specs...)
-}
-
 // ClusterWeight is the routing weight of a device within a cluster: its
 // whole-device int64 peak throughput. A front-end router dividing load
 // by these weights sends a Device1 (2 tiles, 512 EU/tile at 1.6 GHz)

@@ -33,17 +33,12 @@ func TestScaledSpecTileScaling(t *testing.T) {
 	}
 }
 
-// TestClusterFunctionalDevices pins the functional counterpart of the
-// analytic multi-GPU model: Cluster builds real, independent devices
-// (heterogeneous mixes allowed) whose clocks advance separately.
+// TestClusterFunctionalDevices pins what the multi-device scheduler in
+// internal/sched builds a cluster from: devices made from different
+// specs are independent (their clocks advance separately), and the
+// routing weight ranks a Device1 above a Device2.
 func TestClusterFunctionalDevices(t *testing.T) {
-	devs := Cluster(Device1Spec(), Device2Spec())
-	if len(devs) != 2 {
-		t.Fatalf("devices = %d, want 2", len(devs))
-	}
-	if devs[0].Spec.Name != "Device1" || devs[1].Spec.Name != "Device2" {
-		t.Fatalf("specs = %q/%q", devs[0].Spec.Name, devs[1].Spec.Name)
-	}
+	devs := []*Device{NewDevice1(), NewDevice2()}
 	p := KernelProfile{Items: 1 << 20, GlobalBytes: 1e8, Pattern: PatternUnitStride}
 	devs[0].NewQueue(0).SubmitProfile(p, isa.CompilerGenerated)
 	if devs[0].DeviceTime() <= 0 {
@@ -52,19 +47,6 @@ func TestClusterFunctionalDevices(t *testing.T) {
 	if devs[1].DeviceTime() != 0 {
 		t.Fatal("device 1 clock moved without work: devices are not independent")
 	}
-
-	homo := Homogeneous(Device1Spec(), 4)
-	if len(homo) != 4 {
-		t.Fatalf("homogeneous cluster = %d devices, want 4", len(homo))
-	}
-	for i, d := range homo {
-		for j := i + 1; j < len(homo); j++ {
-			if d == homo[j] {
-				t.Fatal("homogeneous cluster shares a device instance")
-			}
-		}
-	}
-	// Routing weights must rank a Device1 above a Device2.
 	d1, d2 := Device1Spec(), Device2Spec()
 	if ClusterWeight(&d1) <= ClusterWeight(&d2) {
 		t.Fatalf("ClusterWeight: Device1 (%g) must outrank Device2 (%g)",

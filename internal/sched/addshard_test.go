@@ -10,7 +10,7 @@ import (
 
 // addSpec builds a host-local shard spec for AddShard tests.
 func addSpec(node int) ShardSpec {
-	return ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: node}
+	return ShardSpec{Device: gpu.Device1Spec(), Node: node}
 }
 
 // TestAddShardRoutesDuringWarmup pins elastic scale-up against live
@@ -22,7 +22,7 @@ func TestAddShardRoutesDuringWarmup(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := schedConfig(2)
 	cfg.WarmBuffers = 32 // make the new shard's construction do real warm-up work
-	c := NewClusterShards(h.Params, []ShardSpec{addSpec(0)}, cfg, h.RelinKey(), h.GaloisKeys())
+	c := NewCluster(h.Params, []ShardSpec{addSpec(0)}, cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 
 	rng := rand.New(rand.NewSource(31337))
@@ -96,7 +96,7 @@ func TestAddShardRoutesDuringWarmup(t *testing.T) {
 // the churn.
 func TestAddCloseChurn(t *testing.T) {
 	h := sharedHarness(t)
-	c := NewClusterShards(h.Params, []ShardSpec{addSpec(0), addSpec(1)},
+	c := NewCluster(h.Params, []ShardSpec{addSpec(0), addSpec(1)},
 		schedConfig(1), h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 
@@ -172,7 +172,7 @@ func TestAddCloseChurn(t *testing.T) {
 // restart.
 func TestAddShardRevivesCluster(t *testing.T) {
 	h := sharedHarness(t)
-	c := NewClusterShards(h.Params, []ShardSpec{addSpec(0)},
+	c := NewCluster(h.Params, []ShardSpec{addSpec(0)},
 		schedConfig(1), h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 

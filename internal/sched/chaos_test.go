@@ -17,7 +17,7 @@ func chaosCluster(t testing.TB, h *Harness, maxBatch int) *Cluster {
 	cfg := schedConfig(2)
 	cfg.MaxBatch = maxBatch
 	c := NewCluster(h.Params,
-		[]*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1(), gpu.NewDevice2()},
+		shards(gpu.Device1Spec(), gpu.Device1Spec(), gpu.Device2Spec()),
 		cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 	return c
@@ -78,7 +78,7 @@ func testChaosDifferential(t *testing.T, h *Harness, maxBatch int) {
 	// Concurrently with the submitters: kill shard 1 outright, then add
 	// a replacement shard on a fresh node — elastic recovery mid-run.
 	c.Faults().KillShard(1)
-	idx, err := c.AddShard(ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(2).Core), Node: 3})
+	idx, err := c.AddShard(ShardSpec{Device: gpu.Device1Spec(), Node: 3})
 	if err != nil {
 		t.Fatalf("AddShard: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestChaosRemoteHops(t *testing.T) {
 	h := sharedHarness(t)
 	link := NetLink{LatencySeconds: 3e-6, GBps: 8}
 	c := newRemoteCluster(t, h, 2, []NetLink{link, link},
-		gpu.NewDevice1(), gpu.NewDevice1())
+		gpu.Device1Spec(), gpu.Device1Spec())
 
 	rng := rand.New(rand.NewSource(555))
 	const nJobs = 16
@@ -224,7 +224,7 @@ func TestChaosRemoteHops(t *testing.T) {
 	}
 	var delayed, dropped int64
 	for i := range c.all() {
-		ls := c.all()[i].sched.Backend().(*RemoteBackend).LinkStats()
+		ls := c.all()[i].sched.Backend().Device().LinkStats()
 		delayed += ls.Delayed
 		dropped += ls.Dropped
 	}

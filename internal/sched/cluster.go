@@ -32,7 +32,7 @@ const defaultStealInterval = 200 * time.Microsecond
 // device's peak throughput (gpu.ClusterWeight), so a fast device
 // absorbs proportionally more of a uniform load.
 //
-// Shards may live on simulated remote nodes (RemoteBackend): the node
+// Shards may live on simulated remote nodes (ShardSpec.Link): the node
 // id is the shard's failure domain, and the fault plane (Faults) can
 // fail-stop a shard mid-batch, degrade its network hop, or corrupt its
 // health checks. The cluster recovers by re-routing the killed shard's
@@ -113,13 +113,14 @@ type Cluster struct {
 }
 
 // shard is one device's scheduler plus its routing and health state.
+// Whether it was fail-stopped is the scheduler's to say (sched.Killed,
+// which implies closed).
 type shard struct {
 	id     int
-	node   int // failure domain (remote node id; shards share fate per node)
+	spec   ShardSpec // what it was built from; building it again is a replacement
 	sched  *Scheduler
 	weight float64
 	closed atomic.Bool // out of rotation (DrainShard, killShard or cluster Close); flips once
-	killed atomic.Bool // fail-stopped by the fault plane (implies closed)
 
 	// Fault-plane state: sick is the health-probe corruption budget
 	// (each failed probe consumes one unit), killAfter the armed
@@ -127,12 +128,9 @@ type shard struct {
 	sick      atomic.Int64
 	killAfter atomic.Int64
 
-	// Self-healing state: rebuild (from ShardSpec.Rebuild) constructs a
-	// fresh equivalent backend for replacement and standby stocking;
 	// replaced marks a killed shard whose replacement has been arranged
 	// (standby promoted or cold rebuild launched), so the supervisor
 	// repairs each loss exactly once.
-	rebuild  func() Backend
 	replaced atomic.Bool
 }
 
@@ -159,7 +157,7 @@ func (sh *shard) probe() bool {
 // "closed" (retired), "sick" (health probes failing) or "ok".
 func (sh *shard) health() string {
 	switch {
-	case sh.killed.Load():
+	case sh.sched.Killed():
 		return "killed"
 	case sh.closed.Load():
 		return "closed"
@@ -190,48 +188,41 @@ func (sh *shard) maybeKill(c *Cluster) {
 	}
 }
 
-// ShardSpec describes one shard of a cluster: its execution backend
-// and the failure domain (node id) it lives in. A RemoteBackend's hop
-// is priced by the device itself; the spec's Node groups shards that
-// share fate (FaultPlane.KillNode).
+// NetLink describes the simulated network hop between the scheduler's
+// host and a device on a remote node. The zero value is a host-local
+// attachment (no hop is priced).
+type NetLink struct {
+	// LatencySeconds is the one-way wire latency per crossing. Every
+	// wire-format submission delays command arrival by it, and every
+	// host sync pays it on the completion's way back.
+	LatencySeconds float64
+	// GBps is the link bandwidth applied to H2D/D2H payloads on top of
+	// the device's PCIe leg; 0 models a latency-only hop.
+	GBps float64
+}
+
+// ShardSpec describes one shard of a cluster, as data: the device model
+// to simulate, the failure domain (node id) it lives in — shards on one
+// node share fate (FaultPlane.KillNode) — and the network hop between
+// the router's host and that node. The cluster builds the shard from it
+// (newShard), and builds it again to stock a standby or to replace the
+// shard after a kill.
 type ShardSpec struct {
-	Backend Backend
-	Node    int
-	// Rebuild, when set, constructs a fresh backend equivalent to
-	// Backend (same device kind, same link pricing): the supervisor
-	// uses it to cold-replace this shard after a kill and as a
-	// template for the warm standby pool. Shards without it are not
-	// self-healable (the supervisor skips them).
-	Rebuild func() Backend
+	Device gpu.DeviceSpec
+	Node   int
+	Link   NetLink
 }
 
-// NewCluster builds a router over one scheduler per device, each on
-// its own node (failure domain = shard index). cfg applies per shard;
-// a zero Workers count defaults to each device's own tile count, so
-// heterogeneous devices get differently sized pools.
-func NewCluster(params *ckks.Parameters, devs []*gpu.Device, cfg Config, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey) *Cluster {
-	specs := make([]ShardSpec, len(devs))
-	for i, dev := range devs {
-		spec := dev.Spec
-		specs[i] = ShardSpec{
-			Backend: NewDeviceBackend(dev, cfg.Core),
-			Node:    i,
-			// Replacements simulate a fresh device of the same model:
-			// the dead one's executor is gone, its spec is not.
-			Rebuild: func() Backend { return NewDeviceBackend(gpu.NewDevice(spec), cfg.Core) },
-		}
-	}
-	return NewClusterShards(params, specs, cfg, rlk, gks)
-}
-
-// NewClusterShards builds a router over arbitrary shard backends —
-// local DeviceBackends, RemoteBackends on simulated nodes, or a mix.
-// The rotation-key lookup table is replicated per shard at
-// construction (each shard's scheduler owns its own map; the key
-// material itself is immutable host-side data, shared read-only). On
-// real hardware this construction step is where each device would
-// receive its own key upload.
-func NewClusterShards(params *ckks.Parameters, specs []ShardSpec, cfg Config, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey) *Cluster {
+// NewCluster builds a router over one scheduler per spec — host-local
+// devices, devices on simulated remote nodes, or a mix. cfg applies per
+// shard; a zero Workers count defaults to each device's own tile count,
+// so heterogeneous devices get differently sized pools. The
+// rotation-key lookup table is replicated per shard at construction
+// (each shard's scheduler owns its own map; the key material itself is
+// immutable host-side data, shared read-only). On real hardware this
+// construction step is where each device would receive its own key
+// upload.
+func NewCluster(params *ckks.Parameters, specs []ShardSpec, cfg Config, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey) *Cluster {
 	if len(specs) == 0 {
 		panic("sched: cluster needs at least one shard")
 	}
@@ -276,20 +267,27 @@ func NewClusterShards(params *ckks.Parameters, specs []ShardSpec, cfg Config, rl
 	return c
 }
 
-// newShard builds shard id over the spec's backend, replicating the
-// Galois-key table and wiring the fault-plane hooks before the shard
+// newShard is the one place a shard comes into being — for the
+// constructor, AddShard, standby stocking and cold repair alike: a
+// fresh simulated device of the spec's model, the spec's hop converted
+// to device cycles once (the device then charges it on every crossing
+// without the scheduler knowing the shard is remote; the zero link
+// prices nothing), a scheduler on it with its own replica of the
+// Galois-key table, and the fault-plane hooks wired before the shard
 // becomes routable.
 func (c *Cluster) newShard(id int, spec ShardSpec) *shard {
+	dev := gpu.NewDevice(spec.Device)
+	cyclesPerSec := dev.Spec.ClockGHz * 1e9
+	dev.SetLink(spec.Link.LatencySeconds*cyclesPerSec, max(spec.Link.GBps, 0)*1e9/cyclesPerSec)
 	replica := make(map[int]*ckks.GaloisKey, len(c.gks))
 	for k, v := range c.gks {
 		replica[k] = v
 	}
 	sh := &shard{
-		id:      id,
-		node:    spec.Node,
-		sched:   NewOn(c.params, spec.Backend, c.cfg, c.rlk, replica),
-		weight:  shardWeight(spec.Backend),
-		rebuild: spec.Rebuild,
+		id:     id,
+		spec:   spec,
+		sched:  New(c.params, dev, c.cfg, c.rlk, replica),
+		weight: gpu.ClusterWeight(&dev.Spec),
 	}
 	sh.sched.installFaultHooks(
 		func(ts []*task) { c.recoverTasks(sh, ts) },
@@ -297,16 +295,6 @@ func (c *Cluster) newShard(id int, spec ShardSpec) *shard {
 		func(t *task, err error) bool { return c.offerRetry(sh, t, err) },
 	)
 	return sh
-}
-
-// shardWeight derives the routing weight from the backend's device
-// when it exposes one (DeviceBackend, RemoteBackend), defaulting to an
-// even split otherwise.
-func shardWeight(b Backend) float64 {
-	if db, ok := b.(interface{ Device() *gpu.Device }); ok {
-		return gpu.ClusterWeight(&db.Device().Spec)
-	}
-	return 1
 }
 
 // startStealingLocked launches the work-stealing monitor once the
@@ -335,7 +323,7 @@ func (c *Cluster) Shards() int { return len(c.all()) }
 // Faults returns the cluster's fault-injection plane.
 func (c *Cluster) Faults() *FaultPlane { return c.faults }
 
-// AddShard grows the cluster with a new shard over the given backend
+// AddShard grows the cluster with a new shard built from the spec
 // (elastic scale-up, pairing DrainShard's scale-down): the shard warms
 // its buffer cache per the cluster's config, enters the routing tables
 // immediately, and the stealing monitor starts (or keeps) rebalancing
@@ -718,7 +706,6 @@ func (c *Cluster) killShard(i int) bool {
 	if !sh.closed.CompareAndSwap(false, true) {
 		return false
 	}
-	sh.killed.Store(true)
 	sh.sched.kill()
 	c.killedCnt.Add(1)
 	// Self-heal before evacuating: promoting a warm standby here means

@@ -12,12 +12,22 @@ import (
 	"xehe/internal/qos"
 )
 
+// shards describes one host-local shard per device model, each on its
+// own node (failure domain = shard index).
+func shards(devs ...gpu.DeviceSpec) []ShardSpec {
+	specs := make([]ShardSpec, len(devs))
+	for i, dev := range devs {
+		specs[i] = ShardSpec{Device: dev, Node: i}
+	}
+	return specs
+}
+
 // newTestCluster builds a cluster over the given devices with the same
 // core config as the serial reference context, so differential
 // comparisons run identical kernels.
-func newTestCluster(t testing.TB, h *Harness, workers int, devs ...*gpu.Device) *Cluster {
+func newTestCluster(t testing.TB, h *Harness, workers int, devs ...gpu.DeviceSpec) *Cluster {
 	t.Helper()
-	c := NewCluster(h.Params, devs, schedConfig(workers), h.RelinKey(), h.GaloisKeys())
+	c := NewCluster(h.Params, shards(devs...), schedConfig(workers), h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 	return c
 }
@@ -41,7 +51,7 @@ func TestClusterDifferentialHeterogeneous(t *testing.T) {
 		cases[i] = h.RandomCase(rng, maxOps)
 	}
 
-	c := newTestCluster(t, h, 2, gpu.NewDevice1(), gpu.NewDevice2())
+	c := newTestCluster(t, h, 2, gpu.Device1Spec(), gpu.Device2Spec())
 
 	futs := make([]*Future, nJobs)
 	var wg sync.WaitGroup
@@ -155,7 +165,7 @@ func TestPickWeightedSkipsClosed(t *testing.T) {
 // serving.
 func TestClusterNeverRoutesToClosedShard(t *testing.T) {
 	h := sharedHarness(t)
-	c := newTestCluster(t, h, 1, gpu.NewDevice1(), gpu.NewDevice1())
+	c := newTestCluster(t, h, 1, gpu.Device1Spec(), gpu.Device1Spec())
 	vals := make([]complex128, h.Params.Slots())
 
 	submit := func(n int) {
@@ -194,7 +204,7 @@ func TestClusterNeverRoutesToClosedShard(t *testing.T) {
 // Submit afterwards must return an error, never panic.
 func TestClusterSubmitAfterClose(t *testing.T) {
 	h := sharedHarness(t)
-	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice2()},
+	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device2Spec()),
 		schedConfig(1), h.RelinKey(), h.GaloisKeys())
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -311,7 +321,7 @@ func TestClusterStealsToIdleShard(t *testing.T) {
 	cfg.QueueDepth = 2
 	cfg.MaxBatch = 2
 	cfg.PendingCap = 64
-	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1()},
+	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device1Spec()),
 		cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 
@@ -376,7 +386,7 @@ func TestCloseShardReroutesBacklogUnderRace(t *testing.T) {
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 2
 	cfg.PendingCap = 64
-	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1()},
+	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device1Spec()),
 		cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 
@@ -473,7 +483,7 @@ func TestClusterDifferentialQoSMixed(t *testing.T) {
 			}
 			cfg := schedConfig(2)
 			cfg.Policy = pol.factory
-			c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice2()},
+			c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device2Spec()),
 				cfg, h.RelinKey(), h.GaloisKeys())
 			t.Cleanup(c.Close)
 
@@ -533,7 +543,7 @@ func TestClusterDifferentialQoSMixed(t *testing.T) {
 // cluster router instead of panicking in the routing path.
 func TestClusterRejectsOutOfRangeClass(t *testing.T) {
 	h := sharedHarness(t)
-	c := newTestCluster(t, h, 1, gpu.NewDevice1())
+	c := newTestCluster(t, h, 1, gpu.Device1Spec())
 	vals := make([]complex128, h.Params.Slots())
 	for _, class := range []qos.ClassID{-1, 99} {
 		j := NewJob(h.Encrypt(vals)).WithClass(class)
@@ -548,7 +558,7 @@ func TestClusterRejectsOutOfRangeClass(t *testing.T) {
 // numbers must sum to the cluster totals.
 func TestClusterStatsAggregate(t *testing.T) {
 	h := sharedHarness(t)
-	c := newTestCluster(t, h, 2, gpu.NewDevice1(), gpu.NewDevice2())
+	c := newTestCluster(t, h, 2, gpu.Device1Spec(), gpu.Device2Spec())
 	vals := make([]complex128, h.Params.Slots())
 	const jobs = 10
 	for i := 0; i < jobs; i++ {

@@ -47,7 +47,7 @@ func (fp *FaultPlane) KillShardAfter(i int, batches int64) {
 func (fp *FaultPlane) KillNode(node int) int {
 	killed := 0
 	for _, sh := range fp.c.all() {
-		if sh.node != node {
+		if sh.spec.Node != node {
 			continue
 		}
 		if fp.c.killShard(sh.id) {
@@ -60,8 +60,7 @@ func (fp *FaultPlane) KillNode(node int) int {
 // DelayHops injects extraSeconds of additional one-way latency into
 // shard i's next hops network crossings, and marks the shard sick for
 // as many health probes so the router steers new work away while the
-// link is degraded. No-op for out-of-range shards or backends without
-// a device.
+// link is degraded. No-op for out-of-range shards.
 func (fp *FaultPlane) DelayHops(i int, extraSeconds float64, hops int64) {
 	if dev := fp.shardDevice(i); dev != nil && hops > 0 {
 		dev.InjectLinkDelay(extraSeconds*dev.Spec.ClockGHz*1e9, hops)
@@ -117,15 +116,12 @@ func (fp *FaultPlane) Health(i int) string {
 	return shards[i].health()
 }
 
-// shardDevice resolves shard i's simulated device, if its backend
-// exposes one.
+// shardDevice resolves shard i's simulated device, nil when out of
+// range.
 func (fp *FaultPlane) shardDevice(i int) *gpu.Device {
 	shards := fp.c.all()
 	if i < 0 || i >= len(shards) {
 		return nil
 	}
-	if db, ok := shards[i].sched.Backend().(interface{ Device() *gpu.Device }); ok {
-		return db.Device()
-	}
-	return nil
+	return shards[i].sched.Backend().Device()
 }

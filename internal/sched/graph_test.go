@@ -322,7 +322,7 @@ func TestGraphDifferentialClusterHeterogeneous(t *testing.T) {
 		}
 		edges += graphEdges(graphs[i])
 	}
-	c := newTestCluster(t, h, 2, gpu.NewDevice1(), gpu.NewDevice2())
+	c := newTestCluster(t, h, 2, gpu.Device1Spec(), gpu.Device2Spec())
 	futss := make([][]*Future, nGraphs)
 	var wg sync.WaitGroup
 	for i := range graphs {
@@ -369,7 +369,7 @@ func TestGraphClusterCloseShardMidRun(t *testing.T) {
 			t.Fatalf("graph %d: serial reference: %v", i, err)
 		}
 	}
-	c := newTestCluster(t, h, 2, gpu.NewDevice1(), gpu.NewDevice2())
+	c := newTestCluster(t, h, 2, gpu.Device1Spec(), gpu.Device2Spec())
 	futss := make([][]*Future, nGraphs)
 	var wg sync.WaitGroup
 	for i := range graphs {

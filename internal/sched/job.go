@@ -7,12 +7,12 @@
 // Design (extending the paper's single-stream pipeline of Fig. 2 to a
 // serving scenario):
 //
-//   - The scheduler targets an abstract execution Backend (tiles,
-//     per-worker contexts, shared cache, clocks); DeviceBackend binds
-//     it to one simulated GPU. Each worker owns one in-order queue
-//     pinned to a tile (round-robin over the backend's tiles) and a
-//     private core.Context, so the asynchronous in-order pipeline
-//     state never crosses goroutines.
+//   - A scheduler runs on one simulated GPU (Backend: the device, its
+//     buffer cache, its staging pool, its clocks); a Cluster builds one
+//     scheduler per ShardSpec, which is plain data. Each worker owns
+//     one in-order queue pinned to a tile (round-robin over the
+//     device's tiles) and a private core.Context, so the asynchronous
+//     in-order pipeline state never crosses goroutines.
 //   - All workers share one device memory cache (internal/memcache),
 //     so buffers freed by one job are recycled by the next regardless
 //     of which worker runs it — the Fig. 11 cache applied fleet-wide.

@@ -23,7 +23,6 @@ import (
 	"strconv"
 	"time"
 
-	"xehe/internal/gpu"
 	"xehe/internal/obs"
 	"xehe/internal/qos"
 )
@@ -172,7 +171,7 @@ var derivedTotals = []string{
 // newSchedMetrics builds the instrument set over the class table and
 // the worker pool, and registers the gauges: the backend's pools and
 // the tracer's dropped-span total.
-func newSchedMetrics(classes []qos.Class, workers int, backend Backend, traceCounts func() (recorded, dropped int64)) *schedMetrics {
+func newSchedMetrics(classes []qos.Class, workers int, backend *Backend, traceCounts func() (recorded, dropped int64)) *schedMetrics {
 	reg := obs.NewRegistry()
 	m := &schedMetrics{
 		reg:            reg,
@@ -280,9 +279,9 @@ func (s *Scheduler) TraceCounts() (recorded, dropped int64) {
 	return s.tracer.Counts()
 }
 
-// TraceProcess assembles the scheduler's spans and — when the backend
-// is a simulated device — its per-tile compute/copy command timelines
-// into one exporter process. Returns false when tracing is off.
+// TraceProcess assembles the scheduler's spans and its device's
+// per-tile compute/copy command timelines into one exporter process.
+// Returns false when tracing is off.
 //
 // Track layout (top to bottom): "submit" (admission spans), "dispatch"
 // (batch-formation markers), one "queue <class>" row per QoS class
@@ -301,22 +300,20 @@ func (s *Scheduler) TraceProcess(name string) (obs.Process, bool) {
 	for _, w := range s.workers {
 		order = append(order, w.track)
 	}
-	if db, ok := s.backend.(interface{ Device() *gpu.Device }); ok {
-		dev := db.Device()
-		for t := 0; t < dev.Spec.Tiles; t++ {
-			order = append(order, fmt.Sprintf("tile%d compute", t), fmt.Sprintf("tile%d copy", t))
+	dev := s.backend.Device()
+	for t := 0; t < dev.Spec.Tiles; t++ {
+		order = append(order, fmt.Sprintf("tile%d compute", t), fmt.Sprintf("tile%d copy", t))
+	}
+	for _, e := range dev.Trace() {
+		track := "compute"
+		if e.Copy {
+			track = "copy"
 		}
-		for _, e := range dev.Trace() {
-			track := "compute"
-			if e.Copy {
-				track = "copy"
-			}
-			spans = append(spans, obs.Span{
-				Track: fmt.Sprintf("tile%d %s", e.Tile, track),
-				Name:  e.Name, Cat: "device",
-				Start: dev.Seconds(e.Start), End: dev.Seconds(e.End),
-			})
-		}
+		spans = append(spans, obs.Span{
+			Track: fmt.Sprintf("tile%d %s", e.Tile, track),
+			Name:  e.Name, Cat: "device",
+			Start: dev.Seconds(e.Start), End: dev.Seconds(e.End),
+		})
 	}
 	return obs.Process{Name: name, Spans: spans, TrackOrder: order}, true
 }

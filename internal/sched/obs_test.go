@@ -121,7 +121,7 @@ func TestTraceDisabled(t *testing.T) {
 // through the instruments so the expected values are exact.
 func TestClusterStatsMerge(t *testing.T) {
 	h := sharedHarness(t)
-	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1()},
+	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device1Spec()),
 		schedConfig(1), h.RelinKey(), h.GaloisKeys())
 	defer c.Close()
 
@@ -285,7 +285,7 @@ func TestConcurrentStatsAndTraceSnapshots(t *testing.T) {
 // shards'.
 func TestStatsViewCoversEveryField(t *testing.T) {
 	h := sharedHarness(t)
-	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1()},
+	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device1Spec()),
 		schedConfig(2), h.RelinKey(), h.GaloisKeys())
 	defer c.Close()
 

@@ -33,7 +33,7 @@ func mustFinish(t *testing.T, what string, f func()) {
 // single pinned buffer.
 func TestKillMidBatchNeverWedges(t *testing.T) {
 	h := sharedHarness(t)
-	c := newTestCluster(t, h, 2, gpu.NewDevice1(), gpu.NewDevice1())
+	c := newTestCluster(t, h, 2, gpu.Device1Spec(), gpu.Device1Spec())
 	c.Faults().KillShardAfter(0, 1) // first batch on shard 0 kills it
 
 	rng := rand.New(rand.NewSource(4242))
@@ -88,7 +88,7 @@ func TestKillMidBatchNeverWedges(t *testing.T) {
 // latency window.
 func TestKillAllShardsFailsWithoutWedging(t *testing.T) {
 	h := sharedHarness(t)
-	c := newTestCluster(t, h, 1, gpu.NewDevice1(), gpu.NewDevice1())
+	c := newTestCluster(t, h, 1, gpu.Device1Spec(), gpu.Device1Spec())
 	// Whichever shard picks up a batch dies on it: the job surrenders
 	// off shard 0, replays on shard 1, surrenders again, and has
 	// nowhere left to go.
@@ -130,11 +130,8 @@ func TestReplayedProducerErrorPropagation(t *testing.T) {
 	}
 	gks[5] = &ckks.GaloisKey{} // present (passes Submit), panics at run time
 
-	specs := []ShardSpec{
-		{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 0},
-		{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 1},
-	}
-	c := NewClusterShards(h.Params, specs, schedConfig(1), h.RelinKey(), gks)
+	specs := shards(gpu.Device1Spec(), gpu.Device1Spec())
+	c := NewCluster(h.Params, specs, schedConfig(1), h.RelinKey(), gks)
 	t.Cleanup(c.Close)
 	// An idle equal-weight cluster routes the first job to shard 0
 	// (ties break to the lowest index); its first batch kills the
@@ -200,11 +197,8 @@ func TestBackpressuredSubmitSurvivesKill(t *testing.T) {
 	cfg.QueueDepth = 2
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 4 // tiny pipeline: a burst must block in Submit
-	specs := []ShardSpec{
-		{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 0},
-		{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 1},
-	}
-	c := NewClusterShards(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
+	specs := shards(gpu.Device1Spec(), gpu.Device1Spec())
+	c := NewCluster(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 	c.Faults().KillShardAfter(0, 3)
 

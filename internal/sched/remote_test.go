@@ -10,18 +10,13 @@ import (
 // newRemoteCluster builds a cluster whose shard i sits behind links[i]
 // (the zero NetLink keeps the shard host-local), each shard its own
 // failure domain.
-func newRemoteCluster(t testing.TB, h *Harness, workers int, links []NetLink, devs ...*gpu.Device) *Cluster {
+func newRemoteCluster(t testing.TB, h *Harness, workers int, links []NetLink, devs ...gpu.DeviceSpec) *Cluster {
 	t.Helper()
-	cfg := schedConfig(workers)
-	specs := make([]ShardSpec, len(devs))
-	for i, dev := range devs {
-		if links[i].Local() {
-			specs[i] = ShardSpec{Backend: NewDeviceBackend(dev, cfg.Core), Node: i}
-		} else {
-			specs[i] = ShardSpec{Backend: NewRemoteBackend(dev, cfg.Core, i, links[i]), Node: i}
-		}
+	specs := shards(devs...)
+	for i := range specs {
+		specs[i].Link = links[i]
 	}
-	c := NewClusterShards(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
+	c := NewCluster(h.Params, specs, schedConfig(workers), h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 	return c
 }
@@ -36,7 +31,7 @@ func TestRemoteBackendDifferential(t *testing.T) {
 	h := sharedHarness(t)
 	link := NetLink{LatencySeconds: 5e-6, GBps: 8}
 	c := newRemoteCluster(t, h, 2, []NetLink{{}, link},
-		gpu.NewDevice1(), gpu.NewDevice1())
+		gpu.Device1Spec(), gpu.Device1Spec())
 
 	rng := rand.New(rand.NewSource(99))
 	const nJobs = 16
@@ -69,14 +64,7 @@ func TestRemoteBackendDifferential(t *testing.T) {
 	if st.Routed[1] == 0 {
 		t.Fatalf("remote shard received no jobs (routed %v)", st.Routed)
 	}
-	rb, ok := c.all()[1].sched.Backend().(*RemoteBackend)
-	if !ok {
-		t.Fatalf("shard 1 backend is %T, want *RemoteBackend", c.all()[1].sched.Backend())
-	}
-	if rb.Node() != 1 || rb.Link() != link {
-		t.Fatalf("remote backend identity = node %d link %+v", rb.Node(), rb.Link())
-	}
-	if ls := rb.LinkStats(); ls.Hops == 0 || ls.HopCycles <= 0 {
+	if ls := c.all()[1].sched.Backend().Device().LinkStats(); ls.Hops == 0 || ls.HopCycles <= 0 {
 		t.Fatalf("remote shard ran %d jobs but crossed the link %d times (%g cycles)",
 			st.PerShard[1].Jobs, ls.Hops, ls.HopCycles)
 	}
@@ -89,7 +77,7 @@ func TestRemoteBackendDifferential(t *testing.T) {
 func TestRemoteHopCostsSimulatedTime(t *testing.T) {
 	h := sharedHarness(t)
 	run := func(link NetLink) float64 {
-		c := newRemoteCluster(t, h, 2, []NetLink{link}, gpu.NewDevice1())
+		c := newRemoteCluster(t, h, 2, []NetLink{link}, gpu.Device1Spec())
 		vals := make([]complex128, h.Params.Slots())
 		for i := 0; i < 6; i++ {
 			j := NewJob(h.Encrypt(vals), h.Encrypt(vals))

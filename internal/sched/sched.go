@@ -95,8 +95,8 @@ type Config struct {
 	// SelfHeal (cluster only) runs the supervisor control loop: killed
 	// shards are auto-replaced — instantly from the warm standby pool
 	// when one is available, otherwise by a rate-limited cold rebuild of
-	// the dead shard's backend with exponential backoff between
-	// attempts. Default off; a no-op for a standalone Scheduler.
+	// the dead shard's spec with exponential backoff between attempts.
+	// Default off; a no-op for a standalone Scheduler.
 	SelfHeal bool
 	// Standbys (cluster only) is the size of the warm standby pool the
 	// supervisor maintains: pre-built shards (device constructed, cache
@@ -357,14 +357,14 @@ func (w *latWindow) reset() {
 }
 
 // Scheduler multiplexes independent HE jobs over a worker pool on one
-// execution backend (a single simulated device, via DeviceBackend).
+// execution backend (a single simulated device).
 // Jobs are held in per-class queues and dispatched by a qos.Policy
 // whenever a worker has room, so a late-arriving interactive job can
 // overtake a queued batch backlog. All methods are safe for
 // concurrent use.
 type Scheduler struct {
 	params  *ckks.Parameters
-	backend Backend
+	backend *Backend
 	cfg     Config
 	rlk     *ckks.RelinKey
 	gks     map[int]*ckks.GaloisKey
@@ -462,17 +462,12 @@ type worker struct {
 	tr    *stepTrace
 }
 
-// New creates a scheduler on the device (wrapped in a DeviceBackend).
-// The relinearization key is required by every Mul/Square op; Galois
-// keys are looked up per rotation amount and may be nil if no job
-// rotates.
+// New creates a scheduler on the device, which it owns from here on
+// (Close releases the buffer cache built over it). The relinearization
+// key is required by every Mul/Square op; Galois keys are looked up per
+// rotation amount and may be nil if no job rotates.
 func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey) *Scheduler {
-	return NewOn(params, NewDeviceBackend(dev, cfg.Core), cfg, rlk, gks)
-}
-
-// NewOn creates a scheduler on an abstract execution backend. The
-// scheduler owns the backend from here on: Close releases it.
-func NewOn(params *ckks.Parameters, backend Backend, cfg Config, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey) *Scheduler {
+	backend := newBackend(dev, cfg.Core)
 	cfg = cfg.withDefaults(backend.Tiles())
 	cfg.Core.DualTile = false // parallelism comes from the pool
 	s := &Scheduler{
@@ -528,9 +523,7 @@ func NewOn(params *ckks.Parameters, backend Backend, cfg Config, rlk *ckks.Relin
 		s.tracer = obs.NewTracer(ringWorker0+cfg.Workers, cfg.Trace.SpanCap)
 		// The device command trace feeds the tile compute/copy tracks
 		// of the exported timeline.
-		if db, ok := backend.(interface{ Device() *gpu.Device }); ok {
-			db.Device().EnableTrace()
-		}
+		dev.EnableTrace()
 	}
 	multiQ := cfg.Workers > 1
 	for i := 0; i < cfg.Workers; i++ {
@@ -557,7 +550,7 @@ func NewOn(params *ckks.Parameters, backend Backend, cfg Config, rlk *ckks.Relin
 func (s *Scheduler) Params() *ckks.Parameters { return s.params }
 
 // Backend returns the scheduler's execution backend.
-func (s *Scheduler) Backend() Backend { return s.backend }
+func (s *Scheduler) Backend() *Backend { return s.backend }
 
 // Policy returns the name of the dispatch policy in effect.
 func (s *Scheduler) Policy() string { return s.policy.Name() }

@@ -49,7 +49,7 @@ var batchShapes = []struct {
 // pinned in it, and every staging slab a gathered transfer drew (a
 // pool miss mints one) is back in the pool or was dropped by its
 // retention bound.
-func checkPoolsReturned(t testing.TB, when string, b Backend) {
+func checkPoolsReturned(t testing.TB, when string, b *Backend) {
 	t.Helper()
 	if used, pinned := b.Cache().UsedCount(), b.Cache().PinnedCount(); used != 0 || pinned != 0 {
 		t.Errorf("%s: cache has %d buffers checked out and %d pinned, want 0/0", when, used, pinned)

@@ -12,17 +12,30 @@ import (
 	"xehe/internal/gpu"
 )
 
-// selfHealCluster builds a rebuildable heterogeneous cluster (the
-// NewCluster device path carries Rebuild closures) with the supervisor
-// enabled and the given standby pool.
-func selfHealCluster(t testing.TB, h *Harness, standbys int, devs ...*gpu.Device) *Cluster {
+// selfHealCluster builds a cluster of host-local shards with the
+// supervisor enabled and the given standby pool.
+func selfHealCluster(t testing.TB, h *Harness, standbys int, devs ...gpu.DeviceSpec) *Cluster {
 	t.Helper()
 	cfg := schedConfig(2)
 	cfg.SelfHeal = ToggleOn
 	cfg.Standbys = standbys
-	c := NewCluster(h.Params, devs, cfg, h.RelinKey(), h.GaloisKeys())
+	c := NewCluster(h.Params, shards(devs...), cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 	return c
+}
+
+// waitSupervisor polls until the supervisor has done what is awaited:
+// its loop runs on a host wall-clock ticker, so there is no event to
+// block on.
+func waitSupervisor(t testing.TB, what string, done func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !done() {
+		if time.Now().After(deadline) {
+			t.Fatalf("supervisor did not %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestSelfHealStandbyPromotion is the supervisor's differential
@@ -33,7 +46,7 @@ func selfHealCluster(t testing.TB, h *Harness, standbys int, devs ...*gpu.Device
 // exactly one promotion counted. Run with -race (make test-race).
 func TestSelfHealStandbyPromotion(t *testing.T) {
 	h := sharedHarness(t)
-	c := selfHealCluster(t, h, 1, gpu.NewDevice1(), gpu.NewDevice1(), gpu.NewDevice2())
+	c := selfHealCluster(t, h, 1, gpu.Device1Spec(), gpu.Device1Spec(), gpu.Device2Spec())
 
 	rng := rand.New(rand.NewSource(9001))
 	const (
@@ -111,21 +124,15 @@ func TestSelfHealStandbyPromotion(t *testing.T) {
 // runs on the host wall clock, so the test polls for the replacement.
 func TestSelfHealColdReplacement(t *testing.T) {
 	h := sharedHarness(t)
-	c := selfHealCluster(t, h, 0, gpu.NewDevice1(), gpu.NewDevice1())
+	c := selfHealCluster(t, h, 0, gpu.Device1Spec(), gpu.Device1Spec())
 
 	if !c.Faults().KillShard(0) {
 		t.Fatal("KillShard(0) returned false")
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for c.Shards() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("supervisor did not cold-replace the killed shard (shards = %d)", c.Shards())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSupervisor(t, "cold-replace the killed shard", func() bool { return c.Shards() == 3 })
 	repl := c.all()[2]
-	if repl.node != c.all()[0].node {
-		t.Errorf("replacement node = %d, want the dead shard's domain %d", repl.node, c.all()[0].node)
+	if repl.spec.Node != c.all()[0].spec.Node {
+		t.Errorf("replacement node = %d, want the dead shard's domain %d", repl.spec.Node, c.all()[0].spec.Node)
 	}
 	if got := c.Faults().Health(2); got != "ok" {
 		t.Fatalf("replacement health = %q, want ok", got)
@@ -162,6 +169,143 @@ func TestSelfHealColdReplacement(t *testing.T) {
 	}
 }
 
+// TestSelfHealRebuildsRemoteSpec pins what a replacement is: the dead
+// shard's spec built again. A shard behind a network hop that is killed
+// under the supervisor comes back — promoted from the standby pool or
+// cold-rebuilt — behind the same hop (its device counts the crossings,
+// and the same jobs cost more simulated time on it than on a host-local
+// twin), at the same routing weight, in the failure domain the rule
+// gives it (cold repair: the dead shard's node; standby: a fresh one),
+// and every result on it is bit-identical to the serial path.
+func TestSelfHealRebuildsRemoteSpec(t *testing.T) {
+	h := sharedHarness(t)
+	link := NetLink{LatencySeconds: 3e-6, GBps: 8}
+	for _, tc := range []struct {
+		name     string
+		standbys int
+		node     int
+	}{
+		{"standby", 1, 2}, // one above the fleet's nodes 0 and 1
+		{"cold", 0, 0},    // the dead shard's
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := schedConfig(1)
+			cfg.SelfHeal = true
+			cfg.Standbys = tc.standbys
+			c := NewCluster(h.Params, []ShardSpec{
+				{Device: gpu.Device1Spec(), Node: 0, Link: link},
+				{Device: gpu.Device1Spec(), Node: 1, Link: link},
+			}, cfg, h.RelinKey(), h.GaloisKeys())
+			t.Cleanup(c.Close)
+			twin := newTestCluster(t, h, 1, gpu.Device1Spec())
+
+			if !c.Faults().KillShard(0) {
+				t.Fatal("KillShard(0) returned false")
+			}
+			waitSupervisor(t, "replace the killed shard", func() bool { return c.Shards() == 3 })
+			// Retire the survivor: the replacement serves every job below.
+			mustFinish(t, "DrainShard", func() { c.DrainShard(1) })
+			dead, repl := c.all()[0], c.all()[2]
+			if repl.spec.Device.Name != dead.spec.Device.Name || repl.spec.Link != link {
+				t.Fatalf("replacement spec = %s behind %+v, want %s behind %+v",
+					repl.spec.Device.Name, repl.spec.Link, dead.spec.Device.Name, link)
+			}
+			if repl.weight != dead.weight {
+				t.Errorf("replacement weight = %g, want the source's %g", repl.weight, dead.weight)
+			}
+			if repl.spec.Node != tc.node {
+				t.Errorf("replacement node = %d, want %d", repl.spec.Node, tc.node)
+			}
+
+			rng := rand.New(rand.NewSource(9003))
+			for i := 0; i < 4; i++ {
+				cs := h.RandomCase(rng, 4)
+				want, err := h.RunSerial(cs.Job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// One job at a time on both, so the two clocks price the
+				// same batches and differ by the hop alone.
+				for _, cl := range []*Cluster{c, twin} {
+					fut, err := cl.Submit(cs.Job)
+					if err != nil {
+						t.Fatalf("job %d: %v", i, err)
+					}
+					got, err := fut.Wait()
+					if err != nil {
+						t.Fatalf("job %d: %v", i, err)
+					}
+					if err := SameCiphertext(got, want); err != nil {
+						t.Fatalf("job %d diverges from the serial path: %v", i, err)
+					}
+				}
+			}
+			mustFinish(t, "Drain", c.Drain)
+			twin.Drain()
+
+			if ls := repl.sched.Backend().Device().LinkStats(); ls.Hops == 0 || ls.HopCycles <= 0 {
+				t.Fatalf("replacement crossed its link %d times (%g cycles): the hop was not rebuilt", ls.Hops, ls.HopCycles)
+			}
+			if remote, local := repl.sched.Backend().SimulatedSeconds(), twin.SimulatedSeconds(); remote <= local {
+				t.Fatalf("replacement ran the jobs in %g simulated s, a host-local twin in %g: the hop costs nothing", remote, local)
+			}
+			st := c.Stats()
+			if st.Failed != 0 || st.StandbyPromoted != int64(tc.standbys) {
+				t.Fatalf("Failed = %d, StandbyPromoted = %d, want 0 and %d", st.Failed, st.StandbyPromoted, tc.standbys)
+			}
+			if st.PerShard[2].Jobs != 4 {
+				t.Fatalf("replacement ran %d jobs, want all 4", st.PerShard[2].Jobs)
+			}
+		})
+	}
+}
+
+// TestStandbyNodesStayFresh pins the standby's failure domain: it is
+// allocated when the standby is built, above every node published by
+// then. Counted once from the constructor's shards, the sequence handed
+// the restock after a first promotion the node a caller's AddShard had
+// taken in the meantime, and killing that node took both shards.
+func TestStandbyNodesStayFresh(t *testing.T) {
+	h := sharedHarness(t)
+	c := selfHealCluster(t, h, 1, gpu.Device1Spec(), gpu.Device1Spec()) // nodes 0 and 1, standby on 2
+	added, err := c.AddShard(ShardSpec{Device: gpu.Device1Spec(), Node: 3})
+	if err != nil {
+		t.Fatalf("AddShard: %v", err)
+	}
+	pooled := func() bool {
+		c.sup.mu.Lock()
+		defer c.sup.mu.Unlock()
+		return len(c.sup.standbys) == 1
+	}
+	// Two kills, two promotions: the second standby is the restock.
+	for i := 0; i < 2; i++ {
+		waitSupervisor(t, "restock the standby pool", pooled)
+		if !c.Faults().KillShard(i) {
+			t.Fatalf("KillShard(%d) returned false", i)
+		}
+	}
+	if st := c.Stats(); st.StandbyPromoted != 2 {
+		t.Fatalf("StandbyPromoted = %d, want 2", st.StandbyPromoted)
+	}
+	seen := map[int]int{}
+	for _, sh := range c.all() {
+		if !sh.closed.Load() {
+			seen[sh.spec.Node]++
+		}
+	}
+	for node, n := range seen {
+		if n != 1 {
+			t.Errorf("%d open shards share node %d: a standby's failure domain was not fresh", n, node)
+		}
+	}
+	if n := c.Faults().KillNode(3); n != 1 {
+		t.Fatalf("KillNode(3) killed %d shards, want only the added one", n)
+	}
+	if got := c.Faults().Health(added); got != "killed" {
+		t.Fatalf("added shard health = %q, want killed", got)
+	}
+}
+
 // TestRetryLinkFaultDifferential pins the retry plane's correctness
 // half: remote shards whose links lose submissions outright
 // (FailHops — real data loss, not a timing fault) stay invisible to
@@ -174,10 +318,10 @@ func TestRetryLinkFaultDifferential(t *testing.T) {
 	cfg.Retry = RetryPolicy{MaxAttempts: 4}
 	link := NetLink{LatencySeconds: 3e-6, GBps: 8}
 	specs := []ShardSpec{
-		{Backend: NewRemoteBackend(gpu.NewDevice1(), cfg.Core, 0, link), Node: 0},
-		{Backend: NewRemoteBackend(gpu.NewDevice1(), cfg.Core, 1, link), Node: 1},
+		{Device: gpu.Device1Spec(), Node: 0, Link: link},
+		{Device: gpu.Device1Spec(), Node: 1, Link: link},
 	}
-	c := NewClusterShards(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
+	c := NewCluster(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 
 	rng := rand.New(rand.NewSource(777))
@@ -218,7 +362,7 @@ func TestRetryLinkFaultDifferential(t *testing.T) {
 
 	var faulted int64
 	for _, sh := range c.all() {
-		faulted += sh.sched.Backend().(*RemoteBackend).LinkStats().Faulted
+		faulted += sh.sched.Backend().Device().LinkStats().Faulted
 	}
 	if faulted == 0 {
 		t.Fatal("no link fault was consumed — the retry path was not exercised")
@@ -252,9 +396,9 @@ func TestRetryExhaustionSurfacesOriginalError(t *testing.T) {
 	cfg.Retry = RetryPolicy{MaxAttempts: 3}
 	link := NetLink{LatencySeconds: 3e-6, GBps: 8}
 	specs := []ShardSpec{
-		{Backend: NewRemoteBackend(gpu.NewDevice1(), cfg.Core, 0, link), Node: 0},
+		{Device: gpu.Device1Spec(), Node: 0, Link: link},
 	}
-	c := NewClusterShards(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
+	c := NewCluster(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 
 	// Far more faults than any attempt could consume: every submission
@@ -298,7 +442,7 @@ func TestDrainShardNoReplay(t *testing.T) {
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 64
-	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1()},
+	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device1Spec()),
 		cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 
@@ -451,7 +595,7 @@ func TestDrainShardMigratesResidents(t *testing.T) {
 
 func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
 	h := sharedHarness(t)
-	c := newTestCluster(t, h, 1, gpu.NewDevice1())
+	c := newTestCluster(t, h, 1, gpu.Device1Spec())
 
 	vals := make([]complex128, h.Params.Slots())
 	for i := range vals {
@@ -473,7 +617,7 @@ func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
 	release()
 	c.Drain()
 
-	if _, err := c.AddShard(ShardSpec{Backend: NewDeviceBackend(gpu.NewDevice1(), schedConfig(1).Core), Node: 1}); err != nil {
+	if _, err := c.AddShard(ShardSpec{Device: gpu.Device1Spec(), Node: 1}); err != nil {
 		t.Fatalf("AddShard: %v", err)
 	}
 	mustFinish(t, "retirement", func() { retire(c, 0) })
@@ -526,7 +670,7 @@ func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
 // double-close, or a wedge; the cluster keeps serving afterwards.
 func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 	h := sharedHarness(t)
-	c := newTestCluster(t, h, 1, gpu.NewDevice1(), gpu.NewDevice1())
+	c := newTestCluster(t, h, 1, gpu.Device1Spec(), gpu.Device1Spec())
 
 	if !c.Faults().KillShard(0) {
 		t.Fatal("KillShard(0) returned false")
@@ -561,7 +705,7 @@ func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 	// With the supervisor on and a standby in stock, a kill that went
 	// through would be counted, promote the standby and grow a cluster
 	// that was deliberately scaled down.
-	hc := selfHealCluster(t, h, 1, gpu.NewDevice1(), gpu.NewDevice1(), gpu.NewDevice1())
+	hc := selfHealCluster(t, h, 1, gpu.Device1Spec(), gpu.Device1Spec(), gpu.Device1Spec())
 	hc.Faults().KillShardAfter(1, 1)
 	mustFinish(t, "DrainShard", func() { hc.DrainShard(0) })
 	mustFinish(t, "CloseShard", func() { hc.CloseShard(1) })
@@ -569,7 +713,7 @@ func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 	if hc.Faults().KillShard(0) {
 		t.Error("KillShard on a drained shard returned true")
 	}
-	if n := hc.Faults().KillNode(hc.all()[1].node); n != 0 {
+	if n := hc.Faults().KillNode(hc.all()[1].spec.Node); n != 0 {
 		t.Errorf("KillNode on a closed shard's node killed %d shards, want 0", n)
 	}
 	hc.all()[1].maybeKill(hc) // the armed countdown reaching zero
@@ -592,7 +736,7 @@ func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 		if got := hc.Faults().Health(i); got != "closed" {
 			t.Errorf("retired shard %d health after kills = %q, want closed", i, got)
 		}
-		if sh := hc.all()[i]; sh.killed.Load() || sh.replaced.Load() {
+		if sh := hc.all()[i]; sh.sched.Killed() || sh.replaced.Load() {
 			t.Errorf("retired shard %d is marked killed/replaced: the supervisor would repair it", i)
 		}
 	}
@@ -609,7 +753,7 @@ func TestChaosKillUnderSelfHeal(t *testing.T) {
 	cfg.SelfHeal = ToggleOn
 	cfg.Standbys = 1
 	c := NewCluster(h.Params,
-		[]*gpu.Device{gpu.NewDevice1(), gpu.NewDevice1(), gpu.NewDevice2()},
+		shards(gpu.Device1Spec(), gpu.Device1Spec(), gpu.Device2Spec()),
 		cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 	c.Faults().KillShardAfter(0, 2)
@@ -670,7 +814,7 @@ func TestChaosKillUnderSelfHeal(t *testing.T) {
 		t.Fatalf("StandbyPromoted = %d, want >= 1 (at least one kill must be absorbed by the warm pool)", st.StandbyPromoted)
 	}
 	for i, sh := range c.all() {
-		if sh.killed.Load() {
+		if sh.sched.Killed() {
 			continue
 		}
 		if n := sh.sched.Backend().Cache().PinnedCount(); n != 0 {

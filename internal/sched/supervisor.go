@@ -21,7 +21,7 @@ const (
 // (Config.SelfHeal): it watches the health plane for fail-stopped
 // shards and replaces them — instantly by promoting a warm standby
 // (Config.Standbys), or by a rate-limited cold rebuild of the dead
-// shard's backend in its failure domain. Replacement is what turns
+// shard's spec in its failure domain. Replacement is what turns
 // the fault plane's "survive a kill" into "recover the capacity": the
 // chaos bench's recovered-throughput floor comes from how fast the
 // lost shard's share of the fleet returns.
@@ -34,9 +34,9 @@ type supervisor struct {
 	mu       sync.Mutex
 	stopped  bool
 	standbys []*shard
-	sources  []ShardSpec // rebuildable shard templates, for the pool
+	sources  []ShardSpec // the constructor's specs: templates for the pool
 	next     int         // round-robin cursor over sources
-	nodeSeq  int         // fresh failure domains for standbys
+	nodeSeq  int         // high-water mark of node ids: standbys go above it
 
 	repairSem chan struct{} // bounds concurrent cold rebuilds
 	backoff   time.Duration // current cold-repair backoff
@@ -56,19 +56,10 @@ func newSupervisor(c *Cluster) *supervisor {
 		backoff:   repairBackoffMin,
 	}
 	for _, sh := range c.all() {
-		if sh.rebuild != nil {
-			sup.sources = append(sup.sources, ShardSpec{Node: sh.node, Rebuild: sh.rebuild})
-		}
-		if sh.node >= sup.nodeSeq {
-			sup.nodeSeq = sh.node + 1
-		}
+		sup.sources = append(sup.sources, sh.spec)
 	}
 	for i := 0; i < c.cfg.Standbys; i++ {
-		sb := sup.buildStandby()
-		if sb == nil {
-			break // nothing rebuildable to template from
-		}
-		sup.standbys = append(sup.standbys, sb)
+		sup.standbys = append(sup.standbys, sup.buildStandby())
 	}
 	sup.wg.Add(1)
 	go sup.loop()
@@ -76,20 +67,21 @@ func newSupervisor(c *Cluster) *supervisor {
 }
 
 // buildStandby constructs one unpublished warm shard from the next
-// rebuildable template, on a fresh node (a spare machine is its own
-// failure domain).
+// template, on a fresh node (a spare machine is its own failure
+// domain): one above every node published so far — AddShard may have
+// introduced new ones since the last build — and above every standby
+// built before it, pooled, promoted or on its way between the two.
 func (sup *supervisor) buildStandby() *shard {
 	sup.mu.Lock()
-	if len(sup.sources) == 0 {
-		sup.mu.Unlock()
-		return nil
-	}
-	src := sup.sources[sup.next%len(sup.sources)]
+	spec := sup.sources[sup.next%len(sup.sources)]
 	sup.next++
-	node := sup.nodeSeq
+	for _, sh := range sup.c.all() {
+		sup.nodeSeq = max(sup.nodeSeq, sh.spec.Node+1)
+	}
+	spec.Node = sup.nodeSeq
 	sup.nodeSeq++
 	sup.mu.Unlock()
-	return sup.c.newShard(-1, ShardSpec{Backend: src.Rebuild(), Node: node, Rebuild: src.Rebuild})
+	return sup.c.newShard(-1, spec)
 }
 
 // takeStandby pops a warm shard from the pool, or nil.
@@ -148,7 +140,7 @@ func (sup *supervisor) loop() {
 func (sup *supervisor) round() {
 	idle := true
 	for _, sh := range sup.c.all() {
-		if !sh.killed.Load() || sh.replaced.Load() || sh.rebuild == nil {
+		if !sh.sched.Killed() || sh.replaced.Load() {
 			continue
 		}
 		idle = false
@@ -178,9 +170,9 @@ func (sup *supervisor) round() {
 		go func() {
 			defer sup.wg.Done()
 			defer func() { <-sup.repairSem }()
-			// Rebuild in the dead shard's own failure domain: the node
-			// lost a device, not its slot in the topology.
-			repl := sup.c.newShard(-1, ShardSpec{Backend: dead.rebuild(), Node: dead.node, Rebuild: dead.rebuild})
+			// Build the dead shard's spec again, failure domain included:
+			// the node lost a device, not its slot in the topology.
+			repl := sup.c.newShard(-1, dead.spec)
 			if _, err := sup.c.publishShard(repl); err != nil {
 				repl.sched.Close() // cluster closed mid-repair
 			}
@@ -205,9 +197,6 @@ func (sup *supervisor) refill() {
 		return
 	}
 	sb := sup.buildStandby()
-	if sb == nil {
-		return
-	}
 	sup.mu.Lock()
 	if sup.stopped || len(sup.standbys) >= sup.c.cfg.Standbys {
 		sup.mu.Unlock()

@@ -145,7 +145,7 @@ func TestClusterTransferDifferential(t *testing.T) {
 			jobs = append(jobs, familyJob(h, rng, fam))
 		}
 	}
-	c := NewCluster(h.Params, []*gpu.Device{gpu.NewDevice1(), gpu.NewDevice2()},
+	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device2Spec()),
 		schedConfig(2), h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(c.Close)
 

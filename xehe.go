@@ -734,16 +734,15 @@ type ClusterStats = sched.ClusterStats
 // simulated kernels are deterministic), pinned by the cluster
 // differential harness in internal/sched.
 type Cluster struct {
-	cl  *sched.Cluster
-	cfg sched.Config
+	cl *sched.Cluster
 }
 
 // NodeSpec places one cluster shard in a failure domain: a node id
 // (shards sharing a node share fate under FaultPlane.KillNode) plus
 // the simulated network hop between the router's host and that node.
 // A zero hop (LatencyUS == 0 && GBps == 0) is a host-local attachment;
-// a non-zero hop wraps the shard's device in a remote backend that
-// charges the hop on every wire crossing.
+// a non-zero hop is priced on the shard's device, which charges it on
+// every wire crossing.
 type NodeSpec struct {
 	// Node is the failure-domain id.
 	Node int
@@ -768,38 +767,24 @@ type ClusterConfig = ServiceConfig
 // places shards on simulated remote nodes with distinct failure
 // domains; without it every shard is host-local on its own node.
 func NewCluster(params *Parameters, kit *KeyKit, devs []DeviceKind, cc ClusterConfig) *Cluster {
-	cfg := cc.schedConfig()
 	specs := make([]sched.ShardSpec, len(devs))
 	for i, kind := range devs {
 		node := NodeSpec{Node: i}
 		if i < len(cc.Nodes) {
 			node = cc.Nodes[i]
 		}
-		specs[i] = shardSpec(deviceFor(kind), cfg, node)
+		specs[i] = shardSpec(kind, node)
 	}
-	return &Cluster{cl: sched.NewClusterShards(params.inner, specs, cfg, kit.rlk, kit.gks), cfg: cfg}
+	return &Cluster{cl: sched.NewCluster(params.inner, specs, cc.schedConfig(), kit.rlk, kit.gks)}
 }
 
-// shardSpec wires one device into a shard spec, wrapping it in a
-// remote backend when the node declares a network hop.
-func shardSpec(dev *gpu.Device, cfg sched.Config, node NodeSpec) sched.ShardSpec {
-	link := sched.NetLink{LatencySeconds: node.LatencyUS * 1e-6, GBps: node.GBps}
-	spec := dev.Spec // captured by value: a rebuild gets a fresh device of the same kind
-	if link.Local() {
-		return sched.ShardSpec{
-			Backend: sched.NewDeviceBackend(dev, cfg.Core),
-			Node:    node.Node,
-			Rebuild: func() sched.Backend {
-				return sched.NewDeviceBackend(gpu.NewDevice(spec), cfg.Core)
-			},
-		}
-	}
+// shardSpec describes one shard to the cluster, which builds the device
+// (and, after a kill, its replacement) from it.
+func shardSpec(kind DeviceKind, node NodeSpec) sched.ShardSpec {
 	return sched.ShardSpec{
-		Backend: sched.NewRemoteBackend(dev, cfg.Core, node.Node, link),
-		Node:    node.Node,
-		Rebuild: func() sched.Backend {
-			return sched.NewRemoteBackend(gpu.NewDevice(spec), cfg.Core, node.Node, link)
-		},
+		Device: specFor(kind),
+		Node:   node.Node,
+		Link:   sched.NetLink{LatencySeconds: node.LatencyUS * 1e-6, GBps: node.GBps},
 	}
 }
 
@@ -811,7 +796,7 @@ func shardSpec(dev *gpu.Device, cfg sched.Config, node NodeSpec) sched.ShardSpec
 // revives the cluster. It returns the new shard's index, or ErrClosed
 // after Close.
 func (c *Cluster) AddShard(kind DeviceKind, node NodeSpec) (int, error) {
-	return c.cl.AddShard(shardSpec(deviceFor(kind), c.cfg, node))
+	return c.cl.AddShard(shardSpec(kind, node))
 }
 
 // FaultPlane is the cluster's fault-injection surface (Cluster.Faults)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"xehe/internal/sched"
 )
 
 var (
@@ -239,6 +241,68 @@ func TestClusterFacade(t *testing.T) {
 	cl.Close()
 	if _, err := cl.Submit(NewJob(cta)); err == nil {
 		t.Fatal("Submit after Close must error")
+	}
+}
+
+// TestClusterFacadeRemoteSelfHeal drives the remote half of the facade
+// — shards behind a network hop, the supervisor with one warm standby —
+// through a kill, an AddShard on a remote node and a DrainShard, with
+// jobs in flight across all three: every result must equal the serial
+// GPUEvaluator's bit for bit, the kill must be absorbed by the standby,
+// and nothing may fail.
+func TestClusterFacadeRemoteSelfHeal(t *testing.T) {
+	params, kit := fixture(t)
+	remote := func(node int) NodeSpec { return NodeSpec{Node: node, LatencyUS: 5, GBps: 12} }
+	cl := NewCluster(params, kit, []DeviceKind{Device1, Device1}, ClusterConfig{
+		Nodes:    []NodeSpec{remote(0), remote(1)},
+		SelfHeal: true,
+		Standbys: 1,
+	})
+	defer cl.Close()
+
+	cta, ctb := kit.Encrypt(randVec(params.Slots(), 30)), kit.Encrypt(randVec(params.Slots(), 31))
+	ev := NewGPUEvaluator(params, kit, Device1, ConfigOptimized())
+	want := ev.Rotate(ev.MulRelinRescale(cta, ctb), 1)
+
+	const jobs = 12
+	futs := make([]*Pending, jobs)
+	for i := range futs {
+		switch i {
+		case jobs / 4:
+			if !cl.Faults().KillShard(0) {
+				t.Fatal("KillShard(0) returned false")
+			}
+		case jobs / 2:
+			if _, err := cl.AddShard(Device2, remote(7)); err != nil {
+				t.Fatalf("AddShard: %v", err)
+			}
+		case 3 * jobs / 4:
+			cl.DrainShard(1)
+		}
+		j := NewJob(cta, ctb)
+		j.Rotate(j.MulRelinRescale(0, 1), 1)
+		fut, err := cl.Submit(j)
+		if err != nil {
+			t.Fatalf("job %d: submit: %v", i, err)
+		}
+		futs[i] = fut
+	}
+	cl.Wait()
+	for i, fut := range futs {
+		got, err := fut.Wait()
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if err := sched.SameCiphertext(got, want); err != nil {
+			t.Fatalf("job %d diverges from the GPUEvaluator: %v", i, err)
+		}
+	}
+	st := cl.Stats()
+	if st.Jobs != jobs || st.Failed != 0 {
+		t.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, jobs)
+	}
+	if st.StandbyPromoted != 1 || st.Killed != 1 {
+		t.Fatalf("StandbyPromoted = %d, Killed = %d, want 1 and 1", st.StandbyPromoted, st.Killed)
 	}
 }
 
