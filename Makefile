@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check size test test-race fuzz-smoke bench bench-selftest bench-sweeps clean
+.PHONY: all build vet fmt-check size test test-race stress fuzz-smoke bench bench-selftest bench-sweeps clean
 
 all: build test
 
@@ -51,6 +51,14 @@ test: build
 # internal/apps (matMul as a job graph on a scheduler and a cluster).
 test-race:
 	$(GO) test -race . ./internal/apps/... ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/... ./internal/core/... ./internal/fhebench/... ./internal/ckks/... ./internal/poly/... ./internal/ntt/...
+
+# The recovery plane's tests — kills, drains, retries, self-healing,
+# elastic growth, the shard lifecycle table — ten times over on one and
+# on two CPUs: they race submitters and the control loop against
+# workers, and a race that loses once in fifteen loaded runs shows here
+# as a count instead of a flaky CI run elsewhere.
+stress:
+	$(GO) test ./internal/sched -run 'Chaos|SelfHeal|Kill|Drain|Retry|AddShard|Lifecycle' -count 10 -cpu 1,2
 
 # Fuzz smoke: every Fuzz* target in the tree (found by name, so a new
 # one is picked up without editing this), 5 s each — internal/xmath's

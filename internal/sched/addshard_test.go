@@ -22,8 +22,7 @@ func TestAddShardRoutesDuringWarmup(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := schedConfig(2)
 	cfg.WarmBuffers = 32 // make the new shard's construction do real warm-up work
-	c := NewCluster(h.Params, []ShardSpec{addSpec(0)}, cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newClusterWith(t, h, []ShardSpec{addSpec(0)}, cfg)
 
 	rng := rand.New(rand.NewSource(31337))
 	const nJobs = 20
@@ -96,9 +95,7 @@ func TestAddShardRoutesDuringWarmup(t *testing.T) {
 // the churn.
 func TestAddCloseChurn(t *testing.T) {
 	h := sharedHarness(t)
-	c := NewCluster(h.Params, []ShardSpec{addSpec(0), addSpec(1)},
-		schedConfig(1), h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newClusterWith(t, h, []ShardSpec{addSpec(0), addSpec(1)}, schedConfig(1))
 
 	rng := rand.New(rand.NewSource(2025))
 	var futs []*Future
@@ -172,9 +169,7 @@ func TestAddCloseChurn(t *testing.T) {
 // restart.
 func TestAddShardRevivesCluster(t *testing.T) {
 	h := sharedHarness(t)
-	c := NewCluster(h.Params, []ShardSpec{addSpec(0)},
-		schedConfig(1), h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newClusterWith(t, h, []ShardSpec{addSpec(0)}, schedConfig(1))
 
 	vals := make([]complex128, h.Params.Slots())
 	job := NewJob(h.Encrypt(vals))

@@ -7,20 +7,25 @@ import (
 	"testing"
 
 	"xehe/internal/gpu"
+	"xehe/internal/qos"
 )
 
 // chaosCluster builds a heterogeneous multi-node cluster (two Device1
 // nodes plus a Device2 node) coalescing up to maxBatch jobs (0: the
-// default), with shard i in failure domain i.
+// default), with shard i in failure domain i. Every class blocks when
+// its queue is full (Share 1) rather than shedding: these tests are
+// about replay, and with two of three shards killed the default
+// Interactive slice (Share 0.5 — 8 jobs on one shard at MaxBatch 1)
+// loses a race against three submitters now and then.
 func chaosCluster(t testing.TB, h *Harness, maxBatch int) *Cluster {
 	t.Helper()
 	cfg := schedConfig(2)
 	cfg.MaxBatch = maxBatch
-	c := NewCluster(h.Params,
-		shards(gpu.Device1Spec(), gpu.Device1Spec(), gpu.Device2Spec()),
-		cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
-	return c
+	cfg.Classes = qos.DefaultClasses()
+	for i := range cfg.Classes {
+		cfg.Classes[i].Share = 1
+	}
+	return newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device1Spec(), gpu.Device2Spec()), cfg)
 }
 
 // TestChaosDifferential is the chaos acceptance harness: randomized

@@ -16,11 +16,11 @@ import (
 // taken out of rotation but the cluster itself is still open.
 var ErrNoShards = errors.New("sched: cluster has no open shards")
 
-// defaultStealInterval is how often the work-stealing monitor scans
-// for an idle shard next to a backlogged one (host wall-clock; jobs
-// take orders of magnitude longer, so the scan is cheap relative to
-// the work it migrates).
-const defaultStealInterval = 200 * time.Microsecond
+// controlInterval is how often the control loop runs a round (host
+// wall-clock; jobs take orders of magnitude longer, so a round is cheap
+// relative to the work it migrates, and the retry plane's simulated
+// backoff is priced into the stamps rather than slept out).
+const controlInterval = 200 * time.Microsecond
 
 // Cluster shards independent HE jobs across several devices: one
 // Scheduler per device (each with its own worker pool, class queues
@@ -46,11 +46,16 @@ const defaultStealInterval = 200 * time.Microsecond
 // Routing is class-aware: latency-sensitive classes go to the shard
 // with the least expected wait (outstanding weighted work divided by
 // the shard's throughput weight), everything else to the classic
-// weighted least-loaded shard. A background monitor steals queued
+// weighted least-loaded shard. The control loop (control) steals queued
 // (not yet dispatched) jobs from the longest backlog onto any shard
 // that has gone idle, so a drained device never sits dark while
 // another queues. Steal, retirement, kill and retry all move tasks off
 // a shard the same way: relocate.
+//
+// Everything the cluster does in the background is that one loop: a
+// round steals, re-injects parked retries and runs the supervisor, in
+// that order, and a shard's whole lifecycle is one word (shardState)
+// that only shard.on writes.
 //
 // Jobs are independent, so any shard may execute any job; the simulated
 // kernels are deterministic, which makes results identical regardless
@@ -67,34 +72,36 @@ type Cluster struct {
 	// so the hot paths iterate lock-free over an immutable slice.
 	shardsVal atomic.Value
 
-	mu        sync.RWMutex // guards closed + shard-list growth vs Submit
-	closed    bool
-	closeDone chan struct{}
+	// closed is set once, by Close, under mu's write lock: Submit and
+	// publishShard read it under mu, the retry plane under retryMu.
+	mu        sync.RWMutex // Close and shard-list growth vs Submit
+	closed    atomic.Bool
+	closeOnce sync.Once
 
 	// stealMu serializes task relocation (every caller of place and
 	// relocate) against shard retirement, so a relocated task can never
 	// be left without an open scheduler to land on.
-	stealMu   sync.Mutex
-	stopSteal chan struct{}
-	stealWg   sync.WaitGroup
-	stealing  bool // monitor running (guarded by mu)
+	stealMu sync.Mutex
+
+	// stop ends the control loop; wg waits for it and for the shard
+	// builds it launched (supervisor.build).
+	stop chan struct{}
+	wg   sync.WaitGroup
 
 	faults *FaultPlane
 
-	// sup is the self-healing control loop (Config.SelfHeal): standby
-	// promotion and cold replacement of killed shards. nil when off.
+	// sup is the self-healing state (Config.SelfHeal): the standby pool
+	// and the cold-repair backoff the control loop's rounds act on. nil
+	// when off.
 	sup *supervisor
 
 	// Retry plane (retry.go): tasks whose transient failures are being
-	// re-run land in retryQ (relative stamps, backoff priced in) and a
-	// lazily started loop re-injects them. retryStopped gates intake so
-	// Close can drain the plane without stranding a task.
-	retryMu      sync.Mutex
-	retryQ       []retryEntry
-	retryLoopUp  bool
-	retryStopped bool
-	stopRetry    chan struct{}
-	retryWg      sync.WaitGroup
+	// re-run park in retryQ (relative stamps, backoff priced in) until
+	// the control loop re-injects them. retryN is len(retryQ), so a
+	// round with nothing parked takes no lock.
+	retryMu sync.Mutex
+	retryQ  []retryEntry
+	retryN  atomic.Int64
 
 	// obsReg holds the cluster's own instruments (routing and recovery
 	// events the shards cannot see); Metrics and Stats merge it with the
@@ -112,26 +119,82 @@ type Cluster struct {
 	migratedCnt *obs.Counter
 }
 
+// shardState is a shard's lifecycle: standby → open → draining →
+// closed, or open → killed → replaced. Only open shards are in rotation;
+// the fail-stopped states sort last (Scheduler.Killed is state >=
+// stateKilled).
+type shardState uint32
+
+const (
+	stateStandby  shardState = iota // built and warm, not in the routing snapshot
+	stateOpen                       // in rotation
+	stateDraining                   // retiring: out of rotation, in-flight work settling in place
+	stateClosed                     // retired, or closed with the cluster
+	stateKilled                     // fail-stopped: workers surrender, device memory stays readable
+	stateReplaced                   // killed, and its replacement has been arranged
+	numStates
+)
+
+// event is something that happens to a shard's lifecycle.
+type event int
+
+const (
+	evPublish event = iota // the constructor, publishShard
+	evKill                 // killShard: KillShard, KillNode, an armed KillShardAfter firing
+	evDrain                // DrainShard / CloseShard starts
+	evDrained              // ... and the shard's in-flight work has settled
+	evClose                // Cluster.Close (also the teardown of a shard that never published)
+	evReplace              // the supervisor arranges the replacement: standby promotion or cold build
+	numEvents
+)
+
+// lifecycle is the whole transition table: lifecycle[s][e] is where
+// event e takes a shard in state s. Nothing re-enters standby, so the
+// zero entry is the refusal.
+var lifecycle = [numStates][numEvents]shardState{
+	stateStandby:  {evPublish: stateOpen, evClose: stateClosed},
+	stateOpen:     {evKill: stateKilled, evDrain: stateDraining, evClose: stateClosed},
+	stateDraining: {evDrained: stateClosed},
+	stateKilled:   {evReplace: stateReplaced},
+}
+
 // shard is one device's scheduler plus its routing and health state.
-// Whether it was fail-stopped is the scheduler's to say (sched.Killed,
-// which implies closed).
 type shard struct {
 	id     int
 	spec   ShardSpec // what it was built from; building it again is a replacement
 	sched  *Scheduler
 	weight float64
-	closed atomic.Bool // out of rotation (DrainShard, killShard or cluster Close); flips once
 
-	// Fault-plane state: sick is the health-probe corruption budget
-	// (each failed probe consumes one unit), killAfter the armed
-	// batches-until-kill countdown (0 = disarmed).
+	// life holds the shardState. on is its only writer; the scheduler
+	// reads it too (Killed), so a kill is one store, not two.
+	life atomic.Uint32
+
+	// Fault-plane budgets, consumed rather than entered and left: sick
+	// is the health-probe corruption budget (each failed probe consumes
+	// one unit), killAfter the armed batches-until-kill countdown (0 =
+	// disarmed).
 	sick      atomic.Int64
 	killAfter atomic.Int64
+}
 
-	// replaced marks a killed shard whose replacement has been arranged
-	// (standby promoted or cold rebuild launched), so the supervisor
-	// repairs each loss exactly once.
-	replaced atomic.Bool
+func (sh *shard) state() shardState { return shardState(sh.life.Load()) }
+
+// on applies event e to the shard's lifecycle: the one place the word
+// is written. True means this caller made the transition and owns what
+// follows from it — the kill's evacuation, the drain's teardown, the
+// one replacement; false means the table refuses e in the current state
+// (or another caller got there first) and nothing changed.
+func (sh *shard) on(e event) bool {
+	for {
+		cur := sh.state()
+		next := lifecycle[cur][e]
+		if next == stateStandby {
+			return false
+		}
+		if sh.life.CompareAndSwap(uint32(cur), uint32(next)) {
+			return true
+		}
+	}
 }
 
 // probe runs one health check against the shard: false while it is out
@@ -139,16 +202,19 @@ type shard struct {
 // degraded-link marks) holds, consuming one budget unit per failed
 // probe.
 func (sh *shard) probe() bool {
-	if sh.closed.Load() {
-		return false
-	}
+	return sh.state() == stateOpen && spend(&sh.sick) == 0
+}
+
+// spend takes one unit off a fault-plane budget and returns what the
+// budget held before: 0 means it was empty and stays so.
+func spend(budget *atomic.Int64) int64 {
 	for {
-		n := sh.sick.Load()
+		n := budget.Load()
 		if n <= 0 {
-			return true
+			return 0
 		}
-		if sh.sick.CompareAndSwap(n, n-1) {
-			return false
+		if budget.CompareAndSwap(n, n-1) {
+			return n
 		}
 	}
 }
@@ -156,12 +222,13 @@ func (sh *shard) probe() bool {
 // health classifies the shard for operators: "killed" (fail-stopped),
 // "closed" (retired), "sick" (health probes failing) or "ok".
 func (sh *shard) health() string {
-	switch {
-	case sh.sched.Killed():
+	switch sh.state() {
+	case stateKilled, stateReplaced:
 		return "killed"
-	case sh.closed.Load():
+	case stateDraining, stateClosed:
 		return "closed"
-	case sh.sick.Load() > 0:
+	}
+	if sh.sick.Load() > 0 {
 		return "sick"
 	}
 	return "ok"
@@ -173,18 +240,8 @@ func (sh *shard) health() string {
 // after the batch was counted started, before any of it settles — so a
 // chaos schedule reproduces exactly.
 func (sh *shard) maybeKill(c *Cluster) {
-	for {
-		n := sh.killAfter.Load()
-		if n <= 0 {
-			return
-		}
-		if !sh.killAfter.CompareAndSwap(n, n-1) {
-			continue
-		}
-		if n == 1 {
-			c.killShard(sh.id)
-		}
-		return
+	if spend(&sh.killAfter) == 1 {
+		c.killShard(sh.id)
 	}
 }
 
@@ -233,14 +290,12 @@ func NewCluster(params *ckks.Parameters, specs []ShardSpec, cfg Config, rlk *ckk
 	}
 	cfg.Retry = cfg.Retry.withDefaults()
 	c := &Cluster{
-		params:    params,
-		cfg:       cfg,
-		rlk:       rlk,
-		gks:       gks,
-		closeDone: make(chan struct{}),
-		stopSteal: make(chan struct{}),
-		stopRetry: make(chan struct{}),
-		obsReg:    obs.NewRegistry(),
+		params: params,
+		cfg:    cfg,
+		rlk:    rlk,
+		gks:    gks,
+		stop:   make(chan struct{}),
+		obsReg: obs.NewRegistry(),
 	}
 	c.recovered = c.obsReg.Counter("cluster.recovered_jobs")
 	c.replayed = c.obsReg.Counter("cluster.replayed_jobs")
@@ -252,18 +307,19 @@ func NewCluster(params *ckks.Parameters, specs []ShardSpec, cfg Config, rlk *ckk
 	c.faults = &FaultPlane{c: c}
 	shards := make([]*shard, 0, len(specs))
 	for i, spec := range specs {
-		shards = append(shards, c.newShard(i, spec))
+		sh := c.newShard(i, spec)
+		sh.on(evPublish)
+		shards = append(shards, sh)
 	}
 	c.shardsVal.Store(shards)
 	for _, cl := range shards[0].sched.classes {
 		c.shed = append(c.shed, c.obsReg.Counter("cluster.shed_jobs."+cl.Name))
 	}
-	if len(shards) > 1 {
-		c.startStealingLocked()
-	}
 	if c.cfg.SelfHeal {
 		c.sup = newSupervisor(c)
 	}
+	c.wg.Add(1)
+	go c.control()
 	return c
 }
 
@@ -274,7 +330,8 @@ func NewCluster(params *ckks.Parameters, specs []ShardSpec, cfg Config, rlk *ckk
 // without the scheduler knowing the shard is remote; the zero link
 // prices nothing), a scheduler on it with its own replica of the
 // Galois-key table, and the fault-plane hooks wired before the shard
-// becomes routable.
+// becomes routable. It is born a standby: publishing it (the
+// constructor, publishShard) is what opens it.
 func (c *Cluster) newShard(id int, spec ShardSpec) *shard {
 	dev := gpu.NewDevice(spec.Device)
 	cyclesPerSec := dev.Spec.ClockGHz * 1e9
@@ -289,7 +346,7 @@ func (c *Cluster) newShard(id int, spec ShardSpec) *shard {
 		sched:  New(c.params, dev, c.cfg, c.rlk, replica),
 		weight: gpu.ClusterWeight(&dev.Spec),
 	}
-	sh.sched.installFaultHooks(
+	sh.sched.installFaultHooks(&sh.life,
 		func(ts []*task) { c.recoverTasks(sh, ts) },
 		func() { sh.maybeKill(c) },
 		func(t *task, err error) bool { return c.offerRetry(sh, t, err) },
@@ -297,22 +354,18 @@ func (c *Cluster) newShard(id int, spec ShardSpec) *shard {
 	return sh
 }
 
-// startStealingLocked launches the work-stealing monitor once the
-// cluster spans more than one shard. Caller holds c.mu or is the
-// constructor (the cluster not yet shared).
-func (c *Cluster) startStealingLocked() {
-	if c.stealing {
-		return
-	}
-	c.stealing = true
-	c.stealWg.Add(1)
-	go c.stealLoop()
-}
-
 // all returns the current shard snapshot. The slice is immutable —
 // AddShard publishes a fresh copy — so iteration is lock-free and a
 // caller mid-routine keeps a consistent view.
 func (c *Cluster) all() []*shard { return c.shardsVal.Load().([]*shard) }
+
+// shard returns shard i of the current snapshot, nil when out of range.
+func (c *Cluster) shard(i int) *shard {
+	if shards := c.all(); i >= 0 && i < len(shards) {
+		return shards[i]
+	}
+	return nil
+}
 
 // Params returns the scheme parameters the cluster was built for.
 func (c *Cluster) Params() *ckks.Parameters { return c.params }
@@ -326,8 +379,8 @@ func (c *Cluster) Faults() *FaultPlane { return c.faults }
 // AddShard grows the cluster with a new shard built from the spec
 // (elastic scale-up, pairing DrainShard's scale-down): the shard warms
 // its buffer cache per the cluster's config, enters the routing tables
-// immediately, and the stealing monitor starts (or keeps) rebalancing
-// backlogs onto it. Adding a shard after every existing shard closed
+// immediately, and the control loop's steal rounds rebalance backlogs
+// onto it. Adding a shard after every existing shard closed
 // revives the cluster — Submit routes again instead of returning
 // ErrNoShards. It returns the new shard's index, or ErrClosed after
 // Close.
@@ -338,32 +391,36 @@ func (c *Cluster) AddShard(spec ShardSpec) (int, error) {
 	sh := c.newShard(-1, spec)
 	id, err := c.publishShard(sh)
 	if err != nil {
-		sh.sched.Close()
-		return 0, err
+		c.discard(sh)
 	}
-	return id, nil
+	return id, err
 }
 
-// publishShard appends a fully built shard to the routing snapshot,
-// assigning its id. The id write outside any lock is race-free: work
-// can only reach a shard through the published snapshot, and the
-// store below publishes the write. Closing clusters refuse the shard
-// (the caller owns its teardown).
+// discard tears down a shard that never made it into the snapshot (the
+// cluster closed before it could publish).
+func (c *Cluster) discard(sh *shard) {
+	sh.on(evClose)
+	sh.sched.Close()
+}
+
+// publishShard opens a fully built shard and appends it to the routing
+// snapshot, assigning its id. The id write outside any lock is
+// race-free: work can only reach a shard through the published
+// snapshot, and the store below publishes the write. Closing clusters
+// refuse the shard (the caller owns its teardown).
 func (c *Cluster) publishShard(sh *shard) (int, error) {
 	c.mu.Lock()
-	if c.closed {
+	if c.closed.Load() {
 		c.mu.Unlock()
 		return 0, ErrClosed
 	}
 	old := c.all()
 	sh.id = len(old)
+	sh.on(evPublish)
 	shards := make([]*shard, len(old), len(old)+1)
 	copy(shards, old)
 	shards = append(shards, sh)
 	c.shardsVal.Store(shards)
-	if len(shards) > 1 {
-		c.startStealingLocked()
-	}
 	c.mu.Unlock()
 	c.addedCnt.Add(1)
 	return sh.id, nil
@@ -430,7 +487,7 @@ func (c *Cluster) affinity(job *Job, skip map[int]bool) *shard {
 			continue
 		}
 		sh := shards[id]
-		if sh.closed.Load() || skip[sh.id] || !sh.probe() {
+		if skip[sh.id] || !sh.probe() {
 			continue
 		}
 		return sh
@@ -453,7 +510,7 @@ func (c *Cluster) pick(job *Job, skip map[int]bool) *shard {
 	anyHealthy := false
 	for i, sh := range shards {
 		weights[i] = sh.weight
-		open[i] = !sh.closed.Load() && !skip[i]
+		open[i] = sh.state() == stateOpen && !skip[i]
 		healthy[i] = open[i] && sh.probe()
 		anyHealthy = anyHealthy || healthy[i]
 	}
@@ -496,7 +553,7 @@ func (c *Cluster) pick(job *Job, skip map[int]bool) *shard {
 func (c *Cluster) Submit(job *Job) (*Future, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.closed {
+	if c.closed.Load() {
 		return nil, ErrClosed
 	}
 	var skip map[int]bool
@@ -516,9 +573,9 @@ func (c *Cluster) Submit(job *Job) (*Future, error) {
 		fut, err := sh.sched.Submit(job)
 		switch err {
 		case ErrClosed:
-			// The shard was closed (or killed) between pick and submit;
-			// drop it from rotation and route elsewhere.
-			sh.closed.Store(true)
+			// The shard was killed or retired between pick and submit.
+			// Whoever did that flipped its state first, so the next pick
+			// passes it over: route again.
 			continue
 		case ErrOverloaded:
 			// This shard's slice of the class is full; try the rest
@@ -561,38 +618,51 @@ func (c *Cluster) Drain() {
 	}
 }
 
-// stealLoop is the work-stealing monitor: whenever some shard has
-// gone fully idle while another still has queued (not yet dispatched)
-// jobs, it migrates up to half of the longest backlog to the idle
-// shard. Elapsed wait and remaining deadline budget survive the clock
-// change (task.detach/attach); results are unaffected because the
-// kernels are deterministic on every shard.
-func (c *Cluster) stealLoop() {
-	defer c.stealWg.Done()
-	tick := time.NewTicker(defaultStealInterval)
+// control is the cluster's one background goroutine, started by
+// NewCluster and stopped by Close. A round, in order: stealRound
+// rebalances queued backlogs, retryRound re-injects parked retries (onto
+// whatever the steal left least loaded), and the supervisor's round
+// launches replacements for killed shards and restocks the standby pool
+// — the only slow work, device construction, runs off the loop in
+// supervisor.build. On a one-shard cluster with nothing parked and no
+// supervisor a round reads the snapshot and returns, taking no lock.
+func (c *Cluster) control() {
+	defer c.wg.Done()
+	tick := time.NewTicker(controlInterval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.stopSteal:
+		case <-c.stop:
 			return
 		case <-tick.C:
 		}
 		c.stealRound()
+		c.retryRound()
+		if c.sup != nil {
+			c.sup.round()
+		}
 	}
 }
 
 // stealRound performs one scan-and-migrate pass: when some open shard
-// sits fully idle while another has queued jobs, up to half of the
-// longest backlog relocates (place sends it to the idle shard — nothing
-// is less loaded). stealMu excludes shard retirement, so the destination
-// cannot close before the tasks land.
+// sits fully idle while another has queued (not yet dispatched) jobs,
+// up to half of the longest backlog relocates (place sends it to the
+// idle shard — nothing is less loaded). Elapsed wait and remaining
+// deadline budget survive the clock change (task.detach/attach); results
+// are unaffected because the kernels are deterministic on every shard.
+// stealMu excludes shard retirement, so the destination cannot close
+// before the tasks land.
 func (c *Cluster) stealRound() {
+	shards := c.all()
+	if len(shards) < 2 {
+		return
+	}
 	c.stealMu.Lock()
 	defer c.stealMu.Unlock()
 	var victim *shard
 	idle, backlog := false, 0
-	for _, sh := range c.all() {
-		if sh.closed.Load() {
+	for _, sh := range shards {
+		if sh.state() != stateOpen {
 			continue
 		}
 		if q := sh.sched.QueuedJobs(); q > backlog {
@@ -619,7 +689,7 @@ func (c *Cluster) dest(not *shard) *shard {
 	var dst *shard
 	var dstLoad int64
 	for _, sh := range c.all() {
-		if sh == not || sh.closed.Load() {
+		if sh == not || sh.state() != stateOpen {
 			continue
 		}
 		if load := sh.sched.Outstanding(); dst == nil || load < dstLoad {
@@ -693,17 +763,12 @@ func (c *Cluster) evacuateLocked(sh *shard, cnt *obs.Counter) {
 // readable — the node lost its executor, not its RAM — so resident
 // outputs rematerialize through the owner path during replay. The
 // scheduler itself is torn down later by Close. A shard leaves rotation
-// once: closed flips exactly once and whoever flips it owns the exit, so
-// killing a shard that was already killed, retired (DrainShard) or
-// closed with the cluster — or is out of range — does nothing and
-// returns false.
+// once and whoever makes that transition owns the exit, so killing a
+// shard that was already killed, retired (DrainShard) or closed with
+// the cluster — or is out of range — does nothing and returns false.
 func (c *Cluster) killShard(i int) bool {
-	shards := c.all()
-	if i < 0 || i >= len(shards) {
-		return false
-	}
-	sh := shards[i]
-	if !sh.closed.CompareAndSwap(false, true) {
+	sh := c.shard(i)
+	if sh == nil || !sh.on(evKill) {
 		return false
 	}
 	sh.sched.kill()
@@ -736,36 +801,36 @@ func (c *Cluster) recoverTasks(src *shard, ts []*task) {
 // there is one retirement, and it is the graceful one.
 func (c *Cluster) CloseShard(i int) { c.DrainShard(i) }
 
-// Close stops intake and the stealing monitor, then closes all shards
+// Close stops intake and the control loop, then closes all shards
 // concurrently (each drains its pending jobs and releases its buffer
 // cache). It is idempotent, and every call returns only after the
 // teardown has fully completed.
-func (c *Cluster) Close() {
+func (c *Cluster) Close() { c.closeOnce.Do(c.teardown) }
+
+// teardown is Close's body: mark closed, stop the control loop and wait
+// for its builds, fail what is parked, close the shards.
+func (c *Cluster) teardown() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		<-c.closeDone
-		return
-	}
-	c.closed = true
+	c.closed.Store(true)
 	c.mu.Unlock()
-	// Stop migrations before any scheduler starts tearing down, so a
-	// mid-flight steal always has an open destination.
-	close(c.stopSteal)
-	c.stealWg.Wait()
-	// Stop the supervisor next: in-flight repairs either published
-	// before the snapshot below (and close with the fleet) or saw
-	// closed and tore their orphan down; pooled standbys close here.
-	if c.sup != nil {
-		c.sup.stop()
-	}
-	// Drain the retry plane: parked tasks fail with their original
-	// errors rather than waiting for capacity that will never come.
-	c.stopRetries()
+	// Stop the control loop and wait out the builds it launched, before
+	// any scheduler starts tearing down: no steal or retry is mid-flight
+	// without an open destination, and every build has ended — published
+	// before the snapshot below, pooled, or refused (closed) and torn
+	// down.
+	close(c.stop)
+	c.wg.Wait()
+	// Parked retries fail with their original errors rather than wait
+	// for capacity that will never come.
+	c.failParked()
+	// Pooled standbys close with the fleet.
 	shards := c.all()
+	if c.sup != nil {
+		shards = append(shards[:len(shards):len(shards)], c.sup.takePool()...)
+	}
 	c.stealMu.Lock()
 	for _, sh := range shards {
-		sh.closed.Store(true)
+		sh.on(evClose)
 	}
 	c.stealMu.Unlock()
 	var wg sync.WaitGroup
@@ -777,7 +842,6 @@ func (c *Cluster) Close() {
 		}(sh)
 	}
 	wg.Wait()
-	close(c.closeDone)
 }
 
 // ClusterStats is the typed view of the cluster's merged metrics

@@ -1,10 +1,13 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xehe/internal/ckks"
 	"xehe/internal/core"
@@ -27,8 +30,54 @@ func shards(devs ...gpu.DeviceSpec) []ShardSpec {
 // comparisons run identical kernels.
 func newTestCluster(t testing.TB, h *Harness, workers int, devs ...gpu.DeviceSpec) *Cluster {
 	t.Helper()
-	c := NewCluster(h.Params, shards(devs...), schedConfig(workers), h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	return newClusterWith(t, h, shards(devs...), schedConfig(workers))
+}
+
+// newClusterWith builds a cluster (keys from h) whose teardown asserts
+// the conservation laws, as newSchedulerWith does for a scheduler:
+// drained, every class has Submitted == Completed cluster-wide (failed
+// and shard-lost jobs complete too, so Failed is a part of Completed)
+// and nothing was shed — no test built on this helper sheds on purpose,
+// so a shed it saw has already failed it — nothing is outstanding, every
+// shard (a fail-stopped one too) has its pools back, and after Close
+// the goroutine count is back to what it was before the cluster was
+// built: the control loop, its builds and every shard's workers and
+// dispatcher are gone.
+func newClusterWith(t testing.TB, h *Harness, specs []ShardSpec, cfg Config) *Cluster {
+	t.Helper()
+	baseline := runtime.NumGoroutine()
+	c := NewCluster(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
+	t.Cleanup(func() {
+		c.Drain()
+		for _, pc := range c.Stats().PerClass {
+			if pc.Submitted != pc.Completed || pc.Failed > pc.Completed {
+				t.Errorf("teardown: class %s submitted %d jobs, completed %d, failed %d", pc.Name, pc.Submitted, pc.Completed, pc.Failed)
+			}
+			if pc.Rejected != 0 {
+				t.Errorf("teardown: class %s shed %d jobs", pc.Name, pc.Rejected)
+			}
+		}
+		pools := func(when string) {
+			for i, sh := range c.all() {
+				checkPoolsReturned(t, fmt.Sprintf("teardown, %s: shard %d", when, i), sh.sched.Backend())
+			}
+		}
+		for i, sh := range c.all() {
+			if n := sh.sched.Outstanding(); n != 0 {
+				t.Errorf("teardown: shard %d has %d jobs outstanding after Drain", i, n)
+			}
+		}
+		pools("before Close")
+		c.Close()
+		pools("after Close")
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("teardown: %d goroutines after Close, %d before the cluster was built", n, baseline)
+		}
+	})
 	return c
 }
 
@@ -204,8 +253,7 @@ func TestClusterNeverRoutesToClosedShard(t *testing.T) {
 // Submit afterwards must return an error, never panic.
 func TestClusterSubmitAfterClose(t *testing.T) {
 	h := sharedHarness(t)
-	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device2Spec()),
-		schedConfig(1), h.RelinKey(), h.GaloisKeys())
+	c := newTestCluster(t, h, 1, gpu.Device1Spec(), gpu.Device2Spec())
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -321,9 +369,7 @@ func TestClusterStealsToIdleShard(t *testing.T) {
 	cfg.QueueDepth = 2
 	cfg.MaxBatch = 2
 	cfg.PendingCap = 64
-	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device1Spec()),
-		cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device1Spec()), cfg)
 
 	vals := make([]complex128, h.Params.Slots())
 	job := NewJob(h.Encrypt(vals))
@@ -386,9 +432,7 @@ func TestCloseShardReroutesBacklogUnderRace(t *testing.T) {
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 2
 	cfg.PendingCap = 64
-	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device1Spec()),
-		cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device1Spec()), cfg)
 
 	vals := make([]complex128, h.Params.Slots())
 	job := NewJob(h.Encrypt(vals))
@@ -483,9 +527,7 @@ func TestClusterDifferentialQoSMixed(t *testing.T) {
 			}
 			cfg := schedConfig(2)
 			cfg.Policy = pol.factory
-			c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device2Spec()),
-				cfg, h.RelinKey(), h.GaloisKeys())
-			t.Cleanup(c.Close)
+			c := newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device2Spec()), cfg)
 
 			futs := make([]*Future, nJobs)
 			var wg sync.WaitGroup

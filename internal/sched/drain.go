@@ -25,20 +25,19 @@ package sched
 // retired, Submit returns ErrNoShards until AddShard revives the
 // cluster.
 func (c *Cluster) DrainShard(i int) {
-	shards := c.all()
-	if i < 0 || i >= len(shards) {
+	sh := c.shard(i)
+	if sh == nil {
 		return
 	}
-	sh := shards[i]
 	c.stealMu.Lock()
-	if !sh.closed.CompareAndSwap(false, true) {
+	if !sh.on(evDrain) {
 		c.stealMu.Unlock()
 		return
 	}
 	c.evacuateLocked(sh, c.drainedCnt)
 	c.stealMu.Unlock()
 	// Fence in-flight Submits: a router that picked this shard before
-	// closed published may still be submitting under c.mu's read lock.
+	// it left rotation may still be submitting under c.mu's read lock.
 	// Taking the write lock waits them out; anything they enqueued
 	// settles in the Drain below, and every later Submit routes
 	// elsewhere.
@@ -53,6 +52,7 @@ func (c *Cluster) DrainShard(i int) {
 	// late consumers and Future.Wait fall back to the host value
 	// exactly as a cross-shard edge would.
 	c.migratedCnt.Add(sh.sched.migrateResidents())
+	sh.on(evDrained)
 	sh.sched.Close()
 }
 

@@ -1,7 +1,5 @@
 package sched
 
-import "xehe/internal/gpu"
-
 // FaultPlane is the cluster's fault-injection surface, for chaos
 // testing and failure drills. Every fault is confined to the simulated
 // timing/routing plane: payload bytes are never corrupted, so any job
@@ -31,14 +29,9 @@ func (fp *FaultPlane) KillShard(i int) bool { return fp.c.killShard(i) }
 // results settle. batches <= 0 disarms; a countdown that runs out on a
 // shard retired in the meantime kills nothing.
 func (fp *FaultPlane) KillShardAfter(i int, batches int64) {
-	shards := fp.c.all()
-	if i < 0 || i >= len(shards) {
-		return
+	if sh := fp.c.shard(i); sh != nil {
+		sh.killAfter.Store(max(batches, 0))
 	}
-	if batches < 0 {
-		batches = 0
-	}
-	shards[i].killAfter.Store(batches)
 }
 
 // KillNode fail-stops every shard in failure domain node (shards on
@@ -62,9 +55,10 @@ func (fp *FaultPlane) KillNode(node int) int {
 // as many health probes so the router steers new work away while the
 // link is degraded. No-op for out-of-range shards.
 func (fp *FaultPlane) DelayHops(i int, extraSeconds float64, hops int64) {
-	if dev := fp.shardDevice(i); dev != nil && hops > 0 {
+	if sh := fp.c.shard(i); sh != nil && hops > 0 {
+		dev := sh.sched.Backend().Device()
 		dev.InjectLinkDelay(extraSeconds*dev.Spec.ClockGHz*1e9, hops)
-		fp.c.all()[i].sick.Add(hops)
+		sh.sick.Add(hops)
 	}
 }
 
@@ -73,9 +67,9 @@ func (fp *FaultPlane) DelayHops(i int, extraSeconds float64, hops int64) {
 // timeline), marking the shard sick for as many health probes. The
 // payload still arrives — a drop is a timing fault, not data loss.
 func (fp *FaultPlane) DropHops(i int, hops int64) {
-	if dev := fp.shardDevice(i); dev != nil && hops > 0 {
-		dev.InjectLinkDrop(hops)
-		fp.c.all()[i].sick.Add(hops)
+	if sh := fp.c.shard(i); sh != nil && hops > 0 {
+		sh.sched.Backend().Device().InjectLinkDrop(hops)
+		sh.sick.Add(hops)
 	}
 }
 
@@ -87,9 +81,9 @@ func (fp *FaultPlane) DropHops(i int, hops int64) {
 // fault propagates to the caller. The only fault class that needs the
 // retry plane to stay invisible.
 func (fp *FaultPlane) FailHops(i int, hops int64) {
-	if dev := fp.shardDevice(i); dev != nil && hops > 0 {
-		dev.InjectLinkFault(hops)
-		fp.c.all()[i].sick.Add(hops)
+	if sh := fp.c.shard(i); sh != nil && hops > 0 {
+		sh.sched.Backend().Device().InjectLinkFault(hops)
+		sh.sick.Add(hops)
 	}
 }
 
@@ -99,29 +93,16 @@ func (fp *FaultPlane) FailHops(i int, hops int64) {
 // open shard reports sick, so a fully corrupted health plane degrades
 // routing instead of wedging it).
 func (fp *FaultPlane) CorruptHealth(i int, n int64) {
-	shards := fp.c.all()
-	if i < 0 || i >= len(shards) || n <= 0 {
-		return
+	if sh := fp.c.shard(i); sh != nil && n > 0 {
+		sh.sick.Add(n)
 	}
-	shards[i].sick.Add(n)
 }
 
 // Health reports shard i's current state ("ok", "sick", "killed",
 // "closed") without consuming a probe.
 func (fp *FaultPlane) Health(i int) string {
-	shards := fp.c.all()
-	if i < 0 || i >= len(shards) {
-		return "unknown"
+	if sh := fp.c.shard(i); sh != nil {
+		return sh.health()
 	}
-	return shards[i].health()
-}
-
-// shardDevice resolves shard i's simulated device, nil when out of
-// range.
-func (fp *FaultPlane) shardDevice(i int) *gpu.Device {
-	shards := fp.c.all()
-	if i < 0 || i >= len(shards) {
-		return nil
-	}
-	return shards[i].sched.Backend().Device()
+	return "unknown"
 }

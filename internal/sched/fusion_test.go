@@ -165,9 +165,7 @@ func TestClusterFusedDifferential(t *testing.T) {
 			jobs = append(jobs, familyJob(h, rng, fam))
 		}
 	}
-	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device2Spec()),
-		schedConfig(2), h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newTestCluster(t, h, 2, gpu.Device1Spec(), gpu.Device2Spec())
 
 	futs := make([]*Future, len(jobs))
 	var wg sync.WaitGroup

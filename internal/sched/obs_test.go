@@ -121,9 +121,7 @@ func TestTraceDisabled(t *testing.T) {
 // through the instruments so the expected values are exact.
 func TestClusterStatsMerge(t *testing.T) {
 	h := sharedHarness(t)
-	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device1Spec()),
-		schedConfig(1), h.RelinKey(), h.GaloisKeys())
-	defer c.Close()
+	c := newTestCluster(t, h, 1, gpu.Device1Spec(), gpu.Device1Spec())
 
 	s0, s1 := c.all()[0].sched, c.all()[1].sched
 	for _, inj := range []struct {

@@ -131,8 +131,9 @@ func TestReplayedProducerErrorPropagation(t *testing.T) {
 	gks[5] = &ckks.GaloisKey{} // present (passes Submit), panics at run time
 
 	specs := shards(gpu.Device1Spec(), gpu.Device1Spec())
-	c := NewCluster(h.Params, specs, schedConfig(1), h.RelinKey(), gks)
-	t.Cleanup(c.Close)
+	broken := *h
+	broken.gks = gks
+	c := newClusterWith(t, &broken, specs, schedConfig(1))
 	// An idle equal-weight cluster routes the first job to shard 0
 	// (ties break to the lowest index); its first batch kills the
 	// shard, so the broken producer replays on shard 1 and fails there.
@@ -198,8 +199,7 @@ func TestBackpressuredSubmitSurvivesKill(t *testing.T) {
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 4 // tiny pipeline: a burst must block in Submit
 	specs := shards(gpu.Device1Spec(), gpu.Device1Spec())
-	c := NewCluster(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newClusterWith(t, h, specs, cfg)
 	c.Faults().KillShardAfter(0, 3)
 
 	vals := make([]complex128, h.Params.Slots())

@@ -16,9 +16,7 @@ func newRemoteCluster(t testing.TB, h *Harness, workers int, links []NetLink, de
 	for i := range specs {
 		specs[i].Link = links[i]
 	}
-	c := NewCluster(h.Params, specs, schedConfig(workers), h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
-	return c
+	return newClusterWith(t, h, specs, schedConfig(workers))
 }
 
 // TestRemoteBackendDifferential pins the tentpole's correctness half:

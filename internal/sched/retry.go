@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"math"
-	"time"
 
 	"xehe/internal/gpu"
 )
@@ -14,10 +13,10 @@ import (
 // simulated timeline.
 const DefaultRetryBackoff = 50e-6
 
-// retryParkRounds bounds how many retry-loop rounds a task may wait
+// retryParkRounds bounds how many control-loop rounds a task may wait
 // for an open shard to appear (the supervisor replacing killed
 // capacity) before it fails with its original error. Rounds tick on
-// the host wall-clock at the steal interval, so the bound is tens of
+// the host wall-clock at controlInterval, so the bound is tens of
 // milliseconds — far beyond any replacement path — while guaranteeing
 // a cluster that never heals still terminates every job.
 const retryParkRounds = 256
@@ -133,8 +132,9 @@ func (c *Cluster) offerRetry(src *shard, t *task, err error) bool {
 // stamps: the elapsed wait grows by the backoff (the re-run's latency
 // accounting includes it) and the remaining deadline budget shrinks.
 // False declines the retry: no budget, non-transient error, a backoff
-// that overshoots the deadline, or a cluster already draining its
-// retry plane for Close.
+// that overshoots the deadline, or a closing cluster (checked under
+// retryMu, which failParked takes after closed is set: an entry is
+// either refused here or seen there, never stranded).
 func (c *Cluster) queueRetry(src *shard, t *task, err error) bool {
 	if t.attempt >= t.budget || !retryable(err) {
 		return false
@@ -144,7 +144,7 @@ func (c *Cluster) queueRetry(src *shard, t *task, err error) bool {
 		return false // the retry could not start before the deadline
 	}
 	c.retryMu.Lock()
-	if c.retryStopped {
+	if c.closed.Load() {
 		c.retryMu.Unlock()
 		return false
 	}
@@ -153,51 +153,36 @@ func (c *Cluster) queueRetry(src *shard, t *task, err error) bool {
 	t.enq += back
 	t.deadline -= back
 	c.retryQ = append(c.retryQ, retryEntry{t: t, src: src})
-	if !c.retryLoopUp {
-		c.retryLoopUp = true
-		c.retryWg.Add(1)
-		go c.retryLoop()
-	}
+	c.retryN.Store(int64(len(c.retryQ)))
 	c.retryMu.Unlock()
 	src.sched.met.class[t.class].retried.Add(1)
 	return true
 }
 
-// retryLoop re-injects parked tasks. It starts lazily with the first
-// queued retry and runs until Close drains the plane; the host-clock
-// ticker matches the steal monitor (jobs take orders of magnitude
-// longer than a tick, and the simulated backoff is priced into the
-// stamps rather than slept out).
-func (c *Cluster) retryLoop() {
-	defer c.retryWg.Done()
-	tick := time.NewTicker(defaultStealInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stopRetry:
-			return
-		case <-tick.C:
-		}
-		c.retryRound()
-	}
+// takeParked empties the retry queue and returns what was in it.
+func (c *Cluster) takeParked() []retryEntry {
+	c.retryMu.Lock()
+	defer c.retryMu.Unlock()
+	parked := c.retryQ
+	c.retryQ = nil
+	c.retryN.Store(0)
+	return parked
 }
 
-// retryRound drains the parked tasks once: each is placed like any
-// relocated task, except that its own src may take it — a transient
-// link fault does not disqualify the shard. With no open shard the
-// entry waits for the supervisor's replacement, up to retryParkRounds;
-// a cluster that never heals fails the job with its original error.
+// retryRound is the control loop's second step: it drains the parked
+// tasks once. Each is placed like any relocated task, except that its
+// own src may take it — a transient link fault does not disqualify the
+// shard. With no open shard the entry waits for the supervisor's
+// replacement, up to retryParkRounds; a cluster that never heals fails
+// the job with its original error.
 func (c *Cluster) retryRound() {
-	c.retryMu.Lock()
-	pending := c.retryQ
-	c.retryQ = nil
-	c.retryMu.Unlock()
-	if len(pending) == 0 {
+	if c.retryN.Load() == 0 {
 		return
 	}
+	parked := c.takeParked()
 	var requeue []retryEntry
 	c.stealMu.Lock()
-	for _, e := range pending {
+	for _, e := range parked {
 		if c.place(e.src, nil, []*task{e.t}) {
 			continue
 		}
@@ -211,36 +196,19 @@ func (c *Cluster) retryRound() {
 	if len(requeue) == 0 {
 		return
 	}
+	// Close fails what is parked only after this loop has exited, so a
+	// requeue cannot slip past it.
 	c.retryMu.Lock()
-	stopped := c.retryStopped
-	if !stopped {
-		c.retryQ = append(c.retryQ, requeue...)
-	}
+	c.retryQ = append(c.retryQ, requeue...)
+	c.retryN.Store(int64(len(c.retryQ)))
 	c.retryMu.Unlock()
-	if stopped {
-		// Close drained the plane while this round held the entries;
-		// terminate them here (stopRetries cannot see them).
-		for _, e := range requeue {
-			e.src.sched.abandon(e.t)
-		}
-	}
 }
 
-// stopRetries shuts the retry plane down for Close: no new entries are
-// accepted, the loop exits, and every still-parked task fails with its
-// original error — never a wedge.
-func (c *Cluster) stopRetries() {
-	c.retryMu.Lock()
-	c.retryStopped = true
-	leftover := c.retryQ
-	c.retryQ = nil
-	up := c.retryLoopUp
-	c.retryMu.Unlock()
-	if up {
-		close(c.stopRetry)
-		c.retryWg.Wait()
-	}
-	for _, e := range leftover {
+// failParked is Close's step after the control loop has exited: nothing
+// re-injects any more and queueRetry refuses new entries, so every
+// still-parked task fails with its original error — never a wedge.
+func (c *Cluster) failParked() {
+	for _, e := range c.takeParked() {
 		e.src.sched.abandon(e.t)
 	}
 }

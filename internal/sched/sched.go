@@ -92,10 +92,11 @@ type Config struct {
 	// ignored: tile parallelism comes from the worker pool itself.
 	Core core.Config
 
-	// SelfHeal (cluster only) runs the supervisor control loop: killed
-	// shards are auto-replaced — instantly from the warm standby pool
-	// when one is available, otherwise by a rate-limited cold rebuild of
-	// the dead shard's spec with exponential backoff between attempts.
+	// SelfHeal (cluster only) adds the supervisor to the cluster's
+	// control loop: killed shards are auto-replaced — instantly from the
+	// warm standby pool when one is available, otherwise by a
+	// rate-limited cold rebuild of the dead shard's spec with
+	// exponential backoff between attempts.
 	// Default off; a no-op for a standalone Scheduler.
 	SelfHeal bool
 	// Standbys (cluster only) is the size of the warm standby pool the
@@ -422,15 +423,17 @@ type Scheduler struct {
 	matMu  sync.Mutex
 	matCtx *core.Context
 
-	// Fail-stop state (cluster killShard / fault plane): killed flips
-	// the scheduler into surrender mode — dispatch keeps flowing, but
-	// workers hand batches back through the surrender hook instead of
-	// executing them, and Submit/injectTasks refuse new work like a
-	// closed scheduler. Both hooks are installed once at shard
-	// construction, before the scheduler is visible to submitters, and
-	// never change; onBatch fires after each batch-start accounting,
-	// giving the fault plane a deterministic mid-batch kill point.
-	killed    atomic.Bool
+	// Fail-stop state (cluster killShard / fault plane): life is the
+	// owning shard's lifecycle word (nil outside a cluster), written only
+	// by shard.on. Once it reads killed the scheduler is in surrender
+	// mode — dispatch keeps flowing, but workers hand batches back
+	// through the surrender hook instead of executing them, and
+	// Submit/injectTasks refuse new work like a closed scheduler. Word
+	// and hooks are installed once at shard construction, before the
+	// scheduler is visible to submitters, and never change; onBatch fires
+	// after each batch-start accounting, giving the fault plane a
+	// deterministic mid-batch kill point.
+	life      *atomic.Uint32
 	surrender func([]*task)
 	onBatch   func()
 	// retryHook offers a transiently failed task (absolute stamps) to
@@ -594,7 +597,7 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 	adm := s.spanBegin()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed || s.killed.Load() {
+	if s.closed || s.Killed() {
 		return nil, ErrClosed
 	}
 	// The future becomes a graph handle the moment Submit returns:
@@ -1034,7 +1037,7 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed || s.killed.Load() {
+	if s.closed || s.Killed() {
 		return false
 	}
 	// Migrated tasks lose producer locality: any dependency resolved
@@ -1070,33 +1073,34 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 }
 
 // installFaultHooks wires the scheduler to its owning cluster's fault
-// plane: surrender re-homes tasks a killed worker hands back, onBatch
+// plane: life is the shard's lifecycle word (what Killed reads),
+// surrender re-homes tasks a killed worker hands back, onBatch
 // is the fault plane's deterministic mid-batch kill point, and retry
 // offers transiently failed tasks to the cluster's retry plane. Called
 // once at shard construction, before the scheduler is visible to
 // submitters; the hooks are read only from worker goroutines that
 // received work through the usual synchronized channels.
-func (s *Scheduler) installFaultHooks(surrender func([]*task), onBatch func(), retry func(*task, error) bool) {
+func (s *Scheduler) installFaultHooks(life *atomic.Uint32, surrender func([]*task), onBatch func(), retry func(*task, error) bool) {
+	s.life = life
 	s.surrender = surrender
 	s.onBatch = onBatch
 	s.retryHook = retry
 }
 
-// kill flips the scheduler into fail-stop surrender mode: new work is
-// refused, and everything shipped to the workers is handed back
+// kill wakes the dispatcher once the owning shard's lifecycle reads
+// killed (killShard has just made that transition): from then on new
+// work is refused, and everything shipped to the workers is handed back
 // through the surrender hook for replay elsewhere instead of
 // executing. The simulated device itself stays readable (the node
 // lost its executor, not its memory), so device-resident outputs can
 // still be materialized through the owner path — which is exactly how
 // replayed graph consumers rehome their dependency edges.
-func (s *Scheduler) kill() {
-	if s.killed.CompareAndSwap(false, true) {
-		s.wake(s.kick)
-	}
-}
+func (s *Scheduler) kill() { s.wake(s.kick) }
 
 // Killed reports whether the scheduler has been fail-stopped.
-func (s *Scheduler) Killed() bool { return s.killed.Load() }
+func (s *Scheduler) Killed() bool {
+	return s.life != nil && shardState(s.life.Load()) >= stateKilled
+}
 
 // batchHook fires the fault plane's per-batch hook (nil outside a
 // cluster), giving it a deterministic kill point between a batch's
@@ -1118,20 +1122,14 @@ func (w *worker) surrenderBatch(s *Scheduler, ts []*task) {
 
 // surrenderTasks re-homes tasks that a killed scheduler will not run:
 // they detach and go to the cluster's surrender hook, which relocates
-// them onto a healthy shard. Without a cluster hook (standalone
-// scheduler) the jobs fail with ErrShardLost instead — they are never
-// silently dropped, so Drain and Close cannot wedge on a kill.
+// them onto a healthy shard or fails them — they are never silently
+// dropped, so Drain and Close cannot wedge on a kill. (Only a shard's
+// scheduler can read killed, so the hook is there.)
 func (s *Scheduler) surrenderTasks(ts []*task) {
 	if len(ts) == 0 {
 		return
 	}
 	s.met.surrendered.Add(int64(len(ts)))
-	if s.surrender == nil {
-		for _, t := range ts {
-			s.failTask(t, ErrShardLost)
-		}
-		return
-	}
 	now := s.backend.SimulatedSeconds()
 	for _, t := range ts {
 		t.detach(now)
@@ -1298,7 +1296,7 @@ type uploadedBatch struct {
 // checkpoints, then the gathered upload. Callers treat a nil return as
 // "batch surrendered, nothing in flight".
 func (w *worker) uploadBatch(s *Scheduler, batch []*task) *uploadedBatch {
-	if s.killed.Load() {
+	if s.Killed() {
 		// Fail-stop: hand the batch back for replay before anything
 		// uploads.
 		w.surrenderBatch(s, batch)
@@ -1414,7 +1412,7 @@ type pendingBatch struct {
 // recycle immediately: the simulator executes the memcpy functionally
 // at submission (a real backend would defer the free to the event).
 func (w *worker) submitBatchDownload(s *Scheduler, class int, stagedJobs []*staged) *pendingBatch {
-	if s.killed.Load() {
+	if s.Killed() {
 		// Killed mid-batch, before settlement — the point of no return
 		// is settleOutput below, so the whole batch can still be
 		// surrendered for replay. A kill landing after this check lets

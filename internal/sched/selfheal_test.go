@@ -19,9 +19,7 @@ func selfHealCluster(t testing.TB, h *Harness, standbys int, devs ...gpu.DeviceS
 	cfg := schedConfig(2)
 	cfg.SelfHeal = ToggleOn
 	cfg.Standbys = standbys
-	c := NewCluster(h.Params, shards(devs...), cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
-	return c
+	return newClusterWith(t, h, shards(devs...), cfg)
 }
 
 // waitSupervisor polls until the supervisor has done what is awaited:
@@ -192,11 +190,10 @@ func TestSelfHealRebuildsRemoteSpec(t *testing.T) {
 			cfg := schedConfig(1)
 			cfg.SelfHeal = true
 			cfg.Standbys = tc.standbys
-			c := NewCluster(h.Params, []ShardSpec{
+			c := newClusterWith(t, h, []ShardSpec{
 				{Device: gpu.Device1Spec(), Node: 0, Link: link},
 				{Device: gpu.Device1Spec(), Node: 1, Link: link},
-			}, cfg, h.RelinKey(), h.GaloisKeys())
-			t.Cleanup(c.Close)
+			}, cfg)
 			twin := newTestCluster(t, h, 1, gpu.Device1Spec())
 
 			if !c.Faults().KillShard(0) {
@@ -289,7 +286,7 @@ func TestStandbyNodesStayFresh(t *testing.T) {
 	}
 	seen := map[int]int{}
 	for _, sh := range c.all() {
-		if !sh.closed.Load() {
+		if sh.state() == stateOpen {
 			seen[sh.spec.Node]++
 		}
 	}
@@ -321,8 +318,7 @@ func TestRetryLinkFaultDifferential(t *testing.T) {
 		{Device: gpu.Device1Spec(), Node: 0, Link: link},
 		{Device: gpu.Device1Spec(), Node: 1, Link: link},
 	}
-	c := NewCluster(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newClusterWith(t, h, specs, cfg)
 
 	rng := rand.New(rand.NewSource(777))
 	const nJobs = 16
@@ -398,8 +394,7 @@ func TestRetryExhaustionSurfacesOriginalError(t *testing.T) {
 	specs := []ShardSpec{
 		{Device: gpu.Device1Spec(), Node: 0, Link: link},
 	}
-	c := NewCluster(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newClusterWith(t, h, specs, cfg)
 
 	// Far more faults than any attempt could consume: every submission
 	// on this shard is lost, on the first run and on every retry.
@@ -442,13 +437,28 @@ func TestDrainShardNoReplay(t *testing.T) {
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 64
-	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device1Spec()),
-		cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device1Spec()), cfg)
 
-	// One long op chain per shard occupies each single worker for a
-	// while (the kernels compute for real on the host), so the light
-	// jobs submitted behind them are still pending when the drain hits.
+	// Each shard's single worker is held twice at its batch hook (set
+	// before any Submit, so the worker reads it through the channel that
+	// hands it a batch): before its first batch until everything is
+	// submitted, and before its second until the drain has taken the
+	// queue. In between it runs exactly one long op chain, which moves
+	// its clock, and the light jobs behind it are still pending when the
+	// drain hits — held, not raced: shard 1 never goes idle, so nothing
+	// steals shard 0's backlog first.
+	start, drainedOff := make(chan struct{}), make(chan struct{})
+	for _, sh := range c.all() {
+		batches := 0
+		sh.sched.onBatch = func() {
+			switch batches++; batches {
+			case 1:
+				<-start
+			case 2:
+				<-drainedOff
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(6001))
 	vals := make([]complex128, h.Params.Slots())
 	heavies := make([]*Job, 2)
@@ -495,14 +505,20 @@ func TestDrainShardNoReplay(t *testing.T) {
 		t.Fatalf("late job: %v", err)
 	}
 	expired := src.Backend().SimulatedSeconds() + 2e-9
+	close(start)
 	mustFinish(t, "shard 0's clock passing the late job's deadline", func() {
 		for src.Backend().SimulatedSeconds() <= expired {
 			runtime.Gosched()
 		}
 	})
-	// Drain while shard 0's worker is still inside its heavy batch: the
-	// queued light jobs must move through the hand-off path.
-	mustFinish(t, "DrainShard", func() { c.DrainShard(0) })
+	// Drain while shard 0's worker has one batch behind it and is held
+	// before the next: the queued light jobs must move through the
+	// hand-off path, and only then may the workers go on.
+	drained := make(chan struct{})
+	go func() { defer close(drained); c.DrainShard(0) }()
+	waitSupervisor(t, "move the queued backlog through the drain path", func() bool { return c.Stats().Drained >= 1 })
+	close(drainedOff)
+	mustFinish(t, "DrainShard", func() { <-drained })
 	if got := c.Faults().Health(0); got != "closed" {
 		t.Fatalf("drained shard health = %q, want closed", got)
 	}
@@ -736,7 +752,7 @@ func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 		if got := hc.Faults().Health(i); got != "closed" {
 			t.Errorf("retired shard %d health after kills = %q, want closed", i, got)
 		}
-		if sh := hc.all()[i]; sh.sched.Killed() || sh.replaced.Load() {
+		if sh := hc.all()[i]; sh.sched.Killed() || sh.state() != stateClosed {
 			t.Errorf("retired shard %d is marked killed/replaced: the supervisor would repair it", i)
 		}
 	}
@@ -752,10 +768,7 @@ func TestChaosKillUnderSelfHeal(t *testing.T) {
 	cfg := schedConfig(2)
 	cfg.SelfHeal = ToggleOn
 	cfg.Standbys = 1
-	c := NewCluster(h.Params,
-		shards(gpu.Device1Spec(), gpu.Device1Spec(), gpu.Device2Spec()),
-		cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device1Spec(), gpu.Device2Spec()), cfg)
 	c.Faults().KillShardAfter(0, 2)
 
 	rng := rand.New(rand.NewSource(9100))

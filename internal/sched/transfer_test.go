@@ -145,9 +145,7 @@ func TestClusterTransferDifferential(t *testing.T) {
 			jobs = append(jobs, familyJob(h, rng, fam))
 		}
 	}
-	c := NewCluster(h.Params, shards(gpu.Device1Spec(), gpu.Device2Spec()),
-		schedConfig(2), h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(c.Close)
+	c := newTestCluster(t, h, 2, gpu.Device1Spec(), gpu.Device2Spec())
 
 	futs := make([]*Future, len(jobs))
 	var wg sync.WaitGroup
