@@ -94,7 +94,26 @@ type Context struct {
 	// transfers; nil allocates transient staging per transfer.
 	Staging *memcache.StagingPool
 
-	deps []gpu.Event // pending pipeline tail (in-order semantics)
+	// deps is the pending pipeline tail (in-order semantics). After a
+	// kernel launch it is tail itself, whose capacity equals its length,
+	// so an append (DependOn) never writes into it; every other holder
+	// gets a copy (Deps, PipelineAfter).
+	deps []gpu.Event
+	// tail receives every kernel launch's completion events, one per
+	// queue, so a warm launch on one queue allocates nothing.
+	tail []gpu.Event
+	// ew is the descriptor every elementwise launch fills (ewKernelJobs):
+	// a launch prices a copy of the profile and runs the body before it
+	// returns, and nothing keeps the pointer.
+	ew sycl.Kernel
+
+	// Timing-only mode only: the shape-only view of each (polys, rows)
+	// transform shape (rowsView), and the row headers of each component
+	// count (allocPoly). Every timing-only buffer aliases one slab and
+	// nothing reads rows, so one of each serves every transform and
+	// every polynomial of that shape.
+	views map[[2]int]*ntt.BatchView
+	rows  map[int][][]uint64
 
 	// scope holds the buffers allocated and not yet freed since Scoped
 	// opened it; nil outside Scoped.
@@ -151,6 +170,11 @@ func NewContextOn(params *ckks.Parameters, dev *gpu.Device, cfg Config, queues [
 		Cache:  cache,
 		Engine: &ntt.Engine{V: cfg.NTT, Analytic: cfg.Analytic},
 		Cfg:    cfg,
+		tail:   make([]gpu.Event, len(queues)),
+	}
+	if cfg.Analytic {
+		c.views = map[[2]int]*ntt.BatchView{}
+		c.rows = map[int][][]uint64{}
 	}
 	if cfg.CopyEngine {
 		c.CopyQ = sycl.NewCopyQueueOnTile(dev, queues[0].Raw().Tile())
@@ -198,14 +222,23 @@ func (c *Context) Deps() []gpu.Event {
 }
 
 // allocPoly obtains a device-backed polynomial through the memory
-// cache (or the raw driver when the cache is disabled).
+// cache (or the raw driver when the cache is disabled). A timing-only
+// polynomial is its own header over the shared rows of its component
+// count (see Context.rows).
 func (c *Context) allocPoly(components int) (*poly.Poly, *sycl.Buffer) {
 	buf := c.Cache.Malloc(components * c.Params.N)
 	if c.scope != nil {
 		c.scope[buf] = struct{}{}
 	}
-	p := poly.FromData(c.Params.N, components, buf.Data)
-	return p, buf
+	if !c.Cfg.Analytic {
+		return poly.FromData(c.Params.N, components, buf.Data), buf
+	}
+	rows, ok := c.rows[components]
+	if !ok {
+		rows = poly.FromData(c.Params.N, components, buf.Data).Coeffs
+		c.rows[components] = rows
+	}
+	return &poly.Poly{N: c.Params.N, Coeffs: rows}, buf
 }
 
 // freePoly returns a temporary to the cache.

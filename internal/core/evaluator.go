@@ -30,21 +30,21 @@ import (
 	"xehe/internal/xmath"
 )
 
-// launch submits a kernel to the context's queue(s), chaining the
-// asynchronous pipeline dependencies.
-func (c *Context) launch(k *sycl.Kernel) {
-	if len(c.Queues) > 1 {
-		c.after(sycl.SubmitSplit(c.Queues, func(h *sycl.Handler) {
-			h.DependsOn(c.deps...)
-			h.ParallelFor(k)
-		}))
-		return
+// launch submits the elementwise kernel ewKernelJobs filled to the
+// context's queue(s), priced per launch (it has no plan), chaining the
+// asynchronous pipeline dependencies through the context's tail.
+func (c *Context) launch() {
+	c.deps = sycl.Launch(c.tail, c.Queues, &c.ew, sycl.Price(c.Queues, &c.ew), c.deps...)
+}
+
+// transform runs one batched NTT over view through the engine's plan,
+// chaining the pipeline through the context's tail.
+func (c *Context) transform(view *ntt.BatchView, tbls []*ntt.Tables, forward bool) {
+	if forward {
+		c.deps = c.Engine.ForwardView(c.Queues, view, tbls, c.tail, c.deps...)
+	} else {
+		c.deps = c.Engine.InverseView(c.Queues, view, tbls, c.tail, c.deps...)
 	}
-	ev := c.Queues[0].Submit(func(h *sycl.Handler) {
-		h.DependsOn(c.deps...)
-		h.ParallelFor(k)
-	})
-	c.after([]gpu.Event{ev})
 }
 
 func profileOf(ops ...isa.Op) isa.Profile {
@@ -90,13 +90,16 @@ func digitRow(i, j int) int {
 	return j
 }
 
-// ewKernelJobs builds one elementwise kernel over jobs × comps × N
-// items. The body processes one (job, component) row range at a time;
-// the analytic profile carries the summed item count, so compute and
-// memory cost scale with the batch while launch overhead is paid once.
-func (c *Context) ewKernelJobs(name string, jobs, comps int, per isa.Profile, extra, bytesPerItem float64, pattern gpu.MemPattern, body func(job, comp, lo, hi int)) *sycl.Kernel {
+// ewKernelJobs fills the context's elementwise descriptor (Context.ew)
+// with one body-less kernel over jobs × comps × N items, for launch to
+// submit. The analytic profile carries the summed item count, so
+// compute and memory cost scale with the batch while launch overhead is
+// paid once. A functional context installs the body in between, with
+// rowBody inside an `if !c.Cfg.Analytic`, so a timing-only launch never
+// builds the closure.
+func (c *Context) ewKernelJobs(name string, jobs, comps int, per isa.Profile, extra, bytesPerItem float64, pattern gpu.MemPattern) {
 	n := c.Params.N
-	k := &sycl.Kernel{
+	c.ew = sycl.Kernel{
 		Name:  name,
 		Range: gpu.NDRange{Global: [3]int{jobs, comps, n}},
 		Profile: gpu.KernelProfile{
@@ -107,19 +110,26 @@ func (c *Context) ewKernelJobs(name string, jobs, comps int, per isa.Profile, ex
 			Pattern:           pattern,
 		},
 	}
-	if !c.Cfg.Analytic {
-		k.Body = func(g *gpu.GroupCtx) { body(g.P, g.Q, g.Base, g.Base+g.Size) }
-	}
-	return k
+}
+
+// rowBody adapts an elementwise body, which processes one (job,
+// component) row range at a time, to a kernel body.
+func rowBody(body func(job, comp, lo, hi int)) func(*gpu.GroupCtx) {
+	return func(g *gpu.GroupCtx) { body(g.P, g.Q, g.Base, g.Base+g.Size) }
 }
 
 // rowsView stitches cols rows per job, from whatever buffers they live
 // in, into one k × cols view: row(j, q) is job j's row under tables
 // entry q. A timing-only context has no rows to stitch: its engine
-// reads the view's shape alone.
+// reads the view's shape alone, and one view per shape serves.
 func (c *Context) rowsView(k, cols int, row func(j, q int) []uint64) *ntt.BatchView {
 	if c.Cfg.Analytic {
-		return ntt.ShapeView(k, cols, c.Params.N)
+		view, ok := c.views[[2]int{k, cols}]
+		if !ok {
+			view = ntt.ShapeView(k, cols, c.Params.N)
+			c.views[[2]int{k, cols}] = view
+		}
+		return view
 	}
 	view := ntt.NewBatchView(k, cols, c.Params.N)
 	for j := 0; j < k; j++ {
@@ -139,14 +149,14 @@ func (c *Context) polysView(ps []*poly.Poly, cols int) *ntt.BatchView {
 // fwdNTTJobs / invNTTJobs run the configured GPU NTT variant over all
 // components of every job's polynomial as one fused launch sequence.
 func (c *Context) fwdNTTJobs(ps []*poly.Poly, tbls []*ntt.Tables) {
-	c.after(c.Engine.ForwardView(c.Queues, c.polysView(ps, len(tbls)), tbls, c.deps...))
+	c.transform(c.polysView(ps, len(tbls)), tbls, true)
 	for _, p := range ps {
 		p.IsNTT = true
 	}
 }
 
 func (c *Context) invNTTJobs(ps []*poly.Poly, tbls []*ntt.Tables) {
-	c.after(c.Engine.InverseView(c.Queues, c.polysView(ps, len(tbls)), tbls, c.deps...))
+	c.transform(c.polysView(ps, len(tbls)), tbls, false)
 	for _, p := range ps {
 		p.IsNTT = false
 	}
@@ -197,14 +207,17 @@ func component(cts []*Ciphertext, i int) []*poly.Poly {
 // addIntoJobs launches dsts[j] = as[j] + bs[j] as one fused kernel.
 func (c *Context) addIntoJobs(dsts, as, bs []*poly.Poly, comps int) {
 	moduli := c.Params.Moduli()
-	c.launch(c.ewKernelJobs("he_add", len(dsts), comps, profileOf(isa.OpAddMod), 0, 24, gpu.PatternUnitStride,
-		func(jb, q, lo, hi int) {
+	c.ewKernelJobs("he_add", len(dsts), comps, profileOf(isa.OpAddMod), 0, 24, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, q, lo, hi int) {
 			p := moduli[q].Value
 			da, db, dd := as[jb].Coeffs[q], bs[jb].Coeffs[q], dsts[jb].Coeffs[q]
 			for x := lo; x < hi; x++ {
 				dd[x] = xmath.AddMod(da[x], db[x], p)
 			}
-		}))
+		})
+	}
+	c.launch()
 	for j := range dsts {
 		dsts[j].IsNTT = as[j].IsNTT
 	}
@@ -216,24 +229,30 @@ func (c *Context) addIntoJobs(dsts, as, bs []*poly.Poly, comps int) {
 func (c *Context) madIntoJobs(dsts, as, bs []*poly.Poly, comps int) {
 	moduli := c.Params.Moduli()
 	if c.Cfg.MadMod {
-		c.launch(c.ewKernelJobs("he_mad_mod", len(dsts), comps, profileOf(isa.OpMAdMod), 0, 32, gpu.PatternUnitStride,
-			func(jb, q, lo, hi int) {
+		c.ewKernelJobs("he_mad_mod", len(dsts), comps, profileOf(isa.OpMAdMod), 0, 32, gpu.PatternUnitStride)
+		if !c.Cfg.Analytic {
+			c.ew.Body = rowBody(func(jb, q, lo, hi int) {
 				m := moduli[q]
 				da, db, dd := as[jb].Coeffs[q], bs[jb].Coeffs[q], dsts[jb].Coeffs[q]
 				for x := lo; x < hi; x++ {
 					dd[x] = m.MAdMod(da[x], db[x], dd[x])
 				}
-			}))
+			})
+		}
+		c.launch()
 		return
 	}
-	c.launch(c.ewKernelJobs("he_mul_then_add", len(dsts), comps, profileOf(isa.OpMulMod, isa.OpAddMod), 0, 40, gpu.PatternUnitStride,
-		func(jb, q, lo, hi int) {
+	c.ewKernelJobs("he_mul_then_add", len(dsts), comps, profileOf(isa.OpMulMod, isa.OpAddMod), 0, 40, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, q, lo, hi int) {
 			m := moduli[q]
 			da, db, dd := as[jb].Coeffs[q], bs[jb].Coeffs[q], dsts[jb].Coeffs[q]
 			for x := lo; x < hi; x++ {
 				dd[x] = xmath.AddMod(m.MulMod(da[x], db[x]), dd[x], m.Value)
 			}
-		}))
+		})
+	}
+	c.launch()
 }
 
 // AddBatch returns as[j] + bs[j] for a same-shape batch, one fused
@@ -256,8 +275,9 @@ func (c *Context) MulBatch(as, bs []*Ciphertext) []*Ciphertext {
 	outs := c.allocCts(len(as), 3, level+1, level, func(j int) float64 { return as[j].CT.Scale * bs[j].CT.Scale })
 	per := profileOf(isa.OpMulMod, isa.OpMulMod)
 	per.AddProfile(c.lazySum(2), 1)
-	c.launch(c.ewKernelJobs("he_tensor", len(as), level+1, per, 0, 56, gpu.PatternUnitStride,
-		func(jb, q, lo, hi int) {
+	c.ewKernelJobs("he_tensor", len(as), level+1, per, 0, 56, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, q, lo, hi int) {
 			m := moduli[q]
 			a, b, d := as[jb].CT.Value, bs[jb].CT.Value, outs[jb].CT.Value
 			a0, a1, b0, b1 := a[0].Coeffs[q], a[1].Coeffs[q], b[0].Coeffs[q], b[1].Coeffs[q]
@@ -268,7 +288,9 @@ func (c *Context) MulBatch(as, bs []*Ciphertext) []*Ciphertext {
 				d1[x] = m.BarrettReduce128(xmath.MulAdd128(h, l, a1[x], b0[x]))
 				d2[x] = m.MulMod(a1[x], b1[x])
 			}
-		}))
+		})
+	}
+	c.launch()
 	return outs
 }
 
@@ -279,8 +301,9 @@ func (c *Context) SquareBatch(as []*Ciphertext) []*Ciphertext {
 	level := as[0].CT.Level
 	moduli := c.Params.Moduli()
 	outs := c.allocCts(len(as), 3, level+1, level, func(j int) float64 { return as[j].CT.Scale * as[j].CT.Scale })
-	c.launch(c.ewKernelJobs("he_square", len(as), level+1, profileOf(isa.OpMulMod, isa.OpMulMod, isa.OpMulMod, isa.OpAddMod), 0, 40, gpu.PatternUnitStride,
-		func(jb, q, lo, hi int) {
+	c.ewKernelJobs("he_square", len(as), level+1, profileOf(isa.OpMulMod, isa.OpMulMod, isa.OpMulMod, isa.OpAddMod), 0, 40, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, q, lo, hi int) {
 			m := moduli[q]
 			a, d := as[jb].CT.Value, outs[jb].CT.Value
 			a0, a1 := a[0].Coeffs[q], a[1].Coeffs[q]
@@ -291,7 +314,9 @@ func (c *Context) SquareBatch(as []*Ciphertext) []*Ciphertext {
 				d1[x] = xmath.AddMod(cross, cross, m.Value)
 				d2[x] = m.MulMod(a1[x], a1[x])
 			}
-		}))
+		})
+	}
+	c.launch()
 	return outs
 }
 
@@ -335,10 +360,13 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 
 	// Step 1: targets back to coefficient form, out of place.
 	tCoeffs, tBufs := c.allocPolys(k, comps)
-	c.launch(c.ewKernelJobs("ks_copy_target", k, comps, profileOf(), 0, 16, gpu.PatternUnitStride,
-		func(jb, q, lo, hi int) {
+	c.ewKernelJobs("ks_copy_target", k, comps, profileOf(), 0, 16, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, q, lo, hi int) {
 			copy(tCoeffs[jb].Coeffs[q][lo:hi], targets[jb].Coeffs[q][lo:hi])
-		}))
+		})
+	}
+	c.launch()
 	c.invNTTJobs(tCoeffs, params.TablesAt(level))
 
 	// Step 2: digit i is row i of the target reduced into every other
@@ -355,17 +383,19 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 		dModuli = append(dModuli, without(extModuli, i)...)
 		dTbls = append(dTbls, without(extTbls, i)...)
 	}
-	c.launch(c.ewKernelJobs("ks_digit_extend", k, comps*comps,
-		profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
-		func(jb, r, lo, hi int) {
+	c.ewKernelJobs("ks_digit_extend", k, comps*comps,
+		profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
 			src, dst, m := tCoeffs[jb].Coeffs[r/comps], digits[r/comps][jb].Coeffs[r%comps], dModuli[r]
 			for x := lo; x < hi; x++ {
 				dst[x] = m.BarrettReduce(src[x])
 			}
-		}))
-	c.after(c.Engine.ForwardView(c.Queues,
-		c.rowsView(k, comps*comps, func(jb, r int) []uint64 { return digits[r/comps][jb].Coeffs[r%comps] }),
-		dTbls, c.deps...))
+		})
+	}
+	c.launch()
+	c.transform(c.rowsView(k, comps*comps, func(jb, r int) []uint64 { return digits[r/comps][jb].Coeffs[r%comps] }),
+		dTbls, true)
 
 	// Inner product with the key: per coefficient and modulus, the c
 	// digit products of each accumulator are summed unreduced in 128
@@ -379,8 +409,9 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 	}
 	per := profileOf()
 	per.AddProfile(c.lazySum(comps), 2)
-	c.launch(c.ewKernelJobs("ks_inner_product", k, comps+1, per, 0, float64(24*comps+16), gpu.PatternUnitStride,
-		func(jb, j, lo, hi int) {
+	c.ewKernelJobs("ks_inner_product", k, comps+1, per, 0, float64(24*comps+16), gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, j, lo, hi int) {
 			d := make([][]uint64, comps)
 			for i := range d {
 				d[i] = targets[jb].Coeffs[i]
@@ -389,7 +420,9 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 				}
 			}
 			extModuli[j].InnerProductPair(accs[0][jb].Coeffs[j], accs[1][jb].Coeffs[j], d, bKey[j], aKey[j], lo, hi)
-		}))
+		})
+	}
+	c.launch()
 	for _, bufs := range dBufs {
 		c.freePolys(bufs)
 	}
@@ -399,22 +432,23 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 	// components go to coefficient form, are reduced into every chain
 	// modulus straight into the result rows, transformed there, and the
 	// scale kernel finishes res = (acc - res) * p^-1 (+ addend) in place.
-	c.after(c.Engine.InverseView(c.Queues,
-		c.rowsView(k, 2, func(jb, a int) []uint64 { return accs[a][jb].Coeffs[comps] }),
-		[]*ntt.Tables{params.SpecialTable, params.SpecialTable}, c.deps...))
+	c.transform(c.rowsView(k, 2, func(jb, a int) []uint64 { return accs[a][jb].Coeffs[comps] }),
+		[]*ntt.Tables{params.SpecialTable, params.SpecialTable}, false)
 	outs := c.allocCts(k, 2, comps, level, func(j int) float64 { return like[j].CT.Scale })
-	c.launch(c.ewKernelJobs("ks_moddown_reduce", k, 2*comps,
-		profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
-		func(jb, r, lo, hi int) {
+	c.ewKernelJobs("ks_moddown_reduce", k, 2*comps,
+		profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
 			a, j := r/comps, r%comps
 			sp, d, m := accs[a][jb].Coeffs[comps], outs[jb].CT.Value[a].Coeffs[j], moduli[j]
 			for x := lo; x < hi; x++ {
 				d[x] = m.BarrettReduce(sp[x])
 			}
-		}))
-	c.after(c.Engine.ForwardView(c.Queues,
-		c.rowsView(k, 2*comps, func(jb, r int) []uint64 { return outs[jb].CT.Value[r/comps].Coeffs[r%comps] }),
-		slices.Repeat(params.TablesAt(level), 2), c.deps...))
+		})
+	}
+	c.launch()
+	c.transform(c.rowsView(k, 2*comps, func(jb, r int) []uint64 { return outs[jb].CT.Value[r/comps].Coeffs[r%comps] }),
+		slices.Repeat(params.TablesAt(level), 2), true)
 	// A row with an addend reads one more word per item and does one
 	// more add_mod; Rotate has an addend on half of its rows.
 	added := 0.0
@@ -425,8 +459,9 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 	}
 	per = profileOf(isa.OpMulMod, isa.OpAddMod)
 	per.Add(isa.OpAddMod, added)
-	c.launch(c.ewKernelJobs("ks_moddown_scale", k, 2*comps, per, 0, 32+8*added, gpu.PatternUnitStride,
-		func(jb, r, lo, hi int) {
+	c.ewKernelJobs("ks_moddown_scale", k, 2*comps, per, 0, 32+8*added, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
 			a, j := r/comps, r%comps
 			q := moduli[j].Value
 			pInv := basis.SpecialInvOperand(L, j)
@@ -442,7 +477,9 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 				}
 				o[x] = v
 			}
-		}))
+		})
+	}
+	c.launch()
 	c.freePolys(accBufs[0])
 	c.freePolys(accBufs[1])
 	return outs
@@ -472,28 +509,34 @@ func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 
 	// Row i of a job's `lasts` is the last row of its component i.
 	lasts, lastBufs := c.allocPolys(k, polys)
-	c.launch(c.ewKernelJobs("rs_copy_last", k, polys, profileOf(), 0, 16, gpu.PatternUnitStride,
-		func(jb, i, lo, hi int) {
+	c.ewKernelJobs("rs_copy_last", k, polys, profileOf(), 0, 16, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, i, lo, hi int) {
 			copy(lasts[jb].Coeffs[i][lo:hi], cts[jb].CT.Value[i].Coeffs[level][lo:hi])
-		}))
+		})
+	}
+	c.launch()
 	c.invNTTJobs(lasts, slices.Repeat(params.ChainTables[level:level+1], polys))
 
 	// From here on row r of the range is modulus r%level of component
 	// r/level, and lives in the result.
 	outs := c.allocCts(k, polys, level, level-1, func(j int) float64 { return cts[j].CT.Scale / float64(qLast) })
-	c.launch(c.ewKernelJobs("rs_reduce", k, polys*level, profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride,
-		func(jb, r, lo, hi int) {
+	c.ewKernelJobs("rs_reduce", k, polys*level, profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
 			i, j := r/level, r%level
 			l, d, m := lasts[jb].Coeffs[i], outs[jb].CT.Value[i].Coeffs[j], basis.Moduli[j]
 			for x := lo; x < hi; x++ {
 				d[x] = m.BarrettReduce(l[x])
 			}
-		}))
-	c.after(c.Engine.ForwardView(c.Queues,
-		c.rowsView(k, polys*level, func(jb, r int) []uint64 { return outs[jb].CT.Value[r/level].Coeffs[r%level] }),
-		slices.Repeat(params.ChainTables[:level], polys), c.deps...))
-	c.launch(c.ewKernelJobs("rs_scale", k, polys*level, profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride,
-		func(jb, r, lo, hi int) {
+		})
+	}
+	c.launch()
+	c.transform(c.rowsView(k, polys*level, func(jb, r int) []uint64 { return outs[jb].CT.Value[r/level].Coeffs[r%level] }),
+		slices.Repeat(params.ChainTables[:level], polys), true)
+	c.ewKernelJobs("rs_scale", k, polys*level, profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
 			i, j := r/level, r%level
 			q := basis.Moduli[j].Value
 			inv := basis.InvLastOperand(level, j)
@@ -501,7 +544,9 @@ func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 			for x := lo; x < hi; x++ {
 				d[x] = inv.MulMod(xmath.SubMod(src[x], d[x], q), q)
 			}
-		}))
+		})
+	}
+	c.launch()
 	c.freePolys(lastBufs)
 	return outs
 }
@@ -517,10 +562,13 @@ func (c *Context) ModSwitchBatch(cts []*Ciphertext) []*Ciphertext {
 	level := cts[0].CT.Level
 	outs := c.allocCts(k, len(cts[0].CT.Value), level, level-1, func(j int) float64 { return cts[j].CT.Scale })
 	for ci := range cts[0].CT.Value {
-		c.launch(c.ewKernelJobs("modswitch_copy", k, level, profileOf(), 0, 16, gpu.PatternUnitStride,
-			func(jb, q, lo, hi int) {
+		c.ewKernelJobs("modswitch_copy", k, level, profileOf(), 0, 16, gpu.PatternUnitStride)
+		if !c.Cfg.Analytic {
+			c.ew.Body = rowBody(func(jb, q, lo, hi int) {
 				copy(outs[jb].CT.Value[ci].Coeffs[q][lo:hi], cts[jb].CT.Value[ci].Coeffs[q][lo:hi])
-			}))
+			})
+		}
+		c.launch()
 		for j := 0; j < k; j++ {
 			outs[j].CT.Value[ci].IsNTT = cts[j].CT.Value[ci].IsNTT
 		}
@@ -542,11 +590,14 @@ func (c *Context) RotateBatch(cts []*Ciphertext, rot int, gk *ckks.GaloisKey) []
 	for i := range rs {
 		rs[i], rBufs[i] = c.allocPolys(k, comps)
 	}
-	c.launch(c.ewKernelJobs("galois_automorphism", k, 2*comps, profileOf(), 4, 20, gpu.PatternGather,
-		func(jb, r, lo, hi int) {
+	c.ewKernelJobs("galois_automorphism", k, 2*comps, profileOf(), 4, 20, gpu.PatternGather)
+	if !c.Cfg.Analytic {
+		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
 			i, q := r/comps, r%comps
 			poly.AutomorphismNTT(rs[i][jb].Coeffs[q][lo:hi], cts[jb].CT.Value[i].Coeffs[q], perm[lo:hi])
-		}))
+		})
+	}
+	c.launch()
 
 	// Key-switch the c1 part from s(x^g) to s; the permuted c0 rides
 	// into the result on the mod-down.

@@ -378,6 +378,19 @@ type Event struct {
 // Done returns the simulated completion time.
 func (e Event) Done() Cycles { return e.done }
 
+// latest returns the event of evs that completes last (the zero Event,
+// which orders nothing, when there are none): a command ordered after
+// it starts exactly when one ordered after all of them would.
+func latest(evs []Event) Event {
+	var last Event
+	for _, ev := range evs {
+		if ev.done > last.done {
+			last = ev
+		}
+	}
+	return last
+}
+
 // Wait blocks the simulated host until the event completes, paying the
 // host-device synchronization cost. This is the only place the
 // asynchronous pipeline of Fig. 2 stalls the host.

@@ -54,19 +54,56 @@ type Kernel struct {
 	Profile KernelProfile
 }
 
-// priced returns the profile a launch submits: the kernel's own, with
-// the work-item count and name defaulted from the kernel where the
-// profile leaves them out. The kernel itself is never written, so one
-// descriptor can be launched from any number of goroutines.
-func (k *Kernel) priced() KernelProfile {
+// name is what the command log calls a launch of the kernel: its
+// profile's name, defaulted from the kernel's.
+func (k *Kernel) name() string {
+	if k.Profile.Name != "" {
+		return k.Profile.Name
+	}
+	return k.Name
+}
+
+// effTiles is the sublinear effective tile count of a kernel split
+// across split queues (see DeviceSpec.MultiTileScaling): each
+// sub-submission carries 1/effTiles of the work, so the per-tile
+// timelines reproduce the paper's dual-tile scaling of +49.5%-78.2%
+// rather than a perfect 2x.
+func effTiles(spec *DeviceSpec, split int) float64 {
+	return 1 + spec.MultiTileScaling*float64(split-1)
+}
+
+// items returns the work-item count one submission of the kernel
+// carries, launched whole (split <= 1) or split across split queues:
+// the profile's, defaulted from the range where the profile leaves it
+// out.
+func (k *Kernel) items(spec *DeviceSpec, split int) int {
+	n := k.Profile.Items
+	if n == 0 {
+		n = k.Range.Items()
+	}
+	if split > 1 {
+		n = int(float64(n)/effTiles(spec, split)) + 1
+	}
+	return n
+}
+
+// Price returns the cycles one submission of the kernel costs on a
+// device of the given spec under cg, launched whole on one queue
+// (split <= 1) or split evenly across split queues. It is the one
+// pricing rule of every launch: Launch prices with it, and LaunchPriced
+// and LaunchSplit submit what their caller priced with it — per launch
+// for elementwise kernels, once per plan entry and device for the NTT
+// engine's. The kernel itself is never written, so one descriptor can
+// be priced and launched from any number of goroutines.
+func (k *Kernel) Price(spec *DeviceSpec, cg isa.CodeGen, split int) Cycles {
 	p := k.Profile
-	if p.Items == 0 {
-		p.Items = k.Range.Items()
+	p.Items = k.items(spec, split)
+	if split > 1 {
+		eff := effTiles(spec, split)
+		p.GlobalBytes /= eff
+		p.SLMBytes /= eff
 	}
-	if p.Name == "" {
-		p.Name = k.Name
-	}
-	return p
+	return p.Time(spec, cg, 1)
 }
 
 // Launch executes the kernel functionally (real computation, groups
@@ -74,30 +111,34 @@ func (k *Kernel) priced() KernelProfile {
 // on the queue's tile timeline. It returns the completion event of the
 // simulated submission.
 func (q *Queue) Launch(k *Kernel, cg isa.CodeGen, deps ...Event) Event {
+	return q.LaunchPriced(k, k.Price(&q.dev.Spec, cg, 1), deps...)
+}
+
+// LaunchPriced is Launch with the cost already known: price must be
+// k.Price(spec, cg, 1) for this queue's device.
+func (q *Queue) LaunchPriced(k *Kernel, price Cycles, deps ...Event) Event {
 	runGroups(k)
-	return q.SubmitProfile(k.priced(), cg, deps...)
+	return q.submitOn(k.name(), k.items(&q.dev.Spec, 1), price, false, deps...)
 }
 
 // LaunchSplit executes the kernel functionally once, but splits its
 // analytic cost evenly across the given queues (explicit multi-tile
-// submission through multiple queues, Section III-C.2). It returns the
-// events of all sub-submissions.
-func LaunchSplit(queues []*Queue, k *Kernel, cg isa.CodeGen, deps ...Event) []Event {
+// submission through multiple queues, Section III-C.2): each
+// sub-submission costs price, which must be k.Price(spec, cg,
+// len(queues)). The events of all sub-submissions are written into evs
+// (grown only when it has no room for them), which it returns. evs may
+// share its backing array with deps: every sub-submission waits for the
+// latest of deps, read before any event is written.
+func LaunchSplit(evs []Event, queues []*Queue, k *Kernel, price Cycles, deps ...Event) []Event {
 	runGroups(k)
-	part := k.priced()
-	n := len(queues)
-	// Each sub-submission carries 1/eff of the work, where eff is the
-	// sublinear effective tile count (see DeviceSpec.MultiTileScaling):
-	// the per-tile timelines then reproduce the paper's dual-tile
-	// scaling of +49.5%-78.2% rather than a perfect 2x.
-	spec := &queues[0].dev.Spec
-	eff := 1 + spec.MultiTileScaling*float64(n-1)
-	part.Items = int(float64(part.Items)/eff) + 1
-	part.GlobalBytes /= eff
-	part.SLMBytes /= eff
-	evs := make([]Event, n)
+	after := latest(deps)
+	items := k.items(&queues[0].dev.Spec, len(queues))
+	if cap(evs) < len(queues) {
+		evs = make([]Event, len(queues))
+	}
+	evs = evs[:len(queues)]
 	for i, q := range queues {
-		evs[i] = q.SubmitProfile(part, cg, deps...)
+		evs[i] = q.submitOn(k.name(), items, price, false, after)
 	}
 	return evs
 }

@@ -218,7 +218,7 @@ func TestLaunchLeavesSharedKernelUntouched(t *testing.T) {
 			t.Fatalf("trace entry %+v, want name %q and %d items", e, "shared", 2*3*64)
 		}
 	}
-	LaunchSplit(qs, k, isa.InlineASM)
+	LaunchSplit(nil, qs, k, k.Price(&d.Spec, isa.InlineASM, len(qs)))
 	if tr := d.Trace(); tr[len(tr)-1].Name != "shared" || tr[len(tr)-1].Items == 0 {
 		t.Errorf("split trace entry %+v, want name %q and a share of the items", tr[len(tr)-1], "shared")
 	}
@@ -276,7 +276,8 @@ func TestLaunchSplitDividesCost(t *testing.T) {
 	tSingle := e.Done()
 
 	d.Reset()
-	evs := LaunchSplit(qs, mk(), isa.CompilerGenerated)
+	k := mk()
+	evs := LaunchSplit(nil, qs, k, k.Price(&d.Spec, isa.CompilerGenerated, len(qs)))
 	var tDual Cycles
 	for _, ev := range evs {
 		if ev.Done() > tDual {

@@ -12,6 +12,7 @@ package memcache
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"xehe/internal/gpu"
 	"xehe/internal/sycl"
@@ -30,11 +31,32 @@ type Cache struct {
 	pins map[*sycl.Buffer]int
 
 	hits, misses int64
+}
 
-	// scratch is the one slab every timing-only buffer is a view of:
-	// it grows to the largest request seen and its words are never
-	// read or written.
-	scratch []uint64
+// scratch is the one slab every timing-only buffer of every cache in
+// the process is a view of: it grows, under its lock, to the largest
+// request seen and its words are never read or written, so a fresh
+// timing-only cache — a benchmark builds one per run — zeroes nothing.
+// A request it already covers reads it with one atomic load.
+var scratch struct {
+	mu    sync.Mutex
+	words atomic.Pointer[[]uint64]
+}
+
+// scratchView returns size words of the shared slab, capacity capped
+// at size so that Free refunds exactly what the driver was charged.
+func scratchView(size int) []uint64 {
+	w := scratch.words.Load()
+	if w == nil || len(*w) < size {
+		scratch.mu.Lock()
+		if w = scratch.words.Load(); w == nil || len(*w) < size {
+			grown := make([]uint64, size)
+			w = &grown
+			scratch.words.Store(w)
+		}
+		scratch.mu.Unlock()
+	}
+	return (*w)[:size:size]
 }
 
 type entry struct {
@@ -52,8 +74,9 @@ func New(dev *gpu.Device, enabled bool) *Cache {
 // NewTimingOnly is New for runs that skip kernel bodies
 // (core.Config.Analytic): every driver allocation is charged to the
 // device and every pool decision made exactly as in a cache from New,
-// but no buffer gets memory of its own — all of them are views of one
-// shared slab, so their words alias and must never be read or written.
+// but no buffer gets memory of its own — all of them, across every
+// timing-only cache of the process, are views of one shared slab, so
+// their words alias and must never be read or written.
 // core.NewContextOn refuses to pair such a cache with functional code.
 func NewTimingOnly(dev *gpu.Device, enabled bool) *Cache {
 	c := New(dev, enabled)
@@ -74,13 +97,7 @@ func (c *Cache) driverAlloc(size int) *sycl.Buffer {
 	if !c.timingOnly {
 		return sycl.MallocDevice(c.dev, size)
 	}
-	c.mu.Lock()
-	if len(c.scratch) < size {
-		c.scratch = make([]uint64, size)
-	}
-	view := c.scratch[:size:size]
-	c.mu.Unlock()
-	return sycl.MallocDeviceOver(c.dev, view)
+	return sycl.MallocDeviceOver(c.dev, scratchView(size))
 }
 
 // Malloc returns a device buffer with at least size words of capacity.

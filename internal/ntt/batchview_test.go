@@ -65,11 +65,11 @@ func TestBatchViewMatchesContiguous(t *testing.T) {
 			}
 
 			e.Forward(q, flat, polys, tbls)
-			e.ForwardView(q, view, tbls)
+			e.ForwardView(q, view, tbls, nil)
 			compare("forward")
 
 			e.Inverse(q, flat, polys, tbls)
-			e.InverseView(q, view, tbls)
+			e.InverseView(q, view, tbls, nil)
 			compare("inverse")
 		})
 	}
@@ -113,7 +113,7 @@ func TestBatchViewChecks(t *testing.T) {
 	expectPanic("unset row", func() {
 		v := NewBatchView(1, 2, n)
 		v.SetRow(0, 0, make([]uint64, n))
-		e.ForwardView(q, v, tbls) // row (0,1) missing
+		e.ForwardView(q, v, tbls, nil) // row (0,1) missing
 	})
 	expectPanic("short row", func() {
 		v := NewBatchView(1, 2, n)
@@ -122,6 +122,6 @@ func TestBatchViewChecks(t *testing.T) {
 	expectPanic("tables mismatch", func() {
 		v := NewBatchView(1, 1, n)
 		v.SetRow(0, 0, make([]uint64, n))
-		e.ForwardView(q, v, tbls) // 2 tables vs 1 column
+		e.ForwardView(q, v, tbls, nil) // 2 tables vs 1 column
 	})
 }

@@ -2,7 +2,9 @@ package ntt
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"xehe/internal/gpu"
 	"xehe/internal/isa"
@@ -148,9 +150,10 @@ func roundProfile(r int) isa.Profile {
 //
 // That kernel sequence is a pure function of (variant, N, polys, RNS
 // count, direction), so the engine plans each shape once (see plan) and
-// every later transform of the shape launches the stored descriptors.
-// An engine is safe for concurrent use once V and Analytic are set; it
-// must not be copied after its first transform.
+// every later transform of the shape launches the stored descriptors at
+// the prices stored with them. An engine is safe for concurrent use
+// once V and Analytic are set; it must not be copied after its first
+// transform.
 type Engine struct {
 	V Variant
 	// Analytic skips the functional kernel bodies and only accounts
@@ -159,8 +162,11 @@ type Engine struct {
 	// execution is pointless and data may be nil.
 	Analytic bool
 
+	// plans maps each shape the engine has run to its plan. It is
+	// copied on write (under mu) and never evicted, so a warm lookup is
+	// one atomic load and a map read.
+	plans atomic.Pointer[map[planKey]*plan]
 	mu    sync.Mutex
-	plans map[planKey]*plan // never evicted: one entry per shape the process runs
 }
 
 // NewEngine returns an engine for the variant.
@@ -174,14 +180,14 @@ func NewAnalyticEngine(v Variant) *Engine { return &Engine{V: v, Analytic: true}
 // the final events. data uses the flat layout documented on Engine;
 // ForwardView accepts non-contiguous batches.
 func (e *Engine) Forward(qs []*sycl.Queue, data []uint64, polys int, tbls []*Tables, deps ...gpu.Event) []gpu.Event {
-	return e.run(qs, e.view(data, polys, tbls), tbls, true, deps)
+	return e.run(qs, e.view(data, polys, tbls), tbls, true, nil, deps)
 }
 
 // Inverse runs inverse NTTs over a contiguous batch (including the
 // n^{-1} scaling and final reduction). InverseView accepts
 // non-contiguous batches.
 func (e *Engine) Inverse(qs []*sycl.Queue, data []uint64, polys int, tbls []*Tables, deps ...gpu.Event) []gpu.Event {
-	return e.run(qs, e.view(data, polys, tbls), tbls, false, deps)
+	return e.run(qs, e.view(data, polys, tbls), tbls, false, nil, deps)
 }
 
 // ForwardView runs forward NTTs over an arbitrary BatchView — rows
@@ -190,14 +196,20 @@ func (e *Engine) Inverse(qs []*sycl.Queue, data []uint64, polys int, tbls []*Tab
 // This is the cross-job fusion entry point: one launch per transform
 // round covers every row, paying the kernel launch and submission
 // overhead once for the whole view instead of once per job.
-func (e *Engine) ForwardView(qs []*sycl.Queue, view *BatchView, tbls []*Tables, deps ...gpu.Event) []gpu.Event {
-	return e.run(qs, view, tbls, true, deps)
+//
+// The last kernel's events, one per queue, are written into tail and
+// returned (tail is grown only when it has no room; nil allocates).
+// tail may share its backing array with deps, so a caller that keeps
+// its pipeline tail in one slice transforms without allocating; the
+// engine itself keeps nothing of either.
+func (e *Engine) ForwardView(qs []*sycl.Queue, view *BatchView, tbls []*Tables, tail []gpu.Event, deps ...gpu.Event) []gpu.Event {
+	return e.run(qs, view, tbls, true, tail, deps)
 }
 
 // InverseView runs inverse NTTs (with n^{-1} scaling and final
 // reduction) over an arbitrary BatchView; see ForwardView.
-func (e *Engine) InverseView(qs []*sycl.Queue, view *BatchView, tbls []*Tables, deps ...gpu.Event) []gpu.Event {
-	return e.run(qs, view, tbls, false, deps)
+func (e *Engine) InverseView(qs []*sycl.Queue, view *BatchView, tbls []*Tables, tail []gpu.Event, deps ...gpu.Event) []gpu.Event {
+	return e.run(qs, view, tbls, false, tail, deps)
 }
 
 // view wraps the classic contiguous layout as a BatchView (shape-only
@@ -236,27 +248,89 @@ type step struct {
 type plan struct {
 	steps   []step
 	kernels []*sycl.Kernel
+
+	// prices holds the plan's price on every (device, codegen, queue
+	// split) it has been launched under. It is copied on write and only
+	// grows, so a launch reads it with one atomic load.
+	prices atomic.Pointer[[]planPrice]
+}
+
+// planPrice is what each kernel of a plan costs one submission under
+// one launch configuration: cycles[i] is gpu.Kernel.Price of kernels[i]
+// on the device whose spec is at spec, so the stored price is the very
+// float a per-launch pricing would compute. The device is told apart by
+// the address of its spec, not by the spec's name — two devices with
+// modified specs of one name are two keys — and the key holds the spec
+// live, so the address cannot be reused by another device.
+type planPrice struct {
+	spec   *gpu.DeviceSpec
+	cg     isa.CodeGen
+	split  int
+	cycles []gpu.Cycles
+}
+
+// pricesOn returns the plan's kernel prices for a launch over qs,
+// pricing every kernel on first use. Two goroutines meeting an unpriced
+// configuration both compute the same floats; the first to publish
+// wins and the other adopts it.
+func (p *plan) pricesOn(qs []*sycl.Queue) []gpu.Cycles {
+	spec, cg, split := &qs[0].Device().Spec, qs[0].CodeGen(), len(qs)
+	var fresh []gpu.Cycles
+	for {
+		old := p.prices.Load()
+		if old != nil {
+			for i := range *old {
+				if pp := &(*old)[i]; pp.spec == spec && pp.cg == cg && pp.split == split {
+					return pp.cycles
+				}
+			}
+		}
+		if fresh == nil {
+			fresh = make([]gpu.Cycles, len(p.kernels))
+			for i, k := range p.kernels {
+				fresh[i] = sycl.Price(qs, k)
+			}
+		}
+		var grown []planPrice
+		if old != nil {
+			grown = append(grown, *old...)
+		}
+		grown = append(grown, planPrice{spec, cg, split, fresh})
+		if p.prices.CompareAndSwap(old, &grown) {
+			return fresh
+		}
+	}
 }
 
 // plan returns the shape's plan, building it on first use.
 func (e *Engine) plan(n, polys, qCount int, forward bool) *plan {
 	key := planKey{e.V, n, polys, qCount, forward}
+	if plans := e.plans.Load(); plans != nil {
+		if p, ok := (*plans)[key]; ok {
+			return p
+		}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	p, ok := e.plans[key]
-	if !ok {
-		p = &plan{steps: e.buildSteps(n, polys, qCount, forward)}
-		p.kernels = make([]*sycl.Kernel, len(p.steps))
-		for i := range p.steps {
-			k := &p.steps[i].desc
-			k.Profile.Name = k.Name
-			p.kernels[i] = k
+	old := e.plans.Load()
+	if old != nil {
+		if p, ok := (*old)[key]; ok {
+			return p
 		}
-		if e.plans == nil {
-			e.plans = make(map[planKey]*plan)
-		}
-		e.plans[key] = p
 	}
+	p := &plan{steps: e.buildSteps(n, polys, qCount, forward)}
+	p.kernels = make([]*sycl.Kernel, len(p.steps))
+	for i := range p.steps {
+		k := &p.steps[i].desc
+		k.Profile.Name = k.Name
+		p.kernels[i] = k
+	}
+	plans := make(map[planKey]*plan, 1)
+	if old != nil {
+		maps.Copy(plans, *old)
+	}
+	plans[key] = p
+	e.plans.Store(&plans)
 	return p
 }
 
@@ -339,7 +413,13 @@ func (e *Engine) BuildKernelsView(view *BatchView, tbls []*Tables, forward bool)
 	if len(tbls) == 0 || view == nil || view.polys == 0 {
 		return nil
 	}
-	p := e.plan(tbls[0].N, view.polys, len(tbls), forward)
+	return e.bind(e.plan(tbls[0].N, view.polys, len(tbls), forward), view, tbls)
+}
+
+// bind returns the kernels a transform of p over view launches: the
+// plan's shared descriptors when the engine is timing-only or the view
+// is shape-only, else copies with bodies bound to the view.
+func (e *Engine) bind(p *plan, view *BatchView, tbls []*Tables) []*sycl.Kernel {
 	if e.Analytic || view.rows == nil {
 		return p.kernels
 	}
@@ -407,16 +487,24 @@ func (e *Engine) NominalOps(spec *gpu.DeviceSpec, polys int, tbls []*Tables, for
 	return total
 }
 
-// run schedules and launches the kernels of one batched transform.
-func (e *Engine) run(qs []*sycl.Queue, view *BatchView, tbls []*Tables, forward bool, deps []gpu.Event) []gpu.Event {
+// run launches the kernels of one batched transform at the plan's
+// stored prices, each kernel ordered after the one before through the
+// tail it wrote: on one queue a warm transform allocates nothing when
+// the caller lends tail storage.
+func (e *Engine) run(qs []*sycl.Queue, view *BatchView, tbls []*Tables, forward bool, tail, deps []gpu.Event) []gpu.Event {
 	if !e.Analytic && view != nil && view.rows == nil {
 		panic("ntt: functional transform over a shape-only view")
 	}
-	evs := deps
-	for _, k := range e.BuildKernelsView(view, tbls, forward) {
-		evs = launch(qs, k, evs)
+	if len(tbls) == 0 || view == nil || view.polys == 0 {
+		return deps
 	}
-	return evs
+	p := e.plan(tbls[0].N, view.polys, len(tbls), forward)
+	prices := p.pricesOn(qs)
+	for i, k := range e.bind(p, view, tbls) {
+		tail = sycl.Launch(tail, qs, k, prices[i], deps...)
+		deps = tail
+	}
+	return tail
 }
 
 func countStages(n int) int {
@@ -425,16 +513,4 @@ func countStages(n int) int {
 		s++
 	}
 	return s
-}
-
-// launch submits a kernel to one queue or splits it across several.
-func launch(qs []*sycl.Queue, k *sycl.Kernel, deps []gpu.Event) []gpu.Event {
-	if len(qs) == 1 {
-		return []gpu.Event{qs[0].Raw().Launch(k, qs[0].CodeGen(), deps...)}
-	}
-	raw := make([]*gpu.Queue, len(qs))
-	for i, q := range qs {
-		raw[i] = q.Raw()
-	}
-	return gpu.LaunchSplit(raw, k, qs[0].CodeGen(), deps...)
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"xehe/internal/gpu"
+	"xehe/internal/isa"
+	"xehe/internal/race"
 	"xehe/internal/sycl"
 	"xehe/internal/xmath"
 )
@@ -95,22 +97,147 @@ func TestPlanIsAPureFunctionOfShape(t *testing.T) {
 }
 
 // TestWarmTimingOnlyTransformAllocations guards the point of the plan:
-// a timing-only transform of a planned shape — the matMul shape of
-// fhebench.AppParams, N = 8192 and 1 × 6 rows — builds nothing. What is
-// left, measured, is 3 objects: the view and one event slice per
-// launched kernel (two at this shape). Rebuilding the kernels per
-// transform, as the engine did before it kept plans, measured 18.
+// a warm timing-only transform of a planned shape — the matMul shape of
+// fhebench.AppParams, N = 8192 and 1 × 6 rows — on one queue, with the
+// caller lending its pipeline tail, allocates nothing. Rebuilding the
+// kernels per transform, as the engine did before it kept plans,
+// measured 18 objects; one event slice per launched kernel and the
+// plan lookup's lock-and-key measured 2 more per transform.
 func TestWarmTimingOnlyTransformAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
 	const n, polys, qCount = 8192, 1, 6
 	tbls := sharedTables(n, qCount)
 	e := NewAnalyticEngine(LocalRadix8)
 	qs := queues1(gpu.NewDevice1())
-	e.ForwardView(qs, ShapeView(polys, qCount, n), tbls)
+	view := ShapeView(polys, qCount, n)
+	tail := e.InverseView(qs, view, tbls, e.ForwardView(qs, view, tbls, nil))
 	allocs := testing.AllocsPerRun(100, func() {
-		e.ForwardView(qs, ShapeView(polys, qCount, n), tbls)
+		tail = e.ForwardView(qs, view, tbls, tail, tail...)
+		tail = e.InverseView(qs, view, tbls, tail, tail...)
 	})
-	if allocs > 4 {
-		t.Fatalf("warm timing-only ForwardView allocates %v objects, want at most 4", allocs)
+	if allocs != 0 {
+		t.Fatalf("warm timing-only ForwardView + InverseView allocate %v objects, want 0", allocs)
+	}
+}
+
+// queueSets returns the two launch configurations of a device: one
+// queue, and a dual-tile split — one queue per tile, or two queues
+// contending on the only tile of a single-tile device.
+func queueSets(dev *gpu.Device, cg isa.CodeGen) [][]*sycl.Queue {
+	split := []*sycl.Queue{sycl.NewQueueOnTile(dev, 0, cg, true), sycl.NewQueueOnTile(dev, dev.Spec.Tiles-1, cg, true)}
+	return [][]*sycl.Queue{{sycl.NewQueue(dev, cg)}, split}
+}
+
+// storedPrices returns what p has stored for a launch over qs, without
+// pricing anything.
+func storedPrices(p *plan, qs []*sycl.Queue) []gpu.Cycles {
+	if all := p.prices.Load(); all != nil {
+		for _, pp := range *all {
+			if pp.spec == &qs[0].Device().Spec && pp.cg == qs[0].CodeGen() && pp.split == len(qs) {
+				return pp.cycles
+			}
+		}
+	}
+	return nil
+}
+
+// TestPlanPricesAreExact pins the price store: after a transform, every
+// plan entry has, for each device × codegen × (one queue, dual-tile
+// split) it ran under, a stored price equal with == to a fresh
+// KernelProfile.Time of the share one submission carries, and the
+// transform's commands were submitted at exactly those prices.
+func TestPlanPricesAreExact(t *testing.T) {
+	tables := map[int][]*Tables{1024: sharedTables(1024, 5), 32768: sharedTables(32768, 5)}
+	for _, v := range AllVariants() {
+		e := NewAnalyticEngine(v)
+		for n, tbls := range tables {
+			for _, s := range [][2]int{{1, 1}, {3, 5}} {
+				for _, forward := range []bool{true, false} {
+					for _, spec := range []gpu.DeviceSpec{gpu.Device1Spec(), gpu.Device2Spec()} {
+						for _, cg := range []isa.CodeGen{isa.CompilerGenerated, isa.InlineASM} {
+							dev := gpu.NewDevice(spec)
+							for _, qs := range queueSets(dev, cg) {
+								dev.Reset()
+								dev.EnableTrace()
+								run := e.Forward
+								if !forward {
+									run = e.Inverse
+								}
+								run(qs, nil, s[0], tbls[:s[1]])
+								p := e.plan(n, s[0], s[1], forward)
+								stored, trace := storedPrices(p, qs), dev.Trace()
+								if len(stored) != len(p.kernels) || len(trace) != len(p.kernels)*len(qs) {
+									t.Fatalf("%v n=%d %v: %d prices stored, %d commands, for %d kernels on %d queues", v, n, s, len(stored), len(trace), len(p.kernels), len(qs))
+								}
+								for i, k := range p.kernels {
+									share := k.Profile
+									if split := len(qs); split > 1 {
+										eff := 1 + dev.Spec.MultiTileScaling*float64(split-1)
+										share.Items = int(float64(share.Items)/eff) + 1
+										share.GlobalBytes /= eff
+										share.SLMBytes /= eff
+									}
+									if fresh := share.Time(&dev.Spec, cg, 1); stored[i] != fresh {
+										t.Fatalf("%v n=%d %v forward=%v on %s/%v/%d queues: kernel %d stored at %v, priced fresh at %v", v, n, s, forward, spec.Name, cg, len(qs), i, stored[i], fresh)
+									}
+									for j := range qs {
+										if c := trace[i*len(qs)+j].Cycles; c != stored[i] {
+											t.Fatalf("%v: kernel %d submitted at %v, stored at %v", v, i, c, stored[i])
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSharedEnginePricesPerDevice launches one warm engine's plans from
+// two goroutines at once, one on a Device1 queue and one on a Device2
+// queue, each device fresh so both fill their prices concurrently. Each
+// device's clocks must equal a serial run on a fresh engine: a price
+// stored per plan entry alone would hand one device the other's, and
+// under -race an unsynchronized first fill fails.
+func TestSharedEnginePricesPerDevice(t *testing.T) {
+	const n, qCount = 4096, 3
+	tbls := sharedTables(n, qCount)
+	specs := []gpu.DeviceSpec{gpu.Device1Spec(), gpu.Device2Spec()}
+	drive := func(e *Engine, dev *gpu.Device) {
+		qs := queues1(dev)
+		for polys := 1; polys <= 3; polys++ {
+			e.Inverse(qs, nil, polys, tbls, e.Forward(qs, nil, polys, tbls)...)
+		}
+	}
+	clocks := func(d *gpu.Device) [2]gpu.Cycles { return [2]gpu.Cycles{d.DeviceTime(), d.HostTime()} }
+	var want [2][2]gpu.Cycles
+	for i, spec := range specs {
+		dev := gpu.NewDevice(spec)
+		drive(NewAnalyticEngine(LocalRadix8), dev)
+		want[i] = clocks(dev)
+	}
+	shared := NewAnalyticEngine(LocalRadix8)
+	drive(shared, gpu.NewDevice1()) // every plan built, priced for another device only
+	for round := 0; round < 20; round++ {
+		devs := []*gpu.Device{gpu.NewDevice(specs[0]), gpu.NewDevice(specs[1])}
+		var wg sync.WaitGroup
+		for _, dev := range devs {
+			wg.Add(1)
+			go func(dev *gpu.Device) {
+				defer wg.Done()
+				drive(shared, dev)
+			}(dev)
+		}
+		wg.Wait()
+		for i, dev := range devs {
+			if got := clocks(dev); got != want[i] {
+				t.Fatalf("round %d: %s on the shared engine reads (device, host) %v, serially on a fresh engine %v", round, specs[i].Name, got, want[i])
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sycl provides a thin DPC++/SYCL-shaped runtime over the GPU
 // simulator, mirroring the programming model the paper's library is
-// written against: in-order queues, handler-based kernel submission
-// with nd_range geometry, events, and USM device allocations.
+// written against: in-order queues, parallel_for kernel launches with
+// nd_range geometry, events, and USM device allocations.
 //
 // It exists so that the NTT kernels and the HE pipeline read like
 // their SYCL counterparts in the paper (Figs. 6 and 8), and so that
@@ -74,55 +74,41 @@ func (q *Queue) Raw() *gpu.Queue { return q.q }
 // Device returns the underlying simulated device.
 func (q *Queue) Device() *gpu.Device { return q.q.Device() }
 
-// Submit runs a command group: the handler records exactly one kernel
-// (parallel_for) which is then launched. It mirrors
-// queue.submit([&](handler& h){ h.parallel_for(...); }).
-func (q *Queue) Submit(cgf func(h *Handler), deps ...gpu.Event) gpu.Event {
-	h := Handler{}
-	cgf(&h)
-	if h.kernel == nil {
-		return gpu.Event{}
+// Launch runs a kernel over a queue set — SYCL's queue.parallel_for
+// shortcut, and the one launch path of the HE pipeline and the NTT
+// engine: whole on the queue when the set is one queue, split evenly
+// across the set otherwise (explicit multi-tile submission, Section
+// III-C.2); the body runs once either way. Each submission is ordered
+// after deps and costs price cycles, which must be Price(qs, k). The
+// completion events, one per queue, are written into evs (grown only
+// when it has no room for them) and returned; evs may share its
+// backing array with deps.
+func Launch(evs []gpu.Event, qs []*Queue, k *Kernel, price gpu.Cycles, deps ...gpu.Event) []gpu.Event {
+	if len(qs) == 1 {
+		return append(evs[:0], qs[0].q.LaunchPriced(k, price, deps...))
 	}
-	return q.q.Launch(h.kernel, q.cg, append(deps, h.deps...)...)
-}
-
-// SubmitSplit runs one command group split across all given queues
-// (explicit multi-tile submission). The kernel executes functionally
-// once; its analytic cost is divided across tiles.
-func SubmitSplit(queues []*Queue, cgf func(h *Handler), deps ...gpu.Event) []gpu.Event {
-	h := Handler{}
-	cgf(&h)
-	if h.kernel == nil {
-		return nil
-	}
-	raw := make([]*gpu.Queue, len(queues))
-	for i, q := range queues {
+	raw := make([]*gpu.Queue, len(qs))
+	for i, q := range qs {
 		raw[i] = q.q
 	}
-	return gpu.LaunchSplit(raw, h.kernel, queues[0].cg, append(deps, h.deps...)...)
+	return gpu.LaunchSplit(evs, raw, k, price, deps...)
+}
+
+// Price returns what each submission of a Launch of k over qs costs:
+// the kernel priced on the set's device under its codegen, whole or
+// split across the set.
+func Price(qs []*Queue, k *Kernel) gpu.Cycles {
+	return k.Price(&qs[0].Device().Spec, qs[0].cg, len(qs))
 }
 
 // Wait drains the queue.
 func (q *Queue) Wait() { q.q.Wait() }
 
-// Handler accumulates the single kernel of a command group.
-type Handler struct {
-	kernel *Kernel
-	deps   []gpu.Event
-}
-
-// DependsOn adds an event dependency to the command group.
-func (h *Handler) DependsOn(evs ...gpu.Event) { h.deps = append(h.deps, evs...) }
-
-// Kernel aliases the simulator kernel type; construction goes through
-// ParallelFor to mirror SYCL.
+// Kernel aliases the simulator kernel type.
 type Kernel = gpu.Kernel
 
 // NDRange aliases the simulator launch geometry.
 type NDRange = gpu.NDRange
-
-// ParallelFor records the kernel for this command group.
-func (h *Handler) ParallelFor(k *Kernel) { h.kernel = k }
 
 // Buffer is a USM-style device allocation with simulated transfer and
 // allocation costs. Data lives in host memory (the simulator executes

@@ -120,20 +120,15 @@ func TestCopyQueueEventOrdering(t *testing.T) {
 	// Allocate before the kernel: driver allocations drain in-flight
 	// work, which would serialize the very overlap under test.
 	b := MallocDevice(d, 256)
-	busy := q.Submit(func(h *Handler) {
-		h.ParallelFor(&Kernel{
-			Range:   NDRange{Global: [3]int{1, 1, 1}},
-			Profile: gpu.KernelProfile{GlobalBytes: 1e9, Pattern: gpu.PatternUnitStride},
-		})
-	})
+	busy := launch([]*Queue{q}, &Kernel{
+		Range:   NDRange{Global: [3]int{1, 1, 1}},
+		Profile: gpu.KernelProfile{GlobalBytes: 1e9, Pattern: gpu.PatternUnitStride},
+	})[0]
 	up := cq.CopyInGather([]*Buffer{b}, [][]uint64{make([]uint64, 256)}, nil)
 	if up.Done() >= busy.Done() {
 		t.Fatalf("copy-queue upload (done %v) must overlap the busy kernel (done %v)", up.Done(), busy.Done())
 	}
-	dependent := q.Submit(func(h *Handler) {
-		h.DependsOn(up)
-		h.ParallelFor(&Kernel{Range: NDRange{Global: [3]int{1, 1, 1}}})
-	})
+	dependent := launch([]*Queue{q}, &Kernel{Range: NDRange{Global: [3]int{1, 1, 1}}}, up)[0]
 	if dependent.Done() <= up.Done() {
 		t.Fatal("kernel depending on the upload must complete after it")
 	}
