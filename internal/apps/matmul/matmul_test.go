@@ -91,7 +91,11 @@ func TestMatMulCorrectness(t *testing.T) {
 func TestMatMulOptimizationSteps(t *testing.T) {
 	// Simulated time must strictly improve along the paper's
 	// optimization steps (Fig. 19): baseline → mad_mod → inline asm →
-	// memory cache.
+	// memory cache. Every step must also conserve device memory: once
+	// the products are freed no buffer is checked out and, with the free
+	// pool released, the driver has refunded every byte it charged — so
+	// buffer headers laid inside a ciphertext's own allocation refund
+	// exactly what they were charged.
 	params := ckks.NewParameters(8192, 3, 50, 40, 52, 1<<40)
 	w := Workload{M: 4, N: 3, K: 2}
 
@@ -107,9 +111,21 @@ func TestMatMulOptimizationSteps(t *testing.T) {
 		ctx := core.NewContext(params, dev, cfg)
 		A := analyticMatrix(params, w.M, w.K)
 		B := analyticMatrix(params, w.K, w.N)
-		Run(ctx, A, B, w)
+		C := Run(ctx, A, B, w)
 		ctx.Wait()
 		times = append(times, dev.HostTime())
+		for _, row := range C {
+			for _, ct := range row {
+				ctx.Free(ct)
+			}
+		}
+		if used := ctx.Cache.UsedCount(); used != 0 {
+			t.Errorf("%+v: %d buffers still checked out after freeing the products", cfg, used)
+		}
+		ctx.Cache.Release()
+		if live, _, _ := dev.AllocStats(); live != 0 {
+			t.Errorf("%+v: %d device bytes live after freeing everything", cfg, live)
+		}
 	}
 	for i := 1; i < len(times); i++ {
 		if times[i] >= times[i-1] {

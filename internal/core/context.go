@@ -115,9 +115,10 @@ type Context struct {
 	views map[[2]int]*ntt.BatchView
 	rows  map[int][][]uint64
 
-	// scope holds the buffers allocated and not yet freed since Scoped
-	// opened it; nil outside Scoped.
-	scope map[*sycl.Buffer]struct{}
+	// scope holds the buffers allocated and not yet freed inside Scoped
+	// (scoped); it is cleared when the scope closes.
+	scope  map[*sycl.Buffer]struct{}
+	scoped bool
 
 	// hostZeros backs every host result of a timing-only download (see
 	// hostResult); it grows to the largest result and is never written.
@@ -171,6 +172,7 @@ func NewContextOn(params *ckks.Parameters, dev *gpu.Device, cfg Config, queues [
 		Engine: &ntt.Engine{V: cfg.NTT, Analytic: cfg.Analytic},
 		Cfg:    cfg,
 		tail:   make([]gpu.Event, len(queues)),
+		scope:  map[*sycl.Buffer]struct{}{},
 	}
 	if cfg.Analytic {
 		c.views = map[[2]int]*ntt.BatchView{}
@@ -221,30 +223,31 @@ func (c *Context) Deps() []gpu.Event {
 	return append([]gpu.Event(nil), c.deps...)
 }
 
-// allocPoly obtains a device-backed polynomial through the memory
-// cache (or the raw driver when the cache is disabled). A timing-only
-// polynomial is its own header over the shared rows of its component
-// count (see Context.rows).
-func (c *Context) allocPoly(components int) (*poly.Poly, *sycl.Buffer) {
-	buf := c.Cache.Malloc(components * c.Params.N)
-	if c.scope != nil {
+// allocPoly lays p over a buffer of components rows obtained through the
+// memory cache (or the raw driver when the cache is disabled; then into
+// hdr, see memcache.Cache.MallocInto). A timing-only polynomial is laid
+// over the shared rows of its component count (see Context.rows).
+func (c *Context) allocPoly(p *poly.Poly, components int, hdr *sycl.Buffer) *sycl.Buffer {
+	buf := c.Cache.MallocInto(components*c.Params.N, hdr)
+	if c.scoped {
 		c.scope[buf] = struct{}{}
 	}
-	if !c.Cfg.Analytic {
-		return poly.FromData(c.Params.N, components, buf.Data), buf
+	p.N, p.Coeffs = c.Params.N, c.rows[components] // nil in functional mode
+	if p.Coeffs == nil {
+		p.Coeffs = poly.Rows(c.Params.N, components, buf.Data)
+		if c.Cfg.Analytic {
+			c.rows[components] = p.Coeffs
+		}
 	}
-	rows, ok := c.rows[components]
-	if !ok {
-		rows = poly.FromData(c.Params.N, components, buf.Data).Coeffs
-		c.rows[components] = rows
-	}
-	return &poly.Poly{N: c.Params.N, Coeffs: rows}, buf
+	return buf
 }
 
-// freePoly returns a temporary to the cache.
-func (c *Context) freePoly(buf *sycl.Buffer) {
-	delete(c.scope, buf)
-	c.Cache.Free(buf)
+// freePolys returns buffers to the cache.
+func (c *Context) freePolys(bufs []*sycl.Buffer) {
+	for _, buf := range bufs {
+		delete(c.scope, buf)
+		c.Cache.Free(buf)
+	}
 }
 
 // Scoped runs fn under an allocation scope: if fn panics — a launch
@@ -254,13 +257,13 @@ func (c *Context) freePoly(buf *sycl.Buffer) {
 // executor) strands nothing. What fn returns normally it owns as usual.
 // Scopes do not nest.
 func (c *Context) Scoped(fn func()) {
-	c.scope = map[*sycl.Buffer]struct{}{}
+	c.scoped = true
 	done := false
+	defer clear(c.scope)
 	defer func() {
-		scope := c.scope
-		c.scope = nil
+		c.scoped = false
 		if !done {
-			for buf := range scope {
+			for buf := range c.scope {
 				c.Cache.Free(buf)
 			}
 		}
@@ -270,7 +273,12 @@ func (c *Context) Scoped(fn func()) {
 }
 
 // Ciphertext is a device-resident ciphertext: the host ckks.Ciphertext
-// plus the buffers backing its polynomials.
+// plus the buffers backing its polynomials. One built by newCt is one
+// heap object: CT, Value, bufs and the polynomial headers point into its
+// own arrays (degree ≤ 2), and so do the buffer headers with recycling
+// off (pooled buffers outlive a ciphertext and keep their own). It is
+// never reused, so a stale pointer or a Borrow alias never names a
+// later ciphertext.
 type Ciphertext struct {
 	CT   *ckks.Ciphertext
 	bufs []*sycl.Buffer
@@ -278,6 +286,27 @@ type Ciphertext struct {
 	// elsewhere (a device-resident job output pinned by the scheduler),
 	// so Free is a no-op on it.
 	borrowed bool
+
+	ct    ckks.Ciphertext
+	value [3]*poly.Poly
+	polys [3]poly.Poly
+	slots [3]*sycl.Buffer
+	hdrs  [3]sycl.Buffer
+}
+
+// newCt allocates a device ciphertext of polys polynomials; fill gives
+// each polynomial its buffer.
+func newCt(polys, level int, scale float64) *Ciphertext {
+	ct := &Ciphertext{ct: ckks.Ciphertext{Scale: scale, Level: level}}
+	ct.CT, ct.ct.Value, ct.bufs = &ct.ct, ct.value[:polys:polys], ct.slots[:polys:polys]
+	return ct
+}
+
+// fill lays polynomial i of ct over a fresh buffer of rows components.
+func (c *Context) fill(ct *Ciphertext, i, rows int, isNTT bool) {
+	ct.bufs[i] = c.allocPoly(&ct.polys[i], rows, &ct.hdrs[i])
+	ct.polys[i].IsNTT = isNTT
+	ct.value[i] = &ct.polys[i]
 }
 
 // Buffers returns the device buffers backing the ciphertext. The
@@ -296,18 +325,15 @@ func Borrow(ct *Ciphertext) *Ciphertext {
 
 // Upload copies a host ciphertext into device buffers.
 func (c *Context) Upload(ct *ckks.Ciphertext) *Ciphertext {
-	out := &Ciphertext{CT: &ckks.Ciphertext{Scale: ct.Scale, Level: ct.Level}}
-	var evs []gpu.Event
-	for _, pv := range ct.Value {
-		p, buf := c.allocPoly(pv.Components())
+	out := newCt(len(ct.Value), ct.Level, ct.Scale)
+	evs := make([]gpu.Event, 0, len(ct.Value))
+	for i, pv := range ct.Value {
+		c.fill(out, i, pv.Components(), pv.IsNTT)
 		if !c.Cfg.Analytic {
-			evs = append(evs, c.Queues[0].CopyIn(buf, pv.Data()))
+			evs = append(evs, c.Queues[0].CopyIn(out.bufs[i], pv.Data()))
 		} else {
-			evs = append(evs, c.Queues[0].Raw().CopyH2D(buf.Bytes()))
+			evs = append(evs, c.Queues[0].Raw().CopyH2D(out.bufs[i].Bytes()))
 		}
-		p.IsNTT = pv.IsNTT
-		out.CT.Value = append(out.CT.Value, p)
-		out.bufs = append(out.bufs, buf)
 	}
 	c.after(evs)
 	return out
@@ -359,13 +385,6 @@ func (c *Context) Free(ct *Ciphertext) {
 	if ct.borrowed {
 		return
 	}
-	for _, b := range ct.bufs {
-		c.freePoly(b)
-	}
+	c.freePolys(ct.bufs)
 	ct.bufs = nil
-}
-
-// wrap builds a device ciphertext from freshly allocated polys.
-func wrap(cts *ckks.Ciphertext, bufs []*sycl.Buffer) *Ciphertext {
-	return &Ciphertext{CT: cts, bufs: bufs}
 }

@@ -167,7 +167,8 @@ func (c *Context) allocPolys(k, components int) ([]*poly.Poly, []*sycl.Buffer) {
 	ps := make([]*poly.Poly, k)
 	bufs := make([]*sycl.Buffer, k)
 	for j := 0; j < k; j++ {
-		ps[j], bufs[j] = c.allocPoly(components)
+		ps[j] = new(poly.Poly)
+		bufs[j] = c.allocPoly(ps[j], components, nil)
 	}
 	return ps, bufs
 }
@@ -178,21 +179,12 @@ func (c *Context) allocPolys(k, components int) ([]*poly.Poly, []*sycl.Buffer) {
 func (c *Context) allocCts(k, polys, rows, level int, scale func(j int) float64) []*Ciphertext {
 	outs := make([]*Ciphertext, k)
 	for j := range outs {
-		outs[j] = wrap(&ckks.Ciphertext{Scale: scale(j), Level: level}, nil)
-		for i := 0; i < polys; i++ {
-			p, buf := c.allocPoly(rows)
-			p.IsNTT = true
-			outs[j].CT.Value = append(outs[j].CT.Value, p)
-			outs[j].bufs = append(outs[j].bufs, buf)
+		outs[j] = newCt(polys, level, scale(j))
+		for i := range polys {
+			c.fill(outs[j], i, rows, true)
 		}
 	}
 	return outs
-}
-
-func (c *Context) freePolys(bufs []*sycl.Buffer) {
-	for _, b := range bufs {
-		c.freePoly(b)
-	}
 }
 
 // component gathers component i of every ciphertext.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"xehe/internal/ckks"
-	"xehe/internal/sycl"
 )
 
 // Operations used by the encrypted polynomial matrix-multiplication
@@ -12,18 +11,14 @@ import (
 
 // NewZeroCt allocates a zeroed device ciphertext of the given degree.
 func (c *Context) NewZeroCt(degree, level int, scale float64, isNTT bool) *Ciphertext {
-	out := &ckks.Ciphertext{Scale: scale, Level: level}
-	var bufs []*sycl.Buffer
-	for i := 0; i <= degree; i++ {
-		p, buf := c.allocPoly(level + 1)
+	out := newCt(degree+1, level, scale)
+	for i := range degree + 1 {
+		c.fill(out, i, level+1, isNTT)
 		if !c.Cfg.Analytic {
-			clear(p.Data())
+			clear(out.bufs[i].Data)
 		}
-		p.IsNTT = isNTT
-		out.Value = append(out.Value, p)
-		bufs = append(bufs, buf)
 	}
-	return wrap(out, bufs)
+	return out
 }
 
 // FwdNTTCt transforms every polynomial of the ciphertext to the NTT
@@ -45,18 +40,14 @@ func (c *Context) InvNTTCt(ct *Ciphertext) {
 
 // CloneCt duplicates a device ciphertext (fresh buffers).
 func (c *Context) CloneCt(ct *Ciphertext) *Ciphertext {
-	out := &ckks.Ciphertext{Scale: ct.CT.Scale, Level: ct.CT.Level}
-	var bufs []*sycl.Buffer
-	for _, p := range ct.CT.Value {
-		d, buf := c.allocPoly(p.Components())
+	out := newCt(len(ct.CT.Value), ct.CT.Level, ct.CT.Scale)
+	for i, p := range ct.CT.Value {
+		c.fill(out, i, p.Components(), p.IsNTT)
 		if !c.Cfg.Analytic {
-			copy(d.Data(), p.Data())
+			copy(out.bufs[i].Data, p.Data())
 		}
-		d.IsNTT = p.IsNTT
-		out.Value = append(out.Value, d)
-		bufs = append(bufs, buf)
 	}
-	return wrap(out, bufs)
+	return out
 }
 
 // MulAcc accumulates the tensor product of two degree-1 NTT-domain

@@ -63,17 +63,13 @@ func (c *Context) UploadBatch(cts []*ckks.Ciphertext) ([]*Ciphertext, int64, gpu
 		}
 	}()
 	for i, ct := range cts {
-		out := &Ciphertext{CT: &ckks.Ciphertext{Scale: ct.Scale, Level: ct.Level}}
-		for _, pv := range ct.Value {
-			p, buf := c.allocPoly(pv.Components())
-			p.IsNTT = pv.IsNTT
-			out.CT.Value = append(out.CT.Value, p)
-			out.bufs = append(out.bufs, buf)
-			dsts = append(dsts, buf)
+		outs[i] = newCt(len(ct.Value), ct.Level, ct.Scale)
+		for j, pv := range ct.Value {
+			c.fill(outs[i], j, pv.Components(), pv.IsNTT)
+			dsts = append(dsts, outs[i].bufs[j])
 			srcs = append(srcs, pv.Data())
 			words += len(pv.Data())
 		}
-		outs[i] = out
 	}
 	q := c.copyQueue()
 	var ev gpu.Event

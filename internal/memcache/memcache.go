@@ -26,8 +26,8 @@ type Cache struct {
 	timingOnly bool
 
 	mu   sync.Mutex
-	free []*entry // sorted by capacity (ascending)
-	used map[*sycl.Buffer]*entry
+	free []*sycl.Buffer // sorted by capacity, cap(Data), ascending
+	used map[*sycl.Buffer]struct{}
 	pins map[*sycl.Buffer]int
 
 	hits, misses int64
@@ -59,16 +59,11 @@ func scratchView(size int) []uint64 {
 	return (*w)[:size:size]
 }
 
-type entry struct {
-	buf *sycl.Buffer
-	cap int // capacity in uint64 words
-}
-
 // New creates a cache for the device. If enabled is false the cache is
 // pass-through: every Malloc performs a driver allocation and every
 // Free releases it — the baseline configuration in Fig. 19.
 func New(dev *gpu.Device, enabled bool) *Cache {
-	return &Cache{dev: dev, enabled: enabled, used: map[*sycl.Buffer]*entry{}, pins: map[*sycl.Buffer]int{}}
+	return &Cache{dev: dev, enabled: enabled, used: map[*sycl.Buffer]struct{}{}, pins: map[*sycl.Buffer]int{}}
 }
 
 // NewTimingOnly is New for runs that skip kernel bodies
@@ -91,42 +86,47 @@ func (c *Cache) Enabled() bool { return c.enabled }
 // (see NewTimingOnly).
 func (c *Cache) TimingOnly() bool { return c.timingOnly }
 
-// driverAlloc makes every driver allocation of the cache: a Malloc
-// miss (or any Malloc with recycling off) and each Warm buffer.
-func (c *Cache) driverAlloc(size int) *sycl.Buffer {
+// driverAlloc makes every driver allocation of the cache — a Malloc
+// miss (or any Malloc with recycling off) and each Warm buffer — into
+// hdr (nil: a new header), its capacity the size it was charged at.
+func (c *Cache) driverAlloc(size int, hdr *sycl.Buffer) *sycl.Buffer {
 	if !c.timingOnly {
-		return sycl.MallocDevice(c.dev, size)
+		return sycl.MallocDeviceOver(c.dev, make([]uint64, size), hdr)
 	}
-	return sycl.MallocDeviceOver(c.dev, scratchView(size))
+	return sycl.MallocDeviceOver(c.dev, scratchView(size), hdr)
 }
 
 // Malloc returns a device buffer with at least size words of capacity.
 // With the cache enabled, the smallest free buffer with capacity >=
 // size is reused (best fit); otherwise a new driver allocation of
 // exactly size words is made.
-func (c *Cache) Malloc(size int) *sycl.Buffer {
+func (c *Cache) Malloc(size int) *sycl.Buffer { return c.MallocInto(size, nil) }
+
+// MallocInto is Malloc writing a driver allocation with recycling off
+// into the caller-owned header hdr. Pooled buffers outlive any caller,
+// so with recycling on hdr is unused.
+func (c *Cache) MallocInto(size int, hdr *sycl.Buffer) *sycl.Buffer {
 	if !c.enabled {
-		return c.driverAlloc(size)
+		return c.driverAlloc(size, hdr)
 	}
 	c.mu.Lock()
-	// Best fit: first free entry with cap >= size.
-	i := sort.Search(len(c.free), func(i int) bool { return c.free[i].cap >= size })
+	// Best fit: first free buffer with capacity >= size.
+	i := sort.Search(len(c.free), func(i int) bool { return cap(c.free[i].Data) >= size })
 	if i < len(c.free) {
-		e := c.free[i]
+		buf := c.free[i]
 		c.free = append(c.free[:i], c.free[i+1:]...)
 		c.hits++
-		e.buf.Data = e.buf.Data[:size]
-		c.used[e.buf] = e
+		buf.Data = buf.Data[:size]
+		c.used[buf] = struct{}{}
 		c.mu.Unlock()
-		return e.buf
+		return buf
 	}
 	c.misses++
 	c.mu.Unlock()
 
-	buf := c.driverAlloc(size)
-	e := &entry{buf: buf, cap: size}
+	buf := c.driverAlloc(size, nil)
 	c.mu.Lock()
-	c.used[buf] = e
+	c.used[buf] = struct{}{}
 	c.mu.Unlock()
 	return buf
 }
@@ -150,16 +150,15 @@ func (c *Cache) Free(buf *sycl.Buffer) {
 	if c.pins[buf] > 0 {
 		panic("memcache: free of pinned buffer")
 	}
-	e, ok := c.used[buf]
-	if !ok {
+	if _, ok := c.used[buf]; !ok {
 		panic("memcache: free of unknown or already-freed buffer")
 	}
 	delete(c.used, buf)
-	e.buf.Data = e.buf.Data[:e.cap]
-	i := sort.Search(len(c.free), func(i int) bool { return c.free[i].cap >= e.cap })
+	buf.Data = buf.Data[:cap(buf.Data)]
+	i := sort.Search(len(c.free), func(i int) bool { return cap(c.free[i].Data) >= len(buf.Data) })
 	c.free = append(c.free, nil)
 	copy(c.free[i+1:], c.free[i:])
-	c.free[i] = e
+	c.free[i] = buf
 }
 
 // Pin adds a reference to a live buffer, protecting it from Free: a
@@ -218,14 +217,14 @@ func (c *Cache) Warm(n, size int) {
 	if !c.enabled || n <= 0 || size <= 0 {
 		return
 	}
-	entries := make([]*entry, n)
-	for i := range entries {
-		entries[i] = &entry{buf: c.driverAlloc(size), cap: size}
+	bufs := make([]*sycl.Buffer, n)
+	for i := range bufs {
+		bufs[i] = c.driverAlloc(size, nil)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i := sort.Search(len(c.free), func(i int) bool { return c.free[i].cap >= size })
-	c.free = append(c.free[:i], append(entries, c.free[i:]...)...)
+	i := sort.Search(len(c.free), func(i int) bool { return cap(c.free[i].Data) >= size })
+	c.free = append(c.free[:i], append(bufs, c.free[i:]...)...)
 }
 
 // Stats returns cache hits and misses (driver allocations).
@@ -256,8 +255,8 @@ func (c *Cache) Release() {
 	free := c.free
 	c.free = nil
 	c.mu.Unlock()
-	for _, e := range free {
-		e.buf.Free()
+	for _, buf := range free {
+		buf.Free()
 	}
 }
 
@@ -270,13 +269,13 @@ func (c *Cache) Release() {
 func (c *Cache) ReleaseAll() int {
 	c.mu.Lock()
 	used := c.used
-	c.used = map[*sycl.Buffer]*entry{}
+	c.used = map[*sycl.Buffer]struct{}{}
 	pins := c.pins
 	c.pins = map[*sycl.Buffer]int{}
 	c.mu.Unlock()
 	orphans := len(used)
-	for _, e := range used {
-		e.buf.Free()
+	for buf := range used {
+		buf.Free()
 	}
 	if !c.enabled {
 		// With the cache disabled pinned buffers are tracked only in

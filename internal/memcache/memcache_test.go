@@ -123,6 +123,36 @@ func TestDoubleFreePanics(t *testing.T) {
 	c.Free(b)
 }
 
+// With recycling off the cache tracks no buffers; the buffer itself
+// refuses a second free, which would otherwise refund the driver twice.
+func TestDoubleFreePanicsWithRecyclingOff(t *testing.T) {
+	d := gpu.NewDevice1()
+	for _, c := range []*Cache{New(d, false), NewTimingOnly(d, false)} {
+		var hdr sycl.Buffer
+		b := c.MallocInto(64, &hdr)
+		if b != &hdr {
+			t.Fatal("a driver allocation with recycling off did not use the caller's header")
+		}
+		c.Free(b)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("timingOnly=%v: double free did not panic", c.TimingOnly())
+				}
+			}()
+			c.Free(b)
+		}()
+		if live, _, _ := d.AllocStats(); live != 0 {
+			t.Errorf("timingOnly=%v: %d live bytes after a double free, want 0", c.TimingOnly(), live)
+		}
+	}
+	// A pooled buffer outlives its caller, so it never takes the caller's header.
+	var hdr sycl.Buffer
+	if c := New(d, true); c.MallocInto(64, &hdr) == &hdr {
+		t.Error("a pooled buffer was laid into the caller's header")
+	}
+}
+
 func TestRelease(t *testing.T) {
 	d := gpu.NewDevice1()
 	c := New(d, true)

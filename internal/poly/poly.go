@@ -36,14 +36,20 @@ func (p *Poly) Components() int { return len(p.Coeffs) }
 // FromData wraps a flat [components][n] slice as a Poly without
 // copying — used by the GPU backend to view device buffers.
 func FromData(n, components int, data []uint64) *Poly {
+	return &Poly{N: n, Coeffs: Rows(n, components, data)}
+}
+
+// Rows returns the component rows of FromData: data cut into
+// components slices of n words each.
+func Rows(n, components int, data []uint64) [][]uint64 {
 	if len(data) < n*components {
 		panic("poly: backing slice too short")
 	}
-	p := &Poly{N: n, Coeffs: make([][]uint64, components)}
-	for i := range p.Coeffs {
-		p.Coeffs[i] = data[i*n : (i+1)*n]
+	rows := make([][]uint64, components)
+	for i := range rows {
+		rows[i] = data[i*n : (i+1)*n]
 	}
-	return p
+	return rows
 }
 
 // Data returns the contiguous flat backing of the polynomial

@@ -122,24 +122,31 @@ type Buffer struct {
 // MallocDevice allocates n uint64 words on the device, paying the
 // driver allocation cost (sycl::malloc_device).
 func MallocDevice(d *gpu.Device, n int) *Buffer {
-	d.RawMalloc(int64(n) * 8)
-	return &Buffer{Data: make([]uint64, n), dev: d}
+	return MallocDeviceOver(d, make([]uint64, n), nil)
 }
 
-// MallocDeviceOver is MallocDevice for timing-only runs: the driver is
-// charged for cap(words) words (what Free refunds) exactly as
-// MallocDevice charges for n, but the buffer is laid over caller-owned
-// words instead of fresh memory. The caller may lay any number of
-// buffers over the same words, so nothing may read or write Data —
-// only its length and capacity mean anything. The memory cache's
-// timing-only mode is the one caller.
-func MallocDeviceOver(d *gpu.Device, words []uint64) *Buffer {
+// MallocDeviceOver is MallocDevice over caller-owned words: the driver
+// is charged for cap(words) words (what Free refunds) and the buffer is
+// written into hdr, or into a new header when hdr is nil. The memory
+// cache's timing-only mode lays any number of buffers over the same
+// words, so nothing may read or write their Data — only its length and
+// capacity mean anything — and the cache writes headers that live
+// inside a device ciphertext's own allocation.
+func MallocDeviceOver(d *gpu.Device, words []uint64, hdr *Buffer) *Buffer {
+	if hdr == nil {
+		hdr = new(Buffer)
+	}
 	d.RawMalloc(int64(cap(words)) * 8)
-	return &Buffer{Data: words, dev: d}
+	*hdr = Buffer{Data: words, dev: d}
+	return hdr
 }
 
-// Free releases the buffer back to the driver.
+// Free releases the buffer back to the driver. Freeing a buffer twice
+// panics.
 func (b *Buffer) Free() {
+	if b.Data == nil {
+		panic("sycl: free of an already-freed buffer")
+	}
 	if b.dev != nil {
 		b.dev.RawFree(int64(cap(b.Data)) * 8)
 	}
