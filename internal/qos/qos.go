@@ -129,9 +129,9 @@ type QueueState struct {
 }
 
 // Policy decides which class's backlog dispatches next. A policy
-// instance belongs to one scheduler's dispatcher goroutine: Pick and
-// Dispatched are never called concurrently, so implementations need
-// no locking.
+// instance belongs to one scheduler's dispatcher, which calls Pick and
+// Dispatched under the scheduler's queue lock, never concurrently, so
+// implementations need no locking.
 type Policy interface {
 	// Name identifies the policy in stats and bench output.
 	Name() string

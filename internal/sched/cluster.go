@@ -426,48 +426,14 @@ func (c *Cluster) publishShard(sh *shard) (int, error) {
 	return sh.id, nil
 }
 
-// pickWeighted is the bulk routing policy: the open shard with the
-// smallest (load+1)/weight ratio wins (ties go to the lowest index).
-// loads are outstanding job counts, weights the devices' relative
-// throughput; the +1 prices the candidate job itself, so an idle slow
-// device still loses to a fast device with little backlog, and a
-// uniform stream splits proportionally to the weights. Returns -1
-// when every shard is closed.
-func pickWeighted(loads []int64, weights []float64, open []bool) int {
-	best := -1
-	var bestCost float64
-	for i := range loads {
-		if !open[i] {
-			continue
-		}
-		cost := float64(loads[i]+1) / weights[i]
-		if best < 0 || cost < bestCost {
-			best, bestCost = i, cost
-		}
-	}
-	return best
-}
-
-// pickExpectedWait is the latency-sensitive routing policy: the open
-// shard with the least expected wait for the candidate job wins,
-// where expected wait is the outstanding work (uploads + kernel ops
-// of every incomplete job, a finer signal than the job count) plus
-// the candidate's own cost, divided by the shard's throughput weight.
-// Returns -1 when every shard is closed.
-func pickExpectedWait(work []float64, cost float64, weights []float64, open []bool) int {
-	best := -1
-	var bestWait float64
-	for i := range work {
-		if !open[i] {
-			continue
-		}
-		wait := (work[i] + cost) / weights[i]
-		if best < 0 || wait < bestWait {
-			best, bestWait = i, wait
-		}
-	}
-	return best
-}
+// routeCost is what sending a job to a shard costs the router: the
+// shard's outstanding load plus the job itself, over the shard's
+// throughput weight — so an idle slow device still loses to a fast one
+// with a little backlog, and a uniform stream splits in proportion to
+// the weights. Bulk classes count load in jobs (the job adds 1);
+// latency-sensitive ones in work units — uploads plus kernel ops, a
+// finer signal — which makes the cost the job's expected wait.
+func routeCost(load, job, weight float64) float64 { return (load + job) / weight }
 
 // affinity returns the shard holding a device-resident output the job
 // depends on, if that shard is still open, probe-healthy and not
@@ -495,21 +461,18 @@ func (c *Cluster) affinity(job *Job, skip map[int]bool) *shard {
 	return nil
 }
 
-// pick routes one job, or returns nil when no open shard remains in
-// skip. Shards in skip (already tried and found overloaded for this
-// job's class) are excluded, as are shards whose health probe fails —
-// unless EVERY open shard probes sick, in which case the probe is
-// ignored (a corrupted health plane must degrade routing quality, not
-// wedge the cluster).
+// pick routes one job to the open shard of least routeCost, or returns
+// nil when no open shard remains outside skip. Shards in skip (already
+// tried and found overloaded for this job's class) are excluded, as are
+// shards whose health probe fails — unless EVERY open shard probes
+// sick, in which case the probe is ignored (a corrupted health plane
+// must degrade routing quality, not wedge the cluster).
 func (c *Cluster) pick(job *Job, skip map[int]bool) *shard {
 	shards := c.all()
-	n := len(shards)
-	weights := make([]float64, n)
-	open := make([]bool, n)
-	healthy := make([]bool, n)
+	open := make([]bool, len(shards))
+	healthy := make([]bool, len(shards))
 	anyHealthy := false
 	for i, sh := range shards {
-		weights[i] = sh.weight
 		open[i] = sh.state() == stateOpen && !skip[i]
 		healthy[i] = open[i] && sh.probe()
 		anyHealthy = anyHealthy || healthy[i]
@@ -523,24 +486,20 @@ func (c *Cluster) pick(job *Job, skip map[int]bool) *shard {
 		// are rejected by Scheduler.validate with a proper error.
 		latSensitive = cs[job.Class].LatencySensitive
 	}
-	var best int
-	if latSensitive {
-		work := make([]float64, n)
-		for i, sh := range shards {
-			work[i] = sh.sched.OutstandingWork()
+	best := leastLoaded(len(shards), func(i int) (float64, bool) {
+		if !open[i] {
+			return 0, false
 		}
-		best = pickExpectedWait(work, float64(len(job.Inputs)+len(job.Ops)), weights, open)
-	} else {
-		loads := make([]int64, n)
-		for i, sh := range shards {
-			loads[i] = sh.sched.Outstanding()
+		s := shards[i].sched
+		if latSensitive {
+			return routeCost(s.OutstandingWork(), float64(len(job.Inputs)+len(job.Ops)), shards[i].weight), true
 		}
-		best = pickWeighted(loads, weights, open)
+		return routeCost(float64(s.Outstanding()), 1, shards[i].weight), true
+	})
+	if best < 0 {
+		return nil
 	}
-	if best >= 0 {
-		return shards[best]
-	}
-	return nil
+	return shards[best]
 }
 
 // Submit validates and enqueues a job on a shard chosen by the job's
@@ -659,25 +618,23 @@ func (c *Cluster) stealRound() {
 	}
 	c.stealMu.Lock()
 	defer c.stealMu.Unlock()
-	var victim *shard
-	idle, backlog := false, 0
-	for _, sh := range shards {
+	queued := make([]int, len(shards))
+	idle := false
+	for i, sh := range shards {
 		if sh.state() != stateOpen {
 			continue
 		}
-		if q := sh.sched.QueuedJobs(); q > backlog {
-			// An armed deterministic kill (KillShardAfter) pins the
-			// backlog: stealing it away races the scripted batch count
-			// and the kill may never fire.
-			if sh.killAfter.Load() == 0 {
-				victim, backlog = sh, q
-			}
-		} else if q == 0 && sh.sched.Outstanding() == 0 {
-			idle = true
-		}
+		queued[i] = sh.sched.QueuedJobs()
+		idle = idle || queued[i] == 0 && sh.sched.Outstanding() == 0
 	}
-	if idle && victim != nil {
-		c.relocate(victim, victim.sched.stealQueued(max(backlog/2, 1)), nil)
+	// The longest backlog is the victim. An armed deterministic kill
+	// (KillShardAfter) pins its shard's backlog: stealing it away races
+	// the scripted batch count and the kill may never fire.
+	v := leastLoaded(len(shards), func(i int) (float64, bool) {
+		return -float64(queued[i]), queued[i] > 0 && shards[i].killAfter.Load() == 0
+	})
+	if idle && v >= 0 {
+		c.relocate(shards[v], shards[v].sched.stealQueued(max(queued[v]/2, 1)), nil)
 	}
 }
 
@@ -686,17 +643,15 @@ func (c *Cluster) stealRound() {
 // never not (nil excludes nobody). Health probes steer Submit's routing
 // (pick), not relocation. nil when no such shard is open.
 func (c *Cluster) dest(not *shard) *shard {
-	var dst *shard
-	var dstLoad int64
-	for _, sh := range c.all() {
-		if sh == not || sh.state() != stateOpen {
-			continue
-		}
-		if load := sh.sched.Outstanding(); dst == nil || load < dstLoad {
-			dst, dstLoad = sh, load
-		}
+	shards := c.all()
+	i := leastLoaded(len(shards), func(i int) (float64, bool) {
+		sh := shards[i]
+		return float64(sh.sched.Outstanding()), sh != not && sh.state() == stateOpen
+	})
+	if i < 0 {
+		return nil
 	}
-	return dst
+	return shards[i]
 }
 
 // place lands detached tasks on dest(not), which takes over their
@@ -771,7 +726,6 @@ func (c *Cluster) killShard(i int) bool {
 	if sh == nil || !sh.on(evKill) {
 		return false
 	}
-	sh.sched.kill()
 	c.killedCnt.Add(1)
 	// Self-heal before evacuating: promoting a warm standby here means
 	// the dead shard's backlog (and every routing decision from now

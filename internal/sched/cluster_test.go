@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"xehe/internal/ckks"
 	"xehe/internal/core"
@@ -41,8 +40,8 @@ func newTestCluster(t testing.TB, h *Harness, workers int, devs ...gpu.DeviceSpe
 // so a shed it saw has already failed it — nothing is outstanding, every
 // shard (a fail-stopped one too) has its pools back, and after Close
 // the goroutine count is back to what it was before the cluster was
-// built: the control loop, its builds and every shard's workers and
-// dispatcher are gone.
+// built: the control loop, its builds and every shard's workers are
+// gone.
 func newClusterWith(t testing.TB, h *Harness, specs []ShardSpec, cfg Config) *Cluster {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
@@ -70,13 +69,7 @@ func newClusterWith(t testing.TB, h *Harness, specs []ShardSpec, cfg Config) *Cl
 		pools("before Close")
 		c.Close()
 		pools("after Close")
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > baseline {
-			t.Errorf("teardown: %d goroutines after Close, %d before the cluster was built", n, baseline)
-		}
+		checkGoroutines(t, baseline)
 	})
 	return c
 }
@@ -161,6 +154,14 @@ func TestClusterDifferentialHeterogeneous(t *testing.T) {
 	}
 	t.Logf("cluster differential: %d jobs, routed %v, per-shard jobs %v",
 		st.Jobs, st.Routed, []int64{st.PerShard[0].Jobs, st.PerShard[1].Jobs})
+}
+
+// pickWeighted is Cluster.pick's decision for a bulk-class job: the
+// open shard of least routeCost over outstanding job counts.
+func pickWeighted(loads []int64, weights []float64, open []bool) int {
+	return leastLoaded(len(loads), func(i int) (float64, bool) {
+		return routeCost(float64(loads[i]), 1, weights[i]), open[i]
+	})
 }
 
 // TestPickWeightedProportional pins the routing policy deterministically:

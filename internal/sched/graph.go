@@ -229,7 +229,7 @@ func (s *Scheduler) depReady(t *task, i int, f *Future, pre bool) {
 		s.qmu.Unlock()
 		return
 	}
-	s.waiting--
+	s.d.waiting--
 	failErr = t.depErr
 	if failErr == nil {
 		// Attribute the dependency park: simulated time between the
@@ -237,13 +237,14 @@ func (s *Scheduler) depReady(t *task, i int, f *Future, pre bool) {
 		if park := s.backend.SimulatedSeconds() - t.enq; park > 0 {
 			s.met.depParkNS.Add(int64(park * 1e9))
 		}
-		s.enqueueLocked(t)
+		s.d.arrive(t)
+		s.shipLocked()
 	}
+	s.qcond.Broadcast() // one parked job fewer: Close looks again
 	s.qmu.Unlock()
 	if failErr != nil {
 		s.failTask(t, failErr)
 	}
-	s.wake(s.kick)
 }
 
 // resolveDep turns a settled producer future into a dependency value.

@@ -278,7 +278,8 @@ type task struct {
 	class    int
 	enq      float64
 	deadline float64
-	disp     float64 // dispatch stamp (popBatch), simulated seconds
+	shape    string  // the job's ShapeKey: same-shape tasks may share a batch
+	disp     float64 // dispatch stamp (Scheduler.dispatched), simulated seconds
 	bid      int64   // batch sequence number assigned at dispatch
 
 	// Dependency state (jobs with InputFrom edges). deps is parallel to
@@ -369,28 +370,19 @@ type Scheduler struct {
 	cfg     Config
 	rlk     *ckks.RelinKey
 	gks     map[int]*ckks.GaloisKey
+	classes []qos.Class
 
-	classes  []qos.Class
-	policy   qos.Policy // owned by the dispatcher goroutine
-	deadline bool       // policy keeps class queues deadline-sorted
-	limits   []int      // per-class queued-job cap
-	rejects  []bool     // true: over-limit Submit sheds (ErrOverloaded)
-
-	qmu     sync.Mutex // guards queues/queued/waiting/lastEnq/task dep state
-	qcond   *sync.Cond // signals queue space freed (blocking Submit)
-	queues  [][]*task
-	queued  int     // total queued (not yet shipped to a worker)
-	waiting int     // accepted jobs parked on unresolved dependencies
-	lastEnq float64 // last enqueue stamp issued (monotonicity floor)
-
-	kick  chan struct{} // cap 1: work enqueued
-	freec chan struct{} // cap 1: a worker freed queue space
-	stopc chan struct{} // closed by Close
+	// qmu guards d, batchSeq and the tasks' dependency state. Whoever
+	// changes d's state ships its decisions (shipLocked) before letting
+	// go of qmu, so no worker with a free slot ever waits on a queued
+	// job; qcond signals queue space freed (blocking Submit, Close).
+	qmu      sync.Mutex
+	qcond    *sync.Cond
+	d        *dispatcher
+	batchSeq int64 // numbers shipped batches for attribution
 
 	workers []*worker
-
-	dispWg sync.WaitGroup
-	workWg sync.WaitGroup
+	workWg  sync.WaitGroup
 
 	mu        sync.RWMutex // guards closed vs in-flight Submit/inject
 	closed    bool
@@ -406,11 +398,10 @@ type Scheduler struct {
 	// the only place an event is counted (Stats is a view over it);
 	// tracer is nil unless Config.Trace is enabled. queueTracks interns
 	// the per-class queue track names so span recording never
-	// allocates; batchSeq numbers dispatched batches for attribution.
+	// allocates.
 	met         *schedMetrics
 	tracer      *obs.Tracer
 	queueTracks []string
-	batchSeq    atomic.Int64
 
 	outMu       sync.Mutex
 	outCond     *sync.Cond
@@ -427,7 +418,9 @@ type Scheduler struct {
 	// owning shard's lifecycle word (nil outside a cluster), written only
 	// by shard.on. Once it reads killed the scheduler is in surrender
 	// mode — dispatch keeps flowing, but workers hand batches back
-	// through the surrender hook instead of executing them, and
+	// through the surrender hook instead of executing them (the device
+	// stays readable: the node lost its executor, not its memory, so
+	// resident outputs still materialize through the owner path), and
 	// Submit/injectTasks refuse new work like a closed scheduler. Word
 	// and hooks are installed once at shard construction, before the
 	// scheduler is visible to submitters, and never change; onBatch fires
@@ -452,10 +445,11 @@ type Scheduler struct {
 }
 
 type worker struct {
-	id      int
-	ctx     *core.Context
-	ch      chan []*task
-	pending atomic.Int64 // jobs queued or running on this worker
+	id  int
+	ctx *core.Context
+	// ch holds the batches shipped to the worker, QueueDepth of them
+	// at most: the dispatcher counts its slots, so a send never blocks.
+	ch chan []*task
 
 	// Tracing state (nil / "" when Config.Trace is off): the worker's
 	// span ring, its interned track name, and the step-trace handle
@@ -480,34 +474,10 @@ func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKe
 		rlk:       rlk,
 		gks:       gks,
 		classes:   cfg.Classes,
-		kick:      make(chan struct{}, 1),
-		freec:     make(chan struct{}, 1),
-		stopc:     make(chan struct{}),
+		d:         newDispatcher(cfg),
 		closeDone: make(chan struct{}),
 	}
-	s.policy = qos.WithAging(cfg.Policy(s.classes), cfg.Aging)
-	s.deadline = s.policy.DeadlineOrdered()
-	s.queues = make([][]*task, len(s.classes))
 	s.qcond = sync.NewCond(&s.qmu)
-	// Admission limits: each class owns Share of the pending-queue
-	// capacity. A full share (>= 1, or 0 which defaults to 1) keeps
-	// the blocking-backpressure contract; a partial share sheds
-	// over-limit jobs with ErrOverloaded.
-	queueCap := cfg.PendingCap
-	s.limits = make([]int, len(s.classes))
-	s.rejects = make([]bool, len(s.classes))
-	for i, c := range s.classes {
-		share := c.Share
-		if share <= 0 || share >= 1 {
-			s.limits[i] = queueCap
-		} else {
-			s.limits[i] = int(share * float64(queueCap))
-			if s.limits[i] < 1 {
-				s.limits[i] = 1
-			}
-			s.rejects[i] = true
-		}
-	}
 	// Pre-warm the buffer pool before any worker can race a cold
 	// allocation against in-flight work. The largest buffers the
 	// pipeline requests hold level+2 RNS components (the key-switch
@@ -544,8 +514,6 @@ func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKe
 		s.workWg.Add(1)
 		go s.runWorker(w)
 	}
-	s.dispWg.Add(1)
-	go s.dispatch()
 	return s
 }
 
@@ -556,7 +524,7 @@ func (s *Scheduler) Params() *ckks.Parameters { return s.params }
 func (s *Scheduler) Backend() *Backend { return s.backend }
 
 // Policy returns the name of the dispatch policy in effect.
-func (s *Scheduler) Policy() string { return s.policy.Name() }
+func (s *Scheduler) Policy() string { return s.d.policy.Name() }
 
 // validate checks the job against the scheduler's parameters, key
 // material and class table, returning the traced value metas (the last
@@ -592,7 +560,7 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 		return nil, err
 	}
 	class := int(job.Class)
-	t := &task{job: job, fut: newFuture(), class: class}
+	t := &task{job: job, fut: newFuture(), class: class, shape: job.ShapeKey()}
 	t.budget = s.cfg.Retry.budgetFor(job)
 	adm := s.spanBegin()
 	s.mu.RLock()
@@ -617,37 +585,26 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 	// consumer was admitted together with its producers (rejecting or
 	// blocking it mid-graph would wedge work the producers already
 	// paid for), so it bypasses the class share like a stolen arrival.
-	if len(job.Deps) == 0 && len(s.queues[class]) >= s.limits[class] {
-		if s.rejects[class] {
+	if len(job.Deps) == 0 && s.d.full(class) {
+		if s.d.rejects[class] {
 			s.qmu.Unlock()
 			s.outstandingAdd(-1, -t.work())
 			s.met.class[class].rejected.Add(1)
 			s.spanEnd(s.obsRing(ringSubmit), adm, trkSubmit, "reject", catAdmit, s.className(class), 0, 1)
 			return nil, ErrOverloaded
 		}
-		for len(s.queues[class]) >= s.limits[class] {
-			s.qcond.Wait() // backpressure; the dispatcher frees space
+		for s.d.full(class) {
+			s.qcond.Wait() // backpressure; shipping frees space
 		}
 	}
-	// Strictly increasing stamps: the simulated clock only advances
-	// with device activity, so a submission burst would otherwise
-	// issue ties and arrival-order policies would degenerate to
-	// class-index order. The epsilon is far below any real latency.
-	t.enq = s.backend.SimulatedSeconds()
-	if t.enq <= s.lastEnq {
-		t.enq = s.lastEnq + 1e-12
-	}
-	s.lastEnq = t.enq
-	t.deadline = qos.NoDeadline()
-	if job.Deadline > 0 {
-		t.deadline = t.enq + job.Deadline
-	}
+	s.d.stamp(t, s.backend.SimulatedSeconds())
 	if len(job.Deps) == 0 {
-		s.enqueueLocked(t)
+		s.d.arrive(t)
+		s.shipLocked()
 	} else {
 		// Parked until every producer settles; depReady moves it into
 		// its class queue (or fails it) when the last one does.
-		s.waiting++
+		s.d.waiting++
 	}
 	s.qmu.Unlock()
 	s.met.class[class].submitted.Add(1)
@@ -656,42 +613,7 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 		s.registerDeps(t)
 	}
 	s.spanEnd(s.obsRing(ringSubmit), adm, trkSubmit, "submit", catAdmit, s.className(class), 0, 1)
-	s.wake(s.kick)
 	return t.fut, nil
-}
-
-// enqueueLocked inserts the task into its class queue: sorted by
-// absolute deadline when the policy asks for it, by enqueue stamp
-// otherwise. Local Submits carry monotonic stamps, so the arrival
-// sort degenerates to an append on that path; only injected (stolen)
-// tasks — whose rebased stamps preserve wait already served on the
-// victim shard — land mid-queue, which keeps the head the true oldest
-// job for FIFO ordering and the aging starvation bound. Caller holds
-// qmu.
-func (s *Scheduler) enqueueLocked(t *task) {
-	q := s.queues[t.class]
-	var i int
-	if s.deadline {
-		// Before the first strictly-later deadline, keeping equal
-		// deadlines (and deadline-less tails) in arrival order.
-		i = sort.Search(len(q), func(i int) bool { return q[i].deadline > t.deadline })
-	} else {
-		i = sort.Search(len(q), func(i int) bool { return q[i].enq > t.enq })
-	}
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = t
-	s.queues[t.class] = q
-	s.queued++
-}
-
-// wake delivers a non-blocking signal on a capacity-1 channel; a
-// pending signal already guarantees the dispatcher will rescan.
-func (s *Scheduler) wake(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
 }
 
 // Drain blocks until every job submitted so far has completed. It does
@@ -718,8 +640,18 @@ func (s *Scheduler) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.stopc)
-	s.dispWg.Wait() // dispatcher flushes the class queues and closes worker chans
+	// Nothing new arrives now but the jobs parked on dependencies, whose
+	// producers (possibly on other shards) complete before their own
+	// schedulers tear down. Once those have shipped too, the workers
+	// drain their channels and exit.
+	s.qmu.Lock()
+	for s.d.pending() > 0 {
+		s.qcond.Wait()
+	}
+	for _, w := range s.workers {
+		close(w.ch)
+	}
+	s.qmu.Unlock()
 	s.workWg.Wait()
 	// Release reclaims orphans too (ReleaseAll under the hood): a
 	// panicking op may have stranded its internal allocations in the
@@ -752,15 +684,7 @@ func (s *Scheduler) OutstandingWork() float64 {
 func (s *Scheduler) QueuedJobs() int {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	return s.queued
-}
-
-// pendingJobs returns queued plus dependency-parked jobs — the
-// dispatcher's exit condition after Close.
-func (s *Scheduler) pendingJobs() int {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	return s.queued + s.waiting
+	return s.d.queued
 }
 
 // outstandingAdd moves outstanding-job accounting: one job done, or a
@@ -785,7 +709,7 @@ func (s *Scheduler) outstandingAdd(jobs int, work float64) {
 func (s *Scheduler) ResetClocks() {
 	s.backend.ResetClocks()
 	s.qmu.Lock()
-	s.lastEnq = 0
+	s.d.lastEnq = 0
 	s.qmu.Unlock()
 	s.latMu.Lock()
 	for i := range s.latency {
@@ -828,199 +752,90 @@ func quantiles(sorted []float64) (p50, p99 float64) {
 	return rank(0.50), rank(0.99)
 }
 
-// dispatch is the policy-driven pump: whenever a worker has queue
-// room, it asks the qos.Policy which class runs next, coalesces
-// same-shape jobs from the head of that class's queue into a batch,
-// and ships it to the least-loaded eligible worker. Batching is
-// opportunistic: under light load every job ships alone with no
-// added latency; under heavy load the class queues hold a backlog
-// and same-shape neighbors coalesce.
-func (s *Scheduler) dispatch() {
-	defer s.dispWg.Done()
-	defer func() {
-		for _, w := range s.workers {
-			close(w.ch)
+// shipLocked carries out the dispatcher's decisions until it has none
+// left: whenever a worker has a free slot, the policy picks the class,
+// same-shape jobs from its head coalesce into a batch, and the batch
+// goes down the least-loaded eligible worker's channel. Batching is
+// opportunistic: under light load every job ships alone with no added
+// latency; under heavy load the class queues hold a backlog and
+// same-shape neighbours coalesce. Caller holds qmu.
+func (s *Scheduler) shipLocked() {
+	shipped := false
+	for s.d.ready() {
+		now := s.backend.SimulatedSeconds()
+		sh, ok := s.d.next(now)
+		if !ok {
+			break
 		}
-	}()
-	stopc := s.stopc
-	for {
-		s.shipAll()
-		if stopc == nil && s.pendingJobs() == 0 {
-			// Closed and flushed — including dependency-parked jobs,
-			// whose producers (possibly on other shards) complete
-			// before their schedulers tear down, so the count drains.
-			return // workers drain their channels
-		}
-		select {
-		case <-s.kick:
-		case <-s.freec:
-		case <-stopc:
-			stopc = nil
-		}
+		s.dispatched(sh, now)
+		s.workers[sh.worker].ch <- sh.batch
+		shipped = true
+	}
+	if shipped {
+		s.qcond.Broadcast() // queue space freed: blocked Submits and Close look again
 	}
 }
 
-// shipAll dispatches batches while a worker has channel room and the
-// policy yields work.
-func (s *Scheduler) shipAll() {
-	for {
-		w := s.eligibleWorker()
-		if w == nil {
-			return
-		}
-		batch := s.popBatch()
-		if batch == nil {
-			return
-		}
-		w.pending.Add(int64(len(batch)))
-		w.ch <- batch // guaranteed room: dispatcher is the only sender
-	}
-}
-
-// eligibleWorker picks the worker with the fewest outstanding jobs
-// among those with room in their batch channel (ties go to the lowest
-// id, which also spreads load across tiles since workers are pinned
-// round-robin). Returns nil when every channel is full.
-func (s *Scheduler) eligibleWorker() *worker {
-	var best *worker
-	for _, w := range s.workers {
-		if len(w.ch) >= cap(w.ch) {
-			continue
-		}
-		if best == nil || w.pending.Load() < best.pending.Load() {
-			best = w
-		}
-	}
-	return best
-}
-
-// popBatch asks the policy for the next class and removes a batch of
-// same-shape jobs from the head of its queue (preserving the queue
-// order of the rest). Returns nil when every queue is empty.
-func (s *Scheduler) popBatch() []*task {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	if s.queued == 0 {
-		return nil
-	}
-	now := s.backend.SimulatedSeconds()
-	states := make([]qos.QueueState, len(s.queues))
-	for i, q := range s.queues {
-		if len(q) == 0 {
-			continue
-		}
-		oldest := q[0].enq
-		if s.deadline {
-			// Deadline ordering can pin an old deadline-less job at
-			// the tail; aging needs the true longest wait.
-			for _, t := range q[1:] {
-				if t.enq < oldest {
-					oldest = t.enq
-				}
-			}
-		}
-		states[i] = qos.QueueState{
-			Len:            len(q),
-			HeadEnqueued:   q[0].enq,
-			HeadDeadline:   q[0].deadline,
-			OldestEnqueued: oldest,
-		}
-	}
-	c := s.policy.Pick(now, s.classes, states)
-	if c < 0 {
-		return nil
-	}
-	q := s.queues[c]
-	head := q[0]
-	batch := []*task{head}
-	key := head.job.ShapeKey()
-	// In-place filter: keep non-batched tasks in order (writes always
-	// trail reads, so the compaction never clobbers an unread entry).
-	rest := q[:0]
-	for _, t := range q[1:] {
-		if len(batch) < s.cfg.MaxBatch && t.job.ShapeKey() == key {
-			batch = append(batch, t)
-		} else {
-			rest = append(rest, t)
-		}
-	}
-	for i := len(rest); i < len(q); i++ {
-		q[i] = nil
-	}
-	s.queues[c] = rest
-	s.queued -= len(batch)
-	s.policy.Dispatched(c, len(batch))
-	// Dispatch accounting: every task gets its batch id and dispatch
-	// stamp (the service-time baseline), and its queueing delay lands
-	// in the per-class histogram. The enqueue stamp can sit a hair
-	// ahead of the simulated clock (monotonicity epsilon), so clamp.
-	bid := s.batchSeq.Add(1)
-	for _, t := range batch {
+// dispatched accounts a shipped batch: every task gets its batch id and
+// dispatch stamp (the service-time baseline), and its queueing delay
+// lands in the per-class histogram. The enqueue stamp can sit a hair
+// ahead of the simulated clock (monotonicity epsilon), so clamp. Caller
+// holds qmu.
+func (s *Scheduler) dispatched(sh ship, now float64) {
+	s.batchSeq++
+	bid := s.batchSeq
+	for _, t := range sh.batch {
 		t.bid = bid
 		t.disp = now
-		delay := now - t.enq
-		if delay < 0 {
-			delay = 0
-		}
-		s.met.class[c].queueDelay.Observe(delay)
+		s.met.class[sh.class].queueDelay.Observe(max(now-t.enq, 0))
 	}
 	if s.tracer != nil {
 		ring := s.tracer.Ring(ringDispatch)
 		wall := time.Now().UnixNano()
-		cls := s.className(c)
-		for _, t := range batch {
-			start := t.enq
-			if start > now {
-				start = now
-			}
-			ring.Record(obs.Span{Track: s.queueTracks[c], Name: "pending", Cat: catQueue,
-				Class: cls, Start: start, End: now, Wall: wall, Batch: bid})
+		cls := s.className(sh.class)
+		for _, t := range sh.batch {
+			ring.Record(obs.Span{Track: s.queueTracks[sh.class], Name: "pending", Cat: catQueue,
+				Class: cls, Start: min(t.enq, now), End: now, Wall: wall, Batch: bid})
 		}
 		ring.Record(obs.Span{Track: trkDispatch, Name: "batch", Cat: catQueue,
-			Class: cls, Start: now, End: now, Wall: wall, Batch: bid, Jobs: len(batch)})
+			Class: cls, Start: now, End: now, Wall: wall, Batch: bid, Jobs: len(sh.batch)})
 	}
-	s.qcond.Broadcast() // queue space freed: wake blocked Submits
-	return batch
+}
+
+// took is the worker's side of a ship: it has taken one batch off its
+// channel, so a slot is free for the next decision.
+func (s *Scheduler) took(w *worker) {
+	s.qmu.Lock()
+	s.d.taken(w.id)
+	s.shipLocked()
+	s.qmu.Unlock()
+}
+
+// finished lets go of jobs a worker held: settled, handed to the retry
+// plane or surrendered.
+func (s *Scheduler) finished(w *worker, jobs int) {
+	s.qmu.Lock()
+	s.d.finished(w.id, jobs)
+	s.qmu.Unlock()
 }
 
 // stealQueued removes up to max queued tasks for migration to another
-// shard: tail-first from the largest class backlog, so the head jobs
-// the policy is about to serve stay local. The tasks come back detached
+// shard (dispatcher.steal picks them). The tasks come back detached
 // (relative stamps); outstanding accounting stays with this scheduler
 // until the caller transfers it.
 func (s *Scheduler) stealQueued(max int) []*task {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	if s.queued == 0 || max <= 0 {
+	out := s.d.steal(max)
+	if len(out) == 0 {
 		return nil
 	}
 	now := s.backend.SimulatedSeconds()
-	var out []*task
-	for len(out) < max {
-		victim := -1
-		for i, q := range s.queues {
-			if len(q) == 0 {
-				continue
-			}
-			if victim < 0 || len(q) > len(s.queues[victim]) {
-				victim = i
-			}
-		}
-		if victim < 0 {
-			break
-		}
-		q := s.queues[victim]
-		t := q[len(q)-1]
-		q[len(q)-1] = nil
-		s.queues[victim] = q[:len(q)-1]
-		s.queued--
+	for _, t := range out {
 		t.detach(now)
-		out = append(out, t)
 	}
-	if len(out) > 0 {
-		s.met.stolenOut.Add(int64(len(out)))
-		s.qcond.Broadcast()
-	}
+	s.met.stolenOut.Add(int64(len(out)))
+	s.qcond.Broadcast()
 	return out
 }
 
@@ -1051,9 +866,10 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 	s.qmu.Lock()
 	for _, t := range ts {
 		t.attach(now)
-		s.enqueueLocked(t)
+		s.d.arrive(t)
 		work += t.work()
 	}
+	s.shipLocked()
 	s.qmu.Unlock()
 	// StolenIn tracks the migration — by origin: placed here off another
 	// shard, or returned to the shard they left — and Submitted stays
@@ -1068,7 +884,6 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 	} else {
 		s.met.returned.Add(int64(len(ts)))
 	}
-	s.wake(s.kick)
 	return true
 }
 
@@ -1086,16 +901,6 @@ func (s *Scheduler) installFaultHooks(life *atomic.Uint32, surrender func([]*tas
 	s.onBatch = onBatch
 	s.retryHook = retry
 }
-
-// kill wakes the dispatcher once the owning shard's lifecycle reads
-// killed (killShard has just made that transition): from then on new
-// work is refused, and everything shipped to the workers is handed back
-// through the surrender hook for replay elsewhere instead of
-// executing. The simulated device itself stays readable (the node
-// lost its executor, not its memory), so device-resident outputs can
-// still be materialized through the owner path — which is exactly how
-// replayed graph consumers rehome their dependency edges.
-func (s *Scheduler) kill() { s.wake(s.kick) }
 
 // Killed reports whether the scheduler has been fail-stopped.
 func (s *Scheduler) Killed() bool {
@@ -1116,7 +921,7 @@ func (s *Scheduler) batchHook() {
 // with this scheduler until the cluster transfers it, exactly like a
 // steal.
 func (w *worker) surrenderBatch(s *Scheduler, ts []*task) {
-	w.pending.Add(-int64(len(ts)))
+	s.finished(w, len(ts))
 	s.surrenderTasks(ts)
 }
 
@@ -1214,7 +1019,7 @@ func (s *Scheduler) runWorker(w *worker) {
 					w.resolveBatch(s, pend)
 					return
 				}
-				s.wake(s.freec)
+				s.took(w)
 				cur = w.uploadBatch(s, batch)
 			default:
 				w.resolveBatch(s, pend)
@@ -1239,8 +1044,7 @@ func (s *Scheduler) runWorker(w *worker) {
 				break
 			}
 			s.met.idleEmptyNS.Add(time.Since(idle).Nanoseconds())
-			// The batch left the channel: a dispatch slot freed up.
-			s.wake(s.freec)
+			s.took(w)
 			cur = w.uploadBatch(s, batch)
 			if cur == nil {
 				continue // killed: batch surrendered
@@ -1251,7 +1055,7 @@ func (s *Scheduler) runWorker(w *worker) {
 		select {
 		case batch, ok := <-w.ch:
 			if ok {
-				s.wake(s.freec)
+				s.took(w)
 				next = w.uploadBatch(s, batch)
 			}
 		default:
@@ -1484,18 +1288,17 @@ func (w *worker) resolveBatch(s *Scheduler, pb *pendingBatch) {
 	// a task to the retry plane, its re-dispatch may rewrite bid/disp
 	// concurrently.
 	class, bid := pb.staged[0].t.class, pb.staged[0].t.bid
+	s.finished(w, len(pb.staged))
 	for _, sj := range pb.staged {
 		if sj.retry && s.tryRetry(sj.t, sj.err) {
 			// The cluster's retry plane owns the task now: the future
 			// stays pending, dependency references travel with the task
 			// for the re-execution, and outstanding accounting stays here
 			// until the re-injection transfers it (like a surrender).
-			w.pending.Add(-1)
 			continue
 		}
 		s.releaseDeps(sj.t)
 		sj.t.fut.finish(sj.err)
-		w.pending.Add(-1)
 		s.jobDone(w, sj.t, sj.err != nil, len(pb.staged), pb.done)
 	}
 	s.spanEnd(w.ring, st, w.track, "settle", catSettle, s.className(class), bid, len(pb.staged))

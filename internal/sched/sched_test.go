@@ -2,9 +2,11 @@ package sched
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xehe/internal/ckks"
 	"xehe/internal/core"
@@ -72,8 +74,11 @@ func newScheduler(t testing.TB, h *Harness, workers int) *Scheduler {
 }
 
 // newSchedulerWith is newScheduler for a test that sets its own Config.
+// Its teardown also checks, as newClusterWith does, that Close leaves
+// no goroutine behind: the workers are the scheduler's only ones.
 func newSchedulerWith(t testing.TB, h *Harness, cfg Config) *Scheduler {
 	t.Helper()
+	baseline := runtime.NumGoroutine()
 	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(func() {
 		s.Drain()
@@ -88,8 +93,23 @@ func newSchedulerWith(t testing.TB, h *Harness, cfg Config) *Scheduler {
 		checkPoolsReturned(t, "teardown, before Close", s.Backend())
 		s.Close()
 		checkPoolsReturned(t, "teardown, after Close", s.Backend())
+		checkGoroutines(t, baseline)
 	})
 	return s
+}
+
+// checkGoroutines waits up to five seconds for the goroutine count to
+// fall back to baseline, the count before the scheduler or cluster
+// under test was built, and fails the test if it does not.
+func checkGoroutines(t testing.TB, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("teardown: %d goroutines after Close, %d before it was built", n, baseline)
+	}
 }
 
 func TestJobValidate(t *testing.T) {
