@@ -53,12 +53,14 @@ test-race:
 	$(GO) test -race . ./internal/apps/... ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/... ./internal/core/... ./internal/fhebench/... ./internal/ckks/... ./internal/poly/... ./internal/ntt/...
 
 # The recovery plane's tests — kills, drains, retries, self-healing,
-# elastic growth, the shard lifecycle table — ten times over on one and
-# on two CPUs: they race submitters and the control loop against
-# workers, and a race that loses once in fifteen loaded runs shows here
-# as a count instead of a flaky CI run elsewhere.
+# elastic growth, shard retirement, the shard lifecycle table, and
+# every scenario row that kills, degrades or retires a shard
+# (scenario_test.go names them so this pattern selects them) — ten
+# times over on one and on two CPUs: they race submitters and the
+# control loop against workers, and a race that loses once in fifteen
+# loaded runs shows here as a count instead of a flaky CI run elsewhere.
 stress:
-	$(GO) test ./internal/sched -run 'Chaos|SelfHeal|Kill|Drain|Retry|AddShard|Lifecycle' -count 10 -cpu 1,2
+	$(GO) test ./internal/sched -run 'Chaos|SelfHeal|Kill|Drain|Retry|AddShard|CloseShard|Lifecycle' -count 10 -cpu 1,2
 
 # Fuzz smoke: every Fuzz* target in the tree (found by name, so a new
 # one is picked up without editing this), 5 s each — internal/xmath's

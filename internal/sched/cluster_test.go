@@ -2,14 +2,11 @@ package sched
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
-	"xehe/internal/ckks"
-	"xehe/internal/core"
 	"xehe/internal/gpu"
 	"xehe/internal/qos"
 )
@@ -34,24 +31,22 @@ func newTestCluster(t testing.TB, h *Harness, workers int, devs ...gpu.DeviceSpe
 
 // newClusterWith builds a cluster (keys from h) whose teardown asserts
 // the conservation laws, as newSchedulerWith does for a scheduler:
-// drained, every class has Submitted == Completed cluster-wide (failed
-// and shard-lost jobs complete too, so Failed is a part of Completed)
-// and nothing was shed — no test built on this helper sheds on purpose,
-// so a shed it saw has already failed it — nothing is outstanding, every
-// shard (a fail-stopped one too) has its pools back, and after Close
-// the goroutine count is back to what it was before the cluster was
-// built: the control loop, its builds and every shard's workers are
-// gone.
+// drained, the counters reconcile cluster-wide and across shards
+// (checkInvariants) and nothing was shed — no test built on this helper
+// sheds on purpose, so a shed it saw has already failed it — nothing is
+// outstanding, every shard (a fail-stopped one too) has its pools back,
+// and after Close the goroutine count is back to what it was before the
+// cluster was built: the control loop, its builds and every shard's
+// workers are gone.
 func newClusterWith(t testing.TB, h *Harness, specs []ShardSpec, cfg Config) *Cluster {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
 	c := NewCluster(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(func() {
 		c.Drain()
-		for _, pc := range c.Stats().PerClass {
-			if pc.Submitted != pc.Completed || pc.Failed > pc.Completed {
-				t.Errorf("teardown: class %s submitted %d jobs, completed %d, failed %d", pc.Name, pc.Submitted, pc.Completed, pc.Failed)
-			}
+		st := c.Stats()
+		checkInvariants(t, st)
+		for _, pc := range st.PerClass {
 			if pc.Rejected != 0 {
 				t.Errorf("teardown: class %s shed %d jobs", pc.Name, pc.Rejected)
 			}
@@ -72,88 +67,6 @@ func newClusterWith(t testing.TB, h *Harness, specs []ShardSpec, cfg Config) *Cl
 		checkGoroutines(t, baseline)
 	})
 	return c
-}
-
-// TestClusterDifferentialHeterogeneous is the cluster acceptance
-// harness: randomized job chains are submitted concurrently to a
-// heterogeneous Device1+Device2 cluster, and every result must match
-// the serial core.Context path bit-for-bit — regardless of which shard
-// the router picked — and decrypt to the plaintext model. Run with
-// -race (make test-race).
-func TestClusterDifferentialHeterogeneous(t *testing.T) {
-	h := sharedHarness(t)
-	const (
-		nJobs      = 24
-		maxOps     = 6
-		submitters = 4
-	)
-	rng := rand.New(rand.NewSource(4321))
-	cases := make([]*Case, nJobs)
-	for i := range cases {
-		cases[i] = h.RandomCase(rng, maxOps)
-	}
-
-	c := newTestCluster(t, h, 2, gpu.Device1Spec(), gpu.Device2Spec())
-
-	futs := make([]*Future, nJobs)
-	var wg sync.WaitGroup
-	for g := 0; g < submitters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < nJobs; i += submitters {
-				fut, err := c.Submit(cases[i].Job)
-				if err != nil {
-					t.Errorf("job %d: submit: %v", i, err)
-					return
-				}
-				futs[i] = fut
-			}
-		}(g)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.Fatal("submission failed")
-	}
-
-	for i, fut := range futs {
-		got, err := fut.Wait()
-		if err != nil {
-			t.Fatalf("job %d: %v (ops %v)", i, err, cases[i].Job.Ops)
-		}
-		want, err := h.RunSerial(cases[i].Job)
-		if err != nil {
-			t.Fatalf("job %d: serial reference: %v", i, err)
-		}
-		if err := SameCiphertext(got, want); err != nil {
-			t.Fatalf("job %d: cluster vs serial ciphertext mismatch: %v (ops %v)", i, err, cases[i].Job.Ops)
-		}
-		if e := MaxSlotError(h.Decrypt(got), cases[i].Expected); e > differentialEps {
-			t.Fatalf("job %d: slot error %g > %g", i, e, differentialEps)
-		}
-	}
-
-	st := c.Stats()
-	if st.Jobs != nJobs || st.Failed != 0 {
-		t.Fatalf("aggregate stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, nJobs)
-	}
-	var routed int64
-	for _, r := range st.Routed {
-		routed += r
-	}
-	if routed != nJobs {
-		t.Fatalf("routed counts sum to %d, want %d", routed, nJobs)
-	}
-	// Both shards must have been exercised: Device1's weight is ~4.7x
-	// Device2's, but 24 jobs with completions in between spread across
-	// both under the least-loaded policy.
-	for i, r := range st.Routed {
-		if r == 0 {
-			t.Errorf("shard %d received no jobs (routed %v)", i, st.Routed)
-		}
-	}
-	t.Logf("cluster differential: %d jobs, routed %v, per-shard jobs %v",
-		st.Jobs, st.Routed, []int64{st.PerShard[0].Jobs, st.PerShard[1].Jobs})
 }
 
 // pickWeighted is Cluster.pick's decision for a bulk-class job: the
@@ -275,19 +188,12 @@ func TestClusterSubmitAfterClose(t *testing.T) {
 // descriptive message, healthy jobs racing alongside still succeed,
 // and Drain/Close complete instead of wedging.
 func TestJobFailureSurfacesWithoutWedging(t *testing.T) {
-	h := sharedHarness(t)
-	gks := map[int]*ckks.GaloisKey{}
-	for k, v := range h.GaloisKeys() {
-		gks[k] = v
-	}
-	gks[5] = &ckks.GaloisKey{} // present (passes Submit), panics at run time
-	cfg := core.OptNTTAsm()
-	cfg.MemCache = true
-	s := New(h.Params, gpu.NewDevice1(), Config{Workers: 2, Core: cfg}, h.RelinKey(), gks)
+	h := brokenKeys(sharedHarness(t))
+	s := newScheduler(t, h, 2)
 
 	vals := make([]complex128, h.Params.Slots())
 	bad := NewJob(h.Encrypt(vals))
-	bad.Rotate(0, 5)
+	bad.Rotate(0, brokenRotation)
 	good := NewJob(h.Encrypt(vals))
 	good.SquareRelinRescale(0)
 
@@ -331,7 +237,7 @@ func TestWarmBuffersPreloadsPool(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := schedConfig(2)
 	cfg.WarmBuffers = 64 // above the 2-worker working set of this job mix
-	s := newSchedulerWith(t, h, cfg)
+	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	cache := s.Backend().Cache()
 	if n := cache.FreeCount(); n != 64 {
@@ -358,68 +264,6 @@ func TestWarmBuffersPreloadsPool(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no cache traffic recorded; jobs did not run through the pool")
 	}
-}
-
-// TestClusterStealsToIdleShard pins the work-stealing path: a backlog
-// piled onto one shard (bypassing the router) must be partially
-// migrated to the idle shard instead of leaving it dark, with every
-// result still bit-identical to the serial path.
-func TestClusterStealsToIdleShard(t *testing.T) {
-	h := sharedHarness(t)
-	cfg := schedConfig(1)
-	cfg.QueueDepth = 2
-	cfg.MaxBatch = 2
-	cfg.PendingCap = 64
-	c := newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device1Spec()), cfg)
-
-	vals := make([]complex128, h.Params.Slots())
-	job := NewJob(h.Encrypt(vals))
-	job.SquareRelinRescale(0)
-	want, err := h.RunSerial(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pile everything onto shard 0 directly; shard 1 never sees a
-	// routed job and goes idle immediately.
-	const jobs = 40
-	futs := make([]*Future, jobs)
-	for i := range futs {
-		if futs[i], err = c.all()[0].sched.Submit(job); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Drain()
-	for i, fut := range futs {
-		got, err := fut.Wait()
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		if err := SameCiphertext(got, want); err != nil {
-			t.Fatalf("job %d: stolen-path result diverges: %v", i, err)
-		}
-	}
-	st := c.Stats()
-	if st.Jobs != jobs || st.Failed != 0 {
-		t.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, jobs)
-	}
-	if st.Stolen[1] == 0 || st.PerShard[1].Jobs == 0 {
-		t.Fatalf("idle shard stole nothing (stolen %v, per-shard jobs %d/%d)",
-			st.Stolen, st.PerShard[0].Jobs, st.PerShard[1].Jobs)
-	}
-	if st.StolenIn != st.StolenOut {
-		t.Fatalf("steal accounting unbalanced: %d in vs %d out", st.StolenIn, st.StolenOut)
-	}
-	var submitted, completed int64
-	for _, pc := range st.PerClass {
-		submitted += pc.Submitted
-		completed += pc.Completed
-	}
-	if submitted != jobs || completed != jobs {
-		t.Fatalf("aggregate per-class submitted/completed = %d/%d, want %d/%d (stolen jobs double-counted?)",
-			submitted, completed, jobs, jobs)
-	}
-	t.Logf("stealing: shard jobs %d/%d, migrated %d", st.PerShard[0].Jobs, st.PerShard[1].Jobs, st.StolenIn)
 }
 
 // TestCloseShardReroutesBacklogUnderRace is the CloseShard race
@@ -505,82 +349,6 @@ func TestCloseShardReroutesBacklogUnderRace(t *testing.T) {
 	}
 }
 
-// TestClusterDifferentialQoSMixed is the cluster acceptance harness
-// with the QoS subsystem fully on: randomized job chains carrying
-// random classes and deadlines, dispatched under each policy across a
-// heterogeneous Device1+Device2 cluster with work stealing enabled,
-// must match the serial core.Context path bit-for-bit and decrypt to
-// the plaintext model. Run with -race (make test-race).
-func TestClusterDifferentialQoSMixed(t *testing.T) {
-	h := sharedHarness(t)
-	for _, pol := range []struct {
-		name    string
-		factory qos.Factory
-	}{{"wfq", qos.WFQ}, {"priority", qos.StrictPriority}, {"edf", qos.EDF}} {
-		pol := pol
-		t.Run(pol.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(len(pol.name)) * 104729))
-			const nJobs, submitters = 20, 4
-			cases := make([]*Case, nJobs)
-			for i := range cases {
-				cases[i] = h.RandomCase(rng, 5)
-				h.RandomQoS(rng, cases[i].Job)
-			}
-			cfg := schedConfig(2)
-			cfg.Policy = pol.factory
-			c := newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device2Spec()), cfg)
-
-			futs := make([]*Future, nJobs)
-			var wg sync.WaitGroup
-			for g := 0; g < submitters; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := g; i < nJobs; i += submitters {
-						fut, err := c.Submit(cases[i].Job)
-						if err != nil {
-							t.Errorf("job %d: submit: %v", i, err)
-							return
-						}
-						futs[i] = fut
-					}
-				}(g)
-			}
-			wg.Wait()
-			if t.Failed() {
-				t.Fatal("submission failed")
-			}
-			for i, fut := range futs {
-				got, err := fut.Wait()
-				if err != nil {
-					t.Fatalf("job %d: %v (ops %v)", i, err, cases[i].Job.Ops)
-				}
-				want, err := h.RunSerial(cases[i].Job)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := SameCiphertext(got, want); err != nil {
-					t.Fatalf("job %d (%s): cluster vs serial mismatch: %v", i, pol.name, err)
-				}
-				if e := MaxSlotError(h.Decrypt(got), cases[i].Expected); e > differentialEps {
-					t.Fatalf("job %d: slot error %g", i, e)
-				}
-			}
-			st := c.Stats()
-			if st.Jobs != nJobs || st.Failed != 0 {
-				t.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, nJobs)
-			}
-			var perClass int64
-			for _, pc := range st.PerClass {
-				perClass += pc.Completed
-			}
-			if perClass != nJobs {
-				t.Fatalf("per-class completions sum to %d, want %d", perClass, nJobs)
-			}
-		})
-	}
-}
-
 // TestClusterRejectsOutOfRangeClass pins that an invalid class — in
 // either direction — surfaces as a validation error through the
 // cluster router instead of panicking in the routing path.
@@ -594,39 +362,5 @@ func TestClusterRejectsOutOfRangeClass(t *testing.T) {
 		if _, err := c.Submit(j); err == nil || !strings.Contains(err.Error(), "class") {
 			t.Fatalf("class %d: Submit = %v, want class-range error", class, err)
 		}
-	}
-}
-
-// TestClusterStatsAggregate pins the aggregate accounting: shard-level
-// numbers must sum to the cluster totals.
-func TestClusterStatsAggregate(t *testing.T) {
-	h := sharedHarness(t)
-	c := newTestCluster(t, h, 2, gpu.Device1Spec(), gpu.Device2Spec())
-	vals := make([]complex128, h.Params.Slots())
-	const jobs = 10
-	for i := 0; i < jobs; i++ {
-		j := NewJob(h.Encrypt(vals))
-		j.SquareRelinRescale(0)
-		if _, err := c.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Drain()
-	st := c.Stats()
-	if st.Jobs != jobs {
-		t.Fatalf("aggregate jobs = %d, want %d", st.Jobs, jobs)
-	}
-	var shardJobs, perWorker int64
-	for _, ps := range st.PerShard {
-		shardJobs += ps.Jobs
-	}
-	for _, n := range st.PerWorker {
-		perWorker += n
-	}
-	if shardJobs != jobs || perWorker != jobs {
-		t.Fatalf("per-shard sums to %d, per-worker to %d, want %d", shardJobs, perWorker, jobs)
-	}
-	if c.SimulatedSeconds() <= 0 {
-		t.Fatal("no simulated time accumulated")
 	}
 }

@@ -25,7 +25,7 @@ func TestTracingDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	cfg := schedConfig(3)
 	cfg.Trace = TraceConfig{Enabled: ToggleOn}
-	s := newSchedulerWith(t, h, cfg)
+	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	const nJobs = 16
 	cases := make([]*Case, nJobs)
@@ -190,7 +190,7 @@ func TestConcurrentStatsAndTraceSnapshots(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := schedConfig(3)
 	cfg.Trace = TraceConfig{Enabled: ToggleOn, SpanCap: 16} // small rings: spans must drop
-	s := newSchedulerWith(t, h, cfg)
+	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	rng := rand.New(rand.NewSource(31))
 	const nJobs = 24

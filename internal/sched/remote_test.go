@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"testing"
 
 	"xehe/internal/gpu"
@@ -17,55 +16,6 @@ func newRemoteCluster(t testing.TB, h *Harness, workers int, links []NetLink, de
 		specs[i].Link = links[i]
 	}
 	return newClusterWith(t, h, specs, schedConfig(workers))
-}
-
-// TestRemoteBackendDifferential pins the tentpole's correctness half:
-// a cluster spanning a host-local shard and a remote shard (5us, 8GB/s
-// hop) must produce results bit-identical to the serial path for every
-// job, wherever it routed — the hop prices time, never touches
-// payloads — and the remote shard's link must actually have been
-// crossed.
-func TestRemoteBackendDifferential(t *testing.T) {
-	h := sharedHarness(t)
-	link := NetLink{LatencySeconds: 5e-6, GBps: 8}
-	c := newRemoteCluster(t, h, 2, []NetLink{{}, link},
-		gpu.Device1Spec(), gpu.Device1Spec())
-
-	rng := rand.New(rand.NewSource(99))
-	const nJobs = 16
-	cases := make([]*Case, nJobs)
-	futs := make([]*Future, nJobs)
-	for i := range cases {
-		cases[i] = h.RandomCase(rng, 5)
-		fut, err := c.Submit(cases[i].Job)
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		futs[i] = fut
-	}
-	c.Drain()
-	for i, fut := range futs {
-		got, err := fut.Wait()
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		want, err := h.RunSerial(cases[i].Job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := SameCiphertext(got, want); err != nil {
-			t.Fatalf("job %d: remote cluster vs serial mismatch: %v", i, err)
-		}
-	}
-
-	st := c.Stats()
-	if st.Routed[1] == 0 {
-		t.Fatalf("remote shard received no jobs (routed %v)", st.Routed)
-	}
-	if ls := c.all()[1].sched.Backend().Device().LinkStats(); ls.Hops == 0 || ls.HopCycles <= 0 {
-		t.Fatalf("remote shard ran %d jobs but crossed the link %d times (%g cycles)",
-			st.PerShard[1].Jobs, ls.Hops, ls.HopCycles)
-	}
 }
 
 // TestRemoteHopCostsSimulatedTime pins the tentpole's timing half: the

@@ -37,15 +37,6 @@ func schedConfig(workers int) Config {
 	return Config{Workers: workers, Core: cfg}
 }
 
-// batchShapes are the two shapes the matrix differentials run: the
-// default (up to MaxBatch same-shape jobs share each launch sequence)
-// and MaxBatch 1 (every job ships as a batch of one), so k >= 2 and
-// k = 1 both keep differential coverage on the one execution path.
-var batchShapes = []struct {
-	name     string
-	maxBatch int
-}{{"default", 0}, {"maxbatch=1", 1}}
-
 // checkPoolsReturned asserts the "pools returned" conservation law on
 // a drained backend: no device buffer is checked out of the cache or
 // pinned in it, and every staging slab a gathered transfer drew (a
@@ -62,31 +53,27 @@ func checkPoolsReturned(t testing.TB, when string, b *Backend) {
 	}
 }
 
-// newScheduler builds a standalone scheduler whose teardown asserts the
-// conservation laws through the one Stats view: drained, every class
-// has Submitted == Completed (failed and shard-lost jobs complete too),
-// nothing is outstanding and the pools are back — checked before Close,
-// which reclaims the cache by force, and again after it. No test built
-// on this helper is exempt.
+// newScheduler builds a standalone Device1 scheduler through
+// newSchedulerWith.
 func newScheduler(t testing.TB, h *Harness, workers int) *Scheduler {
 	t.Helper()
-	return newSchedulerWith(t, h, schedConfig(workers))
+	return newSchedulerWith(t, h, gpu.Device1Spec(), schedConfig(workers))
 }
 
-// newSchedulerWith is newScheduler for a test that sets its own Config.
-// Its teardown also checks, as newClusterWith does, that Close leaves
-// no goroutine behind: the workers are the scheduler's only ones.
-func newSchedulerWith(t testing.TB, h *Harness, cfg Config) *Scheduler {
+// newSchedulerWith builds a scheduler on dev with h's keys (brokenKeys
+// for a test that needs a failing rotation) whose teardown asserts the
+// conservation laws: drained, the counters reconcile (checkInvariants),
+// nothing is outstanding and the pools are back — checked before Close,
+// which reclaims the cache by force, and again after it — and, as
+// newClusterWith does, Close leaves no goroutine behind: the workers are
+// the scheduler's only ones. No test built on this helper is exempt.
+func newSchedulerWith(t testing.TB, h *Harness, dev gpu.DeviceSpec, cfg Config) *Scheduler {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), h.GaloisKeys())
+	s := New(h.Params, gpu.NewDevice(dev), cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(func() {
 		s.Drain()
-		for _, pc := range s.Stats().PerClass {
-			if pc.Submitted != pc.Completed {
-				t.Errorf("teardown: class %s submitted %d jobs and completed %d", pc.Name, pc.Submitted, pc.Completed)
-			}
-		}
+		checkInvariants(t, ClusterStats{Stats: s.Stats()})
 		if n := s.Outstanding(); n != 0 {
 			t.Errorf("teardown: %d jobs outstanding after Drain", n)
 		}
@@ -96,6 +83,61 @@ func newSchedulerWith(t testing.TB, h *Harness, cfg Config) *Scheduler {
 		checkGoroutines(t, baseline)
 	})
 	return s
+}
+
+// checkInvariants asserts what every drained view must reconcile: each
+// class completed every job it admitted (failed and shard-lost jobs
+// complete too); Jobs, Failed, Batches, Coalesced and TransferBatches
+// are the sums of their per-class parts and MaxBatch the maximum;
+// Σ PerClass.Retried == RetryAttempts; Σ PerWorker == Jobs when nothing
+// failed (a job failed before it ran never reached a worker); and on a
+// cluster Σ PerShard.Jobs == Jobs and Σ PerShard.TransferBatches ==
+// TransferBatches.
+func checkInvariants(t testing.TB, st ClusterStats) {
+	t.Helper()
+	var sum ClassStats
+	for _, pc := range st.PerClass {
+		if pc.Submitted != pc.Completed || pc.Failed > pc.Completed {
+			t.Errorf("teardown: class %s submitted %d jobs, completed %d, failed %d", pc.Name, pc.Submitted, pc.Completed, pc.Failed)
+		}
+		sum.Completed += pc.Completed
+		sum.Failed += pc.Failed
+		sum.Batches += pc.Batches
+		sum.Coalesced += pc.Coalesced
+		sum.TransferBatches += pc.TransferBatches
+		sum.Retried += pc.Retried
+		sum.MaxBatch = max(sum.MaxBatch, pc.MaxBatch)
+	}
+	var workers int64
+	for _, n := range st.PerWorker {
+		workers += n
+	}
+	var shards Stats
+	for _, ps := range st.PerShard {
+		shards.Jobs += ps.Jobs
+		shards.TransferBatches += ps.TransferBatches
+	}
+	cluster := st.PerShard != nil
+	for _, c := range []struct {
+		what      string
+		got, want int64
+		applies   bool
+	}{
+		{"Σ PerClass.Completed vs Jobs", sum.Completed, st.Jobs, true},
+		{"Σ PerClass.Failed vs Failed", sum.Failed, st.Failed, true},
+		{"Σ PerClass.Batches vs Batches", sum.Batches, st.Batches, true},
+		{"Σ PerClass.Coalesced vs Coalesced", sum.Coalesced, st.Coalesced, true},
+		{"max PerClass.MaxBatch vs MaxBatch", int64(sum.MaxBatch), int64(st.MaxBatch), true},
+		{"Σ PerClass.TransferBatches vs TransferBatches", sum.TransferBatches, st.TransferBatches, true},
+		{"Σ PerClass.Retried vs RetryAttempts", sum.Retried, st.RetryAttempts, true},
+		{"Σ PerWorker vs Jobs", workers, st.Jobs, st.Failed == 0},
+		{"Σ PerShard.Jobs vs Jobs", shards.Jobs, st.Jobs, cluster},
+		{"Σ PerShard.TransferBatches vs TransferBatches", shards.TransferBatches, st.TransferBatches, cluster},
+	} {
+		if c.applies && c.got != c.want {
+			t.Errorf("teardown: %s: %d, want %d", c.what, c.got, c.want)
+		}
+	}
 }
 
 // checkGoroutines waits up to five seconds for the goroutine count to
@@ -253,13 +295,6 @@ func TestSchedulerDrainAndStats(t *testing.T) {
 	if st.Jobs != jobs || st.Failed != 0 {
 		t.Fatalf("stats = %d jobs / %d failed, want %d/0", st.Jobs, st.Failed, jobs)
 	}
-	var sum int64
-	for _, n := range st.PerWorker {
-		sum += n
-	}
-	if sum != jobs {
-		t.Fatalf("per-worker counts sum to %d, want %d", sum, jobs)
-	}
 	if st.Batches == 0 || st.Batches > jobs {
 		t.Fatalf("batches = %d, want 1..%d", st.Batches, jobs)
 	}
@@ -285,7 +320,7 @@ func TestBackpressureTinyQueues(t *testing.T) {
 	cfg := schedConfig(1)
 	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
-	s := newSchedulerWith(t, h, cfg)
+	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 	vals := make([]complex128, h.Params.Slots())
 	const jobs = 10
 	for i := 0; i < jobs; i++ {
@@ -306,12 +341,18 @@ func TestBackpressureTinyQueues(t *testing.T) {
 // behind it whatever the host's speed: the dispatcher ships at most
 // QueueDepth+2 batches ahead of a held worker (its channel, the batch
 // in hand and one prefetched), and everything past those is still
-// queued, to be coalesced, when the worker resumes. Call it before the
-// first Submit.
-func holdFirstBatch(s *Scheduler) (release func()) {
-	gate := make(chan struct{})
-	s.onBatch = func() { <-gate }
-	return func() { close(gate) }
+// queued, to be coalesced, when the worker resumes. parked closes when
+// the first worker has parked: a lone worker then holds its first
+// batch, has prefetched nothing, and every later batch is fixed by
+// what is submitted before release. Call it before the first Submit.
+func holdFirstBatch(s *Scheduler) (parked <-chan struct{}, release func()) {
+	gate, park := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.onBatch = func() {
+		once.Do(func() { close(park) })
+		<-gate
+	}
+	return park, func() { close(gate) }
 }
 
 // TestBatchingCoalescesSameShape verifies that under load, same-shape
@@ -322,7 +363,7 @@ func TestBatchingCoalescesSameShape(t *testing.T) {
 	h := sharedHarness(t)
 	vals := make([]complex128, h.Params.Slots())
 	s := newScheduler(t, h, 1)
-	release := holdFirstBatch(s)
+	_, release := holdFirstBatch(s)
 	const jobs = 24
 	for i := 0; i < jobs; i++ {
 		j := NewJob(h.Encrypt(vals))
