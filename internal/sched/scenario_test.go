@@ -55,6 +55,12 @@ func TestFusedFallbackIsolatesFailure(t *testing.T)          { runScenarios(t) }
 func TestTransferDifferentialMatrix(t *testing.T)            { runScenarios(t) }
 func TestTransferBatchOfOne(t *testing.T)                    { runScenarios(t) }
 func TestTransferRaggedFinalBatch(t *testing.T)              { runScenarios(t) }
+func TestFusedDifferentialRandomQoSMix(t *testing.T)         { runScenarios(t) }
+func TestTransferDifferentialRandomQoS(t *testing.T)         { runScenarios(t) }
+func TestClusterFusedDifferential(t *testing.T)              { runScenarios(t) }
+func TestClusterTransferDifferential(t *testing.T)           { runScenarios(t) }
+func TestTransferStagingReuse(t *testing.T)                  { runScenarios(t) }
+func TestTransferFallbackIsolatesFailure(t *testing.T)       { runScenarios(t) }
 
 // scenario is one row. A row whose faults kill, degrade or retire a
 // shard runs under a test named so that make stress's pattern
@@ -523,15 +529,15 @@ var scenarios = slices.Concat([]scenario{
 	{test: "TestDifferentialDevice2", dev: d2, workers: 3, cfg: maxBatch(1), work: workload{seed: 99, n: 8, maxOps: 4}},
 	// Replicas under WFQ: fused and unfused batches interleave with
 	// singletons under every policy decision.
-	{test: "TestQoSDifferentialRandomMix", name: "wfq", workers: 3, work: workload{seed: 987, n: 8, maxOps: 5, reps: 3, qos: true}, racers: 4},
-}, qosRows(scenario{test: "TestQoSDifferentialRandomMix", workers: 3, work: workload{seed: 7919, n: 15, maxOps: 5, qos: true}, racers: 3}, "priority", "edf"),
+	{test: "TestFusedDifferentialRandomQoSMix", workers: 3, work: workload{seed: 987, n: 8, maxOps: 5, reps: 3, qos: true}, racers: 4},
+	// The same mix over another seed, every batch on gathered transfers.
+	{test: "TestTransferDifferentialRandomQoS", workers: 3, work: workload{seed: 272727, n: 8, maxOps: 5, reps: 3, qos: true}, racers: 4, check: checkTransfers},
+}, qosRows(scenario{test: "TestQoSDifferentialRandomMix", workers: 3, work: workload{seed: 7919, n: 15, maxOps: 5, qos: true}, racers: 3}, "wfq", "priority", "edf"),
 	qosRows(scenario{test: "TestClusterDifferentialQoSMixed", shards: heteroPair, workers: 2, work: workload{seed: 104729, n: 16, maxOps: 5, qos: true}, racers: 4}, "wfq", "priority", "edf"),
 	[]scenario{
-		// Random chains and coalescing families, wherever the router put them.
-		{test: "TestClusterDifferentialHeterogeneous", shards: heteroPair, workers: 2,
-			work: workload{seed: 4321, n: 16, maxOps: 6, fams: transferFamilies, famReps: 2}, racers: 4,
+		// Random chains, wherever the router put them.
+		{test: "TestClusterDifferentialHeterogeneous", shards: heteroPair, workers: 2, work: workload{seed: 4321, n: 24, maxOps: 6}, racers: 4,
 			check: func(t *testing.T, r *run) {
-				checkTransfers(t, r)
 				st := r.stats()
 				var routed int64
 				for i, n := range st.Routed {
@@ -539,6 +545,25 @@ var scenarios = slices.Concat([]scenario{
 					expect(t, n > 0, "shard %d received no jobs (routed %v)", i, st.Routed)
 				}
 				expect(t, routed == st.Jobs, "routed counts sum to %d, want %d", routed, st.Jobs)
+			}},
+		// Coalescing families: bit-identical whichever shard fused which
+		// batch.
+		{test: "TestClusterFusedDifferential", shards: heteroPair, workers: 2, work: workload{seed: 31337, fams: fusionFamilies, famReps: 3}, racers: 4},
+		// The DAG-shaped families: the cluster merge carries the transfer
+		// counters, and the shard and class sums reconcile with it.
+		{test: "TestClusterTransferDifferential", shards: heteroPair, workers: 2, work: workload{seed: 424242, fams: transferFamilies, famReps: 3}, racers: 4,
+			check: func(t *testing.T, r *run) {
+				checkTransfers(t, r)
+				st := r.stats()
+				var shardSum, classSum int64
+				for _, ps := range st.PerShard {
+					shardSum += ps.TransferBatches
+				}
+				for _, pc := range st.PerClass {
+					classSum += pc.TransferBatches
+				}
+				expect(t, shardSum == st.TransferBatches && classSum == st.TransferBatches,
+					"transfer-batch sums disagree: shards %d, classes %d, global %d", shardSum, classSum, st.TransferBatches)
 			}},
 		// A backlog piled onto shard 0 past the router is partly stolen by
 		// the idle shard.
@@ -679,6 +704,14 @@ var scenarios = slices.Concat([]scenario{
 				gets, reuses, _ := b.Staging().Stats()
 				expect(t, hits > 0 && gets > 0 && reuses > 0, "pools never recycled: %d cache hits, %d staging gets, %d reuses", hits, gets, reuses)
 			}},
+		// Four waves drained one by one: later gathered transfers run on
+		// staging slabs the earlier ones returned.
+		{test: "TestTransferStagingReuse", workers: 2, work: workload{seed: 616, fams: fusionFamilies[:4], famReps: 10},
+			faults: map[int]func(*testing.T, *run){10: drainWave, 20: drainWave, 30: drainWave},
+			check: func(t *testing.T, r *run) {
+				gets, reuses, _ := r.backends()[0].Staging().Stats()
+				expect(t, gets > 0 && reuses > 0, "staging pool never recycled: %d gets, %d reuses", gets, reuses)
+			}},
 		// Batches and coalesced jobs belong to the class whose queue formed
 		// them; a class that never ran reports zero.
 		{test: "TestPerClassCoalescingStats", workers: 1, work: workload{seed: 3, fams: []func(*Job){square}, famReps: 1, reps: 18}, mode: held,
@@ -696,6 +729,14 @@ var scenarios = slices.Concat([]scenario{
 			check: func(t *testing.T, r *run) {
 				checkCoalesced(t, r)
 				expect(t, r.stats().UnfusedSteps > 0, "coalesced broken batches must account fallback steps as unfused")
+			}},
+		// The same fallback in burst order, the five broken jobs ahead of
+		// the five healthy ones: only the broken fail, and every buffer
+		// and staging slab is back in its pool once drained.
+		{test: "TestTransferFallbackIsolatesFailure", workers: 1, broken: true, work: workload{seed: 5, fams: brokenPair, famReps: 1, reps: 5},
+			check: func(t *testing.T, r *run) {
+				expect(t, r.stats().Failed == 5, "Failed = %d, want the 5 broken jobs", r.stats().Failed)
+				checkPoolsReturned(t, "after the failed batches drained", r.backends()[0])
 			}},
 		{test: "TestTransferDifferentialMatrix", name: "default", workers: 1, work: workload{seed: 1717, fams: transferFamilies, famReps: 2}, check: checkTransfers},
 		{test: "TestTransferDifferentialMatrix", name: "maxbatch=1", workers: 1, cfg: maxBatch(1), work: workload{seed: 1717, fams: transferFamilies, famReps: 2}, check: checkTransfers},
