@@ -74,7 +74,7 @@ func checkGraph(t *testing.T, h *Harness, gc *GraphCase, futs []*Future, serial 
 		if err := SameCiphertext(got, serial[k]); err != nil {
 			t.Fatalf("node %d: graph vs serial mismatch: %v (ops %v)", k, err, node.Job.Ops)
 		}
-		if e := MaxSlotError(h.Decrypt(got), node.Expected); e > differentialEps {
+		if e := MaxSlotError(decode(h, got), node.Expected); e > differentialEps {
 			t.Fatalf("node %d: slot error %g > %g", k, e, differentialEps)
 		}
 	}

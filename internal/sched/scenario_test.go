@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -12,79 +13,48 @@ import (
 	"xehe/internal/qos"
 )
 
-// The scenario table. Every differential run of the scheduler and the
-// cluster is a row of scenarios and runScenario is its one runner: it
+// The scenario rows. Every differential run of the scheduler and the
+// cluster is a scenario row and runScenario is its one runner: it
 // builds the row's scheduler or cluster through newSchedulerWith /
 // newClusterWith, submits the workload as the row says, fires the
 // row's faults, drains, and compares every output with the serial
 // core.Context oracle, computed while the scheduler runs
 // (SameCiphertext; a job the oracle fails must fail with the oracle's
-// error), and with the plaintext model
-// (MaxSlotError). The helper's teardown then reconciles the counters
-// (checkInvariants), and the row's check asserts what only that row
-// does. A new concurrent path is a new row, not a new test file.
+// error), and with the plaintext model (MaxSlotError). The helper's
+// teardown then reconciles the counters (checkInvariants), and the
+// row's check asserts what only that row does. A new concurrent path is
+// a new row, not a new test file.
 //
-// Rows run under stable test IDs: each entry point below runs the rows
-// whose test field is its name (a row's name is its subtest), so
-// `go test -run` and make stress select rows by those names.
-func TestDifferentialRandomJobs(t *testing.T)                { runScenarios(t) }
-func TestDifferentialDevice2(t *testing.T)                   { runScenarios(t) }
-func TestQoSDifferentialRandomMix(t *testing.T)              { runScenarios(t) }
-func TestClusterDifferentialHeterogeneous(t *testing.T)      { runScenarios(t) }
-func TestClusterDifferentialQoSMixed(t *testing.T)           { runScenarios(t) }
-func TestClusterStealsToIdleShard(t *testing.T)              { runScenarios(t) }
-func TestClusterStatsAggregate(t *testing.T)                 { runScenarios(t) }
-func TestGraphDifferentialMatrix(t *testing.T)               { runScenarios(t) }
-func TestGraphDifferentialClusterHeterogeneous(t *testing.T) { runScenarios(t) }
-func TestGraphClusterCloseShardMidRun(t *testing.T)          { runScenarios(t) }
-func TestRemoteBackendDifferential(t *testing.T)             { runScenarios(t) }
-func TestRetryLinkFaultDifferential(t *testing.T)            { runScenarios(t) }
-func TestChaosDifferential(t *testing.T)                     { runScenarios(t) }
-func TestChaosGraphDifferential(t *testing.T)                { runScenarios(t) }
-func TestChaosRemoteHops(t *testing.T)                       { runScenarios(t) }
-func TestChaosKillUnderSelfHeal(t *testing.T)                { runScenarios(t) }
-func TestKillMidBatchNeverWedges(t *testing.T)               { runScenarios(t) }
-func TestBackpressuredSubmitSurvivesKill(t *testing.T)       { runScenarios(t) }
-func TestSelfHealStandbyPromotion(t *testing.T)              { runScenarios(t) }
-func TestSelfHealColdReplacement(t *testing.T)               { runScenarios(t) }
-func TestFusedDifferentialFamilies(t *testing.T)             { runScenarios(t) }
-func TestMixedLevelJobsDoNotFuse(t *testing.T)               { runScenarios(t) }
-func TestFusedMemcacheRecycling(t *testing.T)                { runScenarios(t) }
-func TestPerClassCoalescingStats(t *testing.T)               { runScenarios(t) }
-func TestFusedFallbackIsolatesFailure(t *testing.T)          { runScenarios(t) }
-func TestTransferDifferentialMatrix(t *testing.T)            { runScenarios(t) }
-func TestTransferBatchOfOne(t *testing.T)                    { runScenarios(t) }
-func TestTransferRaggedFinalBatch(t *testing.T)              { runScenarios(t) }
-func TestFusedDifferentialRandomQoSMix(t *testing.T)         { runScenarios(t) }
-func TestTransferDifferentialRandomQoS(t *testing.T)         { runScenarios(t) }
-func TestClusterFusedDifferential(t *testing.T)              { runScenarios(t) }
-func TestClusterTransferDifferential(t *testing.T)           { runScenarios(t) }
-func TestTransferStagingReuse(t *testing.T)                  { runScenarios(t) }
-func TestTransferFallbackIsolatesFailure(t *testing.T)       { runScenarios(t) }
-
-// scenario is one row. A row whose faults kill, degrade or retire a
-// shard runs under a test named so that make stress's pattern
-// (Chaos|SelfHeal|Kill|Drain|Retry|AddShard|CloseShard|Lifecycle)
-// selects it.
+// Each Test… at the bottom of this file passes its rows to
+// runScenarios, so a row runs under its entry point's test ID (a named
+// row as its subtest) and no row exists without running. A row whose
+// faults kill, degrade or retire a shard runs under a name that make
+// stress's pattern (Chaos|SelfHeal|Kill|Drain|Retry|AddShard|CloseShard|
+// Lifecycle) selects.
 type scenario struct {
-	test, name string         // the entry point running the row; its subtest ("" runs in the entry point itself)
-	shards     []ShardSpec    // a cluster over these; nil: one scheduler on dev
-	dev        gpu.DeviceSpec // the lone scheduler's device (zero: Device1)
-	workers    int
-	cfg        func(*Config) // edits on schedConfig(workers)
-	broken     bool          // keys from brokenKeys
-	work       workload
-	mode       submitMode
-	racers     int                                // > 1: goroutine g submits units g, g+racers, ...
-	faults     map[int]func(t *testing.T, r *run) // fired before unit i is submitted (0: before anything is): fault-plane calls, retirements, drains between waves
-	check      func(t *testing.T, r *run)
+	name    string         // the subtest; "" runs the row in its entry point itself
+	shards  []ShardSpec    // a cluster over these; nil: one scheduler on dev
+	dev     gpu.DeviceSpec // the lone scheduler's device (zero: Device1)
+	workers int
+	cfg     func(*Config) // edits on schedConfig(workers)
+	broken  bool          // keys from brokenKeys
+	work    workload
+	mode    submitMode
+	racers  int // > 1: goroutine g submits units g, g+racers, ...
+	// faults[i] fires before unit i is submitted: fault-plane calls,
+	// retirements, drains between waves. faults[0] runs on the test
+	// goroutine before anything is submitted; the others run on a
+	// submitter goroutine, so they report with t.Errorf, never t.Fatalf.
+	faults map[int]func(t *testing.T, r *run)
+	check  func(t *testing.T, r *run)
 }
 
 // workload is what a row submits, drawn from one seed: n RandomCase jobs
 // of up to maxOps ops (each under RandomQoS when qos), then famReps
-// rounds of one fresh member of every family in fams; each such case
-// is submitted reps times (replicas share a shape key and coalesce).
-// With nodes > 0 the n units are RandomGraph DAGs of that many jobs.
+// fresh members of each family in fams, family by family; each such
+// case is submitted reps times (replicas share a shape key and
+// coalesce). With nodes > 0 the n units are RandomGraph DAGs of that
+// many jobs.
 type workload struct {
 	seed            int64
 	n, maxOps, reps int
@@ -178,6 +148,23 @@ func lowerLevel(ct *ckks.Ciphertext) *ckks.Ciphertext {
 	return out
 }
 
+// decode decrypts ct after dropping the RNS components its plaintext
+// does not need: a slot below 2^7 at ct's scale still fits, so the same
+// slots decrypt (one that does not fit fails the model check), and
+// composing residues is most of what decrypting costs.
+func decode(h *Harness, ct *ckks.Ciphertext) []complex128 {
+	moduli := h.Params.Basis.Moduli
+	level, bits := 0, math.Log2(float64(moduli[0].Value))
+	for level < ct.Level && bits < math.Log2(ct.Scale)+9 {
+		level++
+		bits += math.Log2(float64(moduli[level].Value))
+	}
+	for ct.Level > level {
+		ct = lowerLevel(ct)
+	}
+	return h.Decrypt(ct)
+}
+
 // unit is one submission: a case, or a graph submitted node by node.
 type unit struct {
 	c    *Case
@@ -201,8 +188,8 @@ func (w workload) units(h *Harness) []*unit {
 		}
 		cases = append(cases, c)
 	}
-	for r := 0; r < w.famReps; r++ {
-		for _, fam := range w.fams {
+	for _, fam := range w.fams {
+		for r := 0; r < w.famReps; r++ {
 			cases = append(cases, familyCase(h, rng, fam))
 		}
 	}
@@ -271,22 +258,15 @@ func (r *run) edges() int64 {
 	return n
 }
 
-// runScenarios runs the rows of the calling entry point.
-func runScenarios(t *testing.T) {
-	n := 0
-	for _, sc := range scenarios {
-		if sc.test != t.Name() {
-			continue
-		}
-		n++
+// runScenarios runs rows: an unnamed row in t itself, a named one as
+// its subtest.
+func runScenarios(t *testing.T, rows ...scenario) {
+	for _, sc := range rows {
 		if sc.name == "" {
 			runScenario(t, sc)
 		} else {
 			t.Run(sc.name, func(t *testing.T) { runScenario(t, sc) })
 		}
-	}
-	if n == 0 {
-		t.Fatal("no scenario rows")
 	}
 }
 
@@ -317,37 +297,39 @@ func runScenario(t *testing.T, sc scenario) {
 	default:
 		submit = r.s.Submit
 	}
-	// The oracle runs while the scheduler does: until it closes done it
-	// is the only user of the harness's serial context and decoder.
+	// The oracle runs while the scheduler does, as a pipeline: one
+	// goroutine runs the serial context, the next decrypts its outputs
+	// for the plaintext model. Until done closes they are the only users
+	// of the harness's serial context and decoder.
 	type verdict struct {
-		want    *ckks.Ciphertext
-		err     error
-		slotErr float64
+		want     *ckks.Ciphertext
+		err      error
+		expected []complex128
+		slotErr  float64
 	}
-	oracle, graphs, done := map[*Job]*verdict{}, map[*GraphCase][]*ckks.Ciphertext{}, make(chan struct{})
+	oracle, graphs := map[*Job]*verdict{}, map[*GraphCase][]*ckks.Ciphertext{}
+	decoding, done := make(chan *verdict, len(r.units)), make(chan struct{})
 	defer func() { <-done }() // a row that fails early leaves no oracle running
 	go func() {
-		defer close(done)
+		defer close(decoding)
 		for _, u := range r.units {
 			if u.g != nil {
 				graphs[u.g], _ = h.RunGraphSerial(u.g)
 			} else if oracle[u.c.Job] == nil {
-				v := &verdict{}
+				v := &verdict{expected: u.c.Expected}
 				if v.want, v.err = h.RunSerial(u.c.Job); v.err == nil {
-					v.slotErr = MaxSlotError(h.Decrypt(v.want), u.c.Expected)
+					decoding <- v
 				}
 				oracle[u.c.Job] = v
 			}
 		}
 	}()
-	var parked <-chan struct{}
-	release := func() {}
-	if sc.mode == held {
-		parked, release = holdFirstBatch(r.s)
-	}
-	if f := sc.faults[0]; f != nil {
-		f(t, r)
-	}
+	go func() {
+		defer close(done)
+		for v := range decoding {
+			v.slotErr = MaxSlotError(decode(h, v.want), v.expected)
+		}
+	}()
 	// one submits unit i, after the fault keyed on it; false stops its
 	// submitter.
 	one := func(i int) bool {
@@ -364,10 +346,25 @@ func runScenario(t *testing.T, sc scenario) {
 			t.Errorf("unit %d: submit: %v", i, err)
 			return false
 		}
-		if i == 0 && parked != nil {
-			mustFinish(t, "parking the held worker", func() { <-parked })
-		}
 		return true
+	}
+	if f := sc.faults[0]; f != nil {
+		f(t, r)
+	}
+	first, release := 0, func() {}
+	if sc.mode == held {
+		// Unit 0 goes in from this goroutine and the lone worker parks on
+		// it before anything else is submitted; the deferred release
+		// frees it even when the row fails first, so the teardown's
+		// Drain cannot hang.
+		var parked <-chan struct{}
+		parked, release = holdFirstBatch(r.s)
+		defer release()
+		if !one(0) {
+			t.FailNow()
+		}
+		mustFinish(t, "parking the held worker", func() { <-parked })
+		first = 1
 	}
 	racers := max(sc.racers, 1)
 	var wg sync.WaitGroup
@@ -375,7 +372,7 @@ func runScenario(t *testing.T, sc scenario) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := g; i < len(r.units); i += racers {
+			for i := first + g; i < len(r.units); i += racers {
 				if !one(i) {
 					return
 				}
@@ -402,6 +399,11 @@ func runScenario(t *testing.T, sc scenario) {
 		}
 		jobs++
 		v := oracle[u.c.Job]
+		select {
+		case <-u.fut.Done():
+		default:
+			t.Fatalf("job %d not done after Drain", i)
+		}
 		got, err := u.fut.Wait()
 		switch {
 		case v.err != nil:
@@ -493,7 +495,7 @@ func qosRows(base scenario, names ...string) []scenario {
 // a replacement on a new node: a healthy shard always exists, so
 // surrendered work replays instead of failing.
 func chaosRow(name string, mb int) scenario {
-	return scenario{test: "TestChaosDifferential", name: name, shards: chaosTrio, workers: 2, cfg: chaos(mb),
+	return scenario{name: name, shards: chaosTrio, workers: 2, cfg: chaos(mb),
 		work: workload{seed: int64(7001 + mb), n: 24, maxOps: 5}, racers: 3,
 		faults: map[int]func(*testing.T, *run){
 			0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 2) },
@@ -520,241 +522,341 @@ var (
 	remotePair  = []ShardSpec{{Device: d1, Node: 0, Link: remoteLink}, {Device: d1, Node: 1, Link: remoteLink}}
 	mixedLevels = []func(*Job){square, func(j *Job) { j.Inputs[0] = lowerLevel(j.Inputs[0]); j.SquareRelinRescale(0) }}
 	brokenPair  = []func(*Job){func(j *Job) { j.Rotate(0, brokenRotation) }, square}
+	// Four waves of ten members of one family, drained one by one: each
+	// runs on device buffers and staging slabs the earlier ones recycled.
+	recyclingWaves = scenario{workers: 2, work: workload{seed: 616, fams: fusionFamilies[:4], famReps: 10},
+		faults: map[int]func(*testing.T, *run){10: drainWave, 20: drainWave, 30: drainWave},
+		check: func(t *testing.T, r *run) {
+			b := r.backends()[0]
+			hits, _ := b.Cache().Stats()
+			gets, reuses, _ := b.Staging().Stats()
+			expect(t, hits > 0 && gets > 0 && reuses > 0, "pools never recycled: %d cache hits, %d staging gets, %d reuses", hits, gets, reuses)
+		}}
 )
 
-var scenarios = slices.Concat([]scenario{
-	{test: "TestDifferentialRandomJobs", workers: 4, work: workload{seed: 1234, n: 24, maxOps: 6}, racers: 4},
-	// Several workers share Device2's one tile; MaxBatch 1 keeps three
-	// batches of one in flight on it.
-	{test: "TestDifferentialDevice2", dev: d2, workers: 3, cfg: maxBatch(1), work: workload{seed: 99, n: 8, maxOps: 4}},
-	// Replicas under WFQ: fused and unfused batches interleave with
-	// singletons under every policy decision.
-	{test: "TestFusedDifferentialRandomQoSMix", workers: 3, work: workload{seed: 987, n: 8, maxOps: 5, reps: 3, qos: true}, racers: 4},
-	// The same mix over another seed, every batch on gathered transfers.
-	{test: "TestTransferDifferentialRandomQoS", workers: 3, work: workload{seed: 272727, n: 8, maxOps: 5, reps: 3, qos: true}, racers: 4, check: checkTransfers},
-}, qosRows(scenario{test: "TestQoSDifferentialRandomMix", workers: 3, work: workload{seed: 7919, n: 15, maxOps: 5, qos: true}, racers: 3}, "wfq", "priority", "edf"),
-	qosRows(scenario{test: "TestClusterDifferentialQoSMixed", shards: heteroPair, workers: 2, work: workload{seed: 104729, n: 16, maxOps: 5, qos: true}, racers: 4}, "wfq", "priority", "edf"),
-	[]scenario{
-		// Random chains, wherever the router put them.
-		{test: "TestClusterDifferentialHeterogeneous", shards: heteroPair, workers: 2, work: workload{seed: 4321, n: 24, maxOps: 6}, racers: 4,
-			check: func(t *testing.T, r *run) {
-				st := r.stats()
-				var routed int64
-				for i, n := range st.Routed {
-					routed += n
-					expect(t, n > 0, "shard %d received no jobs (routed %v)", i, st.Routed)
-				}
-				expect(t, routed == st.Jobs, "routed counts sum to %d, want %d", routed, st.Jobs)
-			}},
-		// Coalescing families: bit-identical whichever shard fused which
-		// batch.
-		{test: "TestClusterFusedDifferential", shards: heteroPair, workers: 2, work: workload{seed: 31337, fams: fusionFamilies, famReps: 3}, racers: 4},
-		// The DAG-shaped families: the cluster merge carries the transfer
-		// counters, and the shard and class sums reconcile with it.
-		{test: "TestClusterTransferDifferential", shards: heteroPair, workers: 2, work: workload{seed: 424242, fams: transferFamilies, famReps: 3}, racers: 4,
-			check: func(t *testing.T, r *run) {
-				checkTransfers(t, r)
-				st := r.stats()
-				var shardSum, classSum int64
-				for _, ps := range st.PerShard {
-					shardSum += ps.TransferBatches
-				}
-				for _, pc := range st.PerClass {
-					classSum += pc.TransferBatches
-				}
-				expect(t, shardSum == st.TransferBatches && classSum == st.TransferBatches,
-					"transfer-batch sums disagree: shards %d, classes %d, global %d", shardSum, classSum, st.TransferBatches)
-			}},
-		// A backlog piled onto shard 0 past the router is partly stolen by
-		// the idle shard.
-		{test: "TestClusterStealsToIdleShard", shards: shards(d1, d1), workers: 1,
-			cfg:  func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch, cfg.PendingCap = 2, 2, 64 },
-			work: workload{seed: 1, fams: []func(*Job){square}, famReps: 1, reps: 40}, mode: pinned,
-			check: func(t *testing.T, r *run) {
-				st := r.stats()
-				expect(t, st.Stolen[1] > 0 && st.PerShard[1].Jobs > 0, "idle shard stole nothing (stolen %v, it ran %d)", st.Stolen, st.PerShard[1].Jobs)
-				expect(t, st.StolenIn == st.StolenOut, "steal accounting unbalanced: %d in vs %d out", st.StolenIn, st.StolenOut)
-			}},
-		{test: "TestClusterStatsAggregate", shards: heteroPair, workers: 2, work: workload{seed: 2, fams: []func(*Job){square}, famReps: 1, reps: 10},
-			check: func(t *testing.T, r *run) { expect(t, r.c.SimulatedSeconds() > 0, "no simulated time accumulated") }},
-		// The matrices run each workload coalesced ("default") and as
-		// batches of one ("maxbatch=1"): k >= 2 and k = 1 on the one path.
-		{test: "TestGraphDifferentialMatrix", name: "default", workers: 3, work: workload{seed: 20260807, n: 3, nodes: 6, maxOps: 4}, racers: 3, check: checkEdges},
-		{test: "TestGraphDifferentialMatrix", name: "maxbatch=1", workers: 3, cfg: maxBatch(1), work: workload{seed: 20260807, n: 3, nodes: 6, maxOps: 4}, racers: 3, check: checkEdges},
-		// Affinity keeps consumers near producers when it can; the rest
-		// rematerialize through the host.
-		{test: "TestGraphDifferentialClusterHeterogeneous", shards: heteroPair, workers: 2, work: workload{seed: 777, n: 4, nodes: 5, maxOps: 4}, racers: 4, check: checkEdges},
-		// A shard retires while graphs race in: queued consumers migrate,
-		// their resolved residencies rematerialize host-side.
-		{test: "TestGraphClusterCloseShardMidRun", shards: heteroPair, workers: 2, work: workload{seed: 31337, n: 4, nodes: 5, maxOps: 3}, racers: 4,
-			faults: map[int]func(*testing.T, *run){2: func(t *testing.T, r *run) { r.c.CloseShard(0) }}},
-		// The hop prices time and never touches payloads.
-		{test: "TestRemoteBackendDifferential", shards: []ShardSpec{{Device: d1, Node: 0}, {Device: d1, Node: 1, Link: NetLink{LatencySeconds: 5e-6, GBps: 8}}},
-			workers: 2, work: workload{seed: 99, n: 16, maxOps: 5},
-			check: func(t *testing.T, r *run) {
-				st, ls := r.stats(), r.links()
-				expect(t, st.Routed[1] > 0, "remote shard received no jobs (routed %v)", st.Routed)
-				expect(t, ls.Hops > 0 && ls.HopCycles > 0, "the remote link was crossed %d times (%g cycles)", ls.Hops, ls.HopCycles)
-			}},
-		// Links that lose submissions outright (data loss, not a timing
-		// fault) stay invisible to callers under a retry budget.
-		{test: "TestRetryLinkFaultDifferential", shards: remotePair, workers: 2,
-			cfg:  func(cfg *Config) { cfg.Retry = RetryPolicy{MaxAttempts: 4} },
-			work: workload{seed: 777, n: 16, maxOps: 4},
-			faults: map[int]func(*testing.T, *run){
-				4: func(t *testing.T, r *run) { r.c.Faults().FailHops(0, 2) },
-				8: func(t *testing.T, r *run) { r.c.Faults().FailHops(1, 2) },
-			},
-			check: func(t *testing.T, r *run) {
-				expect(t, r.links().Faulted > 0, "no link fault was consumed")
-				expect(t, r.stats().RetryAttempts >= 1, "RetryAttempts = %d, want >= 1", r.stats().RetryAttempts)
-			}},
-		chaosRow("default", 0),
-		chaosRow("maxbatch=1", 1),
-		// Degraded links: the sick shard is routed around, simulated time
-		// absorbs the retransmits, and no payload changes.
-		{test: "TestChaosRemoteHops", shards: remotePair, workers: 2, work: workload{seed: 555, n: 16, maxOps: 4},
-			faults: map[int]func(*testing.T, *run){
-				4: func(t *testing.T, r *run) { r.c.Faults().DelayHops(1, 40e-6, 8) },
-				8: func(t *testing.T, r *run) { r.c.Faults().DropHops(0, 4) },
-			},
-			check: func(t *testing.T, r *run) {
-				ls := r.links()
-				expect(t, ls.Delayed > 0 && ls.Dropped > 0, "link faults not consumed: %d delayed, %d dropped hops", ls.Delayed, ls.Dropped)
-			}},
-		// The supervisor absorbs one kill with its warm standby and
-		// cold-rebuilds the other.
-		{test: "TestChaosKillUnderSelfHeal", shards: chaosTrio, workers: 2,
-			cfg:  selfHeal(1),
-			work: workload{seed: 9100, n: 24, maxOps: 4}, racers: 3,
-			faults: map[int]func(*testing.T, *run){
-				0:  func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 2) },
-				12: func(t *testing.T, r *run) { r.c.Faults().KillShard(1) },
-			},
-			check: func(t *testing.T, r *run) {
-				st := r.stats()
-				expect(t, st.Killed == 2 && st.StandbyPromoted >= 1, "Killed = %d, StandbyPromoted = %d, want 2 and >= 1", st.Killed, st.StandbyPromoted)
-			}},
-		// A shard killed by its own first batch surrenders it for replay.
-		{test: "TestKillMidBatchNeverWedges", shards: shards(d1, d1), workers: 2, work: workload{seed: 4242, n: 16, maxOps: 4},
-			faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 1) }},
-			check: func(t *testing.T, r *run) {
-				st := r.stats()
-				expect(t, st.Killed == 1 && st.Replayed >= 1, "killed %d / replayed %d, want 1 / >= 1", st.Killed, st.Replayed)
-			}},
-		// A Submit blocked on a shard that dies under it lands in the dead
-		// shard's queues, surrenders and replays elsewhere.
-		{test: "TestBackpressuredSubmitSurvivesKill", shards: shards(d1, d1), workers: 1,
-			cfg:    func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch, cfg.PendingCap = 2, 1, 4 },
-			work:   workload{seed: 5, fams: []func(*Job){square}, famReps: 1, reps: 20},
-			faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 3) }},
-			check:  func(t *testing.T, r *run) { expect(t, r.stats().Killed == 1, "Killed = %d, want 1", r.stats().Killed) }},
-		// A warm standby enters the routing tables inside the kill, before
-		// the dead shard's backlog evacuates: the kill is invisible.
-		{test: "TestSelfHealStandbyPromotion", shards: chaosTrio, workers: 2, cfg: selfHeal(1), work: workload{seed: 9001, n: 24, maxOps: 4}, racers: 3,
-			faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 2) }},
-			check: func(t *testing.T, r *run) {
-				st, f := r.stats(), r.c.Faults()
-				expect(t, st.Killed == 1 && st.StandbyPromoted == 1, "Killed = %d, StandbyPromoted = %d, want 1 and 1", st.Killed, st.StandbyPromoted)
-				expect(t, f.Health(0) == "killed" && f.Health(r.c.Shards()-1) == "ok",
-					"health of the dead shard and the promoted one = %q, %q, want killed, ok", f.Health(0), f.Health(r.c.Shards()-1))
-			}},
-		// With no standby the supervisor rebuilds the killed shard from its
-		// spec, in its failure domain, and later traffic lands on it.
-		{test: "TestSelfHealColdReplacement", shards: shards(d1, d1), workers: 2, cfg: selfHeal(0), work: workload{seed: 9002, n: 8, maxOps: 4},
-			faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) {
-				expect(t, r.c.Faults().KillShard(0), "KillShard(0) returned false")
-				waitSupervisor(t, "cold-replace the killed shard", func() bool { return r.c.Shards() == 3 })
-				dead, repl := r.c.all()[0], r.c.all()[2]
-				expect(t, repl.spec.Node == dead.spec.Node && r.c.Faults().Health(2) == "ok",
-					"replacement on node %d, health %q, want the dead shard's node %d, ok", repl.spec.Node, r.c.Faults().Health(2), dead.spec.Node)
-			}},
-			check: func(t *testing.T, r *run) { expect(t, r.stats().Added >= 1, "Added = %d, want >= 1", r.stats().Added) }},
-		// DAGs on shards that die mid-stream: surrendered consumers
-		// rematerialize their inputs through the owner path and replay.
-		{test: "TestChaosGraphDifferential", shards: chaosTrio, workers: 2, cfg: chaos(0), work: workload{seed: 8123, n: 4, nodes: 5, maxOps: 3},
-			faults: map[int]func(*testing.T, *run){
-				0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 2) },
-				3: func(t *testing.T, r *run) { r.c.Faults().KillShard(1) },
-			},
-			check: func(t *testing.T, r *run) {
-				expect(t, r.stats().Killed >= 1, "Killed = %d, want >= 1", r.stats().Killed)
-			}},
-		// Families held behind the first batch coalesce and run fused.
-		{test: "TestFusedDifferentialFamilies", workers: 1, cfg: shallow, work: workload{seed: 4242, fams: fusionFamilies, famReps: 3}, mode: held,
-			check: func(t *testing.T, r *run) {
-				checkCoalesced(t, r)
-				st := r.stats()
-				expect(t, st.FusedBatches > 0 && st.FusedSteps > 0, "no fusion: %d fused batches, %d fused steps", st.FusedBatches, st.FusedSteps)
-			}},
-		// One chain at two input levels never shares a shape key, hence a
-		// batch; same-level neighbours still coalesce.
-		{test: "TestMixedLevelJobsDoNotFuse", workers: 1, cfg: shallow, work: workload{seed: 808, fams: mixedLevels, famReps: 5}, mode: held,
-			check: func(t *testing.T, r *run) {
-				checkCoalesced(t, r)
-				expect(t, r.units[0].c.Job.ShapeKey() != r.units[1].c.Job.ShapeKey(), "mixed-level jobs share a shape key")
-			}},
-		// Waves drained one by one: each runs on device buffers and staging
-		// slabs the previous one recycled.
-		{test: "TestFusedMemcacheRecycling", workers: 2, work: workload{seed: 616, fams: fusionFamilies[:3], famReps: 8},
-			faults: map[int]func(*testing.T, *run){8: drainWave, 16: drainWave},
-			check: func(t *testing.T, r *run) {
-				b := r.backends()[0]
-				hits, _ := b.Cache().Stats()
-				gets, reuses, _ := b.Staging().Stats()
-				expect(t, hits > 0 && gets > 0 && reuses > 0, "pools never recycled: %d cache hits, %d staging gets, %d reuses", hits, gets, reuses)
-			}},
-		// Four waves drained one by one: later gathered transfers run on
-		// staging slabs the earlier ones returned.
-		{test: "TestTransferStagingReuse", workers: 2, work: workload{seed: 616, fams: fusionFamilies[:4], famReps: 10},
-			faults: map[int]func(*testing.T, *run){10: drainWave, 20: drainWave, 30: drainWave},
-			check: func(t *testing.T, r *run) {
-				gets, reuses, _ := r.backends()[0].Staging().Stats()
-				expect(t, gets > 0 && reuses > 0, "staging pool never recycled: %d gets, %d reuses", gets, reuses)
-			}},
-		// Batches and coalesced jobs belong to the class whose queue formed
-		// them; a class that never ran reports zero.
-		{test: "TestPerClassCoalescingStats", workers: 1, work: workload{seed: 3, fams: []func(*Job){square}, famReps: 1, reps: 18}, mode: held,
-			check: func(t *testing.T, r *run) {
-				checkCoalesced(t, r)
-				for _, pc := range r.stats().PerClass {
-					expect(t, pc.Name == "batch" || pc.Batches == 0 && pc.Coalesced == 0 && pc.MaxBatch == 0,
-						"idle class %q reports %d batches, %d coalesced, max batch %d", pc.Name, pc.Batches, pc.Coalesced, pc.MaxBatch)
-				}
-			}},
-		// A step over k jobs cannot pin an in-kernel panic on one: the
-		// worker re-runs the batch job by job (unfused), fails the broken
-		// jobs with the per-op error and completes the healthy ones.
-		{test: "TestFusedFallbackIsolatesFailure", workers: 1, cfg: shallow, broken: true, work: workload{seed: 4, fams: brokenPair, famReps: 5}, mode: held,
-			check: func(t *testing.T, r *run) {
-				checkCoalesced(t, r)
-				expect(t, r.stats().UnfusedSteps > 0, "coalesced broken batches must account fallback steps as unfused")
-			}},
-		// The same fallback in burst order, the five broken jobs ahead of
-		// the five healthy ones: only the broken fail, and every buffer
-		// and staging slab is back in its pool once drained.
-		{test: "TestTransferFallbackIsolatesFailure", workers: 1, broken: true, work: workload{seed: 5, fams: brokenPair, famReps: 1, reps: 5},
-			check: func(t *testing.T, r *run) {
-				expect(t, r.stats().Failed == 5, "Failed = %d, want the 5 broken jobs", r.stats().Failed)
-				checkPoolsReturned(t, "after the failed batches drained", r.backends()[0])
-			}},
-		{test: "TestTransferDifferentialMatrix", name: "default", workers: 1, work: workload{seed: 1717, fams: transferFamilies, famReps: 2}, check: checkTransfers},
-		{test: "TestTransferDifferentialMatrix", name: "maxbatch=1", workers: 1, cfg: maxBatch(1), work: workload{seed: 1717, fams: transferFamilies, famReps: 2}, check: checkTransfers},
-		// Singleton batches still ride the gathered transfer path.
-		{test: "TestTransferBatchOfOne", workers: 2, cfg: maxBatch(1), work: workload{seed: 99, fams: fusionFamilies, famReps: 1},
-			check: func(t *testing.T, r *run) {
-				checkTransfers(t, r)
-				expect(t, r.stats().MaxBatch == 1, "MaxBatch = %d, want 1", r.stats().MaxBatch)
-			}},
-		// The hold fixes every batch: unit 0 alone (the worker parks on
-		// it), unit 1 alone (shipped into the parked worker's free slot),
-		// then the ten queued behind as 4 + 4 + 2 — a full batch and a
-		// ragged coalesced tail whose gathered transfers cover fewer rows.
-		{test: "TestTransferRaggedFinalBatch", workers: 1, cfg: func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch, cfg.PendingCap = 1, 4, 16 },
-			work: workload{seed: 31, fams: fusionFamilies[2:3], famReps: 12}, mode: held,
-			check: func(t *testing.T, r *run) {
-				st := r.stats()
-				expect(t, st.Batches == 5 && st.MaxBatch == 4 && st.Coalesced == 10,
-					"(batches, max batch, coalesced) = (%d, %d, %d), want (5, 4, 10)", st.Batches, st.MaxBatch, st.Coalesced)
-			}},
-	})
+func TestDifferentialRandomJobs(t *testing.T) {
+	runScenarios(t, scenario{workers: 4, work: workload{seed: 1234, n: 24, maxOps: 6}, racers: 4})
+}
+
+// Several workers share Device2's one tile; MaxBatch 1 keeps three
+// batches of one in flight on it.
+func TestDifferentialDevice2(t *testing.T) {
+	runScenarios(t, scenario{dev: d2, workers: 3, cfg: maxBatch(1), work: workload{seed: 99, n: 8, maxOps: 4}})
+}
+
+func TestSchedulerMatchesSerialSingleJob(t *testing.T) {
+	runScenarios(t, scenario{workers: 2, work: workload{seed: 1, fams: fusionFamilies[2:3], famReps: 1}})
+}
+
+func TestSchedulerDrainAndStats(t *testing.T) {
+	runScenarios(t, scenario{workers: 2, work: workload{seed: 2, fams: []func(*Job){square}, famReps: 1, reps: 12},
+		check: func(t *testing.T, r *run) {
+			st := r.stats()
+			expect(t, st.Batches > 0 && st.Batches <= st.Jobs, "batches = %d, want 1..%d", st.Batches, st.Jobs)
+		}})
+}
+
+// A 1-worker scheduler flooded through the smallest queue: Submit
+// blocks rather than drop or deadlock, and every job completes.
+func TestBackpressureTinyQueues(t *testing.T) {
+	runScenarios(t, scenario{workers: 1, cfg: func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch = 1, 1 }, work: workload{seed: 3, fams: []func(*Job){square}, famReps: 1, reps: 10},
+		check: func(t *testing.T, r *run) {
+			expect(t, r.stats().MaxBatch == 1, "MaxBatch = %d, want 1", r.stats().MaxBatch)
+		}})
+}
+
+// Same-shape jobs behind a held worker coalesce: the dispatcher batches
+// whatever has accumulated.
+func TestBatchingCoalescesSameShape(t *testing.T) {
+	runScenarios(t, scenario{workers: 1, work: workload{seed: 4, fams: []func(*Job){square}, famReps: 1, reps: 24}, mode: held,
+		check: func(t *testing.T, r *run) {
+			checkCoalesced(t, r)
+			expect(t, r.stats().Batches < r.stats().Jobs, "%d batches for %d jobs", r.stats().Batches, r.stats().Jobs)
+		}})
+}
+
+// Replicas under WFQ: fused and unfused batches interleave with
+// singletons under every policy decision.
+func TestFusedDifferentialRandomQoSMix(t *testing.T) {
+	runScenarios(t, scenario{workers: 3, work: workload{seed: 987, n: 8, maxOps: 5, reps: 3, qos: true}, racers: 4})
+}
+
+// The same mix over another seed, every batch on gathered transfers.
+func TestTransferDifferentialRandomQoS(t *testing.T) {
+	runScenarios(t, scenario{workers: 3, work: workload{seed: 272727, n: 8, maxOps: 5, reps: 3, qos: true}, racers: 4, check: checkTransfers})
+}
+
+func TestQoSDifferentialRandomMix(t *testing.T) {
+	runScenarios(t, qosRows(scenario{workers: 3, work: workload{seed: 7919, n: 18, maxOps: 5, qos: true}, racers: 3}, "wfq", "priority", "edf")...)
+}
+
+func TestClusterDifferentialQoSMixed(t *testing.T) {
+	runScenarios(t, qosRows(scenario{shards: heteroPair, workers: 2, work: workload{seed: 104729, n: 20, maxOps: 5, qos: true}, racers: 4}, "wfq", "priority", "edf")...)
+}
+
+// Random chains, wherever the router put them.
+func TestClusterDifferentialHeterogeneous(t *testing.T) {
+	runScenarios(t, scenario{shards: heteroPair, workers: 2, work: workload{seed: 4321, n: 24, maxOps: 6}, racers: 4,
+		check: func(t *testing.T, r *run) {
+			st := r.stats()
+			var routed int64
+			for i, n := range st.Routed {
+				routed += n
+				expect(t, n > 0, "shard %d received no jobs (routed %v)", i, st.Routed)
+			}
+			expect(t, routed == st.Jobs, "routed counts sum to %d, want %d", routed, st.Jobs)
+		}})
+}
+
+// Coalescing families: bit-identical whichever shard fused which batch.
+func TestClusterFusedDifferential(t *testing.T) {
+	runScenarios(t, scenario{shards: heteroPair, workers: 2, work: workload{seed: 31337, fams: fusionFamilies, famReps: 3}, racers: 4})
+}
+
+// The DAG-shaped families: the cluster merge carries the transfer
+// counters (the teardown reconciles their shard and class sums).
+func TestClusterTransferDifferential(t *testing.T) {
+	runScenarios(t, scenario{shards: heteroPair, workers: 2, work: workload{seed: 424242, fams: transferFamilies, famReps: 3}, racers: 4, check: checkTransfers})
+}
+
+// A backlog piled onto shard 0 past the router is partly stolen by the
+// idle shard.
+func TestClusterStealsToIdleShard(t *testing.T) {
+	runScenarios(t, scenario{shards: shards(d1, d1), workers: 1,
+		cfg:  func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch, cfg.PendingCap = 2, 2, 64 },
+		work: workload{seed: 1, fams: []func(*Job){square}, famReps: 1, reps: 40}, mode: pinned,
+		check: func(t *testing.T, r *run) {
+			st := r.stats()
+			expect(t, st.Stolen[1] > 0 && st.PerShard[1].Jobs > 0, "idle shard stole nothing (stolen %v, it ran %d)", st.Stolen, st.PerShard[1].Jobs)
+			expect(t, st.StolenIn == st.StolenOut, "steal accounting unbalanced: %d in vs %d out", st.StolenIn, st.StolenOut)
+		}})
+}
+
+func TestClusterStatsAggregate(t *testing.T) {
+	runScenarios(t, scenario{shards: heteroPair, workers: 2, work: workload{seed: 2, fams: []func(*Job){square}, famReps: 1, reps: 10},
+		check: func(t *testing.T, r *run) { expect(t, r.c.SimulatedSeconds() > 0, "no simulated time accumulated") }})
+}
+
+// The matrices run each workload coalesced ("default") and as batches
+// of one ("maxbatch=1"): k >= 2 and k = 1 on the one path.
+func TestGraphDifferentialMatrix(t *testing.T) {
+	runScenarios(t,
+		scenario{name: "default", workers: 3, work: workload{seed: 20260807, n: 3, nodes: 6, maxOps: 4}, racers: 3, check: checkEdges},
+		scenario{name: "maxbatch=1", workers: 3, cfg: maxBatch(1), work: workload{seed: 20260807, n: 3, nodes: 6, maxOps: 4}, racers: 3, check: checkEdges})
+}
+
+// Affinity keeps consumers near producers when it can; the rest
+// rematerialize through the host.
+func TestGraphDifferentialClusterHeterogeneous(t *testing.T) {
+	runScenarios(t, scenario{shards: heteroPair, workers: 2, work: workload{seed: 777, n: 4, nodes: 5, maxOps: 4}, racers: 4, check: checkEdges})
+}
+
+// A shard retires while graphs race in: queued consumers migrate, their
+// resolved residencies rematerialize host-side.
+func TestGraphClusterCloseShardMidRun(t *testing.T) {
+	runScenarios(t, scenario{shards: heteroPair, workers: 2, work: workload{seed: 31337, n: 4, nodes: 5, maxOps: 3}, racers: 4,
+		faults: map[int]func(*testing.T, *run){2: func(t *testing.T, r *run) { r.c.CloseShard(0) }}})
+}
+
+// The hop prices time and never touches payloads.
+func TestRemoteBackendDifferential(t *testing.T) {
+	runScenarios(t, scenario{shards: []ShardSpec{{Device: d1, Node: 0}, {Device: d1, Node: 1, Link: NetLink{LatencySeconds: 5e-6, GBps: 8}}},
+		workers: 2, work: workload{seed: 99, n: 16, maxOps: 5},
+		check: func(t *testing.T, r *run) {
+			st, ls := r.stats(), r.links()
+			expect(t, st.Routed[1] > 0, "remote shard received no jobs (routed %v)", st.Routed)
+			expect(t, ls.Hops > 0 && ls.HopCycles > 0, "the remote link was crossed %d times (%g cycles)", ls.Hops, ls.HopCycles)
+		}})
+}
+
+// Links that lose submissions outright (data loss, not a timing fault)
+// stay invisible to callers under a retry budget.
+func TestRetryLinkFaultDifferential(t *testing.T) {
+	runScenarios(t, scenario{shards: remotePair, workers: 2,
+		cfg:  func(cfg *Config) { cfg.Retry = RetryPolicy{MaxAttempts: 4} },
+		work: workload{seed: 777, n: 16, maxOps: 4},
+		faults: map[int]func(*testing.T, *run){
+			4: func(t *testing.T, r *run) { r.c.Faults().FailHops(0, 2) },
+			8: func(t *testing.T, r *run) { r.c.Faults().FailHops(1, 2) },
+		},
+		check: func(t *testing.T, r *run) {
+			expect(t, r.links().Faulted > 0, "no link fault was consumed")
+			expect(t, r.stats().RetryAttempts >= 1, "RetryAttempts = %d, want >= 1", r.stats().RetryAttempts)
+		}})
+}
+
+func TestChaosDifferential(t *testing.T) {
+	runScenarios(t, chaosRow("default", 0), chaosRow("maxbatch=1", 1))
+}
+
+// Degraded links: the sick shard is routed around, simulated time
+// absorbs the retransmits, and no payload changes.
+func TestChaosRemoteHops(t *testing.T) {
+	runScenarios(t, scenario{shards: remotePair, workers: 2, work: workload{seed: 555, n: 16, maxOps: 4},
+		faults: map[int]func(*testing.T, *run){
+			4: func(t *testing.T, r *run) { r.c.Faults().DelayHops(1, 40e-6, 8) },
+			8: func(t *testing.T, r *run) { r.c.Faults().DropHops(0, 4) },
+		},
+		check: func(t *testing.T, r *run) {
+			ls := r.links()
+			expect(t, ls.Delayed > 0 && ls.Dropped > 0, "link faults not consumed: %d delayed, %d dropped hops", ls.Delayed, ls.Dropped)
+		}})
+}
+
+// The supervisor absorbs one kill with its warm standby and
+// cold-rebuilds the other.
+func TestChaosKillUnderSelfHeal(t *testing.T) {
+	runScenarios(t, scenario{shards: chaosTrio, workers: 2, cfg: selfHeal(1), work: workload{seed: 9100, n: 24, maxOps: 4}, racers: 3,
+		faults: map[int]func(*testing.T, *run){
+			0:  func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 2) },
+			12: func(t *testing.T, r *run) { r.c.Faults().KillShard(1) },
+		},
+		check: func(t *testing.T, r *run) {
+			st := r.stats()
+			expect(t, st.Killed == 2 && st.StandbyPromoted >= 1, "Killed = %d, StandbyPromoted = %d, want 2 and >= 1", st.Killed, st.StandbyPromoted)
+		}})
+}
+
+// A shard killed by its own first batch surrenders it for replay.
+func TestKillMidBatchNeverWedges(t *testing.T) {
+	runScenarios(t, scenario{shards: shards(d1, d1), workers: 2, work: workload{seed: 4242, n: 16, maxOps: 4},
+		faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 1) }},
+		check: func(t *testing.T, r *run) {
+			st := r.stats()
+			expect(t, st.Killed == 1 && st.Replayed >= 1, "killed %d / replayed %d, want 1 / >= 1", st.Killed, st.Replayed)
+		}})
+}
+
+// A Submit blocked on a shard that dies under it lands in the dead
+// shard's queues, surrenders and replays elsewhere.
+func TestBackpressuredSubmitSurvivesKill(t *testing.T) {
+	runScenarios(t, scenario{shards: shards(d1, d1), workers: 1,
+		cfg:    func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch, cfg.PendingCap = 2, 1, 4 },
+		work:   workload{seed: 5, fams: []func(*Job){square}, famReps: 1, reps: 20},
+		faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 3) }},
+		check:  func(t *testing.T, r *run) { expect(t, r.stats().Killed == 1, "Killed = %d, want 1", r.stats().Killed) }})
+}
+
+// A warm standby enters the routing tables inside the kill, before the
+// dead shard's backlog evacuates: the kill is invisible.
+func TestSelfHealStandbyPromotion(t *testing.T) {
+	runScenarios(t, scenario{shards: chaosTrio, workers: 2, cfg: selfHeal(1), work: workload{seed: 9001, n: 24, maxOps: 4}, racers: 3,
+		faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 2) }},
+		check: func(t *testing.T, r *run) {
+			st, f := r.stats(), r.c.Faults()
+			expect(t, st.Killed == 1 && st.StandbyPromoted == 1, "Killed = %d, StandbyPromoted = %d, want 1 and 1", st.Killed, st.StandbyPromoted)
+			expect(t, f.Health(0) == "killed" && f.Health(r.c.Shards()-1) == "ok",
+				"health of the dead shard and the promoted one = %q, %q, want killed, ok", f.Health(0), f.Health(r.c.Shards()-1))
+		}})
+}
+
+// With no standby the supervisor rebuilds the killed shard from its
+// spec, in its failure domain, and later traffic lands on it.
+func TestSelfHealColdReplacement(t *testing.T) {
+	runScenarios(t, scenario{shards: shards(d1, d1), workers: 2, cfg: selfHeal(0), work: workload{seed: 9002, n: 8, maxOps: 4},
+		faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) {
+			expect(t, r.c.Faults().KillShard(0), "KillShard(0) returned false")
+			waitSupervisor(t, "cold-replace the killed shard", func() bool { return r.c.Shards() == 3 })
+			dead, repl := r.c.all()[0], r.c.all()[2]
+			expect(t, repl.spec.Node == dead.spec.Node && r.c.Faults().Health(2) == "ok",
+				"replacement on node %d, health %q, want the dead shard's node %d, ok", repl.spec.Node, r.c.Faults().Health(2), dead.spec.Node)
+		}},
+		check: func(t *testing.T, r *run) { expect(t, r.stats().Added >= 1, "Added = %d, want >= 1", r.stats().Added) }})
+}
+
+// DAGs on shards that die mid-stream: surrendered consumers
+// rematerialize their inputs through the owner path and replay.
+func TestChaosGraphDifferential(t *testing.T) {
+	runScenarios(t, scenario{shards: chaosTrio, workers: 2, cfg: chaos(0), work: workload{seed: 8123, n: 4, nodes: 5, maxOps: 3},
+		faults: map[int]func(*testing.T, *run){
+			0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 2) },
+			3: func(t *testing.T, r *run) { r.c.Faults().KillShard(1) },
+		},
+		check: func(t *testing.T, r *run) {
+			expect(t, r.stats().Killed >= 1, "Killed = %d, want >= 1", r.stats().Killed)
+		}})
+}
+
+// Families held behind the first batch coalesce and run fused.
+func TestFusedDifferentialFamilies(t *testing.T) {
+	runScenarios(t, scenario{workers: 1, cfg: shallow, work: workload{seed: 4242, fams: fusionFamilies, famReps: 4}, mode: held,
+		check: func(t *testing.T, r *run) {
+			checkCoalesced(t, r)
+			st := r.stats()
+			expect(t, st.FusedBatches > 0 && st.FusedSteps > 0, "no fusion: %d fused batches, %d fused steps", st.FusedBatches, st.FusedSteps)
+		}})
+}
+
+// One chain at two input levels, the levels interleaved, never shares
+// a shape key, hence a batch; same-level jobs still coalesce.
+func TestMixedLevelJobsDoNotFuse(t *testing.T) {
+	runScenarios(t, scenario{workers: 1, cfg: shallow, work: workload{seed: 808, fams: slices.Repeat(mixedLevels, 8), famReps: 1}, mode: held,
+		check: func(t *testing.T, r *run) {
+			checkCoalesced(t, r)
+			expect(t, r.units[0].c.Job.ShapeKey() != r.units[1].c.Job.ShapeKey(), "mixed-level jobs share a shape key")
+		}})
+}
+
+// The device-buffer cache and the staging pool are checked on one run.
+func TestFusedMemcacheRecycling(t *testing.T) { runScenarios(t, recyclingWaves) }
+func TestTransferStagingReuse(t *testing.T)   { runScenarios(t, recyclingWaves) }
+
+// Batches and coalesced jobs belong to the class whose queue formed
+// them; a class that never ran reports zero.
+func TestPerClassCoalescingStats(t *testing.T) {
+	runScenarios(t, scenario{workers: 1, work: workload{seed: 3, fams: []func(*Job){square}, famReps: 1, reps: 18}, mode: held,
+		check: func(t *testing.T, r *run) {
+			checkCoalesced(t, r)
+			for _, pc := range r.stats().PerClass {
+				expect(t, pc.Name == "batch" || pc.Batches == 0 && pc.Coalesced == 0 && pc.MaxBatch == 0,
+					"idle class %q reports %d batches, %d coalesced, max batch %d", pc.Name, pc.Batches, pc.Coalesced, pc.MaxBatch)
+			}
+		}})
+}
+
+// A step over k jobs cannot pin an in-kernel panic on one: the worker
+// re-runs the batch job by job (unfused), fails the broken jobs with
+// the per-op error and completes the healthy ones.
+func TestFusedFallbackIsolatesFailure(t *testing.T) {
+	runScenarios(t, scenario{workers: 1, cfg: shallow, broken: true, work: workload{seed: 4, fams: brokenPair, famReps: 5}, mode: held,
+		check: func(t *testing.T, r *run) {
+			checkCoalesced(t, r)
+			expect(t, r.stats().UnfusedSteps > 0, "coalesced broken batches must account fallback steps as unfused")
+		}})
+}
+
+// The same fallback in burst order, the five broken jobs ahead of the
+// five healthy ones (the runner counts the failures, the teardown the
+// pools).
+func TestTransferFallbackIsolatesFailure(t *testing.T) {
+	runScenarios(t, scenario{workers: 1, broken: true, work: workload{seed: 5, fams: brokenPair, famReps: 1, reps: 5}})
+}
+
+func TestTransferDifferentialMatrix(t *testing.T) {
+	runScenarios(t,
+		scenario{name: "default", workers: 1, work: workload{seed: 1717, fams: transferFamilies, famReps: 3}, check: checkTransfers},
+		scenario{name: "maxbatch=1", workers: 1, cfg: maxBatch(1), work: workload{seed: 1717, fams: transferFamilies, famReps: 3}, check: checkTransfers})
+}
+
+// Eight singleton batches still ride the gathered transfer path.
+func TestTransferBatchOfOne(t *testing.T) {
+	runScenarios(t, scenario{workers: 2, cfg: maxBatch(1), work: workload{seed: 99, fams: transferFamilies[1:], famReps: 1},
+		check: func(t *testing.T, r *run) {
+			checkTransfers(t, r)
+			expect(t, r.stats().MaxBatch == 1, "MaxBatch = %d, want 1", r.stats().MaxBatch)
+		}})
+}
+
+// The hold fixes every batch: unit 0 alone (the worker parks on it),
+// unit 1 alone (shipped into the parked worker's free slot), then the
+// ten queued behind as 4 + 4 + 2 — a full batch and a ragged coalesced
+// tail whose gathered transfers cover fewer rows.
+func TestTransferRaggedFinalBatch(t *testing.T) {
+	runScenarios(t, scenario{workers: 1, cfg: func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch, cfg.PendingCap = 1, 4, 16 },
+		work: workload{seed: 31, fams: fusionFamilies[2:3], famReps: 12}, mode: held,
+		check: func(t *testing.T, r *run) {
+			st := r.stats()
+			expect(t, st.Batches == 5 && st.MaxBatch == 4 && st.Coalesced == 10,
+				"(batches, max batch, coalesced) = (%d, %d, %d), want (5, 4, 10)", st.Batches, st.MaxBatch, st.Coalesced)
+		}})
+}
