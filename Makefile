@@ -65,7 +65,8 @@ stress:
 # Fuzz smoke: every Fuzz* target in the tree (found by name, so a new
 # one is picked up without editing this), 5 s each — internal/xmath's
 # modular arithmetic against math/big (AddMod, MulMod, HarveyLazy and
-# BarrettReduce128 on arbitrary 128-bit inputs), internal/ckks's
+# BarrettReduce128 on arbitrary 128-bit inputs), internal/rns's exact
+# CRT composition to float64 against math/big, internal/ckks's
 # ReadCiphertext, the boundary that accepts outside bytes, and
 # internal/sched's ValidateJob, the one that accepts outside structure
 # (what validation admits must run on the serial path). `go test -fuzz`

@@ -158,8 +158,10 @@ func encodeCoeff(pl *poly.Poly, idx int, c float64, moduli []xmath.Modulus) {
 	}
 }
 
-// Decode recovers the complex message from a plaintext, using CRT
-// composition to centered big integers and dividing by the scale.
+// Decode recovers the complex message from a plaintext: each
+// coefficient is CRT-composed to its centered representative, rounded
+// to float64 exactly (rns.Basis.ComposeCenteredFloat64) and divided by
+// the scale.
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	n := e.params.N
 	slots := n / 2
@@ -167,20 +169,11 @@ func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	if p.IsNTT {
 		poly.INTT(p, e.params.TablesAt(pt.Level))
 	}
-	basis := e.params.Basis
-	res := make([]uint64, pt.Level+1)
+	coeffs := make([]float64, n)
+	e.params.Basis.ComposeCenteredFloat64(coeffs, p.Coeffs[:pt.Level+1], pt.Level)
 	v := make([]complex128, slots)
-	scale := pt.Scale
-	coeff := func(idx int) float64 {
-		for i := 0; i <= pt.Level; i++ {
-			res[i] = p.Coeffs[i][idx]
-		}
-		c := basis.ComposeCentered(res, pt.Level)
-		f, _ := new(big.Float).SetInt(c).Float64()
-		return f / scale
-	}
-	for j := 0; j < slots; j++ {
-		v[j] = complex(coeff(j), coeff(j+slots))
+	for j := range v {
+		v[j] = complex(coeffs[j]/pt.Scale, coeffs[j+slots]/pt.Scale)
 	}
 	e.specialFFT(v)
 	return v

@@ -84,7 +84,6 @@ func (dec *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 	params := dec.params
 	level := ct.Level
 	moduli := params.ModuliAt(level)
-	n := params.N
 
 	sk := chainPart(dec.sk.Value, level+1)
 	acc := ct.Value[len(ct.Value)-1].Clone()
@@ -92,6 +91,5 @@ func (dec *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
 		poly.MulInto(acc, acc, sk, moduli)
 		poly.AddInto(acc, acc, ct.Value[i], moduli)
 	}
-	_ = n
 	return &Plaintext{Poly: acc, Scale: ct.Scale, Level: level}
 }

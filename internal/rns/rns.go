@@ -6,8 +6,11 @@
 package rns
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 
 	"xehe/internal/xmath"
 )
@@ -28,8 +31,18 @@ type Basis struct {
 
 type levelPrecomp struct {
 	q *big.Int // product of q_0..q_l
-	// qHatInvModQi[i] = (Q_l/q_i)^{-1} mod q_i (punctured product inverses).
-	qHatInvModQi []uint64
+	// qHat[i] = Q_l/q_i (punctured products), for the Compose oracle.
+	qHat []*big.Int
+	// The same numbers as little-endian 64-bit limbs of width w, the
+	// word count of Q_l, for ComposeCenteredFloat64: qLimbs is Q_l,
+	// halfLimbs floor(Q_l/2), and qHatLimbs[i*w:(i+1)*w] is qHat[i].
+	qLimbs, halfLimbs, qHatLimbs []uint64
+	// qInv[i] = 1/q_i in float64, for the quotient estimate.
+	qInv []float64
+	// qHatInvModQi[i] = (Q_l/q_i)^{-1} mod q_i (punctured product
+	// inverses), with its Harvey quotient: composition multiplies every
+	// residue by it.
+	qHatInvModQi []xmath.MulModOperand
 	// invLastModQi[i] = q_l^{-1} mod q_i for i < l (rescale factors),
 	// with its Harvey quotient: the kernels multiply whole rows by it.
 	invLastModQi []xmath.MulModOperand
@@ -70,7 +83,9 @@ func NewBasis(primes []uint64, special uint64) *Basis {
 func (b *Basis) precomputeLevel(l int) levelPrecomp {
 	lp := levelPrecomp{
 		q:               big.NewInt(1),
-		qHatInvModQi:    make([]uint64, l+1),
+		qHat:            make([]*big.Int, l+1),
+		qInv:            make([]float64, l+1),
+		qHatInvModQi:    make([]xmath.MulModOperand, l+1),
 		invLastModQi:    make([]xmath.MulModOperand, l),
 		specialInvModQi: make([]xmath.MulModOperand, l+1),
 		specialModQi:    make([]uint64, l+1),
@@ -78,8 +93,14 @@ func (b *Basis) precomputeLevel(l int) levelPrecomp {
 	for i := 0; i <= l; i++ {
 		lp.q.Mul(lp.q, new(big.Int).SetUint64(b.Moduli[i].Value))
 	}
+	w := (lp.q.BitLen() + 63) / 64
+	lp.qLimbs = limbs(lp.q, w)
+	lp.halfLimbs = limbs(new(big.Int).Rsh(lp.q, 1), w)
 	for i := 0; i <= l; i++ {
 		mi := b.Moduli[i]
+		lp.qHat[i] = new(big.Int).Div(lp.q, new(big.Int).SetUint64(mi.Value))
+		lp.qHatLimbs = append(lp.qHatLimbs, limbs(lp.qHat[i], w)...)
+		lp.qInv[i] = 1 / float64(mi.Value)
 		// qHat_i = Q_l / q_i mod q_i.
 		qHat := uint64(1)
 		for j := 0; j <= l; j++ {
@@ -87,7 +108,7 @@ func (b *Basis) precomputeLevel(l int) levelPrecomp {
 				qHat = mi.MulMod(qHat, mi.BarrettReduce(b.Moduli[j].Value))
 			}
 		}
-		lp.qHatInvModQi[i] = mi.InvMod(qHat)
+		lp.qHatInvModQi[i] = xmath.NewMulModOperand(mi.InvMod(qHat), mi)
 		lp.specialModQi[i] = mi.BarrettReduce(b.Special.Value)
 		lp.specialInvModQi[i] = xmath.NewMulModOperand(mi.InvMod(lp.specialModQi[i]), mi)
 		if i < l {
@@ -97,6 +118,16 @@ func (b *Basis) precomputeLevel(l int) levelPrecomp {
 	return lp
 }
 
+// limbs returns x >= 0 as w little-endian 64-bit words.
+func limbs(x *big.Int, w int) []uint64 {
+	be := x.FillBytes(make([]byte, 8*w))
+	out := make([]uint64, w)
+	for i := range out {
+		out[i] = binary.BigEndian.Uint64(be[len(be)-8*(i+1):])
+	}
+	return out
+}
+
 // MaxLevel returns the highest level index (len(Moduli)-1).
 func (b *Basis) MaxLevel() int { return len(b.Moduli) - 1 }
 
@@ -104,7 +135,7 @@ func (b *Basis) MaxLevel() int { return len(b.Moduli) - 1 }
 func (b *Basis) Q(level int) *big.Int { return new(big.Int).Set(b.levels[level].q) }
 
 // QHatInvModQi returns (Q_l/q_i)^{-1} mod q_i at the given level.
-func (b *Basis) QHatInvModQi(level, i int) uint64 { return b.levels[level].qHatInvModQi[i] }
+func (b *Basis) QHatInvModQi(level, i int) uint64 { return b.levels[level].qHatInvModQi[i].Operand }
 
 // InvLastModQi returns q_level^{-1} mod q_i (i < level), the rescale
 // scaling factor.
@@ -135,31 +166,152 @@ func (b *Basis) SpecialInvOperand(level, i int) xmath.MulModOperand {
 // res[i] = x mod q_i, i = 0..level, via the CRT:
 //
 //	x = sum_i [res_i * (Q/q_i)^{-1}]_{q_i} * (Q/q_i)  mod Q
+//
+// It is the exact math/big reference; ComposeCenteredFloat64 is the
+// allocation-free path decoding uses.
 func (b *Basis) Compose(res []uint64, level int) *big.Int {
 	lp := &b.levels[level]
 	x := new(big.Int)
 	tmp := new(big.Int)
 	for i := 0; i <= level; i++ {
 		mi := b.Moduli[i]
-		ci := mi.MulMod(mi.BarrettReduce(res[i]), lp.qHatInvModQi[i])
-		// qHatBig = Q / q_i.
-		tmp.SetUint64(b.Moduli[i].Value)
-		qHatBig := new(big.Int).Div(lp.q, tmp)
+		ci := mi.MulMod(mi.BarrettReduce(res[i]), lp.qHatInvModQi[i].Operand)
 		tmp.SetUint64(ci)
-		x.Add(x, tmp.Mul(tmp, qHatBig))
+		x.Add(x, tmp.Mul(tmp, lp.qHat[i]))
 	}
 	return x.Mod(x, lp.q)
 }
 
 // ComposeCentered reconstructs x as a signed integer in
-// [-Q/2, Q/2), the centered representative used when decoding.
+// [-Q/2, Q/2), the centered representative used when decoding: Q is
+// odd, so x in (floor(Q/2), Q) maps to x - Q and floor(Q/2) stays.
 func (b *Basis) ComposeCentered(res []uint64, level int) *big.Int {
 	x := b.Compose(res, level)
 	half := new(big.Int).Rsh(b.levels[level].q, 1)
-	if x.Cmp(half) >= 0 {
+	if x.Cmp(half) > 0 {
 		x.Sub(x, b.levels[level].q)
 	}
 	return x
+}
+
+// ComposeCenteredFloat64 sets dst[j] to the float64 nearest (ties to
+// even) the centered CRT composition of rows[0][j], ..., rows[level][j]:
+// bit for bit ComposeCentered(...).Float64(), without math/big. Each
+// coefficient is composed in fixed-width limbs on the punctured products
+// precomputed per level, in one scratch allocation per call:
+//
+//  1. c_i = [r_i * (Q/q_i)^{-1}]_{q_i};
+//  2. x = sum_i c_i * (Q/q_i) < (level+1) * Q, in w+1 words;
+//  3. x -= t*Q with t = floor(sum_i c_i/q_i) estimated in float64 —
+//     x/Q is exactly that sum, so the estimate is off by at most one
+//     and one correction lands x in [0, Q);
+//  4. x > floor(Q/2) becomes -(Q - x);
+//  5. the magnitude's top 64 bits, with a sticky bit for any nonzero bit
+//     below them, round once in the uint64 -> float64 conversion and are
+//     scaled by math.Ldexp.
+func (b *Basis) ComposeCenteredFloat64(dst []float64, rows [][]uint64, level int) {
+	lp := &b.levels[level]
+	q := lp.qLimbs
+	w := len(q)
+	x := make([]uint64, w+1)
+	for j := range dst {
+		clear(x)
+		var est float64
+		for i := 0; i <= level; i++ {
+			ci := lp.qHatInvModQi[i].MulMod(rows[i][j], b.Moduli[i].Value)
+			est += float64(ci) * lp.qInv[i]
+			mulAddLimbs(x, lp.qHatLimbs[i*w:(i+1)*w], ci)
+		}
+
+		// x - t*Q lies in (-Q, 2Q): the top word is all ones when it is
+		// negative and nonzero only when x >= Q.
+		mulSubLimbs(x, q, uint64(est))
+		switch {
+		case x[w] == math.MaxUint64:
+			mulAddLimbs(x, q, 1)
+		case x[w] != 0 || !lessLimbs(x[:w], q):
+			mulSubLimbs(x, q, 1)
+		}
+
+		neg := lessLimbs(lp.halfLimbs, x[:w])
+		if neg {
+			// Q - x, in place.
+			var borrow uint64
+			for k := range q {
+				x[k], borrow = bits.Sub64(q[k], x[k], borrow)
+			}
+		}
+		f := limbsFloat64(x[:w])
+		if neg {
+			f = -f
+		}
+		dst[j] = f
+	}
+}
+
+// mulAddLimbs sets x (w+1 words) to x + c*h (h has w words), modulo
+// 2^(64(w+1)).
+func mulAddLimbs(x, h []uint64, c uint64) {
+	var carry uint64
+	for k, v := range h {
+		hi, lo := bits.Mul64(c, v)
+		var cc uint64
+		lo, cc = bits.Add64(lo, carry, 0)
+		hi += cc
+		x[k], cc = bits.Add64(x[k], lo, 0)
+		carry = hi + cc
+	}
+	x[len(h)] += carry
+}
+
+// mulSubLimbs sets x (w+1 words) to x - c*h (h has w words), modulo
+// 2^(64(w+1)).
+func mulSubLimbs(x, h []uint64, c uint64) {
+	var carry, borrow uint64
+	for k, v := range h {
+		hi, lo := bits.Mul64(c, v)
+		var cc uint64
+		lo, cc = bits.Add64(lo, carry, 0)
+		carry = hi + cc
+		x[k], borrow = bits.Sub64(x[k], lo, borrow)
+	}
+	x[len(h)] -= carry + borrow
+}
+
+// lessLimbs reports a < b for little-endian limbs of equal length.
+func lessLimbs(a, b []uint64) bool {
+	for k := len(a) - 1; k >= 0; k-- {
+		if a[k] != b[k] {
+			return a[k] < b[k]
+		}
+	}
+	return false
+}
+
+// limbsFloat64 returns the float64 nearest (ties to even) the
+// little-endian integer x, as big.Int.Float64 does.
+func limbsFloat64(x []uint64) float64 {
+	j := len(x) - 1
+	for j > 0 && x[j] == 0 {
+		j--
+	}
+	if j == 0 {
+		return float64(x[0])
+	}
+	// top is the 64 bits from the leading one down; sticky is the rest.
+	lz := uint(bits.LeadingZeros64(x[j]))
+	top, sticky := x[j], x[j-1]
+	if lz > 0 {
+		top = x[j]<<lz | x[j-1]>>(64-lz)
+		sticky = x[j-1] << lz
+	}
+	for _, v := range x[:j-1] {
+		sticky |= v
+	}
+	if sticky != 0 {
+		top |= 1
+	}
+	return math.Ldexp(float64(top), 64*j-int(lz))
 }
 
 // Decompose returns the residues of the (possibly negative) integer x

@@ -1,6 +1,7 @@
 package rns
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"strconv"
@@ -70,21 +71,85 @@ func TestComposeDecomposeRoundTrip(t *testing.T) {
 
 func TestComposeCentered(t *testing.T) {
 	b := testBasis(t)
-	level := b.MaxLevel()
-	q := b.Q(level)
-	// Small negative value: -5 mod Q must come back as -5.
-	x := big.NewInt(-5)
-	res := b.Decompose(x, level)
-	got := b.ComposeCentered(res, level)
-	if got.Cmp(x) != 0 {
-		t.Fatalf("centered compose of -5 = %v", got)
+	for level := 0; level <= b.MaxLevel(); level++ {
+		q := b.Q(level)
+		half := new(big.Int).Rsh(q, 1) // (Q-1)/2: Q is odd
+		for _, tc := range []struct{ x, want *big.Int }{
+			{big.NewInt(-5), big.NewInt(-5)},
+			{new(big.Int).Sub(half, big.NewInt(1)), new(big.Int).Sub(half, big.NewInt(1))},
+			// The representative range is [-Q/2, Q/2): (Q-1)/2 is the
+			// largest positive one, (Q+1)/2 comes back as -(Q-1)/2.
+			{half, half},
+			{new(big.Int).Add(half, big.NewInt(1)), new(big.Int).Neg(half)},
+		} {
+			if got := b.ComposeCentered(b.Decompose(tc.x, level), level); got.Cmp(tc.want) != 0 {
+				t.Fatalf("level %d: centered compose of %v = %v, want %v", level, tc.x, got, tc.want)
+			}
+		}
 	}
-	// Value just below Q/2 stays positive.
-	half := new(big.Int).Rsh(q, 1)
-	xp := new(big.Int).Sub(half, big.NewInt(1))
-	if got := b.ComposeCentered(b.Decompose(xp, level), level); got.Cmp(xp) != 0 {
-		t.Fatalf("centered compose near Q/2 = %v, want %v", got, xp)
+}
+
+// wideBasis has Q > 2^1024: its largest centered values round to ±Inf.
+func wideBasis(t testing.TB) *Basis {
+	t.Helper()
+	return NewCKKSBasis(1024, 18, 60, 60, 60)
+}
+
+// FuzzComposeCenteredFloat64 checks the limb composition against
+// ComposeCentered(...).Float64(), bit for bit, on arbitrary integers —
+// equivalently, arbitrary residue vectors — at every level of two
+// bases. The seeds are 0, 1, Q-1 and both sides of floor(Q/2) at every
+// level, values whose float64 rounding is an exact tie — to even down,
+// to even up — alone and with a sticky bit in the top word or in a
+// lower one, and random integers below the top Q; each with both signs.
+func FuzzComposeCenteredFloat64(f *testing.F) {
+	bases := []*Basis{testBasis(f), wideBasis(f)}
+	rng := rand.New(rand.NewSource(7))
+	seeds := []*big.Int{big.NewInt(0), big.NewInt(1)}
+	for _, e := range []uint{0, 11, 70, 100} {
+		for _, odd := range []int64{1<<53 + 1, 1<<53 + 3} {
+			tie := new(big.Int).Lsh(big.NewInt(odd), e)
+			seeds = append(seeds, tie, new(big.Int).Add(tie, big.NewInt(1)))
+			if e > 1 {
+				seeds = append(seeds, new(big.Int).SetBit(new(big.Int).Set(tie), int(e)-1, 1))
+			}
+		}
 	}
+	for _, b := range bases {
+		for level := 0; level <= b.MaxLevel(); level++ {
+			q := b.Q(level)
+			half := new(big.Int).Rsh(q, 1)
+			seeds = append(seeds, new(big.Int).Sub(q, big.NewInt(1)), half, new(big.Int).Add(half, big.NewInt(1)))
+		}
+		for i := 0; i < 50; i++ {
+			seeds = append(seeds, new(big.Int).Rand(rng, b.Q(b.MaxLevel())))
+		}
+	}
+	for _, x := range seeds {
+		f.Add(x.Bytes(), false)
+		f.Add(x.Bytes(), true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, neg bool) {
+		x := new(big.Int).SetBytes(data)
+		if neg {
+			x.Neg(x)
+		}
+		for _, b := range bases {
+			for level := 0; level <= b.MaxLevel(); level++ {
+				res := b.Decompose(x, level)
+				rows := make([][]uint64, level+1)
+				for i := range rows {
+					rows[i] = res[i : i+1]
+				}
+				got := make([]float64, 1)
+				b.ComposeCenteredFloat64(got, rows, level)
+				want, _ := b.ComposeCentered(res, level).Float64()
+				if math.Float64bits(got[0]) != math.Float64bits(want) {
+					t.Fatalf("level %d, x = %v: got %v (%#x), want %v (%#x)", level, x, got[0], math.Float64bits(got[0]), want, math.Float64bits(want))
+				}
+			}
+		}
+	})
 }
 
 func TestQHatInvConsistency(t *testing.T) {

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -40,7 +39,7 @@ func newTestCluster(t testing.TB, h *Harness, workers int, devs ...gpu.DeviceSpe
 // workers are gone.
 func newClusterWith(t testing.TB, h *Harness, specs []ShardSpec, cfg Config) *Cluster {
 	t.Helper()
-	baseline := runtime.NumGoroutine()
+	baseline := ownGoroutines()
 	c := NewCluster(h.Params, specs, cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(func() {
 		c.Drain()

@@ -69,7 +69,7 @@ func newScheduler(t testing.TB, h *Harness, workers int) *Scheduler {
 // the scheduler's only ones. No test built on this helper is exempt.
 func newSchedulerWith(t testing.TB, h *Harness, dev gpu.DeviceSpec, cfg Config) *Scheduler {
 	t.Helper()
-	baseline := runtime.NumGoroutine()
+	baseline := ownGoroutines()
 	s := New(h.Params, gpu.NewDevice(dev), cfg, h.RelinKey(), h.GaloisKeys())
 	t.Cleanup(func() {
 		s.Drain()
@@ -140,18 +140,42 @@ func checkInvariants(t testing.TB, st ClusterStats) {
 	}
 }
 
-// checkGoroutines waits up to five seconds for the goroutine count to
-// fall back to baseline, the count before the scheduler or cluster
-// under test was built, and fails the test if it does not.
+// checkGoroutines waits up to five seconds for the count of the
+// module's goroutines (ownGoroutines) to fall back to baseline, the
+// count before the scheduler or cluster under test was built, and fails
+// the test if it does not.
 func checkGoroutines(t testing.TB, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+	for ownGoroutines() > baseline && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n > baseline {
+	if n := ownGoroutines(); n > baseline {
 		t.Errorf("teardown: %d goroutines after Close, %d before it was built", n, baseline)
 	}
+}
+
+// ownGoroutines counts the goroutines with this module's code on their
+// stack. Goroutines the standard library starts for the test binary —
+// the fuzzing engine's os/signal loop, which outlives a fuzz target's
+// scheduler — are not the scheduler's to stop.
+func ownGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	own := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "xehe/") {
+			own++
+		}
+	}
+	return own
 }
 
 func TestJobValidate(t *testing.T) {
