@@ -299,19 +299,38 @@ func BenchmarkAblationRadix(b *testing.B) {
 	}
 }
 
-// BenchmarkHostCKKSPipeline measures the real (host) CKKS pipeline.
+// BenchmarkHostCKKSPipeline measures the client side of the host CKKS
+// pipeline (the CPU half of Fig. 1): key generation with one rotation
+// key, encode+encrypt and decrypt+decode, at the demo and the benchmark
+// parameter sets.
 func BenchmarkHostCKKSPipeline(b *testing.B) {
-	params := NewParameters(ParamsDemo())
-	kit := GenerateKeys(params, 9, 1)
-	v := make([]complex128, params.Slots())
-	for i := range v {
-		v[i] = complex(0.25, 0)
-	}
-	ct := kit.Encrypt(v)
-	he := NewGPUEvaluator(params, kit, Device1, ConfigOptimized())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := he.MulRelinRescale(ct, ct)
-		_ = res
+	for _, size := range []struct {
+		name string
+		spec ParamsSpec
+	}{{"demo", ParamsDemo()}, {"bench", ParamsBenchmark()}} {
+		b.Run(size.name, func(b *testing.B) {
+			params := NewParameters(size.spec)
+			kit := GenerateKeys(params, 9, 1)
+			v := make([]complex128, params.Slots())
+			for i := range v {
+				v[i] = complex(0.25, 0)
+			}
+			ct := kit.Encrypt(v)
+			b.Run("keygen", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					GenerateKeys(params, 9, 1)
+				}
+			})
+			b.Run("encrypt", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kit.Encrypt(v)
+				}
+			})
+			b.Run("decrypt", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					kit.Decrypt(ct)
+				}
+			})
+		})
 	}
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // decodeBig is Decode as it was on math/big: every coefficient composed
-// by rns.Basis.ComposeCentered and rounded through big.Float. It is the
-// oracle of the limb path.
+// by the CRT over the level's moduli, centered and rounded through
+// big.Float. It is the oracle of the limb path and shares nothing with
+// rns but the moduli.
 func decodeBig(e *Encoder, pt *Plaintext) []complex128 {
 	n := e.params.N
 	slots := n / 2
@@ -20,12 +21,30 @@ func decodeBig(e *Encoder, pt *Plaintext) []complex128 {
 	if p.IsNTT {
 		poly.INTT(p, e.params.TablesAt(pt.Level))
 	}
-	res := make([]uint64, pt.Level+1)
+	// x = sum_i [r_i * (Q/q_i)^{-1}]_{q_i} * (Q/q_i) mod Q, then centered.
+	moduli := e.params.ModuliAt(pt.Level)
+	q := big.NewInt(1)
+	for _, m := range moduli {
+		q.Mul(q, new(big.Int).SetUint64(m.Value))
+	}
+	half := new(big.Int).Rsh(q, 1)
+	qHat := make([]*big.Int, len(moduli))
+	for i, m := range moduli {
+		qi := new(big.Int).SetUint64(m.Value)
+		qHat[i] = new(big.Int).Div(q, qi)
+		inv := new(big.Int).ModInverse(qHat[i], qi)
+		qHat[i].Mul(qHat[i], inv)
+	}
 	coeff := func(idx int) float64 {
-		for i := range res {
-			res[i] = p.Coeffs[i][idx]
+		x := new(big.Int)
+		for i := range moduli {
+			x.Add(x, new(big.Int).Mul(qHat[i], new(big.Int).SetUint64(p.Coeffs[i][idx])))
 		}
-		f, _ := new(big.Float).SetInt(e.params.Basis.ComposeCentered(res, pt.Level)).Float64()
+		x.Mod(x, q)
+		if x.Cmp(half) > 0 {
+			x.Sub(x, q)
+		}
+		f, _ := new(big.Float).SetInt(x).Float64()
 		return f / pt.Scale
 	}
 	v := make([]complex128, slots)

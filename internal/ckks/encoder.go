@@ -161,7 +161,9 @@ func encodeCoeff(pl *poly.Poly, idx int, c float64, moduli []xmath.Modulus) {
 // Decode recovers the complex message from a plaintext: each
 // coefficient is CRT-composed to its centered representative, rounded
 // to float64 exactly (rns.Basis.ComposeCenteredFloat64) and divided by
-// the scale.
+// the scale. The INTT spreads its rows over the cores; the composition
+// runs on the calling goroutine, so the heap objects per call do not
+// grow with N or the core count.
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	n := e.params.N
 	slots := n / 2

@@ -1,6 +1,8 @@
 package ckks
 
 import (
+	"sync"
+
 	"xehe/internal/ntt"
 	"xehe/internal/poly"
 	"xehe/internal/xmath"
@@ -89,7 +91,10 @@ func chainPart(p *poly.Poly, k int) *poly.Poly {
 }
 
 // genSwitchKey builds a switching key from `from` (NTT form, extended
-// basis) to the secret key: digit i encrypts P·q̃_i·from.
+// basis) to the secret key: digit i encrypts P·q̃_i·from. The calling
+// goroutine draws every digit's a and e, in digit order, so the key is
+// the same at any core count; each digit's arithmetic runs on its own
+// goroutine meanwhile, and all are joined before it returns.
 func (kg *KeyGenerator) genSwitchKey(sk *SecretKey, from *poly.Poly) SwitchKey {
 	params := kg.params
 	n := params.N
@@ -98,28 +103,34 @@ func (kg *KeyGenerator) genSwitchKey(sk *SecretKey, from *poly.Poly) SwitchKey {
 	L := params.MaxLevel()
 	digits := L + 1
 	swk := SwitchKey{B: make([]*poly.Poly, digits), A: make([]*poly.Poly, digits)}
+	var wg sync.WaitGroup
 	for i := 0; i < digits; i++ {
 		a := kg.sampler.UniformPoly(n, moduli)
 		a.IsNTT = true
 		e := kg.sampler.GaussianPoly(n, moduli)
-		poly.NTT(e, tbls)
+		swk.A[i] = a
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			poly.NTT(e, tbls)
+			b := poly.New(n, len(moduli))
+			b.IsNTT = true
+			poly.MulInto(b, a, sk.Value, moduli) // a*s
+			poly.NegInto(b, b, moduli)           // -(a*s)
+			poly.SubInto(b, b, e, moduli)        // -(a*s) - e
 
-		b := poly.New(n, len(moduli))
-		b.IsNTT = true
-		poly.MulInto(b, a, sk.Value, moduli) // a*s
-		poly.NegInto(b, b, moduli)           // -(a*s)
-		poly.SubInto(b, b, e, moduli)        // -(a*s) - e
-
-		// Add P·q̃_i·from on component i only (q̃_i ≡ δ_ij mod q_j and
-		// P ≡ 0 mod p, so every other component gets nothing).
-		mi := params.Basis.Moduli[i]
-		pModQi := params.Basis.SpecialModQi(L, i)
-		bi, fi := b.Coeffs[i], from.Coeffs[i]
-		for j := 0; j < n; j++ {
-			bi[j] = mi.MAdMod(pModQi, fi[j], bi[j])
-		}
-		swk.B[i], swk.A[i] = b, a
+			// Add P·q̃_i·from on component i only (q̃_i ≡ δ_ij mod q_j and
+			// P ≡ 0 mod p, so every other component gets nothing).
+			mi := params.Basis.Moduli[i]
+			pModQi := params.Basis.SpecialModQi(L, i)
+			bi, fi := b.Coeffs[i], from.Coeffs[i]
+			for j := 0; j < n; j++ {
+				bi[j] = mi.MAdMod(pModQi, fi[j], bi[j])
+			}
+			swk.B[i] = b
+		}()
 	}
+	wg.Wait()
 	return swk
 }
 

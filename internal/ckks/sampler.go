@@ -24,12 +24,14 @@ func NewSampler(seed int64) *Sampler {
 }
 
 // UniformPoly fills a new polynomial with independent uniform residues.
+// BarrettReduce is the exact remainder of any 64-bit draw, so the
+// residues are those of rng.Uint64() % q.
 func (s *Sampler) UniformPoly(n int, moduli []xmath.Modulus) *poly.Poly {
 	p := poly.New(n, len(moduli))
 	for i, m := range moduli {
 		c := p.Coeffs[i]
 		for j := range c {
-			c[j] = s.rng.Uint64() % m.Value
+			c[j] = m.BarrettReduce(s.rng.Uint64())
 		}
 	}
 	return p
@@ -39,17 +41,11 @@ func (s *Sampler) UniformPoly(n int, moduli []xmath.Modulus) *poly.Poly {
 // under every modulus.
 func (s *Sampler) TernaryPoly(n int, moduli []xmath.Modulus) *poly.Poly {
 	p := poly.New(n, len(moduli))
-	for j := 0; j < n; j++ {
-		t := s.rng.Intn(3) - 1 // -1, 0, 1
-		for i, m := range moduli {
-			switch t {
-			case 1:
-				p.Coeffs[i][j] = 1
-			case -1:
-				p.Coeffs[i][j] = m.Value - 1
-			}
-		}
+	c := p.Coeffs[0]
+	for j := range c {
+		c[j] = uint64(int64(s.rng.Intn(3) - 1)) // -1, 0, 1
 	}
+	spreadSigned(p, moduli)
 	return p
 }
 
@@ -57,22 +53,31 @@ func (s *Sampler) TernaryPoly(n int, moduli []xmath.Modulus) *poly.Poly {
 // to ±6σ) represented under every modulus.
 func (s *Sampler) GaussianPoly(n int, moduli []xmath.Modulus) *poly.Poly {
 	p := poly.New(n, len(moduli))
+	c := p.Coeffs[0]
 	bound := 6 * s.sigma
-	for j := 0; j < n; j++ {
+	for j := range c {
 		g := s.rng.NormFloat64() * s.sigma
 		if g > bound {
 			g = bound
 		} else if g < -bound {
 			g = -bound
 		}
-		e := int64(math.Round(g))
-		for i, m := range moduli {
-			if e >= 0 {
-				p.Coeffs[i][j] = uint64(e)
-			} else {
-				p.Coeffs[i][j] = m.Value - uint64(-e)
-			}
+		c[j] = uint64(int64(math.Round(g)))
+	}
+	spreadSigned(p, moduli)
+	return p
+}
+
+// spreadSigned takes row 0 of p as small signed coefficients in two's
+// complement, as the samplers draw them, and writes each under every
+// modulus: v >= 0 stays, v < 0 becomes q + v. Row 0 is converted last,
+// in place, once the other rows have read it.
+func spreadSigned(p *poly.Poly, moduli []xmath.Modulus) {
+	src := p.Coeffs[0]
+	for i := len(moduli) - 1; i >= 0; i-- {
+		q, dst := moduli[i].Value, p.Coeffs[i]
+		for j, v := range src {
+			dst[j] = v + q&uint64(int64(v)>>63)
 		}
 	}
-	return p
 }

@@ -44,7 +44,7 @@ func TestEngineForwardMatchesReferenceAllVariants(t *testing.T) {
 			want := append([]uint64(nil), data...)
 			for p := 0; p < polys; p++ {
 				for q := 0; q < qCount; q++ {
-					Forward(sliceOf(want, p, q, qCount, n), tbls[q])
+					refForward(sliceOf(want, p, q, qCount, n), tbls[q])
 				}
 			}
 			dev := gpu.NewDevice1()
@@ -67,7 +67,7 @@ func TestEngineInverseMatchesReferenceAllVariants(t *testing.T) {
 			want := append([]uint64(nil), data...)
 			for p := 0; p < polys; p++ {
 				for q := 0; q < qCount; q++ {
-					Inverse(sliceOf(want, p, q, qCount, n), tbls[q])
+					refInverse(sliceOf(want, p, q, qCount, n), tbls[q])
 				}
 			}
 			dev := gpu.NewDevice1()
@@ -195,7 +195,7 @@ func TestEngineNTTMultiplication(t *testing.T) {
 	for i := range dataB {
 		dataB[i] = rng.Uint64() % m.Value
 	}
-	want := NegacyclicConvolution(dataA[:n], dataB[:n], m)
+	want := negacyclicConvolution(dataA[:n], dataB[:n], m)
 
 	dev := gpu.NewDevice1()
 	qs := queues1(dev)

@@ -256,7 +256,7 @@ func TestNominalOpsLeavesEngineFunctional(t *testing.T) {
 		want := append([]uint64(nil), data...)
 		for p := 0; p < polys; p++ {
 			for q := 0; q < qCount; q++ {
-				Forward(sliceOf(want, p, q, qCount, n), tbls[q])
+				refForward(sliceOf(want, p, q, qCount, n), tbls[q])
 			}
 		}
 		e := NewEngine(v)

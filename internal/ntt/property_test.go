@@ -86,7 +86,7 @@ func TestQuickConvolutionTheorem(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randPoly(rng, n, m.Value)
 		b := randPoly(rng, n, m.Value)
-		want := NegacyclicConvolution(a, b, m)
+		want := negacyclicConvolution(a, b, m)
 
 		dev := gpu.NewDevice1()
 		qs := queues1(dev)

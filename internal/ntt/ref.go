@@ -1,11 +1,12 @@
 package ntt
 
-import "xehe/internal/xmath"
-
-// Forward computes the in-place negacyclic NTT of x (length N) using
-// the serial Harvey lazy-reduction algorithm (Algorithm 1 plus last
-// round processing). This is the correctness oracle for every GPU
-// variant and doubles as the HEXL-style CPU baseline.
+// Forward computes the in-place negacyclic NTT of x (length N) on the
+// CPU with the GPU kernels' own rounds: radix-8 rounds (fwdRound8)
+// while three or more stages remain, one radix-2 or radix-4 round for
+// the rest, then the last round processing. It is the host transform of
+// the CKKS client and reference evaluator; its output is bit for bit
+// that of the serial radix-2 Harvey loop (Algorithm 1), which the tests
+// keep as the independent oracle of every round and variant.
 //
 // The output is in bit-reversed order; Inverse consumes that order, and
 // element-wise products in the transformed domain implement negacyclic
@@ -15,77 +16,27 @@ func Forward(x []uint64, t *Tables) {
 	if len(x) != n {
 		panic("ntt: length mismatch")
 	}
-	p := t.Modulus.Value
-	twoP := 2 * p
-	tt := n
-	for m := 1; m < n; m <<= 1 {
-		tt >>= 1
-		for i := 0; i < m; i++ {
-			w := t.Roots[m+i]
-			j1 := 2 * i * tt
-			for j := j1; j < j1+tt; j++ {
-				x[j], x[j+tt] = xmath.HarveyButterfly(x[j], x[j+tt], w, p, twoP)
-			}
-		}
+	for s := 0; s < t.LogN; {
+		w := min(3, t.LogN-s)
+		applyRadixRound(x, t, 1<<s, n>>(s+1), w, 0)
+		s += w
 	}
-	// Last round processing: reduce lazy values in [0, 4p) to [0, p).
-	for j := range x {
-		x[j] = xmath.ReduceToRange(x[j], p)
-	}
+	finalizeForward(x, x, t.Modulus.Value)
 }
 
 // Inverse computes the in-place inverse negacyclic NTT (Gentleman–
-// Sande), including the final scaling by n^{-1}, and fully reduces the
-// output to [0, p).
+// Sande) with the kernels' inverse rounds, in the same radix-8-first
+// order as Forward, then scales by n^{-1} and fully reduces the output
+// to [0, p).
 func Inverse(x []uint64, t *Tables) {
 	n := t.N
 	if len(x) != n {
 		panic("ntt: length mismatch")
 	}
-	p := t.Modulus.Value
-	twoP := 2 * p
-	tt := 1
-	for m := n; m > 1; m >>= 1 {
-		j1 := 0
-		h := m >> 1
-		for i := 0; i < h; i++ {
-			w := t.InvRoots[h+i]
-			for j := j1; j < j1+tt; j++ {
-				x[j], x[j+tt] = xmath.GSButterfly(x[j], x[j+tt], w, p, twoP)
-			}
-			j1 += 2 * tt
-		}
-		tt <<= 1
+	for s := t.LogN; s > 0; {
+		w := min(3, s)
+		applyInvRadixRound(x, t, 1<<s, n>>s, w, 0)
+		s -= w
 	}
-	for j := range x {
-		// Scale by n^{-1} and reduce to [0, p).
-		v := t.NInv.MulModLazy(x[j], p)
-		if v >= p {
-			v -= p
-		}
-		x[j] = v
-	}
-}
-
-// NegacyclicConvolution computes c = a * b mod (x^N + 1, p) by
-// schoolbook O(N^2) multiplication — the ground truth used in tests.
-func NegacyclicConvolution(a, b []uint64, m xmath.Modulus) []uint64 {
-	n := len(a)
-	c := make([]uint64, n)
-	p := m.Value
-	for i := 0; i < n; i++ {
-		if a[i] == 0 {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			prod := m.MulMod(a[i], b[j])
-			k := i + j
-			if k < n {
-				c[k] = xmath.AddMod(c[k], prod, p)
-			} else {
-				c[k-n] = xmath.SubMod(c[k-n], prod, p)
-			}
-		}
-	}
-	return c
+	finalizeInverse(x, x, t)
 }

@@ -2,8 +2,9 @@
 // the algorithm the paper identifies as >70% of HE evaluation time —
 // in every variant studied in Section III-B:
 //
-//   - a serial CPU reference (the correctness oracle, also the
-//     HEXL-style CPU baseline),
+//   - the host transforms Forward/Inverse, which run the high-radix
+//     kernels' rounds on the CPU for the CKKS client (the serial
+//     radix-2 oracle every variant is checked against is test code),
 //   - the naive radix-2 GPU kernel (Fig. 6),
 //   - the staged radix-2 GPU kernel with shared local memory and SIMD
 //     subgroup shuffling, in the SIMD(8,8)/(16,8)/(32,8) register
@@ -12,7 +13,7 @@
 //     fused last-round processing (Section III-B.5).
 //
 // All GPU variants execute real arithmetic through the simulator's
-// functional layer and are bit-exact against the reference; their
+// functional layer and are bit-exact against the oracle; their
 // analytic profiles use the per-round ALU op counts of Table I.
 //
 // Every variant runs as Engine batches of polys × moduli independent
@@ -78,7 +79,8 @@ func NewTables(n int, m xmath.Modulus) *Tables {
 	}
 
 	// Inverse: InvRoots[j] = ψ^{-brv(j, logN)}, consumed by the GS loop
-	// via index h+i with the scramble mirrored (see Inverse in ref.go).
+	// via index h+i with the scramble mirrored (see refInverse in
+	// ref_test.go).
 	pow = uint64(1)
 	for i := 0; i < n; i++ {
 		powers[i] = pow

@@ -6,6 +6,9 @@ package poly
 
 import (
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"xehe/internal/ntt"
 	"xehe/internal/xmath"
@@ -99,64 +102,95 @@ func (p *Poly) Equal(q *Poly) bool {
 	return true
 }
 
+// eachRow runs f(i) for every row i < rows on up to GOMAXPROCS
+// goroutines, the caller's among them, and returns once all rows are
+// done. Rows are independent RNS residues written to disjoint slices,
+// so the result is the same however they are split. The add, sub, neg,
+// product and transform passes below run their rows through it.
+func eachRow(rows int, f func(i int)) {
+	workers := min(rows, runtime.GOMAXPROCS(0))
+	if workers <= 1 {
+		for i := 0; i < rows; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	run := func() {
+		for i := int(next.Add(1) - 1); i < rows; i = int(next.Add(1) - 1) {
+			f(i)
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+}
+
 // AddInto sets dst = a + b (component-wise, same moduli).
 func AddInto(dst, a, b *Poly, moduli []xmath.Modulus) {
-	for i := range dst.Coeffs {
+	eachRow(len(dst.Coeffs), func(i int) {
 		p := moduli[i].Value
 		da, db, dd := a.Coeffs[i], b.Coeffs[i], dst.Coeffs[i]
 		for j := range dd {
 			dd[j] = xmath.AddMod(da[j], db[j], p)
 		}
-	}
+	})
 	dst.IsNTT = a.IsNTT
 }
 
 // SubInto sets dst = a - b.
 func SubInto(dst, a, b *Poly, moduli []xmath.Modulus) {
-	for i := range dst.Coeffs {
+	eachRow(len(dst.Coeffs), func(i int) {
 		p := moduli[i].Value
 		da, db, dd := a.Coeffs[i], b.Coeffs[i], dst.Coeffs[i]
 		for j := range dd {
 			dd[j] = xmath.SubMod(da[j], db[j], p)
 		}
-	}
+	})
 	dst.IsNTT = a.IsNTT
 }
 
 // NegInto sets dst = -a.
 func NegInto(dst, a *Poly, moduli []xmath.Modulus) {
-	for i := range dst.Coeffs {
+	eachRow(len(dst.Coeffs), func(i int) {
 		p := moduli[i].Value
 		da, dd := a.Coeffs[i], dst.Coeffs[i]
 		for j := range dd {
 			dd[j] = xmath.NegMod(da[j], p)
 		}
-	}
+	})
 	dst.IsNTT = a.IsNTT
 }
 
 // MulInto sets dst = a ⊙ b (dyadic product; inputs must be in NTT form).
 func MulInto(dst, a, b *Poly, moduli []xmath.Modulus) {
-	for i := range dst.Coeffs {
+	eachRow(len(dst.Coeffs), func(i int) {
 		m := moduli[i]
 		da, db, dd := a.Coeffs[i], b.Coeffs[i], dst.Coeffs[i]
 		for j := range dd {
 			dd[j] = m.MulMod(da[j], db[j])
 		}
-	}
+	})
 	dst.IsNTT = a.IsNTT
 }
 
 // MAdInto sets dst = dst + a ⊙ b using the fused mad_mod operation
 // (one reduction per multiply-accumulate, Section III-A.1).
 func MAdInto(dst, a, b *Poly, moduli []xmath.Modulus) {
-	for i := range dst.Coeffs {
+	eachRow(len(dst.Coeffs), func(i int) {
 		m := moduli[i]
 		da, db, dd := a.Coeffs[i], b.Coeffs[i], dst.Coeffs[i]
 		for j := range dd {
 			dd[j] = m.MAdMod(da[j], db[j], dd[j])
 		}
-	}
+	})
 }
 
 // MulScalarInto sets dst = a * s for per-component scalars s[i].
@@ -172,14 +206,12 @@ func MulScalarInto(dst, a *Poly, s []uint64, moduli []xmath.Modulus) {
 	dst.IsNTT = a.IsNTT
 }
 
-// NTTInto transforms every component to the NTT domain in place.
+// NTT transforms every component to the NTT domain in place.
 func NTT(p *Poly, tbls []*ntt.Tables) {
 	if p.IsNTT {
 		panic("poly: already in NTT form")
 	}
-	for i := range p.Coeffs {
-		ntt.Forward(p.Coeffs[i], tbls[i])
-	}
+	eachRow(len(p.Coeffs), func(i int) { ntt.Forward(p.Coeffs[i], tbls[i]) })
 	p.IsNTT = true
 }
 
@@ -188,9 +220,7 @@ func INTT(p *Poly, tbls []*ntt.Tables) {
 	if !p.IsNTT {
 		panic("poly: not in NTT form")
 	}
-	for i := range p.Coeffs {
-		ntt.Inverse(p.Coeffs[i], tbls[i])
-	}
+	eachRow(len(p.Coeffs), func(i int) { ntt.Inverse(p.Coeffs[i], tbls[i]) })
 	p.IsNTT = false
 }
 

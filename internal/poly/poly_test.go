@@ -2,6 +2,8 @@ package poly
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +32,24 @@ func randPoly(n int, moduli []xmath.Modulus, seed int64) *Poly {
 		}
 	}
 	return p
+}
+
+// eachRow must visit every row exactly once and return only after the
+// last one, whatever the row count and GOMAXPROCS.
+func TestEachRowVisitsEveryRowOnce(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		for rows := 0; rows <= 9; rows++ {
+			seen := make([]atomic.Int32, rows)
+			eachRow(rows, func(i int) { seen[i].Add(1) })
+			for i := range seen {
+				if n := seen[i].Load(); n != 1 {
+					t.Errorf("GOMAXPROCS %d, %d rows: row %d ran %d times", procs, rows, i, n)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
 }
 
 func TestAddSubNegRoundTrip(t *testing.T) {

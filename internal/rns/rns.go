@@ -31,11 +31,10 @@ type Basis struct {
 
 type levelPrecomp struct {
 	q *big.Int // product of q_0..q_l
-	// qHat[i] = Q_l/q_i (punctured products), for the Compose oracle.
-	qHat []*big.Int
-	// The same numbers as little-endian 64-bit limbs of width w, the
-	// word count of Q_l, for ComposeCenteredFloat64: qLimbs is Q_l,
-	// halfLimbs floor(Q_l/2), and qHatLimbs[i*w:(i+1)*w] is qHat[i].
+	// Q_l and its punctured products as little-endian 64-bit limbs of
+	// width w, the word count of Q_l, for ComposeCenteredFloat64:
+	// qLimbs is Q_l, halfLimbs floor(Q_l/2), and qHatLimbs[i*w:(i+1)*w]
+	// is Q_l/q_i.
 	qLimbs, halfLimbs, qHatLimbs []uint64
 	// qInv[i] = 1/q_i in float64, for the quotient estimate.
 	qInv []float64
@@ -83,7 +82,6 @@ func NewBasis(primes []uint64, special uint64) *Basis {
 func (b *Basis) precomputeLevel(l int) levelPrecomp {
 	lp := levelPrecomp{
 		q:               big.NewInt(1),
-		qHat:            make([]*big.Int, l+1),
 		qInv:            make([]float64, l+1),
 		qHatInvModQi:    make([]xmath.MulModOperand, l+1),
 		invLastModQi:    make([]xmath.MulModOperand, l),
@@ -98,8 +96,7 @@ func (b *Basis) precomputeLevel(l int) levelPrecomp {
 	lp.halfLimbs = limbs(new(big.Int).Rsh(lp.q, 1), w)
 	for i := 0; i <= l; i++ {
 		mi := b.Moduli[i]
-		lp.qHat[i] = new(big.Int).Div(lp.q, new(big.Int).SetUint64(mi.Value))
-		lp.qHatLimbs = append(lp.qHatLimbs, limbs(lp.qHat[i], w)...)
+		lp.qHatLimbs = append(lp.qHatLimbs, limbs(new(big.Int).Div(lp.q, new(big.Int).SetUint64(mi.Value)), w)...)
 		lp.qInv[i] = 1 / float64(mi.Value)
 		// qHat_i = Q_l / q_i mod q_i.
 		qHat := uint64(1)
@@ -162,43 +159,12 @@ func (b *Basis) SpecialInvOperand(level, i int) xmath.MulModOperand {
 	return b.levels[level].specialInvModQi[i]
 }
 
-// Compose reconstructs the integer x in [0, Q_l) from its residues
-// res[i] = x mod q_i, i = 0..level, via the CRT:
-//
-//	x = sum_i [res_i * (Q/q_i)^{-1}]_{q_i} * (Q/q_i)  mod Q
-//
-// It is the exact math/big reference; ComposeCenteredFloat64 is the
-// allocation-free path decoding uses.
-func (b *Basis) Compose(res []uint64, level int) *big.Int {
-	lp := &b.levels[level]
-	x := new(big.Int)
-	tmp := new(big.Int)
-	for i := 0; i <= level; i++ {
-		mi := b.Moduli[i]
-		ci := mi.MulMod(mi.BarrettReduce(res[i]), lp.qHatInvModQi[i].Operand)
-		tmp.SetUint64(ci)
-		x.Add(x, tmp.Mul(tmp, lp.qHat[i]))
-	}
-	return x.Mod(x, lp.q)
-}
-
-// ComposeCentered reconstructs x as a signed integer in
-// [-Q/2, Q/2), the centered representative used when decoding: Q is
-// odd, so x in (floor(Q/2), Q) maps to x - Q and floor(Q/2) stays.
-func (b *Basis) ComposeCentered(res []uint64, level int) *big.Int {
-	x := b.Compose(res, level)
-	half := new(big.Int).Rsh(b.levels[level].q, 1)
-	if x.Cmp(half) > 0 {
-		x.Sub(x, b.levels[level].q)
-	}
-	return x
-}
-
 // ComposeCenteredFloat64 sets dst[j] to the float64 nearest (ties to
-// even) the centered CRT composition of rows[0][j], ..., rows[level][j]:
-// bit for bit ComposeCentered(...).Float64(), without math/big. Each
-// coefficient is composed in fixed-width limbs on the punctured products
-// precomputed per level, in one scratch allocation per call:
+// even) the centered CRT composition of rows[0][j], ..., rows[level][j]
+// in [-Q/2, Q/2): bit for bit big.Int.Float64() of that integer (the
+// tests compose it on math/big), without math/big. Each coefficient is
+// composed in fixed-width limbs on the punctured products precomputed
+// per level, in one scratch allocation per call:
 //
 //  1. c_i = [r_i * (Q/q_i)^{-1}]_{q_i};
 //  2. x = sum_i c_i * (Q/q_i) < (level+1) * Q, in w+1 words;

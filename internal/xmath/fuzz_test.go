@@ -70,12 +70,25 @@ func FuzzMulMod(f *testing.F) {
 		if got := m.MAdMod(a, b, c); got != want.Uint64() {
 			t.Fatalf("MAdMod(%d, %d, %d) mod %d = %d, want %d", a, b, c, p, got, want.Uint64())
 		}
+	})
+}
 
-		// BarrettReduce over an unconstrained 64-bit input.
-		want.SetUint64(ra)
-		want.Mod(want, bigP)
-		if got := m.BarrettReduce(ra); got != want.Uint64() {
-			t.Fatalf("BarrettReduce(%d) mod %d = %d, want %d", ra, p, got, want.Uint64())
+// FuzzBarrettReduce cross-checks the one-word Barrett reduction on an
+// arbitrary 64-bit input, not only a residue: the CKKS sampler reduces
+// raw rng.Uint64() draws with it in place of %, and its uniform
+// polynomials are bit-identical only if it is the exact remainder.
+func FuzzBarrettReduce(f *testing.F) {
+	f.Add(uint64(0), uint64(2))
+	f.Add(^uint64(0), uint64(2))
+	f.Add(^uint64(0), uint64(3))
+	f.Add(^uint64(0), uint64(1)<<60-1)
+	f.Add(uint64(1)<<63, uint64(1)<<59+1)
+	f.Fuzz(func(t *testing.T, a, rp uint64) {
+		m := fuzzModulus(rp)
+		want := new(big.Int).SetUint64(a)
+		want.Mod(want, new(big.Int).SetUint64(m.Value))
+		if got := m.BarrettReduce(a); got != want.Uint64() {
+			t.Fatalf("BarrettReduce(%d) mod %d = %d, want %d", a, m.Value, got, want.Uint64())
 		}
 	})
 }
