@@ -59,8 +59,13 @@ test-race:
 # times over on one and on two CPUs: they race submitters and the
 # control loop against workers, and a race that loses once in fifteen
 # loaded runs shows here as a count instead of a flaky CI run elsewhere.
+# The second line does the same for the dispatcher and the held
+# coalescing rows: a worker pulls its batches under the scheduler lock
+# and sleeps on a condition variable, so a lost wake-up shows as a
+# wedged or miscounted run there.
 stress:
 	$(GO) test ./internal/sched -run 'Chaos|SelfHeal|Kill|Drain|Retry|AddShard|CloseShard|Lifecycle' -count 10 -cpu 1,2
+	$(GO) test ./internal/sched -run 'Dispatcher|Held|Coalesc|Ragged' -count 10 -cpu 1,2
 
 # Fuzz smoke: every Fuzz* target in the tree (found by name, so a new
 # one is picked up without editing this), 5 s each — internal/xmath's

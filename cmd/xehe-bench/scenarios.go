@@ -13,12 +13,13 @@ func d1(n int) []xehe.DeviceKind { return slices.Repeat([]xehe.DeviceKind{xehe.D
 var warmed = xehe.ClusterConfig{WarmBuffers: 32}
 
 // qosConfig is the 2x Device1 shape of the mixed and trace sweeps:
-// shallow worker channels keep the dispatch decision late (a job
-// committed to a worker is beyond the policy's reach); the deep pending
-// pool is where the policy reorders. A nil policy is the default, WFQ.
+// workers pull each batch when they can start it, which keeps the
+// dispatch decision late (a job committed to a worker is beyond the
+// policy's reach); the deep pending pool is where the policy reorders.
+// A nil policy is the default, WFQ.
 func qosConfig(policy xehe.SchedPolicy, trace bool) xehe.ClusterConfig {
 	return xehe.ClusterConfig{
-		WarmBuffers: 32, Policy: policy, QueueDepth: 2, MaxBatch: 4, PendingCap: 512,
+		WarmBuffers: 32, Policy: policy, MaxBatch: 4, PendingCap: 512,
 		Trace: xehe.TraceConfig{Enabled: trace},
 	}
 }

@@ -55,13 +55,14 @@ func main() {
 	}
 
 	for _, pol := range policies {
-		// Shallow worker channels keep the dispatch decision late; the
-		// deep pending pool is where the policy reorders.
+		// Workers pull each batch when they can start it, which keeps the
+		// dispatch decision late; the deep pending pool is where the
+		// policy reorders.
 		cl := xehe.NewCluster(params, kit,
 			[]xehe.DeviceKind{xehe.Device1, xehe.Device1},
 			xehe.ClusterConfig{
 				WarmBuffers: 16, Policy: pol.policy,
-				QueueDepth: 2, MaxBatch: 4, PendingCap: 512,
+				MaxBatch: 4, PendingCap: 512,
 			})
 
 		shed := 0

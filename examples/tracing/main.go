@@ -27,15 +27,14 @@ func main() {
 	}
 	cta, ctb := kit.Encrypt(v), kit.Encrypt(v)
 
-	// Two shards, shallow worker queues, tracing on. The span rings are
-	// bounded (drop-oldest), so a long-running service can leave tracing
-	// enabled and still export a recent window on demand.
+	// Two shards, tracing on. The span rings are bounded (drop-oldest),
+	// so a long-running service can leave tracing enabled and still
+	// export a recent window on demand.
 	cl := xehe.NewCluster(params, kit,
 		[]xehe.DeviceKind{xehe.Device1, xehe.Device1},
 		xehe.ClusterConfig{
-			QueueDepth: 2,
-			MaxBatch:   4,
-			Trace:      xehe.TraceConfig{Enabled: true},
+			MaxBatch: 4,
+			Trace:    xehe.TraceConfig{Enabled: true},
 		})
 	defer cl.Close()
 

@@ -712,7 +712,7 @@ func (c *Cluster) evacuateLocked(sh *shard, cnt *obs.Counter) {
 }
 
 // killShard fail-stops shard i: it leaves rotation immediately, its
-// scheduler flips into surrender mode (everything shipped to workers
+// scheduler flips into surrender mode (everything pulled by workers
 // but not yet settled is handed back for replay), and its queued
 // backlog is evacuated to the open shards. Device memory stays
 // readable — the node lost its executor, not its RAM — so resident

@@ -273,7 +273,6 @@ func TestWarmBuffersPreloadsPool(t *testing.T) {
 func TestCloseShardReroutesBacklogUnderRace(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := schedConfig(1)
-	cfg.QueueDepth = 1
 	cfg.MaxBatch = 2
 	cfg.PendingCap = 64
 	c := newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device1Spec()), cfg)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 
 	"xehe/internal/qos"
@@ -8,40 +9,39 @@ import (
 
 // dispatcher is the scheduler's dispatch decisions as data: the class
 // queues, the QoS policy and its state, the admission limits, and per
-// worker the batches shipped to it that it has not taken yet and the
-// jobs it holds. It has no goroutine, channel, lock or clock. The
-// Scheduler feeds it events under qmu — arrive, taken, finished — hands
-// it the simulated time where a decision needs one, and carries out the
-// ships next returns (shipLocked), so every decision of which jobs run
-// together on which worker can be driven, and tested, from a literal
-// event list (dispatch_test.go).
+// worker the jobs it holds. It has no goroutine, channel, lock or
+// clock. The Scheduler feeds it events under qmu — arrive, pull (next),
+// finished — and hands it the simulated time where a decision needs
+// one, so every decision of which jobs run together on which worker
+// can be driven, and tested, from a literal event list
+// (dispatch_test.go).
+//
+// The rule: a batch is cut only when a worker can start it next. A
+// worker pulls (next) when it is about to start a batch — at the head
+// of its loop, or to prefetch the one after the batch it holds — so
+// jobs stay queued, where later arrivals coalesce with them, until the
+// last moment. A worker that holds jobs yields to one that holds none:
+// the idle worker is served first.
 type dispatcher struct {
 	classes  []qos.Class
 	policy   qos.Policy
 	deadline bool // the policy wants class queues deadline-sorted
 	maxBatch int
-	depth    int    // batches a worker may hold shipped but not taken
 	limits   []int  // per-class queued-job cap
 	rejects  []bool // true: an arrival over the cap is shed, not blocked
 
 	queues  [][]*task
-	queued  int     // jobs in the class queues
-	waiting int     // jobs parked on unresolved dependencies
-	lastEnq float64 // last enqueue stamp issued (monotonicity floor)
-	workers []workerLoad
+	queued  int              // jobs in the class queues
+	waiting int              // jobs parked on unresolved dependencies
+	lastEnq float64          // last enqueue stamp issued (monotonicity floor)
+	held    []int            // per worker: jobs pulled and not yet let go (finished)
 	states  []qos.QueueState // the policy's view, rebuilt per decision
 }
 
-// workerLoad is one worker as the dispatcher sees it.
-type workerLoad struct {
-	batches int // shipped and not yet taken off its channel
-	jobs    int // shipped and not yet let go (finished)
-}
-
-// ship is one decision: batch, popped from class's queue, goes to worker.
+// ship is one decision: batch, popped from class's queue.
 type ship struct {
-	worker, class int
-	batch         []*task
+	class int
+	batch []*task
 }
 
 // newDispatcher builds the core over a Config with its defaults
@@ -53,11 +53,10 @@ func newDispatcher(cfg Config) *dispatcher {
 		classes:  cfg.Classes,
 		policy:   qos.WithAging(cfg.Policy(cfg.Classes), cfg.Aging),
 		maxBatch: cfg.MaxBatch,
-		depth:    cfg.QueueDepth,
 		limits:   make([]int, len(cfg.Classes)),
 		rejects:  make([]bool, len(cfg.Classes)),
 		queues:   make([][]*task, len(cfg.Classes)),
-		workers:  make([]workerLoad, cfg.Workers),
+		held:     make([]int, cfg.Workers),
 		states:   make([]qos.QueueState, len(cfg.Classes)),
 	}
 	d.deadline = d.policy.DeadlineOrdered()
@@ -74,7 +73,7 @@ func newDispatcher(cfg Config) *dispatcher {
 // full reports whether class's queue is at its admission cap.
 func (d *dispatcher) full(class int) bool { return len(d.queues[class]) >= d.limits[class] }
 
-// pending is what the dispatcher has yet to ship: queued jobs and jobs
+// pending is what the dispatcher has yet to hand out: queued jobs and jobs
 // parked on their dependencies.
 func (d *dispatcher) pending() int { return d.queued + d.waiting }
 
@@ -118,27 +117,13 @@ func (d *dispatcher) arrive(t *task) {
 	d.queued++
 }
 
-// worker is the least-loaded worker with a free slot — fewest jobs held,
-// ties to the lowest index, which also spreads load across tiles since
-// workers are pinned round-robin — or -1 when every slot is taken.
-func (d *dispatcher) worker() int {
-	return leastLoaded(len(d.workers), func(i int) (float64, bool) {
-		return float64(d.workers[i].jobs), d.workers[i].batches < d.depth
-	})
-}
-
-// ready reports whether next has a decision to make: a job is queued and
-// a worker has a free slot. The caller reads the clock only then.
-func (d *dispatcher) ready() bool { return d.queued > 0 && d.worker() >= 0 }
-
-// next makes one dispatch decision at simulated time now: the policy
-// picks the class, up to maxBatch jobs of its head's shape leave the
-// queue (the rest keep their order), and the batch goes to the
-// least-loaded worker with a free slot. False when nothing is queued or
-// no slot is free.
-func (d *dispatcher) next(now float64) (ship, bool) {
-	w := d.worker()
-	if w < 0 || d.queued == 0 {
+// next is worker w's pull at simulated time now: the policy picks the
+// class, and up to maxBatch jobs of its head's shape leave the queue
+// (the rest keep their order) as w's next batch. False when nothing is
+// queued, or when w holds jobs and another worker holds none — that one
+// is served first.
+func (d *dispatcher) next(w int, now float64) (ship, bool) {
+	if d.queued == 0 || d.held[w] > 0 && slices.Contains(d.held, 0) {
 		return ship{}, false
 	}
 	for i, q := range d.queues {
@@ -181,18 +166,13 @@ func (d *dispatcher) next(now float64) (ship, bool) {
 	d.queues[c] = rest
 	d.queued -= len(batch)
 	d.policy.Dispatched(c, len(batch))
-	d.workers[w].batches++
-	d.workers[w].jobs += len(batch)
-	return ship{worker: w, class: c, batch: batch}, true
+	d.held[w] += len(batch)
+	return ship{class: c, batch: batch}, true
 }
-
-// taken records that worker w took one shipped batch off its channel,
-// freeing a slot.
-func (d *dispatcher) taken(w int) { d.workers[w].batches-- }
 
 // finished records that worker w let go of jobs: they completed, went to
 // the retry plane, or were surrendered by a killed shard.
-func (d *dispatcher) finished(w, jobs int) { d.workers[w].jobs -= jobs }
+func (d *dispatcher) finished(w, jobs int) { d.held[w] -= jobs }
 
 // steal removes up to n queued tasks for another shard: tail-first from
 // the longest class backlog (ties to the lowest class), so the head jobs
@@ -214,10 +194,9 @@ func (d *dispatcher) steal(n int) []*task {
 
 // leastLoaded is the one least-loaded rule: among the candidates i < n
 // that cost admits, the lowest cost wins, ties to the lowest index; -1
-// when none is admitted. It chooses the worker for a batch
-// (dispatcher.worker), the shard for a job (Cluster.pick), the shard for
-// relocated tasks (Cluster.dest), and the backlog a steal takes from —
-// the longest, at cost minus its length (dispatcher.steal,
+// when none is admitted. It chooses the shard for a job (Cluster.pick),
+// the shard for relocated tasks (Cluster.dest), and the backlog a steal
+// takes from — the longest, at cost minus its length (dispatcher.steal,
 // Cluster.stealRound).
 func leastLoaded(n int, cost func(i int) (float64, bool)) int {
 	best, bestCost := -1, 0.0

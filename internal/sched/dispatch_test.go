@@ -12,9 +12,9 @@ import (
 // device, no goroutine, and no clock but the times they pass in.
 
 // newCore builds a dispatcher over the default classes for a pool of
-// workers with depth slots each, coalescing up to maxBatch jobs.
-func newCore(workers, depth, maxBatch int, policy qos.Factory) *dispatcher {
-	cfg := Config{Workers: workers, QueueDepth: depth, MaxBatch: maxBatch, Policy: policy}
+// workers, coalescing up to maxBatch jobs.
+func newCore(workers, maxBatch int, policy qos.Factory) *dispatcher {
+	cfg := Config{Workers: workers, MaxBatch: maxBatch, Policy: policy}
 	return newDispatcher(cfg.withDefaults(workers))
 }
 
@@ -27,120 +27,146 @@ func arriveAt(d *dispatcher, now float64, class qos.ClassID, shape string, deadl
 	return t
 }
 
-// ships runs next at now until it declines and returns the decisions.
-func ships(d *dispatcher, now float64) []ship {
-	var out []ship
-	for d.ready() {
-		sh, ok := d.next(now)
-		if !ok {
-			break
-		}
-		out = append(out, sh)
-	}
-	return out
+// pull is worker w's pull at now; it returns the batch's size, 0 when
+// the dispatcher declines.
+func pull(d *dispatcher, w int, now float64) int {
+	sh, _ := d.next(w, now)
+	return len(sh.batch)
 }
 
+// pulls has worker w pull at now until the dispatcher declines, and
+// returns the batches in order.
+func pulls(d *dispatcher, w int, now float64) [][]*task {
+	var out [][]*task
+	for {
+		sh, ok := d.next(w, now)
+		if !ok {
+			return out
+		}
+		out = append(out, sh.batch)
+	}
+}
+
+// A pull cuts the head's shape up to MaxBatch, skipping other shapes,
+// which keep their order; a lone worker's prefetch pulls whatever is
+// next, and finished lets go of what it holds.
 func TestDispatcherCoalescesHeadShape(t *testing.T) {
-	d := newCore(1, 1, 3, qos.FIFO)
+	d := newCore(1, 3, qos.FIFO)
 	var ts []*task
 	for _, shape := range []string{"a", "a", "b", "a", "a"} {
 		ts = append(ts, arriveAt(d, 0, qos.Batch, shape, 0))
 	}
-	// One slot: the head's shape coalesces up to MaxBatch, skipping the
-	// other shape; the slot is then taken until the worker takes it.
-	for i, want := range [][]*task{{ts[0], ts[1], ts[3]}, {ts[2]}, {ts[4]}} {
-		got := ships(d, 0)
-		if len(got) != 1 || got[0].worker != 0 || !reflect.DeepEqual(got[0].batch, want) {
-			t.Fatalf("decision %d = %+v, want one batch %v to worker 0", i, got, want)
-		}
-		d.taken(0)
+	want := [][]*task{{ts[0], ts[1], ts[3]}, {ts[2]}, {ts[4]}}
+	if got := pulls(d, 0, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pulls = %v, want %v", got, want)
 	}
-	if d.ready() || d.queued != 0 || d.workers[0] != (workerLoad{batches: 0, jobs: 5}) {
-		t.Fatalf("after draining: ready %v, queued %d, worker %+v", d.ready(), d.queued, d.workers[0])
+	if d.queued != 0 || d.held[0] != 5 {
+		t.Fatalf("after draining: queued %d, worker holds %d, want 0 and 5", d.queued, d.held[0])
 	}
 	d.finished(0, 5)
-	if d.workers[0].jobs != 0 {
-		t.Fatalf("finished left %d jobs on the worker", d.workers[0].jobs)
+	if d.held[0] != 0 {
+		t.Fatalf("finished left %d jobs on the worker", d.held[0])
 	}
 }
 
-func TestDispatcherShipsToLeastLoadedWorkerWithASlot(t *testing.T) {
-	d := newCore(3, 2, 1, qos.FIFO)
-	for i := 0; i < 7; i++ {
+// A worker that holds jobs — a prefetch, or a pull with a download in
+// flight — yields to any worker that holds none; an idle worker's pull
+// never yields, and letting go of every job makes a worker idle again.
+func TestDispatcherPrefetchYieldsToIdleWorker(t *testing.T) {
+	d := newCore(3, 1, qos.FIFO)
+	for i := 0; i < 4; i++ {
 		arriveAt(d, 0, qos.Batch, "a", 0)
 	}
-	workers := func(ss []ship) (ws []int) {
-		for _, s := range ss {
-			ws = append(ws, s.worker)
-		}
-		return ws
+	type step struct{ w, jobs int }
+	var got []step
+	for _, w := range []int{0, 0, 1, 1, 2, 0, 1} {
+		got = append(got, step{w, pull(d, w, 0)})
 	}
-	// Ties go to the lowest index; six ships fill every slot and the
-	// seventh job waits.
-	if got := workers(ships(d, 0)); !reflect.DeepEqual(got, []int{0, 1, 2, 0, 1, 2}) {
-		t.Fatalf("first ships went to %v", got)
+	// Worker 0's and 1's prefetches yield while worker 2 is idle; once
+	// every worker holds a job, worker 0's prefetch takes the fourth.
+	want := []step{{0, 1}, {0, 0}, {1, 1}, {1, 0}, {2, 1}, {0, 1}, {1, 0}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pulls (worker, jobs) = %v, want %v", got, want)
 	}
-	// Fewer jobs alone frees no slot.
+	if want := []int{2, 1, 1}; !reflect.DeepEqual(d.held, want) {
+		t.Fatalf("held %v, want %v", d.held, want)
+	}
+	// Worker 1 lets go of its job: the next arrival is its, and the
+	// others' prefetches yield to it.
 	d.finished(1, 1)
-	if d.ready() {
-		t.Fatal("a worker with fewer jobs but no free slot was offered a batch")
-	}
-	// Worker 2 takes a batch: it is the only one with a slot, though
-	// worker 1 holds fewer jobs.
-	d.taken(2)
-	if got := workers(ships(d, 0)); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("with one free slot the job went to %v, want [2]", got)
-	}
-	// With a slot everywhere, the fewest jobs win: worker 1 (1 job)
-	// over worker 0 (2) and worker 2 (3).
-	d.taken(0)
-	d.taken(1)
-	d.taken(2)
 	arriveAt(d, 0, qos.Batch, "a", 0)
-	if got := workers(ships(d, 0)); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("with every slot free the job went to %v, want [1]", got)
+	if pull(d, 0, 0) != 0 || pull(d, 2, 0) != 0 || pull(d, 1, 0) != 1 {
+		t.Fatalf("with worker 1 idle the job did not go to it (held %v, queued %d)", d.held, d.queued)
 	}
 }
 
+// A burst of 2 x MaxBatch + 2 same-shape jobs onto two idle workers,
+// pulled in the order runWorker pulls: the first worker to wake cuts a
+// full batch and its prefetch yields to the other, still idle; that one
+// cuts the second full batch and its prefetch takes the ragged rest.
+// Nothing is cut before a worker can start it, so no job leaves alone.
+func TestDispatcherPullsBurstOnTwoIdleWorkers(t *testing.T) {
+	const maxBatch = 4
+	d := newCore(2, maxBatch, qos.FIFO)
+	for i := 0; i < 2*maxBatch+2; i++ {
+		arriveAt(d, 0, qos.Batch, "a", 0)
+	}
+	type step struct{ w, jobs int }
+	var got []step
+	for _, w := range []int{0, 0, 1, 1, 0} {
+		got = append(got, step{w, pull(d, w, 0)})
+	}
+	want := []step{{0, maxBatch}, {0, 0}, {1, maxBatch}, {1, 2}, {0, 0}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pulls (worker, jobs) = %v, want %v", got, want)
+	}
+	if want := []int{maxBatch, maxBatch + 2}; !reflect.DeepEqual(d.held, want) || d.queued != 0 {
+		t.Fatalf("held %v, queued %d, want %v and 0", d.held, d.queued, want)
+	}
+}
+
+// The policy decides at the pull, at the pull's time: priority serves
+// the interactive head first, and by 0.03 the background head has
+// waited past DefaultAging (0.02) and overtakes the second interactive
+// job.
 func TestDispatcherAgingOverridesPriority(t *testing.T) {
-	d := newCore(1, 8, 1, qos.StrictPriority)
+	d := newCore(1, 1, qos.StrictPriority)
 	bg := arriveAt(d, 0, qos.Background, "x", 0)
 	i1 := arriveAt(d, 0.001, qos.Interactive, "y", 0)
 	i2 := arriveAt(d, 0.029, qos.Interactive, "y", 0)
 	var got []*task
 	for _, now := range []float64{0.001, 0.03, 0.03} {
-		sh, ok := d.next(now)
+		sh, ok := d.next(0, now)
 		if !ok {
 			t.Fatalf("no decision at %g", now)
 		}
 		got = append(got, sh.batch...)
+		d.finished(0, len(sh.batch))
 	}
-	// Priority serves the interactive head first; by 0.03 the
-	// background head has waited past DefaultAging (0.02) and overtakes
-	// the second interactive job.
 	if want := []*task{i1, bg, i2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("order %v, want %v", got, want)
 	}
 }
 
+// Under EDF successive pulls take the earliest deadline first; equal
+// deadlines keep arrival order and no deadline sorts last.
 func TestDispatcherEDFOrdersByDeadline(t *testing.T) {
-	d := newCore(1, 8, 1, qos.EDF)
+	d := newCore(1, 1, qos.EDF)
 	a := arriveAt(d, 0, qos.Batch, "s", 5)
 	b := arriveAt(d, 0, qos.Batch, "s", 1)
 	none := arriveAt(d, 0, qos.Batch, "s", 0)
 	e := arriveAt(d, 0, qos.Batch, "s", 1)
 	var got []*task
-	for _, s := range ships(d, 1) {
-		got = append(got, s.batch...)
+	for _, batch := range pulls(d, 0, 1) {
+		got = append(got, batch...)
 	}
-	// Equal deadlines keep arrival order; no deadline sorts last.
 	if want := []*task{b, e, a, none}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("order %v, want %v", got, want)
 	}
 }
 
 func TestDispatcherStampsStrictlyIncrease(t *testing.T) {
-	d := newCore(1, 1, 1, qos.FIFO)
+	d := newCore(1, 1, qos.FIFO)
 	a := arriveAt(d, 1, qos.Batch, "s", 0.25)
 	b := arriveAt(d, 1, qos.Batch, "s", 0)
 	c := arriveAt(d, 0.5, qos.Batch, "s", 0) // a clock reading behind the floor
@@ -175,7 +201,7 @@ func TestDispatcherAdmissionLimits(t *testing.T) {
 }
 
 func TestDispatcherStealsTailOfLongestBacklog(t *testing.T) {
-	d := newCore(1, 1, 1, qos.FIFO)
+	d := newCore(1, 1, qos.FIFO)
 	arriveAt(d, 0, qos.Interactive, "s", 0)
 	i2 := arriveAt(d, 0, qos.Interactive, "s", 0)
 	arriveAt(d, 0, qos.Batch, "s", 0)

@@ -237,8 +237,7 @@ func (s *Scheduler) depReady(t *task, i int, f *Future, pre bool) {
 		if park := s.backend.SimulatedSeconds() - t.enq; park > 0 {
 			s.met.depParkNS.Add(int64(park * 1e9))
 		}
-		s.d.arrive(t)
-		s.shipLocked()
+		s.arriveLocked(t)
 	}
 	s.qcond.Broadcast() // one parked job fewer: Close looks again
 	s.qmu.Unlock()

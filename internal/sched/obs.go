@@ -56,7 +56,7 @@ const (
 
 // Tracer ring layout: ring 0 serves Submit (shared by all submitting
 // goroutines), ring 1 dispatch decisions (written under qmu, by whichever
-// goroutine ships), ring 2+i worker i.
+// worker pulls), ring 2+i worker i.
 const (
 	ringSubmit   = 0
 	ringDispatch = 1

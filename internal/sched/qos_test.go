@@ -62,8 +62,8 @@ func TestAdmissionShedsPartialShareClass(t *testing.T) {
 		{Name: "block", Weight: 1, Share: 1.0}, // plain backpressure
 	}
 	cfg := qosConfig(1, classes, qos.WFQ)
-	cfg.QueueDepth = 1
-	cfg.MaxBatch = 1 // queue capacity 1 -> shed class limit 1
+	cfg.MaxBatch = 1
+	cfg.PendingCap = 1 // queue capacity 1 -> shed class limit 1
 	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	const flood = 30
@@ -115,16 +115,15 @@ func TestAdmissionShedsPartialShareClass(t *testing.T) {
 // strictly lower interactive latency tail than the batch tail.
 func TestStrictPriorityOrdersDispatch(t *testing.T) {
 	h := sharedHarness(t)
-	// Full shares: this test floods a 1-slot queue, so the default
+	// Full shares: this test floods the queue, so the default
 	// Interactive share (0.5) would shed instead of queue.
 	classes := []qos.Class{
 		{Name: "inter", Weight: 8, Priority: 2, Share: 1},
 		{Name: "batch", Weight: 1, Priority: 1, Share: 1},
 	}
 	cfg := qosConfig(1, classes, qos.StrictPriority)
-	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
-	cfg.PendingCap = 32 // deep decision pool, shallow worker channel
+	cfg.PendingCap = 32 // deep decision pool
 	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	const interClass, batchClass = qos.ClassID(0), qos.ClassID(1)
@@ -188,9 +187,8 @@ func TestDeadlineAccounting(t *testing.T) {
 func TestEDFSchedulerOrdersByDeadline(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := qosConfig(1, qos.DefaultClasses(), qos.EDF)
-	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
-	cfg.PendingCap = 32 // deep decision pool, shallow worker channel
+	cfg.PendingCap = 32 // deep decision pool
 	cfg.Aging = -1      // pure EDF: no aging override
 	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
@@ -215,10 +213,9 @@ func TestEDFSchedulerOrdersByDeadline(t *testing.T) {
 	}
 	// The tight job was submitted last but sorts to the front of the
 	// deadline-ordered queue: when it completes, most of the loose
-	// backlog must still be pending (only the plug, the one batch
-	// already in the worker channel, the batch the double-buffered
-	// worker prefetched — transfers are fused by default — and an
-	// in-flight job can beat it).
+	// backlog must still be pending (only the plug, the batch the
+	// worker prefetched while it held the plug, and a batch it pulled
+	// before the tight job arrived can beat it).
 	looseDone := 0
 	for _, f := range looseFuts {
 		select {
@@ -253,9 +250,8 @@ func TestWFQServiceSplitsByWeight(t *testing.T) {
 		{Name: "light", Weight: 1, Share: 1},
 	}
 	cfg := qosConfig(1, classes, qos.WFQ)
-	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
-	cfg.PendingCap = 32 // deep decision pool, shallow worker channel
+	cfg.PendingCap = 32 // deep decision pool
 	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	const each = 8

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xehe/internal/ckks"
 	"xehe/internal/gpu"
@@ -67,7 +68,7 @@ type submitMode int
 
 const (
 	burst  submitMode = iota // in order, as fast as Submit returns
-	held                     // in order behind holdFirstBatch: the lone worker parks on unit 0 until every unit is queued
+	held                     // in order behind holdFirstBatch: worker i parks on unit i until every unit is queued
 	pinned                   // in order onto shard 0's scheduler, past the router
 )
 
@@ -353,18 +354,19 @@ func runScenario(t *testing.T, sc scenario) {
 	}
 	first, release := 0, func() {}
 	if sc.mode == held {
-		// Unit 0 goes in from this goroutine and the lone worker parks on
-		// it before anything else is submitted; the deferred release
-		// frees it even when the row fails first, so the teardown's
+		// One unit per worker goes in from this goroutine, each after the
+		// previous one's worker has parked on it; the deferred release
+		// frees them even when the row fails first, so the teardown's
 		// Drain cannot hang.
 		var parked <-chan struct{}
 		parked, release = holdFirstBatch(r.s)
 		defer release()
-		if !one(0) {
-			t.FailNow()
+		for ; first < len(r.s.workers); first++ {
+			if !one(first) {
+				t.FailNow()
+			}
+			mustFinish(t, "parking a held worker", func() { <-parked })
 		}
-		mustFinish(t, "parking the held worker", func() { <-parked })
-		first = 1
 	}
 	racers := max(sc.racers, 1)
 	var wg sync.WaitGroup
@@ -444,10 +446,6 @@ func chaos(maxBatch int) func(*Config) {
 
 func maxBatch(n int) func(*Config) { return func(cfg *Config) { cfg.MaxBatch = n } }
 
-// shallow gives a held worker one slot and the queue room for every
-// unit: all but units 0 and 1 wait behind the hold to coalesce.
-func shallow(cfg *Config) { cfg.QueueDepth, cfg.PendingCap = 1, 64 }
-
 func selfHeal(standbys int) func(*Config) {
 	return func(cfg *Config) { cfg.SelfHeal, cfg.Standbys = ToggleOn, standbys }
 }
@@ -464,6 +462,13 @@ func expect(t *testing.T, ok bool, format string, args ...any) {
 func checkCoalesced(t *testing.T, r *run) {
 	st := r.stats()
 	expect(t, st.Coalesced > 0 && st.MaxBatch >= 2, "no coalescing behind a held worker: %d coalesced, max batch %d", st.Coalesced, st.MaxBatch)
+}
+
+// checkBatches pins the row's (batches, max batch, coalesced).
+func checkBatches(t *testing.T, r *run, batches int64, maxBatch int, coalesced int64) {
+	st := r.stats()
+	expect(t, st.Batches == batches && st.MaxBatch == maxBatch && st.Coalesced == coalesced,
+		"(batches, max batch, coalesced) = (%d, %d, %d), want (%d, %d, %d)", st.Batches, st.MaxBatch, st.Coalesced, batches, maxBatch, coalesced)
 }
 
 func checkTransfers(t *testing.T, r *run) {
@@ -559,7 +564,7 @@ func TestSchedulerDrainAndStats(t *testing.T) {
 // A 1-worker scheduler flooded through the smallest queue: Submit
 // blocks rather than drop or deadlock, and every job completes.
 func TestBackpressureTinyQueues(t *testing.T) {
-	runScenarios(t, scenario{workers: 1, cfg: func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch = 1, 1 }, work: workload{seed: 3, fams: []func(*Job){square}, famReps: 1, reps: 10},
+	runScenarios(t, scenario{workers: 1, cfg: func(cfg *Config) { cfg.MaxBatch, cfg.PendingCap = 1, 1 }, work: workload{seed: 3, fams: []func(*Job){square}, famReps: 1, reps: 10},
 		check: func(t *testing.T, r *run) {
 			expect(t, r.stats().MaxBatch == 1, "MaxBatch = %d, want 1", r.stats().MaxBatch)
 		}})
@@ -623,7 +628,7 @@ func TestClusterTransferDifferential(t *testing.T) {
 // idle shard.
 func TestClusterStealsToIdleShard(t *testing.T) {
 	runScenarios(t, scenario{shards: shards(d1, d1), workers: 1,
-		cfg:  func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch, cfg.PendingCap = 2, 2, 64 },
+		cfg:  func(cfg *Config) { cfg.MaxBatch, cfg.PendingCap = 2, 64 },
 		work: workload{seed: 1, fams: []func(*Job){square}, famReps: 1, reps: 40}, mode: pinned,
 		check: func(t *testing.T, r *run) {
 			st := r.stats()
@@ -731,7 +736,7 @@ func TestKillMidBatchNeverWedges(t *testing.T) {
 // shard's queues, surrenders and replays elsewhere.
 func TestBackpressuredSubmitSurvivesKill(t *testing.T) {
 	runScenarios(t, scenario{shards: shards(d1, d1), workers: 1,
-		cfg:    func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch, cfg.PendingCap = 2, 1, 4 },
+		cfg:    func(cfg *Config) { cfg.MaxBatch, cfg.PendingCap = 1, 4 },
 		work:   workload{seed: 5, fams: []func(*Job){square}, famReps: 1, reps: 20},
 		faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 3) }},
 		check:  func(t *testing.T, r *run) { expect(t, r.stats().Killed == 1, "Killed = %d, want 1", r.stats().Killed) }})
@@ -779,7 +784,7 @@ func TestChaosGraphDifferential(t *testing.T) {
 
 // Families held behind the first batch coalesce and run fused.
 func TestFusedDifferentialFamilies(t *testing.T) {
-	runScenarios(t, scenario{workers: 1, cfg: shallow, work: workload{seed: 4242, fams: fusionFamilies, famReps: 4}, mode: held,
+	runScenarios(t, scenario{workers: 1, work: workload{seed: 4242, fams: fusionFamilies, famReps: 4}, mode: held,
 		check: func(t *testing.T, r *run) {
 			checkCoalesced(t, r)
 			st := r.stats()
@@ -790,7 +795,7 @@ func TestFusedDifferentialFamilies(t *testing.T) {
 // One chain at two input levels, the levels interleaved, never shares
 // a shape key, hence a batch; same-level jobs still coalesce.
 func TestMixedLevelJobsDoNotFuse(t *testing.T) {
-	runScenarios(t, scenario{workers: 1, cfg: shallow, work: workload{seed: 808, fams: slices.Repeat(mixedLevels, 8), famReps: 1}, mode: held,
+	runScenarios(t, scenario{workers: 1, work: workload{seed: 808, fams: slices.Repeat(mixedLevels, 8), famReps: 1}, mode: held,
 		check: func(t *testing.T, r *run) {
 			checkCoalesced(t, r)
 			expect(t, r.units[0].c.Job.ShapeKey() != r.units[1].c.Job.ShapeKey(), "mixed-level jobs share a shape key")
@@ -818,7 +823,7 @@ func TestPerClassCoalescingStats(t *testing.T) {
 // re-runs the batch job by job (unfused), fails the broken jobs with
 // the per-op error and completes the healthy ones.
 func TestFusedFallbackIsolatesFailure(t *testing.T) {
-	runScenarios(t, scenario{workers: 1, cfg: shallow, broken: true, work: workload{seed: 4, fams: brokenPair, famReps: 5}, mode: held,
+	runScenarios(t, scenario{workers: 1, broken: true, work: workload{seed: 4, fams: brokenPair, famReps: 5}, mode: held,
 		check: func(t *testing.T, r *run) {
 			checkCoalesced(t, r)
 			expect(t, r.stats().UnfusedSteps > 0, "coalesced broken batches must account fallback steps as unfused")
@@ -848,15 +853,35 @@ func TestTransferBatchOfOne(t *testing.T) {
 }
 
 // The hold fixes every batch: unit 0 alone (the worker parks on it),
-// unit 1 alone (shipped into the parked worker's free slot), then the
-// ten queued behind as 4 + 4 + 2 — a full batch and a ragged coalesced
-// tail whose gathered transfers cover fewer rows.
+// then the eleven queued behind as 4 + 4 + 3 — two full batches and a
+// ragged coalesced tail whose gathered transfers cover fewer rows.
 func TestTransferRaggedFinalBatch(t *testing.T) {
-	runScenarios(t, scenario{workers: 1, cfg: func(cfg *Config) { cfg.QueueDepth, cfg.MaxBatch, cfg.PendingCap = 1, 4, 16 },
+	runScenarios(t, scenario{workers: 1, cfg: func(cfg *Config) { cfg.MaxBatch, cfg.PendingCap = 4, 16 },
 		work: workload{seed: 31, fams: fusionFamilies[2:3], famReps: 12}, mode: held,
+		check: func(t *testing.T, r *run) { checkBatches(t, r, 4, 4, 11) }})
+}
+
+// Two held workers, one job each, and a same-shape burst of
+// 2 x MaxBatch + 2 behind them: on release each worker pulls a full
+// batch and one prefetch takes the ragged rest, so besides the two
+// held singletons the burst runs as 8 + 8 + 2 and every job of it is
+// coalesced.
+func TestHeldBurstCoalescesOnTwoWorkers(t *testing.T) {
+	runScenarios(t, scenario{workers: 2, work: workload{seed: 32, fams: []func(*Job){square}, famReps: 1, reps: 20}, mode: held,
+		check: func(t *testing.T, r *run) { checkBatches(t, r, 5, 8, 18) }})
+}
+
+// An idle worker's wait for work is what worker.idle_empty_wall_ns
+// counts: a gap between two waves, with nothing queued, shows there.
+func TestIdleWaitIsAttributed(t *testing.T) {
+	const gap = 20 * time.Millisecond
+	runScenarios(t, scenario{workers: 1, work: workload{seed: 33, fams: []func(*Job){square}, famReps: 1, reps: 2},
+		faults: map[int]func(*testing.T, *run){1: func(t *testing.T, r *run) {
+			r.drain()
+			time.Sleep(gap)
+		}},
 		check: func(t *testing.T, r *run) {
-			st := r.stats()
-			expect(t, st.Batches == 5 && st.MaxBatch == 4 && st.Coalesced == 10,
-				"(batches, max batch, coalesced) = (%d, %d, %d), want (5, 4, 10)", st.Batches, st.MaxBatch, st.Coalesced)
+			in, _ := r.s.Metrics().Get("worker.idle_empty_wall_ns")
+			expect(t, in.Value >= float64(gap/2), "worker.idle_empty_wall_ns = %v after a %v idle gap", in.Value, gap)
 		}})
 }

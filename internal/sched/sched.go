@@ -52,8 +52,8 @@ type Config struct {
 	// queue pinned to tile (worker mod tiles). Default: the device's
 	// tile count.
 	Workers int
-	// QueueDepth bounds each worker's batch queue; it also scales the
-	// dispatcher's pending-queue capacity. Default 8.
+	// Deprecated: ignored. Workers pull each batch when they can start
+	// it, so there is no per-worker queue to bound.
 	QueueDepth int
 	// MaxBatch caps how many same-shape jobs are coalesced into one
 	// batch. Default 8; 1 ships every job alone (a batch of one runs the
@@ -66,9 +66,9 @@ type Config struct {
 	// the span sites are single nil checks and allocate nothing.
 	Trace TraceConfig
 	// PendingCap bounds the dispatcher's pending queue — the jobs
-	// accepted but not yet shipped to a worker, i.e. the pool the QoS
+	// accepted but not yet pulled by a worker, i.e. the pool the QoS
 	// policy reorders. Class admission shares are fractions of this
-	// capacity. Default: Workers*QueueDepth*MaxBatch.
+	// capacity. Default: Workers*pendingBatchesPerWorker*MaxBatch.
 	PendingCap int
 	// WarmBuffers pre-populates the shared buffer cache with this many
 	// working-set-sized buffers at construction, so the steady-state
@@ -114,6 +114,10 @@ type Config struct {
 	Retry RetryPolicy
 }
 
+// pendingBatchesPerWorker sizes the default PendingCap: room for this
+// many full batches per worker.
+const pendingBatchesPerWorker = 8
+
 func (c Config) withDefaults(tiles int) Config {
 	if c.Workers <= 0 {
 		c.Workers = tiles
@@ -128,14 +132,11 @@ func (c Config) withDefaults(tiles int) Config {
 	// The workers need a per-tile copy queue on every context so a
 	// batch's gathered copies overlap with its neighbours' compute.
 	c.Core.CopyEngine = true
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 8
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
 	if c.PendingCap <= 0 {
-		c.PendingCap = c.Workers * c.QueueDepth * c.MaxBatch
+		c.PendingCap = c.Workers * pendingBatchesPerWorker * c.MaxBatch
 	}
 	if c.Classes == nil {
 		c.Classes = qos.DefaultClasses()
@@ -360,9 +361,9 @@ func (w *latWindow) reset() {
 
 // Scheduler multiplexes independent HE jobs over a worker pool on one
 // execution backend (a single simulated device).
-// Jobs are held in per-class queues and dispatched by a qos.Policy
-// whenever a worker has room, so a late-arriving interactive job can
-// overtake a queued batch backlog. All methods are safe for
+// Jobs are held in per-class queues until a worker pulls its next
+// batch, and a qos.Policy picks the class then, so a late-arriving
+// interactive job can overtake a queued batch backlog. All methods are safe for
 // concurrent use.
 type Scheduler struct {
 	params  *ckks.Parameters
@@ -372,14 +373,18 @@ type Scheduler struct {
 	gks     map[int]*ckks.GaloisKey
 	classes []qos.Class
 
-	// qmu guards d, batchSeq and the tasks' dependency state. Whoever
-	// changes d's state ships its decisions (shipLocked) before letting
-	// go of qmu, so no worker with a free slot ever waits on a queued
-	// job; qcond signals queue space freed (blocking Submit, Close).
+	// qmu guards d, quit, batchSeq and the tasks' dependency state.
+	// Workers take their batches under it (pull); an idle worker sleeps
+	// on idle, which every arrival signals, so no idle worker waits on a
+	// queued job. qcond signals queue space freed (blocking Submit,
+	// Close). quit, set by Close once nothing is pending, lets the idle
+	// workers exit.
 	qmu      sync.Mutex
 	qcond    *sync.Cond
+	idle     *sync.Cond
+	quit     bool
 	d        *dispatcher
-	batchSeq int64 // numbers shipped batches for attribution
+	batchSeq int64 // numbers pulled batches for attribution
 
 	workers []*worker
 	workWg  sync.WaitGroup
@@ -447,9 +452,6 @@ type Scheduler struct {
 type worker struct {
 	id  int
 	ctx *core.Context
-	// ch holds the batches shipped to the worker, QueueDepth of them
-	// at most: the dispatcher counts its slots, so a send never blocks.
-	ch chan []*task
 
 	// Tracing state (nil / "" when Config.Trace is off): the worker's
 	// span ring, its interned track name, and the step-trace handle
@@ -478,6 +480,7 @@ func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKe
 		closeDone: make(chan struct{}),
 	}
 	s.qcond = sync.NewCond(&s.qmu)
+	s.idle = sync.NewCond(&s.qmu)
 	// Pre-warm the buffer pool before any worker can race a cold
 	// allocation against in-flight work. The largest buffers the
 	// pipeline requests hold level+2 RNS components (the key-switch
@@ -503,7 +506,6 @@ func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKe
 		w := &worker{
 			id:  i,
 			ctx: backend.WorkerContext(params, cfg.Core, i, multiQ),
-			ch:  make(chan []*task, cfg.QueueDepth),
 		}
 		if s.tracer != nil {
 			w.ring = s.tracer.Ring(ringWorker0 + i)
@@ -594,13 +596,12 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 			return nil, ErrOverloaded
 		}
 		for s.d.full(class) {
-			s.qcond.Wait() // backpressure; shipping frees space
+			s.qcond.Wait() // backpressure; a pull frees space
 		}
 	}
 	s.d.stamp(t, s.backend.SimulatedSeconds())
 	if len(job.Deps) == 0 {
-		s.d.arrive(t)
-		s.shipLocked()
+		s.arriveLocked(t)
 	} else {
 		// Parked until every producer settles; depReady moves it into
 		// its class queue (or fails it) when the last one does.
@@ -642,15 +643,14 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 	// Nothing new arrives now but the jobs parked on dependencies, whose
 	// producers (possibly on other shards) complete before their own
-	// schedulers tear down. Once those have shipped too, the workers
-	// drain their channels and exit.
+	// schedulers tear down. Once those have been pulled too, the workers
+	// finish what they hold and exit.
 	s.qmu.Lock()
 	for s.d.pending() > 0 {
 		s.qcond.Wait()
 	}
-	for _, w := range s.workers {
-		close(w.ch)
-	}
+	s.quit = true
+	s.idle.Broadcast()
 	s.qmu.Unlock()
 	s.workWg.Wait()
 	// Release reclaims orphans too (ReleaseAll under the hood): a
@@ -752,31 +752,44 @@ func quantiles(sorted []float64) (p50, p99 float64) {
 	return rank(0.50), rank(0.99)
 }
 
-// shipLocked carries out the dispatcher's decisions until it has none
-// left: whenever a worker has a free slot, the policy picks the class,
-// same-shape jobs from its head coalesce into a batch, and the batch
-// goes down the least-loaded eligible worker's channel. Batching is
-// opportunistic: under light load every job ships alone with no added
-// latency; under heavy load the class queues hold a backlog and
-// same-shape neighbours coalesce. Caller holds qmu.
-func (s *Scheduler) shipLocked() {
-	shipped := false
-	for s.d.ready() {
-		now := s.backend.SimulatedSeconds()
-		sh, ok := s.d.next(now)
-		if !ok {
-			break
+// arriveLocked queues t and wakes an idle worker to pull it. Caller
+// holds qmu.
+func (s *Scheduler) arriveLocked(t *task) {
+	s.d.arrive(t)
+	s.idle.Signal()
+}
+
+// pull is the worker's side of dispatch, called at its two decision
+// points: the loop head, where wait says it has nothing in flight and
+// may sleep until a job is queued, and the prefetch. It returns the
+// batch the dispatcher cuts for w now (dispatcher.next), or nil:
+// nothing for w yet, or, when waiting, the scheduler has closed with
+// nothing left to run.
+func (s *Scheduler) pull(w *worker, wait bool) []*task {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	for {
+		if s.d.queued > 0 {
+			now := s.backend.SimulatedSeconds()
+			if sh, ok := s.d.next(w.id, now); ok {
+				s.dispatched(sh, now)
+				s.qcond.Broadcast() // queue space freed: blocked Submits and Close look again
+				return sh.batch
+			}
 		}
-		s.dispatched(sh, now)
-		s.workers[sh.worker].ch <- sh.batch
-		shipped = true
-	}
-	if shipped {
-		s.qcond.Broadcast() // queue space freed: blocked Submits and Close look again
+		if !wait || s.quit {
+			return nil
+		}
+		// Attribute the wait: with nothing queued the worker sits idle
+		// for want of work (wall clock; the simulated clock does not
+		// tick while the host blocks).
+		idle := time.Now()
+		s.idle.Wait()
+		s.met.idleEmptyNS.Add(time.Since(idle).Nanoseconds())
 	}
 }
 
-// dispatched accounts a shipped batch: every task gets its batch id and
+// dispatched accounts a pulled batch: every task gets its batch id and
 // dispatch stamp (the service-time baseline), and its queueing delay
 // lands in the per-class histogram. The enqueue stamp can sit a hair
 // ahead of the simulated clock (monotonicity epsilon), so clamp. Caller
@@ -800,15 +813,6 @@ func (s *Scheduler) dispatched(sh ship, now float64) {
 		ring.Record(obs.Span{Track: trkDispatch, Name: "batch", Cat: catQueue,
 			Class: cls, Start: now, End: now, Wall: wall, Batch: bid, Jobs: len(sh.batch)})
 	}
-}
-
-// took is the worker's side of a ship: it has taken one batch off its
-// channel, so a slot is free for the next decision.
-func (s *Scheduler) took(w *worker) {
-	s.qmu.Lock()
-	s.d.taken(w.id)
-	s.shipLocked()
-	s.qmu.Unlock()
 }
 
 // finished lets go of jobs a worker held: settled, handed to the retry
@@ -866,10 +870,9 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 	s.qmu.Lock()
 	for _, t := range ts {
 		t.attach(now)
-		s.d.arrive(t)
+		s.arriveLocked(t)
 		work += t.work()
 	}
-	s.shipLocked()
 	s.qmu.Unlock()
 	// StolenIn tracks the migration — by origin: placed here off another
 	// shard, or returned to the shard they left — and Submitted stays
@@ -893,8 +896,8 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 // is the fault plane's deterministic mid-batch kill point, and retry
 // offers transiently failed tasks to the cluster's retry plane. Called
 // once at shard construction, before the scheduler is visible to
-// submitters; the hooks are read only from worker goroutines that
-// received work through the usual synchronized channels.
+// submitters; the hooks are read only from worker goroutines, which
+// take every batch under qmu.
 func (s *Scheduler) installFaultHooks(life *atomic.Uint32, surrender func([]*task), onBatch func(), retry func(*task, error) bool) {
 	s.life = life
 	s.surrender = surrender
@@ -996,15 +999,17 @@ func (sj *staged) result() *core.Ciphertext {
 // arrive in one gathered H2D staging submission, its chain runs as one
 // launch sequence per op-chain step for the whole batch (chain.go),
 // and its results leave in one scattered D2H, both copies on the tile's
-// copy engine. A job that ships alone is a batch of one on the same
-// path. The worker double-buffers one batch deep in both directions —
-// whenever a follow-up batch is already queued, its inputs upload while
-// the current batch computes, and the current batch's download is
-// waited on only after the next batch's kernels have been submitted, so
-// neither transfer direction blocks a launch. With no follow-up work
-// queued there is nothing to overlap with and the in-flight download
-// resolves immediately (sleeping on the channel with unresolved futures
-// would wedge Drain).
+// copy engine. A job that runs alone is a batch of one on the same
+// path. The worker pulls each batch from the dispatcher when it can
+// start it next, at two points: the loop head, and the prefetch while
+// it holds the current batch. It double-buffers one batch deep in both
+// directions — a prefetched batch's inputs upload while the current
+// batch computes, and the current batch's download is waited on only
+// after the next batch's kernels have been submitted, so neither
+// transfer direction blocks a launch. With nothing to pull there is
+// nothing to overlap with, and the in-flight download resolves before
+// the worker sleeps (sleeping with unresolved futures would wedge
+// Drain).
 func (s *Scheduler) runWorker(w *worker) {
 	defer s.workWg.Done()
 	var next *uploadedBatch // inputs in flight on the copy engine
@@ -1012,53 +1017,23 @@ func (s *Scheduler) runWorker(w *worker) {
 	for {
 		cur := next
 		next = nil
-		if cur == nil && pend != nil {
-			select {
-			case batch, ok := <-w.ch:
-				if !ok {
-					w.resolveBatch(s, pend)
-					return
-				}
-				s.took(w)
-				cur = w.uploadBatch(s, batch)
+		for cur == nil {
+			// Sleep for work only with no download in flight.
+			batch := s.pull(w, pend == nil)
+			switch {
+			case batch != nil:
+				cur = w.uploadBatch(s, batch) // nil: killed, batch surrendered
+			case pend != nil:
+				w.resolveBatch(s, pend)
+				pend = nil
 			default:
-				w.resolveBatch(s, pend)
-				pend = nil
-			}
-			if cur == nil && pend != nil {
-				// Killed: the received batch was surrendered with
-				// nothing staged; resolve the in-flight download before
-				// sleeping on the channel again (its futures must not
-				// wait out an idle worker).
-				w.resolveBatch(s, pend)
-				pend = nil
+				return // closed
 			}
 		}
-		if cur == nil {
-			// Attribute the receive wait: with the queue empty the worker
-			// sat idle for want of work (wall clock; the simulated clock
-			// does not tick while the host blocks).
-			idle := time.Now()
-			batch, ok := <-w.ch
-			if !ok {
-				break
-			}
-			s.met.idleEmptyNS.Add(time.Since(idle).Nanoseconds())
-			s.took(w)
-			cur = w.uploadBatch(s, batch)
-			if cur == nil {
-				continue // killed: batch surrendered
-			}
-		}
-		// Prefetch: if another batch is already queued, put its inputs
-		// on the copy engine now — they transfer while cur computes.
-		select {
-		case batch, ok := <-w.ch:
-			if ok {
-				s.took(w)
-				next = w.uploadBatch(s, batch)
-			}
-		default:
+		// Prefetch: put the next batch's inputs on the copy engine now —
+		// they transfer while cur computes.
+		if batch := s.pull(w, false); batch != nil {
+			next = w.uploadBatch(s, batch)
 		}
 		// Record batch stats up front: jobDone on the batch's last job
 		// releases Drain, and Stats() must already see this batch then.
@@ -1076,9 +1051,6 @@ func (s *Scheduler) runWorker(w *worker) {
 			w.resolveBatch(s, pend)
 		}
 		pend = pendCur
-	}
-	if pend != nil {
-		w.resolveBatch(s, pend)
 	}
 }
 

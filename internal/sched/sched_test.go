@@ -269,20 +269,26 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 }
 
 // holdFirstBatch parks s's workers at their first batch until the
-// returned release is called, so jobs submitted meanwhile pile up
-// behind it whatever the host's speed: the dispatcher ships at most
-// QueueDepth+2 batches ahead of a held worker (its channel, the batch
-// in hand and one prefetched), and everything past those is still
-// queued, to be coalesced, when the worker resumes. parked closes when
-// the first worker has parked: a lone worker then holds its first
-// batch, has prefetched nothing, and every later batch is fixed by
-// what is submitted before release. Call it before the first Submit;
-// release may be called again (deferred, say) and does nothing then.
+// returned release is called, so jobs submitted meanwhile pile up in
+// the class queues whatever the host's speed: a batch is cut only when
+// a worker pulls it, and a held worker pulls nothing, so everything
+// submitted after the parks is still queued, to be coalesced, when the
+// workers resume. parked yields one token per worker that parks. A
+// worker parks after its prefetch, so if each worker is given one job
+// and the next job waits for its token, every worker holds exactly that
+// job, has prefetched nothing, and every later batch is fixed by what
+// is submitted before release. Call it before the first Submit; release
+// may be called again (deferred, say) and does nothing then.
 func holdFirstBatch(s *Scheduler) (parked <-chan struct{}, release func()) {
-	gate, park := make(chan struct{}), make(chan struct{})
-	var parkOnce, releaseOnce sync.Once
+	// Room for a token per worker, so no park waits on the reader; once
+	// unread tokens fill it, later batches send none.
+	gate, park := make(chan struct{}), make(chan struct{}, len(s.workers))
+	var releaseOnce sync.Once
 	s.onBatch = func() {
-		parkOnce.Do(func() { close(park) })
+		select {
+		case park <- struct{}{}:
+		default:
+		}
 		<-gate
 	}
 	return park, func() { releaseOnce.Do(func() { close(gate) }) }

@@ -216,20 +216,19 @@ func TestRetryExhaustionSurfacesOriginalError(t *testing.T) {
 func TestDrainShardNoReplay(t *testing.T) {
 	h := sharedHarness(t)
 	// A deliberately narrow pipeline (one worker, single-job batches,
-	// queue depth 1) so most of each shard's share is still in the
-	// pending queue when the drain hits — the hand-off path, not just
-	// the settle-in-place path, is exercised.
+	// which it pulls one at a time) so most of each shard's share is
+	// still in the pending queue when the drain hits — the hand-off
+	// path, not just the settle-in-place path, is exercised.
 	cfg := schedConfig(1)
-	cfg.QueueDepth = 1
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 64
 	c := newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device1Spec()), cfg)
 
 	// Each shard's single worker is held twice at its batch hook (set
-	// before any Submit, so the worker reads it through the channel that
-	// hands it a batch): before its first batch until everything is
-	// submitted, and before its second until the drain has taken the
-	// queue. In between it runs exactly one long op chain, which moves
+	// before any Submit, so the worker reads it after taking qmu to pull
+	// a batch): before its first batch until everything is submitted,
+	// and before its second until the drain has taken the queue. In
+	// between it runs exactly one long op chain, which moves
 	// its clock, and the light jobs behind it are still pending when the
 	// drain hits — held, not raced: shard 1 never goes idle, so nothing
 	// steals shard 0's backlog first.

@@ -36,8 +36,8 @@ func TestClusterTraceExport(t *testing.T) {
 	cta, ctb := kit.Encrypt(v), kit.Encrypt(v)
 
 	cl := NewCluster(params, kit, []DeviceKind{Device1, Device1}, ClusterConfig{
-		QueueDepth: 2, MaxBatch: 4,
-		Trace: TraceConfig{Enabled: ToggleOn},
+		MaxBatch: 4,
+		Trace:    TraceConfig{Enabled: ToggleOn},
 	})
 	defer cl.Close()
 

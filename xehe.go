@@ -534,16 +534,14 @@ const (
 )
 
 // ServiceConfig tunes the concurrent service. Zero values select
-// defaults: one worker per device tile, queue depth 8, batches of up
-// to 8 same-shape jobs, and the paper's full optimization stack as the
-// backend.
+// defaults: one worker per device tile, batches of up to 8 same-shape
+// jobs, and the paper's full optimization stack as the backend.
 type ServiceConfig struct {
 	// Workers is the goroutine pool size; workers are pinned
 	// round-robin to the device's tiles. Default: the tile count.
 	Workers int
-	// QueueDepth bounds each worker's queue of batches — each entry
-	// holds up to MaxBatch jobs — and scales the intake buffer; when
-	// every queue is full, Submit blocks (backpressure). Default 8.
+	// Deprecated: ignored. Workers pull each batch when they can start
+	// it, so there is no per-worker queue to bound.
 	QueueDepth int
 	// MaxBatch caps how many same-shape jobs are coalesced into one
 	// batch — one gathered upload, one kernel launch per op-chain step,
@@ -553,7 +551,8 @@ type ServiceConfig struct {
 	MaxBatch int
 	// PendingCap bounds the pending queue (jobs accepted but not yet
 	// dispatched — the pool the QoS policy reorders); class admission
-	// shares are fractions of it. Default Workers*QueueDepth*MaxBatch.
+	// shares are fractions of it, and a full-share class's Submit blocks
+	// when it is full (backpressure). Default Workers*8*MaxBatch.
 	PendingCap int
 	// Classes is the QoS class table jobs reference via WithClass.
 	// nil selects DefaultClasses() (Interactive/Batch/Background).
@@ -621,7 +620,6 @@ func (sc ServiceConfig) schedConfig() sched.Config {
 	}
 	return sched.Config{
 		Workers:     sc.Workers,
-		QueueDepth:  sc.QueueDepth,
 		MaxBatch:    sc.MaxBatch,
 		PendingCap:  sc.PendingCap,
 		Classes:     sc.Classes,

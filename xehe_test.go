@@ -399,8 +399,8 @@ func TestServiceOverloadSurfacesErrOverloaded(t *testing.T) {
 	params, kit := fixture(t)
 	svc := NewService(params, kit, Device2, ServiceConfig{
 		Workers:    1,
-		QueueDepth: 1,
-		MaxBatch:   1, // pending capacity 1: interactive share -> 1 slot
+		MaxBatch:   1,
+		PendingCap: 1, // interactive share -> 1 slot
 	})
 	defer svc.Close()
 	ct := kit.Encrypt(randVec(params.Slots(), 31))
