@@ -52,9 +52,6 @@ type Config struct {
 	// queue pinned to tile (worker mod tiles). Default: the device's
 	// tile count.
 	Workers int
-	// Deprecated: ignored. Workers pull each batch when they can start
-	// it, so there is no per-worker queue to bound.
-	QueueDepth int
 	// MaxBatch caps how many same-shape jobs are coalesced into one
 	// batch. Default 8; 1 ships every job alone (a batch of one runs the
 	// same pipeline, it just shares its launches with nobody).
