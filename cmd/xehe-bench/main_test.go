@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -201,11 +203,50 @@ func TestTraceNeverSuppressesASweep(t *testing.T) {
 	}
 }
 
-// TestFigures: the figure printer still prints; -tab 1 is Table I only.
+var update = flag.Bool("update", false, "rewrite testdata/figures.golden from xehe-bench's default output")
+
+// TestFigures: xehe-bench's default output — every figure and table of
+// the timing-only model — is testdata/figures.golden byte for byte, so
+// a change that moves a model number fails here with the rows it moved;
+// after a deliberate model change,
+// `go test ./cmd/xehe-bench -run TestFigures -update` rewrites the file
+// and the move is its diff. -tab 1 is Table I only, the head of that
+// output.
 func TestFigures(t *testing.T) {
 	code, all, _ := bench(t)
-	if code != 0 || !strings.Contains(all, "Fig. 16") || !strings.Contains(all, "average NTT share") {
-		t.Fatalf("no flags: exit %d, %d bytes", code, len(all))
+	if code != 0 {
+		t.Fatalf("no flags: exit %d", code)
+	}
+	golden := filepath.Join("testdata", "figures.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(all), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all != string(want) {
+		got, exp := strings.Split(all, "\n"), strings.Split(string(want), "\n")
+		var diff strings.Builder
+		moved := 0
+		for i := 0; i < max(len(got), len(exp)); i++ {
+			var g, w string
+			if i < len(got) {
+				g = got[i]
+			}
+			if i < len(exp) {
+				w = exp[i]
+			}
+			if g != w {
+				if moved++; moved <= 10 {
+					fmt.Fprintf(&diff, "line %d:\n  got  %q\n  want %q\n", i+1, g, w)
+				}
+			}
+		}
+		t.Fatalf("output differs from %s on %d of %d lines (go test ./cmd/xehe-bench -run TestFigures -update rewrites it):\n%s",
+			golden, moved, len(exp), diff.String())
 	}
 	code, tab, _ := bench(t, "-tab", "1")
 	if code != 0 || tab == "" || !strings.HasPrefix(all, tab) || strings.Contains(tab, "Fig.") {

@@ -22,8 +22,12 @@ func (r NDRange) Items() int { return r.Global[0] * r.Global[1] * r.Global[2] }
 
 // GroupCtx is the execution context handed to a functional kernel for
 // one work-group. The kernel body iterates the group's items itself
-// (matching how a GPU work-group executes), with SLM shared across the
-// group and Barrier as a checkpoint marker.
+// (matching how a GPU work-group executes), with Barrier as a
+// checkpoint marker. A body that models shared local memory works on
+// its group's slice of the global buffer in place: the simulator runs
+// a group's items in sequence, so a staging copy would change nothing
+// but the host time, and SLM traffic is priced from
+// KernelProfile.SLMBytes.
 type GroupCtx struct {
 	// Group coordinates: P and Q index the outer two dimensions
 	// (polynomial and RNS modulus in NTT kernels); Group is the group
@@ -33,9 +37,6 @@ type GroupCtx struct {
 	Base int
 	// Size is the number of items in this group.
 	Size int
-
-	// SLM is the group's shared local memory, sized by the kernel.
-	SLM []uint64
 }
 
 // Barrier marks a work-group barrier in a kernel body. It is a no-op:
@@ -49,7 +50,6 @@ func (g *GroupCtx) Barrier() {}
 type Kernel struct {
 	Name    string
 	Range   NDRange
-	SLMSize int // uint64 words of SLM per group (0 = none)
 	Body    func(g *GroupCtx)
 	Profile KernelProfile
 }
@@ -197,14 +197,6 @@ func runOneGroup(k *Kernel, ctx *GroupCtx, idx, groupsPerRow, local, g2 int) {
 		size = g2 - base
 	}
 	ctx.P, ctx.Q, ctx.Group, ctx.Base, ctx.Size = p, q, grp, base, size
-	if k.SLMSize > 0 {
-		if cap(ctx.SLM) < k.SLMSize {
-			ctx.SLM = make([]uint64, k.SLMSize)
-		}
-		ctx.SLM = ctx.SLM[:k.SLMSize]
-	} else {
-		ctx.SLM = nil
-	}
 	k.Body(ctx)
 }
 

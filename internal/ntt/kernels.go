@@ -111,10 +111,24 @@ func genericInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
 // 2x and 4x that slot — and the gap. Each loads a block's twiddles
 // once, cuts the block into its eight gap-strided lanes so the inner
 // loop carries no bounds checks, and keeps the eight values in locals.
+//
+// fwdRound8, invRound8 and the finalize passes first offer their work
+// to the AVX-512 kernels (…Vector, vector_amd64.go), which take it
+// where the CPU has AVX-512 and the lanes suit eight coefficients per
+// instruction. The Go loops (…Go) run everything else — every round of
+// a build or CPU without the kernels — and are the oracle the vector
+// code is tested against, bit for bit.
 
 // fwdRound8 fuses three Cooley–Tukey stages on eight lanes with the
 // block's 1 + 2 + 4 twiddles — the radix-8 kernel of Section III-B.5.
 func fwdRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int) {
+	if !fwdRound8Vector(view, roots, p, first, T) {
+		fwdRound8Go(view, roots, p, first, T)
+	}
+}
+
+// fwdRound8Go is fwdRound8 in Go, one butterfly at a time.
+func fwdRound8Go(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int) {
 	twoP := 2 * p
 	s := T >> 2
 	for bs, i := 0, first; bs+2*T <= len(view); bs, i = bs+2*T, i+1 {
@@ -149,6 +163,13 @@ func fwdRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, T in
 // invRound8 fuses three Gentleman–Sande stages on eight lanes with the
 // span's 4 + 2 + 1 twiddles, the mirror image of fwdRound8.
 func invRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int) {
+	if !invRound8Vector(view, roots, p, first, t) {
+		invRound8Go(view, roots, p, first, t)
+	}
+}
+
+// invRound8Go is invRound8 in Go, one butterfly at a time.
+func invRound8Go(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int) {
 	twoP := 2 * p
 	for bs, i := 0, first; bs+8*t <= len(view); bs, i = bs+8*t, i+1 {
 		w0 := roots[4*i : 4*i+4]
@@ -179,25 +200,23 @@ func invRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, t in
 	}
 }
 
-// finalizeForward is the forward last-round processing: it reduces the
-// lazy values of src to [0, p) on their way into dst. The SLM kernel
-// passes its SLM as src and the global row as dst, so the reduction
-// rides on the write-back (Fig. 8); in-place callers pass x twice.
-func finalizeForward(dst, src []uint64, p uint64) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = xmath.ReduceToRange(v, p)
+// finalizeForward is the forward last-round processing: it reduces
+// the lazy values of x to [0, p) in place.
+func finalizeForward(x []uint64, p uint64) {
+	x = finalizeForwardVector(x, p)
+	for i, v := range x {
+		x[i] = xmath.ReduceToRange(v, p)
 	}
 }
 
-// finalizeInverse applies the n^{-1} scaling and reduces to [0, p),
-// from src into dst like finalizeForward.
-func finalizeInverse(dst, src []uint64, t *Tables) {
+// finalizeInverse applies the n^{-1} scaling and reduces x to [0, p)
+// in place.
+func finalizeInverse(x []uint64, t *Tables) {
 	p := t.Modulus.Value
 	nInv := t.NInv
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = nInv.MulMod(v, p)
+	x = finalizeInverseVector(x, p, nInv)
+	for i, v := range x {
+		x[i] = nInv.MulMod(v, p)
 	}
 }
 
@@ -239,7 +258,7 @@ func globalRoundStep(n, polys, qCount, w, stage int, forward bool) step {
 				} else {
 					applyInvRadixRound(row, tbl, 1<<stage, n>>stage, w, 0)
 					if isLast {
-						finalizeInverse(row, row, tbl)
+						finalizeInverse(row, tbl)
 					}
 				}
 			}
@@ -314,9 +333,8 @@ func (e *Engine) slmStep(n, polys, qCount int, ws []int, stage int, forward bool
 	}
 	return step{
 		desc: sycl.Kernel{
-			Name:    "ntt_slm_" + e.V.String(),
-			Range:   gpu.NDRange{Global: [3]int{polys, qCount, n / groupElems}, Local: 1},
-			SLMSize: groupElems,
+			Name:  "ntt_slm_" + e.V.String(),
+			Range: gpu.NDRange{Global: [3]int{polys, qCount, n / groupElems}, Local: 1},
 			Profile: gpu.KernelProfile{
 				Items:             items,
 				GroupItems:        groupElems / itemElems,
@@ -334,29 +352,25 @@ func (e *Engine) slmStep(n, polys, qCount int, ws []int, stage int, forward bool
 			return func(g *gpu.GroupCtx) {
 				tbl := tbls[g.Q]
 				g0 := g.Group * groupElems
-				global := view.Row(g.P, g.Q)[g0 : g0+groupElems]
-				slm := g.SLM[:groupElems]
-				copy(slm, global)
+				row := view.Row(g.P, g.Q)[g0 : g0+groupElems]
 				s := stage
 				if forward {
 					for _, w := range ws {
 						T := n >> (s + 1)
-						applyRadixRound(slm, tbl, 1<<s, T, w, g0/(2*T))
+						applyRadixRound(row, tbl, 1<<s, T, w, g0/(2*T))
 						g.Barrier()
 						s += w
 					}
-					finalizeForward(global, slm, tbl.Modulus.Value)
+					finalizeForward(row, tbl.Modulus.Value)
 				} else {
 					for _, w := range ws {
 						t := n >> s
-						applyInvRadixRound(slm, tbl, 1<<s, t, w, g0/((1<<w)*t))
+						applyInvRadixRound(row, tbl, 1<<s, t, w, g0/((1<<w)*t))
 						g.Barrier()
 						s -= w
 					}
 					if s == 0 {
-						finalizeInverse(global, slm, tbl)
-					} else {
-						copy(global, slm)
+						finalizeInverse(row, tbl)
 					}
 				}
 			}
@@ -431,9 +445,9 @@ func naiveSteps(n, polys, qCount int, forward bool) []step {
 			return func(g *gpu.GroupCtx) {
 				row := view.Row(g.P, g.Q)
 				if forward {
-					finalizeForward(row, row, tbls[g.Q].Modulus.Value)
+					finalizeForward(row, tbls[g.Q].Modulus.Value)
 				} else {
-					finalizeInverse(row, row, tbls[g.Q])
+					finalizeInverse(row, tbls[g.Q])
 				}
 			}
 		},

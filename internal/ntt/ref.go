@@ -1,12 +1,13 @@
 package ntt
 
 // Forward computes the in-place negacyclic NTT of x (length N) on the
-// CPU with the GPU kernels' own rounds: radix-8 rounds (fwdRound8)
-// while three or more stages remain, one radix-2 or radix-4 round for
-// the rest, then the last round processing. It is the host transform of
-// the CKKS client and reference evaluator; its output is bit for bit
-// that of the serial radix-2 Harvey loop (Algorithm 1), which the tests
-// keep as the independent oracle of every round and variant.
+// CPU with the GPU kernels' own rounds: radix-8 rounds (fwdRound8, on
+// AVX-512 where the CPU has it) while three or more stages remain, one
+// radix-2 or radix-4 round (the generic loop) for the rest, then the
+// last round processing. It is the host transform of the CKKS client
+// and reference evaluator; its output is bit for bit that of the serial
+// radix-2 Harvey loop (Algorithm 1, refForward in ref_test.go), which
+// the tests keep as the independent oracle of every round and variant.
 //
 // The output is in bit-reversed order; Inverse consumes that order, and
 // element-wise products in the transformed domain implement negacyclic
@@ -21,7 +22,7 @@ func Forward(x []uint64, t *Tables) {
 		applyRadixRound(x, t, 1<<s, n>>(s+1), w, 0)
 		s += w
 	}
-	finalizeForward(x, x, t.Modulus.Value)
+	finalizeForward(x, t.Modulus.Value)
 }
 
 // Inverse computes the in-place inverse negacyclic NTT (Gentleman–
@@ -38,5 +39,5 @@ func Inverse(x []uint64, t *Tables) {
 		applyInvRadixRound(x, t, 1<<s, n>>s, w, 0)
 		s -= w
 	}
-	finalizeInverse(x, x, t)
+	finalizeInverse(x, t)
 }

@@ -2,6 +2,7 @@ package ntt
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -23,25 +24,61 @@ func roundWindows(n, span int) [][2]int {
 	return ws
 }
 
-// TestRadix8RoundsMatchGeneric runs the straight-line radix-8 rounds
-// at every entry stage of an 8192-point transform, over the whole row
-// and over each SLM group, against the generic loop, for moduli from
-// 30 to 60 bits. Inputs span the full lazy range, and the outputs must
-// stay inside it: forward [0, 4p), inverse [0, 2p).
+// roundTables returns tables of n points under a prime of the given
+// size. Up to xmath's 60-bit limit they are NewTables'; above it (the
+// rounds' lazy ranges hold while 4p fits a word, so up to 62 bits) the
+// prime is searched here and the twiddles are random operands with
+// their Harvey quotients: a round's arithmetic is exact for any W < p,
+// so the vector and Go rounds must still agree bit for bit.
+func roundTables(rng *rand.Rand, n, size int) *Tables {
+	if size <= xmath.MaxModulusBits {
+		ps := xmath.GeneratePrimes(size, 1+rng.Intn(3), n)
+		return NewTables(n, xmath.NewModulus(ps[len(ps)-1]))
+	}
+	step := uint64(2 * n)
+	p := (uint64(1)<<size-1)/step*step + 1
+	p -= step * uint64(rng.Intn(1<<10))
+	for !xmath.IsPrime(p) {
+		p -= step
+	}
+	operand := func() xmath.MulModOperand {
+		w := rng.Uint64() % p
+		q, _ := bits.Div64(w, 0, p)
+		return xmath.MulModOperand{Operand: w, Quotient: q}
+	}
+	t := &Tables{N: n, LogN: countStages(n), Modulus: xmath.Modulus{Value: p}, NInv: operand()}
+	t.Roots = make([]xmath.MulModOperand, n)
+	t.InvRoots = make([]xmath.MulModOperand, n)
+	for i := range t.Roots {
+		t.Roots[i], t.InvRoots[i] = operand(), operand()
+	}
+	return t
+}
+
+// lazyInputs returns n values below bound, with the extremes planted.
+func lazyInputs(rng *rand.Rand, n int, bound uint64) []uint64 {
+	x := make([]uint64, n)
+	for i := range x {
+		x[i] = rng.Uint64() % bound
+	}
+	x[0], x[1], x[n-1] = bound-1, 0, bound-1
+	return x
+}
+
+// TestRadix8RoundsMatchGeneric runs the radix-8 rounds at every entry
+// stage of an 8192-point transform, over the whole row and over each
+// SLM group, for 30- to 61-bit moduli: the AVX-512 kernels (where the
+// CPU has them), the Go rounds and the generic loop must agree bit for
+// bit. Inputs span the full lazy range, and the outputs must stay
+// inside it: forward [0, 4p), inverse [0, 2p). On an AVX-512 machine
+// the vector kernels must take every round whose lanes are a multiple
+// of eight or one long.
 func TestRadix8RoundsMatchGeneric(t *testing.T) {
 	const n, logN, w = 8192, 13, 3
-	for _, bits := range []int{30, 50, 60} {
-		tbl := NewTables(n, xmath.NewModulus(xmath.GeneratePrimes(bits, 1, n)[0]))
-		p := tbl.Modulus.Value
+	for _, bits := range []int{30, 50, 60, 61} {
 		rng := rand.New(rand.NewSource(int64(bits)))
-		lazy := func(bound uint64) []uint64 {
-			x := make([]uint64, n)
-			for i := range x {
-				x[i] = rng.Uint64() % bound
-			}
-			x[0], x[1] = bound-1, 0
-			return x
-		}
+		tbl := roundTables(rng, n, bits)
+		p := tbl.Modulus.Value
 		check := func(name string, got, want []uint64, bound uint64) {
 			t.Helper()
 			for i := range want {
@@ -53,30 +90,127 @@ func TestRadix8RoundsMatchGeneric(t *testing.T) {
 				}
 			}
 		}
+		// run applies one round three ways to copies of in and checks
+		// each against the generic loop.
+		run := func(name string, in []uint64, bound uint64, lane int, vec func([]uint64) bool, goRound, generic func([]uint64)) {
+			t.Helper()
+			want := append([]uint64(nil), in...)
+			generic(want)
+			got := append([]uint64(nil), in...)
+			goRound(got)
+			check(name+" Go", got, want, bound)
+			copy(got, in)
+			took := vec(got)
+			if eligible := vectorRounds && (lane%8 == 0 || lane == 1); took != eligible {
+				t.Fatalf("%d-bit %s: vector kernel taken = %v for lanes of %d", bits, name, took, lane)
+			}
+			if took {
+				check(name+" AVX-512", got, want, bound)
+			}
+		}
 		for s := 0; s+w <= logN; s++ {
 			m, T := 1<<s, n>>(s+1)
 			for _, win := range roundWindows(n, 2*T) {
-				got := lazy(4 * p)
-				want := append([]uint64(nil), got...)
 				base := win[0] / (2 * T)
-				applyRadixRound(got[win[0]:win[1]], tbl, m, T, w, base)
-				genericRadixRound(want[win[0]:win[1]], tbl, m, T, w, base)
-				check(fmt.Sprintf("forward m=%d T=%d blockBase=%d", m, T, base), got, want, 4*p)
+				first := m + base
+				in := lazyInputs(rng, n, 4*p)[win[0]:win[1]]
+				run(fmt.Sprintf("forward m=%d T=%d blockBase=%d", m, T, base), in, 4*p, T/4,
+					func(x []uint64) bool { return fwdRound8Vector(x, tbl.Roots, p, first, T) },
+					func(x []uint64) { fwdRound8Go(x, tbl.Roots, p, first, T) },
+					func(x []uint64) { genericRadixRound(x, tbl, m, T, w, base) })
 			}
 		}
 		for s := logN; s-w >= 0; s-- {
 			m, tt := 1<<s, n>>s
 			span := tt << w
 			for _, win := range roundWindows(n, span) {
-				got := lazy(2 * p)
-				want := append([]uint64(nil), got...)
 				base := win[0] / span
-				applyInvRadixRound(got[win[0]:win[1]], tbl, m, tt, w, base)
-				genericInvRadixRound(want[win[0]:win[1]], tbl, m, tt, w, base)
-				check(fmt.Sprintf("inverse m=%d t=%d spanBase=%d", m, tt, base), got, want, 2*p)
+				first := m>>w + base
+				in := lazyInputs(rng, n, 2*p)[win[0]:win[1]]
+				run(fmt.Sprintf("inverse m=%d t=%d spanBase=%d", m, tt, base), in, 2*p, tt,
+					func(x []uint64) bool { return invRound8Vector(x, tbl.InvRoots, p, first, tt) },
+					func(x []uint64) { invRound8Go(x, tbl.InvRoots, p, first, tt) },
+					func(x []uint64) { genericInvRadixRound(x, tbl, m, tt, w, base) })
 			}
 		}
 	}
+}
+
+// TestFinalizeMatchesScalar: the finalize passes (vector body, Go tail)
+// give the scalar reductions of every element, at lengths on both sides
+// of the vector width.
+func TestFinalizeMatchesScalar(t *testing.T) {
+	for _, bits := range []int{30, 60, 61} {
+		rng := rand.New(rand.NewSource(int64(bits)))
+		tbl := roundTables(rng, 4096, bits)
+		p := tbl.Modulus.Value
+		for _, n := range []int{3, 8, 13, 64, 4096} {
+			x := lazyInputs(rng, n, 4*p)
+			got := append([]uint64(nil), x...)
+			finalizeForward(got, p)
+			for i, v := range x {
+				if want := xmath.ReduceToRange(v, p); got[i] != want {
+					t.Fatalf("%d-bit finalizeForward len %d: element %d = %d, want %d", bits, n, i, got[i], want)
+				}
+			}
+			x = lazyInputs(rng, n, 2*p)
+			got = append(got[:0], x...)
+			finalizeInverse(got, tbl)
+			for i, v := range x {
+				if want := tbl.NInv.MulMod(v, p); got[i] != want {
+					t.Fatalf("%d-bit finalizeInverse len %d: element %d = %d, want %d", bits, n, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRound8 runs one radix-8 round, forward or inverse, at a fuzzed
+// entry stage over a fuzzed run of blocks of a 1024-point transform,
+// under a random NTT prime of up to 62 bits and random lazy inputs:
+// the dispatched round (AVX-512 where the CPU has it) must equal the Go
+// round bit for bit and stay in the lazy range. Dropping the vector
+// butterfly's x ≥ 2p correction (its first VPMINUQ) fails here at once.
+func FuzzRound8(f *testing.F) {
+	f.Add(int64(1), uint8(50), uint8(0), uint16(0), false)
+	f.Add(int64(2), uint8(62), uint8(7), uint16(3), false)
+	f.Add(int64(3), uint8(61), uint8(10), uint16(5), true)
+	f.Add(int64(4), uint8(30), uint8(4), uint16(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, size, stage uint8, startBlock uint16, inverse bool) {
+		const n, logN, w = 1024, 10, 3
+		rng := rand.New(rand.NewSource(seed))
+		tbl := roundTables(rng, n, 20+int(size)%43)
+		p := tbl.Modulus.Value
+		bound, span, s := 4*p, 0, 0
+		if inverse {
+			s = w + int(stage)%(logN-w+1)
+			bound, span = 2*p, n>>s<<w
+		} else {
+			s = int(stage) % (logN - w + 1)
+			span = n >> s
+		}
+		blocks := n / span
+		b0 := int(startBlock) % blocks
+		if c := blocks - b0; c >= 8 {
+			blocks = b0 + c&^7
+		}
+		x := lazyInputs(rng, n, bound)
+		got := x[b0*span : blocks*span]
+		want := append([]uint64(nil), got...)
+		if inverse {
+			invRound8(got, tbl.InvRoots, p, 1<<s>>w+b0, n>>s)
+			invRound8Go(want, tbl.InvRoots, p, 1<<s>>w+b0, n>>s)
+		} else {
+			fwdRound8(got, tbl.Roots, p, 1<<s+b0, n>>(s+1))
+			fwdRound8Go(want, tbl.Roots, p, 1<<s+b0, n>>(s+1))
+		}
+		for i := range want {
+			if got[i] != want[i] || got[i] >= bound {
+				t.Fatalf("%d-bit p=%d stage %d inverse=%v blocks [%d,%d): element %d = %d, Go round gives %d (bound %d)",
+					bits.Len64(p), p, s, inverse, b0, blocks, i, got[i], want[i], bound)
+			}
+		}
+	})
 }
 
 // TestEngineRadix8TailRoundsMatchReference: sizes whose stage counts

@@ -14,7 +14,10 @@
 //
 // All GPU variants execute real arithmetic through the simulator's
 // functional layer and are bit-exact against the oracle; their
-// analytic profiles use the per-round ALU op counts of Table I.
+// analytic profiles use the per-round ALU op counts of Table I. On the
+// host, the radix-8 rounds and the last-round passes run on AVX-512
+// where the CPU has it (vector_amd64.s) and in Go elsewhere or under
+// the purego build tag, with the same bits either way.
 //
 // Every variant runs as Engine batches of polys × moduli independent
 // transforms sharing one kernel schedule. A batch is addressed either

@@ -1,0 +1,17 @@
+//go:build !amd64 || purego
+
+package ntt
+
+import "xehe/internal/xmath"
+
+// vectorRounds is false off amd64 and under the purego tag: the
+// …Vector functions take no work and every round runs the Go loops.
+const vectorRounds = false
+
+func fwdRound8Vector([]uint64, []xmath.MulModOperand, uint64, int, int) bool { return false }
+
+func invRound8Vector([]uint64, []xmath.MulModOperand, uint64, int, int) bool { return false }
+
+func finalizeForwardVector(x []uint64, _ uint64) []uint64 { return x }
+
+func finalizeInverseVector(x []uint64, _ uint64, _ xmath.MulModOperand) []uint64 { return x }
