@@ -344,9 +344,10 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 		if j == comps {
 			keyIdx = L + 1
 		}
-		for i := 0; i < comps; i++ {
-			bKey[j] = append(bKey[j], swk.B[i].Coeffs[keyIdx][:n])
-			aKey[j] = append(aKey[j], swk.A[i].Coeffs[keyIdx][:n])
+		bKey[j], aKey[j] = make([][]uint64, comps), make([][]uint64, comps)
+		for i := range comps {
+			bKey[j][i] = swk.B[i].Coeffs[keyIdx][:n]
+			aKey[j][i] = swk.A[i].Coeffs[keyIdx][:n]
 		}
 	}
 
@@ -379,10 +380,8 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 		profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride)
 	if !c.Cfg.Analytic {
 		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
-			src, dst, m := tCoeffs[jb].Coeffs[r/comps], digits[r/comps][jb].Coeffs[r%comps], dModuli[r]
-			for x := lo; x < hi; x++ {
-				dst[x] = m.BarrettReduce(src[x])
-			}
+			src, dst := tCoeffs[jb].Coeffs[r/comps], digits[r/comps][jb].Coeffs[r%comps]
+			dModuli[r].ReduceRow(dst[lo:hi], src[lo:hi])
 		})
 	}
 	c.launch()
@@ -403,15 +402,24 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 	per.AddProfile(c.lazySum(comps), 2)
 	c.ewKernelJobs("ks_inner_product", k, comps+1, per, 0, float64(24*comps+16), gpu.PatternUnitStride)
 	if !c.Cfg.Analytic {
-		c.ew.Body = rowBody(func(jb, j, lo, hi int) {
-			d := make([][]uint64, comps)
-			for i := range d {
-				d[i] = targets[jb].Coeffs[i]
+		// The c rows each (job, modulus) row sums over — the target's own
+		// row under its modulus, digit i's row under every other — are
+		// gathered before the launch, like the key rows: row r = jb·(c+1)
+		// + j owns dRows[r·c : (r+1)·c].
+		dRows := make([][]uint64, k*(comps+1)*comps)
+		for r := range k * (comps + 1) {
+			jb, j := r/(comps+1), r%(comps+1)
+			for i := range comps {
+				row := targets[jb].Coeffs[i]
 				if j != i {
-					d[i] = digits[i][jb].Coeffs[digitRow(i, j)]
+					row = digits[i][jb].Coeffs[digitRow(i, j)]
 				}
+				dRows[r*comps+i] = row
 			}
-			extModuli[j].InnerProductPair(accs[0][jb].Coeffs[j], accs[1][jb].Coeffs[j], d, bKey[j], aKey[j], lo, hi)
+		}
+		c.ew.Body = rowBody(func(jb, j, lo, hi int) {
+			r := jb*(comps+1) + j
+			extModuli[j].InnerProductPair(accs[0][jb].Coeffs[j], accs[1][jb].Coeffs[j], dRows[r*comps:(r+1)*comps], bKey[j], aKey[j], lo, hi)
 		})
 	}
 	c.launch()
@@ -432,10 +440,8 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 	if !c.Cfg.Analytic {
 		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
 			a, j := r/comps, r%comps
-			sp, d, m := accs[a][jb].Coeffs[comps], outs[jb].CT.Value[a].Coeffs[j], moduli[j]
-			for x := lo; x < hi; x++ {
-				d[x] = m.BarrettReduce(sp[x])
-			}
+			sp, d := accs[a][jb].Coeffs[comps], outs[jb].CT.Value[a].Coeffs[j]
+			moduli[j].ReduceRow(d[lo:hi], sp[lo:hi])
 		})
 	}
 	c.launch()
@@ -455,20 +461,12 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 	if !c.Cfg.Analytic {
 		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
 			a, j := r/comps, r%comps
-			q := moduli[j].Value
-			pInv := basis.SpecialInvOperand(L, j)
 			acc, o := accs[a][jb].Coeffs[j], outs[jb].CT.Value[a].Coeffs[j]
 			var add []uint64
 			if addends[a] != nil {
-				add = addends[a][jb].Coeffs[j]
+				add = addends[a][jb].Coeffs[j][lo:hi]
 			}
-			for x := lo; x < hi; x++ {
-				v := pInv.MulMod(xmath.SubMod(acc[x], o[x], q), q)
-				if add != nil {
-					v = xmath.AddMod(v, add[x], q)
-				}
-				o[x] = v
-			}
+			basis.SpecialInvOperand(L, j).SubMulRow(o[lo:hi], acc[lo:hi], add, moduli[j].Value)
 		})
 	}
 	c.launch()

@@ -5,28 +5,9 @@ package ntt
 import "xehe/internal/xmath"
 
 // vectorRounds reports whether the radix-8 rounds and the finalize
-// passes may run on AVX-512 (vector_amd64.s): the CPU has AVX-512F and
-// AVX-512DQ and the OS saves the opmask and ZMM state.
-var vectorRounds = hasAVX512()
-
-func hasAVX512() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	const osxsave = 1 << 27
-	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 {
-		return false
-	}
-	// XCR0: SSE, AVX, opmask, upper halves of Z0–Z15 and Z16–Z31.
-	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
-	if xgetbv0()&zmmState != zmmState {
-		return false
-	}
-	const avx512f, avx512dq = 1 << 16, 1 << 17
-	_, b, _, _ := cpuid(7, 0)
-	return b&avx512f != 0 && b&avx512dq != 0
-}
+// passes may run on AVX-512 (vector_amd64.s): xmath's one check of the
+// CPU and the OS.
+var vectorRounds = xmath.HasAVX512()
 
 // fwdRound8Vector runs fwdRound8 on AVX-512 and reports whether it
 // did: lanes of a multiple of eight coefficients go eight per
@@ -88,10 +69,6 @@ func finalizeInverseVector(x []uint64, p uint64, nInv xmath.MulModOperand) []uin
 	finalizeInverseAVX512(x[:v], p, nInv)
 	return x[v:]
 }
-
-func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-
-func xgetbv0() uint32
 
 // The kernels take what the functions above have bounds-checked: view
 // holds whole blocks (spans), roots reaches the last one's finest

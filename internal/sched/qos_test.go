@@ -69,8 +69,8 @@ func TestAdmissionShedsPartialShareClass(t *testing.T) {
 	const flood = 30
 	var futs []*Future
 	var rejected int64
-	for i := 0; i < flood; i++ {
-		fut, err := s.Submit(squareJob(h).WithClass(0))
+	for i, j := range squareJobs(h, flood) {
+		fut, err := s.Submit(j.WithClass(0))
 		switch {
 		case err == nil:
 			futs = append(futs, fut)

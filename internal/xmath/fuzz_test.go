@@ -1,7 +1,10 @@
 package xmath
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -138,6 +141,58 @@ func FuzzHarveyLazy(f *testing.F) {
 		}
 		if got := op.MulMod(y, p); got != want.Uint64() {
 			t.Fatalf("operand MulMod(%d; w=%d, p=%d) = %d, want %d", y, w, p, got, want.Uint64())
+		}
+	})
+}
+
+// FuzzInnerProductPair cross-checks the dispatched lazy inner product —
+// the AVX-512 body where the host has one — against the Go loop, on
+// random moduli up to 60 bits, 1 to 40 terms (the vector body takes up
+// to 16), a range [lo, n) in rows up to 511 long, and operands drawn
+// from a seed by randomTerms (0 and p−1 mixed in, or all near p−1).
+func FuzzInnerProductPair(f *testing.F) {
+	f.Add(uint64(1)<<60-1, int64(1), uint8(15), uint8(0), uint8(64), true)
+	f.Add(uint64(0xb4f3a1c2d5e6f79), int64(5), uint8(15), uint8(0), uint8(64), true)
+	f.Add(uint64(1)<<54-33, int64(2), uint8(8), uint8(3), uint8(37), false)
+	f.Add(uint64(2), int64(3), uint8(16), uint8(7), uint8(200), true)
+	f.Add(uint64(1)<<42-11, int64(4), uint8(39), uint8(1), uint8(16), false)
+	f.Fuzz(func(t *testing.T, rawP uint64, seed int64, rawTerms, lo, span uint8, top bool) {
+		m := fuzzModulus(rawP)
+		rng := rand.New(rand.NewSource(seed))
+		terms, n := int(rawTerms)%40+1, int(lo)+int(span)+1
+		d := randomTerms(rng, m.Value, terms, n, top)
+		b := randomTerms(rng, m.Value, terms, n, top)
+		a := randomTerms(rng, m.Value, terms, n, top)
+		checkInnerProductPair(t, m, d, b, a, int(lo), n)
+	})
+}
+
+// FuzzReduceRow cross-checks ReduceRow — the AVX-512 body where the
+// host has one, and its Go tail — against BarrettReduce on a row of
+// arbitrary 64-bit words, ending in 2^64−1.
+func FuzzReduceRow(f *testing.F) {
+	f.Add(uint64(1)<<60-1, []byte{})
+	f.Add(uint64(2), make([]byte, 64))
+	words := make([]byte, 256)
+	for i := range words {
+		words[i] = byte(i * 167)
+	}
+	f.Add(uint64(0x2b7e151628aed3), words)
+	f.Add(uint64(1)<<MaxModulusBits-1, bytes.Repeat([]byte{0xff}, 64))
+	f.Add(uint64(1)<<54-33, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Fuzz(func(t *testing.T, rawP uint64, raw []byte) {
+		m := fuzzModulus(rawP)
+		src := make([]uint64, 0, len(raw)/8+1)
+		for ; len(raw) >= 8; raw = raw[8:] {
+			src = append(src, binary.LittleEndian.Uint64(raw))
+		}
+		src = append(src, ^uint64(0))
+		dst := make([]uint64, len(src))
+		m.ReduceRow(dst, src)
+		for x, v := range src {
+			if want := m.BarrettReduce(v); dst[x] != want {
+				t.Fatalf("ReduceRow mod %d: x = %d gives %d for %d, want %d", m.Value, x, dst[x], v, want)
+			}
 		}
 	})
 }

@@ -107,6 +107,17 @@ func (m Modulus) BarrettReduce(a uint64) uint64 {
 	return r
 }
 
+// ReduceRow sets dst[x] = BarrettReduce(src[x]) for every x of src:
+// any 64-bit input, reduced into [0, p). dst must be at least as long
+// as src. With AVX-512 the multiple-of-8 prefix runs eight coefficients
+// per instruction and the Go loop takes the tail.
+func (m Modulus) ReduceRow(dst, src []uint64) {
+	dst = dst[:len(src)]
+	for x := m.reduceRowVector(dst, src); x < len(src); x++ {
+		dst[x] = m.BarrettReduce(src[x])
+	}
+}
+
 // barrettQuotient128 returns the third 64-bit word of the 256-bit
 // product (hi, lo) * (r1, r0), with (r1, r0) = floor(2^128/p): the
 // quotient estimate of SEAL's barrett_reduce_128 (see SEAL
@@ -175,10 +186,22 @@ const lazyBlock = 256
 // term costs two multiplies instead of two full MAdMods. The result is
 // the canonical residue, i.e. what the MAdMod chain from zero returns.
 // All operands must be reduced.
+//
+// With AVX-512 (vector_amd64.s) and at most 16 terms, the multiple-of-16
+// prefix of [lo, hi) runs eight coefficients per instruction; the rest,
+// and every longer chain, runs the Go loop, innerProductPairGo. Both
+// give the canonical residue, so the results are the same bit for bit.
 func (m Modulus) InnerProductPair(out0, out1 []uint64, d, b, a [][]uint64, lo, hi int) {
 	if len(d) > MaxLazyTerms {
 		panic("xmath: lazy inner product over more than MaxLazyTerms terms")
 	}
+	lo = m.innerProductPairVector(out0, out1, d, b, a, lo, hi)
+	m.innerProductPairGo(out0, out1, d, b, a, lo, hi)
+}
+
+// innerProductPairGo is InnerProductPair in Go: the fallback, and the
+// oracle the vector body is tested against.
+func (m Modulus) innerProductPairGo(out0, out1 []uint64, d, b, a [][]uint64, lo, hi int) {
 	p, r0, r1 := m.Value, m.ConstRatio[0], m.ConstRatio[1]
 	for x0 := lo; x0 < hi; x0 += lazyBlock {
 		x1 := min(x0+lazyBlock, hi)
@@ -258,6 +281,26 @@ func (op MulModOperand) MulMod(y uint64, p uint64) uint64 {
 		r -= p
 	}
 	return r
+}
+
+// SubMulRow sets dst[x] = W·(a[x] − dst[x]) mod p for every x of dst,
+// plus add[x] mod p when add is not nil: the key switch's mod-down
+// scale, (acc − res)·p⁻¹ (+ addend). Operands must be reduced, and a and
+// add at least as long as dst. With AVX-512 the multiple-of-8 prefix
+// runs eight coefficients per instruction and the Go loop takes the
+// tail.
+func (op MulModOperand) SubMulRow(dst, a, add []uint64, p uint64) {
+	a = a[:len(dst)]
+	if add != nil {
+		add = add[:len(dst)]
+	}
+	for x := op.subMulRowVector(dst, a, add, p); x < len(dst); x++ {
+		v := op.MulMod(SubMod(a[x], dst[x], p), p)
+		if add != nil {
+			v = AddMod(v, add[x], p)
+		}
+		dst[x] = v
+	}
 }
 
 // HarveyButterfly performs the Cooley–Tukey NTT butterfly from the

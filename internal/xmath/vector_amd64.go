@@ -1,0 +1,103 @@
+//go:build !purego
+
+package xmath
+
+// avx512 reports whether the AVX-512 bodies (vector_amd64.s, and
+// internal/ntt's) may run: the CPU has AVX-512F and AVX-512DQ and the
+// OS saves the opmask and ZMM state. It is checked once, at start-up.
+var avx512 = detectAVX512()
+
+// HasAVX512 reports whether this package's vector bodies, and
+// internal/ntt's, run on this host. It is false under the purego tag
+// and off amd64.
+func HasAVX512() bool { return avx512 }
+
+func detectAVX512() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave = 1 << 27
+	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 {
+		return false
+	}
+	// XCR0: SSE, AVX, opmask, upper halves of Z0–Z15 and Z16–Z31.
+	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+	if xgetbv0()&zmmState != zmmState {
+		return false
+	}
+	const avx512f, avx512dq = 1 << 16, 1 << 17
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx512f != 0 && b&avx512dq != 0
+}
+
+// vectorTerms is how many terms the vector inner product sums before
+// its 64-bit partial sums could wrap: each is a product of two 30-bit
+// halves, below 2^60, and 16 of them stay below 2^64.
+const vectorTerms = 16
+
+// innerProductPairVector runs InnerProductPair on AVX-512 over the
+// longest prefix of [lo, hi) that is a multiple of sixteen long (the
+// kernel walks two columns of eight at a time) and returns where the Go
+// loop takes over: lo itself without AVX-512, or with more than
+// vectorTerms terms.
+func (m Modulus) innerProductPairVector(out0, out1 []uint64, d, b, a [][]uint64, lo, hi int) int {
+	n := (hi - lo) &^ 15
+	if !avx512 || len(d) > vectorTerms || n <= 0 {
+		return lo
+	}
+	end := lo + n
+	_, _ = out0[lo:end], out1[lo:end]
+	b, a = b[:len(d)], a[:len(d)]
+	for i := range d {
+		_, _, _ = d[i][lo:end], b[i][lo:end], a[i][lo:end]
+	}
+	innerProductPairAVX512(out0, out1, d, b, a, lo, end, m.Value, m.ConstRatio[0], m.ConstRatio[1])
+	return end
+}
+
+// reduceRowVector runs ReduceRow on AVX-512 over the longest prefix of
+// src that is a multiple of eight long and returns its length (0
+// without AVX-512). dst is at least as long as src.
+func (m Modulus) reduceRowVector(dst, src []uint64) int {
+	if !avx512 {
+		return 0
+	}
+	n := len(src) &^ 7
+	reduceRowAVX512(dst[:n], src[:n], m.Value, m.ConstRatio[1])
+	return n
+}
+
+// subMulRowVector runs SubMulRow on AVX-512 over the longest prefix of
+// dst that is a multiple of eight long and returns its length (0
+// without AVX-512). a, and add when not nil, are as long as dst.
+func (op MulModOperand) subMulRowVector(dst, a, add []uint64, p uint64) int {
+	if !avx512 {
+		return 0
+	}
+	n := len(dst) &^ 7
+	if add != nil {
+		add = add[:n]
+	}
+	subMulRowAVX512(dst[:n], a[:n], add, p, op.Operand, op.Quotient)
+	return n
+}
+
+func cpuid(leaf, sub uint32) (a, b, c, d uint32)
+
+func xgetbv0() uint32
+
+// The kernels take what the functions above have bounds-checked: every
+// row and both outputs reach end, d, b and a have the same number of
+// terms (at most vectorTerms), end − lo is a multiple of sixteen and
+// len(src) and len(dst) of eight, and the rows beside dst and src are
+// as long (add may be empty: no addend).
+
+//go:noescape
+func innerProductPairAVX512(out0, out1 []uint64, d, b, a [][]uint64, lo, end int, p, r0, r1 uint64)
+
+//go:noescape
+func reduceRowAVX512(dst, src []uint64, p, r1 uint64)
+
+//go:noescape
+func subMulRowAVX512(dst, a, add []uint64, p, w, wq uint64)

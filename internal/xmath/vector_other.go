@@ -1,0 +1,13 @@
+//go:build !amd64 || purego
+
+package xmath
+
+// HasAVX512 is false off amd64 and under the purego tag: the …Vector
+// functions take no work and every body runs the Go loops.
+func HasAVX512() bool { return false }
+
+func (Modulus) innerProductPairVector(_, _ []uint64, _, _, _ [][]uint64, lo, _ int) int { return lo }
+
+func (Modulus) reduceRowVector(_, _ []uint64) int { return 0 }
+
+func (MulModOperand) subMulRowVector(_, _, _ []uint64, _ uint64) int { return 0 }
