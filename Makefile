@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check size test test-race fallback stress fuzz-smoke bench bench-selftest bench-sweeps clean
+.PHONY: all build vet fmt-check size test bench-check test-race fallback stress fuzz-smoke bench bench-selftest bench-sweeps clean
 
 all: build test
 
@@ -33,12 +33,21 @@ size:
 test: build
 	$(GO) test ./...
 
+# The exact-model gates, about a second of test time: every paper
+# figure against its golden file (TestFigures), the timing-only
+# evaluator and scheduler as faithful twins of the functional ones, and
+# the client's keys, ciphertexts and decodes against recorded hashes.
+# A refactor that must not move a number runs this: green means no
+# simulated clock, figure or client bit moved.
+bench-check:
+	$(GO) test -count=1 -run '^(TestFigures|TestTimingOnlyIsAFaithfulTwin|TestTimingOnlySchedulerIsATwin|TestClientBitIdentity)$$' ./cmd/xehe-bench ./internal/fhebench ./internal/sched ./internal/ckks
+
 # Race-enabled pass over every package that runs goroutines
 # concurrently: the batch scheduler's differential + QoS fairness +
 # work-stealing + transfer-pipeline harnesses (now including the
 # concurrent Stats/trace-snapshot hammer), the qos policy layer, the
 # observability rings + metrics registry, the shared device memory
-# cache + staging pool (functional and timing-only), the GPU
+# cache (functional and timing-only), the GPU
 # simulator's group runner, the sycl copy-queue event ordering, the
 # serial evaluator with the paper's figures on top of it (core and
 # fhebench run kernel bodies on the group runner's goroutines;

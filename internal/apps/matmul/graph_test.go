@@ -94,7 +94,7 @@ func TestMatMulGraphScheduler(t *testing.T) {
 	if st.GraphJobs != int64(w.M*w.N) {
 		t.Errorf("GraphJobs = %d, want %d accumulators", st.GraphJobs, w.M*w.N)
 	}
-	if n := s.Backend().Cache().PinnedCount(); n != 0 {
+	if n := s.Cache().PinnedCount(); n != 0 {
 		t.Errorf("PinnedCount = %d after drain, want 0", n)
 	}
 }

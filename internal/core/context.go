@@ -90,9 +90,6 @@ type Context struct {
 	// timeline and overlap with compute. nil routes transfers through
 	// Queues[0] as before.
 	CopyQ *sycl.Queue
-	// Staging is the (shared) pinned-staging pool backing gathered
-	// transfers; nil allocates transient staging per transfer.
-	Staging *memcache.StagingPool
 
 	// deps is the pending pipeline tail (in-order semantics). After a
 	// kernel launch it is tail itself, whose capacity equals its length,

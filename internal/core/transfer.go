@@ -1,17 +1,16 @@
 package core
 
-// Fused batch transfers: gathered host<->device staging for coalesced
+// Fused batch transfers: gathered host<->device copies for coalesced
 // job batches. The serial Upload/Download pay one memcpy submission
 // per ciphertext component; a coalesced batch of k jobs used to pay
 // k × components of them, all serialized on the compute queue. The
-// methods here move a whole batch in ONE staged submission — the rows
-// are gathered through a reusable pinned staging buffer
-// (memcache.StagingPool) and scattered into the per-job device buffers
-// (sycl.CopyInGather/CopyOutScatter) — and, when the context owns a
-// copy queue (Config.CopyEngine), the transfer rides the tile's copy
-// engine and overlaps with compute. Data movement is bit-identical to
-// the per-job path; only submission counts and simulated timing
-// change.
+// methods here move a whole batch in ONE submission sized at its
+// bytes — each row copies straight between its host slice and its
+// job's device buffer (sycl.CopyInGather/CopyOutScatter) — and, when
+// the context owns a copy queue (Config.CopyEngine), the transfer
+// rides the tile's copy engine and overlaps with compute. Data
+// movement is bit-identical to the per-job path; only submission
+// counts and simulated timing change.
 
 import (
 	"xehe/internal/ckks"
@@ -28,21 +27,6 @@ func (c *Context) copyQueue() *sycl.Queue {
 	return c.Queues[0]
 }
 
-// stagingGet obtains a staging buffer of size words from the shared
-// pool (or transiently when the context has none).
-func (c *Context) stagingGet(size int) []uint64 {
-	if c.Staging != nil {
-		return c.Staging.Get(size)
-	}
-	return make([]uint64, size)
-}
-
-func (c *Context) stagingPut(buf []uint64) {
-	if c.Staging != nil {
-		c.Staging.Put(buf)
-	}
-}
-
 // UploadBatch copies k host ciphertexts into device buffers with one
 // gathered H2D submission sized at the whole batch (jobs × components
 // × N words), instead of one submission per component per job. It
@@ -50,7 +34,7 @@ func (c *Context) stagingPut(buf []uint64) {
 // (also installed as the pipeline tail) that downstream kernels must
 // depend on. A batch of one moves exactly what Upload moves. If the
 // copy is lost on the wire (the submission panics) the buffers it was
-// headed for and the staging slab are returned first.
+// headed for are returned first.
 func (c *Context) UploadBatch(cts []*ckks.Ciphertext) ([]*Ciphertext, int64, gpu.Event) {
 	outs := make([]*Ciphertext, len(cts))
 	var dsts []*sycl.Buffer
@@ -76,9 +60,7 @@ func (c *Context) UploadBatch(cts []*ckks.Ciphertext) ([]*Ciphertext, int64, gpu
 	if c.Cfg.Analytic {
 		ev = q.Raw().CopyH2D(int64(words) * 8)
 	} else {
-		staging := c.stagingGet(words)
-		defer c.stagingPut(staging)
-		ev = q.CopyInGather(dsts, srcs, staging)
+		ev = q.CopyInGather(dsts, srcs)
 	}
 	sent = true
 	c.after([]gpu.Event{ev})
@@ -87,7 +69,7 @@ func (c *Context) UploadBatch(cts []*ckks.Ciphertext) ([]*Ciphertext, int64, gpu
 
 // DownloadBatchAsync submits one gathered D2H transfer for every
 // non-nil ciphertext of a batch (rows scattered from the jobs' device
-// buffers through the staging pool into fresh host polynomials),
+// buffers into fresh host polynomials),
 // depending on the current pipeline tail, and returns the host
 // ciphertexts, the bytes moved and the copy event — which the caller
 // waits on, once, when the results are needed. nil entries (failed
@@ -116,9 +98,7 @@ func (c *Context) DownloadBatchAsync(cts []*Ciphertext) ([]*ckks.Ciphertext, int
 	if c.Cfg.Analytic {
 		ev = q.Raw().CopyD2H(int64(words)*8, c.deps...)
 	} else {
-		staging := c.stagingGet(words)
-		defer c.stagingPut(staging)
-		ev = q.CopyOutScatter(dsts, srcs, staging, c.deps...)
+		ev = q.CopyOutScatter(dsts, srcs, c.deps...)
 	}
 	c.after([]gpu.Event{ev})
 	return outs, int64(words) * 8, ev

@@ -46,7 +46,7 @@ func TestTimingOnlySchedulerIsATwin(t *testing.T) {
 		s.Drain()
 		runtime.ReadMemStats(&after)
 		_, _, allocs := dev.AllocStats()
-		return s.Stats(), s.Backend().SimulatedSeconds(), allocs, (after.TotalAlloc - before.TotalAlloc) / jobs
+		return s.Stats(), s.Device().SimulatedSeconds(), allocs, (after.TotalAlloc - before.TotalAlloc) / jobs
 	}
 	want, wantSim, wantAllocs, _ := run(false)
 	got, gotSim, gotAllocs, gotHeap := run(true)

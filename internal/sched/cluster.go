@@ -886,7 +886,7 @@ func (c *Cluster) Classes() []qos.Class {
 func (c *Cluster) SimulatedSeconds() float64 {
 	var max float64
 	for _, sh := range c.all() {
-		if s := sh.sched.Backend().SimulatedSeconds(); s > max {
+		if s := sh.sched.dev.SimulatedSeconds(); s > max {
 			max = s
 		}
 	}

@@ -52,7 +52,7 @@ func newClusterWith(t testing.TB, h *Harness, specs []ShardSpec, cfg Config) *Cl
 		}
 		pools := func(when string) {
 			for i, sh := range c.all() {
-				checkPoolsReturned(t, fmt.Sprintf("teardown, %s: shard %d", when, i), sh.sched.Backend())
+				checkPoolsReturned(t, fmt.Sprintf("teardown, %s: shard %d", when, i), sh.sched.Cache())
 			}
 		}
 		for i, sh := range c.all() {
@@ -238,7 +238,7 @@ func TestWarmBuffersPreloadsPool(t *testing.T) {
 	cfg.WarmBuffers = 64 // above the 2-worker working set of this job mix
 	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
-	cache := s.Backend().Cache()
+	cache := s.Cache()
 	if n := cache.FreeCount(); n != 64 {
 		t.Fatalf("free pool holds %d buffers after construction, want 64", n)
 	}

@@ -106,9 +106,8 @@ func (s *Scheduler) migrateResidents() int64 {
 		// the pins would leak the buffers. Consumer releaseRef calls
 		// that race this are no-ops on a released residency.
 		r.released = true
-		cache := r.owner.backend.Cache()
 		for _, b := range r.ct.Buffers() {
-			cache.Unpin(b)
+			r.owner.cache.Unpin(b)
 		}
 		r.owner.untrackResident(f)
 		f.mu.Unlock()

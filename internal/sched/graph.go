@@ -114,9 +114,8 @@ func (f *Future) releaseRefLocked() {
 		return
 	}
 	r.released = true
-	cache := r.owner.backend.Cache()
 	for _, b := range r.ct.Buffers() {
-		cache.Unpin(b)
+		r.owner.cache.Unpin(b)
 	}
 	r.owner.untrackResident(f)
 }
@@ -170,9 +169,8 @@ func (s *Scheduler) settleOutput(w *worker, sj *staged) (needDL bool) {
 	f.settled = true
 	if f.consumers > 0 {
 		out := sj.vals[len(sj.vals)-1]
-		cache := s.backend.Cache()
 		for _, b := range out.Buffers() {
-			cache.Pin(b)
+			s.cache.Pin(b)
 		}
 		f.resident = &residentOutput{
 			ct:    out,
@@ -234,7 +232,7 @@ func (s *Scheduler) depReady(t *task, i int, f *Future, pre bool) {
 	if failErr == nil {
 		// Attribute the dependency park: simulated time between the
 		// consumer's admission and its last producer settling.
-		if park := s.backend.SimulatedSeconds() - t.enq; park > 0 {
+		if park := s.dev.SimulatedSeconds() - t.enq; park > 0 {
 			s.met.depParkNS.Add(int64(park * 1e9))
 		}
 		s.arriveLocked(t)
@@ -381,7 +379,7 @@ func (s *Scheduler) downloadResident(r *residentOutput) (out *ckks.Ciphertext, e
 		}
 	}()
 	if s.matCtx == nil {
-		s.matCtx = s.backend.WorkerContext(s.params, s.cfg.Core, 0, s.cfg.Workers > 1)
+		s.matCtx = s.workerContext(0)
 	}
 	s.matCtx.PipelineAfter(r.evs...)
 	return s.matCtx.Download(core.Borrow(r.ct)), nil
@@ -394,5 +392,5 @@ func (s *Scheduler) downloadResident(r *residentOutput) (out *ckks.Ciphertext, e
 func (s *Scheduler) failTask(t *task, err error) {
 	t.fut.finish(err)
 	s.releaseDeps(t)
-	s.jobDone(nil, t, true, 1, s.backend.SimulatedSeconds())
+	s.jobDone(nil, t, true, 1, s.dev.SimulatedSeconds())
 }

@@ -259,7 +259,7 @@ func TestGraphProducerFailurePropagates(t *testing.T) {
 	if _, err := loneFut.Wait(); err == nil {
 		t.Fatal("baseline broken job reported success")
 	}
-	stranded := base.Backend().Cache().UsedCount()
+	stranded := base.Cache().UsedCount()
 	base.Close()
 
 	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), gks)
@@ -321,7 +321,7 @@ func TestGraphProducerFailurePropagates(t *testing.T) {
 	if st.GraphJobs != 3 {
 		t.Fatalf("GraphJobs = %d, want 3", st.GraphJobs)
 	}
-	cache := s.Backend().Cache()
+	cache := s.Cache()
 	// The failed dependents never reached a worker, so the only
 	// stranded allocations are the panicking producer's own in-kernel
 	// temporaries — exactly the lone-job baseline, nothing from the

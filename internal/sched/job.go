@@ -7,8 +7,8 @@
 // Design (extending the paper's single-stream pipeline of Fig. 2 to a
 // serving scenario):
 //
-//   - A scheduler runs on one simulated GPU (Backend: the device, its
-//     buffer cache, its staging pool, its clocks); a Cluster builds one
+//   - A scheduler runs on one simulated GPU (its device, buffer cache
+//     and clocks); a Cluster builds one
 //     scheduler per ShardSpec, which is plain data. Each worker owns
 //     one in-order queue pinned to a tile (round-robin over the
 //     device's tiles) and a private core.Context, so the asynchronous

@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"time"
 
+	"xehe/internal/memcache"
 	"xehe/internal/obs"
 	"xehe/internal/qos"
 )
@@ -76,7 +77,7 @@ func (s *Scheduler) spanBegin() spanStart {
 	if s.tracer == nil {
 		return spanStart{}
 	}
-	return spanStart{sim: s.backend.SimulatedSeconds(), wall: time.Now().UnixNano(), on: true}
+	return spanStart{sim: s.dev.SimulatedSeconds(), wall: time.Now().UnixNano(), on: true}
 }
 
 // spanEnd closes a span against the current clocks and records it.
@@ -86,7 +87,7 @@ func (s *Scheduler) spanEnd(ring *obs.Ring, st spanStart, track, name, cat, clas
 	}
 	ring.Record(obs.Span{
 		Track: track, Name: name, Cat: cat, Class: class,
-		Start: st.sim, End: s.backend.SimulatedSeconds(),
+		Start: st.sim, End: s.dev.SimulatedSeconds(),
 		Wall: time.Now().UnixNano(), Batch: batch, Jobs: jobs,
 	})
 }
@@ -170,9 +171,9 @@ var derivedTotals = []string{
 }
 
 // newSchedMetrics builds the instrument set over the class table and
-// the worker pool, and registers the gauges: the backend's pools and
-// the tracer's dropped-span total.
-func newSchedMetrics(classes []qos.Class, workers int, backend *Backend, traceCounts func() (recorded, dropped int64)) *schedMetrics {
+// the worker pool, and registers the gauges: the buffer cache's pools
+// and the tracer's dropped-span total.
+func newSchedMetrics(classes []qos.Class, workers int, cache *memcache.Cache, traceCounts func() (recorded, dropped int64)) *schedMetrics {
 	reg := obs.NewRegistry()
 	m := &schedMetrics{
 		reg:            reg,
@@ -213,15 +214,11 @@ func newSchedMetrics(classes []qos.Class, workers int, backend *Backend, traceCo
 	for i := 0; i < workers; i++ {
 		m.worker = append(m.worker, reg.Counter("worker.jobs."+strconv.Itoa(i)))
 	}
-	cache := backend.Cache()
 	reg.Gauge("memcache.hits", func() float64 { h, _ := cache.Stats(); return float64(h) })
 	reg.Gauge("memcache.misses", func() float64 { _, m := cache.Stats(); return float64(m) })
 	reg.Gauge("memcache.pinned_buffers", func() float64 { return float64(cache.PinnedCount()) })
 	reg.Gauge("memcache.free_buffers", func() float64 { return float64(cache.FreeCount()) })
 	reg.Gauge("memcache.used_buffers", func() float64 { return float64(cache.UsedCount()) })
-	staging := backend.Staging()
-	reg.Gauge("staging.free_buffers", func() float64 { return float64(staging.FreeCount()) })
-	reg.Gauge("staging.free_words", func() float64 { return float64(staging.FreeWords()) })
 	// A gauge over the rings' own count: nothing to keep current, so
 	// concurrent snapshots cannot double count a drop.
 	reg.Gauge("trace.spans_dropped", func() float64 { _, d := traceCounts(); return float64(d) })
@@ -301,7 +298,7 @@ func (s *Scheduler) TraceProcess(name string) (obs.Process, bool) {
 	for _, w := range s.workers {
 		order = append(order, w.track)
 	}
-	dev := s.backend.Device()
+	dev := s.dev
 	for t := 0; t < dev.Spec.Tiles; t++ {
 		order = append(order, fmt.Sprintf("tile%d compute", t), fmt.Sprintf("tile%d copy", t))
 	}

@@ -58,13 +58,13 @@ func TestTracingDifferential(t *testing.T) {
 		t.Fatal("tracing enabled but no spans recorded")
 	}
 	// Observability reads must not advance the simulated clock.
-	before := s.Backend().SimulatedSeconds()
+	before := s.Device().SimulatedSeconds()
 	_ = s.Metrics()
 	var buf bytes.Buffer
 	if err := s.WriteTrace(&buf); err != nil {
 		t.Fatalf("WriteTrace: %v", err)
 	}
-	if after := s.Backend().SimulatedSeconds(); after != before {
+	if after := s.Device().SimulatedSeconds(); after != before {
 		t.Fatalf("observability reads advanced the simulated clock: %g -> %g", before, after)
 	}
 	if !json.Valid(buf.Bytes()) {
@@ -303,7 +303,7 @@ func TestStatsViewCoversEveryField(t *testing.T) {
 	for i, sh := range c.all() {
 		fill(sh.sched.met.reg)
 		// i+1 misses, then 2i+5 hits: distinct per shard and in total.
-		cache := sh.sched.backend.Cache()
+		cache := sh.sched.cache
 		bufs := make([]*sycl.Buffer, i+1)
 		for j := range bufs {
 			bufs[j] = cache.Malloc(64)

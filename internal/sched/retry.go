@@ -88,7 +88,7 @@ func (s *Scheduler) retryEligible(t *task, err error) bool {
 		return false
 	}
 	if !math.IsInf(t.deadline, 1) &&
-		s.backend.SimulatedSeconds()+s.cfg.Retry.backoff(t.attempt) > t.deadline {
+		s.dev.SimulatedSeconds()+s.cfg.Retry.backoff(t.attempt) > t.deadline {
 		return false
 	}
 	return true
@@ -118,7 +118,7 @@ type retryEntry struct {
 // or the cluster shutting down) and the task is back on src's clock for
 // the normal failure path.
 func (c *Cluster) offerRetry(src *shard, t *task, err error) bool {
-	now := src.sched.backend.SimulatedSeconds()
+	now := src.sched.dev.SimulatedSeconds()
 	t.detach(now)
 	if c.queueRetry(src, t, err) {
 		return true

@@ -12,8 +12,10 @@ import (
 	"xehe/internal/ckks"
 	"xehe/internal/core"
 	"xehe/internal/gpu"
+	"xehe/internal/memcache"
 	"xehe/internal/obs"
 	"xehe/internal/qos"
+	"xehe/internal/sycl"
 )
 
 // ErrClosed is returned by Submit after Close has been called.
@@ -168,7 +170,7 @@ type ClassStats struct {
 	Batches   int64 `metric:"sched.batches"`
 	MaxBatch  int   `metric:"sched.max_batch"`
 	Coalesced int64 `metric:"sched.jobs_coalesced"`
-	// TransferBatches counts the gathered H2D/D2H staging submissions
+	// TransferBatches counts the gathered H2D/D2H submissions
 	// issued for this class's batches (two per batch in steady state —
 	// one upload, one download), the per-class view of coalescing
 	// effectiveness on the transfer path.
@@ -203,7 +205,7 @@ type Stats struct {
 	FusedSteps   int64 `metric:"sched.fused_steps"`
 	UnfusedSteps int64 `metric:"sched.unfused_steps"`
 	// TransferBatches counts gathered transfer submissions: each is one
-	// staged H2D upload or one scattered D2H download covering a whole
+	// gathered H2D upload or one scattered D2H download covering a whole
 	// batch. BytesH2D/BytesD2H are the bytes they moved, so
 	// BytesH2D/TransferBatches exposes the mean gathered-transfer size —
 	// the coalescing effectiveness of the transfer path.
@@ -357,14 +359,15 @@ func (w *latWindow) reset() {
 }
 
 // Scheduler multiplexes independent HE jobs over a worker pool on one
-// execution backend (a single simulated device).
+// simulated device, whose buffer cache its workers share.
 // Jobs are held in per-class queues until a worker pulls its next
 // batch, and a qos.Policy picks the class then, so a late-arriving
 // interactive job can overtake a queued batch backlog. All methods are safe for
 // concurrent use.
 type Scheduler struct {
 	params  *ckks.Parameters
-	backend *Backend
+	dev     *gpu.Device
+	cache   *memcache.Cache
 	cfg     Config
 	rlk     *ckks.RelinKey
 	gks     map[int]*ckks.GaloisKey
@@ -463,12 +466,12 @@ type worker struct {
 // key is required by every Mul/Square op; Galois keys are looked up per
 // rotation amount and may be nil if no job rotates.
 func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey) *Scheduler {
-	backend := newBackend(dev, cfg.Core)
-	cfg = cfg.withDefaults(backend.Tiles())
+	cfg = cfg.withDefaults(dev.Spec.Tiles)
 	cfg.Core.DualTile = false // parallelism comes from the pool
 	s := &Scheduler{
 		params:    params,
-		backend:   backend,
+		dev:       dev,
+		cache:     core.NewCache(dev, cfg.Core),
 		cfg:       cfg,
 		rlk:       rlk,
 		gks:       gks,
@@ -484,26 +487,22 @@ func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKe
 	// accumulators: full chain + special component); best-fit reuse
 	// lets every smaller request ride the same pool.
 	if cfg.WarmBuffers > 0 {
-		backend.Cache().Warm(cfg.WarmBuffers, (params.MaxLevel()+2)*params.N)
+		s.cache.Warm(cfg.WarmBuffers, (params.MaxLevel()+2)*params.N)
 	}
 	s.outCond = sync.NewCond(&s.outMu)
 	s.latency = make([]latWindow, len(s.classes))
 	for _, c := range s.classes {
 		s.queueTracks = append(s.queueTracks, "queue "+c.Name)
 	}
-	s.met = newSchedMetrics(s.classes, cfg.Workers, backend, s.TraceCounts)
+	s.met = newSchedMetrics(s.classes, cfg.Workers, s.cache, s.TraceCounts)
 	if cfg.Trace.Enabled {
 		s.tracer = obs.NewTracer(ringWorker0+cfg.Workers, cfg.Trace.SpanCap)
 		// The device command trace feeds the tile compute/copy tracks
 		// of the exported timeline.
 		dev.EnableTrace()
 	}
-	multiQ := cfg.Workers > 1
 	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{
-			id:  i,
-			ctx: backend.WorkerContext(params, cfg.Core, i, multiQ),
-		}
+		w := &worker{id: i, ctx: s.workerContext(i)}
 		if s.tracer != nil {
 			w.ring = s.tracer.Ring(ringWorker0 + i)
 			w.track = fmt.Sprintf("worker %d", i)
@@ -519,8 +518,25 @@ func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKe
 // Params returns the scheme parameters the scheduler was built for.
 func (s *Scheduler) Params() *ckks.Parameters { return s.params }
 
-// Backend returns the scheduler's execution backend.
-func (s *Scheduler) Backend() *Backend { return s.backend }
+// Device returns the simulated device the scheduler runs on.
+func (s *Scheduler) Device() *gpu.Device { return s.dev }
+
+// Cache returns the device-wide buffer cache the workers share.
+func (s *Scheduler) Cache() *memcache.Cache { return s.cache }
+
+// workerContext mints the private core context of worker id: an
+// in-order queue on tile id mod Tiles, sharing the scheduler's buffer
+// cache. With more than one worker the queue is part of an explicit
+// multi-queue set and pays the per-submission multi-queue tax
+// (Section III-C.2).
+func (s *Scheduler) workerContext(id int) *core.Context {
+	cfg := s.cfg.Core
+	q := sycl.NewQueueOnTile(s.dev, id%s.dev.Spec.Tiles, cfg.Codegen(), s.cfg.Workers > 1)
+	if cfg.Blocking {
+		q.Raw().SetBlocking(true)
+	}
+	return core.NewContextOn(s.params, s.dev, cfg, []*sycl.Queue{q}, s.cache)
+}
 
 // Policy returns the name of the dispatch policy in effect.
 func (s *Scheduler) Policy() string { return s.d.policy.Name() }
@@ -596,7 +612,7 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 			s.qcond.Wait() // backpressure; a pull frees space
 		}
 	}
-	s.d.stamp(t, s.backend.SimulatedSeconds())
+	s.d.stamp(t, s.dev.SimulatedSeconds())
 	if len(job.Deps) == 0 {
 		s.arriveLocked(t)
 	} else {
@@ -654,7 +670,7 @@ func (s *Scheduler) Close() {
 	// panicking op may have stranded its internal allocations in the
 	// used pool with no handle to free them through; all workers have
 	// stopped, so anything still checked out is such an orphan.
-	s.backend.Release()
+	s.cache.ReleaseAll()
 	close(s.closeDone)
 }
 
@@ -696,7 +712,7 @@ func (s *Scheduler) outstandingAdd(jobs int, work float64) {
 	s.outMu.Unlock()
 }
 
-// ResetClocks zeroes the backend's simulated clocks together with the
+// ResetClocks zeroes the device's simulated clocks together with the
 // QoS state derived from them — the monotonic enqueue-stamp floor and
 // the per-class latency samples — so steady-state measurement after a
 // warm-up starts from a clean timeline (stale stamps would force
@@ -704,7 +720,7 @@ func (s *Scheduler) outstandingAdd(jobs int, work float64) {
 // spurious deadline hits). Counter totals are preserved. Call it only
 // while the scheduler is idle.
 func (s *Scheduler) ResetClocks() {
-	s.backend.ResetClocks()
+	s.dev.ResetClocks()
 	s.qmu.Lock()
 	s.d.lastEnq = 0
 	s.qmu.Unlock()
@@ -767,7 +783,7 @@ func (s *Scheduler) pull(w *worker, wait bool) []*task {
 	defer s.qmu.Unlock()
 	for {
 		if s.d.queued > 0 {
-			now := s.backend.SimulatedSeconds()
+			now := s.dev.SimulatedSeconds()
 			if sh, ok := s.d.next(w.id, now); ok {
 				s.dispatched(sh, now)
 				s.qcond.Broadcast() // queue space freed: blocked Submits and Close look again
@@ -831,7 +847,7 @@ func (s *Scheduler) stealQueued(max int) []*task {
 	if len(out) == 0 {
 		return nil
 	}
-	now := s.backend.SimulatedSeconds()
+	now := s.dev.SimulatedSeconds()
 	for _, t := range out {
 		t.detach(now)
 	}
@@ -862,7 +878,7 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 	for _, t := range ts {
 		s.rehomeDeps(t)
 	}
-	now := s.backend.SimulatedSeconds()
+	now := s.dev.SimulatedSeconds()
 	var work float64
 	s.qmu.Lock()
 	for _, t := range ts {
@@ -935,7 +951,7 @@ func (s *Scheduler) surrenderTasks(ts []*task) {
 		return
 	}
 	s.met.surrendered.Add(int64(len(ts)))
-	now := s.backend.SimulatedSeconds()
+	now := s.dev.SimulatedSeconds()
 	for _, t := range ts {
 		t.detach(now)
 	}
@@ -947,7 +963,7 @@ func (s *Scheduler) surrenderTasks(ts []*task) {
 // fails with its own last execution error — what the caller would have
 // seen without retries — or, having none, with ErrShardLost.
 func (s *Scheduler) abandon(t *task) {
-	t.attach(s.backend.SimulatedSeconds())
+	t.attach(s.dev.SimulatedSeconds())
 	err := t.retryErr
 	if err == nil {
 		err = ErrShardLost
@@ -993,7 +1009,7 @@ func (sj *staged) result() *core.Ciphertext {
 }
 
 // runWorker is the worker loop, and the only one: each batch's inputs
-// arrive in one gathered H2D staging submission, its chain runs as one
+// arrive in one gathered H2D submission, its chain runs as one
 // launch sequence per op-chain step for the whole batch (chain.go),
 // and its results leave in one scattered D2H, both copies on the tile's
 // copy engine. A job that runs alone is a batch of one on the same
@@ -1052,7 +1068,7 @@ func (s *Scheduler) runWorker(w *worker) {
 }
 
 // uploadedBatch is a batch whose inputs have been shipped to the
-// device in one gathered staging submission. ins[i] are job i's
+// device in one gathered submission. ins[i] are job i's
 // device-resident inputs (host uploads plus borrowed aliases of
 // device-resident dependencies); ev is the copy event every chain must
 // depend on, depEvs the producer events of the borrowed dependencies.
@@ -1079,7 +1095,7 @@ func (w *worker) uploadBatch(s *Scheduler, batch []*task) *uploadedBatch {
 }
 
 // upload gathers every host input of every job in the batch —
-// including host-fallback dependency values — into one staged H2D
+// including host-fallback dependency values — into one gathered H2D
 // submission on the copy engine, splicing borrowed device-resident
 // dependencies in afterwards (they move zero bytes). A copy lost on
 // the wire has stranded nothing (core.UploadBatch returns what it
@@ -1179,7 +1195,7 @@ type pendingBatch struct {
 }
 
 // submitBatchDownload ships every successful result of the batch in
-// one scattered D2H staging submission on the copy engine, fills the
+// one scattered D2H submission on the copy engine, fills the
 // futures' result slots, and returns the in-flight handle; the caller
 // waits on it after submitting the next batch's work. Device buffers
 // recycle immediately: the simulator executes the memcpy functionally
@@ -1236,7 +1252,7 @@ func (w *worker) submitBatchDownload(s *Scheduler, class int, stagedJobs []*stag
 	for _, sj := range stagedJobs {
 		w.freeAll(sj)
 	}
-	pb.done = s.backend.SimulatedSeconds()
+	pb.done = s.dev.SimulatedSeconds()
 	return pb
 }
 
@@ -1247,9 +1263,9 @@ func (w *worker) resolveBatch(s *Scheduler, pb *pendingBatch) {
 	// Attribute the copy stall: simulated time the host spent waiting
 	// out the batch's in-flight download (the wait advances the host
 	// clock to the copy event plus the sync cost).
-	before := s.backend.SimulatedSeconds()
+	before := s.dev.SimulatedSeconds()
 	pb.ev.Wait()
-	if d := s.backend.SimulatedSeconds() - before; d > 0 {
+	if d := s.dev.SimulatedSeconds() - before; d > 0 {
 		s.met.stallCopyNS.Add(int64(d * 1e9))
 	}
 	st := s.spanBegin()

@@ -11,6 +11,7 @@ import (
 	"xehe/internal/ckks"
 	"xehe/internal/core"
 	"xehe/internal/gpu"
+	"xehe/internal/memcache"
 	"xehe/internal/qos"
 )
 
@@ -38,18 +39,12 @@ func schedConfig(workers int) Config {
 }
 
 // checkPoolsReturned asserts the "pools returned" conservation law on
-// a drained backend: no device buffer is checked out of the cache or
-// pinned in it, and every staging slab a gathered transfer drew (a
-// pool miss mints one) is back in the pool or was dropped by its
-// retention bound.
-func checkPoolsReturned(t testing.TB, when string, b *Backend) {
+// a drained scheduler's cache: no device buffer is checked out of it or
+// pinned in it.
+func checkPoolsReturned(t testing.TB, when string, cache *memcache.Cache) {
 	t.Helper()
-	if used, pinned := b.Cache().UsedCount(), b.Cache().PinnedCount(); used != 0 || pinned != 0 {
+	if used, pinned := cache.UsedCount(), cache.PinnedCount(); used != 0 || pinned != 0 {
 		t.Errorf("%s: cache has %d buffers checked out and %d pinned, want 0/0", when, used, pinned)
-	}
-	gets, reuses, discards := b.Staging().Stats()
-	if out := gets - reuses - discards - int64(b.Staging().FreeCount()); out != 0 {
-		t.Errorf("%s: %d staging slabs never came back to the pool", when, out)
 	}
 }
 
@@ -77,9 +72,9 @@ func newSchedulerWith(t testing.TB, h *Harness, dev gpu.DeviceSpec, cfg Config) 
 		if n := s.Outstanding(); n != 0 {
 			t.Errorf("teardown: %d jobs outstanding after Drain", n)
 		}
-		checkPoolsReturned(t, "teardown, before Close", s.Backend())
+		checkPoolsReturned(t, "teardown, before Close", s.Cache())
 		s.Close()
-		checkPoolsReturned(t, "teardown, after Close", s.Backend())
+		checkPoolsReturned(t, "teardown, after Close", s.Cache())
 		checkGoroutines(t, baseline)
 	})
 	return s

@@ -106,10 +106,10 @@ func TestSelfHealRebuildsRemoteSpec(t *testing.T) {
 			mustFinish(t, "Drain", c.Drain)
 			twin.Drain()
 
-			if ls := repl.sched.Backend().Device().LinkStats(); ls.Hops == 0 || ls.HopCycles <= 0 {
+			if ls := repl.sched.Device().LinkStats(); ls.Hops == 0 || ls.HopCycles <= 0 {
 				t.Fatalf("replacement crossed its link %d times (%g cycles): the hop was not rebuilt", ls.Hops, ls.HopCycles)
 			}
-			if remote, local := repl.sched.Backend().SimulatedSeconds(), twin.SimulatedSeconds(); remote <= local {
+			if remote, local := repl.sched.Device().SimulatedSeconds(), twin.SimulatedSeconds(); remote <= local {
 				t.Fatalf("replacement ran the jobs in %g simulated s, a host-local twin in %g: the hop costs nothing", remote, local)
 			}
 			st := c.Stats()
@@ -289,10 +289,10 @@ func TestDrainShardNoReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("late job: %v", err)
 	}
-	expired := src.Backend().SimulatedSeconds() + 2e-9
+	expired := src.Device().SimulatedSeconds() + 2e-9
 	close(start)
 	mustFinish(t, "shard 0's clock passing the late job's deadline", func() {
-		for src.Backend().SimulatedSeconds() <= expired {
+		for src.Device().SimulatedSeconds() <= expired {
 			runtime.Gosched()
 		}
 	})
@@ -413,7 +413,7 @@ func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
 		t.Fatalf("AddShard: %v", err)
 	}
 	mustFinish(t, "retirement", func() { retire(c, 0) })
-	if n := c.all()[0].sched.Backend().Cache().PinnedCount(); n != 0 {
+	if n := c.all()[0].sched.Cache().PinnedCount(); n != 0 {
 		t.Fatalf("drained shard PinnedCount = %d, want 0 (migration must force-release)", n)
 	}
 	if st := c.Stats(); st.Migrated < 1 {

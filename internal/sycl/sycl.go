@@ -168,56 +168,34 @@ func (q *Queue) CopyOut(dst []uint64, b *Buffer, deps ...gpu.Event) gpu.Event {
 	return q.q.CopyD2H(int64(len(dst))*8, deps...)
 }
 
-// CopyInGather models one staged host-to-device transfer of a whole
-// batch: the source rows are gathered into the (pinned) staging
-// buffer, shipped as a single memcpy submission sized at the sum of
-// all rows, and scattered into the per-row device buffers — the
-// per-row addressing a batched H2D would perform on real hardware.
-// Row i lands in dsts[i]; rows may be ragged (different lengths). With
-// a single row this is exactly CopyIn: same data movement, same event
-// cost. A nil or undersized staging buffer falls back to direct
-// per-row copies (functionally identical; the single submission is
-// still paid once).
-func (q *Queue) CopyInGather(dsts []*Buffer, srcs [][]uint64, staging []uint64, deps ...gpu.Event) gpu.Event {
+// CopyInGather models one host-to-device transfer of a whole batch:
+// each source row is copied straight into its device buffer, and the
+// batch is shipped as a single memcpy submission sized at the sum of
+// all rows. Row i lands in dsts[i]; rows may be ragged (different
+// lengths). With a single row this is exactly CopyIn: same data
+// movement, same event cost.
+func (q *Queue) CopyInGather(dsts []*Buffer, srcs [][]uint64, deps ...gpu.Event) gpu.Event {
 	if len(dsts) != len(srcs) {
 		panic("sycl: gathered copy needs one destination buffer per source row")
 	}
 	var total int64
-	off := 0
 	for i, src := range srcs {
-		if off+len(src) <= len(staging) {
-			stage := staging[off : off+len(src)]
-			copy(stage, src)
-			copy(dsts[i].Data, stage)
-			off += len(src)
-		} else {
-			copy(dsts[i].Data, src)
-		}
+		copy(dsts[i].Data, src)
 		total += int64(len(src)) * 8
 	}
 	return q.q.CopyH2D(total, deps...)
 }
 
-// CopyOutScatter models one staged device-to-host transfer of a whole
-// batch: the device rows are gathered into the staging buffer, shipped
-// as a single memcpy submission, and scattered into the per-row host
-// slices. The exact mirror of CopyInGather, with the same batch-of-one
-// and staging-fallback semantics.
-func (q *Queue) CopyOutScatter(dsts [][]uint64, srcs []*Buffer, staging []uint64, deps ...gpu.Event) gpu.Event {
+// CopyOutScatter models one device-to-host transfer of a whole batch:
+// the exact mirror of CopyInGather, each device row copied straight
+// into its host slice under one submission sized at the row sum.
+func (q *Queue) CopyOutScatter(dsts [][]uint64, srcs []*Buffer, deps ...gpu.Event) gpu.Event {
 	if len(dsts) != len(srcs) {
 		panic("sycl: scattered copy needs one host row per source buffer")
 	}
 	var total int64
-	off := 0
 	for i, dst := range dsts {
-		if off+len(dst) <= len(staging) {
-			stage := staging[off : off+len(dst)]
-			copy(stage, srcs[i].Data)
-			copy(dst, stage)
-			off += len(dst)
-		} else {
-			copy(dst, srcs[i].Data)
-		}
+		copy(dst, srcs[i].Data)
 		total += int64(len(dst)) * 8
 	}
 	return q.q.CopyD2H(total, deps...)

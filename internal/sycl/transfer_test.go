@@ -1,6 +1,7 @@
 package sycl
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -31,8 +32,7 @@ func TestCopyInGatherBatchOfOneMatchesCopyIn(t *testing.T) {
 	dGather := gpu.NewDevice1()
 	qGather := NewQueue(dGather, 0)
 	bGather := MallocDevice(dGather, 512)
-	staging := make([]uint64, 512)
-	evGather := qGather.CopyInGather([]*Buffer{bGather}, [][]uint64{src}, staging)
+	evGather := qGather.CopyInGather([]*Buffer{bGather}, [][]uint64{src})
 
 	if evPlain.Done() != evGather.Done() {
 		t.Fatalf("batch-of-one gather completes at %v, plain CopyIn at %v; must be identical",
@@ -63,21 +63,27 @@ func TestCopyGatherScatterRoundTripRagged(t *testing.T) {
 		bufs[i] = MallocDevice(d, n)
 		total += n
 	}
-	staging := make([]uint64, total)
 	// The transfer starts at the host clock (driver allocations above
 	// advanced it; the tile timeline is empty), so the expected
 	// completion is host + enqueue cost + one transfer over the row sum.
 	hostBefore := d.HostTime()
-	evIn := q.CopyInGather(bufs, srcs, staging)
+	evIn := q.CopyInGather(bufs, srcs)
 	wantDone := hostBefore + d.Spec.HostSubmitCycles + float64(total*8)/d.Spec.PCIeBytesPerCycle
-	if evIn.Done() < wantDone*0.999 || evIn.Done() > wantDone*1.001 {
-		t.Fatalf("gathered H2D done at %v, want ~%v (one submission over the row sum)", evIn.Done(), wantDone)
+	if math.Abs(evIn.Done()-wantDone) > 1e-9*wantDone {
+		t.Fatalf("gathered H2D done at %v, want %v (one submission over the row sum)", evIn.Done(), wantDone)
 	}
 	dsts := make([][]uint64, len(sizes))
 	for i, n := range sizes {
 		dsts[i] = make([]uint64, n)
 	}
-	q.CopyOutScatter(dsts, bufs, staging)
+	// The download starts once it is enqueued and the upload ahead of it
+	// on the in-order queue is done.
+	start := math.Max(evIn.Done(), d.HostTime()+d.Spec.HostSubmitCycles)
+	evOut := q.CopyOutScatter(dsts, bufs)
+	wantDone = start + float64(total*8)/d.Spec.PCIeBytesPerCycle
+	if math.Abs(evOut.Done()-wantDone) > 1e-9*wantDone {
+		t.Fatalf("scattered D2H done at %v, want %v (one submission over the row sum)", evOut.Done(), wantDone)
+	}
 	for i := range srcs {
 		for j := range srcs[i] {
 			if dsts[i][j] != srcs[i][j] {
@@ -87,20 +93,19 @@ func TestCopyGatherScatterRoundTripRagged(t *testing.T) {
 	}
 }
 
-// TestCopyGatherWithoutStagingStillExact pins the fallback: a nil (or
-// undersized) staging buffer degrades to direct row copies with the
-// same single-submission cost and identical data.
+// TestCopyGatherWithoutStagingStillExact pins the row copies of a
+// gathered upload: every row lands bit-exactly in its own device buffer.
 func TestCopyGatherWithoutStagingStillExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	d := gpu.NewDevice1()
 	q := NewQueue(d, 0)
 	srcs := [][]uint64{fillRandom(rng, 256), fillRandom(rng, 256)}
 	bufs := []*Buffer{MallocDevice(d, 256), MallocDevice(d, 256)}
-	q.CopyInGather(bufs, srcs, nil)
+	q.CopyInGather(bufs, srcs)
 	for i := range srcs {
 		for j := range srcs[i] {
 			if bufs[i].Data[j] != srcs[i][j] {
-				t.Fatalf("row %d word %d mismatch without staging", i, j)
+				t.Fatalf("row %d word %d mismatch after a gathered upload", i, j)
 			}
 		}
 	}
@@ -124,7 +129,7 @@ func TestCopyQueueEventOrdering(t *testing.T) {
 		Range:   NDRange{Global: [3]int{1, 1, 1}},
 		Profile: gpu.KernelProfile{GlobalBytes: 1e9, Pattern: gpu.PatternUnitStride},
 	})[0]
-	up := cq.CopyInGather([]*Buffer{b}, [][]uint64{make([]uint64, 256)}, nil)
+	up := cq.CopyInGather([]*Buffer{b}, [][]uint64{make([]uint64, 256)})
 	if up.Done() >= busy.Done() {
 		t.Fatalf("copy-queue upload (done %v) must overlap the busy kernel (done %v)", up.Done(), busy.Done())
 	}
@@ -132,7 +137,7 @@ func TestCopyQueueEventOrdering(t *testing.T) {
 	if dependent.Done() <= up.Done() {
 		t.Fatal("kernel depending on the upload must complete after it")
 	}
-	down := cq.CopyOutScatter([][]uint64{make([]uint64, 256)}, []*Buffer{b}, nil, dependent)
+	down := cq.CopyOutScatter([][]uint64{make([]uint64, 256)}, []*Buffer{b}, dependent)
 	if down.Done() <= dependent.Done() {
 		t.Fatal("download depending on the kernel must complete after it")
 	}
@@ -152,13 +157,12 @@ func TestConcurrentGatheredCopies(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			cq := NewCopyQueueOnTile(d, w%d.Spec.Tiles)
-			staging := make([]uint64, 512)
 			for i := 0; i < 50; i++ {
 				src := fillRandom(rng, 512)
 				b := MallocDevice(d, 512)
-				cq.CopyInGather([]*Buffer{b}, [][]uint64{src}, staging)
+				cq.CopyInGather([]*Buffer{b}, [][]uint64{src})
 				dst := make([]uint64, 512)
-				cq.CopyOutScatter([][]uint64{dst}, []*Buffer{b}, staging)
+				cq.CopyOutScatter([][]uint64{dst}, []*Buffer{b})
 				for j := range src {
 					if dst[j] != src[j] {
 						t.Errorf("worker %d iter %d word %d mismatch", w, i, j)
