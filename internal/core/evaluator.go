@@ -202,11 +202,7 @@ func (c *Context) addIntoJobs(dsts, as, bs []*poly.Poly, comps int) {
 	c.ewKernelJobs("he_add", len(dsts), comps, profileOf(isa.OpAddMod), 0, 24, gpu.PatternUnitStride)
 	if !c.Cfg.Analytic {
 		c.ew.Body = rowBody(func(jb, q, lo, hi int) {
-			p := moduli[q].Value
-			da, db, dd := as[jb].Coeffs[q], bs[jb].Coeffs[q], dsts[jb].Coeffs[q]
-			for x := lo; x < hi; x++ {
-				dd[x] = xmath.AddMod(da[x], db[x], p)
-			}
+			moduli[q].AddRow(dsts[jb].Coeffs[q][lo:hi], as[jb].Coeffs[q][lo:hi], bs[jb].Coeffs[q][lo:hi])
 		})
 	}
 	c.launch()
@@ -215,33 +211,22 @@ func (c *Context) addIntoJobs(dsts, as, bs []*poly.Poly, comps int) {
 	}
 }
 
-// madIntoJobs launches dsts[j] += as[j] ⊙ bs[j], fused (one reduction)
-// when the mad_mod optimization is enabled, or as separate mul_mod +
-// add_mod passes in the baseline (Section III-A.1).
+// madIntoJobs launches dsts[j] += as[j] ⊙ bs[j], priced as the fused
+// mad_mod (one reduction) when that optimization is enabled, or as
+// separate mul_mod + add_mod passes in the baseline (Section III-A.1).
+// Both give the canonical residue, so the host runs the fused row for
+// either.
 func (c *Context) madIntoJobs(dsts, as, bs []*poly.Poly, comps int) {
 	moduli := c.Params.Moduli()
 	if c.Cfg.MadMod {
 		c.ewKernelJobs("he_mad_mod", len(dsts), comps, profileOf(isa.OpMAdMod), 0, 32, gpu.PatternUnitStride)
-		if !c.Cfg.Analytic {
-			c.ew.Body = rowBody(func(jb, q, lo, hi int) {
-				m := moduli[q]
-				da, db, dd := as[jb].Coeffs[q], bs[jb].Coeffs[q], dsts[jb].Coeffs[q]
-				for x := lo; x < hi; x++ {
-					dd[x] = m.MAdMod(da[x], db[x], dd[x])
-				}
-			})
-		}
-		c.launch()
-		return
+	} else {
+		c.ewKernelJobs("he_mul_then_add", len(dsts), comps, profileOf(isa.OpMulMod, isa.OpAddMod), 0, 40, gpu.PatternUnitStride)
 	}
-	c.ewKernelJobs("he_mul_then_add", len(dsts), comps, profileOf(isa.OpMulMod, isa.OpAddMod), 0, 40, gpu.PatternUnitStride)
 	if !c.Cfg.Analytic {
 		c.ew.Body = rowBody(func(jb, q, lo, hi int) {
-			m := moduli[q]
-			da, db, dd := as[jb].Coeffs[q], bs[jb].Coeffs[q], dsts[jb].Coeffs[q]
-			for x := lo; x < hi; x++ {
-				dd[x] = xmath.AddMod(m.MulMod(da[x], db[x]), dd[x], m.Value)
-			}
+			dd := dsts[jb].Coeffs[q][lo:hi]
+			moduli[q].MulAddRow(dd, as[jb].Coeffs[q][lo:hi], bs[jb].Coeffs[q][lo:hi], dd)
 		})
 	}
 	c.launch()
@@ -270,16 +255,9 @@ func (c *Context) MulBatch(as, bs []*Ciphertext) []*Ciphertext {
 	c.ewKernelJobs("he_tensor", len(as), level+1, per, 0, 56, gpu.PatternUnitStride)
 	if !c.Cfg.Analytic {
 		c.ew.Body = rowBody(func(jb, q, lo, hi int) {
-			m := moduli[q]
 			a, b, d := as[jb].CT.Value, bs[jb].CT.Value, outs[jb].CT.Value
-			a0, a1, b0, b1 := a[0].Coeffs[q], a[1].Coeffs[q], b[0].Coeffs[q], b[1].Coeffs[q]
-			d0, d1, d2 := d[0].Coeffs[q], d[1].Coeffs[q], d[2].Coeffs[q]
-			for x := lo; x < hi; x++ {
-				d0[x] = m.MulMod(a0[x], b0[x])
-				h, l := xmath.Mul64(a0[x], b1[x])
-				d1[x] = m.BarrettReduce128(xmath.MulAdd128(h, l, a1[x], b0[x]))
-				d2[x] = m.MulMod(a1[x], b1[x])
-			}
+			moduli[q].TensorRow(d[0].Coeffs[q][lo:hi], d[1].Coeffs[q][lo:hi], d[2].Coeffs[q][lo:hi],
+				a[0].Coeffs[q][lo:hi], a[1].Coeffs[q][lo:hi], b[0].Coeffs[q][lo:hi], b[1].Coeffs[q][lo:hi])
 		})
 	}
 	c.launch()
@@ -288,7 +266,8 @@ func (c *Context) MulBatch(as, bs []*Ciphertext) []*Ciphertext {
 
 // SquareBatch computes the degree-2 squares of a same-shape batch in
 // one kernel (one dyadic product saved per job: the middle term is
-// a0a1 doubled).
+// a0a1 doubled). The host body is the tensor row with b = a: 2·a0a1
+// reduced once is the residue the priced mul_mod + add_mod give.
 func (c *Context) SquareBatch(as []*Ciphertext) []*Ciphertext {
 	level := as[0].CT.Level
 	moduli := c.Params.Moduli()
@@ -296,16 +275,9 @@ func (c *Context) SquareBatch(as []*Ciphertext) []*Ciphertext {
 	c.ewKernelJobs("he_square", len(as), level+1, profileOf(isa.OpMulMod, isa.OpMulMod, isa.OpMulMod, isa.OpAddMod), 0, 40, gpu.PatternUnitStride)
 	if !c.Cfg.Analytic {
 		c.ew.Body = rowBody(func(jb, q, lo, hi int) {
-			m := moduli[q]
 			a, d := as[jb].CT.Value, outs[jb].CT.Value
-			a0, a1 := a[0].Coeffs[q], a[1].Coeffs[q]
-			d0, d1, d2 := d[0].Coeffs[q], d[1].Coeffs[q], d[2].Coeffs[q]
-			for x := lo; x < hi; x++ {
-				d0[x] = m.MulMod(a0[x], a0[x])
-				cross := m.MulMod(a0[x], a1[x])
-				d1[x] = xmath.AddMod(cross, cross, m.Value)
-				d2[x] = m.MulMod(a1[x], a1[x])
-			}
+			a0, a1 := a[0].Coeffs[q][lo:hi], a[1].Coeffs[q][lo:hi]
+			moduli[q].TensorRow(d[0].Coeffs[q][lo:hi], d[1].Coeffs[q][lo:hi], d[2].Coeffs[q][lo:hi], a0, a1, a0, a1)
 		})
 	}
 	c.launch()
@@ -515,10 +487,7 @@ func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 	if !c.Cfg.Analytic {
 		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
 			i, j := r/level, r%level
-			l, d, m := lasts[jb].Coeffs[i], outs[jb].CT.Value[i].Coeffs[j], basis.Moduli[j]
-			for x := lo; x < hi; x++ {
-				d[x] = m.BarrettReduce(l[x])
-			}
+			basis.Moduli[j].ReduceRow(outs[jb].CT.Value[i].Coeffs[j][lo:hi], lasts[jb].Coeffs[i][lo:hi])
 		})
 	}
 	c.launch()
@@ -528,12 +497,7 @@ func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 	if !c.Cfg.Analytic {
 		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
 			i, j := r/level, r%level
-			q := basis.Moduli[j].Value
-			inv := basis.InvLastOperand(level, j)
-			src, d := cts[jb].CT.Value[i].Coeffs[j], outs[jb].CT.Value[i].Coeffs[j]
-			for x := lo; x < hi; x++ {
-				d[x] = inv.MulMod(xmath.SubMod(src[x], d[x], q), q)
-			}
+			basis.InvLastOperand(level, j).SubMulRow(outs[jb].CT.Value[i].Coeffs[j][lo:hi], cts[jb].CT.Value[i].Coeffs[j][lo:hi], nil, basis.Moduli[j].Value)
 		})
 	}
 	c.launch()

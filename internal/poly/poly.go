@@ -136,11 +136,7 @@ func eachRow(rows int, f func(i int)) {
 // AddInto sets dst = a + b (component-wise, same moduli).
 func AddInto(dst, a, b *Poly, moduli []xmath.Modulus) {
 	eachRow(len(dst.Coeffs), func(i int) {
-		p := moduli[i].Value
-		da, db, dd := a.Coeffs[i], b.Coeffs[i], dst.Coeffs[i]
-		for j := range dd {
-			dd[j] = xmath.AddMod(da[j], db[j], p)
-		}
+		moduli[i].AddRow(dst.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
 	})
 	dst.IsNTT = a.IsNTT
 }
@@ -172,11 +168,7 @@ func NegInto(dst, a *Poly, moduli []xmath.Modulus) {
 // MulInto sets dst = a ⊙ b (dyadic product; inputs must be in NTT form).
 func MulInto(dst, a, b *Poly, moduli []xmath.Modulus) {
 	eachRow(len(dst.Coeffs), func(i int) {
-		m := moduli[i]
-		da, db, dd := a.Coeffs[i], b.Coeffs[i], dst.Coeffs[i]
-		for j := range dd {
-			dd[j] = m.MulMod(da[j], db[j])
-		}
+		moduli[i].MulAddRow(dst.Coeffs[i], a.Coeffs[i], b.Coeffs[i], nil)
 	})
 	dst.IsNTT = a.IsNTT
 }
@@ -185,11 +177,7 @@ func MulInto(dst, a, b *Poly, moduli []xmath.Modulus) {
 // (one reduction per multiply-accumulate, Section III-A.1).
 func MAdInto(dst, a, b *Poly, moduli []xmath.Modulus) {
 	eachRow(len(dst.Coeffs), func(i int) {
-		m := moduli[i]
-		da, db, dd := a.Coeffs[i], b.Coeffs[i], dst.Coeffs[i]
-		for j := range dd {
-			dd[j] = m.MAdMod(da[j], db[j], dd[j])
-		}
+		moduli[i].MulAddRow(dst.Coeffs[i], a.Coeffs[i], b.Coeffs[i], dst.Coeffs[i])
 	})
 }
 

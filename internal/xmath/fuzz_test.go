@@ -196,3 +196,110 @@ func FuzzReduceRow(f *testing.F) {
 		}
 	})
 }
+
+// fuzzRow runs the row primitive f against its oracle on random
+// moduli up to 60 bits, a range [lo, n) in rows up to 511 long (so its
+// ends fall anywhere around a multiple of eight), and operands drawn
+// from a seed by randomTerms (0 and p−1 mixed in, or all near p−1).
+func fuzzRow(t *testing.T, f rowPrim, rawP uint64, seed int64, lo, span uint8, top bool) {
+	m := fuzzModulus(rawP)
+	rng := rand.New(rand.NewSource(seed))
+	n := int(lo) + int(span) + 1
+	checkRow(t, f, m, randomTerms(rng, m.Value, f.outs, n, top), randomTerms(rng, m.Value, f.ins, n, top), int(lo), n)
+}
+
+// rowPrimNamed returns the rowPrims entry of that name.
+func rowPrimNamed(name string) rowPrim {
+	for _, f := range rowPrims {
+		if f.name == name {
+			return f
+		}
+	}
+	panic("xmath: no row primitive " + name)
+}
+
+// addRowSeeds seeds the row fuzz targets: a 60-bit modulus, one far
+// from a power of two, a 54-bit one, p = 2, with ranges from empty to
+// 200 long.
+func addRowSeeds(f *testing.F, extra ...any) {
+	for _, s := range [][]any{
+		{uint64(1)<<60 - 1, int64(1), uint8(0), uint8(64), true},
+		{uint64(0xb4f3a1c2d5e6f79), int64(5), uint8(3), uint8(37), true},
+		{uint64(1)<<54 - 33, int64(2), uint8(7), uint8(16), false},
+		{uint64(2), int64(3), uint8(1), uint8(200), false},
+		{uint64(1)<<42 - 11, int64(4), uint8(8), uint8(0), true},
+	} {
+		f.Add(append(s, extra...)...)
+	}
+}
+
+// FuzzTensorRow cross-checks the dispatched tensor row against its Go
+// loop, as a product of two pairs and as a square.
+func FuzzTensorRow(f *testing.F) {
+	addRowSeeds(f, false)
+	addRowSeeds(f, true)
+	f.Fuzz(func(t *testing.T, rawP uint64, seed int64, lo, span uint8, top, square bool) {
+		name := "TensorRow"
+		if square {
+			name = "TensorRow/square"
+		}
+		fuzzRow(t, rowPrimNamed(name), rawP, seed, lo, span, top)
+	})
+}
+
+// FuzzMulAddRow cross-checks the dispatched multiply-add row against
+// its Go loop with no addend, another row as the addend, and the output
+// itself as the addend (addend % 3 picks which).
+func FuzzMulAddRow(f *testing.F) {
+	for addend := range uint8(3) {
+		addRowSeeds(f, addend)
+	}
+	f.Fuzz(func(t *testing.T, rawP uint64, seed int64, lo, span uint8, top bool, addend uint8) {
+		name := [3]string{"MulAddRow", "MulAddRow/add", "MulAddRow/dst"}[addend%3]
+		fuzzRow(t, rowPrimNamed(name), rawP, seed, lo, span, top)
+	})
+}
+
+// FuzzAddRow cross-checks the dispatched add row against its Go loop.
+func FuzzAddRow(f *testing.F) {
+	addRowSeeds(f)
+	f.Fuzz(func(t *testing.T, rawP uint64, seed int64, lo, span uint8, top bool) {
+		fuzzRow(t, rowPrimNamed("AddRow"), rawP, seed, lo, span, top)
+	})
+}
+
+// subMulPrim is SubMulRow by w as a rowPrim, its oracle the SubMod,
+// MulMod, AddMod chain per coefficient, with in[1] as the addend when
+// withAdd is set.
+func subMulPrim(w MulModOperand, withAdd bool) rowPrim {
+	addend := func(in [][]uint64) []uint64 {
+		if withAdd {
+			return in[1]
+		}
+		return nil
+	}
+	return rowPrim{"SubMulRow", 1, 2,
+		func(m Modulus, o, in [][]uint64) { w.SubMulRow(o[0], in[0], addend(in), m.Value) },
+		func(m Modulus, o, in [][]uint64) {
+			p, add := m.Value, addend(in)
+			for x := range o[0] {
+				v := w.MulMod(SubMod(in[0][x], o[0][x], p), p)
+				if add != nil {
+					v = AddMod(v, add[x], p)
+				}
+				o[0][x] = v
+			}
+		}}
+}
+
+// FuzzSubMulRow cross-checks SubMulRow — the AVX-512 body where the
+// host has one, and its Go tail — against its definition, with a
+// random operand W and with and without an addend.
+func FuzzSubMulRow(f *testing.F) {
+	addRowSeeds(f, uint64(0), false)
+	addRowSeeds(f, ^uint64(0), true)
+	f.Fuzz(func(t *testing.T, rawP uint64, seed int64, lo, span uint8, top bool, rawW uint64, withAdd bool) {
+		w := NewMulModOperand(rawW, fuzzModulus(rawP))
+		fuzzRow(t, subMulPrim(w, withAdd), rawP, seed, lo, span, top)
+	})
+}

@@ -59,15 +59,6 @@ func NegMod(a, p uint64) uint64 {
 	return p - a
 }
 
-// Mul64 returns the full 128-bit product a*b as (hi, lo).
-//
-// On Intel GPUs this is the int64 multiplication the paper emulates
-// from 32-bit mul_low_high instructions (Fig. 4); here the Go compiler
-// lowers bits.Mul64 to the native MULX/MUL instruction.
-func Mul64(a, b uint64) (hi, lo uint64) {
-	return bits.Mul64(a, b)
-}
-
 // Modulus bundles a prime modulus with the precomputed constants used
 // by Barrett reduction. ConstRatio is floor(2^128 / p) stored as a
 // 2-word little-endian value, exactly like SEAL's Modulus class.
@@ -168,6 +159,81 @@ func MulAdd128(hi, lo, a, b uint64) (uint64, uint64) {
 	ph, pl := bits.Mul64(a, b)
 	lo, carry := bits.Add64(lo, pl, 0)
 	return hi + ph + carry, lo
+}
+
+// The row primitives below are the elementwise kernels' bodies. Each
+// writes every x of its first argument, reads the other rows at the
+// same x (they must be at least as long and must not overlap the
+// outputs, but for an addend that is the output itself), and writes
+// the canonical residue of reduced operands. With AVX-512
+// (vector_amd64.s) the multiple-of-8 prefix runs eight coefficients per
+// instruction and the Go loop — the …Go function beside each, also the
+// oracle the vector body is tested against — takes the tail, so both
+// paths give the same words bit for bit.
+
+// AddRow sets dst[x] = AddMod(a[x], b[x], p).
+func (m Modulus) AddRow(dst, a, b []uint64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	x := m.addRowVector(dst, a, b)
+	addRowGo(dst[x:], a[x:], b[x:], m.Value)
+}
+
+func addRowGo(dst, a, b []uint64, p uint64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for x := range dst {
+		dst[x] = AddMod(a[x], b[x], p)
+	}
+}
+
+// MulAddRow sets dst[x] = a[x]·b[x] mod p, or MAdMod(a[x], b[x],
+// add[x]) — the product and the addend under one reduction — when add
+// is not nil. add may be dst itself: dst += a ⊙ b.
+func (m Modulus) MulAddRow(dst, a, b, add []uint64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	if add != nil {
+		add = add[:len(dst)]
+	}
+	x := m.mulAddRowVector(dst, a, b, add)
+	if add != nil {
+		add = add[x:]
+	}
+	m.mulAddRowGo(dst[x:], a[x:], b[x:], add)
+}
+
+func (m Modulus) mulAddRowGo(dst, a, b, add []uint64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	if add == nil {
+		for x := range dst {
+			dst[x] = m.MulMod(a[x], b[x])
+		}
+		return
+	}
+	add = add[:len(dst)]
+	for x := range dst {
+		dst[x] = m.MAdMod(a[x], b[x], add[x])
+	}
+}
+
+// TensorRow sets the degree-2 tensor product of (a0, a1) and (b0, b1):
+// d0 = a0 ⊙ b0, d1 = a0 ⊙ b1 + a1 ⊙ b0 under one reduction, and
+// d2 = a1 ⊙ b1, reading each input row once. With b = a it is the
+// square: a0a1 doubled, reduced once.
+func (m Modulus) TensorRow(d0, d1, d2, a0, a1, b0, b1 []uint64) {
+	n := len(d0)
+	d1, d2, a0, a1, b0, b1 = d1[:n], d2[:n], a0[:n], a1[:n], b0[:n], b1[:n]
+	x := m.tensorRowVector(d0, d1, d2, a0, a1, b0, b1)
+	m.tensorRowGo(d0[x:], d1[x:], d2[x:], a0[x:], a1[x:], b0[x:], b1[x:])
+}
+
+func (m Modulus) tensorRowGo(d0, d1, d2, a0, a1, b0, b1 []uint64) {
+	n := len(d0)
+	d1, d2, a0, a1, b0, b1 = d1[:n], d2[:n], a0[:n], a1[:n], b0[:n], b1[:n]
+	for x := range d0 {
+		d0[x] = m.MulMod(a0[x], b0[x])
+		h, l := bits.Mul64(a0[x], b1[x])
+		d1[x] = m.BarrettReduce128(MulAdd128(h, l, a1[x], b0[x]))
+		d2[x] = m.MulMod(a1[x], b1[x])
+	}
 }
 
 // lazyBlock is how many coefficients InnerProductPair keeps unreduced

@@ -83,6 +83,41 @@ func (op MulModOperand) subMulRowVector(dst, a, add []uint64, p uint64) int {
 	return n
 }
 
+// addRowVector, mulAddRowVector and tensorRowVector run AddRow,
+// MulAddRow and TensorRow on AVX-512 over the longest prefix of the
+// first row that is a multiple of eight long and return its length (0
+// without AVX-512). The other rows are as long as the first, add too
+// when it is not nil.
+func (m Modulus) addRowVector(dst, a, b []uint64) int {
+	if !avx512 {
+		return 0
+	}
+	n := len(dst) &^ 7
+	addRowAVX512(dst[:n], a[:n], b[:n], m.Value)
+	return n
+}
+
+func (m Modulus) mulAddRowVector(dst, a, b, add []uint64) int {
+	if !avx512 {
+		return 0
+	}
+	n := len(dst) &^ 7
+	if add != nil {
+		add = add[:n]
+	}
+	mulAddRowAVX512(dst[:n], a[:n], b[:n], add, m.Value, m.ConstRatio[0], m.ConstRatio[1])
+	return n
+}
+
+func (m Modulus) tensorRowVector(d0, d1, d2, a0, a1, b0, b1 []uint64) int {
+	if !avx512 {
+		return 0
+	}
+	n := len(d0) &^ 7
+	tensorRowAVX512(d0[:n], d1[:n], d2[:n], a0[:n], a1[:n], b0[:n], b1[:n], m.Value, m.ConstRatio[0], m.ConstRatio[1])
+	return n
+}
+
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 
 func xgetbv0() uint32
@@ -90,8 +125,9 @@ func xgetbv0() uint32
 // The kernels take what the functions above have bounds-checked: every
 // row and both outputs reach end, d, b and a have the same number of
 // terms (at most vectorTerms), end − lo is a multiple of sixteen and
-// len(src) and len(dst) of eight, and the rows beside dst and src are
-// as long (add may be empty: no addend).
+// len(src) and len(dst) (len(d0) for the tensor) of eight, and the
+// rows beside dst, src and d0 are as long (add may be empty: no
+// addend).
 
 //go:noescape
 func innerProductPairAVX512(out0, out1 []uint64, d, b, a [][]uint64, lo, end int, p, r0, r1 uint64)
@@ -101,3 +137,12 @@ func reduceRowAVX512(dst, src []uint64, p, r1 uint64)
 
 //go:noescape
 func subMulRowAVX512(dst, a, add []uint64, p, w, wq uint64)
+
+//go:noescape
+func addRowAVX512(dst, a, b []uint64, p uint64)
+
+//go:noescape
+func mulAddRowAVX512(dst, a, b, add []uint64, p, r0, r1 uint64)
+
+//go:noescape
+func tensorRowAVX512(d0, d1, d2, a0, a1, b0, b1 []uint64, p, r0, r1 uint64)

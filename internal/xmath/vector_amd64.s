@@ -2,12 +2,17 @@
 
 #include "textflag.h"
 
-// AVX-512 bodies of the key switch's reductions: the lazy inner product
-// (InnerProductPair), the 1-word Barrett row (ReduceRow) and the
-// mod-down's scale (MulModOperand.SubMulRow). Each ZMM register holds
-// eight consecutive coefficients, so one instruction does the work of
-// eight iterations of the Go loops, and the results are theirs bit for
-// bit: both end in the canonical residue.
+// AVX-512 bodies of the host's row arithmetic: the key switch's lazy
+// inner product (InnerProductPair), the 1-word Barrett row (ReduceRow:
+// the digit extension, the mod-down and the rescale) and the scale
+// (MulModOperand.SubMulRow: the mod-down and the rescale), and the
+// elementwise kernels' rows — the tensor product (TensorRow: he_tensor,
+// he_square), the multiply with an optional addend (MulAddRow:
+// he_mad_mod, he_mul_then_add, poly's MulInto and MAdInto) and the add
+// (AddRow: he_add, poly's AddInto). Each ZMM register holds eight
+// consecutive coefficients, so one instruction does the work of eight
+// iterations of the Go loops, and the results are theirs bit for bit:
+// both end in the canonical residue.
 //
 // Constants:
 //   Z24  1 in every lane        Z25  0xffffffff in every lane
@@ -15,7 +20,7 @@
 //   Z28  r1                     Z29  r0
 //   Z30  p                      Z31  2^30 − 1 in every lane
 // where (r1, r0) = floor(2^128/p), Modulus.ConstRatio. ReduceRow uses
-// no r0.
+// no r0; AddRow and SubMulRow load only what they use.
 
 // HI64 sets OUT = hi64(X·Y) exactly, from the four 32×32 products,
 // given XH = X >> 32 and YH = Y >> 32: with t = hi32(ll) + lh and
@@ -283,6 +288,144 @@ smStore:
 	JNZ       smLoop
 
 smDone:
+	VZEROUPPER
+	RET
+
+// The elementwise rows. The products are whole 128-bit ones, high
+// word from HI64 and low word from VPMULLQ, each operand split once
+// (its high 32 bits, X >> 32) for every product it is in; a sum of two
+// adds its low words and carries through a mask like COMBINE, and REDUCE128 finishes.
+// This is the Go loops' arithmetic word for word, so they agree on any
+// 64-bit input, not only on residues.
+
+// MUL128 sets H:L = X·Y, given XH = X >> 32 and YH = Y >> 32.
+#define MUL128(X, XH, Y, YH, H, L) \
+	HI64(X, XH, Y, YH, H); \
+	VPMULLQ Y, X, L
+
+// ADDC sets H:L += V (mod 2^128), carrying through K1.
+#define ADDC(H, L, V) \
+	VPADDQ  V, L, L; \
+	VPCMPUQ $1, V, L, K1; \
+	VPADDQ  Z24, H, K1, H
+
+// func addRowAVX512(dst, a, b []uint64, p uint64)
+//
+// dst = a + b mod p: the sum, then min(s, s − p).
+TEXT ·addRowAVX512(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         a_base+24(FP), SI
+	MOVQ         b_base+48(FP), R8
+	VPBROADCASTQ p+72(FP), Z30
+	SHRQ         $3, CX
+	JZ           arDone
+
+arLoop:
+	VMOVDQU64 (SI), Z0
+	VPADDQ    (R8), Z0, Z0
+	VPSUBQ    Z30, Z0, Z1
+	VPMINUQ   Z1, Z0, Z0
+	VMOVDQU64 Z0, (DI)
+	ADDQ      $64, SI
+	ADDQ      $64, R8
+	ADDQ      $64, DI
+	DECQ      CX
+	JNZ       arLoop
+
+arDone:
+	VZEROUPPER
+	RET
+
+// func mulAddRowAVX512(dst, a, b, add []uint64, p, r0, r1 uint64)
+//
+// dst = a·b (+ add) mod p: the 128-bit product, the addend carried
+// into it when add is not empty, one REDUCE128. add is loaded before
+// dst is stored, so it may be dst.
+TEXT ·mulAddRowAVX512(SB), NOSPLIT, $0-120
+	CONSTS(p+96(FP), r1+112(FP))
+	VPBROADCASTQ r0+104(FP), Z29
+	VPSRLQ       $32, Z29, Z27
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         a_base+24(FP), SI
+	MOVQ         b_base+48(FP), R8
+	MOVQ         add_base+72(FP), R9
+	MOVQ         add_len+80(FP), R10
+	SHRQ         $3, CX
+	JZ           maDone
+
+maLoop:
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 (R8), Z1
+	VPSRLQ    $32, Z0, Z4
+	VPSRLQ    $32, Z1, Z5
+	MUL128(Z0, Z4, Z1, Z5, Z7, Z8)
+	TESTQ     R10, R10
+	JZ        maReduce
+	VMOVDQU64 (R9), Z9
+	ADDC(Z7, Z8, Z9)
+	ADDQ      $64, R9
+
+maReduce:
+	REDUCE128(Z7, Z8)
+	VMOVDQU64 Z8, (DI)
+	ADDQ      $64, SI
+	ADDQ      $64, R8
+	ADDQ      $64, DI
+	DECQ      CX
+	JNZ       maLoop
+
+maDone:
+	VZEROUPPER
+	RET
+
+// func tensorRowAVX512(d0, d1, d2, a0, a1, b0, b1 []uint64, p, r0, r1 uint64)
+//
+// d0 = a0·b0, d1 = a0·b1 + a1·b0 (one REDUCE128), d2 = a1·b1, mod p.
+// Z0, Z1, Z4, Z5 hold a0, a1, b0, b1 and Z7–Z10 their high halves.
+TEXT ·tensorRowAVX512(SB), NOSPLIT, $0-192
+	CONSTS(p+168(FP), r1+184(FP))
+	VPBROADCASTQ r0+176(FP), Z29
+	VPSRLQ       $32, Z29, Z27
+	MOVQ         d0_base+0(FP), DI
+	MOVQ         d0_len+8(FP), CX
+	MOVQ         d1_base+24(FP), R8
+	MOVQ         d2_base+48(FP), R9
+	MOVQ         a0_base+72(FP), SI
+	MOVQ         a1_base+96(FP), R10
+	MOVQ         b0_base+120(FP), R11
+	MOVQ         b1_base+144(FP), R12
+	SHRQ         $3, CX
+	JZ           trDone
+	XORQ         BX, BX
+
+trLoop:
+	VMOVDQU64 (SI)(BX*8), Z0
+	VMOVDQU64 (R10)(BX*8), Z1
+	VMOVDQU64 (R11)(BX*8), Z4
+	VMOVDQU64 (R12)(BX*8), Z5
+	VPSRLQ    $32, Z0, Z7
+	VPSRLQ    $32, Z1, Z8
+	VPSRLQ    $32, Z4, Z9
+	VPSRLQ    $32, Z5, Z10
+	MUL128(Z0, Z7, Z4, Z9, Z11, Z12)
+	REDUCE128(Z11, Z12)
+	VMOVDQU64 Z12, (DI)(BX*8)
+	MUL128(Z1, Z8, Z5, Z10, Z11, Z12)
+	REDUCE128(Z11, Z12)
+	VMOVDQU64 Z12, (R9)(BX*8)
+	MUL128(Z0, Z7, Z5, Z10, Z11, Z12)
+	MUL128(Z1, Z8, Z4, Z9, Z13, Z14)
+	VPADDQ    Z13, Z11, Z11
+	ADDC(Z11, Z12, Z14)
+	REDUCE128(Z11, Z12)
+	VMOVDQU64 Z12, (R8)(BX*8)
+	ADDQ      $8, BX
+	DECQ      CX
+	JNZ       trLoop
+
+trDone:
 	VZEROUPPER
 	RET
 

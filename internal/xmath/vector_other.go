@@ -11,3 +11,9 @@ func (Modulus) innerProductPairVector(_, _ []uint64, _, _, _ [][]uint64, lo, _ i
 func (Modulus) reduceRowVector(_, _ []uint64) int { return 0 }
 
 func (MulModOperand) subMulRowVector(_, _, _ []uint64, _ uint64) int { return 0 }
+
+func (Modulus) addRowVector(_, _, _ []uint64) int { return 0 }
+
+func (Modulus) mulAddRowVector(_, _, _, _ []uint64) int { return 0 }
+
+func (Modulus) tensorRowVector(_, _, _, _, _, _, _ []uint64) int { return 0 }
