@@ -239,3 +239,12 @@ func TestLaunchCountIndependentOfBatchSize(t *testing.T) {
 		}
 	}
 }
+
+// DownloadBatch is DownloadBatchAsync plus the single synchronizing
+// wait: the whole batch pays host-device synchronization once.
+func (c *Context) DownloadBatch(cts []*Ciphertext) []*ckks.Ciphertext {
+	outs, _, ev := c.DownloadBatchAsync(cts)
+	ev.Wait()
+	c.deps = nil
+	return outs
+}

@@ -103,12 +103,3 @@ func (c *Context) DownloadBatchAsync(cts []*Ciphertext) ([]*ckks.Ciphertext, int
 	c.after([]gpu.Event{ev})
 	return outs, int64(words) * 8, ev
 }
-
-// DownloadBatch is DownloadBatchAsync plus the single synchronizing
-// wait: the whole batch pays host-device synchronization once.
-func (c *Context) DownloadBatch(cts []*Ciphertext) []*ckks.Ciphertext {
-	outs, _, ev := c.DownloadBatchAsync(cts)
-	ev.Wait()
-	c.deps = nil
-	return outs
-}

@@ -9,6 +9,7 @@ import (
 	"xehe/internal/gpu"
 	"xehe/internal/isa"
 	"xehe/internal/ntt"
+	"xehe/internal/roofline"
 )
 
 // These tests pin the simulated results to the paper's headline
@@ -91,7 +92,7 @@ func TestEfficiencyRisesWithInstances(t *testing.T) {
 func TestOperationalDensities(t *testing.T) {
 	// Section IV-B: naive density 1.5 op/byte; radix-8 density 8.9.
 	spec := gpu.Device1Spec()
-	m := rooflineModel(spec)
+	m := roofline.Model{Spec: spec, Tiles: 1}
 	tbl := nttTables(32768)
 	naive := m.Density(ntt.NaiveRadix2, 32768, []*ntt.Tables{tbl})
 	inBand(t, "naive density", naive, 1.35, 1.6)

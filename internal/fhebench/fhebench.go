@@ -19,7 +19,7 @@ import (
 	"xehe/internal/isa"
 	"xehe/internal/ntt"
 	"xehe/internal/poly"
-	"xehe/internal/sycl"
+	"xehe/internal/roofline"
 	"xehe/internal/xmath"
 )
 
@@ -146,30 +146,16 @@ func (c NTTConfig) String() string {
 	return fmt.Sprintf("%d,%d", c.N, c.Instances)
 }
 
-// NTTRun simulates one batched forward NTT and returns simulated
-// cycles and the variant's nominal op count.
+// NTTRun simulates one batched forward NTT at rns moduli through
+// roofline.Run and returns simulated cycles and the variant's nominal
+// op count.
 func NTTRun(spec gpu.DeviceSpec, v ntt.Variant, cg isa.CodeGen, tiles int, cfg NTTConfig, rns int) (cycles, nominal float64) {
-	dev := gpu.NewDevice(spec)
-	var qs []*sycl.Queue
-	if tiles > 1 && spec.Tiles > 1 {
-		qs = sycl.NewQueuesAllTiles(dev, cg)
-	} else {
-		qs = []*sycl.Queue{sycl.NewQueue(dev, cg)}
-	}
 	tbl := nttTables(cfg.N)
 	tbls := make([]*ntt.Tables, rns)
 	for i := range tbls {
 		tbls[i] = tbl
 	}
-	e := ntt.NewAnalyticEngine(v)
-	evs := e.Forward(qs, nil, cfg.Instances, tbls)
-	var end float64
-	for _, ev := range evs {
-		if ev.Done() > end {
-			end = ev.Done()
-		}
-	}
-	return end, e.NominalOps(&spec, cfg.Instances, tbls, true)
+	return roofline.Run(spec, v, cg, tiles, cfg.Instances, tbls)
 }
 
 // NTTSpeedup returns the speedup of (v, cg, tiles) over the naive

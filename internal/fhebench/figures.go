@@ -307,11 +307,6 @@ func Fig19(spec gpu.DeviceSpec) *Table {
 	return t
 }
 
-// rooflineModel builds a single-tile roofline model for a device.
-func rooflineModel(spec gpu.DeviceSpec) *roofline.Model {
-	return &roofline.Model{Spec: spec, Tiles: 1}
-}
-
 // ScalingStudy extends the paper's future-work direction: NTT
 // throughput scaling across tiles and across multiple simulated GPUs
 // (Section V: "extending our HE library to multi-GPU ... platforms").

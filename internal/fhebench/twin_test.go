@@ -100,7 +100,8 @@ func twinStreams(params *ckks.Parameters) []twinStream {
 			bs, _, _ := ctx.UploadBatch(host)
 			rs := ctx.MulLinRSBatch(as, bs, rlk)
 			outs := ctx.RotateBatch(rs, 1, gk)
-			ctx.DownloadBatch(outs)
+			_, _, ev := ctx.DownloadBatchAsync(outs)
+			ev.Wait()
 			for _, cts := range [][]*core.Ciphertext{as, bs, rs, outs} {
 				for _, ct := range cts {
 					ctx.Free(ct)

@@ -89,3 +89,16 @@ func TestDeviceTimeIncludesCopyTimeline(t *testing.T) {
 		t.Fatal("ResetClocks must clear the copy timeline")
 	}
 }
+
+// CopyTime returns the completion time of the busiest copy engine.
+func (d *Device) CopyTime() Cycles {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var m Cycles
+	for _, t := range d.copyTime {
+		if t > m {
+			m = t
+		}
+	}
+	return m
+}

@@ -116,13 +116,6 @@ func (d *Device) SetLink(latency Cycles, bytesPerCycle float64) {
 	d.link = &link{latency: latency, bpc: bytesPerCycle}
 }
 
-// Remote reports whether the device sits across a network hop.
-func (d *Device) Remote() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.link != nil
-}
-
 // ensureLinkLocked lets faults be injected even on a host-local device
 // (a zero-latency link that only the injected perturbations price).
 func (d *Device) ensureLinkLocked() *link {
@@ -219,23 +212,10 @@ func NewDevice(spec DeviceSpec) *Device {
 func NewDevice1() *Device { return NewDevice(Device1Spec()) }
 func NewDevice2() *Device { return NewDevice(Device2Spec()) }
 
-// Reset clears all simulated clocks and allocation statistics.
-func (d *Device) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.resetClocksLocked()
-	d.allocated = 0
-	d.peakAlloc = 0
-	d.allocs = 0
-	if d.link != nil {
-		d.link = &link{latency: d.link.latency, bpc: d.link.bpc}
-	}
-}
-
 // ResetClocks clears only the simulated clocks, preserving allocation
 // accounting — for measuring steady state after a warm-up phase whose
-// buffers are still live (a full Reset would drive the live-bytes
-// counter negative once those buffers are eventually freed).
+// buffers are still live (clearing the accounting would drive the
+// live-bytes counter negative once those buffers are freed).
 func (d *Device) ResetClocks() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -276,26 +256,6 @@ func (d *Device) DeviceTime() Cycles {
 		}
 	}
 	return m
-}
-
-// CopyTime returns the completion time of the busiest copy engine.
-func (d *Device) CopyTime() Cycles {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var m Cycles
-	for _, t := range d.copyTime {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
-// AdvanceHost adds host-side work (e.g. encode on CPU) to the clock.
-func (d *Device) AdvanceHost(c Cycles) {
-	d.mu.Lock()
-	d.hostTime += c
-	d.mu.Unlock()
 }
 
 // Seconds converts simulated cycles to seconds on this device.
@@ -550,6 +510,3 @@ func (q *Queue) CopyD2H(n int64, deps ...Event) Event {
 
 // Wait drains the queue (host waits for the last submitted command).
 func (q *Queue) Wait() { q.last.Wait() }
-
-// Last returns the most recently submitted event.
-func (q *Queue) Last() Event { return q.last }

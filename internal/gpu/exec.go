@@ -199,36 +199,3 @@ func runOneGroup(k *Kernel, ctx *GroupCtx, idx, groupsPerRow, local, g2 int) {
 	ctx.P, ctx.Q, ctx.Group, ctx.Base, ctx.Size = p, q, grp, base, size
 	k.Body(ctx)
 }
-
-// Subgroup emulates an Intel GPU SIMD subgroup for the SIMD-shuffling
-// NTT variants (Fig. 7/9): `width` lanes, each holding `slots*2`
-// register values.
-type Subgroup struct {
-	Width int
-	// Regs[lane][reg] mirrors the per-lane register file.
-	Regs [][]uint64
-}
-
-// NewSubgroup allocates a subgroup of the given width with regs
-// registers per lane.
-func NewSubgroup(width, regs int) *Subgroup {
-	sg := &Subgroup{Width: width, Regs: make([][]uint64, width)}
-	backing := make([]uint64, width*regs)
-	for l := range sg.Regs {
-		sg.Regs[l] = backing[l*regs : (l+1)*regs]
-	}
-	return sg
-}
-
-// Shuffle replaces register reg of every lane with the value of the
-// same register in lane srcLane(lane), emulating
-// sg.shuffle(data[reg], tgt_idx) from the paper's Fig. 9.
-func (sg *Subgroup) Shuffle(reg int, srcLane func(lane int) int) {
-	tmp := make([]uint64, sg.Width)
-	for l := 0; l < sg.Width; l++ {
-		tmp[l] = sg.Regs[srcLane(l)][reg]
-	}
-	for l := 0; l < sg.Width; l++ {
-		sg.Regs[l][reg] = tmp[l]
-	}
-}

@@ -309,3 +309,49 @@ func TestEfficiencyMetric(t *testing.T) {
 		t.Errorf("efficiency at t=0 = %v, want 0", got)
 	}
 }
+
+// Reset clears all simulated clocks and allocation statistics.
+func (d *Device) Reset() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.resetClocksLocked()
+	d.allocated = 0
+	d.peakAlloc = 0
+	d.allocs = 0
+	if d.link != nil {
+		d.link = &link{latency: d.link.latency, bpc: d.link.bpc}
+	}
+}
+
+// Subgroup emulates an Intel GPU SIMD subgroup for the SIMD-shuffling
+// NTT variants (Fig. 7/9): `width` lanes, each holding `slots*2`
+// register values.
+type Subgroup struct {
+	Width int
+	// Regs[lane][reg] mirrors the per-lane register file.
+	Regs [][]uint64
+}
+
+// NewSubgroup allocates a subgroup of the given width with regs
+// registers per lane.
+func NewSubgroup(width, regs int) *Subgroup {
+	sg := &Subgroup{Width: width, Regs: make([][]uint64, width)}
+	backing := make([]uint64, width*regs)
+	for l := range sg.Regs {
+		sg.Regs[l] = backing[l*regs : (l+1)*regs]
+	}
+	return sg
+}
+
+// Shuffle replaces register reg of every lane with the value of the
+// same register in lane srcLane(lane), emulating
+// sg.shuffle(data[reg], tgt_idx) from the paper's Fig. 9.
+func (sg *Subgroup) Shuffle(reg int, srcLane func(lane int) int) {
+	tmp := make([]uint64, sg.Width)
+	for l := 0; l < sg.Width; l++ {
+		tmp[l] = sg.Regs[srcLane(l)][reg]
+	}
+	for l := 0; l < sg.Width; l++ {
+		sg.Regs[l][reg] = tmp[l]
+	}
+}

@@ -199,26 +199,3 @@ func ButterflyProfile() Profile {
 	p.Add(OpMul64Lo, 2) // W*Y low, Q*p low
 	return p
 }
-
-// GSButterflyProfile returns the op profile of one Gentleman–Sande
-// (inverse NTT) butterfly, which has the same cost structure.
-func GSButterflyProfile() Profile {
-	return ButterflyProfile()
-}
-
-// InstructionCount returns the static instruction count of the add_mod
-// and mul64 sequences under each CodeGen, reproducing the claims in
-// Figs. 3 and 4 ("eliminating one instruction", "~60% reduction").
-func InstructionCount(op Op, cg CodeGen) int {
-	switch {
-	case op == OpAddMod && cg == CompilerGenerated:
-		return 4
-	case op == OpAddMod && cg == InlineASM:
-		return 3
-	case (op == OpMul64Lo || op == OpMul64Hi) && cg == CompilerGenerated:
-		return 8
-	case (op == OpMul64Lo || op == OpMul64Hi) && cg == InlineASM:
-		return 3 // ~60% reduction in instruction count (Fig. 4)
-	}
-	return 1
-}

@@ -28,7 +28,7 @@ type BatchView struct {
 }
 
 // NewBatchView allocates an empty view of polys × qCount rows of
-// length n each; fill it with SetRow/SetPoly.
+// length n each; fill it with SetRow.
 func NewBatchView(polys, qCount, n int) *BatchView {
 	v := ShapeView(polys, qCount, n)
 	v.rows = make([][]uint64, polys*qCount)
@@ -71,34 +71,11 @@ func (v *BatchView) SetRow(p, q int, row []uint64) {
 	v.rows[p*v.qCount+q] = row[:v.n]
 }
 
-// SetPoly installs all qCount rows of transform p from a polynomial's
-// per-component slices (rows[q] is the component under tables index q).
-func (v *BatchView) SetPoly(p int, rows [][]uint64) {
-	if len(rows) < v.qCount {
-		panic(fmt.Sprintf("ntt: poly %d has %d components, view needs %d", p, len(rows), v.qCount))
-	}
-	for q := 0; q < v.qCount; q++ {
-		v.SetRow(p, q, rows[q])
-	}
-}
-
 // Row returns the slice of transform p under tables index q.
 func (v *BatchView) Row(p, q int) []uint64 { return v.rows[p*v.qCount+q] }
 
 // N returns the transform size.
 func (v *BatchView) N() int { return v.n }
-
-// Polys returns the number of transforms per tables entry.
-func (v *BatchView) Polys() int { return v.polys }
-
-// QCount returns the number of tables entries (RNS moduli) per poly.
-func (v *BatchView) QCount() int { return v.qCount }
-
-// sliceOf returns the (p, q) slice of a contiguous flat batch.
-func sliceOf(data []uint64, p, q, qCount, n int) []uint64 {
-	off := (p*qCount + q) * n
-	return data[off : off+n]
-}
 
 // check validates that every row a functional launch will touch is
 // installed; timing-only launches never read rows and skip it.

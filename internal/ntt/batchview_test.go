@@ -8,6 +8,12 @@ import (
 	"xehe/internal/xmath"
 )
 
+// sliceOf returns the (p, q) slice of a contiguous flat batch.
+func sliceOf(data []uint64, p, q, qCount, n int) []uint64 {
+	off := (p*qCount + q) * n
+	return data[off : off+n]
+}
+
 // viewFixture builds tables, a contiguous reference batch and a
 // scattered BatchView (every row its own allocation) with identical
 // contents.

@@ -72,12 +72,6 @@ func (v Variant) slots() int {
 	}
 }
 
-// AllVariants lists every implemented variant in the order the paper
-// introduces them.
-func AllVariants() []Variant {
-	return []Variant{NaiveRadix2, SIMD8x8, SIMD16x8, SIMD32x8, LocalRadix4, LocalRadix8, LocalRadix16}
-}
-
 // Architecture / calibration constants of the staged implementations.
 const (
 	// slmGroupElems is the NTT span assigned to one work-group's SLM

@@ -10,6 +10,12 @@ import (
 	"xehe/internal/xmath"
 )
 
+// AllVariants lists every implemented variant in the order the paper
+// introduces them.
+func AllVariants() []Variant {
+	return []Variant{NaiveRadix2, SIMD8x8, SIMD16x8, SIMD32x8, LocalRadix4, LocalRadix8, LocalRadix16}
+}
+
 // testSetup builds a batch of random polynomials plus tables.
 func testSetup(t testing.TB, n, qCount, polys int, seed int64) ([]uint64, []*Tables) {
 	t.Helper()

@@ -157,10 +157,11 @@ func TestPlanPricesAreExact(t *testing.T) {
 				for _, forward := range []bool{true, false} {
 					for _, spec := range []gpu.DeviceSpec{gpu.Device1Spec(), gpu.Device2Spec()} {
 						for _, cg := range []isa.CodeGen{isa.CompilerGenerated, isa.InlineASM} {
-							dev := gpu.NewDevice(spec)
-							for _, qs := range queueSets(dev, cg) {
-								dev.Reset()
+							// One queue, then the dual-tile split, each on a fresh device.
+							for k := range 2 {
+								dev := gpu.NewDevice(spec)
 								dev.EnableTrace()
+								qs := queueSets(dev, cg)[k]
 								run := e.Forward
 								if !forward {
 									run = e.Inverse

@@ -96,20 +96,3 @@ func NewTables(n int, m xmath.Modulus) *Tables {
 	t.NInv = xmath.NewMulModOperand(m.InvMod(uint64(n)), m)
 	return t
 }
-
-// TableSet bundles per-modulus tables for an RNS basis, indexed in the
-// same order as the basis moduli, optionally including the special
-// key-switching prime at the end.
-type TableSet struct {
-	N      int
-	Tables []*Tables
-}
-
-// NewTableSet builds tables for every modulus.
-func NewTableSet(n int, moduli []xmath.Modulus) *TableSet {
-	ts := &TableSet{N: n, Tables: make([]*Tables, len(moduli))}
-	for i, m := range moduli {
-		ts.Tables[i] = NewTables(n, m)
-	}
-	return ts
-}

@@ -181,19 +181,6 @@ func MAdInto(dst, a, b *Poly, moduli []xmath.Modulus) {
 	})
 }
 
-// MulScalarInto sets dst = a * s for per-component scalars s[i].
-func MulScalarInto(dst, a *Poly, s []uint64, moduli []xmath.Modulus) {
-	for i := range dst.Coeffs {
-		m := moduli[i]
-		da, dd := a.Coeffs[i], dst.Coeffs[i]
-		si := m.BarrettReduce(s[i])
-		for j := range dd {
-			dd[j] = m.MulMod(da[j], si)
-		}
-	}
-	dst.IsNTT = a.IsNTT
-}
-
 // NTT transforms every component to the NTT domain in place.
 func NTT(p *Poly, tbls []*ntt.Tables) {
 	if p.IsNTT {

@@ -282,3 +282,16 @@ func mustPanicP(t *testing.T, f func()) {
 	}()
 	f()
 }
+
+// MulScalarInto sets dst = a * s for per-component scalars s[i].
+func MulScalarInto(dst, a *Poly, s []uint64, moduli []xmath.Modulus) {
+	for i := range dst.Coeffs {
+		m := moduli[i]
+		da, dd := a.Coeffs[i], dst.Coeffs[i]
+		si := m.BarrettReduce(s[i])
+		for j := range dd {
+			dd[j] = m.MulMod(da[j], si)
+		}
+	}
+	dst.IsNTT = a.IsNTT
+}

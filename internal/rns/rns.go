@@ -131,9 +131,6 @@ func (b *Basis) MaxLevel() int { return len(b.Moduli) - 1 }
 // Q returns the ciphertext modulus product at the given level.
 func (b *Basis) Q(level int) *big.Int { return new(big.Int).Set(b.levels[level].q) }
 
-// QHatInvModQi returns (Q_l/q_i)^{-1} mod q_i at the given level.
-func (b *Basis) QHatInvModQi(level, i int) uint64 { return b.levels[level].qHatInvModQi[i].Operand }
-
 // InvLastModQi returns q_level^{-1} mod q_i (i < level), the rescale
 // scaling factor.
 func (b *Basis) InvLastModQi(level, i int) uint64 { return b.levels[level].invLastModQi[i].Operand }
@@ -278,20 +275,6 @@ func limbsFloat64(x []uint64) float64 {
 		top |= 1
 	}
 	return math.Ldexp(float64(top), 64*j-int(lz))
-}
-
-// Decompose returns the residues of the (possibly negative) integer x
-// under q_0..q_level.
-func (b *Basis) Decompose(x *big.Int, level int) []uint64 {
-	res := make([]uint64, level+1)
-	tmp := new(big.Int)
-	mod := new(big.Int)
-	for i := 0; i <= level; i++ {
-		mod.SetUint64(b.Moduli[i].Value)
-		tmp.Mod(x, mod) // Go's Mod is Euclidean: result in [0, q_i)
-		res[i] = tmp.Uint64()
-	}
-	return res
 }
 
 // NewCKKSBasis generates a standard CKKS modulus chain for degree n:

@@ -3,6 +3,7 @@ package rns
 import (
 	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -246,15 +247,15 @@ func TestCKKSBasisShape(t *testing.T) {
 	if len(b.Moduli) != 5 {
 		t.Fatalf("chain length = %d, want 5", len(b.Moduli))
 	}
-	if got := b.Moduli[0].BitCount(); got != 52 {
+	if got := bits.Len64(b.Moduli[0].Value); got != 52 {
 		t.Errorf("first prime bits = %d, want 52", got)
 	}
 	for i := 1; i < 5; i++ {
-		if got := b.Moduli[i].BitCount(); got != 40 {
+		if got := bits.Len64(b.Moduli[i].Value); got != 40 {
 			t.Errorf("mid prime %d bits = %d, want 40", i, got)
 		}
 	}
-	if got := b.Special.BitCount(); got != 52 {
+	if got := bits.Len64(b.Special.Value); got != 52 {
 		t.Errorf("special prime bits = %d, want 52", got)
 	}
 	// Special must differ from every chain prime (key-switch soundness).
@@ -299,4 +300,21 @@ func TestQuickCRTHomomorphism(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// QHatInvModQi returns (Q_l/q_i)^{-1} mod q_i at the given level.
+func (b *Basis) QHatInvModQi(level, i int) uint64 { return b.levels[level].qHatInvModQi[i].Operand }
+
+// Decompose returns the residues of the (possibly negative) integer x
+// under q_0..q_level.
+func (b *Basis) Decompose(x *big.Int, level int) []uint64 {
+	res := make([]uint64, level+1)
+	tmp := new(big.Int)
+	mod := new(big.Int)
+	for i := 0; i <= level; i++ {
+		mod.SetUint64(b.Moduli[i].Value)
+		tmp.Mod(x, mod) // Go's Mod is Euclidean: result in [0, q_i)
+		res[i] = tmp.Uint64()
+	}
+	return res
 }

@@ -61,44 +61,36 @@ func (m *Model) Point(v ntt.Variant, n, rns, instances int, tbls []*ntt.Tables, 
 		bound = "compute"
 	}
 
-	// Simulated achieved throughput.
-	achieved := achievedGIOPS(spec, v, n, rns, instances, tbls, asm, m.Tiles)
-	return Point{Variant: v, Density: density, RooflineGIOPS: roof, AchievedGIOPS: achieved, Bound: bound}
-}
-
-func achievedGIOPS(spec gpu.DeviceSpec, v ntt.Variant, n, rns, instances int, tbls []*ntt.Tables, asm bool, tiles int) float64 {
-	dev := gpu.NewDevice(spec)
-	qs := queuesFor(dev, asm, tiles)
-	batch := make([]*ntt.Tables, rns)
-	for i := range batch {
-		batch[i] = tbls[0]
-	}
-	e := ntt.NewAnalyticEngine(v)
-	evs := e.Forward(qs, nil, instances, batch)
-	var end float64
-	for _, ev := range evs {
-		if ev.Done() > end {
-			end = ev.Done()
-		}
-	}
-	nominal := e.NominalOps(&spec, instances, batch, true)
-	return nominal / end * spec.ClockGHz // ops/cycle * GHz = GIOPS
-}
-
-// Efficiency returns achieved/(full-device peak) for a variant — the
-// metric of Figs. 12b/13b/14/17.
-func (m *Model) Efficiency(v ntt.Variant, n, rns, instances int, tbls []*ntt.Tables, asm bool) float64 {
-	g := achievedGIOPS(m.Spec, v, n, rns, instances, tbls, asm, m.Tiles)
-	return g / m.Spec.PeakGIOPS()
-}
-
-func queuesFor(dev *gpu.Device, asm bool, tiles int) []*sycl.Queue {
 	cg := isa.CompilerGenerated
 	if asm {
 		cg = isa.InlineASM
 	}
-	if tiles > 1 && dev.Spec.Tiles > 1 {
-		return sycl.NewQueuesAllTiles(dev, cg)
+	batch := make([]*ntt.Tables, rns)
+	for i := range batch {
+		batch[i] = tbls[0]
 	}
-	return []*sycl.Queue{sycl.NewQueue(dev, cg)}
+	cycles, nominal := Run(spec, v, cg, m.Tiles, instances, batch)
+	achieved := nominal / cycles * spec.ClockGHz // ops/cycle * GHz = GIOPS
+	return Point{Variant: v, Density: density, RooflineGIOPS: roof, AchievedGIOPS: achieved, Bound: bound}
+}
+
+// Run simulates one batched, timing-only forward transform of
+// `instances` polynomials over tbls (one entry per RNS modulus) on a
+// fresh device, split over every tile when tiles > 1 and the device
+// has more than one. It returns the transform's simulated cycles and
+// the variant's nominal op count: the one measurement behind Fig. 15's
+// achieved throughput and the efficiency and speed-up figures.
+func Run(spec gpu.DeviceSpec, v ntt.Variant, cg isa.CodeGen, tiles, instances int, tbls []*ntt.Tables) (cycles, nominal float64) {
+	dev := gpu.NewDevice(spec)
+	var qs []*sycl.Queue
+	if tiles > 1 && spec.Tiles > 1 {
+		qs = sycl.NewQueuesAllTiles(dev, cg)
+	} else {
+		qs = []*sycl.Queue{sycl.NewQueue(dev, cg)}
+	}
+	e := ntt.NewAnalyticEngine(v)
+	for _, ev := range e.Forward(qs, nil, instances, tbls) {
+		cycles = max(cycles, ev.Done())
+	}
+	return cycles, e.NominalOps(&spec, instances, tbls, true)
 }

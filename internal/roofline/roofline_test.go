@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xehe/internal/gpu"
+	"xehe/internal/isa"
 	"xehe/internal/ntt"
 	"xehe/internal/xmath"
 )
@@ -48,9 +49,17 @@ func TestPointBounds(t *testing.T) {
 	}
 }
 
+// TestEfficiencyConsistentWithPoint ties the efficiency figures, which
+// divide Run's nominal ops by its cycles and the device peak, to Fig.
+// 15's achieved throughput from the same run.
 func TestEfficiencyConsistentWithPoint(t *testing.T) {
 	m, tbl := model(t)
-	eff := m.Efficiency(ntt.LocalRadix8, 32768, 8, 1024, []*ntt.Tables{tbl}, false)
+	batch := make([]*ntt.Tables, 8)
+	for i := range batch {
+		batch[i] = tbl
+	}
+	cycles, nominal := Run(m.Spec, ntt.LocalRadix8, isa.CompilerGenerated, m.Tiles, 1024, batch)
+	eff := gpu.Efficiency(&m.Spec, nominal, cycles)
 	p := m.Point(ntt.LocalRadix8, 32768, 8, 1024, []*ntt.Tables{tbl}, false)
 	if want := p.AchievedGIOPS / m.Spec.PeakGIOPS(); want != eff {
 		t.Errorf("efficiency %.4f inconsistent with point %.4f", eff, want)

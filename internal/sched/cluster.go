@@ -9,7 +9,6 @@ import (
 	"xehe/internal/ckks"
 	"xehe/internal/gpu"
 	"xehe/internal/obs"
-	"xehe/internal/qos"
 )
 
 // ErrNoShards is returned by Cluster.Submit when every shard has been
@@ -170,8 +169,8 @@ type shard struct {
 	life atomic.Uint32
 
 	// Fault-plane budgets, consumed rather than entered and left: sick
-	// is the health-probe corruption budget (each failed probe consumes
-	// one unit), killAfter the armed batches-until-kill countdown (0 =
+	// is the health-probe sickness budget the link faults mark (each
+	// failed probe consumes one unit), killAfter the armed batches-until-kill countdown (0 =
 	// disarmed).
 	sick      atomic.Int64
 	killAfter atomic.Int64
@@ -198,9 +197,9 @@ func (sh *shard) on(e event) bool {
 }
 
 // probe runs one health check against the shard: false while it is out
-// of rotation or its corruption budget (FaultPlane.CorruptHealth,
-// degraded-link marks) holds, consuming one budget unit per failed
-// probe.
+// of rotation or its sickness budget (the link-fault marks of
+// FaultPlane.DelayHops, DropHops and FailHops) holds, consuming one
+// budget unit per failed probe.
 func (sh *shard) probe() bool {
 	return sh.state() == stateOpen && spend(&sh.sick) == 0
 }
@@ -288,7 +287,6 @@ func NewCluster(params *ckks.Parameters, specs []ShardSpec, cfg Config, rlk *ckk
 	if cfg.Standbys < 0 {
 		cfg.Standbys = 0
 	}
-	cfg.Retry = cfg.Retry.withDefaults()
 	c := &Cluster{
 		params: params,
 		cfg:    cfg,
@@ -366,9 +364,6 @@ func (c *Cluster) shard(i int) *shard {
 	}
 	return nil
 }
-
-// Params returns the scheme parameters the cluster was built for.
-func (c *Cluster) Params() *ckks.Parameters { return c.params }
 
 // Shards returns the number of shards (open or not).
 func (c *Cluster) Shards() int { return len(c.all()) }
@@ -465,8 +460,8 @@ func (c *Cluster) affinity(job *Job, skip map[int]bool) *shard {
 // nil when no open shard remains outside skip. Shards in skip (already
 // tried and found overloaded for this job's class) are excluded, as are
 // shards whose health probe fails — unless EVERY open shard probes
-// sick, in which case the probe is ignored (a corrupted health plane
-// must degrade routing quality, not wedge the cluster).
+// sick, in which case the probe is ignored (a sick health plane must
+// degrade routing quality, not wedge the cluster).
 func (c *Cluster) pick(job *Job, skip map[int]bool) *shard {
 	shards := c.all()
 	open := make([]bool, len(shards))
@@ -874,11 +869,6 @@ func (c *Cluster) Stats() ClusterStats {
 		cs.PerClass[k].Rejected = int64(v["cluster.shed_jobs."+cl.Name])
 	}
 	return cs
-}
-
-// Classes returns the class table the cluster's shards dispatch by.
-func (c *Cluster) Classes() []qos.Class {
-	return append([]qos.Class(nil), c.all()[0].sched.classes...)
 }
 
 // SimulatedSeconds returns the cluster's simulated wall-clock: the

@@ -7,9 +7,9 @@ package sched
 // the exact ciphertext the serial path would (the chaos differential
 // suite pins this bit-for-bit).
 //
-// Faults compose: a shard can have a degraded link, failing health
-// probes and an armed kill countdown at once. All methods are safe for
-// concurrent use, including while jobs are in flight.
+// Faults compose: a shard can have delayed, dropped and lost hops and
+// an armed kill countdown at once. All methods are safe for concurrent
+// use, including while jobs are in flight.
 type FaultPlane struct {
 	c *Cluster
 }
@@ -76,25 +76,14 @@ func (fp *FaultPlane) DropHops(i int, hops int64) {
 // FailHops loses shard i's next hops network crossings outright: each
 // faulted submission surfaces gpu.ErrLinkFault to the job instead of
 // retransmitting, and the shard is marked sick for as many probes.
-// Under a retry policy (Config.Retry / Job.Retries) the affected jobs
-// re-execute and still produce bit-identical results; without one the
-// fault propagates to the caller. The only fault class that needs the
+// Under a retry policy (Config.Retry) the affected jobs re-execute and
+// still produce bit-identical results; without one the fault
+// propagates to the caller. The only fault class that needs the
 // retry plane to stay invisible.
 func (fp *FaultPlane) FailHops(i int, hops int64) {
 	if sh := fp.c.shard(i); sh != nil && hops > 0 {
 		sh.sched.dev.InjectLinkFault(hops)
 		sh.sick.Add(hops)
-	}
-}
-
-// CorruptHealth makes shard i's next n health probes report the shard
-// as sick even though it executes fine — the router stops picking it
-// until the budget drains (or ignores the probes entirely when every
-// open shard reports sick, so a fully corrupted health plane degrades
-// routing instead of wedging it).
-func (fp *FaultPlane) CorruptHealth(i int, n int64) {
-	if sh := fp.c.shard(i); sh != nil && n > 0 {
-		sh.sick.Add(n)
 	}
 }
 

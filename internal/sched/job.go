@@ -128,13 +128,6 @@ type Job struct {
 	// relative to submission; 0 means none. Deadline-aware policies
 	// (EDF) order by it, and per-class stats count hits and misses.
 	Deadline float64
-	// Retries overrides the scheduler's RetryPolicy for this job: the
-	// number of times a transiently failed execution (dropped network
-	// hop, shard lost mid-replacement) re-runs before the error
-	// surfaces. 0 inherits the policy's budget; negative disables
-	// retries for this job. Retries never extend past the job's
-	// Deadline.
-	Retries int
 	// keep forces a host download of the output even when consumers
 	// exist (see KeepOutput).
 	keep bool
@@ -178,17 +171,6 @@ func (j *Job) WithDeadline(d float64) *Job {
 		d = 0
 	}
 	j.Deadline = d
-	return j
-}
-
-// WithRetries sets the job's transient-failure retry budget and
-// returns the job (chainable). n < 0 disables retries for this job
-// even when the scheduler's RetryPolicy enables them.
-func (j *Job) WithRetries(n int) *Job {
-	if n < 0 {
-		n = -1
-	}
-	j.Retries = n
 	return j
 }
 

@@ -7,10 +7,9 @@ import (
 	"xehe/internal/gpu"
 )
 
-// DefaultRetryBackoff is the base retry backoff in simulated seconds
-// when a policy enables retries without choosing one. It doubles per
-// attempt, so attempt n of a job is priced n doublings late on the
-// simulated timeline.
+// DefaultRetryBackoff is the base retry backoff in simulated seconds.
+// It doubles per attempt, so attempt n of a job is priced n doublings
+// late on the simulated timeline.
 const DefaultRetryBackoff = 50e-6
 
 // retryParkRounds bounds how many control-loop rounds a task may wait
@@ -29,40 +28,21 @@ const retryParkRounds = 256
 // and charged against the job's latency and QoS deadline. Retries are
 // deadline-aware: a retry that could not start before the job's
 // deadline is not attempted, and the caller sees the original error.
-// The zero value disables retries. Job.Retries overrides the budget
-// per job.
+// The zero value disables retries.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of execution attempts a job may
-	// consume, first run included; <= 1 disables retries by policy.
+	// consume, first run included; <= 1 disables retries.
 	MaxAttempts int
-	// Backoff is the base backoff in simulated seconds before the
-	// first retry, doubling per subsequent attempt. <= 0 selects
-	// DefaultRetryBackoff.
-	Backoff float64
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Backoff <= 0 {
-		p.Backoff = DefaultRetryBackoff
-	}
-	return p
+// backoff prices retry number attempt (0-based):
+// DefaultRetryBackoff * 2^attempt.
+func backoff(attempt int) float64 {
+	return DefaultRetryBackoff * math.Pow(2, float64(attempt))
 }
 
-// backoff prices retry number attempt (0-based): base * 2^attempt.
-func (p RetryPolicy) backoff(attempt int) float64 {
-	return p.Backoff * math.Pow(2, float64(attempt))
-}
-
-// budgetFor resolves a job's retry allowance (attempts beyond the
-// first): Job.Retries wins when set, the policy's MaxAttempts applies
-// otherwise.
-func (p RetryPolicy) budgetFor(job *Job) int {
-	if job.Retries != 0 {
-		if job.Retries < 0 {
-			return 0
-		}
-		return job.Retries
-	}
+// budget is every job's retry allowance: attempts beyond the first.
+func (p RetryPolicy) budget() int {
 	if p.MaxAttempts <= 1 {
 		return 0
 	}
@@ -84,11 +64,11 @@ func retryable(err error) bool {
 // the error must be transient, and the retry must be able to start
 // before the job's deadline on the simulated clock.
 func (s *Scheduler) retryEligible(t *task, err error) bool {
-	if s.retryHook == nil || t.attempt >= t.budget || !retryable(err) {
+	if s.retryHook == nil || t.attempt >= s.cfg.Retry.budget() || !retryable(err) {
 		return false
 	}
 	if !math.IsInf(t.deadline, 1) &&
-		s.dev.SimulatedSeconds()+s.cfg.Retry.backoff(t.attempt) > t.deadline {
+		s.dev.SimulatedSeconds()+backoff(t.attempt) > t.deadline {
 		return false
 	}
 	return true
@@ -136,10 +116,10 @@ func (c *Cluster) offerRetry(src *shard, t *task, err error) bool {
 // retryMu, which failParked takes after closed is set: an entry is
 // either refused here or seen there, never stranded).
 func (c *Cluster) queueRetry(src *shard, t *task, err error) bool {
-	if t.attempt >= t.budget || !retryable(err) {
+	if t.attempt >= c.cfg.Retry.budget() || !retryable(err) {
 		return false
 	}
-	back := c.cfg.Retry.backoff(t.attempt)
+	back := backoff(t.attempt)
 	if t.deadline < back {
 		return false // the retry could not start before the deadline
 	}

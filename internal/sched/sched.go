@@ -104,12 +104,11 @@ type Config struct {
 	// is killed, skipping the cold construction a reactive AddShard
 	// would pay. 0 disables the pool; ignored unless SelfHeal is on.
 	Standbys int
-	// Retry is the default per-job retry budget (Job.Retries overrides
-	// it per job): transiently failed jobs — a dropped network hop, a
-	// shard lost mid-replacement — re-execute on an open shard with
-	// exponential backoff priced on the simulated clock, instead of
-	// surfacing the error to the caller. The zero value disables
-	// retries.
+	// Retry is the per-job retry budget: transiently failed jobs — a
+	// dropped network hop, a shard lost mid-replacement — re-execute on
+	// an open shard with exponential backoff priced on the simulated
+	// clock, instead of surfacing the error to the caller. The zero
+	// value disables retries.
 	Retry RetryPolicy
 }
 
@@ -124,7 +123,6 @@ func (c Config) withDefaults(tiles int) Config {
 	if c.Standbys < 0 {
 		c.Standbys = 0
 	}
-	c.Retry = c.Retry.withDefaults()
 	if c.Trace.SpanCap <= 0 {
 		c.Trace.SpanCap = 8192
 	}
@@ -291,13 +289,11 @@ type task struct {
 	waitN  int
 	depErr error
 
-	// Retry state: budget is the job's resolved retry allowance
-	// (attempts beyond the first execution), attempt the retries
-	// consumed so far, retryErr the error of the latest failed attempt
-	// (the one the caller sees if the budget runs out). Written by the
-	// single goroutine that owns the task at each point of its life
-	// (worker, retry loop, migration), never concurrently.
-	budget   int
+	// Retry state: attempt is the retries consumed so far, retryErr the
+	// error of the latest failed attempt (the one the caller sees if
+	// the budget runs out). Written by the single goroutine that owns
+	// the task at each point of its life (worker, retry loop,
+	// migration), never concurrently.
 	attempt  int
 	retryErr error
 }
@@ -515,9 +511,6 @@ func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKe
 	return s
 }
 
-// Params returns the scheme parameters the scheduler was built for.
-func (s *Scheduler) Params() *ckks.Parameters { return s.params }
-
 // Device returns the simulated device the scheduler runs on.
 func (s *Scheduler) Device() *gpu.Device { return s.dev }
 
@@ -576,7 +569,6 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 	}
 	class := int(job.Class)
 	t := &task{job: job, fut: newFuture(), class: class, shape: job.ShapeKey()}
-	t.budget = s.cfg.Retry.budgetFor(job)
 	adm := s.spanBegin()
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -65,9 +65,6 @@ func NewQueuesAllTiles(d *gpu.Device, cg isa.CodeGen) []*Queue {
 // are compiled with (compiler baseline or inline assembly).
 func (q *Queue) CodeGen() isa.CodeGen { return q.cg }
 
-// SetCodeGen switches codegen, used by the optimization-step sweeps.
-func (q *Queue) SetCodeGen(cg isa.CodeGen) { q.cg = cg }
-
 // Raw returns the underlying simulator queue.
 func (q *Queue) Raw() *gpu.Queue { return q.q }
 

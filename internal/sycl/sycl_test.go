@@ -124,3 +124,6 @@ func TestCodeGenSwitch(t *testing.T) {
 		t.Fatal("codegen switch failed")
 	}
 }
+
+// SetCodeGen switches codegen, used by the optimization-step sweeps.
+func (q *Queue) SetCodeGen(cg isa.CodeGen) { q.cg = cg }

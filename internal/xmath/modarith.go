@@ -65,7 +65,6 @@ func NegMod(a, p uint64) uint64 {
 type Modulus struct {
 	Value      uint64
 	ConstRatio [2]uint64 // floor(2^128/p): [lo, hi]
-	bitCount   int
 }
 
 // NewModulus precomputes Barrett constants for p. It panics if p < 2 or
@@ -82,11 +81,8 @@ func NewModulus(p uint64) Modulus {
 	// 2^128 = (2^64)^2; divide (1<<64, 0, 0) in base-2^64 digits.
 	hi, rem := bits.Div64(1, 0, p) // floor(2^64 / p), remainder
 	lo, _ := bits.Div64(rem, 0, p)
-	return Modulus{Value: p, ConstRatio: [2]uint64{lo, hi}, bitCount: bits.Len64(p)}
+	return Modulus{Value: p, ConstRatio: [2]uint64{lo, hi}}
 }
-
-// BitCount returns the bit length of the modulus value.
-func (m Modulus) BitCount() int { return m.bitCount }
 
 // BarrettReduce returns a mod p using the 1-word Barrett reduction.
 func (m Modulus) BarrettReduce(a uint64) uint64 {

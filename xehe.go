@@ -103,8 +103,8 @@
 // steers new work away from sick shards, and the Faults plane injects
 // failures for chaos drills: kill a shard mid-batch (its queued jobs
 // re-route to open shards and its in-flight jobs replay from host-side
-// inputs on a healthy one), kill a whole node, delay or drop network
-// hops, or corrupt health probes:
+// inputs on a healthy one), kill a whole node, or delay, drop or lose
+// network hops:
 //
 //	cl := xehe.NewCluster(params, kit,
 //		[]xehe.DeviceKind{xehe.Device1, xehe.Device1},
@@ -123,7 +123,7 @@
 // promoting a pre-built warm spare from the standby pool
 // (ClusterConfig.Standbys), or by a rate-limited cold rebuild of the
 // dead shard's device kind in its failure domain. A per-job retry
-// budget (ClusterConfig.Retry / Job.WithRetries) resolves transient
+// budget (ClusterConfig.Retry) resolves transient
 // failures — a lost network crossing, a shard killed mid-flight
 // before its replacement landed — inside the cluster with
 // exponential backoff priced on the simulated clock, deadline-aware,
@@ -608,8 +608,7 @@ type ServiceConfig struct {
 	// crossing (gpu link fault), a shard killed mid-flight before a
 	// replacement landed — re-execute on an open shard with exponential
 	// backoff priced on the simulated clock, instead of surfacing the
-	// error. Job.Retries overrides the budget per job. The zero value
-	// disables retries.
+	// error. The zero value disables retries.
 	Retry RetryPolicy
 }
 
@@ -637,12 +636,12 @@ func (sc ServiceConfig) schedConfig() sched.Config {
 // RetryPolicy is the cluster-wide per-job retry budget
 // (ServiceConfig.Retry): MaxAttempts total execution attempts per job
 // (first run included; <= 1 disables retries), with exponential
-// backoff starting at Backoff simulated seconds (0 selects the
-// default) and doubling per attempt. Retries are deadline-aware — a
-// retry that could not start before the job's deadline is not
-// attempted and the caller sees the original error — and only
-// transient failures (link faults, shards lost mid-replacement) are
-// retried; deterministic errors fail immediately.
+// backoff starting at 50 µs of simulated time and doubling per
+// attempt. Retries are deadline-aware — a retry that could not start
+// before the job's deadline is not attempted and the caller sees the
+// original error — and only transient failures (link faults, shards
+// lost mid-replacement) are retried; deterministic errors fail
+// immediately.
 type RetryPolicy = sched.RetryPolicy
 
 // Service evaluates independent HE jobs concurrently on one simulated
@@ -798,8 +797,8 @@ func (c *Cluster) AddShard(kind DeviceKind, node NodeSpec) (int, error) {
 }
 
 // FaultPlane is the cluster's fault-injection surface (Cluster.Faults)
-// for chaos drills: kill shards or whole nodes, degrade or drop
-// network hops, corrupt health probes. Faults live in the simulated
+// for chaos drills: kill shards or whole nodes, delay, drop or lose
+// network hops. Faults live in the simulated
 // timing and routing plane only — payload bytes are never corrupted,
 // so completed results stay bit-identical to the serial path.
 type FaultPlane = sched.FaultPlane
