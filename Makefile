@@ -35,12 +35,14 @@ test: build
 
 # The exact-model gates, about a second of test time: every paper
 # figure against its golden file (TestFigures), the timing-only
-# evaluator and scheduler as faithful twins of the functional ones, and
-# the client's keys, ciphertexts and decodes against recorded hashes.
+# evaluator and scheduler as faithful twins of the functional ones, the
+# client's keys, ciphertexts and decodes against recorded hashes, and
+# a one-worker Service's simulated clock and Batch p50/p99 on each
+# device against recorded constants (TestOneWorkerServiceIsPinned).
 # A refactor that must not move a number runs this: green means no
 # simulated clock, figure or client bit moved.
 bench-check:
-	$(GO) test -count=1 -run '^(TestFigures|TestTimingOnlyIsAFaithfulTwin|TestTimingOnlySchedulerIsATwin|TestClientBitIdentity)$$' ./cmd/xehe-bench ./internal/fhebench ./internal/sched ./internal/ckks
+	$(GO) test -count=1 -run '^(TestFigures|TestTimingOnlyIsAFaithfulTwin|TestTimingOnlySchedulerIsATwin|TestClientBitIdentity|TestOneWorkerServiceIsPinned)$$' . ./cmd/xehe-bench ./internal/fhebench ./internal/sched ./internal/ckks
 
 # Race-enabled pass over every package that runs goroutines
 # concurrently: the batch scheduler's differential + QoS fairness +
@@ -56,8 +58,9 @@ bench-check:
 # cache on ckks.Parameters (first-use hammer), the poly gather helper
 # and the NTT engine with its per-shape plan store; plus the two
 # packages that drive the scheduler from outside it: the root package
-# (Service / Cluster through the public API and the trace tests) and
-# internal/apps (matMul as a job graph on a scheduler and a cluster).
+# (Service — a one-shard Cluster — and Cluster through the public API,
+# and the trace tests) and internal/apps (matMul as a job graph on a
+# one-shard and a two-shard cluster).
 test-race:
 	$(GO) test -race . ./internal/apps/... ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/... ./internal/core/... ./internal/fhebench/... ./internal/ckks/... ./internal/poly/... ./internal/ntt/...
 

@@ -24,10 +24,10 @@ func qosConfig(policy xehe.SchedPolicy, trace bool) xehe.ClusterConfig {
 	}
 }
 
-// serviceVariants is one Service per device kind and pool size. Workers
-// pin round-robin to tiles, so the sweep extends the paper's explicit
-// dual-tile submission (Fig. 14b) from one split kernel to many
-// independent jobs.
+// serviceVariants is one Service (a one-shard cluster) per device kind
+// and pool size. Workers pin round-robin to tiles, so the sweep extends
+// the paper's explicit dual-tile submission (Fig. 14b) from one split
+// kernel to many independent jobs.
 func serviceVariants() (vs []variant) {
 	for _, dev := range []struct {
 		kind   xehe.DeviceKind
@@ -35,7 +35,7 @@ func serviceVariants() (vs []variant) {
 	}{{xehe.Device1, "Device1 (2 tiles)"}, {xehe.Device2, "Device2 (1 tile)"}} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			vs = append(vs, variant{
-				config: dev.config, service: true, devs: []xehe.DeviceKind{dev.kind},
+				config: dev.config, devs: []xehe.DeviceKind{dev.kind},
 				cfg: xehe.ServiceConfig{Workers: workers}, stream: uniform,
 			})
 		}
@@ -109,8 +109,8 @@ var scenarios = []scenario{
 		// whose gathered transfers count every byte over PCIe.
 		name: "graph",
 		variants: []variant{
-			{config: "chained", service: true, devs: d1(1), cfg: warmed, stream: chains(false)},
-			{config: "graph", service: true, devs: d1(1), cfg: warmed, stream: chains(true),
+			{config: "chained", devs: d1(1), cfg: warmed, stream: chains(false)},
+			{config: "graph", devs: d1(1), cfg: warmed, stream: chains(true),
 				check: func(r, first *pass) (string, error) {
 					moved, base := r.d.BytesH2D+r.d.BytesD2H, first.d.BytesH2D+first.d.BytesD2H
 					if moved >= base {

@@ -88,23 +88,6 @@ func (in *inputs) job() *xehe.Job {
 	return job
 }
 
-// target is what the run loop drives. A *xehe.Cluster is one as it
-// stands; a *xehe.Service is one but for the shape of its Stats.
-type target interface {
-	Submit(*xehe.Job) (*xehe.Pending, error)
-	Wait()
-	Close()
-	Stats() xehe.ClusterStats
-	SimulatedSeconds() float64
-	ResetSimClocks()
-	TraceCounts() (recorded, dropped int64)
-	WriteTrace(io.Writer) error
-}
-
-type serviceTarget struct{ *xehe.Service }
-
-func (s serviceTarget) Stats() xehe.ClusterStats { return xehe.ClusterStats{Stats: s.Service.Stats()} }
-
 // A stream pushes the n jobs of a measured phase through submit and
 // returns the futures whose ciphertexts are the run's output. submit
 // returns nil for a job not accepted: shed (ErrOverloaded, a full
@@ -195,11 +178,10 @@ func chains(linked bool) stream {
 
 // variant is one configuration of a scenario: one emitted row.
 type variant struct {
-	config  string
-	service bool // a xehe.Service on devs[0] instead of a xehe.Cluster
-	devs    []xehe.DeviceKind
-	cfg     xehe.ClusterConfig
-	stream  stream
+	config string
+	devs   []xehe.DeviceKind // one: a xehe.Service's shape, a one-shard cluster
+	cfg    xehe.ClusterConfig
+	stream stream
 	// drill, if set, fires once, just before the job a quarter of the way
 	// through the stream is submitted.
 	drill func(*xehe.Cluster)
@@ -251,18 +233,13 @@ func since(st, warm xehe.ClusterStats) xehe.ClusterStats {
 	return st
 }
 
-// measure is the run loop: build the variant's Service or Cluster, warm
-// it, reset the simulated clocks, take the counter baseline, push the
+// measure is the run loop: build the variant's Cluster (a service row's
+// is one shard, which is what a xehe.Service is), warm it, reset the simulated clocks, take the counter baseline, push the
 // stream through (firing the drill at 25 %), wait, read the clocks and
 // the counters. Every run must conserve: each output resolves, and the
 // jobs completed since the baseline are the jobs accepted, none failed.
 func measure(in *inputs, v variant, n int, tracePath string) (*pass, error) {
-	var t target
-	if v.service {
-		t = serviceTarget{xehe.NewService(in.params, in.kit, v.devs[0], v.cfg)}
-	} else {
-		t = xehe.NewCluster(in.params, in.kit, v.devs, v.cfg)
-	}
+	t := xehe.NewCluster(in.params, in.kit, v.devs, v.cfg)
 	defer t.Close()
 	// Warm the buffer cache to the working set (8 jobs a device, 4 a
 	// worker) before the clocks are reset: cold driver allocations
@@ -286,7 +263,7 @@ func measure(in *inputs, v variant, n int, tracePath string) (*pass, error) {
 		}
 		if v.drill != nil && submitted == n/4 {
 			drills++
-			v.drill(t.(*xehe.Cluster))
+			v.drill(t)
 		}
 		submitted++
 		f, e := t.Submit(job)

@@ -16,21 +16,15 @@ import (
 	"xehe/internal/sched"
 )
 
-// Submitter is the slice of the scheduler surface RunGraph needs; both
-// *sched.Scheduler and *sched.Cluster satisfy it, so the same graph
-// runs on one device or sharded across several.
-type Submitter interface {
-	Submit(*sched.Job) (*sched.Future, error)
-}
-
 // RunGraph computes C = A·B as a job graph: per output element (i,j),
 // K product jobs MulRelin(A[i][l], B[l][j]) feed one accumulator job
 // that sums them through InputFrom edges. Inputs are slot-form
 // degree-2 ciphertexts of identical level and scale; outputs are host
 // ciphertexts at the same level with scale², downloaded only at the
 // graph sinks. The products use MulRelin (no rescale) so the partial
-// sums share one scale exactly.
-func RunGraph(sub Submitter, A, B [][]*ckks.Ciphertext, w Workload) ([][]*ckks.Ciphertext, error) {
+// sums share one scale exactly. The graph runs on one device or sharded
+// across several: a one-shard cluster is the former.
+func RunGraph(cl *sched.Cluster, A, B [][]*ckks.Ciphertext, w Workload) ([][]*ckks.Ciphertext, error) {
 	sinks := make([][]*sched.Future, w.M)
 	for i := 0; i < w.M; i++ {
 		sinks[i] = make([]*sched.Future, w.N)
@@ -39,7 +33,7 @@ func RunGraph(sub Submitter, A, B [][]*ckks.Ciphertext, w Workload) ([][]*ckks.C
 			for l := 0; l < w.K; l++ {
 				pj := sched.NewJob(A[i][l], B[l][j])
 				pj.MulRelin(0, 1)
-				f, err := sub.Submit(pj)
+				f, err := cl.Submit(pj)
 				if err != nil {
 					return nil, fmt.Errorf("matmul: product (%d,%d,%d): %w", i, j, l, err)
 				}
@@ -64,7 +58,7 @@ func RunGraph(sub Submitter, A, B [][]*ckks.Ciphertext, w Workload) ([][]*ckks.C
 			for l := 1; l < w.K; l++ {
 				v = acc.Add(v, depIdx[l])
 			}
-			f, err := sub.Submit(acc)
+			f, err := cl.Submit(acc)
 			if err != nil {
 				return nil, fmt.Errorf("matmul: accumulator (%d,%d): %w", i, j, err)
 			}

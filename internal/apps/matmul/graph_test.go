@@ -72,10 +72,10 @@ func TestMatMulGraphScheduler(t *testing.T) {
 	A, va := mk(w.M, w.K)
 	B, vb := mk(w.K, w.N)
 
-	s := sched.New(params, gpu.NewDevice1(), graphSchedConfig(2), rlk, nil)
-	defer s.Close()
+	cl := sched.NewCluster(params, []sched.ShardSpec{{Device: gpu.Device1Spec()}}, graphSchedConfig(2), rlk, nil)
+	defer cl.Close()
 
-	C, err := RunGraph(s, A, B, w)
+	C, err := RunGraph(cl, A, B, w)
 	if err != nil {
 		t.Fatalf("RunGraph: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestMatMulGraphScheduler(t *testing.T) {
 	// Every product→accumulator edge must have resolved through the
 	// graph machinery (on-device or via host fallback), and nothing may
 	// remain pinned.
-	st := s.Stats()
+	st := cl.Stats()
 	edges := int64(w.M * w.N * w.K)
 	if st.ResidentHits+st.ResidentMisses != edges {
 		t.Errorf("ResidentHits+Misses = %d+%d, want %d edges", st.ResidentHits, st.ResidentMisses, edges)
@@ -94,14 +94,14 @@ func TestMatMulGraphScheduler(t *testing.T) {
 	if st.GraphJobs != int64(w.M*w.N) {
 		t.Errorf("GraphJobs = %d, want %d accumulators", st.GraphJobs, w.M*w.N)
 	}
-	if n := s.Cache().PinnedCount(); n != 0 {
-		t.Errorf("PinnedCount = %d after drain, want 0", n)
+	if in, _ := cl.Metrics().Get("memcache.pinned_buffers"); in.Value != 0 {
+		t.Errorf("memcache.pinned_buffers = %v after drain, want 0", in.Value)
 	}
 }
 
 func TestMatMulGraphK1Cluster(t *testing.T) {
 	// K=1 exercises the no-accumulator path, and a heterogeneous
-	// cluster exercises the Submitter interface plus affinity routing.
+	// cluster exercises affinity routing.
 	params := ckks.TestParameters()
 	w := Workload{M: 2, N: 2, K: 1}
 

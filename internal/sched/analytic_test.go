@@ -27,9 +27,7 @@ func TestTimingOnlySchedulerIsATwin(t *testing.T) {
 	run := func(analytic bool) (Stats, float64, int64, uint64) {
 		cfg := schedConfig(1)
 		cfg.Core.Analytic = analytic
-		dev := gpu.NewDevice1()
-		s := New(h.Params, dev, cfg, h.RelinKey(), h.GaloisKeys())
-		defer s.Close()
+		s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < jobs; i++ {
@@ -45,8 +43,8 @@ func TestTimingOnlySchedulerIsATwin(t *testing.T) {
 		}
 		s.Drain()
 		runtime.ReadMemStats(&after)
-		_, _, allocs := dev.AllocStats()
-		return s.Stats(), s.Device().SimulatedSeconds(), allocs, (after.TotalAlloc - before.TotalAlloc) / jobs
+		_, _, allocs := s.Device().AllocStats()
+		return shardStats(s), s.Device().SimulatedSeconds(), allocs, (after.TotalAlloc - before.TotalAlloc) / jobs
 	}
 	want, wantSim, wantAllocs, _ := run(false)
 	got, gotSim, gotAllocs, gotHeap := run(true)

@@ -234,7 +234,7 @@ func (sh *shard) health() string {
 }
 
 // maybeKill is the fault plane's deterministic mid-batch kill point
-// (Scheduler.batchHook): armed by KillShardAfter(i, n), the n-th batch
+// (Scheduler.onBatch): armed by KillShardAfter(i, n), the n-th batch
 // to start on the shard kills it from the worker goroutine itself —
 // after the batch was counted started, before any of it settles — so a
 // chaos schedule reproduces exactly.
@@ -326,8 +326,8 @@ func NewCluster(params *ckks.Parameters, specs []ShardSpec, cfg Config, rlk *ckk
 // fresh simulated device of the spec's model, the spec's hop converted
 // to device cycles once (the device then charges it on every crossing
 // without the scheduler knowing the shard is remote; the zero link
-// prices nothing), a scheduler on it with its own replica of the
-// Galois-key table, and the fault-plane hooks wired before the shard
+// prices nothing), and a scheduler on it with its own replica of the
+// Galois-key table, wired to the shard and the cluster before the shard
 // becomes routable. It is born a standby: publishing it (the
 // constructor, publishShard) is what opens it.
 func (c *Cluster) newShard(id int, spec ShardSpec) *shard {
@@ -338,17 +338,8 @@ func (c *Cluster) newShard(id int, spec ShardSpec) *shard {
 	for k, v := range c.gks {
 		replica[k] = v
 	}
-	sh := &shard{
-		id:     id,
-		spec:   spec,
-		sched:  New(c.params, dev, c.cfg, c.rlk, replica),
-		weight: gpu.ClusterWeight(&dev.Spec),
-	}
-	sh.sched.installFaultHooks(&sh.life,
-		func(ts []*task) { c.recoverTasks(sh, ts) },
-		func() { sh.maybeKill(c) },
-		func(t *task, err error) bool { return c.offerRetry(sh, t, err) },
-	)
+	sh := &shard{id: id, spec: spec, weight: gpu.ClusterWeight(&dev.Spec)}
+	sh.sched = buildScheduler(c, sh, dev, replica)
 	return sh
 }
 

@@ -29,12 +29,13 @@ func newTestCluster(t testing.TB, h *Harness, workers int, devs ...gpu.DeviceSpe
 }
 
 // newClusterWith builds a cluster (keys from h) whose teardown asserts
-// the conservation laws, as newSchedulerWith does for a scheduler:
-// drained, the counters reconcile cluster-wide and across shards
-// (checkInvariants) and nothing was shed — no test built on this helper
-// sheds on purpose, so a shed it saw has already failed it — nothing is
-// outstanding, every shard (a fail-stopped one too) has its pools back,
-// and after Close the goroutine count is back to what it was before the
+// the conservation laws: drained, the counters reconcile cluster-wide
+// and across shards (checkInvariants) and the router shed nothing — no
+// test built on this helper sheds through the router on purpose, so a
+// shed it saw has already failed it — nothing is outstanding, every
+// shard (a fail-stopped one too) has its pools back, checked before
+// Close, which reclaims the caches by force, and again after it, and
+// after Close the goroutine count is back to what it was before the
 // cluster was built: the control loop, its builds and every shard's
 // workers are gone.
 func newClusterWith(t testing.TB, h *Harness, specs []ShardSpec, cfg Config) *Cluster {
@@ -218,7 +219,7 @@ func TestJobFailureSurfacesWithoutWedging(t *testing.T) {
 			t.Fatalf("error %q not descriptive: missing %q", err, want)
 		}
 	}
-	if st := s.Stats(); st.Failed != 1 || st.Jobs != 2 {
+	if st := shardStats(s); st.Failed != 1 || st.Jobs != 2 {
 		t.Fatalf("stats = %d jobs / %d failed, want 2/1", st.Jobs, st.Failed)
 	}
 

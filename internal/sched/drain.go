@@ -105,11 +105,7 @@ func (s *Scheduler) migrateResidents() int64 {
 		// retiring, same-shard borrows can no longer form, and holding
 		// the pins would leak the buffers. Consumer releaseRef calls
 		// that race this are no-ops on a released residency.
-		r.released = true
-		for _, b := range r.ct.Buffers() {
-			r.owner.cache.Unpin(b)
-		}
-		r.owner.untrackResident(f)
+		f.releaseLocked()
 		f.mu.Unlock()
 	}
 	return moved

@@ -102,17 +102,22 @@ func (f *Future) finish(err error) {
 }
 
 // releaseRefLocked drops one consumer reference on the resident output,
-// unpinning (and thereby freeing) its buffers at zero. Caller holds
-// f.mu.
+// releasing it at zero. Caller holds f.mu.
 func (f *Future) releaseRefLocked() {
+	if r := f.resident; r != nil && !r.released {
+		if r.refs--; r.refs == 0 {
+			f.releaseLocked()
+		}
+	}
+}
+
+// releaseLocked releases the live resident output whatever its
+// references: it is marked released, its buffers are unpinned (and
+// thereby freed) and its owner stops tracking it. The last consumer
+// reference and a retiring shard's migration come here. Caller holds
+// f.mu.
+func (f *Future) releaseLocked() {
 	r := f.resident
-	if r == nil || r.released {
-		return
-	}
-	r.refs--
-	if r.refs > 0 {
-		return
-	}
 	r.released = true
 	for _, b := range r.ct.Buffers() {
 		r.owner.cache.Unpin(b)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"xehe/internal/ckks"
-	"xehe/internal/gpu"
 )
 
 // cloneJob copies a generated job so the same GraphCase can be wired
@@ -131,7 +130,7 @@ func TestGraphChainZeroCopy(t *testing.T) {
 	if _, err := prodFut.Wait(); !errors.Is(err, ErrResultDiscarded) {
 		t.Fatalf("consumed producer Wait = %v, want ErrResultDiscarded", err)
 	}
-	st := s.Stats()
+	st := shardStats(s)
 	if st.GraphJobs != 1 {
 		t.Fatalf("GraphJobs = %d, want 1", st.GraphJobs)
 	}
@@ -227,7 +226,7 @@ func TestGraphLateConsumerFallsBack(t *testing.T) {
 	if err := SameCiphertext(got, want); err != nil {
 		t.Fatalf("late consumer mismatch: %v", err)
 	}
-	st := s.Stats()
+	st := shardStats(s)
 	if st.ResidentHits != 0 || st.ResidentMisses != 1 {
 		t.Fatalf("residency = %d hits / %d misses, want 0/1", st.ResidentHits, st.ResidentMisses)
 	}
@@ -239,16 +238,14 @@ func TestGraphLateConsumerFallsBack(t *testing.T) {
 // dependency, without wedging Drain or Close, and without leaking or
 // stranding a single cache buffer.
 func TestGraphProducerFailurePropagates(t *testing.T) {
-	h := sharedHarness(t)
-	gks := brokenKeys(h).GaloisKeys()
-	cfg := schedConfig(2)
+	h := brokenKeys(sharedHarness(t))
 
 	vals := make([]complex128, h.Params.Slots())
 	// Baseline: the panicking rotate strands its in-kernel temporaries
 	// in the used pool by design (no handle survives the panic; Close
 	// reclaims them as orphans). Measure that cost for the lone bad job,
 	// so the graph run below can assert its dependents add nothing.
-	base := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), gks)
+	base := newScheduler(t, h, 2)
 	loneBad := NewJob(h.Encrypt(vals))
 	loneBad.Rotate(0, brokenRotation)
 	loneFut, err := base.Submit(loneBad)
@@ -262,7 +259,7 @@ func TestGraphProducerFailurePropagates(t *testing.T) {
 	stranded := base.Cache().UsedCount()
 	base.Close()
 
-	s := New(h.Params, gpu.NewDevice1(), cfg, h.RelinKey(), gks)
+	s := newScheduler(t, h, 2)
 	bad := NewJob(h.Encrypt(vals))
 	bad.Rotate(0, brokenRotation)
 	badFut, err := s.Submit(bad)
@@ -314,7 +311,7 @@ func TestGraphProducerFailurePropagates(t *testing.T) {
 			}
 		}
 	}
-	st := s.Stats()
+	st := shardStats(s)
 	if st.Jobs != 5 || st.Failed != 4 {
 		t.Fatalf("stats = %d jobs / %d failed, want 5/4", st.Jobs, st.Failed)
 	}

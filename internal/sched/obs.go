@@ -316,18 +316,6 @@ func (s *Scheduler) TraceProcess(name string) (obs.Process, bool) {
 	return obs.Process{Name: name, Spans: spans, TrackOrder: order}, true
 }
 
-// WriteTrace exports the scheduler's merged timeline (lifecycle spans
-// plus device command timelines) as Chrome-trace-event JSON, loadable
-// in Perfetto (ui.perfetto.dev) or chrome://tracing. It returns
-// ErrTraceDisabled when the scheduler was built without tracing.
-func (s *Scheduler) WriteTrace(w io.Writer) error {
-	p, ok := s.TraceProcess("scheduler")
-	if !ok {
-		return ErrTraceDisabled
-	}
-	return obs.WriteChromeTrace(w, []obs.Process{p})
-}
-
 // Static track names for the non-worker rings.
 const (
 	trkSubmit   = "submit"

@@ -24,7 +24,7 @@ func TestTracingDifferential(t *testing.T) {
 	h := sharedHarness(t)
 	rng := rand.New(rand.NewSource(4242))
 	cfg := schedConfig(3)
-	cfg.Trace = TraceConfig{Enabled: ToggleOn}
+	cfg.Trace = TraceConfig{Enabled: true}
 	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	const nJobs = 16
@@ -61,7 +61,7 @@ func TestTracingDifferential(t *testing.T) {
 	before := s.Device().SimulatedSeconds()
 	_ = s.Metrics()
 	var buf bytes.Buffer
-	if err := s.WriteTrace(&buf); err != nil {
+	if err := s.c.WriteTrace(&buf); err != nil {
 		t.Fatalf("WriteTrace: %v", err)
 	}
 	if after := s.Device().SimulatedSeconds(); after != before {
@@ -71,7 +71,7 @@ func TestTracingDifferential(t *testing.T) {
 		t.Fatal("trace export is not valid JSON")
 	}
 
-	st := s.Stats()
+	st := shardStats(s)
 	m := s.Metrics()
 	// Every completed job was observed by the per-class histograms.
 	var histCount int64
@@ -106,7 +106,7 @@ func TestTraceDisabled(t *testing.T) {
 	if rec, drop := s.TraceCounts(); rec != 0 || drop != 0 {
 		t.Fatalf("tracing off but counts = (%d, %d)", rec, drop)
 	}
-	if err := s.WriteTrace(&bytes.Buffer{}); err != ErrTraceDisabled {
+	if err := s.c.WriteTrace(&bytes.Buffer{}); err != ErrTraceDisabled {
 		t.Fatalf("WriteTrace = %v, want ErrTraceDisabled", err)
 	}
 	if in, ok := s.Metrics().Get("sched.jobs_completed"); !ok || in.Value < 1 {
@@ -189,7 +189,7 @@ func TestClusterStatsMerge(t *testing.T) {
 func TestConcurrentStatsAndTraceSnapshots(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := schedConfig(3)
-	cfg.Trace = TraceConfig{Enabled: ToggleOn, SpanCap: 16} // small rings: spans must drop
+	cfg.Trace = TraceConfig{Enabled: true, SpanCap: 16} // small rings: spans must drop
 	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	rng := rand.New(rand.NewSource(31))
@@ -211,7 +211,7 @@ func TestConcurrentStatsAndTraceSnapshots(t *testing.T) {
 					return
 				default:
 				}
-				st := s.Stats()
+				st := shardStats(s)
 				var sum int64
 				for _, pc := range st.PerClass {
 					sum += pc.Completed
@@ -225,7 +225,7 @@ func TestConcurrentStatsAndTraceSnapshots(t *testing.T) {
 					return
 				}
 				var buf bytes.Buffer
-				if err := s.WriteTrace(&buf); err != nil {
+				if err := s.c.WriteTrace(&buf); err != nil {
 					t.Errorf("WriteTrace: %v", err)
 					return
 				}

@@ -95,7 +95,7 @@ func TestAdmissionShedsPartialShareClass(t *testing.T) {
 			t.Fatalf("accepted job %d failed: %v", i, err)
 		}
 	}
-	st := s.Stats()
+	st := shardStats(s)
 	cs := st.PerClass[0]
 	if cs.Rejected != rejected {
 		t.Fatalf("stats count %d rejected, caller saw %d", cs.Rejected, rejected)
@@ -143,7 +143,7 @@ func TestStrictPriorityOrdersDispatch(t *testing.T) {
 		}
 	}
 	s.Drain()
-	st := s.Stats()
+	st := shardStats(s)
 	inter, batch := st.PerClass[interClass], st.PerClass[batchClass]
 	if inter.Completed != interJobs || batch.Completed != batchJobs+1 {
 		t.Fatalf("completed %d/%d, want %d/%d", inter.Completed, batch.Completed, interJobs, batchJobs+1)
@@ -171,7 +171,7 @@ func TestDeadlineAccounting(t *testing.T) {
 		}
 	}
 	s.Drain()
-	cs := s.Stats().PerClass[qos.Batch]
+	cs := shardStats(s).PerClass[qos.Batch]
 	if cs.DeadlineHit != 1 || cs.DeadlineMiss != 1 {
 		t.Fatalf("deadline stats hit=%d miss=%d, want 1/1 (deadline-less job counts as neither)",
 			cs.DeadlineHit, cs.DeadlineMiss)
@@ -228,7 +228,7 @@ func TestEDFSchedulerOrdersByDeadline(t *testing.T) {
 		t.Fatalf("%d of %d loose jobs finished before the tight-deadline job; EDF did not overtake", looseDone, loose)
 	}
 	s.Drain()
-	cs := s.Stats().PerClass[qos.Batch]
+	cs := shardStats(s).PerClass[qos.Batch]
 	if cs.DeadlineMiss == 0 {
 		t.Fatal("the 1e-12s deadline cannot be met; miss accounting broken")
 	}
@@ -268,7 +268,7 @@ func TestWFQServiceSplitsByWeight(t *testing.T) {
 		}
 	}
 	s.Drain()
-	st := s.Stats()
+	st := shardStats(s)
 	heavy, light := st.PerClass[0], st.PerClass[1]
 	if heavy.Completed != each+1 || light.Completed != each {
 		t.Fatalf("completed %d/%d, want %d/%d", heavy.Completed, light.Completed, each+1, each)

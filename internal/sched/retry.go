@@ -20,8 +20,8 @@ const DefaultRetryBackoff = 50e-6
 // a cluster that never heals still terminates every job.
 const retryParkRounds = 256
 
-// RetryPolicy is the per-job retry budget applied by a Scheduler or
-// Cluster (Config.Retry): transiently failed jobs — a dropped network
+// RetryPolicy is the per-job retry budget applied by a Cluster
+// (Config.Retry): transiently failed jobs — a dropped network
 // hop (gpu.ErrLinkFault), a shard lost while its replacement spins up
 // (ErrShardLost) — re-execute on an open shard instead of surfacing
 // the error, with exponential backoff priced on the simulated clock
@@ -60,11 +60,11 @@ func retryable(err error) bool {
 
 // retryEligible decides — under the future's lock, before settlement —
 // whether a failed task should be offered to the cluster's retry plane
-// instead of finishing: a retry hook must exist, budget must remain,
-// the error must be transient, and the retry must be able to start
-// before the job's deadline on the simulated clock.
+// instead of finishing: budget must remain, the error must be
+// transient, and the retry must be able to start before the job's
+// deadline on the simulated clock.
 func (s *Scheduler) retryEligible(t *task, err error) bool {
-	if s.retryHook == nil || t.attempt >= s.cfg.Retry.budget() || !retryable(err) {
+	if t.attempt >= s.cfg.Retry.budget() || !retryable(err) {
 		return false
 	}
 	if !math.IsInf(t.deadline, 1) &&
@@ -72,15 +72,6 @@ func (s *Scheduler) retryEligible(t *task, err error) bool {
 		return false
 	}
 	return true
-}
-
-// tryRetry offers a failed task (absolute stamps) to the owning
-// cluster's retry plane. True means the cluster took it: the future
-// stays pending, dependency references travel with the task for the
-// re-execution, and outstanding accounting stays with this scheduler
-// until the re-injection transfers it — exactly like a surrender.
-func (s *Scheduler) tryRetry(t *task, err error) bool {
-	return s.retryHook != nil && s.retryHook(t, err)
 }
 
 // retryEntry is one detached task parked in the cluster's retry plane
@@ -92,11 +83,14 @@ type retryEntry struct {
 	parked int // rounds spent waiting for an open shard
 }
 
-// offerRetry is the scheduler retry hook (installFaultHooks): it
+// offerRetry takes a failed task (absolute stamps) off src's worker: it
 // detaches the task from src's clock and queues it for re-injection.
-// False means the retry plane declined (budget, deadline, error class,
-// or the cluster shutting down) and the task is back on src's clock for
-// the normal failure path.
+// True means the cluster took it: the future stays pending, dependency
+// references travel with the task for the re-execution, and outstanding
+// accounting stays with src until the re-injection transfers it —
+// exactly like a surrender. False means the retry plane declined
+// (budget, deadline, error class, or the cluster shutting down) and the
+// task is back on src's clock for the normal failure path.
 func (c *Cluster) offerRetry(src *shard, t *task, err error) bool {
 	now := src.sched.dev.SimulatedSeconds()
 	t.detach(now)

@@ -16,8 +16,9 @@ import (
 
 // The scenario rows. Every differential run of the scheduler and the
 // cluster is a scenario row and runScenario is its one runner: it
-// builds the row's scheduler or cluster through newSchedulerWith /
-// newClusterWith, submits the workload as the row says, fires the
+// builds the row's cluster through newClusterWith (a row about one
+// scheduler is a one-shard cluster), submits the workload as the row
+// says, fires the
 // row's faults, drains, and compares every output with the serial
 // core.Context oracle, computed while the scheduler runs
 // (SameCiphertext; a job the oracle fails must fail with the oracle's
@@ -33,9 +34,8 @@ import (
 // stress's pattern (Chaos|SelfHeal|Kill|Drain|Retry|AddShard|CloseShard|
 // Lifecycle) selects.
 type scenario struct {
-	name    string         // the subtest; "" runs the row in its entry point itself
-	shards  []ShardSpec    // a cluster over these; nil: one scheduler on dev
-	dev     gpu.DeviceSpec // the lone scheduler's device (zero: Device1)
+	name    string      // the subtest; "" runs the row in its entry point itself
+	shards  []ShardSpec // a cluster over these; nil: one Device1 shard
 	workers int
 	cfg     func(*Config) // edits on schedConfig(workers)
 	broken  bool          // keys from brokenKeys
@@ -68,7 +68,7 @@ type submitMode int
 
 const (
 	burst  submitMode = iota // in order, as fast as Submit returns
-	held                     // in order behind holdFirstBatch: worker i parks on unit i until every unit is queued
+	held                     // in order behind holdFirstBatch: shard 0's worker i parks on unit i until every unit is queued
 	pinned                   // in order onto shard 0's scheduler, past the router
 )
 
@@ -202,43 +202,16 @@ func (w workload) units(h *Harness) []*unit {
 	return us
 }
 
-// run is a row in progress: its scheduler or cluster and its units.
+// run is a row in progress: its cluster and its units.
 type run struct {
-	s     *Scheduler
 	c     *Cluster
 	units []*unit
 }
 
-func (r *run) stats() ClusterStats {
-	if r.c != nil {
-		return r.c.Stats()
-	}
-	return ClusterStats{Stats: r.s.Stats()}
-}
-
-func (r *run) scheds() []*Scheduler {
-	if r.c == nil {
-		return []*Scheduler{r.s}
-	}
-	var ss []*Scheduler
-	for _, sh := range r.c.all() {
-		ss = append(ss, sh.sched)
-	}
-	return ss
-}
-
-func (r *run) drain() {
-	if r.c != nil {
-		r.c.Drain()
-	} else {
-		r.s.Drain()
-	}
-}
-
 // links sums the link counters of every shard.
 func (r *run) links() (ls gpu.LinkStats) {
-	for _, s := range r.scheds() {
-		l := s.Device().LinkStats()
+	for _, sh := range r.c.all() {
+		l := sh.sched.Device().LinkStats()
 		ls.Hops += l.Hops
 		ls.HopCycles += l.HopCycles
 		ls.Delayed += l.Delayed
@@ -280,23 +253,13 @@ func runScenario(t *testing.T, sc scenario) {
 	if sc.cfg != nil {
 		sc.cfg(&cfg)
 	}
-	r := &run{units: sc.work.units(h)}
-	if sc.shards != nil {
-		r.c = newClusterWith(t, h, sc.shards, cfg)
-	} else {
-		if sc.dev.Name == "" {
-			sc.dev = gpu.Device1Spec()
-		}
-		r.s = newSchedulerWith(t, h, sc.dev, cfg)
+	if sc.shards == nil {
+		sc.shards = shards(d1)
 	}
-	var submit func(*Job) (*Future, error)
-	switch {
-	case sc.mode == pinned:
+	r := &run{units: sc.work.units(h), c: newClusterWith(t, h, sc.shards, cfg)}
+	submit := r.c.Submit
+	if sc.mode == pinned {
 		submit = r.c.all()[0].sched.Submit
-	case r.c != nil:
-		submit = r.c.Submit
-	default:
-		submit = r.s.Submit
 	}
 	// The oracle runs while the scheduler does, as a pipeline: one
 	// goroutine runs the serial context, the next decrypts its outputs
@@ -358,10 +321,11 @@ func runScenario(t *testing.T, sc scenario) {
 		// previous one's worker has parked on it; the deferred release
 		// frees them even when the row fails first, so the teardown's
 		// Drain cannot hang.
+		s0 := r.c.all()[0].sched
 		var parked <-chan struct{}
-		parked, release = holdFirstBatch(r.s)
+		parked, release = holdFirstBatch(s0)
 		defer release()
-		for ; first < len(r.s.workers); first++ {
+		for ; first < len(s0.workers); first++ {
 			if !one(first) {
 				t.FailNow()
 			}
@@ -386,7 +350,7 @@ func runScenario(t *testing.T, sc scenario) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	mustFinish(t, "Drain", r.drain)
+	mustFinish(t, "Drain", r.c.Drain)
 	mustFinish(t, "the serial oracle", func() { <-done })
 
 	jobs, failed := 0, 0
@@ -421,7 +385,7 @@ func runScenario(t *testing.T, sc scenario) {
 			t.Fatalf("job %d: slot error %g > %g (ops %v)", i, v.slotErr, differentialEps, u.c.Job.Ops)
 		}
 	}
-	if st := r.stats(); st.Jobs != int64(jobs) || st.Failed != int64(failed) {
+	if st := r.c.Stats(); st.Jobs != int64(jobs) || st.Failed != int64(failed) {
 		t.Fatalf("stats = %d jobs / %d failed, want %d/%d", st.Jobs, st.Failed, jobs, failed)
 	}
 	if sc.check != nil {
@@ -447,10 +411,10 @@ func chaos(maxBatch int) func(*Config) {
 func maxBatch(n int) func(*Config) { return func(cfg *Config) { cfg.MaxBatch = n } }
 
 func selfHeal(standbys int) func(*Config) {
-	return func(cfg *Config) { cfg.SelfHeal, cfg.Standbys = ToggleOn, standbys }
+	return func(cfg *Config) { cfg.SelfHeal, cfg.Standbys = true, standbys }
 }
 
-func drainWave(t *testing.T, r *run) { r.drain() }
+func drainWave(t *testing.T, r *run) { r.c.Drain() }
 
 func expect(t *testing.T, ok bool, format string, args ...any) {
 	t.Helper()
@@ -460,25 +424,25 @@ func expect(t *testing.T, ok bool, format string, args ...any) {
 }
 
 func checkCoalesced(t *testing.T, r *run) {
-	st := r.stats()
+	st := r.c.Stats()
 	expect(t, st.Coalesced > 0 && st.MaxBatch >= 2, "no coalescing behind a held worker: %d coalesced, max batch %d", st.Coalesced, st.MaxBatch)
 }
 
 // checkBatches pins the row's (batches, max batch, coalesced).
 func checkBatches(t *testing.T, r *run, batches int64, maxBatch int, coalesced int64) {
-	st := r.stats()
+	st := r.c.Stats()
 	expect(t, st.Batches == batches && st.MaxBatch == maxBatch && st.Coalesced == coalesced,
 		"(batches, max batch, coalesced) = (%d, %d, %d), want (%d, %d, %d)", st.Batches, st.MaxBatch, st.Coalesced, batches, maxBatch, coalesced)
 }
 
 func checkTransfers(t *testing.T, r *run) {
-	st := r.stats()
+	st := r.c.Stats()
 	expect(t, st.TransferBatches > 0 && st.BytesH2D > 0 && st.BytesD2H > 0, "no gathered transfers: %d batches, %d/%d bytes",
 		st.TransferBatches, st.BytesH2D, st.BytesD2H)
 }
 
 func checkEdges(t *testing.T, r *run) {
-	st := r.stats()
+	st := r.c.Stats()
 	expect(t, st.ResidentHits+st.ResidentMisses == r.edges(), "resolved edges = %d, want %d", st.ResidentHits+st.ResidentMisses, r.edges())
 }
 
@@ -512,7 +476,7 @@ func chaosRow(name string, mb int) scenario {
 			},
 		},
 		check: func(t *testing.T, r *run) {
-			st, f := r.stats(), r.c.Faults()
+			st, f := r.c.Stats(), r.c.Faults()
 			expect(t, st.Killed >= 1 && st.Added == 1, "Killed = %d, Added = %d, want >= 1 and 1", st.Killed, st.Added)
 			expect(t, f.Health(1) == "killed" && f.Health(r.c.Shards()-1) == "ok",
 				"health of the killed shard and the replacement = %q, %q, want killed, ok", f.Health(1), f.Health(r.c.Shards()-1))
@@ -532,7 +496,7 @@ var (
 	recyclingWaves = scenario{workers: 2, work: workload{seed: 616, fams: fusionFamilies[:4], famReps: 10},
 		faults: map[int]func(*testing.T, *run){10: drainWave, 20: drainWave, 30: drainWave},
 		check: func(t *testing.T, r *run) {
-			hits, _ := r.scheds()[0].Cache().Stats()
+			hits, _ := r.c.all()[0].sched.Cache().Stats()
 			expect(t, hits > 0, "device buffers never recycled: %d cache hits", hits)
 		}}
 )
@@ -544,7 +508,7 @@ func TestDifferentialRandomJobs(t *testing.T) {
 // Several workers share Device2's one tile; MaxBatch 1 keeps three
 // batches of one in flight on it.
 func TestDifferentialDevice2(t *testing.T) {
-	runScenarios(t, scenario{dev: d2, workers: 3, cfg: maxBatch(1), work: workload{seed: 99, n: 8, maxOps: 4}})
+	runScenarios(t, scenario{shards: shards(d2), workers: 3, cfg: maxBatch(1), work: workload{seed: 99, n: 8, maxOps: 4}})
 }
 
 func TestSchedulerMatchesSerialSingleJob(t *testing.T) {
@@ -554,7 +518,7 @@ func TestSchedulerMatchesSerialSingleJob(t *testing.T) {
 func TestSchedulerDrainAndStats(t *testing.T) {
 	runScenarios(t, scenario{workers: 2, work: workload{seed: 2, fams: []func(*Job){square}, famReps: 1, reps: 12},
 		check: func(t *testing.T, r *run) {
-			st := r.stats()
+			st := r.c.Stats()
 			expect(t, st.Batches > 0 && st.Batches <= st.Jobs, "batches = %d, want 1..%d", st.Batches, st.Jobs)
 		}})
 }
@@ -564,7 +528,7 @@ func TestSchedulerDrainAndStats(t *testing.T) {
 func TestBackpressureTinyQueues(t *testing.T) {
 	runScenarios(t, scenario{workers: 1, cfg: func(cfg *Config) { cfg.MaxBatch, cfg.PendingCap = 1, 1 }, work: workload{seed: 3, fams: []func(*Job){square}, famReps: 1, reps: 10},
 		check: func(t *testing.T, r *run) {
-			expect(t, r.stats().MaxBatch == 1, "MaxBatch = %d, want 1", r.stats().MaxBatch)
+			expect(t, r.c.Stats().MaxBatch == 1, "MaxBatch = %d, want 1", r.c.Stats().MaxBatch)
 		}})
 }
 
@@ -574,7 +538,7 @@ func TestBatchingCoalescesSameShape(t *testing.T) {
 	runScenarios(t, scenario{workers: 1, work: workload{seed: 4, fams: []func(*Job){square}, famReps: 1, reps: 24}, mode: held,
 		check: func(t *testing.T, r *run) {
 			checkCoalesced(t, r)
-			expect(t, r.stats().Batches < r.stats().Jobs, "%d batches for %d jobs", r.stats().Batches, r.stats().Jobs)
+			expect(t, r.c.Stats().Batches < r.c.Stats().Jobs, "%d batches for %d jobs", r.c.Stats().Batches, r.c.Stats().Jobs)
 		}})
 }
 
@@ -601,7 +565,7 @@ func TestClusterDifferentialQoSMixed(t *testing.T) {
 func TestClusterDifferentialHeterogeneous(t *testing.T) {
 	runScenarios(t, scenario{shards: heteroPair, workers: 2, work: workload{seed: 4321, n: 24, maxOps: 6}, racers: 4,
 		check: func(t *testing.T, r *run) {
-			st := r.stats()
+			st := r.c.Stats()
 			var routed int64
 			for i, n := range st.Routed {
 				routed += n
@@ -629,7 +593,7 @@ func TestClusterStealsToIdleShard(t *testing.T) {
 		cfg:  func(cfg *Config) { cfg.MaxBatch, cfg.PendingCap = 2, 64 },
 		work: workload{seed: 1, fams: []func(*Job){square}, famReps: 1, reps: 40}, mode: pinned,
 		check: func(t *testing.T, r *run) {
-			st := r.stats()
+			st := r.c.Stats()
 			expect(t, st.Stolen[1] > 0 && st.PerShard[1].Jobs > 0, "idle shard stole nothing (stolen %v, it ran %d)", st.Stolen, st.PerShard[1].Jobs)
 			expect(t, st.StolenIn == st.StolenOut, "steal accounting unbalanced: %d in vs %d out", st.StolenIn, st.StolenOut)
 		}})
@@ -666,7 +630,7 @@ func TestRemoteBackendDifferential(t *testing.T) {
 	runScenarios(t, scenario{shards: []ShardSpec{{Device: d1, Node: 0}, {Device: d1, Node: 1, Link: NetLink{LatencySeconds: 5e-6, GBps: 8}}},
 		workers: 2, work: workload{seed: 99, n: 16, maxOps: 5},
 		check: func(t *testing.T, r *run) {
-			st, ls := r.stats(), r.links()
+			st, ls := r.c.Stats(), r.links()
 			expect(t, st.Routed[1] > 0, "remote shard received no jobs (routed %v)", st.Routed)
 			expect(t, ls.Hops > 0 && ls.HopCycles > 0, "the remote link was crossed %d times (%g cycles)", ls.Hops, ls.HopCycles)
 		}})
@@ -684,7 +648,7 @@ func TestRetryLinkFaultDifferential(t *testing.T) {
 		},
 		check: func(t *testing.T, r *run) {
 			expect(t, r.links().Faulted > 0, "no link fault was consumed")
-			expect(t, r.stats().RetryAttempts >= 1, "RetryAttempts = %d, want >= 1", r.stats().RetryAttempts)
+			expect(t, r.c.Stats().RetryAttempts >= 1, "RetryAttempts = %d, want >= 1", r.c.Stats().RetryAttempts)
 		}})
 }
 
@@ -715,7 +679,7 @@ func TestChaosKillUnderSelfHeal(t *testing.T) {
 			12: func(t *testing.T, r *run) { r.c.Faults().KillShard(1) },
 		},
 		check: func(t *testing.T, r *run) {
-			st := r.stats()
+			st := r.c.Stats()
 			expect(t, st.Killed == 2 && st.StandbyPromoted >= 1, "Killed = %d, StandbyPromoted = %d, want 2 and >= 1", st.Killed, st.StandbyPromoted)
 		}})
 }
@@ -725,7 +689,7 @@ func TestKillMidBatchNeverWedges(t *testing.T) {
 	runScenarios(t, scenario{shards: shards(d1, d1), workers: 2, work: workload{seed: 4242, n: 16, maxOps: 4},
 		faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 1) }},
 		check: func(t *testing.T, r *run) {
-			st := r.stats()
+			st := r.c.Stats()
 			expect(t, st.Killed == 1 && st.Replayed >= 1, "killed %d / replayed %d, want 1 / >= 1", st.Killed, st.Replayed)
 		}})
 }
@@ -737,7 +701,9 @@ func TestBackpressuredSubmitSurvivesKill(t *testing.T) {
 		cfg:    func(cfg *Config) { cfg.MaxBatch, cfg.PendingCap = 1, 4 },
 		work:   workload{seed: 5, fams: []func(*Job){square}, famReps: 1, reps: 20},
 		faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 3) }},
-		check:  func(t *testing.T, r *run) { expect(t, r.stats().Killed == 1, "Killed = %d, want 1", r.stats().Killed) }})
+		check: func(t *testing.T, r *run) {
+			expect(t, r.c.Stats().Killed == 1, "Killed = %d, want 1", r.c.Stats().Killed)
+		}})
 }
 
 // A warm standby enters the routing tables inside the kill, before the
@@ -746,7 +712,7 @@ func TestSelfHealStandbyPromotion(t *testing.T) {
 	runScenarios(t, scenario{shards: chaosTrio, workers: 2, cfg: selfHeal(1), work: workload{seed: 9001, n: 24, maxOps: 4}, racers: 3,
 		faults: map[int]func(*testing.T, *run){0: func(t *testing.T, r *run) { r.c.Faults().KillShardAfter(0, 2) }},
 		check: func(t *testing.T, r *run) {
-			st, f := r.stats(), r.c.Faults()
+			st, f := r.c.Stats(), r.c.Faults()
 			expect(t, st.Killed == 1 && st.StandbyPromoted == 1, "Killed = %d, StandbyPromoted = %d, want 1 and 1", st.Killed, st.StandbyPromoted)
 			expect(t, f.Health(0) == "killed" && f.Health(r.c.Shards()-1) == "ok",
 				"health of the dead shard and the promoted one = %q, %q, want killed, ok", f.Health(0), f.Health(r.c.Shards()-1))
@@ -764,7 +730,9 @@ func TestSelfHealColdReplacement(t *testing.T) {
 			expect(t, repl.spec.Node == dead.spec.Node && r.c.Faults().Health(2) == "ok",
 				"replacement on node %d, health %q, want the dead shard's node %d, ok", repl.spec.Node, r.c.Faults().Health(2), dead.spec.Node)
 		}},
-		check: func(t *testing.T, r *run) { expect(t, r.stats().Added >= 1, "Added = %d, want >= 1", r.stats().Added) }})
+		check: func(t *testing.T, r *run) {
+			expect(t, r.c.Stats().Added >= 1, "Added = %d, want >= 1", r.c.Stats().Added)
+		}})
 }
 
 // DAGs on shards that die mid-stream: surrendered consumers
@@ -776,7 +744,7 @@ func TestChaosGraphDifferential(t *testing.T) {
 			3: func(t *testing.T, r *run) { r.c.Faults().KillShard(1) },
 		},
 		check: func(t *testing.T, r *run) {
-			expect(t, r.stats().Killed >= 1, "Killed = %d, want >= 1", r.stats().Killed)
+			expect(t, r.c.Stats().Killed >= 1, "Killed = %d, want >= 1", r.c.Stats().Killed)
 		}})
 }
 
@@ -785,7 +753,7 @@ func TestFusedDifferentialFamilies(t *testing.T) {
 	runScenarios(t, scenario{workers: 1, work: workload{seed: 4242, fams: fusionFamilies, famReps: 4}, mode: held,
 		check: func(t *testing.T, r *run) {
 			checkCoalesced(t, r)
-			st := r.stats()
+			st := r.c.Stats()
 			expect(t, st.FusedBatches > 0 && st.FusedSteps > 0, "no fusion: %d fused batches, %d fused steps", st.FusedBatches, st.FusedSteps)
 		}})
 }
@@ -810,7 +778,7 @@ func TestPerClassCoalescingStats(t *testing.T) {
 	runScenarios(t, scenario{workers: 1, work: workload{seed: 3, fams: []func(*Job){square}, famReps: 1, reps: 18}, mode: held,
 		check: func(t *testing.T, r *run) {
 			checkCoalesced(t, r)
-			for _, pc := range r.stats().PerClass {
+			for _, pc := range r.c.Stats().PerClass {
 				expect(t, pc.Name == "batch" || pc.Batches == 0 && pc.Coalesced == 0 && pc.MaxBatch == 0,
 					"idle class %q reports %d batches, %d coalesced, max batch %d", pc.Name, pc.Batches, pc.Coalesced, pc.MaxBatch)
 			}
@@ -824,7 +792,7 @@ func TestFusedFallbackIsolatesFailure(t *testing.T) {
 	runScenarios(t, scenario{workers: 1, broken: true, work: workload{seed: 4, fams: brokenPair, famReps: 5}, mode: held,
 		check: func(t *testing.T, r *run) {
 			checkCoalesced(t, r)
-			expect(t, r.stats().UnfusedSteps > 0, "coalesced broken batches must account fallback steps as unfused")
+			expect(t, r.c.Stats().UnfusedSteps > 0, "coalesced broken batches must account fallback steps as unfused")
 		}})
 }
 
@@ -846,7 +814,7 @@ func TestTransferBatchOfOne(t *testing.T) {
 	runScenarios(t, scenario{workers: 2, cfg: maxBatch(1), work: workload{seed: 99, fams: transferFamilies[1:], famReps: 1},
 		check: func(t *testing.T, r *run) {
 			checkTransfers(t, r)
-			expect(t, r.stats().MaxBatch == 1, "MaxBatch = %d, want 1", r.stats().MaxBatch)
+			expect(t, r.c.Stats().MaxBatch == 1, "MaxBatch = %d, want 1", r.c.Stats().MaxBatch)
 		}})
 }
 
@@ -875,11 +843,11 @@ func TestIdleWaitIsAttributed(t *testing.T) {
 	const gap = 20 * time.Millisecond
 	runScenarios(t, scenario{workers: 1, work: workload{seed: 33, fams: []func(*Job){square}, famReps: 1, reps: 2},
 		faults: map[int]func(*testing.T, *run){1: func(t *testing.T, r *run) {
-			r.drain()
+			r.c.Drain()
 			time.Sleep(gap)
 		}},
 		check: func(t *testing.T, r *run) {
-			in, _ := r.s.Metrics().Get("worker.idle_empty_wall_ns")
+			in, _ := r.c.Metrics().Get("worker.idle_empty_wall_ns")
 			expect(t, in.Value >= float64(gap/2), "worker.idle_empty_wall_ns = %v after a %v idle gap", in.Value, gap)
 		}})
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xehe/internal/ckks"
@@ -22,8 +21,7 @@ import (
 var ErrClosed = errors.New("sched: scheduler is closed")
 
 // ErrShardLost is the terminal error of jobs that were in flight on a
-// killed shard and could not be replayed: no healthy shard remained,
-// or the scheduler runs standalone with no cluster to re-home onto.
+// killed shard and could not be replayed: no healthy shard remained.
 // Jobs are never silently dropped on a kill — they either replay
 // bit-identically elsewhere or fail with this error.
 var ErrShardLost = errors.New("sched: shard killed mid-flight with no healthy shard to replay on")
@@ -34,18 +32,6 @@ var ErrShardLost = errors.New("sched: shard killed mid-flight with no healthy sh
 // backlog that already guarantees a blown latency target. Classes
 // with a full share block instead (plain backpressure).
 var ErrOverloaded = errors.New("sched: class queue share exhausted")
-
-// Toggle is bool under the name the on/off knobs (TraceConfig.Enabled,
-// Config.SelfHeal) were first declared with; both default off, so the
-// zero value is the default.
-type Toggle = bool
-
-// The Toggle states, kept as names for callers written against them.
-const (
-	ToggleDefault Toggle = false
-	ToggleOn      Toggle = true
-	ToggleOff     Toggle = false
-)
 
 // Config tunes the scheduler. The zero value of any field selects a
 // sensible default.
@@ -95,8 +81,7 @@ type Config struct {
 	// control loop: killed shards are auto-replaced — instantly from the
 	// warm standby pool when one is available, otherwise by a
 	// rate-limited cold rebuild of the dead shard's spec with
-	// exponential backoff between attempts.
-	// Default off; a no-op for a standalone Scheduler.
+	// exponential backoff between attempts. Default off.
 	SelfHeal bool
 	// Standbys (cluster only) is the size of the warm standby pool the
 	// supervisor maintains: pre-built shards (device constructed, cache
@@ -179,13 +164,14 @@ type ClassStats struct {
 	P50, P99 float64
 }
 
-// Stats is a typed view over one snapshot of the scheduler's metrics
-// registry (Metrics returns the same snapshot untyped); nothing is
-// counted anywhere else. A field tagged `metric:"<name>"` reads that
-// instrument. Jobs, Failed, Batches, MaxBatch, Coalesced and
-// TransferBatches are derived from the PerClass counters of the same
-// snapshot, so each equals the sum (MaxBatch: the maximum) of its
-// per-class breakdown in every snapshot, however concurrent.
+// Stats is a typed view over one snapshot of a shard's metrics
+// registry, or of the cluster's merge of them (Metrics returns the same
+// snapshot untyped); nothing is counted anywhere else. A field tagged
+// `metric:"<name>"` reads that instrument. Jobs, Failed, Batches,
+// MaxBatch, Coalesced and TransferBatches are derived from the PerClass
+// counters of the same snapshot, so each equals the sum (MaxBatch: the
+// maximum) of its per-class breakdown in every snapshot, however
+// concurrent.
 type Stats struct {
 	Jobs      int64 `metric:"sched.jobs_completed"` // jobs completed (including failed ones)
 	Failed    int64 `metric:"sched.jobs_failed"`    // jobs that finished with an error
@@ -355,7 +341,8 @@ func (w *latWindow) reset() {
 }
 
 // Scheduler multiplexes independent HE jobs over a worker pool on one
-// simulated device, whose buffer cache its workers share.
+// simulated device, whose buffer cache its workers share. Every
+// scheduler is one shard of a Cluster, which builds it (newShard).
 // Jobs are held in per-class queues until a worker pulls its next
 // batch, and a qos.Policy picks the class then, so a late-arriving
 // interactive job can overtake a queued batch backlog. All methods are safe for
@@ -415,27 +402,22 @@ type Scheduler struct {
 	matMu  sync.Mutex
 	matCtx *core.Context
 
-	// Fail-stop state (cluster killShard / fault plane): life is the
-	// owning shard's lifecycle word (nil outside a cluster), written only
-	// by shard.on. Once it reads killed the scheduler is in surrender
-	// mode — dispatch keeps flowing, but workers hand batches back
-	// through the surrender hook instead of executing them (the device
-	// stays readable: the node lost its executor, not its memory, so
-	// resident outputs still materialize through the owner path), and
-	// Submit/injectTasks refuse new work like a closed scheduler. Word
-	// and hooks are installed once at shard construction, before the
-	// scheduler is visible to submitters, and never change; onBatch fires
-	// after each batch-start accounting, giving the fault plane a
-	// deterministic mid-batch kill point.
-	life      *atomic.Uint32
-	surrender func([]*task)
-	onBatch   func()
-	// retryHook offers a transiently failed task (absolute stamps) to
-	// the owning cluster's retry plane; true means the cluster took it
-	// and the future stays pending. nil outside a cluster (standalone
-	// schedulers fail the job immediately — there is nowhere else to
-	// run it).
-	retryHook func(*task, error) bool
+	// The owning cluster and shard. Once the shard's lifecycle word
+	// (written only by shard.on) reads killed, the scheduler is in
+	// surrender mode — dispatch keeps flowing, but workers hand batches
+	// back to the cluster (recoverTasks) instead of executing them (the
+	// device stays readable: the node lost its executor, not its
+	// memory, so resident outputs still materialize through the owner
+	// path), and Submit/injectTasks refuse new work like a closed
+	// scheduler. Transiently failed tasks go to the cluster's retry
+	// plane (offerRetry). onBatch fires after each batch-start
+	// accounting: the fault plane's deterministic mid-batch kill point
+	// (shard.maybeKill). All three are set at construction, before the
+	// scheduler is visible to submitters, and never change (tests that
+	// park workers replace onBatch before their first Submit).
+	c       *Cluster
+	sh      *shard
+	onBatch func()
 
 	// resMu guards residents, the live device-resident outputs this
 	// scheduler owns (settleOutput registers, releaseRefLocked and
@@ -457,23 +439,26 @@ type worker struct {
 	tr    *stepTrace
 }
 
-// New creates a scheduler on the device, which it owns from here on
-// (Close releases the buffer cache built over it). The relinearization
-// key is required by every Mul/Square op; Galois keys are looked up per
-// rotation amount and may be nil if no job rotates.
-func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKey, gks map[int]*ckks.GaloisKey) *Scheduler {
-	cfg = cfg.withDefaults(dev.Spec.Tiles)
+// buildScheduler creates shard sh's scheduler on the device, which it
+// owns from here on (Close releases the buffer cache built over it),
+// with c's parameters, config and relinearization key and its own
+// Galois-key table gks (nil if no job rotates).
+func buildScheduler(c *Cluster, sh *shard, dev *gpu.Device, gks map[int]*ckks.GaloisKey) *Scheduler {
+	cfg := c.cfg.withDefaults(dev.Spec.Tiles)
 	cfg.Core.DualTile = false // parallelism comes from the pool
 	s := &Scheduler{
-		params:    params,
+		params:    c.params,
 		dev:       dev,
 		cache:     core.NewCache(dev, cfg.Core),
 		cfg:       cfg,
-		rlk:       rlk,
+		rlk:       c.rlk,
 		gks:       gks,
 		classes:   cfg.Classes,
 		d:         newDispatcher(cfg),
 		closeDone: make(chan struct{}),
+		c:         c,
+		sh:        sh,
+		onBatch:   func() { sh.maybeKill(c) },
 	}
 	s.qcond = sync.NewCond(&s.qmu)
 	s.idle = sync.NewCond(&s.qmu)
@@ -483,7 +468,7 @@ func New(params *ckks.Parameters, dev *gpu.Device, cfg Config, rlk *ckks.RelinKe
 	// accumulators: full chain + special component); best-fit reuse
 	// lets every smaller request ride the same pool.
 	if cfg.WarmBuffers > 0 {
-		s.cache.Warm(cfg.WarmBuffers, (params.MaxLevel()+2)*params.N)
+		s.cache.Warm(cfg.WarmBuffers, (s.params.MaxLevel()+2)*s.params.N)
 	}
 	s.outCond = sync.NewCond(&s.outMu)
 	s.latency = make([]latWindow, len(s.classes))
@@ -530,9 +515,6 @@ func (s *Scheduler) workerContext(id int) *core.Context {
 	}
 	return core.NewContextOn(s.params, s.dev, cfg, []*sycl.Queue{q}, s.cache)
 }
-
-// Policy returns the name of the dispatch policy in effect.
-func (s *Scheduler) Policy() string { return s.d.policy.Name() }
 
 // validate checks the job against the scheduler's parameters, key
 // material and class table, returning the traced value metas (the last
@@ -723,11 +705,6 @@ func (s *Scheduler) ResetClocks() {
 	s.latMu.Unlock()
 }
 
-// Stats returns the typed view of the scheduler's metrics snapshot.
-func (s *Scheduler) Stats() Stats {
-	return statsView(s.Metrics().Values(), s.classes, s.classLatencies())
-}
-
 // classLatencies copies the per-class simulated-latency samples (the
 // cluster merges shard samples before computing quantiles).
 func (s *Scheduler) classLatencies() [][]float64 {
@@ -895,34 +872,8 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 	return true
 }
 
-// installFaultHooks wires the scheduler to its owning cluster's fault
-// plane: life is the shard's lifecycle word (what Killed reads),
-// surrender re-homes tasks a killed worker hands back, onBatch
-// is the fault plane's deterministic mid-batch kill point, and retry
-// offers transiently failed tasks to the cluster's retry plane. Called
-// once at shard construction, before the scheduler is visible to
-// submitters; the hooks are read only from worker goroutines, which
-// take every batch under qmu.
-func (s *Scheduler) installFaultHooks(life *atomic.Uint32, surrender func([]*task), onBatch func(), retry func(*task, error) bool) {
-	s.life = life
-	s.surrender = surrender
-	s.onBatch = onBatch
-	s.retryHook = retry
-}
-
-// Killed reports whether the scheduler has been fail-stopped.
-func (s *Scheduler) Killed() bool {
-	return s.life != nil && shardState(s.life.Load()) >= stateKilled
-}
-
-// batchHook fires the fault plane's per-batch hook (nil outside a
-// cluster), giving it a deterministic kill point between a batch's
-// start accounting and its settlement.
-func (s *Scheduler) batchHook() {
-	if h := s.onBatch; h != nil {
-		h()
-	}
-}
+// Killed reports whether the scheduler's shard has been fail-stopped.
+func (s *Scheduler) Killed() bool { return s.sh.state() >= stateKilled }
 
 // surrenderBatch hands a killed worker's batch back for replay,
 // releasing the worker's pending share; outstanding accounting stays
@@ -934,10 +885,9 @@ func (w *worker) surrenderBatch(s *Scheduler, ts []*task) {
 }
 
 // surrenderTasks re-homes tasks that a killed scheduler will not run:
-// they detach and go to the cluster's surrender hook, which relocates
+// they detach and go to the cluster (recoverTasks), which relocates
 // them onto a healthy shard or fails them — they are never silently
-// dropped, so Drain and Close cannot wedge on a kill. (Only a shard's
-// scheduler can read killed, so the hook is there.)
+// dropped, so Drain and Close cannot wedge on a kill.
 func (s *Scheduler) surrenderTasks(ts []*task) {
 	if len(ts) == 0 {
 		return
@@ -947,7 +897,7 @@ func (s *Scheduler) surrenderTasks(ts []*task) {
 	for _, t := range ts {
 		t.detach(now)
 	}
-	s.surrender(ts)
+	s.c.recoverTasks(s.sh, ts)
 }
 
 // abandon is where a detached task ends when no shard can take it: it
@@ -1043,7 +993,7 @@ func (s *Scheduler) runWorker(w *worker) {
 		// Record batch stats up front: jobDone on the batch's last job
 		// releases Drain, and Stats() must already see this batch then.
 		s.batchStarted(cur.batch[0].class, len(cur.batch))
-		s.batchHook()
+		s.onBatch()
 		est := s.spanBegin()
 		stagedJobs, fused := w.stageUploaded(s, cur)
 		s.spanEnd(w.ring, est, w.track, "exec", catExec, s.className(cur.batch[0].class), cur.batch[0].bid, len(cur.batch))
@@ -1261,13 +1211,13 @@ func (w *worker) resolveBatch(s *Scheduler, pb *pendingBatch) {
 		s.met.stallCopyNS.Add(int64(d * 1e9))
 	}
 	st := s.spanBegin()
-	// Settle-span labels, captured before the loop: once tryRetry hands
+	// Settle-span labels, captured before the loop: once offerRetry hands
 	// a task to the retry plane, its re-dispatch may rewrite bid/disp
 	// concurrently.
 	class, bid := pb.staged[0].t.class, pb.staged[0].t.bid
 	s.finished(w, len(pb.staged))
 	for _, sj := range pb.staged {
-		if sj.retry && s.tryRetry(sj.t, sj.err) {
+		if sj.retry && s.c.offerRetry(s.sh, sj.t, sj.err) {
 			// The cluster's retry plane owns the task now: the future
 			// stays pending, dependency references travel with the task
 			// for the re-execution, and outstanding accounting stays here

@@ -48,36 +48,27 @@ func checkPoolsReturned(t testing.TB, when string, cache *memcache.Cache) {
 	}
 }
 
-// newScheduler builds a standalone Device1 scheduler through
-// newSchedulerWith.
+// newScheduler builds a Device1 scheduler through newSchedulerWith.
 func newScheduler(t testing.TB, h *Harness, workers int) *Scheduler {
 	t.Helper()
 	return newSchedulerWith(t, h, gpu.Device1Spec(), schedConfig(workers))
 }
 
-// newSchedulerWith builds a scheduler on dev with h's keys (brokenKeys
-// for a test that needs a failing rotation) whose teardown asserts the
-// conservation laws: drained, the counters reconcile (checkInvariants),
-// nothing is outstanding and the pools are back — checked before Close,
-// which reclaims the cache by force, and again after it — and, as
-// newClusterWith does, Close leaves no goroutine behind: the workers are
-// the scheduler's only ones. No test built on this helper is exempt.
+// newSchedulerWith builds a one-shard cluster on dev with h's keys
+// (brokenKeys for a test that needs a failing rotation) through
+// newClusterWith, whose teardown asserts the conservation laws, and
+// returns the shard's scheduler: a test that submits to it directly
+// bypasses only the router. No test built on this helper is exempt
+// from the teardown.
 func newSchedulerWith(t testing.TB, h *Harness, dev gpu.DeviceSpec, cfg Config) *Scheduler {
 	t.Helper()
-	baseline := ownGoroutines()
-	s := New(h.Params, gpu.NewDevice(dev), cfg, h.RelinKey(), h.GaloisKeys())
-	t.Cleanup(func() {
-		s.Drain()
-		checkInvariants(t, ClusterStats{Stats: s.Stats()})
-		if n := s.Outstanding(); n != 0 {
-			t.Errorf("teardown: %d jobs outstanding after Drain", n)
-		}
-		checkPoolsReturned(t, "teardown, before Close", s.Cache())
-		s.Close()
-		checkPoolsReturned(t, "teardown, after Close", s.Cache())
-		checkGoroutines(t, baseline)
-	})
-	return s
+	return newClusterWith(t, h, shards(dev), cfg).all()[0].sched
+}
+
+// shardStats is the typed view of one shard's own metrics snapshot, as
+// Cluster.Stats builds PerShard.
+func shardStats(s *Scheduler) Stats {
+	return statsView(s.Metrics().Values(), s.classes, s.classLatencies())
 }
 
 // checkInvariants asserts what every drained view must reconcile: each
@@ -253,7 +244,7 @@ func TestSubmitRejectsMissingGaloisKey(t *testing.T) {
 
 func TestSubmitAfterCloseFails(t *testing.T) {
 	h := sharedHarness(t)
-	s := New(h.Params, gpu.NewDevice1(), schedConfig(1), h.RelinKey(), h.GaloisKeys())
+	s := newScheduler(t, h, 1)
 	s.Close()
 	s.Close() // idempotent
 	j := NewJob(h.Encrypt(make([]complex128, h.Params.Slots())))

@@ -416,6 +416,11 @@ func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
 	if n := c.all()[0].sched.Cache().PinnedCount(); n != 0 {
 		t.Fatalf("drained shard PinnedCount = %d, want 0 (migration must force-release)", n)
 	}
+	pf.mu.Lock()
+	if r := pf.resident; r == nil || !r.released {
+		t.Errorf("the retired shard's resident output is still live: migration must force-release it")
+	}
+	pf.mu.Unlock()
 	if st := c.Stats(); st.Migrated < 1 {
 		t.Fatalf("Migrated = %d, want >= 1 (the resident output must have moved to the host)", st.Migrated)
 	}

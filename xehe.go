@@ -33,7 +33,8 @@
 // and copies overlap with compute. A job that ships alone is a batch
 // of one on the same path; results are bit-for-bit the same at any
 // batch size. Submit blocks when the pipeline is saturated
-// (backpressure):
+// (backpressure). A Service is a Cluster (below) of one shard, behind
+// the single-device surface:
 //
 //	svc := xehe.NewService(params, kit, xehe.Device1, xehe.ServiceConfig{Workers: 4})
 //	defer svc.Close()
@@ -78,11 +79,12 @@
 // devices — the multi-GPU / heterogeneous-platform direction the paper
 // names as future work. Each device is one shard: a full scheduler
 // with its own worker pool, tile queues, buffer cache and replicated
-// keys. A QoS-aware router sends latency-sensitive jobs to the shard
-// with the least expected wait and everything else to the weighted
-// least-loaded shard, idle shards steal queued work from the longest
-// backlog, and a heterogeneous Device1+Device2 pair splits a uniform
-// load roughly in proportion to their peak GIOPS:
+// keys (a Service is the one-shard case). A QoS-aware router sends
+// latency-sensitive jobs to the shard with the least expected wait and
+// everything else to the weighted least-loaded shard, idle shards steal
+// queued work from the longest backlog, and a heterogeneous
+// Device1+Device2 pair splits a uniform load roughly in proportion to
+// their peak GIOPS:
 //
 //	cl := xehe.NewCluster(params, kit,
 //		[]xehe.DeviceKind{xehe.Device1, xehe.Device1, xehe.Device2},
@@ -198,7 +200,7 @@
 //	// ... submit work ...
 //	svc.Wait()
 //	f, _ := os.Create("trace.json")
-//	svc.WriteTrace(f) // one track per worker, QoS queue, and device tile
+//	svc.WriteTrace(f) // process "shard 0": a track per worker, QoS queue and device tile
 //
 // Spans are stamped with both the simulated clock (the trace
 // timeline) and wall clock, and recorded into bounded per-worker ring
@@ -524,18 +526,20 @@ type MetricsInstrument = obs.Instrument
 
 // Toggle is bool under the name the on/off knobs (TraceConfig.Enabled,
 // ServiceConfig.SelfHeal) were first declared with; both default off.
-type Toggle = sched.Toggle
+type Toggle = bool
 
 // The Toggle states, kept as names for callers written against them.
 const (
-	ToggleDefault = sched.ToggleDefault
-	ToggleOn      = sched.ToggleOn
-	ToggleOff     = sched.ToggleOff
+	ToggleDefault Toggle = false
+	ToggleOn      Toggle = true
+	ToggleOff     Toggle = false
 )
 
-// ServiceConfig tunes the concurrent service. Zero values select
-// defaults: one worker per device tile, batches of up to 8 same-shape
-// jobs, and the paper's full optimization stack as the backend.
+// ServiceConfig tunes the concurrent service — the one shard of a
+// Service, or every shard of a Cluster (as ClusterConfig). Zero values
+// select defaults: one worker per device tile, batches of up to 8
+// same-shape jobs, and the paper's full optimization stack as the
+// backend. Nodes, SelfHeal, Standbys and Retry act on a Cluster only.
 type ServiceConfig struct {
 	// Workers is the goroutine pool size; workers are pinned
 	// round-robin to the device's tiles. Default: the tile count.
@@ -646,57 +650,58 @@ type RetryPolicy = sched.RetryPolicy
 
 // Service evaluates independent HE jobs concurrently on one simulated
 // GPU: Submit from any goroutine, Wait on the returned Pending (or
-// Service.Wait for everything), Close to tear down. See the package
-// documentation for the execution model.
+// Service.Wait for everything), Close to tear down. It is a Cluster of
+// one host-local shard that never grows, drains or fails over, behind
+// the single-device surface. See the package documentation for the
+// execution model.
 type Service struct {
-	dev *gpu.Device
-	s   *sched.Scheduler
+	c *Cluster
 }
 
 // NewService builds a concurrent evaluation service on the chosen
-// device.
+// device: a one-shard Cluster, with the cluster-only fields of sc
+// (Nodes, SelfHeal, Standbys, Retry) ignored.
 func NewService(params *Parameters, kit *KeyKit, dev DeviceKind, sc ServiceConfig) *Service {
-	d := deviceFor(dev)
-	return &Service{
-		dev: d,
-		s:   sched.New(params.inner, d, sc.schedConfig(), kit.rlk, kit.gks),
-	}
+	sc.Nodes, sc.SelfHeal, sc.Standbys, sc.Retry = nil, false, 0, RetryPolicy{}
+	return &Service{c: NewCluster(params, kit, []DeviceKind{dev}, sc)}
 }
 
 // Submit validates and enqueues a job. It blocks when the pipeline is
 // saturated and returns an error for malformed jobs (bad operand
 // indices, level/scale mismatches, missing rotation keys) or after
 // Close.
-func (s *Service) Submit(job *Job) (*Pending, error) { return s.s.Submit(job) }
+func (s *Service) Submit(job *Job) (*Pending, error) { return s.c.Submit(job) }
 
 // Wait blocks until every job submitted so far has completed.
-func (s *Service) Wait() { s.s.Drain() }
+func (s *Service) Wait() { s.c.Wait() }
 
 // Close drains pending jobs, stops the worker pool and releases the
 // device buffer cache. It is idempotent; Submit afterwards returns an
 // error.
-func (s *Service) Close() { s.s.Close() }
+func (s *Service) Close() { s.c.Close() }
 
-// Stats returns a snapshot of the service counters.
-func (s *Service) Stats() ServiceStats { return s.s.Stats() }
+// Stats returns a snapshot of the service counters: the cluster view
+// without its one-shard breakdown.
+func (s *Service) Stats() ServiceStats { return s.c.Stats().Stats }
 
 // Metrics snapshots the service's typed metrics registry (always on,
 // independent of tracing).
-func (s *Service) Metrics() Metrics { return s.s.Metrics() }
+func (s *Service) Metrics() Metrics { return s.c.Metrics() }
 
 // WriteTrace exports the service's recorded timeline as
-// Chrome-trace-event JSON (see the Observability section of the
-// package documentation). It returns ErrTraceDisabled when the
-// service was built without ServiceConfig.Trace enabled.
-func (s *Service) WriteTrace(w io.Writer) error { return s.s.WriteTrace(w) }
+// Chrome-trace-event JSON, one process named "shard 0" (see the
+// Observability section of the package documentation). It returns
+// ErrTraceDisabled when the service was built without
+// ServiceConfig.Trace enabled.
+func (s *Service) WriteTrace(w io.Writer) error { return s.c.WriteTrace(w) }
 
 // TraceCounts reports how many spans the service has recorded and how
 // many the bounded rings dropped (both zero with tracing off).
-func (s *Service) TraceCounts() (recorded, dropped int64) { return s.s.TraceCounts() }
+func (s *Service) TraceCounts() (recorded, dropped int64) { return s.c.TraceCounts() }
 
 // SimulatedSeconds returns the simulated wall-clock consumed on the
 // device so far (the busiest of host and tile timelines).
-func (s *Service) SimulatedSeconds() float64 { return s.dev.SimulatedSeconds() }
+func (s *Service) SimulatedSeconds() float64 { return s.c.SimulatedSeconds() }
 
 // ResetSimClocks zeroes the simulated device clocks and the QoS state
 // derived from them (enqueue-stamp floor, latency sample windows;
@@ -706,7 +711,7 @@ func (s *Service) SimulatedSeconds() float64 { return s.dev.SimulatedSeconds() }
 // serialize the pipeline). Call it only while the service is idle —
 // after Wait and before the next Submit — otherwise in-flight timing
 // is corrupted.
-func (s *Service) ResetSimClocks() { s.s.ResetClocks() }
+func (s *Service) ResetSimClocks() { s.c.ResetSimClocks() }
 
 // ClusterStats snapshots the cluster counters: the embedded aggregate
 // plus per-shard breakdowns and the router's per-shard job counts.
@@ -717,9 +722,9 @@ type ClusterStats = sched.ClusterStats
 // cache, replicated keys), and a front-end router assigns every job to
 // the least-loaded shard weighted by device throughput — a fast
 // Device1 absorbs proportionally more of a uniform load than a
-// Device2. The Submit/Wait/Close surface matches Service, so a service
-// scales from one device to a heterogeneous cluster by swapping the
-// constructor:
+// Device2. The Submit/Wait/Close surface matches Service, which is a
+// Cluster of one shard, so a service scales from one device to a
+// heterogeneous cluster by swapping the constructor:
 //
 //	cl := xehe.NewCluster(params, kit, []xehe.DeviceKind{xehe.Device1, xehe.Device2}, xehe.ClusterConfig{})
 //	defer cl.Close()

@@ -3,9 +3,11 @@ package xehe
 import (
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 var (
@@ -114,9 +116,12 @@ func TestRotateWithoutKeyPanics(t *testing.T) {
 
 // TestServiceFacade drives the concurrent Service end to end: mixed
 // jobs submitted from several goroutines, decrypted results checked
-// against the plaintext expectations.
+// against the plaintext expectations, and after Close no goroutine left
+// of the ones the service started (its workers and its cluster's
+// control loop).
 func TestServiceFacade(t *testing.T) {
 	params, kit := fixture(t)
+	baseline := runtime.NumGoroutine()
 	svc := NewService(params, kit, Device1, ServiceConfig{Workers: 3})
 	defer svc.Close()
 
@@ -183,6 +188,13 @@ func TestServiceFacade(t *testing.T) {
 	}
 	if svc.SimulatedSeconds() <= 0 {
 		t.Fatal("no simulated time accumulated")
+	}
+	svc.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after Close, %d before NewService", n, baseline)
 	}
 }
 
@@ -470,5 +482,44 @@ func TestServiceBackendOverride(t *testing.T) {
 	opt := run(ConfigOptimized())
 	if opt >= naive {
 		t.Fatalf("optimized backend (%v s) must beat naive (%v s); naive override was ignored", opt, naive)
+	}
+}
+
+// TestOneWorkerServiceIsPinned pins the simulated numbers of the
+// one-worker service shape to the digit, on both devices: the stream of
+// TestTimingOnlySchedulerIsATwin in internal/sched (8 ×
+// MulRelinRescale+Rotate), submitted one job at a time so every batch
+// is a single job and the clocks are deterministic. A change to how a
+// Service is built or served that moves a simulated clock fails here.
+func TestOneWorkerServiceIsPinned(t *testing.T) {
+	params, kit := fixture(t)
+	vals := make([]complex128, params.Slots())
+	a, b := kit.Encrypt(vals), kit.Encrypt(vals)
+	for _, want := range []struct {
+		dev           DeviceKind
+		sim, p50, p99 float64
+	}{
+		{Device1, 0.0009421697892490323, 8.832747365612904e-05, 0.0002038774726561291},
+		{Device2, 0.0013471078989468518, 0.0001377514503313194, 0.0002643292271090973},
+	} {
+		svc := NewService(params, kit, want.dev, ServiceConfig{Workers: 1})
+		for i := 0; i < 8; i++ {
+			j := NewJob(a, b)
+			j.Rotate(j.MulRelinRescale(0, 1), 1)
+			fut, err := svc.Submit(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fut.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Wait()
+		sim, batch := svc.SimulatedSeconds(), svc.Stats().PerClass[Batch]
+		svc.Close()
+		if sim != want.sim || batch.P50 != want.p50 || batch.P99 != want.p99 {
+			t.Errorf("device %d: simulated %v s, batch p50 %v s, p99 %v s; want %v, %v, %v",
+				want.dev, sim, batch.P50, batch.P99, want.sim, want.p50, want.p99)
+		}
 	}
 }
