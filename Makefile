@@ -11,8 +11,12 @@ all: build test
 build:
 	$(GO) build ./...
 
+# The repo benchmark (benchmark/) is a module of its own, so ./... at
+# the root does not reach it: it is vetted too, so that a change to the
+# root API that breaks it fails here rather than at bench-selftest.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # gofmt cleanliness gate: fails listing any file that needs gofmt.
 fmt-check:

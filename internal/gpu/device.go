@@ -244,6 +244,11 @@ func (d *Device) HostTime() Cycles {
 func (d *Device) DeviceTime() Cycles {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.deviceTimeLocked()
+}
+
+// deviceTimeLocked is DeviceTime with d.mu held.
+func (d *Device) deviceTimeLocked() Cycles {
 	var m Cycles
 	for _, t := range d.tileTime {
 		if t > m {
@@ -262,12 +267,13 @@ func (d *Device) DeviceTime() Cycles {
 func (d *Device) Seconds(c Cycles) float64 { return c / (d.Spec.ClockGHz * 1e9) }
 
 // SimulatedSeconds returns the simulated wall-clock consumed so far:
-// the later of the busiest tile and the host clock, in seconds.
+// the later of the busiest tile and the host clock, in seconds. Both
+// clocks are read in one critical section, so a concurrent submission
+// cannot land between the two reads.
 func (d *Device) SimulatedSeconds() float64 {
-	t := d.DeviceTime()
-	if h := d.HostTime(); h > t {
-		t = h
-	}
+	d.mu.Lock()
+	t := max(d.deviceTimeLocked(), d.hostTime)
+	d.mu.Unlock()
 	return d.Seconds(t)
 }
 

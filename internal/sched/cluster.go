@@ -54,7 +54,7 @@ const controlInterval = 200 * time.Microsecond
 // Everything the cluster does in the background is that one loop: a
 // round steals, re-injects parked retries and runs the supervisor, in
 // that order, and a shard's whole lifecycle is one word (shardState)
-// that only shard.on writes.
+// that only Scheduler.on writes.
 //
 // Jobs are independent, so any shard may execute any job; the simulated
 // kernels are deterministic, which makes results identical regardless
@@ -66,7 +66,7 @@ type Cluster struct {
 	rlk    *ckks.RelinKey
 	gks    map[int]*ckks.GaloisKey
 
-	// shardsVal holds the current []*shard snapshot, published
+	// shardsVal holds the current []*Scheduler snapshot, published
 	// copy-on-write under mu (AddShard appends, nothing ever removes),
 	// so the hot paths iterate lock-free over an immutable slice.
 	shardsVal atomic.Value
@@ -157,40 +157,21 @@ var lifecycle = [numStates][numEvents]shardState{
 	stateKilled:   {evReplace: stateReplaced},
 }
 
-// shard is one device's scheduler plus its routing and health state.
-type shard struct {
-	id     int
-	spec   ShardSpec // what it was built from; building it again is a replacement
-	sched  *Scheduler
-	weight float64
-
-	// life holds the shardState. on is its only writer; the scheduler
-	// reads it too (Killed), so a kill is one store, not two.
-	life atomic.Uint32
-
-	// Fault-plane budgets, consumed rather than entered and left: sick
-	// is the health-probe sickness budget the link faults mark (each
-	// failed probe consumes one unit), killAfter the armed batches-until-kill countdown (0 =
-	// disarmed).
-	sick      atomic.Int64
-	killAfter atomic.Int64
-}
-
-func (sh *shard) state() shardState { return shardState(sh.life.Load()) }
+func (s *Scheduler) state() shardState { return shardState(s.life.Load()) }
 
 // on applies event e to the shard's lifecycle: the one place the word
 // is written. True means this caller made the transition and owns what
 // follows from it — the kill's evacuation, the drain's teardown, the
 // one replacement; false means the table refuses e in the current state
 // (or another caller got there first) and nothing changed.
-func (sh *shard) on(e event) bool {
+func (s *Scheduler) on(e event) bool {
 	for {
-		cur := sh.state()
+		cur := s.state()
 		next := lifecycle[cur][e]
 		if next == stateStandby {
 			return false
 		}
-		if sh.life.CompareAndSwap(uint32(cur), uint32(next)) {
+		if s.life.CompareAndSwap(uint32(cur), uint32(next)) {
 			return true
 		}
 	}
@@ -200,8 +181,8 @@ func (sh *shard) on(e event) bool {
 // of rotation or its sickness budget (the link-fault marks of
 // FaultPlane.DelayHops, DropHops and FailHops) holds, consuming one
 // budget unit per failed probe.
-func (sh *shard) probe() bool {
-	return sh.state() == stateOpen && spend(&sh.sick) == 0
+func (s *Scheduler) probe() bool {
+	return s.state() == stateOpen && spend(&s.sick) == 0
 }
 
 // spend takes one unit off a fault-plane budget and returns what the
@@ -220,27 +201,27 @@ func spend(budget *atomic.Int64) int64 {
 
 // health classifies the shard for operators: "killed" (fail-stopped),
 // "closed" (retired), "sick" (health probes failing) or "ok".
-func (sh *shard) health() string {
-	switch sh.state() {
+func (s *Scheduler) health() string {
+	switch s.state() {
 	case stateKilled, stateReplaced:
 		return "killed"
 	case stateDraining, stateClosed:
 		return "closed"
 	}
-	if sh.sick.Load() > 0 {
+	if s.sick.Load() > 0 {
 		return "sick"
 	}
 	return "ok"
 }
 
 // maybeKill is the fault plane's deterministic mid-batch kill point
-// (Scheduler.onBatch): armed by KillShardAfter(i, n), the n-th batch
+// (onBatch's default): armed by KillShardAfter(i, n), the n-th batch
 // to start on the shard kills it from the worker goroutine itself —
 // after the batch was counted started, before any of it settles — so a
 // chaos schedule reproduces exactly.
-func (sh *shard) maybeKill(c *Cluster) {
-	if spend(&sh.killAfter) == 1 {
-		c.killShard(sh.id)
+func (s *Scheduler) maybeKill() {
+	if spend(&s.killAfter) == 1 {
+		s.c.killShard(s.id)
 	}
 }
 
@@ -303,14 +284,14 @@ func NewCluster(params *ckks.Parameters, specs []ShardSpec, cfg Config, rlk *ckk
 	c.drainedCnt = c.obsReg.Counter("cluster.drained_jobs")
 	c.migratedCnt = c.obsReg.Counter("cluster.migrated_residents")
 	c.faults = &FaultPlane{c: c}
-	shards := make([]*shard, 0, len(specs))
+	shards := make([]*Scheduler, 0, len(specs))
 	for i, spec := range specs {
 		sh := c.newShard(i, spec)
 		sh.on(evPublish)
 		shards = append(shards, sh)
 	}
 	c.shardsVal.Store(shards)
-	for _, cl := range shards[0].sched.classes {
+	for _, cl := range shards[0].classes {
 		c.shed = append(c.shed, c.obsReg.Counter("cluster.shed_jobs."+cl.Name))
 	}
 	if c.cfg.SelfHeal {
@@ -321,35 +302,13 @@ func NewCluster(params *ckks.Parameters, specs []ShardSpec, cfg Config, rlk *ckk
 	return c
 }
 
-// newShard is the one place a shard comes into being — for the
-// constructor, AddShard, standby stocking and cold repair alike: a
-// fresh simulated device of the spec's model, the spec's hop converted
-// to device cycles once (the device then charges it on every crossing
-// without the scheduler knowing the shard is remote; the zero link
-// prices nothing), and a scheduler on it with its own replica of the
-// Galois-key table, wired to the shard and the cluster before the shard
-// becomes routable. It is born a standby: publishing it (the
-// constructor, publishShard) is what opens it.
-func (c *Cluster) newShard(id int, spec ShardSpec) *shard {
-	dev := gpu.NewDevice(spec.Device)
-	cyclesPerSec := dev.Spec.ClockGHz * 1e9
-	dev.SetLink(spec.Link.LatencySeconds*cyclesPerSec, max(spec.Link.GBps, 0)*1e9/cyclesPerSec)
-	replica := make(map[int]*ckks.GaloisKey, len(c.gks))
-	for k, v := range c.gks {
-		replica[k] = v
-	}
-	sh := &shard{id: id, spec: spec, weight: gpu.ClusterWeight(&dev.Spec)}
-	sh.sched = buildScheduler(c, sh, dev, replica)
-	return sh
-}
-
 // all returns the current shard snapshot. The slice is immutable —
 // AddShard publishes a fresh copy — so iteration is lock-free and a
 // caller mid-routine keeps a consistent view.
-func (c *Cluster) all() []*shard { return c.shardsVal.Load().([]*shard) }
+func (c *Cluster) all() []*Scheduler { return c.shardsVal.Load().([]*Scheduler) }
 
 // shard returns shard i of the current snapshot, nil when out of range.
-func (c *Cluster) shard(i int) *shard {
+func (c *Cluster) shard(i int) *Scheduler {
 	if shards := c.all(); i >= 0 && i < len(shards) {
 		return shards[i]
 	}
@@ -384,9 +343,9 @@ func (c *Cluster) AddShard(spec ShardSpec) (int, error) {
 
 // discard tears down a shard that never made it into the snapshot (the
 // cluster closed before it could publish).
-func (c *Cluster) discard(sh *shard) {
+func (c *Cluster) discard(sh *Scheduler) {
 	sh.on(evClose)
-	sh.sched.Close()
+	sh.Close()
 }
 
 // publishShard opens a fully built shard and appends it to the routing
@@ -394,7 +353,7 @@ func (c *Cluster) discard(sh *shard) {
 // race-free: work can only reach a shard through the published
 // snapshot, and the store below publishes the write. Closing clusters
 // refuse the shard (the caller owns its teardown).
-func (c *Cluster) publishShard(sh *shard) (int, error) {
+func (c *Cluster) publishShard(sh *Scheduler) (int, error) {
 	c.mu.Lock()
 	if c.closed.Load() {
 		c.mu.Unlock()
@@ -403,7 +362,7 @@ func (c *Cluster) publishShard(sh *shard) (int, error) {
 	old := c.all()
 	sh.id = len(old)
 	sh.on(evPublish)
-	shards := make([]*shard, len(old), len(old)+1)
+	shards := make([]*Scheduler, len(old), len(old)+1)
 	copy(shards, old)
 	shards = append(shards, sh)
 	c.shardsVal.Store(shards)
@@ -428,7 +387,7 @@ func routeCost(load, job, weight float64) float64 { return (load + job) / weight
 // rematerializes the value through the host. The first dependency with
 // a known home wins (a consumer of producers on different shards can
 // only be local to one of them anyway).
-func (c *Cluster) affinity(job *Job, skip map[int]bool) *shard {
+func (c *Cluster) affinity(job *Job, skip map[int]bool) *Scheduler {
 	shards := c.all()
 	for _, f := range job.Deps {
 		if f == nil {
@@ -453,7 +412,7 @@ func (c *Cluster) affinity(job *Job, skip map[int]bool) *shard {
 // shards whose health probe fails — unless EVERY open shard probes
 // sick, in which case the probe is ignored (a sick health plane must
 // degrade routing quality, not wedge the cluster).
-func (c *Cluster) pick(job *Job, skip map[int]bool) *shard {
+func (c *Cluster) pick(job *Job, skip map[int]bool) *Scheduler {
 	shards := c.all()
 	open := make([]bool, len(shards))
 	healthy := make([]bool, len(shards))
@@ -467,7 +426,7 @@ func (c *Cluster) pick(job *Job, skip map[int]bool) *shard {
 		open = healthy
 	}
 	latSensitive := false
-	if cs := shards[0].sched.classes; job.Class >= 0 && int(job.Class) < len(cs) {
+	if cs := shards[0].classes; job.Class >= 0 && int(job.Class) < len(cs) {
 		// Out-of-range classes fall through to the default routing and
 		// are rejected by Scheduler.validate with a proper error.
 		latSensitive = cs[job.Class].LatencySensitive
@@ -476,11 +435,11 @@ func (c *Cluster) pick(job *Job, skip map[int]bool) *shard {
 		if !open[i] {
 			return 0, false
 		}
-		s := shards[i].sched
+		s := shards[i]
 		if latSensitive {
-			return routeCost(s.OutstandingWork(), float64(len(job.Inputs)+len(job.Ops)), shards[i].weight), true
+			return routeCost(s.OutstandingWork(), float64(len(job.Inputs)+len(job.Ops)), s.weight), true
 		}
-		return routeCost(float64(s.Outstanding()), 1, shards[i].weight), true
+		return routeCost(float64(s.Outstanding()), 1, s.weight), true
 	})
 	if best < 0 {
 		return nil
@@ -515,7 +474,7 @@ func (c *Cluster) Submit(job *Job) (*Future, error) {
 			}
 			return nil, ErrNoShards
 		}
-		fut, err := sh.sched.Submit(job)
+		fut, err := sh.Submit(job)
 		switch err {
 		case ErrClosed:
 			// The shard was killed or retired between pick and submit.
@@ -551,11 +510,11 @@ func (c *Cluster) Drain() {
 	for {
 		shards := c.all()
 		for _, sh := range shards {
-			sh.sched.Drain()
+			sh.Drain()
 		}
 		total := int64(0)
 		for _, sh := range shards {
-			total += sh.sched.Outstanding()
+			total += sh.Outstanding()
 		}
 		if total == 0 && len(c.all()) == len(shards) {
 			return
@@ -610,8 +569,8 @@ func (c *Cluster) stealRound() {
 		if sh.state() != stateOpen {
 			continue
 		}
-		queued[i] = sh.sched.QueuedJobs()
-		idle = idle || queued[i] == 0 && sh.sched.Outstanding() == 0
+		queued[i] = sh.QueuedJobs()
+		idle = idle || queued[i] == 0 && sh.Outstanding() == 0
 	}
 	// The longest backlog is the victim. An armed deterministic kill
 	// (KillShardAfter) pins its shard's backlog: stealing it away races
@@ -620,7 +579,7 @@ func (c *Cluster) stealRound() {
 		return -float64(queued[i]), queued[i] > 0 && shards[i].killAfter.Load() == 0
 	})
 	if idle && v >= 0 {
-		c.relocate(shards[v], shards[v].sched.stealQueued(max(queued[v]/2, 1)), nil)
+		c.relocate(shards[v], shards[v].stealQueued(max(queued[v]/2, 1)), nil)
 	}
 }
 
@@ -628,11 +587,11 @@ func (c *Cluster) stealRound() {
 // shard with the fewest outstanding jobs, ties to the lowest index,
 // never not (nil excludes nobody). Health probes steer Submit's routing
 // (pick), not relocation. nil when no such shard is open.
-func (c *Cluster) dest(not *shard) *shard {
+func (c *Cluster) dest(not *Scheduler) *Scheduler {
 	shards := c.all()
 	i := leastLoaded(len(shards), func(i int) (float64, bool) {
 		sh := shards[i]
-		return float64(sh.sched.Outstanding()), sh != not && sh.state() == stateOpen
+		return float64(sh.Outstanding()), sh != not && sh.state() == stateOpen
 	})
 	if i < 0 {
 		return nil
@@ -645,9 +604,9 @@ func (c *Cluster) dest(not *shard) *shard {
 // can close the destination between the choice and the landing; the
 // choice is then made again. False means no shard was open and nothing
 // moved.
-func (c *Cluster) place(src, not *shard, tasks []*task) bool {
+func (c *Cluster) place(src, not *Scheduler, tasks []*task) bool {
 	for dst := c.dest(not); dst != nil; dst = c.dest(not) {
-		if dst.sched.injectTasks(tasks, src.sched) {
+		if dst.injectTasks(tasks, src) {
 			return true
 		}
 	}
@@ -662,7 +621,7 @@ func (c *Cluster) place(src, not *shard, tasks []*task) bool {
 // for tasks with budget when src is dead, since the supervisor may be
 // replacing it; failure with ErrShardLost. Nothing is dropped, so Drain
 // and Close cannot wedge. Caller holds stealMu.
-func (c *Cluster) relocate(src *shard, tasks []*task, cnt *obs.Counter) bool {
+func (c *Cluster) relocate(src *Scheduler, tasks []*task, cnt *obs.Counter) bool {
 	if len(tasks) == 0 {
 		return false
 	}
@@ -672,12 +631,12 @@ func (c *Cluster) relocate(src *shard, tasks []*task, cnt *obs.Counter) bool {
 		}
 		return true
 	}
-	if src.sched.injectTasks(tasks, src.sched) {
+	if src.injectTasks(tasks, src) {
 		return false
 	}
 	for _, t := range tasks {
 		if !c.queueRetry(src, t, ErrShardLost) {
-			src.sched.abandon(t)
+			src.abandon(t)
 		}
 	}
 	return false
@@ -688,10 +647,10 @@ func (c *Cluster) relocate(src *shard, tasks []*task, cnt *obs.Counter) bool {
 // counting moved jobs into cnt. With no other shard open it touches
 // neither the queue nor the steal counters: the jobs run where they
 // are. Caller holds stealMu and has taken sh out of rotation.
-func (c *Cluster) evacuateLocked(sh *shard, cnt *obs.Counter) {
+func (c *Cluster) evacuateLocked(sh *Scheduler, cnt *obs.Counter) {
 	for c.dest(sh) != nil {
-		queued := sh.sched.QueuedJobs()
-		if queued == 0 || !c.relocate(sh, sh.sched.stealQueued((queued+1)/2), cnt) {
+		queued := sh.QueuedJobs()
+		if queued == 0 || !c.relocate(sh, sh.stealQueued((queued+1)/2), cnt) {
 			return
 		}
 	}
@@ -731,7 +690,7 @@ func (c *Cluster) killShard(i int) bool {
 // through the owner path — and replay from host-side inputs. The
 // kernels are deterministic, so a re-executed job cannot diverge from
 // the serial path.
-func (c *Cluster) recoverTasks(src *shard, ts []*task) {
+func (c *Cluster) recoverTasks(src *Scheduler, ts []*task) {
 	c.stealMu.Lock()
 	defer c.stealMu.Unlock()
 	c.relocate(src, ts, c.replayed)
@@ -776,9 +735,9 @@ func (c *Cluster) teardown() {
 	var wg sync.WaitGroup
 	for _, sh := range shards {
 		wg.Add(1)
-		go func(sh *shard) {
+		go func(sh *Scheduler) {
 			defer wg.Done()
-			sh.sched.Close()
+			sh.Close()
 		}(sh)
 	}
 	wg.Wait()
@@ -830,7 +789,7 @@ type ClusterStats struct {
 // remain visible in PerShard).
 func (c *Cluster) Stats() ClusterStats {
 	shards := c.all()
-	classes := shards[0].sched.classes
+	classes := shards[0].classes
 	cs := ClusterStats{
 		PerShard: make([]Stats, len(shards)),
 		Routed:   make([]int64, len(shards)),
@@ -841,7 +800,7 @@ func (c *Cluster) Stats() ClusterStats {
 	lat := make([][]float64, len(classes))
 	var perWorker []int64
 	for i, sh := range shards {
-		own := sh.sched.classLatencies()
+		own := sh.classLatencies()
 		v := snaps[i].Values()
 		cs.PerShard[i] = statsView(v, classes, own)
 		cs.Routed[i] = int64(v["sched.jobs_submitted"])
@@ -867,7 +826,7 @@ func (c *Cluster) Stats() ClusterStats {
 func (c *Cluster) SimulatedSeconds() float64 {
 	var max float64
 	for _, sh := range c.all() {
-		if s := sh.sched.dev.SimulatedSeconds(); s > max {
+		if s := sh.dev.SimulatedSeconds(); s > max {
 			max = s
 		}
 	}
@@ -881,7 +840,7 @@ func (c *Cluster) SimulatedSeconds() float64 {
 // cluster is idle.
 func (c *Cluster) ResetSimClocks() {
 	for _, sh := range c.all() {
-		sh.sched.ResetClocks()
+		sh.ResetClocks()
 	}
 	// Pooled standbys reset too: one built during warm-up must not
 	// carry clock skew into the measured window it is promoted into.

@@ -53,11 +53,11 @@ func newClusterWith(t testing.TB, h *Harness, specs []ShardSpec, cfg Config) *Cl
 		}
 		pools := func(when string) {
 			for i, sh := range c.all() {
-				checkPoolsReturned(t, fmt.Sprintf("teardown, %s: shard %d", when, i), sh.sched.Cache())
+				checkPoolsReturned(t, fmt.Sprintf("teardown, %s: shard %d", when, i), sh.Cache())
 			}
 		}
 		for i, sh := range c.all() {
-			if n := sh.sched.Outstanding(); n != 0 {
+			if n := sh.Outstanding(); n != 0 {
 				t.Errorf("teardown: shard %d has %d jobs outstanding after Drain", i, n)
 			}
 		}

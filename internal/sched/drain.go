@@ -47,13 +47,13 @@ func (c *Cluster) DrainShard(i int) {
 	// no replay. Work parked in the retry plane with this shard as its
 	// accounting home re-injects elsewhere concurrently, so this
 	// cannot wedge.
-	sh.sched.Drain()
+	sh.Drain()
 	// Pre-copy live device-resident graph intermediates to the host:
 	// late consumers and Future.Wait fall back to the host value
 	// exactly as a cross-shard edge would.
-	c.migratedCnt.Add(sh.sched.migrateResidents())
+	c.migratedCnt.Add(sh.migrateResidents())
 	sh.on(evDrained)
-	sh.sched.Close()
+	sh.Close()
 }
 
 // trackResident records a device-resident output this scheduler owns

@@ -56,7 +56,7 @@ func (fp *FaultPlane) KillNode(node int) int {
 // link is degraded. No-op for out-of-range shards.
 func (fp *FaultPlane) DelayHops(i int, extraSeconds float64, hops int64) {
 	if sh := fp.c.shard(i); sh != nil && hops > 0 {
-		dev := sh.sched.dev
+		dev := sh.dev
 		dev.InjectLinkDelay(extraSeconds*dev.Spec.ClockGHz*1e9, hops)
 		sh.sick.Add(hops)
 	}
@@ -68,7 +68,7 @@ func (fp *FaultPlane) DelayHops(i int, extraSeconds float64, hops int64) {
 // payload still arrives — a drop is a timing fault, not data loss.
 func (fp *FaultPlane) DropHops(i int, hops int64) {
 	if sh := fp.c.shard(i); sh != nil && hops > 0 {
-		sh.sched.dev.InjectLinkDrop(hops)
+		sh.dev.InjectLinkDrop(hops)
 		sh.sick.Add(hops)
 	}
 }
@@ -82,7 +82,7 @@ func (fp *FaultPlane) DropHops(i int, hops int64) {
 // retry plane to stay invisible.
 func (fp *FaultPlane) FailHops(i int, hops int64) {
 	if sh := fp.c.shard(i); sh != nil && hops > 0 {
-		sh.sched.dev.InjectLinkFault(hops)
+		sh.dev.InjectLinkFault(hops)
 		sh.sick.Add(hops)
 	}
 }

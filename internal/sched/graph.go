@@ -155,7 +155,7 @@ func (s *Scheduler) settleOutput(w *worker, sj *staged) (needDL bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if sj.err != nil {
-		if s.retryEligible(sj.t, sj.err) {
+		if s.cfg.Retry.allows(sj.t.attempt, sj.err, sj.t.deadline-s.dev.SimulatedSeconds()) {
 			// Transient failure with retry budget left: leave the future
 			// UNSETTLED — consumers registered on it keep waiting for the
 			// re-execution — and mark the staged job so the completion

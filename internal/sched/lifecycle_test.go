@@ -35,11 +35,11 @@ type lifeSnapshot struct {
 	schedClosed                      bool
 }
 
-func snapLife(c *Cluster, sh *shard) lifeSnapshot {
+func snapLife(c *Cluster, sh *Scheduler) lifeSnapshot {
 	st := c.Stats()
-	sh.sched.mu.RLock()
-	defer sh.sched.mu.RUnlock()
-	return lifeSnapshot{sh.state(), sh.health(), st.Killed, st.Added, st.StandbyPromoted, st.Drained, c.Shards(), sh.sched.closed}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return lifeSnapshot{sh.state(), sh.health(), st.Killed, st.Added, st.StandbyPromoted, st.Drained, c.Shards(), sh.closed}
 }
 
 // lifeEvents are the lifecycle events as a caller delivers them. Each
@@ -48,19 +48,19 @@ func snapLife(c *Cluster, sh *shard) lifeSnapshot {
 var lifeEvents = []struct {
 	name string
 	ev   event
-	fire func(c *Cluster, sh *shard) bool
+	fire func(c *Cluster, sh *Scheduler) bool
 }{
-	{"KillShard", evKill, func(c *Cluster, sh *shard) bool { return c.Faults().KillShard(sh.id) }},
-	{"KillShardAfter firing", evKill, func(c *Cluster, sh *shard) bool {
+	{"KillShard", evKill, func(c *Cluster, sh *Scheduler) bool { return c.Faults().KillShard(sh.id) }},
+	{"KillShardAfter firing", evKill, func(c *Cluster, sh *Scheduler) bool {
 		c.Faults().KillShardAfter(sh.id, 1)
 		before := c.Stats().Killed
-		sh.maybeKill(c) // what the shard's worker calls as a batch starts
+		sh.maybeKill() // what the shard's worker calls as a batch starts
 		return c.Stats().Killed > before
 	}},
-	{"KillNode", evKill, func(c *Cluster, sh *shard) bool { return c.Faults().KillNode(sh.spec.Node) > 0 }},
+	{"KillNode", evKill, func(c *Cluster, sh *Scheduler) bool { return c.Faults().KillNode(sh.spec.Node) > 0 }},
 	{"DrainShard", evDrain, retirement((*Cluster).DrainShard)},
 	{"CloseShard", evDrain, retirement((*Cluster).CloseShard)},
-	{"standby promotion", evReplace, func(c *Cluster, sh *shard) bool {
+	{"standby promotion", evReplace, func(c *Cluster, sh *Scheduler) bool {
 		if c.sup == nil {
 			return false
 		}
@@ -72,8 +72,8 @@ var lifeEvents = []struct {
 
 // retirement fires DrainShard or CloseShard, which return nothing: the
 // caller owned the exit if the shard moved.
-func retirement(retire func(*Cluster, int)) func(*Cluster, *shard) bool {
-	return func(c *Cluster, sh *shard) bool {
+func retirement(retire func(*Cluster, int)) func(*Cluster, *Scheduler) bool {
+	return func(c *Cluster, sh *Scheduler) bool {
 		before := sh.state()
 		retire(c, sh.id)
 		return sh.state() != before
@@ -84,7 +84,7 @@ func retirement(retire func(*Cluster, int)) func(*Cluster, *shard) bool {
 // warm standby when selfHeal) and brings one shard into state st the
 // way production code gets it there. For draining, release lets the
 // job that holds the drain open finish.
-func lifecycleCluster(t *testing.T, h *Harness, st shardState, selfHeal bool) (c *Cluster, sh *shard, release func()) {
+func lifecycleCluster(t *testing.T, h *Harness, st shardState, selfHeal bool) (c *Cluster, sh *Scheduler, release func()) {
 	t.Helper()
 	cfg := schedConfig(1)
 	cfg.SelfHeal = selfHeal
@@ -105,10 +105,10 @@ func lifecycleCluster(t *testing.T, h *Harness, st shardState, selfHeal bool) (c
 		// job before it starts) and the one it starts on is drained.
 		// Installed before any Submit, so a worker reads it through the
 		// channel that hands it the batch.
-		entered, gate, drained := make(chan *shard, 1), make(chan struct{}), make(chan struct{})
+		entered, gate, drained := make(chan *Scheduler, 1), make(chan struct{}), make(chan struct{})
 		for _, on := range c.all() {
 			on := on
-			on.sched.onBatch = func() { entered <- on; <-gate }
+			on.onBatch = func() { entered <- on; <-gate }
 		}
 		job := NewJob(h.Encrypt(make([]complex128, h.Params.Slots())))
 		job.SquareRelinRescale(0)
@@ -146,7 +146,7 @@ func lifecycleCluster(t *testing.T, h *Harness, st shardState, selfHeal bool) (c
 }
 
 // TestShardLifecycleTable enumerates the shard lifecycle. First the word
-// itself: every (state × event) pair through shard.on — the next state,
+// itself: every (state × event) pair through Scheduler.on — the next state,
 // whether the caller owns the exit, the Health string, and probe with
 // and without a sick budget. Then the callers: a shard brought into each
 // state the way production gets it there takes every event as its API
@@ -162,7 +162,7 @@ func lifecycleCluster(t *testing.T, h *Harness, st shardState, selfHeal bool) (c
 func TestShardLifecycleTable(t *testing.T) {
 	for s := shardState(0); s < numStates; s++ {
 		for e := event(0); e < numEvents; e++ {
-			sh := &shard{}
+			sh := &Scheduler{}
 			sh.life.Store(uint32(s))
 			next, legal := legalMoves[[2]int{int(s), int(e)}]
 			if !legal {
@@ -176,7 +176,7 @@ func TestShardLifecycleTable(t *testing.T) {
 				t.Errorf("%s × %s: claimed twice", stateNames[s], eventNames[e])
 			}
 		}
-		sh := &shard{}
+		sh := &Scheduler{}
 		sh.life.Store(uint32(s))
 		if got := sh.health(); got != healthOf[s] {
 			t.Errorf("%s: health %q, want %q", stateNames[s], got, healthOf[s])

@@ -141,7 +141,7 @@ type schedMetrics struct {
 	class  []classMetrics // by class index
 	worker []*obs.Counter // jobs completed, by worker
 
-	fusedBatches, fusedSteps, unfusedSteps  *obs.Counter
+	fusedSteps, unfusedSteps                *obs.Counter
 	bytesH2D, bytesD2H                      *obs.Counter
 	placedIn, returned                      *obs.Counter // the two origins of sched.stolen_in
 	stolenOut, surrendered                  *obs.Counter
@@ -177,7 +177,6 @@ func newSchedMetrics(classes []qos.Class, workers int, cache *memcache.Cache, tr
 	reg := obs.NewRegistry()
 	m := &schedMetrics{
 		reg:            reg,
-		fusedBatches:   reg.Counter("sched.fused_batches"),
 		fusedSteps:     reg.Counter("sched.fused_steps"),
 		unfusedSteps:   reg.Counter("sched.unfused_steps"),
 		bytesH2D:       reg.Counter("sched.bytes_h2d"),
@@ -326,10 +325,10 @@ const (
 // counters (jobs shed cluster-wide, the recovery plane's drained /
 // recovered / replayed jobs), totals derived in each: a sum of sums and
 // a maximum of maxima, so their Merge needs no second derivation.
-func (c *Cluster) snapshots(shards []*shard) []obs.Snapshot {
+func (c *Cluster) snapshots(shards []*Scheduler) []obs.Snapshot {
 	snaps := make([]obs.Snapshot, 0, len(shards)+1)
 	for _, sh := range shards {
-		snaps = append(snaps, sh.sched.Metrics())
+		snaps = append(snaps, sh.Metrics())
 	}
 	return append(snaps, c.obsReg.Snapshot().WithTotals(derivedTotals...))
 }
@@ -343,7 +342,7 @@ func (c *Cluster) Metrics() obs.Snapshot { return obs.Merge(c.snapshots(c.all())
 // shard's rings (both zero with tracing off).
 func (c *Cluster) TraceCounts() (recorded, dropped int64) {
 	for _, sh := range c.all() {
-		r, d := sh.sched.TraceCounts()
+		r, d := sh.TraceCounts()
 		recorded += r
 		dropped += d
 	}
@@ -357,7 +356,7 @@ func (c *Cluster) TraceCounts() (recorded, dropped int64) {
 func (c *Cluster) WriteTrace(w io.Writer) error {
 	var procs []obs.Process
 	for i, sh := range c.all() {
-		if p, ok := sh.sched.TraceProcess(fmt.Sprintf("shard %d", i)); ok {
+		if p, ok := sh.TraceProcess(fmt.Sprintf("shard %d", i)); ok {
 			procs = append(procs, p)
 		}
 	}

@@ -123,7 +123,7 @@ func TestClusterStatsMerge(t *testing.T) {
 	h := sharedHarness(t)
 	c := newTestCluster(t, h, 1, gpu.Device1Spec(), gpu.Device1Spec())
 
-	s0, s1 := c.all()[0].sched, c.all()[1].sched
+	s0, s1 := c.all()[0], c.all()[1]
 	for _, inj := range []struct {
 		s                 *Scheduler
 		maxBatch, retried int64
@@ -301,9 +301,9 @@ func TestStatsViewCoversEveryField(t *testing.T) {
 	}
 	fill(c.obsReg)
 	for i, sh := range c.all() {
-		fill(sh.sched.met.reg)
+		fill(sh.met.reg)
 		// i+1 misses, then 2i+5 hits: distinct per shard and in total.
-		cache := sh.sched.cache
+		cache := sh.cache
 		bufs := make([]*sycl.Buffer, i+1)
 		for j := range bufs {
 			bufs[j] = cache.Malloc(64)
@@ -316,14 +316,14 @@ func TestStatsViewCoversEveryField(t *testing.T) {
 		}
 		// Three samples per class: P50 is the middle one, P99 the largest,
 		// and the union's P50 is a sample neither shard reports.
-		sh.sched.latMu.Lock()
-		for k := range sh.sched.latency {
+		sh.latMu.Lock()
+		for k := range sh.latency {
 			unit := math.Pow(100, float64(k)) / 8
 			for _, v := range []float64{1, 2, 10} {
-				sh.sched.latency[k].add((v + 2*float64(i)) * unit)
+				sh.latency[k].add((v + 2*float64(i)) * unit)
 			}
 		}
-		sh.sched.latMu.Unlock()
+		sh.latMu.Unlock()
 	}
 
 	type leaf struct{ path, field string }

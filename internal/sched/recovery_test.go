@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -114,5 +115,43 @@ func TestReplayedProducerErrorPropagation(t *testing.T) {
 	}
 	if st.Failed != 3 {
 		t.Fatalf("Failed = %d, want 3 (producer + both dependents)", st.Failed)
+	}
+}
+
+// TestRetryRule pins RetryPolicy.allows, the one rule both retry
+// decisions apply — settlement on the worker (absolute clock) and the
+// retry plane's queueRetry (detached, relative stamps) — at its
+// boundaries: budget exhausted, a non-transient error, a remaining
+// deadline budget exactly equal to the backoff (allowed: the retry can
+// still start at the deadline), a hair short of it, and no deadline.
+// It kills the mutants `>=` → `>` on the deadline comparison (the
+// exact-equality row) and a dropped retryable(err) check (the
+// non-transient row).
+func TestRetryRule(t *testing.T) {
+	p := RetryPolicy{MaxAttempts: 3} // two retries
+	link := gpu.ErrLinkFault
+	inf := math.Inf(1)
+	rows := []struct {
+		name      string
+		p         RetryPolicy
+		attempt   int
+		err       error
+		remaining float64
+		want      bool
+	}{
+		{"first retry, no deadline", p, 0, link, inf, true},
+		{"last retry, no deadline", p, 1, link, inf, true},
+		{"budget exhausted", p, 2, link, inf, false},
+		{"retries disabled", RetryPolicy{}, 0, link, inf, false},
+		{"shard lost is transient", p, 0, ErrShardLost, inf, true},
+		{"non-transient error", p, 0, errors.New("sched: job op 0 (Rotate) panicked"), inf, false},
+		{"remaining equals the backoff", p, 1, link, backoff(1), true},
+		{"remaining short of the backoff", p, 1, link, math.Nextafter(backoff(1), 0), false},
+		{"deadline already missed", p, 0, link, -1e-3, false},
+	}
+	for _, r := range rows {
+		if got := r.p.allows(r.attempt, r.err, r.remaining); got != r.want {
+			t.Errorf("%s: allows(%d, %v, %g) = %v, want %v", r.name, r.attempt, r.err, r.remaining, got, r.want)
+		}
 	}
 }

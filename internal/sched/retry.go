@@ -58,20 +58,13 @@ func retryable(err error) bool {
 	return errors.Is(err, gpu.ErrLinkFault) || errors.Is(err, ErrShardLost)
 }
 
-// retryEligible decides — under the future's lock, before settlement —
-// whether a failed task should be offered to the cluster's retry plane
-// instead of finishing: budget must remain, the error must be
-// transient, and the retry must be able to start before the job's
-// deadline on the simulated clock.
-func (s *Scheduler) retryEligible(t *task, err error) bool {
-	if t.attempt >= s.cfg.Retry.budget() || !retryable(err) {
-		return false
-	}
-	if !math.IsInf(t.deadline, 1) &&
-		s.dev.SimulatedSeconds()+backoff(t.attempt) > t.deadline {
-		return false
-	}
-	return true
+// allows is the one retry rule, for a job that has consumed attempt
+// retries and just failed with err, remaining simulated seconds before
+// its deadline (+Inf: none): budget must remain, the error must be
+// transient, and the remaining budget must cover the backoff, so that
+// the retry can start before the deadline.
+func (p RetryPolicy) allows(attempt int, err error, remaining float64) bool {
+	return attempt < p.budget() && retryable(err) && remaining >= backoff(attempt)
 }
 
 // retryEntry is one detached task parked in the cluster's retry plane
@@ -79,7 +72,7 @@ func (s *Scheduler) retryEligible(t *task, err error) bool {
 // still held by src until the re-injection lands.
 type retryEntry struct {
 	t      *task
-	src    *shard
+	src    *Scheduler
 	parked int // rounds spent waiting for an open shard
 }
 
@@ -91,8 +84,8 @@ type retryEntry struct {
 // exactly like a surrender. False means the retry plane declined
 // (budget, deadline, error class, or the cluster shutting down) and the
 // task is back on src's clock for the normal failure path.
-func (c *Cluster) offerRetry(src *shard, t *task, err error) bool {
-	now := src.sched.dev.SimulatedSeconds()
+func (c *Cluster) offerRetry(src *Scheduler, t *task, err error) bool {
+	now := src.dev.SimulatedSeconds()
 	t.detach(now)
 	if c.queueRetry(src, t, err) {
 		return true
@@ -109,14 +102,11 @@ func (c *Cluster) offerRetry(src *shard, t *task, err error) bool {
 // that overshoots the deadline, or a closing cluster (checked under
 // retryMu, which failParked takes after closed is set: an entry is
 // either refused here or seen there, never stranded).
-func (c *Cluster) queueRetry(src *shard, t *task, err error) bool {
-	if t.attempt >= c.cfg.Retry.budget() || !retryable(err) {
+func (c *Cluster) queueRetry(src *Scheduler, t *task, err error) bool {
+	if !c.cfg.Retry.allows(t.attempt, err, t.deadline) {
 		return false
 	}
 	back := backoff(t.attempt)
-	if t.deadline < back {
-		return false // the retry could not start before the deadline
-	}
 	c.retryMu.Lock()
 	if c.closed.Load() {
 		c.retryMu.Unlock()
@@ -129,7 +119,7 @@ func (c *Cluster) queueRetry(src *shard, t *task, err error) bool {
 	c.retryQ = append(c.retryQ, retryEntry{t: t, src: src})
 	c.retryN.Store(int64(len(c.retryQ)))
 	c.retryMu.Unlock()
-	src.sched.met.class[t.class].retried.Add(1)
+	src.met.class[t.class].retried.Add(1)
 	return true
 }
 
@@ -161,7 +151,7 @@ func (c *Cluster) retryRound() {
 			continue
 		}
 		if e.parked++; e.parked > retryParkRounds {
-			e.src.sched.abandon(e.t)
+			e.src.abandon(e.t)
 			continue
 		}
 		requeue = append(requeue, e)
@@ -183,6 +173,6 @@ func (c *Cluster) retryRound() {
 // still-parked task fails with its original error — never a wedge.
 func (c *Cluster) failParked() {
 	for _, e := range c.takeParked() {
-		e.src.sched.abandon(e.t)
+		e.src.abandon(e.t)
 	}
 }

@@ -211,7 +211,7 @@ type run struct {
 // links sums the link counters of every shard.
 func (r *run) links() (ls gpu.LinkStats) {
 	for _, sh := range r.c.all() {
-		l := sh.sched.Device().LinkStats()
+		l := sh.Device().LinkStats()
 		ls.Hops += l.Hops
 		ls.HopCycles += l.HopCycles
 		ls.Delayed += l.Delayed
@@ -259,7 +259,7 @@ func runScenario(t *testing.T, sc scenario) {
 	r := &run{units: sc.work.units(h), c: newClusterWith(t, h, sc.shards, cfg)}
 	submit := r.c.Submit
 	if sc.mode == pinned {
-		submit = r.c.all()[0].sched.Submit
+		submit = r.c.all()[0].Submit
 	}
 	// The oracle runs while the scheduler does, as a pipeline: one
 	// goroutine runs the serial context, the next decrypts its outputs
@@ -321,7 +321,7 @@ func runScenario(t *testing.T, sc scenario) {
 		// previous one's worker has parked on it; the deferred release
 		// frees them even when the row fails first, so the teardown's
 		// Drain cannot hang.
-		s0 := r.c.all()[0].sched
+		s0 := r.c.all()[0]
 		var parked <-chan struct{}
 		parked, release = holdFirstBatch(s0)
 		defer release()
@@ -496,7 +496,7 @@ var (
 	recyclingWaves = scenario{workers: 2, work: workload{seed: 616, fams: fusionFamilies[:4], famReps: 10},
 		faults: map[int]func(*testing.T, *run){10: drainWave, 20: drainWave, 30: drainWave},
 		check: func(t *testing.T, r *run) {
-			hits, _ := r.c.all()[0].sched.Cache().Stats()
+			hits, _ := r.c.all()[0].Cache().Stats()
 			expect(t, hits > 0, "device buffers never recycled: %d cache hits", hits)
 		}}
 )
@@ -754,7 +754,7 @@ func TestFusedDifferentialFamilies(t *testing.T) {
 		check: func(t *testing.T, r *run) {
 			checkCoalesced(t, r)
 			st := r.c.Stats()
-			expect(t, st.FusedBatches > 0 && st.FusedSteps > 0, "no fusion: %d fused batches, %d fused steps", st.FusedBatches, st.FusedSteps)
+			expect(t, st.FusedSteps > 0, "no fusion: %d fused steps", st.FusedSteps)
 		}})
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xehe/internal/ckks"
@@ -178,14 +179,11 @@ type Stats struct {
 	Batches   int64 `metric:"sched.batches"`        // batches executed
 	MaxBatch  int   `metric:"sched.max_batch"`      // largest batch observed
 	Coalesced int64 `metric:"sched.jobs_coalesced"` // jobs that ran in a batch of size >= 2
-	// FusedBatches counts batches of two or more jobs, FusedSteps their
-	// op-chain steps, and UnfusedSteps the steps of jobs that ran alone
-	// (singleton batches, and every job of a batch that was re-run job
-	// by job after an execution error). Since every batch runs one launch
-	// sequence per step they say nothing Batches and Coalesced do not;
-	// they stay, one instrument each, because benchmark/serve.go reads
-	// them, and retire with the benchmark change that stops.
-	FusedBatches int64 `metric:"sched.fused_batches"`
+	// FusedSteps counts the op-chain steps of batches of two or more
+	// jobs (one launch sequence per step, shared), UnfusedSteps the steps
+	// of jobs that ran alone (singleton batches, and every job of a batch
+	// that was re-run job by job after an execution error). The
+	// benchmark reads both (benchmark/serve.go, sched.fused_step_share).
 	FusedSteps   int64 `metric:"sched.fused_steps"`
 	UnfusedSteps int64 `metric:"sched.unfused_steps"`
 	// TransferBatches counts gathered transfer submissions: each is one
@@ -342,8 +340,9 @@ func (w *latWindow) reset() {
 
 // Scheduler multiplexes independent HE jobs over a worker pool on one
 // simulated device, whose buffer cache its workers share. Every
-// scheduler is one shard of a Cluster, which builds it (newShard).
-// Jobs are held in per-class queues until a worker pulls its next
+// scheduler is one shard of a Cluster, which builds it (newShard), and
+// carries the shard's routing, lifecycle and fault state itself. Jobs
+// are held in per-class queues until a worker pulls its next
 // batch, and a qos.Policy picks the class then, so a late-arriving
 // interactive job can overtake a queued batch backlog. All methods are safe for
 // concurrent use.
@@ -402,21 +401,35 @@ type Scheduler struct {
 	matMu  sync.Mutex
 	matCtx *core.Context
 
-	// The owning cluster and shard. Once the shard's lifecycle word
-	// (written only by shard.on) reads killed, the scheduler is in
-	// surrender mode — dispatch keeps flowing, but workers hand batches
-	// back to the cluster (recoverTasks) instead of executing them (the
-	// device stays readable: the node lost its executor, not its
-	// memory, so resident outputs still materialize through the owner
-	// path), and Submit/injectTasks refuse new work like a closed
-	// scheduler. Transiently failed tasks go to the cluster's retry
-	// plane (offerRetry). onBatch fires after each batch-start
-	// accounting: the fault plane's deterministic mid-batch kill point
-	// (shard.maybeKill). All three are set at construction, before the
-	// scheduler is visible to submitters, and never change (tests that
-	// park workers replace onBatch before their first Submit).
-	c       *Cluster
-	sh      *shard
+	// The shard: the owning cluster (which takes surrendered tasks,
+	// recoverTasks, and transiently failed ones, offerRetry), the index
+	// in its snapshot (-1 until published), the spec it was built from
+	// (building it again is a replacement) and its routing weight. None
+	// changes once the scheduler is routable (publishShard sets id).
+	c      *Cluster
+	id     int
+	spec   ShardSpec
+	weight float64
+
+	// life holds the shardState; on (cluster.go) is its only writer.
+	// Once it reads killed, the scheduler is in surrender mode —
+	// dispatch keeps flowing, but workers hand batches back to the
+	// cluster (recoverTasks) instead of executing them (the device stays
+	// readable: the node lost its executor, not its memory, so resident
+	// outputs still materialize through the owner path), and
+	// Submit/injectTasks refuse new work like a closed scheduler.
+	life atomic.Uint32
+
+	// Fault-plane budgets, consumed rather than entered and left: sick
+	// is the health-probe sickness budget the link faults mark (each
+	// failed probe consumes one unit), killAfter the armed
+	// batches-until-kill countdown (0 = disarmed).
+	sick      atomic.Int64
+	killAfter atomic.Int64
+
+	// onBatch fires after each batch-start accounting: the fault plane's
+	// deterministic mid-batch kill point (maybeKill). Tests that park
+	// workers replace it before their first Submit.
 	onBatch func()
 
 	// resMu guards residents, the live device-resident outputs this
@@ -439,11 +452,24 @@ type worker struct {
 	tr    *stepTrace
 }
 
-// buildScheduler creates shard sh's scheduler on the device, which it
-// owns from here on (Close releases the buffer cache built over it),
-// with c's parameters, config and relinearization key and its own
-// Galois-key table gks (nil if no job rotates).
-func buildScheduler(c *Cluster, sh *shard, dev *gpu.Device, gks map[int]*ckks.GaloisKey) *Scheduler {
+// newShard is the one place a shard comes into being — for the
+// constructor, AddShard, standby stocking and cold repair alike: a
+// fresh simulated device of the spec's model, which the scheduler owns
+// from here on (Close releases the buffer cache built over it); the
+// spec's hop converted to device cycles once (the device then charges
+// it on every crossing without the scheduler knowing the shard is
+// remote; the zero link prices nothing); and a scheduler on it with
+// c's parameters, config and relinearization key and its own replica of
+// the Galois-key table. It is born a standby: publishing it (the
+// constructor, publishShard) is what opens it.
+func (c *Cluster) newShard(id int, spec ShardSpec) *Scheduler {
+	dev := gpu.NewDevice(spec.Device)
+	cyclesPerSec := dev.Spec.ClockGHz * 1e9
+	dev.SetLink(spec.Link.LatencySeconds*cyclesPerSec, max(spec.Link.GBps, 0)*1e9/cyclesPerSec)
+	gks := make(map[int]*ckks.GaloisKey, len(c.gks))
+	for k, v := range c.gks {
+		gks[k] = v
+	}
 	cfg := c.cfg.withDefaults(dev.Spec.Tiles)
 	cfg.Core.DualTile = false // parallelism comes from the pool
 	s := &Scheduler{
@@ -457,9 +483,11 @@ func buildScheduler(c *Cluster, sh *shard, dev *gpu.Device, gks map[int]*ckks.Ga
 		d:         newDispatcher(cfg),
 		closeDone: make(chan struct{}),
 		c:         c,
-		sh:        sh,
-		onBatch:   func() { sh.maybeKill(c) },
+		id:        id,
+		spec:      spec,
+		weight:    gpu.ClusterWeight(&dev.Spec),
 	}
+	s.onBatch = s.maybeKill
 	s.qcond = sync.NewCond(&s.qmu)
 	s.idle = sync.NewCond(&s.qmu)
 	// Pre-warm the buffer pool before any worker can race a cold
@@ -472,8 +500,8 @@ func buildScheduler(c *Cluster, sh *shard, dev *gpu.Device, gks map[int]*ckks.Ga
 	}
 	s.outCond = sync.NewCond(&s.outMu)
 	s.latency = make([]latWindow, len(s.classes))
-	for _, c := range s.classes {
-		s.queueTracks = append(s.queueTracks, "queue "+c.Name)
+	for _, cl := range s.classes {
+		s.queueTracks = append(s.queueTracks, "queue "+cl.Name)
 	}
 	s.met = newSchedMetrics(s.classes, cfg.Workers, s.cache, s.TraceCounts)
 	if cfg.Trace.Enabled {
@@ -873,31 +901,22 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 }
 
 // Killed reports whether the scheduler's shard has been fail-stopped.
-func (s *Scheduler) Killed() bool { return s.sh.state() >= stateKilled }
+func (s *Scheduler) Killed() bool { return s.state() >= stateKilled }
 
-// surrenderBatch hands a killed worker's batch back for replay,
-// releasing the worker's pending share; outstanding accounting stays
-// with this scheduler until the cluster transfers it, exactly like a
-// steal.
-func (w *worker) surrenderBatch(s *Scheduler, ts []*task) {
+// surrender hands tasks a killed scheduler will not run back for
+// replay, releasing the worker's share of them: they detach and go to
+// the cluster (recoverTasks), which relocates them onto a healthy shard
+// or fails them — they are never silently dropped, so Drain and Close
+// cannot wedge on a kill. Outstanding accounting stays with this
+// scheduler until the cluster transfers it, exactly like a steal.
+func (w *worker) surrender(s *Scheduler, ts []*task) {
 	s.finished(w, len(ts))
-	s.surrenderTasks(ts)
-}
-
-// surrenderTasks re-homes tasks that a killed scheduler will not run:
-// they detach and go to the cluster (recoverTasks), which relocates
-// them onto a healthy shard or fails them — they are never silently
-// dropped, so Drain and Close cannot wedge on a kill.
-func (s *Scheduler) surrenderTasks(ts []*task) {
-	if len(ts) == 0 {
-		return
-	}
 	s.met.surrendered.Add(int64(len(ts)))
 	now := s.dev.SimulatedSeconds()
 	for _, t := range ts {
 		t.detach(now)
 	}
-	s.c.recoverTasks(s.sh, ts)
+	s.c.recoverTasks(s, ts)
 }
 
 // abandon is where a detached task ends when no shard can take it: it
@@ -913,10 +932,11 @@ func (s *Scheduler) abandon(t *task) {
 	s.failTask(t, err)
 }
 
-// staged is the device-side state of one job mid-batch. out is set
-// when the result's ownership moved to a device residency
-// (settleOutput): it is then absent from vals so the uniform free path
-// skips it, while downloads (KeepOutput) still reach it.
+// staged is one job of a batch on the device. vals is its value list:
+// the uploaded inputs (upload), then every intermediate and the result
+// (run). out is set when the result's ownership moved to a device
+// residency (settleOutput): it is then absent from vals so the uniform
+// free path skips it, while downloads (KeepOutput) still reach it.
 type staged struct {
 	t    *task
 	vals []*core.Ciphertext // inputs + intermediates, in value-list order
@@ -924,9 +944,25 @@ type staged struct {
 	err  error
 	// retry marks a failed job whose error settleOutput judged
 	// transient with budget remaining: the future was left unsettled
-	// and the completion path offers the task to the cluster's retry
-	// plane instead of finishing it.
+	// and resolve offers the task to the cluster's retry plane instead
+	// of finishing it.
 	retry bool
+}
+
+// batch is one pulled batch on its way through a worker (runWorker):
+// take, upload, run, download, resolve.
+type batch struct {
+	jobs []staged    // one per task, in dispatch order
+	up   gpu.Event   // the gathered upload's copy event: every chain depends on it
+	deps []gpu.Event // producer events of the borrowed device-resident dependencies
+	down gpu.Event   // the scattered download's copy event, waited out by resolve
+	// done is the completion stamp on the simulated clock, captured when
+	// the download was submitted: the in-order timelines already extend
+	// to the batch's completion then, while resolve runs only after the
+	// NEXT batch's kernels are in flight — reading the clock there would
+	// charge this batch's latency (and deadline outcomes) with the next
+	// batch's compute.
+	done float64
 }
 
 // wrapPanic formats a recovered panic value as a job error. Panics
@@ -955,85 +991,89 @@ func (sj *staged) result() *core.Ciphertext {
 // launch sequence per op-chain step for the whole batch (chain.go),
 // and its results leave in one scattered D2H, both copies on the tile's
 // copy engine. A job that runs alone is a batch of one on the same
-// path. The worker pulls each batch from the dispatcher when it can
+// path. The worker takes each batch from the dispatcher when it can
 // start it next, at two points: the loop head, and the prefetch while
 // it holds the current batch. It double-buffers one batch deep in both
 // directions — a prefetched batch's inputs upload while the current
 // batch computes, and the current batch's download is waited on only
 // after the next batch's kernels have been submitted, so neither
-// transfer direction blocks a launch. With nothing to pull there is
+// transfer direction blocks a launch. With nothing to take there is
 // nothing to overlap with, and the in-flight download resolves before
 // the worker sleeps (sleeping with unresolved futures would wedge
 // Drain).
 func (s *Scheduler) runWorker(w *worker) {
 	defer s.workWg.Done()
-	var next *uploadedBatch // inputs in flight on the copy engine
-	var pend *pendingBatch  // results in flight on the copy engine
+	var next *batch // inputs in flight on the copy engine
+	var pend *batch // results in flight on the copy engine
 	for {
 		cur := next
-		next = nil
 		for cur == nil {
 			// Sleep for work only with no download in flight.
-			batch := s.pull(w, pend == nil)
-			switch {
-			case batch != nil:
-				cur = w.uploadBatch(s, batch) // nil: killed, batch surrendered
-			case pend != nil:
-				w.resolveBatch(s, pend)
-				pend = nil
-			default:
+			if cur = w.take(s, pend == nil); cur != nil {
+				break
+			}
+			if pend == nil {
 				return // closed
 			}
+			w.resolve(s, pend)
+			pend = nil
 		}
 		// Prefetch: put the next batch's inputs on the copy engine now —
 		// they transfer while cur computes.
-		if batch := s.pull(w, false); batch != nil {
-			next = w.uploadBatch(s, batch)
-		}
-		// Record batch stats up front: jobDone on the batch's last job
-		// releases Drain, and Stats() must already see this batch then.
-		s.batchStarted(cur.batch[0].class, len(cur.batch))
+		next = w.take(s, false)
+		// Count the batch started up front (batches are cut from a single
+		// class's queue, so the attribution is exact): jobDone on its last
+		// job releases Drain, and Stats() must already see it then.
+		t, n := cur.jobs[0].t, len(cur.jobs)
+		s.met.class[t.class].batches.Add(1)
+		s.met.class[t.class].maxBatch.Observe(int64(n))
 		s.onBatch()
 		est := s.spanBegin()
-		stagedJobs, fused := w.stageUploaded(s, cur)
-		s.spanEnd(w.ring, est, w.track, "exec", catExec, s.className(cur.batch[0].class), cur.batch[0].bid, len(cur.batch))
-		s.stepsDone(cur.batch, fused)
-		pendCur := w.submitBatchDownload(s, cur.batch[0].class, stagedJobs)
+		fused := w.run(s, cur)
+		s.spanEnd(w.ring, est, w.track, "exec", catExec, s.className(t.class), t.bid, n)
+		// Steps are fused when one launch sequence per step served two or
+		// more jobs, unfused when each job paid its own (singleton batches
+		// and job-by-job re-runs).
+		if steps := int64(len(t.job.Ops)); fused {
+			s.met.fusedSteps.Add(steps)
+		} else {
+			s.met.unfusedSteps.Add(steps * int64(n))
+		}
+		if !w.download(s, cur) {
+			cur = nil // surrendered
+		}
 		if pend != nil {
 			// Waited only now — after cur's kernels (and next's upload)
 			// were submitted — so the previous batch's D2H overlapped
 			// with this batch's compute.
-			w.resolveBatch(s, pend)
+			w.resolve(s, pend)
 		}
-		pend = pendCur
+		pend = cur
 	}
 }
 
-// uploadedBatch is a batch whose inputs have been shipped to the
-// device in one gathered submission. ins[i] are job i's
-// device-resident inputs (host uploads plus borrowed aliases of
-// device-resident dependencies); ev is the copy event every chain must
-// depend on, depEvs the producer events of the borrowed dependencies.
-// A non-nil err (gathered upload panicked) fails the whole batch.
-type uploadedBatch struct {
-	batch  []*task
-	ins    [][]*core.Ciphertext
-	ev     gpu.Event
-	depEvs []gpu.Event
-	err    error
-}
-
-// uploadBatch is a batch's intake: the first of the two kill
-// checkpoints, then the gathered upload. Callers treat a nil return as
-// "batch surrendered, nothing in flight".
-func (w *worker) uploadBatch(s *Scheduler, batch []*task) *uploadedBatch {
-	if s.Killed() {
-		// Fail-stop: hand the batch back for replay before anything
-		// uploads.
-		w.surrenderBatch(s, batch)
-		return nil
+// take is a batch's intake: the tasks the dispatcher cuts for w now
+// (pull, which sleeps for them when wait says so), uploaded. It is the
+// first of the two kill checkpoints: a killed shard's worker hands what
+// it pulled back for replay before anything uploads, and pulls again.
+// nil means nothing to take.
+func (w *worker) take(s *Scheduler, wait bool) *batch {
+	for {
+		ts := s.pull(w, wait)
+		if ts == nil {
+			return nil
+		}
+		if s.Killed() {
+			w.surrender(s, ts)
+			continue
+		}
+		b := &batch{jobs: make([]staged, len(ts))}
+		for i, t := range ts {
+			b.jobs[i].t = t
+		}
+		w.upload(s, b)
+		return b
 	}
-	return w.upload(s, batch)
 }
 
 // upload gathers every host input of every job in the batch —
@@ -1041,172 +1081,160 @@ func (w *worker) uploadBatch(s *Scheduler, batch []*task) *uploadedBatch {
 // submission on the copy engine, splicing borrowed device-resident
 // dependencies in afterwards (they move zero bytes). A copy lost on
 // the wire has stranded nothing (core.UploadBatch returns what it
-// allocated) and fails the whole batch.
-func (w *worker) upload(s *Scheduler, batch []*task) (ub *uploadedBatch) {
-	ub = &uploadedBatch{batch: batch}
+// allocated) and fails every job of the batch.
+func (w *worker) upload(s *Scheduler, b *batch) {
 	defer func() {
 		if r := recover(); r != nil {
-			ub.err = wrapPanic("batch input upload", r)
+			err := wrapPanic("batch input upload", r)
+			for i := range b.jobs {
+				b.jobs[i].err = err
+			}
 		}
 	}()
 	var hosts []*ckks.Ciphertext
-	counts := make([]int, len(batch))
-	for i, t := range batch {
-		hs := t.hostInputs()
+	counts := make([]int, len(b.jobs))
+	for i := range b.jobs {
+		hs := b.jobs[i].t.hostInputs()
 		counts[i] = len(hs)
 		hosts = append(hosts, hs...)
 	}
 	var devs []*core.Ciphertext
 	if len(hosts) > 0 {
+		t := b.jobs[0].t
 		h2d := s.spanBegin()
 		var bytes int64
-		devs, bytes, ub.ev = w.ctx.UploadBatch(hosts)
-		s.spanEnd(w.ring, h2d, w.track, "h2d", catXfer, s.className(batch[0].class), batch[0].bid, len(batch))
-		s.transferDone(batch[0].class, bytes, 0)
+		devs, bytes, b.up = w.ctx.UploadBatch(hosts)
+		s.spanEnd(w.ring, h2d, w.track, "h2d", catXfer, s.className(t.class), t.bid, len(b.jobs))
+		s.transferDone(t.class, bytes, 0)
 	}
-	ub.ins = make([][]*core.Ciphertext, len(batch))
 	off := 0
-	for i, t := range batch {
+	for i := range b.jobs {
 		// Cap each job's slice at its own inputs (three-index slice):
 		// the chain appends intermediates to these value lists, and an
 		// uncapped subslice would clobber the next job's entries.
-		ub.ins[i] = t.spliceIns(devs[off:off+counts[i]:off+counts[i]], &ub.depEvs)
+		b.jobs[i].vals = b.jobs[i].t.spliceIns(devs[off:off+counts[i]:off+counts[i]], &b.deps)
 		off += counts[i]
 	}
-	return ub
 }
 
-// stageUploaded submits the batch's chain over its uploaded inputs,
-// restoring the context's pipeline tail to the batch's own upload
-// event first (a prefetched upload for the next batch may have
-// overwritten it). A step that panics cannot say which of its jobs
-// broke it, so a failed batch of several is re-run job by job through
-// this same path — upload of one, chain of one — which fails only the
-// offenders, each with an error naming its op, at the cost of this
-// batch's shared launches. It reports whether the batch ran as one
-// (two or more jobs per launch sequence), for the step counters.
-func (w *worker) stageUploaded(s *Scheduler, ub *uploadedBatch) ([]*staged, bool) {
-	out := make([]*staged, len(ub.batch))
-	fail := func(err error) ([]*staged, bool) {
-		for i, t := range ub.batch {
-			out[i] = &staged{t: t, err: err}
+// run submits the batch's chain over its uploaded inputs, restoring
+// the context's pipeline tail to the batch's own upload event first (a
+// prefetched upload for the next batch may have overwritten it). A step
+// that panics cannot say which of its jobs broke it, so a failed batch
+// of several is re-run job by job through upload and run with batches
+// of one, which fails only the offenders, each with an error naming its
+// op, at the cost of this batch's shared launches. It reports whether
+// the batch ran as one (two or more jobs per launch sequence), for the
+// step counters.
+func (w *worker) run(s *Scheduler, b *batch) bool {
+	if b.jobs[0].err != nil {
+		return false // the upload failed every job
+	}
+	w.ctx.PipelineAfter(b.up)
+	w.ctx.DependOn(b.deps...)
+	jobs := make([]*Job, len(b.jobs))
+	ins := make([][]*core.Ciphertext, len(b.jobs))
+	for i := range b.jobs {
+		jobs[i], ins[i] = b.jobs[i].t.job, b.jobs[i].vals
+	}
+	vals, err := evalChain(w.ctx, s.rlk, s.gks, jobs, ins, w.tr)
+	if err == nil {
+		for i := range b.jobs {
+			b.jobs[i].vals = vals[i]
 		}
-		return out, false
+		return len(b.jobs) >= 2
 	}
-	if ub.err != nil {
-		return fail(ub.err)
+	// The failed chain recycled every value, the uploaded inputs too.
+	for i := range b.jobs {
+		b.jobs[i].vals = nil
 	}
-	w.ctx.PipelineAfter(ub.ev)
-	w.ctx.DependOn(ub.depEvs...)
-	jobs := make([]*Job, len(ub.batch))
-	for i, t := range ub.batch {
-		jobs[i] = t.job
+	if len(b.jobs) == 1 {
+		b.jobs[0].err = err
+		return false
 	}
-	vals, err := evalChain(w.ctx, s.rlk, s.gks, jobs, ub.ins, w.tr)
-	switch {
-	case err == nil:
-		for i, t := range ub.batch {
-			out[i] = &staged{t: t, vals: vals[i]}
-		}
-		return out, len(ub.batch) >= 2
-	case len(ub.batch) == 1:
-		return fail(err)
+	// Each job uploads its own inputs again from the host — the slow
+	// path, paid only when a batch actually breaks.
+	for i := range b.jobs {
+		one := &batch{jobs: b.jobs[i : i+1]}
+		w.upload(s, one)
+		w.run(s, one)
 	}
-	// The failed chain recycled the gathered inputs, so each job uploads
-	// its own again from the host — the slow path, paid only when a
-	// batch actually breaks.
-	for i, t := range ub.batch {
-		alone, _ := w.stageUploaded(s, w.upload(s, []*task{t}))
-		out[i] = alone[0]
-	}
-	return out, false
+	return false
 }
 
-// pendingBatch is a batch whose results have been submitted for
-// download but whose copy event has not been waited on yet. done is
-// the batch's completion stamp on the simulated clock, captured when
-// the download was submitted: the in-order timelines already extend
-// to its completion then, while the deferred wait happens only after
-// the NEXT batch's kernels are in flight — reading the clock there
-// would charge this batch's latency (and deadline outcomes) with the
-// next batch's compute.
-type pendingBatch struct {
-	staged []*staged
-	ev     gpu.Event
-	done   float64
-}
-
-// submitBatchDownload ships every successful result of the batch in
-// one scattered D2H submission on the copy engine, fills the
-// futures' result slots, and returns the in-flight handle; the caller
-// waits on it after submitting the next batch's work. Device buffers
-// recycle immediately: the simulator executes the memcpy functionally
-// at submission (a real backend would defer the free to the event).
-func (w *worker) submitBatchDownload(s *Scheduler, class int, stagedJobs []*staged) *pendingBatch {
+// download ships every successful result of the batch in one scattered
+// D2H submission on the copy engine, fills the futures' result slots,
+// frees the batch's device values and stamps its completion; resolve
+// waits on the copy after the next batch's work was submitted. Device
+// buffers recycle immediately: the simulator executes the memcpy
+// functionally at submission (a real backend would defer the free to
+// the event). It is the second kill checkpoint: false means the batch
+// was surrendered.
+func (w *worker) download(s *Scheduler, b *batch) bool {
 	if s.Killed() {
 		// Killed mid-batch, before settlement — the point of no return
 		// is settleOutput below, so the whole batch can still be
 		// surrendered for replay. A kill landing after this check lets
 		// the batch publish normally: a job either completes once or
 		// replays once, never both.
-		ts := make([]*task, len(stagedJobs))
-		for i, sj := range stagedJobs {
-			w.freeAll(sj)
-			ts[i] = sj.t
+		ts := make([]*task, len(b.jobs))
+		for i := range b.jobs {
+			w.freeAll(&b.jobs[i])
+			ts[i] = b.jobs[i].t
 		}
-		w.surrenderBatch(s, ts)
-		return nil
+		w.surrender(s, ts)
+		return false
 	}
-	pb := &pendingBatch{staged: stagedJobs}
-	results := make([]*core.Ciphertext, len(stagedJobs))
+	results := make([]*core.Ciphertext, len(b.jobs))
 	any := false
-	for i, sj := range stagedJobs {
+	for i := range b.jobs {
 		// Settle first: outputs with registered consumers stay
 		// device-resident and skip the download unless kept.
-		if s.settleOutput(w, sj) {
+		if sj := &b.jobs[i]; s.settleOutput(w, sj) {
 			results[i] = sj.result()
 			any = true
 		}
 	}
 	if any {
+		t := b.jobs[0].t
 		d2h := s.spanBegin()
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					for i, sj := range stagedJobs {
-						if results[i] != nil && sj.err == nil {
-							sj.err = wrapPanic("batch download", r)
+					for i := range b.jobs {
+						if results[i] != nil && b.jobs[i].err == nil {
+							b.jobs[i].err = wrapPanic("batch download", r)
 						}
 					}
 				}
 			}()
 			outs, bytes, ev := w.ctx.DownloadBatchAsync(results)
-			for i, sj := range stagedJobs {
-				if results[i] != nil && sj.err == nil {
-					sj.t.fut.res = outs[i]
+			for i := range b.jobs {
+				if results[i] != nil && b.jobs[i].err == nil {
+					b.jobs[i].t.fut.res = outs[i]
 				}
 			}
-			pb.ev = ev
-			s.transferDone(class, 0, bytes)
+			b.down = ev
+			s.transferDone(t.class, 0, bytes)
 		}()
-		s.spanEnd(w.ring, d2h, w.track, "d2h", catXfer, s.className(class), stagedJobs[0].t.bid, len(stagedJobs))
+		s.spanEnd(w.ring, d2h, w.track, "d2h", catXfer, s.className(t.class), t.bid, len(b.jobs))
 	}
-	for _, sj := range stagedJobs {
-		w.freeAll(sj)
+	for i := range b.jobs {
+		w.freeAll(&b.jobs[i])
 	}
-	pb.done = s.dev.SimulatedSeconds()
-	return pb
+	b.done = s.dev.SimulatedSeconds()
+	return true
 }
 
-// resolveBatch waits out the batch's download event (the pipeline's
-// only host synchronization) and completes every future, accounting
-// each job against the batch's own completion stamp.
-func (w *worker) resolveBatch(s *Scheduler, pb *pendingBatch) {
+// resolve waits out the batch's download event (the pipeline's only
+// host synchronization) and completes every future, accounting each job
+// against the batch's own completion stamp.
+func (w *worker) resolve(s *Scheduler, b *batch) {
 	// Attribute the copy stall: simulated time the host spent waiting
 	// out the batch's in-flight download (the wait advances the host
 	// clock to the copy event plus the sync cost).
 	before := s.dev.SimulatedSeconds()
-	pb.ev.Wait()
+	b.down.Wait()
 	if d := s.dev.SimulatedSeconds() - before; d > 0 {
 		s.met.stallCopyNS.Add(int64(d * 1e9))
 	}
@@ -1214,10 +1242,11 @@ func (w *worker) resolveBatch(s *Scheduler, pb *pendingBatch) {
 	// Settle-span labels, captured before the loop: once offerRetry hands
 	// a task to the retry plane, its re-dispatch may rewrite bid/disp
 	// concurrently.
-	class, bid := pb.staged[0].t.class, pb.staged[0].t.bid
-	s.finished(w, len(pb.staged))
-	for _, sj := range pb.staged {
-		if sj.retry && s.c.offerRetry(s.sh, sj.t, sj.err) {
+	class, bid := b.jobs[0].t.class, b.jobs[0].t.bid
+	s.finished(w, len(b.jobs))
+	for i := range b.jobs {
+		sj := &b.jobs[i]
+		if sj.retry && s.c.offerRetry(s, sj.t, sj.err) {
 			// The cluster's retry plane owns the task now: the future
 			// stays pending, dependency references travel with the task
 			// for the re-execution, and outstanding accounting stays here
@@ -1226,9 +1255,9 @@ func (w *worker) resolveBatch(s *Scheduler, pb *pendingBatch) {
 		}
 		s.releaseDeps(sj.t)
 		sj.t.fut.finish(sj.err)
-		s.jobDone(w, sj.t, sj.err != nil, len(pb.staged), pb.done)
+		s.jobDone(w, sj.t, sj.err != nil, len(b.jobs), b.done)
 	}
-	s.spanEnd(w.ring, st, w.track, "settle", catSettle, s.className(class), bid, len(pb.staged))
+	s.spanEnd(w.ring, st, w.track, "settle", catSettle, s.className(class), bid, len(b.jobs))
 }
 
 // transferDone accounts one gathered transfer submission against its
@@ -1237,19 +1266,6 @@ func (s *Scheduler) transferDone(class int, h2d, d2h int64) {
 	s.met.class[class].transferBatches.Add(1)
 	s.met.bytesH2D.Add(h2d)
 	s.met.bytesD2H.Add(d2h)
-}
-
-// stepsDone accounts the batch's op-chain steps as fused (one launch
-// sequence per step shared by two or more jobs) or unfused (one per
-// step per job: singleton batches and job-by-job re-runs).
-func (s *Scheduler) stepsDone(batch []*task, fused bool) {
-	steps := int64(len(batch[0].job.Ops))
-	if fused {
-		s.met.fusedBatches.Add(1)
-		s.met.fusedSteps.Add(steps)
-	} else {
-		s.met.unfusedSteps.Add(steps * int64(len(batch)))
-	}
 }
 
 func (w *worker) freeAll(sj *staged) {
@@ -1298,12 +1314,4 @@ func (s *Scheduler) jobDone(w *worker, t *task, failed bool, batchLen int, done 
 		}
 	}
 	s.outstandingAdd(-1, -t.work())
-}
-
-// batchStarted records a dispatched batch against the class that formed
-// it (batches are popped from a single class's queue, so the
-// attribution is exact).
-func (s *Scheduler) batchStarted(class, n int) {
-	s.met.class[class].batches.Add(1)
-	s.met.class[class].maxBatch.Observe(int64(n))
 }

@@ -62,7 +62,7 @@ func newScheduler(t testing.TB, h *Harness, workers int) *Scheduler {
 // from the teardown.
 func newSchedulerWith(t testing.TB, h *Harness, dev gpu.DeviceSpec, cfg Config) *Scheduler {
 	t.Helper()
-	return newClusterWith(t, h, shards(dev), cfg).all()[0].sched
+	return newClusterWith(t, h, shards(dev), cfg).all()[0]
 }
 
 // shardStats is the typed view of one shard's own metrics snapshot, as

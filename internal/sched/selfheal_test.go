@@ -106,10 +106,10 @@ func TestSelfHealRebuildsRemoteSpec(t *testing.T) {
 			mustFinish(t, "Drain", c.Drain)
 			twin.Drain()
 
-			if ls := repl.sched.Device().LinkStats(); ls.Hops == 0 || ls.HopCycles <= 0 {
+			if ls := repl.Device().LinkStats(); ls.Hops == 0 || ls.HopCycles <= 0 {
 				t.Fatalf("replacement crossed its link %d times (%g cycles): the hop was not rebuilt", ls.Hops, ls.HopCycles)
 			}
-			if remote, local := repl.sched.Device().SimulatedSeconds(), twin.SimulatedSeconds(); remote <= local {
+			if remote, local := repl.Device().SimulatedSeconds(), twin.SimulatedSeconds(); remote <= local {
 				t.Fatalf("replacement ran the jobs in %g simulated s, a host-local twin in %g: the hop costs nothing", remote, local)
 			}
 			st := c.Stats()
@@ -235,7 +235,7 @@ func TestDrainShardNoReplay(t *testing.T) {
 	start, drainedOff := make(chan struct{}), make(chan struct{})
 	for _, sh := range c.all() {
 		batches := 0
-		sh.sched.onBatch = func() {
+		sh.onBatch = func() {
 			switch batches++; batches {
 			case 1:
 				<-start
@@ -282,7 +282,7 @@ func TestDrainShardNoReplay(t *testing.T) {
 	// first the drain takes. Relocation must carry the overdrawn budget
 	// across: shard 1, whose clock reads something else, still settles
 	// it as a miss.
-	src := c.all()[0].sched
+	src := c.all()[0]
 	late := NewJob(h.Encrypt(vals)).WithClass(cases[0].Job.Class).WithDeadline(1e-9)
 	late.Add(0, 0)
 	lateFut, err := src.Submit(late)
@@ -398,7 +398,7 @@ func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
 	prod.Add(0, 0)
 	// Count a consumer into the residency plan before the producer
 	// settles: the worker is held at the batch until the edge is in.
-	_, release := holdFirstBatch(c.all()[0].sched)
+	_, release := holdFirstBatch(c.all()[0])
 	pf, err := c.Submit(prod)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +413,7 @@ func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
 		t.Fatalf("AddShard: %v", err)
 	}
 	mustFinish(t, "retirement", func() { retire(c, 0) })
-	if n := c.all()[0].sched.Cache().PinnedCount(); n != 0 {
+	if n := c.all()[0].Cache().PinnedCount(); n != 0 {
 		t.Fatalf("drained shard PinnedCount = %d, want 0 (migration must force-release)", n)
 	}
 	pf.mu.Lock()
@@ -513,7 +513,7 @@ func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 	if n := hc.Faults().KillNode(hc.all()[1].spec.Node); n != 0 {
 		t.Errorf("KillNode on a closed shard's node killed %d shards, want 0", n)
 	}
-	hc.all()[1].maybeKill(hc) // the armed countdown reaching zero
+	hc.all()[1].maybeKill() // the armed countdown reaching zero
 	fut, err = hc.Submit(job)
 	if err != nil {
 		t.Fatalf("Submit after no-op kills: %v", err)
@@ -533,7 +533,7 @@ func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 		if got := hc.Faults().Health(i); got != "closed" {
 			t.Errorf("retired shard %d health after kills = %q, want closed", i, got)
 		}
-		if sh := hc.all()[i]; sh.sched.Killed() || sh.state() != stateClosed {
+		if sh := hc.all()[i]; sh.Killed() || sh.state() != stateClosed {
 			t.Errorf("retired shard %d is marked killed/replaced: the supervisor would repair it", i)
 		}
 	}

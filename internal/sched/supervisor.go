@@ -31,7 +31,7 @@ type supervisor struct {
 	// mu guards the standby pool: onKill pops it from the killing
 	// goroutine, builds push to it.
 	mu         sync.Mutex
-	standbys   []*shard
+	standbys   []*Scheduler
 	restocking int // standby builds in flight
 
 	// The rest is the control loop's alone. It is the only taker of
@@ -85,7 +85,7 @@ func (sup *supervisor) standbySpec() ShardSpec {
 // snapshot append, no device construction, no cache warm-up. With the
 // pool empty, or the repair already claimed by the control loop, it does
 // nothing: a loss is repaired once, by whoever wins evReplace.
-func (sup *supervisor) onKill(sh *shard) {
+func (sup *supervisor) onKill(sh *Scheduler) {
 	sup.mu.Lock()
 	n := len(sup.standbys)
 	if n == 0 || !sh.on(evReplace) {
@@ -169,7 +169,7 @@ func (sup *supervisor) build(spec ShardSpec, standby bool) {
 
 // takePool empties the standby pool for Close, which tears the shards
 // down with the fleet.
-func (sup *supervisor) takePool() []*shard {
+func (sup *supervisor) takePool() []*Scheduler {
 	sup.mu.Lock()
 	defer sup.mu.Unlock()
 	pool := sup.standbys
@@ -182,9 +182,9 @@ func (sup *supervisor) takePool() []*shard {
 // clock skew into the measured window it is promoted into).
 func (sup *supervisor) resetClocks() {
 	sup.mu.Lock()
-	pool := append([]*shard(nil), sup.standbys...)
+	pool := append([]*Scheduler(nil), sup.standbys...)
 	sup.mu.Unlock()
 	for _, sb := range pool {
-		sb.sched.ResetClocks()
+		sb.ResetClocks()
 	}
 }

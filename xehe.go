@@ -524,16 +524,10 @@ type Metrics = obs.Snapshot
 // instruments estimate quantiles via Quantile.
 type MetricsInstrument = obs.Instrument
 
-// Toggle is bool under the name the on/off knobs (TraceConfig.Enabled,
-// ServiceConfig.SelfHeal) were first declared with; both default off.
-type Toggle = bool
-
-// The Toggle states, kept as names for callers written against them.
-const (
-	ToggleDefault Toggle = false
-	ToggleOn      Toggle = true
-	ToggleOff     Toggle = false
-)
+// ToggleOn is true under the name the on/off knobs (TraceConfig.Enabled,
+// ServiceConfig.SelfHeal) were first switched on with; both are plain
+// bools that default off.
+const ToggleOn = true
 
 // ServiceConfig tunes the concurrent service — the one shard of a
 // Service, or every shard of a Cluster (as ClusterConfig). Zero values
