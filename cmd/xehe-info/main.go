@@ -1,4 +1,5 @@
-// Command xehe-info prints the simulated device inventories: compute
+// Command xehe-info prints the host kernel families the functional
+// bodies run on, then the simulated device inventories: compute
 // hierarchy, memory system, roofline knee, and ISA cost tables.
 package main
 
@@ -7,9 +8,23 @@ import (
 
 	"xehe/internal/gpu"
 	"xehe/internal/isa"
+	"xehe/internal/xmath"
 )
 
+// hostKernels names the code the host bodies run on here, so that a
+// host-clock number can be tied to the kernels that produced it.
+func hostKernels() string {
+	switch {
+	case xmath.HasIFMA():
+		return "AVX-512F/DQ + IFMA (NTT rounds under moduli below 2^50 on IFMA; other rounds and the elementwise rows on AVX-512F/DQ)"
+	case xmath.HasAVX512():
+		return "AVX-512F/DQ (NTT rounds and elementwise rows)"
+	}
+	return "Go loops (no AVX-512, or the purego build tag)"
+}
+
 func main() {
+	fmt.Printf("host: %s\n\n", hostKernels())
 	for _, spec := range []gpu.DeviceSpec{gpu.Device1Spec(), gpu.Device2Spec()} {
 		fmt.Printf("=== %s ===\n", spec.Name)
 		fmt.Printf("tiles: %d, EUs/tile: %d (%d subslices x %d EUs), %d threads/EU, SIMD-%d\n",

@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,10 +17,11 @@ func AllVariants() []Variant {
 	return []Variant{NaiveRadix2, SIMD8x8, SIMD16x8, SIMD32x8, LocalRadix4, LocalRadix8, LocalRadix16}
 }
 
-// testSetup builds a batch of random polynomials plus tables.
-func testSetup(t testing.TB, n, qCount, polys int, seed int64) ([]uint64, []*Tables) {
+// testSetup builds a batch of random polynomials plus tables under
+// primes of the given size.
+func testSetup(t testing.TB, n, qCount, polys, bits int, seed int64) ([]uint64, []*Tables) {
 	t.Helper()
-	primes := xmath.GeneratePrimes(50, qCount, n)
+	primes := xmath.GeneratePrimes(bits, qCount, n)
 	tbls := make([]*Tables, qCount)
 	for i, p := range primes {
 		tbls[i] = NewTables(n, xmath.NewModulus(p))
@@ -46,7 +48,7 @@ func TestEngineForwardMatchesReferenceAllVariants(t *testing.T) {
 	for _, v := range AllVariants() {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			data, tbls := testSetup(t, n, qCount, polys, int64(v))
+			data, tbls := testSetup(t, n, qCount, polys, 50, int64(v))
 			want := append([]uint64(nil), data...)
 			for p := 0; p < polys; p++ {
 				for q := 0; q < qCount; q++ {
@@ -69,7 +71,7 @@ func TestEngineInverseMatchesReferenceAllVariants(t *testing.T) {
 	for _, v := range AllVariants() {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			data, tbls := testSetup(t, n, qCount, polys, 100+int64(v))
+			data, tbls := testSetup(t, n, qCount, polys, 50, 100+int64(v))
 			want := append([]uint64(nil), data...)
 			for p := 0; p < polys; p++ {
 				for q := 0; q < qCount; q++ {
@@ -92,7 +94,7 @@ func TestEngineRoundTripOddSizes(t *testing.T) {
 	// exercise the remainder-round scheduling.
 	for _, n := range []int{8192, 16384} {
 		for _, v := range []Variant{LocalRadix8, LocalRadix16, SIMD16x8} {
-			data, tbls := testSetup(t, n, 1, 1, int64(n)+int64(v))
+			data, tbls := testSetup(t, n, 1, 1, 50, int64(n)+int64(v))
 			orig := append([]uint64(nil), data...)
 			dev := gpu.NewDevice1()
 			e := NewEngine(v)
@@ -111,7 +113,7 @@ func TestEngineDualTileMatchesSingle(t *testing.T) {
 	// Batch large enough that compute dominates launch overhead —
 	// dual-tile submission only pays off at scale (Section IV-A.4).
 	const n, qCount, polys = 4096, 4, 32
-	data, tbls := testSetup(t, n, qCount, polys, 7)
+	data, tbls := testSetup(t, n, qCount, polys, 50, 7)
 	want := append([]uint64(nil), data...)
 	dev := gpu.NewDevice1()
 	NewEngine(LocalRadix8).Forward(queues1(dev), want, polys, tbls)
@@ -192,8 +194,8 @@ func TestEngineNTTMultiplication(t *testing.T) {
 	// End-to-end: GPU forward (radix-8), dyadic multiply, GPU inverse
 	// must equal the schoolbook negacyclic product.
 	const n = 4096
-	dataA, tbls := testSetup(t, n, 1, 1, 21)
-	dataB, _ := testSetup(t, n, 1, 1, 22)
+	dataA, tbls := testSetup(t, n, 1, 1, 50, 21)
+	dataB, _ := testSetup(t, n, 1, 1, 50, 22)
 	m := tbls[0].Modulus
 	// dataB was generated with fresh tables of the same prime order;
 	// regenerate under the same modulus for a valid product check.
@@ -223,24 +225,30 @@ func TestEngineNTTMultiplication(t *testing.T) {
 // inverse LocalRadix8 over 2 polynomials at the serving shape (N=4096,
 // 4 moduli) and the routine shape (N=32768, 9 moduli), reported per
 // 2-point butterfly — the same quantity as the repo benchmark's
-// ntt.host_ns_per_butterfly.* probes.
+// ntt.host_ns_per_butterfly.* probes. Each shape runs under two
+// modulus classes: the 40- and 42-bit chain primes of the serving and
+// routine parameters (the IFMA kernels, where the CPU has them) and
+// 52/54-bit primes (the 64-bit AVX-512 kernels).
 func BenchmarkEngineButterfly(b *testing.B) {
 	for _, shape := range []struct {
-		name   string
-		n, rns int
-	}{{"n4096x4", 4096, 4}, {"n32768x9", 32768, 9}} {
-		b.Run(shape.name, func(b *testing.B) {
-			const polys = 2
-			data, tbls := testSetup(b, shape.n, shape.rns, polys, 1)
-			qs := queues1(gpu.NewDevice1())
-			e := NewEngine(LocalRadix8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Forward(qs, data, polys, tbls)
-				e.Inverse(qs, data, polys, tbls)
-			}
-			butterflies := 2 * polys * shape.rns * (shape.n / 2) * tbls[0].LogN
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(butterflies), "ns/butterfly")
-		})
+		name         string
+		n, rns       int
+		small, large int
+	}{{"n4096x4", 4096, 4, 40, 52}, {"n32768x9", 32768, 9, 42, 54}} {
+		for _, bits := range []int{shape.small, shape.large} {
+			b.Run(fmt.Sprintf("%s/%dbit", shape.name, bits), func(b *testing.B) {
+				const polys = 2
+				data, tbls := testSetup(b, shape.n, shape.rns, polys, bits, 1)
+				qs := queues1(gpu.NewDevice1())
+				e := NewEngine(LocalRadix8)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.Forward(qs, data, polys, tbls)
+					e.Inverse(qs, data, polys, tbls)
+				}
+				butterflies := 2 * polys * shape.rns * (shape.n / 2) * tbls[0].LogN
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(butterflies), "ns/butterfly")
+			})
+		}
 	}
 }

@@ -115,14 +115,30 @@ func genericInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
 // fwdRound8, invRound8 and the finalize passes first offer their work
 // to the AVX-512 kernels (…Vector, vector_amd64.go), which take it
 // where the CPU has AVX-512 and the lanes suit eight coefficients per
-// instruction. The Go loops (…Go) run everything else — every round of
-// a build or CPU without the kernels — and are the oracle the vector
-// code is tested against, bit for bit.
+// instruction — on IFMA under moduli below ifmaBound where the CPU has
+// it. The Go loops (…Go) run everything else — every round of a build
+// or CPU without the kernels — and are the oracle the vector code is
+// tested against, bit for bit.
+
+// kernels names the code family that runs a round or a finalize pass.
+type kernels uint8
+
+const (
+	goLoops       kernels = iota // fwdRound8Go, invRound8Go, the scalar finalize loops
+	avx512Kernels                // vector_amd64.s, 64-bit products (AVX-512F + DQ)
+	ifmaKernels                  // vector_amd64.s, 52-bit products (AVX-512 IFMA)
+)
+
+// ifmaRounds reports whether the IFMA kernels may run (xmath's check
+// of the CPU; false without AVX-512, off amd64 and under purego). It
+// is a variable so that tests can run the 64-bit kernels on an IFMA
+// host.
+var ifmaRounds = xmath.HasIFMA()
 
 // fwdRound8 fuses three Cooley–Tukey stages on eight lanes with the
 // block's 1 + 2 + 4 twiddles — the radix-8 kernel of Section III-B.5.
 func fwdRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int) {
-	if !fwdRound8Vector(view, roots, p, first, T) {
+	if fwdRound8Vector(view, roots, p, first, T) == goLoops {
 		fwdRound8Go(view, roots, p, first, T)
 	}
 }
@@ -163,7 +179,7 @@ func fwdRound8Go(view []uint64, roots []xmath.MulModOperand, p uint64, first, T 
 // invRound8 fuses three Gentleman–Sande stages on eight lanes with the
 // span's 4 + 2 + 1 twiddles, the mirror image of fwdRound8.
 func invRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int) {
-	if !invRound8Vector(view, roots, p, first, t) {
+	if invRound8Vector(view, roots, p, first, t) == goLoops {
 		invRound8Go(view, roots, p, first, t)
 	}
 }

@@ -65,17 +65,52 @@ func lazyInputs(rng *rand.Rand, n int, bound uint64) []uint64 {
 	return x
 }
 
+// withoutIFMA runs f as the rounds dispatch on this host and, on an
+// IFMA host, once more with the IFMA kernels switched off, so that the
+// 64-bit kernels take the moduli below ifmaBound — and their 52-bit
+// tables — too.
+func withoutIFMA(f func(ifma bool)) {
+	f(ifmaRounds)
+	if ifmaRounds {
+		ifmaRounds = false
+		defer func() { ifmaRounds = true }()
+		f(false)
+	}
+}
+
+// wantKernels is the family that must take a round under p whose lanes
+// suit the vector kernels: the rule restated, not read from
+// roundKernels, so that a moved bound fails.
+func wantKernels(p uint64) kernels {
+	switch {
+	case !vectorRounds:
+		return goLoops
+	case ifmaRounds && p < 1<<50:
+		return ifmaKernels
+	}
+	return avx512Kernels
+}
+
+var kernelNames = [...]string{goLoops: "Go", avx512Kernels: "AVX-512", ifmaKernels: "IFMA"}
+
 // TestRadix8RoundsMatchGeneric runs the radix-8 rounds at every entry
 // stage of an 8192-point transform, over the whole row and over each
-// SLM group, for 30- to 61-bit moduli: the AVX-512 kernels (where the
-// CPU has them), the Go rounds and the generic loop must agree bit for
-// bit. Inputs span the full lazy range, and the outputs must stay
-// inside it: forward [0, 4p), inverse [0, 2p). On an AVX-512 machine
-// the vector kernels must take every round whose lanes are a multiple
-// of eight or one long.
+// SLM group, for 30- to 61-bit moduli — on both sides of the IFMA
+// kernels' 2^50 bound: the vector kernels (where the CPU has them),
+// the Go rounds and the generic loop must agree bit for bit. Inputs
+// span the full lazy range, and the outputs must stay inside it:
+// forward [0, 4p), inverse [0, 2p). On an AVX-512 machine the vector
+// kernels must take every round whose lanes are a multiple of eight or
+// one long: the IFMA family below 2^50 where the CPU has IFMA, the
+// 64-bit family otherwise. With IFMA, everything runs a second time
+// with the IFMA kernels off.
 func TestRadix8RoundsMatchGeneric(t *testing.T) {
+	withoutIFMA(func(ifma bool) { testRadix8RoundsMatchGeneric(t, ifma) })
+}
+
+func testRadix8RoundsMatchGeneric(t *testing.T, ifma bool) {
 	const n, logN, w = 8192, 13, 3
-	for _, bits := range []int{30, 50, 60, 61} {
+	for _, bits := range []int{30, 42, 50, 51, 60, 61} {
 		rng := rand.New(rand.NewSource(int64(bits)))
 		tbl := roundTables(rng, n, bits)
 		p := tbl.Modulus.Value
@@ -83,16 +118,16 @@ func TestRadix8RoundsMatchGeneric(t *testing.T) {
 			t.Helper()
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%d-bit %s: element %d = %d, generic loop gives %d", bits, name, i, got[i], want[i])
+					t.Fatalf("%d-bit %s (IFMA %v): element %d = %d, generic loop gives %d", bits, name, ifma, i, got[i], want[i])
 				}
 				if got[i] >= bound {
-					t.Fatalf("%d-bit %s: element %d = %d leaves the lazy range [0, %d)", bits, name, i, got[i], bound)
+					t.Fatalf("%d-bit %s (IFMA %v): element %d = %d leaves the lazy range [0, %d)", bits, name, ifma, i, got[i], bound)
 				}
 			}
 		}
 		// run applies one round three ways to copies of in and checks
 		// each against the generic loop.
-		run := func(name string, in []uint64, bound uint64, lane int, vec func([]uint64) bool, goRound, generic func([]uint64)) {
+		run := func(name string, in []uint64, bound uint64, lane int, vec func([]uint64) kernels, goRound, generic func([]uint64)) {
 			t.Helper()
 			want := append([]uint64(nil), in...)
 			generic(want)
@@ -100,12 +135,15 @@ func TestRadix8RoundsMatchGeneric(t *testing.T) {
 			goRound(got)
 			check(name+" Go", got, want, bound)
 			copy(got, in)
-			took := vec(got)
-			if eligible := vectorRounds && (lane%8 == 0 || lane == 1); took != eligible {
-				t.Fatalf("%d-bit %s: vector kernel taken = %v for lanes of %d", bits, name, took, lane)
+			took, wantTook := vec(got), goLoops
+			if lane%8 == 0 || lane == 1 {
+				wantTook = wantKernels(p)
 			}
-			if took {
-				check(name+" AVX-512", got, want, bound)
+			if took != wantTook {
+				t.Fatalf("%d-bit %s (IFMA %v): lanes of %d taken by %s kernels, want %s", bits, name, ifma, lane, kernelNames[took], kernelNames[wantTook])
+			}
+			if took != goLoops {
+				check(name+" "+kernelNames[took], got, want, bound)
 			}
 		}
 		for s := 0; s+w <= logN; s++ {
@@ -115,7 +153,7 @@ func TestRadix8RoundsMatchGeneric(t *testing.T) {
 				first := m + base
 				in := lazyInputs(rng, n, 4*p)[win[0]:win[1]]
 				run(fmt.Sprintf("forward m=%d T=%d blockBase=%d", m, T, base), in, 4*p, T/4,
-					func(x []uint64) bool { return fwdRound8Vector(x, tbl.Roots, p, first, T) },
+					func(x []uint64) kernels { return fwdRound8Vector(x, tbl.Roots, p, first, T) },
 					func(x []uint64) { fwdRound8Go(x, tbl.Roots, p, first, T) },
 					func(x []uint64) { genericRadixRound(x, tbl, m, T, w, base) })
 			}
@@ -128,7 +166,7 @@ func TestRadix8RoundsMatchGeneric(t *testing.T) {
 				first := m>>w + base
 				in := lazyInputs(rng, n, 2*p)[win[0]:win[1]]
 				run(fmt.Sprintf("inverse m=%d t=%d spanBase=%d", m, tt, base), in, 2*p, tt,
-					func(x []uint64) bool { return invRound8Vector(x, tbl.InvRoots, p, first, tt) },
+					func(x []uint64) kernels { return invRound8Vector(x, tbl.InvRoots, p, first, tt) },
 					func(x []uint64) { invRound8Go(x, tbl.InvRoots, p, first, tt) },
 					func(x []uint64) { genericInvRadixRound(x, tbl, m, tt, w, base) })
 			}
@@ -138,9 +176,13 @@ func TestRadix8RoundsMatchGeneric(t *testing.T) {
 
 // TestFinalizeMatchesScalar: the finalize passes (vector body, Go tail)
 // give the scalar reductions of every element, at lengths on both sides
-// of the vector width.
+// of the vector width, with the IFMA kernels on and off.
 func TestFinalizeMatchesScalar(t *testing.T) {
-	for _, bits := range []int{30, 60, 61} {
+	withoutIFMA(func(bool) { testFinalizeMatchesScalar(t) })
+}
+
+func testFinalizeMatchesScalar(t *testing.T) {
+	for _, bits := range []int{30, 50, 60, 61} {
 		rng := rand.New(rand.NewSource(int64(bits)))
 		tbl := roundTables(rng, 4096, bits)
 		p := tbl.Modulus.Value
@@ -168,14 +210,17 @@ func TestFinalizeMatchesScalar(t *testing.T) {
 // FuzzRound8 runs one radix-8 round, forward or inverse, at a fuzzed
 // entry stage over a fuzzed run of blocks of a 1024-point transform,
 // under a random NTT prime of up to 62 bits and random lazy inputs:
-// the dispatched round (AVX-512 where the CPU has it) must equal the Go
-// round bit for bit and stay in the lazy range. Dropping the vector
-// butterfly's x ≥ 2p correction (its first VPMINUQ) fails here at once.
+// the dispatched round (AVX-512 where the CPU has it, IFMA below 2^50
+// where it has that) must equal the Go round bit for bit and stay in
+// the lazy range — and so must the 64-bit kernels with IFMA switched
+// off. Dropping the vector butterfly's x ≥ 2p correction (its first
+// VPMINUQ) fails here at once.
 func FuzzRound8(f *testing.F) {
 	f.Add(int64(1), uint8(50), uint8(0), uint16(0), false)
 	f.Add(int64(2), uint8(62), uint8(7), uint16(3), false)
 	f.Add(int64(3), uint8(61), uint8(10), uint16(5), true)
 	f.Add(int64(4), uint8(30), uint8(4), uint16(0), true)
+	f.Add(int64(5), uint8(31), uint8(0), uint16(0), false)
 	f.Fuzz(func(t *testing.T, seed int64, size, stage uint8, startBlock uint16, inverse bool) {
 		const n, logN, w = 1024, 10, 3
 		rng := rand.New(rand.NewSource(seed))
@@ -195,21 +240,26 @@ func FuzzRound8(f *testing.F) {
 			blocks = b0 + c&^7
 		}
 		x := lazyInputs(rng, n, bound)
-		got := x[b0*span : blocks*span]
-		want := append([]uint64(nil), got...)
+		want := append([]uint64(nil), x[b0*span:blocks*span]...)
 		if inverse {
-			invRound8(got, tbl.InvRoots, p, 1<<s>>w+b0, n>>s)
 			invRound8Go(want, tbl.InvRoots, p, 1<<s>>w+b0, n>>s)
 		} else {
-			fwdRound8(got, tbl.Roots, p, 1<<s+b0, n>>(s+1))
 			fwdRound8Go(want, tbl.Roots, p, 1<<s+b0, n>>(s+1))
 		}
-		for i := range want {
-			if got[i] != want[i] || got[i] >= bound {
-				t.Fatalf("%d-bit p=%d stage %d inverse=%v blocks [%d,%d): element %d = %d, Go round gives %d (bound %d)",
-					bits.Len64(p), p, s, inverse, b0, blocks, i, got[i], want[i], bound)
+		withoutIFMA(func(ifma bool) {
+			got := append([]uint64(nil), x[b0*span:blocks*span]...)
+			if inverse {
+				invRound8(got, tbl.InvRoots, p, 1<<s>>w+b0, n>>s)
+			} else {
+				fwdRound8(got, tbl.Roots, p, 1<<s+b0, n>>(s+1))
 			}
-		}
+			for i := range want {
+				if got[i] != want[i] || got[i] >= bound {
+					t.Fatalf("%d-bit p=%d stage %d inverse=%v IFMA=%v blocks [%d,%d): element %d = %d, Go round gives %d (bound %d)",
+						bits.Len64(p), p, s, inverse, ifma, b0, blocks, i, got[i], want[i], bound)
+				}
+			}
+		})
 	})
 }
 
@@ -223,7 +273,7 @@ func TestEngineRadix8TailRoundsMatchReference(t *testing.T) {
 	const qCount, polys = 2, 2
 	for _, n := range []int{2048, 8192} {
 		for _, forward := range []bool{true, false} {
-			data, tbls := testSetup(t, n, qCount, polys, int64(n))
+			data, tbls := testSetup(t, n, qCount, polys, 50, int64(n))
 			want := append([]uint64(nil), data...)
 			e := NewEngine(LocalRadix8)
 			qs := queues1(gpu.NewDevice1())

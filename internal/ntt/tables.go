@@ -16,8 +16,9 @@
 // functional layer and are bit-exact against the oracle; their
 // analytic profiles use the per-round ALU op counts of Table I. On the
 // host, the radix-8 rounds and the last-round passes run on AVX-512
-// where the CPU has it (vector_amd64.s) and in Go elsewhere or under
-// the purego build tag, with the same bits either way.
+// where the CPU has it (vector_amd64.s; on AVX-512 IFMA under moduli
+// below 2^50) and in Go elsewhere or under the purego build tag, with
+// the same bits either way.
 //
 // Every variant runs as Engine batches of polys × moduli independent
 // transforms sharing one kernel schedule. A batch is addressed either
@@ -30,10 +31,20 @@ package ntt
 
 import "xehe/internal/xmath"
 
+// ifmaBound is the modulus bound of the IFMA kernels: below it a lazy
+// value, under 4p, fits IFMA's 52-bit operands.
+const ifmaBound = 1 << 50
+
 // Tables holds the twiddle factors of one modulus for degree-N
 // negacyclic NTTs: powers of the 2N-th primitive root ψ in
 // bit-reversed ("scrambled") order, as in SEAL/HEXL, each paired with
 // its Harvey precondition quotient.
+//
+// Under a modulus below ifmaBound every quotient (NInv's too) is in
+// the 52-bit form of xmath.NewMulModOperand52, which the IFMA kernels
+// read; above it, the 64-bit form of xmath.NewMulModOperand. The Go
+// rounds, the generic loop and both vector kernel families read the
+// same operands, so they agree round by round, bit for bit.
 type Tables struct {
 	N       int
 	LogN    int
@@ -78,7 +89,7 @@ func NewTables(n int, m xmath.Modulus) *Tables {
 		pow = m.MulMod(pow, psi)
 	}
 	for j := 0; j < n; j++ {
-		t.Roots[j] = xmath.NewMulModOperand(powers[xmath.ReverseBits(uint64(j), logN)], m)
+		t.Roots[j] = tableOperand(powers[xmath.ReverseBits(uint64(j), logN)], m)
 	}
 
 	// Inverse: InvRoots[j] = ψ^{-brv(j, logN)}, consumed by the GS loop
@@ -90,9 +101,18 @@ func NewTables(n int, m xmath.Modulus) *Tables {
 		pow = m.MulMod(pow, psiInv)
 	}
 	for j := 0; j < n; j++ {
-		t.InvRoots[j] = xmath.NewMulModOperand(powers[xmath.ReverseBits(uint64(j), logN)], m)
+		t.InvRoots[j] = tableOperand(powers[xmath.ReverseBits(uint64(j), logN)], m)
 	}
 
-	t.NInv = xmath.NewMulModOperand(m.InvMod(uint64(n)), m)
+	t.NInv = tableOperand(m.InvMod(uint64(n)), m)
 	return t
+}
+
+// tableOperand is a Tables entry for w: in the 52-bit form under a
+// modulus below ifmaBound, in the 64-bit form above it.
+func tableOperand(w uint64, m xmath.Modulus) xmath.MulModOperand {
+	if m.Value < ifmaBound {
+		return xmath.NewMulModOperand52(w, m)
+	}
+	return xmath.NewMulModOperand(w, m)
 }

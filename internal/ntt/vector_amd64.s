@@ -7,42 +7,30 @@
 // the work of eight Go butterflies on the same values: the results are
 // those of fwdRound8Go / invRound8Go, bit for bit.
 //
+// The kernels come in two families that share their loop bodies (the
+// …_BODY macros) and differ only in how they form the lazy product
+// W·y: MULLAZY, QSHIFT, WBCST, WREG and CONSTS are defined for the
+// 64-bit kernels (…AVX512: AVX-512F + DQ, any modulus the rounds take)
+// above their TEXT blocks and redefined for the IFMA kernels (…IFMA:
+// AVX-512 IFMA, moduli below 2^50, whose tables hold 52-bit quotients;
+// see ntt.Tables) above theirs.
+//
 // Register use in the rounds:
 //   Z0–Z7    the eight lanes a0…a7 of a block
 //   Z8–Z14   the block's seven twiddle quotients W' (broadcast)
-//   Z15–Z21  their high halves W' >> 32
-//   Z22      p        Z23  2p        Z24  0xffffffff in every lane
-//   Z25–Z30  scratch
-// The twiddles W themselves are read by VPMULLQ as embedded broadcasts
+//   Z15–Z21  W' >> QSHIFT: its high half (64-bit kernels) or the
+//            52-bit quotient W' >> 12 (IFMA kernels)
+//   Z22      p        Z23  2p
+//   Z24      0xffffffff (64-bit) or 2^52 − 1 (IFMA) in every lane
+//   Z25–Z30  scratch  Z31  −p (IFMA)
+// The twiddles W themselves are read by WBCST as embedded broadcasts
 // from the table: R8 points at roots[i], R9 at roots[2i], R10 at
 // roots[4i] (an operand is 16 bytes: W, then W').
 
-// MULLAZY sets OUT = IN·W − hi64(IN·W')·p mod 2^64, Harvey's lazy
-// product in [0, 2p) (xmath.MulModOperand.MulModLazy). MULW is the
-// multiply by W without its last two operands: VPMULLQ.BCST from the
-// table, or VPMULLQ from a register of per-lane twiddles. hi64 is
-// exact, built from the four 32×32 products: with t = hi32(ll) + lh
-// and u = lo32(t) + hl, hi64 = hh + hi32(t) + hi32(u). IN may be OUT.
-#define MULLAZY(IN, Q, QH, MULW, OUT) \
-	VPSRLQ   $32, IN, Z26; \
-	VPMULUDQ IN, Q, Z27; \
-	VPMULUDQ IN, QH, Z28; \
-	VPMULUDQ Z26, Q, Z29; \
-	VPMULUDQ Z26, QH, Z26; \
-	VPSRLQ   $32, Z27, Z27; \
-	VPADDQ   Z27, Z28, Z28; \
-	VPANDQ   Z24, Z28, Z27; \
-	VPADDQ   Z27, Z29, Z29; \
-	VPSRLQ   $32, Z28, Z28; \
-	VPSRLQ   $32, Z29, Z29; \
-	VPADDQ   Z28, Z26, Z26; \
-	VPADDQ   Z29, Z26, Z26; \
-	MULW, IN, OUT; \
-	VPMULLQ  Z22, Z26, Z26; \
-	VPSUBQ   Z26, OUT, OUT
-
 // FWD is xmath.HarveyButterfly: X = min(X, X−2p); T = W·Y lazy;
-// (X, Y) = (X + T, X + 2p − T).
+// (X, Y) = (X + T, X + 2p − T). MULW is the multiply by W without its
+// last two operands: WBCST from the table, or WREG from a register of
+// per-lane twiddles.
 #define FWD(X, Y, Q, QH, MULW) \
 	VPSUBQ  Z23, X, Z25; \
 	VPMINUQ Z25, X, X; \
@@ -61,18 +49,11 @@
 	VPMINUQ Z25, X, X; \
 	MULLAZY(Z30, Q, QH, MULW, Y)
 
-// TWIDDLE broadcasts the quotient of the operand at MEM into Q and its
-// high half into QH.
+// TWIDDLE broadcasts the quotient of the operand at MEM into Q and
+// Q >> QSHIFT into QH.
 #define TWIDDLE(MEM, Q, QH) \
 	VPBROADCASTQ MEM, Q; \
-	VPSRLQ       $32, Q, QH
-
-// CONSTS loads p, 2p and the low-half mask.
-#define CONSTS(PARG) \
-	VPBROADCASTQ PARG, Z22; \
-	VPADDQ       Z22, Z22, Z23; \
-	MOVQ         $0xffffffff, AX; \
-	VPBROADCASTQ AX, Z24
+	VPSRLQ       QSHIFT, Q, QH
 
 // LOAD8 / STORE8 move the eight lanes of one column: lanes 0–3 at DI,
 // lanes 4–7 at SI = DI + 4 lanes; BX is the lane length in bytes and
@@ -107,121 +88,116 @@
 	LEAQ (R8)(AX*2), R9; \
 	ADDQ AX, R8
 
-// func fwdRound8AVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int)
-TEXT ·fwdRound8AVX512(SB), NOSPLIT, $0-72
-	MOVQ view_base+0(FP), DI
-	MOVQ view_len+8(FP), DX
-	TWIDDLE_PTRS
-	CONSTS(p+48(FP))
-	// A block is 2T elements in eight lanes of T/4: the lane length in
-	// bytes is 2T, the same number as the block length in elements.
-	MOVQ T+64(FP), BX
-	SHLQ $1, BX
-	LEAQ (BX)(BX*2), R11
-
-fwdBlock:
-	CMPQ DX, BX
-	JB   fwdDone
-	SUBQ BX, DX
-	TWIDDLE(8(R8), Z8, Z15)
-	TWIDDLE(8(R9), Z9, Z16)
-	TWIDDLE(24(R9), Z10, Z17)
-	TWIDDLE(8(R10), Z11, Z18)
-	TWIDDLE(24(R10), Z12, Z19)
-	TWIDDLE(40(R10), Z13, Z20)
-	TWIDDLE(56(R10), Z14, Z21)
-	LEAQ (DI)(BX*4), SI
-	MOVQ BX, CX
-	SHRQ $6, CX
-
-fwdColumn:
-	LOAD8
-	FWD(Z0, Z4, Z8, Z15, VPMULLQ.BCST 0(R8))
-	FWD(Z1, Z5, Z8, Z15, VPMULLQ.BCST 0(R8))
-	FWD(Z2, Z6, Z8, Z15, VPMULLQ.BCST 0(R8))
-	FWD(Z3, Z7, Z8, Z15, VPMULLQ.BCST 0(R8))
-	FWD(Z0, Z2, Z9, Z16, VPMULLQ.BCST 0(R9))
-	FWD(Z1, Z3, Z9, Z16, VPMULLQ.BCST 0(R9))
-	FWD(Z4, Z6, Z10, Z17, VPMULLQ.BCST 16(R9))
-	FWD(Z5, Z7, Z10, Z17, VPMULLQ.BCST 16(R9))
-	FWD(Z0, Z1, Z11, Z18, VPMULLQ.BCST 0(R10))
-	FWD(Z2, Z3, Z12, Z19, VPMULLQ.BCST 16(R10))
-	FWD(Z4, Z5, Z13, Z20, VPMULLQ.BCST 32(R10))
-	FWD(Z6, Z7, Z14, Z21, VPMULLQ.BCST 48(R10))
-	STORE8
-	ADDQ $64, DI
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  fwdColumn
-
-	// DI has walked one lane; the next block starts seven lanes on.
-	LEAQ (DI)(R11*2), DI
-	ADDQ BX, DI
-	ADDQ $16, R8
-	ADDQ $32, R9
-	ADDQ $64, R10
-	JMP  fwdBlock
-
-fwdDone:
-	VZEROUPPER
+// FWD_BODY is the forward round over lanes of T/4, T a multiple of 32
+// (func(view []uint64, roots []xmath.MulModOperand, p uint64, first,
+// T int)). A block is 2T elements in eight lanes of T/4: the lane
+// length in bytes is 2T, the same number as the block length in
+// elements. After a column loop DI has walked one lane; the next block
+// starts seven lanes on.
+#define FWD_BODY \
+	MOVQ view_base+0(FP), DI; \
+	MOVQ view_len+8(FP), DX; \
+	TWIDDLE_PTRS; \
+	CONSTS(p+48(FP)); \
+	MOVQ T+64(FP), BX; \
+	SHLQ $1, BX; \
+	LEAQ (BX)(BX*2), R11; \
+fwdBlock: \
+	CMPQ DX, BX; \
+	JB   fwdDone; \
+	SUBQ BX, DX; \
+	TWIDDLE(8(R8), Z8, Z15); \
+	TWIDDLE(8(R9), Z9, Z16); \
+	TWIDDLE(24(R9), Z10, Z17); \
+	TWIDDLE(8(R10), Z11, Z18); \
+	TWIDDLE(24(R10), Z12, Z19); \
+	TWIDDLE(40(R10), Z13, Z20); \
+	TWIDDLE(56(R10), Z14, Z21); \
+	LEAQ (DI)(BX*4), SI; \
+	MOVQ BX, CX; \
+	SHRQ $6, CX; \
+fwdColumn: \
+	LOAD8; \
+	FWD(Z0, Z4, Z8, Z15, WBCST 0(R8)); \
+	FWD(Z1, Z5, Z8, Z15, WBCST 0(R8)); \
+	FWD(Z2, Z6, Z8, Z15, WBCST 0(R8)); \
+	FWD(Z3, Z7, Z8, Z15, WBCST 0(R8)); \
+	FWD(Z0, Z2, Z9, Z16, WBCST 0(R9)); \
+	FWD(Z1, Z3, Z9, Z16, WBCST 0(R9)); \
+	FWD(Z4, Z6, Z10, Z17, WBCST 16(R9)); \
+	FWD(Z5, Z7, Z10, Z17, WBCST 16(R9)); \
+	FWD(Z0, Z1, Z11, Z18, WBCST 0(R10)); \
+	FWD(Z2, Z3, Z12, Z19, WBCST 16(R10)); \
+	FWD(Z4, Z5, Z13, Z20, WBCST 32(R10)); \
+	FWD(Z6, Z7, Z14, Z21, WBCST 48(R10)); \
+	STORE8; \
+	ADDQ $64, DI; \
+	ADDQ $64, SI; \
+	DECQ CX; \
+	JNZ  fwdColumn; \
+	LEAQ (DI)(R11*2), DI; \
+	ADDQ BX, DI; \
+	ADDQ $16, R8; \
+	ADDQ $32, R9; \
+	ADDQ $64, R10; \
+	JMP  fwdBlock; \
+fwdDone: \
+	VZEROUPPER; \
 	RET
 
-// func invRound8AVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int)
-TEXT ·invRound8AVX512(SB), NOSPLIT, $0-72
-	MOVQ view_base+0(FP), DI
-	MOVQ view_len+8(FP), DX
-	TWIDDLE_PTRS
-	CONSTS(p+48(FP))
-	// A span is 8t elements in eight lanes of t: the lane length in
-	// bytes is 8t, the same number as the span length in elements.
-	MOVQ t+64(FP), BX
-	SHLQ $3, BX
-	LEAQ (BX)(BX*2), R11
-
-invSpan:
-	CMPQ DX, BX
-	JB   invDone
-	SUBQ BX, DX
-	TWIDDLE(8(R10), Z8, Z15)
-	TWIDDLE(24(R10), Z9, Z16)
-	TWIDDLE(40(R10), Z10, Z17)
-	TWIDDLE(56(R10), Z11, Z18)
-	TWIDDLE(8(R9), Z12, Z19)
-	TWIDDLE(24(R9), Z13, Z20)
-	TWIDDLE(8(R8), Z14, Z21)
-	LEAQ (DI)(BX*4), SI
-	MOVQ BX, CX
-	SHRQ $6, CX
-
-invColumn:
-	LOAD8
-	INV(Z0, Z1, Z8, Z15, VPMULLQ.BCST 0(R10))
-	INV(Z2, Z3, Z9, Z16, VPMULLQ.BCST 16(R10))
-	INV(Z4, Z5, Z10, Z17, VPMULLQ.BCST 32(R10))
-	INV(Z6, Z7, Z11, Z18, VPMULLQ.BCST 48(R10))
-	INV(Z0, Z2, Z12, Z19, VPMULLQ.BCST 0(R9))
-	INV(Z1, Z3, Z12, Z19, VPMULLQ.BCST 0(R9))
-	INV(Z4, Z6, Z13, Z20, VPMULLQ.BCST 16(R9))
-	INV(Z5, Z7, Z13, Z20, VPMULLQ.BCST 16(R9))
-	INV(Z0, Z4, Z14, Z21, VPMULLQ.BCST 0(R8))
-	INV(Z1, Z5, Z14, Z21, VPMULLQ.BCST 0(R8))
-	INV(Z2, Z6, Z14, Z21, VPMULLQ.BCST 0(R8))
-	INV(Z3, Z7, Z14, Z21, VPMULLQ.BCST 0(R8))
-	STORE8
-	ADDQ $64, DI
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  invColumn
-
-	LEAQ (DI)(R11*2), DI
-	ADDQ BX, DI
-	ADDQ $16, R8
-	ADDQ $32, R9
-	ADDQ $64, R10
-	JMP  invSpan
-
-invDone:
-	VZEROUPPER
+// INV_BODY is the inverse round over lanes of t, t a multiple of 8
+// (func(view []uint64, roots []xmath.MulModOperand, p uint64, first,
+// t int)). A span is 8t elements in eight lanes of t: the lane length
+// in bytes is 8t, the same number as the span length in elements.
+#define INV_BODY \
+	MOVQ view_base+0(FP), DI; \
+	MOVQ view_len+8(FP), DX; \
+	TWIDDLE_PTRS; \
+	CONSTS(p+48(FP)); \
+	MOVQ t+64(FP), BX; \
+	SHLQ $3, BX; \
+	LEAQ (BX)(BX*2), R11; \
+invSpan: \
+	CMPQ DX, BX; \
+	JB   invDone; \
+	SUBQ BX, DX; \
+	TWIDDLE(8(R10), Z8, Z15); \
+	TWIDDLE(24(R10), Z9, Z16); \
+	TWIDDLE(40(R10), Z10, Z17); \
+	TWIDDLE(56(R10), Z11, Z18); \
+	TWIDDLE(8(R9), Z12, Z19); \
+	TWIDDLE(24(R9), Z13, Z20); \
+	TWIDDLE(8(R8), Z14, Z21); \
+	LEAQ (DI)(BX*4), SI; \
+	MOVQ BX, CX; \
+	SHRQ $6, CX; \
+invColumn: \
+	LOAD8; \
+	INV(Z0, Z1, Z8, Z15, WBCST 0(R10)); \
+	INV(Z2, Z3, Z9, Z16, WBCST 16(R10)); \
+	INV(Z4, Z5, Z10, Z17, WBCST 32(R10)); \
+	INV(Z6, Z7, Z11, Z18, WBCST 48(R10)); \
+	INV(Z0, Z2, Z12, Z19, WBCST 0(R9)); \
+	INV(Z1, Z3, Z12, Z19, WBCST 0(R9)); \
+	INV(Z4, Z6, Z13, Z20, WBCST 16(R9)); \
+	INV(Z5, Z7, Z13, Z20, WBCST 16(R9)); \
+	INV(Z0, Z4, Z14, Z21, WBCST 0(R8)); \
+	INV(Z1, Z5, Z14, Z21, WBCST 0(R8)); \
+	INV(Z2, Z6, Z14, Z21, WBCST 0(R8)); \
+	INV(Z3, Z7, Z14, Z21, WBCST 0(R8)); \
+	STORE8; \
+	ADDQ $64, DI; \
+	ADDQ $64, SI; \
+	DECQ CX; \
+	JNZ  invColumn; \
+	LEAQ (DI)(R11*2), DI; \
+	ADDQ BX, DI; \
+	ADDQ $16, R8; \
+	ADDQ $32, R9; \
+	ADDQ $64, R10; \
+	JMP  invSpan; \
+invDone: \
+	VZEROUPPER; \
 	RET
 
 // The rounds whose lanes are one element long — forward T = 4, inverse
@@ -319,10 +295,10 @@ GLOBL oddQwords<>(SB), RODATA|NOPTR, $64
 	VMOVDQU64 Z15, 448(DI)
 
 // TW1 splits the eight blocks' one twiddle at R8:
-// W = Z8, W' = Z9, W'>>32 = Z10.
+// W = Z8, W' = Z9, W' >> QSHIFT = Z10.
 #define TW1 \
 	SPLITM(0(R8), 64(R8), Z8, Z9); \
-	VPSRLQ $32, Z9, Z10
+	VPSRLQ QSHIFT, Z9, Z10
 
 // TW2 splits the eight blocks' two twiddles at R9: the first is
 // (Z12, Z13, Z14), the second (Z8, Z9, Z10).
@@ -331,8 +307,8 @@ GLOBL oddQwords<>(SB), RODATA|NOPTR, $64
 	SPLITM(128(R9), 192(R9), Z10, Z11); \
 	SPLIT(Z8, Z10, Z12); \
 	SPLIT(Z9, Z11, Z13); \
-	VPSRLQ $32, Z13, Z14; \
-	VPSRLQ $32, Z9, Z10
+	VPSRLQ QSHIFT, Z13, Z14; \
+	VPSRLQ QSHIFT, Z9, Z10
 
 // TW4 splits the eight blocks' four twiddles at R10: the first is
 // (Z10, Z11, Z12), then (Z14, Z15, Z13), (Z18, Z19, Z20) and
@@ -350,10 +326,10 @@ GLOBL oddQwords<>(SB), RODATA|NOPTR, $64
 	SPLIT(Z13, Z15, Z12); \
 	SPLIT(Z19, Z12, Z11); \
 	SPLIT(Z9, Z13, Z15); \
-	VPSRLQ $32, Z11, Z12; \
-	VPSRLQ $32, Z15, Z13; \
-	VPSRLQ $32, Z19, Z20; \
-	VPSRLQ $32, Z9, Z21
+	VPSRLQ QSHIFT, Z11, Z12; \
+	VPSRLQ QSHIFT, Z15, Z13; \
+	VPSRLQ QSHIFT, Z19, Z20; \
+	VPSRLQ QSHIFT, Z9, Z21
 
 // TRANSPOSED_SETUP loads the view, the twiddle pointers, the constants
 // and the split indices, and sets CX to the number of eight-block
@@ -367,73 +343,145 @@ GLOBL oddQwords<>(SB), RODATA|NOPTR, $64
 	VMOVDQU64 oddQwords<>(SB), Z17; \
 	SHRQ      $6, CX
 
+// TRANSPOSED_NEXT steps to the next eight blocks and loops to LOOP.
+#define TRANSPOSED_NEXT(LOOP) \
+	STORET; \
+	ADDQ $512, DI; \
+	ADDQ $128, R8; \
+	ADDQ $256, R9; \
+	ADDQ $512, R10; \
+	DECQ CX; \
+	JNZ  LOOP
+
+// FWDT_BODY is the forward round at T = 4 (func(view []uint64, roots
+// []xmath.MulModOperand, p uint64, first int)).
+#define FWDT_BODY \
+	TRANSPOSED_SETUP; \
+	JZ fwdtDone; \
+fwdtGroup: \
+	LOADT; \
+	TW1; \
+	FWD(Z0, Z4, Z9, Z10, WREG Z8); \
+	FWD(Z1, Z5, Z9, Z10, WREG Z8); \
+	FWD(Z2, Z6, Z9, Z10, WREG Z8); \
+	FWD(Z3, Z7, Z9, Z10, WREG Z8); \
+	TW2; \
+	FWD(Z0, Z2, Z13, Z14, WREG Z12); \
+	FWD(Z1, Z3, Z13, Z14, WREG Z12); \
+	FWD(Z4, Z6, Z9, Z10, WREG Z8); \
+	FWD(Z5, Z7, Z9, Z10, WREG Z8); \
+	TW4; \
+	FWD(Z0, Z1, Z11, Z12, WREG Z10); \
+	FWD(Z2, Z3, Z15, Z13, WREG Z14); \
+	FWD(Z4, Z5, Z19, Z20, WREG Z18); \
+	FWD(Z6, Z7, Z9, Z21, WREG Z8); \
+	TRANSPOSED_NEXT(fwdtGroup); \
+fwdtDone: \
+	VZEROUPPER; \
+	RET
+
+// INVT_BODY is the inverse round at t = 1, FWDT_BODY's mirror image.
+#define INVT_BODY \
+	TRANSPOSED_SETUP; \
+	JZ invtDone; \
+invtGroup: \
+	LOADT; \
+	TW4; \
+	INV(Z0, Z1, Z11, Z12, WREG Z10); \
+	INV(Z2, Z3, Z15, Z13, WREG Z14); \
+	INV(Z4, Z5, Z19, Z20, WREG Z18); \
+	INV(Z6, Z7, Z9, Z21, WREG Z8); \
+	TW2; \
+	INV(Z0, Z2, Z13, Z14, WREG Z12); \
+	INV(Z1, Z3, Z13, Z14, WREG Z12); \
+	INV(Z4, Z6, Z9, Z10, WREG Z8); \
+	INV(Z5, Z7, Z9, Z10, WREG Z8); \
+	TW1; \
+	INV(Z0, Z4, Z9, Z10, WREG Z8); \
+	INV(Z1, Z5, Z9, Z10, WREG Z8); \
+	INV(Z2, Z6, Z9, Z10, WREG Z8); \
+	INV(Z3, Z7, Z9, Z10, WREG Z8); \
+	TRANSPOSED_NEXT(invtGroup); \
+invtDone: \
+	VZEROUPPER; \
+	RET
+
+// FINALIZE_INVERSE_BODY scales by n^{-1} and reduces to [0, p)
+// (func(x []uint64, p uint64, nInv xmath.MulModOperand)).
+#define FINALIZE_INVERSE_BODY \
+	MOVQ x_base+0(FP), DI; \
+	MOVQ x_len+8(FP), CX; \
+	CONSTS(p+24(FP)); \
+	TWIDDLE(nInv_Quotient+40(FP), Z8, Z15); \
+	LEAQ nInv_Operand+32(FP), R8; \
+	SHRQ $3, CX; \
+	JZ   fiDone; \
+fiLoop: \
+	VMOVDQU64 (DI), Z0; \
+	MULLAZY(Z0, Z8, Z15, WBCST 0(R8), Z0); \
+	VPSUBQ    Z22, Z0, Z1; \
+	VPMINUQ   Z1, Z0, Z0; \
+	VMOVDQU64 Z0, (DI); \
+	ADDQ      $64, DI; \
+	DECQ      CX; \
+	JNZ       fiLoop; \
+fiDone: \
+	VZEROUPPER; \
+	RET
+
+// The 64-bit kernels. MULLAZY sets OUT = IN·W − hi64(IN·W')·p mod
+// 2^64, Harvey's lazy product in [0, 2p) (xmath.MulModOperand.
+// MulModLazy). hi64 is exact, built from the four 32×32 products: with
+// t = hi32(ll) + lh and u = lo32(t) + hl, hi64 = hh + hi32(t) +
+// hi32(u). IN may be OUT.
+#define MULLAZY(IN, Q, QH, MULW, OUT) \
+	VPSRLQ   $32, IN, Z26; \
+	VPMULUDQ IN, Q, Z27; \
+	VPMULUDQ IN, QH, Z28; \
+	VPMULUDQ Z26, Q, Z29; \
+	VPMULUDQ Z26, QH, Z26; \
+	VPSRLQ   $32, Z27, Z27; \
+	VPADDQ   Z27, Z28, Z28; \
+	VPANDQ   Z24, Z28, Z27; \
+	VPADDQ   Z27, Z29, Z29; \
+	VPSRLQ   $32, Z28, Z28; \
+	VPSRLQ   $32, Z29, Z29; \
+	VPADDQ   Z28, Z26, Z26; \
+	VPADDQ   Z29, Z26, Z26; \
+	MULW, IN, OUT; \
+	VPMULLQ  Z22, Z26, Z26; \
+	VPSUBQ   Z26, OUT, OUT
+
+#define QSHIFT $32
+#define WBCST VPMULLQ.BCST
+#define WREG VPMULLQ
+
+// CONSTS loads p, 2p and the low-half mask.
+#define CONSTS(PARG) \
+	VPBROADCASTQ PARG, Z22; \
+	VPADDQ       Z22, Z22, Z23; \
+	MOVQ         $0xffffffff, AX; \
+	VPBROADCASTQ AX, Z24
+
+// func fwdRound8AVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int)
+TEXT ·fwdRound8AVX512(SB), NOSPLIT, $0-72
+	FWD_BODY
+
+// func invRound8AVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int)
+TEXT ·invRound8AVX512(SB), NOSPLIT, $0-72
+	INV_BODY
+
 // func fwdRound8TransposedAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
 TEXT ·fwdRound8TransposedAVX512(SB), NOSPLIT, $0-64
-	TRANSPOSED_SETUP
-	JZ fwdtDone
-
-fwdtGroup:
-	LOADT
-	TW1
-	FWD(Z0, Z4, Z9, Z10, VPMULLQ Z8)
-	FWD(Z1, Z5, Z9, Z10, VPMULLQ Z8)
-	FWD(Z2, Z6, Z9, Z10, VPMULLQ Z8)
-	FWD(Z3, Z7, Z9, Z10, VPMULLQ Z8)
-	TW2
-	FWD(Z0, Z2, Z13, Z14, VPMULLQ Z12)
-	FWD(Z1, Z3, Z13, Z14, VPMULLQ Z12)
-	FWD(Z4, Z6, Z9, Z10, VPMULLQ Z8)
-	FWD(Z5, Z7, Z9, Z10, VPMULLQ Z8)
-	TW4
-	FWD(Z0, Z1, Z11, Z12, VPMULLQ Z10)
-	FWD(Z2, Z3, Z15, Z13, VPMULLQ Z14)
-	FWD(Z4, Z5, Z19, Z20, VPMULLQ Z18)
-	FWD(Z6, Z7, Z9, Z21, VPMULLQ Z8)
-	STORET
-	ADDQ $512, DI
-	ADDQ $128, R8
-	ADDQ $256, R9
-	ADDQ $512, R10
-	DECQ CX
-	JNZ  fwdtGroup
-
-fwdtDone:
-	VZEROUPPER
-	RET
+	FWDT_BODY
 
 // func invRound8TransposedAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
 TEXT ·invRound8TransposedAVX512(SB), NOSPLIT, $0-64
-	TRANSPOSED_SETUP
-	JZ invtDone
+	INVT_BODY
 
-invtGroup:
-	LOADT
-	TW4
-	INV(Z0, Z1, Z11, Z12, VPMULLQ Z10)
-	INV(Z2, Z3, Z15, Z13, VPMULLQ Z14)
-	INV(Z4, Z5, Z19, Z20, VPMULLQ Z18)
-	INV(Z6, Z7, Z9, Z21, VPMULLQ Z8)
-	TW2
-	INV(Z0, Z2, Z13, Z14, VPMULLQ Z12)
-	INV(Z1, Z3, Z13, Z14, VPMULLQ Z12)
-	INV(Z4, Z6, Z9, Z10, VPMULLQ Z8)
-	INV(Z5, Z7, Z9, Z10, VPMULLQ Z8)
-	TW1
-	INV(Z0, Z4, Z9, Z10, VPMULLQ Z8)
-	INV(Z1, Z5, Z9, Z10, VPMULLQ Z8)
-	INV(Z2, Z6, Z9, Z10, VPMULLQ Z8)
-	INV(Z3, Z7, Z9, Z10, VPMULLQ Z8)
-	STORET
-	ADDQ $512, DI
-	ADDQ $128, R8
-	ADDQ $256, R9
-	ADDQ $512, R10
-	DECQ CX
-	JNZ  invtGroup
-
-invtDone:
-	VZEROUPPER
-	RET
+// func finalizeInverseAVX512(x []uint64, p uint64, nInv xmath.MulModOperand)
+TEXT ·finalizeInverseAVX512(SB), NOSPLIT, $0-48
+	FINALIZE_INVERSE_BODY
 
 // func finalizeForwardAVX512(x []uint64, p uint64)
 TEXT ·finalizeForwardAVX512(SB), NOSPLIT, $0-32
@@ -458,26 +506,57 @@ ffDone:
 	VZEROUPPER
 	RET
 
-// func finalizeInverseAVX512(x []uint64, p uint64, nInv xmath.MulModOperand)
-TEXT ·finalizeInverseAVX512(SB), NOSPLIT, $0-48
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), CX
-	CONSTS(p+24(FP))
-	TWIDDLE(nInv_Quotient+40(FP), Z8, Z15)
-	LEAQ nInv_Operand+32(FP), R8
-	SHRQ $3, CX
-	JZ   fiDone
+#undef MULLAZY
+#undef QSHIFT
+#undef WBCST
+#undef WREG
+#undef CONSTS
 
-fiLoop:
-	VMOVDQU64 (DI), Z0
-	MULLAZY(Z0, Z8, Z15, VPMULLQ.BCST 0(R8), Z0)
-	VPSUBQ    Z22, Z0, Z1
-	VPMINUQ   Z1, Z0, Z0
-	VMOVDQU64 Z0, (DI)
-	ADDQ      $64, DI
-	DECQ      CX
-	JNZ       fiLoop
+// The IFMA kernels, for moduli below 2^50: every input is below 4p <
+// 2^52, and the table's quotients are floor(W·2^52/p)·2^12
+// (xmath.NewMulModOperand52), so W' >> 12 is the 52-bit quotient.
+// MULLAZY sets OUT = IN·W − hi52(IN·(W' >> 12))·p mod 2^52: the
+// quotient from VPMADD52HUQ, the low words of both products from
+// VPMADD52LUQ (the second multiplies by −p and adds), then the 52-bit
+// mask. The result is below 2p < 2^52, so it is xmath.MulModOperand.
+// MulModLazy's bit for bit. IN may be OUT.
+#define MULLAZY(IN, Q, QH, MULW, OUT) \
+	VPXORQ      Z26, Z26, Z26; \
+	VPMADD52HUQ QH, IN, Z26; \
+	VPXORQ      Z27, Z27, Z27; \
+	MULW, IN, Z27; \
+	VPMADD52LUQ Z31, Z26, Z27; \
+	VPANDQ      Z24, Z27, OUT
 
-fiDone:
-	VZEROUPPER
-	RET
+#define QSHIFT $12
+#define WBCST VPMADD52LUQ.BCST
+#define WREG VPMADD52LUQ
+
+// CONSTS loads p, 2p, the 52-bit mask and −p.
+#define CONSTS(PARG) \
+	VPBROADCASTQ PARG, Z22; \
+	VPADDQ       Z22, Z22, Z23; \
+	VPXORQ       Z31, Z31, Z31; \
+	VPSUBQ       Z22, Z31, Z31; \
+	MOVQ         $0xfffffffffffff, AX; \
+	VPBROADCASTQ AX, Z24
+
+// func fwdRound8IFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int)
+TEXT ·fwdRound8IFMA(SB), NOSPLIT, $0-72
+	FWD_BODY
+
+// func invRound8IFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int)
+TEXT ·invRound8IFMA(SB), NOSPLIT, $0-72
+	INV_BODY
+
+// func fwdRound8TransposedIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
+TEXT ·fwdRound8TransposedIFMA(SB), NOSPLIT, $0-64
+	FWDT_BODY
+
+// func invRound8TransposedIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
+TEXT ·invRound8TransposedIFMA(SB), NOSPLIT, $0-64
+	INVT_BODY
+
+// func finalizeInverseIFMA(x []uint64, p uint64, nInv xmath.MulModOperand)
+TEXT ·finalizeInverseIFMA(SB), NOSPLIT, $0-48
+	FINALIZE_INVERSE_BODY

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -141,6 +142,49 @@ func FuzzHarveyLazy(f *testing.F) {
 		}
 		if got := op.MulMod(y, p); got != want.Uint64() {
 			t.Fatalf("operand MulMod(%d; w=%d, p=%d) = %d, want %d", y, w, p, got, want.Uint64())
+		}
+	})
+}
+
+// FuzzHarveyLazy52 cross-checks the 52-bit operand the NTT tables hold
+// under moduli below 2^50 (NewMulModOperand52) on the butterflies'
+// whole lazy range, y in [0, 4p) — the fuzzed y, 4p − 1 and draws
+// seeded by it: each lazy result must lie in [0, 2p), reduce to the
+// math/big product, and equal what the IFMA kernels compute from the
+// same operand — the quotient q = hi52(y·(W' >> 12)), then
+// lo52(y·W) + lo52(q·(−p)) masked to 52 bits.
+func FuzzHarveyLazy52(f *testing.F) {
+	f.Add(uint64(5), uint64(3), uint64(1)<<40+21)
+	f.Add(uint64(1)<<50-2, ^uint64(0), uint64(1)<<50-1)
+	f.Add(uint64(0xdeadbeef1234), uint64(1)<<51+12345, uint64(1)<<49+1)
+	f.Fuzz(func(t *testing.T, rw, ry, rp uint64) {
+		p := rp % (1 << 50)
+		if p < 2 {
+			p += 2
+		}
+		w := rw % p
+		op := NewMulModOperand52(w, NewModulus(p))
+		bigP, bigW := new(big.Int).SetUint64(p), new(big.Int).SetUint64(w)
+		rng := rand.New(rand.NewSource(int64(ry)))
+		for i, y := 0, ry%(4*p); i < 32; i, y = i+1, rng.Uint64()%(4*p) {
+			if i == 1 {
+				y = 4*p - 1
+			}
+			lazy := op.MulModLazy(y, p)
+			if lazy >= 2*p {
+				t.Fatalf("MulModLazy(%d; w=%d, p=%d) = %d, outside [0, 2p)", y, w, p, lazy)
+			}
+			want := new(big.Int).SetUint64(y)
+			want.Mul(want, bigW).Mod(want, bigP)
+			if got := lazy % p; got != want.Uint64() {
+				t.Fatalf("MulModLazy(%d; w=%d, p=%d) reduces to %d, want %d", y, w, p, got, want.Uint64())
+			}
+			const mask52 = 1<<52 - 1
+			hi, lo := bits.Mul64(y, op.Quotient>>12)
+			q := hi<<12 | lo>>52
+			if ifma := (y*w&mask52 + q*-p&mask52) & mask52; lazy != ifma {
+				t.Fatalf("MulModLazy(%d; w=%d, p=%d) = %d, the IFMA product gives %d", y, w, p, lazy, ifma)
+			}
 		}
 	})
 }

@@ -329,6 +329,20 @@ func NewMulModOperand(w uint64, m Modulus) MulModOperand {
 	return MulModOperand{Operand: w, Quotient: q}
 }
 
+// NewMulModOperand52 is NewMulModOperand with the quotient's low 12
+// bits cleared: W' = floor(W·2^52/p)·2^12. For y < 2^52, MulModLazy
+// with it returns y·W − floor(y·floor(W·2^52/p)/2^52)·p, in [0, 2p) —
+// the integer AVX-512 IFMA gives from three 52-bit multiply-adds
+// (VPMADD52HUQ on W'>>12 for the quotient, VPMADD52LUQ for y·W and the
+// quotient times −p) and a 52-bit mask. So Go code and IFMA kernels
+// reading one such operand agree bit for bit; for y ≥ 2^52 neither
+// result holds.
+func NewMulModOperand52(w uint64, m Modulus) MulModOperand {
+	w = m.BarrettReduce(w)
+	q, _ := bits.Div64(w>>12, w<<52, m.Value) // floor(w * 2^52 / p)
+	return MulModOperand{Operand: w, Quotient: q << 12}
+}
+
 // MulModLazy returns a value congruent to y*W mod p lying in [0, 2p):
 // Harvey's lazy preconditioned multiplication.
 func (op MulModOperand) MulModLazy(y uint64, p uint64) uint64 {

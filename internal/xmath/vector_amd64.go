@@ -4,31 +4,39 @@ package xmath
 
 // avx512 reports whether the AVX-512 bodies (vector_amd64.s, and
 // internal/ntt's) may run: the CPU has AVX-512F and AVX-512DQ and the
-// OS saves the opmask and ZMM state. It is checked once, at start-up.
-var avx512 = detectAVX512()
+// OS saves the opmask and ZMM state. ifma adds AVX-512 IFMA, the 52-bit
+// multiply-adds of internal/ntt's IFMA kernels. Both are checked once,
+// at start-up.
+var avx512, ifma = detectAVX512()
 
 // HasAVX512 reports whether this package's vector bodies, and
 // internal/ntt's, run on this host. It is false under the purego tag
 // and off amd64.
 func HasAVX512() bool { return avx512 }
 
-func detectAVX512() bool {
+// HasIFMA reports whether internal/ntt's IFMA kernels run on this
+// host: HasAVX512 and the CPU has AVX-512 IFMA. It is false under the
+// purego tag and off amd64.
+func HasIFMA() bool { return ifma }
+
+func detectAVX512() (bool, bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return false, false
 	}
 	const osxsave = 1 << 27
 	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 {
-		return false
+		return false, false
 	}
 	// XCR0: SSE, AVX, opmask, upper halves of Z0–Z15 and Z16–Z31.
 	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
 	if xgetbv0()&zmmState != zmmState {
-		return false
+		return false, false
 	}
-	const avx512f, avx512dq = 1 << 16, 1 << 17
+	const avx512f, avx512dq, avx512ifma = 1 << 16, 1 << 17, 1 << 21
 	_, b, _, _ := cpuid(7, 0)
-	return b&avx512f != 0 && b&avx512dq != 0
+	f := b&avx512f != 0 && b&avx512dq != 0
+	return f, f && b&avx512ifma != 0
 }
 
 // vectorTerms is how many terms the vector inner product sums before

@@ -6,6 +6,9 @@ package xmath
 // functions take no work and every body runs the Go loops.
 func HasAVX512() bool { return false }
 
+// HasIFMA is false off amd64 and under the purego tag.
+func HasIFMA() bool { return false }
+
 func (Modulus) innerProductPairVector(_, _ []uint64, _, _, _ [][]uint64, lo, _ int) int { return lo }
 
 func (Modulus) reduceRowVector(_, _ []uint64) int { return 0 }
