@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check size test bench-check test-race fallback stress fuzz-smoke bench bench-selftest bench-sweeps clean
+.PHONY: all build vet fmt-check size test bench-check test-race fallback stress fuzz-smoke bench-selftest bench-sweeps clean
 
 all: build test
 
@@ -90,7 +90,7 @@ fallback:
 # and sleeps on a condition variable, so a lost wake-up shows as a
 # wedged or miscounted run there.
 stress:
-	$(GO) test ./internal/sched -run 'Chaos|SelfHeal|Kill|Drain|Retry|AddShard|CloseShard|Lifecycle' -count 10 -cpu 1,2
+	$(GO) test ./internal/sched -run 'Chaos|SelfHeal|Kill|Drain|Retry|AddShard|Lifecycle' -count 10 -cpu 1,2
 	$(GO) test ./internal/sched -run 'Dispatcher|Held|Coalesc|Ragged' -count 10 -cpu 1,2
 
 # Fuzz smoke: every Fuzz* target in the tree (found by name, so a new
@@ -113,9 +113,6 @@ fuzz-smoke:
 		echo "fuzz $$(dirname $$file) $${fn#func }"; \
 		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 5s -fuzzminimizetime 0s $$(dirname $$file) || exit 1; \
 	done
-
-bench:
-	$(GO) test -bench . -benchmem -run '^$$' .
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is a Go module of its
 # own, so `go test ./...` at the root never reaches it; this runs its

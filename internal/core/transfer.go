@@ -6,26 +6,16 @@ package core
 // k × components of them, all serialized on the compute queue. The
 // methods here move a whole batch in ONE submission sized at its
 // bytes — each row copies straight between its host slice and its
-// job's device buffer (sycl.CopyInGather/CopyOutScatter) — and, when
-// the context owns a copy queue (Config.CopyEngine), the transfer
-// rides the tile's copy engine and overlaps with compute. Data
-// movement is bit-identical to the per-job path; only submission
-// counts and simulated timing change.
+// job's device buffer (sycl.CopyInGather/CopyOutScatter) — on the
+// context's copy queue, so on a copy-engine device the transfer
+// overlaps with compute. Data movement is bit-identical to the per-job
+// path; only submission counts and simulated timing change.
 
 import (
 	"xehe/internal/ckks"
 	"xehe/internal/gpu"
 	"xehe/internal/sycl"
 )
-
-// copyQueue returns the transfer queue: the dedicated copy queue when
-// the context has one, the compute queue otherwise.
-func (c *Context) copyQueue() *sycl.Queue {
-	if c.CopyQ != nil {
-		return c.CopyQ
-	}
-	return c.Queues[0]
-}
 
 // UploadBatch copies k host ciphertexts into device buffers with one
 // gathered H2D submission sized at the whole batch (jobs × components
@@ -55,12 +45,11 @@ func (c *Context) UploadBatch(cts []*ckks.Ciphertext) ([]*Ciphertext, int64, gpu
 			words += len(pv.Data())
 		}
 	}
-	q := c.copyQueue()
 	var ev gpu.Event
 	if c.Cfg.Analytic {
-		ev = q.Raw().CopyH2D(int64(words) * 8)
+		ev = c.copyQ.Raw().CopyH2D(int64(words) * 8)
 	} else {
-		ev = q.CopyInGather(dsts, srcs)
+		ev = c.copyQ.CopyInGather(dsts, srcs)
 	}
 	sent = true
 	c.after([]gpu.Event{ev})
@@ -93,12 +82,11 @@ func (c *Context) DownloadBatchAsync(cts []*Ciphertext) ([]*ckks.Ciphertext, int
 		}
 		outs[i] = out
 	}
-	q := c.copyQueue()
 	var ev gpu.Event
 	if c.Cfg.Analytic {
-		ev = q.Raw().CopyD2H(int64(words)*8, c.deps...)
+		ev = c.copyQ.Raw().CopyD2H(int64(words)*8, c.deps...)
 	} else {
-		ev = q.CopyOutScatter(dsts, srcs, c.deps...)
+		ev = c.copyQ.CopyOutScatter(dsts, srcs, c.deps...)
 	}
 	c.after([]gpu.Event{ev})
 	return outs, int64(words) * 8, ev

@@ -385,7 +385,6 @@ type Queue struct {
 	multiQ   bool // part of an explicit multi-queue set (pays the tax)
 	blocking bool // if true, every submission synchronizes the host
 	copyQ    bool // transfers land on the tile's copy-engine timeline
-	last     Event
 }
 
 // NewQueue creates an in-order queue on the given tile.
@@ -487,7 +486,6 @@ func (q *Queue) submitOn(name string, items int, dur Cycles, copyEngine bool, de
 	}
 	d.mu.Unlock()
 	ev := Event{dev: d, done: end}
-	q.last = ev
 	if q.blocking {
 		ev.Wait()
 	}
@@ -496,7 +494,7 @@ func (q *Queue) submitOn(name string, items int, dur Cycles, copyEngine bool, de
 
 // SubmitProfile enqueues an analytic-only kernel (no functional body).
 func (q *Queue) SubmitProfile(p KernelProfile, cg isa.CodeGen, deps ...Event) Event {
-	return q.submitOn(p.Name, p.Items, p.Time(&q.dev.Spec, cg, 1), false, deps...)
+	return q.submitOn(p.Name, p.Items, p.Time(&q.dev.Spec, cg), false, deps...)
 }
 
 // CopyH2D enqueues a host-to-device transfer of n bytes. On a copy
@@ -513,6 +511,3 @@ func (q *Queue) CopyD2H(n int64, deps ...Event) Event {
 	dur := float64(n)/q.dev.Spec.PCIeBytesPerCycle + q.dev.linkLeg(n)
 	return q.submitOn("memcpy_d2h", 0, dur, q.copyQ, deps...)
 }
-
-// Wait drains the queue (host waits for the last submitted command).
-func (q *Queue) Wait() { q.last.Wait() }

@@ -63,26 +63,19 @@ func (k *Kernel) name() string {
 	return k.Name
 }
 
-// effTiles is the sublinear effective tile count of a kernel split
-// across split queues (see DeviceSpec.MultiTileScaling): each
-// sub-submission carries 1/effTiles of the work, so the per-tile
-// timelines reproduce the paper's dual-tile scaling of +49.5%-78.2%
-// rather than a perfect 2x.
-func effTiles(spec *DeviceSpec, split int) float64 {
-	return 1 + spec.MultiTileScaling*float64(split-1)
-}
-
 // items returns the work-item count one submission of the kernel
 // carries, launched whole (split <= 1) or split across split queues:
 // the profile's, defaulted from the range where the profile leaves it
-// out.
+// out. Each sub-submission of a split carries 1/EffectiveTiles(split)
+// of the work, so the per-tile timelines reproduce the paper's
+// dual-tile scaling of +49.5%-78.2% rather than a perfect 2x.
 func (k *Kernel) items(spec *DeviceSpec, split int) int {
 	n := k.Profile.Items
 	if n == 0 {
 		n = k.Range.Items()
 	}
 	if split > 1 {
-		n = int(float64(n)/effTiles(spec, split)) + 1
+		n = int(float64(n)/spec.EffectiveTiles(split)) + 1
 	}
 	return n
 }
@@ -99,11 +92,11 @@ func (k *Kernel) Price(spec *DeviceSpec, cg isa.CodeGen, split int) Cycles {
 	p := k.Profile
 	p.Items = k.items(spec, split)
 	if split > 1 {
-		eff := effTiles(spec, split)
+		eff := spec.EffectiveTiles(split)
 		p.GlobalBytes /= eff
 		p.SLMBytes /= eff
 	}
-	return p.Time(spec, cg, 1)
+	return p.Time(spec, cg)
 }
 
 // Launch executes the kernel functionally (real computation, groups

@@ -48,13 +48,14 @@ func TestKernelTimeBandwidthBound(t *testing.T) {
 	spec := Device1Spec()
 	// A pure-traffic kernel: negligible compute, lots of bytes.
 	p := KernelProfile{Items: 1, GlobalBytes: 1e9, Pattern: PatternUnitStride}
-	got := p.Time(&spec, isa.CompilerGenerated, 1)
+	got := p.Time(&spec, isa.CompilerGenerated)
 	want := 1e9/(630*0.85) + spec.KernelLaunchCycles
 	if got < want*0.999 || got > want*1.001 {
 		t.Errorf("bandwidth-bound time = %v, want %v", got, want)
 	}
-	// Two tiles halve it (minus launch).
-	got2 := p.Time(&spec, isa.CompilerGenerated, 2)
+	// Split over two tiles it is faster (by the sublinear scaling).
+	k := Kernel{Profile: p}
+	got2 := k.Price(&spec, isa.CompilerGenerated, 2)
 	if got2 >= got {
 		t.Error("2-tile run must be faster for bandwidth-bound kernels")
 	}
@@ -65,8 +66,8 @@ func TestKernelTimeComputeBound(t *testing.T) {
 	var per isa.Profile
 	per.Add(isa.OpMul64Lo, 100)
 	p := KernelProfile{Items: 1 << 20, PerItem: per}
-	tCompiler := p.Time(&spec, isa.CompilerGenerated, 1)
-	tASM := p.Time(&spec, isa.InlineASM, 1)
+	tCompiler := p.Time(&spec, isa.CompilerGenerated)
+	tASM := p.Time(&spec, isa.InlineASM)
 	if tASM >= tCompiler {
 		t.Error("inline-asm must be faster for mul-heavy compute-bound kernels")
 	}
@@ -83,8 +84,8 @@ func TestRegisterSpillPenalty(t *testing.T) {
 	fits := KernelProfile{Items: 1 << 18, PerItem: per, GRFBytesPerItem: 192} // radix-8 footprint
 	spills := fits
 	spills.GRFBytesPerItem = 500 // > (4096-1280)/8 = 352 B/item
-	tFits := fits.Time(&spec, isa.CompilerGenerated, 1)
-	tSpills := spills.Time(&spec, isa.CompilerGenerated, 1)
+	tFits := fits.Time(&spec, isa.CompilerGenerated)
+	tSpills := spills.Time(&spec, isa.CompilerGenerated)
 	if tSpills <= tFits {
 		t.Errorf("register spill must slow the kernel: %v <= %v", tSpills, tFits)
 	}

@@ -99,33 +99,28 @@ func (k *KernelProfile) spillFactor(spec *DeviceSpec) (slotMul float64, extraByt
 	return slotMul, extraBytes
 }
 
-// Time converts the profile into simulated device cycles on `tiles`
-// tiles of the given device, under the given code generation strategy.
+// Time converts the profile into simulated device cycles on one tile
+// of the given device, under the given code generation strategy. A
+// kernel split across tiles is priced by Kernel.Price, which scales
+// the profile's share before calling Time.
 //
 // The model is a max-of-bottlenecks pipeline:
 //
 //	t = launch + max(t_compute, t_global, t_slm) + t_barrier
 //
 // matching the roofline methodology the paper uses in Section IV-B.
-func (k *KernelProfile) Time(spec *DeviceSpec, cg isa.CodeGen, tiles int) Cycles {
-	if tiles <= 0 || tiles > spec.Tiles {
-		tiles = 1
-	}
+func (k *KernelProfile) Time(spec *DeviceSpec, cg isa.CodeGen) Cycles {
 	table := &spec.Costs.Tables[cg]
-
-	// Additional tiles scale sublinearly (shared memory subsystem and
-	// multi-queue scheduling losses).
-	effTiles := 1 + spec.MultiTileScaling*float64(tiles-1)
 
 	spillMul, spillBytes := k.spillFactor(spec)
 
 	// Compute: total instruction slots over the issue-rate peak.
 	slots := (k.PerItem.Slots(table) + k.ExtraSlotsPerItem) * float64(k.Items) * spillMul
-	peak := spec.PeakSlotsPerCyclePerTile() * effTiles
+	peak := spec.PeakSlotsPerCyclePerTile()
 	tCompute := slots / peak
 
 	// Global memory: traffic over achievable bandwidth.
-	bw := spec.GlobalBytesPerCyclePerTile * effTiles * k.Pattern.Efficiency()
+	bw := spec.GlobalBytesPerCyclePerTile * k.Pattern.Efficiency()
 	tGlobal := (k.GlobalBytes + spillBytes) / bw
 
 	// SLM: traffic over banked SLM bandwidth, derated by conflicts.
@@ -135,7 +130,7 @@ func (k *KernelProfile) Time(spec *DeviceSpec, cg isa.CodeGen, tiles int) Cycles
 		if conflict < 1 {
 			conflict = 1
 		}
-		slmBW := spec.SLMBytesPerCyclePerSubslice * float64(spec.SubslicesPerTile()) * effTiles
+		slmBW := spec.SLMBytesPerCyclePerSubslice * float64(spec.SubslicesPerTile())
 		tSLM = k.SLMBytes * conflict / slmBW
 	}
 
@@ -153,7 +148,7 @@ func (k *KernelProfile) Time(spec *DeviceSpec, cg isa.CodeGen, tiles int) Cycles
 	if k.Barriers > 0 && k.GroupItems > 0 {
 		waves := float64(k.GroupItems)/float64(spec.ResidentItemsPerSubslice()) + 1
 		groups := float64(k.Items) / float64(k.GroupItems)
-		concurrentGroups := float64(spec.SubslicesPerTile() * tiles)
+		concurrentGroups := float64(spec.SubslicesPerTile())
 		if groups < concurrentGroups && groups > 0 {
 			concurrentGroups = groups
 		}

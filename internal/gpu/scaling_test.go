@@ -15,10 +15,10 @@ func TestScaledSpecTileScaling(t *testing.T) {
 	// A compute-bound kernel must scale sublinearly but monotonically.
 	var per isa.Profile
 	per.Add(isa.OpMul64Lo, 1000)
-	p := KernelProfile{Items: 1 << 22, PerItem: per}
+	k := Kernel{Profile: KernelProfile{Items: 1 << 22, PerItem: per}}
 	var prev Cycles
 	for tiles := 1; tiles <= 4; tiles++ {
-		tt := p.Time(&quad, isa.CompilerGenerated, tiles)
+		tt := k.Price(&quad, isa.CompilerGenerated, tiles)
 		if tiles > 1 {
 			if tt >= prev {
 				t.Fatalf("%d tiles (%v) not faster than %d (%v)", tiles, tt, tiles-1, prev)

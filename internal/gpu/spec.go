@@ -69,9 +69,9 @@ type DeviceSpec struct {
 
 	// MultiTileScaling is the marginal throughput of each additional
 	// tile under explicit multi-queue submission (shared memory
-	// subsystem + cross-queue scheduling losses): effective tiles =
-	// 1 + MultiTileScaling*(tiles-1). Calibrated to the paper's
-	// dual-tile step (+49.5%-78.2%, Fig. 14b).
+	// subsystem + cross-queue scheduling losses); EffectiveTiles turns
+	// it into a tile count. Calibrated to the paper's dual-tile step
+	// (+49.5%-78.2%, Fig. 14b).
 	MultiTileScaling float64
 
 	// ISA cost tables (compiler vs inline-asm codegen).
@@ -85,6 +85,14 @@ func (s *DeviceSpec) SubslicesPerTile() int { return s.EUsPerTile / s.EUsPerSubs
 // SIMD-wide int64 ALU instruction per cycle.
 func (s *DeviceSpec) PeakSlotsPerCyclePerTile() float64 {
 	return float64(s.EUsPerTile * s.SIMDWidth)
+}
+
+// EffectiveTiles is the sublinear throughput of tiles tiles under
+// explicit multi-queue submission, in units of one tile: the one
+// multi-tile scaling rule, behind both the split price of a kernel
+// (Kernel.Price) and the roofline's roofs.
+func (s *DeviceSpec) EffectiveTiles(tiles int) float64 {
+	return 1 + s.MultiTileScaling*float64(tiles-1)
 }
 
 // PeakSlotsPerCycle is the whole-device int64 peak (all tiles). The

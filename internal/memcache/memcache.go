@@ -79,9 +79,6 @@ func NewTimingOnly(dev *gpu.Device, enabled bool) *Cache {
 	return c
 }
 
-// Enabled reports whether buffer recycling is active.
-func (c *Cache) Enabled() bool { return c.enabled }
-
 // TimingOnly reports whether the cache hands out size-only buffers
 // (see NewTimingOnly).
 func (c *Cache) TimingOnly() bool { return c.timingOnly }

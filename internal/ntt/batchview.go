@@ -74,9 +74,6 @@ func (v *BatchView) SetRow(p, q int, row []uint64) {
 // Row returns the slice of transform p under tables index q.
 func (v *BatchView) Row(p, q int) []uint64 { return v.rows[p*v.qCount+q] }
 
-// N returns the transform size.
-func (v *BatchView) N() int { return v.n }
-
 // check validates that every row a functional launch will touch is
 // installed; timing-only launches never read rows and skip it.
 func (v *BatchView) check(tbls []*Tables) {

@@ -78,9 +78,6 @@ const (
 	// (Section III-B.2: 4K elements per work-group, 32 KB of the 64 KB
 	// SLM).
 	slmGroupElems = 4096
-	// slmGapSize is TER_SLM_GAP_SZ: stages with exchange gap at or
-	// below this run out of SLM.
-	slmGapSize = slmGroupElems / 2
 	// simdWidth is the subgroup width of the SIMD shuffling kernels.
 	simdWidth = 8
 
@@ -336,9 +333,10 @@ type round struct {
 
 // schedule plans the rounds of a transform of logN stages.
 //
-// Forward: global rounds while the exchange gap exceeds TER_SLM_GAP_SZ,
-// then SLM rounds (the whole SLM phase is one kernel). Inverse mirrors
-// it: SLM rounds first (small gaps), then global rounds.
+// Forward: global rounds while the exchange gap exceeds half an SLM
+// group (the paper's TER_SLM_GAP_SZ, slmGroupElems/2), then SLM rounds
+// (the whole SLM phase is one kernel). Inverse mirrors it: SLM rounds
+// first (small gaps), then global rounds.
 func (e *Engine) schedule(n int, forward bool) []round {
 	logN := 0
 	for 1<<logN < n {

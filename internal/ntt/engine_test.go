@@ -39,6 +39,25 @@ func testSetup(t testing.TB, n, qCount, polys, bits int, seed int64) ([]uint64, 
 	return data, tbls
 }
 
+// moduliClasses are the prime sizes the whole-transform oracle tests
+// run under, the classes BenchmarkEngineButterfly times: the 40- and
+// 42-bit chain primes of the serving and routine parameters (below
+// ifmaBound, so the IFMA kernels where the CPU has them) and 52/54-bit
+// primes (the 64-bit AVX-512 kernels).
+var moduliClasses = []int{40, 42, 52, 54}
+
+// eachModulusClass runs f once per prime size of moduliClasses, as a
+// subtest, with the rounds as they dispatch on this host and, on an
+// IFMA host, once more with the IFMA kernels off (withoutIFMA), so
+// that the 64-bit kernels take every class.
+func eachModulusClass(t *testing.T, f func(t *testing.T, bits int)) {
+	withoutIFMA(func(ifma bool) {
+		for _, bits := range moduliClasses {
+			t.Run(fmt.Sprintf("%dbit/ifma=%v", bits, ifma), func(t *testing.T) { f(t, bits) })
+		}
+	})
+}
+
 func queues1(dev *gpu.Device) []*sycl.Queue {
 	return []*sycl.Queue{sycl.NewQueue(dev, isa.CompilerGenerated)}
 }
@@ -48,20 +67,22 @@ func TestEngineForwardMatchesReferenceAllVariants(t *testing.T) {
 	for _, v := range AllVariants() {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			data, tbls := testSetup(t, n, qCount, polys, 50, int64(v))
-			want := append([]uint64(nil), data...)
-			for p := 0; p < polys; p++ {
-				for q := 0; q < qCount; q++ {
-					refForward(sliceOf(want, p, q, qCount, n), tbls[q])
+			eachModulusClass(t, func(t *testing.T, bits int) {
+				data, tbls := testSetup(t, n, qCount, polys, bits, int64(v))
+				want := append([]uint64(nil), data...)
+				for p := 0; p < polys; p++ {
+					for q := 0; q < qCount; q++ {
+						refForward(sliceOf(want, p, q, qCount, n), tbls[q])
+					}
 				}
-			}
-			dev := gpu.NewDevice1()
-			NewEngine(v).Forward(queues1(dev), data, polys, tbls)
-			for i := range data {
-				if data[i] != want[i] {
-					t.Fatalf("forward mismatch at %d: %d != %d", i, data[i], want[i])
+				dev := gpu.NewDevice1()
+				NewEngine(v).Forward(queues1(dev), data, polys, tbls)
+				for i := range data {
+					if data[i] != want[i] {
+						t.Fatalf("forward mismatch at %d: %d != %d", i, data[i], want[i])
+					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -71,20 +92,22 @@ func TestEngineInverseMatchesReferenceAllVariants(t *testing.T) {
 	for _, v := range AllVariants() {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			data, tbls := testSetup(t, n, qCount, polys, 50, 100+int64(v))
-			want := append([]uint64(nil), data...)
-			for p := 0; p < polys; p++ {
-				for q := 0; q < qCount; q++ {
-					refInverse(sliceOf(want, p, q, qCount, n), tbls[q])
+			eachModulusClass(t, func(t *testing.T, bits int) {
+				data, tbls := testSetup(t, n, qCount, polys, bits, 100+int64(v))
+				want := append([]uint64(nil), data...)
+				for p := 0; p < polys; p++ {
+					for q := 0; q < qCount; q++ {
+						refInverse(sliceOf(want, p, q, qCount, n), tbls[q])
+					}
 				}
-			}
-			dev := gpu.NewDevice1()
-			NewEngine(v).Inverse(queues1(dev), data, polys, tbls)
-			for i := range data {
-				if data[i] != want[i] {
-					t.Fatalf("inverse mismatch at %d: %d != %d", i, data[i], want[i])
+				dev := gpu.NewDevice1()
+				NewEngine(v).Inverse(queues1(dev), data, polys, tbls)
+				for i := range data {
+					if data[i] != want[i] {
+						t.Fatalf("inverse mismatch at %d: %d != %d", i, data[i], want[i])
+					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -92,21 +115,23 @@ func TestEngineInverseMatchesReferenceAllVariants(t *testing.T) {
 func TestEngineRoundTripOddSizes(t *testing.T) {
 	// Sizes whose stage counts are not multiples of the radix width
 	// exercise the remainder-round scheduling.
-	for _, n := range []int{8192, 16384} {
-		for _, v := range []Variant{LocalRadix8, LocalRadix16, SIMD16x8} {
-			data, tbls := testSetup(t, n, 1, 1, 50, int64(n)+int64(v))
-			orig := append([]uint64(nil), data...)
-			dev := gpu.NewDevice1()
-			e := NewEngine(v)
-			e.Forward(queues1(dev), data, 1, tbls)
-			e.Inverse(queues1(dev), data, 1, tbls)
-			for i := range data {
-				if data[i] != orig[i] {
-					t.Fatalf("n=%d %s: round trip mismatch at %d", n, v, i)
+	eachModulusClass(t, func(t *testing.T, bits int) {
+		for _, n := range []int{8192, 16384} {
+			for _, v := range []Variant{LocalRadix8, LocalRadix16, SIMD16x8} {
+				data, tbls := testSetup(t, n, 1, 1, bits, int64(n)+int64(v))
+				orig := append([]uint64(nil), data...)
+				dev := gpu.NewDevice1()
+				e := NewEngine(v)
+				e.Forward(queues1(dev), data, 1, tbls)
+				e.Inverse(queues1(dev), data, 1, tbls)
+				for i := range data {
+					if data[i] != orig[i] {
+						t.Fatalf("n=%d %s: round trip mismatch at %d", n, v, i)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestEngineDualTileMatchesSingle(t *testing.T) {
@@ -194,31 +219,31 @@ func TestEngineNTTMultiplication(t *testing.T) {
 	// End-to-end: GPU forward (radix-8), dyadic multiply, GPU inverse
 	// must equal the schoolbook negacyclic product.
 	const n = 4096
-	dataA, tbls := testSetup(t, n, 1, 1, 50, 21)
-	dataB, _ := testSetup(t, n, 1, 1, 50, 22)
-	m := tbls[0].Modulus
-	// dataB was generated with fresh tables of the same prime order;
-	// regenerate under the same modulus for a valid product check.
-	rng := rand.New(rand.NewSource(23))
-	for i := range dataB {
-		dataB[i] = rng.Uint64() % m.Value
-	}
-	want := negacyclicConvolution(dataA[:n], dataB[:n], m)
-
-	dev := gpu.NewDevice1()
-	qs := queues1(dev)
-	e := NewEngine(LocalRadix8)
-	e.Forward(qs, dataA, 1, tbls)
-	e.Forward(qs, dataB, 1, tbls)
-	for i := 0; i < n; i++ {
-		dataA[i] = m.MulMod(dataA[i], dataB[i])
-	}
-	e.Inverse(qs, dataA, 1, tbls)
-	for i := 0; i < n; i++ {
-		if dataA[i] != want[i] {
-			t.Fatalf("NTT product mismatch at %d", i)
+	eachModulusClass(t, func(t *testing.T, bits int) {
+		dataA, tbls := testSetup(t, n, 1, 1, bits, 21)
+		m := tbls[0].Modulus
+		rng := rand.New(rand.NewSource(23))
+		dataB := make([]uint64, n)
+		for i := range dataB {
+			dataB[i] = rng.Uint64() % m.Value
 		}
-	}
+		want := negacyclicConvolution(dataA, dataB, m)
+
+		dev := gpu.NewDevice1()
+		qs := queues1(dev)
+		e := NewEngine(LocalRadix8)
+		e.Forward(qs, dataA, 1, tbls)
+		e.Forward(qs, dataB, 1, tbls)
+		for i := 0; i < n; i++ {
+			dataA[i] = m.MulMod(dataA[i], dataB[i])
+		}
+		e.Inverse(qs, dataA, 1, tbls)
+		for i := 0; i < n; i++ {
+			if dataA[i] != want[i] {
+				t.Fatalf("NTT product mismatch at %d", i)
+			}
+		}
+	})
 }
 
 // BenchmarkEngineButterfly times the functional layer alone: forward +

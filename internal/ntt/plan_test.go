@@ -175,12 +175,12 @@ func TestPlanPricesAreExact(t *testing.T) {
 								for i, k := range p.kernels {
 									share := k.Profile
 									if split := len(qs); split > 1 {
-										eff := 1 + dev.Spec.MultiTileScaling*float64(split-1)
+										eff := dev.Spec.EffectiveTiles(split)
 										share.Items = int(float64(share.Items)/eff) + 1
 										share.GlobalBytes /= eff
 										share.SLMBytes /= eff
 									}
-									if fresh := share.Time(&dev.Spec, cg, 1); stored[i] != fresh {
+									if fresh := share.Time(&dev.Spec, cg); stored[i] != fresh {
 										t.Fatalf("%v n=%d %v forward=%v on %s/%v/%d queues: kernel %d stored at %v, priced fresh at %v", v, n, s, forward, spec.Name, cg, len(qs), i, stored[i], fresh)
 									}
 									for j := range qs {

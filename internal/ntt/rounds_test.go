@@ -270,10 +270,14 @@ func FuzzRound8(f *testing.F) {
 // in one transform; both directions must still be bit-identical to
 // the radix-2 oracle (ref_test.go).
 func TestEngineRadix8TailRoundsMatchReference(t *testing.T) {
+	eachModulusClass(t, testEngineRadix8TailRoundsMatchReference)
+}
+
+func testEngineRadix8TailRoundsMatchReference(t *testing.T, bits int) {
 	const qCount, polys = 2, 2
 	for _, n := range []int{2048, 8192} {
 		for _, forward := range []bool{true, false} {
-			data, tbls := testSetup(t, n, qCount, polys, 50, int64(n))
+			data, tbls := testSetup(t, n, qCount, polys, bits, int64(n))
 			want := append([]uint64(nil), data...)
 			e := NewEngine(LocalRadix8)
 			qs := queues1(gpu.NewDevice1())

@@ -49,7 +49,7 @@
 // any class has waited longer than the aging window (in simulated
 // seconds), that class overrides the policy's pick. This bounds
 // starvation under StrictPriority and tightens tail latency under the
-// others; the scheduler enables it by default.
+// others; the scheduler always applies it, with window DefaultAging.
 package qos
 
 import "math"
@@ -133,8 +133,6 @@ type QueueState struct {
 // Dispatched under the scheduler's queue lock, never concurrently, so
 // implementations need no locking.
 type Policy interface {
-	// Name identifies the policy in stats and bench output.
-	Name() string
 	// Pick returns the index of the class to dispatch from, or -1 if
 	// every queue is empty. Only classes with queues[i].Len > 0 may
 	// be returned. now is the current simulated time.
@@ -179,7 +177,6 @@ func WFQ(classes []Class) Policy {
 	return w
 }
 
-func (w *wfq) Name() string          { return "wfq" }
 func (w *wfq) DeadlineOrdered() bool { return false }
 
 func (w *wfq) Pick(now float64, classes []Class, queues []QueueState) int {
@@ -218,7 +215,6 @@ type strict struct{}
 // the lowest class index). Pair with WithAging to bound starvation.
 func StrictPriority(classes []Class) Policy { return strict{} }
 
-func (strict) Name() string          { return "priority" }
 func (strict) DeadlineOrdered() bool { return false }
 func (strict) Dispatched(int, int)   {}
 
@@ -245,7 +241,6 @@ type edf struct{}
 // deadline of any meetable scenario.
 func EDF(classes []Class) Policy { return edf{} }
 
-func (edf) Name() string          { return "edf" }
 func (edf) DeadlineOrdered() bool { return true }
 func (edf) Dispatched(int, int)   {}
 
@@ -275,7 +270,6 @@ type fifo struct{}
 // FIFO returns the class-blind arrival-order policy.
 func FIFO(classes []Class) Policy { return fifo{} }
 
-func (fifo) Name() string          { return "fifo" }
 func (fifo) DeadlineOrdered() bool { return false }
 func (fifo) Dispatched(int, int)   {}
 
@@ -304,15 +298,10 @@ type aging struct {
 // policy: a class whose longest-waiting job has waited >= maxWait
 // simulated seconds is dispatched next regardless of the inner
 // policy's preference (the longest wait wins among overdue classes).
-// maxWait <= 0 disables the wrapper and returns inner unchanged.
 func WithAging(inner Policy, maxWait float64) Policy {
-	if maxWait <= 0 {
-		return inner
-	}
 	return &aging{inner: inner, maxWait: maxWait}
 }
 
-func (a *aging) Name() string            { return a.inner.Name() + "+aging" }
 func (a *aging) DeadlineOrdered() bool   { return a.inner.DeadlineOrdered() }
 func (a *aging) Dispatched(class, n int) { a.inner.Dispatched(class, n) }
 

@@ -147,12 +147,6 @@ func TestAgingBoundsStarvedClassWait(t *testing.T) {
 	if k := p.Pick(0.05, classes, qs); k != 1 {
 		t.Fatalf("two overdue classes: pick = %d, want 1 (longest wait)", k)
 	}
-	if WithAging(StrictPriority(classes), 0) != nil {
-		// maxWait <= 0 must return the inner policy unchanged.
-		if name := WithAging(StrictPriority(classes), 0).Name(); name != "priority" {
-			t.Fatalf("WithAging(0) wrapped the policy: %q", name)
-		}
-	}
 }
 
 // TestAgingSeesTailUnderDeadlineOrdering is the regression for

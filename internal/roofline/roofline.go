@@ -52,8 +52,8 @@ func (m *Model) Point(v ntt.Variant, n, rns, instances int, tbls []*ntt.Tables, 
 	spec := m.Spec
 	density := m.Density(v, n, tbls)
 
-	peak := spec.PeakSlotsPerCyclePerTile() * (1 + spec.MultiTileScaling*float64(m.Tiles-1)) * spec.ClockGHz
-	bw := spec.GlobalBytesPerCyclePerTile * (1 + spec.MultiTileScaling*float64(m.Tiles-1)) * spec.ClockGHz
+	peak := spec.PeakSlotsPerCyclePerTile() * spec.EffectiveTiles(m.Tiles) * spec.ClockGHz
+	bw := spec.GlobalBytesPerCyclePerTile * spec.EffectiveTiles(m.Tiles) * spec.ClockGHz
 	roof := density * bw * gpu.PatternUnitStride.Efficiency()
 	bound := "memory"
 	if roof > peak {

@@ -89,7 +89,7 @@ func TestAddShardRoutesDuringWarmup(t *testing.T) {
 }
 
 // TestAddCloseChurn pins counter consistency under membership churn:
-// rounds of AddShard + CloseShard with traffic in between must keep
+// rounds of AddShard + DrainShard with traffic in between must keep
 // the aggregate stats coherent — every submission completes, per-class
 // submitted equals completed, and the growth/retirement counters match
 // the churn.
@@ -118,7 +118,7 @@ func TestAddCloseChurn(t *testing.T) {
 		if _, err := c.AddShard(addSpec(2 + r)); err != nil {
 			t.Fatalf("round %d: AddShard: %v", r, err)
 		}
-		c.CloseShard(r) // retire the oldest member; its backlog re-routes
+		c.DrainShard(r) // retire the oldest member; its backlog re-routes
 		submitBurst(4)
 	}
 	c.Drain()
@@ -187,7 +187,7 @@ func TestAddShardRevivesCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.CloseShard(0)
+	c.DrainShard(0)
 	if _, err := c.Submit(job); err != ErrNoShards {
 		t.Fatalf("Submit with all shards retired = %v, want ErrNoShards", err)
 	}

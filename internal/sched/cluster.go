@@ -140,7 +140,7 @@ type event int
 const (
 	evPublish event = iota // the constructor, publishShard
 	evKill                 // killShard: KillShard, KillNode, an armed KillShardAfter firing
-	evDrain                // DrainShard / CloseShard starts
+	evDrain                // DrainShard starts
 	evDrained              // ... and the shard's in-flight work has settled
 	evClose                // Cluster.Close (also the teardown of a shard that never published)
 	evReplace              // the supervisor arranges the replacement: standby promotion or cold build
@@ -263,8 +263,8 @@ func NewCluster(params *ckks.Parameters, specs []ShardSpec, cfg Config, rlk *ckk
 	if len(specs) == 0 {
 		panic("sched: cluster needs at least one shard")
 	}
-	// Resolve the knobs the cluster itself reads (the shards resolve the
-	// full Config per device; these resolutions are idempotent).
+	// The supervisor reads Standbys, so the cluster resolves it; the
+	// shards resolve the rest of Config per device.
 	if cfg.Standbys < 0 {
 		cfg.Standbys = 0
 	}
@@ -696,10 +696,6 @@ func (c *Cluster) recoverTasks(src *Scheduler, ts []*task) {
 	c.relocate(src, ts, c.replayed)
 }
 
-// CloseShard retires shard i. It is DrainShard under its older name:
-// there is one retirement, and it is the graceful one.
-func (c *Cluster) CloseShard(i int) { c.DrainShard(i) }
-
 // Close stops intake and the control loop, then closes all shards
 // concurrently (each drains its pending jobs and releases its buffer
 // cache). It is idempotent, and every call returns only after the
@@ -770,7 +766,7 @@ type ClusterStats struct {
 	// Recovery counters (supervisor / drain / retry planes):
 	// StandbyPromoted counts kills absorbed by promoting a warm standby
 	// (instant replacement, no device construction); Drained counts
-	// queued jobs relocated by DrainShard/CloseShard's retirement (vs
+	// queued jobs relocated by DrainShard's retirement (vs
 	// Recovered+Replayed for a fail-stop — a drain replays nothing);
 	// Migrated counts device-resident outputs a drain pre-copied to the
 	// host; RetryAttempts counts re-executions of transiently failed

@@ -142,7 +142,7 @@ func TestClusterNeverRoutesToClosedShard(t *testing.T) {
 	}
 	submit(6)
 	c.Drain()
-	c.CloseShard(0)
+	c.DrainShard(0)
 	before := c.Stats().Routed[0]
 	submit(8)
 	c.Drain()
@@ -154,7 +154,7 @@ func TestClusterNeverRoutesToClosedShard(t *testing.T) {
 		t.Fatalf("stats = %d jobs / %d failed, want 14/0", st.Jobs, st.Failed)
 	}
 
-	c.CloseShard(1)
+	c.DrainShard(1)
 	j := NewJob(h.Encrypt(vals))
 	j.SquareRelinRescale(0)
 	if _, err := c.Submit(j); err != ErrNoShards {
@@ -266,12 +266,12 @@ func TestWarmBuffersPreloadsPool(t *testing.T) {
 	}
 }
 
-// TestCloseShardReroutesBacklogUnderRace is the CloseShard race
-// regression: submissions race with CloseShard on the targeted shard,
+// TestDrainShardReroutesBacklogUnderRace is the DrainShard race
+// regression: submissions race with DrainShard on the targeted shard,
 // and every accepted job must complete bit-correct — queued jobs on
 // the closing shard are re-routed (or drained locally), never lost,
 // and no Future ever wedges.
-func TestCloseShardReroutesBacklogUnderRace(t *testing.T) {
+func TestDrainShardReroutesBacklogUnderRace(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := schedConfig(1)
 	cfg.MaxBatch = 2
@@ -305,7 +305,7 @@ func TestCloseShardReroutesBacklogUnderRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		c.CloseShard(0) // races with the submitters
+		c.DrainShard(0) // races with the submitters
 	}()
 	close(start)
 	wg.Wait()
@@ -314,7 +314,7 @@ func TestCloseShardReroutesBacklogUnderRace(t *testing.T) {
 	for i := range futs {
 		if errs[i] != nil {
 			// ErrNoShards can only appear if shard 1 also vanished;
-			// with one CloseShard it must never happen.
+			// with one DrainShard it must never happen.
 			if errs[i] == ErrNoShards || errs[i] == ErrClosed {
 				t.Fatalf("job %d: submit: %v", i, errs[i])
 			}
@@ -326,7 +326,7 @@ func TestCloseShardReroutesBacklogUnderRace(t *testing.T) {
 			t.Fatalf("accepted job %d failed: %v", i, err)
 		}
 		if err := SameCiphertext(got, want); err != nil {
-			t.Fatalf("job %d: result diverges after CloseShard: %v", i, err)
+			t.Fatalf("job %d: result diverges after DrainShard: %v", i, err)
 		}
 	}
 	if accepted != jobs {
@@ -334,7 +334,7 @@ func TestCloseShardReroutesBacklogUnderRace(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.Jobs != int64(jobs) || st.Failed != 0 {
-		t.Fatalf("stats = %d jobs / %d failed, want %d/0 (accepted jobs lost in CloseShard)", st.Jobs, st.Failed, jobs)
+		t.Fatalf("stats = %d jobs / %d failed, want %d/0 (accepted jobs lost in DrainShard)", st.Jobs, st.Failed, jobs)
 	}
 	// The cluster must still serve with one shard.
 	fut, err := c.Submit(job)

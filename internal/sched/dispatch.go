@@ -51,7 +51,7 @@ type ship struct {
 func newDispatcher(cfg Config) *dispatcher {
 	d := &dispatcher{
 		classes:  cfg.Classes,
-		policy:   qos.WithAging(cfg.Policy(cfg.Classes), cfg.Aging),
+		policy:   qos.WithAging(cfg.Policy(cfg.Classes), qos.DefaultAging),
 		maxBatch: cfg.MaxBatch,
 		limits:   make([]int, len(cfg.Classes)),
 		rejects:  make([]bool, len(cfg.Classes)),

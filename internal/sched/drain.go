@@ -1,7 +1,7 @@
 package sched
 
-// Retirement: DrainShard (CloseShard is the same call) takes a shard out
-// of service without the replay cost of a fail-stop. Where killShard
+// Retirement: DrainShard, the one retirement, takes a shard out of
+// service without the replay cost of a fail-stop. Where killShard
 // surrenders in-flight batches (re-executed from host inputs elsewhere),
 // a drain lets them settle in place, relocates the queued backlog as-is,
 // and pre-copies the shard's device-resident graph intermediates to the

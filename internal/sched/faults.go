@@ -19,7 +19,7 @@ type FaultPlane struct {
 // are surrendered by the workers and replayed from host-side inputs
 // elsewhere (or fail with ErrShardLost when no open shard remains).
 // Returns false — and does nothing — if the shard had already left
-// rotation (killed, retired by DrainShard/CloseShard, closed with the
+// rotation (killed, retired by DrainShard, closed with the
 // cluster) or is out of range.
 func (fp *FaultPlane) KillShard(i int) bool { return fp.c.killShard(i) }
 

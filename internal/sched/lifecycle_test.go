@@ -59,7 +59,6 @@ var lifeEvents = []struct {
 	}},
 	{"KillNode", evKill, func(c *Cluster, sh *Scheduler) bool { return c.Faults().KillNode(sh.spec.Node) > 0 }},
 	{"DrainShard", evDrain, retirement((*Cluster).DrainShard)},
-	{"CloseShard", evDrain, retirement((*Cluster).CloseShard)},
 	{"standby promotion", evReplace, func(c *Cluster, sh *Scheduler) bool {
 		if c.sup == nil {
 			return false
@@ -70,7 +69,7 @@ var lifeEvents = []struct {
 	}},
 }
 
-// retirement fires DrainShard or CloseShard, which return nothing: the
+// retirement fires DrainShard, which returns nothing: the
 // caller owned the exit if the shard moved.
 func retirement(retire func(*Cluster, int)) func(*Cluster, *Scheduler) bool {
 	return func(c *Cluster, sh *Scheduler) bool {
@@ -151,7 +150,7 @@ func lifecycleCluster(t *testing.T, h *Harness, st shardState, selfHeal bool) (c
 // and without a sick budget. Then the callers: a shard brought into each
 // state the way production gets it there takes every event as its API
 // delivers it (KillShard, an armed KillShardAfter firing, KillNode,
-// DrainShard, CloseShard, a standby promotion, a cold replacement, the
+// DrainShard, a standby promotion, a cold replacement, the
 // drain completing, cluster Close). A legal event must move it and hand
 // the caller the exit; an illegal one must be refused and change nothing
 // — not the state, Health, the Killed/Added/StandbyPromoted/Drained

@@ -189,7 +189,6 @@ func TestEDFSchedulerOrdersByDeadline(t *testing.T) {
 	cfg := qosConfig(1, qos.DefaultClasses(), qos.EDF)
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 32 // deep decision pool
-	cfg.Aging = -1      // pure EDF: no aging override
 	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
 
 	const loose = 8

@@ -31,8 +31,8 @@ import (
 // runScenarios, so a row runs under its entry point's test ID (a named
 // row as its subtest) and no row exists without running. A row whose
 // faults kill, degrade or retire a shard runs under a name that make
-// stress's pattern (Chaos|SelfHeal|Kill|Drain|Retry|AddShard|CloseShard|
-// Lifecycle) selects.
+// stress's pattern (Chaos|SelfHeal|Kill|Drain|Retry|AddShard|Lifecycle)
+// selects.
 type scenario struct {
 	name    string      // the subtest; "" runs the row in its entry point itself
 	shards  []ShardSpec // a cluster over these; nil: one Device1 shard
@@ -620,9 +620,9 @@ func TestGraphDifferentialClusterHeterogeneous(t *testing.T) {
 
 // A shard retires while graphs race in: queued consumers migrate, their
 // resolved residencies rematerialize host-side.
-func TestGraphClusterCloseShardMidRun(t *testing.T) {
+func TestGraphClusterDrainShardMidRun(t *testing.T) {
 	runScenarios(t, scenario{shards: heteroPair, workers: 2, work: workload{seed: 31337, n: 4, nodes: 5, maxOps: 3}, racers: 4,
-		faults: map[int]func(*testing.T, *run){2: func(t *testing.T, r *run) { r.c.CloseShard(0) }}})
+		faults: map[int]func(*testing.T, *run){2: func(t *testing.T, r *run) { r.c.DrainShard(0) }}})
 }
 
 // The hop prices time and never touches payloads.
@@ -768,9 +768,8 @@ func TestMixedLevelJobsDoNotFuse(t *testing.T) {
 		}})
 }
 
-// Both check that batch waves recycle device buffers through the cache.
+// Batch waves recycle device buffers through the cache.
 func TestFusedMemcacheRecycling(t *testing.T) { runScenarios(t, recyclingWaves) }
-func TestTransferStagingReuse(t *testing.T)   { runScenarios(t, recyclingWaves) }
 
 // Batches and coalesced jobs belong to the class whose queue formed
 // them; a class that never ran reports zero.

@@ -69,10 +69,6 @@ type Config struct {
 	// Policy builds the dispatch policy deciding which class's
 	// backlog runs next. nil selects qos.WFQ (weighted fair queuing).
 	Policy qos.Factory
-	// Aging is the starvation-protection window in simulated seconds:
-	// a class whose head job has waited this long overrides the
-	// policy's pick. 0 selects qos.DefaultAging; negative disables.
-	Aging float64
 	// Core configures the per-worker backend contexts (NTT variant,
 	// inline assembly, memory cache, ...). Config.Core.DualTile is
 	// ignored: tile parallelism comes from the worker pool itself.
@@ -106,15 +102,9 @@ func (c Config) withDefaults(tiles int) Config {
 	if c.Workers <= 0 {
 		c.Workers = tiles
 	}
-	if c.Standbys < 0 {
-		c.Standbys = 0
-	}
 	if c.Trace.SpanCap <= 0 {
 		c.Trace.SpanCap = 8192
 	}
-	// The workers need a per-tile copy queue on every context so a
-	// batch's gathered copies overlap with its neighbours' compute.
-	c.Core.CopyEngine = true
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
@@ -126,9 +116,6 @@ func (c Config) withDefaults(tiles int) Config {
 	}
 	if c.Policy == nil {
 		c.Policy = qos.WFQ
-	}
-	if c.Aging == 0 {
-		c.Aging = qos.DefaultAging
 	}
 	return c
 }

@@ -372,20 +372,14 @@ func TestDrainShardNoReplay(t *testing.T) {
 // another shard) resolves against the host copy bit-identically. The
 // consumer edge is registered white-box via onSettled, exactly what a
 // submitted consumer's registerDeps does, so the residency is
-// deterministically alive when the drain runs. CloseShard is the same
-// retirement under its older name and must pass the same way: closing
-// the scheduler before the pre-copy freed the pinned output under its
-// future, which then read back as zeros with a nil error.
+// deterministically alive when the drain runs. Closing the scheduler
+// before the pre-copy once freed the pinned output under its future,
+// which then read back as zeros with a nil error.
 func TestDrainShardMigratesResidents(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		retire func(*Cluster, int)
-	}{{"DrainShard", (*Cluster).DrainShard}, {"CloseShard", (*Cluster).CloseShard}} {
-		t.Run(tc.name, func(t *testing.T) { testRetireMigratesResidents(t, tc.retire) })
-	}
+	t.Run("DrainShard", testDrainMigratesResidents)
 }
 
-func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
+func testDrainMigratesResidents(t *testing.T) {
 	h := sharedHarness(t)
 	c := newTestCluster(t, h, 1, gpu.Device1Spec())
 
@@ -412,7 +406,7 @@ func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
 	if _, err := c.AddShard(ShardSpec{Device: gpu.Device1Spec(), Node: 1}); err != nil {
 		t.Fatalf("AddShard: %v", err)
 	}
-	mustFinish(t, "retirement", func() { retire(c, 0) })
+	mustFinish(t, "DrainShard", func() { c.DrainShard(0) })
 	if n := c.all()[0].Cache().PinnedCount(); n != 0 {
 		t.Fatalf("drained shard PinnedCount = %d, want 0 (migration must force-release)", n)
 	}
@@ -462,8 +456,8 @@ func testRetireMigratesResidents(t *testing.T, retire func(*Cluster, int)) {
 }
 
 // TestCloseAndDrainOnKilledShardAreNoops is the idempotence regression
-// test: retiring a shard that was already fail-stopped — via CloseShard
-// or DrainShard — must be a plain no-op, not a second evacuation, a
+// test: retiring a shard that was already fail-stopped — by DrainShard,
+// once or twice — must be a plain no-op, not a second evacuation, a
 // double-close, or a wedge; the cluster keeps serving afterwards.
 func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 	h := sharedHarness(t)
@@ -473,8 +467,8 @@ func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 		t.Fatal("KillShard(0) returned false")
 	}
 	before := c.Stats()
-	mustFinish(t, "CloseShard on killed shard", func() { c.CloseShard(0) })
 	mustFinish(t, "DrainShard on killed shard", func() { c.DrainShard(0) })
+	mustFinish(t, "second DrainShard on killed shard", func() { c.DrainShard(0) })
 	after := c.Stats()
 	if got := c.Faults().Health(0); got != "killed" {
 		t.Fatalf("health after no-op retirements = %q, want killed (the kill's state must stand)", got)
@@ -505,7 +499,7 @@ func TestCloseAndDrainOnKilledShardAreNoops(t *testing.T) {
 	hc := selfHealCluster(t, h, 1, gpu.Device1Spec(), gpu.Device1Spec(), gpu.Device1Spec())
 	hc.Faults().KillShardAfter(1, 1)
 	mustFinish(t, "DrainShard", func() { hc.DrainShard(0) })
-	mustFinish(t, "CloseShard", func() { hc.CloseShard(1) })
+	mustFinish(t, "DrainShard", func() { hc.DrainShard(1) })
 	before, shards := hc.Stats(), hc.Shards()
 	if hc.Faults().KillShard(0) {
 		t.Error("KillShard on a drained shard returned true")

@@ -38,8 +38,8 @@ func NewQueueOnTile(d *gpu.Device, tile int, cg isa.CodeGen, multiQ bool) *Queue
 }
 
 // NewCopyQueueOnTile creates a queue bound to a tile's copy engine:
-// CopyIn/CopyOut (and the gathered CopyInGather/CopyOutScatter)
-// submitted through it land on the copy timeline and overlap with
+// CopyInGather/CopyOutScatter submitted through it land on the copy
+// timeline and overlap with
 // compute, synchronized only through explicit event dependencies. On a
 // device without a copy engine the queue degrades to compute-timeline
 // placement. Copy queues never launch kernels, so they carry no
@@ -98,9 +98,6 @@ func Price(qs []*Queue, k *Kernel) gpu.Cycles {
 	return k.Price(&qs[0].Device().Spec, qs[0].cg, len(qs))
 }
 
-// Wait drains the queue.
-func (q *Queue) Wait() { q.q.Wait() }
-
 // Kernel aliases the simulator kernel type.
 type Kernel = gpu.Kernel
 
@@ -153,24 +150,11 @@ func (b *Buffer) Free() {
 // Bytes returns the buffer size in bytes.
 func (b *Buffer) Bytes() int64 { return int64(len(b.Data)) * 8 }
 
-// CopyIn models a host-to-device copy of the given words.
-func (q *Queue) CopyIn(b *Buffer, src []uint64, deps ...gpu.Event) gpu.Event {
-	copy(b.Data, src)
-	return q.q.CopyH2D(int64(len(src))*8, deps...)
-}
-
-// CopyOut models a device-to-host copy.
-func (q *Queue) CopyOut(dst []uint64, b *Buffer, deps ...gpu.Event) gpu.Event {
-	copy(dst, b.Data)
-	return q.q.CopyD2H(int64(len(dst))*8, deps...)
-}
-
 // CopyInGather models one host-to-device transfer of a whole batch:
 // each source row is copied straight into its device buffer, and the
 // batch is shipped as a single memcpy submission sized at the sum of
 // all rows. Row i lands in dsts[i]; rows may be ragged (different
-// lengths). With a single row this is exactly CopyIn: same data
-// movement, same event cost.
+// lengths). A single row is the plain memcpy.
 func (q *Queue) CopyInGather(dsts []*Buffer, srcs [][]uint64, deps ...gpu.Event) gpu.Event {
 	if len(dsts) != len(srcs) {
 		panic("sycl: gathered copy needs one destination buffer per source row")

@@ -98,9 +98,9 @@ func TestBufferAllocCopyRoundTrip(t *testing.T) {
 	for i := range src {
 		src[i] = uint64(i * i)
 	}
-	q.CopyIn(b, src)
+	q.CopyInGather([]*Buffer{b}, [][]uint64{src})
 	dst := make([]uint64, 256)
-	ev := q.CopyOut(dst, b)
+	ev := q.CopyOutScatter([][]uint64{dst}, []*Buffer{b})
 	ev.Wait()
 	for i := range dst {
 		if dst[i] != src[i] {

@@ -17,39 +17,12 @@ func fillRandom(rng *rand.Rand, n int) []uint64 {
 	return out
 }
 
-// TestCopyInGatherBatchOfOneMatchesCopyIn pins the degenerate batch: a
-// gathered copy of a single row must equal the plain CopyIn exactly —
-// same device data and the same simulated completion time.
-func TestCopyInGatherBatchOfOneMatchesCopyIn(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	src := fillRandom(rng, 512)
-
-	dPlain := gpu.NewDevice1()
-	qPlain := NewQueue(dPlain, 0)
-	bPlain := MallocDevice(dPlain, 512)
-	evPlain := qPlain.CopyIn(bPlain, src)
-
-	dGather := gpu.NewDevice1()
-	qGather := NewQueue(dGather, 0)
-	bGather := MallocDevice(dGather, 512)
-	evGather := qGather.CopyInGather([]*Buffer{bGather}, [][]uint64{src})
-
-	if evPlain.Done() != evGather.Done() {
-		t.Fatalf("batch-of-one gather completes at %v, plain CopyIn at %v; must be identical",
-			evGather.Done(), evPlain.Done())
-	}
-	for i := range src {
-		if bGather.Data[i] != bPlain.Data[i] {
-			t.Fatalf("word %d: gather %d vs plain %d", i, bGather.Data[i], bPlain.Data[i])
-		}
-	}
-}
-
 // TestCopyGatherScatterRoundTripRagged round-trips a ragged batch
 // (rows of different lengths, as a final partial batch produces)
-// through CopyInGather and CopyOutScatter: every row must survive
-// bit-exactly and each direction must cost exactly one submission
-// sized at the row sum.
+// through CopyInGather and CopyOutScatter: every row must land
+// bit-exactly in its own device buffer and survive the way back, and
+// each direction must cost exactly one submission sized at the row
+// sum.
 func TestCopyGatherScatterRoundTripRagged(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	d := gpu.NewDevice1()
@@ -72,6 +45,13 @@ func TestCopyGatherScatterRoundTripRagged(t *testing.T) {
 	if math.Abs(evIn.Done()-wantDone) > 1e-9*wantDone {
 		t.Fatalf("gathered H2D done at %v, want %v (one submission over the row sum)", evIn.Done(), wantDone)
 	}
+	for i := range srcs {
+		for j := range srcs[i] {
+			if bufs[i].Data[j] != srcs[i][j] {
+				t.Fatalf("row %d word %d mismatch after the gathered upload", i, j)
+			}
+		}
+	}
 	dsts := make([][]uint64, len(sizes))
 	for i, n := range sizes {
 		dsts[i] = make([]uint64, n)
@@ -88,24 +68,6 @@ func TestCopyGatherScatterRoundTripRagged(t *testing.T) {
 		for j := range srcs[i] {
 			if dsts[i][j] != srcs[i][j] {
 				t.Fatalf("row %d word %d: got %d want %d", i, j, dsts[i][j], srcs[i][j])
-			}
-		}
-	}
-}
-
-// TestCopyGatherWithoutStagingStillExact pins the row copies of a
-// gathered upload: every row lands bit-exactly in its own device buffer.
-func TestCopyGatherWithoutStagingStillExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	d := gpu.NewDevice1()
-	q := NewQueue(d, 0)
-	srcs := [][]uint64{fillRandom(rng, 256), fillRandom(rng, 256)}
-	bufs := []*Buffer{MallocDevice(d, 256), MallocDevice(d, 256)}
-	q.CopyInGather(bufs, srcs)
-	for i := range srcs {
-		for j := range srcs[i] {
-			if bufs[i].Data[j] != srcs[i][j] {
-				t.Fatalf("row %d word %d mismatch after a gathered upload", i, j)
 			}
 		}
 	}

@@ -130,8 +130,8 @@
 // before its replacement landed — inside the cluster with
 // exponential backoff priced on the simulated clock, deadline-aware,
 // so callers only ever see errors that would recur. And scale-down
-// is graceful: Cluster.DrainShard (CloseShard is the same call) retires
-// a shard with zero replay — queued work relocates as-is, in-flight
+// is graceful: Cluster.DrainShard, the one retirement, retires a
+// shard with zero replay — queued work relocates as-is, in-flight
 // batches settle in place, and device-resident graph outputs pre-copy
 // to the host. A shard leaves rotation once: retiring a killed shard
 // and killing a retired one are both no-ops:
@@ -558,11 +558,6 @@ type ServiceConfig struct {
 	// Policy selects the dispatch policy (PolicyWFQ, the default, or
 	// PolicyStrictPriority / PolicyEDF / PolicyFIFO / custom).
 	Policy SchedPolicy
-	// Aging is the starvation-protection window in simulated seconds:
-	// a class whose head job has waited this long overrides the
-	// policy's pick. 0 selects the default (qos.DefaultAging);
-	// negative disables aging.
-	Aging float64
 	// WarmBuffers pre-populates the device buffer cache with this many
 	// working-set-sized buffers at construction, so steady-state jobs
 	// never pay a cold driver allocation (runtime allocations
@@ -621,7 +616,6 @@ func (sc ServiceConfig) schedConfig() sched.Config {
 		PendingCap:  sc.PendingCap,
 		Classes:     sc.Classes,
 		Policy:      sc.Policy,
-		Aging:       sc.Aging,
 		WarmBuffers: sc.WarmBuffers,
 		Core:        backend,
 		Trace:       sc.Trace,
@@ -840,10 +834,6 @@ var ErrTraceDisabled = sched.ErrTraceDisabled
 // returns an error for malformed jobs, ErrClosed after Close, or
 // ErrNoShards when every shard has been retired.
 func (c *Cluster) Submit(job *Job) (*Pending, error) { return c.cl.Submit(job) }
-
-// CloseShard retires shard i. It is DrainShard under its older name:
-// there is one retirement, and it is the graceful one.
-func (c *Cluster) CloseShard(i int) { c.cl.CloseShard(i) }
 
 // DrainShard gracefully retires shard i — e.g. to scale down, or to take
 // a failing device out without stopping the cluster or stranding
