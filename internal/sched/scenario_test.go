@@ -771,6 +771,21 @@ func TestMixedLevelJobsDoNotFuse(t *testing.T) {
 // Batch waves recycle device buffers through the cache.
 func TestFusedMemcacheRecycling(t *testing.T) { runScenarios(t, recyclingWaves) }
 
+// Gathered transfers land in recycled device buffers: every wave still
+// moves its data both ways, and every buffer goes back to the cache.
+func TestTransferStagingReuse(t *testing.T) {
+	row := recyclingWaves
+	row.check = func(t *testing.T, r *run) {
+		recyclingWaves.check(t, r)
+		st := r.c.Stats()
+		expect(t, st.TransferBatches >= 8 && st.BytesH2D > 0 && st.BytesD2H > 0,
+			"four waves moved %d gathered transfers (%d/%d bytes); want at least one each way per wave",
+			st.TransferBatches, st.BytesH2D, st.BytesD2H)
+		checkPoolsReturned(t, "after the last wave", r.c.all()[0].Cache())
+	}
+	runScenarios(t, row)
+}
+
 // Batches and coalesced jobs belong to the class whose queue formed
 // them; a class that never ran reports zero.
 func TestPerClassCoalescingStats(t *testing.T) {

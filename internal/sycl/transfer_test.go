@@ -73,6 +73,35 @@ func TestCopyGatherScatterRoundTripRagged(t *testing.T) {
 	}
 }
 
+// TestCopyGatherWithoutStagingStillExact pins the row copies of a
+// gathered upload into buffers that already hold data, as recycled
+// ones do: each row overwrites exactly its own prefix, and the words of
+// a buffer past its row, like every other buffer, stay as they were.
+func TestCopyGatherWithoutStagingStillExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	d := gpu.NewDevice1()
+	q := NewQueue(d, 0)
+	srcs := [][]uint64{fillRandom(rng, 256), fillRandom(rng, 100)}
+	bufs := []*Buffer{MallocDevice(d, 256), MallocDevice(d, 256)}
+	old := make([][]uint64, len(bufs))
+	for i, b := range bufs {
+		copy(b.Data, fillRandom(rng, len(b.Data)))
+		old[i] = append([]uint64(nil), b.Data...)
+	}
+	q.CopyInGather(bufs, srcs)
+	for i, b := range bufs {
+		for j := range b.Data {
+			want := old[i][j]
+			if j < len(srcs[i]) {
+				want = srcs[i][j]
+			}
+			if b.Data[j] != want {
+				t.Fatalf("buffer %d word %d: got %d want %d after a gathered upload", i, j, b.Data[j], want)
+			}
+		}
+	}
+}
+
 // TestCopyQueueEventOrdering pins the copy/compute synchronization
 // contract end to end on the sycl layer: an upload on the copy queue
 // overlaps an in-flight kernel, a kernel depending on that upload
