@@ -68,12 +68,12 @@ bench-check:
 test-race:
 	$(GO) test -race . ./internal/apps/... ./internal/sched/... ./internal/qos/... ./internal/obs/... ./internal/memcache/... ./internal/gpu/... ./internal/sycl/... ./internal/core/... ./internal/fhebench/... ./internal/ckks/... ./internal/poly/... ./internal/ntt/...
 
-# The Go loops behind the AVX-512 bodies — the NTT rounds
-# (internal/ntt/vector_amd64.s), and the key switch's inner product and
-# row reductions and the elementwise kernels' rows
+# The Go loops behind the AVX-512 bodies and their IFMA family — the
+# NTT rounds (internal/ntt/vector_amd64.s), and the key switch's inner
+# product and row reductions and the elementwise kernels' rows
 # (internal/xmath/vector_amd64.s): the packages whose results ride on
-# them, tested with the vector kernels compiled out by the purego tag,
-# and the whole tree vetted for arm64, where they do not exist.
+# them, tested with both vector families compiled out by the purego
+# tag, and the whole tree vetted for arm64, where they do not exist.
 fallback:
 	$(GO) test -tags purego ./internal/xmath ./internal/ntt ./internal/poly ./internal/ckks ./internal/core
 	GOARCH=arm64 $(GO) vet ./...
@@ -96,9 +96,10 @@ stress:
 # Fuzz smoke: every Fuzz* target in the tree (found by name, so a new
 # one is picked up without editing this), 5 s each — internal/xmath's
 # modular arithmetic against math/big (AddMod, MulMod, HarveyLazy and
-# BarrettReduce128 on arbitrary 128-bit inputs) and its AVX-512 bodies
-# against the Go ones (FuzzInnerProductPair, FuzzReduceRow,
-# FuzzSubMulRow, FuzzTensorRow, FuzzMulAddRow, FuzzAddRow), internal/ntt's AVX-512
+# BarrettReduce128 on arbitrary 128-bit inputs) and its row bodies
+# against the Go ones, each with the IFMA bodies on and off
+# (FuzzInnerProductPair, FuzzReduceRow, FuzzSubMulRow, FuzzTensorRow,
+# FuzzMulAddRow, FuzzAddRow), internal/ntt's AVX-512
 # radix-8 rounds against the Go rounds (FuzzRound8), internal/rns's exact
 # CRT composition to float64 against math/big, internal/ckks's
 # ReadCiphertext, the boundary that accepts outside bytes, and

@@ -16,9 +16,9 @@ import (
 func hostKernels() string {
 	switch {
 	case xmath.HasIFMA():
-		return "AVX-512F/DQ + IFMA (NTT rounds under moduli below 2^50 on IFMA; other rounds and the elementwise rows on AVX-512F/DQ)"
+		return "AVX-512F/DQ + IFMA (NTT rounds, key-switch and elementwise rows under moduli below 2^50 on IFMA; the rest on AVX-512F/DQ)"
 	case xmath.HasAVX512():
-		return "AVX-512F/DQ (NTT rounds and elementwise rows)"
+		return "AVX-512F/DQ (NTT rounds, key-switch and elementwise rows)"
 	}
 	return "Go loops (no AVX-512, or the purego build tag)"
 }

@@ -14,13 +14,17 @@ package xehe
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -35,7 +39,7 @@ import (
 // in one package is the same *types.Func wherever it is used. Go
 // forbids a package's tests to import anything that imports the
 // package, so adding them creates no cycle. The standard library
-// comes from go/importer.
+// comes from go/importer, reading the export data stdExports lists.
 type repo struct {
 	fset  *token.FileSet
 	std   types.Importer
@@ -93,7 +97,6 @@ func loadRepo(t *testing.T) *repo {
 		files: map[*ast.File]string{},
 		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
 	}
-	r.std = importer.ForCompiler(r.fset, "gc", nil)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -109,6 +112,14 @@ func loadRepo(t *testing.T) *repo {
 	if err != nil {
 		t.Fatal(err)
 	}
+	exports := stdExports(t, r.dirs)
+	r.std = importer.ForCompiler(r.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data listed for %s", path)
+		}
+		return os.Open(file)
+	})
 	for path, dir := range r.dirs {
 		if _, err := r.Import(path); err != nil {
 			t.Fatalf("type-checking %s: %v", path, err)
@@ -122,6 +133,38 @@ func loadRepo(t *testing.T) *repo {
 		}
 	}
 	return r
+}
+
+// stdExports returns the export data file of every standard-library
+// package the repository's packages and tests import, and of their
+// dependencies, from one `go list -export -deps`: go/importer on its
+// own runs go list once per package, which would take most of the
+// test's time.
+func stdExports(t *testing.T, dirs map[string]string) map[string]string {
+	std := []string{"fmt", "encoding/json"} // the interfaces the test looks up
+	seen := map[string]bool{}
+	for _, dir := range dirs {
+		bp, _ := build.ImportDir(dir, 0)
+		for _, imports := range [][]string{bp.Imports, bp.TestImports, bp.XTestImports} {
+			for _, path := range imports {
+				if _, ours := dirs[path]; !ours && !seen[path] {
+					seen[path] = true
+					std = append(std, path)
+				}
+			}
+		}
+	}
+	goTool := filepath.Join(build.Default.GOROOT, "bin", "go")
+	out, err := exec.Command(goTool, append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}, std...)...).Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "=")
+		exports[path] = file
+	}
+	return exports
 }
 
 func TestInternalExportsHaveCallers(t *testing.T) {

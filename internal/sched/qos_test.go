@@ -2,6 +2,8 @@ package sched
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xehe/internal/gpu"
@@ -182,20 +184,53 @@ func TestDeadlineAccounting(t *testing.T) {
 }
 
 // TestEDFSchedulerOrdersByDeadline pins the deadline-sorted queue
-// plumbing end to end: with one worker plugged, a tight-deadline job
-// submitted after a loose-deadline backlog must run first.
+// plumbing end to end: with the one worker plugged, a tight-deadline
+// job submitted after a loose-deadline backlog must run first.
+//
+// The batch hook holds the worker twice. It holds the plug's batch
+// until the whole backlog is queued, so the next cut sees all of it
+// whatever the number of CPUs. It holds again at the first batch the
+// worker starts once the tight job has resolved, until the loose jobs
+// are counted: with one CPU the test goroutine would not run again
+// before the worker had finished the backlog, and every loose job would
+// count as done before the tight one.
 func TestEDFSchedulerOrdersByDeadline(t *testing.T) {
 	h := sharedHarness(t)
 	cfg := qosConfig(1, qos.DefaultClasses(), qos.EDF)
 	cfg.MaxBatch = 1
 	cfg.PendingCap = 32 // deep decision pool
 	s := newSchedulerWith(t, h, gpu.Device1Spec(), cfg)
+	var tightFut atomic.Pointer[Future]
+	plugged, queued, counted := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var queuedOnce, countedOnce sync.Once
+	unplug := func() { queuedOnce.Do(func() { close(queued) }) }
+	resume := func() { countedOnce.Do(func() { close(counted) }) }
+	defer unplug() // a failed test must not leave the worker held: teardown drains
+	defer resume()
+	first, held := true, false // only the one worker runs the hook
+	s.onBatch = func() {
+		if first {
+			first = false
+			close(plugged)
+			<-queued
+			return
+		}
+		if f := tightFut.Load(); f != nil && !held {
+			select {
+			case <-f.Done():
+				held = true
+				<-counted
+			default:
+			}
+		}
+	}
 
 	const loose = 8
 	jobs := squareJobs(h, loose+2)
 	if _, err := s.Submit(jobs[0]); err != nil {
 		t.Fatal(err) // plug
 	}
+	<-plugged
 	looseFuts := make([]*Future, loose)
 	for i := 0; i < loose; i++ {
 		var err error
@@ -207,14 +242,15 @@ func TestEDFSchedulerOrdersByDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tightFut.Store(tight)
+	unplug()
 	if _, err := tight.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	// The tight job was submitted last but sorts to the front of the
 	// deadline-ordered queue: when it completes, most of the loose
-	// backlog must still be pending (only the plug, the batch the
-	// worker prefetched while it held the plug, and a batch it pulled
-	// before the tight job arrived can beat it).
+	// backlog must still be pending (only a batch the worker prefetched
+	// while it ran the tight job can be resolved with it).
 	looseDone := 0
 	for _, f := range looseFuts {
 		select {
@@ -223,6 +259,7 @@ func TestEDFSchedulerOrdersByDeadline(t *testing.T) {
 		default:
 		}
 	}
+	resume()
 	if looseDone > 4 {
 		t.Fatalf("%d of %d loose jobs finished before the tight-deadline job; EDF did not overtake", looseDone, loose)
 	}

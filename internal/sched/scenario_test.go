@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -657,12 +658,35 @@ func TestChaosDifferential(t *testing.T) {
 }
 
 // Degraded links: the sick shard is routed around, simulated time
-// absorbs the retransmits, and no payload changes.
+// absorbs the retransmits, and no payload changes. Each fault is armed
+// where a later hop must consume it. A fault armed on a fixed shard at a
+// fixed submission may meet no hop there: the router steers new work
+// away from a shard a fault marks sick, and the steal round may move a
+// shard's whole queue to an idle one before its workers pull any of it.
+// So the batch hook arms each fault on the shard that starts the first
+// batch after the fault's unit goes in — the delay at unit 4, the drop
+// at unit 8 — and that batch's launches and download cross the faulty
+// link.
 func TestChaosRemoteHops(t *testing.T) {
+	var delay, drop atomic.Bool
 	runScenarios(t, scenario{shards: remotePair, workers: 2, work: workload{seed: 555, n: 16, maxOps: 4},
 		faults: map[int]func(*testing.T, *run){
-			4: func(t *testing.T, r *run) { r.c.Faults().DelayHops(1, 40e-6, 8) },
-			8: func(t *testing.T, r *run) { r.c.Faults().DropHops(0, 4) },
+			0: func(t *testing.T, r *run) {
+				for _, sh := range r.c.all() {
+					sh, next := sh, sh.onBatch
+					sh.onBatch = func() {
+						if delay.CompareAndSwap(true, false) {
+							r.c.Faults().DelayHops(sh.id, 40e-6, 8)
+						}
+						if drop.CompareAndSwap(true, false) {
+							r.c.Faults().DropHops(sh.id, 4)
+						}
+						next()
+					}
+				}
+			},
+			4: func(*testing.T, *run) { delay.Store(true) },
+			8: func(*testing.T, *run) { drop.Store(true) },
 		},
 		check: func(t *testing.T, r *run) {
 			ls := r.links()

@@ -190,16 +190,21 @@ func FuzzHarveyLazy52(f *testing.F) {
 }
 
 // FuzzInnerProductPair cross-checks the dispatched lazy inner product —
-// the AVX-512 body where the host has one — against the Go loop, on
-// random moduli up to 60 bits, 1 to 40 terms (the vector body takes up
-// to 16), a range [lo, n) in rows up to 511 long, and operands drawn
-// from a seed by randomTerms (0 and p−1 mixed in, or all near p−1).
+// the AVX-512 body where the host has one, with the IFMA body on and
+// off — against the Go loop, on random moduli up to 60 bits, 1 to 40
+// terms (the vector bodies take up to 16), a range [lo, n) in rows up
+// to 511 long, and operands drawn from a seed by randomTerms (0 and p−1
+// mixed in, or all near p−1). The seeds hold the edges of the IFMA
+// class: the power of two 2^42, whose 52-bit ratio would be 2^52, and
+// 2^50 − 27, the largest products the fold takes.
 func FuzzInnerProductPair(f *testing.F) {
 	f.Add(uint64(1)<<60-1, int64(1), uint8(15), uint8(0), uint8(64), true)
 	f.Add(uint64(0xb4f3a1c2d5e6f79), int64(5), uint8(15), uint8(0), uint8(64), true)
 	f.Add(uint64(1)<<54-33, int64(2), uint8(8), uint8(3), uint8(37), false)
 	f.Add(uint64(2), int64(3), uint8(16), uint8(7), uint8(200), true)
 	f.Add(uint64(1)<<42-11, int64(4), uint8(39), uint8(1), uint8(16), false)
+	f.Add(uint64(1)<<42, int64(6), uint8(15), uint8(0), uint8(64), true)
+	f.Add(uint64(1)<<50-27, int64(7), uint8(15), uint8(0), uint8(64), true)
 	f.Fuzz(func(t *testing.T, rawP uint64, seed int64, rawTerms, lo, span uint8, top bool) {
 		m := fuzzModulus(rawP)
 		rng := rand.New(rand.NewSource(seed))
@@ -207,13 +212,15 @@ func FuzzInnerProductPair(f *testing.F) {
 		d := randomTerms(rng, m.Value, terms, n, top)
 		b := randomTerms(rng, m.Value, terms, n, top)
 		a := randomTerms(rng, m.Value, terms, n, top)
-		checkInnerProductPair(t, m, d, b, a, int(lo), n)
+		withoutIFMA(func(bool) { checkInnerProductPair(t, m, d, b, a, int(lo), n) })
 	})
 }
 
 // FuzzReduceRow cross-checks ReduceRow — the AVX-512 body where the
-// host has one, and its Go tail — against BarrettReduce on a row of
-// arbitrary 64-bit words, ending in 2^64−1.
+// host has one, with the IFMA body on and off, and its Go tail —
+// against BarrettReduce on a row of arbitrary 64-bit words, ending in
+// 2^64−1. The seeds hold rows of 2^64−1 on both sides of 2^12, below
+// which the IFMA body's c1 = V >> s would not fit 52 bits.
 func FuzzReduceRow(f *testing.F) {
 	f.Add(uint64(1)<<60-1, []byte{})
 	f.Add(uint64(2), make([]byte, 64))
@@ -224,6 +231,9 @@ func FuzzReduceRow(f *testing.F) {
 	f.Add(uint64(0x2b7e151628aed3), words)
 	f.Add(uint64(1)<<MaxModulusBits-1, bytes.Repeat([]byte{0xff}, 64))
 	f.Add(uint64(1)<<54-33, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint64(1)<<12+1, bytes.Repeat([]byte{0xff}, 64))
+	f.Add(uint64(1)<<12-3, bytes.Repeat([]byte{0xff}, 64))
+	f.Add(uint64(1)<<50-27, words)
 	f.Fuzz(func(t *testing.T, rawP uint64, raw []byte) {
 		m := fuzzModulus(rawP)
 		src := make([]uint64, 0, len(raw)/8+1)
@@ -232,24 +242,28 @@ func FuzzReduceRow(f *testing.F) {
 		}
 		src = append(src, ^uint64(0))
 		dst := make([]uint64, len(src))
-		m.ReduceRow(dst, src)
-		for x, v := range src {
-			if want := m.BarrettReduce(v); dst[x] != want {
-				t.Fatalf("ReduceRow mod %d: x = %d gives %d for %d, want %d", m.Value, x, dst[x], v, want)
+		withoutIFMA(func(ifma bool) {
+			m.ReduceRow(dst, src)
+			for x, v := range src {
+				if want := m.BarrettReduce(v); dst[x] != want {
+					t.Fatalf("ReduceRow mod %d (IFMA %v): x = %d gives %d for %d, want %d", m.Value, ifma, x, dst[x], v, want)
+				}
 			}
-		}
+		})
 	})
 }
 
-// fuzzRow runs the row primitive f against its oracle on random
-// moduli up to 60 bits, a range [lo, n) in rows up to 511 long (so its
-// ends fall anywhere around a multiple of eight), and operands drawn
-// from a seed by randomTerms (0 and p−1 mixed in, or all near p−1).
+// fuzzRow runs the row primitive f against its oracle, with the IFMA
+// bodies on and off, on random moduli up to 60 bits, a range [lo, n)
+// in rows up to 511 long (so its ends fall anywhere around a multiple
+// of eight), and operands drawn from a seed by randomTerms (0 and p−1
+// mixed in, or all near p−1).
 func fuzzRow(t *testing.T, f rowPrim, rawP uint64, seed int64, lo, span uint8, top bool) {
 	m := fuzzModulus(rawP)
 	rng := rand.New(rand.NewSource(seed))
 	n := int(lo) + int(span) + 1
-	checkRow(t, f, m, randomTerms(rng, m.Value, f.outs, n, top), randomTerms(rng, m.Value, f.ins, n, top), int(lo), n)
+	init, ins := randomTerms(rng, m.Value, f.outs, n, top), randomTerms(rng, m.Value, f.ins, n, top)
+	withoutIFMA(func(bool) { checkRow(t, f, m, init, ins, int(lo), n) })
 }
 
 // rowPrimNamed returns the rowPrims entry of that name.
@@ -263,8 +277,9 @@ func rowPrimNamed(name string) rowPrim {
 }
 
 // addRowSeeds seeds the row fuzz targets: a 60-bit modulus, one far
-// from a power of two, a 54-bit one, p = 2, with ranges from empty to
-// 200 long.
+// from a power of two, a 54-bit one, p = 2, a 42-bit one, and the IFMA
+// class's edges 2^50 − 27 and the power of two 2^42, with ranges from
+// empty to 200 long.
 func addRowSeeds(f *testing.F, extra ...any) {
 	for _, s := range [][]any{
 		{uint64(1)<<60 - 1, int64(1), uint8(0), uint8(64), true},
@@ -272,6 +287,8 @@ func addRowSeeds(f *testing.F, extra ...any) {
 		{uint64(1)<<54 - 33, int64(2), uint8(7), uint8(16), false},
 		{uint64(2), int64(3), uint8(1), uint8(200), false},
 		{uint64(1)<<42 - 11, int64(4), uint8(8), uint8(0), true},
+		{uint64(1)<<50 - 27, int64(6), uint8(5), uint8(120), true},
+		{uint64(1) << 42, int64(7), uint8(2), uint8(90), false},
 	} {
 		f.Add(append(s, extra...)...)
 	}
@@ -337,8 +354,9 @@ func subMulPrim(w MulModOperand, withAdd bool) rowPrim {
 }
 
 // FuzzSubMulRow cross-checks SubMulRow — the AVX-512 body where the
-// host has one, and its Go tail — against its definition, with a
-// random operand W and with and without an addend.
+// host has one, with the IFMA body on and off, and its Go tail —
+// against its definition, with a random operand W and with and without
+// an addend.
 func FuzzSubMulRow(f *testing.F) {
 	addRowSeeds(f, uint64(0), false)
 	addRowSeeds(f, ^uint64(0), true)

@@ -15,6 +15,14 @@
 // end. The key switch (internal/core) sums its c digit products this
 // way, which is why rns.NewBasis refuses a chain longer than
 // MaxLazyTerms.
+//
+// The row primitives (ReduceRow, SubMulRow, InnerProductPair,
+// TensorRow, MulAddRow, AddRow) have vector bodies in vector_amd64.s
+// in two families: 64-bit ones on AVX-512F + DQ for any modulus, and
+// IFMA ones on AVX-512 IFMA's 52-bit multiply-adds for the moduli
+// newBarrett52 admits, every one from 2^12 to 2^50 but the powers of
+// two. The Go loops beside them are the fallback and the oracle, and
+// all three give the canonical residue, so the same words bit for bit.
 package xmath
 
 import "math/bits"
@@ -65,6 +73,7 @@ func NegMod(a, p uint64) uint64 {
 type Modulus struct {
 	Value      uint64
 	ConstRatio [2]uint64 // floor(2^128/p): [lo, hi]
+	ifma       barrett52 // the IFMA rows' constants; zero if p does not take them
 }
 
 // NewModulus precomputes Barrett constants for p. It panics if p < 2 or
@@ -81,8 +90,72 @@ func NewModulus(p uint64) Modulus {
 	// 2^128 = (2^64)^2; divide (1<<64, 0, 0) in base-2^64 digits.
 	hi, rem := bits.Div64(1, 0, p) // floor(2^64 / p), remainder
 	lo, _ := bits.Div64(rem, 0, p)
-	return Modulus{Value: p, ConstRatio: [2]uint64{lo, hi}}
+	m := Modulus{Value: p, ConstRatio: [2]uint64{lo, hi}}
+	m.ifma = newBarrett52(m)
+	return m
 }
+
+// barrett52 holds what the IFMA row bodies need of a modulus p besides
+// p: s = bitlen(p) − 1, the ratio floor(2^(s+52)/p), and 2^52 mod p as
+// a 52-bit operand (NewMulModOperand52), through which the inner
+// product folds its high sum back. The zero value keeps p on the
+// 64-bit bodies.
+type barrett52 struct {
+	shift, ratio uint64
+	fold         MulModOperand
+}
+
+// newBarrett52 builds m's barrett52 if m takes the IFMA rows, which is
+// when 2^12 <= p < 2^50 and p is not a power of two; for any other
+// modulus it returns the zero value. This is the one place that
+// decides which moduli take the IFMA rows.
+//
+// The reduction it serves takes any V whose c1 = V >> s is below 2^52:
+// q = hi52(c1·ratio) is at most V/p and more than V/p − 3, so
+// r = V − q·p lies in [0, 3p) and is exactly lo52(V − q·p), the low
+// half IFMA gives, once 3p < 2^52. Two conditional subtractions,
+// min(r, r−p) twice, leave the canonical residue. The bounds make the
+// class:
+//   - p < 2^50: 3p < 2^52, and the products the rows reduce fit, since
+//     a·b + c < 2p^2 < 2^(s+52) for reduced a, b and c, and the sum of
+//     two products too (TensorRow);
+//   - p >= 2^12: any 64-bit word is below 2^(s+52) (ReduceRow);
+//   - p not a power of two: then ratio < 2^52; at p = 2^s it is 2^52,
+//     which does not fit IFMA's 52-bit operands.
+//
+// The inner product's sums are wider: its up to 16 products give a low
+// sum below 2^56 and a high sum H below 2^52, and H·2^52 folds back as
+// H·(2^52 mod p) lazily reduced into [0, 2p), which leaves a V below
+// 2^57 < 2^(s+52).
+func newBarrett52(m Modulus) barrett52 {
+	p := m.Value
+	if !takesIFMA(p) {
+		return barrett52{}
+	}
+	s := uint64(bits.Len64(p) - 1)
+	// 2^(s+52) in two words is (2^(s−12), 0).
+	ratio, _ := bits.Div64(1<<(s-12), 0, p)
+	return barrett52{shift: s, ratio: ratio, fold: NewMulModOperand52(1<<52, m)}
+}
+
+// takesIFMA reports whether the IFMA rows take modulus p: newBarrett52's
+// rule, which SubMulRow, given a bare p, reads directly.
+func takesIFMA(p uint64) bool {
+	return p >= 1<<12 && p < 1<<50 && p&(p-1) != 0
+}
+
+// kernels names the family that ran a row's vector prefix.
+type kernels uint8
+
+const (
+	goLoops       kernels = iota // none: the Go loop ran the whole row
+	avx512Kernels                // the 64-bit bodies: AVX-512F + DQ, any modulus
+	ifmaKernels                  // the IFMA bodies: the moduli takesIFMA admits
+)
+
+// ifmaRows reports whether the IFMA bodies may run: HasIFMA, read once.
+// Tests switch it off to run the 64-bit bodies under every modulus.
+var ifmaRows = HasIFMA()
 
 // BarrettReduce returns a mod p using the 1-word Barrett reduction.
 func (m Modulus) BarrettReduce(a uint64) uint64 {
@@ -100,7 +173,8 @@ func (m Modulus) BarrettReduce(a uint64) uint64 {
 // per instruction and the Go loop takes the tail.
 func (m Modulus) ReduceRow(dst, src []uint64) {
 	dst = dst[:len(src)]
-	for x := m.reduceRowVector(dst, src); x < len(src); x++ {
+	x, _ := m.reduceRowVector(dst, src)
+	for ; x < len(src); x++ {
 		dst[x] = m.BarrettReduce(src[x])
 	}
 }
@@ -163,14 +237,15 @@ func MulAdd128(hi, lo, a, b uint64) (uint64, uint64) {
 // outputs, but for an addend that is the output itself), and writes
 // the canonical residue of reduced operands. With AVX-512
 // (vector_amd64.s) the multiple-of-8 prefix runs eight coefficients per
-// instruction and the Go loop — the …Go function beside each, also the
-// oracle the vector body is tested against — takes the tail, so both
-// paths give the same words bit for bit.
+// instruction, on the IFMA bodies under the moduli newBarrett52 admits
+// where the CPU has IFMA. The Go loop — the …Go function beside each,
+// also the oracle the vector bodies are tested against — takes the
+// tail, so every path gives the same words bit for bit.
 
 // AddRow sets dst[x] = AddMod(a[x], b[x], p).
 func (m Modulus) AddRow(dst, a, b []uint64) {
 	a, b = a[:len(dst)], b[:len(dst)]
-	x := m.addRowVector(dst, a, b)
+	x, _ := m.addRowVector(dst, a, b)
 	addRowGo(dst[x:], a[x:], b[x:], m.Value)
 }
 
@@ -189,7 +264,7 @@ func (m Modulus) MulAddRow(dst, a, b, add []uint64) {
 	if add != nil {
 		add = add[:len(dst)]
 	}
-	x := m.mulAddRowVector(dst, a, b, add)
+	x, _ := m.mulAddRowVector(dst, a, b, add)
 	if add != nil {
 		add = add[x:]
 	}
@@ -217,7 +292,7 @@ func (m Modulus) mulAddRowGo(dst, a, b, add []uint64) {
 func (m Modulus) TensorRow(d0, d1, d2, a0, a1, b0, b1 []uint64) {
 	n := len(d0)
 	d1, d2, a0, a1, b0, b1 = d1[:n], d2[:n], a0[:n], a1[:n], b0[:n], b1[:n]
-	x := m.tensorRowVector(d0, d1, d2, a0, a1, b0, b1)
+	x, _ := m.tensorRowVector(d0, d1, d2, a0, a1, b0, b1)
 	m.tensorRowGo(d0[x:], d1[x:], d2[x:], a0[x:], a1[x:], b0[x:], b1[x:])
 }
 
@@ -250,14 +325,16 @@ const lazyBlock = 256
 // All operands must be reduced.
 //
 // With AVX-512 (vector_amd64.s) and at most 16 terms, the multiple-of-16
-// prefix of [lo, hi) runs eight coefficients per instruction; the rest,
-// and every longer chain, runs the Go loop, innerProductPairGo. Both
-// give the canonical residue, so the results are the same bit for bit.
+// prefix of [lo, hi) runs eight coefficients per instruction, on the
+// IFMA body under the moduli newBarrett52 admits where the CPU has
+// IFMA; the rest, and every longer chain, runs the Go loop,
+// innerProductPairGo. All give the canonical residue, so the results
+// are the same bit for bit.
 func (m Modulus) InnerProductPair(out0, out1 []uint64, d, b, a [][]uint64, lo, hi int) {
 	if len(d) > MaxLazyTerms {
 		panic("xmath: lazy inner product over more than MaxLazyTerms terms")
 	}
-	lo = m.innerProductPairVector(out0, out1, d, b, a, lo, hi)
+	lo, _ = m.innerProductPairVector(out0, out1, d, b, a, lo, hi)
 	m.innerProductPairGo(out0, out1, d, b, a, lo, hi)
 }
 
@@ -364,13 +441,16 @@ func (op MulModOperand) MulMod(y uint64, p uint64) uint64 {
 // scale, (acc − res)·p⁻¹ (+ addend). Operands must be reduced, and a and
 // add at least as long as dst. With AVX-512 the multiple-of-8 prefix
 // runs eight coefficients per instruction and the Go loop takes the
-// tail.
+// tail. The IFMA body (p as takesIFMA admits) reads the 52-bit quotient
+// floor(W·2^52/p) as Quotient >> 12, which it is for the operands of
+// both NewMulModOperand and NewMulModOperand52.
 func (op MulModOperand) SubMulRow(dst, a, add []uint64, p uint64) {
 	a = a[:len(dst)]
 	if add != nil {
 		add = add[:len(dst)]
 	}
-	for x := op.subMulRowVector(dst, a, add, p); x < len(dst); x++ {
+	x, _ := op.subMulRowVector(dst, a, add, p)
+	for ; x < len(dst); x++ {
 		v := op.MulMod(SubMod(a[x], dst[x], p), p)
 		if add != nil {
 			v = AddMod(v, add[x], p)

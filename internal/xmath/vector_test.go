@@ -31,6 +31,31 @@ func randomTerms(rng *rand.Rand, p uint64, terms, n int, top bool) [][]uint64 {
 	return rows
 }
 
+// withoutIFMA runs f as the rows dispatch on this host and, on an IFMA
+// host, once more with the IFMA bodies switched off, so that the
+// 64-bit bodies take the moduli newBarrett52 admits too.
+func withoutIFMA(f func(ifma bool)) {
+	f(ifmaRows)
+	if ifmaRows {
+		ifmaRows = false
+		defer func() { ifmaRows = true }()
+		f(false)
+	}
+}
+
+// rowModuli are the moduli the row tests run under, in both classes:
+// the IFMA bodies' (where the CPU has them) from 2^12 to 2^50 — 30, 40,
+// 42 and 50 bits, one just above a power of two, where the 52-bit ratio
+// is at its largest — and the 64-bit bodies' at 52, 54 and 60 bits,
+// some far from a power of two, whose ratio words do not hide a dropped
+// carry. Between them sit the edges of newBarrett52's rule: 2 and 3, a
+// modulus just below 2^12 and one just above, the power of two 2^42,
+// and 2^50 itself.
+var rowModuli = []uint64{
+	2, 3, 1<<12 - 3, 1<<12 + 1, 1<<30 - 35, 1<<40 - 87, 1<<42 - 11, 1 << 42, 1<<49 + 1, 1<<50 - 27,
+	1 << 50, 1<<52 - 47, 1<<54 - 33, 0x2b7e151628aed3, testPrime, 0xb4f3a1c2d5e6f79, 1<<MaxModulusBits - 1,
+}
+
 // checkInnerProductPair compares InnerProductPair, which runs the
 // vector body where the host has one, with the Go loop over [lo, hi)
 // of rows n long, and checks both leave the outputs outside the range
@@ -59,93 +84,104 @@ func checkInnerProductPair(t *testing.T, m Modulus, d, b, a [][]uint64, lo, hi i
 }
 
 // TestInnerProductPairVectorMatchesGo pins the dispatched inner product
-// to the Go loop around the vector body's edges: term counts on both
-// sides of its bound (vectorTerms; longer chains go to the Go loop),
-// ranges whose ends sit 0…7 off a multiple of eight, moduli from 2 to
-// 60 bits, and operands at the top of the range (randomTerms) — the
-// largest partial sums, the most carries in the 128-bit combine, and
-// the sums whose reduction needs every carry of the quotient estimate.
+// to the Go loop around the vector bodies' edges: term counts on both
+// sides of their bound (vectorTerms; longer chains go to the Go loop),
+// ranges whose ends sit 0…7 off a multiple of eight, rowModuli in both
+// classes with the IFMA body on and off, and operands at the top of the
+// range (randomTerms) — the largest partial sums, the most carries in
+// the 128-bit combine, the largest high sum the IFMA body folds back,
+// and the sums whose reduction needs every carry of the quotient
+// estimate.
 func TestInnerProductPairVectorMatchesGo(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	// Moduli just below a power of two have a small low ratio word r0,
-	// which hides a dropped carry of the quotient estimate; the two
-	// spread-out ones (54 and 60 bits) do not.
-	moduli := []uint64{2, 3, 1<<30 - 35, 1<<42 - 11, 1<<54 - 33, 0x2b7e151628aed3, testPrime, 0xb4f3a1c2d5e6f79, 1<<MaxModulusBits - 1}
-	for _, p := range moduli {
-		m := NewModulus(p)
-		for _, terms := range []int{1, 2, 9, 15, 16, 17, 33} {
-			for _, top := range []bool{false, true} {
-				const n = 264
-				d, b, a := randomTerms(rng, p, terms, n, top), randomTerms(rng, p, terms, n, top), randomTerms(rng, p, terms, n, top)
-				for off := 0; off < 8; off++ {
-					checkInnerProductPair(t, m, d, b, a, off, n-off)
-					checkInnerProductPair(t, m, d, b, a, 8, 8+off)
-					checkInnerProductPair(t, m, d, b, a, off, 24)
+	withoutIFMA(func(bool) {
+		rng := rand.New(rand.NewSource(1))
+		for _, p := range rowModuli {
+			m := NewModulus(p)
+			for _, terms := range []int{1, 2, 9, 15, 16, 17, 33} {
+				for _, top := range []bool{false, true} {
+					const n = 264
+					d, b, a := randomTerms(rng, p, terms, n, top), randomTerms(rng, p, terms, n, top), randomTerms(rng, p, terms, n, top)
+					for off := 0; off < 8; off++ {
+						checkInnerProductPair(t, m, d, b, a, off, n-off)
+						checkInnerProductPair(t, m, d, b, a, 8, 8+off)
+						checkInnerProductPair(t, m, d, b, a, off, 24)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestReduceRowMatchesBarrettReduce pins ReduceRow to BarrettReduce on
 // arbitrary 64-bit inputs, 2^64−1 included, at every length 0…24 (the
-// vector prefix and the Go tail) and on a dst longer than src.
+// vector prefix and the Go tail) and on a dst longer than src, under
+// rowModuli with the IFMA body on and off. 2^64−1 under 2^12 + 1 is the
+// widest word the IFMA body's c1 = V >> s takes: 2^52 − 1.
 func TestReduceRowMatchesBarrettReduce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, p := range []uint64{2, 3, 1<<30 - 35, 1<<54 - 33, 0x2b7e151628aed3, testPrime, 0xb4f3a1c2d5e6f79, 1<<MaxModulusBits - 1} {
-		m := NewModulus(p)
-		for n := 0; n <= 24; n++ {
-			src := make([]uint64, n)
-			for x := range src {
-				switch rng.Intn(4) {
-				case 0:
-					src[x] = ^uint64(0) - uint64(rng.Intn(3))
-				case 1:
-					src[x] = p - uint64(rng.Intn(2))
-				default:
-					src[x] = rng.Uint64()
+	withoutIFMA(func(bool) {
+		rng := rand.New(rand.NewSource(2))
+		for _, p := range rowModuli {
+			m := NewModulus(p)
+			for n := 0; n <= 24; n++ {
+				src := make([]uint64, n)
+				for x := range src {
+					switch rng.Intn(4) {
+					case 0:
+						src[x] = ^uint64(0) - uint64(rng.Intn(3))
+					case 1:
+						src[x] = p - uint64(rng.Intn(2))
+					default:
+						src[x] = rng.Uint64()
+					}
 				}
-			}
-			dst := make([]uint64, n+1)
-			dst[n] = 0xdead
-			m.ReduceRow(dst, src)
-			for x, v := range src {
-				if want := m.BarrettReduce(v); dst[x] != want {
-					t.Fatalf("ReduceRow at p = %d, n = %d: x = %d gives %d for %d, want %d", p, n, x, dst[x], v, want)
+				dst := make([]uint64, n+1)
+				dst[n] = 0xdead
+				m.ReduceRow(dst, src)
+				for x, v := range src {
+					if want := m.BarrettReduce(v); dst[x] != want {
+						t.Fatalf("ReduceRow at p = %d, n = %d: x = %d gives %d for %d, want %d", p, n, x, dst[x], v, want)
+					}
 				}
-			}
-			if dst[n] != 0xdead {
-				t.Fatalf("ReduceRow at n = %d wrote past src", n)
+				if dst[n] != 0xdead {
+					t.Fatalf("ReduceRow at n = %d wrote past src", n)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestSubMulRowMatchesScalar pins SubMulRow to its definition, the
 // SubMod, MulMod, AddMod chain per coefficient, with and without an
-// addend, at every length 0…24 and moduli from 2 to 60 bits.
+// addend, at every length 0…24, under rowModuli with the IFMA body on
+// and off, and by operands of both forms (NewMulModOperand, which the
+// rescale and the mod-down use, and NewMulModOperand52): the IFMA body
+// reads the 52-bit quotient of either.
 func TestSubMulRowMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, p := range []uint64{2, 3, 1<<30 - 35, 1<<54 - 33, testPrime, 1<<MaxModulusBits - 1} {
-		m := NewModulus(p)
-		w := NewMulModOperand(rng.Uint64(), m)
-		for n := 0; n <= 24; n++ {
-			rows := randomTerms(rng, p, 3, n, false)
-			for _, add := range [][]uint64{nil, rows[2]} {
-				dst := append(make([]uint64, 0, n+1), rows[0]...)
-				w.SubMulRow(dst, rows[1], add, p)
-				for x := range dst {
-					want := w.MulMod(SubMod(rows[1][x], rows[0][x], p), p)
-					if add != nil {
-						want = AddMod(want, add[x], p)
-					}
-					if dst[x] != want {
-						t.Fatalf("SubMulRow at p = %d, n = %d, addend %t: x = %d gives %d, want %d", p, n, add != nil, x, dst[x], want)
+	withoutIFMA(func(bool) {
+		rng := rand.New(rand.NewSource(5))
+		for _, p := range rowModuli {
+			m := NewModulus(p)
+			w := rng.Uint64()
+			for _, op := range []MulModOperand{NewMulModOperand(w, m), NewMulModOperand52(w, m)} {
+				for n := 0; n <= 24; n++ {
+					rows := randomTerms(rng, p, 3, n, false)
+					for _, add := range [][]uint64{nil, rows[2]} {
+						dst := append(make([]uint64, 0, n+1), rows[0]...)
+						op.SubMulRow(dst, rows[1], add, p)
+						for x := range dst {
+							want := op.MulMod(SubMod(rows[1][x], rows[0][x], p), p)
+							if add != nil {
+								want = AddMod(want, add[x], p)
+							}
+							if dst[x] != want {
+								t.Fatalf("SubMulRow at p = %d, n = %d, addend %t: x = %d gives %d, want %d", p, n, add != nil, x, dst[x], want)
+							}
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // rowPrim is one of the elementwise row primitives, dispatched and as
@@ -222,139 +258,222 @@ func checkRow(t *testing.T, f rowPrim, m Modulus, init, ins [][]uint64, lo, hi i
 }
 
 // TestRowsVectorMatchGo pins every dispatched row primitive to its Go
-// loop (the square to the old he_square loop) on ranges whose ends sit 0…7 off a multiple of eight, moduli
-// from 2 to 60 bits (some far from a power of two, whose ratio words
-// do not hide a dropped carry), and operands at the top of the range,
-// where every product and sum is the largest there is.
+// loop (the square to the old he_square loop) on ranges whose ends sit
+// 0…7 off a multiple of eight, rowModuli in both classes with the IFMA
+// bodies on and off, and operands at the top of the range, where every
+// product and sum is the largest there is.
 func TestRowsVectorMatchGo(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, p := range []uint64{2, 3, 1<<30 - 35, 1<<42 - 11, 0x2b7e151628aed3, testPrime, 0xb4f3a1c2d5e6f79, 1<<MaxModulusBits - 1} {
-		m := NewModulus(p)
-		for _, top := range []bool{false, true} {
-			const n = 88
-			for _, f := range rowPrims {
-				init, ins := randomTerms(rng, p, f.outs, n, top), randomTerms(rng, p, f.ins, n, top)
-				for off := 0; off < 8; off++ {
-					checkRow(t, f, m, init, ins, off, n-off)
-					checkRow(t, f, m, init, ins, 8, 8+off)
-					checkRow(t, f, m, init, ins, off, 24)
+	withoutIFMA(func(bool) {
+		rng := rand.New(rand.NewSource(6))
+		for _, p := range rowModuli {
+			m := NewModulus(p)
+			for _, top := range []bool{false, true} {
+				const n = 88
+				for _, f := range rowPrims {
+					init, ins := randomTerms(rng, p, f.outs, n, top), randomTerms(rng, p, f.ins, n, top)
+					for off := 0; off < 8; off++ {
+						checkRow(t, f, m, init, ins, off, n-off)
+						checkRow(t, f, m, init, ins, 8, 8+off)
+						checkRow(t, f, m, init, ins, off, 24)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
-// TestRowVectorPrefix pins what the vector bodies take: the whole
-// multiple-of-8 prefix with AVX-512, nothing without. A body that took
-// less would still give the right words (the Go loop finishes the row),
-// so only this shows it.
+// wantKernels is the family that must take a row under p: the rule
+// restated, not read from rowKernels or newBarrett52, so that a moved
+// bound fails.
+func wantKernels(p uint64) kernels {
+	switch {
+	case !HasAVX512():
+		return goLoops
+	case ifmaRows && p >= 1<<12 && p < 1<<50 && p&(p-1) != 0:
+		return ifmaKernels
+	}
+	return avx512Kernels
+}
+
+var kernelNames = [...]string{goLoops: "Go", avx512Kernels: "AVX-512", ifmaKernels: "IFMA"}
+
+// TestRowVectorPrefix pins what the vector bodies take and which family
+// takes it: the whole multiple-of-8 prefix (of 16 for the inner
+// product) with AVX-512, on the IFMA bodies exactly where wantKernels
+// says, nothing without. A body that took less, or the other family,
+// would still give the right words (the Go loop finishes the row, and
+// both families give the canonical residue), so only this shows it.
+// The add has no product and one body for both classes.
 func TestRowVectorPrefix(t *testing.T) {
-	m := NewModulus(testPrime)
-	w := NewMulModOperand(12345, m)
-	for n := 0; n <= 40; n++ {
-		r := randomTerms(rand.New(rand.NewSource(int64(n))), m.Value, 7, n, false)
-		want := 0
-		if HasAVX512() {
-			want = n &^ 7
-		}
-		for name, got := range map[string]int{
-			"AddRow":        m.addRowVector(r[0], r[1], r[2]),
-			"MulAddRow":     m.mulAddRowVector(r[0], r[1], r[2], nil),
-			"MulAddRow/add": m.mulAddRowVector(r[0], r[1], r[2], r[3]),
-			"TensorRow":     m.tensorRowVector(r[0], r[1], r[2], r[3], r[4], r[5], r[6]),
-			"ReduceRow":     m.reduceRowVector(r[0], r[1]),
-			"SubMulRow":     w.subMulRowVector(r[0], r[1], nil, m.Value),
-		} {
-			if got != want {
-				t.Errorf("%s at n = %d: the vector body took %d words, want %d", name, n, got, want)
+	withoutIFMA(func(ifma bool) {
+		for _, p := range []uint64{1<<12 - 3, 1<<12 + 1, 1<<42 - 11, 1 << 42, 1<<50 - 27, 1 << 50, 1<<54 - 33, testPrime} {
+			m := NewModulus(p)
+			w := NewMulModOperand(12345, m)
+			type took struct {
+				n int
+				k kernels
+			}
+			pair := func(n int, k kernels) took { return took{n, k} }
+			for n := 0; n <= 40; n++ {
+				r := randomTerms(rand.New(rand.NewSource(int64(n))), p, 7, n, false)
+				want, add, ip := took{0, goLoops}, took{0, goLoops}, took{0, goLoops}
+				if HasAVX512() {
+					want, add = took{n &^ 7, wantKernels(p)}, took{n &^ 7, avx512Kernels}
+					if n >= 16 {
+						ip = took{n &^ 15, wantKernels(p)}
+					}
+				}
+				for name, c := range map[string]struct{ got, want took }{
+					"AddRow":           {pair(m.addRowVector(r[0], r[1], r[2])), add},
+					"MulAddRow":        {pair(m.mulAddRowVector(r[0], r[1], r[2], nil)), want},
+					"MulAddRow/add":    {pair(m.mulAddRowVector(r[0], r[1], r[2], r[3])), want},
+					"TensorRow":        {pair(m.tensorRowVector(r[0], r[1], r[2], r[3], r[4], r[5], r[6])), want},
+					"ReduceRow":        {pair(m.reduceRowVector(r[0], r[1])), want},
+					"SubMulRow":        {pair(w.subMulRowVector(r[0], r[1], nil, p)), want},
+					"InnerProductPair": {pair(m.innerProductPairVector(r[0], r[1], r[2:4], r[4:6], r[5:7], 0, n)), ip},
+				} {
+					if c.got != c.want {
+						t.Errorf("%s at p = %d, n = %d (IFMA %v): %d words taken by %s, want %d by %s",
+							name, p, n, ifma, c.got.n, kernelNames[c.got.k], c.want.n, kernelNames[c.want.k])
+					}
+				}
 			}
 		}
+	})
+}
+
+// The row benchmarks run each row under both modulus classes — 50
+// bits, which the IFMA bodies take where the CPU has them, and 54,
+// which the 64-bit bodies take — as sub-benchmarks <class>/<family>
+// (kernelNames): the family this host dispatches to, the 64-bit one
+// too, with the IFMA bodies off, where that is IFMA, and the Go loop.
+// Each reports MB/s over the words read and written.
+var benchClasses = []struct {
+	name string
+	p    uint64
+}{{"50bit", 1<<50 - 27}, {"54bit", 1<<54 - 33}}
+
+// benchFamilies runs bench under each class and family; vector is false
+// for the Go loop.
+func benchFamilies(b *testing.B, bench func(b *testing.B, m Modulus, vector bool)) {
+	for _, c := range benchClasses {
+		m := NewModulus(c.p)
+		k := wantKernels(c.p)
+		if k != goLoops {
+			b.Run(c.name+"/"+kernelNames[k], func(b *testing.B) { bench(b, m, true) })
+		}
+		if k == ifmaKernels {
+			b.Run(c.name+"/"+kernelNames[avx512Kernels], func(b *testing.B) {
+				ifmaRows = false
+				defer func() { ifmaRows = true }()
+				bench(b, m, true)
+			})
+		}
+		b.Run(c.name+"/"+kernelNames[goLoops], func(b *testing.B) { bench(b, m, false) })
 	}
 }
 
-// The layer benchmarks run the key switch's shape: one inner product
-// is keySwitchTerms digits of an N = 32768 row under each of
-// keySwitchModuli moduli (L = 8: nine chain moduli and the special
-// prime), 71 MB of rows, and the digit extension reduces as many rows
-// into as many more, so the working set is beyond the caches as it is
-// in the evaluator. Each reports MB/s over the words read and written,
-// for the dispatched path and for the Go loop.
+// The key switch's shape: one inner product is keySwitchTerms digits
+// of an N = 32768 row under each of keySwitchModuli moduli (L = 8: nine
+// chain moduli and the special prime), 71 MB of rows, and the digit
+// extension reduces as many rows into as many more, so the working set
+// is beyond the caches as it is in the evaluator.
 const (
 	keySwitchN      = 1 << 15
 	keySwitchTerms  = 9
 	keySwitchModuli = 10
 )
 
-func BenchmarkInnerProductPair(b *testing.B) {
-	m := NewModulus(testPrime)
-	rng := rand.New(rand.NewSource(3))
-	type set struct{ d, b, a [][]uint64 }
-	sets := make([]set, keySwitchModuli)
-	for i := range sets {
-		sets[i] = set{
-			randomTerms(rng, m.Value, keySwitchTerms, keySwitchN, false),
-			randomTerms(rng, m.Value, keySwitchTerms, keySwitchN, false),
-			randomTerms(rng, m.Value, keySwitchTerms, keySwitchN, false),
-		}
-	}
-	out0, out1 := make([]uint64, keySwitchN), make([]uint64, keySwitchN)
-	for _, path := range []struct {
-		name string
-		run  func(out0, out1 []uint64, d, b, a [][]uint64, lo, hi int)
-	}{{"dispatched", m.InnerProductPair}, {"go", m.innerProductPairGo}} {
-		b.Run(path.name, func(b *testing.B) {
-			b.SetBytes(int64(keySwitchModuli * (3*keySwitchTerms + 2) * keySwitchN * 8))
-			for b.Loop() {
-				for _, s := range sets {
-					path.run(out0, out1, s.d, s.b, s.a, 0, keySwitchN)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkReduceRow(b *testing.B) {
-	m := NewModulus(1<<54 - 33)
-	rng := rand.New(rand.NewSource(4))
-	src := randomTerms(rng, testPrime, keySwitchModuli*keySwitchTerms, keySwitchN, false)
-	dst := randomTerms(rng, m.Value, len(src), keySwitchN, false)
-	for _, path := range []struct {
-		name string
-		run  func(dst, src []uint64)
-	}{{"dispatched", m.ReduceRow}, {"go", func(dst, src []uint64) {
-		for x, v := range src {
-			dst[x] = m.BarrettReduce(v)
-		}
-	}}} {
-		b.Run(path.name, func(b *testing.B) {
-			b.SetBytes(int64(len(src) * 2 * keySwitchN * 8))
-			for b.Loop() {
-				for i, row := range src {
-					path.run(dst[i], row)
-				}
-			}
-		})
-	}
-}
-
-// The elementwise benchmarks run serve_stream's shape: N = 4096 rows
-// at five chain moduli for a batch of eight jobs, 40 rows of each
-// operand (the tensor's seven come to 9 MB, past the L2 as in the
-// evaluator). Each reports MB/s over the words read and written, for
-// the dispatched path and for the Go loop.
+// serve_stream's shape: N = 4096 rows at five moduli (four chain
+// moduli and the special prime) for a batch of eight jobs. The inner
+// product sums four digits, and a modulus's key rows are shared by the
+// eight jobs, so they stay in cache while the digits stream past.
 const (
-	streamN    = 1 << 12
-	streamRows = 8 * 5
+	streamN      = 1 << 12
+	streamJobs   = 8
+	streamModuli = 5
+	streamTerms  = 4
+	streamRows   = streamJobs * streamModuli
 )
 
-// benchRows times one row primitive over streamRows rows of each of
-// its operands; words is how many words per coefficient it reads and
-// writes.
-func benchRows(b *testing.B, seed int64, operands, words int, run func(x int, r [][][]uint64)) {
+// BenchmarkInnerProductPair runs the key switch's inner product at both
+// shapes: n32768x9 is bound by memory, n4096x4 by the arithmetic.
+func BenchmarkInnerProductPair(b *testing.B) {
+	for _, shape := range []struct {
+		name                string
+		n, terms, keys, per int // per: the calls that share one set of key rows
+	}{{"n32768x9", keySwitchN, keySwitchTerms, keySwitchModuli, 1}, {"n4096x4", streamN, streamTerms, streamModuli, streamJobs}} {
+		b.Run(shape.name, func(b *testing.B) {
+			benchFamilies(b, func(b *testing.B, m Modulus, vector bool) {
+				rng := rand.New(rand.NewSource(3))
+				type set struct{ b, a [][]uint64 }
+				keys := make([]set, shape.keys)
+				for i := range keys {
+					keys[i] = set{randomTerms(rng, m.Value, shape.terms, shape.n, false), randomTerms(rng, m.Value, shape.terms, shape.n, false)}
+				}
+				digits := make([][][]uint64, shape.keys*shape.per)
+				for i := range digits {
+					digits[i] = randomTerms(rng, m.Value, shape.terms, shape.n, false)
+				}
+				run := m.InnerProductPair
+				if !vector {
+					run = m.innerProductPairGo
+				}
+				out0, out1 := make([]uint64, shape.n), make([]uint64, shape.n)
+				b.SetBytes(int64(len(digits) * (3*shape.terms + 2) * shape.n * 8))
+				for b.Loop() {
+					for i, d := range digits {
+						k := keys[i%shape.keys]
+						run(out0, out1, d, k.b, k.a, 0, shape.n)
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkReduceRow runs the digit extension, rows of words under a
+// 60-bit modulus reduced into the class's, at both shapes: the key
+// switch's rows (n32768x90) are bound by memory, serve_stream's
+// (n4096x40) by the arithmetic.
+func BenchmarkReduceRow(b *testing.B) {
+	for _, shape := range []struct {
+		name    string
+		n, rows int
+	}{{"n32768x90", keySwitchN, keySwitchModuli * keySwitchTerms}, {"n4096x40", streamN, streamRows}} {
+		b.Run(shape.name, func(b *testing.B) {
+			benchFamilies(b, func(b *testing.B, m Modulus, vector bool) {
+				rng := rand.New(rand.NewSource(4))
+				src := randomTerms(rng, testPrime, shape.rows, shape.n, false)
+				dst := randomTerms(rng, m.Value, len(src), shape.n, false)
+				run := m.ReduceRow
+				if !vector {
+					run = func(dst, src []uint64) {
+						for x, v := range src {
+							dst[x] = m.BarrettReduce(v)
+						}
+					}
+				}
+				b.SetBytes(int64(len(src) * 2 * shape.n * 8))
+				for b.Loop() {
+					for i, row := range src {
+						run(dst[i], row)
+					}
+				}
+			})
+		})
+	}
+}
+
+// benchRows times one row primitive at serve_stream's shape,
+// streamRows rows of each of its operands (the tensor's seven come to
+// 9 MB, past the L2 as in the evaluator); words is how many words per
+// coefficient it reads and writes.
+func benchRows(b *testing.B, m Modulus, seed int64, operands, words int, run func(x int, r [][][]uint64)) {
 	rng := rand.New(rand.NewSource(seed))
 	r := make([][][]uint64, operands)
 	for i := range r {
-		r[i] = randomTerms(rng, testPrime, streamRows, streamN, false)
+		r[i] = randomTerms(rng, m.Value, streamRows, streamN, false)
 	}
 	b.SetBytes(int64(streamRows * words * streamN * 8))
 	for b.Loop() {
@@ -365,50 +484,44 @@ func benchRows(b *testing.B, seed int64, operands, words int, run func(x int, r 
 }
 
 func BenchmarkTensorRow(b *testing.B) {
-	m := NewModulus(testPrime)
-	for _, path := range []struct {
-		name string
-		run  func(d0, d1, d2, a0, a1, b0, b1 []uint64)
-	}{{"dispatched", m.TensorRow}, {"go", m.tensorRowGo}} {
-		b.Run(path.name, func(b *testing.B) {
-			benchRows(b, 7, 7, 7, func(x int, r [][][]uint64) {
-				path.run(r[0][x], r[1][x], r[2][x], r[3][x], r[4][x], r[5][x], r[6][x])
-			})
+	benchFamilies(b, func(b *testing.B, m Modulus, vector bool) {
+		run := m.TensorRow
+		if !vector {
+			run = m.tensorRowGo
+		}
+		benchRows(b, m, 7, 7, 7, func(x int, r [][][]uint64) {
+			run(r[0][x], r[1][x], r[2][x], r[3][x], r[4][x], r[5][x], r[6][x])
 		})
-	}
+	})
 }
 
 // BenchmarkMulAddRow runs the multiply-add kernel's shape: dst += a ⊙ b.
 func BenchmarkMulAddRow(b *testing.B) {
-	m := NewModulus(testPrime)
-	for _, path := range []struct {
-		name string
-		run  func(dst, a, b, add []uint64)
-	}{{"dispatched", m.MulAddRow}, {"go", m.mulAddRowGo}} {
-		b.Run(path.name, func(b *testing.B) {
-			benchRows(b, 8, 3, 4, func(x int, r [][][]uint64) {
-				path.run(r[0][x], r[1][x], r[2][x], r[0][x])
-			})
+	benchFamilies(b, func(b *testing.B, m Modulus, vector bool) {
+		run := m.MulAddRow
+		if !vector {
+			run = m.mulAddRowGo
+		}
+		benchRows(b, m, 8, 3, 4, func(x int, r [][][]uint64) {
+			run(r[0][x], r[1][x], r[2][x], r[0][x])
 		})
-	}
+	})
 }
 
 // BenchmarkSubMulRow runs the rescale's shape: no addend.
 func BenchmarkSubMulRow(b *testing.B) {
-	m := NewModulus(testPrime)
-	w := NewMulModOperand(0x123456789abcdef, m)
-	for _, path := range []struct {
-		name string
-		run  func(dst, a []uint64)
-	}{{"dispatched", func(dst, a []uint64) { w.SubMulRow(dst, a, nil, m.Value) }}, {"go", func(dst, a []uint64) {
-		for x := range dst {
-			dst[x] = w.MulMod(SubMod(a[x], dst[x], m.Value), m.Value)
+	benchFamilies(b, func(b *testing.B, m Modulus, vector bool) {
+		w, p := NewMulModOperand(0x123456789abcdef, m), m.Value
+		run := func(dst, a []uint64) { w.SubMulRow(dst, a, nil, p) }
+		if !vector {
+			run = func(dst, a []uint64) {
+				for x := range dst {
+					dst[x] = w.MulMod(SubMod(a[x], dst[x], p), p)
+				}
+			}
 		}
-	}}} {
-		b.Run(path.name, func(b *testing.B) {
-			benchRows(b, 9, 2, 3, func(x int, r [][][]uint64) {
-				path.run(r[0][x], r[1][x])
-			})
+		benchRows(b, m, 9, 2, 3, func(x int, r [][][]uint64) {
+			run(r[0][x], r[1][x])
 		})
-	}
+	})
 }
