@@ -16,7 +16,7 @@ import (
 func hostKernels() string {
 	switch {
 	case xmath.HasIFMA():
-		return "AVX-512F/DQ + IFMA (NTT rounds, key-switch and elementwise rows under moduli below 2^50 on IFMA; the rest on AVX-512F/DQ)"
+		return "AVX-512F/DQ + IFMA (NTT rounds on IFMA under moduli below 2^52, key-switch and elementwise rows below 2^50; the rest on AVX-512F/DQ)"
 	case xmath.HasAVX512():
 		return "AVX-512F/DQ (NTT rounds, key-switch and elementwise rows)"
 	}

@@ -18,10 +18,10 @@ func AllVariants() []Variant {
 }
 
 // testSetup builds a batch of random polynomials plus tables under
-// primes of the given size.
-func testSetup(t testing.TB, n, qCount, polys, bits int, seed int64) ([]uint64, []*Tables) {
+// primes of the given class.
+func testSetup(t testing.TB, n, qCount, polys int, class primeClass, seed int64) ([]uint64, []*Tables) {
 	t.Helper()
-	primes := xmath.GeneratePrimes(bits, qCount, n)
+	primes := class.primes(qCount, n)
 	tbls := make([]*Tables, qCount)
 	for i, p := range primes {
 		tbls[i] = NewTables(n, xmath.NewModulus(p))
@@ -39,21 +39,51 @@ func testSetup(t testing.TB, n, qCount, polys, bits int, seed int64) ([]uint64, 
 	return data, tbls
 }
 
-// moduliClasses are the prime sizes the whole-transform oracle tests
-// run under, the classes BenchmarkEngineButterfly times: the 40- and
-// 42-bit chain primes of the serving and routine parameters (below
-// ifmaBound, so the IFMA kernels where the CPU has them) and 52/54-bit
-// primes (the 64-bit AVX-512 kernels).
-var moduliClasses = []int{40, 42, 52, 54}
+// primeClass is a band of NTT primes the tests draw from: the largest
+// primes below 2^bits or, with low set, the smallest above 2^(bits−1).
+type primeClass struct {
+	bits int
+	low  bool
+}
 
-// eachModulusClass runs f once per prime size of moduliClasses, as a
+func (c primeClass) String() string {
+	if c.low {
+		return fmt.Sprintf("%dbit-low", c.bits)
+	}
+	return fmt.Sprintf("%dbit", c.bits)
+}
+
+// primes returns count distinct primes of the class that are 1 mod 2n.
+func (c primeClass) primes(count, n int) []uint64 {
+	if !c.low {
+		return xmath.GeneratePrimes(c.bits, count, n)
+	}
+	var ps []uint64
+	for p := uint64(1)<<(c.bits-1) + 1; len(ps) < count; p += uint64(2 * n) {
+		if xmath.IsPrime(p) {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// moduliClasses are the prime classes the whole-transform oracle tests
+// run under, the edges of every kernel family: the 40- and 42-bit
+// chain primes of the serving and routine parameters (below ifmaBound,
+// so the IFMA kernels where the CPU has them); the primes just above
+// 2^50, 51-bit ones and those just below 2^52 (the IFMA-wide kernels;
+// ParamsDemo's special prime and ParamsBenchmark's q0 are 52-bit);
+// and 54-bit primes (the 64-bit AVX-512 kernels).
+var moduliClasses = []primeClass{{bits: 40}, {bits: 42}, {bits: 51, low: true}, {bits: 51}, {bits: 52}, {bits: 54}}
+
+// eachModulusClass runs f once per class of moduliClasses, as a
 // subtest, with the rounds as they dispatch on this host and, on an
 // IFMA host, once more with the IFMA kernels off (withoutIFMA), so
 // that the 64-bit kernels take every class.
-func eachModulusClass(t *testing.T, f func(t *testing.T, bits int)) {
+func eachModulusClass(t *testing.T, f func(t *testing.T, class primeClass)) {
 	withoutIFMA(func(ifma bool) {
-		for _, bits := range moduliClasses {
-			t.Run(fmt.Sprintf("%dbit/ifma=%v", bits, ifma), func(t *testing.T) { f(t, bits) })
+		for _, class := range moduliClasses {
+			t.Run(fmt.Sprintf("%v/ifma=%v", class, ifma), func(t *testing.T) { f(t, class) })
 		}
 	})
 }
@@ -67,8 +97,8 @@ func TestEngineForwardMatchesReferenceAllVariants(t *testing.T) {
 	for _, v := range AllVariants() {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			eachModulusClass(t, func(t *testing.T, bits int) {
-				data, tbls := testSetup(t, n, qCount, polys, bits, int64(v))
+			eachModulusClass(t, func(t *testing.T, class primeClass) {
+				data, tbls := testSetup(t, n, qCount, polys, class, int64(v))
 				want := append([]uint64(nil), data...)
 				for p := 0; p < polys; p++ {
 					for q := 0; q < qCount; q++ {
@@ -92,8 +122,8 @@ func TestEngineInverseMatchesReferenceAllVariants(t *testing.T) {
 	for _, v := range AllVariants() {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			eachModulusClass(t, func(t *testing.T, bits int) {
-				data, tbls := testSetup(t, n, qCount, polys, bits, 100+int64(v))
+			eachModulusClass(t, func(t *testing.T, class primeClass) {
+				data, tbls := testSetup(t, n, qCount, polys, class, 100+int64(v))
 				want := append([]uint64(nil), data...)
 				for p := 0; p < polys; p++ {
 					for q := 0; q < qCount; q++ {
@@ -115,10 +145,10 @@ func TestEngineInverseMatchesReferenceAllVariants(t *testing.T) {
 func TestEngineRoundTripOddSizes(t *testing.T) {
 	// Sizes whose stage counts are not multiples of the radix width
 	// exercise the remainder-round scheduling.
-	eachModulusClass(t, func(t *testing.T, bits int) {
+	eachModulusClass(t, func(t *testing.T, class primeClass) {
 		for _, n := range []int{8192, 16384} {
 			for _, v := range []Variant{LocalRadix8, LocalRadix16, SIMD16x8} {
-				data, tbls := testSetup(t, n, 1, 1, bits, int64(n)+int64(v))
+				data, tbls := testSetup(t, n, 1, 1, class, int64(n)+int64(v))
 				orig := append([]uint64(nil), data...)
 				dev := gpu.NewDevice1()
 				e := NewEngine(v)
@@ -138,7 +168,7 @@ func TestEngineDualTileMatchesSingle(t *testing.T) {
 	// Batch large enough that compute dominates launch overhead —
 	// dual-tile submission only pays off at scale (Section IV-A.4).
 	const n, qCount, polys = 4096, 4, 32
-	data, tbls := testSetup(t, n, qCount, polys, 50, 7)
+	data, tbls := testSetup(t, n, qCount, polys, primeClass{bits: 50}, 7)
 	want := append([]uint64(nil), data...)
 	dev := gpu.NewDevice1()
 	NewEngine(LocalRadix8).Forward(queues1(dev), want, polys, tbls)
@@ -219,8 +249,8 @@ func TestEngineNTTMultiplication(t *testing.T) {
 	// End-to-end: GPU forward (radix-8), dyadic multiply, GPU inverse
 	// must equal the schoolbook negacyclic product.
 	const n = 4096
-	eachModulusClass(t, func(t *testing.T, bits int) {
-		dataA, tbls := testSetup(t, n, 1, 1, bits, 21)
+	eachModulusClass(t, func(t *testing.T, class primeClass) {
+		dataA, tbls := testSetup(t, n, 1, 1, class, 21)
 		m := tbls[0].Modulus
 		rng := rand.New(rand.NewSource(23))
 		dataB := make([]uint64, n)
@@ -250,20 +280,25 @@ func TestEngineNTTMultiplication(t *testing.T) {
 // inverse LocalRadix8 over 2 polynomials at the serving shape (N=4096,
 // 4 moduli) and the routine shape (N=32768, 9 moduli), reported per
 // 2-point butterfly — the same quantity as the repo benchmark's
-// ntt.host_ns_per_butterfly.* probes. Each shape runs under two
-// modulus classes: the 40- and 42-bit chain primes of the serving and
-// routine parameters (the IFMA kernels, where the CPU has them) and
-// 52/54-bit primes (the 64-bit AVX-512 kernels).
+// ntt.host_ns_per_butterfly.* probes. Each shape runs under three
+// modulus classes: its chain primes' size, 40 or 42 bits (the IFMA
+// kernels where the CPU has them), 51 bits (the IFMA-wide kernels) and
+// its special prime's size, 52 bits (IFMA-wide) or 54 (the 64-bit
+// AVX-512 kernels). Each sub-benchmark's name ends in the family that
+// ran its rounds here.
 func BenchmarkEngineButterfly(b *testing.B) {
 	for _, shape := range []struct {
-		name         string
-		n, rns       int
-		small, large int
-	}{{"n4096x4", 4096, 4, 40, 52}, {"n32768x9", 32768, 9, 42, 54}} {
-		for _, bits := range []int{shape.small, shape.large} {
-			b.Run(fmt.Sprintf("%s/%dbit", shape.name, bits), func(b *testing.B) {
+		name  string
+		n     int
+		rns   int
+		sizes [3]int
+	}{{"n4096x4", 4096, 4, [3]int{40, 51, 52}}, {"n32768x9", 32768, 9, [3]int{42, 51, 54}}} {
+		for _, bits := range shape.sizes {
+			class := primeClass{bits: bits}
+			family := kernelNames[wantKernels(class.primes(1, shape.n)[0])]
+			b.Run(fmt.Sprintf("%s/%dbit/%s", shape.name, bits, family), func(b *testing.B) {
 				const polys = 2
-				data, tbls := testSetup(b, shape.n, shape.rns, polys, bits, 1)
+				data, tbls := testSetup(b, shape.n, shape.rns, polys, class, 1)
 				qs := queues1(gpu.NewDevice1())
 				e := NewEngine(LocalRadix8)
 				b.ResetTimer()

@@ -16,24 +16,36 @@ import (
 // Section III-B.5. The radix-8 round, the one every LocalRadix8
 // transform spends its time in, is straight-line code with the block's
 // twiddles loaded once; the other radices keep the generic loop.
+//
+// The round that ends the transform, whose last stage has gap 1, also
+// does the last-round processing, reducing view to [0, p): fused into
+// the radix-8 round (fwdRound8 at T = 4), after any other.
 func applyRadixRound(view []uint64, t *Tables, m, T, w, blockBase int) {
 	if w == 3 {
-		fwdRound8(view, t.Roots, t.Modulus.Value, m+blockBase, T)
+		fwdRound8(view, t, m+blockBase, T)
 		return
 	}
 	genericRadixRound(view, t, m, T, w, blockBase)
+	if T>>(w-1) == 1 {
+		finalizeForward(view, t.Modulus.Value)
+	}
 }
 
 // applyInvRadixRound executes one inverse (Gentleman–Sande) radix-2^w
 // round over view, covering spans [spanBase, ...) of r*t elements of a
 // transform whose first executed stage has GS loop parameters (m, t).
-// It dispatches on w like applyRadixRound.
+// It dispatches on w like applyRadixRound, and the round that ends the
+// transform (m = 2^w) does the last-round processing, the n^{-1}
+// scaling, likewise.
 func applyInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
 	if w == 3 {
-		invRound8(view, tbl.InvRoots, tbl.Modulus.Value, m>>3+spanBase, t)
+		invRound8(view, tbl, m>>3+spanBase, t)
 		return
 	}
 	genericInvRadixRound(view, tbl, m, t, w, spanBase)
+	if m == 1<<w {
+		finalizeInverse(view, tbl)
+	}
 }
 
 // genericRadixRound is the forward round for any w <= 4, written as
@@ -115,18 +127,20 @@ func genericInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
 // fwdRound8, invRound8 and the finalize passes first offer their work
 // to the AVX-512 kernels (…Vector, vector_amd64.go), which take it
 // where the CPU has AVX-512 and the lanes suit eight coefficients per
-// instruction — on IFMA under moduli below ifmaBound where the CPU has
+// instruction — on IFMA under moduli below wideBound where the CPU has
 // it. The Go loops (…Go) run everything else — every round of a build
 // or CPU without the kernels — and are the oracle the vector code is
-// tested against, bit for bit.
+// tested against: bit for bit, and modulo p for the IFMA-wide kernels'
+// lazy values.
 
 // kernels names the code family that runs a round or a finalize pass.
 type kernels uint8
 
 const (
-	goLoops       kernels = iota // fwdRound8Go, invRound8Go, the scalar finalize loops
-	avx512Kernels                // vector_amd64.s, 64-bit products (AVX-512F + DQ)
-	ifmaKernels                  // vector_amd64.s, 52-bit products (AVX-512 IFMA)
+	goLoops         kernels = iota // fwdRound8Go, invRound8Go, the scalar finalize loops
+	avx512Kernels                  // vector_amd64.s, 64-bit products (AVX-512F + DQ)
+	ifmaKernels                    // vector_amd64.s, 52-bit products (AVX-512 IFMA), p < 2^50
+	ifmaWideKernels                // vector_amd64.s, exact 52-bit halves (AVX-512 IFMA), p < 2^52
 )
 
 // ifmaRounds reports whether the IFMA kernels may run (xmath's check
@@ -137,9 +151,16 @@ var ifmaRounds = xmath.HasIFMA()
 
 // fwdRound8 fuses three Cooley–Tukey stages on eight lanes with the
 // block's 1 + 2 + 4 twiddles — the radix-8 kernel of Section III-B.5.
-func fwdRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int) {
-	if fwdRound8Vector(view, roots, p, first, T) == goLoops {
-		fwdRound8Go(view, roots, p, first, T)
+// At T = 4 the round is the transform's last and fuses the last-round
+// processing too: its outputs are finalizeForward's, in [0, p).
+func fwdRound8(view []uint64, tbl *Tables, first, T int) {
+	if fwdRound8Vector(view, tbl, first, T) != goLoops {
+		return
+	}
+	p := tbl.Modulus.Value
+	fwdRound8Go(view, tbl.Roots, p, first, T)
+	if T == 4 {
+		finalizeForward(view, p)
 	}
 }
 
@@ -177,10 +198,16 @@ func fwdRound8Go(view []uint64, roots []xmath.MulModOperand, p uint64, first, T 
 }
 
 // invRound8 fuses three Gentleman–Sande stages on eight lanes with the
-// span's 4 + 2 + 1 twiddles, the mirror image of fwdRound8.
-func invRound8(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int) {
-	if invRound8Vector(view, roots, p, first, t) == goLoops {
-		invRound8Go(view, roots, p, first, t)
+// span's 4 + 2 + 1 twiddles, the mirror image of fwdRound8. At
+// first = 1 the round is the transform's last (one span, m = 8) and
+// fuses the n^{-1} scaling: its outputs are finalizeInverse's.
+func invRound8(view []uint64, tbl *Tables, first, t int) {
+	if invRound8Vector(view, tbl, first, t) != goLoops {
+		return
+	}
+	invRound8Go(view, tbl.InvRoots, tbl.Modulus.Value, first, t)
+	if first == 1 {
+		finalizeInverse(view, tbl)
 	}
 }
 
@@ -242,7 +269,8 @@ func finalizeInverse(x []uint64, t *Tables) {
 // and tables (see step).
 
 // globalRoundStep plans one radix-2^w round exchanged through global
-// memory. The last inverse round fuses the last-round processing.
+// memory. The last inverse round fuses the last-round processing, as
+// its body does (applyInvRadixRound).
 func globalRoundStep(n, polys, qCount, w, stage int, forward bool) step {
 	r := 1 << w
 	isLast := !forward && stage-w == 0
@@ -273,9 +301,6 @@ func globalRoundStep(n, polys, qCount, w, stage int, forward bool) step {
 					applyRadixRound(row, tbl, 1<<stage, n>>(stage+1), w, 0)
 				} else {
 					applyInvRadixRound(row, tbl, 1<<stage, n>>stage, w, 0)
-					if isLast {
-						finalizeInverse(row, tbl)
-					}
 				}
 			}
 		},
@@ -284,7 +309,8 @@ func globalRoundStep(n, polys, qCount, w, stage int, forward bool) step {
 
 // slmStep plans the single kernel that runs all SLM-resident rounds
 // (ws) of the transform, with SIMD-shuffle stages and last-round
-// processing fused as in Fig. 8.
+// processing fused as in Fig. 8: the body's last round does it
+// (applyRadixRound, applyInvRadixRound).
 func (e *Engine) slmStep(n, polys, qCount int, ws []int, stage int, forward bool) step {
 	groupElems := slmGroupElems
 	if n < groupElems {
@@ -377,16 +403,12 @@ func (e *Engine) slmStep(n, polys, qCount int, ws []int, stage int, forward bool
 						g.Barrier()
 						s += w
 					}
-					finalizeForward(row, tbl.Modulus.Value)
 				} else {
 					for _, w := range ws {
 						t := n >> s
 						applyInvRadixRound(row, tbl, 1<<s, t, w, g0/((1<<w)*t))
 						g.Barrier()
 						s -= w
-					}
-					if s == 0 {
-						finalizeInverse(row, tbl)
 					}
 				}
 			}
@@ -401,6 +423,9 @@ func naiveSteps(n, polys, qCount int, forward bool) []step {
 	items := polys * qCount * (n / 2)
 	rng := gpu.NDRange{Global: [3]int{polys, qCount, n / 2}, Local: n / 2}
 
+	// The stages run the generic loop directly, not applyRadixRound:
+	// this variant's last-round processing is its own kernel below,
+	// not fused into its last stage.
 	stageStep := func(stage int) step {
 		return step{
 			desc: sycl.Kernel{
@@ -418,9 +443,9 @@ func naiveSteps(n, polys, qCount int, forward bool) []step {
 					row := view.Row(g.P, g.Q)
 					tbl := tbls[g.Q]
 					if forward {
-						applyRadixRound(row, tbl, 1<<stage, n>>(stage+1), 1, 0)
+						genericRadixRound(row, tbl, 1<<stage, n>>(stage+1), 1, 0)
 					} else {
-						applyInvRadixRound(row, tbl, 1<<stage, n>>stage, 1, 0)
+						genericInvRadixRound(row, tbl, 1<<stage, n>>stage, 1, 0)
 					}
 				}
 			},

@@ -253,7 +253,7 @@ func TestNominalOpsLeavesEngineFunctional(t *testing.T) {
 	const n, qCount, polys = 4096, 2, 2
 	spec := gpu.Device1Spec()
 	for _, v := range AllVariants() {
-		data, tbls := testSetup(t, n, qCount, polys, 50, int64(40+v))
+		data, tbls := testSetup(t, n, qCount, polys, primeClass{bits: 50}, int64(40+v))
 		want := append([]uint64(nil), data...)
 		for p := 0; p < polys; p++ {
 			for q := 0; q < qCount; q++ {

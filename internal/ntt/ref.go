@@ -3,11 +3,12 @@ package ntt
 // Forward computes the in-place negacyclic NTT of x (length N) on the
 // CPU with the GPU kernels' own rounds: radix-8 rounds (fwdRound8, on
 // AVX-512 where the CPU has it) while three or more stages remain, one
-// radix-2 or radix-4 round (the generic loop) for the rest, then the
-// last round processing. It is the host transform of the CKKS client
-// and reference evaluator; its output is bit for bit that of the serial
-// radix-2 Harvey loop (Algorithm 1, refForward in ref_test.go), which
-// the tests keep as the independent oracle of every round and variant.
+// radix-2 or radix-4 round (the generic loop) for the rest; the last
+// round does the last round processing. It is the host transform of
+// the CKKS client and reference evaluator; its output is bit for bit
+// that of the serial radix-2 Harvey loop (Algorithm 1, refForward in
+// ref_test.go), which the tests keep as the independent oracle of
+// every round and variant.
 //
 // The output is in bit-reversed order; Inverse consumes that order, and
 // element-wise products in the transformed domain implement negacyclic
@@ -22,13 +23,12 @@ func Forward(x []uint64, t *Tables) {
 		applyRadixRound(x, t, 1<<s, n>>(s+1), w, 0)
 		s += w
 	}
-	finalizeForward(x, t.Modulus.Value)
 }
 
 // Inverse computes the in-place inverse negacyclic NTT (Gentleman–
 // Sande) with the kernels' inverse rounds, in the same radix-8-first
-// order as Forward, then scales by n^{-1} and fully reduces the output
-// to [0, p).
+// order as Forward; the last round scales by n^{-1} and fully reduces
+// the output to [0, p).
 func Inverse(x []uint64, t *Tables) {
 	n := t.N
 	if len(x) != n {
@@ -39,5 +39,4 @@ func Inverse(x []uint64, t *Tables) {
 		applyInvRadixRound(x, t, 1<<s, n>>s, w, 0)
 		s -= w
 	}
-	finalizeInverse(x, t)
 }

@@ -99,31 +99,34 @@ func randPoly(rng *rand.Rand, n int, p uint64) []uint64 {
 
 // TestHostTransformsMatchOracle: Forward and Inverse run the kernels'
 // rounds — radix-8 while three stages remain, then a radix-2 or radix-4
-// remainder — and must equal the radix-2 oracle bit for bit at every
-// log N from 1 to 15, which covers both remainder widths and rows with
-// no radix-8 round at all.
+// remainder, the last round doing the last-round processing — and must
+// equal the radix-2 oracle bit for bit at every log N from 1 to 15,
+// which covers both remainder widths and rows with no radix-8 round at
+// all, in every modulus class with the IFMA kernels on and off.
 func TestHostTransformsMatchOracle(t *testing.T) {
-	for logN := 1; logN <= 15; logN++ {
-		n := 1 << logN
-		tb := smallTables(t, n)
-		rng := rand.New(rand.NewSource(int64(logN)))
-		x := randPoly(rng, n, tb.Modulus.Value)
-		x[0] = tb.Modulus.Value - 1
-		for _, dir := range []struct {
-			name       string
-			host, want func([]uint64, *Tables)
-		}{{"Forward", Forward, refForward}, {"Inverse", Inverse, refInverse}} {
-			got := append([]uint64(nil), x...)
-			want := append([]uint64(nil), x...)
-			dir.host(got, tb)
-			dir.want(want, tb)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("log N = %d: %s element %d = %d, the radix-2 oracle gives %d", logN, dir.name, i, got[i], want[i])
+	eachModulusClass(t, func(t *testing.T, class primeClass) {
+		for logN := 1; logN <= 15; logN++ {
+			n := 1 << logN
+			tb := NewTables(n, xmath.NewModulus(class.primes(1, n)[0]))
+			rng := rand.New(rand.NewSource(int64(logN)))
+			x := randPoly(rng, n, tb.Modulus.Value)
+			x[0] = tb.Modulus.Value - 1
+			for _, dir := range []struct {
+				name       string
+				host, want func([]uint64, *Tables)
+			}{{"Forward", Forward, refForward}, {"Inverse", Inverse, refInverse}} {
+				got := append([]uint64(nil), x...)
+				want := append([]uint64(nil), x...)
+				dir.host(got, tb)
+				dir.want(want, tb)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("log N = %d: %s element %d = %d, the radix-2 oracle gives %d", logN, dir.name, i, got[i], want[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestForwardInverseRoundTrip(t *testing.T) {

@@ -16,9 +16,13 @@
 // functional layer and are bit-exact against the oracle; their
 // analytic profiles use the per-round ALU op counts of Table I. On the
 // host, the radix-8 rounds and the last-round passes run on AVX-512
-// where the CPU has it (vector_amd64.s; on AVX-512 IFMA under moduli
-// below 2^50) and in Go elsewhere or under the purego build tag, with
-// the same bits either way.
+// where the CPU has it (vector_amd64.s) — on AVX-512 IFMA under every
+// modulus below 2^52, in two families split at 2^50 — and in Go
+// elsewhere or under the purego build tag. Each round makes one pass
+// over the row: the rounds whose blocks are eight coefficients run
+// their three stages in registers, and the transform's last round
+// fuses the last-round processing, as the GPU kernels do. The
+// transforms' outputs are the same bits on every path.
 //
 // Every variant runs as Engine batches of polys × moduli independent
 // transforms sharing one kernel schedule. A batch is addressed either
@@ -31,9 +35,16 @@ package ntt
 
 import "xehe/internal/xmath"
 
-// ifmaBound is the modulus bound of the IFMA kernels: below it a lazy
-// value, under 4p, fits IFMA's 52-bit operands.
-const ifmaBound = 1 << 50
+// ifmaBound and wideBound split the moduli between the kernel
+// families. Below ifmaBound a lazy value, under 4p, fits IFMA's 52-bit
+// operands, and the IFMA kernels multiply it as it is. From ifmaBound
+// to wideBound the IFMA-wide kernels first reduce it to [0, p), which
+// fits, and form the product exactly from five 52-bit halves. At and
+// above wideBound the 64-bit kernels take the modulus.
+const (
+	ifmaBound = 1 << 50
+	wideBound = 1 << 52
+)
 
 // Tables holds the twiddle factors of one modulus for degree-N
 // negacyclic NTTs: powers of the 2N-th primitive root ψ in
@@ -42,9 +53,13 @@ const ifmaBound = 1 << 50
 //
 // Under a modulus below ifmaBound every quotient (NInv's too) is in
 // the 52-bit form of xmath.NewMulModOperand52, which the IFMA kernels
-// read; above it, the 64-bit form of xmath.NewMulModOperand. The Go
-// rounds, the generic loop and both vector kernel families read the
-// same operands, so they agree round by round, bit for bit.
+// read; above it, the 64-bit form of xmath.NewMulModOperand, whose
+// quotient shifted right by 12 is the 52-bit one the IFMA-wide kernels
+// read. The Go rounds, the generic loop and the IFMA and 64-bit kernel
+// families read the same operands, so they agree round by round, bit
+// for bit; the IFMA-wide kernels reduce a product's input first, so
+// their lazy outputs agree with the others' modulo p, and their
+// reduced outputs bit for bit.
 type Tables struct {
 	N       int
 	LogN    int
@@ -58,6 +73,14 @@ type Tables struct {
 	// NInv is n^{-1} mod p for the inverse transform's final scaling.
 	NInv xmath.MulModOperand
 	Psi  uint64 // the 2N-th root used (for tests/debug)
+
+	// fwdLanes and invLanes are Roots' and InvRoots' twiddles of the
+	// rounds whose blocks are eight coefficients, laid out per vector
+	// lane (laneTwiddles).
+	fwdLanes, invLanes []uint64
+	// nInvRoot is InvRoots[1]·n^{-1}: the twiddle of the inverse
+	// transform's last stage with the n^{-1} scaling folded in.
+	nInvRoot xmath.MulModOperand
 }
 
 // NewTables precomputes twiddle tables for degree n (a power of two)
@@ -104,8 +127,28 @@ func NewTables(n int, m xmath.Modulus) *Tables {
 		t.InvRoots[j] = tableOperand(powers[xmath.ReverseBits(uint64(j), logN)], m)
 	}
 
-	t.NInv = tableOperand(m.InvMod(uint64(n)), m)
+	nInv := m.InvMod(uint64(n))
+	t.NInv = tableOperand(nInv, m)
+	t.nInvRoot = tableOperand(m.MulMod(t.InvRoots[1].Operand, nInv), m)
+	t.fwdLanes, t.invLanes = laneTwiddles(t.Roots), laneTwiddles(t.InvRoots)
 	return t
+}
+
+// laneTwiddles lays out the twiddles at gap 1 of the rounds whose
+// blocks are eight coefficients — forward at T = 4, inverse at t = 1;
+// both take blocks i in [n/8, n/4), whose gap-1 twiddles are
+// roots[4i…4i+3] — per vector lane, as HEXL precomputes its roots for
+// T = 1: the operands W of roots[n/2…n), then their quotients, n/2
+// words each. So the lanes of two neighbouring blocks are one vector
+// of each, read as it is. (Their twiddles at gaps 4 and 2 repeat per
+// lane; the kernels spread them from roots with one permute each.)
+func laneTwiddles(roots []xmath.MulModOperand) []uint64 {
+	n := len(roots)
+	lanes := make([]uint64, n)
+	for k, op := range roots[n/2:] {
+		lanes[k], lanes[n/2+k] = op.Operand, op.Quotient
+	}
+	return lanes
 }
 
 // tableOperand is a Tables entry for w: in the 52-bit form under a

@@ -4,50 +4,70 @@
 
 // AVX-512 radix-8 rounds and finalize passes. Each ZMM register holds
 // one lane of eight consecutive coefficients, so one instruction does
-// the work of eight Go butterflies on the same values: the results are
-// those of fwdRound8Go / invRound8Go, bit for bit.
+// the work of eight Go butterflies on the same values.
 //
-// The kernels come in two families that share their loop bodies (the
+// The kernels come in three families that share their loop bodies (the
 // …_BODY macros) and differ only in how they form the lazy product
-// W·y: MULLAZY, QSHIFT, WBCST, WREG and CONSTS are defined for the
-// 64-bit kernels (…AVX512: AVX-512F + DQ, any modulus the rounds take)
-// above their TEXT blocks and redefined for the IFMA kernels (…IFMA:
-// AVX-512 IFMA, moduli below 2^50, whose tables hold 52-bit quotients;
-// see ntt.Tables) above theirs.
+// W·y: MULLAZY, QSHIFT and CONSTS are defined for each family above its
+// TEXT blocks —
+//   - …AVX512: AVX-512F + DQ, 64-bit products, any modulus the rounds
+//     take;
+//   - …IFMA: AVX-512 IFMA, moduli below 2^50, whose tables hold 52-bit
+//     quotients (see ntt.Tables);
+//   - …IFMAWide: AVX-512 IFMA, moduli from 2^50 to 2^52, which reduce
+//     y to [0, p) and then form the product exactly from 52-bit halves.
+// The first two give fwdRound8Go's / invRound8Go's values bit for bit;
+// the wide family's lazy values are congruent to them mod p, and every
+// family's reduced values are equal.
 //
-// Register use in the rounds:
+// Register use in the rounds whose lanes are a multiple of eight long
+// (the rounds whose blocks are eight coefficients set out theirs at
+// FWD_LAST_BODY):
 //   Z0–Z7    the eight lanes a0…a7 of a block
 //   Z8–Z14   the block's seven twiddle quotients W' (broadcast)
 //   Z15–Z21  W' >> QSHIFT: its high half (64-bit kernels) or the
 //            52-bit quotient W' >> 12 (IFMA kernels)
+// and in every kernel:
 //   Z22      p        Z23  2p
 //   Z24      0xffffffff (64-bit) or 2^52 − 1 (IFMA) in every lane
-//   Z25–Z30  scratch  Z31  −p (IFMA)
-// The twiddles W themselves are read by WBCST as embedded broadcasts
-// from the table: R8 points at roots[i], R9 at roots[2i], R10 at
-// roots[4i] (an operand is 16 bytes: W, then W').
+//   Z25–Z30  scratch  Z31  −p (IFMA) or 2^52 − p (IFMA-wide)
+// The twiddles W themselves are broadcast from the table as memory
+// operands: R8 points at roots[i], R9 at roots[2i], R10 at roots[4i]
+// (an operand is 16 bytes: W, then W').
+
+// WBCST and WVEC are the two forms of the twiddle operand W that MULLAZY
+// multiplies by: a table entry broadcast to every lane, or a vector of
+// per-lane twiddles (a register or 64 bytes of memory). The bodies pass
+// the form and the operand; MULLAZY supplies the instruction OP.
+#define WBCST(OP, W, IN, OUT) OP.BCST W, IN, OUT
+#define WVEC(OP, W, IN, OUT) OP W, IN, OUT
 
 // FWD is xmath.HarveyButterfly: X = min(X, X−2p); T = W·Y lazy;
-// (X, Y) = (X + T, X + 2p − T). MULW is the multiply by W without its
-// last two operands: WBCST from the table, or WREG from a register of
-// per-lane twiddles.
-#define FWD(X, Y, Q, QH, MULW) \
+// (X, Y) = (X + T, X + 2p − T).
+#define FWD(X, Y, Q, QH, FORM, W) \
 	VPSUBQ  Z23, X, Z25; \
 	VPMINUQ Z25, X, X; \
-	MULLAZY(Y, Q, QH, MULW, Y); \
+	MULLAZY(Y, Q, QH, FORM, W, Y); \
 	VPADDQ  Z23, X, Z25; \
 	VPADDQ  Y, X, X; \
 	VPSUBQ  Y, Z25, Y
 
 // INV is xmath.GSButterfly: (X, Y) = (min(S, S−2p) with S = X + Y,
 // W·(X + 2p − Y) lazy).
-#define INV(X, Y, Q, QH, MULW) \
+#define INV(X, Y, Q, QH, FORM, W) \
 	VPADDQ  Z23, X, Z30; \
 	VPSUBQ  Y, Z30, Z30; \
 	VPADDQ  Y, X, X; \
 	VPSUBQ  Z23, X, Z25; \
 	VPMINUQ Z25, X, X; \
-	MULLAZY(Z30, Q, QH, MULW, Y)
+	MULLAZY(Z30, Q, QH, FORM, W, Y)
+
+// REDUCE brings X from [0, 4p) to [0, p): xmath.ReduceToRange.
+#define REDUCE(X) \
+	VPSUBQ  Z23, X, Z25; \
+	VPMINUQ Z25, X, X; \
+	VPSUBQ  Z22, X, Z25; \
+	VPMINUQ Z25, X, X
 
 // TWIDDLE broadcasts the quotient of the operand at MEM into Q and
 // Q >> QSHIFT into QH.
@@ -118,18 +138,18 @@ fwdBlock: \
 	SHRQ $6, CX; \
 fwdColumn: \
 	LOAD8; \
-	FWD(Z0, Z4, Z8, Z15, WBCST 0(R8)); \
-	FWD(Z1, Z5, Z8, Z15, WBCST 0(R8)); \
-	FWD(Z2, Z6, Z8, Z15, WBCST 0(R8)); \
-	FWD(Z3, Z7, Z8, Z15, WBCST 0(R8)); \
-	FWD(Z0, Z2, Z9, Z16, WBCST 0(R9)); \
-	FWD(Z1, Z3, Z9, Z16, WBCST 0(R9)); \
-	FWD(Z4, Z6, Z10, Z17, WBCST 16(R9)); \
-	FWD(Z5, Z7, Z10, Z17, WBCST 16(R9)); \
-	FWD(Z0, Z1, Z11, Z18, WBCST 0(R10)); \
-	FWD(Z2, Z3, Z12, Z19, WBCST 16(R10)); \
-	FWD(Z4, Z5, Z13, Z20, WBCST 32(R10)); \
-	FWD(Z6, Z7, Z14, Z21, WBCST 48(R10)); \
+	FWD(Z0, Z4, Z8, Z15, WBCST, 0(R8)); \
+	FWD(Z1, Z5, Z8, Z15, WBCST, 0(R8)); \
+	FWD(Z2, Z6, Z8, Z15, WBCST, 0(R8)); \
+	FWD(Z3, Z7, Z8, Z15, WBCST, 0(R8)); \
+	FWD(Z0, Z2, Z9, Z16, WBCST, 0(R9)); \
+	FWD(Z1, Z3, Z9, Z16, WBCST, 0(R9)); \
+	FWD(Z4, Z6, Z10, Z17, WBCST, 16(R9)); \
+	FWD(Z5, Z7, Z10, Z17, WBCST, 16(R9)); \
+	FWD(Z0, Z1, Z11, Z18, WBCST, 0(R10)); \
+	FWD(Z2, Z3, Z12, Z19, WBCST, 16(R10)); \
+	FWD(Z4, Z5, Z13, Z20, WBCST, 32(R10)); \
+	FWD(Z6, Z7, Z14, Z21, WBCST, 48(R10)); \
 	STORE8; \
 	ADDQ $64, DI; \
 	ADDQ $64, SI; \
@@ -147,9 +167,11 @@ fwdDone: \
 
 // INV_BODY is the inverse round over lanes of t, t a multiple of 8
 // (func(view []uint64, roots []xmath.MulModOperand, p uint64, first,
-// t int)). A span is 8t elements in eight lanes of t: the lane length
-// in bytes is 8t, the same number as the span length in elements.
-#define INV_BODY \
+// t int)), with LAST as its last stage: INV_LAST, or INV_LAST_SCALED in
+// the transform's last round. A span is 8t elements in eight lanes of
+// t: the lane length in bytes is 8t, the same number as the span
+// length in elements.
+#define INV_BODY(LAST) \
 	MOVQ view_base+0(FP), DI; \
 	MOVQ view_len+8(FP), DX; \
 	TWIDDLE_PTRS; \
@@ -173,18 +195,15 @@ invSpan: \
 	SHRQ $6, CX; \
 invColumn: \
 	LOAD8; \
-	INV(Z0, Z1, Z8, Z15, WBCST 0(R10)); \
-	INV(Z2, Z3, Z9, Z16, WBCST 16(R10)); \
-	INV(Z4, Z5, Z10, Z17, WBCST 32(R10)); \
-	INV(Z6, Z7, Z11, Z18, WBCST 48(R10)); \
-	INV(Z0, Z2, Z12, Z19, WBCST 0(R9)); \
-	INV(Z1, Z3, Z12, Z19, WBCST 0(R9)); \
-	INV(Z4, Z6, Z13, Z20, WBCST 16(R9)); \
-	INV(Z5, Z7, Z13, Z20, WBCST 16(R9)); \
-	INV(Z0, Z4, Z14, Z21, WBCST 0(R8)); \
-	INV(Z1, Z5, Z14, Z21, WBCST 0(R8)); \
-	INV(Z2, Z6, Z14, Z21, WBCST 0(R8)); \
-	INV(Z3, Z7, Z14, Z21, WBCST 0(R8)); \
+	INV(Z0, Z1, Z8, Z15, WBCST, 0(R10)); \
+	INV(Z2, Z3, Z9, Z16, WBCST, 16(R10)); \
+	INV(Z4, Z5, Z10, Z17, WBCST, 32(R10)); \
+	INV(Z6, Z7, Z11, Z18, WBCST, 48(R10)); \
+	INV(Z0, Z2, Z12, Z19, WBCST, 0(R9)); \
+	INV(Z1, Z3, Z12, Z19, WBCST, 0(R9)); \
+	INV(Z4, Z6, Z13, Z20, WBCST, 16(R9)); \
+	INV(Z5, Z7, Z13, Z20, WBCST, 16(R9)); \
+	LAST; \
 	STORE8; \
 	ADDQ $64, DI; \
 	ADDQ $64, SI; \
@@ -200,13 +219,62 @@ invDone: \
 	VZEROUPPER; \
 	RET
 
-// The rounds whose lanes are one element long — forward T = 4, inverse
-// t = 1, where a block is eight consecutive coefficients — take eight
-// blocks at a time and transpose them, so that Z0–Z7 again hold a0…a7,
-// now one block per vector lane. Their twiddles differ per lane: they
-// are split out of the table's (W, W') pairs with VPERMT2Q, using the
-// even and odd qword indices kept in Z16 and Z17.
+// INV_LAST is the round's last stage, on the span's one twiddle.
+#define INV_LAST \
+	INV(Z0, Z4, Z14, Z21, WBCST, 0(R8)); \
+	INV(Z1, Z5, Z14, Z21, WBCST, 0(R8)); \
+	INV(Z2, Z6, Z14, Z21, WBCST, 0(R8)); \
+	INV(Z3, Z7, Z14, Z21, WBCST, 0(R8))
 
+// INV_LAST_SCALED is the transform's last stage with the last-round
+// processing fused, finalizeInverse's n^{-1}·x mod p: X = n^{-1}·(X + Y)
+// and Y = (n^{-1}·W)·(X + 2p − Y), each a lazy product of a value
+// below 4p reduced to [0, p). R12 points at the two operands, n^{-1}
+// then n^{-1}·W (Tables.NInv, Tables.nInvRoot); their quotients go
+// through Z14 and Z21, which the stage's plain twiddle no longer needs.
+#define SUMDIFF(X, Y) \
+	VPADDQ Z23, X, Z30; \
+	VPADDQ Y, X, X; \
+	VPSUBQ Y, Z30, Y
+
+#define SCALE(X, W) \
+	MULLAZY(X, Z14, Z21, WBCST, W, X); \
+	VPSUBQ  Z22, X, Z25; \
+	VPMINUQ Z25, X, X
+
+#define INV_LAST_SCALED \
+	SUMDIFF(Z0, Z4); \
+	SUMDIFF(Z1, Z5); \
+	SUMDIFF(Z2, Z6); \
+	SUMDIFF(Z3, Z7); \
+	TWIDDLE(8(R12), Z14, Z21); \
+	SCALE(Z0, 0(R12)); \
+	SCALE(Z1, 0(R12)); \
+	SCALE(Z2, 0(R12)); \
+	SCALE(Z3, 0(R12)); \
+	TWIDDLE(24(R12), Z14, Z21); \
+	SCALE(Z4, 16(R12)); \
+	SCALE(Z5, 16(R12)); \
+	SCALE(Z6, 16(R12)); \
+	SCALE(Z7, 16(R12))
+
+// The rounds whose blocks are eight consecutive coefficients — forward
+// T = 4, the transform's last round, and inverse t = 1, its first —
+// take two blocks at a time, a = a0…a7 and b = b0…b7, and run the
+// three stages in registers: before each stage two shuffles
+// put the stage's X operands in one vector and its Y operands in the
+// other, a's in lanes 0–3 and b's in lanes 4–7. Each stage reads its
+// twiddles per lane (func(view []uint64, roots []xmath.MulModOperand,
+// p uint64, first int, lanes []uint64)): at gap 4 one VPERMQ spreads
+// roots[i] over a's lanes and roots[i+1] over b's, straight from the
+// table (R8 at roots[i]), and one more their quotients; at gap 2 two
+// VPERMQs do so for roots[2i…2i+3] (R9 at roots[2i]); at gap 1 the
+// eight twiddles roots[4i…4i+7] are read as they are from Tables' lane
+// table (laneTwiddles; R11 at the pair's operands, R11 + BX at their
+// quotients).
+
+// From a:b, evenQwords and oddQwords pick the pairs at gap 1:
+// a0 a2 a4 a6 b0 b2 b4 b6 and a1 a3 a5 a7 b1 b3 b5 b7.
 DATA evenQwords<>+0(SB)/8, $0
 DATA evenQwords<>+8(SB)/8, $2
 DATA evenQwords<>+16(SB)/8, $4
@@ -227,182 +295,243 @@ DATA oddQwords<>+48(SB)/8, $13
 DATA oddQwords<>+56(SB)/8, $15
 GLOBL oddQwords<>(SB), RODATA|NOPTR, $64
 
-// SPLIT sets E to the even qwords of A:B and A to the odd ones.
-#define SPLIT(A, B, E) \
-	VMOVDQA64 A, E; \
-	VPERMT2Q  B, Z16, E; \
-	VPERMT2Q  B, Z17, A
+// From the pairs at gap 4, X = a0 a1 a2 a3 b0 b1 b2 b3 and
+// Y = a4 a5 a6 a7 b4 b5 b6 b7, gapLo and gapHi pick the pairs at gap 2:
+// a0 a1 a4 a5 b0 b1 b4 b5 and a2 a3 a6 a7 b2 b3 b6 b7.
+DATA gapLo<>+0(SB)/8, $0
+DATA gapLo<>+8(SB)/8, $1
+DATA gapLo<>+16(SB)/8, $8
+DATA gapLo<>+24(SB)/8, $9
+DATA gapLo<>+32(SB)/8, $4
+DATA gapLo<>+40(SB)/8, $5
+DATA gapLo<>+48(SB)/8, $12
+DATA gapLo<>+56(SB)/8, $13
+GLOBL gapLo<>(SB), RODATA|NOPTR, $64
 
-// SPLITM sets E and O to the even and odd qwords of the 128 bytes at
-// MEM: the operands and the quotients of eight table entries.
-#define SPLITM(MEM, MEMHI, E, O) \
-	VMOVDQU64 MEM, E; \
-	VMOVDQU64 MEM, O; \
-	VPERMT2Q  MEMHI, Z16, E; \
-	VPERMT2Q  MEMHI, Z17, O
+DATA gapHi<>+0(SB)/8, $2
+DATA gapHi<>+8(SB)/8, $3
+DATA gapHi<>+16(SB)/8, $10
+DATA gapHi<>+24(SB)/8, $11
+DATA gapHi<>+32(SB)/8, $6
+DATA gapHi<>+40(SB)/8, $7
+DATA gapHi<>+48(SB)/8, $14
+DATA gapHi<>+56(SB)/8, $15
+GLOBL gapHi<>(SB), RODATA|NOPTR, $64
 
-// TRANSPOSE8 transposes the 8×8 qword matrix in rows R0…R7 into
-// T0…T7, using R0…R7 as scratch.
-#define TRANSPOSE8(R0, R1, R2, R3, R4, R5, R6, R7, T0, T1, T2, T3, T4, T5, T6, T7) \
-	VPUNPCKLQDQ R1, R0, T0; \
-	VPUNPCKHQDQ R1, R0, T1; \
-	VPUNPCKLQDQ R3, R2, T2; \
-	VPUNPCKHQDQ R3, R2, T3; \
-	VPUNPCKLQDQ R5, R4, T4; \
-	VPUNPCKHQDQ R5, R4, T5; \
-	VPUNPCKLQDQ R7, R6, T6; \
-	VPUNPCKHQDQ R7, R6, T7; \
-	VSHUFI64X2  $0x88, T2, T0, R0; \
-	VSHUFI64X2  $0x88, T3, T1, R1; \
-	VSHUFI64X2  $0xdd, T2, T0, R2; \
-	VSHUFI64X2  $0xdd, T3, T1, R3; \
-	VSHUFI64X2  $0x88, T6, T4, R4; \
-	VSHUFI64X2  $0x88, T7, T5, R5; \
-	VSHUFI64X2  $0xdd, T6, T4, R6; \
-	VSHUFI64X2  $0xdd, T7, T5, R7; \
-	VSHUFI64X2  $0x88, R4, R0, T0; \
-	VSHUFI64X2  $0x88, R5, R1, T1; \
-	VSHUFI64X2  $0x88, R6, R2, T2; \
-	VSHUFI64X2  $0x88, R7, R3, T3; \
-	VSHUFI64X2  $0xdd, R4, R0, T4; \
-	VSHUFI64X2  $0xdd, R5, R1, T5; \
-	VSHUFI64X2  $0xdd, R6, R2, T6; \
-	VSHUFI64X2  $0xdd, R7, R3, T7
+// zipLo and zipHi interleave X = a0 a2 a4 a6 b0 b2 b4 b6 and
+// Y = a1 a3 a5 a7 b1 b3 b5 b7 back into a and b.
+DATA zipLo<>+0(SB)/8, $0
+DATA zipLo<>+8(SB)/8, $8
+DATA zipLo<>+16(SB)/8, $1
+DATA zipLo<>+24(SB)/8, $9
+DATA zipLo<>+32(SB)/8, $2
+DATA zipLo<>+40(SB)/8, $10
+DATA zipLo<>+48(SB)/8, $3
+DATA zipLo<>+56(SB)/8, $11
+GLOBL zipLo<>(SB), RODATA|NOPTR, $64
 
-// LOADT / STORET move eight blocks of eight at DI, transposed: after
-// LOADT, Z0–Z7 hold a0…a7 with block b in lane b; STORET writes them
-// back the same way.
-#define LOADT \
-	VMOVDQU64 0(DI), Z8; \
-	VMOVDQU64 64(DI), Z9; \
-	VMOVDQU64 128(DI), Z10; \
-	VMOVDQU64 192(DI), Z11; \
-	VMOVDQU64 256(DI), Z12; \
-	VMOVDQU64 320(DI), Z13; \
-	VMOVDQU64 384(DI), Z14; \
-	VMOVDQU64 448(DI), Z15; \
-	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+DATA zipHi<>+0(SB)/8, $4
+DATA zipHi<>+8(SB)/8, $12
+DATA zipHi<>+16(SB)/8, $5
+DATA zipHi<>+24(SB)/8, $13
+DATA zipHi<>+32(SB)/8, $6
+DATA zipHi<>+40(SB)/8, $14
+DATA zipHi<>+48(SB)/8, $7
+DATA zipHi<>+56(SB)/8, $15
+GLOBL zipHi<>(SB), RODATA|NOPTR, $64
 
-#define STORET \
-	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15); \
-	VMOVDQU64 Z8, 0(DI); \
-	VMOVDQU64 Z9, 64(DI); \
-	VMOVDQU64 Z10, 128(DI); \
-	VMOVDQU64 Z11, 192(DI); \
-	VMOVDQU64 Z12, 256(DI); \
-	VMOVDQU64 Z13, 320(DI); \
-	VMOVDQU64 Z14, 384(DI); \
-	VMOVDQU64 Z15, 448(DI)
+// From the table's (W, W') pairs roots[i], roots[i+1], …, spreadW4 and
+// spreadQ4 give W_i W_i W_i W_i W_i+1 W_i+1 W_i+1 W_i+1 and the same of
+// the quotients; spreadW2 and spreadQ2 give W_i W_i W_i+1 W_i+1 W_i+2
+// W_i+2 W_i+3 W_i+3 and their quotients.
+DATA spreadW4<>+0(SB)/8, $0
+DATA spreadW4<>+8(SB)/8, $0
+DATA spreadW4<>+16(SB)/8, $0
+DATA spreadW4<>+24(SB)/8, $0
+DATA spreadW4<>+32(SB)/8, $2
+DATA spreadW4<>+40(SB)/8, $2
+DATA spreadW4<>+48(SB)/8, $2
+DATA spreadW4<>+56(SB)/8, $2
+GLOBL spreadW4<>(SB), RODATA|NOPTR, $64
 
-// TW1 splits the eight blocks' one twiddle at R8:
-// W = Z8, W' = Z9, W' >> QSHIFT = Z10.
-#define TW1 \
-	SPLITM(0(R8), 64(R8), Z8, Z9); \
-	VPSRLQ QSHIFT, Z9, Z10
+DATA spreadQ4<>+0(SB)/8, $1
+DATA spreadQ4<>+8(SB)/8, $1
+DATA spreadQ4<>+16(SB)/8, $1
+DATA spreadQ4<>+24(SB)/8, $1
+DATA spreadQ4<>+32(SB)/8, $3
+DATA spreadQ4<>+40(SB)/8, $3
+DATA spreadQ4<>+48(SB)/8, $3
+DATA spreadQ4<>+56(SB)/8, $3
+GLOBL spreadQ4<>(SB), RODATA|NOPTR, $64
 
-// TW2 splits the eight blocks' two twiddles at R9: the first is
-// (Z12, Z13, Z14), the second (Z8, Z9, Z10).
-#define TW2 \
-	SPLITM(0(R9), 64(R9), Z8, Z9); \
-	SPLITM(128(R9), 192(R9), Z10, Z11); \
-	SPLIT(Z8, Z10, Z12); \
-	SPLIT(Z9, Z11, Z13); \
-	VPSRLQ QSHIFT, Z13, Z14; \
-	VPSRLQ QSHIFT, Z9, Z10
+DATA spreadW2<>+0(SB)/8, $0
+DATA spreadW2<>+8(SB)/8, $0
+DATA spreadW2<>+16(SB)/8, $2
+DATA spreadW2<>+24(SB)/8, $2
+DATA spreadW2<>+32(SB)/8, $4
+DATA spreadW2<>+40(SB)/8, $4
+DATA spreadW2<>+48(SB)/8, $6
+DATA spreadW2<>+56(SB)/8, $6
+GLOBL spreadW2<>(SB), RODATA|NOPTR, $64
 
-// TW4 splits the eight blocks' four twiddles at R10: the first is
-// (Z10, Z11, Z12), then (Z14, Z15, Z13), (Z18, Z19, Z20) and
-// (Z8, Z9, Z21).
-#define TW4 \
-	SPLITM(0(R10), 64(R10), Z8, Z9); \
-	SPLITM(128(R10), 192(R10), Z10, Z11); \
-	SPLITM(256(R10), 320(R10), Z12, Z13); \
-	SPLITM(384(R10), 448(R10), Z14, Z15); \
-	SPLIT(Z8, Z10, Z18); \
-	SPLIT(Z12, Z14, Z19); \
-	SPLIT(Z18, Z19, Z10); \
-	SPLIT(Z8, Z12, Z14); \
-	SPLIT(Z9, Z11, Z19); \
-	SPLIT(Z13, Z15, Z12); \
-	SPLIT(Z19, Z12, Z11); \
-	SPLIT(Z9, Z13, Z15); \
-	VPSRLQ QSHIFT, Z11, Z12; \
-	VPSRLQ QSHIFT, Z15, Z13; \
-	VPSRLQ QSHIFT, Z19, Z20; \
-	VPSRLQ QSHIFT, Z9, Z21
+DATA spreadQ2<>+0(SB)/8, $1
+DATA spreadQ2<>+8(SB)/8, $1
+DATA spreadQ2<>+16(SB)/8, $3
+DATA spreadQ2<>+24(SB)/8, $3
+DATA spreadQ2<>+32(SB)/8, $5
+DATA spreadQ2<>+40(SB)/8, $5
+DATA spreadQ2<>+48(SB)/8, $7
+DATA spreadQ2<>+56(SB)/8, $7
+GLOBL spreadQ2<>(SB), RODATA|NOPTR, $64
 
-// TRANSPOSED_SETUP loads the view, the twiddle pointers, the constants
-// and the split indices, and sets CX to the number of eight-block
-// groups.
-#define TRANSPOSED_SETUP \
+// SPREAD sets W, its quotient Q and Q >> QSHIFT (QH) per lane from the
+// table entries at MEM, with the index vectors WIDX and QIDX.
+#define SPREAD(MEM, WIDX, QIDX, W, Q, QH) \
+	VPERMQ MEM, WIDX, W; \
+	VPERMQ MEM, QIDX, Q; \
+	VPSRLQ QSHIFT, Q, QH
+
+// LANE loads the quotients at MEM into Q and Q >> QSHIFT into QH.
+#define LANE(MEM, Q, QH) \
+	VMOVDQU64 MEM, Q; \
+	VPSRLQ    QSHIFT, Q, QH
+
+// PERM sets OUT to the qwords of X:Y that the index vector at IDX
+// picks.
+#define PERM(X, Y, IDX, OUT) \
+	VMOVDQU64 IDX, OUT; \
+	VPERMI2Q  Y, X, OUT
+
+// LANES_SETUP loads the view, the twiddle pointers, the constants and
+// the spread indices, and sets CX to the number of times four blocks.
+// The lane table is lanes (n words: the operands, then the quotients),
+// so the first pair's operands are at lanes[4·first − n/2].
+#define LANES_SETUP \
 	MOVQ      view_base+0(FP), DI; \
 	MOVQ      view_len+8(FP), CX; \
 	TWIDDLE_PTRS; \
+	MOVQ      lanes_len+72(FP), BX; \
+	SHLQ      $2, BX; \
+	MOVQ      first+56(FP), R11; \
+	SHLQ      $5, R11; \
+	SUBQ      BX, R11; \
+	ADDQ      lanes_base+64(FP), R11; \
 	CONSTS(p+48(FP)); \
-	VMOVDQU64 evenQwords<>(SB), Z16; \
-	VMOVDQU64 oddQwords<>(SB), Z17; \
-	SHRQ      $6, CX
+	VMOVDQU64 spreadW4<>(SB), Z16; \
+	VMOVDQU64 spreadQ4<>(SB), Z17; \
+	VMOVDQU64 spreadW2<>(SB), Z18; \
+	VMOVDQU64 spreadQ2<>(SB), Z19; \
+	SHRQ      $5, CX
 
-// TRANSPOSED_NEXT steps to the next eight blocks and loops to LOOP.
-#define TRANSPOSED_NEXT(LOOP) \
-	STORET; \
-	ADDQ $512, DI; \
-	ADDQ $128, R8; \
-	ADDQ $256, R9; \
-	ADDQ $512, R10; \
+// LANES_NEXT steps to the next four blocks and loops to LOOP.
+#define LANES_NEXT(LOOP) \
+	ADDQ $256, DI; \
+	ADDQ $64, R8; \
+	ADDQ $128, R9; \
+	ADDQ $128, R11; \
 	DECQ CX; \
 	JNZ  LOOP
 
-// FWDT_BODY is the forward round at T = 4 (func(view []uint64, roots
-// []xmath.MulModOperand, p uint64, first int)).
-#define FWDT_BODY \
-	TRANSPOSED_SETUP; \
-	JZ fwdtDone; \
-fwdtGroup: \
-	LOADT; \
-	TW1; \
-	FWD(Z0, Z4, Z9, Z10, WREG Z8); \
-	FWD(Z1, Z5, Z9, Z10, WREG Z8); \
-	FWD(Z2, Z6, Z9, Z10, WREG Z8); \
-	FWD(Z3, Z7, Z9, Z10, WREG Z8); \
-	TW2; \
-	FWD(Z0, Z2, Z13, Z14, WREG Z12); \
-	FWD(Z1, Z3, Z13, Z14, WREG Z12); \
-	FWD(Z4, Z6, Z9, Z10, WREG Z8); \
-	FWD(Z5, Z7, Z9, Z10, WREG Z8); \
-	TW4; \
-	FWD(Z0, Z1, Z11, Z12, WREG Z10); \
-	FWD(Z2, Z3, Z15, Z13, WREG Z14); \
-	FWD(Z4, Z5, Z19, Z20, WREG Z18); \
-	FWD(Z6, Z7, Z9, Z21, WREG Z8); \
-	TRANSPOSED_NEXT(fwdtGroup); \
-fwdtDone: \
+// FWD_LAST_BODY is the forward round at T = 4 with the last-round
+// processing fused: its outputs are reduced to [0, p), finalizeForward's
+// values. It takes two pairs of blocks at a time, a stage of one pair
+// beside the same stage of the other, so that each fills the other's
+// latency: the pair at DI in Z0–Z3 with twiddles (Z9, Z8, Z15), the
+// pair at DI + 128 in Z4–Z7 with (Z12, Z11, Z10); Z16–Z19 hold the
+// spread indices.
+#define FWD_LAST_BODY \
+	LANES_SETUP; \
+	JZ fwdlDone; \
+fwdlQuad: \
+	VMOVDQU64   0(DI), Z0; \
+	VMOVDQU64   64(DI), Z1; \
+	VMOVDQU64   128(DI), Z4; \
+	VMOVDQU64   192(DI), Z5; \
+	VSHUFI64X2  $0x44, Z1, Z0, Z2; \
+	VSHUFI64X2  $0xee, Z1, Z0, Z3; \
+	VSHUFI64X2  $0x44, Z5, Z4, Z6; \
+	VSHUFI64X2  $0xee, Z5, Z4, Z7; \
+	SPREAD(0(R8), Z16, Z17, Z9, Z8, Z15); \
+	SPREAD(32(R8), Z16, Z17, Z12, Z11, Z10); \
+	FWD(Z2, Z3, Z8, Z15, WVEC, Z9); \
+	FWD(Z6, Z7, Z11, Z10, WVEC, Z12); \
+	PERM(Z2, Z3, gapLo<>(SB), Z0); \
+	PERM(Z2, Z3, gapHi<>(SB), Z1); \
+	PERM(Z6, Z7, gapLo<>(SB), Z4); \
+	PERM(Z6, Z7, gapHi<>(SB), Z5); \
+	SPREAD(0(R9), Z18, Z19, Z9, Z8, Z15); \
+	SPREAD(64(R9), Z18, Z19, Z12, Z11, Z10); \
+	FWD(Z0, Z1, Z8, Z15, WVEC, Z9); \
+	FWD(Z4, Z5, Z11, Z10, WVEC, Z12); \
+	VPUNPCKLQDQ Z1, Z0, Z2; \
+	VPUNPCKHQDQ Z1, Z0, Z3; \
+	VPUNPCKLQDQ Z5, Z4, Z6; \
+	VPUNPCKHQDQ Z5, Z4, Z7; \
+	LANE((R11)(BX*1), Z8, Z15); \
+	LANE(64(R11)(BX*1), Z11, Z10); \
+	FWD(Z2, Z3, Z8, Z15, WVEC, 0(R11)); \
+	FWD(Z6, Z7, Z11, Z10, WVEC, 64(R11)); \
+	REDUCE(Z2); \
+	REDUCE(Z3); \
+	REDUCE(Z6); \
+	REDUCE(Z7); \
+	PERM(Z2, Z3, zipLo<>(SB), Z0); \
+	PERM(Z2, Z3, zipHi<>(SB), Z1); \
+	PERM(Z6, Z7, zipLo<>(SB), Z4); \
+	PERM(Z6, Z7, zipHi<>(SB), Z5); \
+	VMOVDQU64   Z0, 0(DI); \
+	VMOVDQU64   Z1, 64(DI); \
+	VMOVDQU64   Z4, 128(DI); \
+	VMOVDQU64   Z5, 192(DI); \
+	LANES_NEXT(fwdlQuad); \
+fwdlDone: \
 	VZEROUPPER; \
 	RET
 
-// INVT_BODY is the inverse round at t = 1, FWDT_BODY's mirror image.
-#define INVT_BODY \
-	TRANSPOSED_SETUP; \
-	JZ invtDone; \
-invtGroup: \
-	LOADT; \
-	TW4; \
-	INV(Z0, Z1, Z11, Z12, WREG Z10); \
-	INV(Z2, Z3, Z15, Z13, WREG Z14); \
-	INV(Z4, Z5, Z19, Z20, WREG Z18); \
-	INV(Z6, Z7, Z9, Z21, WREG Z8); \
-	TW2; \
-	INV(Z0, Z2, Z13, Z14, WREG Z12); \
-	INV(Z1, Z3, Z13, Z14, WREG Z12); \
-	INV(Z4, Z6, Z9, Z10, WREG Z8); \
-	INV(Z5, Z7, Z9, Z10, WREG Z8); \
-	TW1; \
-	INV(Z0, Z4, Z9, Z10, WREG Z8); \
-	INV(Z1, Z5, Z9, Z10, WREG Z8); \
-	INV(Z2, Z6, Z9, Z10, WREG Z8); \
-	INV(Z3, Z7, Z9, Z10, WREG Z8); \
-	TRANSPOSED_NEXT(invtGroup); \
-invtDone: \
+// INV_FIRST_BODY is the inverse round at t = 1, FWD_LAST_BODY's mirror
+// image without the reduction.
+#define INV_FIRST_BODY \
+	LANES_SETUP; \
+	JZ invfDone; \
+invfQuad: \
+	VMOVDQU64   0(DI), Z0; \
+	VMOVDQU64   64(DI), Z1; \
+	VMOVDQU64   128(DI), Z4; \
+	VMOVDQU64   192(DI), Z5; \
+	PERM(Z0, Z1, evenQwords<>(SB), Z2); \
+	PERM(Z0, Z1, oddQwords<>(SB), Z3); \
+	PERM(Z4, Z5, evenQwords<>(SB), Z6); \
+	PERM(Z4, Z5, oddQwords<>(SB), Z7); \
+	LANE((R11)(BX*1), Z8, Z15); \
+	LANE(64(R11)(BX*1), Z11, Z10); \
+	INV(Z2, Z3, Z8, Z15, WVEC, 0(R11)); \
+	INV(Z6, Z7, Z11, Z10, WVEC, 64(R11)); \
+	VPUNPCKLQDQ Z3, Z2, Z0; \
+	VPUNPCKHQDQ Z3, Z2, Z1; \
+	VPUNPCKLQDQ Z7, Z6, Z4; \
+	VPUNPCKHQDQ Z7, Z6, Z5; \
+	SPREAD(0(R9), Z18, Z19, Z9, Z8, Z15); \
+	SPREAD(64(R9), Z18, Z19, Z12, Z11, Z10); \
+	INV(Z0, Z1, Z8, Z15, WVEC, Z9); \
+	INV(Z4, Z5, Z11, Z10, WVEC, Z12); \
+	PERM(Z0, Z1, gapLo<>(SB), Z2); \
+	PERM(Z0, Z1, gapHi<>(SB), Z3); \
+	PERM(Z4, Z5, gapLo<>(SB), Z6); \
+	PERM(Z4, Z5, gapHi<>(SB), Z7); \
+	SPREAD(0(R8), Z16, Z17, Z9, Z8, Z15); \
+	SPREAD(32(R8), Z16, Z17, Z12, Z11, Z10); \
+	INV(Z2, Z3, Z8, Z15, WVEC, Z9); \
+	INV(Z6, Z7, Z11, Z10, WVEC, Z12); \
+	VSHUFI64X2  $0x44, Z3, Z2, Z0; \
+	VSHUFI64X2  $0xee, Z3, Z2, Z1; \
+	VSHUFI64X2  $0x44, Z7, Z6, Z4; \
+	VSHUFI64X2  $0xee, Z7, Z6, Z5; \
+	VMOVDQU64   Z0, 0(DI); \
+	VMOVDQU64   Z1, 64(DI); \
+	VMOVDQU64   Z4, 128(DI); \
+	VMOVDQU64   Z5, 192(DI); \
+	LANES_NEXT(invfQuad); \
+invfDone: \
 	VZEROUPPER; \
 	RET
 
@@ -418,7 +547,7 @@ invtDone: \
 	JZ   fiDone; \
 fiLoop: \
 	VMOVDQU64 (DI), Z0; \
-	MULLAZY(Z0, Z8, Z15, WBCST 0(R8), Z0); \
+	MULLAZY(Z0, Z8, Z15, WBCST, 0(R8), Z0); \
 	VPSUBQ    Z22, Z0, Z1; \
 	VPMINUQ   Z1, Z0, Z0; \
 	VMOVDQU64 Z0, (DI); \
@@ -434,7 +563,7 @@ fiDone: \
 // MulModLazy). hi64 is exact, built from the four 32×32 products: with
 // t = hi32(ll) + lh and u = lo32(t) + hl, hi64 = hh + hi32(t) +
 // hi32(u). IN may be OUT.
-#define MULLAZY(IN, Q, QH, MULW, OUT) \
+#define MULLAZY(IN, Q, QH, FORM, W, OUT) \
 	VPSRLQ   $32, IN, Z26; \
 	VPMULUDQ IN, Q, Z27; \
 	VPMULUDQ IN, QH, Z28; \
@@ -448,13 +577,11 @@ fiDone: \
 	VPSRLQ   $32, Z29, Z29; \
 	VPADDQ   Z28, Z26, Z26; \
 	VPADDQ   Z29, Z26, Z26; \
-	MULW, IN, OUT; \
+	FORM(VPMULLQ, W, IN, OUT); \
 	VPMULLQ  Z22, Z26, Z26; \
 	VPSUBQ   Z26, OUT, OUT
 
 #define QSHIFT $32
-#define WBCST VPMULLQ.BCST
-#define WREG VPMULLQ
 
 // CONSTS loads p, 2p and the low-half mask.
 #define CONSTS(PARG) \
@@ -469,15 +596,20 @@ TEXT ·fwdRound8AVX512(SB), NOSPLIT, $0-72
 
 // func invRound8AVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int)
 TEXT ·invRound8AVX512(SB), NOSPLIT, $0-72
-	INV_BODY
+	INV_BODY(INV_LAST)
 
-// func fwdRound8TransposedAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
-TEXT ·fwdRound8TransposedAVX512(SB), NOSPLIT, $0-64
-	FWDT_BODY
+// func invRound8LastAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int, nInv, nInvRoot xmath.MulModOperand)
+TEXT ·invRound8LastAVX512(SB), NOSPLIT, $0-104
+	LEAQ nInv_Operand+72(FP), R12
+	INV_BODY(INV_LAST_SCALED)
 
-// func invRound8TransposedAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
-TEXT ·invRound8TransposedAVX512(SB), NOSPLIT, $0-64
-	INVT_BODY
+// func fwdRound8LastAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+TEXT ·fwdRound8LastAVX512(SB), NOSPLIT, $0-88
+	FWD_LAST_BODY
+
+// func invRound8FirstAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+TEXT ·invRound8FirstAVX512(SB), NOSPLIT, $0-88
+	INV_FIRST_BODY
 
 // func finalizeInverseAVX512(x []uint64, p uint64, nInv xmath.MulModOperand)
 TEXT ·finalizeInverseAVX512(SB), NOSPLIT, $0-48
@@ -493,10 +625,7 @@ TEXT ·finalizeForwardAVX512(SB), NOSPLIT, $0-32
 
 ffLoop:
 	VMOVDQU64 (DI), Z0
-	VPSUBQ    Z23, Z0, Z1
-	VPMINUQ   Z1, Z0, Z0
-	VPSUBQ    Z22, Z0, Z1
-	VPMINUQ   Z1, Z0, Z0
+	REDUCE(Z0)
 	VMOVDQU64 Z0, (DI)
 	ADDQ      $64, DI
 	DECQ      CX
@@ -508,8 +637,6 @@ ffDone:
 
 #undef MULLAZY
 #undef QSHIFT
-#undef WBCST
-#undef WREG
 #undef CONSTS
 
 // The IFMA kernels, for moduli below 2^50: every input is below 4p <
@@ -520,17 +647,15 @@ ffDone:
 // VPMADD52LUQ (the second multiplies by −p and adds), then the 52-bit
 // mask. The result is below 2p < 2^52, so it is xmath.MulModOperand.
 // MulModLazy's bit for bit. IN may be OUT.
-#define MULLAZY(IN, Q, QH, MULW, OUT) \
+#define MULLAZY(IN, Q, QH, FORM, W, OUT) \
 	VPXORQ      Z26, Z26, Z26; \
 	VPMADD52HUQ QH, IN, Z26; \
 	VPXORQ      Z27, Z27, Z27; \
-	MULW, IN, Z27; \
+	FORM(VPMADD52LUQ, W, IN, Z27); \
 	VPMADD52LUQ Z31, Z26, Z27; \
 	VPANDQ      Z24, Z27, OUT
 
 #define QSHIFT $12
-#define WBCST VPMADD52LUQ.BCST
-#define WREG VPMADD52LUQ
 
 // CONSTS loads p, 2p, the 52-bit mask and −p.
 #define CONSTS(PARG) \
@@ -547,16 +672,87 @@ TEXT ·fwdRound8IFMA(SB), NOSPLIT, $0-72
 
 // func invRound8IFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int)
 TEXT ·invRound8IFMA(SB), NOSPLIT, $0-72
-	INV_BODY
+	INV_BODY(INV_LAST)
 
-// func fwdRound8TransposedIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
-TEXT ·fwdRound8TransposedIFMA(SB), NOSPLIT, $0-64
-	FWDT_BODY
+// func invRound8LastIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int, nInv, nInvRoot xmath.MulModOperand)
+TEXT ·invRound8LastIFMA(SB), NOSPLIT, $0-104
+	LEAQ nInv_Operand+72(FP), R12
+	INV_BODY(INV_LAST_SCALED)
 
-// func invRound8TransposedIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
-TEXT ·invRound8TransposedIFMA(SB), NOSPLIT, $0-64
-	INVT_BODY
+// func fwdRound8LastIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+TEXT ·fwdRound8LastIFMA(SB), NOSPLIT, $0-88
+	FWD_LAST_BODY
+
+// func invRound8FirstIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+TEXT ·invRound8FirstIFMA(SB), NOSPLIT, $0-88
+	INV_FIRST_BODY
 
 // func finalizeInverseIFMA(x []uint64, p uint64, nInv xmath.MulModOperand)
 TEXT ·finalizeInverseIFMA(SB), NOSPLIT, $0-48
+	FINALIZE_INVERSE_BODY
+
+#undef MULLAZY
+#undef CONSTS
+
+// The IFMA-wide kernels, for moduli from 2^50 to 2^52. A lazy input y,
+// below 4p, may not fit 52 bits, so MULLAZY first reduces it to [0, p)
+// with min(y, y−2p) and min(y, y−p). The table's 64-bit quotient W'
+// shifted right by 12 is exactly floor(W·2^52/p) (QSHIFT is 12 as for
+// the IFMA kernels), so Q = hi52(y·(W' >> 12)) is at most y·W/p and
+// more than y·W/p − 2, and T = y·W − Q·p lies in [0, 2p) — but 2p may
+// not fit 52 bits, so T is formed whole. With p' = 2^52 − p,
+// Q·p = Q·2^52 − Q·p', and
+//   L = lo52(y·W) + lo52(Q·p'),  H = hi52(y·W) + hi52(Q·p'),
+//   T = ((H − Q) << 52) + L
+// mod 2^64, which is T itself because T < 2^53. Five VPMADD52s, and W
+// is read twice, which is why the bodies pass the operand and its form
+// rather than an instruction. IN may be OUT.
+#define MULLAZY(IN, Q, QH, FORM, W, OUT) \
+	VPSUBQ      Z23, IN, Z26; \
+	VPMINUQ     Z26, IN, Z26; \
+	VPSUBQ      Z22, Z26, Z27; \
+	VPMINUQ     Z27, Z26, Z26; \
+	VPXORQ      Z27, Z27, Z27; \
+	VPMADD52HUQ QH, Z26, Z27; \
+	VPXORQ      Z28, Z28, Z28; \
+	FORM(VPMADD52LUQ, W, Z26, Z28); \
+	VPXORQ      Z29, Z29, Z29; \
+	FORM(VPMADD52HUQ, W, Z26, Z29); \
+	VPMADD52LUQ Z31, Z27, Z28; \
+	VPMADD52HUQ Z31, Z27, Z29; \
+	VPSUBQ      Z27, Z29, Z29; \
+	VPSLLQ      $52, Z29, Z29; \
+	VPADDQ      Z28, Z29, OUT
+
+// CONSTS loads p, 2p and p' = 2^52 − p.
+#define CONSTS(PARG) \
+	VPBROADCASTQ PARG, Z22; \
+	VPADDQ       Z22, Z22, Z23; \
+	MOVQ         $0x10000000000000, AX; \
+	VPBROADCASTQ AX, Z31; \
+	VPSUBQ       Z22, Z31, Z31
+
+// func fwdRound8IFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int)
+TEXT ·fwdRound8IFMAWide(SB), NOSPLIT, $0-72
+	FWD_BODY
+
+// func invRound8IFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int)
+TEXT ·invRound8IFMAWide(SB), NOSPLIT, $0-72
+	INV_BODY(INV_LAST)
+
+// func invRound8LastIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int, nInv, nInvRoot xmath.MulModOperand)
+TEXT ·invRound8LastIFMAWide(SB), NOSPLIT, $0-104
+	LEAQ nInv_Operand+72(FP), R12
+	INV_BODY(INV_LAST_SCALED)
+
+// func fwdRound8LastIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+TEXT ·fwdRound8LastIFMAWide(SB), NOSPLIT, $0-88
+	FWD_LAST_BODY
+
+// func invRound8FirstIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+TEXT ·invRound8FirstIFMAWide(SB), NOSPLIT, $0-88
+	INV_FIRST_BODY
+
+// func finalizeInverseIFMAWide(x []uint64, p uint64, nInv xmath.MulModOperand)
+TEXT ·finalizeInverseIFMAWide(SB), NOSPLIT, $0-48
 	FINALIZE_INVERSE_BODY

@@ -8,9 +8,9 @@ import "xehe/internal/xmath"
 // …Vector functions take no work and every round runs the Go loops.
 const vectorRounds = false
 
-func fwdRound8Vector([]uint64, []xmath.MulModOperand, uint64, int, int) kernels { return goLoops }
+func fwdRound8Vector([]uint64, *Tables, int, int) kernels { return goLoops }
 
-func invRound8Vector([]uint64, []xmath.MulModOperand, uint64, int, int) kernels { return goLoops }
+func invRound8Vector([]uint64, *Tables, int, int) kernels { return goLoops }
 
 func finalizeForwardVector(x []uint64, _ uint64) []uint64 { return x }
 

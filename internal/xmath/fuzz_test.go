@@ -189,6 +189,66 @@ func FuzzHarveyLazy52(f *testing.F) {
 	})
 }
 
+// ifmaWideLazy is the lazy product of internal/ntt's IFMA-wide kernels
+// (MULLAZY in its vector_amd64.s) written in Go, each 52-bit
+// multiply-add as IFMA does it, the low or high 52 bits of the 104-bit
+// product of its operands' low 52 bits: y is reduced from [0, 4p) to
+// [0, p) by two conditional subtractions, Q = hi52(y·(W' >> 12)), and
+// with p' = 2^52 − p the result is ((H − Q) << 52) + L for
+// L = lo52(y·W) + lo52(Q·p') and H = hi52(y·W) + hi52(Q·p'), mod 2^64.
+func ifmaWideLazy(op MulModOperand, y, p uint64) uint64 {
+	const mask52 = 1<<52 - 1
+	lo52 := func(a, b uint64) uint64 { return (a & mask52) * (b & mask52) & mask52 }
+	hi52 := func(a, b uint64) uint64 { hi, lo := bits.Mul64(a&mask52, b&mask52); return hi<<12 | lo>>52 }
+	y = min(y, y-2*p)
+	y = min(y, y-p)
+	q := hi52(y, op.Quotient>>12)
+	pp := 1<<52 - p
+	l := lo52(y, op.Operand) + lo52(q, pp)
+	h := hi52(y, op.Operand) + hi52(q, pp)
+	return (h-q)<<52 + l
+}
+
+// FuzzHarveyLazyWide cross-checks ifmaWideLazy against math/big for
+// moduli 2^50 <= p < 2^52 — the IFMA-wide kernels' class, whose tables
+// hold NewMulModOperand's 64-bit quotients — on the butterflies' whole
+// lazy range, y in [0, 4p): the fuzzed y, 4p − 1 and draws seeded by
+// it. The quotient shifted right by 12 must be floor(W·2^52/p) exactly,
+// and each product must lie in [0, 2p) and reduce to y·W mod p.
+// Dropping either conditional subtraction, or the − Q from the high
+// word, fails here.
+func FuzzHarveyLazyWide(f *testing.F) {
+	f.Add(uint64(5), uint64(3), uint64(0))
+	f.Add(^uint64(0), ^uint64(0), uint64(1)<<51-1)
+	f.Add(uint64(0xdeadbeef1234), uint64(1)<<53+12345, uint64(1)<<51+77)
+	f.Add(uint64(1)<<51, uint64(1)<<52-3, uint64(1)<<52-3)
+	f.Fuzz(func(t *testing.T, rw, ry, rp uint64) {
+		p := 1<<50 + rp%(3<<50)
+		w := rw % p
+		op := NewMulModOperand(w, NewModulus(p))
+		bigP, bigW := new(big.Int).SetUint64(p), new(big.Int).SetUint64(w)
+		ratio := new(big.Int).Lsh(bigW, 52)
+		if ratio.Div(ratio, bigP); op.Quotient>>12 != ratio.Uint64() {
+			t.Fatalf("w=%d, p=%d: quotient >> 12 = %d, floor(W·2^52/p) = %d", w, p, op.Quotient>>12, ratio.Uint64())
+		}
+		rng := rand.New(rand.NewSource(int64(ry)))
+		for i, y := 0, ry%(4*p); i < 32; i, y = i+1, rng.Uint64()%(4*p) {
+			if i == 1 {
+				y = 4*p - 1
+			}
+			lazy := ifmaWideLazy(op, y, p)
+			if lazy >= 2*p {
+				t.Fatalf("wide product(%d; w=%d, p=%d) = %d, outside [0, 2p)", y, w, p, lazy)
+			}
+			want := new(big.Int).SetUint64(y)
+			want.Mul(want, bigW).Mod(want, bigP)
+			if got := lazy % p; got != want.Uint64() {
+				t.Fatalf("wide product(%d; w=%d, p=%d) reduces to %d, want %d", y, w, p, got, want.Uint64())
+			}
+		}
+	})
+}
+
 // FuzzInnerProductPair cross-checks the dispatched lazy inner product —
 // the AVX-512 body where the host has one, with the IFMA body on and
 // off — against the Go loop, on random moduli up to 60 bits, 1 to 40
