@@ -117,8 +117,9 @@ func genericInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
 	}
 }
 
-// The radix-8 rounds below take the twiddle table, the modulus, the
-// table slot of the first block's (or span's) coarsest twiddle —
+// The radix-8 rounds below take the tables (the Go rounds: the twiddle
+// table and the modulus), the table slot of the first block's (or
+// span's) coarsest twiddle —
 // m+blockBase forward, (m>>3)+spanBase inverse; the finer stages sit at
 // 2x and 4x that slot — and the gap. Each loads a block's twiddles
 // once, cuts the block into its eight gap-strided lanes so the inner
