@@ -69,12 +69,13 @@ func (c primeClass) primes(count, n int) []uint64 {
 
 // moduliClasses are the prime classes the whole-transform oracle tests
 // run under, the edges of every kernel family: the 40- and 42-bit
-// chain primes of the serving and routine parameters (below ifmaBound,
-// so the IFMA kernels where the CPU has them); the primes just above
+// chain primes of the serving and routine parameters and the primes
+// just below 2^50 (below ifmaBound, so the IFMA kernels where the CPU
+// has them, with 4p close to 2^52 at the top); the primes just above
 // 2^50, 51-bit ones and those just below 2^52 (the IFMA-wide kernels;
 // ParamsDemo's special prime and ParamsBenchmark's q0 are 52-bit);
 // and 54-bit primes (the 64-bit AVX-512 kernels).
-var moduliClasses = []primeClass{{bits: 40}, {bits: 42}, {bits: 51, low: true}, {bits: 51}, {bits: 52}, {bits: 54}}
+var moduliClasses = []primeClass{{bits: 40}, {bits: 42}, {bits: 50}, {bits: 51, low: true}, {bits: 51}, {bits: 52}, {bits: 54}}
 
 // eachModulusClass runs f once per class of moduliClasses, as a
 // subtest, with the rounds as they dispatch on this host and, on an

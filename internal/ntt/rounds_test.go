@@ -55,7 +55,6 @@ func roundTables(rng *rand.Rand, n int, class primeClass) *Tables {
 	hi, lo := bits.Mul64(t.InvRoots[1].Operand, t.NInv.Operand)
 	_, w := bits.Div64(hi, lo, p)
 	t.nInvRoot = operand(w)
-	t.fwdLanes, t.invLanes = laneTwiddles(t.Roots), laneTwiddles(t.InvRoots)
 	return t
 }
 

@@ -74,10 +74,6 @@ type Tables struct {
 	NInv xmath.MulModOperand
 	Psi  uint64 // the 2N-th root used (for tests/debug)
 
-	// fwdLanes and invLanes are Roots' and InvRoots' twiddles of the
-	// rounds whose blocks are eight coefficients, laid out per vector
-	// lane (laneTwiddles).
-	fwdLanes, invLanes []uint64
 	// nInvRoot is InvRoots[1]·n^{-1}: the twiddle of the inverse
 	// transform's last stage with the n^{-1} scaling folded in.
 	nInvRoot xmath.MulModOperand
@@ -130,25 +126,7 @@ func NewTables(n int, m xmath.Modulus) *Tables {
 	nInv := m.InvMod(uint64(n))
 	t.NInv = tableOperand(nInv, m)
 	t.nInvRoot = tableOperand(m.MulMod(t.InvRoots[1].Operand, nInv), m)
-	t.fwdLanes, t.invLanes = laneTwiddles(t.Roots), laneTwiddles(t.InvRoots)
 	return t
-}
-
-// laneTwiddles lays out the twiddles at gap 1 of the rounds whose
-// blocks are eight coefficients — forward at T = 4, inverse at t = 1;
-// both take blocks i in [n/8, n/4), whose gap-1 twiddles are
-// roots[4i…4i+3] — per vector lane, as HEXL precomputes its roots for
-// T = 1: the operands W of roots[n/2…n), then their quotients, n/2
-// words each. So the lanes of two neighbouring blocks are one vector
-// of each, read as it is. (Their twiddles at gaps 4 and 2 repeat per
-// lane; the kernels spread them from roots with one permute each.)
-func laneTwiddles(roots []xmath.MulModOperand) []uint64 {
-	n := len(roots)
-	lanes := make([]uint64, n)
-	for k, op := range roots[n/2:] {
-		lanes[k], lanes[n/2+k] = op.Operand, op.Quotient
-	}
-	return lanes
 }
 
 // tableOperand is a Tables entry for w: in the 52-bit form under a

@@ -52,11 +52,11 @@ func fwdRound8Vector(view []uint64, tbl *Tables, first, T int) kernels {
 		view, roots := view[:nb*8], laneRoots(tbl.Roots, tbl.N, first, nb)
 		switch k {
 		case ifmaKernels:
-			fwdRound8LastIFMA(view, roots, p, first, tbl.fwdLanes)
+			fwdRound8LastIFMA(view, roots, p, first)
 		case ifmaWideKernels:
-			fwdRound8LastIFMAWide(view, roots, p, first, tbl.fwdLanes)
+			fwdRound8LastIFMAWide(view, roots, p, first)
 		default:
-			fwdRound8LastAVX512(view, roots, p, first, tbl.fwdLanes)
+			fwdRound8LastAVX512(view, roots, p, first)
 		}
 	default:
 		return goLoops
@@ -97,11 +97,11 @@ func invRound8Vector(view []uint64, tbl *Tables, first, t int) kernels {
 		view, roots := view[:nb*8], laneRoots(tbl.InvRoots, tbl.N, first, nb)
 		switch k {
 		case ifmaKernels:
-			invRound8FirstIFMA(view, roots, p, first, tbl.invLanes)
+			invRound8FirstIFMA(view, roots, p, first)
 		case ifmaWideKernels:
-			invRound8FirstIFMAWide(view, roots, p, first, tbl.invLanes)
+			invRound8FirstIFMAWide(view, roots, p, first)
 		default:
-			invRound8FirstAVX512(view, roots, p, first, tbl.invLanes)
+			invRound8FirstAVX512(view, roots, p, first)
 		}
 	default:
 		return goLoops
@@ -111,14 +111,13 @@ func invRound8Vector(view []uint64, tbl *Tables, first, t int) kernels {
 
 // laneRoots bounds-checks the twiddles a …Last forward or …First
 // inverse kernel reads for blocks [first, first+nb) of an n-point
-// round: they must be the round's, i in [n/8, n/4), whose lanes at gap
-// 4 and 2 it spreads from roots up to roots[2(first+nb)) and whose
-// lanes at gap 1 it reads from the lane table.
+// round: they must be the round's, i in [n/8, n/4), whose lanes it
+// spreads from roots up to roots[4(first+nb)).
 func laneRoots(roots []xmath.MulModOperand, n, first, nb int) []xmath.MulModOperand {
 	if first < n/8 || first+nb > n/4 {
 		panic("ntt: blocks outside the round")
 	}
-	return roots[:2*(first+nb)]
+	return roots[:4*(first+nb)]
 }
 
 // finalizeForwardVector runs finalizeForward on AVX-512 over the
@@ -134,20 +133,20 @@ func finalizeForwardVector(x []uint64, p uint64) []uint64 {
 	return x[v:]
 }
 
-// finalizeInverseVector is finalizeForwardVector for finalizeInverse,
-// on the family roundKernels picks.
+// finalizeInverseVector is finalizeForwardVector for finalizeInverse:
+// on the IFMA kernels below ifmaBound, on the 64-bit ones above (whose
+// operands NewTables builds there). The transforms fuse this pass into
+// a radix-8 last round, so it runs alone only after the other rounds,
+// and the IFMA-wide family has no kernel for it.
 func finalizeInverseVector(x []uint64, p uint64, nInv xmath.MulModOperand) []uint64 {
 	k := roundKernels(p)
 	if k == goLoops {
 		return x
 	}
 	v := len(x) &^ 7
-	switch k {
-	case ifmaKernels:
+	if k == ifmaKernels {
 		finalizeInverseIFMA(x[:v], p, nInv)
-	case ifmaWideKernels:
-		finalizeInverseIFMAWide(x[:v], p, nInv)
-	default:
+	} else {
 		finalizeInverseAVX512(x[:v], p, nInv)
 	}
 	return x[v:]
@@ -155,9 +154,9 @@ func finalizeInverseVector(x []uint64, p uint64, nInv xmath.MulModOperand) []uin
 
 // The kernels take what the functions above have bounds-checked: view
 // holds whole blocks (spans), roots reaches the last one's finest
-// twiddle, the lanes are a multiple of eight long — or one, with an
-// even number of blocks and lanes holding their lane twiddles, for the
-// …Last forward and …First inverse kernels; the …Last inverse kernels
+// twiddle, the lanes are a multiple of eight long — or one, with a
+// multiple of four blocks, for the …Last forward and …First inverse
+// kernels; the …Last inverse kernels
 // take the one span of the transform's last round — and the finalize
 // passes get a multiple of eight elements. The …IFMA kernels also need
 // a modulus below ifmaBound and NewTables' operands for it, the
@@ -173,10 +172,10 @@ func invRound8AVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first
 func invRound8LastAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int, nInv, nInvRoot xmath.MulModOperand)
 
 //go:noescape
-func fwdRound8LastAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+func fwdRound8LastAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
 
 //go:noescape
-func invRound8FirstAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+func invRound8FirstAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
 
 //go:noescape
 func finalizeForwardAVX512(x []uint64, p uint64)
@@ -194,10 +193,10 @@ func invRound8IFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first, 
 func invRound8LastIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int, nInv, nInvRoot xmath.MulModOperand)
 
 //go:noescape
-func fwdRound8LastIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+func fwdRound8LastIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
 
 //go:noescape
-func invRound8FirstIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+func invRound8FirstIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
 
 //go:noescape
 func finalizeInverseIFMA(x []uint64, p uint64, nInv xmath.MulModOperand)
@@ -212,10 +211,7 @@ func invRound8IFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, fir
 func invRound8LastIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int, nInv, nInvRoot xmath.MulModOperand)
 
 //go:noescape
-func fwdRound8LastIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
+func fwdRound8LastIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
 
 //go:noescape
-func invRound8FirstIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
-
-//go:noescape
-func finalizeInverseIFMAWide(x []uint64, p uint64, nInv xmath.MulModOperand)
+func invRound8FirstIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first int)

@@ -264,17 +264,17 @@ invDone: \
 // three stages in registers: before each stage two shuffles
 // put the stage's X operands in one vector and its Y operands in the
 // other, a's in lanes 0–3 and b's in lanes 4–7. Each stage reads its
-// twiddles per lane (func(view []uint64, roots []xmath.MulModOperand,
-// p uint64, first int, lanes []uint64)): at gap 4 one VPERMQ spreads
-// roots[i] over a's lanes and roots[i+1] over b's, straight from the
-// table (R8 at roots[i]), and one more their quotients; at gap 2 two
-// VPERMQs do so for roots[2i…2i+3] (R9 at roots[2i]); at gap 1 the
-// eight twiddles roots[4i…4i+7] are read as they are from Tables' lane
-// table (laneTwiddles; R11 at the pair's operands, R11 + BX at their
-// quotients).
+// twiddles per lane straight from the table (func(view []uint64, roots
+// []xmath.MulModOperand, p uint64, first int)): at gap 4 one VPERMQ
+// spreads roots[i] over a's lanes and roots[i+1] over b's (R8 at
+// roots[i]), and one more their quotients; at gap 2 two VPERMQs do so
+// for roots[2i…2i+3] (R9 at roots[2i]); at gap 1 one VPERMT2Q picks the
+// operands of the eight twiddles roots[4i…4i+7] out of their two
+// vectors (R10 at roots[4i]), and one more their quotients.
 
 // From a:b, evenQwords and oddQwords pick the pairs at gap 1:
-// a0 a2 a4 a6 b0 b2 b4 b6 and a1 a3 a5 a7 b1 b3 b5 b7.
+// a0 a2 a4 a6 b0 b2 b4 b6 and a1 a3 a5 a7 b1 b3 b5 b7; from the table's
+// (W, W') pairs roots[4i…4i+7], the operands and the quotients.
 DATA evenQwords<>+0(SB)/8, $0
 DATA evenQwords<>+8(SB)/8, $2
 DATA evenQwords<>+16(SB)/8, $4
@@ -391,36 +391,35 @@ GLOBL spreadQ2<>(SB), RODATA|NOPTR, $64
 	VPERMQ MEM, QIDX, Q; \
 	VPSRLQ QSHIFT, Q, QH
 
-// LANE loads the quotients at MEM into Q and Q >> QSHIFT into QH.
-#define LANE(MEM, Q, QH) \
-	VMOVDQU64 MEM, Q; \
+// GAP1 sets W, its quotient Q and Q >> QSHIFT (QH) per lane from the
+// eight table entries at LO and HI, four each, with the index vectors
+// evenQwords (Z20) and oddQwords (Z21).
+#define GAP1(LO, HI, W, Q, QH) \
+	VMOVDQU64 LO, W; \
+	VPERMT2Q  HI, Z20, W; \
+	VMOVDQU64 LO, Q; \
+	VPERMT2Q  HI, Z21, Q; \
 	VPSRLQ    QSHIFT, Q, QH
 
-// PERM sets OUT to the qwords of X:Y that the index vector at IDX
-// picks.
+// PERM sets OUT to the qwords of X:Y that the index vector IDX (in
+// memory or a register) picks.
 #define PERM(X, Y, IDX, OUT) \
 	VMOVDQU64 IDX, OUT; \
 	VPERMI2Q  Y, X, OUT
 
 // LANES_SETUP loads the view, the twiddle pointers, the constants and
-// the spread indices, and sets CX to the number of times four blocks.
-// The lane table is lanes (n words: the operands, then the quotients),
-// so the first pair's operands are at lanes[4·first − n/2].
+// the index vectors, and sets CX to the number of times four blocks.
 #define LANES_SETUP \
 	MOVQ      view_base+0(FP), DI; \
 	MOVQ      view_len+8(FP), CX; \
 	TWIDDLE_PTRS; \
-	MOVQ      lanes_len+72(FP), BX; \
-	SHLQ      $2, BX; \
-	MOVQ      first+56(FP), R11; \
-	SHLQ      $5, R11; \
-	SUBQ      BX, R11; \
-	ADDQ      lanes_base+64(FP), R11; \
 	CONSTS(p+48(FP)); \
 	VMOVDQU64 spreadW4<>(SB), Z16; \
 	VMOVDQU64 spreadQ4<>(SB), Z17; \
 	VMOVDQU64 spreadW2<>(SB), Z18; \
 	VMOVDQU64 spreadQ2<>(SB), Z19; \
+	VMOVDQU64 evenQwords<>(SB), Z20; \
+	VMOVDQU64 oddQwords<>(SB), Z21; \
 	SHRQ      $5, CX
 
 // LANES_NEXT steps to the next four blocks and loops to LOOP.
@@ -428,7 +427,7 @@ GLOBL spreadQ2<>(SB), RODATA|NOPTR, $64
 	ADDQ $256, DI; \
 	ADDQ $64, R8; \
 	ADDQ $128, R9; \
-	ADDQ $128, R11; \
+	ADDQ $256, R10; \
 	DECQ CX; \
 	JNZ  LOOP
 
@@ -437,8 +436,8 @@ GLOBL spreadQ2<>(SB), RODATA|NOPTR, $64
 // values. It takes two pairs of blocks at a time, a stage of one pair
 // beside the same stage of the other, so that each fills the other's
 // latency: the pair at DI in Z0–Z3 with twiddles (Z9, Z8, Z15), the
-// pair at DI + 128 in Z4–Z7 with (Z12, Z11, Z10); Z16–Z19 hold the
-// spread indices.
+// pair at DI + 128 in Z4–Z7 with (Z12, Z11, Z10); Z16–Z21 hold the
+// index vectors.
 #define FWD_LAST_BODY \
 	LANES_SETUP; \
 	JZ fwdlDone; \
@@ -467,10 +466,10 @@ fwdlQuad: \
 	VPUNPCKHQDQ Z1, Z0, Z3; \
 	VPUNPCKLQDQ Z5, Z4, Z6; \
 	VPUNPCKHQDQ Z5, Z4, Z7; \
-	LANE((R11)(BX*1), Z8, Z15); \
-	LANE(64(R11)(BX*1), Z11, Z10); \
-	FWD(Z2, Z3, Z8, Z15, WVEC, 0(R11)); \
-	FWD(Z6, Z7, Z11, Z10, WVEC, 64(R11)); \
+	GAP1(0(R10), 64(R10), Z9, Z8, Z15); \
+	GAP1(128(R10), 192(R10), Z12, Z11, Z10); \
+	FWD(Z2, Z3, Z8, Z15, WVEC, Z9); \
+	FWD(Z6, Z7, Z11, Z10, WVEC, Z12); \
 	REDUCE(Z2); \
 	REDUCE(Z3); \
 	REDUCE(Z6); \
@@ -498,14 +497,14 @@ invfQuad: \
 	VMOVDQU64   64(DI), Z1; \
 	VMOVDQU64   128(DI), Z4; \
 	VMOVDQU64   192(DI), Z5; \
-	PERM(Z0, Z1, evenQwords<>(SB), Z2); \
-	PERM(Z0, Z1, oddQwords<>(SB), Z3); \
-	PERM(Z4, Z5, evenQwords<>(SB), Z6); \
-	PERM(Z4, Z5, oddQwords<>(SB), Z7); \
-	LANE((R11)(BX*1), Z8, Z15); \
-	LANE(64(R11)(BX*1), Z11, Z10); \
-	INV(Z2, Z3, Z8, Z15, WVEC, 0(R11)); \
-	INV(Z6, Z7, Z11, Z10, WVEC, 64(R11)); \
+	PERM(Z0, Z1, Z20, Z2); \
+	PERM(Z0, Z1, Z21, Z3); \
+	PERM(Z4, Z5, Z20, Z6); \
+	PERM(Z4, Z5, Z21, Z7); \
+	GAP1(0(R10), 64(R10), Z9, Z8, Z15); \
+	GAP1(128(R10), 192(R10), Z12, Z11, Z10); \
+	INV(Z2, Z3, Z8, Z15, WVEC, Z9); \
+	INV(Z6, Z7, Z11, Z10, WVEC, Z12); \
 	VPUNPCKLQDQ Z3, Z2, Z0; \
 	VPUNPCKHQDQ Z3, Z2, Z1; \
 	VPUNPCKLQDQ Z7, Z6, Z4; \
@@ -603,12 +602,12 @@ TEXT ·invRound8LastAVX512(SB), NOSPLIT, $0-104
 	LEAQ nInv_Operand+72(FP), R12
 	INV_BODY(INV_LAST_SCALED)
 
-// func fwdRound8LastAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
-TEXT ·fwdRound8LastAVX512(SB), NOSPLIT, $0-88
+// func fwdRound8LastAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
+TEXT ·fwdRound8LastAVX512(SB), NOSPLIT, $0-64
 	FWD_LAST_BODY
 
-// func invRound8FirstAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
-TEXT ·invRound8FirstAVX512(SB), NOSPLIT, $0-88
+// func invRound8FirstAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
+TEXT ·invRound8FirstAVX512(SB), NOSPLIT, $0-64
 	INV_FIRST_BODY
 
 // func finalizeInverseAVX512(x []uint64, p uint64, nInv xmath.MulModOperand)
@@ -679,12 +678,12 @@ TEXT ·invRound8LastIFMA(SB), NOSPLIT, $0-104
 	LEAQ nInv_Operand+72(FP), R12
 	INV_BODY(INV_LAST_SCALED)
 
-// func fwdRound8LastIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
-TEXT ·fwdRound8LastIFMA(SB), NOSPLIT, $0-88
+// func fwdRound8LastIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
+TEXT ·fwdRound8LastIFMA(SB), NOSPLIT, $0-64
 	FWD_LAST_BODY
 
-// func invRound8FirstIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
-TEXT ·invRound8FirstIFMA(SB), NOSPLIT, $0-88
+// func invRound8FirstIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
+TEXT ·invRound8FirstIFMA(SB), NOSPLIT, $0-64
 	INV_FIRST_BODY
 
 // func finalizeInverseIFMA(x []uint64, p uint64, nInv xmath.MulModOperand)
@@ -745,14 +744,10 @@ TEXT ·invRound8LastIFMAWide(SB), NOSPLIT, $0-104
 	LEAQ nInv_Operand+72(FP), R12
 	INV_BODY(INV_LAST_SCALED)
 
-// func fwdRound8LastIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
-TEXT ·fwdRound8LastIFMAWide(SB), NOSPLIT, $0-88
+// func fwdRound8LastIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
+TEXT ·fwdRound8LastIFMAWide(SB), NOSPLIT, $0-64
 	FWD_LAST_BODY
 
-// func invRound8FirstIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first int, lanes []uint64)
-TEXT ·invRound8FirstIFMAWide(SB), NOSPLIT, $0-88
+// func invRound8FirstIFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
+TEXT ·invRound8FirstIFMAWide(SB), NOSPLIT, $0-64
 	INV_FIRST_BODY
-
-// func finalizeInverseIFMAWide(x []uint64, p uint64, nInv xmath.MulModOperand)
-TEXT ·finalizeInverseIFMAWide(SB), NOSPLIT, $0-48
-	FINALIZE_INVERSE_BODY
