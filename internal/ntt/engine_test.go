@@ -232,6 +232,19 @@ func TestScheduleShapes(t *testing.T) {
 	if rsInv[0].global || !rsInv[len(rsInv)-1].global {
 		t.Error("inverse schedule must run SLM rounds before global rounds")
 	}
+	// At the workloads' sizes every round is radix-8, so every
+	// transform ends in a radix-8 round that fuses the last-round
+	// processing: the scalar finalize passes, which have no vector
+	// kernel, never run there.
+	for _, n := range []int{4096, 32768} {
+		for _, forward := range []bool{true, false} {
+			for _, r := range e.schedule(n, forward) {
+				if r.w != 3 {
+					t.Errorf("N=%d forward=%v: radix-%d round %+v, want radix-8 only", n, forward, 1<<r.w, r)
+				}
+			}
+		}
+	}
 }
 
 func TestVariantProperties(t *testing.T) {

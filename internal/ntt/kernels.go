@@ -125,20 +125,20 @@ func genericInvRadixRound(view []uint64, tbl *Tables, m, t, w, spanBase int) {
 // once, cuts the block into its eight gap-strided lanes so the inner
 // loop carries no bounds checks, and keeps the eight values in locals.
 //
-// fwdRound8, invRound8 and the finalize passes first offer their work
-// to the AVX-512 kernels (…Vector, vector_amd64.go), which take it
-// where the CPU has AVX-512 and the lanes suit eight coefficients per
-// instruction — on IFMA under moduli below wideBound where the CPU has
-// it. The Go loops (…Go) run everything else — every round of a build
-// or CPU without the kernels — and are the oracle the vector code is
-// tested against: bit for bit, and modulo p for the IFMA-wide kernels'
-// lazy values.
+// fwdRound8 and invRound8 first offer their work to the AVX-512
+// kernels (…Vector, vector_amd64.go), which take it where the CPU has
+// AVX-512 and the lanes suit eight coefficients per instruction — on
+// IFMA under moduli below wideBound where the CPU has it. The Go loops
+// (…Go) run everything else — every round of a build or CPU without
+// the kernels — and are the oracle the vector code is tested against:
+// bit for bit, and modulo p for the IFMA-wide kernels' lazy values.
 
-// kernels names the code family that runs a round or a finalize pass.
+// kernels names the code family that runs a radix-8 round; a vector
+// family's value indexes families (vector_amd64.go).
 type kernels uint8
 
 const (
-	goLoops         kernels = iota // fwdRound8Go, invRound8Go, the scalar finalize loops
+	goLoops         kernels = iota // fwdRound8Go, invRound8Go, then the scalar finalize loops
 	avx512Kernels                  // vector_amd64.s, 64-bit products (AVX-512F + DQ)
 	ifmaKernels                    // vector_amd64.s, 52-bit products (AVX-512 IFMA), p < 2^50
 	ifmaWideKernels                // vector_amd64.s, exact 52-bit halves (AVX-512 IFMA), p < 2^52
@@ -245,20 +245,21 @@ func invRound8Go(view []uint64, roots []xmath.MulModOperand, p uint64, first, t 
 }
 
 // finalizeForward is the forward last-round processing: it reduces
-// the lazy values of x to [0, p) in place.
+// the lazy values of x to [0, p) in place. The vector rounds fuse it
+// into the transform's last round, so it runs only where Go rounds
+// ran: after the Go radix-8 round or a radix-2/4/16 round, and as the
+// naive variant's final kernel.
 func finalizeForward(x []uint64, p uint64) {
-	x = finalizeForwardVector(x, p)
 	for i, v := range x {
 		x[i] = xmath.ReduceToRange(v, p)
 	}
 }
 
 // finalizeInverse applies the n^{-1} scaling and reduces x to [0, p)
-// in place.
+// in place; like finalizeForward, only where Go rounds ran.
 func finalizeInverse(x []uint64, t *Tables) {
 	p := t.Modulus.Value
 	nInv := t.NInv
-	x = finalizeInverseVector(x, p, nInv)
 	for i, v := range x {
 		x[i] = nInv.MulMod(v, p)
 	}

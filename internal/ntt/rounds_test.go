@@ -119,21 +119,6 @@ func sameRound(took kernels, got, want, p, bound uint64) bool {
 // small ones for the 64-bit kernels' sake.
 var roundClasses = []primeClass{{bits: 30}, {bits: 42}, {bits: 50}, {bits: 51, low: true}, {bits: 51}, {bits: 52}, {bits: 60}, {bits: 61}}
 
-// forwardFinish and inverseFinish are the last-round processing in
-// scalar Go: the fused last rounds' oracles apply them after the Go
-// round.
-func forwardFinish(x []uint64, tbl *Tables) {
-	for i, v := range x {
-		x[i] = xmath.ReduceToRange(v, tbl.Modulus.Value)
-	}
-}
-
-func inverseFinish(x []uint64, tbl *Tables) {
-	for i, v := range x {
-		x[i] = tbl.NInv.MulMod(v, tbl.Modulus.Value)
-	}
-}
-
 // TestRadix8RoundsMatchGeneric runs the radix-8 rounds at every entry
 // stage of an 8192-point transform, over the whole row and over each
 // SLM group, under roundClasses — both sides of every kernel family's
@@ -198,7 +183,7 @@ func testRadix8RoundsMatchGeneric(t *testing.T, ifma bool) {
 			m, T := 1<<s, n>>(s+1)
 			var finish func([]uint64)
 			if T == 4 {
-				finish = func(x []uint64) { forwardFinish(x, tbl) }
+				finish = func(x []uint64) { finalizeForward(x, p) }
 			}
 			for _, win := range roundWindows(n, 2*T) {
 				base := win[0] / (2 * T)
@@ -215,7 +200,7 @@ func testRadix8RoundsMatchGeneric(t *testing.T, ifma bool) {
 			span := tt << w
 			var finish func([]uint64)
 			if s == w {
-				finish = func(x []uint64) { inverseFinish(x, tbl) }
+				finish = func(x []uint64) { finalizeInverse(x, tbl) }
 			}
 			for _, win := range roundWindows(n, span) {
 				base := win[0] / span
@@ -230,22 +215,19 @@ func testRadix8RoundsMatchGeneric(t *testing.T, ifma bool) {
 	}
 }
 
-// TestFinalizeMatchesScalar: the finalize passes (vector body, Go tail)
-// give the scalar reductions of every element, at lengths on both sides
-// of the vector width; and the rounds that fuse them — the last forward
-// round (T = 4) and the last inverse round (m = 8), dispatched as the
-// transforms run them, at lengths with and without a vector kernel —
-// give the Go round followed by the scalar pass, bit for bit. With the
-// IFMA kernels on and off, in every family's class.
-func TestFinalizeMatchesScalar(t *testing.T) {
-	withoutIFMA(func(bool) { testFinalizeMatchesScalar(t) })
+// TestFusedLastRoundsMatchFinalize: the rounds that fuse the
+// last-round processing — the last forward round (T = 4) and the last
+// inverse round (m = 8), dispatched as the transforms run them, at
+// lengths with and without a vector kernel — give the Go round
+// followed by the scalar finalize pass, bit for bit. With the IFMA
+// kernels on and off, in every family's class.
+func TestFusedLastRoundsMatchFinalize(t *testing.T) {
+	withoutIFMA(func(bool) { testFusedLastRoundsMatchFinalize(t) })
 }
 
-func testFinalizeMatchesScalar(t *testing.T) {
+func testFusedLastRoundsMatchFinalize(t *testing.T) {
 	for ci, class := range roundClasses {
 		rng := rand.New(rand.NewSource(int64(ci)))
-		tbl := roundTables(rng, 4096, class)
-		p := tbl.Modulus.Value
 		check := func(name string, n int, got, want []uint64) {
 			t.Helper()
 			for i := range want {
@@ -254,18 +236,6 @@ func testFinalizeMatchesScalar(t *testing.T) {
 				}
 			}
 		}
-		for _, n := range []int{3, 8, 13, 64, 4096} {
-			x := lazyInputs(rng, n, 4*p)
-			got := append([]uint64(nil), x...)
-			finalizeForward(got, p)
-			forwardFinish(x, tbl)
-			check("finalizeForward", n, got, x)
-			x = lazyInputs(rng, n, 2*p)
-			got = append(got[:0], x...)
-			finalizeInverse(got, tbl)
-			inverseFinish(x, tbl)
-			check("finalizeInverse", n, got, x)
-		}
 		for _, n := range []int{8, 16, 64, 4096} {
 			rt := roundTables(rng, n, class)
 			p := rt.Modulus.Value
@@ -273,13 +243,13 @@ func testFinalizeMatchesScalar(t *testing.T) {
 			got := append([]uint64(nil), x...)
 			fwdRound8(got, rt, n/8, 4)
 			fwdRound8Go(x, rt.Roots, p, n/8, 4)
-			forwardFinish(x, rt)
+			finalizeForward(x, p)
 			check("last forward round", n, got, x)
 			x = lazyInputs(rng, n, 2*p)
 			got = append(got[:0], x...)
 			invRound8(got, rt, 1, n/8)
 			invRound8Go(x, rt.InvRoots, p, 1, n/8)
-			inverseFinish(x, rt)
+			finalizeInverse(x, rt)
 			check("last inverse round", n, got, x)
 		}
 	}
@@ -326,13 +296,13 @@ func FuzzRound8(f *testing.F) {
 		if inverse {
 			invRound8Go(want, tbl.InvRoots, p, 1<<s>>w+b0, n>>s)
 			if s == w {
-				inverseFinish(want, tbl)
+				finalizeInverse(want, tbl)
 				bound = p
 			}
 		} else {
 			fwdRound8Go(want, tbl.Roots, p, 1<<s+b0, n>>(s+1))
 			if s == logN-w {
-				forwardFinish(want, tbl)
+				finalizeForward(want, p)
 				bound = p
 			}
 		}

@@ -15,14 +15,15 @@
 // All GPU variants execute real arithmetic through the simulator's
 // functional layer and are bit-exact against the oracle; their
 // analytic profiles use the per-round ALU op counts of Table I. On the
-// host, the radix-8 rounds and the last-round passes run on AVX-512
-// where the CPU has it (vector_amd64.s) — on AVX-512 IFMA under every
-// modulus below 2^52, in two families split at 2^50 — and in Go
-// elsewhere or under the purego build tag. Each round makes one pass
-// over the row: the rounds whose blocks are eight coefficients run
-// their three stages in registers, and the transform's last round
-// fuses the last-round processing, as the GPU kernels do. The
-// transforms' outputs are the same bits on every path.
+// host, the radix-8 rounds run on AVX-512 where the CPU has it
+// (vector_amd64.s) — on AVX-512 IFMA under every modulus below 2^52,
+// in two families split at 2^50 — and in Go elsewhere or under the
+// purego build tag. Each round makes one pass over the row: the rounds
+// whose blocks are eight coefficients run their three stages in
+// registers, and the transform's last round fuses the last-round
+// processing, as the GPU kernels do; the separate last-round passes
+// are Go loops that follow only rounds run in Go. The transforms'
+// outputs are the same bits on every path.
 //
 // Every variant runs as Engine batches of polys × moduli independent
 // transforms sharing one kernel schedule. A batch is addressed either

@@ -4,16 +4,15 @@ package ntt
 
 import "xehe/internal/xmath"
 
-// vectorRounds reports whether the radix-8 rounds and the finalize
-// passes may run on AVX-512 (vector_amd64.s): xmath's one check of the
-// CPU and the OS.
+// vectorRounds reports whether the radix-8 rounds may run on AVX-512
+// (vector_amd64.s): xmath's one check of the CPU and the OS.
 var vectorRounds = xmath.HasAVX512()
 
-// roundKernels picks the family that runs rounds and finalize passes
-// under modulus p where the CPU has IFMA: the IFMA kernels below
-// ifmaBound (NewTables stores those moduli's quotients in the 52-bit
-// form they read), the IFMA-wide kernels below wideBound; the 64-bit
-// kernels above, or without IFMA; none without AVX-512.
+// roundKernels picks the family that runs rounds under modulus p where
+// the CPU has IFMA: the IFMA kernels below ifmaBound (NewTables stores
+// those moduli's quotients in the 52-bit form they read), the IFMA-wide
+// kernels below wideBound; the 64-bit kernels above, or without IFMA;
+// none without AVX-512.
 func roundKernels(p uint64) kernels {
 	switch {
 	case !vectorRounds:
@@ -24,6 +23,27 @@ func roundKernels(p uint64) kernels {
 		return ifmaWideKernels
 	}
 	return avx512Kernels
+}
+
+// family holds one kernel family's entry point for each shape of
+// round: lanes of a multiple of eight coefficients (fwd, inv), lanes
+// of one (fwdLast, the transform's last forward round; invFirst, its
+// first inverse round) and the transform's last inverse round
+// (invLast).
+type family struct {
+	fwd      func(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int)
+	fwdLast  func(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
+	inv      func(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int)
+	invFirst func(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
+	invLast  func(view []uint64, roots []xmath.MulModOperand, p uint64, first, t int, nInv, nInvRoot xmath.MulModOperand)
+}
+
+// families is indexed by the kernels value roundKernels returns;
+// goLoops has no entry.
+var families = [...]family{
+	avx512Kernels:   {fwdRound8AVX512, fwdRound8LastAVX512, invRound8AVX512, invRound8FirstAVX512, invRound8LastAVX512},
+	ifmaKernels:     {fwdRound8IFMA, fwdRound8LastIFMA, invRound8IFMA, invRound8FirstIFMA, invRound8LastIFMA},
+	ifmaWideKernels: {fwdRound8IFMAWide, fwdRound8LastIFMAWide, invRound8IFMAWide, invRound8FirstIFMAWide, invRound8LastIFMAWide},
 }
 
 // fwdRound8Vector runs fwdRound8 on AVX-512 and returns the family
@@ -39,25 +59,9 @@ func fwdRound8Vector(view []uint64, tbl *Tables, first, T int) kernels {
 	switch {
 	case k == goLoops:
 	case T%32 == 0:
-		view, roots := view[:nb*2*T], tbl.Roots[:4*(first+nb)]
-		switch k {
-		case ifmaKernels:
-			fwdRound8IFMA(view, roots, p, first, T)
-		case ifmaWideKernels:
-			fwdRound8IFMAWide(view, roots, p, first, T)
-		default:
-			fwdRound8AVX512(view, roots, p, first, T)
-		}
+		families[k].fwd(view[:nb*2*T], tbl.Roots[:4*(first+nb)], p, first, T)
 	case T == 4 && nb%4 == 0:
-		view, roots := view[:nb*8], laneRoots(tbl.Roots, tbl.N, first, nb)
-		switch k {
-		case ifmaKernels:
-			fwdRound8LastIFMA(view, roots, p, first)
-		case ifmaWideKernels:
-			fwdRound8LastIFMAWide(view, roots, p, first)
-		default:
-			fwdRound8LastAVX512(view, roots, p, first)
-		}
+		families[k].fwdLast(view[:nb*8], laneRoots(tbl.Roots, tbl.N, first, nb), p, first)
 	default:
 		return goLoops
 	}
@@ -74,35 +78,11 @@ func invRound8Vector(view []uint64, tbl *Tables, first, t int) kernels {
 	switch {
 	case k == goLoops:
 	case t%8 == 0 && first == 1:
-		view, roots := view[:8*t], tbl.InvRoots[:8]
-		switch k {
-		case ifmaKernels:
-			invRound8LastIFMA(view, roots, p, first, t, tbl.NInv, tbl.nInvRoot)
-		case ifmaWideKernels:
-			invRound8LastIFMAWide(view, roots, p, first, t, tbl.NInv, tbl.nInvRoot)
-		default:
-			invRound8LastAVX512(view, roots, p, first, t, tbl.NInv, tbl.nInvRoot)
-		}
+		families[k].invLast(view[:8*t], tbl.InvRoots[:8], p, first, t, tbl.NInv, tbl.nInvRoot)
 	case t%8 == 0:
-		view, roots := view[:nb*8*t], tbl.InvRoots[:4*(first+nb)]
-		switch k {
-		case ifmaKernels:
-			invRound8IFMA(view, roots, p, first, t)
-		case ifmaWideKernels:
-			invRound8IFMAWide(view, roots, p, first, t)
-		default:
-			invRound8AVX512(view, roots, p, first, t)
-		}
+		families[k].inv(view[:nb*8*t], tbl.InvRoots[:4*(first+nb)], p, first, t)
 	case t == 1 && nb%4 == 0:
-		view, roots := view[:nb*8], laneRoots(tbl.InvRoots, tbl.N, first, nb)
-		switch k {
-		case ifmaKernels:
-			invRound8FirstIFMA(view, roots, p, first)
-		case ifmaWideKernels:
-			invRound8FirstIFMAWide(view, roots, p, first)
-		default:
-			invRound8FirstAVX512(view, roots, p, first)
-		}
+		families[k].invFirst(view[:nb*8], laneRoots(tbl.InvRoots, tbl.N, first, nb), p, first)
 	default:
 		return goLoops
 	}
@@ -120,47 +100,14 @@ func laneRoots(roots []xmath.MulModOperand, n, first, nb int) []xmath.MulModOper
 	return roots[:4*(first+nb)]
 }
 
-// finalizeForwardVector runs finalizeForward on AVX-512 over the
-// longest prefix of x that is a multiple of eight long and returns the
-// rest (all of x without AVX-512). It has no product, so one kernel
-// serves every family.
-func finalizeForwardVector(x []uint64, p uint64) []uint64 {
-	if !vectorRounds {
-		return x
-	}
-	v := len(x) &^ 7
-	finalizeForwardAVX512(x[:v], p)
-	return x[v:]
-}
-
-// finalizeInverseVector is finalizeForwardVector for finalizeInverse:
-// on the IFMA kernels below ifmaBound, on the 64-bit ones above (whose
-// operands NewTables builds there). The transforms fuse this pass into
-// a radix-8 last round, so it runs alone only after the other rounds,
-// and the IFMA-wide family has no kernel for it.
-func finalizeInverseVector(x []uint64, p uint64, nInv xmath.MulModOperand) []uint64 {
-	k := roundKernels(p)
-	if k == goLoops {
-		return x
-	}
-	v := len(x) &^ 7
-	if k == ifmaKernels {
-		finalizeInverseIFMA(x[:v], p, nInv)
-	} else {
-		finalizeInverseAVX512(x[:v], p, nInv)
-	}
-	return x[v:]
-}
-
 // The kernels take what the functions above have bounds-checked: view
 // holds whole blocks (spans), roots reaches the last one's finest
 // twiddle, the lanes are a multiple of eight long — or one, with a
 // multiple of four blocks, for the …Last forward and …First inverse
-// kernels; the …Last inverse kernels
-// take the one span of the transform's last round — and the finalize
-// passes get a multiple of eight elements. The …IFMA kernels also need
-// a modulus below ifmaBound and NewTables' operands for it, the
-// …IFMAWide kernels one below wideBound.
+// kernels; the …Last inverse kernels take the one span of the
+// transform's last round. The …IFMA kernels also need a modulus below
+// ifmaBound and NewTables' operands for it, the …IFMAWide kernels one
+// below wideBound.
 
 //go:noescape
 func fwdRound8AVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int)
@@ -178,12 +125,6 @@ func fwdRound8LastAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, f
 func invRound8FirstAVX512(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
 
 //go:noescape
-func finalizeForwardAVX512(x []uint64, p uint64)
-
-//go:noescape
-func finalizeInverseAVX512(x []uint64, p uint64, nInv xmath.MulModOperand)
-
-//go:noescape
 func fwdRound8IFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int)
 
 //go:noescape
@@ -197,9 +138,6 @@ func fwdRound8LastIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, fir
 
 //go:noescape
 func invRound8FirstIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
-
-//go:noescape
-func finalizeInverseIFMA(x []uint64, p uint64, nInv xmath.MulModOperand)
 
 //go:noescape
 func fwdRound8IFMAWide(view []uint64, roots []xmath.MulModOperand, p uint64, first, T int)

@@ -2,9 +2,11 @@
 
 #include "textflag.h"
 
-// AVX-512 radix-8 rounds and finalize passes. Each ZMM register holds
-// one lane of eight consecutive coefficients, so one instruction does
-// the work of eight Go butterflies on the same values.
+// AVX-512 radix-8 rounds. Each ZMM register holds one lane of eight
+// consecutive coefficients, so one instruction does the work of eight
+// Go butterflies on the same values. The transform's last round fuses
+// the last-round processing, so there is no vector finalize pass: the
+// Go finalizeForward / finalizeInverse follow only rounds run in Go.
 //
 // The kernels come in three families that share their loop bodies (the
 // …_BODY macros) and differ only in how they form the lazy product
@@ -534,29 +536,6 @@ invfDone: \
 	VZEROUPPER; \
 	RET
 
-// FINALIZE_INVERSE_BODY scales by n^{-1} and reduces to [0, p)
-// (func(x []uint64, p uint64, nInv xmath.MulModOperand)).
-#define FINALIZE_INVERSE_BODY \
-	MOVQ x_base+0(FP), DI; \
-	MOVQ x_len+8(FP), CX; \
-	CONSTS(p+24(FP)); \
-	TWIDDLE(nInv_Quotient+40(FP), Z8, Z15); \
-	LEAQ nInv_Operand+32(FP), R8; \
-	SHRQ $3, CX; \
-	JZ   fiDone; \
-fiLoop: \
-	VMOVDQU64 (DI), Z0; \
-	MULLAZY(Z0, Z8, Z15, WBCST, 0(R8), Z0); \
-	VPSUBQ    Z22, Z0, Z1; \
-	VPMINUQ   Z1, Z0, Z0; \
-	VMOVDQU64 Z0, (DI); \
-	ADDQ      $64, DI; \
-	DECQ      CX; \
-	JNZ       fiLoop; \
-fiDone: \
-	VZEROUPPER; \
-	RET
-
 // The 64-bit kernels. MULLAZY sets OUT = IN·W − hi64(IN·W')·p mod
 // 2^64, Harvey's lazy product in [0, 2p) (xmath.MulModOperand.
 // MulModLazy). hi64 is exact, built from the four 32×32 products: with
@@ -610,30 +589,6 @@ TEXT ·fwdRound8LastAVX512(SB), NOSPLIT, $0-64
 TEXT ·invRound8FirstAVX512(SB), NOSPLIT, $0-64
 	INV_FIRST_BODY
 
-// func finalizeInverseAVX512(x []uint64, p uint64, nInv xmath.MulModOperand)
-TEXT ·finalizeInverseAVX512(SB), NOSPLIT, $0-48
-	FINALIZE_INVERSE_BODY
-
-// func finalizeForwardAVX512(x []uint64, p uint64)
-TEXT ·finalizeForwardAVX512(SB), NOSPLIT, $0-32
-	MOVQ x_base+0(FP), DI
-	MOVQ x_len+8(FP), CX
-	CONSTS(p+24(FP))
-	SHRQ $3, CX
-	JZ   ffDone
-
-ffLoop:
-	VMOVDQU64 (DI), Z0
-	REDUCE(Z0)
-	VMOVDQU64 Z0, (DI)
-	ADDQ      $64, DI
-	DECQ      CX
-	JNZ       ffLoop
-
-ffDone:
-	VZEROUPPER
-	RET
-
 #undef MULLAZY
 #undef QSHIFT
 #undef CONSTS
@@ -685,10 +640,6 @@ TEXT ·fwdRound8LastIFMA(SB), NOSPLIT, $0-64
 // func invRound8FirstIFMA(view []uint64, roots []xmath.MulModOperand, p uint64, first int)
 TEXT ·invRound8FirstIFMA(SB), NOSPLIT, $0-64
 	INV_FIRST_BODY
-
-// func finalizeInverseIFMA(x []uint64, p uint64, nInv xmath.MulModOperand)
-TEXT ·finalizeInverseIFMA(SB), NOSPLIT, $0-48
-	FINALIZE_INVERSE_BODY
 
 #undef MULLAZY
 #undef CONSTS

@@ -2,8 +2,6 @@
 
 package ntt
 
-import "xehe/internal/xmath"
-
 // vectorRounds is false off amd64 and under the purego tag: the
 // …Vector functions take no work and every round runs the Go loops.
 const vectorRounds = false
@@ -11,7 +9,3 @@ const vectorRounds = false
 func fwdRound8Vector([]uint64, *Tables, int, int) kernels { return goLoops }
 
 func invRound8Vector([]uint64, *Tables, int, int) kernels { return goLoops }
-
-func finalizeForwardVector(x []uint64, _ uint64) []uint64 { return x }
-
-func finalizeInverseVector(x []uint64, _ uint64, _ xmath.MulModOperand) []uint64 { return x }
