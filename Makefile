@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check size test bench-check test-race fallback stress fuzz-smoke bench-selftest bench-sweeps clean
+.PHONY: all build vet fmt-check size test bench-check test-race fallback stress fuzz-smoke bench-smoke bench-selftest bench-sweeps clean
 
 all: build test
 
@@ -114,6 +114,13 @@ fuzz-smoke:
 		echo "fuzz $$(dirname $$file) $${fn#func }"; \
 		$(GO) test -run '^$$' -fuzz "^$${fn#func }\$$" -fuzztime 5s -fuzzminimizetime 0s $$(dirname $$file) || exit 1; \
 	done
+
+# Benchmark smoke: every Benchmark* in the tree (outside the benchmark
+# module) run once, no tests — about 25 s with the compile. The
+# micro-benchmarks a change cites as layer evidence (the NTT engine's
+# ns/butterfly, the xmath rows) then keep compiling and running.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is a Go module of its
 # own, so `go test ./...` at the root never reaches it; this runs its

@@ -92,9 +92,12 @@ type Context struct {
 	// queue, so a warm launch on one queue allocates nothing.
 	tail []gpu.Event
 	// ew is the descriptor every elementwise launch fills (ewKernelJobs):
-	// a launch prices a copy of the profile and runs the body before it
-	// returns, and nothing keeps the pointer.
+	// a launch prices a copy of the profile and runs the body, or keeps
+	// a copy of the kernel for its row chain (rowChain), before it
+	// returns; nothing keeps the pointer.
 	ew sycl.Kernel
+	// inChain is set while rowChain holds the queue.
+	inChain bool
 
 	// Timing-only mode only: the shape-only view of each (polys, rows)
 	// transform shape (rowsView), and the row headers of each component
@@ -229,8 +232,13 @@ func (c *Context) allocPoly(p *poly.Poly, components int, hdr *sycl.Buffer) *syc
 	return buf
 }
 
-// freePolys returns buffers to the cache.
+// freePolys returns buffers to the cache. Inside a row chain it panics:
+// a held body may still read the buffer, and the next allocation could
+// hand it out again.
 func (c *Context) freePolys(bufs []*sycl.Buffer) {
+	if c.inChain {
+		panic("core: buffer freed inside a row chain")
+	}
 	for _, buf := range bufs {
 		delete(c.scope, buf)
 		c.Cache.Free(buf)

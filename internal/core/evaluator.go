@@ -37,6 +37,34 @@ func (c *Context) launch() {
 	c.deps = sycl.Launch(c.tail, c.Queues, &c.ew, sycl.Price(c.Queues, &c.ew), c.deps...)
 }
 
+// rowChain runs fn, a sequence of launches over one row space, with the
+// queue held: their bodies run when fn returns, row by row, so each row
+// goes through the whole sequence while it is still in cache
+// (ARCHITECTURE.md, "Row order"). Every launch in fn must map (job,
+// row) to the same rows — an elementwise body's (g.P, g.Q) and a
+// rowsView's (j, q) — and read nothing another row of fn writes. No
+// buffer may be freed inside fn (freePolys panics): a held body could
+// still read it. A panic out of fn drops the held bodies. A timing-only
+// context runs no bodies, and only calls fn.
+func (c *Context) rowChain(fn func()) {
+	if c.Cfg.Analytic {
+		fn()
+		return
+	}
+	h := c.Queues[0].Raw()
+	h.Hold()
+	c.inChain = true
+	defer func() {
+		if c.inChain { // fn panicked
+			c.inChain = false
+			h.Drop()
+		}
+	}()
+	fn()
+	c.inChain = false
+	h.Release()
+}
+
 // transform runs one batched NTT over view through the engine's plan,
 // chaining the pipeline through the context's tail.
 func (c *Context) transform(view *ntt.BatchView, tbls []*ntt.Tables, forward bool) {
@@ -325,14 +353,16 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 
 	// Step 1: targets back to coefficient form, out of place.
 	tCoeffs, tBufs := c.allocPolys(k, comps)
-	c.ewKernelJobs("ks_copy_target", k, comps, profileOf(), 0, 16, gpu.PatternUnitStride)
-	if !c.Cfg.Analytic {
-		c.ew.Body = rowBody(func(jb, q, lo, hi int) {
-			copy(tCoeffs[jb].Coeffs[q][lo:hi], targets[jb].Coeffs[q][lo:hi])
-		})
-	}
-	c.launch()
-	c.invNTTJobs(tCoeffs, params.TablesAt(level))
+	c.rowChain(func() {
+		c.ewKernelJobs("ks_copy_target", k, comps, profileOf(), 0, 16, gpu.PatternUnitStride)
+		if !c.Cfg.Analytic {
+			c.ew.Body = rowBody(func(jb, q, lo, hi int) {
+				copy(tCoeffs[jb].Coeffs[q][lo:hi], targets[jb].Coeffs[q][lo:hi])
+			})
+		}
+		c.launch()
+		c.invNTTJobs(tCoeffs, params.TablesAt(level))
+	})
 
 	// Step 2: digit i is row i of the target reduced into every other
 	// modulus of the extended basis (see digitRow) and transformed
@@ -348,17 +378,19 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 		dModuli = append(dModuli, without(extModuli, i)...)
 		dTbls = append(dTbls, without(extTbls, i)...)
 	}
-	c.ewKernelJobs("ks_digit_extend", k, comps*comps,
-		profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride)
-	if !c.Cfg.Analytic {
-		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
-			src, dst := tCoeffs[jb].Coeffs[r/comps], digits[r/comps][jb].Coeffs[r%comps]
-			dModuli[r].ReduceRow(dst[lo:hi], src[lo:hi])
-		})
-	}
-	c.launch()
-	c.transform(c.rowsView(k, comps*comps, func(jb, r int) []uint64 { return digits[r/comps][jb].Coeffs[r%comps] }),
-		dTbls, true)
+	c.rowChain(func() {
+		c.ewKernelJobs("ks_digit_extend", k, comps*comps,
+			profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride)
+		if !c.Cfg.Analytic {
+			c.ew.Body = rowBody(func(jb, r, lo, hi int) {
+				src, dst := tCoeffs[jb].Coeffs[r/comps], digits[r/comps][jb].Coeffs[r%comps]
+				dModuli[r].ReduceRow(dst[lo:hi], src[lo:hi])
+			})
+		}
+		c.launch()
+		c.transform(c.rowsView(k, comps*comps, func(jb, r int) []uint64 { return digits[r/comps][jb].Coeffs[r%comps] }),
+			dTbls, true)
+	})
 
 	// Inner product with the key: per coefficient and modulus, the c
 	// digit products of each accumulator are summed unreduced in 128
@@ -407,18 +439,6 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 	c.transform(c.rowsView(k, 2, func(jb, a int) []uint64 { return accs[a][jb].Coeffs[comps] }),
 		[]*ntt.Tables{params.SpecialTable, params.SpecialTable}, false)
 	outs := c.allocCts(k, 2, comps, level, func(j int) float64 { return like[j].CT.Scale })
-	c.ewKernelJobs("ks_moddown_reduce", k, 2*comps,
-		profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride)
-	if !c.Cfg.Analytic {
-		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
-			a, j := r/comps, r%comps
-			sp, d := accs[a][jb].Coeffs[comps], outs[jb].CT.Value[a].Coeffs[j]
-			moduli[j].ReduceRow(d[lo:hi], sp[lo:hi])
-		})
-	}
-	c.launch()
-	c.transform(c.rowsView(k, 2*comps, func(jb, r int) []uint64 { return outs[jb].CT.Value[r/comps].Coeffs[r%comps] }),
-		slices.Repeat(params.TablesAt(level), 2), true)
 	// A row with an addend reads one more word per item and does one
 	// more add_mod; Rotate has an addend on half of its rows.
 	added := 0.0
@@ -427,21 +447,35 @@ func (c *Context) switchKeyJobs(like []*Ciphertext, targets []*poly.Poly, addend
 			added += 0.5
 		}
 	}
-	per = profileOf(isa.OpMulMod, isa.OpAddMod)
-	per.Add(isa.OpAddMod, added)
-	c.ewKernelJobs("ks_moddown_scale", k, 2*comps, per, 0, 32+8*added, gpu.PatternUnitStride)
-	if !c.Cfg.Analytic {
-		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
-			a, j := r/comps, r%comps
-			acc, o := accs[a][jb].Coeffs[j], outs[jb].CT.Value[a].Coeffs[j]
-			var add []uint64
-			if addends[a] != nil {
-				add = addends[a][jb].Coeffs[j][lo:hi]
-			}
-			basis.SpecialInvOperand(L, j).SubMulRow(o[lo:hi], acc[lo:hi], add, moduli[j].Value)
-		})
-	}
-	c.launch()
+	c.rowChain(func() {
+		c.ewKernelJobs("ks_moddown_reduce", k, 2*comps,
+			profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride)
+		if !c.Cfg.Analytic {
+			c.ew.Body = rowBody(func(jb, r, lo, hi int) {
+				a, j := r/comps, r%comps
+				sp, d := accs[a][jb].Coeffs[comps], outs[jb].CT.Value[a].Coeffs[j]
+				moduli[j].ReduceRow(d[lo:hi], sp[lo:hi])
+			})
+		}
+		c.launch()
+		c.transform(c.rowsView(k, 2*comps, func(jb, r int) []uint64 { return outs[jb].CT.Value[r/comps].Coeffs[r%comps] }),
+			slices.Repeat(params.TablesAt(level), 2), true)
+		per := profileOf(isa.OpMulMod, isa.OpAddMod)
+		per.Add(isa.OpAddMod, added)
+		c.ewKernelJobs("ks_moddown_scale", k, 2*comps, per, 0, 32+8*added, gpu.PatternUnitStride)
+		if !c.Cfg.Analytic {
+			c.ew.Body = rowBody(func(jb, r, lo, hi int) {
+				a, j := r/comps, r%comps
+				acc, o := accs[a][jb].Coeffs[j], outs[jb].CT.Value[a].Coeffs[j]
+				var add []uint64
+				if addends[a] != nil {
+					add = addends[a][jb].Coeffs[j][lo:hi]
+				}
+				basis.SpecialInvOperand(L, j).SubMulRow(o[lo:hi], acc[lo:hi], add, moduli[j].Value)
+			})
+		}
+		c.launch()
+	})
 	c.freePolys(accBufs[0])
 	c.freePolys(accBufs[1])
 	return outs
@@ -471,36 +505,40 @@ func (c *Context) RescaleBatch(cts []*Ciphertext) []*Ciphertext {
 
 	// Row i of a job's `lasts` is the last row of its component i.
 	lasts, lastBufs := c.allocPolys(k, polys)
-	c.ewKernelJobs("rs_copy_last", k, polys, profileOf(), 0, 16, gpu.PatternUnitStride)
-	if !c.Cfg.Analytic {
-		c.ew.Body = rowBody(func(jb, i, lo, hi int) {
-			copy(lasts[jb].Coeffs[i][lo:hi], cts[jb].CT.Value[i].Coeffs[level][lo:hi])
-		})
-	}
-	c.launch()
-	c.invNTTJobs(lasts, slices.Repeat(params.ChainTables[level:level+1], polys))
+	c.rowChain(func() {
+		c.ewKernelJobs("rs_copy_last", k, polys, profileOf(), 0, 16, gpu.PatternUnitStride)
+		if !c.Cfg.Analytic {
+			c.ew.Body = rowBody(func(jb, i, lo, hi int) {
+				copy(lasts[jb].Coeffs[i][lo:hi], cts[jb].CT.Value[i].Coeffs[level][lo:hi])
+			})
+		}
+		c.launch()
+		c.invNTTJobs(lasts, slices.Repeat(params.ChainTables[level:level+1], polys))
+	})
 
 	// From here on row r of the range is modulus r%level of component
 	// r/level, and lives in the result.
 	outs := c.allocCts(k, polys, level, level-1, func(j int) float64 { return cts[j].CT.Scale / float64(qLast) })
-	c.ewKernelJobs("rs_reduce", k, polys*level, profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride)
-	if !c.Cfg.Analytic {
-		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
-			i, j := r/level, r%level
-			basis.Moduli[j].ReduceRow(outs[jb].CT.Value[i].Coeffs[j][lo:hi], lasts[jb].Coeffs[i][lo:hi])
-		})
-	}
-	c.launch()
-	c.transform(c.rowsView(k, polys*level, func(jb, r int) []uint64 { return outs[jb].CT.Value[r/level].Coeffs[r%level] }),
-		slices.Repeat(params.ChainTables[:level], polys), true)
-	c.ewKernelJobs("rs_scale", k, polys*level, profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride)
-	if !c.Cfg.Analytic {
-		c.ew.Body = rowBody(func(jb, r, lo, hi int) {
-			i, j := r/level, r%level
-			basis.InvLastOperand(level, j).SubMulRow(outs[jb].CT.Value[i].Coeffs[j][lo:hi], cts[jb].CT.Value[i].Coeffs[j][lo:hi], nil, basis.Moduli[j].Value)
-		})
-	}
-	c.launch()
+	c.rowChain(func() {
+		c.ewKernelJobs("rs_reduce", k, polys*level, profileOf(isa.OpMul64Hi, isa.OpAdd64), 0, 16, gpu.PatternUnitStride)
+		if !c.Cfg.Analytic {
+			c.ew.Body = rowBody(func(jb, r, lo, hi int) {
+				i, j := r/level, r%level
+				basis.Moduli[j].ReduceRow(outs[jb].CT.Value[i].Coeffs[j][lo:hi], lasts[jb].Coeffs[i][lo:hi])
+			})
+		}
+		c.launch()
+		c.transform(c.rowsView(k, polys*level, func(jb, r int) []uint64 { return outs[jb].CT.Value[r/level].Coeffs[r%level] }),
+			slices.Repeat(params.ChainTables[:level], polys), true)
+		c.ewKernelJobs("rs_scale", k, polys*level, profileOf(isa.OpMulMod, isa.OpAddMod), 0, 32, gpu.PatternUnitStride)
+		if !c.Cfg.Analytic {
+			c.ew.Body = rowBody(func(jb, r, lo, hi int) {
+				i, j := r/level, r%level
+				basis.InvLastOperand(level, j).SubMulRow(outs[jb].CT.Value[i].Coeffs[j][lo:hi], cts[jb].CT.Value[i].Coeffs[j][lo:hi], nil, basis.Moduli[j].Value)
+			})
+		}
+		c.launch()
+	})
 	c.freePolys(lastBufs)
 	return outs
 }

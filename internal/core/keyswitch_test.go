@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -247,4 +248,35 @@ func (c *Context) DownloadBatch(cts []*Ciphertext) []*ckks.Ciphertext {
 	ev.Wait()
 	c.deps = nil
 	return outs
+}
+
+// TestFreeInsideRowChainPanics: a buffer freed inside a row chain may
+// still be read by a held body, or handed out again by an allocation
+// before the chain's bodies run, so freePolys panics there instead of
+// letting memory be corrupted. The panic drops the chain's held bodies
+// and un-holds the queue: the held copy never runs, and the context's
+// next rescale is bit-identical to the host's.
+func TestFreeInsideRowChainPanics(t *testing.T) {
+	h := newHarness(t)
+	ct, _ := h.randCT(400)
+	c := newCtx(t, h, OptNTTAsm())
+	d := c.Upload(ct)
+	dst, bufs := c.allocPolys(1, 2)
+	mustPanicCore(t, "freePolys inside a row chain", func() {
+		c.rowChain(func() {
+			c.ewKernelJobs("test_copy", 1, 2, profileOf(), 0, 16, gpu.PatternUnitStride)
+			c.ew.Body = rowBody(func(jb, q, lo, hi int) {
+				copy(dst[jb].Coeffs[q][lo:hi], d.CT.Value[0].Coeffs[q][lo:hi])
+			})
+			c.launch()
+			c.freePolys(bufs)
+		})
+	})
+	for q, row := range dst[0].Coeffs {
+		if slices.Equal(row, d.CT.Value[0].Coeffs[q][:len(row)]) {
+			t.Errorf("row %d: the held copy ran after its chain panicked", q)
+		}
+	}
+	c.freePolys(bufs)
+	assertSameCT(t, "Rescale after the failed chain", c.Download(c.RescaleBatch(one(d))[0]), h.host.Rescale(ct))
 }

@@ -385,6 +385,9 @@ type Queue struct {
 	multiQ   bool // part of an explicit multi-queue set (pays the tax)
 	blocking bool // if true, every submission synchronizes the host
 	copyQ    bool // transfers land on the tile's copy-engine timeline
+
+	depth int      // open Holds
+	held  []Kernel // bodies kept for the outermost Release (reused)
 }
 
 // NewQueue creates an in-order queue on the given tile.

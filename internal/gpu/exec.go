@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -108,22 +109,49 @@ func (q *Queue) Launch(k *Kernel, cg isa.CodeGen, deps ...Event) Event {
 }
 
 // LaunchPriced is Launch with the cost already known: price must be
-// k.Price(spec, cg, 1) for this queue's device.
+// k.Price(spec, cg, 1) for this queue's device. While the queue is held
+// (Hold) the body is kept for the outermost Release instead of run.
 func (q *Queue) LaunchPriced(k *Kernel, price Cycles, deps ...Event) Event {
-	runGroups(k)
-	return q.submitOn(k.name(), k.items(&q.dev.Spec, 1), price, false, deps...)
+	if k.Body == nil && q.depth == 0 {
+		// Timing-only and unheld: nothing to run, no hold to drop.
+		return q.submitOn(k.name(), k.items(&q.dev.Spec, 1), price, false, deps...)
+	}
+	q.Hold()
+	kept := false
+	defer q.dropUnless(&kept)
+	ev := q.submitOn(k.name(), k.items(&q.dev.Spec, 1), price, false, deps...)
+	q.keep(k)
+	kept = true
+	q.Release()
+	return ev
 }
 
 // LaunchSplit executes the kernel functionally once, but splits its
 // analytic cost evenly across the given queues (explicit multi-tile
 // submission through multiple queues, Section III-C.2): each
 // sub-submission costs price, which must be k.Price(spec, cg,
-// len(queues)). The events of all sub-submissions are written into evs
-// (grown only when it has no room for them), which it returns. evs may
-// share its backing array with deps: every sub-submission waits for the
-// latest of deps, read before any event is written.
+// len(queues)). The body is held on, and run by, the set's first queue.
+// The events of all sub-submissions are written into evs (grown only
+// when it has no room for them), which it returns. evs may share its
+// backing array with deps: every sub-submission waits for the latest of
+// deps, read before any event is written.
 func LaunchSplit(evs []Event, queues []*Queue, k *Kernel, price Cycles, deps ...Event) []Event {
-	runGroups(k)
+	h := queues[0]
+	if k.Body == nil && h.depth == 0 {
+		return submitSplit(evs, queues, k, price, deps)
+	}
+	h.Hold()
+	kept := false
+	defer h.dropUnless(&kept)
+	evs = submitSplit(evs, queues, k, price, deps)
+	h.keep(k)
+	kept = true
+	h.Release()
+	return evs
+}
+
+// submitSplit places LaunchSplit's sub-submissions on the timelines.
+func submitSplit(evs []Event, queues []*Queue, k *Kernel, price Cycles, deps []Event) []Event {
 	after := latest(deps)
 	items := k.items(&queues[0].dev.Spec, len(queues))
 	if cap(evs) < len(queues) {
@@ -136,18 +164,114 @@ func LaunchSplit(evs []Event, queues []*Queue, k *Kernel, price Cycles, deps ...
 	return evs
 }
 
-// runGroups executes every work-group of the kernel on a worker pool.
-func runGroups(k *Kernel) {
-	if k.Body == nil {
+// Hold defers the bodies of the queue's launches: each is still
+// submitted (priced and placed on the timelines) at once, but its body
+// is kept, by value, until the outermost Release runs every kept body
+// row by row. Holds nest. The launches of one hold must be a row-local
+// sequence over one row space: each has the same Global[0]×Global[1]
+// rows, and a body's groups on row r read and write only what that
+// row's groups of the launches before and after it touch, besides data
+// no launch of the sequence writes (ARCHITECTURE.md, "Row order").
+// A queue is used by one goroutine at a time, and so is its hold.
+func (q *Queue) Hold() { q.depth++ }
+
+// Release ends a Hold. The outermost one runs the kept bodies: rows are
+// handed out across the host's cores, and each row goes through every
+// kept launch's groups in launch order while it is still in the core's
+// cache. Release without a Hold panics, and so does a kept sequence
+// whose launches do not all have the same row count.
+func (q *Queue) Release() {
+	if q.depth == 0 {
+		panic("gpu: Release without Hold")
+	}
+	q.depth--
+	if q.depth > 0 {
 		return
 	}
-	g2 := k.Range.Global[2]
-	local := k.Range.Local
-	if local <= 0 || local > g2 {
-		local = g2
+	ks := q.held
+	q.held = ks[:0]
+	defer clear(ks)
+	runGroups(ks)
+}
+
+// Drop ends every Hold on the queue and discards the bodies kept so
+// far. A held sequence that fails part way through (a launch lost on
+// the wire, a panic between launches) calls it, or has it called by
+// the launch that failed: its batch has failed, and the queue's next
+// launch must run its body.
+func (q *Queue) Drop() {
+	q.depth = 0
+	clear(q.held)
+	q.held = q.held[:0]
+}
+
+// dropUnless is deferred by a launch: unless the launch kept its body
+// (its submissions all returned), it drops the queue's hold.
+func (q *Queue) dropUnless(kept *bool) {
+	if !*kept {
+		q.Drop()
 	}
-	groupsPerRow := (g2 + local - 1) / local
-	total := k.Range.Global[0] * k.Range.Global[1] * groupsPerRow
+}
+
+// keep appends k's body to the queue's held list. The list is reused,
+// and a timing-only kernel (nil Body) is not kept at all, so a warm
+// launch allocates nothing.
+func (q *Queue) keep(k *Kernel) {
+	if k.Body != nil {
+		q.held = append(q.held, *k)
+	}
+}
+
+// rows is the number of rows the kernel's range covers: the index over
+// Global[0]×Global[1] that a row-local sequence shares.
+func (k *Kernel) rows() int { return k.Range.Global[0] * k.Range.Global[1] }
+
+// local is the kernel's work-group size along dimension 2.
+func (k *Kernel) local() int {
+	g2 := k.Range.Global[2]
+	if local := k.Range.Local; local > 0 && local < g2 {
+		return local
+	}
+	return g2
+}
+
+// groupsPerRow is the number of work-groups one row splits into.
+func (k *Kernel) groupsPerRow() int {
+	return (k.Range.Global[2] + k.local() - 1) / k.local()
+}
+
+// runGroups runs the work-groups of ks — one launch, or a held sequence
+// over one row space — on up to GOMAXPROCS goroutines. A lone launch hands
+// out its work-groups one by one. A sequence hands out rows, and a row
+// runs each launch's groups in launch order.
+func runGroups(ks []Kernel) {
+	if len(ks) == 0 {
+		return
+	}
+	rows := ks[0].rows()
+	for i := range ks {
+		if ks[i].rows() != rows {
+			panic(fmt.Sprintf("gpu: held launches %q (%d rows) and %q (%d rows) do not share one row space",
+				ks[0].name(), rows, ks[i].name(), ks[i].rows()))
+		}
+	}
+	per := 1 // units handed out per row
+	if len(ks) == 1 {
+		per = ks[0].groupsPerRow()
+	}
+	total := rows * per
+	run := func(ctx *GroupCtx, unit int) {
+		row := unit / per
+		for i := range ks {
+			lo, hi := 0, ks[i].groupsPerRow()
+			if per > 1 {
+				lo, hi = unit%per, unit%per+1
+			}
+			for grp := lo; grp < hi; grp++ {
+				ks[i].runGroup(ctx, row, grp)
+			}
+		}
+	}
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > total {
@@ -155,8 +279,8 @@ func runGroups(k *Kernel) {
 	}
 	if workers <= 1 {
 		ctx := GroupCtx{}
-		for idx := 0; idx < total; idx++ {
-			runOneGroup(k, &ctx, idx, groupsPerRow, local, g2)
+		for unit := 0; unit < total; unit++ {
+			run(&ctx, unit)
 		}
 		return
 	}
@@ -168,27 +292,22 @@ func runGroups(k *Kernel) {
 			defer wg.Done()
 			ctx := GroupCtx{}
 			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= total {
+				unit := int(next.Add(1)) - 1
+				if unit >= total {
 					return
 				}
-				runOneGroup(k, &ctx, idx, groupsPerRow, local, g2)
+				run(&ctx, unit)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-func runOneGroup(k *Kernel, ctx *GroupCtx, idx, groupsPerRow, local, g2 int) {
-	grp := idx % groupsPerRow
-	row := idx / groupsPerRow
-	q := row % k.Range.Global[1]
-	p := row / k.Range.Global[1]
+// runGroup runs work-group grp of the given row.
+func (k *Kernel) runGroup(ctx *GroupCtx, row, grp int) {
+	g2, local := k.Range.Global[2], k.local()
 	base := grp * local
-	size := local
-	if base+size > g2 {
-		size = g2 - base
-	}
-	ctx.P, ctx.Q, ctx.Group, ctx.Base, ctx.Size = p, q, grp, base, size
+	size := min(local, g2-base)
+	ctx.P, ctx.Q, ctx.Group, ctx.Base, ctx.Size = row/k.Range.Global[1], row%k.Range.Global[1], grp, base, size
 	k.Body(ctx)
 }

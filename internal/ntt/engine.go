@@ -482,7 +482,11 @@ func (e *Engine) NominalOps(spec *gpu.DeviceSpec, polys int, tbls []*Tables, for
 // run launches the kernels of one batched transform at the plan's
 // stored prices, each kernel ordered after the one before through the
 // tail it wrote: on one queue a warm transform allocates nothing when
-// the caller lends tail storage.
+// the caller lends tail storage. The launches are held on the first
+// queue and released together, so the host takes each row through
+// every round while it is still in cache (every kernel of a plan spans
+// the view's polys × qCount rows, and a row's groups touch that row
+// only).
 func (e *Engine) run(qs []*sycl.Queue, view *BatchView, tbls []*Tables, forward bool, tail, deps []gpu.Event) []gpu.Event {
 	if !e.Analytic && view != nil && view.rows == nil {
 		panic("ntt: functional transform over a shape-only view")
@@ -492,9 +496,17 @@ func (e *Engine) run(qs []*sycl.Queue, view *BatchView, tbls []*Tables, forward 
 	}
 	p := e.plan(tbls[0].N, view.polys, len(tbls), forward)
 	prices := p.pricesOn(qs)
-	for i, k := range e.bind(p, view, tbls) {
+	kernels := e.bind(p, view, tbls)
+	held := !e.Analytic // a timing-only transform has no bodies to hold
+	if held {
+		qs[0].Raw().Hold()
+	}
+	for i, k := range kernels {
 		tail = sycl.Launch(tail, qs, k, prices[i], deps...)
 		deps = tail
+	}
+	if held {
+		qs[0].Raw().Release()
 	}
 	return tail
 }

@@ -291,27 +291,33 @@ func TestEngineNTTMultiplication(t *testing.T) {
 }
 
 // BenchmarkEngineButterfly times the functional layer alone: forward +
-// inverse LocalRadix8 over 2 polynomials at the serving shape (N=4096,
-// 4 moduli) and the routine shape (N=32768, 9 moduli), reported per
-// 2-point butterfly — the same quantity as the repo benchmark's
-// ntt.host_ns_per_butterfly.* probes. Each shape runs under three
-// modulus classes: its chain primes' size, 40 or 42 bits (the IFMA
-// kernels where the CPU has them), 51 bits (the IFMA-wide kernels) and
-// its special prime's size, 52 bits (IFMA-wide) or 54 (the 64-bit
+// inverse LocalRadix8 at the serving shape (N=4096, 2 polynomials × 4
+// moduli), the routine shape (N=32768, 2 × 9) and the key switch's
+// digit rows at the routine shape (N=32768, 81 rows: 9 digits × 9
+// moduli, as ks_digit_extend's NTT runs them at L = 8; 21 MB, well past
+// L2), reported per 2-point butterfly — the same quantity as the repo
+// benchmark's ntt.host_ns_per_butterfly.* probes. Each shape runs under
+// three modulus classes: its chain primes' size, 40 or 42 bits (the
+// IFMA kernels where the CPU has them), 51 bits (the IFMA-wide kernels)
+// and its special prime's size, 52 bits (IFMA-wide) or 54 (the 64-bit
 // AVX-512 kernels). Each sub-benchmark's name ends in the family that
 // ran its rounds here.
 func BenchmarkEngineButterfly(b *testing.B) {
 	for _, shape := range []struct {
-		name  string
-		n     int
-		rns   int
-		sizes [3]int
-	}{{"n4096x4", 4096, 4, [3]int{40, 51, 52}}, {"n32768x9", 32768, 9, [3]int{42, 51, 54}}} {
+		name       string
+		n          int
+		rns, polys int
+		sizes      [3]int
+	}{
+		{"n4096x4", 4096, 4, 2, [3]int{40, 51, 52}},
+		{"n32768x9", 32768, 9, 2, [3]int{42, 51, 54}},
+		{"n32768x81", 32768, 9, 9, [3]int{42, 51, 54}},
+	} {
 		for _, bits := range shape.sizes {
 			class := primeClass{bits: bits}
 			family := kernelNames[wantKernels(class.primes(1, shape.n)[0])]
 			b.Run(fmt.Sprintf("%s/%dbit/%s", shape.name, bits, family), func(b *testing.B) {
-				const polys = 2
+				polys := shape.polys
 				data, tbls := testSetup(b, shape.n, shape.rns, polys, class, 1)
 				qs := queues1(gpu.NewDevice1())
 				e := NewEngine(LocalRadix8)
