@@ -88,10 +88,14 @@ fallback:
 # The second line does the same for the dispatcher and the held
 # coalescing rows: a worker pulls its batches under the scheduler lock
 # and sleeps on a condition variable, so a lost wake-up shows as a
-# wedged or miscounted run there.
+# wedged or miscounted run there. The third runs the row-order holds
+# (gpu.Queue.Hold, core's row chains, a launch lost inside one) at one
+# and two CPUs: the group runner's one-goroutine branch runs only at
+# -cpu 1, and tier-1 runs on two.
 stress:
 	$(GO) test ./internal/sched -run 'Chaos|SelfHeal|Kill|Drain|Retry|AddShard|Lifecycle' -count 10 -cpu 1,2
 	$(GO) test ./internal/sched -run 'Dispatcher|Held|Coalesc|Ragged' -count 10 -cpu 1,2
+	$(GO) test ./internal/gpu ./internal/core -run 'Held|Nested|LostOnTheWire|FreeInside' -count 10 -cpu 1,2
 
 # Fuzz smoke: every Fuzz* target in the tree (found by name, so a new
 # one is picked up without editing this), 5 s each — internal/xmath's

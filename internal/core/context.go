@@ -34,7 +34,9 @@ type Config struct {
 	// (Section III-C.2).
 	DualTile bool
 	// Blocking forces a host synchronization after every operation
-	// (disables the asynchronous pipeline of Fig. 2).
+	// (disables the asynchronous pipeline of Fig. 2). No figure or
+	// ablation sets it: it is the baseline the core tests hold the
+	// asynchronous pipeline against.
 	Blocking bool
 	// Analytic is the timing-only mode (paper-scale sweeps): kernel
 	// bodies are skipped and device buffers are sizes and driver
@@ -161,7 +163,7 @@ func NewContextOn(params *ckks.Parameters, dev *gpu.Device, cfg Config, queues [
 		Device: dev,
 		Queues: queues,
 		Cache:  cache,
-		Engine: &ntt.Engine{V: cfg.NTT, Analytic: cfg.Analytic},
+		Engine: &ntt.Engine{V: cfg.NTT},
 		Cfg:    cfg,
 		copyQ:  sycl.NewCopyQueueOnTile(dev, queues[0].Raw().Tile()),
 		tail:   make([]gpu.Event, len(queues)),

@@ -44,25 +44,11 @@ func (c *Context) launch() {
 // row) to the same rows — an elementwise body's (g.P, g.Q) and a
 // rowsView's (j, q) — and read nothing another row of fn writes. No
 // buffer may be freed inside fn (freePolys panics): a held body could
-// still read it. A panic out of fn drops the held bodies. A timing-only
-// context runs no bodies, and only calls fn.
+// still read it. A panic out of fn drops the held bodies (gpu.Queue.Hold).
 func (c *Context) rowChain(fn func()) {
-	if c.Cfg.Analytic {
-		fn()
-		return
-	}
-	h := c.Queues[0].Raw()
-	h.Hold()
 	c.inChain = true
-	defer func() {
-		if c.inChain { // fn panicked
-			c.inChain = false
-			h.Drop()
-		}
-	}()
-	fn()
-	c.inChain = false
-	h.Release()
+	defer func() { c.inChain = false }()
+	c.Queues[0].Raw().Hold(fn)
 }
 
 // transform runs one batched NTT over view through the engine's plan,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -248,6 +249,61 @@ func (c *Context) DownloadBatch(cts []*Ciphertext) []*ckks.Ciphertext {
 	ev.Wait()
 	c.deps = nil
 	return outs
+}
+
+// TestLaunchLostOnTheWireInsideAHold loses one kernel launch on the
+// wire (a zero-latency link that InjectLinkFault arms on the host-local
+// device) inside each kind of hold: ks_copy_target, the first launch of
+// RelinearizeBatch's first row chain, and the first launch of an NTT,
+// inside the engine's hold. The panic carries gpu.ErrLinkFault, Scoped
+// hands every buffer of the failed routine back to the cache, and the
+// hold and the row chain are gone with it: the context frees again, and
+// its next key switch and rescale are bit-identical to the host
+// evaluator's.
+func TestLaunchLostOnTheWireInsideAHold(t *testing.T) {
+	h := newHarness(t)
+	a, _ := h.randCT(500)
+	b, _ := h.randCT(501)
+	relin := h.host.Relinearize(h.host.Mul(a, b))
+	rescaled := h.host.Rescale(relin)
+	c := newCtx(t, h, OptNTTAsm())
+	dA, dB := c.Upload(a), c.Upload(b)
+	for _, lose := range []struct {
+		hop string // in the name of the launch that is lost
+		run func()
+	}{
+		{"ks_copy_target", func() {
+			prods := c.MulBatch(one(dA), one(dB))
+			c.Device.InjectLinkFault(1)
+			c.RelinearizeBatch(prods, h.rlk)
+		}},
+		{"ntt_", func() {
+			zero := c.NewZeroCt(1, a.Level, a.Scale, false)
+			c.Device.InjectLinkFault(1)
+			c.FwdNTTCt(zero)
+		}},
+	} {
+		used := c.Cache.UsedCount()
+		var r any
+		func() {
+			defer func() { r = recover() }()
+			c.Scoped(lose.run)
+		}()
+		if err, ok := r.(error); !ok || !errors.Is(err, gpu.ErrLinkFault) {
+			t.Fatalf("losing %s: panic %v, want an ErrLinkFault", lose.hop, r)
+		}
+		if !strings.Contains(fmt.Sprint(r), lose.hop) {
+			t.Fatalf("the lost launch was %v, want %s…", r, lose.hop)
+		}
+		if n := c.Cache.UsedCount(); n != used {
+			t.Errorf("losing %s: %d buffers checked out after Scoped, %d before", lose.hop, n, used)
+		}
+		// No chain is left open: a free outside one goes through.
+		c.Free(c.CloneCt(dA))
+		out := c.RelinearizeBatch(c.MulBatch(one(dA), one(dB)), h.rlk)
+		assertSameCT(t, "Relinearize after losing "+lose.hop, c.Download(out[0]), relin)
+		assertSameCT(t, "Rescale after losing "+lose.hop, c.Download(c.RescaleBatch(out)[0]), rescaled)
+	}
 }
 
 // TestFreeInsideRowChainPanics: a buffer freed inside a row chain may

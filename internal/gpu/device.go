@@ -387,7 +387,7 @@ type Queue struct {
 	copyQ    bool // transfers land on the tile's copy-engine timeline
 
 	depth int      // open Holds
-	held  []Kernel // bodies kept for the outermost Release (reused)
+	held  []Kernel // bodies kept for the outermost Hold (reused)
 }
 
 // NewQueue creates an in-order queue on the given tile.
@@ -410,8 +410,8 @@ func (d *Device) NewQueues() []*Queue {
 }
 
 // SetBlocking makes every submission synchronize with the host — the
-// naive (non-asynchronous) pipeline used as the baseline in the
-// application-level ablations.
+// naive (non-asynchronous) pipeline that the asynchronous one of Fig. 2
+// is tested against (core.Config.Blocking).
 func (q *Queue) SetBlocking(b bool) { q.blocking = b }
 
 // SetMultiQueue marks the queue as part of an explicit multi-queue set,

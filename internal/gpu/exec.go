@@ -110,19 +110,10 @@ func (q *Queue) Launch(k *Kernel, cg isa.CodeGen, deps ...Event) Event {
 
 // LaunchPriced is Launch with the cost already known: price must be
 // k.Price(spec, cg, 1) for this queue's device. While the queue is held
-// (Hold) the body is kept for the outermost Release instead of run.
+// (Hold) the body runs when the outermost Hold returns.
 func (q *Queue) LaunchPriced(k *Kernel, price Cycles, deps ...Event) Event {
-	if k.Body == nil && q.depth == 0 {
-		// Timing-only and unheld: nothing to run, no hold to drop.
-		return q.submitOn(k.name(), k.items(&q.dev.Spec, 1), price, false, deps...)
-	}
-	q.Hold()
-	kept := false
-	defer q.dropUnless(&kept)
 	ev := q.submitOn(k.name(), k.items(&q.dev.Spec, 1), price, false, deps...)
-	q.keep(k)
-	kept = true
-	q.Release()
+	q.give(k)
 	return ev
 }
 
@@ -130,28 +121,12 @@ func (q *Queue) LaunchPriced(k *Kernel, price Cycles, deps ...Event) Event {
 // analytic cost evenly across the given queues (explicit multi-tile
 // submission through multiple queues, Section III-C.2): each
 // sub-submission costs price, which must be k.Price(spec, cg,
-// len(queues)). The body is held on, and run by, the set's first queue.
-// The events of all sub-submissions are written into evs (grown only
-// when it has no room for them), which it returns. evs may share its
-// backing array with deps: every sub-submission waits for the latest of
-// deps, read before any event is written.
+// len(queues)). The body is handed to, and run by, the set's first
+// queue. The events of all sub-submissions are written into evs (grown
+// only when it has no room for them), which it returns. evs may share
+// its backing array with deps: every sub-submission waits for the
+// latest of deps, read before any event is written.
 func LaunchSplit(evs []Event, queues []*Queue, k *Kernel, price Cycles, deps ...Event) []Event {
-	h := queues[0]
-	if k.Body == nil && h.depth == 0 {
-		return submitSplit(evs, queues, k, price, deps)
-	}
-	h.Hold()
-	kept := false
-	defer h.dropUnless(&kept)
-	evs = submitSplit(evs, queues, k, price, deps)
-	h.keep(k)
-	kept = true
-	h.Release()
-	return evs
-}
-
-// submitSplit places LaunchSplit's sub-submissions on the timelines.
-func submitSplit(evs []Event, queues []*Queue, k *Kernel, price Cycles, deps []Event) []Event {
 	after := latest(deps)
 	items := k.items(&queues[0].dev.Spec, len(queues))
 	if cap(evs) < len(queues) {
@@ -161,65 +136,63 @@ func submitSplit(evs []Event, queues []*Queue, k *Kernel, price Cycles, deps []E
 	for i, q := range queues {
 		evs[i] = q.submitOn(k.name(), items, price, false, after)
 	}
+	queues[0].give(k)
 	return evs
 }
 
-// Hold defers the bodies of the queue's launches: each is still
+// Hold runs fn with the queue held: each launch in fn is still
 // submitted (priced and placed on the timelines) at once, but its body
-// is kept, by value, until the outermost Release runs every kept body
-// row by row. Holds nest. The launches of one hold must be a row-local
-// sequence over one row space: each has the same Global[0]×Global[1]
-// rows, and a body's groups on row r read and write only what that
-// row's groups of the launches before and after it touch, besides data
-// no launch of the sequence writes (ARCHITECTURE.md, "Row order").
-// A queue is used by one goroutine at a time, and so is its hold.
-func (q *Queue) Hold() { q.depth++ }
-
-// Release ends a Hold. The outermost one runs the kept bodies: rows are
-// handed out across the host's cores, and each row goes through every
-// kept launch's groups in launch order while it is still in the core's
-// cache. Release without a Hold panics, and so does a kept sequence
-// whose launches do not all have the same row count.
-func (q *Queue) Release() {
-	if q.depth == 0 {
-		panic("gpu: Release without Hold")
+// is kept, by value, until the outermost Hold returns and runs every
+// kept body row by row. Holds nest. The launches of one hold must be a
+// row-local sequence over one row space: each has the same
+// Global[0]×Global[1] rows, and a body's groups on row r read and write
+// only what that row's groups of the launches before and after it
+// touch, besides data no launch of the sequence writes (ARCHITECTURE.md,
+// "Row order"). If fn panics (a launch lost on the wire, a panic
+// between launches), its sequence has failed: the kept bodies are
+// dropped and the queue's next launch runs its body. A queue is used by
+// one goroutine at a time, and so is its hold.
+func (q *Queue) Hold(fn func()) {
+	q.depth++
+	ok := false
+	defer func() {
+		q.depth--
+		if !ok {
+			clear(q.held)
+			q.held = q.held[:0]
+		}
+	}()
+	fn()
+	ok = true
+	if q.depth == 1 { // the outermost Hold; the deferred call un-holds
+		q.runHeld()
 	}
-	q.depth--
-	if q.depth > 0 {
+}
+
+// give hands k's body to the queue: a timing-only kernel (nil Body) has
+// none, a held queue keeps it, and an unheld one runs it now as a
+// sequence of one. The kept list is reused, so a warm launch allocates
+// nothing.
+func (q *Queue) give(k *Kernel) {
+	if k.Body == nil {
 		return
 	}
+	q.held = append(q.held, *k)
+	if q.depth == 0 {
+		q.runHeld()
+	}
+}
+
+// runHeld runs the kept bodies: rows are handed out across the host's
+// cores, and each row goes through every kept launch's groups in launch
+// order while it is still in the core's cache. The list is reset before
+// it runs. A kept sequence whose launches do not all have the same row
+// count panics.
+func (q *Queue) runHeld() {
 	ks := q.held
 	q.held = ks[:0]
 	defer clear(ks)
 	runGroups(ks)
-}
-
-// Drop ends every Hold on the queue and discards the bodies kept so
-// far. A held sequence that fails part way through (a launch lost on
-// the wire, a panic between launches) calls it, or has it called by
-// the launch that failed: its batch has failed, and the queue's next
-// launch must run its body.
-func (q *Queue) Drop() {
-	q.depth = 0
-	clear(q.held)
-	q.held = q.held[:0]
-}
-
-// dropUnless is deferred by a launch: unless the launch kept its body
-// (its submissions all returned), it drops the queue's hold.
-func (q *Queue) dropUnless(kept *bool) {
-	if !*kept {
-		q.Drop()
-	}
-}
-
-// keep appends k's body to the queue's held list. The list is reused,
-// and a timing-only kernel (nil Body) is not kept at all, so a warm
-// launch allocates nothing.
-func (q *Queue) keep(k *Kernel) {
-	if k.Body != nil {
-		q.held = append(q.held, *k)
-	}
 }
 
 // rows is the number of rows the kernel's range covers: the index over
@@ -241,9 +214,8 @@ func (k *Kernel) groupsPerRow() int {
 }
 
 // runGroups runs the work-groups of ks — one launch, or a held sequence
-// over one row space — on up to GOMAXPROCS goroutines. A lone launch hands
-// out its work-groups one by one. A sequence hands out rows, and a row
-// runs each launch's groups in launch order.
+// over one row space — on up to GOMAXPROCS goroutines. Rows are handed
+// out one by one, and a row runs each launch's groups in launch order.
 func runGroups(ks []Kernel) {
 	if len(ks) == 0 {
 		return
@@ -255,32 +227,19 @@ func runGroups(ks []Kernel) {
 				ks[0].name(), rows, ks[i].name(), ks[i].rows()))
 		}
 	}
-	per := 1 // units handed out per row
-	if len(ks) == 1 {
-		per = ks[0].groupsPerRow()
-	}
-	total := rows * per
-	run := func(ctx *GroupCtx, unit int) {
-		row := unit / per
+	run := func(ctx *GroupCtx, row int) {
 		for i := range ks {
-			lo, hi := 0, ks[i].groupsPerRow()
-			if per > 1 {
-				lo, hi = unit%per, unit%per+1
-			}
-			for grp := lo; grp < hi; grp++ {
+			for grp := range ks[i].groupsPerRow() {
 				ks[i].runGroup(ctx, row, grp)
 			}
 		}
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
-	}
+	workers := min(runtime.GOMAXPROCS(0), rows)
 	if workers <= 1 {
 		ctx := GroupCtx{}
-		for unit := 0; unit < total; unit++ {
-			run(&ctx, unit)
+		for row := range rows {
+			run(&ctx, row)
 		}
 		return
 	}
@@ -292,11 +251,11 @@ func runGroups(ks []Kernel) {
 			defer wg.Done()
 			ctx := GroupCtx{}
 			for {
-				unit := int(next.Add(1)) - 1
-				if unit >= total {
+				row := int(next.Add(1)) - 1
+				if row >= rows {
 					return
 				}
-				run(&ctx, unit)
+				run(&ctx, row)
 			}
 		}()
 	}

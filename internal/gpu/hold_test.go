@@ -106,9 +106,11 @@ func launchMajor(t *testing.T, n int) [][]uint64 {
 
 // TestHeldSequenceRunsRowByRow pins the row-order contract: a held
 // sequence of row-local kernels is submitted as it would be unheld (the
-// same events), runs no body before Release, and at Release leaves the
+// same events), runs no body before Hold returns, and then leaves the
 // same memory as launch-major execution, with every row running each
-// kernel's groups exactly once and in launch order.
+// kernel's groups exactly once and in launch order. An unheld launch is
+// a sequence of one: its rows are handed out the same way, and each row
+// runs its groups once, in group order.
 func TestHeldSequenceRunsRowByRow(t *testing.T) {
 	want := launchMajor(t, 3)
 	var wantEvs []Event
@@ -122,16 +124,16 @@ func TestHeldSequenceRunsRowByRow(t *testing.T) {
 	data := seqData()
 	log := &bodyLog{rows: make([][][2]int, seqP*seqQ)}
 	q := NewDevice1().NewQueue(0)
-	q.Hold()
-	for i, k := range rowSeq(data, log) {
-		if ev := q.Launch(k, isa.InlineASM); ev.Done() != wantEvs[i].Done() {
-			t.Errorf("held launch %d completes at %v, unheld at %v", i, ev.Done(), wantEvs[i].Done())
+	q.Hold(func() {
+		for i, k := range rowSeq(data, log) {
+			if ev := q.Launch(k, isa.InlineASM); ev.Done() != wantEvs[i].Done() {
+				t.Errorf("held launch %d completes at %v, unheld at %v", i, ev.Done(), wantEvs[i].Done())
+			}
 		}
-	}
-	if n := log.count(); n != 0 {
-		t.Fatalf("%d groups ran before Release", n)
-	}
-	q.Release()
+		if n := log.count(); n != 0 {
+			t.Fatalf("%d groups ran before Hold returned", n)
+		}
+	})
 
 	if !slices.EqualFunc(data, want, slices.Equal) {
 		t.Errorf("row-order memory differs from launch-major execution")
@@ -158,32 +160,41 @@ func TestHeldSequenceRunsRowByRow(t *testing.T) {
 		}
 	}
 
-	// After Release the queue is un-held: a lone launch runs at once.
-	q.Launch(rowSeq(data, log)[0], isa.InlineASM)
-	if n := log.count(); n != 6*(4+1+8)+6*4 {
-		t.Errorf("a lone launch after Release ran %d groups in all, want %d", n, 6*(4+1+8)+6*4)
+	// After Hold the queue is un-held: a lone launch of the 8-groups-per-row
+	// kernel runs at once, each row's groups once and in group order.
+	lone := &bodyLog{rows: make([][][2]int, seqP*seqQ)}
+	q.Launch(rowSeq(data, lone)[2], isa.InlineASM)
+	for r, ran := range lone.rows {
+		if len(ran) != 8 {
+			t.Errorf("a lone launch ran %d groups on row %d, want 8", len(ran), r)
+			continue
+		}
+		for g, kg := range ran {
+			if kg != [2]int{2, g} {
+				t.Errorf("a lone launch ran row %d as %v, want groups 0..7 of kernel 2 in order", r, ran)
+				break
+			}
+		}
 	}
 }
 
-// TestNestedHoldRunsAtOuterRelease: an inner Release runs nothing; the
-// outer one runs the launches of both levels.
+// TestNestedHoldRunsAtOuterRelease: an inner Hold runs nothing when it
+// returns; the outer one runs the launches of both levels.
 func TestNestedHoldRunsAtOuterRelease(t *testing.T) {
 	want := launchMajor(t, 2)
 	data := seqData()
 	log := &bodyLog{rows: make([][][2]int, seqP*seqQ)}
 	ks := rowSeq(data, log)
 	q := NewDevice1().NewQueue(0)
-	q.Hold()
-	q.Hold()
-	q.Launch(ks[0], isa.InlineASM)
-	q.Release()
-	if n := log.count(); n != 0 {
-		t.Fatalf("the inner Release ran %d groups", n)
-	}
-	q.Launch(ks[1], isa.InlineASM)
-	q.Release()
+	q.Hold(func() {
+		q.Hold(func() { q.Launch(ks[0], isa.InlineASM) })
+		if n := log.count(); n != 0 {
+			t.Fatalf("the inner Hold ran %d groups", n)
+		}
+		q.Launch(ks[1], isa.InlineASM)
+	})
 	if n := log.count(); n != 6*(4+1) {
-		t.Errorf("the outer Release ran %d groups, want %d", n, 6*(4+1))
+		t.Errorf("the outer Hold ran %d groups, want %d", n, 6*(4+1))
 	}
 	if !slices.EqualFunc(data, want, slices.Equal) {
 		t.Errorf("nested hold memory differs from launch-major execution")
@@ -204,8 +215,8 @@ func mustPanic(t *testing.T, what string, fn func()) (r any) {
 }
 
 // TestHeldRowCountsMustMatch: a held sequence whose launches cover
-// different row counts is no row-local sequence, and Release panics on
-// it; the queue is un-held afterwards.
+// different row counts is no row-local sequence, and Hold panics on it;
+// the queue is un-held afterwards.
 func TestHeldRowCountsMustMatch(t *testing.T) {
 	var ran atomic.Int64
 	mk := func(p int) *Kernel {
@@ -213,55 +224,66 @@ func TestHeldRowCountsMustMatch(t *testing.T) {
 			Body: func(*GroupCtx) { ran.Add(1) }}
 	}
 	q := NewDevice1().NewQueue(0)
-	mustPanic(t, "Release of a 6-row and a 9-row launch", func() {
-		q.Hold()
-		q.Launch(mk(2), isa.InlineASM)
-		q.Launch(mk(3), isa.InlineASM)
-		q.Release()
+	mustPanic(t, "a hold of a 6-row and a 9-row launch", func() {
+		q.Hold(func() {
+			q.Launch(mk(2), isa.InlineASM)
+			q.Launch(mk(3), isa.InlineASM)
+		})
 	})
 	ran.Store(0)
 	q.Launch(mk(1), isa.InlineASM)
 	if n := ran.Load(); n != 3 {
-		t.Errorf("a launch after the failed Release ran %d groups, want 3", n)
+		t.Errorf("a launch after the failed Hold ran %d groups, want 3", n)
 	}
-	mustPanic(t, "Release without Hold", q.Release)
 }
 
 // TestHeldLaunchLostOnTheWire: a submission lost on the wire inside a
-// hold drops the held bodies and un-holds the queue, so the next launch
-// runs its body at once — for a launch on one queue and for a split
-// launch, whose body is held on the set's first queue.
+// hold — the outermost one, or one nested in it — drops every held body
+// and un-holds the queue, so the next launch runs its body at once: for
+// a launch on one queue and for a split launch, whose body is held on
+// the set's first queue.
 func TestHeldLaunchLostOnTheWire(t *testing.T) {
 	for _, split := range []bool{false, true} {
 		t.Run(fmt.Sprintf("split=%v", split), func(t *testing.T) {
-			d := NewDevice1()
-			qs := d.NewQueues()
-			launch := func(k *Kernel) {
-				if split {
-					LaunchSplit(nil, qs, k, k.Price(&d.Spec, isa.InlineASM, len(qs)))
-				} else {
-					qs[0].Launch(k, isa.InlineASM)
+			for _, nested := range []bool{false, true} {
+				d := NewDevice1()
+				qs := d.NewQueues()
+				launch := func(k *Kernel) {
+					if split {
+						LaunchSplit(nil, qs, k, k.Price(&d.Spec, isa.InlineASM, len(qs)))
+					} else {
+						qs[0].Launch(k, isa.InlineASM)
+					}
+				}
+				data := seqData()
+				log := &bodyLog{rows: make([][][2]int, seqP*seqQ)}
+				ks := rowSeq(data, log)
+
+				lost := func() {
+					d.InjectLinkFault(1)
+					launch(ks[1])
+				}
+				r := mustPanic(t, "a launch lost on the wire", func() {
+					qs[0].Hold(func() {
+						launch(ks[0])
+						if nested {
+							qs[0].Hold(lost)
+						} else {
+							lost()
+						}
+					})
+				})
+				if err, ok := r.(error); !ok || !errors.Is(err, ErrLinkFault) {
+					t.Fatalf("nested=%v: panic %v, want an ErrLinkFault", nested, r)
+				}
+				if n := log.count(); n != 0 {
+					t.Errorf("nested=%v: %d groups ran for the failed sequence", nested, n)
+				}
+				launch(ks[2])
+				if n := log.count(); n != 6*8 {
+					t.Errorf("nested=%v: the launch after the loss ran %d groups before returning, want %d", nested, n, 6*8)
 				}
 			}
-			data := seqData()
-			log := &bodyLog{rows: make([][][2]int, seqP*seqQ)}
-			ks := rowSeq(data, log)
-
-			qs[0].Hold()
-			launch(ks[0])
-			d.InjectLinkFault(1)
-			r := mustPanic(t, "a launch lost on the wire", func() { launch(ks[1]) })
-			if err, ok := r.(error); !ok || !errors.Is(err, ErrLinkFault) {
-				t.Fatalf("panic %v, want an ErrLinkFault", r)
-			}
-			if n := log.count(); n != 0 {
-				t.Errorf("%d groups ran for the failed sequence", n)
-			}
-			launch(ks[2])
-			if n := log.count(); n != 6*8 {
-				t.Errorf("the launch after the loss ran %d groups before returning, want %d", n, 6*8)
-			}
-			mustPanic(t, "Release after the loss", qs[0].Release)
 		})
 	}
 }

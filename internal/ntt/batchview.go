@@ -36,9 +36,8 @@ func NewBatchView(polys, qCount, n int) *BatchView {
 }
 
 // ShapeView returns a view that is its dimensions and nothing else: no
-// row table, so rows cannot be installed. It is all a timing-only
-// engine reads of a view, and what pricing a transform needs; a
-// functional engine refuses to run it.
+// row table, so rows cannot be installed. It is what pricing a
+// transform needs, and a transform over it is timing-only.
 func ShapeView(polys, qCount, n int) *BatchView {
 	if polys <= 0 || qCount <= 0 {
 		panic(fmt.Sprintf("ntt: batch view needs positive dimensions, got %d x %d", polys, qCount))

@@ -88,7 +88,7 @@ func TestBatchViewMatchesContiguous(t *testing.T) {
 func TestBatchViewKernelPlan(t *testing.T) {
 	const n, qCount = 1 << 12, 3
 	for _, v := range AllVariants() {
-		e := NewAnalyticEngine(v)
+		e := NewEngine(v)
 		tbls, _, view := viewFixture(t, n, 4, qCount, int64(7+v))
 		one := len(e.BuildKernels(nil, 1, tbls, true))
 		k4 := len(e.BuildKernelsView(view, tbls, true))

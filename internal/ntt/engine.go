@@ -142,16 +142,14 @@ func roundProfile(r int) isa.Profile {
 // That kernel sequence is a pure function of (variant, N, polys, RNS
 // count, direction), so the engine plans each shape once (see plan) and
 // every later transform of the shape launches the stored descriptors at
-// the prices stored with them. An engine is safe for concurrent use
-// once V and Analytic are set; it must not be copied after its first
-// transform.
+// the prices stored with them. A transform over a view with no rows
+// (ShapeView, or nil data) is timing-only: it launches the plan's
+// body-less descriptors and only accounts simulated time — what the
+// paper-scale sweeps (e.g. 32K-point, 1024-instance batches) run. An
+// engine is safe for concurrent use once V is set; it must not be
+// copied after its first transform.
 type Engine struct {
 	V Variant
-	// Analytic skips the functional kernel bodies and only accounts
-	// simulated time — used by the paper-scale parameter sweeps
-	// (e.g. 32K-point, 1024-instance batches) where functional
-	// execution is pointless and data may be nil.
-	Analytic bool
 
 	// plans maps each shape the engine has run to its plan. It is
 	// copied on write (under mu) and never evicted, so a warm lookup is
@@ -163,13 +161,11 @@ type Engine struct {
 // NewEngine returns an engine for the variant.
 func NewEngine(v Variant) *Engine { return &Engine{V: v} }
 
-// NewAnalyticEngine returns an engine that only simulates timing.
-func NewAnalyticEngine(v Variant) *Engine { return &Engine{V: v, Analytic: true} }
-
 // Forward runs forward NTTs over a contiguous batch on the given
 // queues (len(qs) > 1 = explicit multi-tile submission) and returns
-// the final events. data uses the flat layout documented on Engine;
-// ForwardView accepts non-contiguous batches.
+// the final events. data uses the flat layout documented on Engine
+// (nil data runs timing-only); ForwardView accepts non-contiguous
+// batches.
 func (e *Engine) Forward(qs []*sycl.Queue, data []uint64, polys int, tbls []*Tables, deps ...gpu.Event) []gpu.Event {
 	return e.run(qs, e.view(data, polys, tbls), tbls, true, nil, deps)
 }
@@ -204,14 +200,11 @@ func (e *Engine) InverseView(qs []*sycl.Queue, view *BatchView, tbls []*Tables, 
 }
 
 // view wraps the classic contiguous layout as a BatchView (shape-only
-// under Analytic, where data may be nil). Empty batches yield a nil
-// view, which every entry point treats as a no-op.
+// when data is nil). Empty batches yield a nil view, which every entry
+// point treats as a no-op.
 func (e *Engine) view(data []uint64, polys int, tbls []*Tables) *BatchView {
 	if len(tbls) == 0 || polys == 0 {
 		return nil
-	}
-	if e.Analytic {
-		data = nil
 	}
 	return ContiguousView(data, polys, len(tbls), tbls[0].N)
 }
@@ -395,12 +388,10 @@ func (e *Engine) BuildKernels(data []uint64, polys int, tbls []*Tables, forward 
 // plan — and hence the analytic cost per row — is identical to a
 // contiguous batch of the same shape; only the row addressing differs.
 //
-// A functional engine returns its own copies of the plan's descriptors
-// with bodies bound to the view. A timing-only engine, and any engine
-// handed a shape-only view, returns the plan's shared body-less
-// descriptors, which are read-only: they price a transform and launch
-// on a timing-only engine, and the engine refuses to run them as a
-// functional transform.
+// Over a view with rows it returns its own copies of the plan's
+// descriptors with bodies bound to the view. Over a shape-only view it
+// returns the plan's shared body-less descriptors, which are read-only:
+// they price a transform and launch a timing-only one.
 func (e *Engine) BuildKernelsView(view *BatchView, tbls []*Tables, forward bool) []*sycl.Kernel {
 	if len(tbls) == 0 || view == nil || view.polys == 0 {
 		return nil
@@ -409,10 +400,10 @@ func (e *Engine) BuildKernelsView(view *BatchView, tbls []*Tables, forward bool)
 }
 
 // bind returns the kernels a transform of p over view launches: the
-// plan's shared descriptors when the engine is timing-only or the view
-// is shape-only, else copies with bodies bound to the view.
+// plan's shared descriptors when the view is shape-only, else copies
+// with bodies bound to the view.
 func (e *Engine) bind(p *plan, view *BatchView, tbls []*Tables) []*sycl.Kernel {
-	if e.Analytic || view.rows == nil {
+	if view.rows == nil {
 		return p.kernels
 	}
 	view.check(tbls)
@@ -482,31 +473,28 @@ func (e *Engine) NominalOps(spec *gpu.DeviceSpec, polys int, tbls []*Tables, for
 // run launches the kernels of one batched transform at the plan's
 // stored prices, each kernel ordered after the one before through the
 // tail it wrote: on one queue a warm transform allocates nothing when
-// the caller lends tail storage. The launches are held on the first
-// queue and released together, so the host takes each row through
-// every round while it is still in cache (every kernel of a plan spans
-// the view's polys × qCount rows, and a row's groups touch that row
-// only).
+// the caller lends tail storage. A view with rows launches inside one
+// hold on the first queue, so the host takes each row through every
+// round while it is still in cache (every kernel of a plan spans the
+// view's polys × qCount rows, and a row's groups touch that row only).
+// A shape-only view has no bodies to hold.
 func (e *Engine) run(qs []*sycl.Queue, view *BatchView, tbls []*Tables, forward bool, tail, deps []gpu.Event) []gpu.Event {
-	if !e.Analytic && view != nil && view.rows == nil {
-		panic("ntt: functional transform over a shape-only view")
-	}
 	if len(tbls) == 0 || view == nil || view.polys == 0 {
 		return deps
 	}
 	p := e.plan(tbls[0].N, view.polys, len(tbls), forward)
 	prices := p.pricesOn(qs)
 	kernels := e.bind(p, view, tbls)
-	held := !e.Analytic // a timing-only transform has no bodies to hold
-	if held {
-		qs[0].Raw().Hold()
+	launch := func() {
+		for i, k := range kernels {
+			tail = sycl.Launch(tail, qs, k, prices[i], deps...)
+			deps = tail
+		}
 	}
-	for i, k := range kernels {
-		tail = sycl.Launch(tail, qs, k, prices[i], deps...)
-		deps = tail
-	}
-	if held {
-		qs[0].Raw().Release()
+	if view.rows == nil {
+		launch()
+	} else {
+		qs[0].Raw().Hold(launch)
 	}
 	return tail
 }

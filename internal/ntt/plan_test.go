@@ -45,9 +45,7 @@ func TestPlanIsAPureFunctionOfShape(t *testing.T) {
 		tables[n] = sharedTables(n, 9)
 	}
 	for _, v := range AllVariants() {
-		// One warm engine of each mode: a functional engine prices a
-		// shape-only batch from the same plans.
-		warm := []*Engine{NewAnalyticEngine(v), NewEngine(v)}
+		warm := NewEngine(v)
 		sweep := func(f func(n, polys int, tbls []*Tables, forward bool)) {
 			for _, n := range sizes {
 				for _, s := range shapes {
@@ -58,12 +56,10 @@ func TestPlanIsAPureFunctionOfShape(t *testing.T) {
 			}
 		}
 		sweep(func(n, polys int, tbls []*Tables, forward bool) {
-			for _, e := range warm {
-				e.BuildKernels(nil, polys, tbls, forward)
-			}
+			warm.BuildKernels(nil, polys, tbls, forward)
 		})
 		sweep(func(n, polys int, tbls []*Tables, forward bool) {
-			fresh := NewAnalyticEngine(v)
+			fresh := NewEngine(v)
 			want := descriptors(fresh.BuildKernels(nil, polys, tbls, forward))
 			if len(want) == 0 {
 				t.Fatalf("%v n=%d %dx%d forward=%v: empty plan", v, n, polys, len(tbls), forward)
@@ -73,10 +69,8 @@ func TestPlanIsAPureFunctionOfShape(t *testing.T) {
 					t.Fatalf("%v: plan entry %+v must be body-less with its profile's name and items filled", v, k)
 				}
 			}
-			for _, e := range warm {
-				if got := descriptors(e.BuildKernels(nil, polys, tbls, forward)); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v n=%d %dx%d forward=%v (functional=%v):\nwarm  %+v\nfresh %+v", v, n, polys, len(tbls), forward, !e.Analytic, got, want)
-				}
+			if got := descriptors(warm.BuildKernels(nil, polys, tbls, forward)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v n=%d %dx%d forward=%v:\nwarm  %+v\nfresh %+v", v, n, polys, len(tbls), forward, got, want)
 			}
 			cold, hot := gpu.NewDevice1(), gpu.NewDevice1()
 			run := func(e *Engine, dev *gpu.Device) {
@@ -86,8 +80,8 @@ func TestPlanIsAPureFunctionOfShape(t *testing.T) {
 					e.Inverse(queues1(dev), nil, polys, tbls)
 				}
 			}
-			run(NewAnalyticEngine(v), cold)
-			run(warm[0], hot)
+			run(NewEngine(v), cold)
+			run(warm, hot)
 			if cold.DeviceTime() != hot.DeviceTime() || cold.HostTime() != hot.HostTime() {
 				t.Fatalf("%v n=%d %dx%d forward=%v: warm engine clocks (%v, %v), cold (%v, %v)", v, n, polys, len(tbls), forward,
 					hot.DeviceTime(), hot.HostTime(), cold.DeviceTime(), cold.HostTime())
@@ -109,7 +103,7 @@ func TestWarmTimingOnlyTransformAllocations(t *testing.T) {
 	}
 	const n, polys, qCount = 8192, 1, 6
 	tbls := sharedTables(n, qCount)
-	e := NewAnalyticEngine(LocalRadix8)
+	e := NewEngine(LocalRadix8)
 	qs := queues1(gpu.NewDevice1())
 	view := ShapeView(polys, qCount, n)
 	tail := e.InverseView(qs, view, tbls, e.ForwardView(qs, view, tbls, nil))
@@ -151,7 +145,7 @@ func storedPrices(p *plan, qs []*sycl.Queue) []gpu.Cycles {
 func TestPlanPricesAreExact(t *testing.T) {
 	tables := map[int][]*Tables{1024: sharedTables(1024, 5), 32768: sharedTables(32768, 5)}
 	for _, v := range AllVariants() {
-		e := NewAnalyticEngine(v)
+		e := NewEngine(v)
 		for n, tbls := range tables {
 			for _, s := range [][2]int{{1, 1}, {3, 5}} {
 				for _, forward := range []bool{true, false} {
@@ -218,10 +212,10 @@ func TestSharedEnginePricesPerDevice(t *testing.T) {
 	var want [2][2]gpu.Cycles
 	for i, spec := range specs {
 		dev := gpu.NewDevice(spec)
-		drive(NewAnalyticEngine(LocalRadix8), dev)
+		drive(NewEngine(LocalRadix8), dev)
 		want[i] = clocks(dev)
 	}
-	shared := NewAnalyticEngine(LocalRadix8)
+	shared := NewEngine(LocalRadix8)
 	drive(shared, gpu.NewDevice1()) // every plan built, priced for another device only
 	for round := 0; round < 20; round++ {
 		devs := []*gpu.Device{gpu.NewDevice(specs[0]), gpu.NewDevice(specs[1])}
@@ -242,13 +236,12 @@ func TestSharedEnginePricesPerDevice(t *testing.T) {
 	}
 }
 
-// TestNominalOpsLeavesEngineFunctional pins that pricing a shape on a
-// functional engine — NominalOps, or BuildKernels over no data, both of
-// which read the plan's body-less descriptors — never leaks those into a
-// real transform of the same shape: a kernel launched without its body
-// fails silently, the transform just does not happen. NominalOps used
-// to flip Analytic on the receiver; the concurrent half fails under
-// -race if it writes to the engine again.
+// TestNominalOpsLeavesEngineFunctional pins that pricing a shape —
+// NominalOps, or BuildKernels over no data, both of which read the
+// plan's body-less descriptors — never leaks those into a real transform
+// of the same shape on the same engine: a kernel launched without its
+// body fails silently, the transform just does not happen. The
+// concurrent half fails under -race if pricing writes to the engine.
 func TestNominalOpsLeavesEngineFunctional(t *testing.T) {
 	const n, qCount, polys = 4096, 2, 2
 	spec := gpu.Device1Spec()
@@ -262,8 +255,8 @@ func TestNominalOpsLeavesEngineFunctional(t *testing.T) {
 		}
 		e := NewEngine(v)
 		ops := e.NominalOps(&spec, polys, tbls, true)
-		if fresh := NewAnalyticEngine(v).NominalOps(&spec, polys, tbls, true); ops != fresh || ops == 0 {
-			t.Fatalf("%v: NominalOps %v on a functional engine, %v on a timing-only one", v, ops, fresh)
+		if fresh := NewEngine(v).NominalOps(&spec, polys, tbls, true); ops != fresh || ops == 0 {
+			t.Fatalf("%v: NominalOps %v, %v on a fresh engine", v, ops, fresh)
 		}
 		for _, k := range e.BuildKernels(nil, polys, tbls, true) {
 			if k.Body != nil {
@@ -283,14 +276,5 @@ func TestNominalOpsLeavesEngineFunctional(t *testing.T) {
 				t.Fatalf("%v: forward after NominalOps mismatches the reference at %d: %d != %d", v, i, data[i], want[i])
 			}
 		}
-		// The shape-only list prices; it must not run as a transform.
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%v: functional Forward over no data did not panic", v)
-				}
-			}()
-			e.Forward(queues1(gpu.NewDevice1()), nil, polys, tbls)
-		}()
 	}
 }

@@ -172,13 +172,13 @@ func TestNominalOpsMatchesTableI(t *testing.T) {
 	tb := smallTables(t, 32768)
 	n := float64(32768)
 
-	naive := NewAnalyticEngine(NaiveRadix2).NominalOps(&spec, 1, []*Tables{tb}, true)
+	naive := NewEngine(NaiveRadix2).NominalOps(&spec, 1, []*Tables{tb}, true)
 	expectNaive := 48*(n/2)*15 + (n/2)*8 // stages + last-round kernel
 	if ratio := naive / expectNaive; ratio < 0.99 || ratio > 1.01 {
 		t.Errorf("naive nominal ops = %v, want ~%v", naive, expectNaive)
 	}
 
-	r8 := NewAnalyticEngine(LocalRadix8).NominalOps(&spec, 1, []*Tables{tb}, true)
+	r8 := NewEngine(LocalRadix8).NominalOps(&spec, 1, []*Tables{tb}, true)
 	expectR8 := 456 * (n / 8) * 5 // 5 radix-8 rounds
 	if ratio := r8 / expectR8; ratio < 0.99 || ratio > 1.05 {
 		t.Errorf("radix-8 nominal ops = %v, want ~%v (Table I)", r8, expectR8)

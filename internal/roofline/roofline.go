@@ -38,7 +38,7 @@ type Model struct {
 // global-memory bytes. For N = 32K this reproduces the paper's
 // numbers: naive ≈ 1.5 op/byte, SLM radix-8 ≈ 8.9 op/byte.
 func (m *Model) Density(v ntt.Variant, n int, tbls []*ntt.Tables) float64 {
-	e := ntt.NewAnalyticEngine(v)
+	e := ntt.NewEngine(v)
 	var ops, bytes float64
 	for _, k := range e.BuildKernels(nil, 1, tbls, true) {
 		ops += k.Profile.NominalOps(&m.Spec)
@@ -88,7 +88,7 @@ func Run(spec gpu.DeviceSpec, v ntt.Variant, cg isa.CodeGen, tiles, instances in
 	} else {
 		qs = []*sycl.Queue{sycl.NewQueue(dev, cg)}
 	}
-	e := ntt.NewAnalyticEngine(v)
+	e := ntt.NewEngine(v)
 	for _, ev := range e.Forward(qs, nil, instances, tbls) {
 		cycles = max(cycles, ev.Done())
 	}

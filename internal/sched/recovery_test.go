@@ -2,11 +2,15 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"xehe/internal/ckks"
 	"xehe/internal/gpu"
 )
 
@@ -153,5 +157,97 @@ func TestRetryRule(t *testing.T) {
 		if got := r.p.allows(r.attempt, r.err, r.remaining); got != r.want {
 			t.Errorf("%s: allows(%d, %v, %g) = %v, want %v", r.name, r.attempt, r.err, r.remaining, got, r.want)
 		}
+	}
+}
+
+// TestRetryKernelLaunchLostOnTheWire loses a batch's first kernel
+// launch rather than its upload: the batch hook arms the shard device's
+// link fault once the batch's inputs are on the device, so the next hop
+// is the chain's first launch. The first job runs alone, so it is the
+// one that fails. With a retry budget it re-executes, matches the
+// serial oracle and counts one retry; without one it fails with the
+// link fault, and the jobs after it succeed. Either way
+// newClusterWith's teardown finds nothing pinned or checked out after
+// Close.
+func TestRetryKernelLaunchLostOnTheWire(t *testing.T) {
+	h := sharedHarness(t)
+	rng := rand.New(rand.NewSource(4711))
+	jobs := make([]*Job, 4)
+	want := make([]*ckks.Ciphertext, len(jobs))
+	for i := range jobs {
+		vals := make([]complex128, h.Params.Slots())
+		for k := range vals {
+			vals[k] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+		}
+		jobs[i] = NewJob(h.Encrypt(vals))
+		jobs[i].SquareRelinRescale(0)
+		var err error
+		if want[i], err = h.RunSerial(jobs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, retry := range []bool{true, false} {
+		t.Run(fmt.Sprintf("retry=%v", retry), func(t *testing.T) {
+			cfg := schedConfig(1)
+			if retry {
+				cfg.Retry = RetryPolicy{MaxAttempts: 2}
+			}
+			c := newClusterWith(t, h, shards(gpu.Device1Spec()), cfg)
+			s := c.all()[0]
+			var armed atomic.Bool
+			next := s.onBatch
+			s.onBatch = func() {
+				if armed.CompareAndSwap(false, true) {
+					s.Device().InjectLinkFault(1)
+				}
+				next()
+			}
+			submit := func(j *Job) *Future {
+				f, err := c.Submit(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			first := submit(jobs[0])
+			got, err := first.Wait()
+			switch {
+			case retry && err != nil:
+				t.Fatalf("the retried job failed: %v", err)
+			case retry:
+				if err := SameCiphertext(got, want[0]); err != nil {
+					t.Errorf("the retried job differs from the serial oracle: %v", err)
+				}
+			case !errors.Is(err, gpu.ErrLinkFault):
+				t.Fatalf("the job whose launch was lost returned %v, want an ErrLinkFault", err)
+			case !strings.Contains(err.Error(), "he_square"):
+				t.Fatalf("the lost hop was not the chain's first launch, he_square: %v", err)
+			}
+			var rest []*Future
+			for _, j := range jobs[1:] {
+				rest = append(rest, submit(j))
+			}
+			for i, f := range rest {
+				got, err := f.Wait()
+				if err != nil {
+					t.Fatalf("job %d after the loss failed: %v", i+1, err)
+				}
+				if err := SameCiphertext(got, want[i+1]); err != nil {
+					t.Errorf("job %d after the loss differs from the serial oracle: %v", i+1, err)
+				}
+			}
+			c.Drain()
+			st := c.Stats()
+			if faulted := s.Device().LinkStats().Faulted; faulted != 1 {
+				t.Errorf("%d hops lost, want 1", faulted)
+			}
+			wantRetries, wantFailed := int64(0), int64(1)
+			if retry {
+				wantRetries, wantFailed = 1, 0
+			}
+			if st.RetryAttempts != wantRetries || st.Failed != wantFailed {
+				t.Errorf("RetryAttempts = %d, Failed = %d, want %d and %d", st.RetryAttempts, st.Failed, wantRetries, wantFailed)
+			}
+		})
 	}
 }
