@@ -33,11 +33,6 @@ type Config struct {
 	// DualTile submits kernels through one queue per tile
 	// (Section III-C.2).
 	DualTile bool
-	// Blocking forces a host synchronization after every operation
-	// (disables the asynchronous pipeline of Fig. 2). No figure or
-	// ablation sets it: it is the baseline the core tests hold the
-	// asynchronous pipeline against.
-	Blocking bool
 	// Analytic is the timing-only mode (paper-scale sweeps): kernel
 	// bodies are skipped and device buffers are sizes and driver
 	// accounting without memory of their own (memcache.NewTimingOnly),
@@ -80,9 +75,8 @@ type Context struct {
 	Cfg    Config
 
 	// copyQ is the transfer queue of the batched copies (UploadBatch,
-	// DownloadBatchAsync): on a device that models a copy engine
-	// (gpu.DeviceSpec.CopyEngine) they land on the tile's copy timeline
-	// and overlap with compute.
+	// DownloadBatchAsync): a copy queue (gpu.Device.NewCopyQueue), so
+	// they land on the tile's copy timeline and overlap with compute.
 	copyQ *sycl.Queue
 
 	// deps is the pending pipeline tail (in-order semantics). After a
@@ -127,11 +121,6 @@ func NewContext(params *ckks.Parameters, dev *gpu.Device, cfg Config) *Context {
 		queues = sycl.NewQueuesAllTiles(dev, cg)
 	} else {
 		queues = []*sycl.Queue{sycl.NewQueue(dev, cg)}
-	}
-	if cfg.Blocking {
-		for _, q := range queues {
-			q.Raw().SetBlocking(true)
-		}
 	}
 	return NewContextOn(params, dev, cfg, queues, NewCache(dev, cfg))
 }

@@ -12,13 +12,9 @@ import (
 func TestCopyEngineOverlapsCompute(t *testing.T) {
 	d := NewDevice1()
 	q := d.NewQueue(0)
-	kernel := q.submitOn("busy", 0, 1e6, false) // long compute command on tile 0
+	kernel := q.submitOn("busy", 0, 1e6) // long compute command on tile 0
 
-	cq := d.NewQueue(0)
-	cq.SetCopyEngine(true)
-	if !cq.CopyEngine() {
-		t.Fatal("Device1 models a copy engine; the copy queue must use it")
-	}
+	cq := d.NewCopyQueue(0)
 	h2d := cq.CopyH2D(1 << 10)
 	if h2d.Done() >= kernel.Done() {
 		t.Fatalf("copy-engine H2D (done %v) must overlap the busy compute command (done %v)",
@@ -40,33 +36,12 @@ func TestCopyEngineOverlapsCompute(t *testing.T) {
 func TestCopyEngineHonorsEventDependencies(t *testing.T) {
 	d := NewDevice1()
 	q := d.NewQueue(0)
-	cq := d.NewQueue(0)
-	cq.SetCopyEngine(true)
-	kernel := q.submitOn("busy", 0, 5e5, false)
+	cq := d.NewCopyQueue(0)
+	kernel := q.submitOn("busy", 0, 5e5)
 	d2h := cq.CopyD2H(1<<10, kernel)
 	if d2h.Done() <= kernel.Done() {
 		t.Fatalf("dependent D2H (done %v) must complete after its compute dependency (done %v)",
 			d2h.Done(), kernel.Done())
-	}
-}
-
-// TestCopyEngineFallsBackWithoutHardware pins graceful degradation: on
-// a device without a copy engine, a copy queue's transfers land on the
-// compute timeline as before.
-func TestCopyEngineFallsBackWithoutHardware(t *testing.T) {
-	spec := Device1Spec()
-	spec.CopyEngine = false
-	d := NewDevice(spec)
-	q := d.NewQueue(0)
-	cq := d.NewQueue(0)
-	cq.SetCopyEngine(true)
-	if cq.CopyEngine() {
-		t.Fatal("copy queue must report no engine on copy-engine-less hardware")
-	}
-	kernel := q.submitOn("busy", 0, 1e6, false)
-	h2d := cq.CopyH2D(1 << 10)
-	if h2d.Done() <= kernel.Done() {
-		t.Fatal("without a copy engine, transfers must serialize on the compute timeline")
 	}
 }
 
@@ -75,8 +50,7 @@ func TestCopyEngineFallsBackWithoutHardware(t *testing.T) {
 // timelines, so a long tail transfer is never unaccounted.
 func TestDeviceTimeIncludesCopyTimeline(t *testing.T) {
 	d := NewDevice1()
-	cq := d.NewQueue(0)
-	cq.SetCopyEngine(true)
+	cq := d.NewCopyQueue(0)
 	ev := cq.CopyH2D(1 << 24) // a big transfer, nothing on compute
 	if got := d.DeviceTime(); got < ev.Done() {
 		t.Fatalf("DeviceTime %v must include the copy timeline tail %v", got, ev.Done())

@@ -27,7 +27,7 @@ type Device struct {
 
 	mu        sync.Mutex
 	tileTime  []Cycles // per-tile completion time of the last command
-	copyTime  []Cycles // per-tile copy-engine timeline (Spec.CopyEngine)
+	copyTime  []Cycles // per-tile copy-engine timeline (copy queues' transfers)
 	hostTime  Cycles
 	allocated int64 // live device bytes
 	peakAlloc int64
@@ -380,11 +380,10 @@ func (e Event) Wait() {
 // SYCL in-order queue. Explicit multi-tile submission (Section III-C.2)
 // uses one Queue per tile.
 type Queue struct {
-	dev      *Device
-	tile     int
-	multiQ   bool // part of an explicit multi-queue set (pays the tax)
-	blocking bool // if true, every submission synchronizes the host
-	copyQ    bool // transfers land on the tile's copy-engine timeline
+	dev    *Device
+	tile   int
+	multiQ bool // part of an explicit multi-queue set (pays the tax)
+	copyQ  bool // a copy queue: transfers land on the tile's copy engine
 
 	depth int      // open Holds
 	held  []Kernel // bodies kept for the outermost Hold (reused)
@@ -398,6 +397,17 @@ func (d *Device) NewQueue(tile int) *Queue {
 	return &Queue{dev: d, tile: tile}
 }
 
+// NewCopyQueue creates an in-order queue on the given tile's copy
+// engine (the blitter every tile of an Intel Xe GPU carries): its
+// CopyH2D/CopyD2H submissions run on the tile's copy timeline, overlap
+// with compute and synchronize only through explicit event
+// dependencies. A copy queue launches no kernels.
+func (d *Device) NewCopyQueue(tile int) *Queue {
+	q := d.NewQueue(tile)
+	q.copyQ = true
+	return q
+}
+
 // NewQueues creates one queue per tile for explicit multi-tile
 // submission; each submission then pays the multi-queue tax.
 func (d *Device) NewQueues() []*Queue {
@@ -409,28 +419,11 @@ func (d *Device) NewQueues() []*Queue {
 	return qs
 }
 
-// SetBlocking makes every submission synchronize with the host — the
-// naive (non-asynchronous) pipeline that the asynchronous one of Fig. 2
-// is tested against (core.Config.Blocking).
-func (q *Queue) SetBlocking(b bool) { q.blocking = b }
-
 // SetMultiQueue marks the queue as part of an explicit multi-queue set,
 // so each submission pays the multi-queue tax (Section III-C.2). It is
 // used by callers that build queue sets manually instead of through
 // NewQueues — e.g. the concurrent scheduler's per-worker queues.
 func (q *Queue) SetMultiQueue(b bool) { q.multiQ = b }
-
-// SetCopyEngine routes this queue's CopyH2D/CopyD2H submissions onto
-// the tile's copy-engine timeline, so transfers overlap with compute
-// and synchronize only through explicit event dependencies. It takes
-// effect only when the device models a copy engine (Spec.CopyEngine);
-// otherwise transfers keep serializing on the compute timeline, so a
-// copy queue degrades gracefully on copy-engine-less hardware.
-func (q *Queue) SetCopyEngine(b bool) { q.copyQ = b }
-
-// CopyEngine reports whether transfers on this queue ride the tile's
-// copy engine.
-func (q *Queue) CopyEngine() bool { return q.copyQ && q.dev.Spec.CopyEngine }
 
 // Tile returns the tile this queue is bound to.
 func (q *Queue) Tile() int { return q.tile }
@@ -438,14 +431,13 @@ func (q *Queue) Tile() int { return q.tile }
 // Device returns the owning device.
 func (q *Queue) Device() *Device { return q.dev }
 
-// submitOn places a command on the tile's compute timeline, or — when
-// copyEngine is set and the device models one — on the tile's copy
-// timeline, so transfers overlap with compute. Copy-engine submissions
-// skip the multi-queue tax (the copy engine is a separate unit, not a
-// contended compute queue) but still pay the host enqueue cost.
-func (q *Queue) submitOn(name string, items int, dur Cycles, copyEngine bool, deps ...Event) Event {
+// submitOn places a command on the tile's compute timeline, or — on a
+// copy queue — on the tile's copy timeline, so transfers overlap with
+// compute. Copy-engine submissions skip the multi-queue tax (the copy
+// engine is a separate unit, not a contended compute queue) but still
+// pay the host enqueue cost.
+func (q *Queue) submitOn(name string, items int, dur Cycles, deps ...Event) Event {
 	d := q.dev
-	copyEngine = copyEngine && d.Spec.CopyEngine
 	rawDur := dur
 	d.mu.Lock()
 	d.hostTime += d.Spec.HostSubmitCycles
@@ -464,7 +456,7 @@ func (q *Queue) submitOn(name string, items int, dur Cycles, copyEngine bool, de
 		}
 	}
 	tl := d.tileTime
-	if copyEngine {
+	if q.copyQ {
 		tl = d.copyTime
 	}
 	start := tl[q.tile]
@@ -476,7 +468,7 @@ func (q *Queue) submitOn(name string, items int, dur Cycles, copyEngine bool, de
 			start = dep.done
 		}
 	}
-	if q.multiQ && !copyEngine {
+	if q.multiQ && !q.copyQ {
 		dur += d.Spec.MultiQueueTaxCycles
 	}
 	end := start + dur
@@ -484,33 +476,30 @@ func (q *Queue) submitOn(name string, items int, dur Cycles, copyEngine bool, de
 	if d.traceOn {
 		d.trace = append(d.trace, TraceEntry{
 			Name: name, Items: items, Cycles: rawDur, Start: start, End: end,
-			Tile: q.tile, Copy: copyEngine,
+			Tile: q.tile, Copy: q.copyQ,
 		})
 	}
 	d.mu.Unlock()
-	ev := Event{dev: d, done: end}
-	if q.blocking {
-		ev.Wait()
-	}
-	return ev
+	return Event{dev: d, done: end}
 }
 
 // SubmitProfile enqueues an analytic-only kernel (no functional body).
 func (q *Queue) SubmitProfile(p KernelProfile, cg isa.CodeGen, deps ...Event) Event {
-	return q.submitOn(p.Name, p.Items, p.Time(&q.dev.Spec, cg), false, deps...)
+	return q.submitOn(p.Name, p.Items, p.Time(&q.dev.Spec, cg), deps...)
 }
 
 // CopyH2D enqueues a host-to-device transfer of n bytes. On a copy
-// queue (SetCopyEngine) of a copy-engine device it lands on the copy
-// timeline and overlaps with compute.
+// queue (NewCopyQueue) it lands on the tile's copy timeline and
+// overlaps with compute; on any other queue it serializes on the
+// tile's compute timeline.
 func (q *Queue) CopyH2D(n int64, deps ...Event) Event {
 	dur := float64(n)/q.dev.Spec.PCIeBytesPerCycle + q.dev.linkLeg(n)
-	return q.submitOn("memcpy_h2d", 0, dur, q.copyQ, deps...)
+	return q.submitOn("memcpy_h2d", 0, dur, deps...)
 }
 
-// CopyD2H enqueues a device-to-host transfer of n bytes (copy-engine
-// placement as CopyH2D).
+// CopyD2H enqueues a device-to-host transfer of n bytes, placed as
+// CopyH2D places it.
 func (q *Queue) CopyD2H(n int64, deps ...Event) Event {
 	dur := float64(n)/q.dev.Spec.PCIeBytesPerCycle + q.dev.linkLeg(n)
-	return q.submitOn("memcpy_d2h", 0, dur, q.copyQ, deps...)
+	return q.submitOn("memcpy_d2h", 0, dur, deps...)
 }

@@ -112,7 +112,7 @@ func (q *Queue) Launch(k *Kernel, cg isa.CodeGen, deps ...Event) Event {
 // k.Price(spec, cg, 1) for this queue's device. While the queue is held
 // (Hold) the body runs when the outermost Hold returns.
 func (q *Queue) LaunchPriced(k *Kernel, price Cycles, deps ...Event) Event {
-	ev := q.submitOn(k.name(), k.items(&q.dev.Spec, 1), price, false, deps...)
+	ev := q.submitOn(k.name(), k.items(&q.dev.Spec, 1), price, deps...)
 	q.give(k)
 	return ev
 }
@@ -134,7 +134,7 @@ func LaunchSplit(evs []Event, queues []*Queue, k *Kernel, price Cycles, deps ...
 	}
 	evs = evs[:len(queues)]
 	for i, q := range queues {
-		evs[i] = q.submitOn(k.name(), items, price, false, after)
+		evs[i] = q.submitOn(k.name(), items, price, after)
 	}
 	queues[0].give(k)
 	return evs

@@ -122,17 +122,6 @@ func TestEventDependencies(t *testing.T) {
 	}
 }
 
-func TestBlockingQueueSyncs(t *testing.T) {
-	d := NewDevice1()
-	q := d.NewQueue(0)
-	q.SetBlocking(true)
-	p := KernelProfile{Items: 1, GlobalBytes: 1e6, Pattern: PatternUnitStride}
-	e := q.SubmitProfile(p, isa.CompilerGenerated)
-	if d.HostTime() < e.Done() {
-		t.Error("blocking queue must synchronize host after each submission")
-	}
-}
-
 func TestRawMallocCostAndStats(t *testing.T) {
 	d := NewDevice1()
 	before := d.HostTime()

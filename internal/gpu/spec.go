@@ -48,15 +48,6 @@ type DeviceSpec struct {
 	SLMBytesPerCyclePerSubslice float64
 	PCIeBytesPerCycle           float64 // host<->device copies
 
-	// CopyEngine marks a dedicated per-tile copy engine (the blitter
-	// of Intel Xe GPUs): host<->device transfers submitted to a copy
-	// queue (gpu.Queue.SetCopyEngine) run on a separate per-tile
-	// timeline and overlap with compute, synchronized only through
-	// explicit event dependencies. Without the flag — or on queues not
-	// marked as copy queues — transfers serialize on the tile's compute
-	// timeline as before.
-	CopyEngine bool
-
 	// Fixed overheads, in device cycles.
 	KernelLaunchCycles  float64 // dispatch latency per kernel
 	HostSubmitCycles    float64 // host-side cost to enqueue (async path)
@@ -140,7 +131,6 @@ func Device1Spec() DeviceSpec {
 		GlobalBytesPerCyclePerTile:  630, // knee = 4096/630 ≈ 6.5 op/B
 		SLMBytesPerCyclePerSubslice: 128,
 		PCIeBytesPerCycle:           20, // ~32 GB/s
-		CopyEngine:                  true,
 
 		KernelLaunchCycles:  1800,
 		HostSubmitCycles:    800,
@@ -176,7 +166,6 @@ func Device2Spec() DeviceSpec {
 		GlobalBytesPerCyclePerTile:  234, // knee = 2048/234 ≈ 8.75 op/B
 		SLMBytesPerCyclePerSubslice: 128,
 		PCIeBytesPerCycle:           20,
-		CopyEngine:                  true,
 
 		KernelLaunchCycles:  1600,
 		HostSubmitCycles:    800,

@@ -376,8 +376,8 @@ func (c *Cluster) publishShard(sh *Scheduler) (int, error) {
 // throughput weight — so an idle slow device still loses to a fast one
 // with a little backlog, and a uniform stream splits in proportion to
 // the weights. Bulk classes count load in jobs (the job adds 1);
-// latency-sensitive ones in work units — uploads plus kernel ops, a
-// finer signal — which makes the cost the job's expected wait.
+// latency-sensitive ones in work units (jobWork), a finer signal,
+// which makes the cost the job's expected wait.
 func routeCost(load, job, weight float64) float64 { return (load + job) / weight }
 
 // affinity returns the shard holding a device-resident output the job
@@ -437,7 +437,7 @@ func (c *Cluster) pick(job *Job, skip map[int]bool) *Scheduler {
 		}
 		s := shards[i]
 		if latSensitive {
-			return routeCost(s.OutstandingWork(), float64(len(job.Inputs)+len(job.Ops)), s.weight), true
+			return routeCost(s.OutstandingWork(), jobWork(job), s.weight), true
 		}
 		return routeCost(float64(s.Outstanding()), 1, s.weight), true
 	})

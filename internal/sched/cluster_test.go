@@ -123,6 +123,44 @@ func TestPickWeightedSkipsClosed(t *testing.T) {
 	}
 }
 
+// TestPickPricesDependencyInputs pins that the expected-wait router
+// prices a latency-sensitive job at what it adds to a shard's
+// OutstandingWork, dependency inputs included (jobWork). The job term
+// only matters between shards of different weights: on a Device1 +
+// Device2 pair it decides between a loaded fast shard and an idle slow
+// one. The fast shard's load sits halfway between the two thresholds,
+// with and without the job's two dependency inputs counted, so pricing
+// the job at its inputs and ops alone sends it to the slow shard.
+func TestPickPricesDependencyInputs(t *testing.T) {
+	h := sharedHarness(t)
+	cfg := schedConfig(1)
+	cfg.Core.Analytic = true
+	c := newClusterWith(t, h, shards(gpu.Device1Spec(), gpu.Device2Spec()), cfg)
+	fast, slow := c.shard(0), c.shard(1)
+
+	// A consumer of two producers with no known home (affinity finds
+	// none): 1 input + 2 deps + 2 ops.
+	job := NewJob(h.Encrypt(make([]complex128, h.Params.Slots()))).WithClass(qos.Interactive)
+	a := job.InputFrom(&Future{shard: -1})
+	b := job.InputFrom(&Future{shard: -1})
+	job.Add(job.Add(0, a), b)
+	const withDeps, withoutDeps = 5, 3
+	if got := jobWork(job); got != withDeps {
+		t.Fatalf("jobWork = %v, want %v", got, withDeps)
+	}
+
+	// An idle slow shard beats a fast one loaded with L iff
+	// job·(fast/slow − 1) < L: put L between the two thresholds.
+	ratio := fast.weight/slow.weight - 1
+	load := (withDeps + withoutDeps) / 2 * ratio
+	fast.outstandingAdd(0, load)
+	defer fast.outstandingAdd(0, -load)
+	if got := c.pick(job, nil); got != fast {
+		t.Fatalf("pick sent the job to shard %d, want the fast shard 0 (load %.2f, weights %.0f / %.0f)",
+			got.id, load, fast.weight, slow.weight)
+	}
+}
+
 // TestClusterNeverRoutesToClosedShard closes one shard mid-stream and
 // verifies the router stops sending work there while the cluster keeps
 // serving.

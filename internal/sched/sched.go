@@ -285,11 +285,13 @@ func (t *task) attach(now float64) {
 	t.deadline += now
 }
 
-// work is the routing cost estimate of the task's job: uploads plus
-// kernel-chain ops. The cluster's expected-wait router divides the
-// outstanding sum by the device weight.
-func (t *task) work() float64 {
-	return float64(len(t.job.Inputs) + len(t.job.Deps) + len(t.job.Ops))
+// jobWork is the routing cost estimate of a job, in work units: host
+// inputs, dependency inputs and kernel-chain ops. It is both what a job
+// adds to its shard's OutstandingWork and what the cluster's
+// expected-wait router prices it at (Cluster.pick), so the two cannot
+// disagree.
+func jobWork(j *Job) float64 {
+	return float64(len(j.Inputs) + len(j.Deps) + len(j.Ops))
 }
 
 // latWindowCap bounds the per-class latency sample window: quantiles
@@ -525,9 +527,6 @@ func (s *Scheduler) Cache() *memcache.Cache { return s.cache }
 func (s *Scheduler) workerContext(id int) *core.Context {
 	cfg := s.cfg.Core
 	q := sycl.NewQueueOnTile(s.dev, id%s.dev.Spec.Tiles, cfg.Codegen(), s.cfg.Workers > 1)
-	if cfg.Blocking {
-		q.Raw().SetBlocking(true)
-	}
 	return core.NewContextOn(s.params, s.dev, cfg, []*sycl.Queue{q}, s.cache)
 }
 
@@ -582,7 +581,7 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 	// observe a zero counter with work still in flight.
 	s.outMu.Lock()
 	s.outstanding++
-	s.outWork += t.work()
+	s.outWork += jobWork(t.job)
 	s.outMu.Unlock()
 	s.qmu.Lock()
 	// Admission control applies to dependency-free jobs only: a graph
@@ -592,7 +591,7 @@ func (s *Scheduler) Submit(job *Job) (*Future, error) {
 	if len(job.Deps) == 0 && s.d.full(class) {
 		if s.d.rejects[class] {
 			s.qmu.Unlock()
-			s.outstandingAdd(-1, -t.work())
+			s.outstandingAdd(-1, -jobWork(t.job))
 			s.met.class[class].rejected.Add(1)
 			s.spanEnd(s.obsRing(ringSubmit), adm, trkSubmit, "reject", catAdmit, s.className(class), 0, 1)
 			return nil, ErrOverloaded
@@ -671,7 +670,7 @@ func (s *Scheduler) Outstanding() int64 {
 	return int64(s.outstanding)
 }
 
-// OutstandingWork returns the work units (uploads + ops) of the jobs
+// OutstandingWork returns the work units (jobWork) of the jobs
 // that have not yet completed — the expected-wait signal of the
 // cluster's latency-sensitive routing.
 func (s *Scheduler) OutstandingWork() float64 {
@@ -868,7 +867,7 @@ func (s *Scheduler) injectTasks(ts []*task, from *Scheduler) bool {
 	for _, t := range ts {
 		t.attach(now)
 		s.arriveLocked(t)
-		work += t.work()
+		work += jobWork(t.job)
 	}
 	s.qmu.Unlock()
 	// StolenIn tracks the migration — by origin: placed here off another
@@ -1300,5 +1299,5 @@ func (s *Scheduler) jobDone(w *worker, t *task, failed bool, batchLen int, done 
 			cm.serviceTime.Observe(svc)
 		}
 	}
-	s.outstandingAdd(-1, -t.work())
+	s.outstandingAdd(-1, -jobWork(t.job))
 }

@@ -37,17 +37,13 @@ func NewQueueOnTile(d *gpu.Device, tile int, cg isa.CodeGen, multiQ bool) *Queue
 	return &Queue{q: gq, cg: cg}
 }
 
-// NewCopyQueueOnTile creates a queue bound to a tile's copy engine:
-// CopyInGather/CopyOutScatter submitted through it land on the copy
-// timeline and overlap with
-// compute, synchronized only through explicit event dependencies. On a
-// device without a copy engine the queue degrades to compute-timeline
-// placement. Copy queues never launch kernels, so they carry no
-// codegen strategy.
+// NewCopyQueueOnTile creates a queue bound to a tile's copy engine
+// (gpu.Device.NewCopyQueue): CopyInGather/CopyOutScatter submitted
+// through it land on the copy timeline and overlap with compute,
+// synchronized only through explicit event dependencies. Copy queues
+// never launch kernels, so they carry no codegen strategy.
 func NewCopyQueueOnTile(d *gpu.Device, tile int) *Queue {
-	gq := d.NewQueue(tile)
-	gq.SetCopyEngine(true)
-	return &Queue{q: gq}
+	return &Queue{q: d.NewCopyQueue(tile)}
 }
 
 // NewQueuesAllTiles creates one queue per tile (explicit multi-tile
